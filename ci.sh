@@ -74,12 +74,13 @@ if grep -q '"type":"health_verdict"' "$mp_dir/tel.rank0.jsonl"; then
   exit 1
 fi
 
-# Health-detector smoke: seed a persistent coarsening stall from the
-# first AMG setup of step 4 (occurrence 7 = 2 pressure setups/step × 3
-# clean warmup steps + 1 on the big box) — fatal at this grid size, so
-# the recovery ladder fires every later step and the detector must
-# emit a recovery-storm degradation verdict after its clean baseline.
-EXAWIND_FAULTS="coarsen-stall@continuity:7x999" \
+# Health-detector smoke: corrupt the first pressure assembly of step 4
+# (occurrence 7 = 2 Picard iterations/step × 3 clean warmup steps + 1;
+# the assembly hook runs every Picard iteration, the AMG-setup hooks do
+# not — the hierarchy is set up once and reused) — the recovery ladder
+# rebuilds and the detector must emit a recovery-storm degradation
+# verdict after its clean baseline.
+EXAWIND_FAULTS="assembly-nan@continuity/global:7" \
   ./target/release/exawind-launch -n 2 -- \
   ./target/release/exawind-worker --mesh big --steps 5 \
   --telemetry "$mp_dir/health-tel"

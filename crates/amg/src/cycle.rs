@@ -93,8 +93,7 @@ impl AmgPrecond {
 
     /// [`AmgPrecond::setup`] threading a cross-solve [`crate::AmgReuse`]
     /// store through hierarchy construction, so repeated setups over the
-    /// same sparsity (Picard re-solves) replay their Galerkin SpGEMMs
-    /// numerically. Collective.
+    /// same sparsity replay their Galerkin SpGEMMs numerically. Collective.
     ///
     /// # Errors
     ///
@@ -114,6 +113,35 @@ impl AmgPrecond {
         })
     }
 
+    /// The preconditioner for `a`, building the hierarchy only when it
+    /// has to: `cached` is returned as is when the operator it was set
+    /// up for (level 0 of its hierarchy) equals `a` bit for bit on
+    /// **every** rank; otherwise `a` moves into a fresh
+    /// [`AmgPrecond::setup`]. The flag is `true` on reuse. Setup is a
+    /// pure function of the operator bits and `config`, so a reused
+    /// hierarchy is the one a fresh setup would have built — callers
+    /// must pass the `config` that `cached` was built with.
+    ///
+    /// Collective: the per-rank verdict is allreduced so all ranks take
+    /// the same branch (`cached` must be `Some` on all ranks or none).
+    ///
+    /// # Errors
+    ///
+    /// As [`AmgPrecond::setup`], on the rebuild branch.
+    pub fn reuse_or_setup(
+        rank: &Rank,
+        cached: Option<AmgPrecond>,
+        a: ParCsr,
+        config: &AmgConfig,
+    ) -> Result<(Self, bool), SolveError> {
+        let reusable = cached
+            .filter(|p| rank.allreduce_min(u64::from(p.operator().bitwise_eq(&a))) == 1);
+        match reusable {
+            Some(p) => Ok((p, true)),
+            None => Ok((Self::setup(rank, a, config)?, false)),
+        }
+    }
+
     /// Wrap an existing hierarchy.
     pub fn from_hierarchy(hierarchy: AmgHierarchy, cycles: usize, sweeps: usize) -> Self {
         AmgPrecond {
@@ -126,6 +154,11 @@ impl AmgPrecond {
     /// Access the hierarchy (complexities, level sizes).
     pub fn hierarchy(&self) -> &AmgHierarchy {
         &self.hierarchy
+    }
+
+    /// The fine operator this preconditioner was set up for.
+    pub fn operator(&self) -> &ParCsr {
+        &self.hierarchy.levels[0].a
     }
 }
 
@@ -354,5 +387,35 @@ mod tests {
             let z2 = amg.apply(rank, &r);
             assert_eq!(z1.local, z2.local);
         });
+    }
+
+    #[test]
+    fn reuse_or_setup_verdict_is_collective() {
+        // A value perturbed by one ulp in rank 1's block alone: rank 0's
+        // own comparison still says "same", yet both ranks must take the
+        // rebuild branch (a split verdict would deadlock in setup's
+        // collectives) and end up holding a hierarchy for the new operator.
+        let serial = laplacian_2d(12);
+        let out = Comm::run(2, move |rank| {
+            let cfg = AmgConfig::standard();
+            let dist = RowDist::block(serial.nrows() as u64, rank.size());
+            let build = || ParCsr::from_serial(rank, dist.clone(), dist.clone(), &serial);
+            let (first, cold) = AmgPrecond::reuse_or_setup(rank, None, build(), &cfg).unwrap();
+            let (second, same) =
+                AmgPrecond::reuse_or_setup(rank, Some(first), build(), &cfg).unwrap();
+            let mut a = build();
+            if rank.rank() == 1 {
+                let v = &mut a.diag.vals_mut()[0];
+                *v = f64::from_bits(v.to_bits() + 1);
+                a.refresh_diag_sell();
+            }
+            let local_same = second.operator().bitwise_eq(&a);
+            let (third, perturbed) =
+                AmgPrecond::reuse_or_setup(rank, Some(second), a.clone(), &cfg).unwrap();
+            assert!(third.operator().bitwise_eq(&a));
+            (cold, same, local_same, perturbed)
+        });
+        assert_eq!(out[0], (false, true, true, false));
+        assert_eq!(out[1], (false, true, false, false));
     }
 }

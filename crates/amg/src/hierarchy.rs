@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn setup_with_reuse_replays_bitwise() {
         // Second setup through the same store (values drifted, structure
-        // fixed — the Picard scenario) must replay every Galerkin
+        // fixed) must replay every Galerkin
         // product and produce levels bit-identical to a fresh setup.
         let serial = laplacian_2d(16);
         for cfg in [AmgConfig::standard(), AmgConfig::pressure_default()] {

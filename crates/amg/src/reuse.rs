@@ -1,13 +1,18 @@
-//! Cross-solve reuse of AMG-setup SpGEMM structure.
+//! Cross-setup reuse of AMG-setup SpGEMM structure.
 //!
-//! Every Picard iteration re-solves the pressure-Poisson system with an
-//! operator whose **values** drift but whose **sparsity** is fixed by
-//! the mesh, so each re-setup of the AMG hierarchy repeats the same
-//! sequence of Galerkin products over unchanged structures. [`AmgReuse`]
-//! keeps one [`ParSpgemmPlan`] per product in setup's (collectively
-//! deterministic) call order; a matching structure replays the numeric
-//! pass alone, a mismatch falls back to a fresh multiply and re-records
-//! the plan at that position.
+//! Repeated setups over operators whose **sparsity** is unchanged repeat
+//! the same sequence of Galerkin products over unchanged structures.
+//! [`AmgReuse`] keeps one [`ParSpgemmPlan`] per product in setup's
+//! (collectively deterministic) call order; a matching structure replays
+//! the numeric pass alone, a mismatch falls back to a fresh multiply and
+//! re-records the plan at that position.
+//!
+//! The Picard driver does not use this store: its pressure operator is
+//! bit-identical from one solve to the next (values included), so
+//! `nalu_core::Simulation` keeps the whole hierarchy
+//! ([`crate::AmgPrecond::reuse_or_setup`]) and every setup it still runs
+//! is a first setup. The store remains for callers whose operator
+//! values do change between setups.
 //!
 //! Correctness relies on two invariants:
 //!

@@ -179,10 +179,13 @@ fn cmd_report(args: Vec<String>) -> ExitCode {
         }
     }
     // A simulation stream (rather than a bench trajectory) carries
-    // step_health events; surface the detector's read in one line so the
-    // perf ledger and the health trend can be scanned together.
-    if let Some(summary) = telemetry::Report::from_events(&events).health_summary() {
-        println!("{summary}");
+    // step_health events and the driver's reuse counters; surface the
+    // detector's read and the rebuilt/reused totals in one line each so
+    // the perf ledger, the health trend and "why is precond setup ~0"
+    // can be scanned together.
+    let report = telemetry::Report::from_events(&events);
+    for line in [report.health_summary(), report.reuse_summary()].into_iter().flatten() {
+        println!("{line}");
     }
     ExitCode::SUCCESS
 }

@@ -31,8 +31,8 @@ impl EqKind {
     }
 }
 
-/// Graphs and value buffers for one mesh, rebuilt whenever connectivity
-/// changes (mesh motion / overset updates).
+/// Graphs and value buffers for one mesh, rebuilt whenever the node
+/// classification changes (see [`MeshSystem::rebuild_graphs`]).
 #[derive(Clone, Debug)]
 pub struct Graphs {
     /// Momentum/scalar share a Dirichlet mask and hence a pattern shape,
@@ -96,9 +96,19 @@ impl MeshSystem {
     }
 
     /// Stage 1 for all three systems: reclassify nodes and recompute the
-    /// exact sparsity patterns + write slots.
+    /// exact sparsity patterns + write slots. The graphs are a pure
+    /// function of the mesh topology, the `DofMap` and the tags; the
+    /// first two are fixed for the life of the system, so existing
+    /// graphs are kept while the tags are unchanged (rigid rotor motion
+    /// with an axisymmetric hole cut leaves them so every step).
     pub fn rebuild_graphs(&mut self, mesh: &Mesh, me: usize) {
-        self.tags = classify_nodes(mesh);
+        let tags = classify_nodes(mesh);
+        if self.graphs.is_some() && tags == self.tags {
+            telemetry::counter("graphs.reused", 1);
+            return;
+        }
+        telemetry::counter("graphs.rebuilt", 1);
+        self.tags = tags;
         let mom_dir = dirichlet_momentum(&self.tags);
         let pre_dir = dirichlet_pressure(&self.tags);
         let momentum = EquationGraph::build(
@@ -206,5 +216,39 @@ mod tests {
         }
         assert_eq!(edge_total, m.edges.len());
         assert_eq!(node_total, m.n_nodes());
+    }
+
+    #[test]
+    fn rebuild_keeps_graphs_across_rotation_and_rebuilds_on_a_tag_change() {
+        use windmesh::overset::assemble_overset;
+        use windmesh::turbine::{generate, NrelCase};
+        use windmesh::NodeStatus;
+        let mut meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+        assemble_overset(&mut meshes, 0.18);
+        let mut sys = MeshSystem::new(&meshes[1], 2, PartitionMethod::Multilevel, 0, 0);
+        sys.rebuild_graphs(&meshes[1], 0);
+        // A marker in a value buffer: a rebuild would zero it.
+        sys.graphs.as_mut().unwrap().con_vals.owned[0] = 42.0;
+        let before = sys.graphs.as_ref().unwrap().continuity.owned.clone();
+
+        // Rigid rotation + overset update: same tags, graphs untouched.
+        windmesh::motion::rotate_annulus(&mut meshes[1], 0.3);
+        assemble_overset(&mut meshes, 0.18);
+        sys.rebuild_graphs(&meshes[1], 0);
+        let g = sys.graphs.as_ref().unwrap();
+        assert_eq!(g.con_vals.owned[0], 42.0, "graphs were rebuilt under unchanged tags");
+        assert_eq!(g.continuity.owned, before);
+
+        // One interior node blanked by hand: its row becomes Dirichlet.
+        let n = (0..meshes[1].n_nodes())
+            .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.owner[n] == 0)
+            .expect("an owned interior node");
+        meshes[1].status[n] = NodeStatus::Hole;
+        sys.rebuild_graphs(&meshes[1], 0);
+        let g = sys.graphs.as_ref().unwrap();
+        assert_eq!(sys.tags[n], BcTag::Hole);
+        assert!(g.continuity.dirichlet[n] && g.momentum.dirichlet[n]);
+        assert_eq!(g.con_vals.owned[0], 0.0, "stale value buffers survived a rebuild");
+        assert_ne!(g.continuity.owned, before, "pattern ignores the new Dirichlet row");
     }
 }

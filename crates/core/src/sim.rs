@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use amg::{AmgConfig, AmgPrecond, AmgReuse};
+use amg::{AmgConfig, AmgPrecond};
 use distmat::{ParCsr, ParVector};
 use krylov::{Gmres, JacobiPrecond, OrthoStrategy, Preconditioner, Sgs2};
 use parcomm::{Rank, TransportKind};
@@ -191,6 +191,16 @@ impl Default for AttemptMods {
     }
 }
 
+/// What preconditions one pressure-solve attempt, together with the
+/// operator GMRES runs against.
+enum PressurePrecond {
+    /// The AMG preconditioner; the operator is level 0 of its hierarchy.
+    Amg(AmgPrecond),
+    /// The recovery ladder's SGS2 demotion over the assembled operator
+    /// (boxed: the rare rung is far larger than the common case).
+    Fallback(Box<(ParCsr, Sgs2)>),
+}
+
 /// A running simulation on one rank.
 pub struct Simulation {
     cfg: SolverConfig,
@@ -213,10 +223,15 @@ pub struct Simulation {
     /// Keeps the fault-injection plan installed as this rank thread's
     /// injector for the lifetime of the simulation (None = no faults).
     _fault_guard: Option<FaultGuard>,
-    /// Per-mesh stores of AMG-setup SpGEMM plans: each Picard re-solve
-    /// of the pressure system replays the Galerkin products numerically
-    /// while the sparsity (fixed by the mesh graph) is unchanged.
-    amg_reuse: BTreeMap<usize, AmgReuse>,
+    /// Per-mesh pressure preconditioners, keyed on the operator itself:
+    /// the continuity matrix is `dt/ρ · area_over_dist` plus identity
+    /// rows on the pressure-Dirichlet mask — it never reads `State` and
+    /// is invariant under rigid rotor motion — so every solve after the
+    /// first finds the hierarchy it would rebuild already here (the
+    /// bit-for-bit check is [`AmgPrecond::reuse_or_setup`]). An entry is
+    /// dropped by any failed continuity attempt and by the
+    /// fallback-smoother rung.
+    amg_cache: BTreeMap<usize, AmgPrecond>,
     /// Newest complete checkpoint this rank wrote or restored from:
     /// `(generation, step)`.
     last_ckpt: Option<(u64, u64)>,
@@ -228,7 +243,8 @@ pub struct Simulation {
     /// Pure arithmetic over collectively identical solver outputs, so it
     /// runs whether or not telemetry records the results.
     health: telemetry::health::HealthDetector,
-    /// Shape of the most recent successful AMG setup:
+    /// Shape of the hierarchy behind the most recent AMG-preconditioned
+    /// pressure solve, freshly set up or cached:
     /// `(levels, grid complexity, operator complexity)`.
     last_amg: Option<(u64, f64, f64)>,
 }
@@ -288,7 +304,7 @@ impl Simulation {
             telemetry: tel,
             tel_guard,
             _fault_guard: fault_guard,
-            amg_reuse: BTreeMap::new(),
+            amg_cache: BTreeMap::new(),
             last_ckpt: None,
             clock,
             health: telemetry::health::HealthDetector::new(),
@@ -565,11 +581,9 @@ impl Simulation {
                 .map(|(k, &v)| (k.clone().into_bytes(), v))
                 .collect(),
             fault_counters: faults::counters(),
-            amg_plans: self
-                .amg_reuse
-                .iter()
-                .map(|(&m, r)| (m as u64, r.n_plans() as u64))
-                .collect(),
+            // The driver keeps no SpGEMM plan store; the field is part
+            // of the checkpoint format.
+            amg_plans: Vec::new(),
         }
     }
 
@@ -644,8 +658,10 @@ impl Simulation {
     /// overset assembly never mutates coordinates) and reassembles the
     /// overset connectivity once. Fault-injector occurrence counters are
     /// restored so seeded fault windows keep advancing where the
-    /// interrupted run left off. AMG SpGEMM plans are re-recorded by the
-    /// first post-restore setup with bitwise-identical numerics.
+    /// interrupted run left off. The pressure-preconditioner cache starts
+    /// empty: the first post-restore solve of each mesh sets its
+    /// hierarchy up afresh, bit-identical to the one the interrupted run
+    /// was holding.
     ///
     /// Call right after [`Simulation::new`], before the first step.
     /// Collective (every rank reads the same manifest).
@@ -717,6 +733,7 @@ impl Simulation {
             })
             .collect::<Result<_, _>>()?;
         self.step_count = ck.step as usize;
+        self.amg_cache.clear();
         // Replay rotor motion: one rotation per completed step, exactly
         // the calls the uninterrupted run made, then reassemble the
         // overset connectivity (a pure function of the coordinates).
@@ -766,8 +783,9 @@ impl Simulation {
         for (i, action) in ladder.iter().enumerate() {
             let attempt = i + 1;
             match action {
-                // Every retry reassembles and rebuilds the preconditioner
-                // from scratch, which is exactly what this rung asks for.
+                // Every retry reassembles, and the failed attempt has
+                // dropped its cached preconditioner, so the retry sets
+                // up from scratch — exactly what this rung asks for.
                 RecoveryAction::Rebuild => {}
                 RecoveryAction::FallbackSmoother => mods.fallback_smoother = true,
                 RecoveryAction::CutTimestep => mods.dt_scale *= policy.dt_cut,
@@ -953,6 +971,11 @@ impl Simulation {
         let state = &mut self.states[m];
         let mut params = cfg.physics;
         params.dt *= mods.dt_scale;
+        // The cached preconditioner leaves the map for the attempt and
+        // goes back only after a successful solve, so every error return
+        // below — and the fallback rung, which never puts it back —
+        // evicts it: the retry's `Rebuild` is a from-scratch setup.
+        let cached = self.amg_cache.remove(&m);
 
         let graphs = sys.graphs.as_mut().expect("graphs built");
         let rhs = Self::phased(rank, t, eq, Phase::LocalAssembly, || {
@@ -974,39 +997,36 @@ impl Simulation {
             Ok::<_, SolveError>((a, rhs.assemble(rank)))
         })?;
         Self::check_system_finite(rank, &a, &[&b])?;
-        // Preconditioner setup: AMG, demoted to SGS2 by the recovery
-        // ladder (a stalled or corrupted hierarchy must not take the
-        // whole step down). The reuse store carries last setup's Galerkin
-        // SpGEMM plans; a structure change (mesh motion on this mesh)
-        // re-records them collectively inside `setup_with_reuse`.
-        let reuse = self.amg_reuse.entry(m).or_default();
-        let mut amg_shape: Option<(u64, f64, f64)> = None;
-        let precond: Box<dyn Preconditioner> =
-            Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-                if mods.fallback_smoother {
-                    Ok(Box::new(Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer))
-                        as Box<dyn Preconditioner>)
-                } else {
-                    AmgPrecond::setup_with_reuse(rank, a.clone(), &cfg.amg, reuse).map(|p| {
-                        let h = p.hierarchy();
-                        amg_shape = Some((
-                            h.level_stats.len() as u64,
-                            h.grid_complexity,
-                            h.operator_complexity,
-                        ));
-                        Box::new(p) as Box<dyn Preconditioner>
-                    })
-                }
-            })?;
-        if amg_shape.is_some() {
-            self.last_amg = amg_shape;
-        }
+        // Preconditioner setup: AMG — the cached hierarchy whenever it
+        // was built for this very operator, which after the first solve
+        // it always was — demoted to SGS2 by the recovery ladder (a
+        // stalled or corrupted hierarchy must not take the whole step
+        // down). GMRES runs against the operator the preconditioner
+        // holds, so `a` is moved or dropped, never cloned.
+        let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
+            if mods.fallback_smoother {
+                let sgs = Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer);
+                return Ok(PressurePrecond::Fallback(Box::new((a, sgs))));
+            }
+            let (amg, reused) = AmgPrecond::reuse_or_setup(rank, cached, a, &cfg.amg)?;
+            telemetry::counter(if reused { "amg.setup_reused" } else { "amg.setup_rebuilt" }, 1);
+            Ok::<_, SolveError>(PressurePrecond::Amg(amg))
+        })?;
+        let (a, apply): (&ParCsr, &dyn Preconditioner) = match &precond {
+            PressurePrecond::Amg(amg) => {
+                let h = amg.hierarchy();
+                self.last_amg =
+                    Some((h.level_stats.len() as u64, h.grid_complexity, h.operator_complexity));
+                (amg.operator(), amg)
+            }
+            PressurePrecond::Fallback(f) => (&f.0, &f.1),
+        };
         let gmres = Self::make_gmres(&cfg, cfg.pressure_tol);
         let mut iters = 0;
         let mut rel = 0.0;
         Self::phased(rank, t, eq, Phase::Solve, || {
             let mut x = ParVector::zeros(rank, sys.dm.dist.clone());
-            let stats = gmres.solve(rank, &a, &b, &mut x, &*precond)?;
+            let stats = gmres.solve(rank, a, &b, &mut x, apply)?;
             iters = stats.iters;
             rel = stats.rel_residual;
             let full = Self::gather_nodal(rank, sys, &x);
@@ -1015,6 +1035,9 @@ impl Simulation {
             }
             Ok::<_, SolveError>(())
         })?;
+        if let PressurePrecond::Amg(amg) = precond {
+            self.amg_cache.insert(m, amg);
+        }
         self.final_rels.insert(eq.to_string(), rel);
         // Projection correction (physics, replicated). Only reached once
         // the pressure solve has succeeded.
@@ -1245,6 +1268,98 @@ mod tests {
                     "solution depends on rank count: {a} vs {b}"
                 );
             }
+        }
+    }
+
+    /// Kernel launches this rank has recorded in the pressure
+    /// preconditioner-setup phase: grows with every AMG setup, stays put
+    /// across a reuse (the operator comparison launches no kernel).
+    fn setup_launches(rank: &Rank) -> u64 {
+        rank.trace_snapshot().phase("continuity/precond setup").kernel_launches
+    }
+
+    #[test]
+    fn changed_dt_is_a_cache_miss_on_every_rank() {
+        let launches = Comm::run(2, |rank| {
+            let cfg = SolverConfig { picard_iters: 2, ..SolverConfig::default() };
+            let mut sim = Simulation::new(rank, vec![small_box()], cfg);
+            sim.step(rank);
+            let first = setup_launches(rank);
+            sim.step(rank);
+            let same_dt = setup_launches(rank);
+            // κ = dt/ρ · area/dist: a new dt is a new operator.
+            sim.cfg.physics.dt *= 0.5;
+            sim.step(rank);
+            (first, same_dt, setup_launches(rank))
+        });
+        for (r, &(first, same_dt, new_dt)) in launches.iter().enumerate() {
+            assert!(first > 0, "rank {r}: step 1 ran no AMG setup");
+            assert_eq!(same_dt, first, "rank {r}: unchanged operator was set up again");
+            assert!(new_dt > same_dt, "rank {r}: changed dt reused a stale hierarchy");
+        }
+    }
+
+    /// The losslessness oracle: after two steps of the rotating 2-mesh
+    /// turbine case, each mesh's cached hierarchy — built once, in step
+    /// 1, before a further rotor rotation — is bit for bit the hierarchy
+    /// a fresh setup builds from that mesh's freshly assembled
+    /// continuity matrix.
+    #[test]
+    fn cached_hierarchies_equal_fresh_setups_on_the_turbine_case() {
+        use windmesh::turbine::{generate, NrelCase};
+        let meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+        for p in [1, 2] {
+            let meshes = meshes.clone();
+            Comm::run(p, move |rank| {
+                let cfg = SolverConfig { picard_iters: 2, ..SolverConfig::default() };
+                let mut sim = Simulation::new(rank, meshes.clone(), cfg.clone());
+                sim.step(rank);
+                let after_step_1 = setup_launches(rank);
+                sim.step(rank);
+                assert_eq!(
+                    setup_launches(rank),
+                    after_step_1,
+                    "p={p}: step 2 set a pressure hierarchy up again"
+                );
+                for m in 0..sim.n_meshes() {
+                    let sys = &mut sim.systems[m];
+                    let graphs = sys.graphs.as_mut().expect("graphs built");
+                    let _rhs = fill_continuity(
+                        rank,
+                        &sim.meshes[m],
+                        &sys.dm,
+                        &graphs.continuity,
+                        &sys.tags,
+                        &sim.states[m],
+                        &cfg.physics,
+                        &sys.owned_edges,
+                        &sys.owned_nodes,
+                        &mut graphs.con_vals,
+                    );
+                    let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)
+                        .expect("continuity assembles");
+                    let fresh = amg::AmgHierarchy::setup(rank, a, &cfg.amg).expect("AMG sets up");
+                    let cached = sim.amg_cache[&m].hierarchy();
+                    assert_eq!(cached.level_stats, fresh.level_stats, "p={p} mesh {m}");
+                    assert_eq!(cached.grid_complexity.to_bits(), fresh.grid_complexity.to_bits());
+                    assert_eq!(
+                        cached.operator_complexity.to_bits(),
+                        fresh.operator_complexity.to_bits()
+                    );
+                    assert_eq!(cached.levels.len(), fresh.levels.len());
+                    assert!(cached.levels.len() > 1, "p={p} mesh {m}: trivial hierarchy");
+                    let same = |x: &Option<ParCsr>, y: &Option<ParCsr>| match (x, y) {
+                        (Some(x), Some(y)) => x.bitwise_eq(y),
+                        (None, None) => true,
+                        _ => false,
+                    };
+                    for (l, (c, f)) in cached.levels.iter().zip(&fresh.levels).enumerate() {
+                        assert!(c.a.bitwise_eq(&f.a), "p={p} mesh {m} level {l}: A differs");
+                        assert!(same(&c.p, &f.p), "p={p} mesh {m} level {l}: P differs");
+                        assert!(same(&c.r, &f.r), "p={p} mesh {m} level {l}: R differs");
+                    }
+                }
+            });
         }
     }
 }

@@ -284,9 +284,9 @@ impl MatPattern {
 
 /// A recorded symbolic pass of [`par_spgemm`]: the output structure plus
 /// one destination slot per expansion product, so later triple products
-/// with unchanged structure (every Picard re-solve) replay the numeric
-/// pass alone — no hash probing, no per-row sort, no COO assembly, no
-/// structural reassembly, and only values on the wire for external rows.
+/// with unchanged structure replay the numeric pass alone — no hash
+/// probing, no per-row sort, no COO assembly, no structural reassembly,
+/// and only values on the wire for external rows.
 ///
 /// Bitwise contract: [`par_spgemm`] accumulates each output entry with
 /// `*acc.entry(j).or_insert(0.0) += a·b` — the first contribution is

@@ -200,6 +200,26 @@ impl ParCsr {
         self.diag.diag()
     }
 
+    /// Is this rank's block of `other` the same stored matrix, bit for
+    /// bit? Compares distributions, `diag`/`offd` structure,
+    /// `col_map_offd` and the value **bits** (so −0.0 ≠ 0.0, NaN
+    /// payloads count, and an explicit zero is a structural difference).
+    /// Local: a caller that branches into collective code on the verdict
+    /// must allreduce it first.
+    pub fn bitwise_eq(&self, other: &ParCsr) -> bool {
+        let same_block = |a: &Csr, b: &Csr| {
+            a.ncols() == b.ncols()
+                && a.indptr() == b.indptr()
+                && a.indices() == b.indices()
+                && a.vals().iter().map(|v| v.to_bits()).eq(b.vals().iter().map(|v| v.to_bits()))
+        };
+        self.row_dist == other.row_dist
+            && self.col_dist == other.col_dist
+            && self.col_map_offd == other.col_map_offd
+            && same_block(&self.diag, &other.diag)
+            && same_block(&self.offd, &other.offd)
+    }
+
     /// Scale every stored value by `s` (local operation).
     pub fn scale(&mut self, s: f64) {
         self.diag.scale(s);

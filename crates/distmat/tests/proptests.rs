@@ -171,4 +171,90 @@ proptest! {
             }
         });
     }
+
+    /// `ParCsr::bitwise_eq` must see every difference in what is stored
+    /// (and only on the rank that stores it), including the ones `==`
+    /// on `f64` cannot: −0.0 vs 0.0 and NaN payloads.
+    #[test]
+    fn bitwise_eq_separates_every_stored_difference(
+        (a, p, k) in (3usize..12).prop_flat_map(|n| (sparse_square(n), 1usize..4, 0usize..1000))
+    ) {
+        let n = a.nrows();
+        let mut dense = a.to_dense();
+        dense[0][n - 1] = 0.0; // guarantee at least one structural hole
+        let holes: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| dense[i][j] == 0.0)
+            .collect();
+        let (hi, hj) = holes[k % holes.len()];
+        let coo_of = |dense: &[Vec<f64>]| {
+            let mut coo = Coo::new();
+            for (i, row) in dense.iter().enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    if v != 0.0 {
+                        coo.push(i as u64, j as u64, v);
+                    }
+                }
+            }
+            coo
+        };
+        let base = coo_of(&dense);
+        // One extra explicit zero at the hole.
+        let mut extra_zero = base.clone();
+        extra_zero.push(hi as u64, hj as u64, 0.0);
+        // One flipped index: row `hi`'s diagonal entry moves to the hole.
+        let mut moved = dense.clone();
+        moved[hi][hj] = moved[hi][hi];
+        moved[hi][hi] = 0.0;
+        let flipped = coo_of(&moved);
+
+        Comm::run(p, move |rank| {
+            let dist = RowDist::block(n as u64, rank.size());
+            let build = |coo: &Coo| {
+                let serial = Csr::from_coo(n, n, coo);
+                ParCsr::from_serial(rank, dist.clone(), dist.clone(), &serial)
+            };
+            let owns_row = dist.owner(hi as u64) == rank.rank();
+            let x = build(&base);
+            // A second assembly of the same input is equal (halo tags
+            // and comm packages are not part of the stored matrix).
+            assert!(x.bitwise_eq(&build(&base)));
+            assert!(x.bitwise_eq(&x.clone()));
+            // Structural differences show on the owning rank only.
+            let z = build(&extra_zero);
+            assert_eq!(x.bitwise_eq(&z), !owns_row, "extra explicit zero");
+            assert_eq!(x.bitwise_eq(&build(&flipped)), !owns_row, "flipped index");
+            // Value-bit differences, planted in the explicit-zero slot
+            // (diag or offd block, wherever the hole landed).
+            if owns_row {
+                let slot_of = |m: &ParCsr| -> (bool, usize) {
+                    let li = dist.to_local(rank.rank(), hi as u64);
+                    let (d0, d1) = (dist.start(rank.rank()), dist.end(rank.rank()));
+                    if (d0..d1).contains(&(hj as u64)) {
+                        let lj = hj - d0 as usize;
+                        let (cols, _) = m.diag.row(li);
+                        (true, m.diag.indptr()[li] + cols.iter().position(|&c| c == lj).unwrap())
+                    } else {
+                        let cj = m.col_map_offd.binary_search(&(hj as u64)).unwrap();
+                        let (cols, _) = m.offd.row(li);
+                        (false, m.offd.indptr()[li] + cols.iter().position(|&c| c == cj).unwrap())
+                    }
+                };
+                let with = |v: f64| {
+                    let mut m = z.clone();
+                    let (in_diag, at) = slot_of(&m);
+                    if in_diag {
+                        m.diag.vals_mut()[at] = v;
+                    } else {
+                        m.offd.vals_mut()[at] = v;
+                    }
+                    m
+                };
+                assert!(!with(0.0).bitwise_eq(&with(-0.0)), "-0.0 vs 0.0");
+                let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+                assert!(!with(nan(1)).bitwise_eq(&with(nan(2))), "NaN payloads");
+                assert!(with(nan(1)).bitwise_eq(&with(nan(1))), "same NaN bits are equal");
+            }
+        });
+    }
 }

@@ -197,10 +197,10 @@ pub struct SolverCheckpoint {
     /// (see [`crate::faults::counters`]); empty when no plan is armed.
     pub fault_counters: Vec<(u64, u64)>,
     /// AMG plan-store metadata: `(mesh index, recorded plan count)` per
-    /// mesh with a reuse store. Plans themselves are *not* serialized:
-    /// numeric replay is bitwise-identical to a fresh multiply, so the
-    /// restarted run re-records them with identical results; this
-    /// metadata keeps the restore auditable (telemetry + report).
+    /// mesh with a reuse store. The Picard driver keeps no such store
+    /// (it caches whole hierarchies, which a restart rebuilds
+    /// bit-identically) and writes this empty; the field stays part of
+    /// the checkpoint format.
     pub amg_plans: Vec<(u64, u64)>,
 }
 

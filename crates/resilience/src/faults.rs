@@ -43,7 +43,12 @@
 //! `continuity/precond setup`), where a corrupted value is structurally
 //! harmless. Pin the context when targeting the fine system — e.g.
 //! `assembly-nan@continuity/global` matches only the global assembly of
-//! the continuity equation itself.
+//! the continuity equation itself. Hooks inside AMG setup
+//! (`coarsen-stall`, and anything matched through
+//! `continuity/precond setup`) run only when a hierarchy is actually set
+//! up: the Picard driver reuses the pressure hierarchy while the operator
+//! is unchanged, so that is the first solve of each mesh plus one per
+//! recovery eviction — not once per Picard iteration.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -219,8 +219,9 @@ pub enum Event {
         rank: usize,
         step: usize,
         eqs: Vec<EqHealthRow>,
-        /// Levels in the pressure AMG hierarchy after the step's last
-        /// setup (0 when no AMG setup ran).
+        /// Levels in the pressure AMG hierarchy the most recent
+        /// AMG-preconditioned solve used, freshly set up or reused (0
+        /// before the first).
         amg_levels: u64,
         grid_complexity: f64,
         operator_complexity: f64,

@@ -824,6 +824,9 @@ impl Report {
                 amg.grid_complexity, amg.operator_complexity
             );
         }
+        if let Some(line) = self.reuse_summary() {
+            let _ = writeln!(out, "{line}");
+        }
 
         // --- GMRES convergence -------------------------------------------
         if !self.gmres.is_empty() {
@@ -1051,6 +1054,23 @@ impl Report {
                 format!("; worst eq {eq} {} -> {} iters", t.first_iters, t.last_iters)
             });
         Some(format!("health: {verdict}{worst}"))
+    }
+
+    /// One line answering "why is precond setup / graph time ~0":
+    /// how often the driver rebuilt vs reused the pressure AMG hierarchy
+    /// and the equation graphs (counter totals, summed over ranks).
+    /// `None` when the stream carries none of the four counters.
+    pub fn reuse_summary(&self) -> Option<String> {
+        let totals = ["amg.setup_rebuilt", "amg.setup_reused", "graphs.rebuilt", "graphs.reused"]
+            .map(|name| self.counters.get(name).copied());
+        if totals.iter().all(Option::is_none) {
+            return None;
+        }
+        let [ab, ar, gb, gr] = totals.map(Option::unwrap_or_default);
+        Some(format!(
+            "reuse (summed over ranks): AMG setups rebuilt {ab} / reused {ar}; \
+             graphs rebuilt {gb} / reused {gr}"
+        ))
     }
 
     /// The report as a JSON object (machine-readable form of the ASCII

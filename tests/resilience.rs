@@ -9,7 +9,7 @@
 
 use exawind::nalu_core::{Simulation, SolveError, SolverConfig};
 use exawind::parcomm::Comm;
-use exawind::resilience::FaultPlan;
+use exawind::resilience::{faults, FaultPlan};
 use exawind::telemetry::Event;
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use exawind::windmesh::Mesh;
@@ -294,5 +294,51 @@ fn disabled_recovery_fails_fast() {
             matches!(res, Err(SolveError::NonFiniteCoefficient { .. })),
             "{res:?}"
         );
+    }
+}
+
+/// Two steps on 2 ranks; returns per-rank (field bits, recovery records
+/// of step 2, `amg.setup_rebuilt` total, halo-nan hook calls of step 1).
+fn run_two_steps(plan: Option<String>) -> Vec<(Vec<u64>, usize, u64, u64)> {
+    Comm::run(2, move |rank| {
+        let mut sim = Simulation::new(rank, vec![small_box()], cfg_with_faults(plan.as_deref()));
+        sim.step(rank);
+        let step1_hits = faults::counters().first().map_or(0, |&(h, _)| h);
+        let report = sim.step(rank);
+        let rebuilt = sim
+            .finish_telemetry(rank)
+            .iter()
+            .find_map(|e| match e {
+                Event::Counter { name, value, .. } if name == "amg.setup_rebuilt" => Some(*value),
+                _ => None,
+            })
+            .unwrap_or(0);
+        let st = sim.state(0);
+        let mut bits: Vec<u64> = Vec::new();
+        bits.extend(st.vel.iter().flat_map(|v| v.iter().map(|x| x.to_bits())));
+        bits.extend(st.p.iter().map(|x| x.to_bits()));
+        bits.extend(st.nut.iter().map(|x| x.to_bits()));
+        (bits, report.recoveries.len(), rebuilt, step1_hits)
+    })
+}
+
+/// The pressure hierarchy is set up once and then reused, so a failed
+/// attempt must evict it or the `rebuild` rung would retry on the very
+/// preconditioner it suspects. A halo NaN in the first pressure solve of
+/// step 2 (occurrence probed, as in `tests/timeline.rs`) hits a reused
+/// hierarchy: the run must recover bitwise equal to the clean one *and*
+/// have run a second setup.
+#[test]
+fn mid_run_halo_nan_evicts_cached_hierarchy_and_recovers_bitwise() {
+    let clean = run_two_steps(None);
+    let probe = run_two_steps(Some("halo-nan@continuity/solve:1000000".into()));
+    let spec = format!("halo-nan@continuity/solve:{}", probe[0].3 + 1);
+    let faulted = run_two_steps(Some(spec));
+    for (r, (c, f)) in clean.iter().zip(&faulted).enumerate() {
+        assert_eq!(c.1, 0, "rank {r}: clean run walked the ladder");
+        assert_eq!(c.2, 1, "rank {r}: clean run sets the hierarchy up exactly once");
+        assert_eq!(f.1, 1, "rank {r}: expected one recovery in step 2");
+        assert_eq!(f.2, 2, "rank {r}: the retry must rebuild the evicted hierarchy");
+        assert_eq!(c.0, f.0, "rank {r}: recovered fields differ from clean run");
     }
 }

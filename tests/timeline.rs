@@ -149,10 +149,9 @@ fn four_rank_trace_is_valid_chrome_json_and_critical_path_covers_makespan() {
 // Health detector end-to-end
 // ---------------------------------------------------------------------------
 
-/// Box whose pressure system (288 rows) sits far enough above
-/// `max_coarse_size` that a forced level-0 coarsening stall is *fatal*
-/// (outside the 4x stall tolerance), driving the recovery ladder
-/// rather than a silently truncated hierarchy.
+/// Box whose pressure system (288 rows) is large enough to get a
+/// multi-level AMG hierarchy, so the health rows carry real
+/// complexities.
 fn bigger_box() -> Mesh {
     box_mesh(
         uniform_spacing(0.0, 4.0, 8),
@@ -190,17 +189,17 @@ fn health_run(steps: usize, faults_spec: Option<&str>) -> Vec<(u64, Vec<Event>)>
 }
 
 /// A clean run emits one `step_health` row per step and no verdicts; a
-/// run with a coarsening stall seeded *after* the detector's warmup
-/// must produce a `recovery-storm` degradation verdict (the stall is
-/// fatal at this grid size, the ladder rebuilds, and the recovery
-/// activity after a clean baseline is exactly what the detector
-/// alarms on). The seed occurrence is probed, not hard-coded: a
-/// never-firing plan counts the coarsen-stall hook calls the first
-/// three (warmup) steps make, and the real plan fires on the next one
-/// — the first setup of step 4 — keeping the test independent of the
-/// hierarchy depth.
+/// run with a fault seeded *after* the detector's warmup must produce a
+/// `recovery-storm` degradation verdict (the ladder rebuilds, and the
+/// recovery activity after a clean baseline is exactly what the
+/// detector alarms on). The fault is a NaN in the continuity global
+/// assembly, whose hook runs every Picard iteration (AMG setup hooks no
+/// longer do: the hierarchy is set up once and reused). The seed
+/// occurrence is probed, not hard-coded: a never-firing plan counts the
+/// hook calls the first three (warmup) steps make, and the real plan
+/// fires on the next one — the first pressure assembly of step 4.
 #[test]
-fn health_detector_fires_on_seeded_coarsen_stall_and_stays_silent_clean() {
+fn health_detector_fires_on_seeded_fault_and_stays_silent_clean() {
     const WARMUP_STEPS: usize = 3;
 
     // Clean 4-step run: step_health present, zero verdicts.
@@ -218,16 +217,16 @@ fn health_detector_fires_on_seeded_coarsen_stall_and_stays_silent_clean() {
     }
 
     // Probe: how many times do the first 3 steps call the hook?
-    let probe = health_run(WARMUP_STEPS, Some("coarsen-stall@continuity:1000000"));
+    let probe = health_run(WARMUP_STEPS, Some("assembly-nan@continuity/global:1000000"));
     let warmup_hits = probe[0].0;
-    assert!(warmup_hits > 0, "probe plan saw no coarsen-stall hook calls");
+    assert!(warmup_hits > 0, "probe plan saw no assembly-nan hook calls");
     assert_eq!(probe[0].0, probe[1].0, "hook counts must be collectively identical");
 
-    // Seeded run: stall the first AMG setup of step 4. Level 0 of this
-    // grid is far above max_coarse_size, so the stall is fatal, the
-    // recovery ladder rebuilds (the one-shot fault is consumed), and
-    // the step completes with recovery activity on its health row.
-    let spec = format!("coarsen-stall@continuity:{}", warmup_hits + 1);
+    // Seeded run: corrupt the first pressure assembly of step 4. The
+    // finite scan rejects it, the recovery ladder rebuilds (the
+    // one-shot fault is consumed), and the step completes with recovery
+    // activity on its health row.
+    let spec = format!("assembly-nan@continuity/global:{}", warmup_hits + 1);
     let seeded = health_run(WARMUP_STEPS + 1, Some(&spec));
     for (r, (hits, events)) in seeded.iter().enumerate() {
         assert!(*hits > warmup_hits, "rank {r}: fault never reached its window");
