@@ -4,10 +4,12 @@
 //! evaluates the edge-based finite-volume coefficients and scatters them
 //! into the pattern slots precomputed by the graph stage (§3.2) — the
 //! owned/shared COO value arrays and the owned/shared right-hand sides.
-//! Stage 3 ([`build_matrix`]) injects those arrays into the IJ interface,
-//! whose `assemble` runs the paper's Algorithm 1/2.
+//! Stage 3 ([`try_build_matrix`], [`try_build_rhs`]) runs the paper's
+//! Algorithm 1/2 once per graph to record an assembly plan, and replays
+//! that plan — a gather plus one values-only message per neighbour — for
+//! this and every later set of values.
 
-use distmat::{IjMatrix, IjVector, ParCsr};
+use distmat::{AssemblyPlan, IjVector, ParCsr, ParVector, VectorPlan};
 use parcomm::{KernelKind, Rank};
 use rayon::prelude::*;
 use windmesh::mesh::Latent;
@@ -177,7 +179,7 @@ pub fn fill_momentum(
     }
 
     // Outflow boundary: linearized advective outflux on the diagonal.
-    add_outflow_diag(mesh, dm, graph, state, rho, owned_nodes, vals);
+    add_outflow_diag(mesh, graph, state, rho, vals);
 
     // Actuator-disc momentum sink on rotor meshes: the drag of the
     // (rigid-blade) rotor on the flow, linearized implicitly as
@@ -208,32 +210,18 @@ pub fn fill_momentum(
 /// Shared helper: add `max(ρ A·u, 0)` to outflow-node diagonals.
 fn add_outflow_diag(
     mesh: &Mesh,
-    dm: &DofMap,
     graph: &EquationGraph,
     state: &State,
     rho: f64,
-    owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) {
     let Some(patch) = mesh.boundary(BcKind::Outflow) else {
         return;
     };
-    // Owned-node lookup: local slot of each owned node.
-    let me_local: std::collections::HashMap<usize, usize> = owned_nodes
-        .iter()
-        .enumerate()
-        .map(|(k, &n)| (n, k))
-        .collect();
-    for (&n, &an) in patch.nodes.iter().zip(&patch.normals) {
-        if graph.dirichlet[n] {
-            continue;
-        }
-        if let Some(&k) = me_local.get(&n) {
-            let mdot = rho * dot3(an, state.vel[n]);
-            vals.add(graph.diag_slots[k], mdot.max(0.0));
-        }
+    for &(i, slot) in &graph.outflow_diag {
+        let mdot = rho * dot3(patch.normals[i], state.vel[patch.nodes[i]]);
+        vals.add(slot, mdot.max(0.0));
     }
-    let _ = dm;
 }
 
 /// Stage 2 for the pressure-Poisson system.
@@ -379,15 +367,14 @@ pub fn fill_scalar(
             rhs.add_value(dm.gid[n], tcoef * state.nut_old[n]);
         }
     }
-    add_outflow_diag(mesh, dm, graph, state, rho, owned_nodes, vals);
+    add_outflow_diag(mesh, graph, state, rho, vals);
 
     let work = (owned_edges.len() * 12 + owned_nodes.len() * 4) as u64;
     rank.kernel(KernelKind::Stream, work * 8, work * 3);
     rhs
 }
 
-/// Stage 3: inject the pattern + values into the IJ interface and run the
-/// Algorithm-1 global assembly. Collective.
+/// Stage 3 for the matrix. Collective.
 pub fn build_matrix(
     rank: &Rank,
     dm: &DofMap,
@@ -399,6 +386,8 @@ pub fn build_matrix(
 
 /// Fallible stage-3 assembly: exchange failures and injected coefficient
 /// corruption surface as [`resilience::SolveError`] instead of panicking.
+/// The first call on a graph runs Algorithm 1 on its pattern to record
+/// the graph's [`AssemblyPlan`]; this and every later call replay it.
 pub fn try_build_matrix(
     rank: &Rank,
     dm: &DofMap,
@@ -410,14 +399,90 @@ pub fn try_build_matrix(
         (graph.owned.len() + graph.shared.len()) as u64,
     );
     telemetry::counter("assembly.shared_entries", graph.shared.len() as u64);
-    let mut ij = IjMatrix::new(rank, dm.dist.clone(), dm.dist.clone());
-    for (&(r, c), &v) in graph.owned.iter().zip(&vals.owned) {
-        ij.add_value(r, c, v);
+    let plan = graph.plan.get_or_init(|| {
+        telemetry::counter("assembly.plan_built", 1);
+        AssemblyPlan::build(rank, dm.dist.clone(), dm.dist.clone(), &graph.owned, &graph.shared)
+    });
+    telemetry::counter("assembly.plan_replayed", 1);
+    let a = plan.try_assemble(rank, &vals.owned, &vals.shared)?;
+    #[cfg(test)]
+    oracle::check_matrix(rank, dm, graph, vals, &a);
+    Ok(a)
+}
+
+/// Stage 3 for a right-hand side filled against `graph` by one of the
+/// `fill_*` functions: Algorithm 2 recorded on the first call per graph
+/// (the off-rank ids a fill emits are a fixed sequence over the graph's
+/// cut edges) and replayed on this and every later one. Collective.
+pub fn try_build_rhs(
+    rank: &Rank,
+    graph: &EquationGraph,
+    rhs: IjVector,
+) -> Result<ParVector, resilience::SolveError> {
+    let plan = graph.rhs_plan.get_or_init(|| VectorPlan::build(rank, &rhs));
+    #[cfg(test)]
+    let fresh = oracle::armed().then(|| rhs.clone().assemble(rank));
+    let b = rhs.try_assemble_planned(rank, plan)?;
+    #[cfg(test)]
+    oracle::check_rhs(fresh, &b);
+    Ok(b)
+}
+
+/// Losslessness oracle for the crate's tests: while armed on a rank
+/// thread, every stage-3 replay is compared, bit for bit, with a
+/// from-scratch Algorithm 1/2 of the same inputs.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `(matrices, right-hand sides)` checked since arming.
+        static CHECKED: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
     }
-    for (&(r, c), &v) in graph.shared.iter().zip(&vals.shared) {
-        ij.add_value(r, c, v);
+
+    pub fn arm() {
+        CHECKED.set(Some((0, 0)));
     }
-    ij.try_assemble(rank)
+
+    pub fn armed() -> bool {
+        CHECKED.get().is_some()
+    }
+
+    /// Disarm and return the `(matrices, right-hand sides)` checked.
+    pub fn disarm() -> (usize, usize) {
+        CHECKED.take().expect("oracle was armed")
+    }
+
+    pub fn check_matrix(
+        rank: &Rank,
+        dm: &DofMap,
+        graph: &EquationGraph,
+        vals: &LocalValues,
+        replayed: &ParCsr,
+    ) {
+        let Some((matrices, rhs)) = CHECKED.get() else {
+            return;
+        };
+        let mut ij = distmat::IjMatrix::new(rank, dm.dist.clone(), dm.dist.clone());
+        let owned = graph.owned.iter().zip(&vals.owned);
+        let shared = graph.shared.iter().zip(&vals.shared);
+        owned.chain(shared).for_each(|(&(r, c), &v)| ij.add_value(r, c, v));
+        let fresh = ij.try_assemble(rank).expect("Algorithm 1 assembles");
+        assert!(replayed.bitwise_eq(&fresh), "replayed matrix differs from Algorithm 1");
+        assert_eq!(replayed.comm_pkg(), fresh.comm_pkg(), "replayed halo package differs");
+        CHECKED.set(Some((matrices + 1, rhs)));
+    }
+
+    pub fn check_rhs(fresh: Option<ParVector>, replayed: &ParVector) {
+        let Some(fresh) = fresh else {
+            return;
+        };
+        let bits = |v: &ParVector| v.local.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(replayed), bits(&fresh), "replayed RHS differs from Algorithm 2");
+        let (matrices, rhs) = CHECKED.get().expect("oracle is armed");
+        CHECKED.set(Some((matrices, rhs + 1)));
+    }
 }
 
 /// Projection update after the pressure solve: `u ← u − (dt/ρ)∇(δp)` on

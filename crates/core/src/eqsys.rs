@@ -251,4 +251,56 @@ mod tests {
         assert_eq!(g.con_vals.owned[0], 0.0, "stale value buffers survived a rebuild");
         assert_ne!(g.continuity.owned, before, "pattern ignores the new Dirichlet row");
     }
+
+    #[test]
+    fn assembly_plan_survives_rotation_and_is_dropped_on_tag_change() {
+        use crate::assemble::try_build_matrix;
+        use windmesh::overset::assemble_overset;
+        use windmesh::turbine::{generate, NrelCase};
+        use windmesh::NodeStatus;
+        let mut meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+        assemble_overset(&mut meshes, 0.18);
+        parcomm::Comm::run(2, move |rank| {
+            let me = rank.rank();
+            let mut meshes = meshes.clone();
+            let mut sys = MeshSystem::new(&meshes[1], 2, PartitionMethod::Multilevel, 0, me);
+            sys.rebuild_graphs(&meshes[1], me);
+            let assemble = |sys: &MeshSystem| {
+                let g = sys.graphs.as_ref().unwrap();
+                try_build_matrix(rank, &sys.dm, &g.continuity, &g.con_vals).expect("assembles")
+            };
+            // Sort kernels recorded so far: only a plan build adds any.
+            let sorts = || {
+                let trace = rank.trace_snapshot().total();
+                trace.launches_by_kind.get(&parcomm::KernelKind::Sort).copied().unwrap_or(0)
+            };
+            assert!(sys.graphs.as_ref().unwrap().continuity.plan.get().is_none());
+            let first = assemble(&sys);
+            let built = sorts();
+            assert!(built > 0, "the first assembly recorded no plan");
+
+            // Rigid rotation + overset update: same tags, same graph,
+            // same plan — the next assembly is a pure replay.
+            windmesh::motion::rotate_annulus(&mut meshes[1], 0.3);
+            assemble_overset(&mut meshes, 0.18);
+            sys.rebuild_graphs(&meshes[1], me);
+            assert!(sys.graphs.as_ref().unwrap().continuity.plan.get().is_some());
+            assert!(assemble(&sys).bitwise_eq(&first));
+            assert_eq!(sorts(), built, "a replay under unchanged tags sorted again");
+
+            // One interior node blanked by hand (on every rank, the mesh
+            // is replicated): new graphs, and no plan until they are
+            // assembled — which records a new one.
+            let n = (0..meshes[1].n_nodes())
+                .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.owner[n] == 0)
+                .expect("an interior node owned by rank 0");
+            meshes[1].status[n] = NodeStatus::Hole;
+            sys.rebuild_graphs(&meshes[1], me);
+            assert!(sys.graphs.as_ref().unwrap().continuity.plan.get().is_none());
+            let rebuilt = assemble(&sys);
+            assert!(sorts() > built, "the new graph was assembled through a stale plan");
+            // The blanked row lives on rank 0.
+            assert!(me != 0 || !rebuilt.bitwise_eq(&first), "the new Dirichlet row is missing");
+        });
+    }
 }

@@ -11,6 +11,9 @@
 //! stage scatter coefficients without any searching (the paper's
 //! binary-search-once optimization of §3.2).
 
+use std::sync::OnceLock;
+
+use distmat::{AssemblyPlan, VectorPlan};
 use sparse_kit::prims;
 use windmesh::{BcKind, Mesh, NodeStatus};
 
@@ -170,6 +173,18 @@ pub struct EquationGraph {
     pub dirichlet: Vec<bool>,
     /// Slot-wise inverse of `edge_slots` for the parallel edge scatter.
     pub scatter: ScatterPlan,
+    /// `(position in the outflow patch, diagonal slot)` of every outflow
+    /// node this rank owns with a free (non-Dirichlet) row, in patch
+    /// order.
+    pub outflow_diag: Vec<(usize, u32)>,
+    /// Stage-3 replay of this pattern (Algorithm 1 with the structure
+    /// taken out), recorded by the first matrix assembly. A function of
+    /// the pattern alone, so it lives and dies with the graph.
+    pub(crate) plan: OnceLock<AssemblyPlan>,
+    /// The same for Algorithm 2 over the off-rank ids the local-assembly
+    /// stage emits for this graph, recorded by the first right-hand-side
+    /// assembly.
+    pub(crate) rhs_plan: OnceLock<VectorPlan>,
 }
 
 impl EquationGraph {
@@ -248,6 +263,18 @@ impl EquationGraph {
             })
             .collect();
         let scatter = ScatterPlan::build(&edge_slots, owned.len(), shared.len());
+        let outflow_diag = mesh.boundary(BcKind::Outflow).map_or_else(Vec::new, |patch| {
+            patch
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| dm.owner[n] == me && !dirichlet[n])
+                .map(|(i, &n)| {
+                    let g = dm.gid[n];
+                    (i, owned.binary_search(&(g, g)).expect("diag missing") as u32)
+                })
+                .collect()
+        });
         EquationGraph {
             owned,
             shared,
@@ -255,6 +282,9 @@ impl EquationGraph {
             diag_slots,
             dirichlet,
             scatter,
+            outflow_diag,
+            plan: OnceLock::new(),
+            rhs_plan: OnceLock::new(),
         }
     }
 

@@ -24,7 +24,8 @@ use windmesh::overset::assemble_overset;
 use windmesh::{Mesh, OversetAssembly, TurbineMeshes};
 
 use crate::assemble::{
-    correct_velocity, fill_continuity, fill_momentum, fill_scalar, try_build_matrix, PhysicsParams,
+    correct_velocity, fill_continuity, fill_momentum, fill_scalar, try_build_matrix,
+    try_build_rhs, PhysicsParams,
 };
 use crate::dofmap::PartitionMethod;
 use crate::eqsys::{EqKind, MeshSystem};
@@ -661,7 +662,9 @@ impl Simulation {
     /// interrupted run left off. The pressure-preconditioner cache starts
     /// empty: the first post-restore solve of each mesh sets its
     /// hierarchy up afresh, bit-identical to the one the interrupted run
-    /// was holding.
+    /// was holding. Graphs and their assembly plans are kept as they are:
+    /// they are functions of topology, partition and node tags, none of
+    /// which a checkpoint carries or a restore changes.
     ///
     /// Call right after [`Simulation::new`], before the first step.
     /// Collective (every rank reads the same manifest).
@@ -857,18 +860,6 @@ impl Simulation {
         Ok(())
     }
 
-    /// Scatter a distributed solution back into a replicated nodal field.
-    fn gather_nodal(rank: &Rank, sys: &MeshSystem, x: &ParVector) -> Vec<f64> {
-        let full = x.to_serial(rank);
-        sys.node_of_gid
-            .iter()
-            .enumerate()
-            .map(|(g, _)| full[g])
-            .collect()
-        // (full is already in gid order; mapping to nodes happens at the
-        // call site through node_of_gid)
-    }
-
     fn make_gmres(cfg: &SolverConfig, tol: f64) -> Gmres {
         Gmres {
             restart: cfg.gmres_restart,
@@ -912,7 +903,10 @@ impl Simulation {
         // Stage 3: global assembly (Algorithms 1 and 2).
         let (a, bs) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
             let a = try_build_matrix(rank, &sys.dm, &graphs.momentum, &graphs.mom_vals)?;
-            let bs: Vec<ParVector> = rhs.into_iter().map(|r| r.assemble(rank)).collect();
+            let bs = rhs
+                .into_iter()
+                .map(|r| try_build_rhs(rank, &graphs.momentum, r))
+                .collect::<Result<Vec<ParVector>, _>>()?;
             Ok::<_, SolveError>((a, bs))
         })?;
         Self::check_system_finite(rank, &a, &bs.iter().collect::<Vec<_>>())?;
@@ -944,7 +938,7 @@ impl Simulation {
                 let stats = gmres.solve(rank, &a, b, &mut x, &*precond)?;
                 total_iters += stats.iters;
                 rel = stats.rel_residual;
-                components.push(Self::gather_nodal(rank, sys, &x));
+                components.push(x.to_serial(rank));
             }
             Ok::<_, SolveError>(())
         })?;
@@ -994,7 +988,7 @@ impl Simulation {
         });
         let (a, b): (ParCsr, ParVector) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
             let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)?;
-            Ok::<_, SolveError>((a, rhs.assemble(rank)))
+            Ok::<_, SolveError>((a, try_build_rhs(rank, &graphs.continuity, rhs)?))
         })?;
         Self::check_system_finite(rank, &a, &[&b])?;
         // Preconditioner setup: AMG — the cached hierarchy whenever it
@@ -1029,7 +1023,7 @@ impl Simulation {
             let stats = gmres.solve(rank, a, &b, &mut x, apply)?;
             iters = stats.iters;
             rel = stats.rel_residual;
-            let full = Self::gather_nodal(rank, sys, &x);
+            let full = x.to_serial(rank);
             for (node, g) in sys.dm.gid.iter().enumerate() {
                 state.dp[node] = full[*g as usize];
             }
@@ -1080,7 +1074,7 @@ impl Simulation {
         });
         let (a, b) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
             let a = try_build_matrix(rank, &sys.dm, &graphs.scalar, &graphs.sca_vals)?;
-            Ok::<_, SolveError>((a, rhs.assemble(rank)))
+            Ok::<_, SolveError>((a, try_build_rhs(rank, &graphs.scalar, rhs)?))
         })?;
         Self::check_system_finite(rank, &a, &[&b])?;
         let precond: Box<dyn Preconditioner> =
@@ -1103,7 +1097,7 @@ impl Simulation {
             let stats = gmres.solve(rank, &a, &b, &mut x, &*precond)?;
             iters = stats.iters;
             rel = stats.rel_residual;
-            let full = Self::gather_nodal(rank, sys, &x);
+            let full = x.to_serial(rank);
             for (node, g) in sys.dm.gid.iter().enumerate() {
                 // Clip: transported viscosity must stay non-negative.
                 state.nut[node] = full[*g as usize].max(0.0);
@@ -1296,6 +1290,33 @@ mod tests {
             assert!(first > 0, "rank {r}: step 1 ran no AMG setup");
             assert_eq!(same_dt, first, "rank {r}: unchanged operator was set up again");
             assert!(new_dt > same_dt, "rank {r}: changed dt reused a stale hierarchy");
+        }
+    }
+
+    /// The assembly-plan losslessness oracle on the rotating 2-mesh
+    /// turbine case: step 1 records the plans, and every matrix and
+    /// right-hand side step 2 replays through them equals, bit for bit, a
+    /// from-scratch Algorithm 1/2 of the same local values — on 1 and 2
+    /// ranks, over both transports.
+    #[test]
+    fn replayed_assemblies_equal_algorithm_1_and_2_on_the_turbine_case() {
+        use crate::assemble::oracle;
+        use windmesh::turbine::{generate, NrelCase};
+        let meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+        for kind in [TransportKind::Inproc, TransportKind::Socket] {
+            for p in [1, 2] {
+                let meshes = meshes.clone();
+                Comm::run_with(kind, p, move |rank| {
+                    let cfg = SolverConfig { picard_iters: 2, ..SolverConfig::default() };
+                    let mut sim = Simulation::new(rank, meshes.clone(), cfg);
+                    sim.step(rank);
+                    oracle::arm();
+                    sim.step(rank);
+                    // 2 Picard iterations × 2 meshes × 3 systems, the
+                    // momentum system with 3 right-hand sides.
+                    assert_eq!(oracle::disarm(), (12, 20), "{kind:?} p={p}");
+                });
+            }
         }
     }
 

@@ -11,6 +11,18 @@
 //!
 //! Mirrors the hypre API sequence
 //! `HYPRE_IJMatrixSetValues2` / `AddToValues2` / `Assemble`.
+//!
+//! Everything Algorithm 1 computes besides the value sums — receive
+//! counts, the sort permutation, the diag/offd split, `col_map_offd`,
+//! the halo communication package — is a function of the sparsity
+//! pattern alone. [`AssemblyPlan`] runs the algorithm once on a pattern
+//! with provenance in place of values and replays it for every later
+//! set of values as a gather plus one values-only message per
+//! neighbour; [`VectorPlan`] does the same for Algorithm 2. Both replays
+//! sum in exactly the order the sort + reduce path does, so they
+//! reproduce its result bit for bit.
+
+use std::ops::Range;
 
 use parcomm::{KernelKind, Rank, Tag};
 use resilience::faults::{self, FaultKind};
@@ -21,7 +33,7 @@ use sparse_kit::Coo;
 use telemetry::perfmodel;
 
 use crate::dist::RowDist;
-use crate::parcsr::ParCsr;
+use crate::parcsr::{ParCsr, ParCsrPattern};
 use crate::vector::ParVector;
 
 /// Bytes of one COO triple on the wire (i, j, value).
@@ -194,7 +206,271 @@ impl IjMatrix {
         rank.kernel(KernelKind::Stream, bytes, 0);
         Ok(ParCsr::from_global_coo(rank, self.row_dist, self.col_dist, &all))
     }
+}
 
+/// Ordered contribution lists of one value array: entry `e` is
+/// `src[first[e]]` plus, in list order, every `src[s]` with `(e, s)` in
+/// `extra`. That is the order `stable_sort_by_key` + `reduce_by_key`
+/// sum in — the first contribution assigns and the rest add, so −0.0
+/// and single-contribution entries keep their bits.
+#[derive(Clone, Debug, Default)]
+struct Gather {
+    first: Vec<u32>,
+    extra: Vec<(u32, u32)>,
+}
+
+impl Gather {
+    /// Append the entry whose contributions sit at `src` positions
+    /// `prov`, in summation order.
+    fn push_entry(&mut self, prov: &[u32]) {
+        let e = self.first.len() as u32;
+        self.first.push(prov[0]);
+        self.extra.extend(prov[1..].iter().map(|&s| (e, s)));
+    }
+
+    fn contribs(&self) -> usize {
+        self.first.len() + self.extra.len()
+    }
+
+    fn apply(&self, src: &[f64]) -> Vec<f64> {
+        let mut out: Vec<f64> = self.first.iter().map(|&s| src[s as usize]).collect();
+        for &(e, s) in &self.extra {
+            out[e as usize] += src[s as usize];
+        }
+        out
+    }
+}
+
+/// `(dst, range of the item list sent there)`, ascending `dst`.
+type Sends = Vec<(usize, Range<usize>)>;
+/// `(src, items expected from it)`, ascending `src`.
+type Recvs = Vec<(usize, usize)>;
+
+/// Who sends how many items to whom in an off-rank exchange: the
+/// per-destination ranges of an item list whose `owners` are
+/// non-decreasing, and the per-source receive counts. The one count
+/// allgather of a plan's lifetime. Collective.
+fn exchange_schedule(rank: &Rank, owners: &[usize]) -> (Sends, Recvs) {
+    let mut sends = Sends::new();
+    let mut counts = vec![0u64; rank.size()];
+    for (k, &dst) in owners.iter().enumerate() {
+        counts[dst] += 1;
+        match sends.last_mut() {
+            Some((d, range)) if *d == dst => range.end = k + 1,
+            _ => sends.push((dst, k..k + 1)),
+        }
+    }
+    let recvs = rank
+        .allgather(counts)
+        .iter()
+        .enumerate()
+        .map(|(src, row)| (src, row[rank.rank()] as usize))
+        .filter(|&(src, n)| src != rank.rank() && n > 0)
+        .collect();
+    (sends, recvs)
+}
+
+/// Stable-sort `keys` with their positions as provenance and hand each
+/// run of equal keys to `entry` as `(key, positions in summation
+/// order)`: the `stable_sort_by_key` of Algorithms 1 and 2 with the
+/// `reduce_by_key` recorded instead of performed.
+fn sorted_runs<K: Ord + Copy + Send + Sync>(
+    rank: &Rank,
+    mut keys: Vec<K>,
+    mut entry: impl FnMut(K, &[u32]),
+) {
+    assert!(keys.len() <= u32::MAX as usize, "plan positions exceed u32");
+    let mut prov: Vec<u32> = (0..keys.len() as u32).collect();
+    // One sorted item is a key plus its u32 provenance.
+    let item_bytes = (std::mem::size_of::<K>() + std::mem::size_of::<u32>()) as u64;
+    let (bytes, _) = cost::sort(keys.len(), item_bytes);
+    rank.kernel(KernelKind::Sort, bytes, 0);
+    let _k = telemetry::kernel(
+        "assembly_sort_reduce",
+        perfmodel::assembly_sort_reduce(keys.len(), item_bytes),
+    );
+    prims::stable_sort_by_key(&mut keys, &mut prov);
+    let mut i = 0;
+    while i < keys.len() {
+        let mut j = i + 1;
+        while j < keys.len() && keys[j] == keys[i] {
+            j += 1;
+        }
+        entry(keys[i], &prov[i..j]);
+        i = j;
+    }
+}
+
+/// Receive one values message per planned source onto the end of
+/// `stack`. A message whose length differs from the planned count is a
+/// typed error: the gathers index `stack` by planned position.
+fn recv_planned_values(
+    rank: &Rank,
+    tag: Tag,
+    recvs: &[(usize, usize)],
+    stack: &mut Vec<f64>,
+) -> Result<(), SolveError> {
+    for &(src, n) in recvs {
+        let vals: Vec<f64> = rank.try_recv(src, tag)?;
+        if vals.len() != n {
+            return Err(SolveError::Comm {
+                detail: format!(
+                    "assembly values message from rank {src}: got {} values, plan expects {n}",
+                    vals.len()
+                ),
+            });
+        }
+        stack.extend_from_slice(&vals);
+    }
+    Ok(())
+}
+
+/// Algorithm 1 with the structure taken out: built once per sparsity
+/// pattern by [`AssemblyPlan::build`], replayed for every set of values
+/// by [`AssemblyPlan::try_assemble`] with no sort, no allgather, no ids
+/// on the wire and no comm-package exchange.
+///
+/// The plan is a pure function of the two distributions, the owned and
+/// shared patterns of every rank and the kernel policy active at build
+/// time; whoever holds the patterns owns its lifetime.
+#[derive(Clone, Debug)]
+pub struct AssemblyPlan {
+    n_owned: usize,
+    /// Ranges of the shared value array.
+    sends: Sends,
+    recvs: Recvs,
+    /// Tag of this plan's values-only messages.
+    tag: Tag,
+    /// The finished structure — indptr/indices, `col_map_offd`,
+    /// `CommPkg`, halo tag, SELL-C-σ layout — of every replayed matrix.
+    pattern: ParCsrPattern,
+    /// Contribution lists over `owned values ++ received values` (by
+    /// ascending source rank) for the stored entries of `diag` / `offd`.
+    diag: Gather,
+    offd: Gather,
+}
+
+impl AssemblyPlan {
+    /// Run Algorithm 1 on a pattern. `owned` holds the (row, col) pairs
+    /// this rank contributes to rows it owns, `shared` those for rows
+    /// owned elsewhere. Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either pattern is not row-major sorted and
+    /// duplicate-free, or holds a row on the wrong side of the ownership
+    /// split.
+    pub fn build(
+        rank: &Rank,
+        row_dist: RowDist,
+        col_dist: RowDist,
+        owned: &[(u64, u64)],
+        shared: &[(u64, u64)],
+    ) -> AssemblyPlan {
+        let me = rank.rank();
+        for pattern in [owned, shared] {
+            assert!(
+                pattern.windows(2).all(|w| w[0] < w[1]),
+                "plan patterns must be row-major sorted and duplicate-free"
+            );
+        }
+        assert!(owned.iter().all(|&(r, _)| row_dist.owner(r) == me), "owned row not owned");
+        let owners: Vec<usize> = shared.iter().map(|&(r, _)| row_dist.owner(r)).collect();
+        assert!(!owners.contains(&me), "shared row is owned");
+
+        let (sends, recvs) = exchange_schedule(rank, &owners);
+        let key_tag = rank.alloc_tag();
+        for (dst, range) in &sends {
+            let (rows, cols): (Vec<u64>, Vec<u64>) = shared[range.clone()].iter().copied().unzip();
+            rank.send(*dst, key_tag, (rows, cols));
+        }
+        let mut keys = owned.to_vec();
+        for &(src, n) in &recvs {
+            let (rows, cols): (Vec<u64>, Vec<u64>) = rank.recv(src, key_tag);
+            assert_eq!(rows.len(), n, "pattern message from rank {src} has the wrong length");
+            keys.extend(rows.into_iter().zip(cols));
+        }
+
+        let my_cols = col_dist.start(me)..col_dist.end(me);
+        let mut coo = Coo::with_capacity(keys.len());
+        let (mut diag, mut offd) = (Gather::default(), Gather::default());
+        sorted_runs(rank, keys, |(r, c), prov| {
+            coo.push(r, c, 0.0);
+            let block = if my_cols.contains(&c) { &mut diag } else { &mut offd };
+            block.push_entry(prov);
+        });
+        // Both blocks store their entries in (row, global col) order —
+        // the local and compressed column maps are monotone — so entry
+        // `k` of a gather is stored entry `k` of its block.
+        let pattern = ParCsr::from_global_coo(rank, row_dist, col_dist, &coo).into_pattern();
+        assert_eq!(
+            pattern.nnz(),
+            (diag.first.len(), offd.first.len()),
+            "gathers out of step with the assembled pattern"
+        );
+        AssemblyPlan {
+            n_owned: owned.len(),
+            sends,
+            recvs,
+            tag: rank.alloc_tag(),
+            pattern,
+            diag,
+            offd,
+        }
+    }
+
+    /// Replay: the matrix [`IjMatrix::try_assemble`] builds from the
+    /// plan's patterns carrying `owned_vals` / `shared_vals`, bit for
+    /// bit. Collective among the ranks that share rows.
+    ///
+    /// Hosts the same fault hooks as `try_assemble`, once per call and
+    /// before any message is sent: `assembly-nan` corrupts the first
+    /// owned value, `socket-drop` aborts the exchange.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value array's length differs from its pattern's.
+    pub fn try_assemble(
+        &self,
+        rank: &Rank,
+        owned_vals: &[f64],
+        shared_vals: &[f64],
+    ) -> Result<ParCsr, SolveError> {
+        assert_eq!(owned_vals.len(), self.n_owned, "owned values do not match the plan");
+        let n_shared = self.sends.last().map_or(0, |(_, range)| range.end);
+        assert_eq!(shared_vals.len(), n_shared, "shared values do not match the plan");
+        let n_recv: usize = self.recvs.iter().map(|&(_, n)| n).sum();
+        let mut stack = Vec::with_capacity(self.n_owned + n_recv);
+        stack.extend_from_slice(owned_vals);
+
+        if faults::fire(FaultKind::AssemblyNan, || rank.phase_name()) {
+            if let Some(v) = stack.first_mut() {
+                *v = f64::NAN;
+            }
+        }
+        if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
+            return Err(SolveError::Comm {
+                detail: format!("injected socket drop in {}", rank.phase_name()),
+            });
+        }
+
+        if n_shared > 0 {
+            let (bytes, _) = cost::blas1(n_shared, 2);
+            rank.kernel(KernelKind::Stream, bytes, 0);
+        }
+        for (dst, range) in &self.sends {
+            rank.send(*dst, self.tag, shared_vals[range.clone()].to_vec());
+        }
+        recv_planned_values(rank, self.tag, &self.recvs, &mut stack)?;
+
+        let entries = self.diag.first.len() + self.offd.first.len();
+        let contribs = self.diag.contribs() + self.offd.contribs();
+        // One record, both ledgers.
+        let model = perfmodel::assembly_gather(entries, contribs);
+        rank.kernel(KernelKind::Stream, model.bytes, model.flops);
+        let _k = telemetry::kernel("assembly_gather", model);
+        Ok(self.pattern.with_values(self.diag.apply(&stack), self.offd.apply(&stack)))
+    }
 }
 
 /// An in-assembly distributed vector (the IJ interface).
@@ -293,6 +569,104 @@ impl IjVector {
             self.owned[li] += v;
         }
         ParVector::from_local(rank, self.dist, self.owned)
+    }
+
+    /// Algorithm 2 through a recorded [`VectorPlan`]: the vector
+    /// [`IjVector::assemble`] returns, bit for bit, from one values-only
+    /// message per neighbour — no sort, no count allgather, no ids on the
+    /// wire. Collective among the ranks that share entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this vector's off-rank ids are not the sequence the
+    /// plan was recorded from.
+    pub fn try_assemble_planned(
+        mut self,
+        rank: &Rank,
+        plan: &VectorPlan,
+    ) -> Result<ParVector, SolveError> {
+        assert!(
+            self.shared_ids == plan.ids,
+            "off-rank id sequence differs from the one the plan was recorded from"
+        );
+        for (dst, range) in &plan.sends {
+            let vals: Vec<f64> =
+                plan.order[range.clone()].iter().map(|&k| self.shared_vals[k as usize]).collect();
+            rank.send(*dst, plan.tag, vals);
+        }
+        let mut stack = Vec::with_capacity(plan.recvs.iter().map(|&(_, n)| n).sum());
+        recv_planned_values(rank, plan.tag, &plan.recvs, &mut stack)?;
+
+        let gather = perfmodel::assembly_gather(plan.rows.len(), stack.len());
+        let (bytes, flops) = cost::blas1(plan.rows.len(), 2);
+        rank.kernel(KernelKind::Stream, gather.bytes + bytes, gather.flops + flops);
+        let reduced = plan.gather.apply(&stack);
+        for (&li, &v) in plan.rows.iter().zip(&reduced) {
+            self.owned[li as usize] += v;
+        }
+        Ok(ParVector::from_local(rank, self.dist, self.owned))
+    }
+}
+
+/// Algorithm 2 with the structure taken out, for vectors whose off-rank
+/// `add_value` calls always name the same ids in the same order (a
+/// right-hand side filled by a fixed loop over a fixed graph). Built once
+/// from the first such vector, replayed by
+/// [`IjVector::try_assemble_planned`].
+#[derive(Clone, Debug)]
+pub struct VectorPlan {
+    /// The off-rank ids in `add_value` order.
+    ids: Vec<u64>,
+    /// Positions of the buffered values in stable id order.
+    order: Vec<u32>,
+    /// Ranges of `order`.
+    sends: Sends,
+    recvs: Recvs,
+    /// Tag of this plan's values-only messages.
+    tag: Tag,
+    /// Local index of every distinct received id, ascending, and its
+    /// contribution list over the received values (by ascending source).
+    rows: Vec<u32>,
+    gather: Gather,
+}
+
+impl VectorPlan {
+    /// Run Algorithm 2 on the off-rank ids of `v`. Collective.
+    pub fn build(rank: &Rank, v: &IjVector) -> VectorPlan {
+        let me = rank.rank();
+        let mut sorted_ids: Vec<u64> = Vec::with_capacity(v.shared_ids.len());
+        let mut order: Vec<u32> = Vec::with_capacity(v.shared_ids.len());
+        sorted_runs(rank, v.shared_ids.clone(), |id, positions| {
+            sorted_ids.extend(std::iter::repeat_n(id, positions.len()));
+            order.extend_from_slice(positions);
+        });
+        let owners: Vec<usize> = sorted_ids.iter().map(|&id| v.dist.owner(id)).collect();
+        let (sends, recvs) = exchange_schedule(rank, &owners);
+        let key_tag = rank.alloc_tag();
+        for (dst, range) in &sends {
+            rank.send(*dst, key_tag, sorted_ids[range.clone()].to_vec());
+        }
+        let mut recv_ids: Vec<u64> = Vec::new();
+        for &(src, n) in &recvs {
+            let ids: Vec<u64> = rank.recv(src, key_tag);
+            assert_eq!(ids.len(), n, "id message from rank {src} has the wrong length");
+            recv_ids.extend(ids);
+        }
+        let mut rows: Vec<u32> = Vec::new();
+        let mut gather = Gather::default();
+        sorted_runs(rank, recv_ids, |id, prov| {
+            rows.push(v.dist.to_local(me, id) as u32);
+            gather.push_entry(prov);
+        });
+        VectorPlan {
+            ids: v.shared_ids.clone(),
+            order,
+            sends,
+            recvs,
+            tag: rank.alloc_tag(),
+            rows,
+            gather,
+        }
     }
 }
 
@@ -420,6 +794,46 @@ mod tests {
             let v = IjVector::new(rank, dist).assemble(rank);
             assert!(v.local.iter().all(|&x| x == 0.0));
         });
+    }
+
+    #[test]
+    fn replay_with_truncated_values_message_is_a_typed_error() {
+        // Each rank contributes two entries (and two vector adds) to a
+        // row the other owns. Rank 1 then plays a peer whose values
+        // messages lost their tail: rank 0's replays must refuse them.
+        let out = Comm::run(2, |rank| {
+            let dist = RowDist::block(4, 2);
+            let mine = rank.rank() as u64 * 2;
+            let theirs = 2 - mine;
+            let plan = AssemblyPlan::build(
+                rank,
+                dist.clone(),
+                dist.clone(),
+                &[(mine, mine)],
+                &[(theirs, 0), (theirs, 1)],
+            );
+            let mut v = IjVector::new(rank, dist);
+            v.add_value(theirs, 1.0);
+            v.add_value(theirs + 1, 2.0);
+            let vplan = VectorPlan::build(rank, &v);
+            if rank.rank() == 1 {
+                rank.send(0, plan.tag, vec![1.0f64]);
+                rank.send(0, vplan.tag, vec![1.0f64, 2.0, 3.0]);
+                let _: Vec<f64> = rank.recv(0, plan.tag);
+                let _: Vec<f64> = rank.recv(0, vplan.tag);
+                return None;
+            }
+            let a = plan.try_assemble(rank, &[1.0], &[2.0, 3.0]).map(|_| ());
+            let b = v.try_assemble_planned(rank, &vplan).map(|_| ());
+            Some((a, b))
+        });
+        let (a, b) = out[0].clone().expect("rank 0 replays");
+        for (res, want) in [(a, "got 1 values, plan expects 2"), (b, "got 3 values, plan expects 2")] {
+            match res {
+                Err(SolveError::Comm { detail }) => assert!(detail.contains(want), "{detail}"),
+                other => panic!("expected a typed comm error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

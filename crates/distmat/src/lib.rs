@@ -13,7 +13,8 @@
 //! [`ij`] implements the paper's Algorithm 1 (global matrix assembly) and
 //! Algorithm 2 (global vector assembly) on top of the Thrust-style
 //! primitives, including the `nnz_recv` pre-computation that lets buffers
-//! be allocated up front. [`ops`] provides the distributed SpGEMM,
+//! be allocated up front, and the plans that replay both algorithms for
+//! new values on a fixed pattern. [`ops`] provides the distributed SpGEMM,
 //! transpose, and Galerkin RAP used by AMG setup.
 
 pub mod dist;
@@ -25,6 +26,6 @@ pub mod vector;
 
 pub use dist::RowDist;
 pub use halo::Halo;
-pub use ij::{IjMatrix, IjVector};
-pub use parcsr::{CommPkg, ParCsr};
+pub use ij::{AssemblyPlan, IjMatrix, IjVector, VectorPlan};
+pub use parcsr::{CommPkg, ParCsr, ParCsrPattern};
 pub use vector::ParVector;

@@ -5,17 +5,15 @@ use resilience::faults::{self, FaultKind};
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::policy;
-use sparse_kit::{Coo, Csr, KernelChoice, SellCs};
+use sparse_kit::{Coo, Csr, KernelChoice, SellCs, SellLayout};
 use telemetry::perfmodel;
 
 use crate::dist::RowDist;
 use crate::vector::ParVector;
 
-
-
 /// Communication package: who sends what to whom for a halo exchange of
 /// vector values aligned with a matrix's column distribution.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommPkg {
     /// `(dst rank, local column ids to pack and send)`, sorted by rank.
     pub sends: Vec<(usize, Vec<usize>)>,
@@ -235,6 +233,26 @@ impl ParCsr {
         self.diag_sell.as_ref()
     }
 
+    /// Strip the values, keeping everything construction derived from
+    /// the sparsity pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block has more than `u32::MAX` columns.
+    pub fn into_pattern(self) -> ParCsrPattern {
+        ParCsrPattern {
+            diag: BlockPattern::of(&self.diag),
+            offd: BlockPattern::of(&self.offd),
+            diag_sell: self.diag_sell.map(SellCs::into_layout),
+            row_dist: self.row_dist,
+            col_dist: self.col_dist,
+            rank_id: self.rank_id,
+            col_map_offd: self.col_map_offd,
+            comm_pkg: self.comm_pkg,
+            halo_tag: self.halo_tag,
+        }
+    }
+
     /// Re-copy `diag`'s values into the SELL-C-σ mirror (no-op without
     /// one). Callers that overwrite `diag` values in place — numeric
     /// SpGEMM plan replay — must call this before the next SpMV.
@@ -411,6 +429,82 @@ impl ParCsr {
             self.col_dist.global_n() as usize,
             &coo,
         )
+    }
+}
+
+/// Structure of one local block with compact column ids.
+#[derive(Clone, Debug)]
+struct BlockPattern {
+    ncols: usize,
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+}
+
+impl BlockPattern {
+    fn of(a: &Csr) -> BlockPattern {
+        assert!(a.ncols() <= u32::MAX as usize, "block columns exceed u32");
+        BlockPattern {
+            ncols: a.ncols(),
+            indptr: a.indptr().to_vec(),
+            indices: a.indices().iter().map(|&c| c as u32).collect(),
+        }
+    }
+
+    fn with_values(&self, vals: Vec<f64>) -> Csr {
+        Csr::from_parts(
+            self.indptr.len() - 1,
+            self.ncols,
+            self.indptr.clone(),
+            self.indices.iter().map(|&c| c as usize).collect(),
+            vals,
+        )
+    }
+}
+
+/// A [`ParCsr`] without its values: the diag/offd structure (column ids
+/// narrowed to `u32`), `col_map_offd`, the halo communication package and
+/// tag, and the SELL-C-σ layout — everything a collective constructor
+/// derives from the sparsity pattern, kept so that further matrices of
+/// the same pattern cost one structure copy and no communication.
+#[derive(Clone, Debug)]
+pub struct ParCsrPattern {
+    row_dist: RowDist,
+    col_dist: RowDist,
+    rank_id: usize,
+    diag: BlockPattern,
+    diag_sell: Option<SellLayout>,
+    offd: BlockPattern,
+    col_map_offd: Vec<u64>,
+    comm_pkg: CommPkg,
+    halo_tag: Tag,
+}
+
+impl ParCsrPattern {
+    /// Stored entries of the (diag, offd) blocks.
+    pub fn nnz(&self) -> (usize, usize) {
+        (self.diag.indices.len(), self.offd.indices.len())
+    }
+
+    /// A matrix of this pattern carrying `diag_vals` / `offd_vals` (each
+    /// in its block's CSR order). Matrices of one pattern share its halo
+    /// tag; their exchanges are blocking, so they cannot interleave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value array's length differs from its block's `nnz`.
+    pub fn with_values(&self, diag_vals: Vec<f64>, offd_vals: Vec<f64>) -> ParCsr {
+        let diag = self.diag.with_values(diag_vals);
+        ParCsr {
+            row_dist: self.row_dist.clone(),
+            col_dist: self.col_dist.clone(),
+            rank_id: self.rank_id,
+            diag_sell: self.diag_sell.as_ref().map(|layout| layout.fill(&diag)),
+            diag,
+            offd: self.offd.with_values(offd_vals),
+            col_map_offd: self.col_map_offd.clone(),
+            comm_pkg: self.comm_pkg.clone(),
+            halo_tag: self.halo_tag,
+        }
     }
 }
 

@@ -2,7 +2,8 @@
 //! serial references for arbitrary matrices, distributions, and rank
 //! counts.
 
-use distmat::{IjMatrix, IjVector, ParCsr, ParVector, RowDist};
+use distmat::{AssemblyPlan, IjMatrix, IjVector, ParCsr, ParVector, RowDist, VectorPlan};
+use std::collections::BTreeMap;
 use parcomm::Comm;
 use proptest::prelude::*;
 use sparse_kit::{Coo, Csr};
@@ -28,8 +29,118 @@ fn sparse_square(n: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
+/// Values that stress every bit a replay must preserve: signed zeros,
+/// arbitrary bit patterns (NaN payloads, infinities, subnormals) and
+/// ordinary coefficients whose sums round.
+fn tricky_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        4 => -4.0f64..4.0,
+        1 => Just(-0.0),
+        1 => Just(0.0),
+        1 => proptest::num::u64::ANY.prop_map(f64::from_bits),
+        1 => (1u64..1 << 51).prop_map(|payload| f64::from_bits(0x7ff8_0000_0000_0000 | payload)),
+    ]
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A recorded plan replays Algorithm 1 / Algorithm 2 bit for bit:
+    /// structure, `col_map_offd`, halo package and value bits of the
+    /// matrix against `IjMatrix::try_assemble`, the local values of the
+    /// vector against `IjVector::assemble`, for two sets of values on
+    /// one plan, at 1/2/3/4 ranks. Every case plants an entry all ranks
+    /// contribute to (carrying a NaN payload in the second round), and a
+    /// −0.0 entry and a −0.0 vector add that only the last rank
+    /// contributes, to rank 0.
+    #[test]
+    fn plan_replay_equals_fresh_assembly_bitwise(
+        (n, entries, adds, pool) in (4u64..16).prop_flat_map(|n| (
+            Just(n),
+            proptest::collection::vec((0..n, 0..n, 0usize..4), 0..80),
+            proptest::collection::vec((0..n, 0usize..4), 0..60),
+            proptest::collection::vec(tricky_f64(), 97),
+        ))
+    ) {
+        for p in 1..=4usize {
+            let (entries, adds, pool) = (entries.clone(), adds.clone(), pool.clone());
+            Comm::run(p, move |rank| {
+                let me = rank.rank();
+                let dist = RowDist::block(n, p);
+                let value = |k: usize, round: usize| pool[(k + 31 * me + 7 * round) % pool.len()];
+                let nan = f64::from_bits(0x7ff8_0000_0000_beef);
+
+                // This rank's pattern (sorted, duplicate-free) with the
+                // index of the value each entry draws from the pool.
+                let mut pattern: BTreeMap<(u64, u64), usize> = entries
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.2 % p == me)
+                    .map(|(k, e)| ((e.0, e.1), k))
+                    .collect();
+                pattern.insert((0, 0), 1000);
+                if me == p - 1 {
+                    pattern.insert((0, n - 1), 1001);
+                }
+                let (owned, shared): (Vec<_>, Vec<_>) =
+                    pattern.keys().copied().partition(|&(r, _)| dist.owner(r) == me);
+                let plan = AssemblyPlan::build(rank, dist.clone(), dist.clone(), &owned, &shared);
+
+                let my_adds: Vec<(u64, usize)> = adds
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| a.1 % p == me)
+                    .map(|(k, a)| (a.0, k))
+                    .chain((me == p - 1).then_some((0, 1001)))
+                    .collect();
+                let mut vplan: Option<VectorPlan> = None;
+
+                for round in 0..2 {
+                    let val_of = |key: (u64, u64)| match pattern[&key] {
+                        1000 if me == 1 && round == 1 => nan,
+                        1001 => -0.0,
+                        k => value(k, round),
+                    };
+                    let mut ij = IjMatrix::new(rank, dist.clone(), dist.clone());
+                    for &key in pattern.keys() {
+                        ij.add_value(key.0, key.1, val_of(key));
+                    }
+                    let fresh = ij.try_assemble(rank).expect("Algorithm 1 assembles");
+                    let owned_vals: Vec<f64> = owned.iter().map(|&k| val_of(k)).collect();
+                    let shared_vals: Vec<f64> = shared.iter().map(|&k| val_of(k)).collect();
+                    let replayed =
+                        plan.try_assemble(rank, &owned_vals, &shared_vals).expect("plan replays");
+                    assert!(replayed.bitwise_eq(&fresh), "p={p} round {round}: matrix differs");
+                    assert_eq!(replayed.comm_pkg(), fresh.comm_pkg(), "p={p}: halo package");
+                    // The replayed matrix is usable: its halo exchange
+                    // and SpMV agree with the fresh one's.
+                    let x = ParVector::from_fn(rank, dist.clone(), |g| 1.0 + g as f64);
+                    assert_eq!(
+                        bits(&replayed.spmv(rank, &x).local),
+                        bits(&fresh.spmv(rank, &x).local),
+                        "p={p} round {round}: SpMV differs"
+                    );
+
+                    let mut v = IjVector::new(rank, dist.clone());
+                    for &(gi, k) in &my_adds {
+                        v.add_value(gi, if k == 1001 { -0.0 } else { value(k, round) });
+                    }
+                    let fresh = v.clone().assemble(rank);
+                    let vplan = vplan.get_or_insert_with(|| VectorPlan::build(rank, &v));
+                    let replayed = v.try_assemble_planned(rank, vplan).expect("plan replays");
+                    assert_eq!(
+                        bits(&replayed.local),
+                        bits(&fresh.local),
+                        "p={p} round {round}: vector differs"
+                    );
+                }
+            });
+        }
+    }
 
     #[test]
     fn distributed_spmv_matches_serial(

@@ -43,7 +43,10 @@
 //! `continuity/precond setup`), where a corrupted value is structurally
 //! harmless. Pin the context when targeting the fine system — e.g.
 //! `assembly-nan@continuity/global` matches only the global assembly of
-//! the continuity equation itself. Hooks inside AMG setup
+//! the continuity equation itself; that hook fires exactly once per
+//! matrix assembly, before any message is sent, whether the assembly
+//! also records its graph's plan (the first one) or only replays it.
+//! Hooks inside AMG setup
 //! (`coarsen-stall`, and anything matched through
 //! `continuity/precond setup`) run only when a hierarchy is actually set
 //! up: the Picard driver reuses the pressure hierarchy while the operator

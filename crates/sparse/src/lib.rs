@@ -24,4 +24,4 @@ pub mod spgemm;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use policy::{KernelChoice, KernelPolicy};
-pub use sellcs::SellCs;
+pub use sellcs::{SellCs, SellLayout};

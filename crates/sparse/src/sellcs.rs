@@ -255,6 +255,12 @@ impl SellCs {
         }
     }
 
+    /// Drop the values and keep the layout, for [`SellLayout::fill`].
+    pub fn into_layout(mut self) -> SellLayout {
+        self.vals = Vec::new();
+        SellLayout(self)
+    }
+
     /// Padding overhead: stored / nnz (1.0 = no padding). Reported in
     /// the kernel-backend docs and useful for Auto-policy diagnostics.
     pub fn fill_ratio(&self) -> f64 {
@@ -264,6 +270,27 @@ impl SellCs {
         } else {
             self.stored() as f64 / nnz as f64
         }
+    }
+}
+
+/// The structure of a [`SellCs`] — σ-window row order, chunk widths,
+/// columns — without its values: the part of a conversion that depends
+/// only on the source matrix's pattern.
+#[derive(Clone, Debug)]
+pub struct SellLayout(SellCs);
+
+impl SellLayout {
+    /// The SELL-C-σ form of `a`, which must have the pattern this layout
+    /// was converted from: [`SellCs::from_csr`] without the row sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a`'s shape does not match the layout.
+    pub fn fill(&self, a: &Csr) -> SellCs {
+        let mut s = self.0.clone();
+        s.vals = vec![0.0; s.stored()];
+        s.refresh_values(a);
+        s
     }
 }
 
@@ -386,6 +413,13 @@ mod tests {
         s.spmv_into(&x, &mut y1);
         a.spmv_into(&x, &mut y2);
         assert_eq!(bits(&y1), bits(&y2));
+
+        // A layout stripped of its values refills to the same matrix.
+        let refilled = s.clone().into_layout().fill(&half);
+        refilled.spmv_into(&x, &mut y1);
+        half.spmv_into(&x, &mut y2);
+        assert_eq!(bits(&y1), bits(&y2));
+        assert_eq!(refilled.stored(), s.stored());
     }
 
     #[test]

@@ -157,6 +157,18 @@ pub fn assembly_sort_reduce(items: usize, item_bytes: u64) -> KernelModel {
     }
 }
 
+/// Assembly-plan replay: gather `contribs` source values through u32
+/// index lists (index + value read each) and sum them in recorded order
+/// into `entries` outputs written once; every contribution past an
+/// entry's first costs one add.
+pub fn assembly_gather(entries: usize, contribs: usize) -> KernelModel {
+    KernelModel {
+        bytes: contribs as u64 * (IDX32 + VAL) + entries as u64 * VAL,
+        flops: contribs.saturating_sub(entries) as u64,
+        dofs: entries as u64,
+    }
+}
+
 /// Hash SpGEMM C = A·B (one leg of the Galerkin triple product):
 /// stream A once, read a B entry and update a hash slot per expansion
 /// product, stream the C output once.
@@ -267,6 +279,10 @@ mod tests {
 
     #[test]
     fn halo_and_blas1_models() {
+        // 10 entries from 12 contributions: 12 (u32 index, value) reads,
+        // 10 writes, 2 adds.
+        let g = assembly_gather(10, 12);
+        assert_eq!((g.bytes, g.flops, g.dofs), (12 * 12 + 10 * 8, 2, 10));
         assert_eq!(halo_pack(10).bytes, 10 * 24);
         assert_eq!(halo_unpack(10).bytes, 10 * 16);
         let axpy = blas1(100, 3, 2);

@@ -1056,20 +1056,28 @@ impl Report {
         Some(format!("health: {verdict}{worst}"))
     }
 
-    /// One line answering "why is precond setup / graph time ~0":
-    /// how often the driver rebuilt vs reused the pressure AMG hierarchy
-    /// and the equation graphs (counter totals, summed over ranks).
-    /// `None` when the stream carries none of the four counters.
+    /// One line answering "why is precond setup / graph / global-assembly
+    /// time ~0": how often the driver rebuilt vs reused the pressure AMG
+    /// hierarchy and the equation graphs, and built vs replayed the
+    /// graphs' assembly plans (counter totals, summed over ranks).
+    /// `None` when the stream carries none of the six counters.
     pub fn reuse_summary(&self) -> Option<String> {
-        let totals = ["amg.setup_rebuilt", "amg.setup_reused", "graphs.rebuilt", "graphs.reused"]
-            .map(|name| self.counters.get(name).copied());
+        let totals = [
+            "amg.setup_rebuilt",
+            "amg.setup_reused",
+            "graphs.rebuilt",
+            "graphs.reused",
+            "assembly.plan_built",
+            "assembly.plan_replayed",
+        ]
+        .map(|name| self.counters.get(name).copied());
         if totals.iter().all(Option::is_none) {
             return None;
         }
-        let [ab, ar, gb, gr] = totals.map(Option::unwrap_or_default);
+        let [ab, ar, gb, gr, pb, pr] = totals.map(Option::unwrap_or_default);
         Some(format!(
             "reuse (summed over ranks): AMG setups rebuilt {ab} / reused {ar}; \
-             graphs rebuilt {gb} / reused {gr}"
+             graphs rebuilt {gb} / reused {gr}; assembly plans built {pb} / replayed {pr}"
         ))
     }
 

@@ -152,6 +152,10 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert_eq!(report.counters["amg.setup_reused"], 6, "3 reuses per rank expected");
     assert_eq!(report.counters["graphs.rebuilt"], 2);
     assert_eq!(report.counters["graphs.reused"], 2);
+    // One assembly plan per graph, recorded by its first assembly; every
+    // assembly (2 steps × 2 Picard × 3 systems per rank) replays one.
+    assert_eq!(report.counters["assembly.plan_built"], 6, "3 plans per rank expected");
+    assert_eq!(report.counters["assembly.plan_replayed"], 24);
     let health: Vec<(usize, u64, f64, f64)> = events
         .iter()
         .filter_map(|e| match e {
@@ -207,6 +211,7 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
         "sgs2_forward_fused",
         "sgs2_backward_fused",
         "assembly_sort_reduce",
+        "assembly_gather",
         "halo_pack",
         "halo_unpack",
         "spgemm",
@@ -249,7 +254,13 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     let text = report.render_ascii();
     assert!(text.contains("Figs. 6/7"), "{text}");
     assert!(text.contains("AMG hierarchy for continuity"), "{text}");
-    assert!(text.contains("AMG setups rebuilt 2 / reused 6; graphs rebuilt 2 / reused 2"), "{text}");
+    assert!(
+        text.contains(
+            "AMG setups rebuilt 2 / reused 6; graphs rebuilt 2 / reused 2; \
+             assembly plans built 6 / replayed 24"
+        ),
+        "{text}"
+    );
     assert!(text.contains("GMRES solves"), "{text}");
     assert!(text.contains("kernel throughput"), "{text}");
     assert!(text.contains("spmv_csr"), "{text}");
