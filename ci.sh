@@ -26,6 +26,20 @@ read -r graphs_rebuilt plans_built plans_replayed < <(sed -E \
   's/.*graphs rebuilt ([0-9]+) .*plans built ([0-9]+) \/ replayed ([0-9]+).*/\1 \2 \3/' <<<"$reuse")
 [ "$plans_replayed" -gt 0 ] && [ "$plans_built" -eq $((3 * graphs_rebuilt)) ] \
   || { echo "telemetry smoke: assembly plans not reused: $reuse" >&2; exit 1; }
+# Every preconditioner application starts from a zero vector it created
+# itself, so its first smoothing round skips the exchange and the
+# residual pass: a regression to the general path shows as a zero count,
+# not as a timing. The quickstart's uniform flow converges in 0 GMRES
+# iterations and never applies a preconditioner, so this is read from
+# the (3 s) turbine example.
+turb_out=$(mktemp /tmp/exawind_turbine.XXXXXX.jsonl)
+trap 'rm -f "$tel_out" "$fault_out" "$turb_out"' EXIT
+cargo run --release --example turbine_overset -- --telemetry "$turb_out" > /dev/null
+cargo run --release -p telemetry --bin validate_telemetry -- "$turb_out"
+zero_guess_rounds=$(cargo run --release -p exawind-bench --bin exawind-perf -- report "$turb_out" \
+  | sed -nE 's/^reuse \(summed over ranks\).*zero-guess smoothing rounds ([0-9]+).*/\1/p')
+[ "${zero_guess_rounds:-0}" -gt 0 ] \
+  || { echo "telemetry smoke: no zero-guess smoothing round in the turbine run" >&2; exit 1; }
 
 # Fault-injection smoke: a NaN injected into the first continuity
 # assembly must be caught by the recovery ladder (exit 0, not a panic),
@@ -45,7 +59,7 @@ grep -q '"type": *"recovery"' "$fault_out" \
 # comm-matrix report. (Cross-transport bitwise identity is pinned by
 # tests/transport.rs; this proves the launcher path works end to end.)
 mp_dir=$(mktemp -d /tmp/exawind_mp.XXXXXX)
-trap 'rm -f "$tel_out" "$fault_out"; rm -rf "$mp_dir"' EXIT
+trap 'rm -f "$tel_out" "$fault_out" "$turb_out"; rm -rf "$mp_dir"' EXIT
 cargo build --release --bin exawind-launch --bin exawind-worker
 ./target/release/exawind-launch -n 2 -- \
   ./target/release/exawind-worker --out "$mp_dir/fields" --telemetry "$mp_dir/tel" \
@@ -144,7 +158,7 @@ grep -q '"type":"checkpoint"' "$mp_dir/ckpt-tel.rank0.jsonl" \
 # EXAWIND_STREAM_GBS pins the roofline baseline so no STREAM measurement
 # runs (or gets cached) inside CI.
 perf_traj=$(mktemp /tmp/exawind_trajectory.XXXXXX.jsonl)
-trap 'rm -f "$tel_out" "$fault_out" "$perf_traj"; rm -rf "$mp_dir"' EXIT
+trap 'rm -f "$tel_out" "$fault_out" "$turb_out" "$perf_traj"; rm -rf "$mp_dir"' EXIT
 cp results/trajectory.jsonl "$perf_traj"
 export EXAWIND_STREAM_GBS=10
 cargo run --release -p exawind-bench --bin exawind-perf -- record --out "$perf_traj"
@@ -160,7 +174,7 @@ cargo run --release -p exawind-bench --bin exawind-perf -- \
 # gate — perf baselines are policy-keyed, so csr/auto and sellcs runs
 # never gate each other.
 kern_out=$(mktemp /tmp/exawind_sellcs.XXXXXX.jsonl)
-trap 'rm -f "$tel_out" "$fault_out" "$perf_traj" "$kern_out"; rm -rf "$mp_dir"' EXIT
+trap 'rm -f "$tel_out" "$fault_out" "$turb_out" "$perf_traj" "$kern_out"; rm -rf "$mp_dir"' EXIT
 EXAWIND_KERNELS=sellcs cargo test -q --workspace
 EXAWIND_KERNELS=sellcs EXAWIND_TELEMETRY="$kern_out" \
   cargo run --release --example quickstart

@@ -10,12 +10,19 @@ use crate::hierarchy::AmgHierarchy;
 
 impl AmgHierarchy {
     /// One V(ν,ν)-cycle: pre-smooth, restrict, recurse, prolong, correct,
-    /// post-smooth; dense solve at the coarsest level. Updates `x` in
-    /// place. Collective.
+    /// post-smooth; dense solve at the coarsest level. Updates an
+    /// arbitrary `x` in place. Collective.
     pub fn vcycle(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, sweeps: usize) {
-        self.vcycle_level(rank, 0, b, x, sweeps);
+        self.vcycle_level(rank, 0, b, x, sweeps, false);
     }
 
+    /// `zero_guess` is the caller's promise that it created `x` as
+    /// `ParVector::zeros`: the first pre-smoothing round then takes
+    /// `r = b` without an exchange or a matrix pass (bitwise-lossless,
+    /// see `krylov::smoothers`). The coarse correction `ec` is created
+    /// here, so every recursion passes `true`. A non-coarsest level costs
+    /// 4 halo exchanges per cycle at one sweep (pre-smooth 0, residual 1,
+    /// R 1, P 1, post-smooth 1).
     fn vcycle_level(
         &self,
         rank: &Rank,
@@ -23,6 +30,7 @@ impl AmgHierarchy {
         b: &ParVector,
         x: &mut ParVector,
         sweeps: usize,
+        zero_guess: bool,
     ) {
         let level = &self.levels[lvl];
         let Some(p) = &level.p else {
@@ -33,18 +41,18 @@ impl AmgHierarchy {
         let r_op = level.r.as_ref().expect("level with P must have R");
 
         // Pre-smooth.
-        level.smoother.smooth(rank, b, x, sweeps);
+        level.smoother.smooth(rank, b, x, sweeps, zero_guess);
         // Restrict the residual.
         let res = level.a.residual(rank, b, x);
         let rc = r_op.spmv(rank, &res);
         // Recurse from a zero coarse guess.
         let mut ec = ParVector::zeros(rank, rc.dist().clone());
-        self.vcycle_level(rank, lvl + 1, &rc, &mut ec, sweeps);
+        self.vcycle_level(rank, lvl + 1, &rc, &mut ec, sweeps, true);
         // Prolong and correct.
         let e = p.spmv(rank, &ec);
         x.axpy(rank, 1.0, &e);
         // Post-smooth.
-        level.smoother.smooth(rank, b, x, sweeps);
+        level.smoother.smooth(rank, b, x, sweeps, false);
     }
 
     /// Relative residual after applying `cycles` V-cycles to `A x = b`
@@ -165,8 +173,8 @@ impl AmgPrecond {
 impl Preconditioner for AmgPrecond {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = ParVector::zeros(rank, r.dist().clone());
-        for _ in 0..self.cycles {
-            self.hierarchy.vcycle(rank, r, &mut z, self.sweeps);
+        for cycle in 0..self.cycles {
+            self.hierarchy.vcycle_level(rank, 0, r, &mut z, self.sweeps, cycle == 0);
         }
         z
     }
@@ -387,6 +395,78 @@ mod tests {
             let z2 = amg.apply(rank, &r);
             assert_eq!(z1.local, z2.local);
         });
+    }
+
+    /// A V-cycle in which every smoothing round is a general one, on
+    /// explicitly zeroed vectors: what the zero-guess rounds must equal.
+    fn reference_vcycle(
+        h: &AmgHierarchy,
+        rank: &Rank,
+        lvl: usize,
+        b: &ParVector,
+        x: &mut ParVector,
+        sweeps: usize,
+    ) {
+        let level = &h.levels[lvl];
+        let (Some(p), Some(r_op)) = (&level.p, &level.r) else {
+            *x = h.coarse.solve(rank, b);
+            return;
+        };
+        level.smoother.smooth(rank, b, x, sweeps, false);
+        let rc = r_op.spmv(rank, &level.a.residual(rank, b, x));
+        let mut ec = ParVector::zeros(rank, rc.dist().clone());
+        reference_vcycle(h, rank, lvl + 1, &rc, &mut ec, sweeps);
+        x.axpy(rank, 1.0, &p.spmv(rank, &ec));
+        level.smoother.smooth(rank, b, x, sweeps, false);
+    }
+
+    #[test]
+    fn precond_apply_equals_reference_vcycle_bitwise() {
+        let serial = anisotropic_2d(14, 0.05);
+        let n = serial.nrows() as u64;
+        for p in [1, 2] {
+            for interp in [InterpType::BamgDirect, InterpType::MmExt] {
+                let s2 = serial.clone();
+                let (expected, traces) = Comm::run_traced(p, move |rank| {
+                    let cfg = AmgConfig { interp, agg_levels: 0, ..AmgConfig::standard() };
+                    assert_eq!(cfg.smooth_sweeps, 1);
+                    let dist = RowDist::block(n, rank.size());
+                    let a = ParCsr::from_serial(rank, dist.clone(), dist.clone(), &s2);
+                    let amg = AmgPrecond::setup(rank, a, &cfg).unwrap();
+                    let h = amg.hierarchy();
+                    assert!(h.n_levels() >= 3, "want a multi-level cycle");
+                    // −0.0 and negative entries: `b − (+0.0)` must keep them.
+                    let b = ParVector::from_fn(rank, dist.clone(), |g| match g % 5 {
+                        0 => -0.0,
+                        1 => -(g as f64),
+                        _ => (g as f64 * 0.37).sin(),
+                    });
+                    let z = rank.with_phase("apply", || amg.apply(rank, &b));
+                    let mut z_ref = ParVector::zeros(rank, dist);
+                    reference_vcycle(h, rank, 0, &b, &mut z_ref, amg.sweeps);
+                    let bits = |v: &ParVector| v.local.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&z), bits(&z_ref), "p={p} {interp:?}");
+
+                    // One message per neighbour per halo round. Per cycle a
+                    // non-coarsest level exchanges for: the residual, R, P
+                    // and the post-smoothing round — not for the
+                    // pre-smoothing round, which starts from zero.
+                    let sends = |m: &ParCsr| m.comm_pkg().sends.len() as u64;
+                    h.levels[..h.n_levels() - 1]
+                        .iter()
+                        .map(|l| {
+                            2 * sends(&l.a)
+                                + sends(l.r.as_ref().unwrap())
+                                + sends(l.p.as_ref().unwrap())
+                        })
+                        .sum::<u64>()
+                });
+                for (t, expected_msgs) in traces.iter().zip(&expected) {
+                    assert_eq!(t.phase("apply").msgs, *expected_msgs, "p={p} {interp:?}");
+                    assert_eq!(*expected_msgs > 0, p > 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,12 +48,21 @@ impl LevelSmoother {
         }
     }
 
-    /// Apply `rounds` smoothing rounds. Collective.
-    pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
+    /// Apply `rounds` smoothing rounds. `zero_guess` is the caller's
+    /// promise that it created `x` as `ParVector::zeros` (the first round
+    /// then starts from `r = b`). Collective.
+    pub fn smooth(
+        &self,
+        rank: &Rank,
+        b: &ParVector,
+        x: &mut ParVector,
+        rounds: usize,
+        zero_guess: bool,
+    ) {
         match self {
-            LevelSmoother::TwoStage(s) => s.smooth(rank, b, x, rounds),
-            LevelSmoother::L1(s) => s.smooth(rank, b, x, rounds),
-            LevelSmoother::Cheby(s) => s.smooth(rank, b, x, rounds),
+            LevelSmoother::TwoStage(s) => s.smooth_from(rank, b, x, rounds, zero_guess),
+            LevelSmoother::L1(s) => s.smooth_from(rank, b, x, rounds, zero_guess),
+            LevelSmoother::Cheby(s) => s.smooth_from(rank, b, x, rounds, zero_guess),
         }
     }
 }

@@ -27,5 +27,5 @@ pub mod vector;
 pub use dist::RowDist;
 pub use halo::Halo;
 pub use ij::{AssemblyPlan, IjMatrix, IjVector, VectorPlan};
-pub use parcsr::{CommPkg, ParCsr, ParCsrPattern};
+pub use parcsr::{CommPkg, HaloInFlight, ParCsr, ParCsrPattern};
 pub use vector::ParVector;

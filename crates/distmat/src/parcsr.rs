@@ -274,17 +274,37 @@ impl ParCsr {
     }
 
     /// [`ParCsr::halo_exchange`] with decode failures (timeout, payload
-    /// type, payload length) surfaced as a typed [`SolveError`]. Hosts
-    /// the `halo-nan` fault-injection hook (with a matching spec armed,
-    /// the first external value is flipped to NaN after receive, exactly
-    /// as a corrupted wire payload would arrive) and the `socket-drop`
-    /// hook (the whole exchange aborts before any send, as a vanished
-    /// peer would make it).
+    /// type, payload length) surfaced as a typed [`SolveError`]:
+    /// [`ParCsr::try_halo_begin`] and [`HaloInFlight::try_finish`] back to
+    /// back, with nothing overlapped (AMG setup, probes, tests). The
+    /// solve-phase kernels ([`ParCsr::spmv_into`],
+    /// [`ParCsr::residual_into`]) put the diag-block pass between the two.
     pub fn try_halo_exchange(
         &self,
         rank: &Rank,
         x_local: &[f64],
     ) -> Result<Vec<f64>, SolveError> {
+        self.try_halo_begin(rank, x_local)?.try_finish(rank)
+    }
+
+    /// First half of a halo exchange: pack the boundary values of
+    /// `x_local` and send them. The receives stay outstanding until
+    /// [`HaloInFlight::try_finish`], so whatever the caller does in
+    /// between — the diag-block pass, which reads no remote value — runs
+    /// while the messages travel.
+    ///
+    /// Hosts the `socket-drop` fault hook **before any send** (the whole
+    /// exchange aborts as a vanished peer would make it, and a retry
+    /// finds no stale message on this matrix's halo tag).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x_local` does not match the column distribution.
+    pub fn try_halo_begin(
+        &self,
+        rank: &Rank,
+        x_local: &[f64],
+    ) -> Result<HaloInFlight<'_>, SolveError> {
         assert_eq!(
             x_local.len(),
             self.col_dist.local_n(self.rank_id),
@@ -295,45 +315,18 @@ impl ParCsr {
                 detail: format!("injected socket drop in {}", rank.phase_name()),
             });
         }
-        let mut ext = vec![0.0; self.col_map_offd.len()];
         // Pack kernel: gather boundary values into per-destination buffers.
         let packed_total = self.comm_pkg.n_send();
         if packed_total > 0 {
             let (b, f) = cost::blas1(packed_total, 2);
             rank.kernel(KernelKind::Stream, b, f);
         }
-        {
-            let _k = telemetry::kernel("halo_pack", perfmodel::halo_pack(packed_total));
-            for (dst, ids) in &self.comm_pkg.sends {
-                let buf: Vec<f64> = ids.iter().map(|&i| x_local[i]).collect();
-                rank.send(*dst, self.halo_tag, buf);
-            }
+        let _k = telemetry::kernel("halo_pack", perfmodel::halo_pack(packed_total));
+        for (dst, ids) in &self.comm_pkg.sends {
+            let buf: Vec<f64> = ids.iter().map(|&i| x_local[i]).collect();
+            rank.send(*dst, self.halo_tag, buf);
         }
-        // Receive first (the blocking wait is communication, not unpack
-        // work), then copy in a separately timed unpack kernel.
-        let mut received: Vec<(std::ops::Range<usize>, Vec<f64>)> =
-            Vec::with_capacity(self.comm_pkg.recvs.len());
-        for (src, range) in &self.comm_pkg.recvs {
-            let buf: Vec<f64> = rank.try_recv(*src, self.halo_tag)?;
-            if buf.len() != range.len() {
-                return Err(SolveError::HaloCorruption {
-                    context: rank.phase_name(),
-                    src: *src,
-                    detail: format!("expected {} values, got {}", range.len(), buf.len()),
-                });
-            }
-            received.push((range.clone(), buf));
-        }
-        {
-            let _k = telemetry::kernel("halo_unpack", perfmodel::halo_unpack(ext.len()));
-            for (range, buf) in received {
-                ext[range].copy_from_slice(&buf);
-            }
-        }
-        if !ext.is_empty() && faults::fire(FaultKind::HaloNan, || rank.phase_name()) {
-            ext[0] = f64::NAN;
-        }
-        Ok(ext)
+        Ok(HaloInFlight { a: self })
     }
 
     /// y = A·x distributed: `y_local = diag·x_local + offd·x_ext`.
@@ -344,57 +337,98 @@ impl ParCsr {
         y
     }
 
-    /// y = A·x into an existing vector. Collective.
+    /// y = A·x into an existing vector, the halo in flight behind the
+    /// diag-block pass (see [`ParCsr::residual_into`] for the order).
+    /// Collective.
     pub fn spmv_into(&self, rank: &Rank, x: &ParVector, y: &mut ParVector) {
         assert_eq!(
             x.dist(),
             &self.col_dist,
             "x distribution does not match columns"
         );
-        let ext = self.halo_exchange(rank, &x.local);
+        self.apply_overlapped(rank, &x.local, None, &mut y.local);
+    }
+
+    /// Residual r = b − A·x. Collective.
+    pub fn residual(&self, rank: &Rank, b: &ParVector, x: &ParVector) -> ParVector {
+        assert_eq!(
+            x.dist(),
+            &self.col_dist,
+            "x distribution does not match columns"
+        );
+        let mut r = ParVector::zeros(rank, self.row_dist.clone());
+        self.residual_into(rank, &b.local, &x.local, &mut r.local);
+        r
+    }
+
+    /// Local slices of r = b − A·x, the one residual of the solve phase
+    /// (GMRES restarts, V-cycle restriction, every smoother round):
+    ///
+    /// 1. [`ParCsr::try_halo_begin`] — pack and send the boundary of `x`;
+    /// 2. diag block (CSR or its SELL-C-σ mirror): `s_i = Σ diag_ij x_j`;
+    /// 3. [`HaloInFlight::try_finish`] — receive the external values;
+    /// 4. offd block: `s_i += Σ offd_ij ext_j` (skipped when empty);
+    /// 5. `r_i = b_i − s_i`.
+    ///
+    /// Per row that is the operation order of an exchange followed by
+    /// `diag`, `offd` and a subtraction (and of the `spmv`, `scale(−1)`,
+    /// `axpy(1, b)` sequence, since `(−s) + b ≡ b − s` in IEEE
+    /// arithmetic): only the receive moved, behind step 2. Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corrupted exchange, as [`ParCsr::halo_exchange`] does,
+    /// or if a slice length does not match the distributions.
+    pub fn residual_into(&self, rank: &Rank, b: &[f64], x: &[f64], r: &mut [f64]) {
+        assert_eq!(b.len(), r.len(), "b length does not match rows");
+        self.apply_overlapped(rank, x, Some(b), r);
+    }
+
+    /// `y = A·x`, or `y = b − A·x` when `b` is given. Ledger entries and
+    /// telemetry guards cover the compute passes only: the blocking
+    /// receive is `parcomm` wait time, not kernel time.
+    fn apply_overlapped(&self, rank: &Rank, x: &[f64], b: Option<&[f64]>, y: &mut [f64]) {
+        let halo = self.try_halo_begin(rank, x).unwrap_or_else(|e| panic!("{e}"));
         match &self.diag_sell {
             // Policy chose SELL-C-σ for the diag block: the compact u32
             // index streams shrink the dominant traffic term. The offd
             // block (thin, irregular) stays CSR either way.
             Some(sell) => {
-                let mut model =
-                    perfmodel::sellcs_spmv(sell.nrows(), sell.n_chunks(), sell.stored(), sell.nnz());
-                if self.offd.nnz() > 0 {
-                    model = model.plus(perfmodel::csr_spmv(self.local_rows(), self.offd.nnz()));
-                }
-                let _k = telemetry::kernel("spmv_sellcs", model);
-                let (b, f) = cost::sellcs_spmv(sell);
-                rank.kernel(KernelKind::SpMV, b, f);
-                sell.spmv_into(&x.local, &mut y.local);
-                if self.offd.nnz() > 0 {
-                    let (b, f) = cost::spmv(&self.offd);
-                    rank.kernel(KernelKind::SpMV, b, f);
-                    self.offd.spmv_add_into(&ext, &mut y.local);
-                }
+                let _k = telemetry::kernel(
+                    "spmv_sellcs",
+                    perfmodel::sellcs_spmv(sell.nrows(), sell.n_chunks(), sell.stored(), sell.nnz()),
+                );
+                let (bytes, flops) = cost::sellcs_spmv(sell);
+                rank.kernel(KernelKind::SpMV, bytes, flops);
+                sell.spmv_into(x, y);
             }
             None => {
                 let _k = telemetry::kernel(
                     "spmv_csr",
-                    perfmodel::csr_spmv(self.local_rows(), self.local_nnz()),
+                    perfmodel::csr_spmv(self.local_rows(), self.diag.nnz()),
                 );
-                let (b, f) = cost::spmv(&self.diag);
-                rank.kernel(KernelKind::SpMV, b, f);
-                self.diag.spmv_into(&x.local, &mut y.local);
-                if self.offd.nnz() > 0 {
-                    let (b, f) = cost::spmv(&self.offd);
-                    rank.kernel(KernelKind::SpMV, b, f);
-                    self.offd.spmv_add_into(&ext, &mut y.local);
-                }
+                let (bytes, flops) = cost::spmv(&self.diag);
+                rank.kernel(KernelKind::SpMV, bytes, flops);
+                self.diag.spmv_into(x, y);
             }
         }
-    }
-
-    /// Residual r = b − A·x. Collective.
-    pub fn residual(&self, rank: &Rank, b: &ParVector, x: &ParVector) -> ParVector {
-        let mut r = self.spmv(rank, x);
-        r.scale(rank, -1.0);
-        r.axpy(rank, 1.0, b);
-        r
+        let ext = halo.try_finish(rank).unwrap_or_else(|e| panic!("{e}"));
+        if self.offd.nnz() > 0 {
+            let _k = telemetry::kernel(
+                "spmv_csr",
+                perfmodel::csr_spmv(self.local_rows(), self.offd.nnz()),
+            );
+            let (bytes, flops) = cost::spmv(&self.offd);
+            rank.kernel(KernelKind::SpMV, bytes, flops);
+            self.offd.spmv_add_into(&ext, y);
+        }
+        if let Some(b) = b {
+            let (bytes, flops) = cost::blas1(y.len(), 3);
+            rank.kernel(KernelKind::Stream, bytes, flops);
+            for (yi, &bi) in y.iter_mut().zip(b) {
+                *yi = bi - *yi;
+            }
+        }
     }
 
     /// Reconstruct the full matrix on every rank (tests only). Collective.
@@ -429,6 +463,53 @@ impl ParCsr {
             self.col_dist.global_n() as usize,
             &coo,
         )
+    }
+}
+
+/// A halo exchange whose sends are posted and whose receives are still
+/// outstanding ([`ParCsr::try_halo_begin`]). It owns no buffer: the
+/// receive ranges are the matrix's own `CommPkg`.
+#[must_use = "an in-flight halo exchange must be finished"]
+pub struct HaloInFlight<'a> {
+    a: &'a ParCsr,
+}
+
+impl HaloInFlight<'_> {
+    /// Second half of the exchange: receive from every neighbour and
+    /// unpack into the external vector aligned with `col_map_offd`. A
+    /// timeout or wrong payload type is a typed [`SolveError::Comm`], a
+    /// wrong payload length a [`SolveError::HaloCorruption`]. Hosts the
+    /// `halo-nan` fault hook (with a matching spec armed, the first
+    /// external value is flipped to NaN after unpack, exactly as a
+    /// corrupted wire payload would arrive).
+    pub fn try_finish(self, rank: &Rank) -> Result<Vec<f64>, SolveError> {
+        let a = self.a;
+        let mut ext = vec![0.0; a.col_map_offd.len()];
+        // Receive first (the blocking wait is communication, not unpack
+        // work), then copy in a separately timed unpack kernel.
+        let mut received: Vec<(std::ops::Range<usize>, Vec<f64>)> =
+            Vec::with_capacity(a.comm_pkg.recvs.len());
+        for (src, range) in &a.comm_pkg.recvs {
+            let buf: Vec<f64> = rank.try_recv(*src, a.halo_tag)?;
+            if buf.len() != range.len() {
+                return Err(SolveError::HaloCorruption {
+                    context: rank.phase_name(),
+                    src: *src,
+                    detail: format!("expected {} values, got {}", range.len(), buf.len()),
+                });
+            }
+            received.push((range.clone(), buf));
+        }
+        {
+            let _k = telemetry::kernel("halo_unpack", perfmodel::halo_unpack(ext.len()));
+            for (range, buf) in received {
+                ext[range].copy_from_slice(&buf);
+            }
+        }
+        if !ext.is_empty() && faults::fire(FaultKind::HaloNan, || rank.phase_name()) {
+            ext[0] = f64::NAN;
+        }
+        Ok(ext)
     }
 }
 
@@ -487,7 +568,9 @@ impl ParCsrPattern {
 
     /// A matrix of this pattern carrying `diag_vals` / `offd_vals` (each
     /// in its block's CSR order). Matrices of one pattern share its halo
-    /// tag; their exchanges are blocking, so they cannot interleave.
+    /// tag; an exchange is finished before the next begins (only the
+    /// diag-block pass runs between `try_halo_begin` and `try_finish`),
+    /// so they cannot interleave.
     ///
     /// # Panics
     ///
@@ -673,6 +756,58 @@ mod tests {
             let xc = ParVector::from_fn(rank, col_dist, |g| (g + 1) as f64);
             let y = p.spmv(rank, &xc).to_serial(rank);
             assert_eq!(y, vec![1.0, 1.5, 2.0, 1.75]);
+        });
+    }
+
+    #[test]
+    fn socket_drop_on_begin_leaves_no_message_in_flight() {
+        // The drop fires before any send, on every rank (the counters
+        // are replicated): a stale message on the halo tag would be what
+        // the clean exchange right after it receives.
+        Comm::run(3, |rank| {
+            let n = 9;
+            let dist = RowDist::block(n as u64, rank.size());
+            let pa = ParCsr::from_serial(rank, dist.clone(), dist.clone(), &laplacian(n));
+            let me = rank.rank();
+            let stale: Vec<f64> = (dist.start(me)..dist.end(me)).map(|g| -(g as f64)).collect();
+            let fresh: Vec<f64> = (dist.start(me)..dist.end(me)).map(|g| 10.0 * g as f64).collect();
+            let plan = resilience::FaultPlan::parse("socket-drop@halo:1").unwrap();
+            let _g = plan.install();
+            rank.with_phase("halo", || {
+                let err = pa.try_halo_begin(rank, &stale).err().expect("injected drop");
+                assert!(matches!(err, SolveError::Comm { .. }), "{err:?}");
+                let ext = pa.try_halo_exchange(rank, &fresh).expect("clean retry");
+                for (k, &g) in pa.col_map_offd.iter().enumerate() {
+                    assert_eq!(ext[k], 10.0 * g as f64);
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn halo_nan_fires_on_overlapped_spmv() {
+        // The hook sits in `try_finish`, so the overlapped kernels host
+        // it exactly as the blocking exchange does: the first external
+        // value arrives as NaN and poisons the rows that read it.
+        Comm::run(2, |rank| {
+            let n = 8;
+            let dist = RowDist::block(n as u64, 2);
+            let pa = ParCsr::from_serial(rank, dist.clone(), dist.clone(), &laplacian(n));
+            let x = ParVector::from_fn(rank, dist.clone(), |_| 1.0);
+            let clean = pa.spmv(rank, &x);
+            assert!(clean.local.iter().all(|v| v.is_finite()));
+            let plan = resilience::FaultPlan::parse("halo-nan@spmv:2").unwrap();
+            let _g = plan.install();
+            rank.with_phase("spmv", || {
+                let first = pa.spmv(rank, &x);
+                assert_eq!(first.local, clean.local, "occurrence 1 is clean");
+                let poisoned = pa.residual(rank, &clean, &x);
+                let boundary_row = if rank.rank() == 0 { n / 2 - 1 } else { 0 };
+                for (i, v) in poisoned.local.iter().enumerate() {
+                    assert_eq!(v.is_nan(), i == boundary_row, "row {i}: {v}");
+                }
+                assert_eq!(pa.spmv(rank, &x).local, clean.local, "occurrence 3 is clean");
+            });
         });
     }
 

@@ -6,7 +6,7 @@ use distmat::{AssemblyPlan, IjMatrix, IjVector, ParCsr, ParVector, RowDist, Vect
 use std::collections::BTreeMap;
 use parcomm::Comm;
 use proptest::prelude::*;
-use sparse_kit::{Coo, Csr};
+use sparse_kit::{policy, Coo, Csr, KernelPolicy};
 
 /// Strategy: a random sparse square matrix of size n with ~30% fill and a
 /// guaranteed nonzero diagonal.
@@ -139,6 +139,73 @@ proptest! {
                     );
                 }
             });
+        }
+    }
+
+    /// The split-phase kernels move only the receive: `spmv_into` and the
+    /// residual equal, bit for bit, a blocking exchange followed by the
+    /// diag pass, the offd pass (skipped when the block stores nothing,
+    /// as the kernels skip it) and `b − s` — at 1/2/3 ranks, for square
+    /// and rectangular (P/R-shaped) operators, with and without an offd
+    /// block, under both diag-block backends.
+    #[test]
+    fn overlapped_spmv_and_residual_equal_blocking_reference_bitwise(
+        (nr, nc, entries, pool) in (3u64..14, 3u64..14).prop_flat_map(|(nr, nc)| (
+            Just(nr),
+            Just(nc),
+            proptest::collection::vec((0..nr, 0..nr.max(nc), tricky_f64()), 0..120),
+            proptest::collection::vec(tricky_f64(), 61),
+        ))
+    ) {
+        for p in 1..=3usize {
+            for (square, with_offd, kernels) in [
+                (true, true, KernelPolicy::Csr),
+                (true, true, KernelPolicy::Sellcs),
+                (false, true, KernelPolicy::Csr),
+                (false, true, KernelPolicy::Sellcs),
+                (true, false, KernelPolicy::Sellcs),
+                (false, false, KernelPolicy::Csr),
+            ] {
+                let (entries, pool) = (entries.clone(), pool.clone());
+                Comm::run(p, move |rank| {
+                    policy::install(kernels);
+                    let me = rank.rank();
+                    let ncols = if square { nr } else { nc };
+                    let row_dist = RowDist::block(nr, p);
+                    let col_dist = RowDist::block(ncols, p);
+                    let mut coo = Coo::new();
+                    for &(r, c, v) in &entries {
+                        let c = c % ncols;
+                        let local = col_dist.owner(c) == me;
+                        if row_dist.owner(r) == me && (with_offd || local) {
+                            coo.push(r, c, v);
+                        }
+                    }
+                    let a = ParCsr::from_global_coo(rank, row_dist.clone(), col_dist.clone(), &coo);
+                    assert_eq!(a.diag_sell().is_some(), kernels == KernelPolicy::Sellcs);
+                    if !with_offd {
+                        assert_eq!(a.offd.nnz(), 0);
+                    }
+                    let x = ParVector::from_fn(rank, col_dist, |g| pool[g as usize % pool.len()]);
+                    let b = ParVector::from_fn(rank, row_dist.clone(), |g| {
+                        pool[(g as usize * 7 + 3) % pool.len()]
+                    });
+
+                    let ext = a.try_halo_exchange(rank, &x.local).expect("clean exchange");
+                    let mut s = vec![f64::INFINITY; a.local_rows()];
+                    a.diag.spmv_into(&x.local, &mut s);
+                    if a.offd.nnz() > 0 {
+                        a.offd.spmv_add_into(&ext, &mut s);
+                    }
+                    let r_ref: Vec<f64> = b.local.iter().zip(&s).map(|(bi, si)| bi - si).collect();
+
+                    let mut y = ParVector::from_fn(rank, row_dist, |_| f64::NEG_INFINITY);
+                    a.spmv_into(rank, &x, &mut y);
+                    assert_eq!(bits(&y.local), bits(&s), "p={p} square={square} spmv");
+                    let r = a.residual(rank, &b, &x);
+                    assert_eq!(bits(&r.local), bits(&r_ref), "p={p} square={square} residual");
+                });
+            }
         }
     }
 

@@ -25,47 +25,49 @@ use telemetry::perfmodel;
 
 use crate::precond::Preconditioner;
 
-/// Precomputed local splitting A_diag = L + D + U used by every smoother.
-#[derive(Clone, Debug)]
-struct LocalSplit {
-    l: Csr,
-    u: Csr,
-    diag: Vec<f64>,
-    inv_diag: Vec<f64>,
+/// `1/a_ii` over the diag block's diagonal.
+fn inverse_diagonal(diag: &[f64]) -> Vec<f64> {
+    diag.iter()
+        .map(|&d| {
+            assert!(d != 0.0, "smoother requires nonzero diagonal");
+            1.0 / d
+        })
+        .collect()
 }
 
-impl LocalSplit {
-    fn new(a: &ParCsr) -> Self {
-        let diag = a.diag.diag();
-        let inv_diag = diag
-            .iter()
-            .map(|&d| {
-                assert!(d != 0.0, "smoother requires nonzero diagonal");
-                1.0 / d
-            })
-            .collect();
-        LocalSplit {
-            l: a.diag.strict_lower(),
-            u: a.diag.strict_upper(),
-            diag,
-            inv_diag,
-        }
-    }
-}
-
-/// Local residual r = b − A_diag·x − A_offd·x_ext.
-fn local_residual(a: &ParCsr, b: &[f64], x: &[f64], ext: &[f64], out: &mut [f64]) {
-    let _k = telemetry::kernel(
-        "spmv_csr",
-        perfmodel::csr_spmv(a.local_rows(), a.local_nnz())
-            .plus(perfmodel::blas1(b.len(), 2, 1)),
-    );
-    a.diag.spmv_into(x, out);
-    if a.offd.nnz() > 0 {
-        a.offd.spmv_add_into(ext, out);
-    }
-    for (o, &bi) in out.iter_mut().zip(b) {
-        *o = bi - *o;
+/// The residual a smoothing round starts from: `b − A·x` by the
+/// overlapped [`ParCsr::residual_into`] (into `buf`), or — in a
+/// **zero-guess round**, when the caller created `x` as
+/// `ParVector::zeros` and nothing has touched it — `b` itself, with no
+/// halo exchange and no matrix pass.
+///
+/// The shortcut is bitwise-lossless: with `x ≡ +0.0` every external
+/// value is `+0.0` too, the coefficients are finite (AMG setup's
+/// `NonFiniteCoefficient` guard and the Picard driver's
+/// `check_system_finite` run before any smoother is built), so every
+/// product is `±0.0`, every row sum is `0.0 + Σ(±0.0) = +0.0`, and
+/// `b_i − (+0.0) = b_i` for every `b_i`, `−0.0` and NaN payloads
+/// included. The round then proceeds unchanged (`x = 0.0 + g`, so a
+/// `−0.0` correction still lands as `+0.0`). A skipped residual sends no
+/// message, hosts no fault hook and records no kernel in either ledger.
+fn round_residual<'v>(
+    a: &ParCsr,
+    rank: &Rank,
+    b: &'v [f64],
+    x: &[f64],
+    zero_guess: bool,
+    buf: &'v mut [f64],
+) -> &'v [f64] {
+    if zero_guess {
+        debug_assert!(
+            x.iter().all(|v| v.to_bits() == 0),
+            "zero-guess round entered with a nonzero iterate"
+        );
+        telemetry::counter("smoother.zero_guess_rounds", 1);
+        b
+    } else {
+        a.residual_into(rank, b, x, buf);
+        buf
     }
 }
 
@@ -75,7 +77,7 @@ fn local_residual(a: &ParCsr, b: &[f64], x: &[f64], ext: &[f64], out: &mut [f64]
 #[derive(Clone, Debug)]
 pub struct HybridGs {
     a: ParCsr,
-    split: LocalSplit,
+    inv_diag: Vec<f64>,
     /// Local relaxation sweeps per halo exchange.
     pub local_sweeps: usize,
     /// Forward (true) or backward (false) sweeps.
@@ -86,7 +88,7 @@ impl HybridGs {
     /// Build a smoother for `a`.
     pub fn new(a: &ParCsr) -> Self {
         HybridGs {
-            split: LocalSplit::new(a),
+            inv_diag: inverse_diagonal(&a.diag.diag()),
             a: a.clone(),
             local_sweeps: 1,
             forward: true,
@@ -121,7 +123,7 @@ impl HybridGs {
                     for (&j, &v) in ocols.iter().zip(ovals) {
                         acc -= v * ext[j];
                     }
-                    x.local[i] = acc * self.split.inv_diag[i];
+                    x.local[i] = acc * self.inv_diag[i];
                 }
             }
         }
@@ -143,7 +145,9 @@ impl Preconditioner for HybridGs {
 #[derive(Clone, Debug)]
 pub struct TwoStageGs {
     a: ParCsr,
-    split: LocalSplit,
+    /// Strict lower triangle of the diag block.
+    l: Csr,
+    inv_diag: Vec<f64>,
     /// Number of inner Jacobi-Richardson iterations `s` (0 = Jacobi).
     pub inner: usize,
     /// Number of outer iterations per [`Preconditioner::apply`].
@@ -154,7 +158,8 @@ impl TwoStageGs {
     /// Build with `inner` JR iterations and `outer` outer iterations.
     pub fn new(a: &ParCsr, inner: usize, outer: usize) -> Self {
         TwoStageGs {
-            split: LocalSplit::new(a),
+            l: a.diag.strict_lower(),
+            inv_diag: inverse_diagonal(&a.diag.diag()),
             a: a.clone(),
             inner,
             outer,
@@ -166,38 +171,46 @@ impl TwoStageGs {
     fn forward_solve(&self, rank: &Rank, r: &[f64]) -> Vec<f64> {
         let n = r.len();
         let mut g = vec![0.0; n];
-        dense::diag_scale(&self.split.inv_diag, r, &mut g);
+        dense::diag_scale(&self.inv_diag, r, &mut g);
         // Fused sweeps: each inner iteration is one matrix pass
         // (`Csr::jr_sweep_fused`), double-buffered so the sweep stays a
         // Jacobi update (in-place would silently turn it into GS).
         let mut next = vec![0.0; n];
         for _ in 0..self.inner {
-            let _k = telemetry::kernel(
-                "jr_sweep_fused",
-                perfmodel::jr_sweep_fused(n, self.split.l.nnz()),
-            );
-            let (bytes, flops) = cost::jr_sweep_fused(&self.split.l);
+            let _k = telemetry::kernel("jr_sweep_fused", perfmodel::jr_sweep_fused(n, self.l.nnz()));
+            let (bytes, flops) = cost::jr_sweep_fused(&self.l);
             rank.kernel(KernelKind::SpMV, bytes, flops);
-            self.split
-                .l
-                .jr_sweep_fused(r, &self.split.inv_diag, &g, &mut next);
+            self.l.jr_sweep_fused(r, &self.inv_diag, &g, &mut next);
             std::mem::swap(&mut g, &mut next);
         }
         g
     }
 
-    /// One outer two-stage GS iteration: x̂ₖ₊₁ = x̂ₖ + M̃⁻¹(b − A x̂ₖ).
-    /// Collective (computes a distributed residual).
+    /// `rounds` outer two-stage GS iterations x̂ₖ₊₁ = x̂ₖ + M̃⁻¹(b − A x̂ₖ)
+    /// on an arbitrary iterate. Collective (computes a distributed
+    /// residual).
     pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
+        self.smooth_from(rank, b, x, rounds, false);
+    }
+
+    /// [`TwoStageGs::smooth`] where `zero_guess` is the caller's promise
+    /// that it created `x` as `ParVector::zeros`: the first round then
+    /// starts from `r = b` (see `round_residual`). Collective.
+    pub fn smooth_from(
+        &self,
+        rank: &Rank,
+        b: &ParVector,
+        x: &mut ParVector,
+        rounds: usize,
+        zero_guess: bool,
+    ) {
         telemetry::counter("smoother.two_stage_gs.rounds", rounds as u64);
         let n = x.local.len();
-        let mut r = vec![0.0; n];
-        for _ in 0..rounds {
-            let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
-            let g = self.forward_solve(rank, &r);
+        let mut buf = vec![0.0; n];
+        for round in 0..rounds {
+            let first_from_zero = zero_guess && round == 0;
+            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
+            let g = self.forward_solve(rank, r);
             let (bytes, flops) = cost::blas1(n, 3);
             rank.kernel(KernelKind::Stream, bytes, flops);
             dense::axpy(1.0, &g, &mut x.local);
@@ -208,7 +221,7 @@ impl TwoStageGs {
 impl Preconditioner for TwoStageGs {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth(rank, r, &mut z, self.outer);
+        self.smooth_from(rank, r, &mut z, self.outer, true);
         z
     }
 }
@@ -224,7 +237,11 @@ impl Preconditioner for TwoStageGs {
 #[derive(Clone, Debug)]
 pub struct Sgs2 {
     a: ParCsr,
-    split: LocalSplit,
+    /// Local splitting A_diag = L + D + U.
+    l: Csr,
+    u: Csr,
+    diag: Vec<f64>,
+    inv_diag: Vec<f64>,
     /// Inner Jacobi-Richardson iterations per triangular stage.
     pub inner: usize,
     /// Outer iterations per [`Preconditioner::apply`].
@@ -239,8 +256,12 @@ impl Sgs2 {
 
     /// Build with explicit sweep counts.
     pub fn with_sweeps(a: &ParCsr, inner: usize, outer: usize) -> Self {
+        let diag = a.diag.diag();
         Sgs2 {
-            split: LocalSplit::new(a),
+            l: a.diag.strict_lower(),
+            u: a.diag.strict_upper(),
+            inv_diag: inverse_diagonal(&diag),
+            diag,
             a: a.clone(),
             inner,
             outer,
@@ -258,52 +279,60 @@ impl Sgs2 {
         {
             let _k = telemetry::kernel(
                 "sgs2_forward_fused",
-                perfmodel::sgs2_stage_fused(n, self.split.l.nnz(), self.inner),
+                perfmodel::sgs2_stage_fused(n, self.l.nnz(), self.inner),
             );
-            dense::diag_scale(&self.split.inv_diag, r, &mut y);
+            dense::diag_scale(&self.inv_diag, r, &mut y);
             for _ in 0..self.inner {
-                let (bytes, flops) = cost::jr_sweep_fused(&self.split.l);
+                let (bytes, flops) = cost::jr_sweep_fused(&self.l);
                 rank.kernel(KernelKind::SpMV, bytes, flops);
-                self.split
-                    .l
-                    .jr_sweep_fused(r, &self.split.inv_diag, &y, &mut tmp);
+                self.l.jr_sweep_fused(r, &self.inv_diag, &y, &mut tmp);
                 std::mem::swap(&mut y, &mut tmp);
             }
         }
         // Rescale: t = D y.
         let mut t = vec![0.0; n];
-        dense::diag_scale(&self.split.diag, &y, &mut t);
+        dense::diag_scale(&self.diag, &y, &mut t);
         // Backward stage: z ≈ (D+U)⁻¹ t.
         let mut z = vec![0.0; n];
         {
             let _k = telemetry::kernel(
                 "sgs2_backward_fused",
-                perfmodel::sgs2_stage_fused(n, self.split.u.nnz(), self.inner),
+                perfmodel::sgs2_stage_fused(n, self.u.nnz(), self.inner),
             );
-            dense::diag_scale(&self.split.inv_diag, &t, &mut z);
+            dense::diag_scale(&self.inv_diag, &t, &mut z);
             for _ in 0..self.inner {
-                let (bytes, flops) = cost::jr_sweep_fused(&self.split.u);
+                let (bytes, flops) = cost::jr_sweep_fused(&self.u);
                 rank.kernel(KernelKind::SpMV, bytes, flops);
-                self.split
-                    .u
-                    .jr_sweep_fused(&t, &self.split.inv_diag, &z, &mut tmp);
+                self.u.jr_sweep_fused(&t, &self.inv_diag, &z, &mut tmp);
                 std::mem::swap(&mut z, &mut tmp);
             }
         }
         z
     }
 
-    /// Stationary iteration with the SGS2 preconditioner. Collective.
+    /// Stationary iteration with the SGS2 preconditioner on an arbitrary
+    /// iterate. Collective.
     pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
+        self.smooth_from(rank, b, x, rounds, false);
+    }
+
+    /// [`Sgs2::smooth`] where `zero_guess` is the caller's promise that
+    /// it created `x` as `ParVector::zeros`: the first round then starts
+    /// from `r = b` (see `round_residual`). Collective.
+    pub fn smooth_from(
+        &self,
+        rank: &Rank,
+        b: &ParVector,
+        x: &mut ParVector,
+        rounds: usize,
+        zero_guess: bool,
+    ) {
         telemetry::counter("smoother.sgs2.rounds", rounds as u64);
-        let n = x.local.len();
-        let mut r = vec![0.0; n];
-        for _ in 0..rounds {
-            let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
-            let z = self.apply_local(rank, &r);
+        let mut buf = vec![0.0; x.local.len()];
+        for round in 0..rounds {
+            let first_from_zero = zero_guess && round == 0;
+            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
+            let z = self.apply_local(rank, r);
             dense::axpy(1.0, &z, &mut x.local);
         }
     }
@@ -312,7 +341,7 @@ impl Sgs2 {
 impl Preconditioner for Sgs2 {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth(rank, r, &mut z, self.outer);
+        self.smooth_from(rank, r, &mut z, self.outer, true);
         z
     }
 }
@@ -356,16 +385,29 @@ impl L1Jacobi {
         }
     }
 
-    /// `rounds` damped-Jacobi iterations with the ℓ1 diagonal. Collective.
+    /// `rounds` damped-Jacobi iterations with the ℓ1 diagonal on an
+    /// arbitrary iterate. Collective.
     pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
+        self.smooth_from(rank, b, x, rounds, false);
+    }
+
+    /// [`L1Jacobi::smooth`] where `zero_guess` is the caller's promise
+    /// that it created `x` as `ParVector::zeros`: the first round then
+    /// starts from `r = b` (see `round_residual`). Collective.
+    pub fn smooth_from(
+        &self,
+        rank: &Rank,
+        b: &ParVector,
+        x: &mut ParVector,
+        rounds: usize,
+        zero_guess: bool,
+    ) {
         telemetry::counter("smoother.l1_jacobi.rounds", rounds as u64);
         let n = x.local.len();
-        let mut r = vec![0.0; n];
-        for _ in 0..rounds {
-            let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+        let mut buf = vec![0.0; n];
+        for round in 0..rounds {
+            let first_from_zero = zero_guess && round == 0;
+            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
             let (bytes, flops) = cost::blas1(n, 3);
             rank.kernel(KernelKind::Stream, bytes, flops);
             for (i, &ri) in r.iter().enumerate() {
@@ -378,7 +420,7 @@ impl L1Jacobi {
 impl Preconditioner for L1Jacobi {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth(rank, r, &mut z, self.outer);
+        self.smooth_from(rank, r, &mut z, self.outer, true);
         z
     }
 }
@@ -445,19 +487,32 @@ impl Chebyshev {
     }
 
     /// One degree-`degree` Chebyshev application per round (the classic
-    /// three-term recurrence on the preconditioned residual). Collective.
+    /// three-term recurrence on the preconditioned residual) on an
+    /// arbitrary iterate. Collective.
     pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
+        self.smooth_from(rank, b, x, rounds, false);
+    }
+
+    /// [`Chebyshev::smooth`] where `zero_guess` is the caller's promise
+    /// that it created `x` as `ParVector::zeros`: the first residual of
+    /// the first round is then `r = b` (see `round_residual`). Collective.
+    pub fn smooth_from(
+        &self,
+        rank: &Rank,
+        b: &ParVector,
+        x: &mut ParVector,
+        rounds: usize,
+        zero_guess: bool,
+    ) {
         telemetry::counter("smoother.chebyshev.rounds", rounds as u64);
         let n = x.local.len();
         let theta = 0.5 * (self.lambda_max + self.lambda_min);
         let delta = 0.5 * (self.lambda_max - self.lambda_min);
-        let mut r = vec![0.0; n];
-        for _ in 0..rounds {
+        let mut buf = vec![0.0; n];
+        for round in 0..rounds {
             // d: current correction direction; standard Chebyshev setup.
-            let ext = self.a.halo_exchange(rank, &x.local);
-            let (bytes, flops) = cost::spmv(&self.a.diag);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
-            local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+            let first_from_zero = zero_guess && round == 0;
+            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
             let mut d: Vec<f64> = (0..n)
                 .map(|i| self.inv_diag[i] * r[i] / theta)
                 .collect();
@@ -466,10 +521,7 @@ impl Chebyshev {
                 x.local[i] += di;
             }
             for _ in 1..self.degree {
-                let ext = self.a.halo_exchange(rank, &x.local);
-                let (bytes, flops) = cost::spmv(&self.a.diag);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
-                local_residual(&self.a, &b.local, &x.local, &ext, &mut r);
+                let r = round_residual(&self.a, rank, &b.local, &x.local, false, &mut buf);
                 let sigma_new = 1.0 / (2.0 * theta / delta - sigma);
                 let rho = sigma * sigma_new;
                 for i in 0..n {
@@ -486,7 +538,7 @@ impl Chebyshev {
 impl Preconditioner for Chebyshev {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth(rank, r, &mut z, 1);
+        self.smooth_from(rank, r, &mut z, 1, true);
         z
     }
 }
@@ -644,6 +696,31 @@ mod tests {
             let ph = t.phase("smooth");
             assert!(ph.msgs >= 2, "halo per round");
             assert!(ph.kernel_launches > 4);
+        }
+    }
+
+    #[test]
+    fn zero_guess_apply_sends_one_halo_round_fewer() {
+        // Each rank of the 2-rank 1-D Laplacian has one neighbour, so a
+        // halo round is one message per rank. `apply` creates its own
+        // zero iterate: round 1 takes r = b (no exchange, no residual
+        // SpMV), round 2 exchanges. `smooth` on a caller's `x` cannot
+        // know it is zero and exchanges in both rounds.
+        let (_, traces) = Comm::run_traced(2, |rank| {
+            let (a, b, _) = setup(rank, 16);
+            let sgs = Sgs2::with_sweeps(&a, 2, 2);
+            rank.with_phase("apply", || sgs.apply(rank, &b));
+            let mut x = ParVector::zeros(rank, b.dist().clone());
+            rank.with_phase("smooth", || sgs.smooth(rank, &b, &mut x, 2));
+        });
+        for t in &traces {
+            let (apply, smooth) = (t.phase("apply"), t.phase("smooth"));
+            assert_eq!(apply.msgs, 1, "zero-guess round must not exchange");
+            assert_eq!(smooth.msgs, 2, "general rounds exchange every time");
+            // Per round 4 JR sweeps; a general round adds the diag and
+            // offd residual passes.
+            assert_eq!(apply.launches_by_kind[&KernelKind::SpMV], 8 + 2);
+            assert_eq!(smooth.launches_by_kind[&KernelKind::SpMV], 8 + 4);
         }
     }
 

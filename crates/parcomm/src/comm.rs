@@ -882,6 +882,28 @@ mod tests {
     }
 
     #[test]
+    fn message_sent_long_after_the_receive_began_still_arrives() {
+        // The socket receive polls its queue for ~0.1 ms and then parks;
+        // 20 ms of silence sends it down the parked branch, and the two
+        // messages behind the silence must come out in send order.
+        both_transports(|k| {
+            Comm::run_with(k, 2, |rank| {
+                if rank.rank() == 0 {
+                    std::thread::sleep(Duration::from_millis(20));
+                    rank.send(1, 3, vec![1.5f64, -0.0]);
+                    rank.send(1, 3, vec![2.5f64]);
+                } else {
+                    let first: Vec<f64> = rank.recv(0, 3);
+                    let second: Vec<f64> = rank.recv(0, 3);
+                    assert_eq!(first.len(), 2);
+                    assert_eq!(first[1].to_bits(), (-0.0f64).to_bits());
+                    assert_eq!(second, vec![2.5]);
+                }
+            });
+        });
+    }
+
+    #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         both_transports(|k| {

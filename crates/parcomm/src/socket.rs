@@ -23,7 +23,9 @@
 //! Delivery: one reader thread per peer stream decodes frames and pushes
 //! them into the owning rank's event channel ([`FrameKind::Msg`]) or
 //! barrier channel ([`FrameKind::Barrier`]); per-peer FIFO order is the
-//! TCP stream order, matching the in-process channel semantics. Barriers
+//! TCP stream order, matching the in-process channel semantics. A
+//! blocking receive polls that channel briefly before it parks on it
+//! ([`SocketTransport::recv_next`]). Barriers
 //! are centralized through rank 0 (gather generation-tagged frames, then
 //! broadcast release). A stream that ends without a [`FrameKind::Goodbye`]
 //! surfaces as [`RecvEvent::PeerGone`] → `CommError::Disconnected`.
@@ -420,6 +422,11 @@ fn hostfile_streams(me: usize, size: usize, path: &Path) -> Vec<Option<TcpStream
 // The transport
 // ---------------------------------------------------------------------------
 
+/// Polls of the event queue (CPU yielded in between) before a blocking
+/// receive parks: ≈ 50–100 µs on an otherwise idle core, several times
+/// the loopback delivery latency ([`SocketTransport::recv_next`]).
+const POLLS_BEFORE_PARK: usize = 256;
+
 /// One rank's endpoint of the socket mesh. See the module doc for the
 /// delivery and barrier design.
 pub(crate) struct SocketTransport {
@@ -576,7 +583,24 @@ impl Transport for SocketTransport {
         });
     }
 
+    /// Poll, then park. A message reaches the event queue through the
+    /// peer's reader thread, so a receive that parks at once pays two
+    /// thread wake-ups per message (socket → reader, reader → rank), and
+    /// whether they cross CPUs is the scheduler's choice of the moment:
+    /// on a message-bound solve (thousands of halo rounds and allreduces
+    /// per step, each awaited for tens of µs) that choice, not the work,
+    /// set the step time, ±50 % from one second to the next. Yielding
+    /// between polls runs the reader on this CPU if it is waiting for
+    /// one, and the rank thread picks the message up without having
+    /// slept. The bound keeps a rank that waits on real imbalance
+    /// (milliseconds) from burning its CPU, and no clock is read.
     fn recv_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout> {
+        for _ in 0..POLLS_BEFORE_PARK {
+            if let Ok(ev) = self.events_rx.try_recv() {
+                return Ok(ev);
+            }
+            std::thread::yield_now();
+        }
         self.events_rx.recv_timeout(timeout).map_err(|_| RecvTimeout)
     }
 

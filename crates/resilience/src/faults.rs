@@ -52,6 +52,21 @@
 //! up: the Picard driver reuses the pressure hierarchy while the operator
 //! is unchanged, so that is the first solve of each mesh plus one per
 //! recovery eviction — not once per Picard iteration.
+//!
+//! `halo-nan` and `socket-drop` are hosted by halo *exchanges*:
+//! `socket-drop` in `ParCsr::try_halo_begin`, before any send, `halo-nan`
+//! in `HaloInFlight::try_finish`, after unpack — whether the two run back
+//! to back (`try_halo_exchange`) or around the diag-block pass of an
+//! overlapped SpMV/residual. Inside a solve that is one occurrence per
+//! operator application: GMRES's residual and `A·z` products, and in a
+//! preconditioner application the V-cycle's restriction residual, R, P
+//! and every smoothing round **except a zero-guess round** — the first
+//! round on a vector the preconditioner created as zeros takes `r = b`,
+//! exchanges nothing, and so advances no counter (4 occurrences per
+//! non-coarsest V-cycle level at one sweep, 1 per two-round SGS2
+//! application). `halo-nan@continuity/solve:1` is GMRES's initial
+//! residual. Seed later occurrences by probing (arm an occurrence far
+//! out of reach and read [`counters`]), not by arithmetic.
 
 use std::cell::RefCell;
 use std::fmt;

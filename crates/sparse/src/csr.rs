@@ -8,13 +8,6 @@ use crate::prims;
 /// Threshold below which row loops run sequentially.
 const PAR_THRESHOLD: usize = 1 << 12;
 
-/// Lane count of the blocked SpMV path (rows per step).
-const LANES: usize = 4;
-
-/// Rows per rayon work item in [`Csr::spmv_into_simd`]; a multiple of
-/// [`LANES`] so every block starts lane-aligned.
-const SIMD_BLOCK: usize = 1 << 10;
-
 /// CSR matrix. Column indices are sorted within each row and duplicate-free
 /// (an invariant every constructor establishes and every operation keeps).
 #[derive(Clone, Debug, PartialEq)]
@@ -245,70 +238,6 @@ impl Csr {
             y.par_iter_mut().enumerate().map(|(r, yr)| (r, yr)).for_each(run);
         } else {
             y.iter_mut().enumerate().for_each(run);
-        }
-    }
-
-    /// y = A x with explicit 4-wide lane accumulation: four *rows* per
-    /// step, one lane accumulator each. Lanes never mix — every row
-    /// still sums its entries in CSR column order into one scalar — so
-    /// the result is bitwise-identical to [`Csr::spmv_into`]; the lanes
-    /// only buy instruction-level parallelism on the gather-heavy inner
-    /// loop (the same trick SELL-C-σ bakes into its storage).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn spmv_into_simd(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "x length != ncols");
-        assert_eq!(y.len(), self.nrows, "y length != nrows");
-        let block = |r0: usize, ys: &mut [f64]| {
-            let mut r = 0;
-            while r + LANES <= ys.len() {
-                let row = r0 + r;
-                let start = [
-                    self.indptr[row],
-                    self.indptr[row + 1],
-                    self.indptr[row + 2],
-                    self.indptr[row + 3],
-                ];
-                let end = [
-                    self.indptr[row + 1],
-                    self.indptr[row + 2],
-                    self.indptr[row + 3],
-                    self.indptr[row + 4],
-                ];
-                let width = (0..LANES).map(|l| end[l] - start[l]).max().unwrap_or(0);
-                let mut acc = [0.0f64; LANES];
-                for j in 0..width {
-                    for l in 0..LANES {
-                        let k = start[l] + j;
-                        if k < end[l] {
-                            acc[l] += self.vals[k] * x[self.indices[k]];
-                        }
-                    }
-                }
-                ys[r..r + LANES].copy_from_slice(&acc);
-                r += LANES;
-            }
-            // Remainder rows: plain scalar accumulation (same order).
-            for (rr, yr) in ys.iter_mut().enumerate().skip(r) {
-                let row = r0 + rr;
-                let mut acc = 0.0;
-                for k in self.indptr[row]..self.indptr[row + 1] {
-                    acc += self.vals[k] * x[self.indices[k]];
-                }
-                *yr = acc;
-            }
-        };
-        if self.nrows >= PAR_THRESHOLD {
-            // Lane-multiple blocks: every worker sees aligned 4-row
-            // groups, and rows are independent, so any partitioning
-            // yields the same bits.
-            y.par_chunks_mut(SIMD_BLOCK).enumerate().for_each(|(b, ys)| {
-                block(b * SIMD_BLOCK, ys);
-            });
-        } else {
-            block(0, y);
         }
     }
 

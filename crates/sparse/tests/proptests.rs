@@ -148,19 +148,6 @@ proptest! {
     }
 
     #[test]
-    fn simd_spmv_bitwise_matches_scalar(
-        (a, x) in (1usize..24, 1usize..24).prop_flat_map(|(r, c)| {
-            (hazard_csr(r, c), hazard_vec(c))
-        })
-    ) {
-        let mut y_ref = vec![0.0; a.nrows()];
-        a.spmv_into(&x, &mut y_ref);
-        let mut y_simd = vec![f64::NEG_INFINITY; a.nrows()];
-        a.spmv_into_simd(&x, &mut y_simd);
-        prop_assert_eq!(bits(&y_simd), bits(&y_ref));
-    }
-
-    #[test]
     fn fused_jr_sweep_bitwise_matches_unfused(
         (t, r, g, inv_diag) in (2usize..20,).prop_flat_map(|(n,)| {
             (hazard_csr(n, n), hazard_vec(n), hazard_vec(n), hazard_vec(n))

@@ -1058,9 +1058,11 @@ impl Report {
 
     /// One line answering "why is precond setup / graph / global-assembly
     /// time ~0": how often the driver rebuilt vs reused the pressure AMG
-    /// hierarchy and the equation graphs, and built vs replayed the
-    /// graphs' assembly plans (counter totals, summed over ranks).
-    /// `None` when the stream carries none of the six counters.
+    /// hierarchy and the equation graphs, built vs replayed the graphs'
+    /// assembly plans, and how many smoothing rounds started from a zero
+    /// guess and so skipped their exchange and residual pass (counter
+    /// totals, summed over ranks). `None` when the stream carries none of
+    /// the seven counters.
     pub fn reuse_summary(&self) -> Option<String> {
         let totals = [
             "amg.setup_rebuilt",
@@ -1069,15 +1071,17 @@ impl Report {
             "graphs.reused",
             "assembly.plan_built",
             "assembly.plan_replayed",
+            "smoother.zero_guess_rounds",
         ]
         .map(|name| self.counters.get(name).copied());
         if totals.iter().all(Option::is_none) {
             return None;
         }
-        let [ab, ar, gb, gr, pb, pr] = totals.map(Option::unwrap_or_default);
+        let [ab, ar, gb, gr, pb, pr, zg] = totals.map(Option::unwrap_or_default);
         Some(format!(
             "reuse (summed over ranks): AMG setups rebuilt {ab} / reused {ar}; \
-             graphs rebuilt {gb} / reused {gr}; assembly plans built {pb} / replayed {pr}"
+             graphs rebuilt {gb} / reused {gr}; assembly plans built {pb} / replayed {pr}; \
+             zero-guess smoothing rounds {zg}"
         ))
     }
 
@@ -1813,6 +1817,24 @@ mod tests {
         let quiet = Report::from_events(&sample_events());
         assert!(quiet.critical_path.is_empty());
         assert!(!quiet.render_ascii().contains("critical path"));
+    }
+
+    #[test]
+    fn reuse_summary_sums_counters_over_ranks_and_tolerates_missing_ones() {
+        assert_eq!(Report::from_events(&sample_events()).reuse_summary(), None);
+        let mut evs = sample_events();
+        for rank in 0..2 {
+            evs.push(Event::Counter { rank, name: "amg.setup_reused".into(), value: 3 });
+            evs.push(Event::Counter { rank, name: "smoother.zero_guess_rounds".into(), value: 21 });
+        }
+        assert_eq!(
+            Report::from_events(&evs).reuse_summary().as_deref(),
+            Some(
+                "reuse (summed over ranks): AMG setups rebuilt 0 / reused 6; \
+                 graphs rebuilt 0 / reused 0; assembly plans built 0 / replayed 0; \
+                 zero-guess smoothing rounds 42"
+            )
+        );
     }
 
     #[test]
