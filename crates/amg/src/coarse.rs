@@ -98,9 +98,10 @@ impl CoarseSolver {
             return CoarseSolver { lu: None, dist };
         }
         let serial = a.to_serial(rank);
+        let k = rank.kernel("coarse_lu_factor", KernelKind::Other);
         let dense = serial.to_dense();
         let n = dense.len();
-        rank.kernel(KernelKind::Other, (n * n * 8) as u64, (2 * n * n * n / 3) as u64);
+        k.launch(n, ((n * n * 8) as u64, (2 * n * n * n / 3) as u64));
         CoarseSolver {
             lu: Some(DenseLu::factor(&dense)),
             dist,
@@ -114,8 +115,11 @@ impl CoarseSolver {
         };
         let full_b = b.to_serial(rank);
         let n = full_b.len();
-        rank.kernel(KernelKind::Other, (n * n * 8) as u64, (2 * n * n) as u64);
-        let full_x = lu.solve(&full_b);
+        let full_x = {
+            let k = rank.kernel("coarse_lu_solve", KernelKind::Other);
+            k.launch(n, ((n * n * 8) as u64, (2 * n * n) as u64));
+            lu.solve(&full_b)
+        };
         let me = rank.rank();
         let local =
             full_x[self.dist.start(me) as usize..self.dist.end(me) as usize].to_vec();

@@ -135,7 +135,9 @@ pub fn direct_interpolation(
     let start = dist.start(me);
     let n = dist.local_n(me);
     let ext = exchange_ext_info(rank, a, split, None);
-    rank.kernel(KernelKind::Stream, a.local_nnz() as u64 * 16, a.local_nnz() as u64);
+    let nnz = a.local_nnz() as u64;
+    let k = rank.kernel("interp_direct", KernelKind::Stream);
+    k.launch(n, (nnz * 16, nnz));
 
     // Every interpolation row depends only on row i of A/S and the halo
     // info, so the Eq.-(2) weights are computed in a parallel map; the
@@ -228,6 +230,7 @@ pub fn direct_interpolation(
             coo.push(gi, c, v);
         }
     }
+    drop(k);
     ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)
 }
 
@@ -268,7 +271,9 @@ pub fn mm_ext_interpolation(
     // Build M1 = (D_FF + D_γ)⁻¹ (Aˢ_FF + D_β) and M2 = D_β⁻¹ Aˢ_FC
     // row by row (all classification and scaling is row-local, hence a
     // parallel map; triples are emitted in row order afterwards).
-    rank.kernel(KernelKind::Stream, a.local_nnz() as u64 * 24, a.local_nnz() as u64 * 2);
+    let nnz = a.local_nnz() as u64;
+    let k = rank.kernel("interp_mm_ext", KernelKind::Stream);
+    k.launch(n, (nnz * 24, nnz * 2));
     type Triples = Vec<(u64, u64, f64)>;
     let m_rows: Vec<(Triples, Triples)> = (0..n)
         .into_par_iter()
@@ -356,6 +361,7 @@ pub fn mm_ext_interpolation(
             m2.push(r, c, v);
         }
     }
+    drop(k);
     let m1 = ParCsr::from_global_coo(rank, f_dist.clone(), f_dist.clone(), &m1);
     let m2 = ParCsr::from_global_coo(rank, f_dist.clone(), split.coarse_dist.clone(), &m2);
     let mut w = distmat::ops::par_spgemm(rank, &m1, &m2);

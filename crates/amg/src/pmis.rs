@@ -78,6 +78,8 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
 
     // λ_i = number of points strongly influenced by i = |row i of Sᵀ|.
     // Per-point and seeded per gid, so the parallel map is deterministic.
+    let k = rank.kernel("pmis_weights", KernelKind::Stream);
+    k.launch(n, ((n as u64) * 16, n as u64));
     let weights: Vec<f64> = (0..n)
         .into_par_iter()
         .map(|i| {
@@ -85,7 +87,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
             lambda + point_rand(seed, start + i as u64)
         })
         .collect();
-    rank.kernel(KernelKind::Stream, (n as u64) * 16, n as u64);
+    drop(k);
 
     // Symmetrized adjacency per local row, as (gid, location) pairs, and
     // the dependence set S_i for the F-designation rule.
@@ -184,7 +186,8 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
                 Loc::Ext(e) => ext_w[e],
             }
         };
-        rank.kernel(KernelKind::Stream, (n as u64) * 24, n as u64);
+        let k = rank.kernel("pmis_round", KernelKind::Stream);
+        k.launch(n, ((n as u64) * 24, n as u64));
 
         // Phase 1 (Jacobi-style on the state snapshot): undecided local
         // maxima among undecided neighbours become C. Every point's new
@@ -212,6 +215,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
                 }
             })
             .collect();
+        drop(k);
         // Phase 2: undecided points strongly depending on a C-point (old
         // or freshly chosen — local fresh C visible via the phase-1
         // result; remote fresh C visible next round) become F. Only

@@ -33,7 +33,8 @@ impl Strength {
         assert!((0.0..1.0).contains(&theta), "theta must be in [0,1)");
         let n = a.diag.nrows();
         let nnz = a.local_nnz() as u64;
-        rank.kernel(KernelKind::Stream, nnz * 16, nnz);
+        let k = rank.kernel("strength", KernelKind::Stream);
+        k.launch(n, (nnz * 16, nnz));
 
         // Each row of S depends only on the corresponding row of A, so
         // the selection runs as a parallel map; the row results are then

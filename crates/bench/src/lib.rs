@@ -17,7 +17,6 @@ use parcomm::{Comm, PhaseTrace, Trace};
 use windmesh::{NrelCase, TurbineMeshes};
 
 pub mod args;
-pub mod perf;
 
 /// The tuned ("optimized") solver configuration used by every figure
 /// harness. Found with the `tune_solver` sweep — the reproduction of the

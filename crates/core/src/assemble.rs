@@ -98,6 +98,7 @@ pub fn fill_momentum(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) -> [IjVector; 3] {
+    let fill = rank.kernel("fill_momentum", KernelKind::Stream);
     vals.reset();
     let dist = dm.dist.clone();
     let mut rhs = [
@@ -203,7 +204,7 @@ pub fn fill_momentum(
     }
 
     let work = (owned_edges.len() * 16 + owned_nodes.len() * 8) as u64;
-    rank.kernel(KernelKind::Stream, work * 8, work * 4);
+    fill.launch(owned_nodes.len(), (work * 8, work * 4));
     rhs
 }
 
@@ -238,6 +239,7 @@ pub fn fill_continuity(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) -> IjVector {
+    let fill = rank.kernel("fill_continuity", KernelKind::Stream);
     vals.reset();
     let mut rhs = IjVector::new(rank, dm.dist.clone());
     let kappa_coef = params.dt / params.density;
@@ -305,7 +307,7 @@ pub fn fill_continuity(
     }
 
     let work = (owned_edges.len() * 10 + owned_nodes.len() * 4) as u64;
-    rank.kernel(KernelKind::Stream, work * 8, work * 3);
+    fill.launch(owned_nodes.len(), (work * 8, work * 3));
     rhs
 }
 
@@ -323,6 +325,7 @@ pub fn fill_scalar(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) -> IjVector {
+    let fill = rank.kernel("fill_scalar", KernelKind::Stream);
     vals.reset();
     let mut rhs = IjVector::new(rank, dm.dist.clone());
     let rho = params.density;
@@ -370,7 +373,7 @@ pub fn fill_scalar(
     add_outflow_diag(mesh, graph, state, rho, vals);
 
     let work = (owned_edges.len() * 12 + owned_nodes.len() * 4) as u64;
-    rank.kernel(KernelKind::Stream, work * 8, work * 3);
+    fill.launch(owned_nodes.len(), (work * 8, work * 3));
     rhs
 }
 

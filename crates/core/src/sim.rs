@@ -314,7 +314,7 @@ impl Simulation {
     }
 
     /// The startup clock-alignment table as `(offsets, rtts)`, the shape
-    /// `telemetry::run_info_with_clock` takes. `None` with telemetry off.
+    /// `telemetry::run_info` takes. `None` with telemetry off.
     pub fn clock_tables(&self) -> Option<(Vec<f64>, Vec<f64>)> {
         self.clock.clone().map(parcomm::ClockSync::into_tables)
     }

@@ -30,7 +30,6 @@ use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::prims;
 use sparse_kit::Coo;
-use telemetry::perfmodel;
 
 use crate::dist::RowDist;
 use crate::parcsr::{ParCsr, ParCsrPattern};
@@ -104,13 +103,9 @@ impl IjMatrix {
         // already guarantees this; duplicates from element contributions
         // combine here).
         let presorted = self.owned.len() + self.shared.len();
-        let (bytes, _) = cost::sort(presorted, TRIPLE_BYTES);
-        rank.kernel(KernelKind::Sort, bytes, 0);
         {
-            let _k = telemetry::kernel(
-                "assembly_sort_reduce",
-                perfmodel::assembly_sort_reduce(presorted, TRIPLE_BYTES),
-            );
+            let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+            k.launch(presorted, cost::sort(presorted, TRIPLE_BYTES));
             self.owned.sort_and_combine();
             self.shared.sort_and_combine();
         }
@@ -188,22 +183,18 @@ impl IjMatrix {
         }
 
         // stable_sort_by_key + reduce_by_key over the stacked buffer.
-        let (bytes, _) = cost::sort(all.len(), TRIPLE_BYTES);
-        rank.kernel(KernelKind::Sort, bytes, 0);
-        let (bytes, flops) = cost::reduce(all.len(), TRIPLE_BYTES);
-        rank.kernel(KernelKind::Sort, bytes, flops);
         {
-            let _k = telemetry::kernel(
-                "assembly_sort_reduce",
-                perfmodel::assembly_sort_reduce(all.len(), TRIPLE_BYTES),
-            );
+            let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+            k.launch(all.len(), cost::sort(all.len(), TRIPLE_BYTES));
+            k.launch(all.len(), cost::reduce(all.len(), TRIPLE_BYTES));
             all.sort_and_combine();
         }
 
-        // Split into diag/offd and build the ParCSR (records nothing:
-        // splitting is a single pass).
-        let (bytes, _) = cost::blas1(all.len(), 2);
-        rank.kernel(KernelKind::Stream, bytes, 0);
+        // Split into diag/offd and build the ParCSR. Splitting is a
+        // single pass; the build communicates, so the launch is recorded
+        // without a timed scope around it.
+        rank.kernel("assembly_split", KernelKind::Stream)
+            .launch(all.len(), cost::stream(all.len(), 2));
         Ok(ParCsr::from_global_coo(rank, self.row_dist, self.col_dist, &all))
     }
 }
@@ -283,12 +274,8 @@ fn sorted_runs<K: Ord + Copy + Send + Sync>(
     let mut prov: Vec<u32> = (0..keys.len() as u32).collect();
     // One sorted item is a key plus its u32 provenance.
     let item_bytes = (std::mem::size_of::<K>() + std::mem::size_of::<u32>()) as u64;
-    let (bytes, _) = cost::sort(keys.len(), item_bytes);
-    rank.kernel(KernelKind::Sort, bytes, 0);
-    let _k = telemetry::kernel(
-        "assembly_sort_reduce",
-        perfmodel::assembly_sort_reduce(keys.len(), item_bytes),
-    );
+    let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+    k.launch(keys.len(), cost::sort(keys.len(), item_bytes));
     prims::stable_sort_by_key(&mut keys, &mut prov);
     let mut i = 0;
     while i < keys.len() {
@@ -454,21 +441,24 @@ impl AssemblyPlan {
             });
         }
 
-        if n_shared > 0 {
-            let (bytes, _) = cost::blas1(n_shared, 2);
-            rank.kernel(KernelKind::Stream, bytes, 0);
-        }
-        for (dst, range) in &self.sends {
-            rank.send(*dst, self.tag, shared_vals[range.clone()].to_vec());
+        {
+            // The copy-out is the `to_vec` of each send, so the scope's
+            // wall time includes the sends' encode + enqueue (also in
+            // `transfer_secs`).
+            let k = (n_shared > 0).then(|| rank.kernel("assembly_pack", KernelKind::Stream));
+            if let Some(k) = &k {
+                k.launch(n_shared, cost::stream(n_shared, 2));
+            }
+            for (dst, range) in &self.sends {
+                rank.send(*dst, self.tag, shared_vals[range.clone()].to_vec());
+            }
         }
         recv_planned_values(rank, self.tag, &self.recvs, &mut stack)?;
 
         let entries = self.diag.first.len() + self.offd.first.len();
         let contribs = self.diag.contribs() + self.offd.contribs();
-        // One record, both ledgers.
-        let model = perfmodel::assembly_gather(entries, contribs);
-        rank.kernel(KernelKind::Stream, model.bytes, model.flops);
-        let _k = telemetry::kernel("assembly_gather", model);
+        let k = rank.kernel("assembly_gather", KernelKind::Stream);
+        k.launch(entries, cost::assembly_gather(entries, contribs));
         Ok(self.pattern.with_values(self.diag.apply(&stack), self.offd.apply(&stack)))
     }
 }
@@ -550,23 +540,21 @@ impl IjVector {
         }
         // Sort + reduce over the received values only (the paper found
         // this noticeably faster than sorting the whole stacked vector).
-        let (bytes, _) = cost::sort(recv_ids.len(), 16);
-        rank.kernel(KernelKind::Sort, bytes, 0);
         let (ids, vals) = {
-            let _k = telemetry::kernel(
-                "assembly_sort_reduce",
-                perfmodel::assembly_sort_reduce(recv_ids.len(), 16),
-            );
+            let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+            k.launch(recv_ids.len(), cost::sort(recv_ids.len(), 16));
             prims::stable_sort_by_key(&mut recv_ids, &mut recv_vals);
             prims::reduce_by_key(&recv_ids, &recv_vals)
         };
 
         // RHS[i_new] += RHS_new[i_new].
-        let (bytes, flops) = cost::blas1(ids.len(), 2);
-        rank.kernel(KernelKind::Stream, bytes, flops);
-        for (&gi, &v) in ids.iter().zip(&vals) {
-            let li = self.dist.to_local(self.rank_id, gi);
-            self.owned[li] += v;
+        {
+            let k = rank.kernel("rhs_scatter_add", KernelKind::Stream);
+            k.launch(ids.len(), cost::blas1(ids.len(), 2));
+            for (&gi, &v) in ids.iter().zip(&vals) {
+                let li = self.dist.to_local(self.rank_id, gi);
+                self.owned[li] += v;
+            }
         }
         ParVector::from_local(rank, self.dist, self.owned)
     }
@@ -597,12 +585,16 @@ impl IjVector {
         let mut stack = Vec::with_capacity(plan.recvs.iter().map(|&(_, n)| n).sum());
         recv_planned_values(rank, plan.tag, &plan.recvs, &mut stack)?;
 
-        let gather = perfmodel::assembly_gather(plan.rows.len(), stack.len());
-        let (bytes, flops) = cost::blas1(plan.rows.len(), 2);
-        rank.kernel(KernelKind::Stream, gather.bytes + bytes, gather.flops + flops);
-        let reduced = plan.gather.apply(&stack);
-        for (&li, &v) in plan.rows.iter().zip(&reduced) {
-            self.owned[li as usize] += v;
+        // Gather + scatter-add, one fused launch.
+        {
+            let n = plan.rows.len();
+            let (gather, add) = (cost::assembly_gather(n, stack.len()), cost::blas1(n, 2));
+            let k = rank.kernel("rhs_gather_add", KernelKind::Stream);
+            k.launch(n, (gather.0 + add.0, gather.1 + add.1));
+            let reduced = plan.gather.apply(&stack);
+            for (&li, &v) in plan.rows.iter().zip(&reduced) {
+                self.owned[li as usize] += v;
+            }
         }
         Ok(ParVector::from_local(rank, self.dist, self.owned))
     }

@@ -7,7 +7,6 @@ use parcomm::{KernelKind, Rank};
 use sparse_kit::cost;
 use sparse_kit::spgemm::spgemm_flops;
 use sparse_kit::Coo;
-use telemetry::perfmodel;
 
 use crate::dist::RowDist;
 use crate::ij::{CooBuffers, IjMatrix};
@@ -18,6 +17,8 @@ use crate::parcsr::ParCsr;
 pub fn par_transpose(rank: &Rank, a: &ParCsr) -> ParCsr {
     let mut ij = IjMatrix::new(rank, a.col_dist().clone(), a.row_dist().clone());
     let row_start = a.row_dist().start(a.rank_id());
+    let k = rank.kernel("transpose", KernelKind::Sort);
+    k.launch(a.local_rows(), cost::transpose(&a.diag));
     for li in 0..a.local_rows() {
         let gi = row_start + li as u64;
         let (cols, vals) = a.diag.row(li);
@@ -29,8 +30,7 @@ pub fn par_transpose(rank: &Rank, a: &ParCsr) -> ParCsr {
             ij.add_value(a.global_offd_col(c), gi, v);
         }
     }
-    let (b, f) = cost::transpose(&a.diag);
-    rank.kernel(KernelKind::Sort, b, f);
+    drop(k);
     ij.assemble(rank)
 }
 
@@ -131,14 +131,11 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
     let mut coo = Coo::new();
     let row_start = a.row_dist().start(me);
     // Expansion (products computed) is known from the inputs; nnz(C) only
-    // after the multiply, so the model is finalized post-loop.
+    // after the multiply, so the launch is recorded post-loop.
     // `spgemm_flops` counts 2 flops per product — halve it back to the
-    // product count the models take.
+    // product count the price takes.
     let expansion = spgemm_flops(&a.diag, &b.diag) / 2;
-    let mut kguard = telemetry::kernel(
-        "spgemm",
-        perfmodel::spgemm(a.local_rows(), a.local_nnz(), expansion, 0),
-    );
+    let k = rank.kernel("spgemm", KernelKind::SpGemm);
     let mut acc: HashMap<u64, f64> = HashMap::new();
     for li in 0..a.local_rows() {
         acc.clear();
@@ -169,18 +166,8 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
             coo.push(gi, j, v);
         }
     }
-    kguard.set_model(perfmodel::spgemm(
-        a.local_rows(),
-        a.local_nnz(),
-        expansion,
-        coo.len(),
-    ));
-    drop(kguard);
-    let (bytes, flops) = (
-        (coo.len() as u64) * 16,
-        2 * (expansion + coo.len() as u64),
-    );
-    rank.kernel(KernelKind::SpGemm, bytes, flops);
+    k.launch(a.local_rows(), cost::spgemm(expansion, coo.len()));
+    drop(k);
     ParCsr::from_global_coo(rank, a.row_dist().clone(), b.col_dist().clone(), &coo)
 }
 
@@ -326,10 +313,8 @@ impl ParSpgemmPlan {
     pub fn execute(&self, rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
         let ext_vals = fetch_external_vals(rank, b, &a.col_map_offd);
         let c_nnz = self.template.local_nnz();
-        let _k = telemetry::kernel(
-            "spgemm_numeric",
-            perfmodel::spgemm_numeric(a.local_rows(), a.local_nnz(), self.expansion, c_nnz),
-        );
+        let k = rank.kernel("spgemm_numeric", KernelKind::SpGemm);
+        k.launch(a.local_rows(), cost::spgemm(self.expansion, c_nnz));
         // +0.0 seeds: the fresh path's first contribution per entry is
         // `0.0 + a·b` (see the type-level docs), and replay must repeat
         // that exact operation sequence.
@@ -372,11 +357,6 @@ impl ParSpgemmPlan {
         c.diag.vals_mut().copy_from_slice(&diag_vals);
         c.offd.vals_mut().copy_from_slice(&offd_vals);
         c.refresh_diag_sell();
-        let (bytes, flops) = (
-            (c_nnz as u64) * 16,
-            2 * (self.expansion + c_nnz as u64),
-        );
-        rank.kernel(KernelKind::SpGemm, bytes, flops);
         c
     }
 }
@@ -661,36 +641,6 @@ mod tests {
             let a2 = ParCsr::from_serial(rank, rd.clone(), rd, &wide);
             assert!(!plan.matches(rank, &a2, &p));
         });
-    }
-
-    #[test]
-    fn cost_and_perfmodel_spgemm_agree() {
-        // Satellite check: the sparse-kit cost estimator and the
-        // telemetry perfmodel price SpGEMM identically, on both the
-        // fresh path and the numeric-replay path.
-        let a = laplacian(20);
-        let b = half_interp(20);
-        let c = sparse_kit::spgemm::spgemm_hash(&a, &b);
-        let expansion = spgemm_flops(&a, &b) / 2;
-        let (cost_bytes, cost_flops) = cost::spgemm(&a, &b, &c);
-        let model = perfmodel::spgemm(a.nrows(), a.nnz(), expansion, c.nnz());
-        assert_eq!(cost_bytes, model.bytes);
-        assert_eq!(cost_flops, model.flops);
-        let (nb, nf) = cost::spgemm_numeric(a.nnz(), expansion, c.nnz());
-        let nmodel = perfmodel::spgemm_numeric(a.nrows(), a.nnz(), expansion, c.nnz());
-        assert_eq!(nb, nmodel.bytes);
-        assert_eq!(nf, nmodel.flops);
-        assert!(nmodel.bytes < model.bytes, "replay must be cheaper");
-    }
-
-    #[test]
-    fn cost_and_perfmodel_sellcs_spmv_agree() {
-        let a = laplacian(64);
-        let m = sparse_kit::SellCs::from_csr(&a, 16);
-        let (cb, cf) = cost::sellcs_spmv(&m);
-        let model = perfmodel::sellcs_spmv(m.nrows(), m.n_chunks(), m.stored(), m.nnz());
-        assert_eq!(cb, model.bytes);
-        assert_eq!(cf, model.flops);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::policy;
 use sparse_kit::{Coo, Csr, KernelChoice, SellCs, SellLayout};
-use telemetry::perfmodel;
 
 use crate::dist::RowDist;
 use crate::vector::ParVector;
@@ -316,12 +315,13 @@ impl ParCsr {
             });
         }
         // Pack kernel: gather boundary values into per-destination buffers.
+        // The gather is interleaved with the sends, so the scope's wall
+        // time includes their encode + enqueue (also in `transfer_secs`).
         let packed_total = self.comm_pkg.n_send();
-        if packed_total > 0 {
-            let (b, f) = cost::blas1(packed_total, 2);
-            rank.kernel(KernelKind::Stream, b, f);
+        let k = (packed_total > 0).then(|| rank.kernel("halo_pack", KernelKind::Stream));
+        if let Some(k) = &k {
+            k.launch(packed_total, cost::blas1(packed_total, 2));
         }
-        let _k = telemetry::kernel("halo_pack", perfmodel::halo_pack(packed_total));
         for (dst, ids) in &self.comm_pkg.sends {
             let buf: Vec<f64> = ids.iter().map(|&i| x_local[i]).collect();
             rank.send(*dst, self.halo_tag, buf);
@@ -384,9 +384,9 @@ impl ParCsr {
         self.apply_overlapped(rank, x, Some(b), r);
     }
 
-    /// `y = A·x`, or `y = b − A·x` when `b` is given. Ledger entries and
-    /// telemetry guards cover the compute passes only: the blocking
-    /// receive is `parcomm` wait time, not kernel time.
+    /// `y = A·x`, or `y = b − A·x` when `b` is given. The kernel scopes
+    /// cover the compute passes only: the blocking receive is `parcomm`
+    /// wait time, not kernel time.
     fn apply_overlapped(&self, rank: &Rank, x: &[f64], b: Option<&[f64]>, y: &mut [f64]) {
         let halo = self.try_halo_begin(rank, x).unwrap_or_else(|e| panic!("{e}"));
         match &self.diag_sell {
@@ -394,37 +394,25 @@ impl ParCsr {
             // index streams shrink the dominant traffic term. The offd
             // block (thin, irregular) stays CSR either way.
             Some(sell) => {
-                let _k = telemetry::kernel(
-                    "spmv_sellcs",
-                    perfmodel::sellcs_spmv(sell.nrows(), sell.n_chunks(), sell.stored(), sell.nnz()),
-                );
-                let (bytes, flops) = cost::sellcs_spmv(sell);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                let k = rank.kernel("spmv_sellcs", KernelKind::SpMV);
+                k.launch(sell.nrows(), cost::sellcs_spmv(sell));
                 sell.spmv_into(x, y);
             }
             None => {
-                let _k = telemetry::kernel(
-                    "spmv_csr",
-                    perfmodel::csr_spmv(self.local_rows(), self.diag.nnz()),
-                );
-                let (bytes, flops) = cost::spmv(&self.diag);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+                k.launch(self.local_rows(), cost::spmv(&self.diag));
                 self.diag.spmv_into(x, y);
             }
         }
         let ext = halo.try_finish(rank).unwrap_or_else(|e| panic!("{e}"));
         if self.offd.nnz() > 0 {
-            let _k = telemetry::kernel(
-                "spmv_csr",
-                perfmodel::csr_spmv(self.local_rows(), self.offd.nnz()),
-            );
-            let (bytes, flops) = cost::spmv(&self.offd);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
+            let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+            k.launch(self.local_rows(), cost::spmv(&self.offd));
             self.offd.spmv_add_into(&ext, y);
         }
         if let Some(b) = b {
-            let (bytes, flops) = cost::blas1(y.len(), 3);
-            rank.kernel(KernelKind::Stream, bytes, flops);
+            let k = rank.kernel("residual_sub", KernelKind::Stream);
+            k.launch(y.len(), cost::blas1(y.len(), 3));
             for (yi, &bi) in y.iter_mut().zip(b) {
                 *yi = bi - *yi;
             }
@@ -485,10 +473,6 @@ impl HaloInFlight<'_> {
     pub fn try_finish(self, rank: &Rank) -> Result<Vec<f64>, SolveError> {
         let a = self.a;
         let mut ext = vec![0.0; a.col_map_offd.len()];
-        // Receive first (the blocking wait is communication, not unpack
-        // work), then copy in a separately timed unpack kernel.
-        let mut received: Vec<(std::ops::Range<usize>, Vec<f64>)> =
-            Vec::with_capacity(a.comm_pkg.recvs.len());
         for (src, range) in &a.comm_pkg.recvs {
             let buf: Vec<f64> = rank.try_recv(*src, a.halo_tag)?;
             if buf.len() != range.len() {
@@ -498,13 +482,7 @@ impl HaloInFlight<'_> {
                     detail: format!("expected {} values, got {}", range.len(), buf.len()),
                 });
             }
-            received.push((range.clone(), buf));
-        }
-        {
-            let _k = telemetry::kernel("halo_unpack", perfmodel::halo_unpack(ext.len()));
-            for (range, buf) in received {
-                ext[range].copy_from_slice(&buf);
-            }
+            ext[range.clone()].copy_from_slice(&buf);
         }
         if !ext.is_empty() && faults::fire(FaultKind::HaloNan, || rank.phase_name()) {
             ext[0] = f64::NAN;

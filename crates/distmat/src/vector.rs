@@ -68,9 +68,12 @@ impl ParVector {
     /// Global dot product (local dot + allreduce).
     pub fn dot(&self, rank: &Rank, other: &ParVector) -> f64 {
         assert_eq!(self.local.len(), other.local.len(), "length mismatch");
-        let (b, f) = cost::blas1(self.local.len(), 2);
-        rank.kernel(KernelKind::Stream, b, f);
-        rank.allreduce_sum_f64(dense::dot(&self.local, &other.local))
+        let local = {
+            let k = rank.kernel("dot", KernelKind::Stream);
+            k.launch(self.local.len(), cost::blas1(self.local.len(), 2));
+            dense::dot(&self.local, &other.local)
+        };
+        rank.allreduce_sum_f64(local)
     }
 
     /// Global 2-norm.
@@ -80,15 +83,15 @@ impl ParVector {
 
     /// self += a·x (purely local).
     pub fn axpy(&mut self, rank: &Rank, a: f64, x: &ParVector) {
-        let (b, f) = cost::blas1(self.local.len(), 3);
-        rank.kernel(KernelKind::Stream, b, f);
+        let k = rank.kernel("axpy", KernelKind::Stream);
+        k.launch(self.local.len(), cost::blas1(self.local.len(), 3));
         dense::axpy(a, &x.local, &mut self.local);
     }
 
     /// self *= a (purely local).
     pub fn scale(&mut self, rank: &Rank, a: f64) {
-        let (b, f) = cost::blas1(self.local.len(), 2);
-        rank.kernel(KernelKind::Stream, b, f);
+        let k = rank.kernel("scale", KernelKind::Stream);
+        k.launch(self.local.len(), cost::blas1(self.local.len(), 2));
         dense::scale(a, &mut self.local);
     }
 

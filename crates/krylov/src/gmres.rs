@@ -286,12 +286,14 @@ impl Gmres {
         // Local fused dot products: [wᵀv_0, ..., wᵀv_j, wᵀw].
         let n = w.local.len();
         let mut local = vec![0.0; j + 2];
-        for (i, vi) in v.iter().enumerate().take(j + 1) {
-            local[i] = sparse_kit::dense::dot(&w.local, &vi.local);
+        {
+            let k = rank.kernel("fused_dots", KernelKind::Stream);
+            k.launch(n, cost::blas1(n, (j + 2) as u64));
+            for (i, vi) in v.iter().enumerate().take(j + 1) {
+                local[i] = sparse_kit::dense::dot(&w.local, &vi.local);
+            }
+            local[j + 1] = sparse_kit::dense::dot(&w.local, &w.local);
         }
-        local[j + 1] = sparse_kit::dense::dot(&w.local, &w.local);
-        let (bytes, flops) = cost::blas1(n, (j + 2) as u64);
-        rank.kernel(KernelKind::Stream, bytes, flops);
         let fused = rank.allreduce_vec_sum(local); // the ONE reduce
 
         let mut hj = vec![0.0; j + 2];

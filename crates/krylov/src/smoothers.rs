@@ -21,7 +21,6 @@ use parcomm::{KernelKind, Rank};
 use sparse_kit::cost;
 use sparse_kit::dense;
 use sparse_kit::Csr;
-use telemetry::perfmodel;
 
 use crate::precond::Preconditioner;
 
@@ -104,8 +103,8 @@ impl HybridGs {
             let ext = self.a.halo_exchange(rank, &x.local);
             for _ in 0..self.local_sweeps {
                 // Exact local sweep: sequential dependence within the rank.
-                let (bytes, flops) = cost::spmv(&self.a.diag);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                let k = rank.kernel("hybrid_gs_sweep", KernelKind::SpMV);
+                k.launch(n, cost::spmv(&self.a.diag));
                 let rows: Box<dyn Iterator<Item = usize>> = if self.forward {
                     Box::new(0..n)
                 } else {
@@ -176,10 +175,9 @@ impl TwoStageGs {
         // (`Csr::jr_sweep_fused`), double-buffered so the sweep stays a
         // Jacobi update (in-place would silently turn it into GS).
         let mut next = vec![0.0; n];
+        let k = rank.kernel("jr_sweep_fused", KernelKind::SpMV);
         for _ in 0..self.inner {
-            let _k = telemetry::kernel("jr_sweep_fused", perfmodel::jr_sweep_fused(n, self.l.nnz()));
-            let (bytes, flops) = cost::jr_sweep_fused(&self.l);
-            rank.kernel(KernelKind::SpMV, bytes, flops);
+            k.launch(n, cost::jr_sweep_fused(&self.l));
             self.l.jr_sweep_fused(r, &self.inv_diag, &g, &mut next);
             std::mem::swap(&mut g, &mut next);
         }
@@ -211,8 +209,8 @@ impl TwoStageGs {
             let first_from_zero = zero_guess && round == 0;
             let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
             let g = self.forward_solve(rank, r);
-            let (bytes, flops) = cost::blas1(n, 3);
-            rank.kernel(KernelKind::Stream, bytes, flops);
+            let k = rank.kernel("axpy", KernelKind::Stream);
+            k.launch(n, cost::blas1(n, 3));
             dense::axpy(1.0, &g, &mut x.local);
         }
     }
@@ -277,14 +275,10 @@ impl Sgs2 {
         let mut y = vec![0.0; n];
         let mut tmp = vec![0.0; n];
         {
-            let _k = telemetry::kernel(
-                "sgs2_forward_fused",
-                perfmodel::sgs2_stage_fused(n, self.l.nnz(), self.inner),
-            );
+            let k = rank.kernel("sgs2_forward_fused", KernelKind::SpMV);
             dense::diag_scale(&self.inv_diag, r, &mut y);
             for _ in 0..self.inner {
-                let (bytes, flops) = cost::jr_sweep_fused(&self.l);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                k.launch(n, cost::jr_sweep_fused(&self.l));
                 self.l.jr_sweep_fused(r, &self.inv_diag, &y, &mut tmp);
                 std::mem::swap(&mut y, &mut tmp);
             }
@@ -295,14 +289,10 @@ impl Sgs2 {
         // Backward stage: z ≈ (D+U)⁻¹ t.
         let mut z = vec![0.0; n];
         {
-            let _k = telemetry::kernel(
-                "sgs2_backward_fused",
-                perfmodel::sgs2_stage_fused(n, self.u.nnz(), self.inner),
-            );
+            let k = rank.kernel("sgs2_backward_fused", KernelKind::SpMV);
             dense::diag_scale(&self.inv_diag, &t, &mut z);
             for _ in 0..self.inner {
-                let (bytes, flops) = cost::jr_sweep_fused(&self.u);
-                rank.kernel(KernelKind::SpMV, bytes, flops);
+                k.launch(n, cost::jr_sweep_fused(&self.u));
                 self.u.jr_sweep_fused(&t, &self.inv_diag, &z, &mut tmp);
                 std::mem::swap(&mut z, &mut tmp);
             }
@@ -408,8 +398,8 @@ impl L1Jacobi {
         for round in 0..rounds {
             let first_from_zero = zero_guess && round == 0;
             let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
-            let (bytes, flops) = cost::blas1(n, 3);
-            rank.kernel(KernelKind::Stream, bytes, flops);
+            let k = rank.kernel("l1_jacobi_update", KernelKind::Stream);
+            k.launch(n, cost::blas1(n, 3));
             for (i, &ri) in r.iter().enumerate() {
                 x.local[i] += self.inv_d_l1[i] * ri;
             }

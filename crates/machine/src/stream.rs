@@ -58,7 +58,7 @@ pub fn measure_stream_gbs() -> f64 {
         }
     }
     // Triad traffic: read b, read c, write a (stores counted once —
-    // the same convention as telemetry::perfmodel).
+    // the same convention as sparse_kit::cost).
     let bytes = 3 * N * std::mem::size_of::<f64>();
     bytes as f64 / best_secs / 1e9
 }

@@ -40,7 +40,7 @@ pub struct ClockSync {
 
 impl ClockSync {
     /// The table as `(offsets, rtts)`, the shape
-    /// `telemetry::run_info_with_clock` takes.
+    /// `telemetry::run_info` takes.
     pub fn into_tables(self) -> (Vec<f64>, Vec<f64>) {
         (self.offsets, self.rtts)
     }
@@ -162,7 +162,7 @@ mod tests {
     fn disabled_telemetry_skips_the_handshake() {
         let out = Comm::run(2, |rank| {
             let sync = rank.clock_sync();
-            let edges = rank.with_recorder(|rec| rec.edges().len());
+            let edges = rank.with_recorder(|rec| rec.edges.len());
             (sync, edges)
         });
         for (sync, edges) in &out {

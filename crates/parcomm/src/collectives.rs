@@ -303,7 +303,7 @@ mod tests {
             rank.allreduce_sum(1);
             rank.allgather(1u64);
             rank.barrier();
-            rank.with_recorder(|rec| rec.collective_kinds().clone())
+            rank.with_recorder(|rec| rec.coll_kinds.clone())
         });
         for kinds in &out {
             assert_eq!(kinds["allreduce"].count, 1);
@@ -322,7 +322,7 @@ mod tests {
             let _guard = tel.install();
             rank.allreduce_sum(1);
             rank.allreduce_sum(2);
-            rank.with_recorder(|rec| rec.collective_kinds().clone())
+            rank.with_recorder(|rec| rec.coll_kinds.clone())
         });
         for kinds in &out {
             let s = &kinds["allreduce"];
@@ -337,7 +337,7 @@ mod tests {
         let out = Comm::run(2, |rank| {
             let msgs = if rank.rank() == 0 { vec![(1usize, 7u64)] } else { vec![] };
             rank.sparse_exchange(msgs);
-            rank.with_recorder(|rec| rec.edges().clone())
+            rank.with_recorder(|rec| rec.edges.clone())
         });
         // The payload edge is p2p; the counts allgather stays collective.
         assert_eq!(out[0][&(0, 1, TagClass::P2p)].bytes, 8);

@@ -579,9 +579,20 @@ impl Rank {
 
     // ---- performance recording -------------------------------------------
 
-    /// Record a device kernel launch against the current phase.
-    pub fn kernel(&self, kind: KernelKind, bytes: u64, flops: u64) {
-        self.perf.borrow_mut().kernel(kind, bytes, flops);
+    /// Open a recording scope for kernel `name` — the one way a kernel
+    /// enters the perf ledger. Every [`KernelScope::launch`] inside it is
+    /// accumulated once, into the phase current at that moment (the
+    /// [`PhaseTrace`] the `machine` model prices) and into the name's
+    /// `kernel_perf` row; the row also receives the scope's wall time
+    /// when telemetry is installed on this thread (the clock is never
+    /// read otherwise). Hold the scope across the work it prices and
+    /// nothing else: a blocking receive inside it would be counted as
+    /// kernel time, and a send's encode + enqueue is counted twice (here
+    /// and in `transfer_secs`) — only the two pack kernels, whose
+    /// copy-out is interleaved with their sends, accept that. Do not
+    /// open a scope for an empty launch: it reads the clock for nothing.
+    pub fn kernel(&self, name: &'static str, kind: KernelKind) -> KernelScope<'_> {
+        KernelScope { perf: &self.perf, name, kind, start: comm_clock() }
     }
 
     /// Run `f` with the perf phase label set to `name`, restoring the
@@ -617,6 +628,12 @@ impl Rank {
     /// i.e. emit these events only for phases entered under a matching
     /// `telemetry::span`. Bare labels (the default `other` phase, ad-hoc
     /// `with_phase` scopes) carry no span reference and are exempt.
+    ///
+    /// With telemetry installed while kernels ran, one
+    /// [`telemetry::Event::KernelPerf`] per kernel name follows the
+    /// `phase_perf` rows: the same launches by name, with wall time. Per
+    /// rank the two groups sum to identical launches, bytes and flops
+    /// (also checked by `validate_stream`).
     pub fn telemetry_events(&self) -> Vec<telemetry::Event> {
         let me = self.rank();
         let trace = self.trace_snapshot();
@@ -641,8 +658,25 @@ impl Rank {
             })
             .collect();
         let rec = self.perf.borrow();
-        for (&(src, dst, class), e) in rec.edges() {
-            let window = rec.edge_times().get(&(src, dst, class));
+        if rec.kernels_timed {
+            for (&name, k) in &rec.kernels {
+                let rate = |units: f64| if k.secs > 0.0 { units / k.secs } else { 0.0 };
+                events.push(telemetry::Event::KernelPerf {
+                    rank: me,
+                    kernel: name.to_string(),
+                    calls: k.calls,
+                    secs: k.secs,
+                    bytes: k.bytes,
+                    flops: k.flops,
+                    dofs: k.dofs,
+                    gb_per_s: rate(k.bytes as f64 / 1e9),
+                    gflop_per_s: rate(k.flops as f64 / 1e9),
+                    mdof_per_s: rate(k.dofs as f64 / 1e6),
+                });
+            }
+        }
+        for (&(src, dst, class), e) in &rec.edges {
+            let window = rec.edge_times.get(&(src, dst, class));
             events.push(telemetry::Event::CommEdge {
                 rank: me,
                 src,
@@ -654,8 +688,8 @@ impl Rank {
                 t_last: window.map(|w| w.1),
             });
         }
-        for (&kind, s) in rec.collective_kinds() {
-            let window = rec.collective_times().get(kind);
+        for (&kind, s) in &rec.coll_kinds {
+            let window = rec.coll_times.get(kind);
             events.push(telemetry::Event::Collective {
                 rank: me,
                 kind: kind.to_string(),
@@ -668,6 +702,31 @@ impl Rank {
             });
         }
         events
+    }
+}
+
+/// Recording scope of one named kernel, opened by [`Rank::kernel`].
+#[must_use = "a kernel scope records nothing until `launch` is called"]
+pub struct KernelScope<'a> {
+    perf: &'a RefCell<PerfRecorder>,
+    name: &'static str,
+    kind: KernelKind,
+    start: Option<Instant>,
+}
+
+impl KernelScope<'_> {
+    /// Record one launch processing `dofs` degrees of freedom at the
+    /// `(bytes, flops)` price `sparse_kit::cost` gives it.
+    pub fn launch(&self, dofs: usize, (bytes, flops): (u64, u64)) {
+        self.perf.borrow_mut().kernel(self.name, self.kind, dofs as u64, bytes, flops);
+    }
+}
+
+impl Drop for KernelScope<'_> {
+    fn drop(&mut self) {
+        if let Some(t0) = self.start {
+            self.perf.borrow_mut().kernel_secs(self.name, t0.elapsed().as_secs_f64());
+        }
     }
 }
 
@@ -789,7 +848,7 @@ mod tests {
                     let _: Vec<f64> = rank.recv(0, 7);
                 }
                 rank.allreduce_sum(1);
-                rank.with_recorder(|rec| rec.edges().clone())
+                rank.with_recorder(|rec| rec.edges.clone())
             });
             // Sender view (rank 0) and receiver view (rank 1) agree.
             let s = out[0][&(0, 1, TagClass::P2p)];
@@ -813,7 +872,7 @@ mod tests {
                 } else {
                     let _: u64 = rank.recv(0, tag);
                 }
-                rank.with_recorder(|rec| rec.edges().clone())
+                rank.with_recorder(|rec| rec.edges.clone())
             });
             let expect = EdgeStats { msgs: 1, bytes: 8 };
             assert_eq!(out[0][&(0, 1, TagClass::Halo)], expect);
@@ -965,7 +1024,8 @@ mod tests {
     #[test]
     fn kernel_recording_lands_in_phase() {
         let out = Comm::run(1, |rank| {
-            rank.with_phase("spmv", || rank.kernel(KernelKind::SpMV, 1000, 250));
+            let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+            rank.with_phase("spmv", || k.launch(10, (1000, 250)));
             rank.trace_snapshot()
         });
         let t = out[0].phase("spmv");
@@ -975,12 +1035,67 @@ mod tests {
     }
 
     #[test]
+    fn kernel_scope_feeds_phase_and_name_views_once() {
+        let out = Comm::run(1, |rank| {
+            let tel = telemetry::Telemetry::enabled(rank.rank());
+            let _guard = tel.install();
+            rank.with_phase("solve", || {
+                let k = rank.kernel("jr_sweep_fused", KernelKind::SpMV);
+                for _ in 0..3 {
+                    k.launch(10, (1000, 250));
+                }
+            });
+            (rank.trace_snapshot(), rank.telemetry_events())
+        });
+        let (trace, events) = &out[0];
+        let solve = trace.phase("solve");
+        assert_eq!(solve.kernel_launches, 3);
+        assert_eq!((solve.kernel_bytes, solve.kernel_flops), (3000, 750));
+        assert_eq!(solve.launches_by_kind[&KernelKind::SpMV], 3);
+        let rows: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                telemetry::Event::KernelPerf { kernel, calls, bytes, flops, dofs, secs, .. } => {
+                    Some((kernel.as_str(), *calls, *bytes, *flops, *dofs, *secs))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        let (kernel, calls, bytes, flops, dofs, secs) = rows[0];
+        assert_eq!((kernel, calls, bytes, flops, dofs), ("jr_sweep_fused", 3, 3000, 750, 30));
+        assert!(secs.is_finite() && secs >= 0.0);
+        telemetry::validate_stream(events).unwrap_or_else(|e| panic!("{e:?}"));
+    }
+
+    #[test]
+    fn kernel_scope_never_reads_the_clock_without_telemetry() {
+        let out = Comm::run(1, |rank| {
+            {
+                let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+                k.launch(10, (1000, 250));
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let row = rank.with_recorder(|rec| rec.kernels["spmv_csr"]);
+            (row, rank.telemetry_events())
+        });
+        let (row, events) = &out[0];
+        assert_eq!((row.calls, row.bytes, row.flops), (1, 1000, 250));
+        assert_eq!(row.secs, 0.0);
+        assert!(events.iter().all(|e| e.type_tag() != "kernel_perf"));
+        assert!(events.iter().any(|e| e.type_tag() == "phase_perf"));
+    }
+
+    #[test]
     fn nested_phases_restore() {
         let out = Comm::run(1, |rank| {
             rank.with_phase("outer", || {
-                rank.kernel(KernelKind::Other, 1, 0);
-                rank.with_phase("inner", || rank.kernel(KernelKind::Other, 2, 0));
-                rank.kernel(KernelKind::Other, 4, 0);
+                // One scope across the phase switch: each launch lands in
+                // the phase current when it is recorded.
+                let k = rank.kernel("k", KernelKind::Other);
+                k.launch(1, (1, 0));
+                rank.with_phase("inner", || k.launch(1, (2, 0)));
+                k.launch(1, (4, 0));
             });
             rank.trace_snapshot()
         });

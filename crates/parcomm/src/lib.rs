@@ -37,12 +37,10 @@ mod socket;
 mod transport;
 
 pub use clock::{ClockSync, CLOCK_PROBES};
-pub use comm::{Comm, CommError, Rank, Tag};
+pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
 pub use monitor::{Heartbeat, MonitorClient, MonitorServer, MONITOR_ENV};
-pub use perf::{
-    CollectiveStats, EdgeStats, KernelKind, PerfRecorder, PhaseTrace, TagClass, Trace,
-};
+pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
 pub use socket::{HOSTFILE_ENV, RANK_ENV, RENDEZVOUS_ENV, SIZE_ENV};
 pub use transport::{
     read_frame, send_frame, write_frame, Frame, FrameError, FrameKind, TransportKind,

@@ -6,6 +6,12 @@
 //! "solve", ...). The `machine` crate converts traces into modeled
 //! execution times for Summit/Eagle-class hardware; the harness binaries
 //! use the per-phase breakdown to regenerate the paper's Figures 6 and 7.
+//!
+//! Kernel launches are recorded once and read two ways: by phase (the
+//! [`Trace`] above) and by kernel name (a [`KernelRow`] per name, which
+//! also receives wall time when telemetry is on — the roofline report's
+//! `kernel_perf` rows). The two views sum to the same launches, bytes
+//! and flops by construction.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -90,6 +96,25 @@ pub enum KernelKind {
     SpGemm,
     /// Anything else.
     Other,
+}
+
+/// One kernel name's accumulated launches on one rank: the by-name view
+/// of the launches whose by-phase view is [`Trace`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct KernelRow {
+    /// Launches recorded under the name.
+    pub calls: u64,
+    /// Modeled bytes moved, summed over launches.
+    pub bytes: u64,
+    /// Modeled floating-point operations, summed over launches.
+    pub flops: u64,
+    /// Degrees of freedom processed (rows, vector elements, or COO
+    /// items — whatever the kernel's throughput is quoted in), summed
+    /// over launches.
+    pub dofs: u64,
+    /// Wall-clock seconds of the scopes the launches ran in. Exactly
+    /// zero unless telemetry was installed on the rank thread.
+    pub secs: f64,
 }
 
 /// Aggregated operation counts for one phase on one rank.
@@ -177,31 +202,39 @@ impl Trace {
 /// Traces keyed by phase label.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseTrace {
-    phases: HashMap<String, Trace>,
+    /// `(label, trace)` in order of first record. A run has a few dozen
+    /// labels, so lookups scan; the recorder resolves its current label
+    /// to an index once per phase switch.
+    phases: Vec<(String, Trace)>,
 }
 
 impl PhaseTrace {
     /// Trace for a phase, empty if the phase never ran.
     pub fn phase(&self, name: &str) -> Trace {
-        self.phases.get(name).cloned().unwrap_or_default()
+        self.phases
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, t)| t.clone())
+            .unwrap_or_default()
     }
 
     /// All phase names, sorted for stable output.
     pub fn phase_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.phases.keys().cloned().collect();
+        let mut names: Vec<String> = self.phases.iter().map(|(n, _)| n.clone()).collect();
         names.sort();
         names
     }
 
     /// Sum over all phases.
     pub fn total(&self) -> Trace {
-        Trace::total(self.phases.values())
+        Trace::total(self.phases.iter().map(|(_, t)| t))
     }
 
     /// Merge another phase trace into this one, phase by phase.
     pub fn add(&mut self, other: &PhaseTrace) {
         for (name, trace) in &other.phases {
-            self.phases.entry(name.clone()).or_default().add(trace);
+            let slot = self.slot(name);
+            self.phases[slot].1.add(trace);
         }
     }
 
@@ -209,14 +242,17 @@ impl PhaseTrace {
     /// post-processing tools (e.g. the baseline-penalty model of the
     /// bench harness).
     pub fn insert(&mut self, name: &str, trace: Trace) {
-        self.phases.insert(name.to_string(), trace);
+        let slot = self.slot(name);
+        self.phases[slot].1 = trace;
     }
 
-    fn entry(&mut self, name: &str) -> &mut Trace {
-        if !self.phases.contains_key(name) {
-            self.phases.insert(name.to_string(), Trace::default());
+    /// Index of `name`'s trace, created empty if the phase is new.
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(i) = self.phases.iter().position(|(n, _)| n == name) {
+            return i;
         }
-        self.phases.get_mut(name).unwrap()
+        self.phases.push((name.to_string(), Trace::default()));
+        self.phases.len() - 1
     }
 }
 
@@ -229,27 +265,30 @@ impl PhaseTrace {
 #[derive(Debug)]
 pub struct PerfRecorder {
     current: String,
+    /// Index of `current` in `trace`, resolved by the first record after
+    /// a phase switch: recording is then an index, and a phase that
+    /// records nothing gets no row.
+    slot: Option<usize>,
     trace: PhaseTrace,
+    /// Per-name view of the kernel launches in `trace`.
+    pub(crate) kernels: BTreeMap<&'static str, KernelRow>,
+    /// Has any kernel scope read the clock (telemetry installed)? Only
+    /// then do the rows carry seconds worth exporting.
+    pub(crate) kernels_timed: bool,
     /// Per-(src, dst, class) traffic this rank observed — sends it issued
     /// and receives it completed. BTreeMap keeps export order stable.
-    edges: BTreeMap<(usize, usize, TagClass), EdgeStats>,
+    pub(crate) edges: BTreeMap<(usize, usize, TagClass), EdgeStats>,
     /// Per-kind collective participation (count/bytes always; latency
     /// only when comm timing is enabled).
-    coll_kinds: BTreeMap<&'static str, CollectiveStats>,
+    pub(crate) coll_kinds: BTreeMap<&'static str, CollectiveStats>,
     /// First/last timestamp observed per edge (seconds since the rank's
     /// telemetry epoch): send initiation on the sender, receive
     /// completion on the receiver. Kept apart from [`EdgeStats`] so the
     /// deterministic counters stay clock-free; populated only when the
     /// caller actually read a clock (telemetry enabled).
-    edge_times: BTreeMap<(usize, usize, TagClass), (f64, f64)>,
+    pub(crate) edge_times: BTreeMap<(usize, usize, TagClass), (f64, f64)>,
     /// Ditto per collective kind (operation-completion times).
-    coll_times: BTreeMap<&'static str, (f64, f64)>,
-}
-
-impl Default for PerfRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    pub(crate) coll_times: BTreeMap<&'static str, (f64, f64)>,
 }
 
 impl PerfRecorder {
@@ -257,7 +296,10 @@ impl PerfRecorder {
     pub fn new() -> Self {
         PerfRecorder {
             current: "other".to_string(),
+            slot: None,
             trace: PhaseTrace::default(),
+            kernels: BTreeMap::new(),
+            kernels_timed: false,
             edges: BTreeMap::new(),
             coll_kinds: BTreeMap::new(),
             edge_times: BTreeMap::new(),
@@ -267,6 +309,7 @@ impl PerfRecorder {
 
     /// Switch the active phase label, returning the previous one.
     pub fn set_phase(&mut self, name: &str) -> String {
+        self.slot = None;
         std::mem::replace(&mut self.current, name.to_string())
     }
 
@@ -275,28 +318,56 @@ impl PerfRecorder {
         &self.current
     }
 
-    /// Record a device kernel launch.
-    pub fn kernel(&mut self, kind: KernelKind, bytes: u64, flops: u64) {
-        let current = self.current.clone();
-        let t = self.trace.entry(&current);
+    /// The current phase's trace.
+    fn current_trace(&mut self) -> &mut Trace {
+        let slot = match self.slot {
+            Some(slot) => slot,
+            None => *self.slot.insert(self.trace.slot(&self.current)),
+        };
+        &mut self.trace.phases[slot].1
+    }
+
+    /// Record one launch of kernel `name`: once into the current phase,
+    /// once into the name's row.
+    pub fn kernel(
+        &mut self,
+        name: &'static str,
+        kind: KernelKind,
+        dofs: u64,
+        bytes: u64,
+        flops: u64,
+    ) {
+        let t = self.current_trace();
         t.kernel_launches += 1;
         t.kernel_bytes += bytes;
         t.kernel_flops += flops;
         *t.launches_by_kind.entry(kind).or_insert(0) += 1;
+        let row = self.kernels.entry(name).or_default();
+        row.calls += 1;
+        row.bytes += bytes;
+        row.flops += flops;
+        row.dofs += dofs;
+    }
+
+    /// Add the wall time of a scope that launched kernel `name`. A scope
+    /// that launched nothing has no row and adds nothing.
+    pub fn kernel_secs(&mut self, name: &'static str, secs: f64) {
+        self.kernels_timed = true;
+        if let Some(row) = self.kernels.get_mut(name) {
+            row.secs += secs;
+        }
     }
 
     /// Record an off-rank point-to-point message.
     pub fn message(&mut self, bytes: u64) {
-        let current = self.current.clone();
-        let t = self.trace.entry(&current);
+        let t = self.current_trace();
         t.msgs += 1;
         t.msg_bytes += bytes;
     }
 
     /// Record participation in one collective operation.
     pub fn collective(&mut self, bytes: u64) {
-        let current = self.current.clone();
-        let t = self.trace.entry(&current);
+        let t = self.current_trace();
         t.collectives += 1;
         t.collective_bytes += bytes;
     }
@@ -311,15 +382,13 @@ impl PerfRecorder {
 
     /// Add seconds spent blocked on communication to the current phase.
     pub fn comm_wait(&mut self, secs: f64) {
-        let current = self.current.clone();
-        self.trace.entry(&current).wait_secs += secs;
+        self.current_trace().wait_secs += secs;
     }
 
     /// Add seconds spent encoding/decoding/enqueuing message payloads to
     /// the current phase.
     pub fn comm_transfer(&mut self, secs: f64) {
-        let current = self.current.clone();
-        self.trace.entry(&current).transfer_secs += secs;
+        self.current_trace().transfer_secs += secs;
     }
 
     /// Record one entry into a collective of the given kind. `secs` is
@@ -351,31 +420,6 @@ impl PerfRecorder {
         w.1 = w.1.max(t);
     }
 
-    /// Per-edge traffic observed so far.
-    pub fn edges(&self) -> &BTreeMap<(usize, usize, TagClass), EdgeStats> {
-        &self.edges
-    }
-
-    /// Per-edge (first, last) timestamps, where stamped.
-    pub fn edge_times(&self) -> &BTreeMap<(usize, usize, TagClass), (f64, f64)> {
-        &self.edge_times
-    }
-
-    /// Per-kind collective stats observed so far.
-    pub fn collective_kinds(&self) -> &BTreeMap<&'static str, CollectiveStats> {
-        &self.coll_kinds
-    }
-
-    /// Per-kind collective (first, last) timestamps, where stamped.
-    pub fn collective_times(&self) -> &BTreeMap<&'static str, (f64, f64)> {
-        &self.coll_times
-    }
-
-    /// Finish recording and take the accumulated phase trace.
-    pub fn finish(self) -> PhaseTrace {
-        self.trace
-    }
-
     /// Snapshot of the phase trace so far.
     pub fn snapshot(&self) -> PhaseTrace {
         self.trace.clone()
@@ -389,13 +433,19 @@ mod tests {
     #[test]
     fn recorder_accumulates_into_phases() {
         let mut rec = PerfRecorder::new();
-        rec.kernel(KernelKind::Stream, 100, 10);
+        rec.kernel("axpy", KernelKind::Stream, 12, 100, 10);
         rec.set_phase("solve");
-        rec.kernel(KernelKind::SpMV, 200, 50);
-        rec.kernel(KernelKind::SpMV, 200, 50);
+        rec.kernel("spmv_csr", KernelKind::SpMV, 25, 200, 50);
+        rec.kernel("spmv_csr", KernelKind::SpMV, 25, 200, 50);
         rec.message(64);
         rec.collective(8);
-        let trace = rec.finish();
+        // The name view holds the same launches as the phase view.
+        let spmv = rec.kernels["spmv_csr"];
+        assert_eq!((spmv.calls, spmv.bytes, spmv.flops, spmv.dofs), (2, 400, 100, 50));
+        assert_eq!(spmv.secs, 0.0);
+        assert_eq!(rec.kernels["axpy"].calls, 1);
+        assert!(!rec.kernels_timed);
+        let trace = rec.snapshot();
 
         let other = trace.phase("other");
         assert_eq!(other.kernel_launches, 1);
@@ -412,9 +462,12 @@ mod tests {
 
     #[test]
     fn missing_phase_is_empty() {
-        let rec = PerfRecorder::new();
-        let trace = rec.finish();
+        let mut rec = PerfRecorder::new();
+        // Switching phases records nothing: no row appears.
+        rec.set_phase("idle");
+        let trace = rec.snapshot();
         assert!(trace.phase("nope").is_empty());
+        assert!(trace.phase_names().is_empty());
     }
 
     #[test]
@@ -446,7 +499,7 @@ mod tests {
         rec.edge(0, 1, TagClass::P2p, 16);
         rec.edge(0, 1, TagClass::Halo, 8);
         rec.edge(1, 0, TagClass::P2p, 4);
-        let edges = rec.edges();
+        let edges = &rec.edges;
         assert_eq!(edges[&(0, 1, TagClass::P2p)], EdgeStats { msgs: 2, bytes: 80 });
         assert_eq!(edges[&(0, 1, TagClass::Halo)], EdgeStats { msgs: 1, bytes: 8 });
         assert_eq!(edges[&(1, 0, TagClass::P2p)], EdgeStats { msgs: 1, bytes: 4 });
@@ -459,7 +512,7 @@ mod tests {
         rec.comm_wait(0.5);
         rec.comm_wait(0.25);
         rec.comm_transfer(0.125);
-        let trace = rec.finish();
+        let trace = rec.snapshot();
         let solve = trace.phase("solve");
         assert_eq!(solve.wait_secs, 0.75);
         assert_eq!(solve.transfer_secs, 0.125);
@@ -475,7 +528,7 @@ mod tests {
         let mut rec = PerfRecorder::new();
         rec.collective_kind("allreduce", 8, None);
         rec.collective_kind("allreduce", 8, Some(0.001));
-        let s = &rec.collective_kinds()["allreduce"];
+        let s = &rec.coll_kinds["allreduce"];
         assert_eq!(s.count, 2);
         assert_eq!(s.bytes, 16);
         assert_eq!(s.latency.count(), 1);
@@ -487,13 +540,13 @@ mod tests {
         rec.edge_stamp(0, 1, TagClass::P2p, 2.0);
         rec.edge_stamp(0, 1, TagClass::P2p, 0.5);
         rec.edge_stamp(0, 1, TagClass::P2p, 1.0);
-        assert_eq!(rec.edge_times()[&(0, 1, TagClass::P2p)], (0.5, 2.0));
+        assert_eq!(rec.edge_times[&(0, 1, TagClass::P2p)], (0.5, 2.0));
         rec.collective_stamp("allreduce", 3.0);
         rec.collective_stamp("allreduce", 4.0);
-        assert_eq!(rec.collective_times()["allreduce"], (3.0, 4.0));
+        assert_eq!(rec.coll_times["allreduce"], (3.0, 4.0));
         // Counters never gain windows they were not stamped with.
         rec.edge(1, 0, TagClass::P2p, 8);
-        assert!(!rec.edge_times().contains_key(&(1, 0, TagClass::P2p)));
+        assert!(!rec.edge_times.contains_key(&(1, 0, TagClass::P2p)));
     }
 
     #[test]
@@ -508,15 +561,15 @@ mod tests {
     fn phase_trace_merges() {
         let mut rec1 = PerfRecorder::new();
         rec1.set_phase("a");
-        rec1.kernel(KernelKind::Other, 1, 1);
-        let mut t1 = rec1.finish();
+        rec1.kernel("k", KernelKind::Other, 1, 1, 1);
+        let mut t1 = rec1.snapshot();
 
         let mut rec2 = PerfRecorder::new();
         rec2.set_phase("a");
-        rec2.kernel(KernelKind::Other, 2, 2);
+        rec2.kernel("k", KernelKind::Other, 2, 2, 2);
         rec2.set_phase("b");
         rec2.message(5);
-        let t2 = rec2.finish();
+        let t2 = rec2.snapshot();
 
         t1.add(&t2);
         assert_eq!(t1.phase("a").kernel_bytes, 3);

@@ -1,9 +1,17 @@
-//! Byte/flop cost estimators for the kernels in this crate.
+//! Byte/flop prices of the solver's kernels — the only place a kernel
+//! is priced.
 //!
-//! Callers holding a `parcomm::Rank` record these estimates into per-rank
-//! traces; the `machine` crate then converts traces into modeled device
-//! time (roofline: `max(bytes / bandwidth, flops / peak)` plus a launch
-//! overhead per kernel).
+//! Callers holding a `parcomm::Rank` hand these `(bytes, flops)` pairs
+//! to `rank.kernel(name, kind).launch(..)`, which accumulates each
+//! launch once: into the per-phase trace the `machine` crate converts
+//! into modeled device time (roofline: `max(bytes / bandwidth, flops /
+//! peak)` plus a launch overhead per kernel), and into the per-name
+//! `kernel_perf` row of the roofline report. Changing a formula here
+//! moves both, and shows as a diff of `results/*.txt`.
+//!
+//! Conventions: indices are 8 bytes (`usize`), values 8 bytes (`f64`);
+//! every array is streamed from memory once per kernel (no cache credit
+//! between kernels) and stores are counted once.
 
 use crate::csr::Csr;
 use crate::sellcs::SellCs;
@@ -26,7 +34,13 @@ pub fn spmv(a: &Csr) -> (u64, u64) {
 /// (bytes, flops) for a BLAS-1 op over `n` elements touching `vectors`
 /// arrays (e.g. axpy touches 3: read x, read+write y).
 pub fn blas1(n: usize, vectors: u64) -> (u64, u64) {
-    ((n as u64) * VAL * vectors, 2 * n as u64)
+    (stream(n, vectors).0, 2 * n as u64)
+}
+
+/// (bytes, 0) for a flop-free pass over `n` elements touching `vectors`
+/// arrays (pack, split, copy).
+pub fn stream(n: usize, vectors: u64) -> (u64, u64) {
+    ((n as u64) * VAL * vectors, 0)
 }
 
 /// (bytes, flops) for a stable sort of `n` (key, value) items —
@@ -44,20 +58,15 @@ pub fn reduce(n: usize, item_bytes: u64) -> (u64, u64) {
     ((n as u64) * item_bytes * 2, n as u64)
 }
 
-/// (bytes, flops) for hash SpGEMM C = A·B given the numeric result.
-pub fn spgemm(a: &Csr, b: &Csr, c: &Csr) -> (u64, u64) {
-    let expansion: u64 = a
-        .indices()
-        .iter()
-        .map(|&k| (b.indptr()[k + 1] - b.indptr()[k]) as u64)
-        .sum();
-    // Each product reads a B entry and updates a hash slot; A rows and the
-    // output C are streamed once.
-    let bytes = (a.nnz() as u64) * (IDX + VAL)
-        + expansion * (IDX + 2 * VAL)
-        + (c.nnz() as u64) * (IDX + VAL);
-    let flops = 2 * expansion;
-    (bytes, flops)
+/// (bytes, flops) for one local leg of the distributed SpGEMM, fresh
+/// (`distmat::ops::par_spgemm`) or replayed through a recorded plan:
+/// the output C streamed once as (index, value) pairs, one
+/// multiply-add per expansion product and one accumulate per output
+/// entry. This is the price the `machine` figures were generated with;
+/// it ignores the A/B input streams and the hash traffic.
+pub fn spgemm(expansion: u64, c_nnz: usize) -> (u64, u64) {
+    let c_nnz = c_nnz as u64;
+    (c_nnz * (IDX + VAL), 2 * (expansion + c_nnz))
 }
 
 /// (bytes, flops) for y = A·x in SELL-C-σ storage: chunk offsets plus
@@ -74,16 +83,13 @@ pub fn sellcs_spmv(m: &SellCs) -> (u64, u64) {
     (bytes, flops)
 }
 
-/// (bytes, flops) for a numeric-only SpGEMM replay through a recorded
-/// plan (`spgemm::SpgemmPlan::execute`): A is streamed with its
-/// structure, each product reads a slot index and a B value, and C is
-/// written once — no hash probing, no sort, no assembly pass. The
-/// savings versus [`spgemm`] are `expansion * VAL + c.nnz * IDX`.
-pub fn spgemm_numeric(a_nnz: usize, expansion: u64, c_nnz: usize) -> (u64, u64) {
-    let bytes =
-        (a_nnz as u64) * (IDX + VAL) + expansion * (IDX + VAL) + (c_nnz as u64) * VAL;
-    let flops = 2 * expansion;
-    (bytes, flops)
+/// (bytes, flops) for an assembly-plan replay: gather `contribs`
+/// source values through u32 index lists (index + value read each) and
+/// sum them in recorded order into `entries` outputs written once;
+/// every contribution past an entry's first costs one add.
+pub fn assembly_gather(entries: usize, contribs: usize) -> (u64, u64) {
+    let (entries, contribs) = (entries as u64, contribs as u64);
+    (contribs * (IDX32 + VAL) + entries * VAL, contribs.saturating_sub(entries))
 }
 
 /// (bytes, flops) for one fused Jacobi-Richardson sweep over triangle
@@ -119,6 +125,18 @@ mod tests {
     }
 
     #[test]
+    fn spmv_and_fused_sweep_hand_counted() {
+        // 3×3 identity: (3+1)·8 indptr + 3·(8 idx + 8 val + 8 gathered x)
+        // + 3·8 write y = 128 bytes, 2 flops per entry.
+        let a = Csr::identity(3);
+        assert_eq!(spmv(&a), (128, 6));
+        // The fused sweep adds the r and D⁻¹ streams and 2 flops per row.
+        assert_eq!(jr_sweep_fused(&a), (128 + 2 * 3 * 8, 6 + 6));
+        // SpGEMM: 4 output (index, value) pairs, 4 products + 4 accumulates.
+        assert_eq!(spgemm(4, 4), (64, 16));
+    }
+
+    #[test]
     fn sort_cost_has_log_passes() {
         let (b1, _) = sort(1024, 16);
         let (b2, _) = sort(2048, 16);
@@ -130,17 +148,17 @@ mod tests {
     }
 
     #[test]
-    fn spgemm_cost_counts_expansion() {
-        let a = Csr::identity(4);
-        let c = crate::spgemm::spgemm_hash(&a, &a);
-        let (bytes, flops) = spgemm(&a, &a, &c);
-        assert_eq!(flops, 8);
-        assert!(bytes > 0);
+    fn assembly_gather_hand_counted() {
+        // 10 entries from 12 contributions: 12 (u32 index, value) reads,
+        // 10 writes, 2 adds.
+        assert_eq!(assembly_gather(10, 12), (12 * 12 + 10 * 8, 2));
+        assert_eq!(assembly_gather(0, 0), (0, 0));
     }
 
     #[test]
     fn blas1_and_reduce_nonzero() {
-        assert_eq!(blas1(100, 3).0, 2400);
+        assert_eq!(blas1(100, 3), (2400, 200));
+        assert_eq!(stream(100, 2), (1600, 0));
         assert!(reduce(100, 16).0 > 0);
         assert!(transpose(&Csr::identity(5)).0 > 0);
     }

@@ -248,7 +248,7 @@ impl Csr {
     /// per-row accumulation order, then one subtract and one multiply —
     /// so the bits are identical; fusing just never materializes the
     /// `T·g` intermediate (one vector write + one read saved per sweep,
-    /// see `telemetry::perfmodel::jr_sweep_fused`).
+    /// see [`crate::cost::jr_sweep_fused`]).
     ///
     /// # Panics
     ///

@@ -20,7 +20,7 @@
 //! Column indices, per-slot row lengths, and the row permutation are
 //! `u32` (validated at conversion): versus CSR's `usize` indices this
 //! roughly halves index traffic, which is the point — SpMV is
-//! bandwidth-bound (see `telemetry::perfmodel::sellcs_spmv`).
+//! bandwidth-bound (see [`crate::cost::sellcs_spmv`]).
 
 use rayon::prelude::*;
 

@@ -16,10 +16,9 @@
 //! | `recovery`   | `nalu_core` Picard driver | solver-fault escalations  |
 //! | `checkpoint` | `nalu_core` periodic trigger | restart-file writes    |
 //! | `restore`    | `nalu_core` resume path   | restart provenance        |
-//! | `kernel_perf`| [`crate::Telemetry::kernel`] scopes | achieved GB/s / GFLOP/s roofline rows |
+//! | `kernel_perf`| `parcomm::Rank::kernel` scopes | achieved GB/s / GFLOP/s roofline rows |
 //! | `counter`    | subsystem counters        | —                         |
 //! | `hist`       | log₂ histograms           | —                         |
-//! | `bench`      | criterion-shim + `exawind-perf record` | `results/trajectory.jsonl` baselines |
 //!
 //! Every event type round-trips exactly through [`Event::to_line`] /
 //! [`Event::parse_line`] (integers exact, floats bit-identical).
@@ -244,10 +243,11 @@ pub enum Event {
         value: f64,
         baseline: f64,
     },
-    /// Aggregate of one hot kernel on one rank: call count, wall-clock,
-    /// modeled bytes/flops/DOFs (see [`crate::perfmodel`]) and the
-    /// achieved throughputs they imply. Flushed per rank at
-    /// [`crate::Telemetry::finish`], sorted by kernel name.
+    /// Aggregate of one named kernel on one rank: launches, wall-clock,
+    /// modeled bytes/flops (priced by `sparse_kit::cost`) and DOFs, and
+    /// the achieved throughputs they imply. The by-name view of the
+    /// launches `phase_perf` carries by phase; emitted next to it by
+    /// `parcomm::Rank::telemetry_events`, sorted by kernel name.
     KernelPerf {
         rank: usize,
         kernel: String,
@@ -269,17 +269,6 @@ pub enum Event {
         count: u64,
         total: f64,
         buckets: Vec<(i32, u64)>,
-    },
-    /// A benchmark record (the criterion-shim `BENCH_*.json` line format,
-    /// unified into this schema).
-    Bench {
-        bench: String,
-        mean_ns: u64,
-        median_ns: u64,
-        min_ns: u64,
-        samples: u64,
-        threads: Option<u64>,
-        git_commit: Option<String>,
     },
 }
 
@@ -303,7 +292,6 @@ impl Event {
             Event::KernelPerf { .. } => "kernel_perf",
             Event::Counter { .. } => "counter",
             Event::Hist { .. } => "hist",
-            Event::Bench { .. } => "bench",
         }
     }
 
@@ -685,31 +673,6 @@ impl Event {
                     ),
                 ),
             ]),
-            Event::Bench {
-                bench,
-                mean_ns,
-                median_ns,
-                min_ns,
-                samples,
-                threads,
-                git_commit,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("bench", Json::Str(bench.clone())),
-                    ("mean_ns", Json::Int(*mean_ns as i128)),
-                    ("median_ns", Json::Int(*median_ns as i128)),
-                    ("min_ns", Json::Int(*min_ns as i128)),
-                    ("samples", Json::Int(*samples as i128)),
-                ];
-                if let Some(t) = threads {
-                    pairs.push(("threads", Json::Int(*t as i128)));
-                }
-                if let Some(c) = git_commit {
-                    pairs.push(("git_commit", Json::Str(c.clone())));
-                }
-                Json::obj(pairs)
-            }
         }
     }
 
@@ -727,13 +690,11 @@ impl Event {
     /// Validate a parsed JSON value against the schema.
     pub fn from_json(v: &Json) -> Result<Event, String> {
         let obj = v.as_obj().ok_or("event is not a JSON object")?;
-        // Legacy BENCH_*.json lines predate the "type" tag; anything that
-        // carries a "bench" key is a bench record.
-        let tag = match obj.get("type") {
-            Some(t) => t.as_str().ok_or("\"type\" is not a string")?,
-            None if obj.contains_key("bench") => "bench",
-            None => return Err("missing \"type\" field".into()),
-        };
+        let tag = obj
+            .get("type")
+            .ok_or("missing \"type\" field")?
+            .as_str()
+            .ok_or("\"type\" is not a string")?;
 
         let str_field = |k: &str| -> Result<String, String> {
             obj.get(k)
@@ -1030,15 +991,6 @@ impl Event {
                     buckets,
                 })
             }
-            "bench" => Ok(Event::Bench {
-                bench: str_field("bench")?,
-                mean_ns: u64_field("mean_ns")?,
-                median_ns: u64_field("median_ns")?,
-                min_ns: u64_field("min_ns")?,
-                samples: u64_field("samples")?,
-                threads: obj.get("threads").and_then(Json::as_u64),
-                git_commit: obj.get("git_commit").and_then(Json::as_str).map(str::to_string),
-            }),
             other => Err(format!("unknown event type {other:?}")),
         }
     }
@@ -1199,15 +1151,6 @@ impl Event {
                 total: 21.0,
                 buckets: vec![(-1071, 1), (2, 1), (3, 1)],
             },
-            Event::Bench {
-                bench: "amg_setup/mm_ext".into(),
-                mean_ns: 15135352,
-                median_ns: 14956112,
-                min_ns: 13776211,
-                samples: 10,
-                threads: Some(4),
-                git_commit: None,
-            },
         ]
     }
 }
@@ -1223,19 +1166,6 @@ mod tests {
             let back = Event::parse_line(&line)
                 .unwrap_or_else(|e| panic!("{}: {e}\n{line}", ev.type_tag()));
             assert_eq!(back, ev, "{line}");
-        }
-    }
-
-    #[test]
-    fn legacy_bench_lines_without_type_tag_parse() {
-        let line = r#"{"bench":"amg_setup/direct","mean_ns":13722057,"median_ns":11849471,"min_ns":11141866,"samples":10}"#;
-        match Event::parse_line(line).unwrap() {
-            Event::Bench { bench, samples, threads, .. } => {
-                assert_eq!(bench, "amg_setup/direct");
-                assert_eq!(samples, 10);
-                assert_eq!(threads, None);
-            }
-            other => panic!("{other:?}"),
         }
     }
 

@@ -35,14 +35,12 @@ pub mod event;
 pub mod health;
 pub mod histogram;
 pub mod json;
-pub mod perfmodel;
 pub mod report;
 pub mod trace;
 
 pub use event::{AmgLevelRow, EqHealthRow, Event, SCHEMA_VERSION};
 pub use histogram::{LogHistogram, UNDERFLOW_BUCKET};
 pub use json::Json;
-pub use perfmodel::KernelModel;
 pub use report::Report;
 
 use std::cell::RefCell;
@@ -77,16 +75,6 @@ struct OpenSpan {
     t0: f64,
 }
 
-/// Accumulated cost of one hot kernel on one rank.
-#[derive(Clone, Copy, Debug, Default)]
-struct KernelStats {
-    calls: u64,
-    secs: f64,
-    bytes: u64,
-    flops: u64,
-    dofs: u64,
-}
-
 struct Recorder {
     rank: usize,
     /// Per-rank monotonic epoch; every v5 timestamp (`t0`, `t_first`,
@@ -97,7 +85,6 @@ struct Recorder {
     events: Vec<Event>,
     counters: BTreeMap<String, u64>,
     hists: BTreeMap<String, LogHistogram>,
-    kernels: BTreeMap<&'static str, KernelStats>,
 }
 
 impl Recorder {
@@ -130,7 +117,6 @@ impl Telemetry {
                 events: Vec::new(),
                 counters: BTreeMap::new(),
                 hists: BTreeMap::new(),
-                kernels: BTreeMap::new(),
             }))),
         }
     }
@@ -209,21 +195,6 @@ impl Telemetry {
         }
     }
 
-    /// Time one invocation of a hot kernel priced by `model` (see
-    /// [`perfmodel`]). The wall clock runs until the guard drops;
-    /// invocations aggregate per kernel name and flush as one
-    /// [`Event::KernelPerf`] per kernel at [`Telemetry::finish`], with
-    /// achieved GB/s, GFLOP/s and MDOF/s computed from the accumulated
-    /// model. Disabled handles never read the clock.
-    pub fn kernel(&self, name: &'static str, model: KernelModel) -> KernelGuard {
-        KernelGuard {
-            inner: self.inner.clone(),
-            name,
-            start: self.inner.as_ref().map(|_| Instant::now()),
-            model,
-        }
-    }
-
     /// Drain the recorder: flush counters and histograms (sorted by
     /// name, so the tail of the stream is deterministic) and return all
     /// events. Errors if any span is still open — the span-nesting
@@ -251,21 +222,6 @@ impl Telemetry {
                 buckets: h.buckets(),
             });
         }
-        for (name, k) in std::mem::take(&mut rec.kernels) {
-            let rate = |units: f64| if k.secs > 0.0 { units / k.secs } else { 0.0 };
-            events.push(Event::KernelPerf {
-                rank,
-                kernel: name.to_string(),
-                calls: k.calls,
-                secs: k.secs,
-                bytes: k.bytes,
-                flops: k.flops,
-                dofs: k.dofs,
-                gb_per_s: rate(k.bytes as f64 / 1e9),
-                gflop_per_s: rate(k.flops as f64 / 1e9),
-                mdof_per_s: rate(k.dofs as f64 / 1e6),
-            });
-        }
         Ok(events)
     }
 
@@ -284,39 +240,6 @@ impl Drop for InstallGuard {
     fn drop(&mut self) {
         if let Some(prev) = self.prev.take() {
             CURRENT.with(|c| c.replace(prev));
-        }
-    }
-}
-
-/// Times one kernel invocation; accumulates into the recorder's
-/// per-kernel stats on drop. Created by [`Telemetry::kernel`] / the free
-/// fn [`kernel`].
-pub struct KernelGuard {
-    inner: Option<Rc<RefCell<Recorder>>>,
-    name: &'static str,
-    start: Option<Instant>,
-    model: KernelModel,
-}
-
-impl KernelGuard {
-    /// Replace the cost model — for kernels whose output size (and hence
-    /// traffic) is only known after they run, e.g. SpGEMM's `nnz(C)`.
-    pub fn set_model(&mut self, model: KernelModel) {
-        self.model = model;
-    }
-}
-
-impl Drop for KernelGuard {
-    fn drop(&mut self) {
-        if let (Some(rec), Some(start)) = (self.inner.take(), self.start.take()) {
-            let secs = start.elapsed().as_secs_f64();
-            let mut rec = rec.borrow_mut();
-            let k = rec.kernels.entry(self.name).or_default();
-            k.calls += 1;
-            k.secs += secs;
-            k.bytes += self.model.bytes;
-            k.flops += self.model.flops;
-            k.dofs += self.model.dofs;
         }
     }
 }
@@ -400,11 +323,6 @@ pub fn record(ev: Event) {
     CURRENT.with(|c| c.borrow().record(ev));
 }
 
-/// Time a kernel invocation on the current dispatcher.
-pub fn kernel(name: &'static str, model: KernelModel) -> KernelGuard {
-    CURRENT.with(|c| c.borrow().kernel(name, model))
-}
-
 // ---------------------------------------------------------------------------
 // Merge + export
 // ---------------------------------------------------------------------------
@@ -418,22 +336,22 @@ pub fn merge_ranks(logs: Vec<Vec<Event>>) -> Vec<Event> {
 }
 
 /// Run metadata for an exported stream: rank count, worker thread count
-/// (`RAYON_NUM_THREADS` or hardware parallelism), the transport backend
-/// (`EXAWIND_TRANSPORT`, read as a string so this crate stays below
-/// `parcomm` in the dependency graph), the kernel policy label
-/// (`EXAWIND_KERNELS`, same string treatment so we stay below
-/// `sparse-kit`), and the git commit if discoverable (`GIT_COMMIT` env
-/// or `.git/HEAD`).
-pub fn run_info(ranks: usize) -> Event {
-    run_info_with_clock(ranks, None)
-}
-
-/// [`run_info`] carrying the per-rank clock-alignment table from the
-/// startup handshake (schema v5): `offsets[r]` maps rank `r`'s epoch
-/// timestamps onto rank 0's timeline (`t_global = t_rank + offsets[r]`),
-/// and `rtts[r]` is the minimum round-trip observed while estimating it
-/// (offset uncertainty ≤ rtt/2).
-pub fn run_info_with_clock(ranks: usize, clock: Option<(Vec<f64>, Vec<f64>)>) -> Event {
+/// (`RAYON_NUM_THREADS` or hardware parallelism), the labels of the
+/// transport backend and kernel policy the run was configured with
+/// (`SolverConfig::transport.label()` / `SolverConfig::kernels.label()`
+/// — passed in, so a run configured in code is labelled as what it ran,
+/// and this crate reads neither variable), the git commit if
+/// discoverable (`GIT_COMMIT` env or `.git/HEAD`), and the per-rank
+/// clock-alignment table from the startup handshake (schema v5):
+/// `offsets[r]` maps rank `r`'s epoch timestamps onto rank 0's timeline
+/// (`t_global = t_rank + offsets[r]`), and `rtts[r]` is the minimum
+/// round-trip observed while estimating it (offset uncertainty ≤ rtt/2).
+pub fn run_info(
+    ranks: usize,
+    transport: &str,
+    kernel_policy: &str,
+    clock: Option<(Vec<f64>, Vec<f64>)>,
+) -> Event {
     let (clock_offsets, clock_rtts) = match clock {
         Some((o, r)) => (Some(o), Some(r)),
         None => (None, None),
@@ -441,18 +359,20 @@ pub fn run_info_with_clock(ranks: usize, clock: Option<(Vec<f64>, Vec<f64>)>) ->
     Event::Run {
         ranks,
         threads: configured_threads(),
-        transport: std::env::var("EXAWIND_TRANSPORT")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| "inproc".to_string()),
-        kernel_policy: std::env::var("EXAWIND_KERNELS")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| "auto".to_string()),
+        transport: transport.to_string(),
+        kernel_policy: kernel_policy.to_string(),
         git_commit: git_commit(),
         clock_offsets,
         clock_rtts,
     }
+}
+
+/// [`run_info`] labelled with the built-in defaults, `inproc` / `auto`,
+/// whatever the run used. Kept only for `tests/timeline.rs`; anything
+/// that has its `SolverConfig` at hand calls [`run_info`].
+#[doc(hidden)]
+pub fn run_info_with_clock(ranks: usize, clock: Option<(Vec<f64>, Vec<f64>)>) -> Event {
+    run_info(ranks, "inproc", "auto", clock)
 }
 
 /// Worker-thread count the process runs with.
@@ -548,6 +468,11 @@ pub fn read_jsonl(path: &str) -> Result<Vec<Event>, String> {
 ///   (parcomm's default `other` phase) carry no span reference and pass.
 /// - every `kernel_perf` must be sane: at least one call, finite
 ///   non-negative seconds and rates.
+/// - the two views of the kernel ledger must reconcile: per rank, the
+///   `kernel_perf` rows' summed (`calls`, `bytes`, `flops`) equal the
+///   `phase_perf` rows' summed (`kernel_launches`, `kernel_bytes`,
+///   `kernel_flops`) exactly — both are projections of the same
+///   launches, so a rank reporting one view without the other fails too.
 /// - every `comm_edge` must be reported by one of its two endpoints,
 ///   must not be a self-edge, and (when a `run` event names the rank
 ///   count) must stay in rank range; where *both* endpoints of an edge
@@ -619,7 +544,16 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
     // kind → rank → total count; plus the set of ranks reporting anything.
     let mut coll_counts: BTreeMap<&str, BTreeMap<usize, u64>> = BTreeMap::new();
     let mut coll_ranks: BTreeSet<usize> = BTreeSet::new();
+    // rank → [by-phase view, by-name view] as (launches, bytes, flops).
+    let mut kernel_views: BTreeMap<usize, [(u64, u64, u64); 2]> = BTreeMap::new();
+    let mut add_launches = |rank: usize, view: usize, (n, bytes, flops): (u64, u64, u64)| {
+        let v = &mut kernel_views.entry(rank).or_default()[view];
+        *v = (v.0 + n, v.1 + bytes, v.2 + flops);
+    };
     for ev in events {
+        if let Event::PhasePerf { rank, kernel_launches, kernel_bytes, kernel_flops, .. } = ev {
+            add_launches(*rank, 0, (*kernel_launches, *kernel_bytes, *kernel_flops));
+        }
         match ev {
             Event::Span { rank, path, depth, secs, t0: Some(t0) } => {
                 if !t0.is_finite() || *t0 < 0.0 {
@@ -652,11 +586,14 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
                 kernel,
                 calls,
                 secs,
+                bytes,
+                flops,
                 gb_per_s,
                 gflop_per_s,
                 mdof_per_s,
                 ..
             } => {
+                add_launches(*rank, 1, (*calls, *bytes, *flops));
                 let mut bad = |what: &str| {
                     errors.push(format!("kernel_perf rank {rank} kernel {kernel:?}: {what}"))
                 };
@@ -771,6 +708,15 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
                     count;
             }
             _ => {}
+        }
+    }
+    for (rank, [by_phase, by_name]) in &kernel_views {
+        if by_phase != by_name {
+            errors.push(format!(
+                "kernel ledger rank {rank}: phase_perf rows total {} launches / {} bytes / {} \
+                 flops but kernel_perf rows total {} calls / {} bytes / {} flops",
+                by_phase.0, by_phase.1, by_phase.2, by_name.0, by_name.1, by_name.2
+            ));
         }
     }
     for ((src, dst, class), views) in &edge_views {
@@ -967,55 +913,38 @@ mod tests {
         )));
     }
 
-    #[test]
-    fn kernel_guards_aggregate_per_name() {
-        let t = Telemetry::enabled(2);
-        for _ in 0..3 {
-            let _g = t.kernel("spmv_csr", perfmodel::csr_spmv(3, 9));
-        }
-        {
-            // Late-bound model (SpGEMM pattern): the guard records what
-            // set_model last installed, not the construction-time model.
-            let mut g = t.kernel("spgemm", KernelModel::default());
-            g.set_model(KernelModel { bytes: 100, flops: 10, dofs: 4 });
-        }
-        let events = t.finish();
-        let kernels: Vec<&Event> = events
-            .iter()
-            .filter(|e| matches!(e, Event::KernelPerf { .. }))
-            .collect();
-        assert_eq!(kernels.len(), 2);
-        // BTreeMap flush order: spgemm < spmv_csr.
-        match kernels[0] {
-            Event::KernelPerf { kernel, calls, bytes, flops, dofs, .. } => {
-                assert_eq!(kernel, "spgemm");
-                assert_eq!((*calls, *bytes, *flops, *dofs), (1, 100, 10, 4));
-            }
-            other => panic!("{other:?}"),
-        }
-        match kernels[1] {
-            Event::KernelPerf { rank, kernel, calls, bytes, flops, dofs, secs, gb_per_s, .. } => {
-                assert_eq!(*rank, 2);
-                assert_eq!(kernel, "spmv_csr");
-                assert_eq!(*calls, 3);
-                let one = perfmodel::csr_spmv(3, 9);
-                assert_eq!(*bytes, 3 * one.bytes);
-                assert_eq!(*flops, 3 * one.flops);
-                assert_eq!(*dofs, 3 * one.dofs);
-                assert!(*secs >= 0.0 && secs.is_finite());
-                assert!(*gb_per_s >= 0.0 && gb_per_s.is_finite());
-            }
-            other => panic!("{other:?}"),
+    /// A `phase_perf` row carrying `launches` launches of 8 bytes and 2
+    /// flops each.
+    fn phase_perf(rank: usize, label: &str, launches: u64) -> Event {
+        Event::PhasePerf {
+            rank,
+            label: label.into(),
+            kernel_launches: launches,
+            kernel_bytes: 8 * launches,
+            kernel_flops: 2 * launches,
+            msgs: 0,
+            msg_bytes: 0,
+            collectives: 0,
+            collective_bytes: 0,
+            wait_secs: 0.0,
+            transfer_secs: 0.0,
         }
     }
 
-    #[test]
-    fn disabled_kernel_guard_records_nothing() {
-        let t = Telemetry::disabled();
-        {
-            let _g = t.kernel("spmv_csr", perfmodel::csr_spmv(10, 50));
+    /// The `kernel_perf` row for the same launches, by name.
+    fn kernel_perf(rank: usize, kernel: &str, calls: u64) -> Event {
+        Event::KernelPerf {
+            rank,
+            kernel: kernel.into(),
+            calls,
+            secs: 0.5,
+            bytes: 8 * calls,
+            flops: 2 * calls,
+            dofs: calls,
+            gb_per_s: 1.0,
+            gflop_per_s: 1.0,
+            mdof_per_s: 1.0,
         }
-        assert!(t.finish().is_empty());
     }
 
     #[test]
@@ -1027,43 +956,70 @@ mod tests {
             secs: 0.1,
             t0: None,
         };
-        let perf = |rank: usize, label: &str| Event::PhasePerf {
-            rank,
-            label: label.into(),
-            kernel_launches: 1,
-            kernel_bytes: 8,
-            kernel_flops: 2,
-            msgs: 0,
-            msg_bytes: 0,
-            collectives: 0,
-            collective_bytes: 0,
-            wait_secs: 0.0,
-            transfer_secs: 0.0,
+        let perf = |rank: usize, label: &str| {
+            [phase_perf(rank, label, 1), kernel_perf(rank, "spmv_csr", 1)]
+        };
+        let stream = |span: &Event, rows: [Event; 2]| {
+            let mut evs = vec![span.clone()];
+            evs.extend(rows);
+            evs
         };
         // Suffix match against the recorded span path: ok.
-        assert!(validate_stream(&[span.clone(), perf(0, "continuity/solve")]).is_ok());
+        assert!(validate_stream(&stream(&span, perf(0, "continuity/solve"))).is_ok());
         // Bare label (parcomm's default "other" phase): no span reference.
-        assert!(validate_stream(&[perf(0, "other")]).is_ok());
+        assert!(validate_stream(&perf(0, "other")).is_ok());
         // Unknown span: rejected.
-        let errs = validate_stream(&[span.clone(), perf(0, "momentum/solve")]).unwrap_err();
+        let errs = validate_stream(&stream(&span, perf(0, "momentum/solve"))).unwrap_err();
         assert!(errs[0].contains("momentum/solve"), "{errs:?}");
         // Right label, wrong rank: the span was never closed on rank 1.
-        assert!(validate_stream(&[span, perf(1, "continuity/solve")]).is_err());
+        assert!(validate_stream(&stream(&span, perf(1, "continuity/solve"))).is_err());
     }
 
     #[test]
     fn validate_stream_checks_kernel_perf_sanity() {
-        let mut ev = Event::examples()
-            .into_iter()
-            .find(|e| matches!(e, Event::KernelPerf { .. }))
-            .expect("examples include kernel_perf");
-        assert!(validate_stream(std::slice::from_ref(&ev)).is_ok());
-        if let Event::KernelPerf { calls, gb_per_s, .. } = &mut ev {
-            *calls = 0;
+        let mut ev = kernel_perf(1, "spmv_csr", 240);
+        let phase = phase_perf(1, "other", 240);
+        assert!(validate_stream(&[phase.clone(), ev.clone()]).is_ok());
+        if let Event::KernelPerf { secs, gb_per_s, .. } = &mut ev {
+            *secs = -1.0;
             *gb_per_s = f64::NAN;
         }
-        let errs = validate_stream(&[ev]).unwrap_err();
+        let errs = validate_stream(&[phase, ev]).unwrap_err();
         assert_eq!(errs.len(), 2, "{errs:?}");
+        // A row without a single call is not a row.
+        let errs = validate_stream(&[kernel_perf(0, "spgemm", 0)]).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("zero calls")), "{errs:?}");
+    }
+
+    #[test]
+    fn validate_stream_reconciles_the_two_kernel_views() {
+        // Two phases and two kernel names over the same five launches on
+        // rank 0, one launch on rank 1: both views agree per rank.
+        let good = [
+            phase_perf(0, "other", 2),
+            phase_perf(0, "solve", 3),
+            kernel_perf(0, "spmv_csr", 4),
+            kernel_perf(0, "axpy", 1),
+            phase_perf(1, "other", 1),
+            kernel_perf(1, "spmv_csr", 1),
+        ];
+        assert!(validate_stream(&good).is_ok());
+        // One byte moved out of a kernel_perf row: named rank, both totals.
+        let mut bad = good.to_vec();
+        if let Event::KernelPerf { bytes, .. } = &mut bad[2] {
+            *bytes -= 1;
+        }
+        let errs = validate_stream(&bad).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("rank 0"), "{errs:?}");
+        assert!(errs[0].contains("5 launches / 40 bytes / 10 flops"), "{errs:?}");
+        assert!(errs[0].contains("5 calls / 39 bytes / 10 flops"), "{errs:?}");
+        // Launches by phase with no by-name row at all (a parent-era
+        // stream, or a rank that dropped its kernel_perf rows).
+        let errs = validate_stream(&good[..2]).unwrap_err();
+        assert!(errs[0].contains("0 calls"), "{errs:?}");
+        // And the converse: by-name rows nothing by phase accounts for.
+        assert!(validate_stream(&good[2..4]).is_err());
     }
 
     #[test]

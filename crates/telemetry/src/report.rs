@@ -506,7 +506,6 @@ impl Report {
                         baseline: *baseline,
                     });
                 }
-                Event::Bench { .. } => {}
             }
         }
         canonical_phase_order(&mut r.phases);
@@ -1391,7 +1390,7 @@ mod tests {
     use super::*;
 
     fn sample_events() -> Vec<Event> {
-        let mut evs = vec![crate::run_info(2)];
+        let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
         for rank in 0..2usize {
             for (eq, phase, secs) in [
                 ("momentum", "graph+physics", 0.1),
@@ -1638,7 +1637,7 @@ mod tests {
 
     #[test]
     fn imbalance_table_reports_max_over_avg_and_wait() {
-        let mut evs = vec![crate::run_info(2)];
+        let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
         // Rank 1 is 3x slower in `solve`: avg 0.2, max 0.3 → ratio 1.5.
         for (rank, secs) in [(0usize, 0.1), (1usize, 0.3)] {
             evs.push(Event::PhaseTime {
@@ -1785,7 +1784,7 @@ mod tests {
 
     #[test]
     fn critical_path_section_attributes_makespan() {
-        let mut evs = vec![crate::run_info(2)];
+        let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
         // Rank 1 finishes its picard work early and the step ends when
         // rank 0 does: the path is rank 0's compute.
         for rank in 0..2usize {

@@ -49,7 +49,7 @@ fn main() {
         telemetry: tel_path.is_some(),
         ..SolverConfig::default()
     };
-    let transport = cfg.transport;
+    let (transport, kernels) = (cfg.transport, cfg.kernels);
 
     let outputs = Comm::run_with(transport, nranks, move |rank| {
         // A 10×4×4 rotor-diameter wind tunnel, inflow 8 m/s in +x.
@@ -116,7 +116,8 @@ fn main() {
         // Rank 0's clock tables (identical on every rank after the
         // startup handshake) align the per-rank epochs in the header.
         let clock = outputs[0].3.clone();
-        let mut events = vec![telemetry::run_info_with_clock(nranks, clock)];
+        let mut events =
+            vec![telemetry::run_info(nranks, transport.label(), kernels.label(), clock)];
         events.extend(telemetry::merge_ranks(
             outputs.into_iter().map(|(_, _, ev, _)| ev).collect(),
         ));

@@ -36,7 +36,6 @@ fn main() {
     let steps = 2;
     let scale = 2e-4;
     let tel_path = telemetry_path();
-    let telemetry_on = tel_path.is_some();
 
     let tm = generate(NrelCase::SingleLow, scale);
     println!(
@@ -48,12 +47,13 @@ fn main() {
     );
     let meshes = tm.meshes;
 
-    let outputs = Comm::run(nranks, move |rank| {
-        let cfg = SolverConfig {
-            telemetry: telemetry_on,
-            ..SolverConfig::default()
-        };
-        let mut sim = Simulation::new(rank, meshes.clone(), cfg);
+    let cfg = SolverConfig {
+        telemetry: tel_path.is_some(),
+        ..SolverConfig::default()
+    };
+    let (transport, kernels) = (cfg.transport, cfg.kernels);
+    let outputs = Comm::run_with(transport, nranks, move |rank| {
+        let mut sim = Simulation::new(rank, meshes.clone(), cfg.clone());
         let mut lines = Vec::new();
         for step in 0..steps {
             let report = sim.step(rank);
@@ -111,7 +111,8 @@ fn main() {
         // Rank 0's clock tables (identical on every rank after the
         // startup handshake) align the per-rank epochs in the header.
         let clock = outputs[0].4.clone();
-        let mut events = vec![telemetry::run_info_with_clock(nranks, clock)];
+        let mut events =
+            vec![telemetry::run_info(nranks, transport.label(), kernels.label(), clock)];
         events.extend(telemetry::merge_ranks(
             outputs.into_iter().map(|(_, _, _, ev, _)| ev).collect(),
         ));

@@ -10,8 +10,9 @@
 //! warmup, then `sample_size` timed invocations. Mean / median / min are
 //! printed to stdout. If the `CRITERION_JSON` environment variable is set,
 //! one JSON line per benchmark is appended to that file so harness scripts
-//! can collect machine-readable results (this is how the repo's
-//! `BENCH_*.json` baselines are produced).
+//! can collect machine-readable results. The lines carry `"type":"bench"`
+//! but the file is not a telemetry stream: `telemetry` has no `bench`
+//! event, so `read_jsonl` / `validate_telemetry` reject it.
 
 use std::fmt;
 use std::io::Write;
@@ -151,10 +152,9 @@ fn run_one(group: &str, id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Ben
     );
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         if !path.is_empty() {
-            // `type`/`threads`/`git_commit` make the record a valid
-            // `telemetry::Event::Bench` line (BENCH_*.json shares the
-            // telemetry JSONL schema); readers still accept old lines
-            // without them.
+            // One self-describing JSON object per bench: `threads` and
+            // `git_commit` say what the numbers were measured on. Not a
+            // telemetry event (see the module docs).
             let mut line = format!(
                 "{{\"type\":\"bench\",\"bench\":\"{full}\",\"mean_ns\":{mean},\"median_ns\":{median},\"min_ns\":{min},\"samples\":{},\"threads\":{}",
                 sorted.len(),

@@ -131,7 +131,7 @@ fn main() {
             ..SolverConfig::default()
         };
         let picard_iters = cfg.picard_iters as u64;
-        let transport = cfg.transport;
+        let (transport, kernels) = (cfg.transport, cfg.kernels);
         let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
 
         // Supervised relaunch: restore the newest complete generation
@@ -209,7 +209,12 @@ fn main() {
             let path = format!("{tel_prefix}.rank{}.jsonl", rank.rank());
             let mut stream = Vec::new();
             if rank.rank() == 0 {
-                stream.push(telemetry::run_info_with_clock(rank.size(), sim.clock_tables()));
+                stream.push(telemetry::run_info(
+                    rank.size(),
+                    transport.label(),
+                    kernels.label(),
+                    sim.clock_tables(),
+                ));
             }
             stream.extend(events);
             telemetry::write_jsonl(&path, &stream)

@@ -7,7 +7,8 @@
 use std::collections::BTreeSet;
 
 use exawind::nalu_core::{Simulation, SolverConfig};
-use exawind::parcomm::Comm;
+use exawind::parcomm::{Comm, TransportKind};
+use exawind::sparse_kit::KernelPolicy;
 use exawind::telemetry::{self, Event, LogHistogram, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use rayon::ThreadPoolBuilder;
@@ -23,7 +24,7 @@ fn every_event_type_round_trips_through_jsonl() {
     // The fixture must cover the whole schema.
     for tag in [
         "run", "span", "phase_time", "phase_perf", "comm_edge", "collective", "kernel_perf",
-        "amg", "gmres", "counter", "hist", "bench",
+        "amg", "gmres", "counter", "hist",
     ] {
         assert!(tags.contains(tag), "examples() missing event type {tag}");
     }
@@ -86,15 +87,16 @@ fn small_channel() -> exawind::windmesh::Mesh {
 /// rayon threads and return the merged event stream (run header first).
 fn sim_events(threads: usize) -> Vec<Event> {
     let mesh = small_channel();
+    let cfg = SolverConfig {
+        telemetry: true,
+        picard_iters: 2,
+        ..SolverConfig::default()
+    };
+    let (transport, kernels) = (cfg.transport.label(), cfg.kernels.label());
     let per_rank = Comm::run(2, move |rank| {
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         pool.install(|| {
-            let cfg = SolverConfig {
-                telemetry: true,
-                picard_iters: 2,
-                ..SolverConfig::default()
-            };
-            let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
+            let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg.clone());
             sim.step(rank);
             sim.step(rank);
             let clock = sim.clock_tables();
@@ -105,7 +107,7 @@ fn sim_events(threads: usize) -> Vec<Event> {
     // produced (identical on every rank), as `exawind-worker` writes it;
     // the cross-rank comm_edge causality check depends on it.
     let clock = per_rank[0].0.clone();
-    let mut events = vec![telemetry::run_info_with_clock(2, clock)];
+    let mut events = vec![telemetry::run_info(2, transport, kernels, clock)];
     events.extend(telemetry::merge_ranks(per_rank.into_iter().map(|(_, e)| e).collect()));
     events
 }
@@ -213,8 +215,10 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
         "assembly_sort_reduce",
         "assembly_gather",
         "halo_pack",
-        "halo_unpack",
         "spgemm",
+        // The `IjVector` plan replay: priced by phase only before the
+        // ledgers were unified.
+        "rhs_gather_add",
     ] {
         let k = report
             .kernels
@@ -268,6 +272,41 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert!(text.contains("communication matrix"), "{text}");
     assert!(text.contains("per-phase rank imbalance"), "{text}");
     assert!(text.contains("collectives (latency"), "{text}");
+}
+
+/// The run header says what the run was configured with, not what the
+/// environment would have defaulted to: a socket + CSR run configured in
+/// code is labelled so whatever `EXAWIND_TRANSPORT` / `EXAWIND_KERNELS`
+/// hold (including nothing), and its stream still validates.
+#[test]
+fn run_header_is_labelled_from_the_config() {
+    let mesh = small_channel();
+    let cfg = SolverConfig {
+        telemetry: true,
+        picard_iters: 2,
+        transport: TransportKind::Socket,
+        kernels: KernelPolicy::Csr,
+        ..SolverConfig::default()
+    };
+    let per_rank = Comm::run_with(cfg.transport, 2, |rank| {
+        let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg.clone());
+        sim.step(rank);
+        (sim.clock_tables(), sim.finish_telemetry(rank))
+    });
+    let clock = per_rank[0].0.clone();
+    let header = telemetry::run_info(2, cfg.transport.label(), cfg.kernels.label(), clock);
+    let line = header.to_line();
+    assert!(line.contains(r#""transport":"socket""#), "{line}");
+    assert!(line.contains(r#""kernel_policy":"csr""#), "{line}");
+    let mut events = vec![header];
+    events.extend(telemetry::merge_ranks(per_rank.into_iter().map(|(_, e)| e).collect()));
+    telemetry::validate_stream(&events)
+        .unwrap_or_else(|errs| panic!("stream fails validation: {errs:?}"));
+    let report = Report::from_events(&events);
+    assert_eq!((report.transport.as_str(), report.kernel_policy.as_str()), ("socket", "csr"));
+    // Forced CSR: the diag-block SpMV never took the SELL-C-σ path.
+    assert!(report.kernels.contains_key("spmv_csr"));
+    assert!(!report.kernels.contains_key("spmv_sellcs"));
 }
 
 /// Structural signature of a stream: everything except wall-clock
