@@ -5,8 +5,24 @@ set -euxo pipefail
 
 cargo build --release --workspace
 cargo test -q --workspace
+# Once in the release profile too: `plan_replay_equals_fresh_assembly_bitwise`
+# sums NaNs, and only the optimiser reorders those adds.
+cargo test -q --release -p distmat --test proptests
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --no-run
+
+# Configuration enters once: `src/env.rs` is the only Rust file (outside
+# the frozen benchmark crate) that spells an EXAWIND_*/PARCOMM_* name,
+# and no library crate reads the environment for one — what is left is
+# telemetry's GIT_COMMIT and RAYON_NUM_THREADS, which are not ours.
+env_files=$(grep -rlE '"(EXAWIND|PARCOMM)_' --include='*.rs' crates src examples tests \
+  | grep -v '^crates/e2e-bench/' || true)
+[ "$env_files" = "src/env.rs" ] \
+  || { echo "env gate: variable names spelled outside src/env.rs: $env_files" >&2; exit 1; }
+env_reads=$(grep -rn 'env::var' --include='*.rs' crates/*/src \
+  | grep -v '^crates/e2e-bench/' | grep -vE '"(GIT_COMMIT|RAYON_NUM_THREADS)"' || true)
+[ -z "$env_reads" ] \
+  || { echo "env gate: a library crate reads the environment: $env_reads" >&2; exit 1; }
 
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
 # that the offline validator accepts (exit 0 ⇔ schema-valid, non-empty).
@@ -163,13 +179,14 @@ for fig in fig6_breakdown_cpu ablation_sgs2; do
     || { echo "model smoke: results/$fig.txt differs from a fresh run" >&2; exit 1; }
 done
 
-# Kernel-backend leg: the whole suite must stay green with the SELL-C-σ
-# backend forced on (bitwise identity with CSR is pinned by
-# tests/determinism.rs), and a quickstart run event must carry the
-# policy label.
+# Kernel-backend smoke: a quickstart run with the SELL-C-σ backend
+# selected must carry the policy label in its run event — which also
+# proves the edge parser reaches `SolverConfig::kernels`. (No test reads
+# the environment, so re-running the suite under the variable would
+# re-run the identical suite; the backends are pinned bitwise by
+# tests/determinism.rs and the distmat split-phase proptest.)
 kern_out=$(mktemp /tmp/exawind_sellcs.XXXXXX.jsonl)
 trap 'rm -f "$tel_out" "$fault_out" "$turb_out" "$model_out" "$kern_out"; rm -rf "$mp_dir"' EXIT
-EXAWIND_KERNELS=sellcs cargo test -q --workspace
 EXAWIND_KERNELS=sellcs EXAWIND_TELEMETRY="$kern_out" \
   cargo run --release --example quickstart
 cargo run --release -p telemetry --bin validate_telemetry -- "$kern_out"

@@ -34,32 +34,17 @@ use crate::state::{overset_exchange, State};
 use crate::timing::{Phase, Timings};
 
 /// Periodic checkpoint configuration (see [`resilience::checkpoint`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointCfg {
     /// Write a checkpoint generation every `every` completed steps.
     pub every: usize,
     /// Directory holding the per-rank files and the cohort manifest.
     pub dir: PathBuf,
-}
-
-impl CheckpointCfg {
-    /// Read the `EXAWIND_CHECKPOINT_EVERY` / `EXAWIND_CHECKPOINT_DIR`
-    /// environment selection. `None` unless EVERY parses to a positive
-    /// interval; the directory defaults to `exawind-checkpoints`.
-    pub fn from_env() -> Option<CheckpointCfg> {
-        let every = std::env::var(checkpoint::ENV_EVERY)
-            .ok()?
-            .trim()
-            .parse::<usize>()
-            .ok()?;
-        if every == 0 {
-            return None;
-        }
-        let dir = std::env::var(checkpoint::ENV_DIR)
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("exawind-checkpoints"));
-        Some(CheckpointCfg { every, dir })
-    }
+    /// How many times a supervisor has relaunched this cohort (0 = first
+    /// launch). `kill-rank` faults only fire in incarnation 0: they
+    /// model a transient external kill, not a deterministic crash bug
+    /// that would defeat any restart budget.
+    pub incarnation: u64,
 }
 
 /// Solver configuration.
@@ -91,33 +76,27 @@ pub struct SolverConfig {
     pub sgs_outer: usize,
     /// Overset hole-cutting margin.
     pub overset_margin: f64,
-    /// Force-enable the telemetry event stream. Telemetry is also
-    /// enabled when the `EXAWIND_TELEMETRY` environment variable is set
-    /// (see the `telemetry` crate); with both off, recording is a no-op.
+    /// Record the telemetry event stream (see the `telemetry` crate);
+    /// when off, recording is a no-op.
     pub telemetry: bool,
-    /// Fault-injection plan for resilience testing. `None` falls back to
-    /// the `EXAWIND_FAULTS` environment variable; with both unset no
+    /// Fault-injection plan for resilience testing. With `None` no
     /// injector is installed and every solve is byte-for-byte the clean
     /// path.
     pub faults: Option<FaultPlan>,
     /// Escalation policy applied when a solve fails with a typed
     /// [`SolveError`].
     pub recovery: RecoveryPolicy,
-    /// Transport backend the driver should run the communicator on
-    /// (defaults to the `EXAWIND_TRANSPORT` environment selection).
+    /// Transport backend the driver should run the communicator on.
     /// Consumed *outside* the rank closure — pass it to
     /// [`parcomm::Comm::run_with`]; the solver itself is
     /// transport-agnostic and produces bitwise-identical results on
     /// every backend.
     pub transport: TransportKind,
-    /// SpMV kernel backend policy (defaults to the `EXAWIND_KERNELS`
-    /// environment selection, itself defaulting to `auto`). Installed on
-    /// the rank thread by [`Simulation::new`]; every backend produces
-    /// bitwise-identical results, the policy only moves bytes.
+    /// SpMV kernel backend policy. Installed on the rank thread by
+    /// [`Simulation::new`]; every backend produces bitwise-identical
+    /// results, the policy only moves bytes.
     pub kernels: KernelPolicy,
-    /// Periodic checkpointing (defaults to the
-    /// `EXAWIND_CHECKPOINT_EVERY` / `EXAWIND_CHECKPOINT_DIR`
-    /// environment selection; `None` disables). A complete generation
+    /// Periodic checkpointing (`None` disables). A complete generation
     /// is published every `every` steps; [`Simulation::resume`] restores
     /// the newest one bitwise-exactly.
     pub checkpoint: Option<CheckpointCfg>,
@@ -142,9 +121,9 @@ impl Default for SolverConfig {
             telemetry: false,
             faults: None,
             recovery: RecoveryPolicy::default(),
-            transport: TransportKind::from_env(),
-            kernels: KernelPolicy::from_env(),
-            checkpoint: CheckpointCfg::from_env(),
+            transport: TransportKind::Inproc,
+            kernels: KernelPolicy::Auto,
+            checkpoint: None,
         }
     }
 }
@@ -278,21 +257,17 @@ impl Simulation {
         let tel = if cfg.telemetry {
             telemetry::Telemetry::enabled(me)
         } else {
-            telemetry::Telemetry::from_env(me)
+            telemetry::Telemetry::disabled()
         };
         let tel_guard = tel.is_enabled().then(|| tel.install());
         // Startup clock alignment over the transport (collective; skips
         // itself — no clock read, no message — with telemetry off).
         let clock = rank.clock_sync();
         // Install the fault injector on this rank thread. Plans are
-        // replicated per rank (config or env), so occurrence counters
-        // advance identically on every rank — injected faults stay
-        // collectively consistent.
-        let fault_guard = cfg
-            .faults
-            .clone()
-            .or_else(FaultPlan::from_env)
-            .map(|p| p.install());
+        // replicated per rank, so occurrence counters advance
+        // identically on every rank — injected faults stay collectively
+        // consistent.
+        let fault_guard = cfg.faults.as_ref().map(FaultPlan::install);
         Simulation {
             cfg,
             meshes,
@@ -419,7 +394,7 @@ impl Simulation {
         // transient external kill, not a deterministic crash bug that
         // would defeat any restart budget.
         if faults::fire(FaultKind::KillRank, || format!("rank{me}"))
-            && checkpoint::restart_count() == 0
+            && self.cfg.checkpoint.as_ref().map_or(0, |c| c.incarnation) == 0
         {
             eprintln!(
                 "exawind: kill-rank fault fired on rank {me} at step {}: aborting process",
@@ -1124,6 +1099,19 @@ mod tests {
         )
     }
 
+    /// The five fields the environment used to seed are literals now.
+    /// (That no variable can move them is the environment-read gate in
+    /// `ci.sh`, not something a test can show without `set_var`.)
+    #[test]
+    fn default_config_is_a_literal() {
+        let cfg = SolverConfig::default();
+        assert_eq!(cfg.transport, TransportKind::Inproc);
+        assert_eq!(cfg.kernels, KernelPolicy::Auto);
+        assert_eq!(cfg.checkpoint, None);
+        assert_eq!(cfg.faults, None);
+        assert!(!cfg.telemetry);
+    }
+
     #[test]
     fn uniform_inflow_box_stays_uniform() {
         // The strongest physics test: uniform flow through an empty box
@@ -1194,7 +1182,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let ck_cfg = SolverConfig {
             picard_iters: 2,
-            checkpoint: Some(CheckpointCfg { every: 2, dir: dir.clone() }),
+            checkpoint: Some(CheckpointCfg { every: 2, dir: dir.clone(), incarnation: 0 }),
             ..SolverConfig::default()
         };
         let field_bits = |sim: &Simulation| {

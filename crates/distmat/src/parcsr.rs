@@ -110,7 +110,7 @@ impl ParCsr {
         let offd = Csr::from_coo(local_rows, col_map_offd.len(), &offd_coo);
         let comm_pkg = build_comm_pkg(rank, &col_dist, &col_map_offd);
         let diag_sell = match policy::current().choose(&diag) {
-            KernelChoice::Sellcs => Some(SellCs::from_csr(&diag, policy::sigma_from_env())),
+            KernelChoice::Sellcs => Some(SellCs::from_csr(&diag, policy::DEFAULT_SIGMA)),
             KernelChoice::Csr => None,
         };
         ParCsr {

@@ -46,6 +46,34 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Equal bit for bit, except that a NaN matches any NaN. An entry
+/// several ranks contribute to is a sum, and IEEE 754 leaves which
+/// operand's payload (and sign) `NaN + NaN` propagates unspecified — the
+/// optimiser may commute the add, so a fresh assembly and a plan replay
+/// legitimately differ there in release builds. Everything that is not
+/// a NaN on both sides (−0.0 vs 0.0, a NaN against a number, one ULP)
+/// still has to match exactly.
+fn same_bits_or_both_nan(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// [`ParCsr::bitwise_eq`] with value NaNs compared by class: the
+/// distributions, both blocks' structure and `col_map_offd` exactly.
+fn same_matrix(a: &ParCsr, b: &ParCsr) -> bool {
+    let same_block = |x: &Csr, y: &Csr| {
+        x.ncols() == y.ncols()
+            && x.indptr() == y.indptr()
+            && x.indices() == y.indices()
+            && same_bits_or_both_nan(x.vals(), y.vals())
+    };
+    a.row_dist() == b.row_dist()
+        && a.col_dist() == b.col_dist()
+        && a.col_map_offd == b.col_map_offd
+        && same_block(&a.diag, &b.diag)
+        && same_block(&a.offd, &b.offd)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -114,14 +142,16 @@ proptest! {
                     let shared_vals: Vec<f64> = shared.iter().map(|&k| val_of(k)).collect();
                     let replayed =
                         plan.try_assemble(rank, &owned_vals, &shared_vals).expect("plan replays");
-                    assert!(replayed.bitwise_eq(&fresh), "p={p} round {round}: matrix differs");
+                    assert!(same_matrix(&replayed, &fresh), "p={p} round {round}: matrix differs");
                     assert_eq!(replayed.comm_pkg(), fresh.comm_pkg(), "p={p}: halo package");
                     // The replayed matrix is usable: its halo exchange
                     // and SpMV agree with the fresh one's.
                     let x = ParVector::from_fn(rank, dist.clone(), |g| 1.0 + g as f64);
-                    assert_eq!(
-                        bits(&replayed.spmv(rank, &x).local),
-                        bits(&fresh.spmv(rank, &x).local),
+                    assert!(
+                        same_bits_or_both_nan(
+                            &replayed.spmv(rank, &x).local,
+                            &fresh.spmv(rank, &x).local
+                        ),
                         "p={p} round {round}: SpMV differs"
                     );
 
@@ -132,9 +162,8 @@ proptest! {
                     let fresh = v.clone().assemble(rank);
                     let vplan = vplan.get_or_insert_with(|| VectorPlan::build(rank, &v));
                     let replayed = v.try_assemble_planned(rank, vplan).expect("plan replays");
-                    assert_eq!(
-                        bits(&replayed.local),
-                        bits(&fresh.local),
+                    assert!(
+                        same_bits_or_both_nan(&replayed.local, &fresh.local),
                         "p={p} round {round}: vector differs"
                     );
                 }

@@ -7,12 +7,10 @@
 //! `a[i] = b[i] + s·c[i]` over arrays far larger than any cache — once
 //! per host, then cache the result:
 //!
-//! 1. `EXAWIND_STREAM_GBS` env var, when set, short-circuits everything
-//!    (CI pins it so the perf-smoke gate never waits on a measurement);
-//! 2. a process-wide `OnceLock` avoids re-measuring within a process;
-//! 3. a small plain-text cache file (`EXAWIND_BASELINE_CACHE` path, or
-//!    `exawind_stream_baseline.txt` in the temp dir) avoids re-measuring
-//!    across processes on the same machine.
+//! 1. a process-wide `OnceLock` avoids re-measuring within a process;
+//! 2. a small plain-text cache file (`exawind_stream_baseline.txt` in
+//!    the temp dir) avoids re-measuring across processes on the same
+//!    machine.
 //!
 //! The measurement takes a few tens of milliseconds; best-of-3 after a
 //! warm-up pass filters scheduler noise, `std::hint::black_box` keeps
@@ -20,11 +18,6 @@
 
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Env var that pins the baseline without measuring (GB/s as a float).
-pub const ENV_VAR: &str = "EXAWIND_STREAM_GBS";
-/// Env var naming the cross-process cache file.
-pub const CACHE_ENV_VAR: &str = "EXAWIND_BASELINE_CACHE";
 
 /// Triad array length: 4 Mi doubles × 3 arrays = 96 MiB, far beyond L3.
 const N: usize = 1 << 22;
@@ -64,10 +57,7 @@ pub fn measure_stream_gbs() -> f64 {
 }
 
 fn cache_path() -> std::path::PathBuf {
-    match std::env::var(CACHE_ENV_VAR) {
-        Ok(p) if !p.is_empty() => std::path::PathBuf::from(p),
-        _ => std::env::temp_dir().join("exawind_stream_baseline.txt"),
-    }
+    std::env::temp_dir().join("exawind_stream_baseline.txt")
 }
 
 fn read_cache() -> Option<f64> {
@@ -76,13 +66,6 @@ fn read_cache() -> Option<f64> {
 }
 
 fn resolve() -> HostBaseline {
-    if let Ok(v) = std::env::var(ENV_VAR) {
-        if let Ok(gbs) = v.trim().parse::<f64>() {
-            if gbs.is_finite() && gbs > 0.0 {
-                return HostBaseline { stream_gbs: gbs };
-            }
-        }
-    }
     if let Some(gbs) = read_cache() {
         return HostBaseline { stream_gbs: gbs };
     }
@@ -93,8 +76,8 @@ fn resolve() -> HostBaseline {
     HostBaseline { stream_gbs: gbs }
 }
 
-/// The host baseline, resolved once per process (env override → disk
-/// cache → measurement, in that order).
+/// The host baseline, resolved once per process (disk cache, else
+/// measurement).
 pub fn host_baseline() -> HostBaseline {
     static BASELINE: OnceLock<HostBaseline> = OnceLock::new();
     *BASELINE.get_or_init(resolve)
@@ -115,7 +98,7 @@ mod tests {
 
     #[test]
     fn host_baseline_is_stable_within_a_process() {
-        // Whatever source resolves first (env, cache, or measurement),
+        // Whichever source resolves first (cache or measurement),
         // repeated calls must return the identical value.
         let a = host_baseline();
         let b = host_baseline();

@@ -3,8 +3,8 @@
 //! `Rank` owns everything transport-*independent*: typed send/receive,
 //! per-(src, tag) FIFO matching with a pending queue, tag allocation,
 //! and perf recording. The actual movement of bytes is delegated to a
-//! [`Transport`] backend — in-process channels by default, TCP sockets
-//! when `EXAWIND_TRANSPORT=socket` (see `transport.rs`/`socket.rs`).
+//! [`Transport`] backend — in-process channels or TCP sockets (see
+//! `transport.rs`/`socket.rs`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crate::message::{encode_payload, Message};
 use crate::perf::{KernelKind, PerfRecorder, PhaseTrace, TagClass};
-use crate::socket;
+use crate::socket::{self, WorkerEnv};
 use crate::transport::{
     Envelope, Payload, RecvEvent, RecvTimeout, Transport, TransportKind, WireFrame,
 };
@@ -35,17 +35,7 @@ fn comm_clock() -> Option<Instant> {
 }
 
 /// How long a blocking receive waits before declaring a deadlock.
-/// Override with the `PARCOMM_TIMEOUT_SECS` environment variable.
-pub(crate) fn recv_timeout() -> Duration {
-    static SECS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    let secs = SECS.get_or_init(|| {
-        std::env::var("PARCOMM_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120)
-    });
-    Duration::from_secs(*secs)
-}
+pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Typed failure of a point-to-point receive, for callers that prefer a
 /// recoverable error over the default deadlock/type-confusion panic.
@@ -96,19 +86,14 @@ impl std::error::Error for CommError {}
 /// A group of simulated MPI ranks.
 ///
 /// [`Comm::run`] spawns one thread per rank, hands each a [`Rank`] handle,
-/// and collects the per-rank results in rank order. The transport behind
-/// the ranks comes from `EXAWIND_TRANSPORT` (see [`TransportKind`]);
-/// [`Comm::run_with`] pins it programmatically.
+/// and collects the per-rank results in rank order, over in-process
+/// channels; [`Comm::run_with`] picks the transport, and
+/// [`Comm::run_worker`] hosts one rank of a multi-process job.
 pub struct Comm;
 
 impl Comm {
-    /// Run `f` on `size` ranks over the environment-selected transport
-    /// and return each rank's result, indexed by rank.
-    ///
-    /// Inside a multi-process socket worker (`EXAWIND_RANK` set, as
-    /// arranged by `exawind-launch`) only this process's rank runs
-    /// locally and the returned vector holds that single result — see
-    /// [`Comm::worker_rank`].
+    /// Run `f` on `size` ranks over the in-process transport and return
+    /// each rank's result, indexed by rank.
     ///
     /// # Panics
     ///
@@ -118,10 +103,11 @@ impl Comm {
         R: Send,
         F: Fn(&Rank) -> R + Sync,
     {
-        Self::run_with(TransportKind::from_env(), size, f)
+        Self::run_with(TransportKind::Inproc, size, f)
     }
 
-    /// [`Comm::run`] over an explicit transport backend.
+    /// [`Comm::run`] over an explicit transport backend; every rank is
+    /// a thread of this process on either.
     pub fn run_with<R, F>(kind: TransportKind, size: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -130,27 +116,15 @@ impl Comm {
         assert!(size > 0, "communicator must have at least one rank");
         match kind {
             TransportKind::Inproc => Self::run_inproc(size, f),
-            TransportKind::Socket => match socket::WorkerEnv::detect() {
-                Some(env) => vec![socket::run_worker(env, size, f)],
-                None => socket::run_threads(size, f),
-            },
+            TransportKind::Socket => socket::run_threads(size, f),
         }
     }
 
-    /// In a multi-process socket worker, the rank this process hosts.
-    /// `None` under in-process transports (all ranks local).
-    pub fn worker_rank() -> Option<usize> {
-        socket::WorkerEnv::detect().map(|e| e.rank)
-    }
-
-    /// Rank count for a driver program: `EXAWIND_SIZE` (exported by
-    /// `exawind-launch`) when set, else `default`. Lets the same binary
-    /// run unmodified under the launcher at any rank count.
-    pub fn env_size(default: usize) -> usize {
-        std::env::var(socket::SIZE_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Run `f` on the one rank this process hosts of the multi-process
+    /// socket job `env` describes (as arranged by `exawind-launch`) and
+    /// return that rank's result.
+    pub fn run_worker<R>(env: &WorkerEnv, f: impl FnOnce(&Rank) -> R) -> R {
+        socket::run_worker(env, f)
     }
 
     fn run_inproc<R, F>(size: usize, f: F) -> Vec<R>
@@ -399,7 +373,7 @@ impl Rank {
             // pending message above costs no wait, and decode time is
             // accounted separately as transfer time in `extract`.
             let clock = comm_clock();
-            let event = self.transport.recv_next(recv_timeout());
+            let event = self.transport.recv_next(RECV_TIMEOUT);
             if let Some(t0) = clock {
                 self.perf.borrow_mut().comm_wait(t0.elapsed().as_secs_f64());
             }

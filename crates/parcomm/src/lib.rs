@@ -11,11 +11,11 @@
 //!   would have moved, so the communication *volume* seen by the
 //!   `machine` performance model is identical to a real distributed run
 //!   at the same rank count.
-//! * **socket** (`EXAWIND_TRANSPORT=socket`): ranks are connected by a
-//!   full mesh of TCP streams carrying length-prefixed frames with a
-//!   bit-exact payload codec, either as threads over loopback or as one
-//!   OS process per rank under the `exawind-launch` launcher. The same
-//!   program produces bitwise-identical results on both backends.
+//! * **socket**: ranks are connected by a full mesh of TCP streams
+//!   carrying length-prefixed frames with a bit-exact payload codec,
+//!   either as threads over loopback or as one OS process per rank
+//!   under the `exawind-launch` launcher. The same program produces
+//!   bitwise-identical results on both backends.
 //!
 //! # Example
 //!
@@ -39,10 +39,10 @@ mod transport;
 pub use clock::{ClockSync, CLOCK_PROBES};
 pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
-pub use monitor::{Heartbeat, MonitorClient, MonitorServer, MONITOR_ENV};
+pub use monitor::{Heartbeat, MonitorClient, MonitorServer};
 pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
-pub use socket::{HOSTFILE_ENV, RANK_ENV, RENDEZVOUS_ENV, SIZE_ENV};
+pub use socket::{WireUp, WorkerEnv};
 pub use transport::{
     read_frame, send_frame, write_frame, Frame, FrameError, FrameKind, TransportKind,
-    MAX_FRAME_BYTES, TRANSPORT_ENV,
+    MAX_FRAME_BYTES,
 };

@@ -18,10 +18,6 @@ use std::time::Duration;
 use crate::message::{decode_payload, encode_payload, Message};
 use crate::transport::{read_frame, send_frame, Frame, FrameError, FrameKind};
 
-/// Environment variable carrying the launcher's monitor address
-/// (`host:port`), exported to workers by `exawind-launch`.
-pub const MONITOR_ENV: &str = "EXAWIND_MONITOR";
-
 /// Number of `u64` words in a heartbeat payload.
 const HEARTBEAT_WORDS: usize = 10;
 
@@ -130,23 +126,14 @@ pub struct MonitorClient {
 }
 
 impl MonitorClient {
-    /// Dial the launcher's monitor endpoint named by [`MONITOR_ENV`].
-    /// Returns a disconnected (no-op) client when the variable is unset
-    /// or the dial fails.
-    pub fn from_env() -> MonitorClient {
-        let Ok(addr) = std::env::var(MONITOR_ENV) else {
-            return MonitorClient { stream: None };
-        };
-        MonitorClient { stream: Self::dial(&addr) }
+    /// Dial the launcher's monitor endpoint. Returns a disconnected
+    /// (no-op) client when there is none (`None`: not launched under a
+    /// monitor) or the dial fails.
+    pub fn connect(addr: Option<SocketAddr>) -> MonitorClient {
+        MonitorClient { stream: addr.and_then(Self::dial) }
     }
 
-    /// Dial an explicit `host:port` address (used by tests).
-    pub fn connect(addr: &str) -> MonitorClient {
-        MonitorClient { stream: Self::dial(addr) }
-    }
-
-    fn dial(addr: &str) -> Option<TcpStream> {
-        let addr: SocketAddr = addr.parse().ok()?;
+    fn dial(addr: SocketAddr) -> Option<TcpStream> {
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
         stream.set_nodelay(true).ok();
         // A stuck launcher must not wedge the worker inside `send`.
@@ -174,7 +161,7 @@ impl MonitorClient {
 /// connections on a loopback listener and funnels their heartbeats into
 /// one queue, drained non-blockingly by the launcher's poll loop.
 pub struct MonitorServer {
-    addr: String,
+    addr: SocketAddr,
     rx: Receiver<Heartbeat>,
 }
 
@@ -182,7 +169,7 @@ impl MonitorServer {
     /// Bind on an ephemeral loopback port and start the accept thread.
     pub fn bind() -> std::io::Result<MonitorServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?.to_string();
+        let addr = listener.local_addr()?;
         let (tx, rx) = channel();
         // Accept/reader threads are detached: they block on I/O with no
         // shutdown signal and die with the launcher process. Sends onto a
@@ -212,9 +199,9 @@ impl MonitorServer {
         Ok(MonitorServer { addr, rx })
     }
 
-    /// Address workers should dial (the [`MONITOR_ENV`] value).
-    pub fn addr(&self) -> &str {
-        &self.addr
+    /// Address workers should dial.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
     /// Drain every heartbeat received since the last poll, in arrival
@@ -298,8 +285,8 @@ mod tests {
     #[test]
     fn server_receives_from_multiple_clients() {
         let server = MonitorServer::bind().unwrap();
-        let mut c0 = MonitorClient::connect(server.addr());
-        let mut c1 = MonitorClient::connect(server.addr());
+        let mut c0 = MonitorClient::connect(Some(server.addr()));
+        let mut c1 = MonitorClient::connect(Some(server.addr()));
         assert!(c0.is_connected() && c1.is_connected());
         c0.send(&hb(0, 1));
         c1.send(&hb(1, 1));
@@ -315,10 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn client_without_env_is_noop() {
-        // MONITOR_ENV deliberately unset in the test environment.
-        std::env::remove_var(MONITOR_ENV);
-        let mut c = MonitorClient::from_env();
+    fn client_without_address_is_noop() {
+        let mut c = MonitorClient::connect(None);
         assert!(!c.is_connected());
         c.send(&hb(0, 1)); // must not panic
     }

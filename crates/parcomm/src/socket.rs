@@ -8,11 +8,11 @@
 //!   stream through the full encode → frame → decode path, so in-test
 //!   runs exercise exactly the bytes a distributed run would move.
 //! * **Worker process** ([`run_worker`]): this process hosts *one* rank
-//!   of an N-process job launched by `exawind-launch`. The launcher sets
-//!   `EXAWIND_RANK`/`EXAWIND_SIZE` plus either a rendezvous file path
-//!   (`EXAWIND_RENDEZVOUS`, ephemeral loopback ports coordinated through
-//!   rank 0) or an explicit host file (`EXAWIND_HOSTFILE`, one
-//!   `host:port` per rank — this is what names remote endpoints).
+//!   of an N-process job launched by `exawind-launch`, described by a
+//!   [`WorkerEnv`]: rank, size and either a rendezvous file path
+//!   (ephemeral loopback ports coordinated through rank 0) or an
+//!   explicit host file (one `host:port` per rank — this is what names
+//!   remote endpoints).
 //!
 //! Mesh convention everywhere: rank *i* dials every rank *j < i* and
 //! accepts from every *j > i*; every listener is bound before any dial
@@ -38,61 +38,32 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::comm::{recv_timeout, Rank, Tag};
+use crate::comm::{Rank, Tag, RECV_TIMEOUT};
 use crate::transport::{
     read_frame, send_frame, Envelope, Frame, FrameKind, Payload, RecvEvent, RecvTimeout,
     Transport, WireFrame,
 };
 
-/// This process's rank in a multi-process job (set by `exawind-launch`).
-pub const RANK_ENV: &str = "EXAWIND_RANK";
-/// Total rank count of a multi-process job (set by `exawind-launch`).
-pub const SIZE_ENV: &str = "EXAWIND_SIZE";
-/// Path of the rendezvous file through which rank 0 publishes its
-/// registration endpoint (loopback jobs with ephemeral ports).
-pub const RENDEZVOUS_ENV: &str = "EXAWIND_RENDEZVOUS";
-/// Path of a host file naming every rank's `host:port` endpoint
-/// explicitly (fixed ports; how remote machines are named).
-pub const HOSTFILE_ENV: &str = "EXAWIND_HOSTFILE";
-
-/// The launcher-provided identity of a worker process.
-pub(crate) struct WorkerEnv {
-    pub rank: usize,
-    pub size: usize,
-    rendezvous: Option<PathBuf>,
-    hostfile: Option<PathBuf>,
+/// How a worker process finds its peers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WireUp {
+    /// Path of the rendezvous file through which rank 0 publishes its
+    /// registration endpoint (loopback jobs with ephemeral ports).
+    Rendezvous(PathBuf),
+    /// Path of a host file naming every rank's `host:port` endpoint
+    /// explicitly (fixed ports; how remote machines are named).
+    Hostfile(PathBuf),
 }
 
-impl WorkerEnv {
-    /// `Some` iff this process is a rank of a multi-process job
-    /// (`EXAWIND_RANK` is set).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a half-configured environment (rank without size, or
-    /// values that do not parse): running such a job as if it were
-    /// standalone would silently duplicate every rank's work.
-    pub fn detect() -> Option<WorkerEnv> {
-        let rank_var = std::env::var(RANK_ENV).ok().filter(|v| !v.is_empty())?;
-        let rank: usize = rank_var
-            .parse()
-            .unwrap_or_else(|_| panic!("{RANK_ENV}={rank_var:?} is not a rank index"));
-        let size: usize = match std::env::var(SIZE_ENV) {
-            Ok(v) => v
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| panic!("{SIZE_ENV}={v:?} is not a positive rank count")),
-            Err(_) => panic!("{RANK_ENV} is set but {SIZE_ENV} is not"),
-        };
-        assert!(rank < size, "{RANK_ENV}={rank} out of range for {SIZE_ENV}={size}");
-        Some(WorkerEnv {
-            rank,
-            size,
-            rendezvous: std::env::var(RENDEZVOUS_ENV).ok().map(PathBuf::from),
-            hostfile: std::env::var(HOSTFILE_ENV).ok().map(PathBuf::from),
-        })
-    }
+/// The launcher-provided identity of a worker process: one rank of a
+/// `size`-process job. Built by the binary's environment parser and
+/// handed to [`crate::Comm::run_worker`]; `rank < size` is the
+/// builder's obligation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WorkerEnv {
+    pub rank: usize,
+    pub size: usize,
+    pub wireup: WireUp,
 }
 
 /// Run all `size` ranks as threads of this process, connected by a
@@ -137,20 +108,11 @@ where
 
 /// Run the single rank this worker process hosts; `f`'s result for the
 /// local rank is the only result available in-process.
-pub(crate) fn run_worker<R, F>(env: WorkerEnv, size: usize, f: F) -> R
-where
-    R: Send,
-    F: Fn(&Rank) -> R + Sync,
-{
-    assert_eq!(
-        size, env.size,
-        "program asked for {size} ranks but the launcher set {SIZE_ENV}={}",
-        env.size
-    );
-    let streams = match (&env.hostfile, &env.rendezvous) {
-        (Some(hf), _) => hostfile_streams(env.rank, env.size, hf),
-        (None, Some(rv)) => rendezvous_streams(env.rank, env.size, rv),
-        (None, None) => panic!("socket worker needs {RENDEZVOUS_ENV} or {HOSTFILE_ENV}"),
+pub(crate) fn run_worker<R>(env: &WorkerEnv, f: impl FnOnce(&Rank) -> R) -> R {
+    assert!(env.rank < env.size, "rank {} out of range for {} ranks", env.rank, env.size);
+    let streams = match &env.wireup {
+        WireUp::Hostfile(hf) => hostfile_streams(env.rank, env.size, hf),
+        WireUp::Rendezvous(rv) => rendezvous_streams(env.rank, env.size, rv),
     };
     let rank = Rank::new(Box::new(SocketTransport::new(env.rank, env.size, streams)));
     let out = f(&rank);
@@ -174,7 +136,7 @@ fn dial(addr: SocketAddr) -> TcpStream {
 /// supervised cohort may be relaunching — so a peer's listener may not
 /// exist yet, possibly for a while.
 fn dial_retry(addr: SocketAddr) -> TcpStream {
-    let deadline = Instant::now() + recv_timeout();
+    let deadline = Instant::now() + RECV_TIMEOUT;
     let mut backoff = Duration::from_millis(10);
     loop {
         match TcpStream::connect(addr) {
@@ -185,7 +147,7 @@ fn dial_retry(addr: SocketAddr) -> TcpStream {
             Err(e) => {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
-                    panic!("dial {addr}: {e} (gave up after {:?})", recv_timeout());
+                    panic!("dial {addr}: {e} (gave up after {:?})", RECV_TIMEOUT);
                 }
                 std::thread::sleep(backoff.min(left));
                 backoff = (backoff * 2).min(Duration::from_millis(500));
@@ -200,7 +162,7 @@ fn dial_retry(addr: SocketAddr) -> TcpStream {
 /// flipped to non-blocking and polled with exponential backoff; both
 /// the listener and the accepted stream are returned to blocking mode.
 fn accept_timeout(listener: &TcpListener, me: usize) -> TcpStream {
-    let deadline = Instant::now() + recv_timeout();
+    let deadline = Instant::now() + RECV_TIMEOUT;
     listener.set_nonblocking(true).expect("listener nonblocking");
     let mut backoff = Duration::from_millis(1);
     let stream = loop {
@@ -211,7 +173,7 @@ fn accept_timeout(listener: &TcpListener, me: usize) -> TcpStream {
                 if left.is_zero() {
                     panic!(
                         "rank {me}: mesh accept timed out after {:?} — a peer died before dialing",
-                        recv_timeout()
+                        RECV_TIMEOUT
                     );
                 }
                 std::thread::sleep(backoff.min(left));
@@ -361,7 +323,7 @@ fn rendezvous_streams(me: usize, size: usize, path: &Path) -> Vec<Option<TcpStre
 
 /// Poll for rank 0's published address until the deadlock timeout.
 fn poll_rendezvous(path: &Path) -> SocketAddr {
-    let deadline = Instant::now() + recv_timeout();
+    let deadline = Instant::now() + RECV_TIMEOUT;
     loop {
         if let Ok(text) = std::fs::read_to_string(path) {
             if let Ok(addr) = text.trim().parse() {
@@ -372,7 +334,7 @@ fn poll_rendezvous(path: &Path) -> SocketAddr {
             panic!(
                 "rendezvous file {} did not appear within {:?}",
                 path.display(),
-                recv_timeout()
+                RECV_TIMEOUT
             );
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -494,7 +456,7 @@ impl SocketTransport {
     }
 
     fn recv_barrier(&self, gen: Tag) {
-        let (src, g) = self.barrier_rx.recv_timeout(recv_timeout()).unwrap_or_else(|_| {
+        let (src, g) = self.barrier_rx.recv_timeout(RECV_TIMEOUT).unwrap_or_else(|_| {
             panic!("rank {}: barrier generation {gen} timed out — likely deadlock", self.rank)
         });
         // Bulk-synchronous call order + per-peer FIFO make a mismatch
@@ -659,11 +621,5 @@ mod tests {
         let eps = parse_hostfile(text, 2).unwrap();
         assert_eq!(eps, vec!["127.0.0.1:9000", "127.0.0.1:9001"]);
         assert!(parse_hostfile(text, 4).is_err());
-    }
-
-    #[test]
-    fn worker_env_absent_without_rank_var() {
-        // The test runner does not set EXAWIND_RANK.
-        assert!(WorkerEnv::detect().is_none());
     }
 }

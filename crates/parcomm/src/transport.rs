@@ -14,8 +14,7 @@
 //!   (`Comm::run_with(TransportKind::Socket, ..)`) or as N OS *processes*
 //!   (one rank each, launched by `exawind-launch`; see `socket.rs`).
 //!
-//! Select with the `EXAWIND_TRANSPORT` environment variable
-//! (`inproc` | `socket`); the same solver code runs unmodified on both.
+//! The same solver code runs unmodified on both.
 
 use std::any::Any;
 use std::io::{Read, Write};
@@ -23,7 +22,7 @@ use std::time::Duration;
 
 use crate::comm::Tag;
 
-/// Which transport backend [`crate::Comm::run`] uses.
+/// Which transport backend [`crate::Comm::run_with`] uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// Threads + channels inside one process (the default).
@@ -33,11 +32,8 @@ pub enum TransportKind {
     Socket,
 }
 
-/// Environment variable selecting the transport backend.
-pub const TRANSPORT_ENV: &str = "EXAWIND_TRANSPORT";
-
 impl TransportKind {
-    /// Parse a backend name (the `EXAWIND_TRANSPORT` values).
+    /// Parse a backend name (`inproc` | `socket`).
     pub fn parse(s: &str) -> Result<TransportKind, String> {
         match s.trim() {
             "inproc" => Ok(TransportKind::Inproc),
@@ -45,23 +41,6 @@ impl TransportKind {
             other => Err(format!(
                 "unknown transport {other:?} (expected \"inproc\" or \"socket\")"
             )),
-        }
-    }
-
-    /// The backend selected by `EXAWIND_TRANSPORT`, defaulting to
-    /// [`TransportKind::Inproc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value: a typo'd transport silently
-    /// falling back to threads would defeat the point of asking for a
-    /// distributed run.
-    pub fn from_env() -> TransportKind {
-        match std::env::var(TRANSPORT_ENV) {
-            Ok(v) if !v.is_empty() => {
-                TransportKind::parse(&v).unwrap_or_else(|e| panic!("{TRANSPORT_ENV}: {e}"))
-            }
-            _ => TransportKind::Inproc,
         }
     }
 

@@ -52,19 +52,6 @@ use std::path::{Path, PathBuf};
 
 use parcomm::{Message, WireCursor};
 
-/// Environment variable: checkpoint every N steps (0/unset = disabled).
-pub const ENV_EVERY: &str = "EXAWIND_CHECKPOINT_EVERY";
-/// Environment variable: directory holding checkpoint files + manifest.
-pub const ENV_DIR: &str = "EXAWIND_CHECKPOINT_DIR";
-/// Environment variable: set to `1` by the supervisor to request that a
-/// worker resume from the newest complete generation (if any).
-pub const ENV_RESUME: &str = "EXAWIND_RESUME";
-/// Environment variable: incarnation count of a supervised cohort
-/// (0/unset = first launch). `kill-rank` faults only fire in the first
-/// incarnation, modelling a transient external kill rather than a
-/// deterministic crash bug that would defeat any restart budget.
-pub const ENV_RESTART_COUNT: &str = "EXAWIND_RESTART_COUNT";
-
 /// Newest complete generations kept on disk (older ones are pruned).
 pub const KEEP_GENERATIONS: usize = 2;
 
@@ -487,17 +474,6 @@ pub fn publish_generation(
         }
     }
     Ok(m)
-}
-
-/// Whether the environment requests a resume ([`ENV_RESUME`] = `1`).
-pub fn resume_requested() -> bool {
-    std::env::var(ENV_RESUME).is_ok_and(|v| v == "1")
-}
-
-/// Incarnation count of a supervised cohort ([`ENV_RESTART_COUNT`]),
-/// 0 when unset. `kill-rank` faults are suppressed past incarnation 0.
-pub fn restart_count() -> u64 {
-    std::env::var(ENV_RESTART_COUNT).ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] is a list of [`FaultSpec`]s parsed from the
-//! `EXAWIND_FAULTS` environment variable (or set programmatically via
-//! `SolverConfig::faults`). Each spec names a [`FaultKind`], a context
+//! A [`FaultPlan`] is a list of [`FaultSpec`]s parsed from a plan
+//! string and handed to the solver as `SolverConfig::faults`. Each spec
+//! names a [`FaultKind`], a context
 //! substring matched against the rank's current phase label, and the
 //! occurrence window in which it fires.
 //!
@@ -21,7 +21,7 @@
 //! # Grammar
 //!
 //! ```text
-//! EXAWIND_FAULTS="spec(;spec)*"
+//! plan  = spec (';' spec)*
 //! spec  = kind '@' ctx [ ':' at [ 'x' count ] ]
 //! kind  = 'assembly-nan' | 'halo-nan' | 'coarsen-stall' | 'socket-drop'
 //!       | 'kill-rank'
@@ -71,9 +71,6 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-
-/// Environment variable holding the fault plan.
-pub const ENV_VAR: &str = "EXAWIND_FAULTS";
 
 /// What kind of corruption a spec injects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,21 +225,6 @@ impl FaultPlan {
         Ok(FaultPlan { specs })
     }
 
-    /// The plan from [`ENV_VAR`], if set and non-empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed plan string: a typo'd fault plan silently
-    /// doing nothing would defeat the point of injecting faults.
-    pub fn from_env() -> Option<FaultPlan> {
-        match std::env::var(ENV_VAR) {
-            Ok(v) if !v.is_empty() => Some(
-                FaultPlan::parse(&v).unwrap_or_else(|e| panic!("{ENV_VAR}: {e}")),
-            ),
-            _ => None,
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
@@ -374,7 +356,7 @@ pub fn counters() -> Vec<(u64, u64)> {
 /// Restore occurrence counters captured by [`counters`] into the
 /// injector installed on this thread. Errors when the snapshot's rule
 /// count does not match the installed plan (the restart must run under
-/// the same `EXAWIND_FAULTS` plan that was checkpointed); restoring an
+/// the same fault plan that was checkpointed); restoring an
 /// empty snapshot into an unarmed thread is a no-op.
 pub fn restore_counters(snapshot: &[(u64, u64)]) -> Result<(), String> {
     CURRENT.with(|c| {

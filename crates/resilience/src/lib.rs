@@ -21,8 +21,8 @@
 //!   generations, so a killed process resumes bit-for-bit where the last
 //!   finished generation left off.
 //! - [`faults`] — a seeded, deterministic fault-injection harness
-//!   ([`FaultPlan`], enabled via the `EXAWIND_FAULTS` environment
-//!   variable or `SolverConfig::faults`; a no-op by default) that can
+//!   ([`FaultPlan`], enabled via `SolverConfig::faults`; a no-op by
+//!   default) that can
 //!   corrupt COO triples at global assembly, flip halo payloads to NaN,
 //!   and force AMG coarsening stagnation. Faults fire on the rank
 //!   thread only (never inside rayon workers), so recovery behaviour is

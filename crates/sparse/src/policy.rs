@@ -7,12 +7,10 @@
 //! almost nothing, irregular rows pad a lot. [`KernelPolicy::Auto`]
 //! decides per matrix from the row-length coefficient of variation.
 //!
-//! Selection sources, highest priority first:
-//! 1. a thread-local override installed via [`install`] (the solver
-//!    plumbs `SolverConfig::kernels` through this so tests never race on
-//!    process-global env vars),
-//! 2. the `EXAWIND_KERNELS` environment variable (`auto|csr|sellcs`),
-//! 3. the default, [`KernelPolicy::Auto`].
+//! The active policy is thread-local: [`install`] is its only source
+//! (the solver plumbs `SolverConfig::kernels` through it on each rank
+//! thread), and a thread that never installed one runs
+//! [`KernelPolicy::Auto`].
 
 use std::cell::Cell;
 
@@ -48,22 +46,13 @@ const AUTO_MIN_ROWS: usize = 64;
 const AUTO_MAX_CV: f64 = 0.5;
 
 impl KernelPolicy {
-    /// Parse a policy name as accepted by `EXAWIND_KERNELS`.
+    /// Parse a policy name (`auto|csr|sellcs`).
     pub fn parse(s: &str) -> Option<KernelPolicy> {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(KernelPolicy::Auto),
             "csr" => Some(KernelPolicy::Csr),
             "sellcs" | "sell-c-sigma" => Some(KernelPolicy::Sellcs),
             _ => None,
-        }
-    }
-
-    /// Policy from `EXAWIND_KERNELS`, defaulting to `Auto`. Unknown
-    /// values fall back to `Auto` rather than aborting mid-solve.
-    pub fn from_env() -> KernelPolicy {
-        match std::env::var("EXAWIND_KERNELS") {
-            Ok(v) if !v.is_empty() => KernelPolicy::parse(&v).unwrap_or(KernelPolicy::Auto),
-            _ => KernelPolicy::Auto,
         }
     }
 
@@ -108,35 +97,23 @@ impl KernelPolicy {
     }
 }
 
-/// Default SELL-C-σ sort scope when `EXAWIND_SELLCS_SIGMA` is unset.
+/// σ (row-sorting window, in rows) of every SELL-C-σ conversion the
+/// solver performs; a multiple of the chunk height.
 pub const DEFAULT_SIGMA: usize = 256;
 
-/// σ (row-sorting window, in rows) for SELL-C-σ conversion:
-/// `EXAWIND_SELLCS_SIGMA` rounded up to a multiple of the chunk height,
-/// defaulting to [`DEFAULT_SIGMA`].
-pub fn sigma_from_env() -> usize {
-    let raw = std::env::var("EXAWIND_SELLCS_SIGMA")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_SIGMA);
-    crate::sellcs::round_sigma(raw)
-}
-
 thread_local! {
-    /// Per-thread policy override; see the module docs for precedence.
-    static OVERRIDE: Cell<Option<KernelPolicy>> = const { Cell::new(None) };
+    static CURRENT: Cell<KernelPolicy> = const { Cell::new(KernelPolicy::Auto) };
 }
 
-/// Install a policy override on the current thread (rank threads call
-/// this with `SolverConfig::kernels` before building any matrices).
+/// Install a policy on the current thread (rank threads call this with
+/// `SolverConfig::kernels` before building any matrices).
 pub fn install(p: KernelPolicy) {
-    OVERRIDE.with(|c| c.set(Some(p)));
+    CURRENT.with(|c| c.set(p));
 }
 
-/// The active policy on this thread: the installed override if any,
-/// otherwise the environment selection.
+/// The active policy on this thread: the installed one, else `Auto`.
 pub fn current() -> KernelPolicy {
-    OVERRIDE.with(|c| c.get()).unwrap_or_else(KernelPolicy::from_env)
+    CURRENT.with(|c| c.get())
 }
 
 #[cfg(test)]
@@ -180,13 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_override_wins_and_is_scoped() {
+    fn installed_policy_is_thread_scoped() {
         install(KernelPolicy::Sellcs);
         assert_eq!(current(), KernelPolicy::Sellcs);
         install(KernelPolicy::Csr);
         assert_eq!(current(), KernelPolicy::Csr);
-        let other = std::thread::spawn(|| current() == KernelPolicy::from_env());
-        assert!(other.join().unwrap(), "override leaked across threads");
+        let other = std::thread::spawn(|| current() == KernelPolicy::Auto);
+        assert!(other.join().unwrap(), "installed policy leaked across threads");
         install(KernelPolicy::Auto);
     }
 }

@@ -27,9 +27,7 @@
 //! proven by `tests/determinism.rs` not to perturb converged results by a
 //! single bit.
 //!
-//! Enable via the `EXAWIND_TELEMETRY=<path>` environment variable (the
-//! path also names the JSONL export file) or the `SolverConfig::telemetry`
-//! flag.
+//! Enable via the `SolverConfig::telemetry` flag.
 
 pub mod event;
 pub mod health;
@@ -48,18 +46,6 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
-
-/// Environment variable that enables telemetry and names the JSONL
-/// export path.
-pub const ENV_VAR: &str = "EXAWIND_TELEMETRY";
-
-/// The export path from [`ENV_VAR`], if set and non-empty.
-pub fn env_path() -> Option<String> {
-    match std::env::var(ENV_VAR) {
-        Ok(v) if !v.is_empty() => Some(v),
-        _ => None,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Recorder
@@ -118,15 +104,6 @@ impl Telemetry {
                 counters: BTreeMap::new(),
                 hists: BTreeMap::new(),
             }))),
-        }
-    }
-
-    /// Enabled iff [`ENV_VAR`] is set (to the export path).
-    pub fn from_env(rank: usize) -> Telemetry {
-        if env_path().is_some() {
-            Telemetry::enabled(rank)
-        } else {
-            Telemetry::disabled()
         }
     }
 

@@ -19,7 +19,6 @@ use std::fmt::Write as _;
 
 use crate::event::{AmgLevelRow, Event};
 use crate::histogram::{LogHistogram, UNDERFLOW_BUCKET};
-use crate::json::Json;
 use crate::trace::StepPath;
 
 /// Aggregated GMRES statistics for one equation system.
@@ -1083,268 +1082,6 @@ impl Report {
              zero-guess smoothing rounds {zg}"
         ))
     }
-
-    /// The report as a JSON object (machine-readable form of the ASCII
-    /// rendering).
-    pub fn to_json(&self) -> Json {
-        let mut eq_objs: Vec<Json> = Vec::new();
-        for eq in self.equations() {
-            let phases: Vec<Json> = self
-                .phases
-                .iter()
-                .map(|ph| {
-                    Json::obj(vec![
-                        ("phase", Json::Str(ph.clone())),
-                        (
-                            "secs",
-                            Json::Float(
-                                self.phase_secs
-                                    .get(&(eq.clone(), ph.clone()))
-                                    .copied()
-                                    .unwrap_or(0.0),
-                            ),
-                        ),
-                    ])
-                })
-                .collect();
-            eq_objs.push(Json::obj(vec![
-                ("equation", Json::Str(eq.clone())),
-                ("total_secs", Json::Float(self.eq_total(&eq))),
-                ("phases", Json::Arr(phases)),
-            ]));
-        }
-        let amg: Vec<Json> = self
-            .amg
-            .iter()
-            .map(|(eq, a)| {
-                Json::obj(vec![
-                    ("equation", Json::Str(eq.clone())),
-                    ("setups", Json::Int(a.setups as i128)),
-                    ("grid_complexity", Json::Float(a.grid_complexity)),
-                    ("operator_complexity", Json::Float(a.operator_complexity)),
-                    (
-                        "levels",
-                        Json::Arr(
-                            a.levels
-                                .iter()
-                                .map(|l| {
-                                    Json::obj(vec![
-                                        ("level", Json::Int(l.level as i128)),
-                                        ("rows", Json::Int(l.rows as i128)),
-                                        ("nnz", Json::Int(l.nnz as i128)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let gmres: Vec<Json> = self
-            .gmres
-            .iter()
-            .map(|(eq, s)| {
-                Json::obj(vec![
-                    ("equation", Json::Str(eq.clone())),
-                    ("solves", Json::Int(s.solves as i128)),
-                    ("total_iters", Json::Int(s.total_iters as i128)),
-                    ("min_iters", Json::Int(s.min_iters as i128)),
-                    ("max_iters", Json::Int(s.max_iters as i128)),
-                    ("converged", Json::Int(s.converged as i128)),
-                    ("last_final_rel", Json::Float(s.last_final_rel)),
-                ])
-            })
-            .collect();
-        let recoveries: Vec<Json> = self
-            .recoveries
-            .iter()
-            .map(|((eq, fault), s)| {
-                Json::obj(vec![
-                    ("equation", Json::Str(eq.clone())),
-                    ("fault", Json::Str(fault.clone())),
-                    ("attempts", Json::Int(s.attempts as i128)),
-                    ("recovered", Json::Int(s.recovered as i128)),
-                    ("failed", Json::Int(s.failed as i128)),
-                    (
-                        "escalation",
-                        Json::Arr(s.actions.iter().map(|a| Json::Str(a.clone())).collect()),
-                    ),
-                    ("last_outcome", Json::Str(s.last_outcome.clone())),
-                ])
-            })
-            .collect();
-        let kernels: Vec<Json> = self
-            .kernels
-            .iter()
-            .map(|(name, k)| {
-                Json::obj(vec![
-                    ("kernel", Json::Str(name.clone())),
-                    ("calls", Json::Int(k.calls as i128)),
-                    ("secs", Json::Float(k.secs)),
-                    ("bytes", Json::Int(k.bytes as i128)),
-                    ("flops", Json::Int(k.flops as i128)),
-                    ("dofs", Json::Int(k.dofs as i128)),
-                    ("gb_per_s", Json::Float(k.gb_per_s())),
-                    ("gflop_per_s", Json::Float(k.gflop_per_s())),
-                    ("mdof_per_s", Json::Float(k.mdof_per_s())),
-                ])
-            })
-            .collect();
-        let comm_matrix: Vec<Json> = self
-            .comm_edges
-            .iter()
-            .map(|((src, dst, class), e)| {
-                Json::obj(vec![
-                    ("src", Json::Int(*src as i128)),
-                    ("dst", Json::Int(*dst as i128)),
-                    ("class", Json::Str(class.clone())),
-                    ("msgs", Json::Int(e.msgs as i128)),
-                    ("bytes", Json::Int(e.bytes as i128)),
-                ])
-            })
-            .collect();
-        let collectives: Vec<Json> = self
-            .collectives
-            .iter()
-            .map(|(kind, s)| {
-                Json::obj(vec![
-                    ("kind", Json::Str(kind.clone())),
-                    ("count", Json::Int(s.count as i128)),
-                    ("bytes", Json::Int(s.bytes as i128)),
-                    ("secs", Json::Float(s.secs)),
-                    ("timed", Json::Int(s.latency.count() as i128)),
-                    ("mean_secs", Json::Float(s.latency.mean())),
-                    ("p95_secs", Json::Float(s.latency.quantile(0.95).unwrap_or(0.0))),
-                ])
-            })
-            .collect();
-        let imbalance: Vec<Json> = self
-            .imbalance
-            .iter()
-            .map(|(phase, i)| {
-                Json::obj(vec![
-                    ("phase", Json::Str(phase.clone())),
-                    ("avg_secs", Json::Float(i.avg_secs)),
-                    ("max_secs", Json::Float(i.max_secs)),
-                    ("imbalance", Json::Float(i.imbalance())),
-                    ("wait_secs", Json::Float(i.wait_secs)),
-                    ("transfer_secs", Json::Float(i.transfer_secs)),
-                ])
-            })
-            .collect();
-        let health = {
-            let per_eq: Vec<Json> = self
-                .health
-                .per_eq
-                .iter()
-                .map(|(eq, t)| {
-                    Json::obj(vec![
-                        ("equation", Json::Str(eq.clone())),
-                        ("first_iters", Json::Int(t.first_iters as i128)),
-                        ("last_iters", Json::Int(t.last_iters as i128)),
-                        ("max_iters", Json::Int(t.max_iters as i128)),
-                        ("first_rate", Json::Float(t.first_rate)),
-                        ("last_rate", Json::Float(t.last_rate)),
-                    ])
-                })
-                .collect();
-            let verdicts: Vec<Json> = self
-                .health
-                .verdicts
-                .iter()
-                .map(|v| {
-                    Json::obj(vec![
-                        ("step", Json::Int(v.step as i128)),
-                        ("kind", Json::Str(v.kind.clone())),
-                        ("eq", v.eq.clone().map_or(Json::Null, Json::Str)),
-                        ("value", Json::Float(v.value)),
-                        ("baseline", Json::Float(v.baseline)),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![
-                ("steps", Json::Int(self.health.steps as i128)),
-                (
-                    "operator_complexity",
-                    Json::Float(self.health.last_operator_complexity),
-                ),
-                ("recoveries", Json::Int(self.health.recoveries as i128)),
-                ("equations", Json::Arr(per_eq)),
-                ("verdicts", Json::Arr(verdicts)),
-                (
-                    "summary",
-                    self.health_summary().map_or(Json::Null, Json::Str),
-                ),
-            ])
-        };
-        let critical_path: Vec<Json> = self
-            .critical_path
-            .iter()
-            .map(|p| {
-                let segments: Vec<Json> = p
-                    .segments
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("rank", Json::Int(s.rank as i128)),
-                            ("label", Json::Str(s.label.clone())),
-                            (
-                                "wait_on",
-                                s.wait_on.map_or(Json::Null, |r| Json::Int(r as i128)),
-                            ),
-                            ("secs", Json::Float(s.secs())),
-                        ])
-                    })
-                    .collect();
-                Json::obj(vec![
-                    ("step", Json::Int(p.step as i128)),
-                    ("makespan", Json::Float(p.makespan)),
-                    ("coverage", Json::Float(p.coverage())),
-                    ("segments", Json::Arr(segments)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("ranks", Json::Int(self.ranks as i128)),
-            ("threads", Json::Int(self.threads as i128)),
-            ("steps", Json::Int(self.steps as i128)),
-            ("equations", Json::Arr(eq_objs)),
-            ("amg", Json::Arr(amg)),
-            ("gmres", Json::Arr(gmres)),
-            ("recoveries", Json::Arr(recoveries)),
-            (
-                "checkpoints",
-                Json::obj(vec![
-                    ("generations", Json::Int(self.checkpoints.generations as i128)),
-                    (
-                        "last_generation",
-                        self.checkpoints
-                            .last_generation
-                            .map_or(Json::Null, |g| Json::Int(g as i128)),
-                    ),
-                    ("bytes", Json::Int(self.checkpoints.bytes as i128)),
-                    ("secs", Json::Float(self.checkpoints.secs)),
-                    ("restores", Json::Int(self.checkpoints.restores as i128)),
-                    (
-                        "restored_from",
-                        self.checkpoints
-                            .restored_from
-                            .map_or(Json::Null, |g| Json::Int(g as i128)),
-                    ),
-                ]),
-            ),
-            ("health", health),
-            ("critical_path", Json::Arr(critical_path)),
-            ("kernels", Json::Arr(kernels)),
-            ("comm_matrix", Json::Arr(comm_matrix)),
-            ("collectives", Json::Arr(collectives)),
-            ("phase_imbalance", Json::Arr(imbalance)),
-            (
-                "bw_baseline_gbs",
-                self.bw_baseline_gbs.map_or(Json::Null, Json::Float),
-            ),
-        ])
-    }
 }
 
 /// Humanize a byte count for the matrix cells (`-` is rendered by the
@@ -1457,8 +1194,6 @@ mod tests {
         assert!(s.contains("GMRES solves"), "{s}");
         assert!(s.contains("grid complexity 1.250"), "{s}");
         assert!(s.contains("momentum"), "{s}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"operator_complexity\""), "{json}");
     }
 
     #[test]
@@ -1492,8 +1227,6 @@ mod tests {
         let ascii = r.render_ascii();
         assert!(ascii.contains("solver recoveries"), "{ascii}");
         assert!(ascii.contains("rebuild -> fallback_smoother"), "{ascii}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"recoveries\""), "{json}");
     }
 
     #[test]
@@ -1524,9 +1257,6 @@ mod tests {
         let ascii = r.render_ascii();
         assert!(ascii.contains("checkpoint/restart"), "{ascii}");
         assert!(ascii.contains("resumed from generation 4"), "{ascii}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"checkpoints\""), "{json}");
-        assert!(json.contains("\"restored_from\":4"), "{json}");
         // A stream without checkpoint activity renders no section.
         let quiet = Report::from_events(&sample_events()).render_ascii();
         assert!(!quiet.contains("checkpoint/restart"), "{quiet}");
@@ -1566,9 +1296,6 @@ mod tests {
         assert!(with_bw.contains("%bw"), "{with_bw}");
         assert!(with_bw.contains("STREAM baseline 40.0 GB/s"), "{with_bw}");
         assert!(with_bw.contains("25.0%"), "{with_bw}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"kernels\""), "{json}");
-        assert!(json.contains("\"bw_baseline_gbs\""), "{json}");
     }
 
     #[test]
@@ -1601,8 +1328,6 @@ mod tests {
         assert!(ascii.contains("communication matrix"), "{ascii}");
         assert!(ascii.contains("4.0KiB"), "{ascii}");
         assert!(ascii.contains("halo 4.0KiB in 2 msgs"), "{ascii}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"comm_matrix\""), "{json}");
     }
 
     #[test]
@@ -1631,8 +1356,6 @@ mod tests {
         let ascii = r.render_ascii();
         assert!(ascii.contains("collectives"), "{ascii}");
         assert!(ascii.contains("allreduce"), "{ascii}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"collectives\""), "{json}");
     }
 
     #[test]
@@ -1670,8 +1393,6 @@ mod tests {
         let ascii = r.render_ascii();
         assert!(ascii.contains("per-phase rank imbalance"), "{ascii}");
         assert!(ascii.contains("1.50"), "{ascii}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"phase_imbalance\""), "{json}");
     }
 
     #[test]
@@ -1710,7 +1431,6 @@ mod tests {
         for other in [swapped, reversed] {
             let r = Report::from_events(&other);
             assert_eq!(base.render_ascii(), r.render_ascii());
-            assert_eq!(base.to_json().to_string(), r.to_json().to_string());
         }
     }
 
@@ -1767,9 +1487,6 @@ mod tests {
         let line = r.health_summary().unwrap();
         assert!(line.contains("gmres-iters"), "{line}");
         assert!(line.contains("worst eq continuity 6 -> 18 iters"), "{line}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"health\""), "{json}");
-        assert!(json.contains("\"verdicts\""), "{json}");
         // A quiet stream summarizes as ok and renders no verdict lines.
         let quiet: Vec<Event> = evs
             .iter()
@@ -1810,8 +1527,6 @@ mod tests {
         let ascii = r.render_ascii();
         assert!(ascii.contains("critical path"), "{ascii}");
         assert!(ascii.contains("picard"), "{ascii}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"critical_path\""), "{json}");
         // Streams without timestamps render no section.
         let quiet = Report::from_events(&sample_events());
         assert!(quiet.critical_path.is_empty());

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! # with telemetry (JSONL event stream + end-of-run report):
 //! cargo run --release --example quickstart -- --telemetry run.jsonl
-//! # equivalently:
+//! # equivalently (every variable is listed in README.md "Environment"):
 //! EXAWIND_TELEMETRY=run.jsonl cargo run --release --example quickstart
 //! # same run with the ranks wired over TCP sockets instead of channels:
 //! EXAWIND_TRANSPORT=socket cargo run --release --example quickstart
@@ -14,13 +14,13 @@
 //! target/release/exawind-launch -n 4 -- target/release/examples/quickstart
 //! ```
 
+use exawind::env::RunEnv;
 use exawind::nalu_core::{Simulation, SolverConfig};
-use exawind::parcomm::Comm;
 use exawind::telemetry;
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 
-/// `--telemetry <path>` from argv, else the `EXAWIND_TELEMETRY` env var.
-fn telemetry_path() -> Option<String> {
+/// `--telemetry <path>` from argv, else the environment's selection.
+fn telemetry_path(env: &RunEnv) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == "--telemetry")
@@ -32,26 +32,27 @@ fn telemetry_path() -> Option<String> {
                 })
                 .clone()
         })
-        .or_else(telemetry::env_path)
+        .or_else(|| env.telemetry_path.clone())
 }
 
 fn main() {
-    // Under `exawind-launch` the rank count comes from the job
-    // environment; standalone it defaults to 4.
-    let nranks = Comm::env_size(4);
+    // The environment is read here, once; everything below is a
+    // function of the config it yields.
+    let env = RunEnv::from_process("quickstart");
+    // Under `exawind-launch` the rank count is the launcher's;
+    // standalone it defaults to 4.
+    let nranks = env.size(4);
     let steps = 3;
-    let tel_path = telemetry_path();
+    let tel_path = telemetry_path(&env);
 
-    // Transport selection lives in the solver config (seeded from
-    // `EXAWIND_TRANSPORT`), resolved once out here: the rank closure is
-    // identical however the communicator is backed.
     let cfg = SolverConfig {
         telemetry: tel_path.is_some(),
-        ..SolverConfig::default()
+        ..env.config.clone()
     };
     let (transport, kernels) = (cfg.transport, cfg.kernels);
 
-    let outputs = Comm::run_with(transport, nranks, move |rank| {
+    // The rank closure is identical however the communicator is backed.
+    let outputs = env.run(nranks, move |rank| {
         // A 10×4×4 rotor-diameter wind tunnel, inflow 8 m/s in +x.
         let mesh = box_mesh(
             uniform_spacing(0.0, 630.0, 17),
@@ -99,7 +100,7 @@ fn main() {
 
     // As a launched worker process this binary holds one rank; only the
     // process holding rank 0 narrates (the others computed its halos).
-    if Comm::worker_rank().unwrap_or(0) != 0 {
+    if !env.hosts_rank0() {
         return;
     }
     let (lines, probe, ..) = &outputs[0];

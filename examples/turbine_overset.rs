@@ -9,14 +9,14 @@
 //! cargo run --release --example turbine_overset -- --telemetry run.jsonl
 //! ```
 
+use exawind::env::RunEnv;
 use exawind::nalu_core::{Phase, Simulation, SolverConfig};
-use exawind::parcomm::Comm;
 use exawind::telemetry;
 use exawind::windmesh::turbine::generate;
 use exawind::windmesh::NrelCase;
 
-/// `--telemetry <path>` from argv, else the `EXAWIND_TELEMETRY` env var.
-fn telemetry_path() -> Option<String> {
+/// `--telemetry <path>` from argv, else the environment's selection.
+fn telemetry_path(env: &RunEnv) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == "--telemetry")
@@ -28,14 +28,15 @@ fn telemetry_path() -> Option<String> {
                 })
                 .clone()
         })
-        .or_else(telemetry::env_path)
+        .or_else(|| env.telemetry_path.clone())
 }
 
 fn main() {
-    let nranks = 4;
+    let env = RunEnv::from_process("turbine_overset");
+    let nranks = env.size(4);
     let steps = 2;
     let scale = 2e-4;
-    let tel_path = telemetry_path();
+    let tel_path = telemetry_path(&env);
 
     let tm = generate(NrelCase::SingleLow, scale);
     println!(
@@ -49,10 +50,10 @@ fn main() {
 
     let cfg = SolverConfig {
         telemetry: tel_path.is_some(),
-        ..SolverConfig::default()
+        ..env.config.clone()
     };
     let (transport, kernels) = (cfg.transport, cfg.kernels);
-    let outputs = Comm::run_with(transport, nranks, move |rank| {
+    let outputs = env.run(nranks, move |rank| {
         let mut sim = Simulation::new(rank, meshes.clone(), cfg.clone());
         let mut lines = Vec::new();
         for step in 0..steps {

@@ -13,47 +13,46 @@
 //!     --max-restarts 2 -- path/to/worker
 //! ```
 //!
-//! Every child inherits this environment plus `EXAWIND_TRANSPORT=socket`,
-//! its `EXAWIND_RANK`, the shared `EXAWIND_SIZE`, and the rendezvous
-//! path (`EXAWIND_RENDEZVOUS`, a fresh temp file per incarnation) or the
-//! host file path (`EXAWIND_HOSTFILE`) — see `parcomm::socket` for the
-//! wire-up the workers then perform. Stdout/stderr pass through.
+//! Every child inherits this environment plus one
+//! [`exawind::env::LaunchEnv`] — the socket transport, its rank, the
+//! shared size, and the rendezvous path (a fresh temp file per
+//! incarnation) or the host file path; `exawind::env` is the single
+//! definition of those variables for both ends, and `parcomm::socket`
+//! is the wire-up the workers then perform. Stdout/stderr pass through.
 //!
 //! The launcher also opens a loopback monitor endpoint and exports its
-//! address as `EXAWIND_MONITOR`. Workers that heartbeat (exawind-worker
-//! does; arbitrary commands simply don't connect) drive a once-a-second
-//! status line on stderr, stall detection — a live rank silent for
+//! address. Workers that heartbeat (exawind-worker does; arbitrary
+//! commands simply don't connect) drive a once-a-second status line on
+//! stderr, stall detection — a live rank silent for
 //! `--stall-timeout` seconds (default 120) takes the job down with exit
 //! code 3 — and, on any abnormal exit, a partial per-rank progress
 //! report (including each rank's newest complete checkpoint) plus each
 //! dead rank's `crash-<rank>.json` breadcrumb.
 //!
-//! With `--checkpoint-every` the launcher becomes a supervisor:
-//! `EXAWIND_CHECKPOINT_EVERY`/`EXAWIND_CHECKPOINT_DIR` are exported so
-//! workers publish checkpoint generations, and a rank death no longer
-//! ends the job — the surviving ranks are fenced (killed; they could
-//! only deadlock against the dead peer), and the whole cohort is
-//! relaunched with `EXAWIND_RESUME=1` and an incremented
-//! `EXAWIND_RESTART_COUNT`, resuming bitwise-identically from the
-//! newest complete generation. At most `--max-restarts` relaunches
-//! (default 2) are attempted; a cohort that keeps dying exits with the
-//! original failure code. Stalls are never restarted: a hung rank is a
+//! With `--checkpoint-every` the launcher becomes a supervisor: the
+//! checkpoint interval and directory are exported so workers publish
+//! checkpoint generations, and a rank death no longer ends the job —
+//! the surviving ranks are fenced (killed; they could only deadlock
+//! against the dead peer), and the whole cohort is relaunched with the
+//! resume flag and an incremented incarnation, resuming
+//! bitwise-identically from the newest complete generation. At most
+//! `--max-restarts` relaunches (default 2) are attempted; a cohort that
+//! keeps dying exits with the original failure code. Stalls are never restarted: a hung rank is a
 //! bug, not a transient death.
 //!
 //! A cold start refuses a checkpoint directory whose manifest already
 //! names generations — stepping from 0 against a previous job's
 //! manifest would fail at the first publish and the relaunch would then
 //! resume the *old* job's state. `--resume` opts into continuing such a
-//! run (the first incarnation is launched with `EXAWIND_RESUME=1`).
+//! run (the first incarnation is launched with the resume flag).
 
 use std::path::{Path, PathBuf};
 use std::process::{exit, Child, Command};
 use std::time::{Duration, Instant};
 
-use exawind::parcomm::{
-    Heartbeat, MonitorServer, HOSTFILE_ENV, MONITOR_ENV, RANK_ENV, RENDEZVOUS_ENV, SIZE_ENV,
-    TRANSPORT_ENV,
-};
+use exawind::env::{self, LaunchEnv};
+use exawind::nalu_core::CheckpointCfg;
+use exawind::parcomm::{Heartbeat, MonitorServer, WireUp, WorkerEnv};
 use exawind::resilience::checkpoint;
 use exawind::telemetry;
 
@@ -83,7 +82,7 @@ fn parse_args() -> Args {
     let mut hostfile = None;
     let mut stall_timeout = Duration::from_secs(120);
     let mut checkpoint_every = 0usize;
-    let mut checkpoint_dir = PathBuf::from("exawind-checkpoints");
+    let mut checkpoint_dir = PathBuf::from(env::DEFAULT_CHECKPOINT_DIR);
     let mut max_restarts = 2u64;
     let mut resume = false;
     let mut command = Vec::new();
@@ -321,28 +320,29 @@ fn spawn_cohort(
     rendezvous: &Path,
     incarnation: u64,
 ) -> Vec<(usize, Child)> {
+    let supervised = args.checkpoint_every > 0;
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(args.ranks);
     for rank in 0..args.ranks {
         let mut cmd = Command::new(&args.command[0]);
-        cmd.args(&args.command[1..])
-            .env(TRANSPORT_ENV, "socket")
-            .env(RANK_ENV, rank.to_string())
-            .env(SIZE_ENV, args.ranks.to_string());
-        if let Some(m) = monitor {
-            cmd.env(MONITOR_ENV, m.addr());
+        cmd.args(&args.command[1..]);
+        LaunchEnv {
+            worker: WorkerEnv {
+                rank,
+                size: args.ranks,
+                wireup: match &args.hostfile {
+                    Some(hf) => WireUp::Hostfile(hf.clone()),
+                    None => WireUp::Rendezvous(rendezvous.to_path_buf()),
+                },
+            },
+            monitor: monitor.map(MonitorServer::addr),
+            checkpoint: supervised.then(|| CheckpointCfg {
+                every: args.checkpoint_every,
+                dir: args.checkpoint_dir.clone(),
+                incarnation,
+            }),
+            resume: supervised && (incarnation > 0 || args.resume),
         }
-        match &args.hostfile {
-            Some(hf) => cmd.env(HOSTFILE_ENV, hf),
-            None => cmd.env(RENDEZVOUS_ENV, rendezvous),
-        };
-        if args.checkpoint_every > 0 {
-            cmd.env(checkpoint::ENV_EVERY, args.checkpoint_every.to_string())
-                .env(checkpoint::ENV_DIR, &args.checkpoint_dir)
-                .env(checkpoint::ENV_RESTART_COUNT, incarnation.to_string());
-            if incarnation > 0 || args.resume {
-                cmd.env(checkpoint::ENV_RESUME, "1");
-            }
-        }
+        .export(&mut cmd);
         match cmd.spawn() {
             Ok(child) => children.push((rank, child)),
             Err(e) => {
@@ -509,15 +509,19 @@ fn dump_partial_report(last_hb: &[Option<Heartbeat>]) {
     }
 }
 
-/// Surface the workers' `crash-<rank>.json` breadcrumbs (written to
-/// `EXAWIND_CRASH_DIR`, default cwd) so the failing rank and the phase
-/// it died in appear directly in the launcher's output.
+/// Surface the workers' `crash-<rank>.json` breadcrumbs (written to the
+/// crash directory, default cwd) so the failing rank and the phase it
+/// died in appear directly in the launcher's output.
 fn dump_crash_breadcrumbs(ranks: usize) {
-    let dir = std::env::var("EXAWIND_CRASH_DIR").unwrap_or_else(|_| ".".to_string());
+    let dir = env::crash_dir();
     for rank in 0..ranks {
-        let path = format!("{dir}/crash-{rank}.json");
+        let path = dir.join(format!("crash-{rank}.json"));
         if let Ok(text) = std::fs::read_to_string(&path) {
-            eprintln!("exawind-launch: rank {rank} breadcrumb ({path}): {}", text.trim());
+            eprintln!(
+                "exawind-launch: rank {rank} breadcrumb ({}): {}",
+                path.display(),
+                text.trim()
+            );
         }
     }
 }

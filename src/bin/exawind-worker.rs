@@ -9,33 +9,37 @@
 //! ```sh
 //! # in-process threads (default transport):
 //! exawind-worker --out /tmp/a
-//! # socket transport, N threads over loopback:
+//! # socket transport, N threads over loopback (the transport variable
+//! # of README.md "Environment", parsed by `exawind::env`):
 //! EXAWIND_TRANSPORT=socket exawind-worker --out /tmp/b
 //! # socket transport, N OS processes (one rank each):
 //! exawind-launch -n 2 -- exawind-worker --out /tmp/c
 //! ```
 //!
-//! Under `exawind-launch` the rank count comes from `EXAWIND_SIZE`;
-//! standalone it defaults to 2 (`--ranks` overrides). Each rank writes
+//! Under `exawind-launch` the rank count is the launcher's; standalone
+//! it defaults to 2 (`--ranks` overrides). Each rank writes
 //! `<out>.rank<r>.bits` (one hex u64 per field scalar, in field order)
-//! and, with `--telemetry <path>`, `<path>.rank<r>.jsonl` — rank 0's
-//! stream carries the `run` metadata event the CI smoke greps for.
+//! and, with `--telemetry <path>` (or the telemetry variable),
+//! `<path>.rank<r>.jsonl` — rank 0's stream carries the `run` metadata
+//! event the CI smoke greps for.
 //!
-//! When `EXAWIND_MONITOR` names a `host:port` (exported by
-//! `exawind-launch`), each rank heartbeats its progress — one frame after
-//! setup, one per completed step — so the launcher can render a live
-//! status line and flag stalled ranks. On a panic or an unrecoverable
-//! solver error the rank drops a `crash-<rank>.json` breadcrumb (in
-//! `EXAWIND_CRASH_DIR`, default cwd) recording where it died.
+//! Under a launcher that exported a monitor address, each rank
+//! heartbeats its progress — one frame after setup, one per completed
+//! step — so the launcher can render a live status line and flag
+//! stalled ranks. On a panic or an unrecoverable solver error the rank
+//! drops a `crash-<rank>.json` breadcrumb (in the crash directory,
+//! default cwd) recording where it died.
 //!
-//! Test hook: `EXAWIND_STALL_RANK=<r>` makes rank `r` sleep
-//! `EXAWIND_STALL_SECS` (default 60) seconds after its first heartbeat,
-//! simulating a hung rank for the launcher's stall-detection smoke.
+//! Test hook: the stall variables make one rank sleep after its first
+//! heartbeat, simulating a hung rank for the launcher's stall-detection
+//! smoke.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::Path;
 
-use exawind::nalu_core::{CheckpointCfg, Simulation, SolverConfig};
-use exawind::parcomm::{Comm, Heartbeat, MonitorClient, Rank};
+use exawind::env::{self, RunEnv};
+use exawind::nalu_core::{Simulation, SolverConfig};
+use exawind::parcomm::{Heartbeat, MonitorClient, Rank};
 use exawind::resilience::checkpoint;
 use exawind::telemetry::{self, Json};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
@@ -77,9 +81,10 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 fn main() {
+    let env = RunEnv::from_process("exawind-worker");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = flag_value(&args, "--out");
-    let tel = flag_value(&args, "--telemetry");
+    let tel = flag_value(&args, "--telemetry").or_else(|| env.telemetry_path.clone());
     let steps: usize = flag_value(&args, "--steps").map_or(1, |v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("exawind-worker: bad --steps {v:?}");
@@ -92,7 +97,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let nranks = Comm::env_size(default_ranks);
     let mesh = match flag_value(&args, "--mesh").as_deref().unwrap_or("small") {
         "small" => small_box(),
         "big" => bigger_box(),
@@ -107,28 +111,26 @@ fn main() {
     // generations belongs to a previous job — stepping from 0 would die
     // at the first publish, and a supervisor would then resume the *old*
     // state while appearing to succeed.
-    if let Some(ck) = CheckpointCfg::from_env() {
-        if !checkpoint::resume_requested() {
-            if let Ok(Some(m)) = checkpoint::read_manifest(&ck.dir) {
-                if let Some(g) = m.latest() {
-                    eprintln!(
-                        "exawind-worker: checkpoint dir {} already names generation {g} \
-                         (a previous run); set {}=1 to resume it or use a fresh directory",
-                        ck.dir.display(),
-                        checkpoint::ENV_RESUME
-                    );
-                    std::process::exit(2);
-                }
+    let resume = env.launch.as_ref().is_some_and(|l| l.resume);
+    if let Some(ck) = env.config.checkpoint.as_ref().filter(|_| !resume) {
+        if let Ok(Some(m)) = checkpoint::read_manifest(&ck.dir) {
+            if let Some(g) = m.latest() {
+                eprintln!(
+                    "exawind-worker: checkpoint dir {} already names generation {g} \
+                     (a previous run); relaunch with `exawind-launch --resume` to \
+                     continue it or use a fresh directory",
+                    ck.dir.display()
+                );
+                std::process::exit(2);
             }
         }
     }
 
-    let telemetry_on = tel.is_some();
-    Comm::run(nranks, move |rank| {
+    env.run(default_ranks, |rank| {
         let cfg = SolverConfig {
             picard_iters: 2,
-            telemetry: telemetry_on,
-            ..SolverConfig::default()
+            telemetry: tel.is_some(),
+            ..env.config.clone()
         };
         let picard_iters = cfg.picard_iters as u64;
         let (transport, kernels) = (cfg.transport, cfg.kernels);
@@ -137,7 +139,7 @@ fn main() {
         // Supervised relaunch: restore the newest complete generation
         // before the first step; the loop below then runs only the
         // steps the interrupted run had not finished.
-        if checkpoint::resume_requested() {
+        if resume {
             match sim.resume(rank) {
                 Ok(Some(generation)) => eprintln!(
                     "exawind-worker: rank {} resumed from checkpoint generation {generation}",
@@ -152,10 +154,20 @@ fn main() {
         }
         let done = sim.steps_completed();
 
-        let mut monitor = MonitorClient::from_env();
+        let mut monitor = MonitorClient::connect(env.launch.as_ref().and_then(|l| l.monitor));
         let mut last_hb = heartbeat(rank, &sim, done as u64, 0, 0.0);
         monitor.send(&last_hb);
-        maybe_stall(rank.rank());
+        // Test hook: deliberately hang one rank so the launcher's
+        // stall-detection smoke has something to catch.
+        if let Some((_, pause)) = env.stall.filter(|&(r, _)| r == rank.rank()) {
+            eprintln!(
+                "exawind-worker: rank {} stalling for {}s ({})",
+                rank.rank(),
+                pause.as_secs(),
+                env::STALL_RANK
+            );
+            std::thread::sleep(pause);
+        }
 
         let stepped = catch_unwind(AssertUnwindSafe(|| {
             for s in done..steps {
@@ -171,7 +183,8 @@ fn main() {
                         monitor.send(&last_hb);
                     }
                     Err(e) => {
-                        write_crash_breadcrumb(rank, "solver_error", &e.to_string(), &last_hb);
+                        let detail = e.to_string();
+                        write_crash_breadcrumb(&env.crash_dir, rank, "solver_error", &detail, &last_hb);
                         panic!("time step failed beyond recovery: {e}");
                     }
                 }
@@ -187,7 +200,7 @@ fn main() {
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "panic".to_string());
             if !detail.starts_with("time step failed beyond recovery") {
-                write_crash_breadcrumb(rank, "panic", &detail, &last_hb);
+                write_crash_breadcrumb(&env.crash_dir, rank, "panic", &detail, &last_hb);
             }
             resume_unwind(payload);
         }
@@ -249,25 +262,10 @@ fn heartbeat(rank: &Rank, sim: &Simulation, step: u64, picard: u64, residual: f6
     }
 }
 
-/// Test hook: deliberately hang one rank so the launcher's
-/// stall-detection smoke has something to catch.
-fn maybe_stall(me: usize) {
-    let Ok(stall) = std::env::var("EXAWIND_STALL_RANK") else { return };
-    if stall.parse::<usize>() == Ok(me) {
-        let secs: u64 = std::env::var("EXAWIND_STALL_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(60);
-        eprintln!("exawind-worker: rank {me} stalling for {secs}s (EXAWIND_STALL_RANK)");
-        std::thread::sleep(std::time::Duration::from_secs(secs));
-    }
-}
-
-/// Drop `crash-<rank>.json` (in `EXAWIND_CRASH_DIR`, default cwd) so the
-/// launcher can report which rank died and where it was at the time.
-fn write_crash_breadcrumb(rank: &Rank, kind: &str, detail: &str, last_hb: &Heartbeat) {
-    let dir = std::env::var("EXAWIND_CRASH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = format!("{dir}/crash-{}.json", rank.rank());
+/// Drop `crash-<rank>.json` in the crash directory so the launcher can
+/// report which rank died and where it was at the time.
+fn write_crash_breadcrumb(dir: &Path, rank: &Rank, kind: &str, detail: &str, last_hb: &Heartbeat) {
+    let path = dir.join(format!("crash-{}.json", rank.rank()));
     let doc = Json::obj(vec![
         ("rank", Json::Int(rank.rank() as i128)),
         ("kind", Json::Str(kind.to_string())),
@@ -289,6 +287,6 @@ fn write_crash_breadcrumb(rank: &Rank, kind: &str, detail: &str, last_hb: &Heart
         ),
     ]);
     if let Err(e) = std::fs::write(&path, doc.to_string() + "\n") {
-        eprintln!("exawind-worker: cannot write {path}: {e}");
+        eprintln!("exawind-worker: cannot write {}: {e}", path.display());
     }
 }

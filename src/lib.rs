@@ -14,6 +14,11 @@
 //! - [`machine`] — Summit/Eagle performance models
 //! - [`telemetry`] — span tracing, solver metrics, phase reports
 //! - [`resilience`] — solver-fault taxonomy, recovery ladder, fault injection
+//!
+//! [`env`] is the one place the process environment is read: binaries
+//! turn it into a `SolverConfig` there, the crates above read none.
+
+pub mod env;
 
 pub use amg;
 pub use distmat;

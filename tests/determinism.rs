@@ -327,7 +327,7 @@ fn checkpointed_restart_bits(
     let meshes = tm.meshes;
     let cfg = SolverConfig {
         picard_iters: 2,
-        checkpoint: Some(CheckpointCfg { every: 2, dir: dir.to_path_buf() }),
+        checkpoint: Some(CheckpointCfg { every: 2, dir: dir.to_path_buf(), incarnation: 0 }),
         ..SolverConfig::default()
     };
     {

@@ -1,8 +1,8 @@
 //! End-to-end fault injection and recovery.
 //!
 //! Each test installs a seeded [`FaultPlan`] through `SolverConfig::faults`
-//! (the `EXAWIND_FAULTS` path uses the same parser and is covered by the
-//! CI smoke step), injects a corruption into a specific solve, and checks
+//! (the environment path uses the same parser and is covered by the CI
+//! smoke step), injects a corruption into a specific solve, and checks
 //! that the Picard driver detects it as a typed [`SolveError`], walks the
 //! escalation ladder deterministically, emits `recovery` telemetry
 //! events, and converges to the same answer as a clean run.

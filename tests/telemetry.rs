@@ -274,10 +274,8 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert!(text.contains("collectives (latency"), "{text}");
 }
 
-/// The run header says what the run was configured with, not what the
-/// environment would have defaulted to: a socket + CSR run configured in
-/// code is labelled so whatever `EXAWIND_TRANSPORT` / `EXAWIND_KERNELS`
-/// hold (including nothing), and its stream still validates.
+/// The run header says what the run was configured with: a socket + CSR
+/// run configured in code is labelled so, and its stream still validates.
 #[test]
 fn run_header_is_labelled_from_the_config() {
     let mesh = small_channel();

@@ -330,3 +330,44 @@ fn hostfile_socket_run_matches_inproc_bitwise() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A typo'd variable must stop a launched job loudly and early: with the
+/// kernels variable set to a value that is not a policy, every worker
+/// that starts exits 2 from the edge parser — before it rendezvouses or
+/// steps — naming the variable and the value; the launcher reports the
+/// failed cohort and passes the code on. Never a panic, never a silent
+/// `auto`.
+#[test]
+fn malformed_variable_fails_the_launched_cohort_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("exawind-badenv-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("fields");
+
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_exawind-launch"))
+        .args(["-n", "2", "--"])
+        .arg(env!("CARGO_BIN_EXE_exawind-worker"))
+        .arg("--out")
+        .arg(&out)
+        .env(exawind::env::KERNELS, "selcs")
+        .output()
+        .expect("exawind-launch spawns");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+
+    assert_eq!(run.status.code(), Some(2), "launcher passes the workers' code on\n{stderr}");
+    // Every worker that got to run says so, on one shared stderr, each
+    // in a single write: all lines naming the variable are whole messages.
+    // (Not "exactly 2": the launcher fences the cohort at the first death,
+    // which may be before a slower rank has printed.)
+    let named = format!("exawind-worker: {}=\"selcs\": ", exawind::env::KERNELS);
+    let reports: Vec<&str> =
+        stderr.lines().filter(|l| l.contains(exawind::env::KERNELS)).collect();
+    assert!(!reports.is_empty(), "a worker names variable and value\n{stderr}");
+    assert!(reports.iter().all(|l| l.starts_with(&named)), "torn message\n{stderr}");
+    assert!(stderr.contains("exited with code 2"), "launcher reports the cohort\n{stderr}");
+    assert!(!stderr.contains("panicked"), "a typed error, not a panic\n{stderr}");
+    // Nothing ran: no rank finished a step or wrote its fields.
+    assert!(!stdout.contains("done"), "{stdout}");
+    assert!(!dir.join("fields.rank0.bits").exists() && !dir.join("fields.rank1.bits").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
