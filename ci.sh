@@ -24,6 +24,15 @@ env_reads=$(grep -rn 'env::var' --include='*.rs' crates/*/src \
 [ -z "$env_reads" ] \
   || { echo "env gate: a library crate reads the environment: $env_reads" >&2; exit 1; }
 
+# One wait loop: every spin or yield in parcomm is inside
+# `Rank::wait_next` (comm.rs), so a second, private poll-then-park loop
+# (the socket backend had one) cannot come back unnoticed.
+wait_sites=$(grep -rnE 'yield_now|spin_loop' crates/parcomm/src || true)
+in_wait_next=$(sed -n '/fn wait_next(/,/^    }$/p' crates/parcomm/src/comm.rs \
+  | grep -cE 'yield_now|spin_loop' || true)
+[ "$in_wait_next" -gt 0 ] && [ "$(grep -c . <<<"$wait_sites")" -eq "$in_wait_next" ] \
+  || { echo "wait gate: spin/yield outside Rank::wait_next: $wait_sites" >&2; exit 1; }
+
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
 # that the offline validator accepts (exit 0 ⇔ schema-valid, non-empty).
 tel_out=$(mktemp /tmp/exawind_telemetry.XXXXXX.jsonl)

@@ -1,7 +1,8 @@
 //! Telemetry-stream tools: summarize a run, export a timeline.
 //!
 //! ```sh
-//! # Run header, solver-health trend and reuse counters of a stream:
+//! # Run header, solver-health trend, reuse counters and the polled /
+//! # parked split of the blocking receives of a stream:
 //! exawind-perf report tel.jsonl
 //! # Merge per-rank simulation streams into a Perfetto-loadable trace:
 //! exawind-perf trace --out trace.json tel.rank0.jsonl tel.rank1.jsonl
@@ -33,9 +34,10 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(v)
 }
 
-/// One line each for the run header, the health detector's read and the
-/// driver's rebuilt/reused totals, so the health trend and "why is
-/// precond setup ~0" can be scanned together.
+/// One line each for the run header, the health detector's read, the
+/// driver's rebuilt/reused totals and how the blocking receives were
+/// satisfied, so the health trend, "why is precond setup ~0" and "was
+/// the waiting latency or imbalance" can be scanned together.
 fn cmd_report(args: Vec<String>) -> ExitCode {
     let [path] = args.as_slice() else {
         return usage();
@@ -58,7 +60,10 @@ fn cmd_report(args: Vec<String>) -> ExitCode {
         report.steps,
         report.git_commit.as_deref().unwrap_or("unknown"),
     );
-    for line in [report.health_summary(), report.reuse_summary()].into_iter().flatten() {
+    for line in [report.health_summary(), report.reuse_summary(), report.wait_summary()]
+        .into_iter()
+        .flatten()
+    {
         println!("{line}");
     }
     ExitCode::SUCCESS

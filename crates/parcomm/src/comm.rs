@@ -8,6 +8,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -36,6 +37,21 @@ fn comm_clock() -> Option<Instant> {
 
 /// How long a blocking receive waits before declaring a deadlock.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Polls of the event queue before a blocking receive parks, and how
+/// many of them pass between two that yield the CPU; the others wait on
+/// a spin hint ([`Rank::wait_next`]). Measured on the 2-vCPU reference
+/// host (EXPERIMENTS.md, "one wait loop"): the window is ≈ 65 µs when
+/// nothing else wants the core. A message between two running ranks is
+/// picked up by the next poll (in-process ping-pong 35 → ~1 µs; parking
+/// at once costs a futex wake per message, 15–35 µs). The yield is what
+/// lets a thread without a core of its own run within a microsecond —
+/// a socket reader thread, or the rank being waited for when ranks
+/// outnumber cores: with an unbroken 512-poll spin phase in front of
+/// the yields the socket allreduce read 13 → 58 µs, the socket workload
+/// lost 8 of 10 pairs (+5 %) and tier-1 `cargo test` took +7 %.
+const POLLS_BEFORE_PARK: usize = 2048;
+const POLLS_PER_YIELD: usize = 32;
 
 /// Typed failure of a point-to-point receive, for callers that prefer a
 /// recoverable error over the default deadlock/type-confusion panic.
@@ -127,6 +143,14 @@ impl Comm {
         socket::run_worker(env, f)
     }
 
+    /// A rank that panics fences its peers: its thread pushes
+    /// [`RecvEvent::PeerGone`] to every peer's queue while it unwinds, so
+    /// a receive pending on it fails with [`CommError::Disconnected`]
+    /// within milliseconds instead of waiting out [`RECV_TIMEOUT`], and
+    /// the panic re-raised here is the first one, not a peer's
+    /// "disconnected" that it caused. Not covered: a peer already inside
+    /// [`Transport::barrier`] — the inproc one is a std [`Barrier`], which
+    /// has no way to be released short.
     fn run_inproc<R, F>(size: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -135,12 +159,13 @@ impl Comm {
         let mut txs = Vec::with_capacity(size);
         let mut rxs = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = channel::<Envelope>();
+            let (tx, rx) = channel::<RecvEvent>();
             txs.push(tx);
             rxs.push(rx);
         }
         let txs = Arc::new(txs);
         let barrier = Arc::new(Barrier::new(size));
+        let first_panic = AtomicUsize::new(usize::MAX);
 
         let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -148,8 +173,9 @@ impl Comm {
             for (id, rx) in rxs.into_iter().enumerate() {
                 let txs = Arc::clone(&txs);
                 let barrier = Arc::clone(&barrier);
-                let f = &f;
+                let (f, first_panic) = (&f, &first_panic);
                 handles.push(scope.spawn(move || {
+                    let _fence = PanicFence { id, txs: Arc::clone(&txs), first_panic };
                     let rank = Rank::new(Box::new(InprocTransport {
                         rank: id,
                         size,
@@ -162,11 +188,16 @@ impl Comm {
                     out
                 }));
             }
+            let mut panics: Vec<_> = (0..size).map(|_| None).collect();
             for (id, handle) in handles.into_iter().enumerate() {
                 match handle.join() {
                     Ok(r) => results[id] = Some(r),
-                    Err(e) => std::panic::resume_unwind(e),
+                    Err(e) => panics[id] = Some(e),
                 }
+            }
+            let first = first_panic.load(Ordering::SeqCst);
+            if let Some(e) = panics.get_mut(first).and_then(Option::take) {
+                std::panic::resume_unwind(e);
             }
         });
         results.into_iter().map(|r| r.unwrap()).collect()
@@ -194,14 +225,45 @@ impl Comm {
     }
 }
 
+/// Drop guard of one inproc rank thread (see [`Comm::run_inproc`]).
+struct PanicFence<'a> {
+    id: usize,
+    txs: Arc<Vec<Sender<RecvEvent>>>,
+    first_panic: &'a AtomicUsize,
+}
+
+impl Drop for PanicFence<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        // Only the first panicking rank records itself: the rest are
+        // (or may be) consequences of it.
+        let _ = self.first_panic.compare_exchange(
+            usize::MAX,
+            self.id,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        // Same sender thread as every message this rank sent, so the
+        // event queues behind them all. A peer that is gone itself has
+        // no receiver left; nothing to tell it.
+        for (peer, tx) in self.txs.iter().enumerate() {
+            if peer != self.id {
+                let _ = tx.send(RecvEvent::PeerGone(self.id));
+            }
+        }
+    }
+}
+
 /// The in-process backend: payloads move as `Box<dyn Any>` over std mpsc
 /// channels, ranks synchronize on a shared [`Barrier`]. No bytes are
 /// ever serialized.
 struct InprocTransport {
     rank: usize,
     size: usize,
-    txs: Arc<Vec<Sender<Envelope>>>,
-    rx: Receiver<Envelope>,
+    txs: Arc<Vec<Sender<RecvEvent>>>,
+    rx: Receiver<RecvEvent>,
     barrier: Arc<Barrier>,
 }
 
@@ -223,17 +285,18 @@ impl Transport for InprocTransport {
         // Receivers only disappear if the destination rank has panicked;
         // propagating a panic of our own is the clearest failure mode.
         self.txs[dst]
-            .send(env)
+            .send(RecvEvent::Msg(env))
             .unwrap_or_else(|_| panic!("rank {}: send to dead rank {dst}", self.rank));
+    }
+
+    fn try_recv_next(&self) -> Option<RecvEvent> {
+        self.rx.try_recv().ok()
     }
 
     fn recv_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout> {
         // A disconnected channel cannot happen while this rank holds its
         // own sender (it does, in `txs`); map it to a timeout for safety.
-        self.rx
-            .recv_timeout(timeout)
-            .map(RecvEvent::Msg)
-            .map_err(|_| RecvTimeout)
+        self.rx.recv_timeout(timeout).map_err(|_| RecvTimeout)
     }
 
     fn barrier(&self) {
@@ -346,10 +409,19 @@ impl Rank {
     /// failures as a typed [`CommError`] instead of panicking, so they
     /// can feed the solver's resilience layer.
     pub fn try_recv<T: Message>(&self, src: usize, tag: Tag) -> Result<T, CommError> {
-        self.recv_raw(src, tag)
+        self.recv_within(src, tag, RECV_TIMEOUT)
     }
 
-    fn recv_raw<T: Message>(&self, src: usize, tag: Tag) -> Result<T, CommError> {
+    /// The receive under [`Rank::try_recv`] and the collectives. The
+    /// deadlock timeout is a parameter so that a test can reach the
+    /// timeout path in milliseconds; everything else passes
+    /// [`RECV_TIMEOUT`].
+    pub(crate) fn recv_within<T: Message>(
+        &self,
+        src: usize,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<T, CommError> {
         // Check messages that arrived earlier but did not match then.
         // `remove` (not `swap_remove`!) keeps the queue in arrival order:
         // per-(src, tag) FIFO is what lets repeated exchanges on one tag
@@ -369,11 +441,11 @@ impl Rank {
             return Err(CommError::Disconnected { rank: self.rank(), peer: src });
         }
         loop {
-            // Wait time is the blocking `recv_next` itself — matching a
-            // pending message above costs no wait, and decode time is
-            // accounted separately as transfer time in `extract`.
+            // Wait time is `wait_next` itself, polling included —
+            // matching a pending message above costs no wait, and decode
+            // time is accounted separately as transfer time in `extract`.
             let clock = comm_clock();
-            let event = self.transport.recv_next(RECV_TIMEOUT);
+            let event = self.wait_next(timeout);
             if let Some(t0) = clock {
                 self.perf.borrow_mut().comm_wait(t0.elapsed().as_secs_f64());
             }
@@ -397,6 +469,31 @@ impl Rank {
                 }
             }
         }
+    }
+
+    /// The one place a rank blocks: every receive — point-to-point, both
+    /// halves of a split-phase halo, every hop of a collective, on either
+    /// transport — waits here. Poll the event queue, spinning in between
+    /// and yielding the CPU at every [`POLLS_PER_YIELD`]-th poll, then
+    /// park on it for up to `timeout` (bounds and their measurement:
+    /// [`POLLS_BEFORE_PARK`]). No clock is read. The two counters say
+    /// afterwards which waits were message latency (satisfied while
+    /// polling) and which were another rank running late (parked).
+    fn wait_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout> {
+        for poll in 1..=POLLS_BEFORE_PARK {
+            if let Some(event) = self.transport.try_recv_next() {
+                telemetry::counter("parcomm.recv_polled", 1);
+                return Ok(event);
+            }
+            if poll % POLLS_PER_YIELD == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        let event = self.transport.recv_next(timeout)?;
+        telemetry::counter("parcomm.recv_parked", 1);
+        Ok(event)
     }
 
     /// Unwrap an envelope into the expected payload type: downcast for
@@ -540,7 +637,7 @@ impl Rank {
     pub(crate) fn recv_internal<T: Message>(&self, src: usize, tag: Tag) -> T {
         // Collective-internal traffic: a failure here is a runtime bug,
         // not a recoverable solver condition — keep the panic.
-        self.recv_raw(src, tag).unwrap_or_else(|e| panic!("{e}"))
+        self.recv_within(src, tag, RECV_TIMEOUT).unwrap_or_else(|e| panic!("{e}"))
     }
 
     pub(crate) fn record_collective(&self, bytes: u64) {
@@ -914,26 +1011,152 @@ mod tests {
         }
     }
 
+    /// Counter totals of `tel`'s thread so far: receives satisfied while
+    /// polling, and after parking.
+    fn wait_exits(tel: telemetry::Telemetry) -> (u64, u64) {
+        let events = tel.finish();
+        let total = |wanted: &str| {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    telemetry::Event::Counter { name, value, .. } if name == wanted => Some(*value),
+                    _ => None,
+                })
+                .sum()
+        };
+        (total("parcomm.recv_polled"), total("parcomm.recv_parked"))
+    }
+
     #[test]
-    fn message_sent_long_after_the_receive_began_still_arrives() {
-        // The socket receive polls its queue for ~0.1 ms and then parks;
-        // 20 ms of silence sends it down the parked branch, and the two
-        // messages behind the silence must come out in send order.
+    fn message_is_delivered_in_fifo_order_wherever_in_the_wait_it_arrives() {
+        // Four messages on two interleaved tags reach `wait_next` (i)
+        // before the receive begins, (ii) ~50 µs in, while it polls, and
+        // (iii) after 20 ms of silence, long after it parked. The delays
+        // steer towards a branch, they cannot force one on a loaded host,
+        // so only (i) pins its exit: a queued message is found by the
+        // first poll and never parks.
         both_transports(|k| {
-            Comm::run_with(k, 2, |rank| {
-                if rank.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(20));
-                    rank.send(1, 3, vec![1.5f64, -0.0]);
-                    rank.send(1, 3, vec![2.5f64]);
-                } else {
-                    let first: Vec<f64> = rank.recv(0, 3);
-                    let second: Vec<f64> = rank.recv(0, 3);
-                    assert_eq!(first.len(), 2);
-                    assert_eq!(first[1].to_bits(), (-0.0f64).to_bits());
-                    assert_eq!(second, vec![2.5]);
+            for delay in [None, Some(Duration::from_micros(50)), Some(Duration::from_millis(20))] {
+                let out = Comm::run_with(k, 2, |rank| {
+                    if rank.rank() == 0 {
+                        if let Some(d) = delay {
+                            rank.barrier();
+                            std::thread::sleep(d);
+                        }
+                        rank.send(1, 3, vec![1.5f64, -0.0]);
+                        rank.send(1, 4, 7u64);
+                        rank.send(1, 3, vec![2.5f64]);
+                        rank.send(1, 4, 8u64);
+                        if delay.is_none() {
+                            // Released only after rank 1's queue holds all
+                            // four (inproc: sent; socket: same stream,
+                            // same reader, ahead of the release frame).
+                            rank.barrier();
+                        }
+                        None
+                    } else {
+                        rank.barrier();
+                        let tel = telemetry::Telemetry::enabled(1);
+                        let guard = tel.install();
+                        // Tag 4 first: the tag-3 message ahead of it goes
+                        // through the pending queue.
+                        assert_eq!(rank.recv::<u64>(0, 4), 7);
+                        let first: Vec<f64> = rank.recv(0, 3);
+                        let second: Vec<f64> = rank.recv(0, 3);
+                        assert_eq!(rank.recv::<u64>(0, 4), 8);
+                        assert_eq!(first.len(), 2);
+                        assert_eq!(first[1].to_bits(), (-0.0f64).to_bits());
+                        assert_eq!(second, vec![2.5]);
+                        drop(guard);
+                        Some(wait_exits(tel))
+                    }
+                });
+                let (polled, parked) = out[1].unwrap();
+                assert_eq!(polled + parked, 4, "{k} {delay:?}: one wait per message");
+                if delay.is_none() {
+                    assert_eq!(parked, 0, "{k}: a queued message must not park");
                 }
-            });
+            }
         });
+    }
+
+    #[test]
+    fn oversubscribed_ring_and_allreduce_storm_finishes() {
+        // 8 ranks on however few cores the host has (2 on the reference
+        // host): a waiting rank's poll window must hand the core to the
+        // rank it waits for, neither livelock nor starve it. 300 rounds
+        // take ~0.1 s there; the bound is for a loaded CI host.
+        both_transports(|k| {
+            let n = 8;
+            let t0 = Instant::now();
+            let out = Comm::run_with(k, n, |rank| {
+                let (next, prev) = ((rank.rank() + 1) % n, (rank.rank() + n - 1) % n);
+                let mut acc = 0u64;
+                for round in 0..300u64 {
+                    rank.send(next, 7, round + rank.rank() as u64);
+                    acc += rank.recv::<u64>(prev, 7);
+                    acc += rank.allreduce_sum(round);
+                }
+                acc
+            });
+            let rounds: u64 = (0..300).sum();
+            for (r, acc) in out.iter().enumerate() {
+                let prev = ((r + n - 1) % n) as u64;
+                assert_eq!(*acc, rounds + 300 * prev + n as u64 * rounds);
+            }
+            let secs = t0.elapsed().as_secs_f64();
+            assert!(secs < 30.0, "{k}: 8-rank storm took {secs:.1} s");
+        });
+    }
+
+    #[test]
+    fn receive_with_no_sender_times_out_after_polling_and_parking() {
+        both_transports(|k| {
+            let out = Comm::run_with(k, 2, |rank| {
+                if rank.rank() == 1 {
+                    return None;
+                }
+                let t0 = Instant::now();
+                let res = rank.recv_within::<u64>(1, 5, Duration::from_millis(30));
+                Some((res, t0.elapsed()))
+            });
+            let (res, waited) = out[0].clone().unwrap();
+            assert_eq!(res, Err(CommError::Timeout { rank: 0, src: 1, tag: 5 }));
+            assert!(waited >= Duration::from_millis(30), "{k}: gave up after {waited:?}");
+        });
+    }
+
+    #[test]
+    fn panicking_inproc_rank_fences_its_peers_and_its_panic_is_the_one_raised() {
+        use std::sync::Mutex;
+        let seen = Mutex::new(Vec::new());
+        let t0 = Instant::now();
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Comm::run(3, |rank| match rank.rank() {
+                2 => {
+                    rank.send(1, 3, 42u64);
+                    panic!("rank 2 assertion");
+                }
+                1 => {
+                    // What rank 2 sent before it died still arrives; only
+                    // then is it gone, and stays gone.
+                    let got = rank.try_recv::<u64>(2, 3);
+                    let gone = rank.try_recv::<u64>(2, 3);
+                    let still = rank.try_recv::<u64>(2, 9);
+                    seen.lock().unwrap().push((got, gone, still, t0.elapsed()));
+                }
+                // The panicking receive: a second, consequential panic on
+                // the rank that is joined first.
+                _ => drop(rank.recv::<u64>(2, 3)),
+            });
+        }));
+        let payload = raised.expect_err("the panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 2 assertion"));
+        let gone = Err(CommError::Disconnected { rank: 1, peer: 2 });
+        let seen = seen.into_inner().unwrap();
+        let (got, first, still, waited) = &seen[0];
+        assert_eq!((got, first, still), (&Ok(42), &gone, &gone));
+        assert!(*waited < Duration::from_secs(1), "fenced after {waited:?}");
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   under the `exawind-launch` launcher. The same program produces
 //!   bitwise-identical results on both backends.
 //!
+//! A backend only queues events; a rank that has to wait for one does so
+//! in one place on both, spinning briefly, then yielding, and only then
+//! sleeping (`Rank::wait_next` in `comm.rs`).
+//!
 //! # Example
 //!
 //! ```

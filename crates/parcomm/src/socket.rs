@@ -23,16 +23,17 @@
 //! Delivery: one reader thread per peer stream decodes frames and pushes
 //! them into the owning rank's event channel ([`FrameKind::Msg`]) or
 //! barrier channel ([`FrameKind::Barrier`]); per-peer FIFO order is the
-//! TCP stream order, matching the in-process channel semantics. A
-//! blocking receive polls that channel briefly before it parks on it
-//! ([`SocketTransport::recv_next`]). Barriers
-//! are centralized through rank 0 (gather generation-tagged frames, then
-//! broadcast release). A stream that ends without a [`FrameKind::Goodbye`]
-//! surfaces as [`RecvEvent::PeerGone`] → `CommError::Disconnected`.
+//! TCP stream order, matching the in-process channel semantics. How a
+//! blocking receive waits on that channel is not this backend's
+//! business: `Rank::wait_next` (`comm.rs`) polls and then parks on
+//! either backend's queue. Barriers are centralized through rank 0
+//! (gather generation-tagged frames, then broadcast release). A stream
+//! that ends without a [`FrameKind::Goodbye`] surfaces as
+//! [`RecvEvent::PeerGone`] → `CommError::Disconnected`.
 
 use std::cell::{Cell, RefCell};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -384,11 +385,6 @@ fn hostfile_streams(me: usize, size: usize, path: &Path) -> Vec<Option<TcpStream
 // The transport
 // ---------------------------------------------------------------------------
 
-/// Polls of the event queue (CPU yielded in between) before a blocking
-/// receive parks: ≈ 50–100 µs on an otherwise idle core, several times
-/// the loopback delivery latency ([`SocketTransport::recv_next`]).
-const POLLS_BEFORE_PARK: usize = 256;
-
 /// One rank's endpoint of the socket mesh. See the module doc for the
 /// delivery and barrier design.
 pub(crate) struct SocketTransport {
@@ -469,6 +465,22 @@ impl SocketTransport {
     }
 }
 
+/// A rank thread that panics closes its connections, as the death of a
+/// rank process does: its reader threads hold clones of the streams, so
+/// without the shutdown the peers would see no EOF, hence no
+/// [`RecvEvent::PeerGone`], and wait out the deadlock timeout.
+impl Drop for SocketTransport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for stream in self.writers.iter().flatten() {
+                if let Ok(stream) = stream.try_borrow() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
+    }
+}
+
 /// Decode frames from one peer until goodbye, EOF, or stream failure.
 fn reader_loop(
     peer: usize,
@@ -545,24 +557,11 @@ impl Transport for SocketTransport {
         });
     }
 
-    /// Poll, then park. A message reaches the event queue through the
-    /// peer's reader thread, so a receive that parks at once pays two
-    /// thread wake-ups per message (socket → reader, reader → rank), and
-    /// whether they cross CPUs is the scheduler's choice of the moment:
-    /// on a message-bound solve (thousands of halo rounds and allreduces
-    /// per step, each awaited for tens of µs) that choice, not the work,
-    /// set the step time, ±50 % from one second to the next. Yielding
-    /// between polls runs the reader on this CPU if it is waiting for
-    /// one, and the rank thread picks the message up without having
-    /// slept. The bound keeps a rank that waits on real imbalance
-    /// (milliseconds) from burning its CPU, and no clock is read.
+    fn try_recv_next(&self) -> Option<RecvEvent> {
+        self.events_rx.try_recv().ok()
+    }
+
     fn recv_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout> {
-        for _ in 0..POLLS_BEFORE_PARK {
-            if let Ok(ev) = self.events_rx.try_recv() {
-                return Ok(ev);
-            }
-            std::thread::yield_now();
-        }
         self.events_rx.recv_timeout(timeout).map_err(|_| RecvTimeout)
     }
 

@@ -14,7 +14,11 @@
 //!   (`Comm::run_with(TransportKind::Socket, ..)`) or as N OS *processes*
 //!   (one rank each, launched by `exawind-launch`; see `socket.rs`).
 //!
-//! The same solver code runs unmodified on both.
+//! The same solver code runs unmodified on both, and blocks the same
+//! way on both: a backend only says whether an event is queued
+//! ([`Transport::try_recv_next`]) and how to sleep until one is
+//! ([`Transport::recv_next`]); when to stop polling and sleep is decided
+//! once, in `Rank::wait_next` (`comm.rs`).
 
 use std::any::Any;
 use std::io::{Read, Write};
@@ -79,12 +83,14 @@ pub(crate) struct Envelope {
     pub payload: Payload,
 }
 
-/// What a blocking receive can observe next.
+/// What a blocking receive can observe next — the item both backends'
+/// event queues carry.
 pub(crate) enum RecvEvent {
     /// A message arrived (any source/tag — matching happens above).
     Msg(Envelope),
-    /// A peer's connection is gone; no further messages from it will
-    /// ever arrive (everything it sent first has already been queued).
+    /// A peer is gone (its connection dropped, or its thread panicked);
+    /// no further messages from it will ever arrive (everything it sent
+    /// first has already been queued).
     PeerGone(usize),
 }
 
@@ -112,7 +118,11 @@ pub(crate) trait Transport: Send {
     /// side surfaces it as a typed error instead).
     fn send(&self, dst: usize, tag: Tag, payload: Payload);
 
-    /// Block for the next incoming event.
+    /// The next incoming event if one is already queued; never blocks.
+    fn try_recv_next(&self) -> Option<RecvEvent>;
+
+    /// Sleep until the next incoming event. Only `Rank::wait_next` calls
+    /// this, after its polls of [`Transport::try_recv_next`] came up empty.
     fn recv_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout>;
 
     /// Synchronize all ranks.

@@ -799,6 +799,10 @@ impl Report {
             }
         }
 
+        if let Some(line) = self.wait_summary() {
+            let _ = writeln!(out, "{line}");
+        }
+
         // --- Tables 2–4: AMG hierarchies ---------------------------------
         for (eq, amg) in &self.amg {
             let _ = writeln!(
@@ -1052,6 +1056,25 @@ impl Report {
                 format!("; worst eq {eq} {} -> {} iters", t.first_iters, t.last_iters)
             });
         Some(format!("health: {verdict}{worst}"))
+    }
+
+    /// One line splitting the blocking receives by how
+    /// `parcomm::Rank::wait_next` satisfied them (counter totals, summed
+    /// over ranks): while still polling, which is message latency, or
+    /// only after parking, which is another rank running late. `None`
+    /// when the stream carries neither counter.
+    pub fn wait_summary(&self) -> Option<String> {
+        let [polled, parked] = ["parcomm.recv_polled", "parcomm.recv_parked"]
+            .map(|name| self.counters.get(name).copied());
+        if polled.is_none() && parked.is_none() {
+            return None;
+        }
+        let (polled, parked) = (polled.unwrap_or_default(), parked.unwrap_or_default());
+        let share = 100.0 * polled as f64 / (polled + parked).max(1) as f64;
+        Some(format!(
+            "receives (summed over ranks): satisfied while polling {polled} ({share:.1} %), \
+             after parking {parked}"
+        ))
     }
 
     /// One line answering "why is precond setup / graph / global-assembly
@@ -1531,6 +1554,23 @@ mod tests {
         let quiet = Report::from_events(&sample_events());
         assert!(quiet.critical_path.is_empty());
         assert!(!quiet.render_ascii().contains("critical path"));
+    }
+
+    #[test]
+    fn wait_summary_splits_receives_by_wait_loop_exit() {
+        assert_eq!(Report::from_events(&sample_events()).wait_summary(), None);
+        let mut evs = sample_events();
+        for (rank, polled) in [(0, 70), (1, 20)] {
+            evs.push(Event::Counter { rank, name: "parcomm.recv_polled".into(), value: polled });
+        }
+        evs.push(Event::Counter { rank: 1, name: "parcomm.recv_parked".into(), value: 10 });
+        let report = Report::from_events(&evs);
+        let line = report.wait_summary().unwrap();
+        assert_eq!(
+            line,
+            "receives (summed over ranks): satisfied while polling 90 (90.0 %), after parking 10"
+        );
+        assert!(report.render_ascii().contains(&line));
     }
 
     #[test]

@@ -240,6 +240,57 @@ fn comm_edge_totals_identical_across_transports() {
     }
 }
 
+/// A peer that dies while the survivor's halo exchange is in flight —
+/// after the survivor's `try_halo_begin`, before the peer sent its own
+/// boundary — must surface on the survivor's `try_finish` as the typed
+/// disconnect, at once: not after the 120 s deadlock timeout, and not
+/// only once the wait loop has parked.
+#[test]
+fn peer_death_between_halo_begin_and_finish_is_a_prompt_typed_error() {
+    use exawind::distmat::{ParCsr, RowDist};
+    use exawind::parcomm::CommError;
+    use exawind::resilience::SolveError;
+    use exawind::sparse_kit::{Coo, Csr};
+    use std::sync::{Barrier, Mutex};
+    use std::time::{Duration, Instant};
+
+    let n = 8u64;
+    let mut coo = Coo::new();
+    for i in 0..n {
+        coo.push(i, i, 2.0);
+        if i > 0 {
+            coo.push(i, i - 1, -1.0);
+            coo.push(i - 1, i, -1.0);
+        }
+    }
+    let a = Csr::from_coo(n as usize, n as usize, &coo);
+    for kind in [TransportKind::Inproc, TransportKind::Socket] {
+        // Orders the death after the survivor's begin.
+        let begun = Barrier::new(2);
+        let survivor = Mutex::new(None);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Comm::run_with(kind, 2, |rank| {
+                let dist = RowDist::block(n, 2);
+                let pa = ParCsr::from_serial(rank, dist.clone(), dist, &a);
+                if rank.rank() == 1 {
+                    begun.wait();
+                    panic!("rank 1 dies mid-exchange");
+                }
+                let halo = pa.try_halo_begin(rank, &[1.0; 4]).expect("begin needs no peer");
+                begun.wait();
+                let t0 = Instant::now();
+                let res = halo.try_finish(rank);
+                *survivor.lock().unwrap() = Some((res, t0.elapsed()));
+            });
+        }));
+        assert!(raised.is_err(), "{kind}: the death must still fail the run");
+        let (res, waited) = survivor.into_inner().unwrap().expect("survivor finished");
+        let gone = CommError::Disconnected { rank: 0, peer: 1 };
+        assert_eq!(res, Err(SolveError::Comm { detail: gone.to_string() }), "{kind}");
+        assert!(waited < Duration::from_secs(1), "{kind}: survivor waited {waited:?}");
+    }
+}
+
 /// Read the hex-u64-per-line `.bits` artifact `exawind-worker` writes.
 fn read_bits_file(path: &std::path::Path) -> Vec<u64> {
     let text = std::fs::read_to_string(path)
