@@ -33,6 +33,12 @@ in_wait_next=$(sed -n '/fn wait_next(/,/^    }$/p' crates/parcomm/src/comm.rs \
 [ "$in_wait_next" -gt 0 ] && [ "$(grep -c . <<<"$wait_sites")" -eq "$in_wait_next" ] \
   || { echo "wait gate: spin/yield outside Rank::wait_next: $wait_sites" >&2; exit 1; }
 
+# One schema version: no telemetry source file describes, or branches
+# on, a stream older than the one it writes.
+old_schema=$(grep -rnE 'pre-v[0-9]' crates/telemetry/src || true)
+[ -z "$old_schema" ] \
+  || { echo "schema gate: read-compat wording or code for an old stream: $old_schema" >&2; exit 1; }
+
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
 # that the offline validator accepts (exit 0 ⇔ schema-valid, non-empty).
 tel_out=$(mktemp /tmp/exawind_telemetry.XXXXXX.jsonl)
@@ -175,14 +181,18 @@ grep -q '"type":"restore"' "$mp_dir/ckpt-tel.rank0.jsonl" \
 grep -q '"type":"checkpoint"' "$mp_dir/ckpt-tel.rank0.jsonl" \
   || { echo "checkpoint smoke: no checkpoint event in resumed rank-0 stream" >&2; exit 1; }
 
-# The model does not move by accident: the two cheapest modeled outputs
-# are regenerated and must equal the committed files byte for byte.
-# Every number in them is a `sparse_kit::cost` price run through the
-# `machine` model, so a re-pricing shows here as a diff (commit the
-# regenerated `results/*.txt` with it), not at the next re-anchor.
+# The model does not move by accident: the six modeled outputs that
+# carry no wall-clock column and regenerate in seconds must equal the
+# committed files byte for byte. Every number in them is a
+# `sparse_kit::cost` price run through the `machine` model, so a
+# re-pricing shows here as a diff (commit the regenerated
+# `results/*.txt` with it), not at the next re-anchor; `tune_solver`
+# drives three AMG configurations through the full solver on 8 ranks, so
+# identical iteration and message totals also prove the V-cycle did not
+# change.
 model_out=$(mktemp /tmp/exawind_model.XXXXXX.txt)
 trap 'rm -f "$tel_out" "$fault_out" "$turb_out" "$model_out"; rm -rf "$mp_dir"' EXIT
-for fig in fig6_breakdown_cpu ablation_sgs2; do
+for fig in fig6_breakdown_cpu ablation_sgs2 tune_solver fig7_breakdown_gpu ablation_gains table1_meshes; do
   cargo run --release -p exawind-bench --bin "$fig" > "$model_out"
   cmp "$model_out" "results/$fig.txt" \
     || { echo "model smoke: results/$fig.txt differs from a fresh run" >&2; exit 1; }

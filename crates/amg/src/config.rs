@@ -15,19 +15,6 @@ pub enum InterpType {
     MmExtI,
 }
 
-/// Smoother applied at each level of the V-cycle (the GPU smoother menu
-/// of the paper's ref. [41]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SmootherType {
-    /// Two-stage Gauss-Seidel with Jacobi-Richardson inner iterations
-    /// (§4.2, the paper's choice).
-    TwoStageGs,
-    /// ℓ1-scaled Jacobi: unconditionally convergent, fully parallel.
-    L1Jacobi,
-    /// Chebyshev polynomial smoothing on D⁻¹A.
-    Chebyshev,
-}
-
 /// BoomerAMG-style solver options. The defaults mirror the paper's
 /// pressure-Poisson configuration: aggressive PMIS coarsening at the
 /// first two levels with matrix-based second-stage interpolation, and a
@@ -50,11 +37,8 @@ pub struct AmgConfig {
     pub trunc_factor: f64,
     /// Pre-/post-smoothing sweeps per V-cycle level.
     pub smooth_sweeps: usize,
-    /// Inner Jacobi-Richardson iterations of the two-stage GS smoother
-    /// (or the Chebyshev degree when that smoother is selected).
+    /// Inner Jacobi-Richardson iterations of the two-stage GS smoother.
     pub smooth_inner: usize,
-    /// Which level smoother to use.
-    pub smoother: SmootherType,
     /// Seed for the PMIS random weights (deterministic per global id).
     pub seed: u64,
 }
@@ -70,7 +54,6 @@ impl Default for AmgConfig {
             trunc_factor: 0.0,
             smooth_sweeps: 1,
             smooth_inner: 1,
-            smoother: SmootherType::TwoStageGs,
             seed: 0x5EED,
         }
     }

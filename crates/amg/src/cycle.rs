@@ -41,7 +41,7 @@ impl AmgHierarchy {
         let r_op = level.r.as_ref().expect("level with P must have R");
 
         // Pre-smooth.
-        level.smoother.smooth(rank, b, x, sweeps, zero_guess);
+        level.smoother.smooth_from(rank, b, x, sweeps, zero_guess);
         // Restrict the residual.
         let res = level.a.residual(rank, b, x);
         let rc = r_op.spmv(rank, &res);
@@ -52,7 +52,7 @@ impl AmgHierarchy {
         let e = p.spmv(rank, &ec);
         x.axpy(rank, 1.0, &e);
         // Post-smooth.
-        level.smoother.smooth(rank, b, x, sweeps, false);
+        level.smoother.smooth(rank, b, x, sweeps);
     }
 
     /// Relative residual after applying `cycles` V-cycles to `A x = b`
@@ -150,15 +150,6 @@ impl AmgPrecond {
         }
     }
 
-    /// Wrap an existing hierarchy.
-    pub fn from_hierarchy(hierarchy: AmgHierarchy, cycles: usize, sweeps: usize) -> Self {
-        AmgPrecond {
-            hierarchy,
-            cycles,
-            sweeps,
-        }
-    }
-
     /// Access the hierarchy (complexities, level sizes).
     pub fn hierarchy(&self) -> &AmgHierarchy {
         &self.hierarchy
@@ -242,23 +233,32 @@ mod tests {
 
     #[test]
     fn vcycle_contracts_error_fast() {
-        let serial = laplacian_2d(16);
-        for p in [1, 2] {
-            let s2 = serial.clone();
-            let out = Comm::run(p, move |rank| {
-                let h = setup_from_serial(rank, &s2, &AmgConfig::standard());
-                let dist = h.levels[0].a.row_dist().clone();
-                let b = ParVector::from_fn(rank, dist.clone(), |g| ((g % 7) as f64) - 3.0);
-                let mut x = ParVector::zeros(rank, dist);
-                let rel4 = h.solve_cycles(rank, &b, &mut x, 4, 1);
-                let rel12 = h.solve_cycles(rank, &b, &mut x, 8, 1);
-                (rel4, rel12)
-            });
-            for (rel4, rel12) in out {
-                // Mesh-independent contraction: a healthy V-cycle factor
-                // for PMIS + direct interpolation is ≈0.2–0.3.
-                assert!(rel4 < 0.01, "p={p}: 4 cycles reached only {rel4}");
-                assert!(rel12 < 1e-5, "p={p}: 12 cycles stalled at {rel12}");
+        // The isotropic model problem and the stretched-grid operator
+        // class the pressure solves produce.
+        for (name, serial) in [
+            ("laplacian", laplacian_2d(16)),
+            ("anisotropic", anisotropic_2d(16, 0.05)),
+        ] {
+            for p in [1, 2] {
+                let s2 = serial.clone();
+                let out = Comm::run(p, move |rank| {
+                    let h = setup_from_serial(rank, &s2, &AmgConfig::standard());
+                    let dist = h.levels[0].a.row_dist().clone();
+                    let b = ParVector::from_fn(rank, dist.clone(), |g| ((g % 7) as f64) - 3.0);
+                    let mut x = ParVector::zeros(rank, dist);
+                    let rel4 = h.solve_cycles(rank, &b, &mut x, 4, 1);
+                    let rel12 = h.solve_cycles(rank, &b, &mut x, 8, 1);
+                    (rel4, rel12)
+                });
+                for (rel4, rel12) in out {
+                    assert!(rel4 < 0.01, "{name} p={p}: 4 cycles reached only {rel4}");
+                    assert!(rel12 < 1e-5, "{name} p={p}: 12 cycles stalled at {rel12}");
+                    // Mean residual contraction per cycle over cycles 5–12.
+                    // Measured: laplacian 0.298 / 0.301, anisotropic
+                    // 0.269 / 0.292 (p = 1 / 2); 0.35 leaves ≈ 15 %.
+                    let factor = (rel12 / rel4).powf(1.0 / 8.0);
+                    assert!(factor < 0.35, "{name} p={p}: contraction factor {factor}");
+                }
             }
         }
     }
@@ -412,12 +412,12 @@ mod tests {
             *x = h.coarse.solve(rank, b);
             return;
         };
-        level.smoother.smooth(rank, b, x, sweeps, false);
+        level.smoother.smooth(rank, b, x, sweeps);
         let rc = r_op.spmv(rank, &level.a.residual(rank, b, x));
         let mut ec = ParVector::zeros(rank, rc.dist().clone());
         reference_vcycle(h, rank, lvl + 1, &rc, &mut ec, sweeps);
         x.axpy(rank, 1.0, &p.spmv(rank, &ec));
-        level.smoother.smooth(rank, b, x, sweeps, false);
+        level.smoother.smooth(rank, b, x, sweeps);
     }
 
     #[test]

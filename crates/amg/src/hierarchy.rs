@@ -8,64 +8,18 @@
 //! among them with the configured (matrix-based) operator, exactly the
 //! §4.1 recipe used for the pressure-Poisson preconditioner.
 
-use distmat::{ops, ParCsr, ParVector, RowDist};
-use krylov::{Chebyshev, L1Jacobi, TwoStageGs};
+use distmat::{ops, ParCsr, RowDist};
+use krylov::TwoStageGs;
 use parcomm::Rank;
 use resilience::faults::{self, FaultKind};
 use resilience::{guard, SolveError};
 
 use crate::coarse::CoarseSolver;
-use crate::config::{AmgConfig, InterpType, SmootherType};
+use crate::config::{AmgConfig, InterpType};
 use crate::interp::build_interpolation;
-use crate::pmis::{pmis, pmis_aggressive, CfSplit, CfState};
+use crate::pmis::{pmis, pmis_aggressive, CfSplit};
 use crate::reuse::AmgReuse;
 use crate::strength::Strength;
-
-/// The smoother bound to one level (selected by
-/// [`AmgConfig::smoother`]).
-#[derive(Clone, Debug)]
-pub enum LevelSmoother {
-    /// Two-stage Gauss-Seidel (§4.2).
-    TwoStage(TwoStageGs),
-    /// ℓ1-Jacobi.
-    L1(L1Jacobi),
-    /// Chebyshev polynomial.
-    Cheby(Chebyshev),
-}
-
-impl LevelSmoother {
-    /// Build the configured smoother for a level operator. Collective
-    /// (Chebyshev runs a power iteration).
-    pub fn build(rank: &Rank, a: &ParCsr, config: &AmgConfig) -> LevelSmoother {
-        match config.smoother {
-            SmootherType::TwoStageGs => {
-                LevelSmoother::TwoStage(TwoStageGs::new(a, config.smooth_inner, 1))
-            }
-            SmootherType::L1Jacobi => LevelSmoother::L1(L1Jacobi::new(a)),
-            SmootherType::Chebyshev => {
-                LevelSmoother::Cheby(Chebyshev::new(rank, a, config.smooth_inner.max(2)))
-            }
-        }
-    }
-
-    /// Apply `rounds` smoothing rounds. `zero_guess` is the caller's
-    /// promise that it created `x` as `ParVector::zeros` (the first round
-    /// then starts from `r = b`). Collective.
-    pub fn smooth(
-        &self,
-        rank: &Rank,
-        b: &ParVector,
-        x: &mut ParVector,
-        rounds: usize,
-        zero_guess: bool,
-    ) {
-        match self {
-            LevelSmoother::TwoStage(s) => s.smooth_from(rank, b, x, rounds, zero_guess),
-            LevelSmoother::L1(s) => s.smooth_from(rank, b, x, rounds, zero_guess),
-            LevelSmoother::Cheby(s) => s.smooth_from(rank, b, x, rounds, zero_guess),
-        }
-    }
-}
 
 /// One level of the hierarchy.
 #[derive(Clone, Debug)]
@@ -77,8 +31,8 @@ pub struct AmgLevel {
     pub p: Option<ParCsr>,
     /// Restriction (Pᵀ) to the next coarser level.
     pub r: Option<ParCsr>,
-    /// The level smoother.
-    pub smoother: LevelSmoother,
+    /// The level smoother: two-stage Gauss-Seidel (§4.2).
+    pub smoother: TwoStageGs,
 }
 
 /// Global size of one hierarchy level (the rows of the paper's
@@ -204,7 +158,7 @@ impl AmgHierarchy {
                 Self::standard_level(rank, &a_cur, &s, &first, config, reuse)
             };
 
-            let smoother = LevelSmoother::build(rank, &a_cur, config);
+            let smoother = TwoStageGs::new(&a_cur, config.smooth_inner, 1);
             levels.push(AmgLevel {
                 a: a_cur,
                 p: Some(p),
@@ -227,7 +181,7 @@ impl AmgHierarchy {
                 nnz: a_cur.global_nnz(rank),
             });
         }
-        let smoother = LevelSmoother::build(rank, &a_cur, config);
+        let smoother = TwoStageGs::new(&a_cur, config.smooth_inner, 1);
         let coarse = CoarseSolver::new(rank, &a_cur);
         levels.push(AmgLevel {
             a: a_cur,
@@ -366,11 +320,6 @@ impl AmgHierarchy {
             .map(|l| l.a.row_dist().global_n())
             .collect()
     }
-}
-
-/// Convenience: how many points ended coarse on this rank.
-pub fn count_coarse(states: &[CfState]) -> usize {
-    states.iter().filter(|s| **s == CfState::Coarse).count()
 }
 
 /// Re-export for benches: build the finest-level distribution of a serial

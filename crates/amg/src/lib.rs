@@ -29,8 +29,8 @@ pub mod pmis;
 pub mod reuse;
 pub mod strength;
 
-pub use config::{AmgConfig, InterpType, SmootherType};
+pub use config::{AmgConfig, InterpType};
 pub use cycle::AmgPrecond;
-pub use hierarchy::{AmgHierarchy, AmgLevel, LevelSmoother};
+pub use hierarchy::{AmgHierarchy, AmgLevel};
 pub use reuse::AmgReuse;
 pub use pmis::CfState;

@@ -95,11 +95,6 @@ impl Strength {
         }
     }
 
-    /// Number of strong connections of local row `i`.
-    pub fn row_count(&self, i: usize) -> usize {
-        self.sdiag.row(i).0.len() + self.soffd.row(i).0.len()
-    }
-
     /// Total strong connections on this rank.
     pub fn nnz(&self) -> usize {
         self.sdiag.nnz() + self.soffd.nnz()
@@ -148,8 +143,8 @@ mod tests {
                 ],
             );
             let s = Strength::classical(rank, &a, 0.25);
-            assert_eq!(s.row_count(0), 1);
-            assert_eq!(s.row_count(1), 2);
+            assert_eq!(s.sdiag.row(0).0, &[1]);
+            assert_eq!(s.sdiag.row(1).0, &[0, 2]);
             assert_eq!(s.nnz(), 4);
         });
     }
@@ -171,7 +166,7 @@ mod tests {
             assert_eq!(s.sdiag.row(0).0, &[1]);
             assert_eq!(s.sdiag.row(1).0, &[0]);
             // Row 2: both connections equal → both strong.
-            assert_eq!(s.row_count(2), 2);
+            assert_eq!(s.sdiag.row(2).0, &[0, 1]);
         });
     }
 

@@ -56,9 +56,6 @@ pub fn baseline_config(picard: usize) -> SolverConfig {
     }
 }
 
-/// Equation systems reported in breakdowns.
-pub const EQUATIONS: [&str; 4] = ["momentum", "continuity", "scalar", "overset"];
-
 /// Outcome of one (case, rank-count) run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -198,23 +195,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         println!("{}", row.join(","));
     }
     println!();
-}
-
-/// Sweep a strong-scaling study: one [`run_case`] per rank count.
-pub fn strong_scaling(
-    case: NrelCase,
-    scale: f64,
-    steps: usize,
-    ranks: &[usize],
-    cfg: SolverConfig,
-) -> Vec<RunResult> {
-    ranks
-        .iter()
-        .map(|&p| {
-            eprintln!("  running {} on {p} ranks...", case.name());
-            run_case(case, scale, p, steps, cfg.clone())
-        })
-        .collect()
 }
 
 /// Exact per-rank nonzero counts of the pressure-Poisson matrix for a

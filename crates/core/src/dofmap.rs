@@ -120,11 +120,6 @@ impl DofMap {
         nodes.sort_by_key(|&i| self.gid[i]);
         nodes
     }
-
-    /// Local index (within the rank's block) of a node owned by `rank`.
-    pub fn local_of(&self, rank: usize, node: usize) -> usize {
-        self.dist.to_local(rank, self.gid[node])
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +168,7 @@ mod tests {
         for r in 0..2 {
             let nodes = dm.owned_nodes(r);
             for (k, &node) in nodes.iter().enumerate() {
-                assert_eq!(dm.local_of(r, node), k);
+                assert_eq!(dm.dist.to_local(r, dm.gid[node]), k);
             }
         }
     }

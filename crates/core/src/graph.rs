@@ -297,64 +297,29 @@ impl EquationGraph {
 /// Value buffers matching an [`EquationGraph`] pattern.
 ///
 /// The scatter-add is the stand-in for the GPU atomic adds of §3.2. The
-/// paper notes that atomics forgo bitwise run-to-run reproducibility and
-/// that "one could perform compensated summation [27] to minimize the
-/// effect of the potential discrepancies, but this has not yet been
-/// implemented" — [`LocalValues::with_compensation`] implements exactly
-/// that option: Kahan-compensated scatter-adds, which make the assembled
-/// values (nearly) independent of the contribution order.
+/// paper notes that atomics forgo bitwise run-to-run reproducibility;
+/// here every slot sums its contributions in a fixed order instead.
 #[derive(Clone, Debug)]
 pub struct LocalValues {
     /// Values of the owned pattern entries.
     pub owned: Vec<f64>,
     /// Values of the shared pattern entries.
     pub shared: Vec<f64>,
-    /// Kahan compensation terms (empty when compensation is off).
-    comp_owned: Vec<f64>,
-    comp_shared: Vec<f64>,
 }
 
 impl LocalValues {
-    /// Zeroed buffers for `graph` with plain (uncompensated) summation.
+    /// Zeroed buffers for `graph`.
     pub fn zeros(graph: &EquationGraph) -> Self {
         LocalValues {
             owned: vec![0.0; graph.owned.len()],
             shared: vec![0.0; graph.shared.len()],
-            comp_owned: Vec::new(),
-            comp_shared: Vec::new(),
         }
-    }
-
-    /// Zeroed buffers with Kahan-compensated scatter-adds (§3.2's
-    /// "compensated summation [27]" option).
-    pub fn with_compensation(graph: &EquationGraph) -> Self {
-        LocalValues {
-            owned: vec![0.0; graph.owned.len()],
-            shared: vec![0.0; graph.shared.len()],
-            comp_owned: vec![0.0; graph.owned.len()],
-            comp_shared: vec![0.0; graph.shared.len()],
-        }
-    }
-
-    /// Whether compensated summation is active.
-    pub fn compensated(&self) -> bool {
-        !self.comp_owned.is_empty() || self.owned.is_empty()
     }
 
     /// Reset to zero (pattern reuse across Picard iterations).
     pub fn reset(&mut self) {
         self.owned.iter_mut().for_each(|v| *v = 0.0);
         self.shared.iter_mut().for_each(|v| *v = 0.0);
-        self.comp_owned.iter_mut().for_each(|v| *v = 0.0);
-        self.comp_shared.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    #[inline]
-    fn kahan_add(sum: &mut f64, comp: &mut f64, v: f64) {
-        let y = v - *comp;
-        let t = *sum + y;
-        *comp = (t - *sum) - y;
-        *sum = t;
     }
 
     /// Scatter-add into a slot (the GPU atomic-add of §3.2; sequential
@@ -365,19 +330,9 @@ impl LocalValues {
             return;
         }
         if slot & SHARED_BIT != 0 {
-            let i = (slot & !SHARED_BIT) as usize;
-            if self.comp_shared.is_empty() {
-                self.shared[i] += v;
-            } else {
-                Self::kahan_add(&mut self.shared[i], &mut self.comp_shared[i], v);
-            }
+            self.shared[(slot & !SHARED_BIT) as usize] += v;
         } else {
-            let i = slot as usize;
-            if self.comp_owned.is_empty() {
-                self.owned[i] += v;
-            } else {
-                Self::kahan_add(&mut self.owned[i], &mut self.comp_owned[i], v);
-            }
+            self.owned[slot as usize] += v;
         }
     }
 
@@ -388,30 +343,8 @@ impl LocalValues {
     /// identical to calling [`LocalValues::add`] edge by edge — but the
     /// underlying segmented reduction is free to run slots in parallel.
     pub fn scatter_edges(&mut self, plan: &ScatterPlan, src: &[f64]) {
-        if self.comp_owned.is_empty() {
-            prims::segmented_gather_sum(&plan.owned_indptr, &plan.owned_src, src, &mut self.owned);
-            prims::segmented_gather_sum(
-                &plan.shared_indptr,
-                &plan.shared_src,
-                src,
-                &mut self.shared,
-            );
-        } else {
-            prims::segmented_gather_sum_kahan(
-                &plan.owned_indptr,
-                &plan.owned_src,
-                src,
-                &mut self.owned,
-                &mut self.comp_owned,
-            );
-            prims::segmented_gather_sum_kahan(
-                &plan.shared_indptr,
-                &plan.shared_src,
-                src,
-                &mut self.shared,
-                &mut self.comp_shared,
-            );
-        }
+        prims::segmented_gather_sum(&plan.owned_indptr, &plan.owned_src, src, &mut self.owned);
+        prims::segmented_gather_sum(&plan.shared_indptr, &plan.shared_src, src, &mut self.shared);
     }
 
     /// Overwrite a slot (Dirichlet diagonals).
@@ -421,17 +354,9 @@ impl LocalValues {
             return;
         }
         if slot & SHARED_BIT != 0 {
-            let i = (slot & !SHARED_BIT) as usize;
-            self.shared[i] = v;
-            if let Some(c) = self.comp_shared.get_mut(i) {
-                *c = 0.0;
-            }
+            self.shared[(slot & !SHARED_BIT) as usize] = v;
         } else {
-            let i = slot as usize;
-            self.owned[i] = v;
-            if let Some(c) = self.comp_owned.get_mut(i) {
-                *c = 0.0;
-            }
+            self.owned[slot as usize] = v;
         }
     }
 }
@@ -559,74 +484,10 @@ mod tests {
     }
 
     #[test]
-    fn compensated_scatter_is_order_insensitive() {
-        // §3.2: GPU atomics make the scatter order nondeterministic, and
-        // the paper suggests compensated summation as the mitigation.
-        // Emulate adversarial scatter orders and verify that Kahan
-        // accumulation gives (bitwise) order-independent sums where plain
-        // summation drifts.
-        let (mesh, dm) = setup(1);
-        let tags = classify_nodes(&mesh);
-        let dir = dirichlet_momentum(&tags);
-        let oe = owned_edges(&mesh, &dm, 0);
-        let on = dm.owned_nodes(0);
-        let g = EquationGraph::build(&mesh, &dm, 0, dir, &oe, &on);
-
-        // Contributions spanning 12 orders of magnitude into one slot.
-        let slot = g.diag_slots[0];
-        let contributions: Vec<f64> = (0..200)
-            .map(|k| {
-                let mag = 10f64.powi(k % 13 - 6);
-                mag * (1.0 + (k as f64) * 1e-3)
-            })
-            .collect();
-
-        let run = |order: &[usize], compensated: bool| -> f64 {
-            let mut vals = if compensated {
-                LocalValues::with_compensation(&g)
-            } else {
-                LocalValues::zeros(&g)
-            };
-            for &k in order {
-                vals.add(slot, contributions[k]);
-            }
-            vals.owned[slot as usize]
-        };
-        let forward: Vec<usize> = (0..contributions.len()).collect();
-        let reverse: Vec<usize> = forward.iter().rev().copied().collect();
-        let mut shuffled = forward.clone();
-        // Deterministic shuffle.
-        for i in (1..shuffled.len()).rev() {
-            shuffled.swap(i, (i * 7919) % (i + 1));
-        }
-
-        let plain: Vec<f64> = [&forward, &reverse, &shuffled]
-            .iter()
-            .map(|o| run(o, false))
-            .collect();
-        let kahan: Vec<f64> = [&forward, &reverse, &shuffled]
-            .iter()
-            .map(|o| run(o, true))
-            .collect();
-
-        // Plain summation is order-sensitive on this contribution set.
-        assert!(
-            plain[0] != plain[1] || plain[0] != plain[2],
-            "contribution set too benign to demonstrate order sensitivity"
-        );
-        // Kahan-compensated summation is bitwise order-independent here.
-        assert_eq!(kahan[0], kahan[1]);
-        assert_eq!(kahan[0], kahan[2]);
-        // And both agree to high relative accuracy.
-        assert!((plain[0] - kahan[0]).abs() <= 1e-12 * kahan[0].abs());
-        assert!(LocalValues::with_compensation(&g).compensated());
-    }
-
-    #[test]
     fn scatter_plan_matches_sequential_adds_bitwise() {
         // The plan-driven edge scatter must reproduce the sequential
-        // per-edge add loop bit for bit, in both summation modes, at any
-        // rank count (so shared slots get exercised too).
+        // per-edge add loop bit for bit, at any rank count (so shared
+        // slots get exercised too).
         for nparts in [1, 2, 3] {
             let (mesh, dm) = setup(nparts);
             let tags = classify_nodes(&mesh);
@@ -642,25 +503,16 @@ mod tests {
                         mag * (((c * 2654435761) % 1000) as f64 - 499.5)
                     })
                     .collect();
-                for compensated in [false, true] {
-                    let mk = |g: &EquationGraph| {
-                        if compensated {
-                            LocalValues::with_compensation(g)
-                        } else {
-                            LocalValues::zeros(g)
-                        }
-                    };
-                    let mut seq = mk(&g);
-                    for (k, slots) in g.edge_slots.iter().enumerate() {
-                        for (j, &s) in slots.iter().enumerate() {
-                            seq.add(s, src[4 * k + j]);
-                        }
+                let mut seq = LocalValues::zeros(&g);
+                for (k, slots) in g.edge_slots.iter().enumerate() {
+                    for (j, &s) in slots.iter().enumerate() {
+                        seq.add(s, src[4 * k + j]);
                     }
-                    let mut plan = mk(&g);
-                    plan.scatter_edges(&g.scatter, &src);
-                    assert_eq!(seq.owned, plan.owned, "owned differ (kahan={compensated})");
-                    assert_eq!(seq.shared, plan.shared, "shared differ (kahan={compensated})");
                 }
+                let mut plan = LocalValues::zeros(&g);
+                plan.scatter_edges(&g.scatter, &src);
+                assert_eq!(seq.owned, plan.owned, "owned differ");
+                assert_eq!(seq.shared, plan.shared, "shared differ");
             }
         }
     }

@@ -21,7 +21,7 @@ use resilience::checkpoint::{self, MeshCheckpoint, SolverCheckpoint};
 use resilience::faults::{self, FaultGuard, FaultKind, FaultPlan};
 use resilience::{guard, RecoveryAction, RecoveryPolicy, RecoveryRecord, SolveError};
 use windmesh::overset::assemble_overset;
-use windmesh::{Mesh, OversetAssembly, TurbineMeshes};
+use windmesh::{Mesh, OversetAssembly};
 
 use crate::assemble::{
     correct_velocity, fill_continuity, fill_momentum, fill_scalar, try_build_matrix,
@@ -300,11 +300,6 @@ impl Simulation {
         self.health.last_verdict()
     }
 
-    /// Whether this simulation is recording telemetry.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_enabled()
-    }
-
     /// Finish telemetry recording: uninstall the dispatcher, convert the
     /// rank's accumulated perf trace into `phase_perf` events, and drain
     /// the event stream. Returns an empty vec when telemetry is off.
@@ -319,13 +314,6 @@ impl Simulation {
         }
         let tel = std::mem::replace(&mut self.telemetry, telemetry::Telemetry::disabled());
         tel.finish()
-    }
-
-    /// Build from a generated turbine case.
-    pub fn from_turbine(rank: &Rank, tm: TurbineMeshes, cfg: SolverConfig) -> Simulation {
-        // `TurbineMeshes` already carries an assembly, but statuses are
-        // recomputed here so the Simulation owns a consistent trio.
-        Simulation::new(rank, tm.meshes, cfg)
     }
 
     /// Number of meshes.

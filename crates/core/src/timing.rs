@@ -96,11 +96,6 @@ impl Timings {
         self.acc.get(&(eq.to_string(), phase)).copied().unwrap_or(0.0)
     }
 
-    /// Total over all phases of one equation.
-    pub fn equation_total(&self, eq: &str) -> f64 {
-        Phase::ALL.iter().map(|&p| self.get(eq, p)).sum()
-    }
-
     /// Total over everything.
     pub fn total(&self) -> f64 {
         self.acc.values().sum()
@@ -142,7 +137,7 @@ mod tests {
         assert!(t.get("continuity", Phase::Solve) >= 1.0);
         assert_eq!(t.get("continuity", Phase::PrecondSetup), 0.5);
         assert_eq!(t.get("momentum", Phase::Solve), 0.0);
-        assert!(t.equation_total("continuity") >= 1.5);
+        assert!(t.total() >= 1.5);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl RowDist {
         );
         (gid - self.start(rank)) as usize
     }
-
-    /// Convert a local index on `rank` to a global id.
-    pub fn to_global(&self, rank: usize, lid: usize) -> u64 {
-        self.start(rank) + lid as u64
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +133,7 @@ mod tests {
         let d = RowDist::block(9, 2);
         for r in 0..2 {
             for l in 0..d.local_n(r) {
-                let g = d.to_global(r, l);
+                let g = d.start(r) + l as u64;
                 assert_eq!(d.owner(g), r);
                 assert_eq!(d.to_local(r, g), l);
             }

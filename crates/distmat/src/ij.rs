@@ -76,11 +76,6 @@ impl IjMatrix {
         }
     }
 
-    /// (owned, shared) entry counts — `nnz_own` and `nnz_send`.
-    pub fn nnz_counts(&self) -> (usize, usize) {
-        (self.owned.len(), self.shared.len())
-    }
-
     /// Algorithm 1: exchange off-rank entries, sort + reduce, split into
     /// diag/offd. Collective.
     ///

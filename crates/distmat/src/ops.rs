@@ -427,12 +427,6 @@ pub fn par_spgemm_planned(rank: &Rank, a: &ParCsr, b: &ParCsr) -> (ParSpgemmPlan
     (plan, c)
 }
 
-/// Per-rank nonzero counts of a distributed matrix (for the Fig. 5/10
-/// balance plots). Collective; every rank receives the full vector.
-pub fn nnz_per_rank(rank: &Rank, a: &ParCsr) -> Vec<u64> {
-    rank.allgather(a.local_nnz() as u64)
-}
-
 /// Build a distribution that assigns contiguous blocks matching an
 /// arbitrary partition vector: vertices are renumbered so each part's
 /// vertices are contiguous. Returns (dist, old→new permutation).
@@ -664,21 +658,6 @@ mod tests {
                 assert_eq!(pairs, vec![(0, 2.0), (1, -1.0)]);
             }
         });
-    }
-
-    #[test]
-    fn nnz_per_rank_gathers() {
-        let out = Comm::run(3, |rank| {
-            let n = 9;
-            let a_serial = laplacian(n);
-            let rd = RowDist::block(n as u64, 3);
-            let a = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &a_serial);
-            nnz_per_rank(rank, &a)
-        });
-        for v in &out {
-            assert_eq!(v.iter().sum::<u64>(), 25); // 9*3 - 2
-        }
-        assert_eq!(out[0], out[2]);
     }
 
     #[test]

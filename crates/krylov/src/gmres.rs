@@ -250,7 +250,6 @@ impl Gmres {
         if !tel.is_enabled() {
             return;
         }
-        tel.observe("gmres.iters", stats.iters as f64);
         tel.record(telemetry::Event::Gmres {
             rank: rank.rank(),
             path: tel.current_path(),

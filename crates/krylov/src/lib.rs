@@ -21,4 +21,4 @@ pub mod smoothers;
 
 pub use gmres::{Gmres, GmresStats, OrthoStrategy};
 pub use precond::{IdentityPrecond, JacobiPrecond, Preconditioner};
-pub use smoothers::{Chebyshev, HybridGs, L1Jacobi, Sgs2, TwoStageGs};
+pub use smoothers::{HybridGs, Sgs2, TwoStageGs};

@@ -336,203 +336,6 @@ impl Preconditioner for Sgs2 {
     }
 }
 
-// ---------------------------------------------------------------------------
-
-/// ℓ1-Jacobi smoother (Baker/Falgout/Kolev/Yang, the paper's ref. [41]):
-/// `x ← x + D_ℓ1⁻¹ (b − A x)` with `(D_ℓ1)_ii = a_ii + Σ_offd |a_ij|`.
-/// Unconditionally convergent for SPD matrices and fully data-parallel —
-/// the safest GPU smoother in BoomerAMG's menu.
-#[derive(Clone, Debug)]
-pub struct L1Jacobi {
-    a: ParCsr,
-    inv_d_l1: Vec<f64>,
-    /// Outer iterations per [`Preconditioner::apply`].
-    pub outer: usize,
-}
-
-impl L1Jacobi {
-    /// Build for `a`. The ℓ1 correction uses the off-rank (offd) entries,
-    /// which is what makes the hybrid iteration robust at any rank count.
-    pub fn new(a: &ParCsr) -> Self {
-        let n = a.local_rows();
-        let mut d = a.diag.diag();
-        assert_eq!(d.len(), n);
-        for (i, di) in d.iter_mut().enumerate() {
-            let (_, vals) = a.offd.row(i);
-            *di += vals.iter().map(|v| v.abs()).sum::<f64>();
-        }
-        let inv_d_l1 = d
-            .iter()
-            .map(|&v| {
-                assert!(v != 0.0, "ℓ1 diagonal must be nonzero");
-                1.0 / v
-            })
-            .collect();
-        L1Jacobi {
-            a: a.clone(),
-            inv_d_l1,
-            outer: 1,
-        }
-    }
-
-    /// `rounds` damped-Jacobi iterations with the ℓ1 diagonal on an
-    /// arbitrary iterate. Collective.
-    pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
-        self.smooth_from(rank, b, x, rounds, false);
-    }
-
-    /// [`L1Jacobi::smooth`] where `zero_guess` is the caller's promise
-    /// that it created `x` as `ParVector::zeros`: the first round then
-    /// starts from `r = b` (see `round_residual`). Collective.
-    pub fn smooth_from(
-        &self,
-        rank: &Rank,
-        b: &ParVector,
-        x: &mut ParVector,
-        rounds: usize,
-        zero_guess: bool,
-    ) {
-        telemetry::counter("smoother.l1_jacobi.rounds", rounds as u64);
-        let n = x.local.len();
-        let mut buf = vec![0.0; n];
-        for round in 0..rounds {
-            let first_from_zero = zero_guess && round == 0;
-            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
-            let k = rank.kernel("l1_jacobi_update", KernelKind::Stream);
-            k.launch(n, cost::blas1(n, 3));
-            for (i, &ri) in r.iter().enumerate() {
-                x.local[i] += self.inv_d_l1[i] * ri;
-            }
-        }
-    }
-}
-
-impl Preconditioner for L1Jacobi {
-    fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
-        let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth_from(rank, r, &mut z, self.outer, true);
-        z
-    }
-}
-
-// ---------------------------------------------------------------------------
-
-/// Chebyshev polynomial smoother of degree `degree` on the diagonally
-/// scaled operator `D⁻¹A`, with the spectral radius estimated by power
-/// iteration at construction — another standard GPU smoother: no
-/// triangular solves, no inner recurrences, only SpMVs.
-#[derive(Clone, Debug)]
-pub struct Chebyshev {
-    a: ParCsr,
-    inv_diag: Vec<f64>,
-    lambda_max: f64,
-    lambda_min: f64,
-    /// Polynomial degree per application.
-    pub degree: usize,
-}
-
-impl Chebyshev {
-    /// Build with a power-iteration estimate of λmax(D⁻¹A). Collective.
-    pub fn new(rank: &Rank, a: &ParCsr, degree: usize) -> Self {
-        let inv_diag: Vec<f64> = a
-            .diagonal()
-            .iter()
-            .map(|&d| {
-                assert!(d != 0.0, "Chebyshev requires a nonzero diagonal");
-                1.0 / d
-            })
-            .collect();
-        // Power iteration on D⁻¹A (deterministic start vector).
-        let mut v = ParVector::from_fn(rank, a.row_dist().clone(), |g| {
-            1.0 + ((g % 7) as f64) * 0.1
-        });
-        let mut lambda = 1.0;
-        for _ in 0..12 {
-            let mut w = a.spmv(rank, &v);
-            for (wi, di) in w.local.iter_mut().zip(&inv_diag) {
-                *wi *= di;
-            }
-            let norm = w.norm2(rank);
-            if norm == 0.0 {
-                break;
-            }
-            lambda = norm / v.norm2(rank).max(1e-300);
-            w.scale(rank, 1.0 / norm);
-            v = w;
-        }
-        // Standard smoothing bracket: damp the upper 2/3 of the spectrum.
-        let lambda_max = 1.1 * lambda;
-        Chebyshev {
-            a: a.clone(),
-            inv_diag,
-            lambda_max,
-            lambda_min: lambda_max / 3.0,
-            degree: degree.max(1),
-        }
-    }
-
-    /// Estimated λmax of D⁻¹A.
-    pub fn lambda_max(&self) -> f64 {
-        self.lambda_max
-    }
-
-    /// One degree-`degree` Chebyshev application per round (the classic
-    /// three-term recurrence on the preconditioned residual) on an
-    /// arbitrary iterate. Collective.
-    pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
-        self.smooth_from(rank, b, x, rounds, false);
-    }
-
-    /// [`Chebyshev::smooth`] where `zero_guess` is the caller's promise
-    /// that it created `x` as `ParVector::zeros`: the first residual of
-    /// the first round is then `r = b` (see `round_residual`). Collective.
-    pub fn smooth_from(
-        &self,
-        rank: &Rank,
-        b: &ParVector,
-        x: &mut ParVector,
-        rounds: usize,
-        zero_guess: bool,
-    ) {
-        telemetry::counter("smoother.chebyshev.rounds", rounds as u64);
-        let n = x.local.len();
-        let theta = 0.5 * (self.lambda_max + self.lambda_min);
-        let delta = 0.5 * (self.lambda_max - self.lambda_min);
-        let mut buf = vec![0.0; n];
-        for round in 0..rounds {
-            // d: current correction direction; standard Chebyshev setup.
-            let first_from_zero = zero_guess && round == 0;
-            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
-            let mut d: Vec<f64> = (0..n)
-                .map(|i| self.inv_diag[i] * r[i] / theta)
-                .collect();
-            let mut sigma = theta / delta;
-            for (i, &di) in d.iter().enumerate() {
-                x.local[i] += di;
-            }
-            for _ in 1..self.degree {
-                let r = round_residual(&self.a, rank, &b.local, &x.local, false, &mut buf);
-                let sigma_new = 1.0 / (2.0 * theta / delta - sigma);
-                let rho = sigma * sigma_new;
-                for i in 0..n {
-                    d[i] = rho * d[i]
-                        + 2.0 * sigma_new / delta * self.inv_diag[i] * r[i];
-                    x.local[i] += d[i];
-                }
-                sigma = sigma_new;
-            }
-        }
-    }
-}
-
-impl Preconditioner for Chebyshev {
-    fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
-        let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth_from(rank, r, &mut z, 1, true);
-        z
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,79 +515,6 @@ mod tests {
             assert_eq!(apply.launches_by_kind[&KernelKind::SpMV], 8 + 2);
             assert_eq!(smooth.launches_by_kind[&KernelKind::SpMV], 8 + 4);
         }
-    }
-
-    #[test]
-    fn l1_jacobi_converges_on_laplacian() {
-        for p in [1, 2] {
-            let out = Comm::run(p, |rank| {
-                let (a, b, x_true) = setup(rank, 12);
-                let l1 = L1Jacobi::new(&a);
-                let mut x = ParVector::zeros(rank, b.dist().clone());
-                let e0 = error_norm(rank, &x, &x_true);
-                l1.smooth(rank, &b, &mut x, 200);
-                (e0, error_norm(rank, &x, &x_true))
-            });
-            for (e0, e1) in out {
-                assert!(e1 < 0.05 * e0, "p={p}: e0={e0} e1={e1}");
-            }
-        }
-    }
-
-    #[test]
-    fn l1_diagonal_dominates_plain_diagonal() {
-        Comm::run(2, |rank| {
-            let (a, b, _) = setup(rank, 10);
-            let l1 = L1Jacobi::new(&a);
-            // ℓ1 scaling must never exceed plain Jacobi scaling (the
-            // off-rank |a_ij| mass only grows the diagonal).
-            let inv_plain: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
-            let mut z = ParVector::zeros(rank, b.dist().clone());
-            l1.smooth(rank, &b, &mut z, 1);
-            for (i, &zi) in z.local.iter().enumerate() {
-                assert!(zi.abs() <= (inv_plain[i] * b.local[i]).abs() + 1e-14);
-            }
-        });
-    }
-
-    #[test]
-    fn chebyshev_estimates_spectrum_and_converges() {
-        for p in [1, 2] {
-            let out = Comm::run(p, |rank| {
-                let (a, b, x_true) = setup(rank, 16);
-                let cheb = Chebyshev::new(rank, &a, 4);
-                // For the 1-D Laplacian, λmax(D⁻¹A) ≈ 2.
-                assert!(
-                    (1.5..2.6).contains(&cheb.lambda_max()),
-                    "λmax estimate {} off",
-                    cheb.lambda_max()
-                );
-                let mut x = ParVector::zeros(rank, b.dist().clone());
-                let e0 = error_norm(rank, &x, &x_true);
-                cheb.smooth(rank, &b, &mut x, 25);
-                (e0, error_norm(rank, &x, &x_true))
-            });
-            for (e0, e1) in out {
-                // A *smoother* damps the upper spectrum; smooth error
-                // components persist by design, so expectations are mild.
-                assert!(e1 < 0.15 * e0, "p={p}: e0={e0} e1={e1}");
-            }
-        }
-    }
-
-    #[test]
-    fn chebyshev_degree_improves_per_round_damping() {
-        Comm::run(1, |rank| {
-            let (a, b, x_true) = setup(rank, 16);
-            let mut errs = Vec::new();
-            for degree in [1usize, 3] {
-                let cheb = Chebyshev::new(rank, &a, degree);
-                let mut x = ParVector::zeros(rank, b.dist().clone());
-                cheb.smooth(rank, &b, &mut x, 6);
-                errs.push(error_norm(rank, &x, &x_true));
-            }
-            assert!(errs[1] < errs[0], "degree 3 must beat degree 1: {errs:?}");
-        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! round from an explicit zero vector, bit for bit.
 
 use distmat::{ParCsr, ParVector, RowDist};
-use krylov::{Chebyshev, L1Jacobi, Preconditioner, Sgs2, TwoStageGs};
+use krylov::{Preconditioner, Sgs2, TwoStageGs};
 use parcomm::Comm;
 use proptest::prelude::*;
 use sparse_kit::Coo;
@@ -36,8 +36,8 @@ proptest! {
 
     /// `Preconditioner::apply` (which creates the zero iterate and so runs
     /// its first round as a zero-guess round) against the general
-    /// `smooth` on an explicit `ParVector::zeros`, for all four smoothers
-    /// at 1–3 ranks.
+    /// `smooth` on an explicit `ParVector::zeros`, for both two-stage
+    /// smoothers at 1–3 ranks.
     #[test]
     fn zero_guess_round_equals_general_round_from_zeros_bitwise(
         (n, offdiag, rhs) in (4u64..20).prop_flat_map(|n| (
@@ -53,7 +53,6 @@ proptest! {
                 let dist = RowDist::block(n, p);
                 let mut coo = Coo::new();
                 for g in dist.start(me)..dist.end(me) {
-                    // Positive, so the ℓ1 diagonal `a_ii + Σ|offd|` cannot vanish.
                     coo.push(g, g, if g % 3 == 0 { 3.0 } else { 5.0 });
                 }
                 for &(r, c, v) in &offdiag {
@@ -77,19 +76,6 @@ proptest! {
                         sgs.smooth(rank, &b, &mut x, outer);
                         assert_eq!(bits(&sgs.apply(rank, &b).local), bits(&x.local), "sgs2 {inner}/{outer}");
                     }
-                }
-                for outer in 1..=2 {
-                    let mut l1 = L1Jacobi::new(&a);
-                    l1.outer = outer;
-                    let mut x = zeros();
-                    l1.smooth(rank, &b, &mut x, outer);
-                    assert_eq!(bits(&l1.apply(rank, &b).local), bits(&x.local), "l1 {outer}");
-                }
-                for degree in 1..=3 {
-                    let cheb = Chebyshev::new(rank, &a, degree);
-                    let mut x = zeros();
-                    cheb.smooth(rank, &b, &mut x, 1);
-                    assert_eq!(bits(&cheb.apply(rank, &b).local), bits(&x.local), "cheb {degree}");
                 }
             });
         }

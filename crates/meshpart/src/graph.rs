@@ -62,11 +62,6 @@ impl Graph {
         self.vwgt.len()
     }
 
-    /// Number of undirected edges.
-    pub fn ne(&self) -> usize {
-        self.adjncy.len() / 2
-    }
-
     /// Neighbors of `u` with edge weights.
     pub fn neighbors(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let range = self.xadj[u]..self.xadj[u + 1];
@@ -142,7 +137,7 @@ mod tests {
     fn adjacency_is_symmetric() {
         let g = path4();
         assert_eq!(g.nv(), 4);
-        assert_eq!(g.ne(), 3);
+        assert_eq!(g.adjncy.len(), 2 * 3);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 2);
         let n1: Vec<usize> = g.neighbors(1).map(|(v, _)| v).collect();

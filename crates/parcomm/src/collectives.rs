@@ -51,11 +51,6 @@ impl Rank {
         self.allreduce(value, |a, b| a + b)
     }
 
-    /// Allreduce with `max` on `u64`.
-    pub fn allreduce_max(&self, value: u64) -> u64 {
-        self.allreduce(value, |a, b| *a.max(b))
-    }
-
     /// Allreduce with `max` on `f64`.
     pub fn allreduce_max_f64(&self, value: f64) -> f64 {
         self.allreduce(value, |a, b| a.max(*b))
@@ -134,12 +129,6 @@ impl Rank {
         })
     }
 
-    /// Exclusive prefix sum: rank r receives `sum(values of ranks < r)`.
-    pub fn exscan_sum(&self, value: u64) -> u64 {
-        let all = self.allgather(value);
-        all[..self.rank()].iter().sum()
-    }
-
     /// Sparse all-to-all exchange: send each `(dst, payload)` pair and
     /// return the `(src, payload)` pairs addressed to this rank, sorted by
     /// source rank. A rank may appear multiple times as destination.
@@ -213,11 +202,11 @@ mod tests {
     #[test]
     fn allreduce_max_min() {
         let out = Comm::run(5, |rank| {
-            let mx = rank.allreduce_max(rank.rank() as u64 * 10);
+            let mx = rank.allreduce_max_f64(rank.rank() as f64 * 10.0);
             let mn = rank.allreduce_min(rank.rank() as u64 * 10 + 3);
             (mx, mn)
         });
-        assert!(out.iter().all(|&(mx, mn)| mx == 40 && mn == 3));
+        assert!(out.iter().all(|&(mx, mn)| mx == 40.0 && mn == 3));
     }
 
     #[test]
@@ -245,12 +234,6 @@ mod tests {
             rank.broadcast(2, v)
         });
         assert!(out.iter().all(|v| v == &vec![1.5, 2.5]));
-    }
-
-    #[test]
-    fn exscan_is_exclusive() {
-        let out = Comm::run(4, |rank| rank.exscan_sum(10));
-        assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
     #[test]

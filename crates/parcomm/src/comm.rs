@@ -557,11 +557,6 @@ impl Rank {
         }
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn barrier_internal(&self) {
-        self.transport.barrier();
-    }
-
     pub(crate) fn next_internal_tag(&self) -> Tag {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq.wrapping_add(1));

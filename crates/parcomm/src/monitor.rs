@@ -141,11 +141,6 @@ impl MonitorClient {
         Some(stream)
     }
 
-    /// Whether a monitor connection is live.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
     /// Best-effort send; a failed write permanently disconnects the
     /// client rather than surfacing an error.
     pub fn send(&mut self, hb: &Heartbeat) {
@@ -287,7 +282,7 @@ mod tests {
         let server = MonitorServer::bind().unwrap();
         let mut c0 = MonitorClient::connect(Some(server.addr()));
         let mut c1 = MonitorClient::connect(Some(server.addr()));
-        assert!(c0.is_connected() && c1.is_connected());
+        assert!(c0.stream.is_some() && c1.stream.is_some());
         c0.send(&hb(0, 1));
         c1.send(&hb(1, 1));
         c0.send(&hb(0, 2));
@@ -304,7 +299,7 @@ mod tests {
     #[test]
     fn client_without_address_is_noop() {
         let mut c = MonitorClient::connect(None);
-        assert!(!c.is_connected());
+        assert!(c.stream.is_none());
         c.send(&hb(0, 1)); // must not panic
     }
 }

@@ -44,16 +44,6 @@ impl TagClass {
             TagClass::Collective => "coll",
         }
     }
-
-    /// Inverse of [`TagClass::label`].
-    pub fn parse(s: &str) -> Option<TagClass> {
-        match s {
-            "p2p" => Some(TagClass::P2p),
-            "halo" => Some(TagClass::Halo),
-            "coll" => Some(TagClass::Collective),
-            _ => None,
-        }
-    }
 }
 
 /// Traffic totals of one directed communication edge, as observed by one
@@ -167,28 +157,6 @@ impl Trace {
         let mut out = Trace::default();
         for t in traces {
             out.add(t);
-        }
-        out
-    }
-
-    /// Element-wise maximum — the critical-path view across ranks
-    /// (bulk-synchronous phases run at the speed of the slowest rank).
-    pub fn max<'a>(traces: impl IntoIterator<Item = &'a Trace>) -> Trace {
-        let mut out = Trace::default();
-        for t in traces {
-            out.kernel_launches = out.kernel_launches.max(t.kernel_launches);
-            out.kernel_bytes = out.kernel_bytes.max(t.kernel_bytes);
-            out.kernel_flops = out.kernel_flops.max(t.kernel_flops);
-            out.msgs = out.msgs.max(t.msgs);
-            out.msg_bytes = out.msg_bytes.max(t.msg_bytes);
-            out.collectives = out.collectives.max(t.collectives);
-            out.collective_bytes = out.collective_bytes.max(t.collective_bytes);
-            out.wait_secs = out.wait_secs.max(t.wait_secs);
-            out.transfer_secs = out.transfer_secs.max(t.transfer_secs);
-            for (kind, n) in &t.launches_by_kind {
-                let e = out.launches_by_kind.entry(*kind).or_insert(0);
-                *e = (*e).max(*n);
-            }
         }
         out
     }
@@ -471,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_total_and_max() {
+    fn trace_total_sums_fields() {
         let a = Trace {
             kernel_launches: 2,
             msg_bytes: 10,
@@ -486,10 +454,6 @@ mod tests {
         let total = Trace::total([&a, &b]);
         assert_eq!(total.kernel_launches, 7);
         assert_eq!(total.msg_bytes, 13);
-
-        let max = Trace::max([&a, &b]);
-        assert_eq!(max.kernel_launches, 5);
-        assert_eq!(max.msg_bytes, 10);
     }
 
     #[test]
@@ -516,11 +480,9 @@ mod tests {
         let solve = trace.phase("solve");
         assert_eq!(solve.wait_secs, 0.75);
         assert_eq!(solve.transfer_secs, 0.125);
-        // add/max propagate the new fields.
+        // `add` propagates the new fields.
         let total = Trace::total([&solve, &solve]);
         assert_eq!(total.wait_secs, 1.5);
-        let max = Trace::max([&solve, &total]);
-        assert_eq!(max.wait_secs, 1.5);
     }
 
     #[test]
@@ -550,11 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn tag_class_labels_round_trip() {
-        for c in [TagClass::P2p, TagClass::Halo, TagClass::Collective] {
-            assert_eq!(TagClass::parse(c.label()), Some(c));
-        }
-        assert_eq!(TagClass::parse("nope"), None);
+    fn tag_class_labels_are_stable() {
+        let labels = [TagClass::P2p, TagClass::Halo, TagClass::Collective].map(TagClass::label);
+        assert_eq!(labels, ["p2p", "halo", "coll"]);
     }
 
     #[test]

@@ -10,17 +10,6 @@ pub fn count_nonfinite(vals: &[f64]) -> u64 {
     vals.iter().filter(|v| !v.is_finite()).count() as u64
 }
 
-/// Number of NaN/Inf entries across several slices (e.g. a CSR diag +
-/// offd value pair plus the right-hand side).
-pub fn count_nonfinite_all(slices: &[&[f64]]) -> u64 {
-    slices.iter().map(|s| count_nonfinite(s)).sum()
-}
-
-/// True iff every entry of `vals` is finite.
-pub fn all_finite(vals: &[f64]) -> bool {
-    vals.iter().all(|v| v.is_finite())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -29,9 +18,7 @@ mod tests {
     fn counts_nan_and_inf() {
         let v = [1.0, f64::NAN, 2.0, f64::INFINITY, f64::NEG_INFINITY, 0.0];
         assert_eq!(count_nonfinite(&v), 3);
-        assert!(!all_finite(&v));
-        assert!(all_finite(&[0.0, -1.5, 1e300]));
-        assert_eq!(count_nonfinite_all(&[&v, &[f64::NAN]]), 4);
+        assert_eq!(count_nonfinite(&[0.0, -1.5, 1e300]), 0);
         assert_eq!(count_nonfinite(&[]), 0);
     }
 }

@@ -36,17 +36,6 @@ impl Coo {
         }
     }
 
-    /// Build from parallel triplet arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arrays have different lengths.
-    pub fn from_triplets(rows: Vec<u64>, cols: Vec<u64>, vals: Vec<f64>) -> Self {
-        assert_eq!(rows.len(), cols.len(), "rows/cols length mismatch");
-        assert_eq!(rows.len(), vals.len(), "rows/vals length mismatch");
-        Coo { rows, cols, vals }
-    }
-
     /// Append one entry (duplicates allowed; they sum on combine).
     pub fn push(&mut self, row: u64, col: u64, val: f64) {
         self.rows.push(row);
@@ -90,11 +79,6 @@ impl Coo {
             .zip(self.rows.iter().skip(1).zip(self.cols.iter().skip(1)))
             .all(|((&r0, &c0), (&r1, &c1))| (r0, c0) < (r1, c1))
     }
-
-    /// Total of |values| — handy as a cheap checksum in tests.
-    pub fn abs_sum(&self) -> f64 {
-        self.vals.iter().map(|v| v.abs()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -116,16 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn from_triplets_round_trip() {
-        let a = Coo::from_triplets(vec![0, 1], vec![1, 0], vec![2.0, 3.0]);
-        assert_eq!(a.len(), 2);
-        assert!(a.is_sorted_and_combined());
-    }
-
-    #[test]
     fn extend_concatenates() {
-        let mut a = Coo::from_triplets(vec![0], vec![0], vec![1.0]);
-        let b = Coo::from_triplets(vec![0], vec![0], vec![2.0]);
+        let mut a = Coo { rows: vec![0], cols: vec![0], vals: vec![1.0] };
+        let b = Coo { rows: vec![0], cols: vec![0], vals: vec![2.0] };
         a.extend(&b);
         assert_eq!(a.len(), 2);
         a.sort_and_combine();
@@ -134,7 +111,7 @@ mod tests {
 
     #[test]
     fn unsorted_is_detected() {
-        let a = Coo::from_triplets(vec![1, 0], vec![0, 0], vec![1.0, 1.0]);
+        let a = Coo { rows: vec![1, 0], cols: vec![0, 0], vals: vec![1.0, 1.0] };
         assert!(!a.is_sorted_and_combined());
     }
 
@@ -142,11 +119,5 @@ mod tests {
     fn empty_is_sorted() {
         assert!(Coo::new().is_sorted_and_combined());
         assert!(Coo::new().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_triplets_panic() {
-        Coo::from_triplets(vec![0], vec![], vec![1.0]);
     }
 }

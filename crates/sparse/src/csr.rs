@@ -315,43 +315,6 @@ impl Csr {
         }
     }
 
-    /// Aᵀ plus the gather permutation: `perm[pos]` is the flat index in
-    /// `self.vals` whose value landed at flat position `pos` of the
-    /// transpose. A structure-reusing caller (`rap::GalerkinPlan`) can
-    /// refresh the transpose after a value-only update with one gather
-    /// instead of re-walking the matrix.
-    pub fn transpose_with_perm(&self) -> (Csr, Vec<usize>) {
-        let mut counts = vec![0usize; self.ncols];
-        for &c in &self.indices {
-            counts[c] += 1;
-        }
-        let indptr = prims::exclusive_scan(&counts);
-        let mut next = indptr.clone();
-        let mut indices = vec![0usize; self.nnz()];
-        let mut vals = vec![0.0; self.nnz()];
-        let mut perm = vec![0usize; self.nnz()];
-        for r in 0..self.nrows {
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[k];
-                let pos = next[c];
-                next[c] += 1;
-                indices[pos] = r;
-                vals[pos] = self.vals[k];
-                perm[pos] = k;
-            }
-        }
-        (
-            Csr {
-                nrows: self.ncols,
-                ncols: self.nrows,
-                indptr,
-                indices,
-                vals,
-            },
-            perm,
-        )
-    }
-
     /// A + B with matching shapes.
     ///
     /// # Panics
@@ -409,16 +372,6 @@ impl Csr {
         }
     }
 
-    /// Scale row `r` by `d[r]` in place (D·A with D diagonal).
-    pub fn scale_rows(&mut self, d: &[f64]) {
-        assert_eq!(d.len(), self.nrows, "diagonal length != nrows");
-        for (r, &dr) in d.iter().enumerate() {
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                self.vals[k] *= dr;
-            }
-        }
-    }
-
     /// Diagonal entries (zero where not stored).
     pub fn diag(&self) -> Vec<f64> {
         (0..self.nrows).map(|r| self.get(r, r)).collect()
@@ -457,68 +410,6 @@ impl Csr {
             indices,
             vals,
         }
-    }
-
-    /// Extract the submatrix with the given rows and a column renumbering.
-    ///
-    /// `col_renum[c] = Some(c')` keeps old column `c` as new column `c'`;
-    /// `None` drops it. New column ids must preserve the relative order of
-    /// kept columns within each row (true for the monotone renumberings AMG
-    /// uses for its FF/FC splits).
-    pub fn submatrix(
-        &self,
-        row_ids: &[usize],
-        col_renum: &[Option<usize>],
-        new_ncols: usize,
-    ) -> Csr {
-        assert_eq!(col_renum.len(), self.ncols, "col_renum length != ncols");
-        let mut indptr = Vec::with_capacity(row_ids.len() + 1);
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
-        indptr.push(0);
-        for &r in row_ids {
-            let (cols, v) = self.row(r);
-            for (&c, &val) in cols.iter().zip(v) {
-                if let Some(nc) = col_renum[c] {
-                    assert!(nc < new_ncols, "renumbered column out of range");
-                    indices.push(nc);
-                    vals.push(val);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        let out = Csr {
-            nrows: row_ids.len(),
-            ncols: new_ncols,
-            indptr,
-            indices,
-            vals,
-        };
-        debug_assert!(out.rows_sorted(), "non-monotone column renumbering");
-        out
-    }
-
-    /// Row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.nrows)
-            .map(|r| self.row(r).1.iter().sum())
-            .collect()
-    }
-
-    /// Infinity norm (max absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.nrows)
-            .map(|r| self.row(r).1.iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
-    fn rows_sorted(&self) -> bool {
-        (0..self.nrows).all(|r| self.row(r).0.windows(2).all(|w| w[0] < w[1]))
-    }
-
-    /// Drop stored entries with |value| <= `tol`, keeping diagonal entries.
-    pub fn drop_small(&self, tol: f64) -> Csr {
-        self.filter(|r, c| r == c || self.get(r, c).abs() > tol)
     }
 }
 
@@ -611,36 +502,12 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_extracts_ff_block() {
-        let a = sample();
-        // F = {0, 2}: extract A_FF.
-        let renum = vec![Some(0), None, Some(1)];
-        let aff = a.submatrix(&[0, 2], &renum, 2);
-        assert_eq!(aff.to_dense(), vec![vec![2.0, 0.0], vec![0.0, 2.0]]);
-    }
-
-    #[test]
-    fn scale_rows_applies_diagonal() {
-        let mut a = sample();
-        a.scale_rows(&[1.0, 0.5, 2.0]);
-        assert_eq!(a.get(1, 1), 1.0);
-        assert_eq!(a.get(2, 1), -2.0);
-    }
-
-    #[test]
     fn identity_and_zeros() {
         let i = Csr::identity(3);
         let x = vec![4.0, 5.0, 6.0];
         assert_eq!(i.spmv(&x), x);
         let z = Csr::zeros(2, 3);
         assert_eq!(z.spmv(&[1.0; 3]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn norms_and_row_sums() {
-        let a = sample();
-        assert_eq!(a.norm_inf(), 4.0);
-        assert_eq!(a.row_sums(), vec![1.0, 0.0, 1.0]);
     }
 
     #[test]

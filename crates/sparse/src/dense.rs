@@ -17,21 +17,6 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// w = a·x + b·y.
-pub fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "waxpby length mismatch");
-    assert_eq!(x.len(), w.len(), "waxpby output length mismatch");
-    if w.len() >= PAR_THRESHOLD {
-        w.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, wi)| *wi = a * x[i] + b * y[i]);
-    } else {
-        for i in 0..w.len() {
-            w[i] = a * x[i] + b * y[i];
-        }
-    }
-}
-
 /// xᵀy.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
@@ -114,13 +99,6 @@ mod tests {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm2(&[]), 0.0);
-    }
-
-    #[test]
-    fn waxpby_combines() {
-        let mut w = vec![0.0; 2];
-        waxpby(2.0, &[1.0, 0.0], 3.0, &[0.0, 1.0], &mut w);
-        assert_eq!(w, vec![2.0, 3.0]);
     }
 
     #[test]

@@ -33,33 +33,6 @@ where
     }
 }
 
-/// Stable sort of `(key, value1, value2)` triples by key.
-pub fn stable_sort_by_key2<K, V1, V2>(keys: &mut [K], vals1: &mut [V1], vals2: &mut [V2])
-where
-    K: Ord + Copy + Send + Sync,
-    V1: Copy + Send + Sync,
-    V2: Copy + Send + Sync,
-{
-    assert_eq!(keys.len(), vals1.len(), "key/value1 length mismatch");
-    assert_eq!(keys.len(), vals2.len(), "key/value2 length mismatch");
-    let mut triples: Vec<(K, V1, V2)> = keys
-        .iter()
-        .zip(vals1.iter())
-        .zip(vals2.iter())
-        .map(|((&k, &v1), &v2)| (k, v1, v2))
-        .collect();
-    if triples.len() >= PAR_THRESHOLD {
-        triples.par_sort_by_key(|&(k, _, _)| k);
-    } else {
-        triples.sort_by_key(|&(k, _, _)| k);
-    }
-    for (i, (k, v1, v2)) in triples.into_iter().enumerate() {
-        keys[i] = k;
-        vals1[i] = v1;
-        vals2[i] = v2;
-    }
-}
-
 /// Fixed segment width for the parallel `reduce_by_key` path. A compile-time
 /// constant (never derived from the thread count) so segment boundaries — and
 /// therefore the work partition — are identical no matter how many threads
@@ -174,45 +147,6 @@ pub fn segmented_gather_sum(indptr: &[usize], perm: &[u32], src: &[f64], out: &m
     }
 }
 
-/// Kahan-compensated variant of [`segmented_gather_sum`]: continues each
-/// segment's `(sum, compensation)` state in contribution order, exactly as a
-/// serial loop of compensated adds would. Per-segment state is independent,
-/// so parallelising over segments is bitwise exact.
-pub fn segmented_gather_sum_kahan(
-    indptr: &[usize],
-    perm: &[u32],
-    src: &[f64],
-    out: &mut [f64],
-    comp: &mut [f64],
-) {
-    assert_eq!(indptr.len(), out.len() + 1, "indptr/out length mismatch");
-    assert_eq!(out.len(), comp.len(), "out/comp length mismatch");
-    assert_eq!(*indptr.last().unwrap(), perm.len(), "indptr/perm length mismatch");
-    let run = |(s, (o, c)): (usize, (&mut f64, &mut f64))| {
-        let mut sum = *o;
-        let mut carry = *c;
-        for &p in &perm[indptr[s]..indptr[s + 1]] {
-            let y = src[p as usize] - carry;
-            let t = sum + y;
-            carry = (t - sum) - y;
-            sum = t;
-        }
-        *o = sum;
-        *c = carry;
-    };
-    if out.len() >= PAR_THRESHOLD {
-        out.par_iter_mut()
-            .zip(&mut comp[..])
-            .enumerate()
-            .map(|(s, oc)| (s, oc))
-            .for_each(run);
-    } else {
-        for (s, oc) in out.iter_mut().zip(comp.iter_mut()).enumerate() {
-            run((s, oc));
-        }
-    }
-}
-
 /// Exclusive prefix sum; returns a vector one longer than the input whose
 /// last element is the total (CSR `indptr` convention).
 pub fn exclusive_scan(counts: &[usize]) -> Vec<usize> {
@@ -235,19 +169,6 @@ pub fn gather<T: Copy + Send + Sync>(src: &[T], map: &[usize]) -> Vec<T> {
     }
 }
 
-/// Scatter-add: `dst[map[i]] += src[i]`.
-///
-/// On the GPU this is the atomic-update kernel of §3.2; here duplicates in
-/// `map` are handled sequentially, which makes the result deterministic
-/// (the paper explicitly trades bitwise reproducibility for speed — see
-/// DESIGN.md for why we keep determinism).
-pub fn scatter_add(dst: &mut [f64], map: &[usize], src: &[f64]) {
-    assert_eq!(map.len(), src.len(), "map/src length mismatch");
-    for (&i, &v) in map.iter().zip(src) {
-        dst[i] += v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,17 +181,6 @@ mod tests {
         assert_eq!(keys, vec![1, 1, 2, 3, 3]);
         // Stability: equal keys keep input order.
         assert_eq!(vals, vec![10.0, 11.0, 20.0, 30.0, 31.0]);
-    }
-
-    #[test]
-    fn sort_by_key2_permutes_both_values() {
-        let mut keys = vec![2u64, 0, 1];
-        let mut a = vec![20usize, 0, 10];
-        let mut b = vec![2.0, 0.0, 1.0];
-        stable_sort_by_key2(&mut keys, &mut a, &mut b);
-        assert_eq!(keys, vec![0, 1, 2]);
-        assert_eq!(a, vec![0, 10, 20]);
-        assert_eq!(b, vec![0.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -314,13 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_add() {
+    fn gather_follows_the_map() {
         let src = vec![10.0, 20.0, 30.0];
         assert_eq!(gather(&src, &[2, 0, 0]), vec![30.0, 10.0, 10.0]);
-
-        let mut dst = vec![0.0; 3];
-        scatter_add(&mut dst, &[0, 2, 0], &[1.0, 2.0, 3.0]);
-        assert_eq!(dst, vec![4.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -365,28 +271,6 @@ mod tests {
         assert_eq!(out[0], 1.0 + (0.5 + 0.1 + 0.3));
         assert_eq!(out[1], 2.0); // empty segment untouched
         assert_eq!(out[2], 3.0 + (0.2 + 0.4));
-    }
-
-    #[test]
-    fn segmented_gather_sum_kahan_continues_state() {
-        let indptr = vec![0usize, 2];
-        let perm = vec![0u32, 1];
-        let src = vec![1.0e-16, 1.0e-16];
-        let mut out = vec![1.0];
-        let mut comp = vec![0.0];
-        segmented_gather_sum_kahan(&indptr, &perm, &src, &mut out, &mut comp);
-        // Plain summation would lose both tiny addends; Kahan keeps them in
-        // the compensation term.
-        let mut sum = 1.0f64;
-        let mut carry = 0.0f64;
-        for v in [1.0e-16, 1.0e-16] {
-            let y = v - carry;
-            let t = sum + y;
-            carry = (t - sum) - y;
-            sum = t;
-        }
-        assert_eq!(out[0].to_bits(), sum.to_bits());
-        assert_eq!(comp[0].to_bits(), carry.to_bits());
     }
 
     #[test]

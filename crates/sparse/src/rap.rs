@@ -5,7 +5,7 @@
 //! hash SpGEMM. The same structure is used here.
 
 use crate::csr::Csr;
-use crate::spgemm::{spgemm_flops, spgemm_hash, SpgemmPlan};
+use crate::spgemm::spgemm_hash;
 
 /// A_c = Pᵀ · A · P (Galerkin coarse operator).
 ///
@@ -18,72 +18,6 @@ pub fn galerkin(a: &Csr, p: &Csr) -> Csr {
     let ap = spgemm_hash(a, p);
     let rt = p.transpose();
     spgemm_hash(&rt, &ap)
-}
-
-/// Symbolic/numeric split for the whole Galerkin triple product.
-///
-/// Bundles the two [`SpgemmPlan`]s of `Pᵀ·(A·P)` plus the transpose
-/// gather permutation, so a re-solve with value-only updates to `A`
-/// and/or `P` never re-runs hash probing, transposition walks, or
-/// assembly. Bitwise-identical to [`galerkin`] by composition: each
-/// stage reproduces its fresh counterpart's bits (the transpose refresh
-/// is a pure gather; the SpGEMM replays are covered by
-/// [`SpgemmPlan`]'s contract).
-pub struct GalerkinPlan {
-    ap: SpgemmPlan,
-    rap: SpgemmPlan,
-    /// Pᵀ with the recorded structure; values refreshed per execute.
-    pt: Csr,
-    /// `pt_perm[pos]`: flat index in P's values feeding Pᵀ position `pos`.
-    pt_perm: Vec<usize>,
-}
-
-impl GalerkinPlan {
-    /// Fresh triple product + plan capture; the returned matrix is
-    /// exactly what [`galerkin`] produces.
-    pub fn new(a: &Csr, p: &Csr) -> (GalerkinPlan, Csr) {
-        assert_eq!(a.nrows(), a.ncols(), "A must be square");
-        assert_eq!(a.ncols(), p.nrows(), "A·P dimension mismatch");
-        let (ap_plan, ap) = SpgemmPlan::new(a, p);
-        let (pt, pt_perm) = p.transpose_with_perm();
-        let (rap_plan, ac) = SpgemmPlan::new(&pt, &ap);
-        (GalerkinPlan { ap: ap_plan, rap: rap_plan, pt, pt_perm }, ac)
-    }
-
-    /// Do `a` and `p` still have the structure this plan was built for?
-    /// (The derived Pᵀ and A·P structures follow deterministically, so
-    /// checking the inputs suffices.)
-    pub fn matches(&self, a: &Csr, p: &Csr) -> bool {
-        self.ap.matches(a, p)
-    }
-
-    /// Total products across both numeric passes (for cost models).
-    pub fn expansion(&self) -> usize {
-        self.ap.expansion() + self.rap.expansion()
-    }
-
-    /// Numeric-only Galerkin product on value-updated operands.
-    pub fn execute(&mut self, a: &Csr, p: &Csr) -> Csr {
-        debug_assert!(self.matches(a, p), "GalerkinPlan executed on stale operands");
-        let ap = self.ap.execute(a, p);
-        let pvals = p.vals();
-        for (dst, &src) in self.pt_perm.iter().enumerate() {
-            self.pt.vals_mut()[dst] = pvals[src];
-        }
-        self.rap.execute(&self.pt, &ap)
-    }
-}
-
-/// General triple product R · A · P (restriction need not be Pᵀ).
-pub fn triple_product(r: &Csr, a: &Csr, p: &Csr) -> Csr {
-    let ap = spgemm_hash(a, p);
-    spgemm_hash(r, &ap)
-}
-
-/// Flop estimate for [`galerkin`], for perf traces.
-pub fn galerkin_flops(a: &Csr, p: &Csr) -> u64 {
-    let ap = spgemm_hash(a, p); // symbolic-only estimate would do; reuse numeric
-    spgemm_flops(a, p) + spgemm_flops(&p.transpose(), &ap)
 }
 
 #[cfg(test)]
@@ -135,64 +69,5 @@ mod tests {
         assert!(d[0][0] > 0.0 && d[1][1] > 0.0);
         // 2x2 determinant positive => SPD
         assert!(d[0][0] * d[1][1] - d[0][1] * d[1][0] > 0.0);
-    }
-
-    #[test]
-    fn triple_product_matches_galerkin_for_transpose() {
-        let a = Csr::from_dense(&[
-            vec![2.0, -1.0, 0.0],
-            vec![-1.0, 2.0, -1.0],
-            vec![0.0, -1.0, 2.0],
-        ]);
-        let p = Csr::from_dense(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 1.0]]);
-        let g = galerkin(&a, &p);
-        let t = triple_product(&p.transpose(), &a, &p);
-        assert_eq!(g.to_dense(), t.to_dense());
-    }
-
-    #[test]
-    fn galerkin_plan_reuse_matches_fresh_bitwise() {
-        let a0 = vec![
-            vec![4.0, -1.0, 0.0, -0.5],
-            vec![-1.0, 4.0, -1.0, 0.0],
-            vec![0.0, -1.0, 4.0, -1.0],
-            vec![-0.5, 0.0, -1.0, 4.0],
-        ];
-        let p0 = vec![
-            vec![1.0, 0.0],
-            vec![0.7, 0.3],
-            vec![0.0, 1.0],
-            vec![0.1, 0.9],
-        ];
-        let mut a = Csr::from_dense(&a0);
-        let mut p = Csr::from_dense(&p0);
-        let (mut plan, c0) = GalerkinPlan::new(&a, &p);
-        let g0 = galerkin(&a, &p);
-        assert_eq!(c0.to_dense(), g0.to_dense());
-        // Three rounds of value-only drift, as Picard re-solves produce.
-        for round in 0..3 {
-            for v in a.vals_mut() {
-                *v += 0.013 * (round as f64 + 1.0);
-            }
-            for v in p.vals_mut() {
-                *v *= 1.0 - 0.01 * (round as f64 + 1.0);
-            }
-            assert!(plan.matches(&a, &p));
-            let fresh = galerkin(&a, &p);
-            let replay = plan.execute(&a, &p);
-            assert_eq!(replay.indptr(), fresh.indptr());
-            assert_eq!(replay.indices(), fresh.indices());
-            let fb: Vec<u64> = fresh.vals().iter().map(|v| v.to_bits()).collect();
-            let rb: Vec<u64> = replay.vals().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, rb, "round {round}: plan replay diverged");
-        }
-        assert!(plan.expansion() > 0);
-    }
-
-    #[test]
-    fn flops_positive_for_nontrivial_product() {
-        let a = Csr::identity(5);
-        let p = Csr::identity(5);
-        assert!(galerkin_flops(&a, &p) > 0);
     }
 }

@@ -388,39 +388,6 @@ proptest! {
     }
 
     #[test]
-    fn segmented_gather_sum_kahan_matches_serial_bitwise(
-        (nseg, span) in (0usize..9000, 1usize..5)
-    ) {
-        let counts: Vec<usize> = (0..nseg).map(|s| s.wrapping_mul(17) % (span + 1)).collect();
-        let indptr = prims::exclusive_scan(&counts);
-        let total = *indptr.last().unwrap();
-        let m = total.max(1);
-        let perm: Vec<u32> = (0..total).map(|p| (p.wrapping_mul(6151) % m) as u32).collect();
-        let src: Vec<f64> = (0..m).map(rounding_sensitive_val).collect();
-        let mut out: Vec<f64> = (0..nseg).map(|s| rounding_sensitive_val(s + 7)).collect();
-        let mut comp: Vec<f64> = (0..nseg).map(|s| rounding_sensitive_val(s + 29) * 1e-18).collect();
-        let mut ref_out = out.clone();
-        let mut ref_comp = comp.clone();
-        prims::segmented_gather_sum_kahan(&indptr, &perm, &src, &mut out, &mut comp);
-        for s in 0..nseg {
-            let mut sum = ref_out[s];
-            let mut carry = ref_comp[s];
-            for &p in &perm[indptr[s]..indptr[s + 1]] {
-                let y = src[p as usize] - carry;
-                let t = sum + y;
-                carry = (t - sum) - y;
-                sum = t;
-            }
-            ref_out[s] = sum;
-            ref_comp[s] = carry;
-        }
-        for s in 0..nseg {
-            prop_assert_eq!(out[s].to_bits(), ref_out[s].to_bits());
-            prop_assert_eq!(comp[s].to_bits(), ref_comp[s].to_bits());
-        }
-    }
-
-    #[test]
     fn lower_upper_diag_decomposition(d in (2usize..8,).prop_flat_map(|(n,)| dense(n, n))) {
         let a = Csr::from_dense(&d);
         let rebuilt = a

@@ -18,23 +18,16 @@
 //! | `restore`    | `nalu_core` resume path   | restart provenance        |
 //! | `kernel_perf`| `parcomm::Rank::kernel` scopes | achieved GB/s / GFLOP/s roofline rows |
 //! | `counter`    | subsystem counters        | —                         |
-//! | `hist`       | log₂ histograms           | —                         |
 //!
 //! Every event type round-trips exactly through [`Event::to_line`] /
 //! [`Event::parse_line`] (integers exact, floats bit-identical).
 
 use crate::json::Json;
 
-/// Schema version stamped into `run` events. Version 2 added the
-/// `kernel_perf` event type; version 3 added `comm_edge` and
-/// `collective` plus the `wait_secs`/`transfer_secs` fields on
-/// `phase_perf`; version 4 added `checkpoint` and `restore`; version 5
-/// added rank-aligned timestamps (`t0` on `span`, `t_first`/`t_last` on
-/// `comm_edge`/`collective`, `t` on `checkpoint`/`restore`), the per-rank
-/// `clock_offsets`/`clock_rtts` tables on `run`, and the `step_health` /
-/// `health_verdict` event types (all purely additive; older streams
-/// still parse, with the new fields absent/defaulted).
-pub const SCHEMA_VERSION: u64 = 5;
+/// The one schema version: stamped into every `run` event, and the only
+/// one [`Event::from_json`] accepts — a `run` line carrying another (or
+/// no) version is a parse error, not a stream read with defaults.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// One row of an AMG hierarchy: global rows and nonzeros of a level
 /// operator.
@@ -73,8 +66,8 @@ pub enum Event {
         git_commit: Option<String>,
         /// Per-rank clock offsets (seconds) mapping each rank's telemetry
         /// epoch onto rank 0's timeline: `t_global = t_rank + offset[rank]`.
-        /// Estimated by the startup NTP-style handshake; absent in pre-v5
-        /// streams or when telemetry was off.
+        /// Estimated by the startup NTP-style handshake; absent when
+        /// telemetry was off.
         clock_offsets: Option<Vec<f64>>,
         /// Per-rank minimum round-trip times (seconds) of the handshake —
         /// the offset uncertainty is bounded by `rtt/2`.
@@ -86,8 +79,7 @@ pub enum Event {
         path: String,
         depth: usize,
         secs: f64,
-        /// Span start, seconds since the recording rank's telemetry epoch
-        /// (absent in pre-v5 streams).
+        /// Span start, seconds since the recording rank's telemetry epoch.
         t0: Option<f64>,
     },
     /// Per-step, per-equation, per-phase wall-clock (from `Timings`).
@@ -111,10 +103,10 @@ pub enum Event {
         collectives: u64,
         collective_bytes: u64,
         /// Seconds blocked in receives/collectives/barriers (0 when comm
-        /// timing was disabled or in pre-v3 streams).
+        /// timing was disabled).
         wait_secs: f64,
         /// Seconds spent encoding/decoding/enqueuing payloads (0 when
-        /// comm timing was disabled or in pre-v3 streams).
+        /// comm timing was disabled).
         transfer_secs: f64,
     },
     /// Traffic totals of one directed (src → dst) communication edge in
@@ -132,7 +124,7 @@ pub enum Event {
         /// Timestamp of the first message this endpoint observed on the
         /// edge, seconds since the recording rank's telemetry epoch
         /// (send initiation on the sender, receive completion on the
-        /// receiver; absent in pre-v5 streams).
+        /// receiver; absent when the edge was recorded without a window).
         t_first: Option<f64>,
         /// Timestamp of the last observed message (same convention).
         t_last: Option<f64>,
@@ -149,10 +141,11 @@ pub enum Event {
         bytes: u64,
         /// Total latency seconds across sampled entries.
         secs: f64,
-        /// Log₂ buckets of per-entry latency, as in `hist`.
+        /// Log₂ buckets of per-entry latency: `(exponent, count)` pairs.
         buckets: Vec<(i32, u64)>,
         /// Entry timestamp of this rank's first participation, seconds
-        /// since the recording rank's telemetry epoch (absent pre-v5).
+        /// since the recording rank's telemetry epoch (absent without a
+        /// recorded window).
         t_first: Option<f64>,
         /// Entry timestamp of the last participation (same convention).
         t_last: Option<f64>,
@@ -197,7 +190,7 @@ pub enum Event {
         bytes: u64,
         secs: f64,
         /// Write completion, seconds since the recording rank's telemetry
-        /// epoch (absent in pre-v5 streams).
+        /// epoch.
         t: Option<f64>,
     },
     /// One restore: this rank resumed from `generation`, continuing
@@ -207,7 +200,7 @@ pub enum Event {
         step: usize,
         generation: u64,
         /// Restore completion, seconds since the recording rank's
-        /// telemetry epoch (absent in pre-v5 streams).
+        /// telemetry epoch.
         t: Option<f64>,
     },
     /// Per-timestep solver-health sample: per-equation convergence, AMG
@@ -262,14 +255,6 @@ pub enum Event {
     },
     /// A named monotonic counter (aggregated per rank at finish).
     Counter { rank: usize, name: String, value: u64 },
-    /// A named log₂ histogram (aggregated per rank at finish).
-    Hist {
-        rank: usize,
-        name: String,
-        count: u64,
-        total: f64,
-        buckets: Vec<(i32, u64)>,
-    },
 }
 
 impl Event {
@@ -291,7 +276,6 @@ impl Event {
             Event::HealthVerdict { .. } => "health_verdict",
             Event::KernelPerf { .. } => "kernel_perf",
             Event::Counter { .. } => "counter",
-            Event::Hist { .. } => "hist",
         }
     }
 
@@ -649,30 +633,6 @@ impl Event {
                 ("name", Json::Str(name.clone())),
                 ("value", Json::Int(*value as i128)),
             ]),
-            Event::Hist {
-                rank,
-                name,
-                count,
-                total,
-                buckets,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("name", Json::Str(name.clone())),
-                ("count", Json::Int(*count as i128)),
-                ("total", Json::Float(*total)),
-                (
-                    "buckets",
-                    Json::Arr(
-                        buckets
-                            .iter()
-                            .map(|&(e, c)| {
-                                Json::Arr(vec![Json::Int(e as i128), Json::Int(c as i128)])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
         }
     }
 
@@ -718,7 +678,7 @@ impl Event {
                 .ok_or(format!("{tag}: missing/invalid number field \"{k}\""))
         };
 
-        // Optional float-array field (absent in pre-v5 streams).
+        // Optional float-array field.
         let f64_arr = |k: &str| -> Result<Option<Vec<f64>>, String> {
             match obj.get(k) {
                 None => Ok(None),
@@ -736,22 +696,15 @@ impl Event {
         let opt_f64 = |k: &str| obj.get(k).and_then(Json::as_f64);
 
         match tag {
+            "run" if obj.get("schema").and_then(Json::as_u64) != Some(SCHEMA_VERSION) => {
+                let found = obj.get("schema").map_or("absent".to_string(), Json::to_string);
+                Err(format!("run: schema version {found}, this reader accepts only {SCHEMA_VERSION}"))
+            }
             "run" => Ok(Event::Run {
                 ranks: usize_field("ranks")?,
                 threads: usize_field("threads")?,
-                // Absent in pre-transport streams: those were inproc runs.
-                transport: obj
-                    .get("transport")
-                    .and_then(Json::as_str)
-                    .unwrap_or("inproc")
-                    .to_string(),
-                // Absent in pre-kernel-policy streams: those ran the CSR
-                // auto default.
-                kernel_policy: obj
-                    .get("kernel_policy")
-                    .and_then(Json::as_str)
-                    .unwrap_or("auto")
-                    .to_string(),
+                transport: str_field("transport")?,
+                kernel_policy: str_field("kernel_policy")?,
                 git_commit: obj.get("git_commit").and_then(Json::as_str).map(str::to_string),
                 clock_offsets: f64_arr("clock_offsets")?,
                 clock_rtts: f64_arr("clock_rtts")?,
@@ -780,9 +733,8 @@ impl Event {
                 msg_bytes: u64_field("msg_bytes")?,
                 collectives: u64_field("collectives")?,
                 collective_bytes: u64_field("collective_bytes")?,
-                // Absent in pre-v3 streams.
-                wait_secs: obj.get("wait_secs").and_then(Json::as_f64).unwrap_or(0.0),
-                transfer_secs: obj.get("transfer_secs").and_then(Json::as_f64).unwrap_or(0.0),
+                wait_secs: f64_field("wait_secs")?,
+                transfer_secs: f64_field("transfer_secs")?,
             }),
             "comm_edge" => Ok(Event::CommEdge {
                 rank: usize_field("rank")?,
@@ -964,33 +916,6 @@ impl Event {
                 name: str_field("name")?,
                 value: u64_field("value")?,
             }),
-            "hist" => {
-                let buckets = obj
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or("hist: missing \"buckets\" array")?
-                    .iter()
-                    .map(|b| {
-                        let pair = b.as_arr().ok_or("hist: bucket is not a pair")?;
-                        if pair.len() != 2 {
-                            return Err("hist: bucket is not a pair".to_string());
-                        }
-                        let e = pair[0]
-                            .as_i128()
-                            .and_then(|i| i32::try_from(i).ok())
-                            .ok_or("hist: bad bucket exponent")?;
-                        let c = pair[1].as_u64().ok_or("hist: bad bucket count")?;
-                        Ok((e, c))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Event::Hist {
-                    rank: usize_field("rank")?,
-                    name: str_field("name")?,
-                    count: u64_field("count")?,
-                    total: f64_field("total")?,
-                    buckets,
-                })
-            }
             other => Err(format!("unknown event type {other:?}")),
         }
     }
@@ -1144,13 +1069,6 @@ impl Event {
                 name: "assembly.matrix_entries".into(),
                 value: 123_456,
             },
-            Event::Hist {
-                rank: 1,
-                name: "gmres.iters".into(),
-                count: 3,
-                total: 21.0,
-                buckets: vec![(-1071, 1), (2, 1), (3, 1)],
-            },
         ]
     }
 }
@@ -1170,20 +1088,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_phase_perf_lines_parse_with_zero_comm_secs() {
-        let line = r#"{"type":"phase_perf","rank":0,"label":"continuity/solve","kernel_launches":1,"kernel_bytes":2,"kernel_flops":3,"msgs":4,"msg_bytes":5,"collectives":6,"collective_bytes":7}"#;
-        match Event::parse_line(line).unwrap() {
-            Event::PhasePerf { wait_secs, transfer_secs, msgs, .. } => {
-                assert_eq!(wait_secs, 0.0);
-                assert_eq!(transfer_secs, 0.0);
-                assert_eq!(msgs, 4);
-            }
-            other => panic!("{other:?}"),
-        }
+    fn defaulted_fields_and_other_schema_versions_are_rejected() {
+        let err = |line: &str| Event::parse_line(line).unwrap_err();
+        let perf = r#"{"type":"phase_perf","rank":0,"label":"continuity/solve","kernel_launches":1,"kernel_bytes":2,"kernel_flops":3,"msgs":4,"msg_bytes":5,"collectives":6,"collective_bytes":7,"transfer_secs":0.0}"#;
+        assert!(err(perf).contains("\"wait_secs\""), "{}", err(perf));
+        let run = r#"{"type":"run","schema":6,"ranks":2,"threads":1,"kernel_policy":"auto"}"#;
+        assert!(err(run).contains("\"transport\""), "{}", err(run));
+        let old = r#"{"type":"run","schema":5,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        assert!(err(old).contains('5') && err(old).contains('6'), "{}", err(old));
+        assert!(err(&old.replace(r#""schema":5,"#, "")).contains("absent"));
     }
 
     #[test]
-    fn pre_v5_lines_parse_without_timestamps() {
+    fn timestamps_are_optional() {
         let span = r#"{"type":"span","rank":0,"path":"timestep","depth":0,"secs":0.5}"#;
         match Event::parse_line(span).unwrap() {
             Event::Span { t0, .. } => assert_eq!(t0, None),
@@ -1197,7 +1114,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let run = r#"{"type":"run","ranks":2,"threads":1}"#;
+        let run = r#"{"type":"run","schema":6,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
         match Event::parse_line(run).unwrap() {
             Event::Run { clock_offsets, clock_rtts, .. } => {
                 assert_eq!(clock_offsets, None);

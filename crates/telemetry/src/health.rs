@@ -158,19 +158,6 @@ impl Verdict {
             baseline: self.baseline,
         }
     }
-
-    /// One-line human rendering, shared by the report and the launcher.
-    pub fn describe(&self) -> String {
-        let scope = self.eq.as_deref().unwrap_or("run");
-        format!(
-            "step {}: {} [{}] {:.3} vs baseline {:.3}",
-            self.step,
-            self.kind.label(),
-            scope,
-            self.value,
-            self.baseline
-        )
-    }
 }
 
 /// One metric's EWMA baseline plus exceed-streak state.
@@ -485,6 +472,5 @@ mod tests {
         let ev = verdict.to_event(2);
         let back = Event::parse_line(&ev.to_line()).unwrap();
         assert_eq!(back, ev);
-        assert!(verdict.describe().contains("residual-rate"));
     }
 }

@@ -6,15 +6,16 @@
 //!
 //! - **spans** — a `timestep → picard → equation → phase` hierarchy with
 //!   per-span wall clock, closed by RAII guards;
-//! - **counters** and log-scale [histograms](LogHistogram), aggregated
-//!   per rank and flushed at [`Telemetry::finish`];
+//! - **counters**, aggregated per rank and flushed at
+//!   [`Telemetry::finish`] (log-scale [histograms](LogHistogram) carry
+//!   the collective latencies and the report's GMRES iteration spread);
 //! - **structured solver events** — GMRES convergence trajectories, AMG
 //!   hierarchy tables, per-phase `Timings`/`PhaseTrace` rollups.
 //!
 //! The handle is installed as a thread-local *current* dispatcher
 //! ([`Telemetry::install`]), so deep solver layers (`krylov::gmres`,
 //! `amg::hierarchy`, smoothers, assembly) emit through the free functions
-//! [`span`], [`counter`], [`observe`], [`record`] without threading a
+//! [`span`], [`counter`], [`record`] without threading a
 //! handle through every signature — the same pattern as the `tracing`
 //! crate's dispatcher. Each simulated rank is one OS thread and rayon
 //! worker threads never touch the dispatcher, so recording is
@@ -53,7 +54,7 @@ use std::time::Instant;
 
 struct OpenSpan {
     name: String,
-    /// Seconds since the recorder's epoch at span open (schema v5 `t0`).
+    /// Seconds since the recorder's epoch at span open (the span's `t0`).
     /// The closing timestamp comes from the same epoch, so recorded
     /// windows nest exactly: a child's open/close clock reads are
     /// ordered between its parent's even if the OS preempts the thread
@@ -63,14 +64,13 @@ struct OpenSpan {
 
 struct Recorder {
     rank: usize,
-    /// Per-rank monotonic epoch; every v5 timestamp (`t0`, `t_first`,
+    /// Per-rank monotonic epoch; every timestamp (`t0`, `t_first`,
     /// `t_last`, `t`) is seconds since this instant. Only enabled
     /// handles own an epoch, so disabled runs never read the clock.
     epoch: Instant,
     stack: Vec<OpenSpan>,
     events: Vec<Event>,
     counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, LogHistogram>,
 }
 
 impl Recorder {
@@ -102,7 +102,6 @@ impl Telemetry {
                 stack: Vec::new(),
                 events: Vec::new(),
                 counters: BTreeMap::new(),
-                hists: BTreeMap::new(),
             }))),
         }
     }
@@ -154,17 +153,6 @@ impl Telemetry {
         }
     }
 
-    /// Record one observation into a named log₂ histogram.
-    pub fn observe(&self, name: &str, value: f64) {
-        if let Some(rec) = &self.inner {
-            rec.borrow_mut()
-                .hists
-                .entry(name.to_string())
-                .or_default()
-                .record(value);
-        }
-    }
-
     /// Append a structured event.
     pub fn record(&self, ev: Event) {
         if let Some(rec) = &self.inner {
@@ -172,10 +160,9 @@ impl Telemetry {
         }
     }
 
-    /// Drain the recorder: flush counters and histograms (sorted by
-    /// name, so the tail of the stream is deterministic) and return all
-    /// events. Errors if any span is still open — the span-nesting
-    /// invariant.
+    /// Drain the recorder: flush counters (sorted by name, so the tail
+    /// of the stream is deterministic) and return all events. Errors if
+    /// any span is still open — the span-nesting invariant.
     pub fn try_finish(&self) -> Result<Vec<Event>, String> {
         let Some(rec) = &self.inner else {
             return Ok(Vec::new());
@@ -189,15 +176,6 @@ impl Telemetry {
         let mut events = std::mem::take(&mut rec.events);
         for (name, value) in std::mem::take(&mut rec.counters) {
             events.push(Event::Counter { rank, name, value });
-        }
-        for (name, h) in std::mem::take(&mut rec.hists) {
-            events.push(Event::Hist {
-                rank,
-                name,
-                count: h.count(),
-                total: h.total(),
-                buckets: h.buckets(),
-            });
         }
         Ok(events)
     }
@@ -272,8 +250,8 @@ pub fn is_enabled() -> bool {
     CURRENT.with(|c| c.borrow().inner.is_some())
 }
 
-/// Seconds since the current dispatcher's epoch — the schema-v5
-/// timestamp base. `None` when telemetry is disabled, so callers can
+/// Seconds since the current dispatcher's epoch — the base of
+/// every timestamp. `None` when telemetry is disabled, so callers can
 /// gate every clock read on it and keep telemetry-off runs bitwise
 /// identical.
 pub fn now_secs() -> Option<f64> {
@@ -288,11 +266,6 @@ pub fn span(name: &str) -> SpanGuard {
 /// Add to a counter on the current dispatcher.
 pub fn counter(name: &str, add: u64) {
     CURRENT.with(|c| c.borrow().counter(name, add));
-}
-
-/// Observe into a histogram on the current dispatcher.
-pub fn observe(name: &str, value: f64) {
-    CURRENT.with(|c| c.borrow().observe(name, value));
 }
 
 /// Record a structured event on the current dispatcher.
@@ -319,7 +292,7 @@ pub fn merge_ranks(logs: Vec<Vec<Event>>) -> Vec<Event> {
 /// — passed in, so a run configured in code is labelled as what it ran,
 /// and this crate reads neither variable), the git commit if
 /// discoverable (`GIT_COMMIT` env or `.git/HEAD`), and the per-rank
-/// clock-alignment table from the startup handshake (schema v5):
+/// clock-alignment table from the startup handshake:
 /// `offsets[r]` maps rank `r`'s epoch timestamps onto rank 0's timeline
 /// (`t_global = t_rank + offsets[r]`), and `rtts[r]` is the minimum
 /// round-trip observed while estimating it (offset uncertainty ≤ rtt/2).
@@ -342,14 +315,6 @@ pub fn run_info(
         clock_offsets,
         clock_rtts,
     }
-}
-
-/// [`run_info`] labelled with the built-in defaults, `inproc` / `auto`,
-/// whatever the run used. Kept only for `tests/timeline.rs`; anything
-/// that has its `SolverConfig` at hand calls [`run_info`].
-#[doc(hidden)]
-pub fn run_info_with_clock(ranks: usize, clock: Option<(Vec<f64>, Vec<f64>)>) -> Event {
-    run_info(ranks, "inproc", "auto", clock)
 }
 
 /// Worker-thread count the process runs with.
@@ -460,7 +425,7 @@ pub fn read_jsonl(path: &str) -> Result<Vec<Event>, String> {
 ///   bulk-synchronous). Partial per-rank streams — where only some ranks
 ///   report at all — still validate; only *inconsistent* participation
 ///   is an error.
-/// - schema-v5 timestamps, where present, must be consistent: span
+/// - timestamps, where present, must be consistent: span
 ///   windows nest (a child span's `[t0, t0+secs]` lies inside some
 ///   same-rank parent instance's window), and a `comm_edge`'s receiver
 ///   timestamps are ≥ the sender's after clock-offset correction, with
@@ -488,7 +453,7 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
         }
     }
     let mut errors = Vec::new();
-    // Clock table sanity (schema v5).
+    // Clock table sanity.
     for (name, table) in [("clock_offsets", run_offsets), ("clock_rtts", run_rtts)] {
         let Some(table) = table else { continue };
         if let Some(n) = run_ranks {
@@ -790,7 +755,6 @@ mod tests {
         {
             let _s = t.span("x");
             t.counter("c", 1);
-            t.observe("h", 2.0);
             t.record(Event::Counter { rank: 0, name: "n".into(), value: 1 });
         }
         assert!(t.finish().is_empty());
@@ -841,12 +805,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_hists_flush_sorted() {
+    fn counters_flush_sorted() {
         let t = Telemetry::enabled(0);
         t.counter("b", 2);
         t.counter("a", 1);
         t.counter("b", 3);
-        t.observe("h", 4.0);
         let events = t.finish();
         match &events[0] {
             Event::Counter { name, value, .. } => {
@@ -862,14 +825,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match &events[2] {
-            Event::Hist { name, count, buckets, .. } => {
-                assert_eq!(name, "h");
-                assert_eq!(*count, 1);
-                assert_eq!(buckets, &vec![(2, 1)]);
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(events.len(), 2);
     }
 
     #[test]
@@ -1112,7 +1068,7 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("not nested")), "{errs:?}");
         // No timestamped parent recorded at all (partial stream): ok.
         assert!(validate_stream(&[span("timestep/picard", 1, 0.5, 2.0)]).is_ok());
-        // Pre-v5 spans without t0 are never window-checked.
+        // Spans without t0 are never window-checked.
         let untimed = Event::Span {
             rank: 0,
             path: "timestep/picard".into(),

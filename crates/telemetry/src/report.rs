@@ -256,7 +256,8 @@ pub struct Report {
     pub checkpoints: CheckpointSummary,
     /// Counters summed over ranks.
     pub counters: BTreeMap<String, u64>,
-    /// Histograms merged over ranks.
+    /// Histograms over every rank's events: `gmres.iters`, the
+    /// iteration counts of all `gmres` events.
     pub hists: BTreeMap<String, LogHistogram>,
     /// Directed comm edges keyed `(src, dst, tag class)`.
     pub comm_edges: BTreeMap<(usize, usize, String), CommEdgeSummary>,
@@ -271,7 +272,7 @@ pub struct Report {
     /// and `health_verdict` events).
     pub health: HealthTrend,
     /// Per-step critical paths reconstructed from aligned span
-    /// timestamps (empty when the stream has no schema-v5 timestamps).
+    /// timestamps (empty when the stream carries no timestamps).
     pub critical_path: Vec<StepPath>,
     /// Measured machine bandwidth (GB/s) for the roofline column; set by
     /// the caller from `machine::host_baseline()` — this crate sits below
@@ -361,6 +362,7 @@ impl Report {
                 }
                 Event::Gmres { rank, path, iters, final_rel, converged, history } => {
                     max_rank = max_rank.max(*rank);
+                    r.hists.entry("gmres.iters".to_string()).or_default().record(*iters as f64);
                     // One solve is collective over all ranks and is
                     // reported by each; count it once via rank 0.
                     if *rank != 0 {
@@ -424,13 +426,6 @@ impl Report {
                 Event::Counter { rank, name, value } => {
                     max_rank = max_rank.max(*rank);
                     *r.counters.entry(name.clone()).or_insert(0) += value;
-                }
-                Event::Hist { rank, name, count, total, buckets } => {
-                    max_rank = max_rank.max(*rank);
-                    r.hists
-                        .entry(name.clone())
-                        .or_default()
-                        .merge(&LogHistogram::from_parts(*count, *total, buckets.clone()));
                 }
                 Event::PhasePerf { rank, label, wait_secs, transfer_secs, .. } => {
                     max_rank = max_rank.max(*rank);

@@ -1,5 +1,5 @@
 //! Cross-rank timeline: Chrome/Perfetto trace export and critical-path
-//! attribution over schema-v5 timestamps.
+//! attribution over the stream's timestamps.
 //!
 //! Every rank stamps its spans, comm edges and collectives against its
 //! own monotonic epoch; the startup clock handshake (recorded in the
@@ -34,7 +34,7 @@ type EdgeWindows = BTreeMap<(usize, usize, String), [Option<(f64, f64)>; 2]>;
 
 /// Clock-alignment table extracted from the stream's `run` event:
 /// aligned time for rank `r` is `t + offsets[r]`. Identity when the
-/// stream predates schema v5 or the handshake did not run.
+/// handshake did not run.
 #[derive(Clone, Debug, Default)]
 pub struct ClockTable {
     pub offsets: Vec<f64>,
@@ -68,10 +68,10 @@ fn micros(secs: f64) -> Json {
     Json::Float(secs * 1e6)
 }
 
-/// Render a merged, schema-v5 event stream as a Chrome trace-event /
+/// Render a merged event stream as a Chrome trace-event /
 /// Perfetto JSON document (`{"traceEvents": [...]}`). Ranks become
 /// named threads of one process; only timestamped events appear, so a
-/// pre-v5 stream yields an empty (but valid) trace.
+/// stream without timestamps yields an empty (but valid) trace.
 pub fn chrome_trace(events: &[Event]) -> Json {
     let clock = ClockTable::from_events(events);
     // (sort key: ts, -dur) → event; metadata rows lead with ts = -inf.
@@ -398,7 +398,7 @@ struct RankStep {
 /// *compute* segments; when it falls off the front of the rank's
 /// window it hops to the rank whose activity ends latest before the
 /// cursor, attributing the gap as *wait on* that rank. Streams without
-/// v5 timestamps yield an empty vector.
+/// timestamps yield an empty vector.
 pub fn critical_paths(events: &[Event]) -> Vec<StepPath> {
     let clock = ClockTable::from_events(events);
     // Per rank: timestep windows (in stream order) and all timestamped

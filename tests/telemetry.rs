@@ -24,7 +24,7 @@ fn every_event_type_round_trips_through_jsonl() {
     // The fixture must cover the whole schema.
     for tag in [
         "run", "span", "phase_time", "phase_perf", "comm_edge", "collective", "kernel_perf",
-        "amg", "gmres", "counter", "hist",
+        "amg", "gmres", "counter",
     ] {
         assert!(tags.contains(tag), "examples() missing event type {tag}");
     }

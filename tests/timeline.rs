@@ -95,7 +95,7 @@ fn four_rank_stream() -> Vec<Event> {
         })
     });
     let clock = per_rank[0].0.clone();
-    let mut events = vec![telemetry::run_info_with_clock(4, clock)];
+    let mut events = vec![telemetry::run_info(4, "inproc", "auto", clock)];
     events.extend(telemetry::merge_ranks(per_rank.into_iter().map(|(_, e)| e).collect()));
     events
 }
