@@ -39,13 +39,21 @@ old_schema=$(grep -rnE 'pre-v[0-9]' crates/telemetry/src || true)
 [ -z "$old_schema" ] \
   || { echo "schema gate: read-compat wording or code for an old stream: $old_schema" >&2; exit 1; }
 
+# The telemetry schema is written once: `events!` / `rows!` in event.rs
+# declare every field, and the codec is generated from them, so no
+# hand-written `("key", Json::…)` encoder pair or per-key `*_field("key")`
+# decoder call may come back.
+codec_keys=$(grep -nE '\("[a-z_]+", *Json::|_field\("' crates/telemetry/src/event.rs || true)
+[ -z "$codec_keys" ] \
+  || { echo "schema gate: a JSON key spelled outside its field declaration: $codec_keys" >&2; exit 1; }
+
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
-# that the offline validator accepts (exit 0 ⇔ schema-valid, non-empty).
+# that `exawind-perf validate` accepts (exit 0 ⇔ schema-valid, non-empty).
 tel_out=$(mktemp /tmp/exawind_telemetry.XXXXXX.jsonl)
 fault_out=$(mktemp /tmp/exawind_faulted.XXXXXX.jsonl)
 trap 'rm -f "$tel_out" "$fault_out"' EXIT
 EXAWIND_TELEMETRY="$tel_out" cargo run --release --example quickstart
-cargo run --release -p telemetry --bin validate_telemetry -- "$tel_out"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$tel_out"
 grep -q '"type": *"kernel_perf"' "$tel_out" \
   || { echo "telemetry smoke: no kernel_perf event in $tel_out" >&2; exit 1; }
 # Assembly plans are recorded once per graph and replayed afterwards: a
@@ -66,7 +74,7 @@ read -r graphs_rebuilt plans_built plans_replayed < <(sed -E \
 turb_out=$(mktemp /tmp/exawind_turbine.XXXXXX.jsonl)
 trap 'rm -f "$tel_out" "$fault_out" "$turb_out"' EXIT
 cargo run --release --example turbine_overset -- --telemetry "$turb_out" > /dev/null
-cargo run --release -p telemetry --bin validate_telemetry -- "$turb_out"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$turb_out"
 zero_guess_rounds=$(cargo run --release -p exawind-bench --bin exawind-perf -- report "$turb_out" \
   | sed -nE 's/^reuse \(summed over ranks\).*zero-guess smoothing rounds ([0-9]+).*/\1/p')
 [ "${zero_guess_rounds:-0}" -gt 0 ] \
@@ -77,7 +85,7 @@ zero_guess_rounds=$(cargo run --release -p exawind-bench --bin exawind-perf -- r
 # logged as a schema-valid `recovery` event, and still converge.
 EXAWIND_FAULTS="assembly-nan@continuity/global:1" \
   EXAWIND_TELEMETRY="$fault_out" cargo run --release --example quickstart
-cargo run --release -p telemetry --bin validate_telemetry -- "$fault_out"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$fault_out"
 grep -q '"type": *"recovery"' "$fault_out" \
   || { echo "fault-injection smoke: no recovery event in $fault_out" >&2; exit 1; }
 
@@ -97,7 +105,7 @@ cargo build --release --bin exawind-launch --bin exawind-worker
   | tee "$mp_dir/launch.log"
 grep -q 'monitor received [1-9][0-9]* heartbeat' "$mp_dir/launch.log" \
   || { echo "transport smoke: launcher monitor received no heartbeats" >&2; exit 1; }
-cargo run --release -p telemetry --bin validate_telemetry -- "$mp_dir/tel.rank0.jsonl"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$mp_dir/tel.rank0.jsonl"
 grep -q '"type":"run"' "$mp_dir/tel.rank0.jsonl" \
   || { echo "transport smoke: no run event in $mp_dir/tel.rank0.jsonl" >&2; exit 1; }
 grep -q '"transport":"socket"' "$mp_dir/tel.rank0.jsonl" \
@@ -107,7 +115,8 @@ grep -q '"type":"comm_edge"' "$mp_dir/tel.rank0.jsonl" \
 test -s "$mp_dir/fields.rank0.bits" && test -s "$mp_dir/fields.rank1.bits" \
   || { echo "transport smoke: missing per-rank field artifacts" >&2; exit 1; }
 cat "$mp_dir/tel.rank0.jsonl" "$mp_dir/tel.rank1.jsonl" > "$mp_dir/merged.jsonl"
-cargo run --release -p telemetry --bin validate_telemetry -- "$mp_dir/merged.jsonl" --report \
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$mp_dir/merged.jsonl"
+cargo run --release -p exawind-bench --bin exawind-perf -- report "$mp_dir/merged.jsonl" \
   | tee "$mp_dir/report.txt"
 grep -q 'communication matrix' "$mp_dir/report.txt" \
   || { echo "transport smoke: comm-matrix report section missing" >&2; exit 1; }
@@ -138,7 +147,7 @@ EXAWIND_FAULTS="assembly-nan@continuity/global:7" \
   ./target/release/exawind-launch -n 2 -- \
   ./target/release/exawind-worker --mesh big --steps 5 \
   --telemetry "$mp_dir/health-tel"
-cargo run --release -p telemetry --bin validate_telemetry -- "$mp_dir/health-tel.rank0.jsonl"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$mp_dir/health-tel.rank0.jsonl"
 grep '"type":"health_verdict"' "$mp_dir/health-tel.rank0.jsonl" \
   | grep -q '"kind":"recovery-storm"' \
   || { echo "health smoke: no recovery-storm verdict in seeded degradation run" >&2; exit 1; }
@@ -175,7 +184,7 @@ cmp "$mp_dir/killed.rank0.bits" "$mp_dir/clean.rank0.bits" \
   || { echo "checkpoint smoke: rank 0 fields differ after restart" >&2; exit 1; }
 cmp "$mp_dir/killed.rank1.bits" "$mp_dir/clean.rank1.bits" \
   || { echo "checkpoint smoke: rank 1 fields differ after restart" >&2; exit 1; }
-cargo run --release -p telemetry --bin validate_telemetry -- "$mp_dir/ckpt-tel.rank0.jsonl"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$mp_dir/ckpt-tel.rank0.jsonl"
 grep -q '"type":"restore"' "$mp_dir/ckpt-tel.rank0.jsonl" \
   || { echo "checkpoint smoke: no restore event in resumed rank-0 stream" >&2; exit 1; }
 grep -q '"type":"checkpoint"' "$mp_dir/ckpt-tel.rank0.jsonl" \
@@ -208,6 +217,6 @@ kern_out=$(mktemp /tmp/exawind_sellcs.XXXXXX.jsonl)
 trap 'rm -f "$tel_out" "$fault_out" "$turb_out" "$model_out" "$kern_out"; rm -rf "$mp_dir"' EXIT
 EXAWIND_KERNELS=sellcs EXAWIND_TELEMETRY="$kern_out" \
   cargo run --release --example quickstart
-cargo run --release -p telemetry --bin validate_telemetry -- "$kern_out"
+cargo run --release -p exawind-bench --bin exawind-perf -- validate "$kern_out"
 grep -q '"kernel_policy": *"sellcs"' "$kern_out" \
   || { echo "kernel smoke: run event not tagged with sellcs policy" >&2; exit 1; }

@@ -472,14 +472,10 @@ impl Simulation {
         let sample = telemetry::health::HealthSample {
             eqs: iters
                 .iter()
-                .map(|(eq, &its)| {
-                    let final_rel = self.final_rels.get(eq).copied().unwrap_or(0.0);
-                    telemetry::EqHealthRow {
-                        eq: eq.clone(),
-                        iters: its as u64,
-                        final_rel,
-                        rate: telemetry::health::HealthSample::rate(its as u64, final_rel),
-                    }
+                .map(|(eq, &its)| telemetry::EqHealthRow {
+                    eq: eq.clone(),
+                    iters: its as u64,
+                    final_rel: self.final_rels.get(eq).copied().unwrap_or(0.0),
                 })
                 .collect(),
             amg_levels: self.last_amg.map_or(0, |(l, _, _)| l),

@@ -687,8 +687,8 @@ impl Rank {
     /// collective kind — each group in sorted order (so the export is
     /// deterministic regardless of execution order).
     ///
-    /// **Label contract** (checked by `telemetry::validate_stream` and
-    /// the `validate_telemetry` bin): a label containing `/` is a
+    /// **Label contract** (checked by `telemetry::validate_stream`, which
+    /// `exawind-perf validate` runs): a label containing `/` is a
     /// `Phase::trace_label`-style span reference (`continuity/solve`)
     /// and must correspond to a span this rank opened *and closed* —
     /// i.e. emit these events only for phases entered under a matching
@@ -726,7 +726,6 @@ impl Rank {
         let rec = self.perf.borrow();
         if rec.kernels_timed {
             for (&name, k) in &rec.kernels {
-                let rate = |units: f64| if k.secs > 0.0 { units / k.secs } else { 0.0 };
                 events.push(telemetry::Event::KernelPerf {
                     rank: me,
                     kernel: name.to_string(),
@@ -735,9 +734,6 @@ impl Rank {
                     bytes: k.bytes,
                     flops: k.flops,
                     dofs: k.dofs,
-                    gb_per_s: rate(k.bytes as f64 / 1e9),
-                    gflop_per_s: rate(k.flops as f64 / 1e9),
-                    mdof_per_s: rate(k.dofs as f64 / 1e6),
                 });
             }
         }

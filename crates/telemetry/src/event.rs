@@ -19,44 +19,209 @@
 //! | `kernel_perf`| `parcomm::Rank::kernel` scopes | achieved GB/s / GFLOP/s roofline rows |
 //! | `counter`    | subsystem counters        | —                         |
 //!
-//! Every event type round-trips exactly through [`Event::to_line`] /
-//! [`Event::parse_line`] (integers exact, floats bit-identical).
+//! The schema is written once: the `events!` table below declares every
+//! event's tag and fields (and `rows!` the two nested row types), and the
+//! enum, its encoder and its decoder are generated from it, with a
+//! field's JSON key equal to its name. Every event type round-trips
+//! exactly through [`Event::to_line`] / [`Event::parse_line`] (integers
+//! exact, floats bit-identical); a missing or malformed field — optional
+//! ones included — is a typed error naming the field.
+
+use std::collections::BTreeMap;
 
 use crate::json::Json;
 
 /// The one schema version: stamped into every `run` event, and the only
 /// one [`Event::from_json`] accepts — a `run` line carrying another (or
 /// no) version is a parse error, not a stream read with defaults.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
-/// One row of an AMG hierarchy: global rows and nonzeros of a level
-/// operator.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AmgLevelRow {
-    pub level: usize,
-    pub rows: u64,
-    pub nnz: u64,
+/// A JSON object's members by key.
+type Obj = BTreeMap<String, Json>;
+
+/// How a value of one field type sits under its key. `put` returns
+/// `None` to leave the key out (an absent `Option`); `get` is handed
+/// `None` for an absent key and returns `None` for a missing or
+/// malformed value.
+trait Field: Sized {
+    fn put(&self) -> Option<Json>;
+    fn get(v: Option<&Json>) -> Option<Self>;
 }
 
-/// Per-equation convergence summary inside a `step_health` event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EqHealthRow {
-    pub eq: String,
-    /// GMRES iterations spent on this equation during the step (summed
-    /// over Picard sweeps and meshes).
-    pub iters: u64,
-    /// Final relative residual of the last solve.
-    pub final_rel: f64,
-    /// Residual reduction rate: orders of magnitude gained per GMRES
-    /// iteration, `-log10(final_rel) / iters` (0 when `iters == 0`).
-    pub rate: f64,
+/// `Field` for scalars: `$put` builds the JSON value, `$get` reads it.
+macro_rules! scalars {
+    ($($ty:ty: $put:expr, $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self) -> Option<Json> {
+                Some($put(self))
+            }
+
+            fn get(v: Option<&Json>) -> Option<Self> {
+                v.and_then($get)
+            }
+        }
+    )*};
 }
 
-/// A telemetry event. See the module docs for the type ↔ source map.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
+scalars! {
+    usize: |x: &usize| Json::Int(*x as i128), Json::as_usize;
+    u64: |x: &u64| Json::Int((*x).into()), Json::as_u64;
+    i32: |x: &i32| Json::Int((*x).into()), |v: &Json| v.as_i128()?.try_into().ok();
+    f64: |x: &f64| Json::Float(*x), Json::as_f64;
+    bool: |x: &bool| Json::Bool(*x), Json::as_bool;
+    String: |x: &String| Json::Str(x.clone()), |v: &Json| v.as_str().map(str::to_string);
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self) -> Option<Json> {
+        // Elements are never `Option`s, so none is left out.
+        Some(Json::Arr(self.iter().filter_map(Field::put).collect()))
+    }
+
+    fn get(v: Option<&Json>) -> Option<Self> {
+        v?.as_arr()?.iter().map(|x| T::get(Some(x))).collect()
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self) -> Option<Json> {
+        Some(Json::Arr(vec![self.0.put()?, self.1.put()?]))
+    }
+
+    fn get(v: Option<&Json>) -> Option<Self> {
+        match v?.as_arr()? {
+            [a, b] => Some((A::get(Some(a))?, B::get(Some(b))?)),
+            _ => None,
+        }
+    }
+}
+
+/// Absent key ⇔ `None`; a present key must hold a valid `T`.
+impl<T: Field> Field for Option<T> {
+    fn put(&self) -> Option<Json> {
+        self.as_ref()?.put()
+    }
+
+    fn get(v: Option<&Json>) -> Option<Self> {
+        match v {
+            None => Some(None),
+            Some(_) => T::get(v).map(Some),
+        }
+    }
+}
+
+/// Encode `value` under `key` (left out when `put` says so).
+fn put<T: Field>(obj: &mut Obj, key: &str, value: &T) {
+    if let Some(v) = value.put() {
+        obj.insert(key.to_string(), v);
+    }
+}
+
+/// Decode field `key` of a `tag` event.
+fn get<T: Field>(tag: &str, obj: &Obj, key: &str) -> Result<T, String> {
+    T::get(obj.get(key)).ok_or_else(|| format!("{tag}: missing/invalid field \"{key}\""))
+}
+
+/// Declares the rows nested inside event fields, each with its `Field`
+/// codec (an object keyed by field name).
+macro_rules! rows {
+    ($(
+        $(#[$doc:meta])*
+        $row:ident { $($(#[$field_doc:meta])* $field:ident: $ty:ty,)* }
+    )*) => {$(
+        $(#[$doc])*
+        #[derive(Clone, Debug, PartialEq)]
+        pub struct $row {
+            $($(#[$field_doc])* pub $field: $ty,)*
+        }
+
+        impl Field for $row {
+            fn put(&self) -> Option<Json> {
+                let mut obj = Obj::new();
+                $(put(&mut obj, stringify!($field), &self.$field);)*
+                Some(Json::Obj(obj))
+            }
+
+            fn get(v: Option<&Json>) -> Option<Self> {
+                let obj = v?.as_obj()?;
+                Some($row { $($field: Field::get(obj.get(stringify!($field)))?,)* })
+            }
+        }
+    )*};
+}
+
+/// Declares [`Event`] — one `Variant = "tag" { field: Type, … }` row per
+/// event type — and generates [`Event::type_tag`], [`Event::to_json`] and
+/// the per-tag decoder from it.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal { $($(#[$field_doc:meta])* $field:ident: $ty:ty,)* }
+    )*) => {
+        /// A telemetry event. See the module docs for the type ↔ source map.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        impl Event {
+            /// The schema type tag.
+            pub fn type_tag(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Serialize to a JSON value.
+            pub fn to_json(&self) -> Json {
+                let mut obj = Obj::new();
+                obj.insert("type".to_string(), Json::Str(self.type_tag().to_string()));
+                if let Event::Run { .. } = self {
+                    obj.insert("schema".to_string(), Json::Int(SCHEMA_VERSION.into()));
+                }
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        $(put(&mut obj, stringify!($field), $field);)*
+                    })*
+                }
+                Json::Obj(obj)
+            }
+
+            /// Decode the fields of a `tag` event.
+            fn decode(tag: &str, obj: &Obj) -> Result<Event, String> {
+                match tag {
+                    $($tag => Ok(Event::$variant { $($field: get(tag, obj, stringify!($field))?,)* }),)*
+                    other => Err(format!("unknown event type {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+rows! {
+    /// One row of an AMG hierarchy: global rows and nonzeros of a level
+    /// operator.
+    AmgLevelRow {
+        level: usize,
+        rows: u64,
+        nnz: u64,
+    }
+
+    /// Per-equation convergence summary inside a `step_health` event
+    /// (its residual-reduction rate is derived: [`EqHealthRow::rate`]).
+    EqHealthRow {
+        eq: String,
+        /// GMRES iterations spent on this equation during the step (summed
+        /// over Picard sweeps and meshes).
+        iters: u64,
+        /// Final relative residual of the last solve.
+        final_rel: f64,
+    }
+}
+
+events! {
     /// Run metadata, emitted once per exported stream.
-    Run {
+    Run = "run" {
         ranks: usize,
         threads: usize,
         /// Transport backend label (`inproc` | `socket`).
@@ -72,27 +237,27 @@ pub enum Event {
         /// Per-rank minimum round-trip times (seconds) of the handshake —
         /// the offset uncertainty is bounded by `rtt/2`.
         clock_rtts: Option<Vec<f64>>,
-    },
+    }
     /// A closed span: `path` is the `/`-joined stack of open span names.
-    Span {
+    Span = "span" {
         rank: usize,
         path: String,
         depth: usize,
         secs: f64,
         /// Span start, seconds since the recording rank's telemetry epoch.
         t0: Option<f64>,
-    },
+    }
     /// Per-step, per-equation, per-phase wall-clock (from `Timings`).
-    PhaseTime {
+    PhaseTime = "phase_time" {
         rank: usize,
         step: usize,
         eq: String,
         phase: String,
         secs: f64,
-    },
+    }
     /// Per-phase operation counts (from `parcomm::PhaseTrace`), plus the
     /// phase's wait/transfer split when comm timing was enabled.
-    PhasePerf {
+    PhasePerf = "phase_perf" {
         rank: usize,
         label: String,
         kernel_launches: u64,
@@ -108,12 +273,12 @@ pub enum Event {
         /// Seconds spent encoding/decoding/enqueuing payloads (0 when
         /// comm timing was disabled).
         transfer_secs: f64,
-    },
+    }
     /// Traffic totals of one directed (src → dst) communication edge in
     /// one tag class, as observed by `rank` (which is one of the two
     /// endpoints — both endpoints report, and a healthy run's reports
     /// agree; `validate_stream` checks this).
-    CommEdge {
+    CommEdge = "comm_edge" {
         rank: usize,
         src: usize,
         dst: usize,
@@ -128,11 +293,11 @@ pub enum Event {
         t_first: Option<f64>,
         /// Timestamp of the last observed message (same convention).
         t_last: Option<f64>,
-    },
+    }
     /// One rank's participation in one collective kind: entry count,
     /// contributed bytes, and a log₂ latency histogram over per-entry
     /// seconds (empty when comm timing was disabled).
-    Collective {
+    Collective = "collective" {
         rank: usize,
         /// Collective kind: `allreduce` | `allgather` | `broadcast` |
         /// `sparse_exchange` | `barrier`.
@@ -149,29 +314,29 @@ pub enum Event {
         t_first: Option<f64>,
         /// Entry timestamp of the last participation (same convention).
         t_last: Option<f64>,
-    },
+    }
     /// One AMG setup: per-level rows/nnz plus the paper's grid and
     /// operator complexities.
-    AmgSetup {
+    AmgSetup = "amg" {
         rank: usize,
         path: String,
         levels: Vec<AmgLevelRow>,
         grid_complexity: f64,
         operator_complexity: f64,
-    },
+    }
     /// One GMRES solve: iteration count and the relative-residual
     /// trajectory.
-    Gmres {
+    Gmres = "gmres" {
         rank: usize,
         path: String,
         iters: usize,
         final_rel: f64,
         converged: bool,
         history: Vec<f64>,
-    },
+    }
     /// One recovery attempt: a solve failed with a typed fault and the
     /// Picard driver walked the escalation ladder.
-    Recovery {
+    Recovery = "recovery" {
         rank: usize,
         eq: String,
         step: usize,
@@ -179,11 +344,11 @@ pub enum Event {
         action: String,
         attempt: usize,
         outcome: String,
-    },
+    }
     /// One completed checkpoint write on one rank: the generation it
     /// contributes to, the step it captures, the file size, and the
     /// wall-clock spent serializing + fsyncing.
-    Checkpoint {
+    Checkpoint = "checkpoint" {
         rank: usize,
         step: usize,
         generation: u64,
@@ -192,22 +357,22 @@ pub enum Event {
         /// Write completion, seconds since the recording rank's telemetry
         /// epoch.
         t: Option<f64>,
-    },
+    }
     /// One restore: this rank resumed from `generation`, continuing
     /// after `step` completed steps.
-    Restore {
+    Restore = "restore" {
         rank: usize,
         step: usize,
         generation: u64,
         /// Restore completion, seconds since the recording rank's
         /// telemetry epoch.
         t: Option<f64>,
-    },
+    }
     /// Per-timestep solver-health sample: per-equation convergence, AMG
     /// hierarchy complexity, and resilience activity. Deterministic
     /// (carries no wall-clock), emitted once per completed step per rank;
     /// the input of the `telemetry::health` degradation detector.
-    StepHealth {
+    StepHealth = "step_health" {
         rank: usize,
         step: usize,
         eqs: Vec<EqHealthRow>,
@@ -221,11 +386,11 @@ pub enum Event {
         recoveries: u64,
         /// Checkpoint generation published by this step, if any.
         checkpoint: Option<u64>,
-    },
+    }
     /// A typed degradation verdict from the `telemetry::health` detector:
     /// `value` left the EWMA `baseline` envelope for a full detection
     /// window ending at `step`.
-    HealthVerdict {
+    HealthVerdict = "health_verdict" {
         rank: usize,
         step: usize,
         /// Degradation kind label: `gmres-iters` | `residual-rate` |
@@ -235,13 +400,14 @@ pub enum Event {
         eq: Option<String>,
         value: f64,
         baseline: f64,
-    },
+    }
     /// Aggregate of one named kernel on one rank: launches, wall-clock,
-    /// modeled bytes/flops (priced by `sparse_kit::cost`) and DOFs, and
-    /// the achieved throughputs they imply. The by-name view of the
-    /// launches `phase_perf` carries by phase; emitted next to it by
+    /// and modeled bytes/flops (priced by `sparse_kit::cost`) and DOFs —
+    /// the achieved throughputs are these over `secs`, computed by the
+    /// reader (`report::KernelSummary`), not carried. The by-name view of
+    /// the launches `phase_perf` carries by phase; emitted next to it by
     /// `parcomm::Rank::telemetry_events`, sorted by kernel name.
-    KernelPerf {
+    KernelPerf = "kernel_perf" {
         rank: usize,
         kernel: String,
         calls: u64,
@@ -249,393 +415,16 @@ pub enum Event {
         bytes: u64,
         flops: u64,
         dofs: u64,
-        gb_per_s: f64,
-        gflop_per_s: f64,
-        mdof_per_s: f64,
-    },
+    }
     /// A named monotonic counter (aggregated per rank at finish).
-    Counter { rank: usize, name: String, value: u64 },
+    Counter = "counter" {
+        rank: usize,
+        name: String,
+        value: u64,
+    }
 }
 
 impl Event {
-    /// The schema type tag.
-    pub fn type_tag(&self) -> &'static str {
-        match self {
-            Event::Run { .. } => "run",
-            Event::Span { .. } => "span",
-            Event::PhaseTime { .. } => "phase_time",
-            Event::PhasePerf { .. } => "phase_perf",
-            Event::CommEdge { .. } => "comm_edge",
-            Event::Collective { .. } => "collective",
-            Event::AmgSetup { .. } => "amg",
-            Event::Gmres { .. } => "gmres",
-            Event::Recovery { .. } => "recovery",
-            Event::Checkpoint { .. } => "checkpoint",
-            Event::Restore { .. } => "restore",
-            Event::StepHealth { .. } => "step_health",
-            Event::HealthVerdict { .. } => "health_verdict",
-            Event::KernelPerf { .. } => "kernel_perf",
-            Event::Counter { .. } => "counter",
-        }
-    }
-
-    /// Serialize to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let tag = Json::Str(self.type_tag().to_string());
-        match self {
-            Event::Run {
-                ranks,
-                threads,
-                transport,
-                kernel_policy,
-                git_commit,
-                clock_offsets,
-                clock_rtts,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("schema", Json::Int(SCHEMA_VERSION as i128)),
-                    ("ranks", Json::Int(*ranks as i128)),
-                    ("threads", Json::Int(*threads as i128)),
-                    ("transport", Json::Str(transport.clone())),
-                    ("kernel_policy", Json::Str(kernel_policy.clone())),
-                ];
-                if let Some(c) = git_commit {
-                    pairs.push(("git_commit", Json::Str(c.clone())));
-                }
-                if let Some(offs) = clock_offsets {
-                    pairs.push((
-                        "clock_offsets",
-                        Json::Arr(offs.iter().map(|&o| Json::Float(o)).collect()),
-                    ));
-                }
-                if let Some(rtts) = clock_rtts {
-                    pairs.push((
-                        "clock_rtts",
-                        Json::Arr(rtts.iter().map(|&r| Json::Float(r)).collect()),
-                    ));
-                }
-                Json::obj(pairs)
-            }
-            Event::Span {
-                rank,
-                path,
-                depth,
-                secs,
-                t0,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("path", Json::Str(path.clone())),
-                    ("depth", Json::Int(*depth as i128)),
-                    ("secs", Json::Float(*secs)),
-                ];
-                if let Some(t0) = t0 {
-                    pairs.push(("t0", Json::Float(*t0)));
-                }
-                Json::obj(pairs)
-            }
-            Event::PhaseTime {
-                rank,
-                step,
-                eq,
-                phase,
-                secs,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("step", Json::Int(*step as i128)),
-                ("eq", Json::Str(eq.clone())),
-                ("phase", Json::Str(phase.clone())),
-                ("secs", Json::Float(*secs)),
-            ]),
-            Event::PhasePerf {
-                rank,
-                label,
-                kernel_launches,
-                kernel_bytes,
-                kernel_flops,
-                msgs,
-                msg_bytes,
-                collectives,
-                collective_bytes,
-                wait_secs,
-                transfer_secs,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("label", Json::Str(label.clone())),
-                ("kernel_launches", Json::Int(*kernel_launches as i128)),
-                ("kernel_bytes", Json::Int(*kernel_bytes as i128)),
-                ("kernel_flops", Json::Int(*kernel_flops as i128)),
-                ("msgs", Json::Int(*msgs as i128)),
-                ("msg_bytes", Json::Int(*msg_bytes as i128)),
-                ("collectives", Json::Int(*collectives as i128)),
-                ("collective_bytes", Json::Int(*collective_bytes as i128)),
-                ("wait_secs", Json::Float(*wait_secs)),
-                ("transfer_secs", Json::Float(*transfer_secs)),
-            ]),
-            Event::CommEdge {
-                rank,
-                src,
-                dst,
-                class,
-                msgs,
-                bytes,
-                t_first,
-                t_last,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("src", Json::Int(*src as i128)),
-                    ("dst", Json::Int(*dst as i128)),
-                    ("class", Json::Str(class.clone())),
-                    ("msgs", Json::Int(*msgs as i128)),
-                    ("bytes", Json::Int(*bytes as i128)),
-                ];
-                if let Some(t) = t_first {
-                    pairs.push(("t_first", Json::Float(*t)));
-                }
-                if let Some(t) = t_last {
-                    pairs.push(("t_last", Json::Float(*t)));
-                }
-                Json::obj(pairs)
-            }
-            Event::Collective {
-                rank,
-                kind,
-                count,
-                bytes,
-                secs,
-                buckets,
-                t_first,
-                t_last,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("kind", Json::Str(kind.clone())),
-                    ("count", Json::Int(*count as i128)),
-                    ("bytes", Json::Int(*bytes as i128)),
-                    ("secs", Json::Float(*secs)),
-                    (
-                        "buckets",
-                        Json::Arr(
-                            buckets
-                                .iter()
-                                .map(|&(e, c)| {
-                                    Json::Arr(vec![Json::Int(e as i128), Json::Int(c as i128)])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if let Some(t) = t_first {
-                    pairs.push(("t_first", Json::Float(*t)));
-                }
-                if let Some(t) = t_last {
-                    pairs.push(("t_last", Json::Float(*t)));
-                }
-                Json::obj(pairs)
-            }
-            Event::AmgSetup {
-                rank,
-                path,
-                levels,
-                grid_complexity,
-                operator_complexity,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("path", Json::Str(path.clone())),
-                (
-                    "levels",
-                    Json::Arr(
-                        levels
-                            .iter()
-                            .map(|l| {
-                                Json::obj(vec![
-                                    ("level", Json::Int(l.level as i128)),
-                                    ("rows", Json::Int(l.rows as i128)),
-                                    ("nnz", Json::Int(l.nnz as i128)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("grid_complexity", Json::Float(*grid_complexity)),
-                ("operator_complexity", Json::Float(*operator_complexity)),
-            ]),
-            Event::Gmres {
-                rank,
-                path,
-                iters,
-                final_rel,
-                converged,
-                history,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("path", Json::Str(path.clone())),
-                ("iters", Json::Int(*iters as i128)),
-                ("final_rel", Json::Float(*final_rel)),
-                ("converged", Json::Bool(*converged)),
-                (
-                    "history",
-                    Json::Arr(history.iter().map(|&r| Json::Float(r)).collect()),
-                ),
-            ]),
-            Event::Recovery {
-                rank,
-                eq,
-                step,
-                fault,
-                action,
-                attempt,
-                outcome,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("eq", Json::Str(eq.clone())),
-                ("step", Json::Int(*step as i128)),
-                ("fault", Json::Str(fault.clone())),
-                ("action", Json::Str(action.clone())),
-                ("attempt", Json::Int(*attempt as i128)),
-                ("outcome", Json::Str(outcome.clone())),
-            ]),
-            Event::Checkpoint {
-                rank,
-                step,
-                generation,
-                bytes,
-                secs,
-                t,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("step", Json::Int(*step as i128)),
-                    ("generation", Json::Int(*generation as i128)),
-                    ("bytes", Json::Int(*bytes as i128)),
-                    ("secs", Json::Float(*secs)),
-                ];
-                if let Some(t) = t {
-                    pairs.push(("t", Json::Float(*t)));
-                }
-                Json::obj(pairs)
-            }
-            Event::Restore {
-                rank,
-                step,
-                generation,
-                t,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("step", Json::Int(*step as i128)),
-                    ("generation", Json::Int(*generation as i128)),
-                ];
-                if let Some(t) = t {
-                    pairs.push(("t", Json::Float(*t)));
-                }
-                Json::obj(pairs)
-            }
-            Event::StepHealth {
-                rank,
-                step,
-                eqs,
-                amg_levels,
-                grid_complexity,
-                operator_complexity,
-                recoveries,
-                checkpoint,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("step", Json::Int(*step as i128)),
-                    (
-                        "eqs",
-                        Json::Arr(
-                            eqs.iter()
-                                .map(|e| {
-                                    Json::obj(vec![
-                                        ("eq", Json::Str(e.eq.clone())),
-                                        ("iters", Json::Int(e.iters as i128)),
-                                        ("final_rel", Json::Float(e.final_rel)),
-                                        ("rate", Json::Float(e.rate)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("amg_levels", Json::Int(*amg_levels as i128)),
-                    ("grid_complexity", Json::Float(*grid_complexity)),
-                    ("operator_complexity", Json::Float(*operator_complexity)),
-                    ("recoveries", Json::Int(*recoveries as i128)),
-                ];
-                if let Some(g) = checkpoint {
-                    pairs.push(("checkpoint", Json::Int(*g as i128)));
-                }
-                Json::obj(pairs)
-            }
-            Event::HealthVerdict {
-                rank,
-                step,
-                kind,
-                eq,
-                value,
-                baseline,
-            } => {
-                let mut pairs = vec![
-                    ("type", tag),
-                    ("rank", Json::Int(*rank as i128)),
-                    ("step", Json::Int(*step as i128)),
-                    ("kind", Json::Str(kind.clone())),
-                    ("value", Json::Float(*value)),
-                    ("baseline", Json::Float(*baseline)),
-                ];
-                if let Some(eq) = eq {
-                    pairs.push(("eq", Json::Str(eq.clone())));
-                }
-                Json::obj(pairs)
-            }
-            Event::KernelPerf {
-                rank,
-                kernel,
-                calls,
-                secs,
-                bytes,
-                flops,
-                dofs,
-                gb_per_s,
-                gflop_per_s,
-                mdof_per_s,
-            } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("kernel", Json::Str(kernel.clone())),
-                ("calls", Json::Int(*calls as i128)),
-                ("secs", Json::Float(*secs)),
-                ("bytes", Json::Int(*bytes as i128)),
-                ("flops", Json::Int(*flops as i128)),
-                ("dofs", Json::Int(*dofs as i128)),
-                ("gb_per_s", Json::Float(*gb_per_s)),
-                ("gflop_per_s", Json::Float(*gflop_per_s)),
-                ("mdof_per_s", Json::Float(*mdof_per_s)),
-            ]),
-            Event::Counter { rank, name, value } => Json::obj(vec![
-                ("type", tag),
-                ("rank", Json::Int(*rank as i128)),
-                ("name", Json::Str(name.clone())),
-                ("value", Json::Int(*value as i128)),
-            ]),
-        }
-    }
-
     /// Serialize to one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
         self.to_json().to_string()
@@ -655,269 +444,14 @@ impl Event {
             .ok_or("missing \"type\" field")?
             .as_str()
             .ok_or("\"type\" is not a string")?;
-
-        let str_field = |k: &str| -> Result<String, String> {
-            obj.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("{tag}: missing/invalid string field \"{k}\""))
-        };
-        let u64_field = |k: &str| -> Result<u64, String> {
-            obj.get(k)
-                .and_then(Json::as_u64)
-                .ok_or(format!("{tag}: missing/invalid integer field \"{k}\""))
-        };
-        let usize_field = |k: &str| -> Result<usize, String> {
-            obj.get(k)
-                .and_then(Json::as_usize)
-                .ok_or(format!("{tag}: missing/invalid integer field \"{k}\""))
-        };
-        let f64_field = |k: &str| -> Result<f64, String> {
-            obj.get(k)
-                .and_then(Json::as_f64)
-                .ok_or(format!("{tag}: missing/invalid number field \"{k}\""))
-        };
-
-        // Optional float-array field.
-        let f64_arr = |k: &str| -> Result<Option<Vec<f64>>, String> {
-            match obj.get(k) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or(format!("{tag}: \"{k}\" is not an array"))?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().ok_or(format!("{tag}: non-numeric \"{k}\" entry"))
-                    })
-                    .collect::<Result<Vec<_>, String>>()
-                    .map(Some),
-            }
-        };
-        let opt_f64 = |k: &str| obj.get(k).and_then(Json::as_f64);
-
-        match tag {
-            "run" if obj.get("schema").and_then(Json::as_u64) != Some(SCHEMA_VERSION) => {
-                let found = obj.get("schema").map_or("absent".to_string(), Json::to_string);
-                Err(format!("run: schema version {found}, this reader accepts only {SCHEMA_VERSION}"))
-            }
-            "run" => Ok(Event::Run {
-                ranks: usize_field("ranks")?,
-                threads: usize_field("threads")?,
-                transport: str_field("transport")?,
-                kernel_policy: str_field("kernel_policy")?,
-                git_commit: obj.get("git_commit").and_then(Json::as_str).map(str::to_string),
-                clock_offsets: f64_arr("clock_offsets")?,
-                clock_rtts: f64_arr("clock_rtts")?,
-            }),
-            "span" => Ok(Event::Span {
-                rank: usize_field("rank")?,
-                path: str_field("path")?,
-                depth: usize_field("depth")?,
-                secs: f64_field("secs")?,
-                t0: opt_f64("t0"),
-            }),
-            "phase_time" => Ok(Event::PhaseTime {
-                rank: usize_field("rank")?,
-                step: usize_field("step")?,
-                eq: str_field("eq")?,
-                phase: str_field("phase")?,
-                secs: f64_field("secs")?,
-            }),
-            "phase_perf" => Ok(Event::PhasePerf {
-                rank: usize_field("rank")?,
-                label: str_field("label")?,
-                kernel_launches: u64_field("kernel_launches")?,
-                kernel_bytes: u64_field("kernel_bytes")?,
-                kernel_flops: u64_field("kernel_flops")?,
-                msgs: u64_field("msgs")?,
-                msg_bytes: u64_field("msg_bytes")?,
-                collectives: u64_field("collectives")?,
-                collective_bytes: u64_field("collective_bytes")?,
-                wait_secs: f64_field("wait_secs")?,
-                transfer_secs: f64_field("transfer_secs")?,
-            }),
-            "comm_edge" => Ok(Event::CommEdge {
-                rank: usize_field("rank")?,
-                src: usize_field("src")?,
-                dst: usize_field("dst")?,
-                class: str_field("class")?,
-                msgs: u64_field("msgs")?,
-                bytes: u64_field("bytes")?,
-                t_first: opt_f64("t_first"),
-                t_last: opt_f64("t_last"),
-            }),
-            "collective" => {
-                let buckets = obj
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or("collective: missing \"buckets\" array")?
-                    .iter()
-                    .map(|b| {
-                        let pair = b.as_arr().ok_or("collective: bucket is not a pair")?;
-                        if pair.len() != 2 {
-                            return Err("collective: bucket is not a pair".to_string());
-                        }
-                        let e = pair[0]
-                            .as_i128()
-                            .and_then(|i| i32::try_from(i).ok())
-                            .ok_or("collective: bad bucket exponent")?;
-                        let c = pair[1].as_u64().ok_or("collective: bad bucket count")?;
-                        Ok((e, c))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Event::Collective {
-                    rank: usize_field("rank")?,
-                    kind: str_field("kind")?,
-                    count: u64_field("count")?,
-                    bytes: u64_field("bytes")?,
-                    secs: f64_field("secs")?,
-                    buckets,
-                    t_first: opt_f64("t_first"),
-                    t_last: opt_f64("t_last"),
-                })
-            }
-            "amg" => {
-                let levels = obj
-                    .get("levels")
-                    .and_then(Json::as_arr)
-                    .ok_or("amg: missing \"levels\" array")?
-                    .iter()
-                    .map(|l| {
-                        let lo = l.as_obj().ok_or("amg: level is not an object")?;
-                        Ok(AmgLevelRow {
-                            level: lo
-                                .get("level")
-                                .and_then(Json::as_usize)
-                                .ok_or("amg: bad level index")?,
-                            rows: lo
-                                .get("rows")
-                                .and_then(Json::as_u64)
-                                .ok_or("amg: bad level rows")?,
-                            nnz: lo
-                                .get("nnz")
-                                .and_then(Json::as_u64)
-                                .ok_or("amg: bad level nnz")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Event::AmgSetup {
-                    rank: usize_field("rank")?,
-                    path: str_field("path")?,
-                    levels,
-                    grid_complexity: f64_field("grid_complexity")?,
-                    operator_complexity: f64_field("operator_complexity")?,
-                })
-            }
-            "gmres" => {
-                let history = obj
-                    .get("history")
-                    .and_then(Json::as_arr)
-                    .ok_or("gmres: missing \"history\" array")?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or("gmres: non-numeric history entry".to_string()))
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Event::Gmres {
-                    rank: usize_field("rank")?,
-                    path: str_field("path")?,
-                    iters: usize_field("iters")?,
-                    final_rel: f64_field("final_rel")?,
-                    converged: obj
-                        .get("converged")
-                        .and_then(Json::as_bool)
-                        .ok_or("gmres: missing \"converged\"")?,
-                    history,
-                })
-            }
-            "recovery" => Ok(Event::Recovery {
-                rank: usize_field("rank")?,
-                eq: str_field("eq")?,
-                step: usize_field("step")?,
-                fault: str_field("fault")?,
-                action: str_field("action")?,
-                attempt: usize_field("attempt")?,
-                outcome: str_field("outcome")?,
-            }),
-            "checkpoint" => Ok(Event::Checkpoint {
-                rank: usize_field("rank")?,
-                step: usize_field("step")?,
-                generation: u64_field("generation")?,
-                bytes: u64_field("bytes")?,
-                secs: f64_field("secs")?,
-                t: opt_f64("t"),
-            }),
-            "restore" => Ok(Event::Restore {
-                rank: usize_field("rank")?,
-                step: usize_field("step")?,
-                generation: u64_field("generation")?,
-                t: opt_f64("t"),
-            }),
-            "step_health" => {
-                let eqs = obj
-                    .get("eqs")
-                    .and_then(Json::as_arr)
-                    .ok_or("step_health: missing \"eqs\" array")?
-                    .iter()
-                    .map(|e| {
-                        let eo = e.as_obj().ok_or("step_health: eq is not an object")?;
-                        Ok(EqHealthRow {
-                            eq: eo
-                                .get("eq")
-                                .and_then(Json::as_str)
-                                .ok_or("step_health: bad eq name")?
-                                .to_string(),
-                            iters: eo
-                                .get("iters")
-                                .and_then(Json::as_u64)
-                                .ok_or("step_health: bad eq iters")?,
-                            final_rel: eo
-                                .get("final_rel")
-                                .and_then(Json::as_f64)
-                                .ok_or("step_health: bad eq final_rel")?,
-                            rate: eo
-                                .get("rate")
-                                .and_then(Json::as_f64)
-                                .ok_or("step_health: bad eq rate")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Event::StepHealth {
-                    rank: usize_field("rank")?,
-                    step: usize_field("step")?,
-                    eqs,
-                    amg_levels: u64_field("amg_levels")?,
-                    grid_complexity: f64_field("grid_complexity")?,
-                    operator_complexity: f64_field("operator_complexity")?,
-                    recoveries: u64_field("recoveries")?,
-                    checkpoint: obj.get("checkpoint").and_then(Json::as_u64),
-                })
-            }
-            "health_verdict" => Ok(Event::HealthVerdict {
-                rank: usize_field("rank")?,
-                step: usize_field("step")?,
-                kind: str_field("kind")?,
-                eq: obj.get("eq").and_then(Json::as_str).map(str::to_string),
-                value: f64_field("value")?,
-                baseline: f64_field("baseline")?,
-            }),
-            "kernel_perf" => Ok(Event::KernelPerf {
-                rank: usize_field("rank")?,
-                kernel: str_field("kernel")?,
-                calls: u64_field("calls")?,
-                secs: f64_field("secs")?,
-                bytes: u64_field("bytes")?,
-                flops: u64_field("flops")?,
-                dofs: u64_field("dofs")?,
-                gb_per_s: f64_field("gb_per_s")?,
-                gflop_per_s: f64_field("gflop_per_s")?,
-                mdof_per_s: f64_field("mdof_per_s")?,
-            }),
-            "counter" => Ok(Event::Counter {
-                rank: usize_field("rank")?,
-                name: str_field("name")?,
-                value: u64_field("value")?,
-            }),
-            other => Err(format!("unknown event type {other:?}")),
+        let schema = obj.get("schema");
+        if tag == "run" && schema.and_then(Json::as_u64) != Some(SCHEMA_VERSION) {
+            let found = schema.map_or("absent".to_string(), Json::to_string);
+            return Err(format!(
+                "run: schema version {found}, this reader accepts only {SCHEMA_VERSION}"
+            ));
         }
+        Event::decode(tag, obj)
     }
 
     /// Example of every event variant (schema documentation + round-trip
@@ -1029,13 +563,11 @@ impl Event {
                         eq: "continuity".into(),
                         iters: 12,
                         final_rel: 3.2e-7,
-                        rate: 0.5413941073971938,
                     },
                     EqHealthRow {
                         eq: "momentum".into(),
                         iters: 5,
                         final_rel: 1.0e-9,
-                        rate: 1.8,
                     },
                 ],
                 amg_levels: 3,
@@ -1060,9 +592,6 @@ impl Event {
                 bytes: 1_200_000_000,
                 flops: 96_000_000,
                 dofs: 4_000_000,
-                gb_per_s: 96.0,
-                gflop_per_s: 7.68,
-                mdof_per_s: 320.0,
             },
             Event::Counter {
                 rank: 0,
@@ -1078,25 +607,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_event_type_round_trips() {
-        for ev in Event::examples() {
-            let line = ev.to_line();
-            let back = Event::parse_line(&line)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{line}", ev.type_tag()));
-            assert_eq!(back, ev, "{line}");
-        }
-    }
-
-    #[test]
     fn defaulted_fields_and_other_schema_versions_are_rejected() {
         let err = |line: &str| Event::parse_line(line).unwrap_err();
         let perf = r#"{"type":"phase_perf","rank":0,"label":"continuity/solve","kernel_launches":1,"kernel_bytes":2,"kernel_flops":3,"msgs":4,"msg_bytes":5,"collectives":6,"collective_bytes":7,"transfer_secs":0.0}"#;
         assert!(err(perf).contains("\"wait_secs\""), "{}", err(perf));
-        let run = r#"{"type":"run","schema":6,"ranks":2,"threads":1,"kernel_policy":"auto"}"#;
+        let run = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"kernel_policy":"auto"}"#;
         assert!(err(run).contains("\"transport\""), "{}", err(run));
-        let old = r#"{"type":"run","schema":5,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
-        assert!(err(old).contains('5') && err(old).contains('6'), "{}", err(old));
-        assert!(err(&old.replace(r#""schema":5,"#, "")).contains("absent"));
+        let old = r#"{"type":"run","schema":6,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        assert!(err(old).contains('6') && err(old).contains('7'), "{}", err(old));
+        assert!(err(&old.replace(r#""schema":6,"#, "")).contains("absent"));
     }
 
     #[test]
@@ -1114,7 +633,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let run = r#"{"type":"run","schema":6,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        let run = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
         match Event::parse_line(run).unwrap() {
             Event::Run { clock_offsets, clock_rtts, .. } => {
                 assert_eq!(clock_offsets, None);
@@ -1127,8 +646,36 @@ mod tests {
     #[test]
     fn missing_fields_are_rejected() {
         assert!(Event::parse_line(r#"{"type":"span","rank":0}"#).is_err());
+        assert!(crate::read_jsonl_str("{\"type\":\"span\"}\n").is_err());
         assert!(Event::parse_line(r#"{"type":"nope"}"#).is_err());
         assert!(Event::parse_line(r#"{"rank":0}"#).is_err());
         assert!(Event::parse_line("[1,2]").is_err());
+        // A present key must hold a valid value, optional keys included,
+        // and a malformed nested row is an error naming the event field
+        // that holds it.
+        let span = r#"{"type":"span","rank":0,"path":"timestep","depth":0,"secs":0.5}"#;
+        let run = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        let health = r#"{"type":"step_health","rank":0,"step":4,"eqs":[],"amg_levels":3,"grid_complexity":1.2,"operator_complexity":1.3,"recoveries":0}"#;
+        let verdict = r#"{"type":"health_verdict","rank":0,"step":9,"kind":"gmres-iters","value":24.0,"baseline":12.5}"#;
+        let coll = r#"{"type":"collective","rank":1,"kind":"allreduce","count":2,"bytes":16,"secs":0.1,"buckets":[]}"#;
+        let amg = r#"{"type":"amg","rank":0,"path":"setup","levels":[],"grid_complexity":1.2,"operator_complexity":1.3}"#;
+        for (line, key, value) in [
+            (span, "t0", r#""x""#),
+            (run, "git_commit", "5"),
+            (health, "checkpoint", r#""x""#),
+            (verdict, "eq", "5"),
+            (coll, "buckets", "[[1]]"),
+            (amg, "levels", r#"[{"level":0,"rows":10}]"#),
+            (health, "eqs", "[5]"),
+        ] {
+            let mut v = Json::parse(line).unwrap();
+            Event::from_json(&v).unwrap_or_else(|e| panic!("{line}: {e}"));
+            if let Json::Obj(obj) = &mut v {
+                obj.insert(key.to_string(), Json::parse(value).unwrap());
+            }
+            let tag = v.as_obj().unwrap()["type"].as_str().unwrap().to_string();
+            let err = Event::from_json(&v).unwrap_err();
+            assert_eq!(err, format!("{tag}: missing/invalid field \"{key}\""), "{v}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Solver-health degradation detector (ROADMAP item 2's trigger).
 //!
 //! [`crate::Event::StepHealth`] gives every timestep a compact health
-//! row: per-equation GMRES iteration counts and residual-reduction
-//! rates, AMG grid/operator complexity, and recovery-ladder activity.
+//! row: per-equation GMRES iteration counts and final residuals (from
+//! which [`EqHealthRow::rate`] derives the residual-reduction rate), AMG
+//! grid/operator complexity, and recovery-ladder activity.
 //! [`HealthDetector`] consumes those rows in step order and emits typed
 //! [`Verdict`]s when a metric degrades against its own EWMA baseline:
 //!
@@ -35,8 +36,8 @@ pub const WARMUP: u64 = 3;
 pub const WINDOW: u64 = 2;
 
 /// What kind of degradation a [`Verdict`] reports. Wire-stable: the
-/// label round-trips through JSONL and the code through the launcher's
-/// fixed-width heartbeat frames.
+/// label is the `kind` of a `health_verdict` event, and the code
+/// round-trips through the launcher's fixed-width heartbeat frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationKind {
     /// GMRES iterations grew well past baseline (preconditioner going
@@ -68,10 +69,6 @@ impl DegradationKind {
             DegradationKind::AmgComplexity => "amg-complexity",
             DegradationKind::RecoveryStorm => "recovery-storm",
         }
-    }
-
-    pub fn parse(s: &str) -> Option<DegradationKind> {
-        DegradationKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
     /// Small nonzero code for fixed-width heartbeat frames (0 is
@@ -107,17 +104,21 @@ pub struct HealthSample {
     pub checkpoint: Option<u64>,
 }
 
-impl HealthSample {
+impl EqHealthRow {
     /// Residual-reduction rate: decades of relative-residual reduction
-    /// per iteration. Higher is healthier; 0 when the solve did not
-    /// converge at all.
-    pub fn rate(iters: u64, final_rel: f64) -> f64 {
+    /// per iteration, `-log10(final_rel) / iters`. Higher is healthier; 0
+    /// when the solve did not converge at all. Derived here rather than
+    /// carried on the wire, which has both inputs.
+    pub fn rate(&self) -> f64 {
+        let (iters, final_rel) = (self.iters, self.final_rel);
         if iters == 0 || final_rel.is_nan() || final_rel <= 0.0 || final_rel >= 1.0 {
             return 0.0;
         }
         -final_rel.log10() / iters as f64
     }
+}
 
+impl HealthSample {
     /// The corresponding wire event.
     pub fn to_event(&self, rank: usize, step: usize) -> Event {
         Event::StepHealth {
@@ -250,7 +251,7 @@ impl HealthDetector {
                 &mut self.trackers,
                 DegradationKind::ResidualRate,
                 Some(&row.eq),
-                row.rate,
+                row.rate(),
                 &|v, b| v < 0.5 * b,
             );
         }
@@ -297,12 +298,7 @@ mod tests {
     use super::*;
 
     fn eq_row(eq: &str, iters: u64, final_rel: f64) -> EqHealthRow {
-        EqHealthRow {
-            eq: eq.to_string(),
-            iters,
-            final_rel,
-            rate: HealthSample::rate(iters, final_rel),
-        }
+        EqHealthRow { eq: eq.to_string(), iters, final_rel }
     }
 
     fn steady_sample() -> HealthSample {
@@ -343,7 +339,10 @@ mod tests {
             assert!(det.observe(step, &steady_sample()).is_empty());
         }
         let mut degraded = steady_sample();
-        degraded.eqs[0].iters = 25; // > 1.5× and ≥ +2 over the ~10 baseline
+        // > 1.5× and ≥ +2 iterations over the ~10 baseline; the deeper
+        // residual keeps the rate (0.48 vs 0.8 decades/iteration) inside
+        // its envelope, so only the iteration count alarms.
+        degraded.eqs[0] = eq_row("continuity", 25, 1e-12);
         assert!(det.observe(10, &degraded).is_empty(), "needs WINDOW in a row");
         let verdicts = det.observe(11, &degraded);
         assert_eq!(verdicts.len(), 1, "{verdicts:?}");
@@ -437,23 +436,24 @@ mod tests {
     }
 
     #[test]
-    fn kind_codes_and_labels_round_trip() {
+    fn kind_codes_round_trip_and_labels_are_distinct() {
         for kind in DegradationKind::ALL {
-            assert_eq!(DegradationKind::parse(kind.label()), Some(kind));
             assert_eq!(DegradationKind::from_code(kind.code()), Some(kind));
             assert_ne!(kind.code(), 0, "0 is the no-verdict sentinel");
         }
-        assert_eq!(DegradationKind::parse("nope"), None);
         assert_eq!(DegradationKind::from_code(0), None);
+        let labels: std::collections::BTreeSet<&str> =
+            DegradationKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), DegradationKind::ALL.len());
     }
 
     #[test]
     fn rate_is_decades_per_iteration() {
-        assert_eq!(HealthSample::rate(4, 1e-8), 2.0);
-        assert_eq!(HealthSample::rate(0, 1e-8), 0.0);
-        assert_eq!(HealthSample::rate(5, 0.0), 0.0);
-        assert_eq!(HealthSample::rate(5, f64::NAN), 0.0);
-        assert_eq!(HealthSample::rate(5, 2.0), 0.0);
+        assert_eq!(eq_row("p", 4, 1e-8).rate(), 2.0);
+        assert_eq!(eq_row("p", 0, 1e-8).rate(), 0.0);
+        assert_eq!(eq_row("p", 5, 0.0).rate(), 0.0);
+        assert_eq!(eq_row("p", 5, f64::NAN).rate(), 0.0);
+        assert_eq!(eq_row("p", 5, 2.0).rate(), 0.0);
     }
 
     #[test]

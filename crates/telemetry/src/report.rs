@@ -477,12 +477,12 @@ impl Report {
                     for row in eqs {
                         let t = h.per_eq.entry(row.eq.clone()).or_insert_with(|| EqTrend {
                             first_iters: row.iters,
-                            first_rate: row.rate,
+                            first_rate: row.rate(),
                             ..EqTrend::default()
                         });
                         t.last_iters = row.iters;
                         t.max_iters = t.max_iters.max(row.iters);
-                        t.last_rate = row.rate;
+                        t.last_rate = row.rate();
                     }
                 }
                 Event::HealthVerdict { rank, step, kind, eq, value, baseline } => {
@@ -1058,7 +1058,7 @@ impl Report {
     /// over ranks): while still polling, which is message latency, or
     /// only after parking, which is another rank running late. `None`
     /// when the stream carries neither counter.
-    pub fn wait_summary(&self) -> Option<String> {
+    fn wait_summary(&self) -> Option<String> {
         let [polled, parked] = ["parcomm.recv_polled", "parcomm.recv_parked"]
             .map(|name| self.counters.get(name).copied());
         if polled.is_none() && parked.is_none() {
@@ -1079,7 +1079,7 @@ impl Report {
     /// guess and so skipped their exchange and residual pass (counter
     /// totals, summed over ranks). `None` when the stream carries none of
     /// the seven counters.
-    pub fn reuse_summary(&self) -> Option<String> {
+    fn reuse_summary(&self) -> Option<String> {
         let totals = [
             "amg.setup_rebuilt",
             "amg.setup_reused",
@@ -1292,9 +1292,6 @@ mod tests {
                 bytes: 5_000_000_000,
                 flops: 400_000_000,
                 dofs: 2_000_000,
-                gb_per_s: 10.0,
-                gflop_per_s: 0.8,
-                mdof_per_s: 4.0,
             });
         }
         let mut r = Report::from_events(&evs);
@@ -1461,12 +1458,7 @@ mod tests {
                 evs.push(Event::StepHealth {
                     rank,
                     step,
-                    eqs: vec![EqHealthRow {
-                        eq: "continuity".into(),
-                        iters,
-                        final_rel: 1e-6,
-                        rate: 6.0 / iters as f64,
-                    }],
+                    eqs: vec![EqHealthRow { eq: "continuity".into(), iters, final_rel: 1e-6 }],
                     amg_levels: 3,
                     grid_complexity: 1.2,
                     operator_complexity: 1.3,

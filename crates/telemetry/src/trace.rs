@@ -33,8 +33,9 @@ const EPS: f64 = 1e-9;
 type EdgeWindows = BTreeMap<(usize, usize, String), [Option<(f64, f64)>; 2]>;
 
 /// Clock-alignment table extracted from the stream's `run` event:
-/// aligned time for rank `r` is `t + offsets[r]`. Identity when the
-/// handshake did not run.
+/// aligned time for rank `r` is `t + offsets[r]`, uncertain by
+/// `rtts[r] / 2`. Identity (both tables empty) when the handshake did
+/// not run.
 #[derive(Clone, Debug, Default)]
 pub struct ClockTable {
     pub offsets: Vec<f64>,
@@ -42,6 +43,8 @@ pub struct ClockTable {
 }
 
 impl ClockTable {
+    /// The first `run` event's tables — the only reader of
+    /// `clock_offsets` / `clock_rtts`.
     pub fn from_events(events: &[Event]) -> ClockTable {
         for ev in events {
             if let Event::Run { clock_offsets, clock_rtts, .. } = ev {
@@ -57,6 +60,11 @@ impl ClockTable {
     /// Rank `r`'s timestamp mapped onto rank 0's timeline.
     pub fn align(&self, rank: usize, t: f64) -> f64 {
         t + self.offsets.get(rank).copied().unwrap_or(0.0)
+    }
+
+    /// Rank `r`'s handshake round-trip (0 when none was recorded).
+    pub fn rtt(&self, rank: usize) -> f64 {
+        self.rtts.get(rank).copied().unwrap_or(0.0)
     }
 }
 

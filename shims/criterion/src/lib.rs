@@ -12,7 +12,7 @@
 //! one JSON line per benchmark is appended to that file so harness scripts
 //! can collect machine-readable results. The lines carry `"type":"bench"`
 //! but the file is not a telemetry stream: `telemetry` has no `bench`
-//! event, so `read_jsonl` / `validate_telemetry` reject it.
+//! event, so `read_jsonl` / `exawind-perf validate` reject it.
 
 use std::fmt;
 use std::io::Write;
