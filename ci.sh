@@ -33,6 +33,18 @@ in_wait_next=$(sed -n '/fn wait_next(/,/^    }$/p' crates/parcomm/src/comm.rs \
 [ "$in_wait_next" -gt 0 ] && [ "$(grep -c . <<<"$wait_sites")" -eq "$in_wait_next" ] \
   || { echo "wait gate: spin/yield outside Rank::wait_next: $wait_sites" >&2; exit 1; }
 
+# Each socket rank reads its own streams: the rank threads of
+# `run_threads` are the one thread-spawn site in socket.rs, so reader
+# threads cannot come back unnoticed, and the only `unsafe` under
+# crates/ is the socket backend's poll(2) call.
+spawn_sites=$(grep -nE 'spawn\(|thread::Builder' crates/parcomm/src/socket.rs || true)
+[ "$(grep -c . <<<"$spawn_sites")" -eq 1 ] && grep -q 'scope\.spawn(' <<<"$spawn_sites" \
+  || { echo "socket gate: a thread spawned in socket.rs besides the rank threads: $spawn_sites" >&2; exit 1; }
+unsafe_sites=$(grep -rnw 'unsafe' --include='*.rs' crates || true)
+[ "$(grep -c . <<<"$unsafe_sites")" -eq 1 ] \
+  && grep -q '^crates/parcomm/src/socket\.rs:[0-9]*: *unsafe { poll(' <<<"$unsafe_sites" \
+  || { echo "unsafe gate: unsafe code besides the poll(2) call: $unsafe_sites" >&2; exit 1; }
+
 # One schema version: no telemetry source file describes, or branches
 # on, a stream older than the one it writes.
 old_schema=$(grep -rnE 'pre-v[0-9]' crates/telemetry/src || true)

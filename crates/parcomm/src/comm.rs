@@ -41,15 +41,19 @@ pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 /// Polls of the event queue before a blocking receive parks, and how
 /// many of them pass between two that yield the CPU; the others wait on
 /// a spin hint ([`Rank::wait_next`]). Measured on the 2-vCPU reference
-/// host (EXPERIMENTS.md, "one wait loop"): the window is ≈ 65 µs when
-/// nothing else wants the core. A message between two running ranks is
-/// picked up by the next poll (in-process ping-pong 35 → ~1 µs; parking
-/// at once costs a futex wake per message, 15–35 µs). The yield is what
-/// lets a thread without a core of its own run within a microsecond —
-/// a socket reader thread, or the rank being waited for when ranks
-/// outnumber cores: with an unbroken 512-poll spin phase in front of
-/// the yields the socket allreduce read 13 → 58 µs, the socket workload
-/// lost 8 of 10 pairs (+5 %) and tier-1 `cargo test` took +7 %.
+/// host (EXPERIMENTS.md, "one wait loop"): the window is ≈ 65 µs
+/// in-process when nothing else wants the core (longer over sockets,
+/// where a poll that finds nothing queued reads each open stream). A
+/// message between two running ranks is picked up by the next poll
+/// (in-process ping-pong 35 → ~1 µs; parking at once costs a futex wake
+/// per message, 15–35 µs). The yield is what lets a thread without a
+/// core of its own run within a microsecond. Since the socket backend
+/// lost its reader threads (EXPERIMENTS.md, "each socket rank reads its
+/// own streams") that is only the rank being waited for when ranks
+/// outnumber cores, as under `cargo test`: with an unbroken 512-poll
+/// spin phase in front of the yields (measured while reader threads
+/// still existed) the socket allreduce read 13 → 58 µs, the socket
+/// workload lost 8 of 10 pairs (+5 %) and tier-1 `cargo test` took +7 %.
 const POLLS_BEFORE_PARK: usize = 2048;
 const POLLS_PER_YIELD: usize = 32;
 
@@ -165,9 +169,8 @@ impl Comm {
         }
         let txs = Arc::new(txs);
         let barrier = Arc::new(Barrier::new(size));
-        let first_panic = AtomicUsize::new(usize::MAX);
+        let first_panic = FirstPanic::new();
 
-        let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(size);
             for (id, rx) in rxs.into_iter().enumerate() {
@@ -188,19 +191,8 @@ impl Comm {
                     out
                 }));
             }
-            let mut panics: Vec<_> = (0..size).map(|_| None).collect();
-            for (id, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(r) => results[id] = Some(r),
-                    Err(e) => panics[id] = Some(e),
-                }
-            }
-            let first = first_panic.load(Ordering::SeqCst);
-            if let Some(e) = panics.get_mut(first).and_then(Option::take) {
-                std::panic::resume_unwind(e);
-            }
-        });
-        results.into_iter().map(|r| r.unwrap()).collect()
+            first_panic.join(handles)
+        })
     }
 
     /// Run `f` on `size` ranks, returning per-rank results *and* per-rank
@@ -225,11 +217,49 @@ impl Comm {
     }
 }
 
+/// Which rank of a job run as threads of this process panicked first:
+/// the panic to re-raise, since a rank that dies makes its peers fail
+/// too, and one of them may be joined before it.
+pub(crate) struct FirstPanic(AtomicUsize);
+
+impl FirstPanic {
+    pub(crate) fn new() -> FirstPanic {
+        FirstPanic(AtomicUsize::new(usize::MAX))
+    }
+
+    /// Record rank `id` as panicking unless another rank already is. A
+    /// rank's drop guard calls this while unwinding, before its peers
+    /// can learn that it is gone: the rest are (or may be) consequences.
+    pub(crate) fn claim(&self, id: usize) {
+        let _ = self.0.compare_exchange(usize::MAX, id, Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    /// Join every rank thread and return the results in rank order, or
+    /// re-raise the first claimed panic (the first joined one if no rank
+    /// claimed, i.e. it died before its guard existed).
+    pub(crate) fn join<R>(&self, handles: Vec<std::thread::ScopedJoinHandle<'_, R>>) -> Vec<R> {
+        let mut results = Vec::with_capacity(handles.len());
+        let mut panics = Vec::new();
+        for (id, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(r) => results.push(r),
+                Err(e) => panics.push((id, e)),
+            }
+        }
+        if !panics.is_empty() {
+            let first = self.0.load(Ordering::SeqCst);
+            let at = panics.iter().position(|(id, _)| *id == first).unwrap_or(0);
+            std::panic::resume_unwind(panics.swap_remove(at).1);
+        }
+        results
+    }
+}
+
 /// Drop guard of one inproc rank thread (see [`Comm::run_inproc`]).
 struct PanicFence<'a> {
     id: usize,
     txs: Arc<Vec<Sender<RecvEvent>>>,
-    first_panic: &'a AtomicUsize,
+    first_panic: &'a FirstPanic,
 }
 
 impl Drop for PanicFence<'_> {
@@ -237,14 +267,7 @@ impl Drop for PanicFence<'_> {
         if !std::thread::panicking() {
             return;
         }
-        // Only the first panicking rank records itself: the rest are
-        // (or may be) consequences of it.
-        let _ = self.first_panic.compare_exchange(
-            usize::MAX,
-            self.id,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
+        self.first_panic.claim(self.id);
         // Same sender thread as every message this rank sent, so the
         // event queues behind them all. A peer that is gone itself has
         // no receiver left; nothing to tell it.
@@ -1041,7 +1064,7 @@ mod tests {
                         if delay.is_none() {
                             // Released only after rank 1's queue holds all
                             // four (inproc: sent; socket: same stream,
-                            // same reader, ahead of the release frame).
+                            // routed ahead of the release frame).
                             rank.barrier();
                         }
                         None

@@ -10,13 +10,13 @@
 //! drive stall detection and the last frame per rank feeds the partial
 //! comm report printed on abnormal exit.
 
-use std::io::BufReader;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Duration;
 
 use crate::message::{decode_payload, encode_payload, Message};
-use crate::transport::{read_frame, send_frame, Frame, FrameError, FrameKind};
+use crate::transport::{read_frame, send_frame, Frame, FrameKind};
 
 /// Number of `u64` words in a heartbeat payload.
 const HEARTBEAT_WORDS: usize = 10;
@@ -167,28 +167,14 @@ impl MonitorServer {
         let addr = listener.local_addr()?;
         let (tx, rx) = channel();
         // Accept/reader threads are detached: they block on I/O with no
-        // shutdown signal and die with the launcher process. Sends onto a
-        // closed queue (receiver dropped) just terminate the reader.
+        // shutdown signal and die with the launcher process. End of
+        // stream, a corrupt frame, or a closed queue (receiver dropped)
+        // just terminates the reader.
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { continue };
                 let tx: Sender<Heartbeat> = tx.clone();
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(stream);
-                    loop {
-                        match read_frame(&mut reader) {
-                            Ok(frame) => {
-                                if let Some(hb) = Heartbeat::from_frame(&frame) {
-                                    if tx.send(hb).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                            Err(FrameError::Eof) => return,
-                            Err(_) => return,
-                        }
-                    }
-                });
+                std::thread::spawn(move || read_heartbeats(stream, &tx));
             }
         });
         Ok(MonitorServer { addr, rx })
@@ -209,6 +195,35 @@ impl MonitorServer {
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return out,
             }
         }
+    }
+}
+
+/// Queue every heartbeat one worker connection carries, until its end.
+fn read_heartbeats(mut stream: TcpStream, tx: &Sender<Heartbeat>) {
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        let mut at = 0;
+        loop {
+            match read_frame(&bytes[at..]) {
+                Ok(None) => break,
+                Ok(Some((frame, n))) => {
+                    at += n;
+                    let hb = Heartbeat::from_frame(&frame);
+                    if hb.is_some_and(|hb| tx.send(hb).is_err()) {
+                        return;
+                    }
+                }
+                Err(_) => return,
+            }
+        }
+        bytes.drain(..at);
     }
 }
 

@@ -20,29 +20,41 @@
 //! order and setup cannot deadlock. Dials identify themselves with a
 //! 4-byte little-endian rank hello.
 //!
-//! Delivery: one reader thread per peer stream decodes frames and pushes
-//! them into the owning rank's event channel ([`FrameKind::Msg`]) or
-//! barrier channel ([`FrameKind::Barrier`]); per-peer FIFO order is the
-//! TCP stream order, matching the in-process channel semantics. How a
-//! blocking receive waits on that channel is not this backend's
-//! business: `Rank::wait_next` (`comm.rs`) polls and then parks on
-//! either backend's queue. Barriers are centralized through rank 0
-//! (gather generation-tagged frames, then broadcast release). A stream
-//! that ends without a [`FrameKind::Goodbye`] surfaces as
-//! [`RecvEvent::PeerGone`] → `CommError::Disconnected`.
+//! Delivery: each rank thread reads its own streams; there is no other
+//! thread. The streams are nonblocking and every peer has one inbound
+//! byte buffer. [`Transport::try_recv_next`] pops a queued event, and
+//! when none is queued it first reads whatever each open stream already
+//! holds and routes every complete frame through the one frame parser
+//! ([`read_frame`]): [`FrameKind::Msg`] to the event queue,
+//! [`FrameKind::Barrier`] to that peer's barrier queue, and
+//! [`FrameKind::Goodbye`] closes the peer. Per-peer FIFO order is the
+//! TCP stream order, matching the in-process channel semantics. A stream
+//! that ends (or turns corrupt) without a goodbye queues
+//! [`RecvEvent::PeerGone`] behind everything the peer sent before it →
+//! `CommError::Disconnected`; a rank thread that panics drops, and so
+//! closes, its streams on the way out, as a dead rank process would.
+//! When to stop polling and park is `Rank::wait_next`'s business
+//! (`comm.rs`); parking is one poll(2) on the open streams
+//! ([`Transport::recv_next`]). A send that finds its stream full moves
+//! every peer's inbound bytes into the queues and parks until it has
+//! room, so ranks writing large frames at each other cannot deadlock.
+//! Barriers are centralized through rank 0 (gather generation-tagged
+//! frames, then broadcast release) and fail at once when the peer they
+//! wait on is gone.
 
 use std::cell::{Cell, RefCell};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::VecDeque;
+use std::ffi::{c_int, c_short, c_ulong};
+use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::comm::{Rank, Tag, RECV_TIMEOUT};
+use crate::comm::{FirstPanic, Rank, Tag, RECV_TIMEOUT};
 use crate::transport::{
-    read_frame, send_frame, Envelope, Frame, FrameKind, Payload, RecvEvent, RecvTimeout,
-    Transport, WireFrame,
+    frame_prefix, read_frame, Envelope, Frame, FrameKind, Payload, RecvEvent, RecvTimeout,
+    Transport, WireFrame, FRAME_PREFIX_BYTES,
 };
 
 /// How a worker process finds its peers.
@@ -68,7 +80,8 @@ pub struct WorkerEnv {
 }
 
 /// Run all `size` ranks as threads of this process, connected by a
-/// loopback TCP mesh.
+/// loopback TCP mesh. If ranks panic, the panic raised first is
+/// re-raised, not a peer's consequential one.
 pub(crate) fn run_threads<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -83,28 +96,37 @@ where
         .map(|l| l.local_addr().expect("listener address"))
         .collect();
 
-    let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
+    let first_panic = FirstPanic::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(size);
-        for (id, listener) in listeners.into_iter().enumerate() {
-            let addrs = &addrs;
-            let f = &f;
-            handles.push(scope.spawn(move || {
+        let (addrs, f, first_panic) = (&addrs, &f, &first_panic);
+        let handles = listeners.into_iter().enumerate().map(|(id, listener)| {
+            scope.spawn(move || {
                 let streams = mesh_streams(id, size, 0, |peer| dial(addrs[peer]), &listener);
                 let rank = Rank::new(Box::new(SocketTransport::new(id, size, streams)));
+                // Declared after `rank`, so it drops first: the claim is
+                // made before the rank's streams close under its peers.
+                let _claim = PanicClaim { id, first_panic };
                 let out = f(&rank);
                 rank.finalize();
                 out
-            }));
+            })
+        });
+        first_panic.join(handles.collect())
+    })
+}
+
+/// Drop guard of one socket rank thread: claims the first panic.
+struct PanicClaim<'a> {
+    id: usize,
+    first_panic: &'a FirstPanic,
+}
+
+impl Drop for PanicClaim<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.first_panic.claim(self.id);
         }
-        for (id, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(r) => results[id] = Some(r),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    results.into_iter().map(|r| r.unwrap()).collect()
+    }
 }
 
 /// Run the single rank this worker process hosts; `f`'s result for the
@@ -385,139 +407,302 @@ fn hostfile_streams(me: usize, size: usize, path: &Path) -> Vec<Option<TcpStream
 // The transport
 // ---------------------------------------------------------------------------
 
+/// Bytes one read of a stream asks for. Reads land here and are appended
+/// to the peer's inbound bytes, so a poll that finds nothing touches no
+/// more memory than this, however large the last frame was.
+const READ_CHUNK: usize = 64 << 10;
+
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
 /// One rank's endpoint of the socket mesh. See the module doc for the
 /// delivery and barrier design.
 pub(crate) struct SocketTransport {
     rank: usize,
     size: usize,
-    /// Write half per peer (`None` at `self.rank`). `RefCell`, not
-    /// `Mutex`: the owning rank thread is the only writer.
-    writers: Vec<Option<RefCell<TcpStream>>>,
-    /// Loopback for self-sends (keeps them unserialized on this backend
-    /// too) — also what keeps `events_rx` from ever disconnecting.
-    events_tx: Sender<RecvEvent>,
-    events_rx: Receiver<RecvEvent>,
-    /// Barrier frames bypass the message queue so a barrier can complete
-    /// while ordinary messages sit unconsumed.
-    barrier_rx: Receiver<(usize, Tag)>,
+    /// One nonblocking stream per peer (`None` at `self.rank`), read and
+    /// written by the owning rank thread only.
+    streams: Vec<Option<TcpStream>>,
+    inbound: RefCell<Inbound>,
     barrier_gen: Cell<Tag>,
-    readers: RefCell<Vec<JoinHandle<()>>>,
+}
+
+/// What has been read from the streams and not consumed yet.
+struct Inbound {
+    /// Messages (self-sends included) and peer-gone events, each peer's
+    /// in its stream order.
+    events: VecDeque<RecvEvent>,
+    /// Indexed by rank; the entry at the owning rank stays closed.
+    peers: Vec<PeerIn>,
+    chunk: Box<[u8]>,
+}
+
+/// The inbound side of one peer's stream.
+struct PeerIn {
+    /// Bytes read from a frame boundary on that are not a whole frame yet.
+    bytes: Vec<u8>,
+    /// Barrier generations received: kept apart from the events, so a
+    /// barrier completes while ordinary messages sit unconsumed.
+    barriers: VecDeque<Tag>,
+    /// False once the peer said goodbye, hit EOF or sent a corrupt
+    /// frame: nothing more is read from it.
+    open: bool,
+}
+
+impl Inbound {
+    /// Move whatever `stream` already holds into `peer`'s bytes and route
+    /// every complete frame. EOF, or a read failing for any reason but
+    /// "nothing there yet", queues [`RecvEvent::PeerGone`] behind
+    /// everything the peer sent before it.
+    fn read_from(&mut self, peer: usize, mut stream: &TcpStream) {
+        if !self.peers[peer].open {
+            return;
+        }
+        let ended = loop {
+            match stream.read(&mut self.chunk) {
+                Ok(0) => break true,
+                Ok(n) => {
+                    self.peers[peer].bytes.extend_from_slice(&self.chunk[..n]);
+                    if n < self.chunk.len() {
+                        break false;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
+                Err(_) => break true,
+            }
+        };
+        let corrupt = self.route(peer);
+        if (ended || corrupt) && self.peers[peer].open {
+            self.peers[peer].open = false;
+            self.events.push_back(RecvEvent::PeerGone(peer));
+        }
+    }
+
+    /// Route every complete frame in `peer`'s bytes through the one frame
+    /// parser: messages to the event queue, barrier generations to the
+    /// peer's barrier queue; a goodbye closes the peer. True if the bytes
+    /// are corrupt.
+    fn route(&mut self, peer: usize) -> bool {
+        let p = &mut self.peers[peer];
+        let mut at = 0;
+        let mut corrupt = false;
+        while p.open && !corrupt {
+            match read_frame(&p.bytes[at..]) {
+                Ok(None) => break,
+                Ok(Some((frame, n))) => {
+                    at += n;
+                    match frame.kind {
+                        FrameKind::Msg => self.events.push_back(RecvEvent::Msg(Envelope {
+                            src: frame.src as usize,
+                            tag: frame.tag,
+                            payload: Payload::Wire(WireFrame {
+                                type_id: frame.type_id,
+                                bytes: frame.payload,
+                            }),
+                        })),
+                        FrameKind::Barrier => p.barriers.push_back(frame.tag),
+                        FrameKind::Goodbye => p.open = false,
+                    }
+                }
+                Err(_) => corrupt = true,
+            }
+        }
+        p.bytes.drain(..at);
+        if p.bytes.is_empty() {
+            // Do not hold on to the buffer of a large frame.
+            p.bytes.shrink_to(READ_CHUNK);
+        }
+        corrupt
+    }
 }
 
 impl SocketTransport {
     pub(crate) fn new(rank: usize, size: usize, streams: Vec<Option<TcpStream>>) -> SocketTransport {
         assert_eq!(streams.len(), size);
-        let (events_tx, events_rx) = channel();
-        let (barrier_tx, barrier_rx) = channel();
-        let mut writers = Vec::with_capacity(size);
-        let mut readers = Vec::new();
-        for (peer, stream) in streams.into_iter().enumerate() {
-            match stream {
-                None => writers.push(None),
-                Some(stream) => {
-                    let rd = stream.try_clone().expect("clone stream for reader");
-                    let events = events_tx.clone();
-                    let barriers = barrier_tx.clone();
-                    readers.push(
-                        std::thread::Builder::new()
-                            .name(format!("parcomm-read-{rank}-from-{peer}"))
-                            .spawn(move || reader_loop(peer, rd, events, barriers))
-                            .expect("spawn reader thread"),
-                    );
-                    writers.push(Some(RefCell::new(stream)));
+        let peers = streams
+            .iter()
+            .map(|s| {
+                if let Some(s) = s {
+                    s.set_nonblocking(true).expect("stream nonblocking");
                 }
-            }
-        }
+                PeerIn { bytes: Vec::new(), barriers: VecDeque::new(), open: s.is_some() }
+            })
+            .collect();
         SocketTransport {
             rank,
             size,
-            writers,
-            events_tx,
-            events_rx,
-            barrier_rx,
+            streams,
+            inbound: RefCell::new(Inbound {
+                events: VecDeque::new(),
+                peers,
+                chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+            }),
             barrier_gen: Cell::new(0),
-            readers: RefCell::new(readers),
         }
     }
 
+    /// Read whatever every open stream already holds.
+    fn pump(&self, inbound: &mut Inbound) {
+        for (peer, stream) in self.streams.iter().enumerate() {
+            if let Some(stream) = stream {
+                inbound.read_from(peer, stream);
+            }
+        }
+    }
+
+    /// Sleep in poll(2) until an open stream has something to read (or
+    /// has ended), `writable`'s stream has room, or `deadline` passes.
+    /// Callers re-check their condition and the deadline afterwards.
+    fn park(&self, deadline: Instant, writable: Option<usize>) {
+        let mut fds: Vec<PollFd> = {
+            let inbound = self.inbound.borrow();
+            let streams = self.streams.iter().enumerate();
+            streams
+                .filter_map(|(peer, s)| {
+                    let readable = if inbound.peers[peer].open { POLLIN } else { 0 };
+                    let events = readable | if writable == Some(peer) { POLLOUT } else { 0 };
+                    let fd = s.as_ref()?.as_raw_fd();
+                    (events != 0).then_some(PollFd { fd, events, revents: 0 })
+                })
+                .collect()
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        let ms = c_int::try_from(left.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is a live array of `fds.len()` pollfd structs that
+        // poll(2) may write for the duration of the call, and each fd in
+        // it belongs to a stream `self` keeps open. An error (EINTR) is
+        // as good as a wake-up: the caller re-checks.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+    }
+
+    /// Write one frame to `dst` without blocking. While `dst`'s stream is
+    /// full, every peer's inbound bytes are moved into the queues and the
+    /// rank parks until `dst` has room or another peer has sent: ranks
+    /// writing large frames at each other drain each other rather than
+    /// deadlock.
     fn write(&self, dst: usize, frame: &Frame) -> std::io::Result<()> {
-        let w = self.writers[dst]
+        let mut stream = self.streams[dst]
             .as_ref()
             .unwrap_or_else(|| panic!("rank {}: no stream to rank {dst}", self.rank));
-        send_frame(&mut *w.borrow_mut(), frame)
+        // The payload is written from where it is, not copied behind the
+        // prefix: a copy per send reads the 1 MiB probe 0.36–0.42 →
+        // 0.24–0.30 GB/s (EXPERIMENTS.md, "each socket rank reads its own
+        // streams").
+        let prefix = frame_prefix(frame);
+        let total = FRAME_PREFIX_BYTES + frame.payload.len();
+        let mut done = 0;
+        let mut deadline = None;
+        while done < total {
+            let (p, q) = (done.min(FRAME_PREFIX_BYTES), done.saturating_sub(FRAME_PREFIX_BYTES));
+            let parts = [IoSlice::new(&prefix[p..]), IoSlice::new(&frame.payload[q..])];
+            match stream.write_vectored(&parts) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.pump(&mut self.inbound.borrow_mut());
+                    let deadline = *deadline.get_or_insert_with(|| Instant::now() + RECV_TIMEOUT);
+                    if Instant::now() >= deadline {
+                        return Err(ErrorKind::TimedOut.into());
+                    }
+                    self.park(deadline, Some(dst));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     fn control_frame(&self, kind: FrameKind, tag: Tag) -> Frame {
         Frame { kind, src: self.rank as u32, tag, type_id: 0, payload: Vec::new() }
     }
 
-    fn recv_barrier(&self, gen: Tag) {
-        let (src, g) = self.barrier_rx.recv_timeout(RECV_TIMEOUT).unwrap_or_else(|_| {
-            panic!("rank {}: barrier generation {gen} timed out — likely deadlock", self.rank)
-        });
-        // Bulk-synchronous call order + per-peer FIFO make a mismatch
-        // impossible unless the program itself diverged across ranks.
-        assert_eq!(
-            g, gen,
-            "rank {}: barrier generation mismatch (got {g} from rank {src}, at {gen})",
-            self.rank
-        );
-    }
-}
-
-/// A rank thread that panics closes its connections, as the death of a
-/// rank process does: its reader threads hold clones of the streams, so
-/// without the shutdown the peers would see no EOF, hence no
-/// [`RecvEvent::PeerGone`], and wait out the deadlock timeout.
-impl Drop for SocketTransport {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            for stream in self.writers.iter().flatten() {
-                if let Ok(stream) = stream.try_borrow() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
+    /// Centralized two-phase barrier: every rank sends a generation-
+    /// tagged frame to rank 0, which releases everyone once all arrive.
+    /// `Err` names a peer that is gone (closed before its frame came, or
+    /// a failed write); a deadlock or a generation mismatch panics.
+    fn try_barrier(&self) -> Result<(), String> {
+        let gen = self.barrier_gen.get();
+        self.barrier_gen.set(gen.wrapping_add(1));
+        if self.size == 1 {
+            return Ok(());
+        }
+        let frame = self.control_frame(FrameKind::Barrier, gen);
+        let me = self.rank;
+        let send = |peer: usize| {
+            self.write(peer, &frame)
+                .map_err(|e| format!("rank {me}: barrier frame to rank {peer} failed: {e}"))
+        };
+        if me == 0 {
+            for peer in 1..self.size {
+                self.await_barrier(peer, gen)?;
             }
+            (1..self.size).try_for_each(send)
+        } else {
+            send(0)?;
+            self.await_barrier(0, gen)
         }
     }
-}
 
-/// Decode frames from one peer until goodbye, EOF, or stream failure.
-fn reader_loop(
-    peer: usize,
-    mut stream: TcpStream,
-    events: Sender<RecvEvent>,
-    barriers: Sender<(usize, Tag)>,
-) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(frame) => match frame.kind {
-                FrameKind::Msg => {
-                    let env = Envelope {
-                        src: frame.src as usize,
-                        tag: frame.tag,
-                        payload: Payload::Wire(WireFrame {
-                            type_id: frame.type_id,
-                            bytes: frame.payload,
-                        }),
-                    };
-                    if events.send(RecvEvent::Msg(env)).is_err() {
-                        return; // owning rank is gone; nothing to deliver to
-                    }
+    /// Wait for `peer`'s barrier frame of generation `gen`; fail at once
+    /// if the peer is closed without having sent it.
+    fn await_barrier(&self, peer: usize, gen: Tag) -> Result<(), String> {
+        let me = self.rank;
+        self.wait_for(RECV_TIMEOUT, |inbound| {
+            let p = &mut inbound.peers[peer];
+            match p.barriers.pop_front() {
+                // Bulk-synchronous call order + per-peer FIFO make a
+                // mismatch impossible unless the program itself diverged
+                // across ranks.
+                Some(g) => {
+                    assert_eq!(
+                        g, gen,
+                        "rank {me}: barrier generation mismatch (got {g} from rank {peer}, at {gen})"
+                    );
+                    Some(Ok(()))
                 }
-                FrameKind::Barrier => {
-                    if barriers.send((frame.src as usize, frame.tag)).is_err() {
-                        return;
-                    }
+                None if !p.open => {
+                    Some(Err(format!("rank {me}: barrier generation {gen}: rank {peer} is gone")))
                 }
-                FrameKind::Goodbye => return,
-            },
-            // EOF without a goodbye is a peer death, exactly like a
-            // mid-frame truncation: everything the peer did send is
-            // already queued ahead of this event.
-            Err(_) => {
-                let _ = events.send(RecvEvent::PeerGone(peer));
-                return;
+                None => None,
             }
+        })
+        .unwrap_or_else(|| panic!("rank {me}: barrier generation {gen} timed out — likely deadlock"))
+    }
+
+    /// Read the streams, parking in between, until `found` returns
+    /// something from what has been read; `None` once `timeout` passes.
+    fn wait_for<T>(
+        &self,
+        timeout: Duration,
+        mut found: impl FnMut(&mut Inbound) -> Option<T>,
+    ) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            {
+                let mut inbound = self.inbound.borrow_mut();
+                self.pump(&mut inbound);
+                if let Some(t) = found(&mut inbound) {
+                    return Some(t);
+                }
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            self.park(deadline, None);
         }
     }
 }
@@ -537,9 +722,8 @@ impl Transport for SocketTransport {
 
     fn send(&self, dst: usize, tag: Tag, payload: Payload) {
         if dst == self.rank {
-            self.events_tx
-                .send(RecvEvent::Msg(Envelope { src: dst, tag, payload }))
-                .expect("self-send");
+            let env = Envelope { src: dst, tag, payload };
+            self.inbound.borrow_mut().events.push_back(RecvEvent::Msg(env));
             return;
         }
         let Payload::Wire(wire) = payload else {
@@ -558,61 +742,99 @@ impl Transport for SocketTransport {
     }
 
     fn try_recv_next(&self) -> Option<RecvEvent> {
-        self.events_rx.try_recv().ok()
+        let mut inbound = self.inbound.borrow_mut();
+        if inbound.events.is_empty() {
+            self.pump(&mut inbound);
+        }
+        inbound.events.pop_front()
     }
 
     fn recv_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout> {
-        self.events_rx.recv_timeout(timeout).map_err(|_| RecvTimeout)
+        self.wait_for(timeout, |inbound| inbound.events.pop_front()).ok_or(RecvTimeout)
     }
 
-    /// Centralized two-phase barrier: every rank sends a generation-
-    /// tagged frame to rank 0, which releases everyone once all arrive.
     fn barrier(&self) {
-        let gen = self.barrier_gen.get();
-        self.barrier_gen.set(gen.wrapping_add(1));
-        if self.size == 1 {
-            return;
-        }
-        let frame = self.control_frame(FrameKind::Barrier, gen);
-        if self.rank == 0 {
-            for _ in 1..self.size {
-                self.recv_barrier(gen);
-            }
-            for peer in 1..self.size {
-                self.write(peer, &frame).unwrap_or_else(|e| {
-                    panic!("rank 0: barrier release to rank {peer} failed: {e}")
-                });
-            }
-        } else {
-            self.write(0, &frame)
-                .unwrap_or_else(|e| panic!("rank {}: barrier send failed: {e}", self.rank));
-            self.recv_barrier(gen);
-        }
+        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Teardown fence: barrier (no rank closes streams while another
-    /// might still send), goodbye to every peer, then join the readers
-    /// (each exits on the peer's goodbye).
+    /// might still send), goodbye to every peer, then read until every
+    /// peer has said goodbye or ended, so no stream closes with unread
+    /// bytes (which would reset the connection under the peer's own
+    /// goodbye). A peer that is gone fails the barrier at once; the
+    /// survivor finishes its teardown and returns; the run fails with the
+    /// dead rank's own panic or exit, not with a second one from here.
     fn finalize(&self) {
-        if self.size > 1 {
-            self.barrier();
-            let bye = self.control_frame(FrameKind::Goodbye, 0);
-            for peer in 0..self.size {
-                if peer != self.rank {
-                    // A peer that died early cannot be waved goodbye.
-                    let _ = self.write(peer, &bye);
-                }
-            }
+        if self.size == 1 {
+            return;
         }
-        for handle in self.readers.borrow_mut().drain(..) {
-            let _ = handle.join();
+        let _ = self.try_barrier();
+        let bye = self.control_frame(FrameKind::Goodbye, 0);
+        for peer in (0..self.size).filter(|&p| p != self.rank) {
+            let _ = self.write(peer, &bye);
         }
+        self.wait_for(RECV_TIMEOUT, |inbound| inbound.peers.iter().all(|p| !p.open).then_some(()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Comm, TransportKind};
+
+    /// Every rank writes its ring neighbour 16 MiB, far more than a
+    /// socket buffer holds, and then a burst of 10 000 small frames,
+    /// before it receives anything: a rank whose write finds the stream
+    /// full must drain what is being written at it, or all of them wait
+    /// forever. At 2 ranks the two write at each other.
+    #[test]
+    fn cross_writes_and_bursts_arrive_bit_exact_without_deadlock() {
+        const WORDS: usize = 2 << 20;
+        const BURST: u64 = 10_000;
+        let big = |r: usize| -> Vec<f64> {
+            let salt = (r as u64) << 56;
+            let bits = |i: u64| salt ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (0..WORDS as u64).map(|i| f64::from_bits(bits(i))).collect()
+        };
+        for size in [2, 3] {
+            let out = Comm::run_with(TransportKind::Socket, size, |rank| {
+                let me = rank.rank();
+                let (next, prev) = ((me + 1) % size, (me + size - 1) % size);
+                rank.send(next, 1, big(me));
+                for i in 0..BURST {
+                    rank.send(next, 2, (me as u64) << 32 | i);
+                }
+                let got: Vec<f64> = rank.recv(prev, 1);
+                let want = big(prev);
+                let big_ok = got.len() == WORDS
+                    && got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                let burst_ok =
+                    (0..BURST).all(|i| rank.recv::<u64>(prev, 2) == (prev as u64) << 32 | i);
+                (big_ok, burst_ok)
+            });
+            assert!(out.iter().all(|&r| r == (true, true)), "{size} ranks: {out:?}");
+        }
+    }
+
+    /// Rank 2 dies before the barrier: rank 0 (which gathers) finds it
+    /// gone at once, and rank 1 (waiting for rank 0's release) finds rank
+    /// 0 gone when it panics in turn. The run ends in well under the
+    /// deadlock timeout and re-raises rank 2's panic, the first one.
+    #[test]
+    fn barrier_with_a_dead_peer_fails_at_once_and_the_first_panic_is_raised() {
+        let t0 = Instant::now();
+        let raised = std::panic::catch_unwind(|| {
+            Comm::run_with(TransportKind::Socket, 3, |rank| {
+                if rank.rank() == 2 {
+                    panic!("rank 2 dies before the barrier");
+                }
+                rank.barrier();
+            })
+        });
+        let payload = raised.expect_err("the death fails the run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 2 dies before the barrier"));
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+    }
 
     #[test]
     fn hostfile_parses_in_rank_order() {

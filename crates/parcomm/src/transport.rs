@@ -21,7 +21,7 @@
 //! once, in `Rank::wait_next` (`comm.rs`).
 
 use std::any::Any;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Duration;
 
 use crate::comm::Tag;
@@ -118,7 +118,8 @@ pub(crate) trait Transport: Send {
     /// side surfaces it as a typed error instead).
     fn send(&self, dst: usize, tag: Tag, payload: Payload);
 
-    /// The next incoming event if one is already queued; never blocks.
+    /// The next incoming event if one is already queued or has already
+    /// arrived; never blocks.
     fn try_recv_next(&self) -> Option<RecvEvent>;
 
     /// Sleep until the next incoming event. Only `Rank::wait_next` calls
@@ -176,104 +177,94 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Why a frame could not be read.
+/// The bytes at the front of a stream do not describe a frame (bad
+/// length or kind): the stream can no longer be trusted.
 #[derive(Debug)]
-pub enum FrameError {
-    /// Clean end-of-stream at a frame boundary (peer closed).
-    Eof,
-    /// The stream died mid-frame.
-    Truncated(String),
-    /// The bytes read do not describe a frame (bad length or kind); the
-    /// stream can no longer be trusted.
-    Corrupt(String),
+pub struct FrameError {
+    /// Human-readable description of the malformation.
+    pub detail: String,
 }
 
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Eof => f.write_str("end of stream"),
-            FrameError::Truncated(d) => write!(f, "stream truncated mid-frame: {d}"),
-            FrameError::Corrupt(d) => write!(f, "corrupt frame: {d}"),
-        }
+        write!(f, "corrupt frame: {}", self.detail)
     }
+}
+
+/// Bytes in front of a frame's payload: the length prefix and the header.
+pub(crate) const FRAME_PREFIX_BYTES: usize = 4 + FRAME_HEADER_BYTES as usize;
+
+/// The length prefix and header of `frame`: [`write_frame`] without the
+/// payload, so a stream write can take the payload from where it is.
+pub(crate) fn frame_prefix(frame: &Frame) -> [u8; FRAME_PREFIX_BYTES] {
+    let len = FRAME_HEADER_BYTES + frame.payload.len() as u32;
+    let mut out = [0u8; FRAME_PREFIX_BYTES];
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4] = frame.kind as u8;
+    out[5..9].copy_from_slice(&frame.src.to_le_bytes());
+    out[9..13].copy_from_slice(&frame.tag.to_le_bytes());
+    out[13..].copy_from_slice(&frame.type_id.to_le_bytes());
+    out
 }
 
 /// Serialize a frame (length prefix included).
 pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
-    let len = FRAME_HEADER_BYTES + frame.payload.len() as u32;
-    out.reserve(4 + len as usize);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(frame.kind as u8);
-    out.extend_from_slice(&frame.src.to_le_bytes());
-    out.extend_from_slice(&frame.tag.to_le_bytes());
-    out.extend_from_slice(&frame.type_id.to_le_bytes());
+    out.reserve(FRAME_PREFIX_BYTES + frame.payload.len());
+    out.extend_from_slice(&frame_prefix(frame));
     out.extend_from_slice(&frame.payload);
 }
 
-/// Write a frame directly to a stream.
+/// Write a frame directly to a blocking stream.
 pub fn send_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     let mut buf = Vec::new();
     write_frame(&mut buf, frame);
     w.write_all(&buf)
 }
 
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
-                    FrameError::Eof
-                } else {
-                    FrameError::Truncated(format!(
-                        "EOF after {filled} of {} bytes",
-                        buf.len()
-                    ))
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(if at_boundary && filled == 0 {
-                    FrameError::Eof
-                } else {
-                    FrameError::Truncated(e.to_string())
-                });
-            }
-        }
-    }
-    Ok(())
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
-/// Read one frame. Split reads are handled (the frame may arrive in any
-/// number of TCP segments); a clean close between frames is [`FrameError::Eof`].
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let mut len4 = [0u8; 4];
-    read_exact_or(r, &mut len4, true)?;
-    let len = u32::from_le_bytes(len4);
+/// Parse the frame at the front of `buf`, the bytes of one stream from a
+/// frame boundary on, however they were split into reads.
+///
+/// `Ok(None)` while `buf` holds only part of a frame (nothing at all
+/// included); `Ok(Some((frame, n)))` once it holds all of one, `n` being
+/// its length with the prefix. The length prefix is checked against the
+/// header size and [`MAX_FRAME_BYTES`] as soon as its 4 bytes are there,
+/// and the kind as soon as its byte is, so a corrupt stream is rejected
+/// before any payload-sized allocation.
+pub fn read_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+    let corrupt = |detail: String| Err(FrameError { detail });
+    if buf.len() < 4 {
+        return Ok(None);
+    }
+    let len = le_u32(buf);
     if len < FRAME_HEADER_BYTES {
-        return Err(FrameError::Corrupt(format!(
-            "frame length {len} below the {FRAME_HEADER_BYTES}-byte header"
-        )));
+        return corrupt(format!("frame length {len} below the {FRAME_HEADER_BYTES}-byte header"));
     }
     if len > MAX_FRAME_BYTES {
-        return Err(FrameError::Corrupt(format!(
-            "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte bound"
-        )));
+        return corrupt(format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte bound"));
     }
-    let mut body = vec![0u8; len as usize];
-    read_exact_or(r, &mut body, false)?;
-    let kind = match body[0] {
-        0 => FrameKind::Msg,
-        1 => FrameKind::Barrier,
-        2 => FrameKind::Goodbye,
-        k => return Err(FrameError::Corrupt(format!("unknown frame kind {k:#04x}"))),
+    let kind = match buf.get(4) {
+        None => return Ok(None),
+        Some(0) => FrameKind::Msg,
+        Some(1) => FrameKind::Barrier,
+        Some(2) => FrameKind::Goodbye,
+        Some(k) => return corrupt(format!("unknown frame kind {k:#04x}")),
     };
-    let src = u32::from_le_bytes(body[1..5].try_into().unwrap());
-    let tag = u32::from_le_bytes(body[5..9].try_into().unwrap());
-    let type_id = u32::from_le_bytes(body[9..13].try_into().unwrap());
-    let payload = body[13..].to_vec();
-    Ok(Frame { kind, src, tag, type_id, payload })
+    let end = 4 + len as usize;
+    let Some(frame) = buf.get(..end) else { return Ok(None) };
+    Ok(Some((
+        Frame {
+            kind,
+            src: le_u32(&frame[5..]),
+            tag: le_u32(&frame[9..]),
+            type_id: le_u32(&frame[13..]),
+            payload: frame[FRAME_PREFIX_BYTES..].to_vec(),
+        },
+        end,
+    )))
 }
 
 #[cfg(test)]
@@ -289,58 +280,42 @@ mod tests {
         for payload in [vec![], vec![1, 2, 3], vec![0u8; 4096]] {
             let mut buf = Vec::new();
             write_frame(&mut buf, &msg_frame(payload.clone()));
-            let back = read_frame(&mut buf.as_slice()).unwrap();
+            let one = buf.len();
+            write_frame(&mut buf, &msg_frame(vec![7]));
+            let (back, n) = read_frame(&buf).unwrap().unwrap();
+            assert_eq!(n, one, "the first frame ends where the second begins");
             assert_eq!(back.kind, FrameKind::Msg);
             assert_eq!(back.src, 3);
             assert_eq!(back.tag, 77);
             assert_eq!(back.type_id, 0xDEAD_BEEF);
             assert_eq!(back.payload, payload);
+            let (next, m) = read_frame(&buf[n..]).unwrap().unwrap();
+            assert_eq!((next.payload, n + m), (vec![7], buf.len()));
         }
     }
 
     #[test]
-    fn empty_stream_is_clean_eof() {
-        assert!(matches!(read_frame(&mut [].as_slice()), Err(FrameError::Eof)));
-    }
-
-    #[test]
-    fn truncation_is_not_eof() {
+    fn every_strict_prefix_is_incomplete() {
         let mut buf = Vec::new();
         write_frame(&mut buf, &msg_frame(vec![9; 100]));
-        for cut in [2, 4, 10, buf.len() - 1] {
-            let res = read_frame(&mut &buf[..cut]);
-            assert!(
-                matches!(res, Err(FrameError::Truncated(_))),
-                "cut at {cut}: {res:?}"
-            );
+        for cut in [0, 2, 4, 5, 10, buf.len() - 1] {
+            let res = read_frame(&buf[..cut]);
+            assert!(matches!(res, Ok(None)), "cut at {cut}: {res:?}");
         }
     }
 
     #[test]
     fn corrupt_length_and_kind_are_rejected() {
         // Length below header size.
-        let mut small = Vec::new();
-        small.extend_from_slice(&3u32.to_le_bytes());
-        small.extend_from_slice(&[0; 3]);
-        assert!(matches!(
-            read_frame(&mut small.as_slice()),
-            Err(FrameError::Corrupt(_))
-        ));
-        // Length above the bound.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut huge.as_slice()),
-            Err(FrameError::Corrupt(_))
-        ));
-        // Unknown kind byte.
+        assert!(read_frame(&3u32.to_le_bytes()).is_err());
+        // Length above the bound, before any payload byte is there.
+        assert!(read_frame(&(MAX_FRAME_BYTES + 1).to_le_bytes()).is_err());
+        // Unknown kind byte, before the rest of the frame is there.
         let mut buf = Vec::new();
-        write_frame(&mut buf, &msg_frame(vec![]));
+        write_frame(&mut buf, &msg_frame(vec![1; 64]));
         buf[4] = 9;
-        assert!(matches!(
-            read_frame(&mut buf.as_slice()),
-            Err(FrameError::Corrupt(_))
-        ));
+        let err = read_frame(&buf[..5]).unwrap_err();
+        assert!(err.to_string().contains("unknown frame kind 0x09"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the socket wire codec: every `Message` type must
 //! round-trip bit-exactly through the length-prefixed framing, under
-//! arbitrarily split reads, and every malformed frame must surface as a
-//! typed error — never a panic, never a mis-decode.
+//! arbitrarily split reads, every strict prefix of a frame must read as
+//! incomplete, and every malformed frame must surface as a typed error —
+//! never a panic, never a mis-decode.
 
 use parcomm::{
     decode_payload, encode_payload, read_frame, write_frame, Comm, Frame, FrameError, FrameKind,
@@ -9,24 +10,19 @@ use parcomm::{
 };
 use proptest::prelude::*;
 
-/// A reader that hands out at most `chunk` bytes per call: the worst-case
-/// TCP segmentation for the frame reassembly path.
-struct Drip<'a> {
-    data: &'a [u8],
-    pos: usize,
-    chunk: usize,
-}
-
-impl std::io::Read for Drip<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = buf
-            .len()
-            .min(self.chunk)
-            .min(self.data.len() - self.pos);
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
+/// Feed `data` to the frame parser `chunk` bytes at a time, the way the
+/// socket transport appends whatever a read returned (the worst-case TCP
+/// segmentation at `chunk` = 1): every strict prefix must parse as
+/// incomplete, and the first call that holds the whole frame returns it.
+fn drip(data: &[u8], chunk: usize) -> Result<Option<(Frame, usize)>, FrameError> {
+    let mut buf = Vec::new();
+    for piece in data.chunks(chunk) {
+        buf.extend_from_slice(piece);
+        if let Some(got) = read_frame(&buf)? {
+            return Ok(Some(got));
+        }
     }
+    Ok(None)
 }
 
 fn framed(payload: Vec<u8>, type_id: u32) -> Vec<u8> {
@@ -42,7 +38,8 @@ fn framed(payload: Vec<u8>, type_id: u32) -> Vec<u8> {
 /// decode and return the decoded value.
 fn wire_round_trip<T: Message>(msg: &T, chunk: usize) -> T {
     let buf = framed(encode_payload(msg), T::wire_id());
-    let frame = read_frame(&mut Drip { data: &buf, pos: 0, chunk }).expect("frame reads");
+    let (frame, n) = drip(&buf, chunk).expect("frame reads").expect("whole frame");
+    assert_eq!(n, buf.len());
     assert_eq!(frame.kind, FrameKind::Msg);
     assert_eq!(frame.type_id, T::wire_id());
     decode_payload(&frame.payload).expect("payload decodes")
@@ -124,17 +121,18 @@ proptest! {
     }
 
     #[test]
-    fn truncated_frames_are_typed_errors_not_panics(
+    fn truncated_frames_read_as_incomplete_not_as_errors_or_panics(
         (bits, cut_frac) in (proptest::collection::vec(any_f64_bits(), 1..32), 0.0f64..1.0)
     ) {
         let v: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
         let buf = framed(encode_payload(&v), <Vec<f64> as Message>::wire_id());
         // Cut strictly inside the frame: every prefix must read as
-        // Truncated (mid-frame death), never Eof, never a panic.
+        // incomplete (the transport waits for more bytes, and a stream
+        // that ends there is a dead peer), never a frame, never a panic.
         let cut = 1 + ((buf.len() - 2) as f64 * cut_frac) as usize;
-        let res = read_frame(&mut Drip { data: &buf[..cut], pos: 0, chunk: 7 });
+        let res = drip(&buf[..cut], 7);
         prop_assert!(
-            matches!(res, Err(FrameError::Truncated(_))),
+            matches!(res, Ok(None)),
             "cut at {} of {}: {:?}", cut, buf.len(), res
         );
     }
@@ -156,7 +154,7 @@ proptest! {
         let at = (flip % payload.len() as u64) as usize;
         payload[at] ^= delta as u8;
         let buf = framed(payload, <Vec<f64> as Message>::wire_id());
-        let frame = read_frame(&mut Drip { data: &buf, pos: 0, chunk: 5 }).expect("framing intact");
+        let (frame, _) = drip(&buf, 5).expect("framing intact").expect("whole frame");
         match decode_payload::<Vec<f64>>(&frame.payload) {
             Ok(decoded) => {
                 // Only a value byte changed; the length prefix survived.
@@ -175,7 +173,7 @@ proptest! {
 fn zero_length_payload_frames() {
     for msg_bytes in [encode_payload(&()), encode_payload(&Vec::<f64>::new())] {
         let buf = framed(msg_bytes.clone(), 0);
-        let frame = read_frame(&mut Drip { data: &buf, pos: 0, chunk: 1 }).unwrap();
+        let (frame, _) = drip(&buf, 1).unwrap().unwrap();
         assert_eq!(frame.payload, msg_bytes);
     }
     // An empty Vec<f64> still carries its 8-byte length prefix.
@@ -190,10 +188,7 @@ fn oversize_length_prefix_is_rejected_without_allocating() {
     let mut buf = Vec::new();
     buf.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
     buf.extend_from_slice(&[0u8; 32]);
-    assert!(matches!(
-        read_frame(&mut Drip { data: &buf, pos: 0, chunk: 3 }),
-        Err(FrameError::Corrupt(_))
-    ));
+    assert!(drip(&buf, 3).is_err());
     // Same discipline one layer down: a Vec length prefix far beyond the
     // remaining payload bytes fails fast.
     let mut payload = encode_payload(&vec![1.0f64, 2.0]);

@@ -244,7 +244,9 @@ fn comm_edge_totals_identical_across_transports() {
 /// after the survivor's `try_halo_begin`, before the peer sent its own
 /// boundary — must surface on the survivor's `try_finish` as the typed
 /// disconnect, at once: not after the 120 s deadlock timeout, and not
-/// only once the wait loop has parked.
+/// only once the wait loop has parked. The survivor's teardown then
+/// returns promptly too, and the panic the run re-raises is the dead
+/// rank's own, not a consequence of it on the survivor.
 #[test]
 fn peer_death_between_halo_begin_and_finish_is_a_prompt_typed_error() {
     use exawind::distmat::{ParCsr, RowDist};
@@ -268,6 +270,7 @@ fn peer_death_between_halo_begin_and_finish_is_a_prompt_typed_error() {
         // Orders the death after the survivor's begin.
         let begun = Barrier::new(2);
         let survivor = Mutex::new(None);
+        let run_start = Instant::now();
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Comm::run_with(kind, 2, |rank| {
                 let dist = RowDist::block(n, 2);
@@ -283,7 +286,10 @@ fn peer_death_between_halo_begin_and_finish_is_a_prompt_typed_error() {
                 *survivor.lock().unwrap() = Some((res, t0.elapsed()));
             });
         }));
-        assert!(raised.is_err(), "{kind}: the death must still fail the run");
+        let run_took = run_start.elapsed();
+        let payload = raised.expect_err("the death must still fail the run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 1 dies mid-exchange"), "{kind}");
+        assert!(run_took < Duration::from_secs(5), "{kind}: the run took {run_took:?}");
         let (res, waited) = survivor.into_inner().unwrap().expect("survivor finished");
         let gone = CommError::Disconnected { rank: 0, peer: 1 };
         assert_eq!(res, Err(SolveError::Comm { detail: gone.to_string() }), "{kind}");
