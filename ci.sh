@@ -6,8 +6,10 @@ set -euxo pipefail
 cargo build --release --workspace
 cargo test -q --workspace
 # Once in the release profile too: `plan_replay_equals_fresh_assembly_bitwise`
-# sums NaNs, and only the optimiser reorders those adds.
-cargo test -q --release -p distmat --test proptests
+# sums NaNs, and only the optimiser reorders those adds. The sparse and
+# krylov kernel-shape and buffer-reuse proptests pick sizes that cross
+# the parallel thresholds (1 024, 4 096, 16 384) only in release.
+cargo test -q --release -p distmat -p sparse-kit -p krylov --test proptests
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --no-run
 

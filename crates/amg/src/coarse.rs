@@ -108,10 +108,20 @@ impl CoarseSolver {
         }
     }
 
-    /// Solve A x = b redundantly; returns the local rows of x. Collective.
-    pub fn solve(&self, rank: &Rank, b: &ParVector) -> ParVector {
+    /// Solve A x = b redundantly, writing the local rows of x (a grid of
+    /// no rows has none to write). Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not distributed like the coarse operator's rows.
+    pub fn solve_into(&self, rank: &Rank, b: &ParVector, x: &mut ParVector) {
+        assert_eq!(
+            x.dist(),
+            &self.dist,
+            "x distribution does not match the coarse grid"
+        );
         let Some(lu) = &self.lu else {
-            return ParVector::zeros(rank, self.dist.clone());
+            return;
         };
         let full_b = b.to_serial(rank);
         let n = full_b.len();
@@ -121,9 +131,8 @@ impl CoarseSolver {
             lu.solve(&full_b)
         };
         let me = rank.rank();
-        let local =
-            full_x[self.dist.start(me) as usize..self.dist.end(me) as usize].to_vec();
-        ParVector::from_local(rank, self.dist.clone(), local)
+        x.local
+            .copy_from_slice(&full_x[self.dist.start(me) as usize..self.dist.end(me) as usize]);
     }
 }
 
@@ -207,8 +216,8 @@ mod tests {
             let solver = CoarseSolver::new(rank, &a);
             let x_true = ParVector::from_fn(rank, dist.clone(), |g| g as f64);
             let b = a.spmv(rank, &x_true);
-            let x = solver.solve(rank, &b);
-            let mut e = x;
+            let mut e = ParVector::zeros(rank, dist);
+            solver.solve_into(rank, &b, &mut e);
             e.axpy(rank, -1.0, &x_true);
             assert!(e.norm2(rank) < 1e-11);
         });
@@ -220,8 +229,9 @@ mod tests {
             let dist = RowDist::block(0, 2);
             let a = ParCsr::from_serial(rank, dist.clone(), dist.clone(), &Csr::zeros(0, 0));
             let solver = CoarseSolver::new(rank, &a);
-            let b = ParVector::zeros(rank, dist);
-            let x = solver.solve(rank, &b);
+            let b = ParVector::zeros(rank, dist.clone());
+            let mut x = ParVector::zeros(rank, dist);
+            solver.solve_into(rank, &b, &mut x);
             assert!(x.local.is_empty());
         });
     }

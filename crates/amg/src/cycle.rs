@@ -1,12 +1,37 @@
 //! V-cycle solve phase and the GMRES preconditioner wrapper.
 
-use distmat::{ParCsr, ParVector};
+use distmat::{ParCsr, ParVector, RowDist};
 use krylov::Preconditioner;
 use parcomm::Rank;
 use resilience::SolveError;
 
 use crate::config::AmgConfig;
 use crate::hierarchy::AmgHierarchy;
+
+/// The vectors a V-cycle visit to one non-coarsest level writes,
+/// allocated once at setup and overwritten by every visit.
+#[derive(Clone, Debug)]
+pub(crate) struct CycleWork {
+    /// `b − A·x` after pre-smoothing (this level's rows).
+    res: ParVector,
+    /// `R·res`, the next level's right-hand side.
+    rc: ParVector,
+    /// The next level's correction, zeroed before every visit.
+    ec: ParVector,
+    /// `P·ec` (this level's rows).
+    e: ParVector,
+}
+
+impl CycleWork {
+    pub(crate) fn new(rank: &Rank, fine: &RowDist, coarse: &RowDist) -> Self {
+        CycleWork {
+            res: ParVector::zeros(rank, fine.clone()),
+            rc: ParVector::zeros(rank, coarse.clone()),
+            ec: ParVector::zeros(rank, coarse.clone()),
+            e: ParVector::zeros(rank, fine.clone()),
+        }
+    }
+}
 
 impl AmgHierarchy {
     /// One V(ν,ν)-cycle: pre-smooth, restrict, recurse, prolong, correct,
@@ -19,10 +44,11 @@ impl AmgHierarchy {
     /// `zero_guess` is the caller's promise that it created `x` as
     /// `ParVector::zeros`: the first pre-smoothing round then takes
     /// `r = b` without an exchange or a matrix pass (bitwise-lossless,
-    /// see `krylov::smoothers`). The coarse correction `ec` is created
+    /// see `krylov::smoothers`). The coarse correction `ec` is zeroed
     /// here, so every recursion passes `true`. A non-coarsest level costs
     /// 4 halo exchanges per cycle at one sweep (pre-smooth 0, residual 1,
-    /// R 1, P 1, post-smooth 1).
+    /// R 1, P 1, post-smooth 1) and allocates nothing: its vectors are
+    /// the level's [`CycleWork`].
     fn vcycle_level(
         &self,
         rank: &Rank,
@@ -33,26 +59,31 @@ impl AmgHierarchy {
         zero_guess: bool,
     ) {
         let level = &self.levels[lvl];
-        let Some(p) = &level.p else {
+        let (Some(p), Some(r_op), Some(work)) = (&level.p, &level.r, &level.work) else {
             // Coarsest level: replicated dense solve.
-            *x = self.coarse.solve(rank, b);
+            self.coarse.solve_into(rank, b, x);
             return;
         };
-        let r_op = level.r.as_ref().expect("level with P must have R");
+        let mut work = work.borrow_mut();
+        let CycleWork { res, rc, ec, e } = &mut *work;
 
         // Pre-smooth.
-        level.smoother.smooth_from(rank, b, x, sweeps, zero_guess);
+        level
+            .smoother
+            .smooth_from(rank, &level.a, b, x, sweeps, zero_guess);
         // Restrict the residual.
-        let res = level.a.residual(rank, b, x);
-        let rc = r_op.spmv(rank, &res);
+        level
+            .a
+            .residual_into(rank, &b.local, &x.local, &mut res.local);
+        r_op.spmv_into(rank, res, rc);
         // Recurse from a zero coarse guess.
-        let mut ec = ParVector::zeros(rank, rc.dist().clone());
-        self.vcycle_level(rank, lvl + 1, &rc, &mut ec, sweeps, true);
+        ec.local.fill(0.0);
+        self.vcycle_level(rank, lvl + 1, rc, ec, sweeps, true);
         // Prolong and correct.
-        let e = p.spmv(rank, &ec);
-        x.axpy(rank, 1.0, &e);
+        p.spmv_into(rank, ec, e);
+        x.axpy(rank, 1.0, e);
         // Post-smooth.
-        level.smoother.smooth(rank, b, x, sweeps);
+        level.smoother.smooth(rank, &level.a, b, x, sweeps);
     }
 
     /// Relative residual after applying `cycles` V-cycles to `A x = b`
@@ -96,12 +127,14 @@ impl AmgPrecond {
     /// Propagates [`AmgHierarchy::setup`] failures (non-finite
     /// coefficients, coarsening stagnation).
     pub fn setup(rank: &Rank, a: ParCsr, config: &AmgConfig) -> Result<Self, SolveError> {
-        Self::setup_with_reuse(rank, a, config, &mut crate::AmgReuse::new())
+        Ok(Self::new(AmgHierarchy::setup(rank, a, config)?, config))
     }
 
     /// [`AmgPrecond::setup`] threading a cross-solve [`crate::AmgReuse`]
     /// store through hierarchy construction, so repeated setups over the
-    /// same sparsity replay their Galerkin SpGEMMs numerically. Collective.
+    /// same sparsity replay their Galerkin SpGEMMs numerically. The
+    /// solver never holds such a store (its operator does not change);
+    /// the `exawind-e2e` replay probe does. Collective.
     ///
     /// # Errors
     ///
@@ -113,12 +146,18 @@ impl AmgPrecond {
         config: &AmgConfig,
         reuse: &mut crate::AmgReuse,
     ) -> Result<Self, SolveError> {
-        let hierarchy = AmgHierarchy::setup_with_reuse(rank, a, config, reuse)?;
-        Ok(AmgPrecond {
+        Ok(Self::new(
+            AmgHierarchy::setup_with_reuse(rank, a, config, reuse)?,
+            config,
+        ))
+    }
+
+    fn new(hierarchy: AmgHierarchy, config: &AmgConfig) -> Self {
+        AmgPrecond {
             hierarchy,
             cycles: 1,
             sweeps: config.smooth_sweeps,
-        })
+        }
     }
 
     /// The preconditioner for `a`, building the hierarchy only when it
@@ -409,15 +448,15 @@ mod tests {
     ) {
         let level = &h.levels[lvl];
         let (Some(p), Some(r_op)) = (&level.p, &level.r) else {
-            *x = h.coarse.solve(rank, b);
+            h.coarse.solve_into(rank, b, x);
             return;
         };
-        level.smoother.smooth(rank, b, x, sweeps);
+        level.smoother.smooth(rank, &level.a, b, x, sweeps);
         let rc = r_op.spmv(rank, &level.a.residual(rank, b, x));
         let mut ec = ParVector::zeros(rank, rc.dist().clone());
         reference_vcycle(h, rank, lvl + 1, &rc, &mut ec, sweeps);
         x.axpy(rank, 1.0, &p.spmv(rank, &ec));
-        level.smoother.smooth(rank, b, x, sweeps);
+        level.smoother.smooth(rank, &level.a, b, x, sweeps);
     }
 
     #[test]
@@ -432,25 +471,35 @@ mod tests {
                     assert_eq!(cfg.smooth_sweeps, 1);
                     let dist = RowDist::block(n, rank.size());
                     let a = ParCsr::from_serial(rank, dist.clone(), dist.clone(), &s2);
-                    let amg = AmgPrecond::setup(rank, a, &cfg).unwrap();
+                    let amg = AmgPrecond::setup(rank, a.clone(), &cfg).unwrap();
                     let h = amg.hierarchy();
                     assert!(h.n_levels() >= 3, "want a multi-level cycle");
                     // −0.0 and negative entries: `b − (+0.0)` must keep them.
-                    let b = ParVector::from_fn(rank, dist.clone(), |g| match g % 5 {
+                    let b1 = ParVector::from_fn(rank, dist.clone(), |g| match g % 5 {
                         0 => -0.0,
                         1 => -(g as f64),
                         _ => (g as f64 * 0.37).sin(),
                     });
-                    let z = rank.with_phase("apply", || amg.apply(rank, &b));
-                    let mut z_ref = ParVector::zeros(rank, dist);
-                    reference_vcycle(h, rank, 0, &b, &mut z_ref, amg.sweeps);
+                    let b2 = ParVector::from_fn(rank, dist.clone(), |g| (g as f64 * 1.3).cos());
+                    // Two right-hand sides in a row through one instance:
+                    // the second must not see what the first left in the
+                    // reused level vectors and smoother buffers.
+                    let z1 = rank.with_phase("apply", || amg.apply(rank, &b1));
+                    let z2 = rank.with_phase("apply", || amg.apply(rank, &b2));
                     let bits = |v: &ParVector| v.local.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&z), bits(&z_ref), "p={p} {interp:?}");
+                    for (b, z) in [(&b1, &z1), (&b2, &z2)] {
+                        let mut z_ref = ParVector::zeros(rank, dist.clone());
+                        reference_vcycle(h, rank, 0, b, &mut z_ref, amg.sweeps);
+                        assert_eq!(bits(z), bits(&z_ref), "p={p} {interp:?}");
+                    }
+                    let fresh = AmgPrecond::setup(rank, a, &cfg).unwrap();
+                    assert_eq!(bits(&z2), bits(&fresh.apply(rank, &b2)), "p={p} {interp:?}");
 
                     // One message per neighbour per halo round. Per cycle a
                     // non-coarsest level exchanges for: the residual, R, P
                     // and the post-smoothing round — not for the
-                    // pre-smoothing round, which starts from zero.
+                    // pre-smoothing round, which starts from zero. Two
+                    // applications, one cycle each.
                     let sends = |m: &ParCsr| m.comm_pkg().sends.len() as u64;
                     h.levels[..h.n_levels() - 1]
                         .iter()
@@ -460,6 +509,7 @@ mod tests {
                                 + sends(l.p.as_ref().unwrap())
                         })
                         .sum::<u64>()
+                        * 2
                 });
                 for (t, expected_msgs) in traces.iter().zip(&expected) {
                     assert_eq!(t.phase("apply").msgs, *expected_msgs, "p={p} {interp:?}");

@@ -8,6 +8,8 @@
 //! among them with the configured (matrix-based) operator, exactly the
 //! §4.1 recipe used for the pressure-Poisson preconditioner.
 
+use std::cell::RefCell;
+
 use distmat::{ops, ParCsr, RowDist};
 use krylov::TwoStageGs;
 use parcomm::Rank;
@@ -16,6 +18,7 @@ use resilience::{guard, SolveError};
 
 use crate::coarse::CoarseSolver;
 use crate::config::{AmgConfig, InterpType};
+use crate::cycle::CycleWork;
 use crate::interp::build_interpolation;
 use crate::pmis::{pmis, pmis_aggressive, CfSplit};
 use crate::reuse::AmgReuse;
@@ -31,8 +34,10 @@ pub struct AmgLevel {
     pub p: Option<ParCsr>,
     /// Restriction (Pᵀ) to the next coarser level.
     pub r: Option<ParCsr>,
-    /// The level smoother: two-stage Gauss-Seidel (§4.2).
+    /// The level smoother: two-stage Gauss-Seidel (§4.2) over `a`.
     pub smoother: TwoStageGs,
+    /// The V-cycle's vectors on this level (absent on the coarsest).
+    pub(crate) work: Option<RefCell<CycleWork>>,
 }
 
 /// Global size of one hierarchy level (the rows of the paper's
@@ -77,7 +82,7 @@ impl AmgHierarchy {
     /// - [`SolveError::CoarseningStagnation`] — PMIS stopped shrinking
     ///   the grid while it is still far above `max_coarse_size`.
     pub fn setup(rank: &Rank, a: ParCsr, config: &AmgConfig) -> Result<AmgHierarchy, SolveError> {
-        Self::setup_with_reuse(rank, a, config, &mut AmgReuse::new())
+        Self::build(rank, a, config, &mut |a, b| ops::par_spgemm(rank, a, b))
     }
 
     /// [`AmgHierarchy::setup`] with a cross-solve [`AmgReuse`] store:
@@ -85,7 +90,8 @@ impl AmgHierarchy {
     /// recorded by the previous setup through the same store replays
     /// numerically ("spgemm_numeric" kernel) instead of rebuilding.
     /// Strength, PMIS and interpolation are value-dependent and always
-    /// run fresh. Collective.
+    /// run fresh. The hierarchy is the one [`AmgHierarchy::setup`]
+    /// builds, bit for bit. Collective.
     ///
     /// # Errors
     ///
@@ -97,6 +103,19 @@ impl AmgHierarchy {
         reuse: &mut AmgReuse,
     ) -> Result<AmgHierarchy, SolveError> {
         reuse.begin();
+        let hierarchy = Self::build(rank, a, config, &mut |a, b| reuse.spgemm(rank, a, b))?;
+        reuse.finish();
+        Ok(hierarchy)
+    }
+
+    /// The setup both entry points share; `spgemm` forms every Galerkin
+    /// product, in the same (collectively deterministic) call order.
+    fn build(
+        rank: &Rank,
+        a: ParCsr,
+        config: &AmgConfig,
+        spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
+    ) -> Result<AmgHierarchy, SolveError> {
         let local_bad =
             guard::count_nonfinite(a.diag.vals()) + guard::count_nonfinite(a.offd.vals());
         let bad = rank.allreduce_sum(local_bad);
@@ -150,20 +169,21 @@ impl AmgHierarchy {
             }
 
             let (p, r, a_next) = if lvl < config.agg_levels {
-                match Self::aggressive_level(rank, &a_cur, &s, &first, config, seed, reuse) {
+                match Self::aggressive_level(rank, &a_cur, &s, &first, config, seed, spgemm) {
                     Some(triple) => triple,
-                    None => Self::standard_level(rank, &a_cur, &s, &first, config, reuse),
+                    None => Self::standard_level(rank, &a_cur, &s, &first, config, spgemm),
                 }
             } else {
-                Self::standard_level(rank, &a_cur, &s, &first, config, reuse)
+                Self::standard_level(rank, &a_cur, &s, &first, config, spgemm)
             };
 
-            let smoother = TwoStageGs::new(&a_cur, config.smooth_inner, 1);
+            let work = CycleWork::new(rank, a_cur.row_dist(), a_next.row_dist());
             levels.push(AmgLevel {
+                smoother: TwoStageGs::new(&a_cur, config.smooth_inner),
                 a: a_cur,
                 p: Some(p),
                 r: Some(r),
-                smoother,
+                work: Some(RefCell::new(work)),
             });
             a_cur = a_next;
         }
@@ -181,13 +201,13 @@ impl AmgHierarchy {
                 nnz: a_cur.global_nnz(rank),
             });
         }
-        let smoother = TwoStageGs::new(&a_cur, config.smooth_inner, 1);
         let coarse = CoarseSolver::new(rank, &a_cur);
         levels.push(AmgLevel {
+            smoother: TwoStageGs::new(&a_cur, config.smooth_inner),
             a: a_cur,
             p: None,
             r: None,
-            smoother,
+            work: None,
         });
 
         let hierarchy = AmgHierarchy {
@@ -198,7 +218,6 @@ impl AmgHierarchy {
             operator_complexity: sum_nnz as f64 / fine_nnz as f64,
         };
         hierarchy.emit_telemetry(rank);
-        reuse.finish();
         Ok(hierarchy)
     }
 
@@ -228,7 +247,7 @@ impl AmgHierarchy {
     }
 
     /// Standard level: one PMIS pass, one interpolation, one RAP with
-    /// both Galerkin legs routed through the reuse store. Returns
+    /// both Galerkin legs formed by `spgemm`. Returns
     /// `(P, R, A_next)`; R is the transpose the RAP needed anyway —
     /// shared instead of recomputed.
     fn standard_level(
@@ -237,12 +256,12 @@ impl AmgHierarchy {
         s: &Strength,
         split: &CfSplit,
         config: &AmgConfig,
-        reuse: &mut AmgReuse,
+        spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
     ) -> (ParCsr, ParCsr, ParCsr) {
         let p = build_interpolation(rank, a, s, split, config.interp, config.trunc_factor);
-        let ap = reuse.spgemm(rank, a, &p);
+        let ap = spgemm(a, &p);
         let pt = ops::par_transpose(rank, &p);
-        let a_next = reuse.spgemm(rank, &pt, &ap);
+        let a_next = spgemm(&pt, &ap);
         (p, pt, a_next)
     }
 
@@ -256,7 +275,7 @@ impl AmgHierarchy {
         first: &CfSplit,
         config: &AmgConfig,
         seed: u64,
-        reuse: &mut AmgReuse,
+        spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
     ) -> Option<(ParCsr, ParCsr, ParCsr)> {
         let agg = pmis_aggressive(rank, a, s, first, seed);
         let n_final = rank.allreduce_sum(agg.n_coarse_local() as u64);
@@ -266,9 +285,9 @@ impl AmgHierarchy {
         // Stage 1: interpolate to the first-pass C-points (distance-one
         // BAMG-direct weights are standard for the first stage).
         let p1 = build_interpolation(rank, a, s, first, InterpType::BamgDirect, config.trunc_factor);
-        let ap1 = reuse.spgemm(rank, a, &p1);
+        let ap1 = spgemm(a, &p1);
         let p1t = ops::par_transpose(rank, &p1);
-        let a1 = reuse.spgemm(rank, &p1t, &ap1);
+        let a1 = spgemm(&p1t, &ap1);
         // Stage 2: CF-split of the first-pass C-points given by the
         // second PMIS pass, interpolated with the configured (MM-based)
         // operator on the intermediate operator A1.
@@ -276,10 +295,10 @@ impl AmgHierarchy {
         let s1 = Strength::classical(rank, &a1, config.strength_threshold);
         let p2 = build_interpolation(rank, &a1, &s1, &split2, config.interp, config.trunc_factor);
         // P = P1·P2; A_next = P2ᵀ A1 P2 = Pᵀ A P.
-        let p = reuse.spgemm(rank, &p1, &p2);
-        let ap2 = reuse.spgemm(rank, &a1, &p2);
+        let p = spgemm(&p1, &p2);
+        let ap2 = spgemm(&a1, &p2);
         let p2t = ops::par_transpose(rank, &p2);
-        let a_next = reuse.spgemm(rank, &p2t, &ap2);
+        let a_next = spgemm(&p2t, &ap2);
         let r = ops::par_transpose(rank, &p);
         Some((p, r, a_next))
     }
@@ -449,6 +468,39 @@ mod tests {
                     assert_eq!(bits(lr.a.offd.vals()), bits(lf.a.offd.vals()));
                 }
             });
+        }
+    }
+
+    #[test]
+    fn setup_equals_setup_with_reuse_bitwise() {
+        // `setup` forms its Galerkin products with plain `par_spgemm`,
+        // recording no plan; the store's first pass records one per
+        // product. The hierarchies must not tell the two apart.
+        let serial = laplacian_2d(16);
+        for p in [1, 2] {
+            for cfg in [AmgConfig::standard(), AmgConfig::pressure_default()] {
+                let s2 = serial.clone();
+                Comm::run(p, move |rank| {
+                    let dist = RowDist::block(256, rank.size());
+                    let a = distmat::ParCsr::from_serial(rank, dist.clone(), dist, &s2);
+                    let plain = AmgHierarchy::setup(rank, a.clone(), &cfg).unwrap();
+                    let mut reuse = AmgReuse::new();
+                    let stored = AmgHierarchy::setup_with_reuse(rank, a, &cfg, &mut reuse).unwrap();
+                    assert!(reuse.n_plans() >= 2, "p={p}: the store recorded no plan");
+                    assert_eq!(plain.n_levels(), stored.n_levels(), "p={p}");
+                    assert!(plain.n_levels() >= 2, "p={p}: want a multi-level hierarchy");
+                    let same = |x: &Option<ParCsr>, y: &Option<ParCsr>| match (x, y) {
+                        (Some(x), Some(y)) => x.bitwise_eq(y),
+                        (x, y) => x.is_none() && y.is_none(),
+                    };
+                    for (lvl, (l0, l1)) in plain.levels.iter().zip(&stored.levels).enumerate() {
+                        assert!(l0.a.bitwise_eq(&l1.a), "p={p} level {lvl}: A differs");
+                        assert!(same(&l0.p, &l1.p), "p={p} level {lvl}: P differs");
+                        assert!(same(&l0.r, &l1.r), "p={p} level {lvl}: R differs");
+                    }
+                    assert_eq!(plain.level_stats, stored.level_stats);
+                });
+            }
         }
     }
 

@@ -5,7 +5,7 @@ use resilience::faults::{self, FaultKind};
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::policy;
-use sparse_kit::{Coo, Csr, KernelChoice, SellCs, SellLayout};
+use sparse_kit::{Coo, Csr, SellCs, SellLayout};
 
 use crate::dist::RowDist;
 use crate::vector::ParVector;
@@ -46,8 +46,8 @@ pub struct ParCsr {
     rank_id: usize,
     /// Local rows × local columns.
     pub diag: Csr,
-    /// SELL-C-σ mirror of `diag`, built at construction when the active
-    /// [`sparse_kit::KernelPolicy`] selects it for this matrix shape.
+    /// SELL-C-σ mirror of `diag`, built at construction only when the
+    /// active [`sparse_kit::KernelPolicy`] is `Sellcs` (`Auto` is CSR).
     /// Always numerically in sync with `diag` (see [`ParCsr::scale`] and
     /// the plan-replay refresh in `ops`); `spmv_into` dispatches on it.
     diag_sell: Option<SellCs>,
@@ -109,10 +109,9 @@ impl ParCsr {
         let diag = Csr::from_coo(local_rows, col_dist.local_n(r), &diag_coo);
         let offd = Csr::from_coo(local_rows, col_map_offd.len(), &offd_coo);
         let comm_pkg = build_comm_pkg(rank, &col_dist, &col_map_offd);
-        let diag_sell = match policy::current().choose(&diag) {
-            KernelChoice::Sellcs => Some(SellCs::from_csr(&diag, policy::DEFAULT_SIGMA)),
-            KernelChoice::Csr => None,
-        };
+        let diag_sell = policy::current()
+            .builds_sellcs()
+            .then(|| SellCs::from_csr(&diag, policy::DEFAULT_SIGMA));
         ParCsr {
             row_dist,
             col_dist,
@@ -390,9 +389,8 @@ impl ParCsr {
     fn apply_overlapped(&self, rank: &Rank, x: &[f64], b: Option<&[f64]>, y: &mut [f64]) {
         let halo = self.try_halo_begin(rank, x).unwrap_or_else(|e| panic!("{e}"));
         match &self.diag_sell {
-            // Policy chose SELL-C-σ for the diag block: the compact u32
-            // index streams shrink the dominant traffic term. The offd
-            // block (thin, irregular) stays CSR either way.
+            // The `Sellcs` policy mirrored the diag block in SELL-C-σ.
+            // The offd block (thin, irregular) stays CSR either way.
             Some(sell) => {
                 let k = rank.kernel("spmv_sellcs", KernelKind::SpMV);
                 k.launch(sell.nrows(), cost::sellcs_spmv(sell));

@@ -88,6 +88,20 @@ impl ParVector {
         dense::axpy(a, &x.local, &mut self.local);
     }
 
+    /// self += Σₖ a[k]·xs[k] in one recorded pass (purely local): per
+    /// element the terms add in `k` order, so the bits are those of the
+    /// `axpy` sequence. No launch for an empty sum.
+    pub fn axpys(&mut self, rank: &Rank, a: &[f64], xs: &[ParVector]) {
+        if xs.is_empty() {
+            return;
+        }
+        let n = self.local.len();
+        let k = rank.kernel("fused_axpys", KernelKind::Stream);
+        k.launch(n, cost::axpys(n, xs.len()));
+        let xs: Vec<&[f64]> = xs.iter().map(|x| &x.local[..]).collect();
+        dense::axpys(a, &xs, &mut self.local);
+    }
+
     /// self *= a (purely local).
     pub fn scale(&mut self, rank: &Rank, a: f64) {
         let k = rank.kernel("scale", KernelKind::Stream);

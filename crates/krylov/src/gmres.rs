@@ -12,7 +12,7 @@
 use distmat::{ParCsr, ParVector};
 use parcomm::{KernelKind, Rank};
 use resilience::SolveError;
-use sparse_kit::cost;
+use sparse_kit::{cost, dense};
 
 use crate::precond::Preconditioner;
 
@@ -233,10 +233,9 @@ impl Gmres {
                 }
                 y[i] = acc / h[i][i];
             }
-            // x += Z y (right preconditioning: correction in Z space).
-            for (k, yk) in y.iter().enumerate() {
-                x.axpy(rank, *yk, &z[k]);
-            }
+            // x += Z y (right preconditioning: correction in Z space),
+            // one pass over x.
+            x.axpys(rank, &y, &z);
             // Loop continues: recompute the true residual and restart or
             // exit at the top.
         }
@@ -282,25 +281,27 @@ impl Gmres {
         w: &mut ParVector,
         j: usize,
     ) -> Vec<f64> {
-        // Local fused dot products: [wᵀv_0, ..., wᵀv_j, wᵀw].
+        // Local fused dot products [wᵀv_0, ..., wᵀv_j, wᵀw], one pass
+        // over w.
         let n = w.local.len();
         let mut local = vec![0.0; j + 2];
         {
             let k = rank.kernel("fused_dots", KernelKind::Stream);
             k.launch(n, cost::blas1(n, (j + 2) as u64));
-            for (i, vi) in v.iter().enumerate().take(j + 1) {
-                local[i] = sparse_kit::dense::dot(&w.local, &vi.local);
-            }
-            local[j + 1] = sparse_kit::dense::dot(&w.local, &w.local);
+            let ys: Vec<&[f64]> = v[..=j]
+                .iter()
+                .map(|vi| &vi.local[..])
+                .chain([&w.local[..]])
+                .collect();
+            dense::dots(&w.local, &ys, &mut local);
         }
         let fused = rank.allreduce_vec_sum(local); // the ONE reduce
 
         let mut hj = vec![0.0; j + 2];
         hj[..j + 1].copy_from_slice(&fused[..j + 1]);
-        // w ← w − Σ h_i v_i.
-        for (i, vi) in v.iter().enumerate().take(j + 1) {
-            w.axpy(rank, -hj[i], vi);
-        }
+        // w ← w − Σ h_i v_i, one pass over w.
+        let neg_h: Vec<f64> = hj[..=j].iter().map(|h| -h).collect();
+        w.axpys(rank, &neg_h, &v[..=j]);
         // ‖w_new‖² = ‖w‖² − Σ h_i² (exact in exact arithmetic).
         let ww = fused[j + 1];
         let reduction: f64 = hj[..j + 1].iter().map(|h| h * h).sum();

@@ -16,6 +16,8 @@
 //!   an approximate forward solve followed by an approximate backward
 //!   solve, used as the momentum-equation preconditioner.
 
+use std::cell::RefCell;
+
 use distmat::{ParCsr, ParVector};
 use parcomm::{KernelKind, Rank};
 use sparse_kit::cost;
@@ -139,56 +141,105 @@ impl Preconditioner for HybridGs {
 
 // ---------------------------------------------------------------------------
 
+/// The Jacobi-Richardson approximation of one triangular solve
+/// `(T + D)⁻¹ r`: the degree-`sweeps` Neumann expansion `g⁰ = D⁻¹r`,
+/// `gʲ⁺¹ = D⁻¹(r − T gʲ)` (Eqs. 5–7). Each sweep is one fused matrix pass
+/// recorded as `kernel`.
+struct JrSweeps<'a> {
+    kernel: &'static str,
+    t: &'a Csr,
+    inv_diag: &'a [f64],
+    sweeps: usize,
+}
+
+impl JrSweeps<'_> {
+    /// `g ≈ (T + D)⁻¹ r`, double-buffered through `next` (`Csr::jr_sweep_fused`;
+    /// in place would silently turn the Jacobi sweep into Gauss-Seidel).
+    fn solve(&self, rank: &Rank, r: &[f64], g: &mut Vec<f64>, next: &mut Vec<f64>) {
+        dense::diag_scale(self.inv_diag, r, g);
+        if self.sweeps == 0 {
+            return;
+        }
+        let k = rank.kernel(self.kernel, KernelKind::SpMV);
+        for _ in 0..self.sweeps {
+            k.launch(r.len(), cost::jr_sweep_fused(self.t));
+            self.t.jr_sweep_fused(r, self.inv_diag, g, next);
+            std::mem::swap(g, next);
+        }
+    }
+
+    /// `x += (T + D)⁻¹ r`, the last sweep adding straight into `x`
+    /// (`Csr::jr_sweep_add`): bit for bit the sweep followed by
+    /// `axpy(1.0)`, so a zero-guess round still turns a `−0.0` correction
+    /// into `+0.0`. With no sweeps, `x += D⁻¹r`.
+    fn solve_add(
+        &self,
+        rank: &Rank,
+        r: &[f64],
+        g: &mut Vec<f64>,
+        next: &mut Vec<f64>,
+        x: &mut [f64],
+    ) {
+        let n = r.len();
+        let Some(before_last) = self.sweeps.checked_sub(1) else {
+            self.solve(rank, r, g, next);
+            let k = rank.kernel("axpy", KernelKind::Stream);
+            k.launch(n, cost::blas1(n, 3));
+            dense::axpy(1.0, g, x);
+            return;
+        };
+        JrSweeps {
+            sweeps: before_last,
+            ..*self
+        }
+        .solve(rank, r, g, next);
+        let k = rank.kernel(self.kernel, KernelKind::SpMV);
+        k.launch(n, cost::jr_sweep_add(self.t));
+        self.t.jr_sweep_add(r, self.inv_diag, g, x);
+    }
+}
+
+/// `K` scratch vectors of length `n` for a smoother, allocated with it and
+/// overwritten by every round (behind a `RefCell`: `Preconditioner::apply`
+/// takes `&self`).
+fn work<const K: usize>(n: usize) -> RefCell<[Vec<f64>; K]> {
+    RefCell::new(std::array::from_fn(|_| vec![0.0; n]))
+}
+
+// ---------------------------------------------------------------------------
+
 /// Two-stage Gauss-Seidel: hybrid GS whose local triangular solve is
-/// approximated by Jacobi-Richardson inner iterations (Eqs. 4–7).
+/// approximated by Jacobi-Richardson inner iterations (Eqs. 4–7). It
+/// holds the split of the operator it was built for (`L`, `D⁻¹`), not the
+/// operator: every round borrows it from the caller — an AMG level passes
+/// its own `a`.
 #[derive(Clone, Debug)]
 pub struct TwoStageGs {
-    a: ParCsr,
     /// Strict lower triangle of the diag block.
     l: Csr,
     inv_diag: Vec<f64>,
     /// Number of inner Jacobi-Richardson iterations `s` (0 = Jacobi).
     pub inner: usize,
-    /// Number of outer iterations per [`Preconditioner::apply`].
-    pub outer: usize,
+    /// Residual, JR iterate, next JR iterate.
+    work: RefCell<[Vec<f64>; 3]>,
 }
 
 impl TwoStageGs {
-    /// Build with `inner` JR iterations and `outer` outer iterations.
-    pub fn new(a: &ParCsr, inner: usize, outer: usize) -> Self {
+    /// Build for `a` with `inner` JR iterations.
+    pub fn new(a: &ParCsr, inner: usize) -> Self {
         TwoStageGs {
             l: a.diag.strict_lower(),
             inv_diag: inverse_diagonal(&a.diag.diag()),
-            a: a.clone(),
             inner,
-            outer,
+            work: work(a.local_rows()),
         }
-    }
-
-    /// Approximate (L+D)⁻¹r by the degree-`s` Neumann expansion:
-    /// g⁰ = D⁻¹r, gʲ⁺¹ = D⁻¹(r − L gʲ)   (Eqs. 5–7).
-    fn forward_solve(&self, rank: &Rank, r: &[f64]) -> Vec<f64> {
-        let n = r.len();
-        let mut g = vec![0.0; n];
-        dense::diag_scale(&self.inv_diag, r, &mut g);
-        // Fused sweeps: each inner iteration is one matrix pass
-        // (`Csr::jr_sweep_fused`), double-buffered so the sweep stays a
-        // Jacobi update (in-place would silently turn it into GS).
-        let mut next = vec![0.0; n];
-        let k = rank.kernel("jr_sweep_fused", KernelKind::SpMV);
-        for _ in 0..self.inner {
-            k.launch(n, cost::jr_sweep_fused(&self.l));
-            self.l.jr_sweep_fused(r, &self.inv_diag, &g, &mut next);
-            std::mem::swap(&mut g, &mut next);
-        }
-        g
     }
 
     /// `rounds` outer two-stage GS iterations x̂ₖ₊₁ = x̂ₖ + M̃⁻¹(b − A x̂ₖ)
-    /// on an arbitrary iterate. Collective (computes a distributed
-    /// residual).
-    pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
-        self.smooth_from(rank, b, x, rounds, false);
+    /// on an arbitrary iterate, `a` being the operator this smoother was
+    /// built for. Collective (computes a distributed residual).
+    pub fn smooth(&self, rank: &Rank, a: &ParCsr, b: &ParVector, x: &mut ParVector, rounds: usize) {
+        self.smooth_from(rank, a, b, x, rounds, false);
     }
 
     /// [`TwoStageGs::smooth`] where `zero_guess` is the caller's promise
@@ -197,30 +248,26 @@ impl TwoStageGs {
     pub fn smooth_from(
         &self,
         rank: &Rank,
+        a: &ParCsr,
         b: &ParVector,
         x: &mut ParVector,
         rounds: usize,
         zero_guess: bool,
     ) {
         telemetry::counter("smoother.two_stage_gs.rounds", rounds as u64);
-        let n = x.local.len();
-        let mut buf = vec![0.0; n];
+        let mut work = self.work.borrow_mut();
+        let [buf, g, next] = &mut *work;
+        let lower = JrSweeps {
+            kernel: "jr_sweep_fused",
+            t: &self.l,
+            inv_diag: &self.inv_diag,
+            sweeps: self.inner,
+        };
         for round in 0..rounds {
             let first_from_zero = zero_guess && round == 0;
-            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
-            let g = self.forward_solve(rank, r);
-            let k = rank.kernel("axpy", KernelKind::Stream);
-            k.launch(n, cost::blas1(n, 3));
-            dense::axpy(1.0, &g, &mut x.local);
+            let r = round_residual(a, rank, &b.local, &x.local, first_from_zero, buf);
+            lower.solve_add(rank, r, g, next, &mut x.local);
         }
-    }
-}
-
-impl Preconditioner for TwoStageGs {
-    fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
-        let mut z = ParVector::zeros(rank, r.dist().clone());
-        self.smooth_from(rank, r, &mut z, self.outer, true);
-        z
     }
 }
 
@@ -244,6 +291,8 @@ pub struct Sgs2 {
     pub inner: usize,
     /// Outer iterations per [`Preconditioner::apply`].
     pub outer: usize,
+    /// Residual, JR iterate, next JR iterate, rescaled forward result.
+    work: RefCell<[Vec<f64>; 4]>,
 }
 
 impl Sgs2 {
@@ -263,41 +312,8 @@ impl Sgs2 {
             a: a.clone(),
             inner,
             outer,
+            work: work(a.local_rows()),
         }
-    }
-
-    /// z ≈ M⁻¹ r where M = (L+D) D⁻¹ (D+U) (local symmetric GS), both
-    /// triangular solves approximated by JR iterations.
-    fn apply_local(&self, rank: &Rank, r: &[f64]) -> Vec<f64> {
-        let n = r.len();
-        // Forward stage: y ≈ (L+D)⁻¹ r (JR inner sweeps, element-wise
-        // parallel — see DESIGN.md, "Threading model").
-        let mut y = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
-        {
-            let k = rank.kernel("sgs2_forward_fused", KernelKind::SpMV);
-            dense::diag_scale(&self.inv_diag, r, &mut y);
-            for _ in 0..self.inner {
-                k.launch(n, cost::jr_sweep_fused(&self.l));
-                self.l.jr_sweep_fused(r, &self.inv_diag, &y, &mut tmp);
-                std::mem::swap(&mut y, &mut tmp);
-            }
-        }
-        // Rescale: t = D y.
-        let mut t = vec![0.0; n];
-        dense::diag_scale(&self.diag, &y, &mut t);
-        // Backward stage: z ≈ (D+U)⁻¹ t.
-        let mut z = vec![0.0; n];
-        {
-            let k = rank.kernel("sgs2_backward_fused", KernelKind::SpMV);
-            dense::diag_scale(&self.inv_diag, &t, &mut z);
-            for _ in 0..self.inner {
-                k.launch(n, cost::jr_sweep_fused(&self.u));
-                self.u.jr_sweep_fused(&t, &self.inv_diag, &z, &mut tmp);
-                std::mem::swap(&mut z, &mut tmp);
-            }
-        }
-        z
     }
 
     /// Stationary iteration with the SGS2 preconditioner on an arbitrary
@@ -309,6 +325,10 @@ impl Sgs2 {
     /// [`Sgs2::smooth`] where `zero_guess` is the caller's promise that
     /// it created `x` as `ParVector::zeros`: the first round then starts
     /// from `r = b` (see `round_residual`). Collective.
+    ///
+    /// A round is `x += M⁻¹ r` with M = (L+D) D⁻¹ (D+U) (local symmetric
+    /// GS), both triangular solves approximated by JR iterations
+    /// (element-wise parallel — see DESIGN.md, "Threading model").
     pub fn smooth_from(
         &self,
         rank: &Rank,
@@ -318,12 +338,25 @@ impl Sgs2 {
         zero_guess: bool,
     ) {
         telemetry::counter("smoother.sgs2.rounds", rounds as u64);
-        let mut buf = vec![0.0; x.local.len()];
+        let mut work = self.work.borrow_mut();
+        let [buf, g, next, t] = &mut *work;
+        let inv_diag = &self.inv_diag;
+        let stage = |kernel, t| JrSweeps {
+            kernel,
+            t,
+            inv_diag,
+            sweeps: self.inner,
+        };
+        let forward = stage("sgs2_forward_fused", &self.l);
+        let backward = stage("sgs2_backward_fused", &self.u);
         for round in 0..rounds {
             let first_from_zero = zero_guess && round == 0;
-            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, &mut buf);
-            let z = self.apply_local(rank, r);
-            dense::axpy(1.0, &z, &mut x.local);
+            let r = round_residual(&self.a, rank, &b.local, &x.local, first_from_zero, buf);
+            // Forward stage: g ≈ (L+D)⁻¹ r; rescale: t = D g.
+            forward.solve(rank, r, g, next);
+            dense::diag_scale(&self.diag, g, t);
+            // Backward stage: x += (D+U)⁻¹ t.
+            backward.solve_add(rank, t, g, next, &mut x.local);
         }
     }
 }
@@ -411,9 +444,9 @@ mod tests {
             let (a, b, x_true) = setup(rank, 24);
             let mut errors = Vec::new();
             for inner in [0usize, 1, 2] {
-                let ts = TwoStageGs::new(&a, inner, 1);
+                let ts = TwoStageGs::new(&a, inner);
                 let mut x = ParVector::zeros(rank, b.dist().clone());
-                ts.smooth(rank, &b, &mut x, 30);
+                ts.smooth(rank, &a, &b, &mut x, 30);
                 errors.push(error_norm(rank, &x, &x_true));
             }
             errors
@@ -432,11 +465,11 @@ mod tests {
         Comm::run(1, |rank| {
             let (a, b, _) = setup(rank, 10);
             let gs = HybridGs::new(&a);
-            let ts = TwoStageGs::new(&a, 12, 1); // n=10: series exact at 10
+            let ts = TwoStageGs::new(&a, 12); // n=10: series exact at 10
             let mut xg = ParVector::zeros(rank, b.dist().clone());
             let mut xt = ParVector::zeros(rank, b.dist().clone());
             gs.smooth(rank, &b, &mut xg, 3);
-            ts.smooth(rank, &b, &mut xt, 3);
+            ts.smooth(rank, &a, &b, &mut xt, 3);
             for (p, q) in xg.local.iter().zip(&xt.local) {
                 assert!((p - q).abs() < 1e-12);
             }
@@ -481,9 +514,9 @@ mod tests {
     fn smoothers_record_kernels_and_halo_traffic() {
         let (_, traces) = Comm::run_traced(2, |rank| {
             let (a, b, _) = setup(rank, 16);
-            let ts = TwoStageGs::new(&a, 2, 1);
+            let ts = TwoStageGs::new(&a, 2);
             let mut x = ParVector::zeros(rank, b.dist().clone());
-            rank.with_phase("smooth", || ts.smooth(rank, &b, &mut x, 2));
+            rank.with_phase("smooth", || ts.smooth(rank, &a, &b, &mut x, 2));
         });
         for t in &traces {
             let ph = t.phase("smooth");

@@ -37,6 +37,14 @@ pub fn blas1(n: usize, vectors: u64) -> (u64, u64) {
     (stream(n, vectors).0, 2 * n as u64)
 }
 
+/// (bytes, flops) for `y += Σₖ aₖ·xₖ` over `k` vectors of `n` elements
+/// in one pass (`dense::axpys`): `y` read and written once, each `xₖ`
+/// read once, one multiply-add per term.
+pub fn axpys(n: usize, k: usize) -> (u64, u64) {
+    let (n, k) = (n as u64, k as u64);
+    ((k + 2) * n * VAL, 2 * k * n)
+}
+
 /// (bytes, 0) for a flop-free pass over `n` elements touching `vectors`
 /// arrays (pack, split, copy).
 pub fn stream(n: usize, vectors: u64) -> (u64, u64) {
@@ -103,6 +111,15 @@ pub fn jr_sweep_fused(t: &Csr) -> (u64, u64) {
     (sb + 2 * n * VAL, sf + 2 * n)
 }
 
+/// (bytes, flops) for the last sweep of a smoothing round added into the
+/// iterate (`Csr::jr_sweep_add`): [`jr_sweep_fused`] plus the read of
+/// `x` (its write is the sweep's store) and one add per row.
+pub fn jr_sweep_add(t: &Csr) -> (u64, u64) {
+    let (sb, sf) = jr_sweep_fused(t);
+    let n = t.nrows() as u64;
+    (sb + n * VAL, sf + n)
+}
+
 /// (bytes, flops) for transposing `a`.
 pub fn transpose(a: &Csr) -> (u64, u64) {
     let nnz = a.nnz() as u64;
@@ -130,8 +147,12 @@ mod tests {
         // + 3·8 write y = 128 bytes, 2 flops per entry.
         let a = Csr::identity(3);
         assert_eq!(spmv(&a), (128, 6));
-        // The fused sweep adds the r and D⁻¹ streams and 2 flops per row.
+        // The fused sweep adds the r and D⁻¹ streams and 2 flops per row;
+        // adding into x, its read and one more flop per row.
         assert_eq!(jr_sweep_fused(&a), (128 + 2 * 3 * 8, 6 + 6));
+        assert_eq!(jr_sweep_add(&a), (128 + 3 * 3 * 8, 6 + 9));
+        // Three axpys in one pass over 10 elements: y twice, 3 x reads.
+        assert_eq!(axpys(10, 3), (5 * 10 * 8, 60));
         // SpGEMM: 4 output (index, value) pairs, 4 products + 4 accumulates.
         assert_eq!(spgemm(4, 4), (64, 16));
     }

@@ -8,6 +8,9 @@ use crate::prims;
 /// Threshold below which row loops run sequentially.
 const PAR_THRESHOLD: usize = 1 << 12;
 
+/// Rows per block of the row kernels (the unit of parallel work).
+const ROW_BLOCK: usize = 1024;
+
 /// CSR matrix. Column indices are sorted within each row and duplicate-free
 /// (an invariant every constructor establishes and every operation keeps).
 #[derive(Clone, Debug, PartialEq)]
@@ -219,6 +222,36 @@ impl Csr {
         y
     }
 
+    /// The one loop under every SpMV-shaped kernel: for each row `i`,
+    /// `f(i, sᵢ, &mut out[i])` with `sᵢ = Σ_k vals[k]·x[indices[k]]`
+    /// folded from `+0.0` in column order over the row's
+    /// `indices[lo..hi]` / `vals[lo..hi]` slices. Rows go in
+    /// `ROW_BLOCK`-row blocks, in parallel from `PAR_THRESHOLD` rows on;
+    /// a row's sum never depends on its block, so neither do the bits.
+    fn sweep_rows(&self, x: &[f64], out: &mut [f64], f: impl Fn(usize, f64, &mut f64) + Sync) {
+        let block = |b: usize, out: &mut [f64]| {
+            let r0 = b * ROW_BLOCK;
+            let rows = self.indptr[r0..=r0 + out.len()].windows(2);
+            for (i, (o, w)) in out.iter_mut().zip(rows).enumerate() {
+                let (cols, vals) = (&self.indices[w[0]..w[1]], &self.vals[w[0]..w[1]]);
+                let mut s = 0.0;
+                for (&c, &v) in cols.iter().zip(vals) {
+                    s += v * x[c];
+                }
+                f(r0 + i, s, o);
+            }
+        };
+        if self.nrows >= PAR_THRESHOLD {
+            out.par_chunks_mut(ROW_BLOCK)
+                .enumerate()
+                .for_each(|(b, o)| block(b, o));
+        } else {
+            out.chunks_mut(ROW_BLOCK)
+                .enumerate()
+                .for_each(|(b, o)| block(b, o));
+        }
+    }
+
     /// y = A x into a caller-provided buffer.
     ///
     /// # Panics
@@ -227,18 +260,7 @@ impl Csr {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "x length != ncols");
         assert_eq!(y.len(), self.nrows, "y length != nrows");
-        let run = |(r, yr): (usize, &mut f64)| {
-            let mut acc = 0.0;
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                acc += self.vals[k] * x[self.indices[k]];
-            }
-            *yr = acc;
-        };
-        if self.nrows >= PAR_THRESHOLD {
-            y.par_iter_mut().enumerate().map(|(r, yr)| (r, yr)).for_each(run);
-        } else {
-            y.iter_mut().enumerate().for_each(run);
-        }
+        self.sweep_rows(x, y, |_, s, y| *y = s);
     }
 
     /// One fused Jacobi-Richardson sweep over a split-off triangle `T`
@@ -258,31 +280,31 @@ impl Csr {
         assert_eq!(g_next.len(), self.nrows, "g_next length != nrows");
         assert_eq!(r.len(), self.nrows, "r length != nrows");
         assert_eq!(inv_diag.len(), self.nrows, "inv_diag length != nrows");
-        let run = |(i, out): (usize, &mut f64)| {
-            let mut acc = 0.0;
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                acc += self.vals[k] * g[self.indices[k]];
-            }
-            *out = (r[i] - acc) * inv_diag[i];
-        };
-        if self.nrows >= PAR_THRESHOLD {
-            g_next.par_iter_mut().enumerate().for_each(run);
-        } else {
-            g_next.iter_mut().enumerate().for_each(run);
-        }
+        self.sweep_rows(g, g_next, |i, s, out| *out = (r[i] - s) * inv_diag[i]);
+    }
+
+    /// The last sweep of a smoothing round, added straight into the
+    /// iterate: `x[i] += (r[i] - Σ_k T[i,k]·g[k]) · inv_diag[i]`. Bit for
+    /// bit [`Csr::jr_sweep_fused`] into a scratch vector followed by
+    /// `dense::axpy(1.0, ..)` (`1.0·v` is `v` exactly), without the
+    /// scratch write and re-read ([`crate::cost::jr_sweep_add`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn jr_sweep_add(&self, r: &[f64], inv_diag: &[f64], g: &[f64], x: &mut [f64]) {
+        assert_eq!(g.len(), self.ncols, "g length != ncols");
+        assert_eq!(x.len(), self.nrows, "x length != nrows");
+        assert_eq!(r.len(), self.nrows, "r length != nrows");
+        assert_eq!(inv_diag.len(), self.nrows, "inv_diag length != nrows");
+        self.sweep_rows(g, x, |i, s, x| *x += (r[i] - s) * inv_diag[i]);
     }
 
     /// y += A x.
     pub fn spmv_add_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "x length != ncols");
         assert_eq!(y.len(), self.nrows, "y length != nrows");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                acc += self.vals[k] * x[self.indices[k]];
-            }
-            *yr += acc;
-        }
+        self.sweep_rows(x, y, |_, s, y| *y += s);
     }
 
     /// Aᵀ, with sorted rows.

@@ -23,5 +23,5 @@ pub mod spgemm;
 
 pub use coo::Coo;
 pub use csr::Csr;
-pub use policy::{KernelChoice, KernelPolicy};
+pub use policy::KernelPolicy;
 pub use sellcs::{SellCs, SellLayout};

@@ -1,11 +1,13 @@
-//! Kernel-backend selection: CSR vs. SELL-C-σ, per matrix.
+//! Kernel-backend selection: CSR vs. SELL-C-σ.
 //!
-//! The roofline ledger (PR 5) shows SpMV well below the STREAM bound on
-//! index-heavy CSR; SELL-C-σ ([`crate::sellcs`]) trades a small padding
-//! overhead for u32 indices and lane-parallel rows. Whether the trade
-//! wins depends on the row-length distribution: near-uniform rows pad
-//! almost nothing, irregular rows pad a lot. [`KernelPolicy::Auto`]
-//! decides per matrix from the row-length coefficient of variation.
+//! SELL-C-σ ([`crate::sellcs`]) trades chunk padding for u32 indices and
+//! lane-parallel rows, a trade that pays only where SpMV is bound by
+//! bytes moved. At the sizes this solver runs, one rank's operators sit
+//! in L2/L3 and the row-blocked CSR loop ties or beats it (the
+//! `sparse.spmv_csr_s` / `spmv_sellcs_s` probes, EXPERIMENTS.md), while
+//! the mirror costs a second copy of every diag block. So
+//! [`KernelPolicy::Auto`] is CSR everywhere, and a SELL-C-σ mirror is
+//! built only when [`KernelPolicy::Sellcs`] is asked for.
 //!
 //! The active policy is thread-local: [`install`] is its only source
 //! (the solver plumbs `SolverConfig::kernels` through it on each rank
@@ -14,36 +16,17 @@
 
 use std::cell::Cell;
 
-use crate::csr::Csr;
-
 /// Which SpMV storage/backend to use for a local matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Decide per matrix from the row-length distribution.
+    /// The measured choice: CSR wherever SELL-C-σ does not win the
+    /// probes, which on every host measured so far is everywhere.
     Auto,
-    /// Always the scalar/blocked CSR path.
+    /// Always the row-blocked CSR path.
     Csr,
-    /// Always convert to SELL-C-σ.
+    /// Always mirror the diag block in SELL-C-σ and route SpMV through it.
     Sellcs,
 }
-
-/// Concrete backend chosen for one matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Keep CSR storage (blocked 4-row SpMV).
-    Csr,
-    /// Build the SELL-C-σ sibling and route SpMV through it.
-    Sellcs,
-}
-
-/// Matrices smaller than this never get a SELL-C-σ sibling under
-/// `Auto`: the conversion cost cannot amortize.
-const AUTO_MIN_ROWS: usize = 64;
-
-/// `Auto` accepts SELL-C-σ when the row-length coefficient of variation
-/// (stddev / mean) is at most this: beyond it the chunk padding starts
-/// to outweigh the u32-index savings.
-const AUTO_MAX_CV: f64 = 0.5;
 
 impl KernelPolicy {
     /// Parse a policy name (`auto|csr|sellcs`).
@@ -65,35 +48,9 @@ impl KernelPolicy {
         }
     }
 
-    /// Pick the backend for one local matrix.
-    pub fn choose(self, a: &Csr) -> KernelChoice {
-        match self {
-            KernelPolicy::Csr => KernelChoice::Csr,
-            KernelPolicy::Sellcs => KernelChoice::Sellcs,
-            KernelPolicy::Auto => {
-                let n = a.nrows();
-                if n < AUTO_MIN_ROWS {
-                    return KernelChoice::Csr;
-                }
-                let indptr = a.indptr();
-                let mean = a.nnz() as f64 / n as f64;
-                if mean == 0.0 {
-                    return KernelChoice::Csr;
-                }
-                let var = (0..n)
-                    .map(|r| {
-                        let d = (indptr[r + 1] - indptr[r]) as f64 - mean;
-                        d * d
-                    })
-                    .sum::<f64>()
-                    / n as f64;
-                if var.sqrt() / mean <= AUTO_MAX_CV {
-                    KernelChoice::Sellcs
-                } else {
-                    KernelChoice::Csr
-                }
-            }
-        }
+    /// Does a matrix built under this policy get a SELL-C-σ mirror?
+    pub fn builds_sellcs(self) -> bool {
+        self == KernelPolicy::Sellcs
     }
 }
 
@@ -130,30 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_policies_ignore_shape() {
-        let a = Csr::identity(3);
-        assert_eq!(KernelPolicy::Csr.choose(&a), KernelChoice::Csr);
-        assert_eq!(KernelPolicy::Sellcs.choose(&a), KernelChoice::Sellcs);
-    }
-
-    #[test]
-    fn auto_takes_uniform_rows_and_rejects_irregular() {
-        // Uniform 5-point-stencil-like matrix: every row the same length.
-        let uniform = Csr::identity(128);
-        assert_eq!(KernelPolicy::Auto.choose(&uniform), KernelChoice::Sellcs);
-
-        // One dense row among singletons: CV far above the gate.
-        let n = 128;
-        let mut rows = vec![vec![0.0; n]; n];
-        for (r, row) in rows.iter_mut().enumerate() {
-            row[r] = 1.0;
-        }
-        rows[0] = vec![1.0; n];
-        let skewed = Csr::from_dense(&rows);
-        assert_eq!(KernelPolicy::Auto.choose(&skewed), KernelChoice::Csr);
-
-        // Tiny matrices never convert.
-        assert_eq!(KernelPolicy::Auto.choose(&Csr::identity(8)), KernelChoice::Csr);
+    fn only_an_explicit_sellcs_builds_a_mirror() {
+        assert!(KernelPolicy::Sellcs.builds_sellcs());
+        assert!(!KernelPolicy::Csr.builds_sellcs());
+        assert!(!KernelPolicy::Auto.builds_sellcs());
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub struct SellCs {
     nrows: usize,
     ncols: usize,
     sigma: usize,
+    /// Real (unpadded) entries: the source matrix's nnz, kept because
+    /// every SpMV launch prices it.
+    nnz: usize,
     /// Chunk `c` occupies `vals[chunk_ptr[c]..chunk_ptr[c + 1]]`
     /// (slot-major: entry `j` of lane `l` lives at `base + j*CHUNK + l`).
     chunk_ptr: Vec<usize>,
@@ -133,7 +136,17 @@ impl SellCs {
             }
         }
 
-        SellCs { nrows, ncols, sigma, chunk_ptr, row_len, perm, cols, vals }
+        SellCs {
+            nrows,
+            ncols,
+            sigma,
+            nnz: a.nnz(),
+            chunk_ptr,
+            row_len,
+            perm,
+            cols,
+            vals,
+        }
     }
 
     pub fn nrows(&self) -> usize {
@@ -156,7 +169,7 @@ impl SellCs {
 
     /// Real (unpadded) stored entries.
     pub fn nnz(&self) -> usize {
-        self.row_len.iter().map(|&l| l as usize).sum()
+        self.nnz
     }
 
     /// Stored entries including chunk padding — what SpMV streams.

@@ -128,6 +128,215 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Vector and matrix sizes for the kernel-shape tests. In release
+/// (`ci.sh`) they straddle 1 024 (a slice / dot partial), 4 096 (the
+/// parallel row kernels) and 16 384 (the parallel BLAS-1 paths); debug
+/// runs stay below 4 096.
+fn kernel_size() -> impl Strategy<Value = usize> {
+    if cfg!(debug_assertions) {
+        prop_oneof![1 => 0usize..40, 1 => 1000usize..1050, 1 => 2040usize..2060]
+    } else {
+        prop_oneof![1 => 1000usize..1050, 1 => 4070usize..4120, 1 => 16360usize..16410]
+    }
+}
+
+/// Deterministic hash of `(seed, i)` (splitmix64).
+fn mix(seed: u64, i: u64) -> u64 {
+    let mut z = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Kernel-test values, by `mode`: 0 and 1 — rounding-sensitive reals
+/// with −0.0 (mode 1 then plants one NaN, see [`plant_nan`]); 2 —
+/// signed zeros only, all −0.0, all +0.0 or mixed by `seed`, where a
+/// sum's starting value shows (a sum of −0.0 products is −0.0 only when
+/// folded from −0.0).
+fn hazard(mode: u64, seed: u64, i: u64) -> f64 {
+    let z = mix(seed, i);
+    match (mode, seed % 3) {
+        (2, 0) => -0.0,
+        (2, 1) => 0.0,
+        (2, _) => {
+            if z & 1 == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        }
+        _ if z % 8 == 1 => -0.0,
+        _ => rounding_sensitive_val(z as usize % 100_000),
+    }
+}
+
+/// In mode 1, one NaN of seeded sign and payload at a seeded position.
+/// One per case: where two NaNs of different payloads meet, which one
+/// an add returns is up to the compiler (operands of a commutative op
+/// may be swapped), so only a lone NaN has defined bits to compare.
+fn plant_nan(mode: u64, seed: u64, v: &mut [f64]) {
+    if mode == 1 && !v.is_empty() {
+        let z = mix(seed, 0x4E41);
+        let sign = (z & 1) << 63;
+        v[(z >> 1) as usize % v.len()] = f64::from_bits(0x7ff8_0000_0000_0000 | sign | (z >> 20));
+    }
+}
+
+fn hazard_vals(mode: u64, seed: u64, n: usize) -> Vec<f64> {
+    (0..n as u64).map(|i| hazard(mode, seed, i)).collect()
+}
+
+/// An `n × n` CSR with 0–5 entries per row (so with empty rows) at
+/// seeded distinct columns, values as [`hazard`].
+fn hazard_rows(mode: u64, seed: u64, n: usize) -> Csr {
+    let mut indptr = vec![0usize];
+    let (mut indices, mut vals) = (Vec::new(), Vec::new());
+    for r in 0..n as u64 {
+        let mut cols: Vec<usize> = (0..mix(seed, r) % 6)
+            .map(|k| (mix(seed ^ r, k) % n as u64) as usize)
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        for c in cols {
+            indices.push(c);
+            vals.push(hazard(mode, seed ^ 0x5A, indices.len() as u64));
+        }
+        indptr.push(indices.len());
+    }
+    Csr::from_parts(n, n, indptr, indices, vals)
+}
+
+/// The row sum every SpMV-shaped kernel computes: from `+0.0`, in
+/// column order, one `val·x` product at a time.
+fn reference_row_sums(a: &Csr, x: &[f64]) -> Vec<f64> {
+    (0..a.nrows())
+        .map(|r| {
+            let mut acc = 0.0;
+            for k in a.indptr()[r]..a.indptr()[r + 1] {
+                acc += a.vals()[k] * x[a.indices()[k]];
+            }
+            acc
+        })
+        .collect()
+}
+
+/// `xᵀy` in the order `dense::dot` has always summed: below 16 384
+/// elements one `Sum` fold, from there one per 1 024-element chunk,
+/// the partials folded in chunk order.
+fn reference_dot(x: &[f64], y: &[f64]) -> f64 {
+    let fold = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
+    if x.len() < 1 << 14 {
+        fold(x, y)
+    } else {
+        x.chunks(1024)
+            .zip(y.chunks(1024))
+            .map(|(x, y)| fold(x, y))
+            .sum()
+    }
+}
+
+/// Run `f` on a pool of `t` threads.
+fn with_threads<R>(t: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(t)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `dots` against one `dot` per vector, and `dot` against the order
+    /// it has always summed in, at 1, 2 and 8 threads.
+    #[test]
+    fn multi_dot_equals_separate_dots_bitwise(
+        (n, k, mode, seed) in (kernel_size(), 0usize..7, 0u64..3, 0u64..1 << 20)
+    ) {
+        let mut x = hazard_vals(mode, seed, n);
+        plant_nan(mode, seed, &mut x);
+        let ys: Vec<Vec<f64>> = (0..k as u64).map(|j| hazard_vals(mode, seed + 1 + j, n)).collect();
+        let ys: Vec<&[f64]> = ys.iter().map(|y| &y[..]).collect();
+        for t in [1, 2, 8] {
+            let mut fused = vec![f64::NAN; k];
+            with_threads(t, || dense::dots(&x, &ys, &mut fused));
+            for (j, y) in ys.iter().enumerate() {
+                let single = with_threads(t, || dense::dot(&x, y));
+                prop_assert_eq!(fused[j].to_bits(), single.to_bits(), "n={} t={} j={}", n, t, j);
+                let reference = reference_dot(&x, y);
+                prop_assert_eq!(single.to_bits(), reference.to_bits(), "n={} t={}", n, t);
+            }
+        }
+    }
+
+    /// `axpys` against the `axpy` sequence, and `axpy` against the plain
+    /// element loop, at 1, 2 and 8 threads.
+    #[test]
+    fn multi_axpy_equals_axpy_sequence_bitwise(
+        (n, k, mode, seed) in (kernel_size(), 0usize..7, 0u64..3, 0u64..1 << 20)
+    ) {
+        let mut y0 = hazard_vals(mode, seed, n);
+        plant_nan(mode, seed, &mut y0);
+        let xs: Vec<Vec<f64>> = (0..k as u64).map(|j| hazard_vals(mode, seed + 1 + j, n)).collect();
+        let xs: Vec<&[f64]> = xs.iter().map(|x| &x[..]).collect();
+        let a: Vec<f64> = (0..k as u64).map(|j| hazard(mode, seed ^ 0xA, j)).collect();
+        let mut reference = y0.clone();
+        for (&aj, x) in a.iter().zip(&xs) {
+            for (yi, &xi) in reference.iter_mut().zip(x.iter()) {
+                *yi += aj * xi;
+            }
+        }
+        for t in [1, 2, 8] {
+            let (mut fused, mut seq) = (y0.clone(), y0.clone());
+            with_threads(t, || {
+                dense::axpys(&a, &xs, &mut fused);
+                for (&aj, x) in a.iter().zip(&xs) {
+                    dense::axpy(aj, x, &mut seq);
+                }
+            });
+            prop_assert_eq!(bits(&fused), bits(&seq), "n={} t={}", n, t);
+            prop_assert_eq!(bits(&seq), bits(&reference), "n={} t={}", n, t);
+        }
+    }
+
+    /// The row-blocked kernels against the per-row reference loop, and
+    /// the fused last sweep against a sweep followed by `axpy(1.0)`, at
+    /// 1, 2 and 8 threads, on matrices with empty rows.
+    #[test]
+    fn row_block_kernels_equal_reference_bitwise(
+        (n, mode, seed) in (kernel_size(), 0u64..3, 0u64..1 << 20)
+    ) {
+        let a = hazard_rows(mode, seed, n);
+        let mut g = hazard_vals(mode, seed ^ 1, n);
+        plant_nan(mode, seed, &mut g);
+        let r = hazard_vals(mode, seed ^ 2, n);
+        let inv = hazard_vals(mode, seed ^ 3, n);
+        let x0 = hazard_vals(mode, seed ^ 4, n);
+        let sums = reference_row_sums(&a, &g);
+        let spmv_ref = bits(&sums);
+        let add_ref: Vec<u64> = x0.iter().zip(&sums).map(|(y, s)| (y + s).to_bits()).collect();
+        let jr_ref: Vec<f64> = (0..n).map(|i| (r[i] - sums[i]) * inv[i]).collect();
+        for t in [1, 2, 8] {
+            with_threads(t, || {
+                let mut y = vec![f64::INFINITY; n];
+                a.spmv_into(&g, &mut y);
+                assert_eq!(bits(&y), spmv_ref, "spmv n={n} t={t}");
+                let mut y = x0.clone();
+                a.spmv_add_into(&g, &mut y);
+                assert_eq!(bits(&y), add_ref, "spmv_add n={n} t={t}");
+                let mut next = vec![f64::INFINITY; n];
+                a.jr_sweep_fused(&r, &inv, &g, &mut next);
+                assert_eq!(bits(&next), bits(&jr_ref), "jr_sweep_fused n={n} t={t}");
+                let mut x_seq = x0.clone();
+                dense::axpy(1.0, &next, &mut x_seq);
+                let mut x_fused = x0.clone();
+                a.jr_sweep_add(&r, &inv, &g, &mut x_fused);
+                assert_eq!(bits(&x_fused), bits(&x_seq), "jr_sweep_add n={n} t={t}");
+            });
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn sellcs_spmv_bitwise_matches_csr(

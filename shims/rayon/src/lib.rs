@@ -10,9 +10,11 @@
 //!
 //! The rules that make that hold:
 //!
-//! - Work is split into *fixed-size* chunks (`CHUNK`, a compile-time constant),
-//!   never into per-thread ranges. Threads claim chunks dynamically, but each
-//!   chunk's result lands in a slot indexed by chunk id.
+//! - Work is split into *fixed-size* chunks of items, never into per-thread
+//!   ranges: `CHUNK` (a compile-time constant) elements' worth, so `CHUNK`
+//!   items of a per-element iterator and one item of a `par_chunks(CHUNK)`
+//!   iterator. Threads claim chunks dynamically, but each chunk's result
+//!   lands in a slot indexed by chunk id.
 //! - Reductions (`sum`) compute one partial per chunk and combine the partials
 //!   **in chunk-index order** on the calling thread. The serial fallback runs
 //!   the identical chunked algorithm, so 1 thread and N threads produce the
@@ -40,7 +42,8 @@ use std::sync::{Mutex, OnceLock};
 pub mod prelude {
     pub use crate::{
         FromParallelIterator, IndexedParallelIterator, IntoParallelIterator,
-        IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator, ParallelSliceMut,
+        IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator, ParallelSlice,
+        ParallelSliceMut,
     };
 }
 
@@ -210,6 +213,18 @@ pub trait Producer: Sync + Sized {
     type Item: Send;
     fn p_len(&self) -> usize;
     fn p_get(&self, i: usize) -> Self::Item;
+    /// Slice elements one item stands for: 1, or the width of a
+    /// `par_chunks` / `par_chunks_mut` item.
+    fn p_width(&self) -> usize {
+        1
+    }
+}
+
+/// Items per work chunk of `p`: `CHUNK` elements' worth, at least one
+/// item. A function of the producer's shape only, never of the thread
+/// count.
+fn items_per_chunk<P: Producer>(p: &P) -> usize {
+    (CHUNK / p.p_width().max(1)).max(1)
 }
 
 pub struct IterSlice<'a, T> {
@@ -273,6 +288,30 @@ impl<'a, T: Send> Producer for ChunksMut<'a, T> {
         // and in bounds; each index is fetched once.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
+    fn p_width(&self) -> usize {
+        self.chunk
+    }
+}
+
+/// Fixed-width shared chunks of a slice (`par_chunks`); the last chunk
+/// may be shorter.
+pub struct Chunks<'a, T> {
+    slice: &'a [T],
+    chunk: usize,
+}
+
+impl<'a, T: Sync> Producer for Chunks<'a, T> {
+    type Item = &'a [T];
+    fn p_len(&self) -> usize {
+        self.slice.len().div_ceil(self.chunk)
+    }
+    fn p_get(&self, i: usize) -> &'a [T] {
+        let lo = i * self.chunk;
+        &self.slice[lo..(lo + self.chunk).min(self.slice.len())]
+    }
+    fn p_width(&self) -> usize {
+        self.chunk
+    }
 }
 
 pub struct IterRange {
@@ -307,6 +346,9 @@ where
     fn p_get(&self, i: usize) -> R {
         (self.f)(self.base.p_get(i))
     }
+    fn p_width(&self) -> usize {
+        self.base.p_width()
+    }
 }
 
 pub struct Zip<A, B> {
@@ -322,6 +364,9 @@ impl<A: Producer, B: Producer> Producer for Zip<A, B> {
     fn p_get(&self, i: usize) -> Self::Item {
         (self.a.p_get(i), self.b.p_get(i))
     }
+    fn p_width(&self) -> usize {
+        self.a.p_width().max(self.b.p_width())
+    }
 }
 
 pub struct Enumerate<P> {
@@ -335,6 +380,9 @@ impl<P: Producer> Producer for Enumerate<P> {
     }
     fn p_get(&self, i: usize) -> Self::Item {
         (i, self.base.p_get(i))
+    }
+    fn p_width(&self) -> usize {
+        self.base.p_width()
     }
 }
 
@@ -446,9 +494,10 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
         unsafe { out.set_len(n) };
         let w = SlotWriter(out.as_mut_ptr() as *mut T);
         let src = &p;
-        run_chunked(n.div_ceil(CHUNK), |c| {
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
+        let per = items_per_chunk(src);
+        run_chunked(n.div_ceil(per), |c| {
+            let lo = c * per;
+            let hi = ((c + 1) * per).min(n);
             for i in lo..hi {
                 unsafe { w.write(i, src.p_get(i)) };
             }
@@ -486,9 +535,10 @@ pub trait ParallelIterator: Producer {
     fn for_each<F: Fn(Self::Item) + Sync>(self, f: F) {
         let n = self.p_len();
         let src = &self;
-        run_chunked(n.div_ceil(CHUNK), |c| {
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
+        let per = items_per_chunk(src);
+        run_chunked(n.div_ceil(per), |c| {
+            let lo = c * per;
+            let hi = ((c + 1) * per).min(n);
             for i in lo..hi {
                 f(src.p_get(i));
             }
@@ -497,20 +547,22 @@ pub trait ParallelIterator: Producer {
 
     /// Deterministic chunked sum: one partial per fixed-width chunk, partials
     /// combined in chunk order. Bitwise independent of thread count (the
-    /// serial path runs the identical chunked algorithm).
+    /// serial path runs the identical chunked algorithm). Over
+    /// `par_chunks(CHUNK)` items that is one partial per item.
     fn sum<S>(self) -> S
     where
         S: Send + std::iter::Sum<Self::Item> + std::iter::Sum<S>,
     {
         let n = self.p_len();
-        let n_chunks = n.div_ceil(CHUNK);
+        let per = items_per_chunk(&self);
+        let n_chunks = n.div_ceil(per);
         let mut partials: Vec<MaybeUninit<S>> = Vec::with_capacity(n_chunks);
         unsafe { partials.set_len(n_chunks) };
         let w = SlotWriter(partials.as_mut_ptr() as *mut S);
         let src = &self;
         run_chunked(n_chunks, |c| {
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
+            let lo = c * per;
+            let hi = ((c + 1) * per).min(n);
             let part: S = (lo..hi).map(|i| src.p_get(i)).sum();
             unsafe { w.write(c, part) };
         });
@@ -574,6 +626,26 @@ pub trait ParallelSliceMut<T: Copy + Send + Sync> {
 impl<T: Copy + Send + Sync> ParallelSliceMut<T> for [T] {
     fn as_sort_slice_mut(&mut self) -> &mut [T] {
         self
+    }
+}
+
+pub trait ParallelSlice<T: Sync> {
+    /// Parallel iterator over fixed-width shared chunks of `chunk_size`
+    /// elements (last chunk may be shorter), matching rayon's `par_chunks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_size` is zero.
+    fn par_chunks(&self, chunk_size: usize) -> Chunks<'_, T>;
+}
+
+impl<T: Sync> ParallelSlice<T> for [T] {
+    fn par_chunks(&self, chunk_size: usize) -> Chunks<'_, T> {
+        assert!(chunk_size > 0, "chunk size must be non-zero");
+        Chunks {
+            slice: self,
+            chunk: chunk_size,
+        }
     }
 }
 
@@ -704,6 +776,22 @@ mod tests {
         for t in [2, 3, 8] {
             let got: f64 = with_threads(t, || src.par_iter().map(|&x| x * 1.000001).sum());
             assert_eq!(got.to_bits(), base.to_bits(), "threads={t}");
+        }
+    }
+
+    #[test]
+    fn chunk_sums_keep_one_partial_per_chunk() {
+        // A sum over `par_chunks(CHUNK)` partials is the per-element sum,
+        // bit for bit: the same chunks, combined in the same order.
+        let src: Vec<f64> = (0..50_000)
+            .map(|i| ((i * 37 % 1000) as f64 - 500.0) * 1.0e-3 + 1.0e-9 * i as f64)
+            .collect();
+        let per_element: f64 = with_threads(1, || src.par_iter().map(|&x| x).sum());
+        for t in [1, 2, 8] {
+            let got: f64 = with_threads(t, || {
+                src.par_chunks(CHUNK).map(|c| c.iter().sum::<f64>()).sum()
+            });
+            assert_eq!(got.to_bits(), per_element.to_bits(), "threads={t}");
         }
     }
 
