@@ -47,6 +47,15 @@ unsafe_sites=$(grep -rnw 'unsafe' --include='*.rs' crates || true)
   && grep -q '^crates/parcomm/src/socket\.rs:[0-9]*: *unsafe { poll(' <<<"$unsafe_sites" \
   || { echo "unsafe gate: unsafe code besides the poll(2) call: $unsafe_sites" >&2; exit 1; }
 
+# A Picard iteration refills values only: the driver moves each
+# assembled operator into the smoother that owns it (no
+# `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph
+# and dt/ρ (no per-solve operator comparison), so neither call may come
+# back into the solver crate.
+refill_sites=$(grep -rnE 'Sgs2::with_sweeps|reuse_or_setup' crates/core/src || true)
+[ -z "$refill_sites" ] \
+  || { echo "refill gate: an operator copy or comparison in the Picard driver: $refill_sites" >&2; exit 1; }
+
 # One schema version: no telemetry source file describes, or branches
 # on, a stream older than the one it writes.
 old_schema=$(grep -rnE 'pre-v[0-9]' crates/telemetry/src || true)
@@ -153,7 +162,8 @@ fi
 
 # Health-detector smoke: corrupt the first pressure assembly of step 4
 # (occurrence 7 = 2 Picard iterations/step × 3 clean warmup steps + 1;
-# the assembly hook runs every Picard iteration, the AMG-setup hooks do
+# the global-assembly hooks run once per pressure attempt, on the
+# right-hand side when the operator is reused, the AMG-setup hooks do
 # not — the hierarchy is set up once and reused) — the recovery ladder
 # rebuilds and the detector must emit a recovery-storm degradation
 # verdict after its clean baseline.

@@ -7,12 +7,12 @@
 //! the numeric pass alone, a mismatch falls back to a fresh multiply and
 //! re-records the plan at that position.
 //!
-//! The Picard driver does not use this store: its pressure operator is
-//! bit-identical from one solve to the next (values included), so
-//! `nalu_core::Simulation` keeps the whole hierarchy
-//! ([`crate::AmgPrecond::reuse_or_setup`]) and every setup it still runs
-//! is a first setup. The store remains for callers whose operator
-//! values do change between setups.
+//! The Picard driver does not use this store: its pressure operator is a
+//! function of the equation graph and `dt/ρ` alone, so
+//! `nalu_core::Simulation` keeps the whole hierarchy with the graph,
+//! keyed on `dt/ρ`, and every setup it still runs is a first setup. The
+//! store remains for callers whose operator values do change between
+//! setups.
 //!
 //! Correctness relies on two invariants:
 //!

@@ -11,8 +11,7 @@
 
 use distmat::{AssemblyPlan, IjVector, ParCsr, ParVector, VectorPlan};
 use parcomm::{KernelKind, Rank};
-use rayon::prelude::*;
-use windmesh::mesh::Latent;
+use windmesh::mesh::{Edge, Latent};
 use windmesh::{BcKind, Mesh};
 
 use crate::dofmap::DofMap;
@@ -57,6 +56,25 @@ impl Default for PhysicsParams {
 #[inline]
 fn dot3(a: [f64; 3], b: [f64; 3]) -> f64 {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+}
+
+/// Face velocity of an edge: the mean of its two nodal velocities.
+#[inline]
+fn uface(state: &State, edge: &Edge) -> [f64; 3] {
+    let (a, b) = (state.vel[edge.a], state.vel[edge.b]);
+    [0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2])]
+}
+
+/// Edge coefficients `(aa, ab, bb, ba)` of first-order upwind advection
+/// with mass flux `mdot` plus diffusion with conductance `dterm`.
+#[inline]
+fn upwind_diffusion(mdot: f64, dterm: f64) -> [f64; 4] {
+    [
+        mdot.max(0.0) + dterm,
+        mdot.min(0.0) - dterm,
+        -mdot.min(0.0) + dterm,
+        -mdot.max(0.0) - dterm,
+    ]
 }
 
 /// Axis point of a rotating (annulus) mesh, `[0,0,0]` otherwise.
@@ -115,49 +133,22 @@ pub fn fill_momentum(
     // contributions in fixed edge order, keeping the assembled values
     // bitwise independent of the thread count (DESIGN.md, "Threading
     // model").
-    let coeffs: Vec<[f64; 4]> = owned_edges
-        .par_iter()
-        .map(|&e| {
-            let edge = &mesh.edges[e];
-            let (a, b) = (edge.a, edge.b);
-            let mu_e = params.viscosity + rho * 0.5 * (state.nut[a] + state.nut[b]);
-            let uface = [
-                0.5 * (state.vel[a][0] + state.vel[b][0]),
-                0.5 * (state.vel[a][1] + state.vel[b][1]),
-                0.5 * (state.vel[a][2] + state.vel[b][2]),
-            ];
-            let mdot = rho * dot3(edge.area_vec, uface);
-            let dterm = mu_e * edge.area_over_dist;
-            [
-                mdot.max(0.0) + dterm,
-                mdot.min(0.0) - dterm,
-                -mdot.min(0.0) + dterm,
-                -mdot.max(0.0) - dterm,
-            ]
-        })
-        .collect();
-    vals.scatter_edges(&graph.scatter, coeffs.as_flattened());
+    vals.fill_edges(&graph.scatter, |k| {
+        let edge = &mesh.edges[owned_edges[k]];
+        let mu_e = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
+        upwind_diffusion(rho * dot3(edge.area_vec, uface(state, edge)), mu_e * edge.area_over_dist)
+    });
 
-    // Pressure gradient (Green-Gauss face terms into the RHS): face
-    // pressures in parallel, scatter in edge order.
-    let pfaces: Vec<f64> = owned_edges
-        .par_iter()
-        .map(|&e| {
-            let edge = &mesh.edges[e];
-            0.5 * (state.p[edge.a] + state.p[edge.b])
-        })
-        .collect();
-    for (k, &e) in owned_edges.iter().enumerate() {
+    // Pressure gradient (Green-Gauss face terms into the RHS), in edge
+    // order.
+    for &e in owned_edges {
         let edge = &mesh.edges[e];
+        let pface = 0.5 * (state.p[edge.a] + state.p[edge.b]);
         if !graph.dirichlet[edge.a] {
-            for (c, rv) in rhs.iter_mut().enumerate() {
-                rv.add_value(dm.gid[edge.a], -edge.area_vec[c] * pfaces[k]);
-            }
+            IjVector::add_to_each(&mut rhs, dm.gid[edge.a], edge.area_vec.map(|a| -a * pface));
         }
         if !graph.dirichlet[edge.b] {
-            for (c, rv) in rhs.iter_mut().enumerate() {
-                rv.add_value(dm.gid[edge.b], edge.area_vec[c] * pfaces[k]);
-            }
+            IjVector::add_to_each(&mut rhs, dm.gid[edge.b], edge.area_vec.map(|a| a * pface));
         }
     }
 
@@ -167,15 +158,11 @@ pub fn fill_momentum(
         if graph.dirichlet[n] {
             vals.set(slot, 1.0);
             let v = mom_bc_value(mesh, state, params, center, tags[n], n);
-            for c in 0..3 {
-                rhs[c].add_value(dm.gid[n], v[c]);
-            }
+            IjVector::add_to_each(&mut rhs, dm.gid[n], v);
         } else {
             let tcoef = rho * mesh.node_volume[n] / params.dt;
             vals.add(slot, tcoef);
-            for (c, rv) in rhs.iter_mut().enumerate() {
-                rv.add_value(dm.gid[n], tcoef * state.vel_old[n][c]);
-            }
+            IjVector::add_to_each(&mut rhs, dm.gid[n], state.vel_old[n].map(|u| tcoef * u));
         }
     }
 
@@ -225,7 +212,9 @@ fn add_outflow_diag(
     }
 }
 
-/// Stage 2 for the pressure-Poisson system.
+/// Stage 2 for the pressure-Poisson system: the operator
+/// ([`fill_continuity_operator`]) and its right-hand side
+/// ([`fill_continuity_rhs`]).
 #[allow(clippy::too_many_arguments)]
 pub fn fill_continuity(
     rank: &Rank,
@@ -239,50 +228,74 @@ pub fn fill_continuity(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) -> IjVector {
-    let fill = rank.kernel("fill_continuity", KernelKind::Stream);
-    vals.reset();
-    let mut rhs = IjVector::new(rank, dm.dist.clone());
-    let kappa_coef = params.dt / params.density;
+    fill_continuity_operator(rank, mesh, graph, params, owned_edges, owned_nodes, vals);
+    fill_continuity_rhs(rank, mesh, dm, graph, tags, state, owned_edges, owned_nodes)
+}
 
+/// The pressure-Poisson operator into `vals`: `κ = dt/ρ · area/dist` per
+/// edge and identity rows on the pressure-Dirichlet mask. It reads no
+/// `State`, and rigid rotor motion leaves `area_over_dist` untouched, so
+/// it is a function of `graph` and `dt/ρ` alone (what the Picard driver
+/// keys its cached hierarchy on).
+pub fn fill_continuity_operator(
+    rank: &Rank,
+    mesh: &Mesh,
+    graph: &EquationGraph,
+    params: &PhysicsParams,
+    owned_edges: &[usize],
+    owned_nodes: &[usize],
+    vals: &mut LocalValues,
+) {
+    let fill = rank.kernel("fill_continuity_operator", KernelKind::Stream);
+    vals.reset();
+    let kappa_coef = params.dt / params.density;
     // Edge stage (parallel map + order-fixed scatter, as in
     // `fill_momentum`).
-    let coeffs: Vec<[f64; 4]> = owned_edges
-        .par_iter()
-        .map(|&e| {
-            let kappa = kappa_coef * mesh.edges[e].area_over_dist;
-            [kappa, -kappa, kappa, -kappa]
-        })
-        .collect();
-    vals.scatter_edges(&graph.scatter, coeffs.as_flattened());
-
-    // Divergence of the provisional velocity through each dual face.
-    let fluxes: Vec<f64> = owned_edges
-        .par_iter()
-        .map(|&e| {
-            let edge = &mesh.edges[e];
-            let (a, b) = (edge.a, edge.b);
-            let uface = [
-                0.5 * (state.vel[a][0] + state.vel[b][0]),
-                0.5 * (state.vel[a][1] + state.vel[b][1]),
-                0.5 * (state.vel[a][2] + state.vel[b][2]),
-            ];
-            dot3(edge.area_vec, uface)
-        })
-        .collect();
-    for (k, &e) in owned_edges.iter().enumerate() {
-        let edge = &mesh.edges[e];
-        if !graph.dirichlet[edge.a] {
-            rhs.add_value(dm.gid[edge.a], -fluxes[k]);
-        }
-        if !graph.dirichlet[edge.b] {
-            rhs.add_value(dm.gid[edge.b], fluxes[k]);
-        }
-    }
-
-    // Node loop: Dirichlet rows (outflow reference, fringe, hole).
+    vals.fill_edges(&graph.scatter, |k| {
+        let kappa = kappa_coef * mesh.edges[owned_edges[k]].area_over_dist;
+        [kappa, -kappa, kappa, -kappa]
+    });
+    // Dirichlet rows (outflow reference, fringe, hole).
     for (k, &n) in owned_nodes.iter().enumerate() {
         if graph.dirichlet[n] {
             vals.set(graph.diag_slots[k], 1.0);
+        }
+    }
+    let work = (owned_edges.len() * 4 + owned_nodes.len()) as u64;
+    fill.launch(owned_nodes.len(), (work * 8, work * 3));
+}
+
+/// The pressure-Poisson right-hand side: the divergence of the
+/// provisional velocity, and the Dirichlet values.
+#[allow(clippy::too_many_arguments)]
+pub fn fill_continuity_rhs(
+    rank: &Rank,
+    mesh: &Mesh,
+    dm: &DofMap,
+    graph: &EquationGraph,
+    tags: &[BcTag],
+    state: &State,
+    owned_edges: &[usize],
+    owned_nodes: &[usize],
+) -> IjVector {
+    let fill = rank.kernel("fill_continuity_rhs", KernelKind::Stream);
+    let mut rhs = IjVector::new(rank, dm.dist.clone());
+
+    // Divergence of the provisional velocity through each dual face.
+    for &e in owned_edges {
+        let edge = &mesh.edges[e];
+        let flux = dot3(edge.area_vec, uface(state, edge));
+        if !graph.dirichlet[edge.a] {
+            rhs.add_value(dm.gid[edge.a], -flux);
+        }
+        if !graph.dirichlet[edge.b] {
+            rhs.add_value(dm.gid[edge.b], flux);
+        }
+    }
+
+    // Dirichlet values (outflow reference, fringe, hole).
+    for &n in owned_nodes {
+        if graph.dirichlet[n] {
             let v = match tags[n] {
                 BcTag::Outflow => 0.0,
                 _ => state.dp[n], // fringe interpolant / frozen hole
@@ -306,7 +319,7 @@ pub fn fill_continuity(
         }
     }
 
-    let work = (owned_edges.len() * 10 + owned_nodes.len() * 4) as u64;
+    let work = (owned_edges.len() * 6 + owned_nodes.len() * 3) as u64;
     fill.launch(owned_nodes.len(), (work * 8, work * 3));
     rhs
 }
@@ -332,28 +345,11 @@ pub fn fill_scalar(
 
     // Edge stage (parallel map + order-fixed scatter, as in
     // `fill_momentum`).
-    let coeffs: Vec<[f64; 4]> = owned_edges
-        .par_iter()
-        .map(|&e| {
-            let edge = &mesh.edges[e];
-            let (a, b) = (edge.a, edge.b);
-            let gamma = params.viscosity + rho * 0.5 * (state.nut[a] + state.nut[b]);
-            let uface = [
-                0.5 * (state.vel[a][0] + state.vel[b][0]),
-                0.5 * (state.vel[a][1] + state.vel[b][1]),
-                0.5 * (state.vel[a][2] + state.vel[b][2]),
-            ];
-            let mdot = rho * dot3(edge.area_vec, uface);
-            let dterm = gamma * edge.area_over_dist;
-            [
-                mdot.max(0.0) + dterm,
-                mdot.min(0.0) - dterm,
-                -mdot.min(0.0) + dterm,
-                -mdot.max(0.0) - dterm,
-            ]
-        })
-        .collect();
-    vals.scatter_edges(&graph.scatter, coeffs.as_flattened());
+    vals.fill_edges(&graph.scatter, |k| {
+        let edge = &mesh.edges[owned_edges[k]];
+        let gamma = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
+        upwind_diffusion(rho * dot3(edge.area_vec, uface(state, edge)), gamma * edge.area_over_dist)
+    });
     for (k, &n) in owned_nodes.iter().enumerate() {
         let slot = graph.diag_slots[k];
         if graph.dirichlet[n] {
@@ -490,15 +486,19 @@ pub(crate) mod oracle {
 
 /// Projection update after the pressure solve: `u ← u − (dt/ρ)∇(δp)` on
 /// interior nodes and `p ← p + δp` (replicated state: plain loops).
+/// `grad` is one slot per node, overwritten with the Green-Gauss
+/// gradient of `δp`.
 pub fn correct_velocity(
     mesh: &Mesh,
     tags: &[BcTag],
     state: &mut State,
     params: &PhysicsParams,
     mom_dirichlet: &[bool],
+    grad: &mut [[f64; 3]],
 ) {
     let n = mesh.n_nodes();
-    let mut grad = vec![[0.0f64; 3]; n];
+    assert_eq!(grad.len(), n, "one gradient slot per node");
+    grad.fill([0.0; 3]);
     for edge in &mesh.edges {
         let pface = 0.5 * (state.dp[edge.a] + state.dp[edge.b]);
         for (c, &av) in edge.area_vec.iter().enumerate() {
@@ -677,7 +677,8 @@ mod tests {
         }
         let dir = dirichlet_momentum(&s.tags);
         let vel0 = state.vel.clone();
-        correct_velocity(&s.mesh, &s.tags, &mut state, &params, &dir);
+        let mut grad = vec![[f64::NAN; 3]; s.mesh.n_nodes()];
+        correct_velocity(&s.mesh, &s.tags, &mut state, &params, &dir, &mut grad);
         for (i, v0) in vel0.iter().enumerate() {
             assert_eq!(state.vel[i], *v0, "constant dp moved velocity");
             assert!((state.p[i] - 7.5).abs() < 1e-12);

@@ -1,5 +1,7 @@
 //! Per-mesh equation-system bookkeeping.
 
+use amg::AmgPrecond;
+
 use crate::dofmap::{DofMap, PartitionMethod};
 use crate::graph::{
     classify_nodes, dirichlet_momentum, dirichlet_pressure, BcTag, EquationGraph, LocalValues,
@@ -32,7 +34,9 @@ impl EqKind {
 }
 
 /// Graphs and value buffers for one mesh, rebuilt whenever the node
-/// classification changes (see [`MeshSystem::rebuild_graphs`]).
+/// classification changes (see [`MeshSystem::rebuild_graphs`]) — and with
+/// them everything derived from them: assembly plans, scratch, and the
+/// cached pressure preconditioner.
 #[derive(Clone, Debug)]
 pub struct Graphs {
     /// Momentum/scalar share a Dirichlet mask and hence a pattern shape,
@@ -48,6 +52,16 @@ pub struct Graphs {
     pub con_vals: LocalValues,
     /// Scalar values.
     pub sca_vals: LocalValues,
+    /// The AMG preconditioner of the continuity operator, keyed on the
+    /// bits of the `dt/ρ` it was assembled with. The operator is a
+    /// function of this graph and `dt/ρ` alone
+    /// ([`crate::assemble::fill_continuity_operator`]), so while both
+    /// hold, a Picard iteration neither refills, reassembles nor
+    /// re-checks it; the Picard driver takes the entry out for an attempt
+    /// and puts it back only after a successful solve.
+    pub(crate) con_precond: Option<(u64, AmgPrecond)>,
+    /// Per-node scratch of the velocity correction's pressure gradient.
+    pub(crate) dp_grad: Vec<[f64; 3]>,
 }
 
 /// Partition, numbering, and graphs of one overset mesh on one rank.
@@ -136,8 +150,8 @@ impl MeshSystem {
             &self.owned_nodes,
         );
         let mom_vals = LocalValues::zeros(&momentum);
-        let con_vals = LocalValues::zeros(&continuity);
-        let sca_vals = LocalValues::zeros(&scalar);
+        let con_vals = LocalValues::zeros_sharing(&continuity, &mom_vals);
+        let sca_vals = LocalValues::zeros_sharing(&scalar, &mom_vals);
         self.graphs = Some(Graphs {
             momentum,
             continuity,
@@ -145,6 +159,8 @@ impl MeshSystem {
             mom_vals,
             con_vals,
             sca_vals,
+            con_precond: None,
+            dp_grad: vec![[0.0; 3]; mesh.n_nodes()],
         });
     }
 

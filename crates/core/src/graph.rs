@@ -11,9 +11,10 @@
 //! stage scatter coefficients without any searching (the paper's
 //! binary-search-once optimization of §3.2).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use distmat::{AssemblyPlan, VectorPlan};
+use rayon::prelude::*;
 use sparse_kit::prims;
 use windmesh::{BcKind, Mesh, NodeStatus};
 
@@ -86,9 +87,9 @@ pub const SKIP: u32 = u32::MAX;
 /// High bit marks a slot into the shared value array.
 const SHARED_BIT: u32 = 1 << 31;
 
-/// Inverse of [`EquationGraph::edge_slots`]: for every pattern slot, the
-/// list of per-edge contribution indices (`4·edge + corner`) that land in
-/// it, in ascending order.
+/// Inverse of the write slots of every owned edge (`edge_slots`): for
+/// every pattern slot, the list of per-edge contribution indices
+/// (`4·edge + corner`) that land in it, in ascending order.
 ///
 /// This is what lets the local-assembly stage run the edge loop in
 /// parallel and still produce bitwise-deterministic sums: the per-edge
@@ -97,6 +98,8 @@ const SHARED_BIT: u32 = 1 << 31;
 /// the same order the sequential loop used — regardless of thread count.
 #[derive(Clone, Debug)]
 pub struct ScatterPlan {
+    /// Owned edges: the plan gathers from `4 · n_edges` contributions.
+    pub n_edges: usize,
     /// CSR-style offsets into `owned_src`, one segment per owned slot.
     pub owned_indptr: Vec<usize>,
     /// Contribution indices (`4k + j`) per owned slot, ascending.
@@ -149,6 +152,7 @@ impl ScatterPlan {
             }
         }
         ScatterPlan {
+            n_edges: edge_slots.len(),
             owned_indptr,
             owned_src,
             shared_indptr,
@@ -158,20 +162,20 @@ impl ScatterPlan {
 }
 
 /// The exact sparsity pattern of one equation system on one rank, with
-/// precomputed write slots.
+/// precomputed write slots. The per-edge slots (`edge_slots`) are kept
+/// only in their slot-major form, the scatter plan.
 #[derive(Clone, Debug)]
 pub struct EquationGraph {
     /// Row-major sorted (row, col) pairs for rows owned by this rank.
     pub owned: Vec<(u64, u64)>,
     /// Row-major sorted pairs for rows owned by other ranks.
     pub shared: Vec<(u64, u64)>,
-    /// Per owned edge: slots for (aa, ab, bb, ba).
-    pub edge_slots: Vec<[u32; 4]>,
     /// Per owned node (in owned-node order): slot of the diagonal.
     pub diag_slots: Vec<u32>,
     /// Dirichlet mask used to build the pattern.
     pub dirichlet: Vec<bool>,
-    /// Slot-wise inverse of `edge_slots` for the parallel edge scatter.
+    /// Slot-wise inverse of the per-edge slots, for the parallel edge
+    /// scatter.
     pub scatter: ScatterPlan,
     /// `(position in the outflow patch, diagonal slot)` of every outflow
     /// node this rank owns with a free (non-Dirichlet) row, in patch
@@ -231,30 +235,7 @@ impl EquationGraph {
         shared.sort_unstable();
         shared.dedup();
 
-        let find = |owned_v: &Vec<(u64, u64)>, shared_v: &Vec<(u64, u64)>, row_owner: usize, pair: (u64, u64)| -> u32 {
-            if row_owner == me {
-                owned_v.binary_search(&pair).expect("pattern miss (owned)") as u32
-            } else {
-                SHARED_BIT
-                    | shared_v.binary_search(&pair).expect("pattern miss (shared)") as u32
-            }
-        };
-        let mut edge_slots = Vec::with_capacity(owned_edges.len());
-        for &e in owned_edges {
-            let edge = &mesh.edges[e];
-            let (a, b) = (edge.a, edge.b);
-            let (ga, gb) = (dm.gid[a], dm.gid[b]);
-            let mut slots = [SKIP; 4];
-            if !dirichlet[a] {
-                slots[0] = find(&owned, &shared, dm.owner[a], (ga, ga));
-                slots[1] = find(&owned, &shared, dm.owner[a], (ga, gb));
-            }
-            if !dirichlet[b] {
-                slots[2] = find(&owned, &shared, dm.owner[b], (gb, gb));
-                slots[3] = find(&owned, &shared, dm.owner[b], (gb, ga));
-            }
-            edge_slots.push(slots);
-        }
+        let edge_slots = edge_slots(mesh, dm, me, &dirichlet, owned_edges, &owned, &shared);
         let diag_slots = owned_nodes
             .iter()
             .map(|&n| {
@@ -278,7 +259,6 @@ impl EquationGraph {
         EquationGraph {
             owned,
             shared,
-            edge_slots,
             diag_slots,
             dirichlet,
             scatter,
@@ -294,7 +274,48 @@ impl EquationGraph {
     }
 }
 
-/// Value buffers matching an [`EquationGraph`] pattern.
+/// The write slots of every owned edge: for corners (aa, ab, bb, ba),
+/// the position of the entry in the owned pattern, or in the shared one
+/// with `SHARED_BIT` set, or `SKIP` on a Dirichlet row.
+fn edge_slots(
+    mesh: &Mesh,
+    dm: &DofMap,
+    me: usize,
+    dirichlet: &[bool],
+    owned_edges: &[usize],
+    owned: &[(u64, u64)],
+    shared: &[(u64, u64)],
+) -> Vec<[u32; 4]> {
+    let find = |row_owner: usize, pair: (u64, u64)| -> u32 {
+        if row_owner == me {
+            owned.binary_search(&pair).expect("pattern miss (owned)") as u32
+        } else {
+            SHARED_BIT | shared.binary_search(&pair).expect("pattern miss (shared)") as u32
+        }
+    };
+    owned_edges
+        .iter()
+        .map(|&e| {
+            let edge = &mesh.edges[e];
+            let (a, b) = (edge.a, edge.b);
+            let (ga, gb) = (dm.gid[a], dm.gid[b]);
+            let mut slots = [SKIP; 4];
+            if !dirichlet[a] {
+                slots[0] = find(dm.owner[a], (ga, ga));
+                slots[1] = find(dm.owner[a], (ga, gb));
+            }
+            if !dirichlet[b] {
+                slots[2] = find(dm.owner[b], (gb, gb));
+                slots[3] = find(dm.owner[b], (gb, ga));
+            }
+            slots
+        })
+        .collect()
+}
+
+/// Value buffers matching an [`EquationGraph`] pattern, and the per-edge
+/// scratch the local-assembly stage computes them through — allocated
+/// with the graph, overwritten by every fill.
 ///
 /// The scatter-add is the stand-in for the GPU atomic adds of §3.2. The
 /// paper notes that atomics forgo bitwise run-to-run reproducibility;
@@ -305,14 +326,36 @@ pub struct LocalValues {
     pub owned: Vec<f64>,
     /// Values of the shared pattern entries.
     pub shared: Vec<f64>,
+    /// Per owned edge: its coefficient quadruple, written and read by
+    /// [`LocalValues::fill_edges`] alone. So the value sets of one mesh's
+    /// graphs, whose fills run one at a time, share one buffer
+    /// ([`LocalValues::zeros_sharing`]), and so does a clone.
+    edge_scratch: Arc<Mutex<Vec<[f64; 4]>>>,
 }
 
 impl LocalValues {
     /// Zeroed buffers for `graph`.
     pub fn zeros(graph: &EquationGraph) -> Self {
+        let scratch = vec![[0.0; 4]; graph.scatter.n_edges];
+        Self::with_scratch(graph, Arc::new(Mutex::new(scratch)))
+    }
+
+    /// Zeroed buffers for `graph`, a graph over the same owned edges as
+    /// `other`'s, sharing its edge scratch.
+    pub(crate) fn zeros_sharing(graph: &EquationGraph, other: &LocalValues) -> Self {
+        Self::with_scratch(graph, Arc::clone(&other.edge_scratch))
+    }
+
+    fn with_scratch(graph: &EquationGraph, edge_scratch: Arc<Mutex<Vec<[f64; 4]>>>) -> Self {
+        assert_eq!(
+            edge_scratch.lock().expect("edge scratch lock").len(),
+            graph.scatter.n_edges,
+            "edge scratch sized for another edge set"
+        );
         LocalValues {
             owned: vec![0.0; graph.owned.len()],
             shared: vec![0.0; graph.shared.len()],
+            edge_scratch,
         }
     }
 
@@ -336,13 +379,22 @@ impl LocalValues {
         }
     }
 
-    /// Apply the whole edge stage at once: `src` is the flattened per-edge
-    /// coefficient array (`src[4k + j]` = corner `j` of edge `k`) and
-    /// `plan` routes every contribution to its slot. Each slot sums its
-    /// contributions in ascending edge order, so the result is bitwise
-    /// identical to calling [`LocalValues::add`] edge by edge — but the
-    /// underlying segmented reduction is free to run slots in parallel.
-    pub fn scatter_edges(&mut self, plan: &ScatterPlan, src: &[f64]) {
+    /// Apply the whole edge stage at once: `coef(k)` is the coefficient
+    /// quadruple of owned edge `k` (a pure function of that edge, so it
+    /// is evaluated in parallel), and `plan` routes corner `j` of edge
+    /// `k` to its slot. Each slot sums its contributions in ascending
+    /// edge order, so the result is bitwise identical to calling
+    /// [`LocalValues::add`] edge by edge — but the underlying segmented
+    /// reduction is free to run slots in parallel.
+    pub fn fill_edges(&mut self, plan: &ScatterPlan, coef: impl Fn(usize) -> [f64; 4] + Sync) {
+        const EDGE_CHUNK: usize = 1024;
+        let mut coeffs = self.edge_scratch.lock().expect("edge scratch lock");
+        coeffs.par_chunks_mut(EDGE_CHUNK).enumerate().for_each(|(b, chunk)| {
+            for (i, c) in chunk.iter_mut().enumerate() {
+                *c = coef(b * EDGE_CHUNK + i);
+            }
+        });
+        let src = coeffs.as_flattened();
         prims::segmented_gather_sum(&plan.owned_indptr, &plan.owned_src, src, &mut self.owned);
         prims::segmented_gather_sum(&plan.shared_indptr, &plan.shared_src, src, &mut self.shared);
     }
@@ -418,7 +470,7 @@ mod tests {
         let on = dm.owned_nodes(0);
         let g = EquationGraph::build(&mesh, &dm, 0, dir, &oe, &on);
         assert!(g.shared.is_empty());
-        assert_eq!(g.edge_slots.len(), mesh.edges.len());
+        assert_eq!(g.scatter.n_edges, mesh.edges.len());
         assert_eq!(g.diag_slots.len(), mesh.n_nodes());
         // Pattern is sorted and unique.
         assert!(g.owned.windows(2).all(|w| w[0] < w[1]));
@@ -496,21 +548,22 @@ mod tests {
                 let oe = owned_edges(&mesh, &dm, me);
                 let on = dm.owned_nodes(me);
                 let g = EquationGraph::build(&mesh, &dm, me, dir.clone(), &oe, &on);
+                let slots = edge_slots(&mesh, &dm, me, &dir, &oe, &g.owned, &g.shared);
                 // Contributions spanning many magnitudes and signs.
-                let src: Vec<f64> = (0..4 * g.edge_slots.len())
+                let src: Vec<f64> = (0..4 * slots.len())
                     .map(|c| {
                         let mag = 10f64.powi((c % 9) as i32 - 4);
                         mag * (((c * 2654435761) % 1000) as f64 - 499.5)
                     })
                     .collect();
                 let mut seq = LocalValues::zeros(&g);
-                for (k, slots) in g.edge_slots.iter().enumerate() {
+                for (k, slots) in slots.iter().enumerate() {
                     for (j, &s) in slots.iter().enumerate() {
                         seq.add(s, src[4 * k + j]);
                     }
                 }
                 let mut plan = LocalValues::zeros(&g);
-                plan.scatter_edges(&g.scatter, &src);
+                plan.fill_edges(&g.scatter, |k| std::array::from_fn(|j| src[4 * k + j]));
                 assert_eq!(seq.owned, plan.owned, "owned differ");
                 assert_eq!(seq.shared, plan.shared, "shared differ");
             }

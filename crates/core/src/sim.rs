@@ -24,12 +24,11 @@ use windmesh::overset::assemble_overset;
 use windmesh::{Mesh, OversetAssembly};
 
 use crate::assemble::{
-    correct_velocity, fill_continuity, fill_momentum, fill_scalar, try_build_matrix,
-    try_build_rhs, PhysicsParams,
+    correct_velocity, fill_continuity_operator, fill_continuity_rhs, fill_momentum, fill_scalar,
+    try_build_matrix, try_build_rhs, PhysicsParams,
 };
 use crate::dofmap::PartitionMethod;
 use crate::eqsys::{EqKind, MeshSystem};
-use crate::graph::dirichlet_momentum;
 use crate::state::{overset_exchange, State};
 use crate::timing::{Phase, Timings};
 
@@ -171,14 +170,57 @@ impl Default for AttemptMods {
     }
 }
 
-/// What preconditions one pressure-solve attempt, together with the
-/// operator GMRES runs against.
+/// What preconditions one momentum or scalar solve attempt, holding the
+/// operator GMRES runs against: the assembled matrix moves in, so it
+/// exists once. (One lives on the stack per attempt, so its variants may
+/// differ in size.)
+#[allow(clippy::large_enum_variant)]
+enum TransportPrecond {
+    /// Compact SGS2 over the operator it owns.
+    Sgs2(Sgs2),
+    /// The recovery ladder's Jacobi-Richardson demotion.
+    Jacobi(ParCsr, JacobiPrecond),
+}
+
+impl TransportPrecond {
+    fn setup(a: ParCsr, cfg: &SolverConfig, mods: &AttemptMods) -> Self {
+        if mods.fallback_smoother {
+            let jacobi = JacobiPrecond::new(&a.diag.diag(), 1.0);
+            TransportPrecond::Jacobi(a, jacobi)
+        } else {
+            TransportPrecond::Sgs2(Sgs2::owning(a, cfg.sgs_inner, cfg.sgs_outer))
+        }
+    }
+
+    /// `(operator, preconditioner)` for GMRES.
+    fn parts(&self) -> (&ParCsr, &dyn Preconditioner) {
+        match self {
+            TransportPrecond::Sgs2(sgs) => (sgs.operator(), sgs),
+            TransportPrecond::Jacobi(a, jacobi) => (a, jacobi),
+        }
+    }
+}
+
+/// Where one pressure-solve attempt takes its operator from (on the
+/// stack for one attempt, as [`TransportPrecond`]).
+#[allow(clippy::large_enum_variant)]
+enum PressureOperator {
+    /// The preconditioner cached with the graphs for this `dt/ρ`, its
+    /// operator level 0 of its hierarchy: nothing is filled, assembled
+    /// or checked.
+    Cached(AmgPrecond),
+    /// Assembled by this attempt.
+    Assembled(ParCsr),
+}
+
+/// What preconditions one pressure-solve attempt, holding the operator
+/// GMRES runs against.
 enum PressurePrecond {
     /// The AMG preconditioner; the operator is level 0 of its hierarchy.
     Amg(AmgPrecond),
-    /// The recovery ladder's SGS2 demotion over the assembled operator
+    /// The recovery ladder's SGS2 demotion over the operator it owns
     /// (boxed: the rare rung is far larger than the common case).
-    Fallback(Box<(ParCsr, Sgs2)>),
+    Fallback(Box<Sgs2>),
 }
 
 /// A running simulation on one rank.
@@ -203,15 +245,6 @@ pub struct Simulation {
     /// Keeps the fault-injection plan installed as this rank thread's
     /// injector for the lifetime of the simulation (None = no faults).
     _fault_guard: Option<FaultGuard>,
-    /// Per-mesh pressure preconditioners, keyed on the operator itself:
-    /// the continuity matrix is `dt/ρ · area_over_dist` plus identity
-    /// rows on the pressure-Dirichlet mask — it never reads `State` and
-    /// is invariant under rigid rotor motion — so every solve after the
-    /// first finds the hierarchy it would rebuild already here (the
-    /// bit-for-bit check is [`AmgPrecond::reuse_or_setup`]). An entry is
-    /// dropped by any failed continuity attempt and by the
-    /// fallback-smoother rung.
-    amg_cache: BTreeMap<usize, AmgPrecond>,
     /// Newest complete checkpoint this rank wrote or restored from:
     /// `(generation, step)`.
     last_ckpt: Option<(u64, u64)>,
@@ -280,7 +313,6 @@ impl Simulation {
             telemetry: tel,
             tel_guard,
             _fault_guard: fault_guard,
-            amg_cache: BTreeMap::new(),
             last_ckpt: None,
             clock,
             health: telemetry::health::HealthDetector::new(),
@@ -618,12 +650,13 @@ impl Simulation {
     /// overset assembly never mutates coordinates) and reassembles the
     /// overset connectivity once. Fault-injector occurrence counters are
     /// restored so seeded fault windows keep advancing where the
-    /// interrupted run left off. The pressure-preconditioner cache starts
-    /// empty: the first post-restore solve of each mesh sets its
-    /// hierarchy up afresh, bit-identical to the one the interrupted run
-    /// was holding. Graphs and their assembly plans are kept as they are:
-    /// they are functions of topology, partition and node tags, none of
-    /// which a checkpoint carries or a restore changes.
+    /// interrupted run left off. The cached pressure preconditioners are
+    /// dropped: the first post-restore solve of each mesh assembles its
+    /// operator and sets its hierarchy up afresh, bit-identical to the
+    /// one the interrupted run was holding. Graphs and their assembly
+    /// plans are kept as they are: they are functions of topology,
+    /// partition and node tags, none of which a checkpoint carries or a
+    /// restore changes.
     ///
     /// Call right after [`Simulation::new`], before the first step.
     /// Collective (every rank reads the same manifest).
@@ -695,7 +728,9 @@ impl Simulation {
             })
             .collect::<Result<_, _>>()?;
         self.step_count = ck.step as usize;
-        self.amg_cache.clear();
+        for graphs in self.systems.iter_mut().filter_map(|sys| sys.graphs.as_mut()) {
+            graphs.con_precond = None;
+        }
         // Replay rotor motion: one rotation per completed step, exactly
         // the calls the uninterrupted run made, then reassemble the
         // overset connectivity (a pure function of the coordinates).
@@ -797,15 +832,18 @@ impl Simulation {
         rec
     }
 
-    /// Allreduced finite scan of an assembled system: every rank sees the
+    /// Allreduced finite scan of an assembled system (`a` is `None` when
+    /// the operator was not assembled this attempt): every rank sees the
     /// same global count of non-finite coefficients, so the error branch
     /// is collectively consistent.
     fn check_system_finite(
         rank: &Rank,
-        a: &ParCsr,
+        a: Option<&ParCsr>,
         rhs: &[&ParVector],
     ) -> Result<(), SolveError> {
-        let mut local = guard::count_nonfinite(a.diag.vals()) + guard::count_nonfinite(a.offd.vals());
+        let mut local = a.map_or(0, |a| {
+            guard::count_nonfinite(a.diag.vals()) + guard::count_nonfinite(a.offd.vals())
+        });
         for b in rhs {
             local += guard::count_nonfinite(&b.local);
         }
@@ -868,17 +906,13 @@ impl Simulation {
                 .collect::<Result<Vec<ParVector>, _>>()?;
             Ok::<_, SolveError>((a, bs))
         })?;
-        Self::check_system_finite(rank, &a, &bs.iter().collect::<Vec<_>>())?;
+        Self::check_system_finite(rank, Some(&a), &bs.iter().collect::<Vec<_>>())?;
         // Preconditioner setup: compact SGS2, or plain Jacobi-Richardson
         // when the recovery ladder has demoted the smoother.
-        let precond: Box<dyn Preconditioner> =
-            Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-                if mods.fallback_smoother {
-                    Box::new(JacobiPrecond::new(&a.diag.diag(), 1.0)) as Box<dyn Preconditioner>
-                } else {
-                    Box::new(Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer))
-                }
-            });
+        let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
+            TransportPrecond::setup(a, &cfg, mods)
+        });
+        let (a, precond) = precond.parts();
         // Solve the three components with the shared matrix/preconditioner.
         let gmres = Self::make_gmres(&cfg, cfg.momentum_tol);
         let mut total_iters = 0;
@@ -894,7 +928,7 @@ impl Simulation {
                     sys.dm.dist.clone(),
                     sys.owned_nodes.iter().map(|&n| state.vel[n][c]).collect(),
                 );
-                let stats = gmres.solve(rank, &a, b, &mut x, &*precond)?;
+                let stats = gmres.solve(rank, a, b, &mut x, precond)?;
                 total_iters += stats.iters;
                 rel = stats.rel_residual;
                 components.push(x.to_serial(rank));
@@ -924,46 +958,91 @@ impl Simulation {
         let state = &mut self.states[m];
         let mut params = cfg.physics;
         params.dt *= mods.dt_scale;
-        // The cached preconditioner leaves the map for the attempt and
-        // goes back only after a successful solve, so every error return
-        // below — and the fallback rung, which never puts it back —
-        // evicts it: the retry's `Rebuild` is a from-scratch setup.
-        let cached = self.amg_cache.remove(&m);
-
         let graphs = sys.graphs.as_mut().expect("graphs built");
+        // The operator — and so its hierarchy — is a function of the
+        // graphs and `dt/ρ` alone. A cached preconditioner leaves the
+        // graphs for the attempt and goes back only after a successful
+        // solve, so every error return below evicts it: the retry's
+        // `Rebuild` reassembles and sets up from scratch. The fallback
+        // rung, which needs an assembled operator for its SGS2, drops it
+        // too.
+        let key = (params.dt / params.density).to_bits();
+        let cached = graphs
+            .con_precond
+            .take()
+            .filter(|&(k, _)| k == key && !mods.fallback_smoother)
+            .map(|(_, amg)| amg);
+
         let rhs = Self::phased(rank, t, eq, Phase::LocalAssembly, || {
-            fill_continuity(
+            if cached.is_none() {
+                fill_continuity_operator(
+                    rank,
+                    mesh,
+                    &graphs.continuity,
+                    &params,
+                    &sys.owned_edges,
+                    &sys.owned_nodes,
+                    &mut graphs.con_vals,
+                );
+            }
+            fill_continuity_rhs(
                 rank,
                 mesh,
                 &sys.dm,
                 &graphs.continuity,
                 &sys.tags,
                 state,
-                &params,
                 &sys.owned_edges,
                 &sys.owned_nodes,
-                &mut graphs.con_vals,
             )
         });
-        let (a, b): (ParCsr, ParVector) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
-            let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)?;
-            Ok::<_, SolveError>((a, try_build_rhs(rank, &graphs.continuity, rhs)?))
-        })?;
-        Self::check_system_finite(rank, &a, &[&b])?;
-        // Preconditioner setup: AMG — the cached hierarchy whenever it
-        // was built for this very operator, which after the first solve
-        // it always was — demoted to SGS2 by the recovery ladder (a
-        // stalled or corrupted hierarchy must not take the whole step
-        // down). GMRES runs against the operator the preconditioner
-        // holds, so `a` is moved or dropped, never cloned.
-        let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-            if mods.fallback_smoother {
-                let sgs = Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer);
-                return Ok(PressurePrecond::Fallback(Box::new((a, sgs))));
+        let (op, b) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
+            let (op, nan) = match cached {
+                // The matrix assembly this skips hosts the assembly fault
+                // hooks; they fire here instead, against the right-hand
+                // side, so a fault plan counts the same occurrences.
+                Some(amg) => {
+                    telemetry::counter("continuity.operators_reused", 1);
+                    (PressureOperator::Cached(amg), distmat::assembly_fault_hooks(rank)?)
+                }
+                None => {
+                    telemetry::counter("continuity.operators_assembled", 1);
+                    let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)?;
+                    (PressureOperator::Assembled(a), false)
+                }
+            };
+            let mut b = try_build_rhs(rank, &graphs.continuity, rhs)?;
+            if let Some(v) = b.local.first_mut().filter(|_| nan) {
+                *v = f64::NAN;
             }
-            let (amg, reused) = AmgPrecond::reuse_or_setup(rank, cached, a, &cfg.amg)?;
-            telemetry::counter(if reused { "amg.setup_reused" } else { "amg.setup_rebuilt" }, 1);
-            Ok::<_, SolveError>(PressurePrecond::Amg(amg))
+            Ok::<_, SolveError>((op, b))
+        })?;
+        let assembled = match &op {
+            PressureOperator::Assembled(a) => Some(a),
+            PressureOperator::Cached(_) => None,
+        };
+        Self::check_system_finite(rank, assembled, &[&b])?;
+        // Preconditioner setup: AMG — the cached hierarchy, or one set up
+        // on the operator just assembled — demoted to SGS2 by the
+        // recovery ladder (a stalled or corrupted hierarchy must not take
+        // the whole step down). GMRES runs against the operator the
+        // preconditioner holds, so `a` is moved, never cloned.
+        let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
+            Ok::<_, SolveError>(match op {
+                PressureOperator::Cached(amg) => {
+                    telemetry::counter("amg.setup_reused", 1);
+                    PressurePrecond::Amg(amg)
+                }
+                PressureOperator::Assembled(a) if mods.fallback_smoother => {
+                    let sgs = Sgs2::owning(a, cfg.sgs_inner, cfg.sgs_outer);
+                    PressurePrecond::Fallback(Box::new(sgs))
+                }
+                PressureOperator::Assembled(a) => {
+                    let amg = AmgPrecond::setup(rank, a, &cfg.amg)?;
+                    telemetry::counter("amg.setup_rebuilt", 1);
+                    PressurePrecond::Amg(amg)
+                }
+            })
         })?;
         let (a, apply): (&ParCsr, &dyn Preconditioner) = match &precond {
             PressurePrecond::Amg(amg) => {
@@ -972,7 +1051,7 @@ impl Simulation {
                     Some((h.level_stats.len() as u64, h.grid_complexity, h.operator_complexity));
                 (amg.operator(), amg)
             }
-            PressurePrecond::Fallback(f) => (&f.0, &f.1),
+            PressurePrecond::Fallback(sgs) => (sgs.operator(), &**sgs),
         };
         let gmres = Self::make_gmres(&cfg, cfg.pressure_tol);
         let mut iters = 0;
@@ -989,14 +1068,14 @@ impl Simulation {
             Ok::<_, SolveError>(())
         })?;
         if let PressurePrecond::Amg(amg) = precond {
-            self.amg_cache.insert(m, amg);
+            graphs.con_precond = Some((key, amg));
         }
         self.final_rels.insert(eq.to_string(), rel);
         // Projection correction (physics, replicated). Only reached once
         // the pressure solve has succeeded.
         Self::phased(rank, t, eq, Phase::GraphPhysics, || {
-            let mom_dir = dirichlet_momentum(&sys.tags);
-            correct_velocity(mesh, &sys.tags, state, &params, &mom_dir);
+            let mom_dir = &graphs.momentum.dirichlet;
+            correct_velocity(mesh, &sys.tags, state, &params, mom_dir, &mut graphs.dp_grad);
         });
         Ok(iters)
     }
@@ -1035,15 +1114,11 @@ impl Simulation {
             let a = try_build_matrix(rank, &sys.dm, &graphs.scalar, &graphs.sca_vals)?;
             Ok::<_, SolveError>((a, try_build_rhs(rank, &graphs.scalar, rhs)?))
         })?;
-        Self::check_system_finite(rank, &a, &[&b])?;
-        let precond: Box<dyn Preconditioner> =
-            Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-                if mods.fallback_smoother {
-                    Box::new(JacobiPrecond::new(&a.diag.diag(), 1.0)) as Box<dyn Preconditioner>
-                } else {
-                    Box::new(Sgs2::with_sweeps(&a, cfg.sgs_inner, cfg.sgs_outer))
-                }
-            });
+        Self::check_system_finite(rank, Some(&a), &[&b])?;
+        let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
+            TransportPrecond::setup(a, &cfg, mods)
+        });
+        let (a, precond) = precond.parts();
         let gmres = Self::make_gmres(&cfg, cfg.momentum_tol);
         let mut iters = 0;
         let mut rel = 0.0;
@@ -1053,7 +1128,7 @@ impl Simulation {
                 sys.dm.dist.clone(),
                 sys.owned_nodes.iter().map(|&n| state.nut[n]).collect(),
             );
-            let stats = gmres.solve(rank, &a, &b, &mut x, &*precond)?;
+            let stats = gmres.solve(rank, a, &b, &mut x, precond)?;
             iters = stats.iters;
             rel = stats.rel_residual;
             let full = x.to_serial(rank);
@@ -1239,7 +1314,7 @@ mod tests {
 
     /// Kernel launches this rank has recorded in the pressure
     /// preconditioner-setup phase: grows with every AMG setup, stays put
-    /// across a reuse (the operator comparison launches no kernel).
+    /// across a reuse (which launches no kernel).
     fn setup_launches(rank: &Rank) -> u64 {
         rank.trace_snapshot().phase("continuity/precond setup").kernel_launches
     }
@@ -1269,7 +1344,8 @@ mod tests {
     /// turbine case: step 1 records the plans, and every matrix and
     /// right-hand side step 2 replays through them equals, bit for bit, a
     /// from-scratch Algorithm 1/2 of the same local values — on 1 and 2
-    /// ranks, over both transports.
+    /// ranks, over both transports. (Step 2 assembles no continuity
+    /// matrix: each mesh's operator is cached with its hierarchy.)
     #[test]
     fn replayed_assemblies_equal_algorithm_1_and_2_on_the_turbine_case() {
         use crate::assemble::oracle;
@@ -1284,40 +1360,70 @@ mod tests {
                     sim.step(rank);
                     oracle::arm();
                     sim.step(rank);
-                    // 2 Picard iterations × 2 meshes × 3 systems, the
-                    // momentum system with 3 right-hand sides.
-                    assert_eq!(oracle::disarm(), (12, 20), "{kind:?} p={p}");
+                    // 2 Picard iterations × 2 meshes × 2 systems; right-
+                    // hand sides for all 3, the momentum system with 3.
+                    assert_eq!(oracle::disarm(), (8, 20), "{kind:?} p={p}");
                 });
             }
         }
     }
 
-    /// The losslessness oracle: after two steps of the rotating 2-mesh
-    /// turbine case, each mesh's cached hierarchy — built once, in step
-    /// 1, before a further rotor rotation — is bit for bit the hierarchy
-    /// a fresh setup builds from that mesh's freshly assembled
-    /// continuity matrix.
+    /// Totals of the named telemetry counters in a rank's event stream.
+    fn counter_totals<const N: usize>(events: &[telemetry::Event], names: [&str; N]) -> [u64; N] {
+        names.map(|name| {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    telemetry::Event::Counter { name: n, value, .. } if n == name => Some(*value),
+                    _ => None,
+                })
+                .sum()
+        })
+    }
+
+    /// The counters that say how often a continuity operator was
+    /// assembled, reused, and set up.
+    const CONTINUITY_COUNTERS: [&str; 3] =
+        ["continuity.operators_assembled", "continuity.operators_reused", "amg.setup_rebuilt"];
+
+    /// The losslessness oracle and the soundness of the cache key: after
+    /// three steps of the rotating 2-mesh turbine case, each mesh's
+    /// continuity operator was assembled and set up exactly once (step 1,
+    /// before two further rotor rotations), and the cached operator and
+    /// hierarchy are bit for bit what a fresh assembly of that mesh's
+    /// operator and a fresh setup build now.
     #[test]
     fn cached_hierarchies_equal_fresh_setups_on_the_turbine_case() {
         use windmesh::turbine::{generate, NrelCase};
+        const STEPS: u64 = 3;
         let meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
         for p in [1, 2] {
             let meshes = meshes.clone();
             Comm::run(p, move |rank| {
-                let cfg = SolverConfig { picard_iters: 2, ..SolverConfig::default() };
+                let cfg =
+                    SolverConfig { picard_iters: 2, telemetry: true, ..SolverConfig::default() };
                 let mut sim = Simulation::new(rank, meshes.clone(), cfg.clone());
                 sim.step(rank);
                 let after_step_1 = setup_launches(rank);
-                sim.step(rank);
+                for _ in 1..STEPS {
+                    sim.step(rank);
+                }
                 assert_eq!(
                     setup_launches(rank),
                     after_step_1,
-                    "p={p}: step 2 set a pressure hierarchy up again"
+                    "p={p}: a later step set a pressure hierarchy up again"
+                );
+                let n_meshes = sim.n_meshes() as u64;
+                let solves = cfg.picard_iters as u64 * n_meshes * STEPS;
+                assert_eq!(
+                    counter_totals(&sim.finish_telemetry(rank), CONTINUITY_COUNTERS),
+                    [n_meshes, solves - n_meshes, n_meshes],
+                    "p={p}: continuity operators (assembled, reused) and setups"
                 );
                 for m in 0..sim.n_meshes() {
                     let sys = &mut sim.systems[m];
                     let graphs = sys.graphs.as_mut().expect("graphs built");
-                    let _rhs = fill_continuity(
+                    let _rhs = crate::assemble::fill_continuity(
                         rank,
                         &sim.meshes[m],
                         &sys.dm,
@@ -1331,8 +1437,11 @@ mod tests {
                     );
                     let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)
                         .expect("continuity assembles");
+                    let (key, cached) = graphs.con_precond.as_ref().expect("a cached hierarchy");
+                    assert_eq!(*key, (cfg.physics.dt / cfg.physics.density).to_bits());
+                    assert!(cached.operator().bitwise_eq(&a), "p={p} mesh {m}: stale operator");
                     let fresh = amg::AmgHierarchy::setup(rank, a, &cfg.amg).expect("AMG sets up");
-                    let cached = sim.amg_cache[&m].hierarchy();
+                    let cached = cached.hierarchy();
                     assert_eq!(cached.level_stats, fresh.level_stats, "p={p} mesh {m}");
                     assert_eq!(cached.grid_complexity.to_bits(), fresh.grid_complexity.to_bits());
                     assert_eq!(
@@ -1352,6 +1461,35 @@ mod tests {
                         assert!(same(&c.r, &f.r), "p={p} mesh {m} level {l}: R differs");
                     }
                 }
+            });
+        }
+    }
+
+    /// A node blanked between steps changes the tags, so the graphs are
+    /// rebuilt and the cached operator goes with them: the next solve
+    /// assembles and sets up once, and the ones after it reuse again.
+    #[test]
+    fn blanked_node_forces_one_continuity_reassembly_and_setup() {
+        for p in [1, 2] {
+            Comm::run(p, |rank| {
+                let cfg =
+                    SolverConfig { picard_iters: 2, telemetry: true, ..SolverConfig::default() };
+                let mut sim = Simulation::new(rank, vec![small_box()], cfg);
+                sim.step(rank);
+                sim.step(rank);
+                // The single mesh has no overset assembly to reset it, and
+                // every rank holds the same copy.
+                let n = (0..sim.meshes[0].n_nodes())
+                    .find(|&n| sim.systems[0].tags[n] == crate::graph::BcTag::Interior)
+                    .expect("an interior node");
+                sim.meshes[0].status[n] = windmesh::NodeStatus::Hole;
+                sim.step(rank);
+                sim.step(rank);
+                let events = sim.finish_telemetry(rank);
+                assert_eq!(counter_totals(&events, ["graphs.rebuilt"]), [2], "p={p}");
+                // 4 steps × 2 Picard iterations: steps 1 and 3 assemble
+                // on their first iteration.
+                assert_eq!(counter_totals(&events, CONTINUITY_COUNTERS), [2, 6, 2], "p={p}");
             });
         }
     }

@@ -105,18 +105,10 @@ impl IjMatrix {
             self.shared.sort_and_combine();
         }
 
-        if faults::fire(FaultKind::AssemblyNan, || rank.phase_name()) {
+        if assembly_fault_hooks(rank)? {
             if let Some(v) = self.owned.vals.first_mut() {
                 *v = f64::NAN;
             }
-        }
-        // socket-drop aborts the whole assembly exchange before any
-        // message is in flight (see `FaultKind::SocketDrop`): a retry
-        // after recovery re-runs a complete, clean exchange.
-        if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
-            return Err(SolveError::Comm {
-                detail: format!("injected socket drop in {}", rank.phase_name()),
-            });
         }
 
         // Pre-compute nnz_recv (paper: MPI_Allreduce after the graph
@@ -192,6 +184,24 @@ impl IjMatrix {
             .launch(all.len(), cost::stream(all.len(), 2));
         Ok(ParCsr::from_global_coo(rank, self.row_dist, self.col_dist, &all))
     }
+}
+
+/// The fault hooks a matrix assembly hosts, once per call and before any
+/// message is sent: `Ok(true)` when `assembly-nan` fires (the caller sets
+/// its first owned value to NaN), an error when `socket-drop` does — the
+/// whole exchange is abandoned before anything is in flight (see
+/// `FaultKind::SocketDrop`), so a retry after recovery re-runs a
+/// complete, clean one. A caller that skips an assembly it would
+/// otherwise run calls this in its place, so the occurrence counts of a
+/// fault plan do not depend on what was skipped.
+pub fn assembly_fault_hooks(rank: &Rank) -> Result<bool, SolveError> {
+    let nan = faults::fire(FaultKind::AssemblyNan, || rank.phase_name());
+    if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
+        return Err(SolveError::Comm {
+            detail: format!("injected socket drop in {}", rank.phase_name()),
+        });
+    }
+    Ok(nan)
 }
 
 /// Ordered contribution lists of one value array: entry `e` is
@@ -405,8 +415,8 @@ impl AssemblyPlan {
     /// plan's patterns carrying `owned_vals` / `shared_vals`, bit for
     /// bit. Collective among the ranks that share rows.
     ///
-    /// Hosts the same fault hooks as `try_assemble`, once per call and
-    /// before any message is sent: `assembly-nan` corrupts the first
+    /// Hosts the same fault hooks as `try_assemble`
+    /// ([`assembly_fault_hooks`]): `assembly-nan` corrupts the first
     /// owned value, `socket-drop` aborts the exchange.
     ///
     /// # Panics
@@ -425,15 +435,10 @@ impl AssemblyPlan {
         let mut stack = Vec::with_capacity(self.n_owned + n_recv);
         stack.extend_from_slice(owned_vals);
 
-        if faults::fire(FaultKind::AssemblyNan, || rank.phase_name()) {
+        if assembly_fault_hooks(rank)? {
             if let Some(v) = stack.first_mut() {
                 *v = f64::NAN;
             }
-        }
-        if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
-            return Err(SolveError::Comm {
-                detail: format!("injected socket drop in {}", rank.phase_name()),
-            });
         }
 
         {
@@ -463,6 +468,8 @@ impl AssemblyPlan {
 pub struct IjVector {
     dist: RowDist,
     rank_id: usize,
+    /// The global ids this rank owns: `owned[gi - start]`.
+    own: Range<u64>,
     owned: Vec<f64>,
     shared_ids: Vec<u64>,
     shared_vals: Vec<f64>,
@@ -471,24 +478,47 @@ pub struct IjVector {
 impl IjVector {
     /// New zero vector over `dist`.
     pub fn new(rank: &Rank, dist: RowDist) -> Self {
-        let n = dist.local_n(rank.rank());
+        let me = rank.rank();
+        let own = dist.start(me)..dist.end(me);
         IjVector {
+            owned: vec![0.0; dist.local_n(me)],
             dist,
-            rank_id: rank.rank(),
-            owned: vec![0.0; n],
+            rank_id: me,
+            own,
             shared_ids: Vec::new(),
             shared_vals: Vec::new(),
         }
     }
 
-    /// Add to global entry `gi`; off-rank entries are buffered.
+    /// Add to global entry `gi`; off-rank entries are buffered. An owned
+    /// id is one range check away from its slot: no owner search.
     pub fn add_value(&mut self, gi: u64, v: f64) {
+        if self.own.contains(&gi) {
+            self.owned[(gi - self.own.start) as usize] += v;
+            return;
+        }
         assert!(gi < self.dist.global_n(), "index {gi} out of range");
-        if self.dist.owner(gi) == self.rank_id {
-            self.owned[self.dist.to_local(self.rank_id, gi)] += v;
+        self.shared_ids.push(gi);
+        self.shared_vals.push(v);
+    }
+
+    /// `vs[c].add_value(gi, v[c])` for every component `c` of a field
+    /// whose components share one distribution: the id is resolved once
+    /// for all of them.
+    pub fn add_to_each<const N: usize>(vs: &mut [IjVector; N], gi: u64, v: [f64; N]) {
+        let Some(own) = vs.first().map(|x| x.own.clone()) else {
+            return;
+        };
+        debug_assert!(vs.iter().all(|x| x.own == own), "components over different distributions");
+        if own.contains(&gi) {
+            let i = (gi - own.start) as usize;
+            for (x, v) in vs.iter_mut().zip(v) {
+                x.owned[i] += v;
+            }
         } else {
-            self.shared_ids.push(gi);
-            self.shared_vals.push(v);
+            for (x, v) in vs.iter_mut().zip(v) {
+                x.add_value(gi, v);
+            }
         }
     }
 

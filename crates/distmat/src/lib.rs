@@ -26,6 +26,6 @@ pub mod vector;
 
 pub use dist::RowDist;
 pub use halo::Halo;
-pub use ij::{AssemblyPlan, IjMatrix, IjVector, VectorPlan};
+pub use ij::{assembly_fault_hooks, AssemblyPlan, IjMatrix, IjVector, VectorPlan};
 pub use parcsr::{CommPkg, HaloInFlight, ParCsr, ParCsrPattern};
 pub use vector::ParVector;

@@ -227,9 +227,10 @@ pub struct TwoStageGs {
 impl TwoStageGs {
     /// Build for `a` with `inner` JR iterations.
     pub fn new(a: &ParCsr, inner: usize) -> Self {
+        let (l, diag, _) = a.diag.split_triangles();
         TwoStageGs {
-            l: a.diag.strict_lower(),
-            inv_diag: inverse_diagonal(&a.diag.diag()),
+            l,
+            inv_diag: inverse_diagonal(&diag),
             inner,
             work: work(a.local_rows()),
         }
@@ -279,6 +280,10 @@ impl TwoStageGs {
 ///
 /// "Two outer and two inner iterations often leads to rapid convergence
 /// in less than five preconditioned GMRES iterations." — §4.2.
+///
+/// It owns the operator it smooths: a caller that has no further use for
+/// its matrix moves it in ([`Sgs2::owning`]) and runs its Krylov solve
+/// on [`Sgs2::operator`], so the operator exists once.
 #[derive(Clone, Debug)]
 pub struct Sgs2 {
     a: ParCsr,
@@ -301,19 +306,30 @@ impl Sgs2 {
         Self::with_sweeps(a, 2, 2)
     }
 
-    /// Build with explicit sweep counts.
+    /// Build with explicit sweep counts over a copy of `a`.
     pub fn with_sweeps(a: &ParCsr, inner: usize, outer: usize) -> Self {
-        let diag = a.diag.diag();
+        Self::owning(a.clone(), inner, outer)
+    }
+
+    /// Build with explicit sweep counts over `a`, which the smoother
+    /// keeps (see [`Sgs2::operator`]).
+    pub fn owning(a: ParCsr, inner: usize, outer: usize) -> Self {
+        let (l, diag, u) = a.diag.split_triangles();
         Sgs2 {
-            l: a.diag.strict_lower(),
-            u: a.diag.strict_upper(),
+            l,
+            u,
             inv_diag: inverse_diagonal(&diag),
             diag,
-            a: a.clone(),
+            work: work(a.local_rows()),
+            a,
             inner,
             outer,
-            work: work(a.local_rows()),
         }
+    }
+
+    /// The operator this smoother was built for.
+    pub fn operator(&self) -> &ParCsr {
+        &self.a
     }
 
     /// Stationary iteration with the SGS2 preconditioner on an arbitrary

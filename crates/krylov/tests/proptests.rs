@@ -1,6 +1,7 @@
 //! Property-based tests: a zero-guess smoothing round is the general
-//! round from an explicit zero vector, and a smoother's reused buffers
-//! carry nothing from one application to the next — bit for bit.
+//! round from an explicit zero vector, a smoother's reused buffers carry
+//! nothing from one application to the next, and an SGS2 that owns its
+//! operator smooths like one over a copy — bit for bit.
 
 use distmat::{ParCsr, ParVector, RowDist};
 use krylov::{Preconditioner, Sgs2, TwoStageGs};
@@ -156,6 +157,34 @@ proptest! {
                     sgs.smooth(rank, &b2, &mut x, outer);
                     fresh().smooth(rank, &b2, &mut x_fresh, outer);
                     assert_eq!(bits(&x.local), bits(&x_fresh.local), "n={n} p={p} smooth");
+                }
+            });
+        }
+    }
+
+    /// An `Sgs2` that owns its operator (built separately, moved in)
+    /// against one over a copy of it: the same operator and the same
+    /// `apply` bits, twice in a row, at 1 and 2 ranks.
+    #[test]
+    fn owning_sgs2_equals_copying_sgs2_bitwise(
+        (n, seed) in (global_size(), 0u64..1 << 20)
+    ) {
+        for p in 1..=2usize {
+            Comm::run(p, move |rank| {
+                let a = banded(rank, n, seed);
+                let dist = a.row_dist().clone();
+                for (inner, outer) in [(0, 1), (2, 2)] {
+                    let copying = Sgs2::with_sweeps(&a, inner, outer);
+                    let owning = Sgs2::owning(banded(rank, n, seed), inner, outer);
+                    assert!(owning.operator().bitwise_eq(copying.operator()), "n={n} p={p}");
+                    for salt in [0xB1, 0xB2] {
+                        let b = ParVector::from_fn(rank, dist.clone(), |g| unit(seed ^ salt, g));
+                        assert_eq!(
+                            bits(&owning.apply(rank, &b).local),
+                            bits(&copying.apply(rank, &b).local),
+                            "n={n} p={p} {inner}/{outer}"
+                        );
+                    }
                 }
             });
         }

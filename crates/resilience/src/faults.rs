@@ -43,9 +43,17 @@
 //! `continuity/precond setup`), where a corrupted value is structurally
 //! harmless. Pin the context when targeting the fine system — e.g.
 //! `assembly-nan@continuity/global` matches only the global assembly of
-//! the continuity equation itself; that hook fires exactly once per
-//! matrix assembly, before any message is sent, whether the assembly
-//! also records its graph's plan (the first one) or only replays it.
+//! the continuity equation itself; that hook (and `socket-drop` there)
+//! fires exactly once per solve attempt, before any message is sent.
+//! An attempt that assembles the matrix fires it in the plan replay,
+//! whether that also records its graph's plan (the first one) or not.
+//! An attempt that **reuses** the operator cached with its graphs (every
+//! Picard iteration after a mesh's first, while the graphs and `dt/ρ`
+//! hold) assembles no matrix and fires both hooks at the same point
+//! instead: `assembly-nan` then corrupts the right-hand side's first
+//! owned value, which the finite scan rejects just the same. So
+//! `assembly-nan@continuity/global:7` is the first pressure attempt of
+//! step 4 at 2 Picard iterations per step on one mesh, either way.
 //! Hooks inside AMG setup
 //! (`coarsen-stall`, and anything matched through
 //! `continuity/precond setup`) run only when a hierarchy is actually set

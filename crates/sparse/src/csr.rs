@@ -399,39 +399,43 @@ impl Csr {
         (0..self.nrows).map(|r| self.get(r, r)).collect()
     }
 
-    /// Strictly lower-triangular part.
-    pub fn strict_lower(&self) -> Csr {
-        self.filter(|r, c| c < r)
-    }
-
-    /// Strictly upper-triangular part.
-    pub fn strict_upper(&self) -> Csr {
-        self.filter(|r, c| c > r)
-    }
-
-    /// Keep entries where `keep(row, col)` is true.
-    pub fn filter(&self, keep: impl Fn(usize, usize) -> bool) -> Csr {
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
-        indptr.push(0);
-        for r in 0..self.nrows {
-            let (cols, v) = self.row(r);
-            for (&c, &val) in cols.iter().zip(v) {
-                if keep(r, c) {
-                    indices.push(c);
-                    vals.push(val);
-                }
+    /// The splitting `A = L + D + U` in one pass over the entries:
+    /// `(L, d, U)` with `L` / `U` the strictly lower / upper triangles
+    /// (same shape as `A`) and `d[r]` the stored diagonal value of row `r`,
+    /// `0.0` where none is stored. Every value is copied, never combined,
+    /// so `−0.0` and NaN payloads keep their bits.
+    pub fn split_triangles(&self) -> (Csr, Vec<f64>, Csr) {
+        let half = self.nnz() / 2;
+        let mut lower = (vec![0], Vec::with_capacity(half), Vec::with_capacity(half));
+        let mut upper = (vec![0], Vec::with_capacity(half), Vec::with_capacity(half));
+        lower.0.reserve(self.nrows);
+        upper.0.reserve(self.nrows);
+        let mut diag = vec![0.0; self.nrows];
+        for (r, d) in diag.iter_mut().enumerate() {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let (_, indices, tri_vals) = match c.cmp(&r) {
+                    std::cmp::Ordering::Less => &mut lower,
+                    std::cmp::Ordering::Greater => &mut upper,
+                    std::cmp::Ordering::Equal => {
+                        *d = v;
+                        continue;
+                    }
+                };
+                indices.push(c);
+                tri_vals.push(v);
             }
-            indptr.push(indices.len());
+            lower.0.push(lower.1.len());
+            upper.0.push(upper.1.len());
         }
-        Csr {
+        let triangle = |(indptr, indices, vals): (Vec<usize>, Vec<usize>, Vec<f64>)| Csr {
             nrows: self.nrows,
             ncols: self.ncols,
             indptr,
             indices,
             vals,
-        }
+        };
+        (triangle(lower), diag, triangle(upper))
     }
 }
 
@@ -500,14 +504,14 @@ mod tests {
     fn triangular_parts_and_diag() {
         let a = sample();
         assert_eq!(a.diag(), vec![2.0, 2.0, 2.0]);
-        let l = a.strict_lower();
+        let (l, d, u) = a.split_triangles();
+        assert_eq!(d, a.diag());
         assert_eq!(l.nnz(), 2);
         assert_eq!(l.get(1, 0), -1.0);
-        let u = a.strict_upper();
         assert_eq!(u.nnz(), 2);
         assert_eq!(u.get(0, 1), -1.0);
         // L + D + U == A
-        let rebuilt = l.add(&u).add(&Csr::from_diag(&a.diag()));
+        let rebuilt = l.add(&u).add(&Csr::from_diag(&d));
         assert_eq!(rebuilt.to_dense(), a.to_dense());
     }
 

@@ -131,21 +131,31 @@ where
 pub fn segmented_gather_sum(indptr: &[usize], perm: &[u32], src: &[f64], out: &mut [f64]) {
     assert_eq!(indptr.len(), out.len() + 1, "indptr/out length mismatch");
     assert_eq!(*indptr.last().unwrap(), perm.len(), "indptr/perm length mismatch");
-    let run = |(s, o): (usize, &mut f64)| {
-        let mut acc = 0.0;
-        for &p in &perm[indptr[s]..indptr[s + 1]] {
-            acc += src[p as usize];
+    // Segments go in fixed `GATHER_CHUNK`-segment blocks, a block per task
+    // from `PAR_THRESHOLD` segments on (a plain loop per block: no
+    // per-element iterator call).
+    let block = |b: usize, out: &mut [f64]| {
+        let s0 = b * GATHER_CHUNK;
+        let segments = indptr[s0..=s0 + out.len()].windows(2);
+        for (o, w) in out.iter_mut().zip(segments) {
+            let mut acc = 0.0;
+            for &p in &perm[w[0]..w[1]] {
+                acc += src[p as usize];
+            }
+            *o += acc;
         }
-        *o += acc;
     };
     if out.len() >= PAR_THRESHOLD {
-        out.par_iter_mut().enumerate().map(|(s, o)| (s, o)).for_each(run);
+        out.par_chunks_mut(GATHER_CHUNK)
+            .enumerate()
+            .for_each(|(b, o)| block(b, o));
     } else {
-        for (s, o) in out.iter_mut().enumerate() {
-            run((s, o));
-        }
+        block(0, out);
     }
 }
+
+/// Segments per block of [`segmented_gather_sum`].
+const GATHER_CHUNK: usize = 1 << 10;
 
 /// Exclusive prefix sum; returns a vector one longer than the input whose
 /// last element is the total (CSR `indptr` convention).

@@ -599,15 +599,45 @@ proptest! {
     #[test]
     fn lower_upper_diag_decomposition(d in (2usize..8,).prop_flat_map(|(n,)| dense(n, n))) {
         let a = Csr::from_dense(&d);
-        let rebuilt = a
-            .strict_lower()
-            .add(&a.strict_upper())
-            .add(&Csr::from_diag(&a.diag()));
+        let (l, diag, u) = a.split_triangles();
+        let rebuilt = l.add(&u).add(&Csr::from_diag(&diag));
         // Same values everywhere.
         for (r, row) in d.iter().enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 prop_assert!((rebuilt.get(r, c) - v).abs() < 1e-12);
             }
+        }
+    }
+
+    /// The one-pass split against the three passes it replaced: a row
+    /// filter per triangle and a per-row lookup of the diagonal. Rows
+    /// hold 0–5 entries, so some are empty and many lack a diagonal
+    /// (read as `0.0`); values carry −0.0 and, in mode 1, one NaN.
+    #[test]
+    fn split_triangles_equals_filters_and_diag_bitwise(
+        (n, mode, seed) in (0usize..80, 0u64..3, 0u64..1 << 20)
+    ) {
+        let mut a = hazard_rows(mode, seed, n);
+        plant_nan(mode, seed, a.vals_mut());
+        let (l, diag, u) = a.split_triangles();
+        prop_assert_eq!(bits(&diag), bits(&a.diag()));
+        let lower: fn(usize, usize) -> bool = |r, c| c < r;
+        for (split, keep) in [(&l, lower), (&u, |r, c| c > r)] {
+            let mut want = (vec![0usize], Vec::new(), Vec::new());
+            for r in 0..n {
+                let (cols, vals) = a.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    if keep(r, c) {
+                        want.1.push(c);
+                        want.2.push(v);
+                    }
+                }
+                want.0.push(want.1.len());
+            }
+            prop_assert_eq!((split.nrows(), split.ncols()), (n, n));
+            prop_assert_eq!(split.indptr(), &want.0[..]);
+            prop_assert_eq!(split.indices(), &want.1[..]);
+            prop_assert_eq!(bits(split.vals()), bits(&want.2));
         }
     }
 }

@@ -1075,10 +1075,10 @@ impl Report {
     /// One line answering "why is precond setup / graph / global-assembly
     /// time ~0": how often the driver rebuilt vs reused the pressure AMG
     /// hierarchy and the equation graphs, built vs replayed the graphs'
-    /// assembly plans, and how many smoothing rounds started from a zero
-    /// guess and so skipped their exchange and residual pass (counter
-    /// totals, summed over ranks). `None` when the stream carries none of
-    /// the seven counters.
+    /// assembly plans, assembled vs reused the continuity operator, and
+    /// how many smoothing rounds started from a zero guess and so skipped
+    /// their exchange and residual pass (counter totals, summed over
+    /// ranks). `None` when the stream carries none of the nine counters.
     fn reuse_summary(&self) -> Option<String> {
         let totals = [
             "amg.setup_rebuilt",
@@ -1087,16 +1087,19 @@ impl Report {
             "graphs.reused",
             "assembly.plan_built",
             "assembly.plan_replayed",
+            "continuity.operators_assembled",
+            "continuity.operators_reused",
             "smoother.zero_guess_rounds",
         ]
         .map(|name| self.counters.get(name).copied());
         if totals.iter().all(Option::is_none) {
             return None;
         }
-        let [ab, ar, gb, gr, pb, pr, zg] = totals.map(Option::unwrap_or_default);
+        let [ab, ar, gb, gr, pb, pr, ca, cr, zg] = totals.map(Option::unwrap_or_default);
         Some(format!(
             "reuse (summed over ranks): AMG setups rebuilt {ab} / reused {ar}; \
              graphs rebuilt {gb} / reused {gr}; assembly plans built {pb} / replayed {pr}; \
+             continuity operators assembled {ca} / reused {cr}; \
              zero-guess smoothing rounds {zg}"
         ))
     }
@@ -1566,6 +1569,7 @@ mod tests {
         let mut evs = sample_events();
         for rank in 0..2 {
             evs.push(Event::Counter { rank, name: "amg.setup_reused".into(), value: 3 });
+            evs.push(Event::Counter { rank, name: "continuity.operators_reused".into(), value: 3 });
             evs.push(Event::Counter { rank, name: "smoother.zero_guess_rounds".into(), value: 21 });
         }
         assert_eq!(
@@ -1573,6 +1577,7 @@ mod tests {
             Some(
                 "reuse (summed over ranks): AMG setups rebuilt 0 / reused 6; \
                  graphs rebuilt 0 / reused 0; assembly plans built 0 / replayed 0; \
+                 continuity operators assembled 0 / reused 6; \
                  zero-guess smoothing rounds 42"
             )
         );

@@ -342,3 +342,38 @@ fn mid_run_halo_nan_evicts_cached_hierarchy_and_recovers_bitwise() {
         assert_eq!(c.0, f.0, "rank {r}: recovered fields differ from clean run");
     }
 }
+
+/// Every continuity solve attempt calls the global-assembly fault hooks
+/// once, whether it assembles its operator or reuses the one cached with
+/// its graphs: over 3 steps of the 2-mesh turbine case, each hook is
+/// called `picard_iters × meshes × steps` times on every rank, at 1 and
+/// 2 ranks. Occurrences are probed with a window out of reach, so
+/// nothing fires.
+#[test]
+fn continuity_hook_calls_are_one_per_solve_attempt() {
+    use exawind::windmesh::turbine::{generate, NrelCase};
+    const STEPS: usize = 3;
+    let meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+    let n_meshes = meshes.len();
+    for p in [1, 2] {
+        let meshes = meshes.clone();
+        let counters = Comm::run(p, move |rank| {
+            let plan = "assembly-nan@continuity/global:1000000;\
+                        socket-drop@continuity/global:1000000";
+            let cfg = SolverConfig {
+                picard_iters: 2,
+                faults: Some(FaultPlan::parse(plan).expect("plan parses")),
+                ..SolverConfig::default()
+            };
+            let mut sim = Simulation::new(rank, meshes.clone(), cfg);
+            for _ in 0..STEPS {
+                sim.step(rank);
+            }
+            faults::counters()
+        });
+        let calls = (2 * n_meshes * STEPS) as u64;
+        for (r, c) in counters.iter().enumerate() {
+            assert_eq!(c, &[(calls, 0), (calls, 0)], "p={p} rank {r}: (hits, fired) per hook");
+        }
+    }
+}

@@ -171,9 +171,13 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert_eq!(report.counters["graphs.rebuilt"], 2);
     assert_eq!(report.counters["graphs.reused"], 2);
     // One assembly plan per graph, recorded by its first assembly; every
-    // assembly (2 steps × 2 Picard × 3 systems per rank) replays one.
+    // assembly replays one: 2 steps × 2 Picard × momentum and scalar,
+    // and the one continuity operator, per rank. The other three
+    // continuity solves reuse the operator cached with its hierarchy.
     assert_eq!(report.counters["assembly.plan_built"], 6, "3 plans per rank expected");
-    assert_eq!(report.counters["assembly.plan_replayed"], 24);
+    assert_eq!(report.counters["assembly.plan_replayed"], 18);
+    assert_eq!(report.counters["continuity.operators_assembled"], 2);
+    assert_eq!(report.counters["continuity.operators_reused"], 6);
     let health: Vec<(usize, u64, f64, f64)> = events
         .iter()
         .filter_map(|e| match e {
@@ -277,7 +281,8 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert!(
         text.contains(
             "AMG setups rebuilt 2 / reused 6; graphs rebuilt 2 / reused 2; \
-             assembly plans built 6 / replayed 24"
+             assembly plans built 6 / replayed 18; \
+             continuity operators assembled 2 / reused 6"
         ),
         "{text}"
     );
