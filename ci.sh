@@ -70,6 +70,21 @@ codec_keys=$(grep -nE '\("[a-z_]+", *Json::|_field\("' crates/telemetry/src/even
 [ -z "$codec_keys" ] \
   || { echo "schema gate: a JSON key spelled outside its field declaration: $codec_keys" >&2; exit 1; }
 
+# One pass reads a stream's timeline: outside `Timeline::from_events`
+# (trace.rs), no non-test telemetry code matches a `run`, `comm_edge` or
+# `collective` event in a match arm or a `let` pattern — the report, the
+# trace, the critical path and `validate_stream` read the extraction.
+# Constructors (`run_info`, `Event::examples`, the `events!` macro) only
+# build the variants.
+timeline_reads=$(for f in crates/telemetry/src/*.rs; do
+  sed -e '/#\[cfg(test)\]/,$d' -e '/^macro_rules! events {/,/^}$/d' \
+    -e "/fn from_events(events: &'a \[Event\]) -> Timeline/,/^    }$/d" "$f" \
+    | grep -Pzo '\blet\s+Event::(Run|CommEdge|Collective)\b|Event::(Run|CommEdge|Collective)\s*(\{[^{}]*\})?\s*(=>|\bif\b|\|)' \
+    | tr '\0' '\n' | sed "s|^|$f: |"
+done || true)
+[ -z "$timeline_reads" ] \
+  || { echo "timeline gate: an event the timeline owns is read outside it: $timeline_reads" >&2; exit 1; }
+
 # Telemetry end-to-end: a quickstart run must emit a JSONL event stream
 # that `exawind-perf validate` accepts (exit 0 ⇔ schema-valid, non-empty).
 tel_out=$(mktemp /tmp/exawind_telemetry.XXXXXX.jsonl)

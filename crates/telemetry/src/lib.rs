@@ -429,35 +429,31 @@ pub fn read_jsonl(path: &str) -> Result<Vec<Event>, String> {
 ///   windows nest (a child span's `[t0, t0+secs]` lies inside some
 ///   same-rank parent instance's window), and a `comm_edge`'s receiver
 ///   timestamps are ≥ the sender's after clock-offset correction, with
-///   slack for the handshake's rtt/2 uncertainty (both read through
-///   [`trace::ClockTable`]). The `run` clock table itself must be
-///   finite, non-negative-rtt, and rank-count sized.
+///   slack for the handshake's rtt/2 uncertainty. The `run` clock table
+///   itself must be finite, non-negative-rtt, and rank-count sized.
+///
+/// The cross-event checks read the stream's one [`trace::Timeline`]
+/// (the first `run` event's rank count and clock table, the span
+/// windows with parents looked up by path, the two views of each edge,
+/// the per-rank collective rows); errors print raw rank-local times.
 ///
 /// Returns all violations, not just the first.
 pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
     use std::collections::{BTreeMap, BTreeSet};
-    let clock = trace::ClockTable::from_events(events);
-    let mut span_paths: BTreeSet<(usize, &str)> = BTreeSet::new();
-    let mut run_ranks: Option<usize> = None;
-    for ev in events {
-        match ev {
-            Event::Span { rank, path, .. } => {
-                span_paths.insert((*rank, path.as_str()));
-            }
-            Event::Run { ranks, .. } => run_ranks = run_ranks.or(Some(*ranks)),
-            _ => {}
-        }
-    }
+    let tl = trace::Timeline::from_events(events);
+    let clock = &tl.clock;
+    let run_ranks = tl.run.as_ref().map(|h| h.ranks);
+    // `what` names rank `v`, which the `run` event's rank count excludes.
+    let out_of_range = |what: String, v: usize| {
+        run_ranks
+            .filter(|&n| v >= n)
+            .map(|n| format!("{what} out of range for run with {n} ranks"))
+    };
     let mut errors = Vec::new();
     // Clock table sanity (an empty table is one the handshake never wrote).
     for (name, table) in [("clock_offsets", &clock.offsets), ("clock_rtts", &clock.rtts)] {
-        if let Some(n) = run_ranks {
-            if !table.is_empty() && table.len() != n {
-                errors.push(format!(
-                    "run {name}: {} entries for a {n}-rank run",
-                    table.len()
-                ));
-            }
+        if let Some(n) = run_ranks.filter(|&n| !table.is_empty() && table.len() != n) {
+            errors.push(format!("run {name}: {} entries for a {n}-rank run", table.len()));
         }
         for (r, v) in table.iter().enumerate() {
             if !v.is_finite() {
@@ -467,17 +463,6 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
             }
         }
     }
-    // (src, dst, class) → [sender view, receiver view] as (msgs, bytes).
-    type EdgeViews<'a> = BTreeMap<(usize, usize, &'a str), [Option<(u64, u64)>; 2]>;
-    let mut edge_views: EdgeViews = BTreeMap::new();
-    // Same key → [sender view, receiver view] as (min t_first, max t_last).
-    type EdgeTimes<'a> = BTreeMap<(usize, usize, &'a str), [Option<(f64, f64)>; 2]>;
-    let mut edge_times: EdgeTimes = BTreeMap::new();
-    // rank → timestamped span windows as (path, depth, t0, end).
-    let mut span_windows: BTreeMap<usize, Vec<(&str, usize, f64, f64)>> = BTreeMap::new();
-    // kind → rank → total count; plus the set of ranks reporting anything.
-    let mut coll_counts: BTreeMap<&str, BTreeMap<usize, u64>> = BTreeMap::new();
-    let mut coll_ranks: BTreeSet<usize> = BTreeSet::new();
     // rank → [by-phase view, by-name view] as (launches, bytes, flops).
     let mut kernel_views: BTreeMap<usize, [(u64, u64, u64); 2]> = BTreeMap::new();
     let mut add_launches = |rank: usize, view: usize, (n, bytes, flops): (u64, u64, u64)| {
@@ -489,23 +474,12 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
             add_launches(*rank, 0, (*kernel_launches, *kernel_bytes, *kernel_flops));
         }
         match ev {
-            Event::Span { rank, path, depth, secs, t0: Some(t0) } => {
-                if !t0.is_finite() || *t0 < 0.0 {
-                    errors.push(format!(
-                        "span rank {rank} path {path:?}: non-finite or negative t0"
-                    ));
-                } else {
-                    span_windows.entry(*rank).or_default().push((
-                        path.as_str(),
-                        *depth,
-                        *t0,
-                        t0 + secs,
-                    ));
-                }
+            Event::Span { rank, path, t0: Some(t0), .. } if !t0.is_finite() || *t0 < 0.0 => {
+                errors.push(format!("span rank {rank} path {path:?}: non-finite or negative t0"));
             }
             Event::PhasePerf { rank, label, .. } if label.contains('/') => {
                 let suffix = format!("/{label}");
-                let known = span_paths.iter().any(|&(r, p)| {
+                let known = tl.span_paths.keys().any(|&(r, p)| {
                     r == *rank && (p == label || p.ends_with(&suffix))
                 });
                 if !known {
@@ -545,13 +519,7 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
                          only {step} steps"
                     ));
                 }
-                if let Some(n) = run_ranks {
-                    if *rank >= n {
-                        errors.push(format!(
-                            "checkpoint rank {rank} out of range for run with {n} ranks"
-                        ));
-                    }
-                }
+                errors.extend(out_of_range(format!("checkpoint rank {rank}"), *rank));
             }
             Event::Restore { rank, step, generation, .. } => {
                 if (*generation as usize) > *step {
@@ -560,70 +528,30 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
                          than its own step cursor {step}"
                     ));
                 }
-                if let Some(n) = run_ranks {
-                    if *rank >= n {
-                        errors.push(format!(
-                            "restore rank {rank} out of range for run with {n} ranks"
-                        ));
-                    }
-                }
-            }
-            Event::CommEdge { rank, src, dst, class, msgs, bytes, t_first, t_last } => {
-                if src == dst {
-                    errors.push(format!("comm_edge rank {rank}: self-edge {src}->{dst}"));
-                }
-                if rank != src && rank != dst {
-                    errors.push(format!(
-                        "comm_edge rank {rank} is neither src {src} nor dst {dst}"
-                    ));
-                }
-                if let Some(n) = run_ranks {
-                    for (name, v) in [("rank", rank), ("src", src), ("dst", dst)] {
-                        if *v >= n {
-                            errors.push(format!(
-                                "comm_edge {name} {v} out of range for run with {n} ranks"
-                            ));
-                        }
-                    }
-                }
-                if *msgs == 0 && *bytes > 0 {
-                    errors.push(format!(
-                        "comm_edge {src}->{dst} [{class}]: {bytes} bytes but zero messages"
-                    ));
-                }
-                let view = usize::from(rank != src); // 0 = sender view, 1 = receiver
-                let slot =
-                    edge_views.entry((*src, *dst, class.as_str())).or_default();
-                let totals = slot[view].get_or_insert((0, 0));
-                totals.0 += msgs;
-                totals.1 += bytes;
-                if let (Some(tf), Some(tl)) = (t_first, t_last) {
-                    if tl < tf {
-                        errors.push(format!(
-                            "comm_edge {src}->{dst} [{class}] rank {rank}: \
-                             t_last {tl} before t_first {tf}"
-                        ));
-                    }
-                    let slot =
-                        edge_times.entry((*src, *dst, class.as_str())).or_default();
-                    let t = slot[view].get_or_insert((f64::INFINITY, f64::NEG_INFINITY));
-                    t.0 = t.0.min(*tf);
-                    t.1 = t.1.max(*tl);
-                }
-            }
-            Event::Collective { rank, kind, count, .. } => {
-                if let Some(n) = run_ranks {
-                    if *rank >= n {
-                        errors.push(format!(
-                            "collective rank {rank} out of range for run with {n} ranks"
-                        ));
-                    }
-                }
-                coll_ranks.insert(*rank);
-                *coll_counts.entry(kind.as_str()).or_default().entry(*rank).or_insert(0) +=
-                    count;
+                errors.extend(out_of_range(format!("restore rank {rank}"), *rank));
             }
             _ => {}
+        }
+    }
+    for &(rank, (src, dst, class), trace::EdgeView { msgs, bytes, window }) in &tl.edge_reports {
+        if src == dst {
+            errors.push(format!("comm_edge rank {rank}: self-edge {src}->{dst}"));
+        }
+        if rank != src && rank != dst {
+            errors.push(format!("comm_edge rank {rank} is neither src {src} nor dst {dst}"));
+        }
+        for (name, v) in [("rank", rank), ("src", src), ("dst", dst)] {
+            errors.extend(out_of_range(format!("comm_edge {name} {v}"), v));
+        }
+        if msgs == 0 && bytes > 0 {
+            errors.push(format!(
+                "comm_edge {src}->{dst} [{class}]: {bytes} bytes but zero messages"
+            ));
+        }
+        if let Some((tf, tl)) = window.filter(|(tf, tl)| tl < tf) {
+            errors.push(format!(
+                "comm_edge {src}->{dst} [{class}] rank {rank}: t_last {tl} before t_first {tf}"
+            ));
         }
     }
     for (rank, [by_phase, by_name]) in &kernel_views {
@@ -635,23 +563,20 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
             ));
         }
     }
-    for ((src, dst, class), views) in &edge_views {
-        if let (Some(s), Some(r)) = (views[0], views[1]) {
-            if s != r {
-                errors.push(format!(
-                    "comm_edge {src}->{dst} [{class}]: sender recorded {} msgs / {} bytes \
-                     but receiver recorded {} msgs / {} bytes",
-                    s.0, s.1, r.0, r.1
-                ));
-            }
+    for ((src, dst, class), views) in &tl.edges {
+        let [Some(s), Some(r)] = views else { continue };
+        if (s.msgs, s.bytes) != (r.msgs, r.bytes) {
+            errors.push(format!(
+                "comm_edge {src}->{dst} [{class}]: sender recorded {} msgs / {} bytes \
+                 but receiver recorded {} msgs / {} bytes",
+                s.msgs, s.bytes, r.msgs, r.bytes
+            ));
         }
-    }
-    // Causality: once both endpoints put their timestamps on one
-    // timeline, a message cannot complete receipt before it started
-    // sending. The offset table carries rtt/2 of uncertainty per rank,
-    // so that much slack (plus float dust) is allowed.
-    for ((src, dst, class), views) in &edge_times {
-        let (Some(send), Some(recv)) = (views[0], views[1]) else { continue };
+        // Causality: once both endpoints put their timestamps on one
+        // timeline, a message cannot complete receipt before it started
+        // sending. The offset table carries rtt/2 of uncertainty per
+        // rank, so that much slack (plus float dust) is allowed.
+        let (Some(send), Some(recv)) = (s.window, r.window) else { continue };
         let slack = clock.rtt(*src) / 2.0 + clock.rtt(*dst) / 2.0 + 1e-6;
         let send = (clock.align(*src, send.0), clock.align(*src, send.1));
         let recv = (clock.align(*dst, recv.0), clock.align(*dst, recv.1));
@@ -667,31 +592,24 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
     // Span nesting: a child's window must lie inside a same-rank parent
     // instance's window. Paths repeat across timesteps, so any enclosing
     // instance of the parent path qualifies; a missing-but-expected
-    // parent (none recorded with timestamps) is skipped — per-rank
+    // parent (none recorded with valid timestamps) is skipped — per-rank
     // partial streams stay valid.
-    for (rank, spans) in &span_windows {
-        for &(path, depth, t0, end) in spans {
-            if depth == 0 {
-                continue;
-            }
+    let valid = |w: &&trace::SpanWindow| w.2.is_finite() && w.2 >= 0.0;
+    for (rank, spans) in &tl.spans {
+        for &(path, depth, t0, secs) in spans.iter().filter(valid).filter(|w| w.1 > 0) {
+            let end = t0 + secs;
             let Some(parent_path) = path.rsplit_once('/').map(|(p, _)| p) else {
                 errors.push(format!(
                     "span rank {rank} path {path:?}: depth {depth} but no parent in path"
                 ));
                 continue;
             };
-            let parents: Vec<&(&str, usize, f64, f64)> = spans
-                .iter()
-                .filter(|(p, d, _, _)| *p == parent_path && *d == depth - 1)
-                .collect();
-            if parents.is_empty() {
-                continue;
-            }
+            let instances = tl.span_paths.get(&(*rank, parent_path)).into_iter().flatten();
+            let parents: Vec<_> =
+                instances.map(|&i| &spans[i]).filter(valid).filter(|p| p.1 == depth - 1).collect();
             let eps = 1e-6;
-            let nested = parents
-                .iter()
-                .any(|(_, _, pt0, pend)| *pt0 <= t0 + eps && end <= pend + eps);
-            if !nested {
+            let nested = |p: &&trace::SpanWindow| p.2 <= t0 + eps && end <= p.2 + p.3 + eps;
+            if !parents.is_empty() && !parents.iter().any(nested) {
                 errors.push(format!(
                     "span rank {rank} path {path:?}: window [{t0:.9}, {end:.9}] not \
                      nested in any {parent_path:?} instance"
@@ -699,20 +617,23 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
             }
         }
     }
-    for (kind, by_rank) in &coll_counts {
-        for rank in &coll_ranks {
-            if !by_rank.contains_key(rank) {
-                errors.push(format!(
-                    "collective {kind:?}: rank {rank} reports other collectives but is a \
-                     missing participant in this kind"
-                ));
-            }
-        }
-        let distinct: BTreeSet<u64> = by_rank.values().copied().collect();
-        if distinct.len() > 1 {
+    // Collective participation: every rank reporting any kind reports
+    // every kind, with one count per kind.
+    let coll_ranks: BTreeSet<usize> =
+        tl.collectives.values().flat_map(|by_rank| by_rank.keys().copied()).collect();
+    for (kind, by_rank) in &tl.collectives {
+        for rank in coll_ranks.iter().filter(|r| !by_rank.contains_key(r)) {
             errors.push(format!(
-                "collective {kind:?}: per-rank counts disagree: {by_rank:?}"
+                "collective {kind:?}: rank {rank} reports other collectives but is a \
+                 missing participant in this kind"
             ));
+        }
+        for &rank in by_rank.keys() {
+            errors.extend(out_of_range(format!("collective rank {rank}"), rank));
+        }
+        let counts: BTreeMap<usize, u64> = by_rank.iter().map(|(r, row)| (*r, row.count)).collect();
+        if counts.values().collect::<BTreeSet<_>>().len() > 1 {
+            errors.push(format!("collective {kind:?}: per-rank counts disagree: {counts:?}"));
         }
     }
     if errors.is_empty() { Ok(()) } else { Err(errors) }

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 use crate::event::{AmgLevelRow, Event};
 use crate::histogram::{LogHistogram, UNDERFLOW_BUCKET};
-use crate::trace::StepPath;
+use crate::trace::{EdgeView, StepPath, Timeline};
 
 /// Aggregated GMRES statistics for one equation system.
 #[derive(Clone, Debug, Default)]
@@ -34,7 +34,7 @@ pub struct GmresSummary {
 }
 
 /// Aggregated AMG setup statistics for one equation system.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AmgSummary {
     pub setups: u64,
     pub levels: Vec<AmgLevelRow>,
@@ -138,8 +138,6 @@ pub struct CollectiveSummary {
     pub count: u64,
     /// Bytes contributed, summed over ranks.
     pub bytes: u64,
-    /// Wall seconds inside the op, summed over ranks (0 without timing).
-    pub secs: f64,
     /// Per-op latency samples merged over ranks (empty without timing).
     pub latency: LogHistogram,
 }
@@ -228,15 +226,15 @@ impl PhaseImbalance {
 /// The aggregated view of a telemetry event stream.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// Rank count (from the `run` event, else max rank seen + 1).
+    /// Rank count (from the first `run` event, else max rank seen + 1).
     pub ranks: usize,
-    /// Worker threads (from the `run` event).
+    /// Worker threads (from the first `run` event).
     pub threads: usize,
-    /// Transport backend label (from the `run` event; empty when the
-    /// stream has no `run` event).
+    /// Transport backend label (from the first `run` event; empty when
+    /// the stream has no `run` event).
     pub transport: String,
-    /// Kernel policy label (from the `run` event; empty when the stream
-    /// has no `run` event).
+    /// Kernel policy label (from the first `run` event; empty when the
+    /// stream has no `run` event).
     pub kernel_policy: String,
     pub git_commit: Option<String>,
     /// Phase column order: the solver's plot order for known phases,
@@ -298,38 +296,32 @@ fn canonical_phase_order(phases: &mut [String]) {
 /// `timestep/picard/continuity/precond setup`: the second-to-last
 /// segment.
 fn eq_of_path(path: &str) -> String {
-    let segs: Vec<&str> = path.split('/').collect();
-    if segs.len() >= 2 {
-        segs[segs.len() - 2].to_string()
-    } else {
-        path.to_string()
-    }
+    path.rsplit('/').nth(1).unwrap_or(path).to_string()
 }
 
 impl Report {
     /// Aggregate a (merged) event stream.
     pub fn from_events(events: &[Event]) -> Report {
-        let mut r = Report::default();
-        let mut max_rank = 0usize;
+        let tl = Timeline::from_events(events);
+        let mut r = Report {
+            ranks: tl.ranks,
+            critical_path: tl.critical_paths(),
+            ..Report::default()
+        };
+        if let Some(run) = &tl.run {
+            r.threads = run.threads;
+            r.transport = run.transport.to_string();
+            r.kernel_policy = run.kernel_policy.to_string();
+            r.git_commit = run.git_commit.map(str::to_string);
+        }
         let mut phase_sums: BTreeMap<(String, String), f64> = BTreeMap::new();
         // phase → rank → seconds, feeding the imbalance table.
         let mut phase_rank: BTreeMap<String, BTreeMap<usize, f64>> = BTreeMap::new();
-        let mut wait_rank: BTreeMap<String, f64> = BTreeMap::new();
-        let mut transfer_rank: BTreeMap<String, f64> = BTreeMap::new();
-        // Sender- and receiver-side views of each (src, dst, class) edge.
-        let mut edge_sender: BTreeMap<(usize, usize, String), CommEdgeSummary> = BTreeMap::new();
-        let mut edge_receiver: BTreeMap<(usize, usize, String), CommEdgeSummary> = BTreeMap::new();
+        // phase → (wait, transfer) seconds summed over ranks.
+        let mut comm_secs: BTreeMap<String, (f64, f64)> = BTreeMap::new();
         for ev in events {
             match ev {
-                Event::Run { ranks, threads, transport, kernel_policy, git_commit, .. } => {
-                    r.ranks = *ranks;
-                    r.threads = *threads;
-                    r.transport = transport.clone();
-                    r.kernel_policy = kernel_policy.clone();
-                    r.git_commit = git_commit.clone();
-                }
                 Event::PhaseTime { rank, step, eq, phase, secs } => {
-                    max_rank = max_rank.max(*rank);
                     r.steps = r.steps.max(*step + 1);
                     if !r.phases.contains(phase) {
                         r.phases.push(phase.clone());
@@ -338,22 +330,15 @@ impl Report {
                     *phase_rank.entry(phase.clone()).or_default().entry(*rank).or_insert(0.0) +=
                         secs;
                 }
-                Event::Span { rank, path, depth, secs, .. } => {
-                    max_rank = max_rank.max(*rank);
+                Event::Span { path, depth, secs, .. } => {
                     let s = r.spans.entry(path.clone()).or_default();
                     s.depth = *depth;
                     s.count += 1;
                     s.total_secs += secs;
                 }
-                Event::AmgSetup { rank, path, levels, grid_complexity, operator_complexity } => {
-                    max_rank = max_rank.max(*rank);
+                Event::AmgSetup { path, levels, grid_complexity, operator_complexity, .. } => {
                     let eq = eq_of_path(path);
-                    let entry = r.amg.entry(eq).or_insert_with(|| AmgSummary {
-                        setups: 0,
-                        levels: Vec::new(),
-                        grid_complexity: 0.0,
-                        operator_complexity: 0.0,
-                    });
+                    let entry = r.amg.entry(eq).or_default();
                     entry.setups += 1;
                     // Keep the most recent hierarchy shape.
                     entry.levels = levels.clone();
@@ -361,7 +346,6 @@ impl Report {
                     entry.operator_complexity = *operator_complexity;
                 }
                 Event::Gmres { rank, path, iters, final_rel, converged, history } => {
-                    max_rank = max_rank.max(*rank);
                     r.hists.entry("gmres.iters".to_string()).or_default().record(*iters as f64);
                     // One solve is collective over all ranks and is
                     // reported by each; count it once via rank 0.
@@ -371,26 +355,17 @@ impl Report {
                     let eq = eq_of_path(path);
                     let s = r.gmres.entry(eq).or_default();
                     let it = *iters as u64;
-                    if s.solves == 0 {
-                        s.min_iters = it;
-                        s.max_iters = it;
-                    } else {
-                        s.min_iters = s.min_iters.min(it);
-                        s.max_iters = s.max_iters.max(it);
-                    }
+                    s.min_iters = if s.solves == 0 { it } else { s.min_iters.min(it) };
+                    s.max_iters = s.max_iters.max(it);
                     s.solves += 1;
                     s.total_iters += it;
                     s.converged += *converged as u64;
                     s.last_final_rel = *final_rel;
                     s.last_history = history.clone();
                 }
-                Event::Recovery { rank, eq, fault, action, outcome, .. } => {
-                    max_rank = max_rank.max(*rank);
-                    // Recovery is collective; every rank reports the same
-                    // ladder walk, so count it once via rank 0.
-                    if *rank != 0 {
-                        continue;
-                    }
+                // Recovery is collective; every rank reports the same
+                // ladder walk, so count it once via rank 0.
+                Event::Recovery { rank: 0, eq, fault, action, outcome, .. } => {
                     let s = r.recoveries.entry((eq.clone(), fault.clone())).or_default();
                     s.attempts += 1;
                     match outcome.as_str() {
@@ -404,56 +379,32 @@ impl Report {
                     s.last_outcome = outcome.clone();
                 }
                 Event::Checkpoint { rank, generation, bytes, secs, .. } => {
-                    max_rank = max_rank.max(*rank);
                     r.checkpoints.bytes += bytes;
                     r.checkpoints.secs += secs;
                     // A generation is collective (one file per rank);
                     // count it once via rank 0.
                     if *rank == 0 {
                         r.checkpoints.generations += 1;
-                        r.checkpoints.last_generation = Some(
-                            r.checkpoints.last_generation.map_or(*generation, |g| g.max(*generation)),
-                        );
+                        r.checkpoints.last_generation =
+                            r.checkpoints.last_generation.max(Some(*generation));
                     }
                 }
-                Event::Restore { rank, generation, .. } => {
-                    max_rank = max_rank.max(*rank);
-                    if *rank == 0 {
-                        r.checkpoints.restores += 1;
-                        r.checkpoints.restored_from = Some(*generation);
-                    }
+                Event::Restore { rank: 0, generation, .. } => {
+                    r.checkpoints.restores += 1;
+                    r.checkpoints.restored_from = Some(*generation);
                 }
-                Event::Counter { rank, name, value } => {
-                    max_rank = max_rank.max(*rank);
+                Event::Counter { name, value, .. } => {
                     *r.counters.entry(name.clone()).or_insert(0) += value;
                 }
-                Event::PhasePerf { rank, label, wait_secs, transfer_secs, .. } => {
-                    max_rank = max_rank.max(*rank);
+                Event::PhasePerf { label, wait_secs, transfer_secs, .. } => {
                     // Trace labels are `eq/phase` (or a bare phase like
                     // `other`); the final segment matches `phase_time`
                     // phase names.
                     let phase = label.rsplit('/').next().unwrap_or(label).to_string();
-                    *wait_rank.entry(phase.clone()).or_insert(0.0) += wait_secs;
-                    *transfer_rank.entry(phase).or_insert(0.0) += transfer_secs;
+                    let c = comm_secs.entry(phase).or_default();
+                    *c = (c.0 + wait_secs, c.1 + transfer_secs);
                 }
-                Event::CommEdge { rank, src, dst, class, msgs, bytes, .. } => {
-                    max_rank = max_rank.max(*rank).max(*src).max(*dst);
-                    let map = if rank == src { &mut edge_sender } else { &mut edge_receiver };
-                    let e = map.entry((*src, *dst, class.clone())).or_default();
-                    e.msgs += msgs;
-                    e.bytes += bytes;
-                }
-                Event::Collective { rank, kind, count, bytes, secs, buckets, .. } => {
-                    max_rank = max_rank.max(*rank);
-                    let s = r.collectives.entry(kind.clone()).or_default();
-                    s.count = s.count.max(*count);
-                    s.bytes += bytes;
-                    s.secs += secs;
-                    let samples: u64 = buckets.iter().map(|&(_, c)| c).sum();
-                    s.latency.merge(&LogHistogram::from_parts(samples, *secs, buckets.clone()));
-                }
-                Event::KernelPerf { rank, kernel, calls, secs, bytes, flops, dofs, .. } => {
-                    max_rank = max_rank.max(*rank);
+                Event::KernelPerf { kernel, calls, secs, bytes, flops, dofs, .. } => {
                     let k = r.kernels.entry(kernel.clone()).or_default();
                     k.calls += calls;
                     k.secs += secs;
@@ -461,15 +412,9 @@ impl Report {
                     k.flops += flops;
                     k.dofs += dofs;
                 }
-                Event::StepHealth {
-                    rank, step, eqs, operator_complexity, recoveries, ..
-                } => {
-                    max_rank = max_rank.max(*rank);
-                    // Solves are collective; every rank reports the same
-                    // series, so count it once via rank 0.
-                    if *rank != 0 {
-                        continue;
-                    }
+                // Solves are collective; every rank reports the same
+                // series, so count it once via rank 0.
+                Event::StepHealth { rank: 0, step, eqs, operator_complexity, recoveries, .. } => {
                     let h = &mut r.health;
                     h.steps = h.steps.max(*step as u64 + 1);
                     h.last_operator_complexity = *operator_complexity;
@@ -485,13 +430,9 @@ impl Report {
                         t.last_rate = row.rate();
                     }
                 }
-                Event::HealthVerdict { rank, step, kind, eq, value, baseline } => {
-                    max_rank = max_rank.max(*rank);
-                    // The detector runs on identical collective inputs on
-                    // every rank; count verdicts once via rank 0.
-                    if *rank != 0 {
-                        continue;
-                    }
+                // The detector runs on identical collective inputs on
+                // every rank; count verdicts once via rank 0.
+                Event::HealthVerdict { rank: 0, step, kind, eq, value, baseline } => {
                     r.health.verdicts.push(VerdictRow {
                         step: *step,
                         kind: kind.clone(),
@@ -500,46 +441,41 @@ impl Report {
                         baseline: *baseline,
                     });
                 }
+                // Other ranks repeat the rank-0 rows above; the timeline
+                // read the run header, edges and collectives.
+                _ => {}
             }
         }
         canonical_phase_order(&mut r.phases);
         r.health
             .verdicts
             .sort_by(|a, b| (a.step, &a.kind, &a.eq).cmp(&(b.step, &b.kind, &b.eq)));
-        r.critical_path = crate::trace::critical_paths(events);
-        if r.ranks == 0 {
-            r.ranks = max_rank + 1;
-        }
         let n = r.ranks.max(1) as f64;
         r.phase_secs = phase_sums.into_iter().map(|(k, v)| (k, v / n)).collect();
         // Sender view wins; the receiver view fills edges whose sender's
         // stream was not merged in.
-        r.comm_edges = edge_sender;
-        for (key, v) in edge_receiver {
-            r.comm_edges.entry(key).or_insert(v);
+        for (&(src, dst, class), [sender, receiver]) in &tl.edges {
+            let Some(EdgeView { msgs, bytes, .. }) = sender.or(*receiver) else { continue };
+            r.comm_edges.insert((src, dst, class.to_string()), CommEdgeSummary { msgs, bytes });
+        }
+        for (kind, by_rank) in &tl.collectives {
+            let s = r.collectives.entry(kind.to_string()).or_default();
+            for row in by_rank.values() {
+                s.count = s.count.max(row.count);
+                s.bytes += row.bytes;
+                s.latency.merge(&row.latency);
+            }
         }
         for (phase, by_rank) in &phase_rank {
-            let sum: f64 = by_rank.values().sum();
-            let max = by_rank.values().copied().fold(0.0_f64, f64::max);
-            r.imbalance.insert(
-                phase.clone(),
-                PhaseImbalance {
-                    avg_secs: sum / n,
-                    max_secs: max,
-                    wait_secs: wait_rank.get(phase).copied().unwrap_or(0.0) / n,
-                    transfer_secs: transfer_rank.get(phase).copied().unwrap_or(0.0) / n,
-                },
-            );
+            let i = r.imbalance.entry(phase.clone()).or_default();
+            i.avg_secs = by_rank.values().sum::<f64>() / n;
+            i.max_secs = by_rank.values().copied().fold(0.0_f64, f64::max);
         }
-        // Comm phases with wait data but no phase_time rows (e.g.
-        // parcomm's default `other` phase) still get an imbalance row.
-        for (phase, wait) in &wait_rank {
-            r.imbalance.entry(phase.clone()).or_insert_with(|| PhaseImbalance {
-                avg_secs: 0.0,
-                max_secs: 0.0,
-                wait_secs: wait / n,
-                transfer_secs: transfer_rank.get(phase).copied().unwrap_or(0.0) / n,
-            });
+        // Comm phases without phase_time rows (e.g. parcomm's default
+        // `other` phase) still get an imbalance row.
+        for (phase, (wait, transfer)) in comm_secs {
+            let i = r.imbalance.entry(phase).or_default();
+            (i.wait_secs, i.transfer_secs) = (wait / n, transfer / n);
         }
         r
     }
@@ -550,6 +486,11 @@ impl Report {
         eqs.sort();
         eqs.dedup();
         eqs
+    }
+
+    /// Mean seconds per rank of `eq`'s `phase` (0 when absent).
+    fn phase_mean(&self, eq: &str, phase: &str) -> f64 {
+        self.phase_secs.get(&(eq.to_string(), phase.to_string())).copied().unwrap_or(0.0)
     }
 
     fn eq_total(&self, eq: &str) -> f64 {
@@ -588,11 +529,7 @@ impl Report {
                 let total = self.eq_total(&eq);
                 let mut row = format!("{eq:<12}");
                 for ph in &self.phases {
-                    let s = self
-                        .phase_secs
-                        .get(&(eq.clone(), ph.clone()))
-                        .copied()
-                        .unwrap_or(0.0);
+                    let s = self.phase_mean(&eq, ph);
                     let pct = if total > 0.0 { 100.0 * s / total } else { 0.0 };
                     let _ = write!(row, " {:>9.4} {:>2.0}%{:>3}", s, pct, "");
                 }
@@ -602,11 +539,7 @@ impl Report {
                     let width = 48usize;
                     let mut bar = String::new();
                     for (i, ph) in self.phases.iter().enumerate() {
-                        let s = self
-                            .phase_secs
-                            .get(&(eq.clone(), ph.clone()))
-                            .copied()
-                            .unwrap_or(0.0);
+                        let s = self.phase_mean(&eq, ph);
                         let cells = ((s / total) * width as f64).round() as usize;
                         let letter = ph
                             .chars()
@@ -771,15 +704,11 @@ impl Report {
                 "kind", "count", "bytes", "timed", "mean s", "p50 s", "p95 s"
             );
             for (kind, s) in &self.collectives {
-                let (mean, p50, p95) = if s.latency.count() > 0 {
-                    (
-                        format!("{:.2e}", s.latency.mean()),
-                        format!("{:.2e}", s.latency.quantile(0.5).unwrap_or(0.0)),
-                        format!("{:.2e}", s.latency.quantile(0.95).unwrap_or(0.0)),
-                    )
-                } else {
-                    ("-".to_string(), "-".to_string(), "-".to_string())
-                };
+                let stats = [Some(s.latency.mean()), s.latency.quantile(0.5), s.latency.quantile(0.95)];
+                let [mean, p50, p95] = stats.map(|v| match s.latency.count() {
+                    0 => "-".to_string(),
+                    _ => format!("{:.2e}", v.unwrap_or(0.0)),
+                });
                 let _ = writeln!(
                     out,
                     "{:<16} {:>8} {:>10} {:>8} {:>10} {:>10} {:>10}",
@@ -952,20 +881,13 @@ impl Report {
 
         // --- Kernel throughput (roofline view) ---------------------------
         if !self.kernels.is_empty() {
-            match self.bw_baseline_gbs {
-                Some(bw) => {
-                    let _ = writeln!(
-                        out,
-                        "\n-- kernel throughput, per-rank mean (STREAM baseline {bw:.1} GB/s; cf. paper Figs. 6-9) --"
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "\n-- kernel throughput, per-rank mean (no machine baseline; cf. paper Figs. 6-9) --"
-                    );
-                }
-            }
+            let baseline = self
+                .bw_baseline_gbs
+                .map_or("no machine baseline".to_string(), |bw| format!("STREAM baseline {bw:.1} GB/s"));
+            let _ = writeln!(
+                out,
+                "\n-- kernel throughput, per-rank mean ({baseline}; cf. paper Figs. 6-9) --"
+            );
             let mut header = format!(
                 "{:<20} {:>9} {:>10} {:>9} {:>8} {:>9} {:>9}",
                 "kernel", "calls", "secs", "GB", "GB/s", "GFLOP/s", "MDOF/s"
@@ -1196,7 +1118,7 @@ mod tests {
             (r.phase_secs[&("momentum".to_string(), "solve".to_string())] - 0.3).abs() < 1e-12
         );
         assert_eq!(r.equations(), vec!["continuity".to_string(), "momentum".to_string()]);
-        // Phase order follows first appearance (plot order), not
+        // Phase order is `canonical_phase_order`'s plot order, not
         // alphabetical.
         assert_eq!(r.phases[0], "graph+physics");
         // GMRES solves counted once (rank 0 only).

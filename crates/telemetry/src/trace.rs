@@ -1,12 +1,17 @@
-//! Cross-rank timeline: Chrome/Perfetto trace export and critical-path
-//! attribution over the stream's timestamps.
+//! Cross-rank timeline: one extraction of a stream's cross-rank
+//! structure, and the Chrome/Perfetto trace export and critical-path
+//! attribution over it.
 //!
 //! Every rank stamps its spans, comm edges and collectives against its
 //! own monotonic epoch; the startup clock handshake (recorded in the
 //! `run` event) maps each rank's epoch onto rank 0's timeline
-//! (`t_global = t_rank + clock_offsets[rank]`). With all ranks on one
-//! axis, two things become possible that per-rank durations alone can
-//! never answer:
+//! (`t_global = t_rank + clock_offsets[rank]`). [`Timeline::from_events`]
+//! reads a stream once into that table, the run header, per-rank span
+//! windows, the two endpoint views of every comm edge and the
+//! per-rank collective rows; [`crate::Report`], [`crate::validate_stream`]
+//! and the two views below all read that one extraction. With all ranks
+//! on one axis, two things become possible that per-rank durations alone
+//! can never answer:
 //!
 //! - [`chrome_trace`] renders the merged stream as Chrome
 //!   trace-event JSON — one track per rank, spans as complete (`"X"`)
@@ -22,20 +27,15 @@
 //!   per-rank blame totals sum to what the step actually cost.
 
 use crate::json::Json;
-use crate::Event;
-use std::collections::BTreeMap;
+use crate::{Event, LogHistogram};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Timestamp comparisons tolerate this much float dust (seconds).
 const EPS: f64 = 1e-9;
 
-/// (src, dst, class) → per-endpoint activity windows `[sender, receiver]`,
-/// each `(t_first, t_last)` when that endpoint reported the edge.
-type EdgeWindows = BTreeMap<(usize, usize, String), [Option<(f64, f64)>; 2]>;
-
-/// Clock-alignment table extracted from the stream's `run` event:
-/// aligned time for rank `r` is `t + offsets[r]`, uncertain by
-/// `rtts[r] / 2`. Identity (both tables empty) when the handshake did
-/// not run.
+/// Clock-alignment table of the stream's first `run` event: aligned
+/// time for rank `r` is `t + offsets[r]`, uncertain by `rtts[r] / 2`.
+/// Identity (both tables empty) when the handshake did not run.
 #[derive(Clone, Debug, Default)]
 pub struct ClockTable {
     pub offsets: Vec<f64>,
@@ -43,20 +43,6 @@ pub struct ClockTable {
 }
 
 impl ClockTable {
-    /// The first `run` event's tables — the only reader of
-    /// `clock_offsets` / `clock_rtts`.
-    pub fn from_events(events: &[Event]) -> ClockTable {
-        for ev in events {
-            if let Event::Run { clock_offsets, clock_rtts, .. } = ev {
-                return ClockTable {
-                    offsets: clock_offsets.clone().unwrap_or_default(),
-                    rtts: clock_rtts.clone().unwrap_or_default(),
-                };
-            }
-        }
-        ClockTable::default()
-    }
-
     /// Rank `r`'s timestamp mapped onto rank 0's timeline.
     pub fn align(&self, rank: usize, t: f64) -> f64 {
         t + self.offsets.get(rank).copied().unwrap_or(0.0)
@@ -65,6 +51,175 @@ impl ClockTable {
     /// Rank `r`'s handshake round-trip (0 when none was recorded).
     pub fn rtt(&self, rank: usize) -> f64 {
         self.rtts.get(rank).copied().unwrap_or(0.0)
+    }
+}
+
+/// The first `run` event's header.
+#[derive(Clone, Debug)]
+pub struct RunHeader<'a> {
+    pub ranks: usize,
+    pub threads: usize,
+    pub transport: &'a str,
+    pub kernel_policy: &'a str,
+    pub git_commit: Option<&'a str>,
+}
+
+/// One timestamped span as `(path, depth, t0, secs)`, on its rank's own
+/// clock (its end is `t0 + secs`).
+pub type SpanWindow<'a> = (&'a str, usize, f64, f64);
+
+/// A comm edge `(src, dst, class)`.
+pub type EdgeKey<'a> = (usize, usize, &'a str);
+
+/// One endpoint's view of an edge: its lines' totals, and the raw
+/// `(min t_first, max t_last)` over those that carry both.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct EdgeView {
+    pub msgs: u64,
+    pub bytes: u64,
+    pub window: Option<(f64, f64)>,
+}
+
+/// One rank's `collective` lines of one kind, folded.
+#[derive(Clone, Debug, Default)]
+pub struct CollectiveRow {
+    pub count: u64,
+    pub bytes: u64,
+    /// Per-entry latencies (its total is the lines' summed `secs`).
+    pub latency: LogHistogram,
+    /// Latest raw `t_last`.
+    pub t_last: Option<f64>,
+}
+
+/// A stream's cross-rank structure, read in one pass.
+#[derive(Clone, Debug, Default)]
+pub struct Timeline<'a> {
+    pub clock: ClockTable,
+    pub run: Option<RunHeader<'a>>,
+    /// The header's rank count, else one more than the largest rank any
+    /// event names.
+    pub ranks: usize,
+    /// rank → its timestamped spans in stream order.
+    pub spans: BTreeMap<usize, Vec<SpanWindow<'a>>>,
+    /// `(rank, path)` of every span a rank closed → the indices of its
+    /// timestamped instances in `spans[rank]`.
+    pub span_paths: BTreeMap<(usize, &'a str), Vec<usize>>,
+    /// Every `comm_edge` line as (reporting rank, edge, the line's view).
+    pub edge_reports: Vec<(usize, EdgeKey<'a>, EdgeView)>,
+    /// Edge → `[sender view, receiver view]`; a line is the sender's
+    /// when its rank is `src`.
+    pub edges: BTreeMap<EdgeKey<'a>, [Option<EdgeView>; 2]>,
+    /// kind → rank → row.
+    pub collectives: BTreeMap<&'a str, BTreeMap<usize, CollectiveRow>>,
+}
+
+impl<'a> Timeline<'a> {
+    /// The one reader of `run`, `comm_edge` and `collective` events.
+    pub fn from_events(events: &'a [Event]) -> Timeline<'a> {
+        let mut tl = Timeline::default();
+        let mut max_rank = 0;
+        for ev in events {
+            match ev {
+                Event::Run {
+                    ranks, threads, transport, kernel_policy, git_commit, clock_offsets, clock_rtts,
+                } if tl.run.is_none() => {
+                    let (ranks, threads, git_commit) = (*ranks, *threads, git_commit.as_deref());
+                    tl.run = Some(RunHeader { ranks, threads, transport, kernel_policy, git_commit });
+                    tl.clock = ClockTable {
+                        offsets: clock_offsets.clone().unwrap_or_default(),
+                        rtts: clock_rtts.clone().unwrap_or_default(),
+                    };
+                }
+                Event::Run { .. } => {}
+                Event::Span { rank, path, depth, secs, t0 } => {
+                    max_rank = max_rank.max(*rank);
+                    let at = tl.span_paths.entry((*rank, path)).or_default();
+                    if let Some(t0) = *t0 {
+                        let spans = tl.spans.entry(*rank).or_default();
+                        at.push(spans.len());
+                        spans.push((path.as_str(), *depth, t0, *secs));
+                    }
+                }
+                Event::CommEdge { rank, src, dst, class, msgs, bytes, t_first, t_last } => {
+                    max_rank = max_rank.max(*rank).max(*src).max(*dst);
+                    let line = EdgeView { msgs: *msgs, bytes: *bytes, window: t_first.zip(*t_last) };
+                    tl.edge_reports.push((*rank, (*src, *dst, class), line));
+                    let views = tl.edges.entry((*src, *dst, class)).or_default();
+                    let view = views[usize::from(rank != src)].get_or_insert_with(EdgeView::default);
+                    view.msgs += msgs;
+                    view.bytes += bytes;
+                    if let Some((tf, tl)) = line.window {
+                        let w = view.window.get_or_insert((f64::INFINITY, f64::NEG_INFINITY));
+                        *w = (w.0.min(tf), w.1.max(tl));
+                    }
+                }
+                Event::Collective { rank, kind, count, bytes, secs, buckets, t_last, .. } => {
+                    max_rank = max_rank.max(*rank);
+                    let row = tl.collectives.entry(kind).or_default().entry(*rank).or_default();
+                    row.count += count;
+                    row.bytes += bytes;
+                    let samples = buckets.iter().map(|&(_, c)| c).sum();
+                    row.latency.merge(&LogHistogram::from_parts(samples, *secs, buckets.clone()));
+                    if let Some(t) = t_last {
+                        row.t_last = Some(row.t_last.map_or(*t, |last| last.max(*t)));
+                    }
+                }
+                Event::PhaseTime { rank, .. }
+                | Event::PhasePerf { rank, .. }
+                | Event::AmgSetup { rank, .. }
+                | Event::Gmres { rank, .. }
+                | Event::Recovery { rank, .. }
+                | Event::Checkpoint { rank, .. }
+                | Event::Restore { rank, .. }
+                | Event::Counter { rank, .. }
+                | Event::KernelPerf { rank, .. }
+                | Event::StepHealth { rank, .. }
+                | Event::HealthVerdict { rank, .. } => max_rank = max_rank.max(*rank),
+            }
+        }
+        tl.ranks = tl.run.as_ref().map(|h| h.ranks).filter(|&n| n > 0).unwrap_or(max_rank + 1);
+        tl
+    }
+
+    /// Decompose every timestep's makespan into critical-path segments
+    /// (see [`critical_paths`]).
+    pub fn critical_paths(&self) -> Vec<StepPath> {
+        // Per rank: every timestamped span as (t0, end, depth, path),
+        // aligned, and its timestep windows in stream order.
+        let mut ranks = Vec::new();
+        for (&rank, spans) in &self.spans {
+            let aligned: Vec<(f64, f64, usize, &str)> = spans
+                .iter()
+                .map(|&(path, depth, t0, secs)| {
+                    let t0 = self.clock.align(rank, t0);
+                    (t0, t0 + secs, depth, path)
+                })
+                .collect();
+            let steps: Vec<(f64, f64)> =
+                aligned.iter().filter(|s| s.2 == 0 && s.3 == "timestep").map(|s| (s.0, s.1)).collect();
+            ranks.push((rank, steps, aligned));
+        }
+        let nsteps = ranks.iter().map(|(_, steps, _)| steps.len()).max().unwrap_or(0);
+        let mut out = Vec::new();
+        for k in 0..nsteps {
+            let rank_steps: Vec<RankStep> = ranks
+                .iter()
+                .filter_map(|(rank, steps, spans)| {
+                    let &(start, end) = steps.get(k)?;
+                    let leaves = leaf_segments(start, end, spans);
+                    Some(RankStep { rank: *rank, start, end, leaves })
+                })
+                .collect();
+            let t_start = rank_steps.iter().map(|r| r.start).fold(f64::INFINITY, f64::min);
+            let t_end = rank_steps.iter().map(|r| r.end).fold(f64::NEG_INFINITY, f64::max);
+            out.push(StepPath {
+                step: k,
+                start: t_start,
+                makespan: t_end - t_start,
+                segments: walk(&rank_steps, t_start, t_end),
+            });
+        }
+        out
     }
 }
 
@@ -81,131 +236,72 @@ fn micros(secs: f64) -> Json {
 /// named threads of one process; only timestamped events appear, so a
 /// stream without timestamps yields an empty (but valid) trace.
 pub fn chrome_trace(events: &[Event]) -> Json {
-    let clock = ClockTable::from_events(events);
-    // (sort key: ts, -dur) → event; metadata rows lead with ts = -inf.
-    let mut rows: Vec<(f64, f64, Json)> = Vec::new();
-    let mut ranks: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    // (src, dst, class) → [sender (t_first, t_last), receiver ditto].
-    let mut edges: EdgeWindows = BTreeMap::new();
+    let tl = Timeline::from_events(events);
+    let clock = &tl.clock;
+    // (ts, dur, track, event), sorted below by ts then longest first.
+    let mut rows: Vec<(f64, f64, usize, Json)> = Vec::new();
+    for (&rank, spans) in &tl.spans {
+        for &(path, depth, t0, secs) in spans {
+            let ts = clock.align(rank, t0);
+            let name = path.rsplit('/').next().unwrap_or(path).to_string();
+            let args = Json::obj(vec![
+                ("path", Json::Str(path.to_string())),
+                ("depth", Json::Int(depth as i128)),
+            ]);
+            let extra = vec![("dur", micros(secs)), ("args", args)];
+            rows.push((ts, secs, rank, track_row("X", rank, ts, name, "span", extra)));
+        }
+    }
     for ev in events {
-        match ev {
-            Event::Span { rank, path, depth, secs, t0: Some(t0) } => {
-                ranks.insert(*rank);
-                let ts = clock.align(*rank, *t0);
-                let name = path.rsplit('/').next().unwrap_or(path).to_string();
-                rows.push((
-                    ts,
-                    *secs,
-                    Json::obj(vec![
-                        ("ph", Json::Str("X".into())),
-                        ("pid", Json::Int(1)),
-                        ("tid", Json::Int(*rank as i128)),
-                        ("ts", micros(ts)),
-                        ("dur", micros(*secs)),
-                        ("name", Json::Str(name)),
-                        ("cat", Json::Str("span".into())),
-                        (
-                            "args",
-                            Json::obj(vec![
-                                ("path", Json::Str(path.clone())),
-                                ("depth", Json::Int(*depth as i128)),
-                            ]),
-                        ),
-                    ]),
-                ));
-            }
-            Event::CommEdge {
-                rank,
-                src,
-                dst,
-                class,
-                t_first: Some(tf),
-                t_last: Some(tl),
-                ..
-            } => {
-                ranks.insert(*rank);
-                let view = usize::from(rank != src);
-                let slot = edges.entry((*src, *dst, class.clone())).or_default();
-                let t = slot[view].get_or_insert((f64::INFINITY, f64::NEG_INFINITY));
-                t.0 = t.0.min(*tf);
-                t.1 = t.1.max(*tl);
-            }
-            Event::Collective { rank, kind, count, bytes, t_last: Some(tl), .. } => {
-                ranks.insert(*rank);
-                let ts = clock.align(*rank, *tl);
-                rows.push((
-                    ts,
-                    0.0,
-                    Json::obj(vec![
-                        ("ph", Json::Str("i".into())),
-                        ("s", Json::Str("t".into())),
-                        ("pid", Json::Int(1)),
-                        ("tid", Json::Int(*rank as i128)),
-                        ("ts", micros(ts)),
-                        ("name", Json::Str(kind.clone())),
-                        ("cat", Json::Str("collective".into())),
-                        (
-                            "args",
-                            Json::obj(vec![
-                                ("count", Json::Int(*count as i128)),
-                                ("bytes", Json::Int(*bytes as i128)),
-                            ]),
-                        ),
-                    ]),
-                ));
-            }
-            Event::Checkpoint { rank, generation, t: Some(t), .. } => {
-                ranks.insert(*rank);
-                let ts = clock.align(*rank, *t);
-                rows.push((
-                    ts,
-                    0.0,
-                    instant(*rank, ts, format!("checkpoint g{generation}"), "checkpoint"),
-                ));
-            }
-            Event::Restore { rank, generation, t: Some(t), .. } => {
-                ranks.insert(*rank);
-                let ts = clock.align(*rank, *t);
-                rows.push((
-                    ts,
-                    0.0,
-                    instant(*rank, ts, format!("restore g{generation}"), "checkpoint"),
-                ));
-            }
-            _ => {}
+        let (rank, what, generation, t) = match ev {
+            Event::Checkpoint { rank, generation, t: Some(t), .. } => (rank, "checkpoint", generation, t),
+            Event::Restore { rank, generation, t: Some(t), .. } => (rank, "restore", generation, t),
+            _ => continue,
+        };
+        let (ts, name) = (clock.align(*rank, *t), format!("{what} g{generation}"));
+        let extra = vec![("s", Json::Str("t".into()))];
+        rows.push((ts, 0.0, *rank, track_row("i", *rank, ts, name, "checkpoint", extra)));
+    }
+    for (kind, by_rank) in &tl.collectives {
+        for (&rank, row) in by_rank {
+            let Some(t_last) = row.t_last else { continue };
+            let ts = clock.align(rank, t_last);
+            let args = Json::obj(vec![
+                ("count", Json::Int(row.count as i128)),
+                ("bytes", Json::Int(row.bytes as i128)),
+            ]);
+            let extra = vec![("s", Json::Str("t".into())), ("args", args)];
+            let name = kind.to_string();
+            rows.push((ts, 0.0, rank, track_row("i", rank, ts, name, "collective", extra)));
         }
     }
     // Send→recv flow arrows, one per edge that both endpoints stamped:
     // start on the sender track at its first send, finish on the
-    // receiver track at its last completed receive.
-    for (id, ((src, dst, class), views)) in edges.iter().enumerate() {
-        let (Some(send), Some(recv)) = (views[0], views[1]) else { continue };
-        let name = format!("{class} {src}->{dst}");
+    // receiver track at its last completed receive. Flow ids count the
+    // edges that either endpoint stamped.
+    let timed = tl.edges.iter().filter_map(|(key, views)| {
+        let windows = views.map(|v| v.and_then(|v| v.window));
+        windows.iter().any(Option::is_some).then_some((key, windows))
+    });
+    for (id, ((src, dst, class), windows)) in timed.enumerate() {
+        let [Some(send), Some(recv)] = windows else { continue };
         let ts_s = clock.align(*src, send.0);
         let ts_f = clock.align(*dst, recv.1).max(ts_s);
-        for (ph, tid, ts) in [("s", *src, ts_s), ("f", *dst, ts_f)] {
-            let mut pairs = vec![
-                ("ph", Json::Str(ph.into())),
-                ("pid", Json::Int(1)),
-                ("tid", Json::Int(tid as i128)),
-                ("ts", micros(ts)),
-                ("id", Json::Int(id as i128)),
-                ("name", Json::Str(name.clone())),
-                ("cat", Json::Str("comm".into())),
-            ];
+        for (ph, rank, ts) in [("s", *src, ts_s), ("f", *dst, ts_f)] {
+            let mut extra = vec![("id", Json::Int(id as i128))];
             if ph == "f" {
-                pairs.push(("bp", Json::Str("e".into())));
+                extra.push(("bp", Json::Str("e".into())));
             }
-            rows.push((ts, 0.0, Json::obj(pairs)));
+            let name = format!("{class} {src}->{dst}");
+            rows.push((ts, 0.0, rank, track_row(ph, rank, ts, name, "comm", extra)));
         }
     }
     // Perfetto renders tracks nicely when events arrive time-sorted;
     // ties break longest-duration-first so nested X slices stay nested.
-    rows.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
-    });
+    let cmp = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
+    rows.sort_by(|a, b| cmp(a.0, b.0).then(cmp(b.1, a.1)));
+    // One named track per rank with a row, ahead of the rows.
+    let ranks: BTreeSet<usize> = rows.iter().map(|row| row.2).collect();
     let mut out: Vec<Json> = ranks
         .iter()
         .map(|r| {
@@ -218,23 +314,32 @@ pub fn chrome_trace(events: &[Event]) -> Json {
             ])
         })
         .collect();
-    out.extend(rows.into_iter().map(|(_, _, j)| j));
+    out.extend(rows.into_iter().map(|row| row.3));
     Json::obj(vec![
         ("traceEvents", Json::Arr(out)),
         ("displayTimeUnit", Json::Str("ms".into())),
     ])
 }
 
-fn instant(rank: usize, ts: f64, name: String, cat: &str) -> Json {
-    Json::obj(vec![
-        ("ph", Json::Str("i".into())),
-        ("s", Json::Str("t".into())),
+/// One trace-event row on rank `rank`'s track, plus `extra` fields.
+fn track_row(
+    ph: &str,
+    rank: usize,
+    ts: f64,
+    name: String,
+    cat: &str,
+    extra: Vec<(&str, Json)>,
+) -> Json {
+    let mut pairs = vec![
+        ("ph", Json::Str(ph.into())),
         ("pid", Json::Int(1)),
         ("tid", Json::Int(rank as i128)),
         ("ts", micros(ts)),
         ("name", Json::Str(name)),
         ("cat", Json::Str(cat.into())),
-    ])
+    ];
+    pairs.extend(extra);
+    Json::obj(pairs)
 }
 
 /// Structural validation of a Chrome trace-event document: the shape
@@ -315,12 +420,8 @@ pub fn validate_chrome(doc: &Json) -> Vec<String> {
                     errors.push(format!("traceEvents[{i}]: flow event without id"));
                     continue;
                 };
-                let slot = flow.entry(id).or_insert((0, 0));
-                if ph == "s" {
-                    slot.0 += 1;
-                } else {
-                    slot.1 += 1;
-                }
+                let (starts, finishes) = flow.entry(id).or_insert((0, 0));
+                *if ph == "s" { starts } else { finishes } += 1;
             }
             _ => {}
         }
@@ -400,50 +501,16 @@ struct RankStep {
 
 /// Decompose every timestep's makespan into critical-path segments.
 ///
-/// The k-th depth-0 `timestep` span on each rank is step k. The walk
-/// starts at the latest aligned end over ranks and runs backward: on a
+/// The k-th depth-0 span named exactly `timestep` on each rank is step
+/// k. The walk starts at the latest aligned end over ranks and runs
+/// backward: on a
 /// rank it consumes that rank's deepest-covering (leaf) spans as
 /// *compute* segments; when it falls off the front of the rank's
 /// window it hops to the rank whose activity ends latest before the
 /// cursor, attributing the gap as *wait on* that rank. Streams without
 /// timestamps yield an empty vector.
 pub fn critical_paths(events: &[Event]) -> Vec<StepPath> {
-    let clock = ClockTable::from_events(events);
-    // Per rank: timestep windows (in stream order) and all timestamped
-    // spans as (t0, end, depth, path), aligned.
-    let mut steps: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
-    let mut spans: BTreeMap<usize, Vec<(f64, f64, usize, &str)>> = BTreeMap::new();
-    for ev in events {
-        let Event::Span { rank, path, depth, secs, t0: Some(t0) } = ev else { continue };
-        let t0 = clock.align(*rank, *t0);
-        let end = t0 + secs;
-        if *depth == 0 && (path == "timestep" || path.starts_with("timestep")) {
-            steps.entry(*rank).or_default().push((t0, end));
-        }
-        spans.entry(*rank).or_default().push((t0, end, *depth, path.as_str()));
-    }
-    let nsteps = steps.values().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::new();
-    for k in 0..nsteps {
-        let mut rank_steps: Vec<RankStep> = Vec::new();
-        for (rank, windows) in &steps {
-            let Some(&(start, end)) = windows.get(k) else { continue };
-            let leaves = leaf_segments(start, end, &spans[rank]);
-            rank_steps.push(RankStep { rank: *rank, start, end, leaves });
-        }
-        if rank_steps.is_empty() {
-            continue;
-        }
-        let t_start = rank_steps.iter().map(|r| r.start).fold(f64::INFINITY, f64::min);
-        let t_end = rank_steps.iter().map(|r| r.end).fold(f64::NEG_INFINITY, f64::max);
-        out.push(StepPath {
-            step: k,
-            start: t_start,
-            makespan: t_end - t_start,
-            segments: walk(&rank_steps, t_start, t_end),
-        });
-    }
-    out
+    Timeline::from_events(events).critical_paths()
 }
 
 /// Contiguous deepest-covering-span segmentation of one rank's step
@@ -469,9 +536,7 @@ fn leaf_segments(start: f64, end: f64, spans: &[(f64, f64, usize, &str)]) -> Vec
             .iter()
             .filter(|(s, e, _, _)| *s <= mid && mid <= *e)
             .max_by_key(|(_, _, depth, _)| *depth)
-            .map(|(_, _, _, path)| {
-                path.strip_prefix("timestep/").unwrap_or(path).to_string()
-            })
+            .map(|(_, _, _, path)| path.strip_prefix("timestep/").unwrap_or(path).to_string())
             .unwrap_or_else(|| "timestep".to_string());
         match segs.last_mut() {
             Some(last) if last.2 == label && (last.1 - a).abs() < EPS => last.1 = b,
@@ -494,33 +559,14 @@ fn walk(ranks: &[RankStep], t_start: f64, t_end: f64) -> Vec<PathSegment> {
     // timestamps on two ranks could otherwise ping-pong forever.
     let max_iters = 4 * ranks.iter().map(|r| r.leaves.len() + 1).sum::<usize>().max(16);
     let mut iters = 0;
-    while t > t_start + EPS {
+    while t > t_start + EPS && iters < max_iters {
         iters += 1;
-        if iters > max_iters {
-            segments.push(PathSegment {
-                rank: cur.rank,
-                label: "start".to_string(),
-                wait_on: None,
-                start: t_start,
-                end: t,
-            });
-            break;
-        }
         // Deepest leaf covering just before the cursor on the current rank.
-        let covering = cur
-            .leaves
-            .iter()
-            .rev()
-            .find(|(s, e, _)| *s < t - EPS && t <= *e + EPS);
+        let covering = cur.leaves.iter().rev().find(|(s, e, _)| *s < t - EPS && t <= *e + EPS);
         if let Some((s, _, label)) = covering {
             let lo = s.max(t_start);
-            segments.push(PathSegment {
-                rank: cur.rank,
-                label: label.clone(),
-                wait_on: None,
-                start: lo,
-                end: t,
-            });
+            let label = label.clone();
+            segments.push(PathSegment { rank: cur.rank, label, wait_on: None, start: lo, end: t });
             t = lo;
             continue;
         }
@@ -538,32 +584,19 @@ fn walk(ranks: &[RankStep], t_start: f64, t_end: f64) -> Vec<PathSegment> {
                     .map(|(_, e, _)| (r, e.min(t)))
             })
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        match hop {
-            Some((r, hop_t)) if hop_t > t_start + EPS => {
-                if t - hop_t > EPS {
-                    segments.push(PathSegment {
-                        rank: cur.rank,
-                        label: "wait".to_string(),
-                        wait_on: Some(r.rank),
-                        start: hop_t,
-                        end: t,
-                    });
-                }
-                cur = r;
-                t = hop_t;
-            }
-            _ => {
-                // Nothing ends before the cursor anywhere: start skew.
-                segments.push(PathSegment {
-                    rank: cur.rank,
-                    label: "start".to_string(),
-                    wait_on: None,
-                    start: t_start,
-                    end: t,
-                });
-                t = t_start;
-            }
+        let Some((r, hop_t)) = hop.filter(|&(_, hop_t)| hop_t > t_start + EPS) else { break };
+        if t - hop_t > EPS {
+            let (label, wait_on) = ("wait".to_string(), Some(r.rank));
+            segments.push(PathSegment { rank: cur.rank, label, wait_on, start: hop_t, end: t });
         }
+        cur = r;
+        t = hop_t;
+    }
+    // What the walk did not reach — nothing ends before the cursor
+    // anywhere (start skew), or the iteration cap hit — is the start.
+    if t > t_start + EPS {
+        let label = "start".to_string();
+        segments.push(PathSegment { rank: cur.rank, label, wait_on: None, start: t_start, end: t });
     }
     segments.reverse();
     segments
@@ -760,6 +793,67 @@ mod tests {
         assert!(p.coverage() >= 0.95);
         // The walk crosses from rank 0 back onto rank 1.
         assert!(p.segments.iter().any(|s| s.rank == 1 && s.wait_on.is_none()), "{p:?}");
+    }
+
+    #[test]
+    fn only_a_span_named_timestep_is_a_step() {
+        let mut events = two_rank_step();
+        events.push(span(0, "timestep_io", 0, 1.0, 0.5));
+        assert_eq!(critical_paths(&events).len(), 1);
+    }
+
+    /// A `halo` edge line carrying `msgs` messages of 64 bytes.
+    fn edge(rank: usize, src: usize, dst: usize, msgs: u64, t: (f64, f64)) -> Event {
+        let (class, bytes) = ("halo".into(), 64 * msgs);
+        Event::CommEdge { rank, src, dst, class, msgs, bytes, t_first: Some(t.0), t_last: Some(t.1) }
+    }
+
+    #[test]
+    fn every_consumer_reads_the_first_run_event() {
+        let clock = |offset: f64, n: usize| Some(([0.0, offset, 0.0, 0.0][..n].to_vec(), vec![0.0; n]));
+        let mut events = vec![
+            crate::run_info(2, "socket", "auto", clock(10.0, 2)),
+            crate::run_info(4, "inproc", "auto", clock(20.0, 4)),
+            // Rank 3 exists in the second header only.
+            edge(0, 0, 3, 1, (0.1, 0.2)),
+        ];
+        events.extend(two_rank_step());
+        let report = crate::Report::from_events(&events);
+        assert_eq!((report.ranks, report.transport.as_str()), (2, "socket"));
+        // Rank 1's timestep lands at the first table's 10 s.
+        let text = chrome_trace(&events).to_string();
+        assert!(text.contains("\"ts\":10000000.0") && !text.contains("\"ts\":20000000.0"), "{text}");
+        let errs = crate::validate_stream(&events).unwrap_err();
+        assert_eq!(errs, vec!["comm_edge dst 3 out of range for run with 2 ranks"]);
+    }
+
+    #[test]
+    fn report_trace_and_validator_agree_on_edges() {
+        // 0->1 stamped by both endpoints; 1->2 known only from its
+        // receiver; 2->0 only from its sender.
+        let stream = |receiver_msgs: u64| {
+            vec![
+                crate::run_info(3, "inproc", "auto", None),
+                edge(0, 0, 1, 4, (0.1, 0.5)),
+                edge(1, 0, 1, receiver_msgs, (0.2, 0.6)),
+                edge(2, 1, 2, 2, (0.3, 0.4)),
+                edge(2, 2, 0, 3, (0.2, 0.3)),
+            ]
+        };
+        let summary = |msgs: u64| crate::report::CommEdgeSummary { msgs, bytes: 64 * msgs };
+        let key = |src: usize, dst: usize| (src, dst, "halo".to_string());
+        let expect = [(key(0, 1), summary(4)), (key(1, 2), summary(2)), (key(2, 0), summary(3))];
+        let events = stream(4);
+        assert_eq!(crate::Report::from_events(&events).comm_edges, expect.into());
+        let text = chrome_trace(&events).to_string();
+        let flows = ["s", "f"].map(|ph| text.matches(&format!("\"ph\":\"{ph}\"")).count());
+        assert_eq!(flows, [1, 1], "{text}");
+        assert_eq!(crate::validate_stream(&events), Ok(()));
+        // The receiver of 0->1 saw one message more than was sent.
+        let events = stream(5);
+        let errs = crate::validate_stream(&events).unwrap_err();
+        assert_eq!(errs.iter().filter(|e| e.contains("receiver recorded")).count(), 1, "{errs:?}");
+        assert_eq!(crate::Report::from_events(&events).comm_edges[&key(0, 1)], summary(4));
     }
 
     #[test]

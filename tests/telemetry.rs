@@ -370,7 +370,7 @@ fn structure(events: &[Event]) -> Vec<String> {
             Event::Collective { rank, kind, count, bytes, .. } => {
                 format!("collective r{rank} {kind} c{count} b{bytes}")
             }
-            // Message/byte totals are deterministic; the v5 first/last
+            // Message/byte totals are deterministic; the first/last
             // wall-clock window is not.
             Event::CommEdge { rank, src, dst, class, msgs, bytes, .. } => {
                 format!("comm_edge r{rank} {src}->{dst} {class} m{msgs} b{bytes}")

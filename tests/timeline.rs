@@ -1,6 +1,6 @@
 //! Cross-rank timeline observability: clock-alignment handshake, Chrome
 //! trace export, critical-path attribution, and the solver-health
-//! degradation detector (schema v5).
+//! degradation detector.
 //!
 //! The 4-rank cases mirror the acceptance criteria of the timeline PR:
 //! the exported trace must be structurally valid Chrome trace-event
