@@ -4,10 +4,18 @@
 //! evaluates the edge-based finite-volume coefficients and scatters them
 //! into the pattern slots precomputed by the graph stage (§3.2) — the
 //! owned/shared COO value arrays and the owned/shared right-hand sides.
+//! Momentum and the scalar are one transport system on one graph: the
+//! same upwind-diffusion edge stage, time term, Dirichlet identity rows
+//! and outflow diagonal, for three components or one. What is momentum's
+//! alone is the pressure gradient in its right-hand side, the inflow and
+//! wall values, and the actuator-disc sink.
 //! Stage 3 ([`try_build_matrix`], [`try_build_rhs`]) runs the paper's
-//! Algorithm 1/2 once per graph to record an assembly plan, and replays
-//! that plan — a gather plus one values-only message per neighbour — for
-//! this and every later set of values.
+//! Algorithm 1/2 once per graph (once per system, for a right-hand side)
+//! to record an assembly plan, and replays that plan — a gather plus one
+//! values-only message per neighbour — for this and every later set of
+//! values.
+
+use std::sync::OnceLock;
 
 use distmat::{AssemblyPlan, IjVector, ParCsr, ParVector, VectorPlan};
 use parcomm::{KernelKind, Rank};
@@ -85,23 +93,6 @@ pub fn axis_center(mesh: &Mesh) -> [f64; 3] {
     }
 }
 
-/// Momentum Dirichlet value of a node.
-fn mom_bc_value(
-    mesh: &Mesh,
-    state: &State,
-    params: &PhysicsParams,
-    center: [f64; 3],
-    tag: BcTag,
-    node: usize,
-) -> [f64; 3] {
-    match tag {
-        BcTag::Inflow => [params.u_inflow, 0.0, 0.0],
-        BcTag::Wall => wall_velocity(mesh.coords[node], center, params.rotor_omega),
-        // Fringe values were set by the overset exchange; holes stay frozen.
-        _ => state.vel[node],
-    }
-}
-
 /// Stage 2 for the momentum system: one matrix, three right-hand sides.
 #[allow(clippy::too_many_arguments)]
 pub fn fill_momentum(
@@ -117,27 +108,9 @@ pub fn fill_momentum(
     vals: &mut LocalValues,
 ) -> [IjVector; 3] {
     let fill = rank.kernel("fill_momentum", KernelKind::Stream);
-    vals.reset();
-    let dist = dm.dist.clone();
-    let mut rhs = [
-        IjVector::new(rank, dist.clone()),
-        IjVector::new(rank, dist.clone()),
-        IjVector::new(rank, dist),
-    ];
+    let mut rhs: [IjVector; 3] = std::array::from_fn(|_| IjVector::new(rank, dm.dist.clone()));
     let rho = params.density;
     let center = axis_center(mesh);
-
-    // Edge stage: advection (first-order upwind) + diffusion. Each edge's
-    // coefficient quadruple is a pure function of that edge, so the fill
-    // is a parallel map; the plan-driven scatter then sums every slot's
-    // contributions in fixed edge order, keeping the assembled values
-    // bitwise independent of the thread count (DESIGN.md, "Threading
-    // model").
-    vals.fill_edges(&graph.scatter, |k| {
-        let edge = &mesh.edges[owned_edges[k]];
-        let mu_e = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
-        upwind_diffusion(rho * dot3(edge.area_vec, uface(state, edge)), mu_e * edge.area_over_dist)
-    });
 
     // Pressure gradient (Green-Gauss face terms into the RHS), in edge
     // order.
@@ -152,22 +125,24 @@ pub fn fill_momentum(
         }
     }
 
-    // Node loop: time term or Dirichlet identity rows.
-    for (k, &n) in owned_nodes.iter().enumerate() {
-        let slot = graph.diag_slots[k];
-        if graph.dirichlet[n] {
-            vals.set(slot, 1.0);
-            let v = mom_bc_value(mesh, state, params, center, tags[n], n);
-            IjVector::add_to_each(&mut rhs, dm.gid[n], v);
-        } else {
-            let tcoef = rho * mesh.node_volume[n] / params.dt;
-            vals.add(slot, tcoef);
-            IjVector::add_to_each(&mut rhs, dm.gid[n], state.vel_old[n].map(|u| tcoef * u));
-        }
-    }
-
-    // Outflow boundary: linearized advective outflux on the diagonal.
-    add_outflow_diag(mesh, graph, state, rho, vals);
+    fill_transport(
+        mesh,
+        dm,
+        graph,
+        state,
+        params,
+        owned_edges,
+        owned_nodes,
+        vals,
+        &mut rhs,
+        |n| match tags[n] {
+            BcTag::Inflow => [params.u_inflow, 0.0, 0.0],
+            BcTag::Wall => wall_velocity(mesh.coords[n], center, params.rotor_omega),
+            // Fringe values were set by the overset exchange; holes stay frozen.
+            _ => state.vel[n],
+        },
+        |n| state.vel_old[n],
+    );
 
     // Actuator-disc momentum sink on rotor meshes: the drag of the
     // (rigid-blade) rotor on the flow, linearized implicitly as
@@ -195,20 +170,60 @@ pub fn fill_momentum(
     rhs
 }
 
-/// Shared helper: add `max(ρ A·u, 0)` to outflow-node diagonals.
-fn add_outflow_diag(
+/// The stage 2 the transport systems share, for a field of `N`
+/// components: the operator into `vals` (reset first) and the node rows
+/// of `rhs`. Dirichlet rows are identity rows carrying `bc_value(node)`;
+/// every other row gets the time term, with `old_value(node)` on the
+/// right-hand side.
+#[allow(clippy::too_many_arguments)]
+fn fill_transport<const N: usize>(
     mesh: &Mesh,
+    dm: &DofMap,
     graph: &EquationGraph,
     state: &State,
-    rho: f64,
+    params: &PhysicsParams,
+    owned_edges: &[usize],
+    owned_nodes: &[usize],
     vals: &mut LocalValues,
+    rhs: &mut [IjVector; N],
+    bc_value: impl Fn(usize) -> [f64; N],
+    old_value: impl Fn(usize) -> [f64; N],
 ) {
-    let Some(patch) = mesh.boundary(BcKind::Outflow) else {
-        return;
-    };
-    for &(i, slot) in &graph.outflow_diag {
-        let mdot = rho * dot3(patch.normals[i], state.vel[patch.nodes[i]]);
-        vals.add(slot, mdot.max(0.0));
+    vals.reset();
+    let rho = params.density;
+
+    // Edge stage: advection (first-order upwind) + diffusion. Each edge's
+    // coefficient quadruple is a pure function of that edge, so the fill
+    // is a parallel map; the plan-driven scatter then sums every slot's
+    // contributions in fixed edge order, keeping the assembled values
+    // bitwise independent of the thread count (DESIGN.md, "Threading
+    // model").
+    vals.fill_edges(&graph.scatter, |k| {
+        let edge = &mesh.edges[owned_edges[k]];
+        let mu_e = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
+        upwind_diffusion(rho * dot3(edge.area_vec, uface(state, edge)), mu_e * edge.area_over_dist)
+    });
+
+    // Node loop: time term or Dirichlet identity rows.
+    for (k, &n) in owned_nodes.iter().enumerate() {
+        let slot = graph.diag_slots[k];
+        if graph.dirichlet[n] {
+            vals.set(slot, 1.0);
+            IjVector::add_to_each(rhs, dm.gid[n], bc_value(n));
+        } else {
+            let tcoef = rho * mesh.node_volume[n] / params.dt;
+            vals.add(slot, tcoef);
+            IjVector::add_to_each(rhs, dm.gid[n], old_value(n).map(|u| tcoef * u));
+        }
+    }
+
+    // Outflow boundary: the linearized advective outflux `max(ρ A·u, 0)`
+    // on the diagonal.
+    if let Some(patch) = mesh.boundary(BcKind::Outflow) {
+        for &(i, slot) in &graph.outflow_diag {
+            let mdot = rho * dot3(patch.normals[i], state.vel[patch.nodes[i]]);
+            vals.add(slot, mdot.max(0.0));
+        }
     }
 }
 
@@ -339,37 +354,27 @@ pub fn fill_scalar(
     vals: &mut LocalValues,
 ) -> IjVector {
     let fill = rank.kernel("fill_scalar", KernelKind::Stream);
-    vals.reset();
-    let mut rhs = IjVector::new(rank, dm.dist.clone());
-    let rho = params.density;
-
-    // Edge stage (parallel map + order-fixed scatter, as in
-    // `fill_momentum`).
-    vals.fill_edges(&graph.scatter, |k| {
-        let edge = &mesh.edges[owned_edges[k]];
-        let gamma = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
-        upwind_diffusion(rho * dot3(edge.area_vec, uface(state, edge)), gamma * edge.area_over_dist)
-    });
-    for (k, &n) in owned_nodes.iter().enumerate() {
-        let slot = graph.diag_slots[k];
-        if graph.dirichlet[n] {
-            vals.set(slot, 1.0);
-            let v = match tags[n] {
-                BcTag::Inflow => params.nut_inflow,
-                BcTag::Wall => 0.0,
-                _ => state.nut[n],
-            };
-            rhs.add_value(dm.gid[n], v);
-        } else {
-            let tcoef = rho * mesh.node_volume[n] / params.dt;
-            vals.add(slot, tcoef);
-            rhs.add_value(dm.gid[n], tcoef * state.nut_old[n]);
-        }
-    }
-    add_outflow_diag(mesh, graph, state, rho, vals);
-
+    let mut rhs = [IjVector::new(rank, dm.dist.clone())];
+    fill_transport(
+        mesh,
+        dm,
+        graph,
+        state,
+        params,
+        owned_edges,
+        owned_nodes,
+        vals,
+        &mut rhs,
+        |n| match tags[n] {
+            BcTag::Inflow => [params.nut_inflow],
+            BcTag::Wall => [0.0],
+            _ => [state.nut[n]],
+        },
+        |n| [state.nut_old[n]],
+    );
     let work = (owned_edges.len() * 12 + owned_nodes.len() * 4) as u64;
     fill.launch(owned_nodes.len(), (work * 8, work * 3));
+    let [rhs] = rhs;
     rhs
 }
 
@@ -409,16 +414,17 @@ pub fn try_build_matrix(
     Ok(a)
 }
 
-/// Stage 3 for a right-hand side filled against `graph` by one of the
-/// `fill_*` functions: Algorithm 2 recorded on the first call per graph
-/// (the off-rank ids a fill emits are a fixed sequence over the graph's
-/// cut edges) and replayed on this and every later one. Collective.
+/// Stage 3 for a right-hand side filled by one of the `fill_*`
+/// functions: Algorithm 2 recorded into `plan` on the first call (the
+/// off-rank ids one system's fill emits are a fixed sequence over its
+/// graph's cut edges) and replayed on this and every later one.
+/// Collective.
 pub fn try_build_rhs(
     rank: &Rank,
-    graph: &EquationGraph,
+    plan: &OnceLock<VectorPlan>,
     rhs: IjVector,
 ) -> Result<ParVector, resilience::SolveError> {
-    let plan = graph.rhs_plan.get_or_init(|| VectorPlan::build(rank, &rhs));
+    let plan = plan.get_or_init(|| VectorPlan::build(rank, &rhs));
     #[cfg(test)]
     let fresh = oracle::armed().then(|| rhs.clone().assemble(rank));
     let b = rhs.try_assemble_planned(rank, plan)?;

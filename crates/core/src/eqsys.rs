@@ -1,6 +1,9 @@
 //! Per-mesh equation-system bookkeeping.
 
+use std::sync::OnceLock;
+
 use amg::AmgPrecond;
+use distmat::VectorPlan;
 
 use crate::dofmap::{DofMap, PartitionMethod};
 use crate::graph::{
@@ -37,21 +40,30 @@ impl EqKind {
 /// classification changes (see [`MeshSystem::rebuild_graphs`]) — and with
 /// them everything derived from them: assembly plans, scratch, and the
 /// cached pressure preconditioner.
+///
+/// Each system is still assembled into a matrix of its own (hypre builds
+/// one IJ matrix per system), but there is one pattern, one assembly plan
+/// and one value buffer per Dirichlet mask: momentum and the scalar share
+/// the transport mask and edge coefficients, and solve one after the
+/// other, so they fill the same buffer and replay the same plan.
 #[derive(Clone, Debug)]
 pub struct Graphs {
-    /// Momentum/scalar share a Dirichlet mask and hence a pattern shape,
-    /// but are kept separate (hypre builds one IJ matrix per system).
+    /// The transport graph: the pattern of the momentum and scalar
+    /// systems.
     pub momentum: EquationGraph,
     /// Continuity pattern.
     pub continuity: EquationGraph,
-    /// Scalar pattern.
-    pub scalar: EquationGraph,
-    /// Value buffers matching each pattern.
+    /// Values of the transport graph, filled by momentum and then by the
+    /// scalar (each matrix is assembled out of it before the next fill).
     pub mom_vals: LocalValues,
     /// Continuity values.
     pub con_vals: LocalValues,
-    /// Scalar values.
-    pub sca_vals: LocalValues,
+    /// Algorithm 2 replay of each system's right-hand side, indexed by
+    /// [`EqKind`] and recorded by its first assembly. One per system, not
+    /// per graph: the off-rank ids a fill emits depend on the fill (the
+    /// momentum pressure gradient reaches across the cut, the scalar
+    /// emits none).
+    rhs_plans: [OnceLock<VectorPlan>; 3],
     /// The AMG preconditioner of the continuity operator, keyed on the
     /// bits of the `dt/ρ` it was assembled with. The operator is a
     /// function of this graph and `dt/ρ` alone
@@ -62,6 +74,13 @@ pub struct Graphs {
     pub(crate) con_precond: Option<(u64, AmgPrecond)>,
     /// Per-node scratch of the velocity correction's pressure gradient.
     pub(crate) dp_grad: Vec<[f64; 3]>,
+}
+
+impl Graphs {
+    /// The right-hand-side plan slot of system `eq`.
+    pub(crate) fn rhs_plan(&self, eq: EqKind) -> &OnceLock<VectorPlan> {
+        &self.rhs_plans[eq as usize]
+    }
 }
 
 /// Partition, numbering, and graphs of one overset mesh on one rank.
@@ -75,8 +94,6 @@ pub struct MeshSystem {
     pub owned_edges: Vec<usize>,
     /// Nodes owned by this rank, ascending global id.
     pub owned_nodes: Vec<usize>,
-    /// Inverse of `dm.gid`: node index of each global id.
-    pub node_of_gid: Vec<usize>,
     /// Current graphs (absent before the first rebuild).
     pub graphs: Option<Graphs>,
 }
@@ -95,26 +112,22 @@ impl MeshSystem {
             .filter(|&e| dm.owner[mesh.edges[e].a] == me)
             .collect();
         let owned_nodes = dm.owned_nodes(me);
-        let mut node_of_gid = vec![0usize; mesh.n_nodes()];
-        for (node, &g) in dm.gid.iter().enumerate() {
-            node_of_gid[g as usize] = node;
-        }
         MeshSystem {
             dm,
             tags: classify_nodes(mesh),
             owned_edges,
             owned_nodes,
-            node_of_gid,
             graphs: None,
         }
     }
 
     /// Stage 1 for all three systems: reclassify nodes and recompute the
-    /// exact sparsity patterns + write slots. The graphs are a pure
-    /// function of the mesh topology, the `DofMap` and the tags; the
-    /// first two are fixed for the life of the system, so existing
-    /// graphs are kept while the tags are unchanged (rigid rotor motion
-    /// with an axisymmetric hole cut leaves them so every step).
+    /// exact sparsity patterns + write slots of the transport and the
+    /// continuity graph. The graphs are a pure function of the mesh
+    /// topology, the `DofMap` and the tags; the first two are fixed for
+    /// the life of the system, so existing graphs are kept while the tags
+    /// are unchanged (rigid rotor motion with an axisymmetric hole cut
+    /// leaves them so every step).
     pub fn rebuild_graphs(&mut self, mesh: &Mesh, me: usize) {
         let tags = classify_nodes(mesh);
         if self.graphs.is_some() && tags == self.tags {
@@ -123,42 +136,18 @@ impl MeshSystem {
         }
         telemetry::counter("graphs.rebuilt", 1);
         self.tags = tags;
-        let mom_dir = dirichlet_momentum(&self.tags);
-        let pre_dir = dirichlet_pressure(&self.tags);
-        let momentum = EquationGraph::build(
-            mesh,
-            &self.dm,
-            me,
-            mom_dir.clone(),
-            &self.owned_edges,
-            &self.owned_nodes,
-        );
-        let continuity = EquationGraph::build(
-            mesh,
-            &self.dm,
-            me,
-            pre_dir,
-            &self.owned_edges,
-            &self.owned_nodes,
-        );
-        let scalar = EquationGraph::build(
-            mesh,
-            &self.dm,
-            me,
-            mom_dir,
-            &self.owned_edges,
-            &self.owned_nodes,
-        );
+        let (dm, edges, nodes) = (&self.dm, &self.owned_edges, &self.owned_nodes);
+        let build = |dirichlet| EquationGraph::build(mesh, dm, me, dirichlet, edges, nodes);
+        let momentum = build(dirichlet_momentum(&self.tags));
+        let continuity = build(dirichlet_pressure(&self.tags));
         let mom_vals = LocalValues::zeros(&momentum);
         let con_vals = LocalValues::zeros_sharing(&continuity, &mom_vals);
-        let sca_vals = LocalValues::zeros_sharing(&scalar, &mom_vals);
         self.graphs = Some(Graphs {
             momentum,
             continuity,
-            scalar,
             mom_vals,
             con_vals,
-            sca_vals,
+            rhs_plans: Default::default(),
             con_precond: None,
             dp_grad: vec![[0.0; 3]; mesh.n_nodes()],
         });
@@ -209,15 +198,6 @@ mod tests {
         // compare contents, sizes can coincide on symmetric boxes).
         assert_ne!(g.momentum.owned, g.continuity.owned);
         assert!(sys.pressure_nnz_local() > 0);
-    }
-
-    #[test]
-    fn node_of_gid_is_inverse() {
-        let m = mesh();
-        let sys = MeshSystem::new(&m, 3, PartitionMethod::Multilevel, 1, 1);
-        for node in 0..m.n_nodes() {
-            assert_eq!(sys.node_of_gid[sys.dm.gid[node] as usize], node);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use distmat::{AssemblyPlan, VectorPlan};
+use distmat::AssemblyPlan;
 use rayon::prelude::*;
 use sparse_kit::prims;
 use windmesh::{BcKind, Mesh, NodeStatus};
@@ -161,9 +161,10 @@ impl ScatterPlan {
     }
 }
 
-/// The exact sparsity pattern of one equation system on one rank, with
-/// precomputed write slots. The per-edge slots (`edge_slots`) are kept
-/// only in their slot-major form, the scatter plan.
+/// The exact sparsity pattern of the equation systems with one Dirichlet
+/// mask on one rank, with precomputed write slots. The per-edge slots
+/// (`edge_slots`) are kept only in their slot-major form, the scatter
+/// plan.
 #[derive(Clone, Debug)]
 pub struct EquationGraph {
     /// Row-major sorted (row, col) pairs for rows owned by this rank.
@@ -183,12 +184,9 @@ pub struct EquationGraph {
     pub outflow_diag: Vec<(usize, u32)>,
     /// Stage-3 replay of this pattern (Algorithm 1 with the structure
     /// taken out), recorded by the first matrix assembly. A function of
-    /// the pattern alone, so it lives and dies with the graph.
+    /// the pattern alone, so it lives and dies with the graph, and every
+    /// system assembled on the graph replays it.
     pub(crate) plan: OnceLock<AssemblyPlan>,
-    /// The same for Algorithm 2 over the off-rank ids the local-assembly
-    /// stage emits for this graph, recorded by the first right-hand-side
-    /// assembly.
-    pub(crate) rhs_plan: OnceLock<VectorPlan>,
 }
 
 impl EquationGraph {
@@ -264,13 +262,7 @@ impl EquationGraph {
             scatter,
             outflow_diag,
             plan: OnceLock::new(),
-            rhs_plan: OnceLock::new(),
         }
-    }
-
-    /// Total pattern entries (`nnz_own + nnz_send`).
-    pub fn nnz(&self) -> (usize, usize) {
-        (self.owned.len(), self.shared.len())
     }
 }
 

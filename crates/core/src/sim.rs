@@ -448,33 +448,10 @@ impl Simulation {
                 overset_exchange(&mut self.states, &self.meshes, &self.overset);
             });
             for m in 0..self.meshes.len() {
-                let its = self.solve_with_recovery(
-                    rank,
-                    m,
-                    &mut t,
-                    "momentum",
-                    Self::try_solve_momentum,
-                    &mut recoveries,
-                )?;
-                *iters.entry("momentum".into()).or_insert(0) += its;
-                let its = self.solve_with_recovery(
-                    rank,
-                    m,
-                    &mut t,
-                    "continuity",
-                    Self::try_solve_continuity,
-                    &mut recoveries,
-                )?;
-                *iters.entry("continuity".into()).or_insert(0) += its;
-                let its = self.solve_with_recovery(
-                    rank,
-                    m,
-                    &mut t,
-                    "scalar",
-                    Self::try_solve_scalar,
-                    &mut recoveries,
-                )?;
-                *iters.entry("scalar".into()).or_insert(0) += its;
+                for eq in EqKind::ALL {
+                    let its = self.solve_with_recovery(rank, m, &mut t, eq, &mut recoveries)?;
+                    *iters.entry(eq.name().into()).or_insert(0) += its;
+                }
             }
         }
 
@@ -766,11 +743,15 @@ impl Simulation {
         rank: &Rank,
         m: usize,
         t: &mut Timings,
-        eq: &str,
-        solve: fn(&mut Simulation, &Rank, usize, &mut Timings, &AttemptMods) -> Result<usize, SolveError>,
+        kind: EqKind,
         recoveries: &mut Vec<RecoveryRecord>,
     ) -> Result<usize, SolveError> {
-        let mut err = match solve(self, rank, m, t, &AttemptMods::default()) {
+        let eq = kind.name();
+        let mut solve = |sim: &mut Simulation, mods: &AttemptMods| match kind {
+            EqKind::Continuity => sim.try_solve_continuity(rank, m, t, mods),
+            EqKind::Momentum | EqKind::Scalar => sim.try_solve_transport(rank, m, t, kind, mods),
+        };
+        let mut err = match solve(self, &AttemptMods::default()) {
             Ok(n) => return Ok(n),
             Err(e) => e,
         };
@@ -787,7 +768,7 @@ impl Simulation {
                 RecoveryAction::FallbackSmoother => mods.fallback_smoother = true,
                 RecoveryAction::CutTimestep => mods.dt_scale *= policy.dt_cut,
             }
-            match solve(self, rank, m, t, &mods) {
+            match solve(self, &mods) {
                 Ok(n) => {
                     recoveries.push(self.record_recovery(rank, eq, &err, *action, attempt, "recovered"));
                     return Ok(n);
@@ -866,15 +847,20 @@ impl Simulation {
         }
     }
 
-    fn try_solve_momentum(
+    /// One attempt of a transport system, `kind` momentum (three velocity
+    /// components) or scalar (one): fill the transport graph's values,
+    /// replay its plan, and solve every component against the one
+    /// SGS2-preconditioned operator.
+    fn try_solve_transport(
         &mut self,
         rank: &Rank,
         m: usize,
         t: &mut Timings,
+        kind: EqKind,
         mods: &AttemptMods,
     ) -> Result<usize, SolveError> {
         let cfg = self.cfg.clone();
-        let eq = EqKind::Momentum.name();
+        let eq = kind.name();
         let sys = &mut self.systems[m];
         let mesh = &self.meshes[m];
         let state = &mut self.states[m];
@@ -883,26 +869,21 @@ impl Simulation {
 
         // Stage 2: local assembly.
         let graphs = sys.graphs.as_mut().expect("graphs built");
-        let rhs = Self::phased(rank, t, eq, Phase::LocalAssembly, || {
-            fill_momentum(
-                rank,
-                mesh,
-                &sys.dm,
-                &graphs.momentum,
-                &sys.tags,
-                state,
-                &params,
-                &sys.owned_edges,
-                &sys.owned_nodes,
-                &mut graphs.mom_vals,
-            )
+        let (dm, tags, edges, nodes) = (&sys.dm, &sys.tags, &sys.owned_edges, &sys.owned_nodes);
+        let (graph, vals) = (&graphs.momentum, &mut graphs.mom_vals);
+        let rhs = Self::phased(rank, t, eq, Phase::LocalAssembly, || match kind {
+            EqKind::Momentum => Vec::from(fill_momentum(
+                rank, mesh, dm, graph, tags, state, &params, edges, nodes, vals,
+            )),
+            _ => vec![fill_scalar(rank, mesh, dm, graph, tags, state, &params, edges, nodes, vals)],
         });
         // Stage 3: global assembly (Algorithms 1 and 2).
         let (a, bs) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
-            let a = try_build_matrix(rank, &sys.dm, &graphs.momentum, &graphs.mom_vals)?;
+            let a = try_build_matrix(rank, dm, graph, &graphs.mom_vals)?;
+            let plan = graphs.rhs_plan(kind);
             let bs = rhs
                 .into_iter()
-                .map(|r| try_build_rhs(rank, &graphs.momentum, r))
+                .map(|r| try_build_rhs(rank, plan, r))
                 .collect::<Result<Vec<ParVector>, _>>()?;
             Ok::<_, SolveError>((a, bs))
         })?;
@@ -913,21 +894,20 @@ impl Simulation {
             TransportPrecond::setup(a, &cfg, mods)
         });
         let (a, precond) = precond.parts();
-        // Solve the three components with the shared matrix/preconditioner.
         let gmres = Self::make_gmres(&cfg, cfg.momentum_tol);
         let mut total_iters = 0;
         let mut rel = 0.0;
-        // Buffer the component solutions and commit only after all three
-        // solves succeed, so a mid-equation failure never leaves the
-        // velocity field partially updated going into a retry.
+        // Buffer the component solutions and commit only after every
+        // component has solved, so a mid-equation failure never leaves the
+        // field partially updated going into a retry.
         let mut components: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
         Self::phased(rank, t, eq, Phase::Solve, || {
             for (c, b) in bs.iter().enumerate() {
-                let mut x = ParVector::from_local(
-                    rank,
-                    sys.dm.dist.clone(),
-                    sys.owned_nodes.iter().map(|&n| state.vel[n][c]).collect(),
-                );
+                let guess = nodes.iter().map(|&n| match kind {
+                    EqKind::Momentum => state.vel[n][c],
+                    _ => state.nut[n],
+                });
+                let mut x = ParVector::from_local(rank, dm.dist.clone(), guess.collect());
                 let stats = gmres.solve(rank, a, b, &mut x, precond)?;
                 total_iters += stats.iters;
                 rel = stats.rel_residual;
@@ -937,8 +917,13 @@ impl Simulation {
         })?;
         self.final_rels.insert(eq.to_string(), rel);
         for (c, full) in components.iter().enumerate() {
-            for (node, g) in sys.dm.gid.iter().enumerate() {
-                state.vel[node][c] = full[*g as usize];
+            for (node, g) in dm.gid.iter().enumerate() {
+                let v = full[*g as usize];
+                match kind {
+                    EqKind::Momentum => state.vel[node][c] = v,
+                    // Clip: transported viscosity must stay non-negative.
+                    _ => state.nut[node] = v.max(0.0),
+                }
             }
         }
         Ok(total_iters)
@@ -1011,7 +996,7 @@ impl Simulation {
                     (PressureOperator::Assembled(a), false)
                 }
             };
-            let mut b = try_build_rhs(rank, &graphs.continuity, rhs)?;
+            let mut b = try_build_rhs(rank, graphs.rhs_plan(EqKind::Continuity), rhs)?;
             if let Some(v) = b.local.first_mut().filter(|_| nan) {
                 *v = f64::NAN;
             }
@@ -1077,68 +1062,6 @@ impl Simulation {
             let mom_dir = &graphs.momentum.dirichlet;
             correct_velocity(mesh, &sys.tags, state, &params, mom_dir, &mut graphs.dp_grad);
         });
-        Ok(iters)
-    }
-
-    fn try_solve_scalar(
-        &mut self,
-        rank: &Rank,
-        m: usize,
-        t: &mut Timings,
-        mods: &AttemptMods,
-    ) -> Result<usize, SolveError> {
-        let cfg = self.cfg.clone();
-        let eq = EqKind::Scalar.name();
-        let sys = &mut self.systems[m];
-        let mesh = &self.meshes[m];
-        let state = &mut self.states[m];
-        let mut params = cfg.physics;
-        params.dt *= mods.dt_scale;
-
-        let graphs = sys.graphs.as_mut().expect("graphs built");
-        let rhs = Self::phased(rank, t, eq, Phase::LocalAssembly, || {
-            fill_scalar(
-                rank,
-                mesh,
-                &sys.dm,
-                &graphs.scalar,
-                &sys.tags,
-                state,
-                &params,
-                &sys.owned_edges,
-                &sys.owned_nodes,
-                &mut graphs.sca_vals,
-            )
-        });
-        let (a, b) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
-            let a = try_build_matrix(rank, &sys.dm, &graphs.scalar, &graphs.sca_vals)?;
-            Ok::<_, SolveError>((a, try_build_rhs(rank, &graphs.scalar, rhs)?))
-        })?;
-        Self::check_system_finite(rank, Some(&a), &[&b])?;
-        let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-            TransportPrecond::setup(a, &cfg, mods)
-        });
-        let (a, precond) = precond.parts();
-        let gmres = Self::make_gmres(&cfg, cfg.momentum_tol);
-        let mut iters = 0;
-        let mut rel = 0.0;
-        Self::phased(rank, t, eq, Phase::Solve, || {
-            let mut x = ParVector::from_local(
-                rank,
-                sys.dm.dist.clone(),
-                sys.owned_nodes.iter().map(|&n| state.nut[n]).collect(),
-            );
-            let stats = gmres.solve(rank, a, &b, &mut x, precond)?;
-            iters = stats.iters;
-            rel = stats.rel_residual;
-            let full = x.to_serial(rank);
-            for (node, g) in sys.dm.gid.iter().enumerate() {
-                // Clip: transported viscosity must stay non-negative.
-                state.nut[node] = full[*g as usize].max(0.0);
-            }
-            Ok::<_, SolveError>(())
-        })?;
-        self.final_rels.insert(eq.to_string(), rel);
         Ok(iters)
     }
 }

@@ -522,11 +522,6 @@ impl IjVector {
         }
     }
 
-    /// Number of buffered off-rank entries (`n_send`).
-    pub fn n_shared(&self) -> usize {
-        self.shared_ids.len()
-    }
-
     /// Algorithm 2: exchange off-rank entries, sort + reduce **only the
     /// received values** (n_recv ≪ n_own), then scatter-add into the owned
     /// array. Collective.

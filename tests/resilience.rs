@@ -49,21 +49,30 @@ fn cfg_with_faults(plan: Option<&str>) -> SolverConfig {
 /// recovery telemetry events).
 fn run_step(
     mesh: Mesh,
-    plan: Option<&'static str>,
+    plan: Option<&str>,
+) -> Vec<(Vec<u64>, Vec<exawind::nalu_core::RecoveryRecord>, Vec<Event>)> {
+    run_step_on(vec![mesh], plan)
+}
+
+/// [`run_step`] over a set of overset meshes, with the bits of every mesh.
+fn run_step_on(
+    meshes: Vec<Mesh>,
+    plan: Option<&str>,
 ) -> Vec<(Vec<u64>, Vec<exawind::nalu_core::RecoveryRecord>, Vec<Event>)> {
     Comm::run(2, move |rank| {
-        let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg_with_faults(plan));
+        let mut sim = Simulation::new(rank, meshes.clone(), cfg_with_faults(plan));
         let report = sim.step(rank);
         let events: Vec<Event> = sim
             .finish_telemetry(rank)
             .into_iter()
             .filter(|e| matches!(e, Event::Recovery { .. }))
             .collect();
-        let st = sim.state(0);
         let mut bits: Vec<u64> = Vec::new();
-        bits.extend(st.vel.iter().flat_map(|v| v.iter().map(|x| x.to_bits())));
-        bits.extend(st.p.iter().map(|x| x.to_bits()));
-        bits.extend(st.nut.iter().map(|x| x.to_bits()));
+        for st in (0..sim.n_meshes()).map(|m| sim.state(m)) {
+            bits.extend(st.vel.iter().flat_map(|v| v.iter().map(|x| x.to_bits())));
+            bits.extend(st.p.iter().map(|x| x.to_bits()));
+            bits.extend(st.nut.iter().map(|x| x.to_bits()));
+        }
         (bits, report.recoveries, events)
     })
 }
@@ -134,6 +143,41 @@ fn injected_halo_nan_recovers_bitwise() {
         assert_eq!(recs[0].fault, "non_finite_residual");
         assert_eq!(recs[0].outcome, "recovered");
         assert_eq!(cb, fb, "recovered fields differ from clean run");
+    }
+}
+
+/// Momentum and the scalar share one graph, one value buffer and one
+/// solve path, and a fault in either recovers bitwise with one rebuild,
+/// on the rotating 2-mesh turbine case (where every component moves).
+/// The scalar case corrupts the first scalar assembly, which replays the
+/// plan and refills the buffer momentum filled before it. The momentum
+/// case turns the step's last momentum halo exchange to NaN (occurrence
+/// probed, as in `mid_run_halo_nan_evicts_cached_hierarchy_and_recovers_bitwise`):
+/// the last residual of a z component, after x and y have solved. The
+/// retry assembles from the velocity the failed attempt assembled from
+/// only if no component was committed before all had solved.
+#[test]
+fn transport_faults_recover_bitwise() {
+    use exawind::windmesh::turbine::{generate, NrelCase};
+    let meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+    let clean = run_step_on(meshes.clone(), None);
+    let probe = Comm::run(2, |rank| {
+        let cfg = cfg_with_faults(Some("halo-nan@momentum/solve:1000000"));
+        let mut sim = Simulation::new(rank, meshes.clone(), cfg);
+        sim.step(rank);
+        faults::counters()[0].0
+    });
+    assert_eq!(probe[0], probe[1], "halo hook calls differ across ranks");
+    let halo = format!("halo-nan@momentum/solve:{}", probe[0]);
+    for (spec, eq) in [("assembly-nan@scalar:1", "scalar"), (halo.as_str(), "momentum")] {
+        let faulted = run_step_on(meshes.clone(), Some(spec));
+        for (r, ((cb, _, _), (fb, recs, _))) in clean.iter().zip(&faulted).enumerate() {
+            assert_eq!(recs.len(), 1, "{spec} rank {r}: expected one recovery, got {recs:?}");
+            assert_eq!(recs[0].eq, eq, "{spec} rank {r}");
+            assert_eq!(recs[0].action, "rebuild", "{spec} rank {r}");
+            assert_eq!(recs[0].outcome, "recovered", "{spec} rank {r}");
+            assert_eq!(cb, fb, "{spec} rank {r}: recovered fields differ from clean run");
+        }
     }
 }
 

@@ -170,11 +170,13 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert_eq!(report.counters["amg.setup_reused"], 6, "3 reuses per rank expected");
     assert_eq!(report.counters["graphs.rebuilt"], 2);
     assert_eq!(report.counters["graphs.reused"], 2);
-    // One assembly plan per graph, recorded by its first assembly; every
-    // assembly replays one: 2 steps × 2 Picard × momentum and scalar,
-    // and the one continuity operator, per rank. The other three
-    // continuity solves reuse the operator cached with its hierarchy.
-    assert_eq!(report.counters["assembly.plan_built"], 6, "3 plans per rank expected");
+    // One assembly plan per graph — the transport graph's, recorded by
+    // the first momentum assembly, and the continuity graph's — per rank;
+    // every assembly replays one: 2 steps × 2 Picard × momentum and
+    // scalar through the transport plan, and the one continuity operator,
+    // per rank. The other three continuity solves reuse the operator
+    // cached with its hierarchy.
+    assert_eq!(report.counters["assembly.plan_built"], 4, "2 plans per rank expected");
     assert_eq!(report.counters["assembly.plan_replayed"], 18);
     assert_eq!(report.counters["continuity.operators_assembled"], 2);
     assert_eq!(report.counters["continuity.operators_reused"], 6);
@@ -281,7 +283,7 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert!(
         text.contains(
             "AMG setups rebuilt 2 / reused 6; graphs rebuilt 2 / reused 2; \
-             assembly plans built 6 / replayed 18; \
+             assembly plans built 4 / replayed 18; \
              continuity operators assembled 2 / reused 6"
         ),
         "{text}"
