@@ -164,32 +164,33 @@ grep -q 'communication matrix' "$mp_dir/report.txt" \
 # into a structurally valid Chrome trace-event / Perfetto JSON
 # (exawind-perf trace exits non-zero when the structural validator
 # finds unbalanced events or non-monotone tracks), and every step wrote
-# a solver-health row that a clean run must NOT escalate to a verdict.
+# a solver-health row that a clean run must NOT escalate to a verdict
+# (the report replays the detector over the rows).
 cargo run --release -p exawind-bench --bin exawind-perf -- \
   trace --out "$mp_dir/trace.json" "$mp_dir/tel.rank0.jsonl" "$mp_dir/tel.rank1.jsonl"
 grep -q '"traceEvents"' "$mp_dir/trace.json" \
   || { echo "trace smoke: no traceEvents array in $mp_dir/trace.json" >&2; exit 1; }
 grep -q '"type":"step_health"' "$mp_dir/tel.rank0.jsonl" \
   || { echo "trace smoke: no step_health event in $mp_dir/tel.rank0.jsonl" >&2; exit 1; }
-if grep -q '"type":"health_verdict"' "$mp_dir/tel.rank0.jsonl"; then
-  echo "trace smoke: clean run produced a degradation verdict" >&2
-  exit 1
-fi
+grep -q '^no degradation verdicts$' "$mp_dir/report.txt" \
+  || { echo "trace smoke: clean run produced a degradation verdict" >&2; exit 1; }
 
 # Health-detector smoke: corrupt the first pressure assembly of step 4
 # (occurrence 7 = 2 Picard iterations/step × 3 clean warmup steps + 1;
 # the global-assembly hooks run once per pressure attempt, on the
 # right-hand side when the operator is reused, the AMG-setup hooks do
 # not — the hierarchy is set up once and reused) — the recovery ladder
-# rebuilds and the detector must emit a recovery-storm degradation
-# verdict after its clean baseline.
+# rebuilds and the detector, replayed by the report over rank 0's
+# stream, must find a recovery-storm degradation after its clean
+# baseline.
 EXAWIND_FAULTS="assembly-nan@continuity/global:7" \
   ./target/release/exawind-launch -n 2 -- \
   ./target/release/exawind-worker --mesh big --steps 5 \
   --telemetry "$mp_dir/health-tel"
 cargo run --release -p exawind-bench --bin exawind-perf -- validate "$mp_dir/health-tel.rank0.jsonl"
-grep '"type":"health_verdict"' "$mp_dir/health-tel.rank0.jsonl" \
-  | grep -q '"kind":"recovery-storm"' \
+cargo run --release -p exawind-bench --bin exawind-perf -- report "$mp_dir/health-tel.rank0.jsonl" \
+  > "$mp_dir/health-report.txt"
+grep -q 'recovery-storm' "$mp_dir/health-report.txt" \
   || { echo "health smoke: no recovery-storm verdict in seeded degradation run" >&2; exit 1; }
 
 # Stall-detection smoke: hang rank 1 after its first heartbeat; the

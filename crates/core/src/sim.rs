@@ -458,17 +458,6 @@ impl Simulation {
         for st in &mut self.states {
             st.advance_time();
         }
-        if self.telemetry.is_enabled() {
-            for (eq, ph, secs) in t.iter() {
-                self.telemetry.record(telemetry::Event::PhaseTime {
-                    rank: me,
-                    step: self.step_count,
-                    eq: eq.to_string(),
-                    phase: ph.label().to_string(),
-                    secs,
-                });
-            }
-        }
         self.step_count += 1;
         self.maybe_checkpoint(rank)?;
 
@@ -476,7 +465,8 @@ impl Simulation {
         // Fed unconditionally: the detector is pure arithmetic over
         // collectively identical solver outputs (no clock reads), so the
         // telemetry-off path stays bitwise identical while the verdict
-        // state is still available to heartbeats.
+        // state is still available to heartbeats. The stream carries the
+        // sample only; a reader replays the detector over it.
         let step = self.step_count - 1;
         let sample = telemetry::health::HealthSample {
             eqs: iters
@@ -491,17 +481,10 @@ impl Simulation {
             grid_complexity: self.last_amg.map_or(0.0, |(_, g, _)| g),
             operator_complexity: self.last_amg.map_or(0.0, |(_, _, o)| o),
             recoveries: recoveries.len() as u64,
-            checkpoint: self
-                .last_ckpt
-                .filter(|&(_, s)| s == self.step_count as u64)
-                .map(|(g, _)| g),
         };
-        let verdicts = self.health.observe(step, &sample);
+        self.health.observe(step, &sample);
         if self.telemetry.is_enabled() {
             self.telemetry.record(sample.to_event(me, step));
-            for v in &verdicts {
-                self.telemetry.record(v.to_event(me));
-            }
         }
 
         self.timings.merge(&t);

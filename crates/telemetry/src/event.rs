@@ -6,8 +6,7 @@
 //! | type         | source                    | paper artifact            |
 //! |--------------|---------------------------|---------------------------|
 //! | `run`        | export harness            | run metadata              |
-//! | `span`       | hierarchical span guards  | phase wall-clock tree     |
-//! | `phase_time` | `nalu_core::Timings`      | Figs. 6/7 stacked bars    |
+//! | `span`       | hierarchical span guards  | phase wall-clock tree, Figs. 6/7 stacked bars |
 //! | `phase_perf` | `parcomm::PhaseTrace`     | machine-model inputs, wait-vs-compute imbalance |
 //! | `comm_edge`  | `parcomm::Rank` edge accounting | Figs. 8–10 rank×rank comm matrix |
 //! | `collective` | `parcomm` collective scopes | collective latency histograms |
@@ -16,8 +15,14 @@
 //! | `recovery`   | `nalu_core` Picard driver | solver-fault escalations  |
 //! | `checkpoint` | `nalu_core` periodic trigger | restart-file writes    |
 //! | `restore`    | `nalu_core` resume path   | restart provenance        |
+//! | `step_health`| `nalu_core` step driver   | health trend, replayed degradation verdicts |
 //! | `kernel_perf`| `parcomm::Rank::kernel` scopes | achieved GB/s / GFLOP/s roofline rows |
 //! | `counter`    | subsystem counters        | —                         |
+//!
+//! No line carries a value that other lines determine: a span's depth is
+//! the number of `/` in its path, a phase's wall time is its span, and
+//! health verdicts are replayed from `step_health` and `recovery` rows by
+//! the reader ([`crate::Report`]).
 //!
 //! The schema is written once: the `events!` table below declares every
 //! event's tag and fields (and `rows!` the two nested row types), and the
@@ -34,7 +39,7 @@ use crate::json::Json;
 /// The one schema version: stamped into every `run` event, and the only
 /// one [`Event::from_json`] accepts — a `run` line carrying another (or
 /// no) version is a parse error, not a stream read with defaults.
-pub const SCHEMA_VERSION: u64 = 7;
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// A JSON object's members by key.
 type Obj = BTreeMap<String, Json>;
@@ -238,22 +243,14 @@ events! {
         /// the offset uncertainty is bounded by `rtt/2`.
         clock_rtts: Option<Vec<f64>>,
     }
-    /// A closed span: `path` is the `/`-joined stack of open span names.
+    /// A closed span: `path` is the `/`-joined stack of open span names
+    /// (names carry no `/`, so the span's depth is the `/` count).
     Span = "span" {
         rank: usize,
         path: String,
-        depth: usize,
         secs: f64,
         /// Span start, seconds since the recording rank's telemetry epoch.
         t0: Option<f64>,
-    }
-    /// Per-step, per-equation, per-phase wall-clock (from `Timings`).
-    PhaseTime = "phase_time" {
-        rank: usize,
-        step: usize,
-        eq: String,
-        phase: String,
-        secs: f64,
     }
     /// Per-phase operation counts (from `parcomm::PhaseTrace`), plus the
     /// phase's wait/transfer split when comm timing was enabled.
@@ -368,10 +365,11 @@ events! {
         /// telemetry epoch.
         t: Option<f64>,
     }
-    /// Per-timestep solver-health sample: per-equation convergence, AMG
-    /// hierarchy complexity, and resilience activity. Deterministic
-    /// (carries no wall-clock), emitted once per completed step per rank;
-    /// the input of the `telemetry::health` degradation detector.
+    /// Per-timestep solver-health sample: per-equation convergence and
+    /// AMG hierarchy complexity. Deterministic (carries no wall-clock),
+    /// emitted once per completed step per rank; with the step's
+    /// `recovery` rows, the input of the `telemetry::health` degradation
+    /// detector.
     StepHealth = "step_health" {
         rank: usize,
         step: usize,
@@ -382,24 +380,6 @@ events! {
         amg_levels: u64,
         grid_complexity: f64,
         operator_complexity: f64,
-        /// Recovery-ladder attempts during the step.
-        recoveries: u64,
-        /// Checkpoint generation published by this step, if any.
-        checkpoint: Option<u64>,
-    }
-    /// A typed degradation verdict from the `telemetry::health` detector:
-    /// `value` left the EWMA `baseline` envelope for a full detection
-    /// window ending at `step`.
-    HealthVerdict = "health_verdict" {
-        rank: usize,
-        step: usize,
-        /// Degradation kind label: `gmres-iters` | `residual-rate` |
-        /// `amg-complexity` | `recovery-storm`.
-        kind: String,
-        /// Offending equation, for per-equation kinds.
-        eq: Option<String>,
-        value: f64,
-        baseline: f64,
     }
     /// Aggregate of one named kernel on one rank: launches, wall-clock,
     /// and modeled bytes/flops (priced by `sparse_kit::cost`) and DOFs —
@@ -470,16 +450,8 @@ impl Event {
             Event::Span {
                 rank: 0,
                 path: "timestep/picard/continuity/solve".into(),
-                depth: 3,
                 secs: 0.0123,
                 t0: Some(0.875),
-            },
-            Event::PhaseTime {
-                rank: 1,
-                step: 2,
-                eq: "momentum".into(),
-                phase: "local assembly".into(),
-                secs: 1.0 / 3.0,
             },
             Event::PhasePerf {
                 rank: 2,
@@ -573,16 +545,6 @@ impl Event {
                 amg_levels: 3,
                 grid_complexity: 1.21,
                 operator_complexity: 1.2794117647058822,
-                recoveries: 0,
-                checkpoint: Some(4),
-            },
-            Event::HealthVerdict {
-                rank: 0,
-                step: 9,
-                kind: "gmres-iters".into(),
-                eq: Some("continuity".into()),
-                value: 24.0,
-                baseline: 12.5,
             },
             Event::KernelPerf {
                 rank: 1,
@@ -611,16 +573,16 @@ mod tests {
         let err = |line: &str| Event::parse_line(line).unwrap_err();
         let perf = r#"{"type":"phase_perf","rank":0,"label":"continuity/solve","kernel_launches":1,"kernel_bytes":2,"kernel_flops":3,"msgs":4,"msg_bytes":5,"collectives":6,"collective_bytes":7,"transfer_secs":0.0}"#;
         assert!(err(perf).contains("\"wait_secs\""), "{}", err(perf));
-        let run = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"kernel_policy":"auto"}"#;
+        let run = r#"{"type":"run","schema":8,"ranks":2,"threads":1,"kernel_policy":"auto"}"#;
         assert!(err(run).contains("\"transport\""), "{}", err(run));
-        let old = r#"{"type":"run","schema":6,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
-        assert!(err(old).contains('6') && err(old).contains('7'), "{}", err(old));
-        assert!(err(&old.replace(r#""schema":6,"#, "")).contains("absent"));
+        let old = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        assert!(err(old).contains('7') && err(old).contains('8'), "{}", err(old));
+        assert!(err(&old.replace(r#""schema":7,"#, "")).contains("absent"));
     }
 
     #[test]
     fn timestamps_are_optional() {
-        let span = r#"{"type":"span","rank":0,"path":"timestep","depth":0,"secs":0.5}"#;
+        let span = r#"{"type":"span","rank":0,"path":"timestep","secs":0.5}"#;
         match Event::parse_line(span).unwrap() {
             Event::Span { t0, .. } => assert_eq!(t0, None),
             other => panic!("{other:?}"),
@@ -633,7 +595,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let run = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        let run = r#"{"type":"run","schema":8,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
         match Event::parse_line(run).unwrap() {
             Event::Run { clock_offsets, clock_rtts, .. } => {
                 assert_eq!(clock_offsets, None);
@@ -653,17 +615,14 @@ mod tests {
         // A present key must hold a valid value, optional keys included,
         // and a malformed nested row is an error naming the event field
         // that holds it.
-        let span = r#"{"type":"span","rank":0,"path":"timestep","depth":0,"secs":0.5}"#;
-        let run = r#"{"type":"run","schema":7,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
-        let health = r#"{"type":"step_health","rank":0,"step":4,"eqs":[],"amg_levels":3,"grid_complexity":1.2,"operator_complexity":1.3,"recoveries":0}"#;
-        let verdict = r#"{"type":"health_verdict","rank":0,"step":9,"kind":"gmres-iters","value":24.0,"baseline":12.5}"#;
+        let span = r#"{"type":"span","rank":0,"path":"timestep","secs":0.5}"#;
+        let run = r#"{"type":"run","schema":8,"ranks":2,"threads":1,"transport":"inproc","kernel_policy":"auto"}"#;
+        let health = r#"{"type":"step_health","rank":0,"step":4,"eqs":[],"amg_levels":3,"grid_complexity":1.2,"operator_complexity":1.3}"#;
         let coll = r#"{"type":"collective","rank":1,"kind":"allreduce","count":2,"bytes":16,"secs":0.1,"buckets":[]}"#;
         let amg = r#"{"type":"amg","rank":0,"path":"setup","levels":[],"grid_complexity":1.2,"operator_complexity":1.3}"#;
         for (line, key, value) in [
             (span, "t0", r#""x""#),
             (run, "git_commit", "5"),
-            (health, "checkpoint", r#""x""#),
-            (verdict, "eq", "5"),
             (coll, "buckets", "[[1]]"),
             (amg, "levels", r#"[{"level":0,"rows":10}]"#),
             (health, "eqs", "[5]"),

@@ -2,10 +2,11 @@
 //!
 //! [`crate::Event::StepHealth`] gives every timestep a compact health
 //! row: per-equation GMRES iteration counts and final residuals (from
-//! which [`EqHealthRow::rate`] derives the residual-reduction rate), AMG
-//! grid/operator complexity, and recovery-ladder activity.
-//! [`HealthDetector`] consumes those rows in step order and emits typed
-//! [`Verdict`]s when a metric degrades against its own EWMA baseline:
+//! which [`EqHealthRow::rate`] derives the residual-reduction rate) and
+//! AMG grid/operator complexity; the step's recovery-ladder activity is
+//! its count of `recovery` events. [`HealthDetector`] consumes those
+//! samples in step order and emits typed [`Verdict`]s when a metric
+//! degrades against its own EWMA baseline:
 //!
 //! - the baseline is an exponentially-weighted moving average (α =
 //!   [`EWMA_ALPHA`]) learned over a [`WARMUP`]-step warmup;
@@ -18,9 +19,11 @@
 //! The detector is a pure function of its (deterministic) inputs: it
 //! reads no clock and allocates nothing observable to the solver, so
 //! `core::sim` runs it unconditionally without perturbing the
-//! telemetry-off bitwise determinism guarantee. This is the API the
-//! future lagged-AMG-hierarchy-reuse policy consumes: "re-coarsen only
-//! when convergence telemetry degrades" is exactly a
+//! telemetry-off bitwise determinism guarantee, for the launcher
+//! heartbeat. Verdicts are not written to the stream: [`crate::Report`]
+//! replays the detector over rank 0's rows and gets the same ones. This
+//! is the API the future lagged-AMG-hierarchy-reuse policy consumes:
+//! "re-coarsen only when convergence telemetry degrades" is exactly a
 //! [`DegradationKind::GmresIters`] / [`DegradationKind::ResidualRate`]
 //! verdict on the pressure equation.
 
@@ -36,8 +39,8 @@ pub const WARMUP: u64 = 3;
 pub const WINDOW: u64 = 2;
 
 /// What kind of degradation a [`Verdict`] reports. Wire-stable: the
-/// label is the `kind` of a `health_verdict` event, and the code
-/// round-trips through the launcher's fixed-width heartbeat frames.
+/// label names it in the report, and the code round-trips through the
+/// launcher's fixed-width heartbeat frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationKind {
     /// GMRES iterations grew well past baseline (preconditioner going
@@ -61,7 +64,7 @@ impl DegradationKind {
         DegradationKind::RecoveryStorm,
     ];
 
-    /// Stable wire label (the `kind` field of a `health_verdict` event).
+    /// Stable label, e.g. `gmres-iters`.
     pub fn label(self) -> &'static str {
         match self {
             DegradationKind::GmresIters => "gmres-iters",
@@ -98,10 +101,9 @@ pub struct HealthSample {
     pub grid_complexity: f64,
     /// Σ level nnz / fine nnz.
     pub operator_complexity: f64,
-    /// Recovery-ladder activations during this step.
+    /// Recovery-ladder activations during this step (its `recovery`
+    /// events; not part of the `step_health` row).
     pub recoveries: u64,
-    /// Checkpoint generation published this step, if any.
-    pub checkpoint: Option<u64>,
 }
 
 impl EqHealthRow {
@@ -119,7 +121,7 @@ impl EqHealthRow {
 }
 
 impl HealthSample {
-    /// The corresponding wire event.
+    /// The corresponding `step_health` row.
     pub fn to_event(&self, rank: usize, step: usize) -> Event {
         Event::StepHealth {
             rank,
@@ -128,8 +130,6 @@ impl HealthSample {
             amg_levels: self.amg_levels,
             grid_complexity: self.grid_complexity,
             operator_complexity: self.operator_complexity,
-            recoveries: self.recoveries,
-            checkpoint: self.checkpoint,
         }
     }
 }
@@ -146,19 +146,6 @@ pub struct Verdict {
     pub value: f64,
     /// The EWMA baseline it was judged against.
     pub baseline: f64,
-}
-
-impl Verdict {
-    pub fn to_event(&self, rank: usize) -> Event {
-        Event::HealthVerdict {
-            rank,
-            step: self.step,
-            kind: self.kind.label().to_string(),
-            eq: self.eq.clone(),
-            value: self.value,
-            baseline: self.baseline,
-        }
-    }
 }
 
 /// One metric's EWMA baseline plus exceed-streak state.
@@ -308,7 +295,6 @@ mod tests {
             grid_complexity: 1.3,
             operator_complexity: 1.5,
             recoveries: 0,
-            checkpoint: None,
         }
     }
 
@@ -457,20 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_and_verdict_round_trip_as_events() {
-        let sample = steady_sample();
-        let ev = sample.to_event(1, 7);
-        let back = Event::parse_line(&ev.to_line()).unwrap();
-        assert_eq!(back, ev);
-        let verdict = Verdict {
-            step: 9,
-            kind: DegradationKind::ResidualRate,
-            eq: Some("continuity".into()),
-            value: 0.5,
-            baseline: 2.0,
-        };
-        let ev = verdict.to_event(2);
-        let back = Event::parse_line(&ev.to_line()).unwrap();
-        assert_eq!(back, ev);
+    fn sample_round_trips_as_event() {
+        let ev = steady_sample().to_event(1, 7);
+        assert_eq!(Event::parse_line(&ev.to_line()).unwrap(), ev);
     }
 }

@@ -10,7 +10,7 @@
 //!   [`Telemetry::finish`] (log-scale [histograms](LogHistogram) carry
 //!   the collective latencies and the report's GMRES iteration spread);
 //! - **structured solver events** — GMRES convergence trajectories, AMG
-//!   hierarchy tables, per-phase `Timings`/`PhaseTrace` rollups.
+//!   hierarchy tables, per-phase `PhaseTrace` rollups.
 //!
 //! The handle is installed as a thread-local *current* dispatcher
 //! ([`Telemetry::install`]), so deep solver layers (`krylov::gmres`,
@@ -135,8 +135,10 @@ impl Telemetry {
 
     /// Open a span; it closes (recording an [`Event::Span`]) when the
     /// guard drops. Guards must drop in LIFO order (scopes do this).
+    /// `name` must not contain `/`, the path separator.
     pub fn span(&self, name: &str) -> SpanGuard {
         if let Some(rec) = &self.inner {
+            debug_assert!(!name.contains('/'), "span name {name:?} contains '/'");
             let mut rec = rec.borrow_mut();
             let t0 = rec.epoch.elapsed().as_secs_f64();
             rec.stack.push(OpenSpan { name: name.to_string(), t0 });
@@ -213,20 +215,13 @@ impl Drop for SpanGuard {
                 return;
             };
             let secs = (rec.epoch.elapsed().as_secs_f64() - top.t0).max(0.0);
-            let depth = rec.stack.len();
-            let path = if depth == 0 {
+            let path = if rec.stack.is_empty() {
                 top.name
             } else {
                 format!("{}/{}", rec.path(), top.name)
             };
             let rank = rec.rank;
-            rec.events.push(Event::Span {
-                rank,
-                path,
-                depth,
-                secs,
-                t0: Some(top.t0),
-            });
+            rec.events.push(Event::Span { rank, path, secs, t0: Some(top.t0) });
         }
     }
 }
@@ -596,17 +591,11 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
     // partial streams stay valid.
     let valid = |w: &&trace::SpanWindow| w.2.is_finite() && w.2 >= 0.0;
     for (rank, spans) in &tl.spans {
-        for &(path, depth, t0, secs) in spans.iter().filter(valid).filter(|w| w.1 > 0) {
+        for &(path, _, t0, secs) in spans.iter().filter(valid) {
+            let Some((parent_path, _)) = path.rsplit_once('/') else { continue };
             let end = t0 + secs;
-            let Some(parent_path) = path.rsplit_once('/').map(|(p, _)| p) else {
-                errors.push(format!(
-                    "span rank {rank} path {path:?}: depth {depth} but no parent in path"
-                ));
-                continue;
-            };
             let instances = tl.span_paths.get(&(*rank, parent_path)).into_iter().flatten();
-            let parents: Vec<_> =
-                instances.map(|&i| &spans[i]).filter(valid).filter(|p| p.1 == depth - 1).collect();
+            let parents: Vec<_> = instances.map(|&i| &spans[i]).filter(valid).collect();
             let eps = 1e-6;
             let nested = |p: &&trace::SpanWindow| p.2 <= t0 + eps && end <= p.2 + p.3 + eps;
             if !parents.is_empty() && !parents.iter().any(nested) {
@@ -668,25 +657,24 @@ mod tests {
             }
         }
         let events = t.finish();
-        let paths: Vec<(String, usize)> = events
+        let paths: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {
-                Event::Span { path, depth, rank, .. } => {
+                Event::Span { path, rank, .. } => {
                     assert_eq!(*rank, 3);
-                    Some((path.clone(), *depth))
+                    Some(path.as_str())
                 }
                 _ => None,
             })
             .collect();
         // Closed innermost-first.
-        assert_eq!(
-            paths,
-            vec![
-                ("timestep/picard/continuity".to_string(), 2),
-                ("timestep/picard".to_string(), 1),
-                ("timestep".to_string(), 0),
-            ]
-        );
+        assert_eq!(paths, ["timestep/picard/continuity", "timestep/picard", "timestep"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "contains '/'")]
+    fn span_names_carry_no_path_separator() {
+        let _ = Telemetry::enabled(0).span("continuity/solve");
     }
 
     #[test]
@@ -777,7 +765,6 @@ mod tests {
         let span = Event::Span {
             rank: 0,
             path: "timestep/picard/continuity/solve".into(),
-            depth: 3,
             secs: 0.1,
             t0: None,
         };
@@ -935,40 +922,38 @@ mod tests {
 
     #[test]
     fn validate_stream_checks_span_nesting_windows() {
-        let span = |path: &str, depth: usize, t0: f64, secs: f64| Event::Span {
+        let span = |path: &str, t0: f64, secs: f64| Event::Span {
             rank: 0,
             path: path.into(),
-            depth,
             secs,
             t0: Some(t0),
         };
         // Child window inside the parent instance: ok. Paths repeat
         // across timesteps, so a second parent instance also counts.
         assert!(validate_stream(&[
-            span("timestep", 0, 0.0, 1.0),
-            span("timestep/picard", 1, 0.25, 0.5),
-            span("timestep", 0, 2.0, 1.0),
-            span("timestep/picard", 1, 2.25, 0.5),
+            span("timestep", 0.0, 1.0),
+            span("timestep/picard", 0.25, 0.5),
+            span("timestep", 2.0, 1.0),
+            span("timestep/picard", 2.25, 0.5),
         ])
         .is_ok());
         // Child extends past every parent instance: rejected.
         let errs = validate_stream(&[
-            span("timestep", 0, 0.0, 1.0),
-            span("timestep/picard", 1, 0.5, 2.0),
+            span("timestep", 0.0, 1.0),
+            span("timestep/picard", 0.5, 2.0),
         ])
         .unwrap_err();
         assert!(errs.iter().any(|e| e.contains("not nested")), "{errs:?}");
         // No timestamped parent recorded at all (partial stream): ok.
-        assert!(validate_stream(&[span("timestep/picard", 1, 0.5, 2.0)]).is_ok());
+        assert!(validate_stream(&[span("timestep/picard", 0.5, 2.0)]).is_ok());
         // Spans without t0 are never window-checked.
         let untimed = Event::Span {
             rank: 0,
             path: "timestep/picard".into(),
-            depth: 1,
             secs: 9.0,
             t0: None,
         };
-        assert!(validate_stream(&[span("timestep", 0, 0.0, 1.0), untimed]).is_ok());
+        assert!(validate_stream(&[span("timestep", 0.0, 1.0), untimed]).is_ok());
     }
 
     #[test]

@@ -18,8 +18,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{AmgLevelRow, Event};
+use crate::health::{HealthDetector, HealthSample, Verdict};
 use crate::histogram::{LogHistogram, UNDERFLOW_BUCKET};
-use crate::trace::{EdgeView, StepPath, Timeline};
+use crate::trace::{span_depth, EdgeView, StepPath, Timeline};
 
 /// Aggregated GMRES statistics for one equation system.
 #[derive(Clone, Debug, Default)]
@@ -86,7 +87,6 @@ impl CheckpointSummary {
 /// Per-path span aggregate.
 #[derive(Clone, Debug, Default)]
 pub struct SpanSummary {
-    pub depth: usize,
     pub count: u64,
     pub total_secs: f64,
 }
@@ -160,18 +160,6 @@ pub struct EqTrend {
     pub last_rate: f64,
 }
 
-/// One degradation verdict from the stream's `health_verdict` events.
-#[derive(Clone, Debug)]
-pub struct VerdictRow {
-    pub step: usize,
-    /// Detector kind label, e.g. `gmres-iters`.
-    pub kind: String,
-    /// Equation the verdict concerns (`None` for solver-wide kinds).
-    pub eq: Option<String>,
-    pub value: f64,
-    pub baseline: f64,
-}
-
 /// The solver-health time series aggregated over the stream.
 #[derive(Clone, Debug, Default)]
 pub struct HealthTrend {
@@ -179,17 +167,19 @@ pub struct HealthTrend {
     pub steps: u64,
     /// AMG operator complexity at the last observed step.
     pub last_operator_complexity: f64,
-    /// Recovery-ladder attempts summed over the series.
+    /// Recovery-ladder attempts summed over the series (each row's
+    /// step's `recovery` events).
     pub recoveries: u64,
     pub per_eq: BTreeMap<String, EqTrend>,
-    /// Degradation verdicts in stream order.
-    pub verdicts: Vec<VerdictRow>,
+    /// Degradation verdicts of a [`HealthDetector`] replayed over the
+    /// rows, in stream order.
+    pub verdicts: Vec<Verdict>,
 }
 
 impl HealthTrend {
     /// Whether the stream carried any health telemetry.
     pub fn is_empty(&self) -> bool {
-        self.steps == 0 && self.verdicts.is_empty()
+        self.steps == 0
     }
 
     /// The equation whose iteration count grew the most over the series
@@ -237,13 +227,13 @@ pub struct Report {
     /// stream has no `run` event).
     pub kernel_policy: String,
     pub git_commit: Option<String>,
-    /// Phase column order: the solver's plot order for known phases,
-    /// then any others sorted — fixed regardless of the order per-rank
-    /// streams were merged in (see [`canonical_phase_order`]).
+    /// The phases with spans, in the solver's plot order (`PLOT_ORDER`)
+    /// whatever order per-rank streams were merged in.
     pub phases: Vec<String>,
-    /// Mean seconds per rank for each `(equation, phase)`.
+    /// Mean seconds per rank for each `(equation, phase)`, summed over
+    /// the phase's spans.
     pub phase_secs: BTreeMap<(String, String), f64>,
-    /// Steps observed.
+    /// Steps observed: the most `timestep` spans any one rank closed.
     pub steps: usize,
     pub amg: BTreeMap<String, AmgSummary>,
     pub gmres: BTreeMap<String, GmresSummary>,
@@ -261,13 +251,13 @@ pub struct Report {
     pub comm_edges: BTreeMap<(usize, usize, String), CommEdgeSummary>,
     /// Collective totals keyed by kind.
     pub collectives: BTreeMap<String, CollectiveSummary>,
-    /// Per-phase rank imbalance (wall seconds from `phase_time`, comm
+    /// Per-phase rank imbalance (wall seconds from the phase spans, comm
     /// wait/transfer from `phase_perf`).
     pub imbalance: BTreeMap<String, PhaseImbalance>,
     /// Hot-kernel throughput summed over ranks (`kernel_perf` events).
     pub kernels: BTreeMap<String, KernelSummary>,
     /// Solver-health time series + degradation verdicts (`step_health`
-    /// and `health_verdict` events).
+    /// and `recovery` events).
     pub health: HealthTrend,
     /// Per-step critical paths reconstructed from aligned span
     /// timestamps (empty when the stream carries no timestamps).
@@ -278,18 +268,19 @@ pub struct Report {
     pub bw_baseline_gbs: Option<f64>,
 }
 
-/// Pin the phase column order: the solver's plot order (this crate sits
-/// below `core` and cannot see its `Phase` enum, so the labels are
-/// mirrored here and checked by `core`'s tests), then unknown labels
-/// sorted. First-appearance order would depend on which rank's stream
-/// merged first.
-fn canonical_phase_order(phases: &mut [String]) {
-    const PLOT_ORDER: [&str; 5] =
-        ["graph+physics", "local assembly", "global assembly", "precond setup", "solve"];
-    phases.sort_by_key(|p| match PLOT_ORDER.iter().position(|c| c == p) {
-        Some(i) => (i, String::new()),
-        None => (PLOT_ORDER.len(), p.clone()),
-    });
+/// The solver's phase labels in plot order. This crate sits below `core`
+/// and cannot see its `Phase` enum, so the labels are mirrored here and
+/// checked by the simulation stream test.
+const PLOT_ORDER: [&str; 5] =
+    ["graph+physics", "local assembly", "global assembly", "precond setup", "solve"];
+
+/// `(equation, phase)` of a phase span — one whose last path segment is
+/// a [`PLOT_ORDER`] label, like `timestep/picard/continuity/solve` —
+/// and `None` for every other span.
+fn phase_of(path: &str) -> Option<(&str, &str)> {
+    let mut segments = path.rsplit('/');
+    let (phase, eq) = (segments.next()?, segments.next()?);
+    PLOT_ORDER.contains(&phase).then_some((eq, phase))
 }
 
 /// Equation system of a span path like
@@ -319,22 +310,26 @@ impl Report {
         let mut phase_rank: BTreeMap<String, BTreeMap<usize, f64>> = BTreeMap::new();
         // phase → (wait, transfer) seconds summed over ranks.
         let mut comm_secs: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        // rank → `timestep` spans closed.
+        let mut rank_steps: BTreeMap<usize, usize> = BTreeMap::new();
+        // The live detector's verdicts are not on the wire: replay it over
+        // rank 0's rows, each fed its step's rank-0 `recovery` count.
+        let mut detector = HealthDetector::new();
+        let mut step_recoveries: BTreeMap<usize, u64> = BTreeMap::new();
         for ev in events {
             match ev {
-                Event::PhaseTime { rank, step, eq, phase, secs } => {
-                    r.steps = r.steps.max(*step + 1);
-                    if !r.phases.contains(phase) {
-                        r.phases.push(phase.clone());
-                    }
-                    *phase_sums.entry((eq.clone(), phase.clone())).or_insert(0.0) += secs;
-                    *phase_rank.entry(phase.clone()).or_default().entry(*rank).or_insert(0.0) +=
-                        secs;
-                }
-                Event::Span { path, depth, secs, .. } => {
+                Event::Span { rank, path, secs, .. } => {
                     let s = r.spans.entry(path.clone()).or_default();
-                    s.depth = *depth;
                     s.count += 1;
                     s.total_secs += secs;
+                    if path == "timestep" {
+                        *rank_steps.entry(*rank).or_default() += 1;
+                    }
+                    if let Some((eq, phase)) = phase_of(path) {
+                        *phase_sums.entry((eq.to_string(), phase.to_string())).or_default() += secs;
+                        *phase_rank.entry(phase.to_string()).or_default().entry(*rank).or_default() +=
+                            secs;
+                    }
                 }
                 Event::AmgSetup { path, levels, grid_complexity, operator_complexity, .. } => {
                     let eq = eq_of_path(path);
@@ -365,7 +360,8 @@ impl Report {
                 }
                 // Recovery is collective; every rank reports the same
                 // ladder walk, so count it once via rank 0.
-                Event::Recovery { rank: 0, eq, fault, action, outcome, .. } => {
+                Event::Recovery { rank: 0, eq, step, fault, action, outcome, .. } => {
+                    *step_recoveries.entry(*step).or_default() += 1;
                     let s = r.recoveries.entry((eq.clone(), fault.clone())).or_default();
                     s.attempts += 1;
                     match outcome.as_str() {
@@ -398,8 +394,8 @@ impl Report {
                 }
                 Event::PhasePerf { label, wait_secs, transfer_secs, .. } => {
                     // Trace labels are `eq/phase` (or a bare phase like
-                    // `other`); the final segment matches `phase_time`
-                    // phase names.
+                    // `other`); the final segment matches the phase span
+                    // names.
                     let phase = label.rsplit('/').next().unwrap_or(label).to_string();
                     let c = comm_secs.entry(phase).or_default();
                     *c = (c.0 + wait_secs, c.1 + transfer_secs);
@@ -414,11 +410,21 @@ impl Report {
                 }
                 // Solves are collective; every rank reports the same
                 // series, so count it once via rank 0.
-                Event::StepHealth { rank: 0, step, eqs, operator_complexity, recoveries, .. } => {
+                Event::StepHealth {
+                    rank: 0, step, eqs, amg_levels, grid_complexity, operator_complexity,
+                } => {
+                    let sample = HealthSample {
+                        eqs: eqs.clone(),
+                        amg_levels: *amg_levels,
+                        grid_complexity: *grid_complexity,
+                        operator_complexity: *operator_complexity,
+                        recoveries: step_recoveries.remove(step).unwrap_or(0),
+                    };
                     let h = &mut r.health;
-                    h.steps = h.steps.max(*step as u64 + 1);
+                    h.steps += 1;
                     h.last_operator_complexity = *operator_complexity;
-                    h.recoveries += *recoveries;
+                    h.recoveries += sample.recoveries;
+                    h.verdicts.extend(detector.observe(*step, &sample));
                     for row in eqs {
                         let t = h.per_eq.entry(row.eq.clone()).or_insert_with(|| EqTrend {
                             first_iters: row.iters,
@@ -430,26 +436,17 @@ impl Report {
                         t.last_rate = row.rate();
                     }
                 }
-                // The detector runs on identical collective inputs on
-                // every rank; count verdicts once via rank 0.
-                Event::HealthVerdict { rank: 0, step, kind, eq, value, baseline } => {
-                    r.health.verdicts.push(VerdictRow {
-                        step: *step,
-                        kind: kind.clone(),
-                        eq: eq.clone(),
-                        value: *value,
-                        baseline: *baseline,
-                    });
-                }
                 // Other ranks repeat the rank-0 rows above; the timeline
                 // read the run header, edges and collectives.
                 _ => {}
             }
         }
-        canonical_phase_order(&mut r.phases);
-        r.health
-            .verdicts
-            .sort_by(|a, b| (a.step, &a.kind, &a.eq).cmp(&(b.step, &b.kind, &b.eq)));
+        r.steps = rank_steps.into_values().max().unwrap_or(0);
+        r.phases = PLOT_ORDER
+            .iter()
+            .filter(|p| phase_rank.contains_key(**p))
+            .map(|p| p.to_string())
+            .collect();
         let n = r.ranks.max(1) as f64;
         r.phase_secs = phase_sums.into_iter().map(|(k, v)| (k, v / n)).collect();
         // Sender view wins; the receiver view fills edges whose sender's
@@ -471,8 +468,8 @@ impl Report {
             i.avg_secs = by_rank.values().sum::<f64>() / n;
             i.max_secs = by_rank.values().copied().fold(0.0_f64, f64::max);
         }
-        // Comm phases without phase_time rows (e.g. parcomm's default
-        // `other` phase) still get an imbalance row.
+        // Comm phases without phase spans (e.g. parcomm's default `other`
+        // phase) still get an imbalance row.
         for (phase, (wait, transfer)) in comm_secs {
             let i = r.imbalance.entry(phase).or_default();
             (i.wait_secs, i.transfer_secs) = (wait / n, transfer / n);
@@ -814,7 +811,7 @@ impl Report {
                     let _ = writeln!(
                         out,
                         "step {:>4}: {}{on}: {:.4} vs baseline {:.4}",
-                        v.step, v.kind, v.value, v.baseline
+                        v.step, v.kind.label(), v.value, v.baseline
                     );
                 }
             }
@@ -874,7 +871,7 @@ impl Report {
                     "",
                     s.count,
                     s.total_secs,
-                    indent = 2 * s.depth
+                    indent = 2 * span_depth(path)
                 );
             }
         }
@@ -962,7 +959,7 @@ impl Report {
                 let on = v.eq.as_deref().map_or(String::new(), |e| format!(" on {e}"));
                 format!(
                     "{}{on} at step {} ({:.3} vs baseline {:.3})",
-                    v.kind, v.step, v.value, v.baseline
+                    v.kind.label(), v.step, v.value, v.baseline
                 )
             }
             None => format!("ok over {} steps", h.steps),
@@ -1068,6 +1065,13 @@ fn render_curve(history: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::DegradationKind;
+
+    /// An untimed span of `eq`'s `phase`, as `Simulation::phased` opens it.
+    fn phase_span(rank: usize, eq: &str, phase: &str, secs: f64) -> Event {
+        let path = format!("timestep/picard/{eq}/{phase}");
+        Event::Span { rank, path, secs, t0: None }
+    }
 
     fn sample_events() -> Vec<Event> {
         let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
@@ -1079,13 +1083,7 @@ mod tests {
                 ("continuity", "local assembly", 0.1),
                 ("continuity", "solve", 0.5),
             ] {
-                evs.push(Event::PhaseTime {
-                    rank,
-                    step: 0,
-                    eq: eq.into(),
-                    phase: phase.into(),
-                    secs,
-                });
+                evs.push(phase_span(rank, eq, phase, secs));
             }
             evs.push(Event::Gmres {
                 rank,
@@ -1303,13 +1301,7 @@ mod tests {
         let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
         // Rank 1 is 3x slower in `solve`: avg 0.2, max 0.3 → ratio 1.5.
         for (rank, secs) in [(0usize, 0.1), (1usize, 0.3)] {
-            evs.push(Event::PhaseTime {
-                rank,
-                step: 0,
-                eq: "continuity".into(),
-                phase: "solve".into(),
-                secs,
-            });
+            evs.push(phase_span(rank, "continuity", "solve", secs));
             evs.push(Event::PhasePerf {
                 rank,
                 label: "continuity/solve".into(),
@@ -1352,7 +1344,7 @@ mod tests {
                 evs.iter()
                     .filter(|e| match e {
                         Event::Run { .. } => false,
-                        Event::PhaseTime { rank, .. }
+                        Event::Span { rank, .. }
                         | Event::Gmres { rank, .. }
                         | Event::AmgSetup { rank, .. } => *rank == want,
                         _ => true,
@@ -1374,58 +1366,45 @@ mod tests {
         }
     }
 
+    /// A `step_health` row of one continuity solve.
+    fn health_row(rank: usize, step: usize, iters: u64, final_rel: f64) -> Event {
+        let eqs = vec![crate::EqHealthRow { eq: "continuity".into(), iters, final_rel }];
+        let (amg_levels, grid_complexity, operator_complexity) = (3, 1.2, 1.3);
+        Event::StepHealth { rank, step, eqs, amg_levels, grid_complexity, operator_complexity }
+    }
+
     #[test]
     fn health_events_aggregate_into_trend_and_summary() {
-        use crate::event::EqHealthRow;
         let mut evs = sample_events();
-        for (step, iters) in [(0usize, 6u64), (1, 7), (2, 18)] {
+        // Three warmup steps, then iterations triple for good. The deeper
+        // residual keeps the rate in its envelope, so only the iteration
+        // count alarms: once, when the streak reaches the window.
+        let series = [(6, 1e-6), (7, 1e-6), (6, 1e-6), (18, 1e-12), (18, 1e-12), (18, 1e-12)];
+        for (step, (iters, final_rel)) in series.into_iter().enumerate() {
+            // Rank 1's copy of the row must not replay twice.
             for rank in 0..2usize {
-                evs.push(Event::StepHealth {
-                    rank,
-                    step,
-                    eqs: vec![EqHealthRow { eq: "continuity".into(), iters, final_rel: 1e-6 }],
-                    amg_levels: 3,
-                    grid_complexity: 1.2,
-                    operator_complexity: 1.3,
-                    recoveries: 0,
-                    checkpoint: None,
-                });
+                evs.push(health_row(rank, step, iters, final_rel));
             }
         }
-        evs.push(Event::HealthVerdict {
-            rank: 0,
-            step: 2,
-            kind: "gmres-iters".into(),
-            eq: Some("continuity".into()),
-            value: 18.0,
-            baseline: 6.5,
-        });
-        // Rank 1's copy of the verdict must not double-count.
-        evs.push(Event::HealthVerdict {
-            rank: 1,
-            step: 2,
-            kind: "gmres-iters".into(),
-            eq: Some("continuity".into()),
-            value: 18.0,
-            baseline: 6.5,
-        });
         let r = Report::from_events(&evs);
         let t = &r.health.per_eq["continuity"];
-        assert_eq!(r.health.steps, 3);
+        assert_eq!(r.health.steps, 6);
         assert_eq!((t.first_iters, t.last_iters, t.max_iters), (6, 18, 18));
-        assert_eq!(r.health.verdicts.len(), 1, "rank-0 verdicts only");
+        let [v] = &r.health.verdicts[..] else { panic!("{:?}", r.health.verdicts) };
+        let gmres_iters = DegradationKind::GmresIters;
+        assert_eq!((v.step, v.kind, v.eq.as_deref(), v.value), (4, gmres_iters, Some("continuity"), 18.0));
         let (worst, _) = r.health.worst_equation().unwrap();
         assert_eq!(worst, "continuity");
         let ascii = r.render_ascii();
         assert!(ascii.contains("solver health trend"), "{ascii}");
-        assert!(ascii.contains("gmres-iters on continuity"), "{ascii}");
+        assert!(ascii.contains("step    4: gmres-iters on continuity: 18.0000"), "{ascii}");
         let line = r.health_summary().unwrap();
         assert!(line.contains("gmres-iters"), "{line}");
         assert!(line.contains("worst eq continuity 6 -> 18 iters"), "{line}");
-        // A quiet stream summarizes as ok and renders no verdict lines.
+        // The warmup alone summarizes as ok and renders no verdict lines.
         let quiet: Vec<Event> = evs
             .iter()
-            .filter(|e| !matches!(e, Event::HealthVerdict { .. }))
+            .filter(|e| !matches!(e, Event::StepHealth { step, .. } if *step >= 3))
             .cloned()
             .collect();
         let rq = Report::from_events(&quiet);
@@ -1435,29 +1414,39 @@ mod tests {
     }
 
     #[test]
+    fn health_steps_count_rows_and_recoveries_replay_from_recovery_events() {
+        // A stream resumed after step 2: three rows, whatever their index.
+        let mut evs: Vec<Event> = (2..=4).map(|step| health_row(0, step, 6, 1e-6)).collect();
+        assert_eq!(Report::from_events(&evs).health.steps, 3);
+        // One recovery attempt in step 5, after a clean warmup, storms.
+        evs.push(Event::Recovery {
+            rank: 0,
+            eq: "continuity".into(),
+            step: 5,
+            fault: "non_finite_residual".into(),
+            action: "rebuild".into(),
+            attempt: 1,
+            outcome: "recovered".into(),
+        });
+        evs.push(health_row(0, 5, 6, 1e-6));
+        let h = Report::from_events(&evs).health;
+        assert_eq!((h.steps, h.recoveries), (4, 1));
+        let kinds: Vec<_> = h.verdicts.iter().map(|v| (v.step, v.kind)).collect();
+        assert_eq!(kinds, [(5, DegradationKind::RecoveryStorm)]);
+    }
+
+    #[test]
     fn critical_path_section_attributes_makespan() {
         let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
         // Rank 1 finishes its picard work early and the step ends when
         // rank 0 does: the path is rank 0's compute.
         for rank in 0..2usize {
             let secs = if rank == 0 { 1.0 } else { 0.4 };
-            evs.push(Event::Span {
-                rank,
-                path: "timestep".into(),
-                depth: 0,
-                secs: 1.0,
-                t0: Some(0.0),
-            });
-            evs.push(Event::Span {
-                rank,
-                path: "timestep/picard".into(),
-                depth: 1,
-                secs,
-                t0: Some(0.0),
-            });
+            evs.push(Event::Span { rank, path: "timestep".into(), secs: 1.0, t0: Some(0.0) });
+            evs.push(Event::Span { rank, path: "timestep/picard".into(), secs, t0: Some(0.0) });
         }
         let r = Report::from_events(&evs);
-        assert_eq!(r.critical_path.len(), 1);
+        assert_eq!((r.steps, r.critical_path.len()), (1, 1), "one timestep span per rank");
         assert!(r.critical_path[0].coverage() > 0.95, "{:?}", r.critical_path);
         let ascii = r.render_ascii();
         assert!(ascii.contains("critical path"), "{ascii}");

@@ -68,6 +68,12 @@ pub struct RunHeader<'a> {
 /// clock (its end is `t0 + secs`).
 pub type SpanWindow<'a> = (&'a str, usize, f64, f64);
 
+/// A span's depth: span names carry no `/`, so it is the `/` count of
+/// its path.
+pub fn span_depth(path: &str) -> usize {
+    path.matches('/').count()
+}
+
 /// A comm edge `(src, dst, class)`.
 pub type EdgeKey<'a> = (usize, usize, &'a str);
 
@@ -131,13 +137,13 @@ impl<'a> Timeline<'a> {
                     };
                 }
                 Event::Run { .. } => {}
-                Event::Span { rank, path, depth, secs, t0 } => {
+                Event::Span { rank, path, secs, t0 } => {
                     max_rank = max_rank.max(*rank);
                     let at = tl.span_paths.entry((*rank, path)).or_default();
                     if let Some(t0) = *t0 {
                         let spans = tl.spans.entry(*rank).or_default();
                         at.push(spans.len());
-                        spans.push((path.as_str(), *depth, t0, *secs));
+                        spans.push((path.as_str(), span_depth(path), t0, *secs));
                     }
                 }
                 Event::CommEdge { rank, src, dst, class, msgs, bytes, t_first, t_last } => {
@@ -164,8 +170,7 @@ impl<'a> Timeline<'a> {
                         row.t_last = Some(row.t_last.map_or(*t, |last| last.max(*t)));
                     }
                 }
-                Event::PhaseTime { rank, .. }
-                | Event::PhasePerf { rank, .. }
+                Event::PhasePerf { rank, .. }
                 | Event::AmgSetup { rank, .. }
                 | Event::Gmres { rank, .. }
                 | Event::Recovery { rank, .. }
@@ -173,8 +178,7 @@ impl<'a> Timeline<'a> {
                 | Event::Restore { rank, .. }
                 | Event::Counter { rank, .. }
                 | Event::KernelPerf { rank, .. }
-                | Event::StepHealth { rank, .. }
-                | Event::HealthVerdict { rank, .. } => max_rank = max_rank.max(*rank),
+                | Event::StepHealth { rank, .. } => max_rank = max_rank.max(*rank),
             }
         }
         tl.ranks = tl.run.as_ref().map(|h| h.ranks).filter(|&n| n > 0).unwrap_or(max_rank + 1);
@@ -606,28 +610,22 @@ fn walk(ranks: &[RankStep], t_start: f64, t_end: f64) -> Vec<PathSegment> {
 mod tests {
     use super::*;
 
-    fn span(rank: usize, path: &str, depth: usize, t0: f64, secs: f64) -> Event {
-        Event::Span {
-            rank,
-            path: path.into(),
-            depth,
-            secs,
-            t0: Some(t0),
-        }
+    fn span(rank: usize, path: &str, t0: f64, secs: f64) -> Event {
+        Event::Span { rank, path: path.into(), secs, t0: Some(t0) }
     }
 
     fn two_rank_step() -> Vec<Event> {
         vec![
             // Rank 0: a fast step — done at t=1.0.
-            span(0, "timestep/picard/continuity/solve", 3, 0.1, 0.7),
-            span(0, "timestep/picard/continuity", 2, 0.1, 0.8),
-            span(0, "timestep/picard", 1, 0.0, 0.9),
-            span(0, "timestep", 0, 0.0, 1.0),
+            span(0, "timestep/picard/continuity/solve", 0.1, 0.7),
+            span(0, "timestep/picard/continuity", 0.1, 0.8),
+            span(0, "timestep/picard", 0.0, 0.9),
+            span(0, "timestep", 0.0, 1.0),
             // Rank 1: the straggler — done at t=2.0.
-            span(1, "timestep/picard/continuity/solve", 3, 0.2, 1.6),
-            span(1, "timestep/picard/continuity", 2, 0.1, 1.8),
-            span(1, "timestep/picard", 1, 0.05, 1.9),
-            span(1, "timestep", 0, 0.0, 2.0),
+            span(1, "timestep/picard/continuity/solve", 0.2, 1.6),
+            span(1, "timestep/picard/continuity", 0.1, 1.8),
+            span(1, "timestep/picard", 0.05, 1.9),
+            span(1, "timestep", 0.0, 2.0),
         ]
     }
 
@@ -781,10 +779,10 @@ mod tests {
         // Rank 0 finishes last but idled first: its step window starts
         // only after rank 1's long step ends — a pipeline stall.
         let events = vec![
-            span(1, "timestep/picard", 1, 0.0, 1.0),
-            span(1, "timestep", 0, 0.0, 1.0),
-            span(0, "timestep/picard", 1, 1.0, 0.5),
-            span(0, "timestep", 0, 1.0, 0.5),
+            span(1, "timestep/picard", 0.0, 1.0),
+            span(1, "timestep", 0.0, 1.0),
+            span(0, "timestep/picard", 1.0, 0.5),
+            span(0, "timestep", 1.0, 0.5),
         ];
         let paths = critical_paths(&events);
         assert_eq!(paths.len(), 1);
@@ -798,7 +796,7 @@ mod tests {
     #[test]
     fn only_a_span_named_timestep_is_a_step() {
         let mut events = two_rank_step();
-        events.push(span(0, "timestep_io", 0, 1.0, 0.5));
+        events.push(span(0, "timestep_io", 1.0, 0.5));
         assert_eq!(critical_paths(&events).len(), 1);
     }
 
@@ -858,13 +856,7 @@ mod tests {
 
     #[test]
     fn streams_without_timestamps_yield_no_paths() {
-        let untimed = Event::Span {
-            rank: 0,
-            path: "timestep".into(),
-            depth: 0,
-            secs: 1.0,
-            t0: None,
-        };
+        let untimed = Event::Span { rank: 0, path: "timestep".into(), secs: 1.0, t0: None };
         assert!(critical_paths(std::slice::from_ref(&untimed)).is_empty());
         let doc = chrome_trace(&[untimed]);
         assert!(validate_chrome(&doc).is_empty());

@@ -4,7 +4,7 @@
 //! structurally thread-count independent, and aggregable into the
 //! Fig. 6/7-style report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use exawind::nalu_core::{Simulation, SolverConfig};
 use exawind::parcomm::{Comm, TransportKind};
@@ -19,11 +19,13 @@ use rayon::ThreadPoolBuilder;
 
 /// The wire text of `Event::examples()`, one line per event type:
 /// captured from the schema-6 encoder before the schema was declared as
-/// one table, then changed only by schema 7 (`"schema":7`, and no
-/// `kernel_perf` rates or `eqs[].rate`, which the same line determines).
-const EXAMPLES_JSONL: &str = r#"{"clock_offsets":[0.0,0.000125,-0.00003,0.000075],"clock_rtts":[0.0,0.00004,0.000035,0.00006],"git_commit":"deadbeef","kernel_policy":"auto","ranks":4,"schema":7,"threads":8,"transport":"inproc","type":"run"}
-{"depth":3,"path":"timestep/picard/continuity/solve","rank":0,"secs":0.0123,"t0":0.875,"type":"span"}
-{"eq":"momentum","phase":"local assembly","rank":1,"secs":0.3333333333333333,"step":2,"type":"phase_time"}
+/// one table, then changed only by schema 7 (no `kernel_perf` rates or
+/// `eqs[].rate`, which the same line determines) and schema 8
+/// (`"schema":8`, and no `phase_time` or `health_verdict` line, `span`
+/// depth or `step_health` recoveries and checkpoint, which other lines
+/// determine).
+const EXAMPLES_JSONL: &str = r#"{"clock_offsets":[0.0,0.000125,-0.00003,0.000075],"clock_rtts":[0.0,0.00004,0.000035,0.00006],"git_commit":"deadbeef","kernel_policy":"auto","ranks":4,"schema":8,"threads":8,"transport":"inproc","type":"run"}
+{"path":"timestep/picard/continuity/solve","rank":0,"secs":0.0123,"t0":0.875,"type":"span"}
 {"collective_bytes":56,"collectives":7,"kernel_bytes":9223372036854775807,"kernel_flops":9999,"kernel_launches":120,"label":"continuity/solve","msg_bytes":2048,"msgs":14,"rank":2,"transfer_secs":0.0078125,"type":"phase_perf","wait_secs":0.0625}
 {"bytes":786432,"class":"halo","dst":3,"msgs":96,"rank":0,"src":0,"t_first":0.125,"t_last":2.5,"type":"comm_edge"}
 {"buckets":[[-15,60],[-14,4]],"bytes":512,"count":64,"kind":"allreduce","rank":1,"secs":0.004,"t_first":0.0625,"t_last":2.75,"type":"collective"}
@@ -32,8 +34,7 @@ const EXAMPLES_JSONL: &str = r#"{"clock_offsets":[0.0,0.000125,-0.00003,0.000075
 {"action":"rebuild","attempt":1,"eq":"continuity","fault":"non_finite_residual","outcome":"recovered","rank":0,"step":4,"type":"recovery"}
 {"bytes":183472,"generation":4,"rank":0,"secs":0.0021,"step":4,"t":3.125,"type":"checkpoint"}
 {"generation":4,"rank":1,"step":4,"t":0.03125,"type":"restore"}
-{"amg_levels":3,"checkpoint":4,"eqs":[{"eq":"continuity","final_rel":0.00000032,"iters":12},{"eq":"momentum","final_rel":0.000000001,"iters":5}],"grid_complexity":1.21,"operator_complexity":1.2794117647058822,"rank":0,"recoveries":0,"step":4,"type":"step_health"}
-{"baseline":12.5,"eq":"continuity","kind":"gmres-iters","rank":0,"step":9,"type":"health_verdict","value":24.0}
+{"amg_levels":3,"eqs":[{"eq":"continuity","final_rel":0.00000032,"iters":12},{"eq":"momentum","final_rel":0.000000001,"iters":5}],"grid_complexity":1.21,"operator_complexity":1.2794117647058822,"rank":0,"step":4,"type":"step_health"}
 {"bytes":1200000000,"calls":240,"dofs":4000000,"flops":96000000,"kernel":"spmv_csr","rank":1,"secs":0.0125,"type":"kernel_perf"}
 {"name":"assembly.matrix_entries","rank":0,"type":"counter","value":123456}
 "#;
@@ -44,9 +45,8 @@ fn every_event_type_round_trips_through_jsonl() {
     let tags: BTreeSet<&str> = examples.iter().map(|e| e.type_tag()).collect();
     // The fixture must cover the whole schema.
     let schema = BTreeSet::from([
-        "run", "span", "phase_time", "phase_perf", "comm_edge", "collective", "amg", "gmres",
-        "recovery", "checkpoint", "restore", "step_health", "health_verdict", "kernel_perf",
-        "counter",
+        "run", "span", "phase_perf", "comm_edge", "collective", "amg", "gmres", "recovery",
+        "checkpoint", "restore", "step_health", "kernel_perf", "counter",
     ]);
     assert_eq!(tags, schema);
     // Same bytes out, same events back in.
@@ -252,7 +252,7 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
 
     // Comm observability: both directed edges of the 2-rank job, each
     // class-tagged; collective totals with latency samples; the per-phase
-    // imbalance table fed by phase_time + phase_perf wait clocks.
+    // imbalance table fed by the phase spans + phase_perf wait clocks.
     assert!(!report.comm_edges.is_empty(), "no comm edges aggregated");
     let edge_pairs: BTreeSet<(usize, usize)> =
         report.comm_edges.keys().map(|&(s, d, _)| (s, d)).collect();
@@ -330,22 +330,55 @@ fn run_header_is_labelled_from_the_config() {
     assert!(!report.kernels.contains_key("spmv_sellcs"));
 }
 
+/// The report's phase breakdown, read from the phase spans, covers the
+/// `Timings` ledger each step returns: the same (equation, phase) cells,
+/// and on each rank no cell's span seconds below its ledger seconds —
+/// the span guards open before and close after `Timings::time`, so this
+/// is an inequality, not a timing tolerance.
+#[test]
+fn span_phase_times_cover_the_timings_ledger() {
+    let mesh = small_channel();
+    let cfg = SolverConfig { telemetry: true, picard_iters: 2, ..SolverConfig::default() };
+    let per_rank = Comm::run(2, move |rank| {
+        let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg.clone());
+        let mut ledger: BTreeMap<(String, String), f64> = BTreeMap::new();
+        for _ in 0..2 {
+            for (eq, phase, secs) in sim.step(rank).timings.iter() {
+                *ledger.entry((eq.to_string(), phase.label().to_string())).or_default() += secs;
+            }
+        }
+        (ledger, sim.finish_telemetry(rank))
+    });
+    let cells: BTreeSet<&(String, String)> = per_rank.iter().flat_map(|(l, _)| l.keys()).collect();
+    let events = telemetry::merge_ranks(per_rank.iter().map(|(_, e)| e.clone()).collect());
+    let report = Report::from_events(&events);
+    assert_eq!(report.phase_secs.keys().collect::<BTreeSet<_>>(), cells);
+    for (rank, (ledger, events)) in per_rank.iter().enumerate() {
+        for ((eq, phase), &secs) in ledger {
+            let suffix = format!("/{eq}/{phase}");
+            let spans: f64 = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Span { path, secs, .. } if path.ends_with(&suffix) => Some(secs),
+                    _ => None,
+                })
+                .sum();
+            assert!(spans >= secs - 1e-9, "rank {rank} {eq}/{phase}: spans {spans} < ledger {secs}");
+        }
+    }
+}
+
 /// Structural signature of a stream: everything except wall-clock
 /// durations, which legitimately vary run to run.
 fn structure(events: &[Event]) -> Vec<String> {
     events
         .iter()
         .filter_map(|ev| Some(match ev {
-            Event::Span { rank, path, depth, .. } => {
-                format!("span r{rank} {path} d{depth}")
-            }
+            Event::Span { rank, path, .. } => format!("span r{rank} {path}"),
             // Which exit of the wait loop satisfied a receive — while
             // polling, or after parking — is wall clock in the shape of
             // a count: it says which rank reached the exchange first.
             Event::Counter { name, .. } if name.starts_with("parcomm.recv_") => return None,
-            Event::PhaseTime { rank, step, eq, phase, .. } => {
-                format!("phase_time r{rank} s{step} {eq}/{phase}")
-            }
             Event::Run { ranks, .. } => format!("run {ranks}"),
             // Byte/flop/DOF totals come from the analytic model and must
             // be exact; wall-clock seconds vary.

@@ -11,6 +11,7 @@
 use exawind::nalu_core::{Simulation, SolverConfig};
 use exawind::parcomm::{Comm, TransportKind};
 use exawind::resilience::{faults, FaultPlan};
+use exawind::telemetry::health::{DegradationKind, Verdict};
 use exawind::telemetry::{self, Event, Json, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use exawind::windmesh::Mesh;
@@ -162,8 +163,12 @@ fn bigger_box() -> Mesh {
 }
 
 /// Run `steps` timesteps at 2 ranks with telemetry on under `faults`,
-/// returning each rank's `(fault-plan hit count, merged events)`.
-fn health_run(steps: usize, faults_spec: Option<&str>) -> Vec<(u64, Vec<Event>)> {
+/// returning each rank's `(fault-plan hit count, events, the live
+/// detector's last verdict, recovery attempts over the step reports)`.
+fn health_run(
+    steps: usize,
+    faults_spec: Option<&str>,
+) -> Vec<(u64, Vec<Event>, Option<Verdict>, usize)> {
     let mesh = bigger_box();
     let plan = faults_spec.map(|s| FaultPlan::parse(s).unwrap());
     Comm::run(2, move |rank| {
@@ -176,14 +181,13 @@ fn health_run(steps: usize, faults_spec: Option<&str>) -> Vec<(u64, Vec<Event>)>
                 ..SolverConfig::default()
             };
             let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
-            for _ in 0..steps {
-                sim.step(rank);
-            }
+            let recoveries: usize = (0..steps).map(|_| sim.step(rank).recoveries.len()).sum();
             // Per-spec (hits, fired) of the injector installed on this
             // rank thread; hits advance on every matching hook call
             // whether or not the window fired.
             let hits = faults::counters().first().map_or(0, |&(h, _)| h);
-            (hits, sim.finish_telemetry(rank))
+            let live = sim.last_health_verdict().cloned();
+            (hits, sim.finish_telemetry(rank), live, recoveries)
         })
     })
 }
@@ -192,8 +196,10 @@ fn health_run(steps: usize, faults_spec: Option<&str>) -> Vec<(u64, Vec<Event>)>
 /// run with a fault seeded *after* the detector's warmup must produce a
 /// `recovery-storm` degradation verdict (the ladder rebuilds, and the
 /// recovery activity after a clean baseline is exactly what the
-/// detector alarms on). The fault is a NaN in the continuity global
-/// assembly, whose hook runs every Picard iteration (AMG setup hooks no
+/// detector alarms on). The verdicts the report replays from rank 0's
+/// stream are the live detector's, bit for bit. The fault is a NaN in
+/// the continuity global assembly, whose hook runs every Picard
+/// iteration (AMG setup hooks no
 /// longer do: the hierarchy is set up once and reused). The seed
 /// occurrence is probed, not hard-coded: a never-firing plan counts the
 /// hook calls the first three (warmup) steps make, and the real plan
@@ -204,17 +210,16 @@ fn health_detector_fires_on_seeded_fault_and_stays_silent_clean() {
 
     // Clean 4-step run: step_health present, zero verdicts.
     let clean = health_run(WARMUP_STEPS + 1, None);
-    for (_, events) in &clean {
+    for (_, events, live, _) in &clean {
         let healths = events
             .iter()
             .filter(|e| matches!(e, Event::StepHealth { .. }))
             .count();
         assert_eq!(healths, WARMUP_STEPS + 1, "one step_health per step");
-        assert!(
-            !events.iter().any(|e| matches!(e, Event::HealthVerdict { .. })),
-            "clean run must not produce degradation verdicts"
-        );
+        assert!(live.is_none(), "clean run must not produce degradation verdicts: {live:?}");
     }
+    let replayed = Report::from_events(&clean[0].1).health.verdicts;
+    assert!(replayed.is_empty(), "clean stream replays to verdicts: {replayed:?}");
 
     // Probe: how many times do the first 3 steps call the hook?
     let probe = health_run(WARMUP_STEPS, Some("assembly-nan@continuity/global:1000000"));
@@ -228,26 +233,30 @@ fn health_detector_fires_on_seeded_fault_and_stays_silent_clean() {
     // activity on its health row.
     let spec = format!("assembly-nan@continuity/global:{}", warmup_hits + 1);
     let seeded = health_run(WARMUP_STEPS + 1, Some(&spec));
-    for (r, (hits, events)) in seeded.iter().enumerate() {
+    for (r, (hits, _, live, _)) in seeded.iter().enumerate() {
         assert!(*hits > warmup_hits, "rank {r}: fault never reached its window");
-        let verdicts: Vec<(&str, usize)> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::HealthVerdict { kind, step, .. } => Some((kind.as_str(), *step)),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            verdicts.iter().any(|(k, _)| *k == "recovery-storm"),
-            "rank {r}: no recovery-storm verdict in {verdicts:?}"
-        );
-        for (_, step) in &verdicts {
-            assert!(*step >= WARMUP_STEPS, "verdict inside warmup: {verdicts:?}");
-        }
+        assert_eq!(live, &seeded[0].2, "rank {r}: the live detector is collective");
     }
+    let (_, events, live, recoveries) = &seeded[0];
+    let health = Report::from_events(events).health;
+    let verdicts: Vec<(DegradationKind, usize)> =
+        health.verdicts.iter().map(|v| (v.kind, v.step)).collect();
+    assert!(
+        verdicts.iter().any(|(k, _)| *k == DegradationKind::RecoveryStorm),
+        "no recovery-storm verdict in {verdicts:?}"
+    );
+    for (_, step) in &verdicts {
+        assert!(*step >= WARMUP_STEPS, "verdict inside warmup: {verdicts:?}");
+    }
+    let (replayed, live) = (health.verdicts.last().unwrap(), live.as_ref().unwrap());
+    assert_eq!((replayed.step, replayed.kind, &replayed.eq), (live.step, live.kind, &live.eq));
+    let bits = |v: &Verdict| [v.value.to_bits(), v.baseline.to_bits()];
+    assert_eq!(bits(replayed), bits(live));
+    assert!(*recoveries > 0);
+    assert_eq!(health.recoveries, *recoveries as u64, "replayed recovery attempts");
 
     // The Report's health section and one-line summary pick it up.
-    let events: Vec<Event> = seeded.into_iter().flat_map(|(_, e)| e).collect();
+    let events: Vec<Event> = seeded.into_iter().flat_map(|(_, e, _, _)| e).collect();
     let report = Report::from_events(&events);
     let summary = report.health_summary().expect("summary for a stream with health rows");
     assert!(summary.contains("recovery-storm"), "{summary}");
