@@ -47,6 +47,24 @@ unsafe_sites=$(grep -rnw 'unsafe' --include='*.rs' crates || true)
   && grep -q '^crates/parcomm/src/socket\.rs:[0-9]*: *unsafe { poll(' <<<"$unsafe_sites" \
   || { echo "unsafe gate: unsafe code besides the poll(2) call: $unsafe_sites" >&2; exit 1; }
 
+# One neighbour exchange: outside tests, `distmat` receives in two
+# places — `CommPkg::finish`, the second half of the one split-phase
+# exchange that the matrix halo, AMG setup's point exchanges and the
+# assembly-plan replays all call, and Algorithm 1's count-driven first
+# exchange in `IjMatrix::try_assemble`, which has no plan. Both the
+# fallible `try_recv(` and the panicking `recv(` count, so a
+# hand-written planned exchange (a replay's or a plan build's key
+# exchange) cannot come back unnoticed.
+recv_call='\b(try_)?recv\('
+recv_sites=$(for f in crates/distmat/src/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$recv_call" | sed "s|^|$f:|"
+done || true)
+in_finish=$(sed -n '/    pub fn finish</,/^    }$/p' crates/distmat/src/halo.rs | grep -cE "$recv_call" || true)
+in_alg1=$(sed -n '/    pub fn try_assemble(mut self, rank: &Rank)/,/^    }$/p' crates/distmat/src/ij.rs \
+  | grep -cE "$recv_call" || true)
+[ "$in_finish" -eq 1 ] && [ "$in_alg1" -eq 1 ] && [ "$(grep -c . <<<"$recv_sites")" -eq 2 ] \
+  || { echo "exchange gate: a receive outside CommPkg::finish and IjMatrix::try_assemble: $recv_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph

@@ -626,4 +626,36 @@ mod tests {
             assert!(h.levels[0].p.is_none());
         });
     }
+
+    /// `sparse_exchange` entries in this rank's `collective` rows so far.
+    fn sparse_exchanges(rank: &Rank) -> u64 {
+        rank.telemetry_events()
+            .iter()
+            .filter_map(|e| match e {
+                telemetry::Event::Collective { kind, count, .. } if kind == "sparse_exchange" => Some(*count),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// Setup exchanges CF states, coarse ids and F ids over each level
+    /// operator's own halo: no comm package is built twice for one
+    /// column map. Every `sparse_exchange` left is a new matrix's halo,
+    /// an external-row fetch of a product or PMIS's union-of-S-and-Sᵀ
+    /// halo; the counts pin the two configurations at 2 ranks.
+    #[test]
+    fn setup_builds_no_second_comm_package() {
+        let serial = laplacian_2d(16);
+        for (config, want) in [(AmgConfig::standard(), 22), (AmgConfig::pressure_default(), 37)] {
+            let s2 = serial.clone();
+            let counts = Comm::run(2, move |rank| {
+                let dist = RowDist::block(s2.nrows() as u64, rank.size());
+                let a = ParCsr::from_serial(rank, dist.clone(), dist, &s2);
+                let before = sparse_exchanges(rank);
+                AmgHierarchy::setup(rank, a, &config).unwrap();
+                sparse_exchanges(rank) - before
+            });
+            assert_eq!(counts, [want; 2]);
+        }
+    }
 }

@@ -16,7 +16,7 @@
 //!   negotiation. The "+i" variant adds a constant-preserving row
 //!   rescale.
 
-use distmat::{Halo, ParCsr, RowDist};
+use distmat::{ParCsr, RowDist};
 use parcomm::{KernelKind, Rank};
 use rayon::prelude::*;
 use sparse_kit::Coo;
@@ -24,9 +24,9 @@ use sparse_kit::Coo;
 use crate::config::InterpType;
 use crate::pmis::{CfSplit, CfState};
 
-/// Ext-point info pulled over A's halo: state and coarse id (and, for the
-/// MM operators, F id) per external column. All values travel in a single
-/// packed exchange so they are mutually consistent by construction.
+/// Ext-point info pulled over A's own halo: state and coarse id (and, for
+/// the MM operators, F id) per external column, in three exchanges of one
+/// split — per-pair FIFO order on the halo's tag keeps them aligned.
 struct ExtInfo {
     is_coarse: Vec<bool>,
     coarse_id: Vec<u64>,
@@ -39,29 +39,16 @@ fn exchange_ext_info(
     split: &CfSplit,
     f_index: Option<&[Option<u64>]>,
 ) -> ExtInfo {
-    let halo = Halo::new(rank, a.row_dist(), a.col_map_offd.clone());
-    // Pack (state, coarse id, f id) into one word triple-exchange: packed
-    // as three sequential exchanges over the SAME halo object would also
-    // be consistent, but a single packed array removes even the
-    // possibility of skew.
-    let n = split.states.len();
-    let mut packed = vec![0u64; 3 * n];
-    for i in 0..n {
-        packed[3 * i] = if split.states[i] == CfState::Coarse { 1 } else { 0 };
-        packed[3 * i + 1] = split.coarse_index[i].unwrap_or(u64::MAX);
-        packed[3 * i + 2] = f_index
-            .map(|f| f[i].unwrap_or(u64::MAX))
-            .unwrap_or(u64::MAX);
-    }
-    // Exchange triple-width values by building a halo over a widened view:
-    // simplest correct approach — three exchanges over one halo (FIFO per
-    // pair on a dedicated tag keeps them aligned).
-    let states: Vec<u64> = (0..n).map(|i| packed[3 * i]).collect();
-    let cids: Vec<u64> = (0..n).map(|i| packed[3 * i + 1]).collect();
-    let fids: Vec<u64> = (0..n).map(|i| packed[3 * i + 2]).collect();
-    let ext_states = halo.exchange_u64(rank, &states);
-    let ext_cids = halo.exchange_u64(rank, &cids);
-    let ext_fids = halo.exchange_u64(rank, &fids);
+    let halo = a.halo();
+    let states: Vec<u64> = split.states.iter().map(|&s| u64::from(s == CfState::Coarse)).collect();
+    let cids: Vec<u64> = split.coarse_index.iter().map(|c| c.unwrap_or(u64::MAX)).collect();
+    let fids: Vec<u64> = match f_index {
+        Some(f) => f.iter().map(|c| c.unwrap_or(u64::MAX)).collect(),
+        None => vec![u64::MAX; states.len()],
+    };
+    let ext_states = halo.exchange(rank, &states);
+    let ext_cids = halo.exchange(rank, &cids);
+    let ext_fids = halo.exchange(rank, &fids);
     // Cross-consistency: a point is Coarse iff it has a coarse id; Fine
     // iff it has an F id (when f ids were provided).
     for c in 0..ext_states.len() {

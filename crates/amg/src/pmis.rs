@@ -158,7 +158,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
     }
 
     // Exchange weights once; states every round.
-    let ext_w = halo.exchange_f64(rank, &weights);
+    let ext_w = halo.exchange(rank, &weights);
     let mut states = vec![UNDECIDED; n];
     // Points with no strong neighbours at all are F-points immediately
     // (nothing to interpolate from, smoother handles them).
@@ -173,7 +173,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
         if rank.allreduce_sum(undecided) == 0 {
             break;
         }
-        let ext_states = halo.exchange_u64(rank, &states);
+        let ext_states = halo.exchange(rank, &states);
         let state_of = |loc: Loc, snapshot: &[u64], ext: &[u64]| -> u64 {
             match loc {
                 Loc::Local(l) => snapshot[l],
@@ -222,7 +222,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
         // UNDECIDED→F transitions happen and only C states are read, so
         // sweeping over the phase-1 snapshot is equivalent to the
         // sequential in-place sweep.
-        let ext_states2 = halo.exchange_u64(rank, &states);
+        let ext_states2 = halo.exchange(rank, &states);
         let snapshot = states;
         states = (0..n)
             .into_par_iter()
@@ -313,16 +313,9 @@ pub fn pmis_aggressive(
     // numbering, building a small ParCsr on the coarse distribution.
     let cdist = first.coarse_dist.clone();
     let start = dist.start(me);
-    // Coarse ids of external columns of s2.
-    let ext_cids = {
-        let halo = Halo::new(rank, &dist, s2.col_map_offd.clone());
-        let local_cids: Vec<u64> = first
-            .coarse_index
-            .iter()
-            .map(|ci| ci.map_or(u64::MAX, |c| c))
-            .collect();
-        halo.exchange_u64(rank, &local_cids)
-    };
+    // Coarse ids of external columns of s2, over its own halo.
+    let local_cids: Vec<u64> = first.coarse_index.iter().map(|ci| ci.unwrap_or(u64::MAX)).collect();
+    let ext_cids = s2.halo().exchange(rank, &local_cids);
     let mut cc = sparse_kit::Coo::new();
     for i in 0..n {
         let Some(ci) = first.coarse_index[i] else {

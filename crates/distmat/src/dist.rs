@@ -1,5 +1,7 @@
 //! 1-D block-row distributions.
 
+use std::ops::Range;
+
 use parcomm::Rank;
 
 /// Describes which rank owns each contiguous block of global row ids:
@@ -101,6 +103,36 @@ impl RowDist {
         );
         (gid - self.start(rank)) as usize
     }
+
+    /// The `(owner, range)` runs of a list of global ids whose owners
+    /// are non-decreasing (a sorted list, say): `ids[range]` are exactly
+    /// the ids `owner` owns, one run per owner, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range; debug builds also if the owners
+    /// decrease.
+    pub(crate) fn owner_runs(&self, ids: impl IntoIterator<Item = u64>) -> Vec<(usize, Range<usize>)> {
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+        for (k, gid) in ids.into_iter().enumerate() {
+            let owner = self.owner(gid);
+            match runs.last_mut() {
+                Some((o, range)) if *o == owner => range.end = k + 1,
+                last => {
+                    debug_assert!(last.is_none_or(|(o, _)| *o < owner), "owners decrease");
+                    runs.push((owner, k..k + 1));
+                }
+            }
+        }
+        runs
+    }
+}
+
+/// The request each owner in the [`RowDist::owner_runs`] of `ids` (none
+/// owned by rank `me`) gets in a `sparse_exchange`: its run of `ids`.
+pub(crate) fn owner_requests(me: usize, runs: &[(usize, Range<usize>)], ids: &[u64]) -> Vec<(usize, Vec<u64>)> {
+    assert!(runs.iter().all(|(owner, _)| *owner != me), "own id listed as external");
+    runs.iter().map(|(owner, range)| (*owner, ids[range.clone()].to_vec())).collect()
 }
 
 #[cfg(test)]
@@ -149,6 +181,14 @@ mod tests {
             assert_eq!(d.local_n(2), 3);
         }
         assert_eq!(dists[0], dists[2]);
+    }
+
+    #[test]
+    fn owner_runs_group_by_owner() {
+        let d = RowDist::from_starts(vec![0, 4, 4, 10]);
+        assert_eq!(d.owner_runs([0, 3, 4, 9]), vec![(0, 0..2), (2, 2..4)]);
+        assert_eq!(d.owner_runs([7]), vec![(2, 0..1)]);
+        assert!(d.owner_runs([]).is_empty());
     }
 
     #[test]

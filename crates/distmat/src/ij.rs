@@ -32,6 +32,7 @@ use sparse_kit::prims;
 use sparse_kit::Coo;
 
 use crate::dist::RowDist;
+use crate::halo::{socket_drop_hook, CommPkg};
 use crate::parcsr::{ParCsr, ParCsrPattern};
 use crate::vector::ParVector;
 
@@ -114,37 +115,20 @@ impl IjMatrix {
         // Pre-compute nnz_recv (paper: MPI_Allreduce after the graph
         // computation) so receive buffers can be sized up front. One
         // collective exchanges the whole sender→receiver count matrix.
+        let by_dst = self.row_dist.owner_runs(self.shared.rows.iter().copied());
         let mut my_counts = vec![0u64; rank.size()];
-        for &gi in &self.shared.rows {
-            my_counts[self.row_dist.owner(gi)] += 1;
+        for (dst, range) in &by_dst {
+            my_counts[*dst] = range.len() as u64;
         }
         let count_matrix = rank.allgather(my_counts);
         let tag_mat: Tag = rank.alloc_tag();
         let nnz_recv: usize = count_matrix.iter().map(|row| row[self.rank_id] as usize).sum();
 
         // Exchange A_send: one message per destination rank.
-        let mut by_dst: Vec<(usize, CooBuffers)> = Vec::new();
-        {
-            let mut k = 0;
-            while k < self.shared.len() {
-                let dst = self.row_dist.owner(self.shared.rows[k]);
-                let begin = k;
-                while k < self.shared.len()
-                    && self.row_dist.owner(self.shared.rows[k]) == dst
-                {
-                    k += 1;
-                }
-                by_dst.push((
-                    dst,
-                    (
-                        self.shared.rows[begin..k].to_vec(),
-                        self.shared.cols[begin..k].to_vec(),
-                        self.shared.vals[begin..k].to_vec(),
-                    ),
-                ));
-            }
-        }
-        for (dst, payload) in by_dst {
+        let shared = &self.shared;
+        for (dst, r) in by_dst {
+            let payload: CooBuffers =
+                (shared.rows[r.clone()].to_vec(), shared.cols[r.clone()].to_vec(), shared.vals[r].to_vec());
             rank.send(dst, tag_mat, payload);
         }
         // Stack owned and received into one buffer sized with nnz_recv.
@@ -196,11 +180,7 @@ impl IjMatrix {
 /// fault plan do not depend on what was skipped.
 pub fn assembly_fault_hooks(rank: &Rank) -> Result<bool, SolveError> {
     let nan = faults::fire(FaultKind::AssemblyNan, || rank.phase_name());
-    if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
-        return Err(SolveError::Comm {
-            detail: format!("injected socket drop in {}", rank.phase_name()),
-        });
-    }
+    socket_drop_hook(rank)?;
     Ok(nan)
 }
 
@@ -237,35 +217,6 @@ impl Gather {
     }
 }
 
-/// `(dst, range of the item list sent there)`, ascending `dst`.
-type Sends = Vec<(usize, Range<usize>)>;
-/// `(src, items expected from it)`, ascending `src`.
-type Recvs = Vec<(usize, usize)>;
-
-/// Who sends how many items to whom in an off-rank exchange: the
-/// per-destination ranges of an item list whose `owners` are
-/// non-decreasing, and the per-source receive counts. The one count
-/// allgather of a plan's lifetime. Collective.
-fn exchange_schedule(rank: &Rank, owners: &[usize]) -> (Sends, Recvs) {
-    let mut sends = Sends::new();
-    let mut counts = vec![0u64; rank.size()];
-    for (k, &dst) in owners.iter().enumerate() {
-        counts[dst] += 1;
-        match sends.last_mut() {
-            Some((d, range)) if *d == dst => range.end = k + 1,
-            _ => sends.push((dst, k..k + 1)),
-        }
-    }
-    let recvs = rank
-        .allgather(counts)
-        .iter()
-        .enumerate()
-        .map(|(src, row)| (src, row[rank.rank()] as usize))
-        .filter(|&(src, n)| src != rank.rank() && n > 0)
-        .collect();
-    (sends, recvs)
-}
-
 /// Stable-sort `keys` with their positions as provenance and hand each
 /// run of equal keys to `entry` as `(key, positions in summation
 /// order)`: the `stable_sort_by_key` of Algorithms 1 and 2 with the
@@ -293,28 +244,14 @@ fn sorted_runs<K: Ord + Copy + Send + Sync>(
     }
 }
 
-/// Receive one values message per planned source onto the end of
-/// `stack`. A message whose length differs from the planned count is a
-/// typed error: the gathers index `stack` by planned position.
-fn recv_planned_values(
-    rank: &Rank,
-    tag: Tag,
-    recvs: &[(usize, usize)],
-    stack: &mut Vec<f64>,
-) -> Result<(), SolveError> {
-    for &(src, n) in recvs {
-        let vals: Vec<f64> = rank.try_recv(src, tag)?;
-        if vals.len() != n {
-            return Err(SolveError::Comm {
-                detail: format!(
-                    "assembly values message from rank {src}: got {} values, plan expects {n}",
-                    vals.len()
-                ),
-            });
-        }
-        stack.extend_from_slice(&vals);
+/// A planned message of the wrong length, as a typed error: the gathers
+/// index the receive buffer by planned position.
+fn plan_mismatch(src: usize, expected: usize, got: usize) -> SolveError {
+    SolveError::Comm {
+        detail: format!(
+            "assembly values message from rank {src}: got {got} values, plan expects {expected}"
+        ),
     }
-    Ok(())
 }
 
 /// Algorithm 1 with the structure taken out: built once per sparsity
@@ -328,9 +265,9 @@ fn recv_planned_values(
 #[derive(Clone, Debug)]
 pub struct AssemblyPlan {
     n_owned: usize,
-    /// Ranges of the shared value array.
-    sends: Sends,
-    recvs: Recvs,
+    /// Sends gather from the shared value array; receives land after
+    /// the owned values.
+    pkg: CommPkg,
     /// Tag of this plan's values-only messages.
     tag: Tag,
     /// The finished structure — indptr/indices, `col_map_offd`,
@@ -367,21 +304,13 @@ impl AssemblyPlan {
             );
         }
         assert!(owned.iter().all(|&(r, _)| row_dist.owner(r) == me), "owned row not owned");
-        let owners: Vec<usize> = shared.iter().map(|&(r, _)| row_dist.owner(r)).collect();
-        assert!(!owners.contains(&me), "shared row is owned");
 
-        let (sends, recvs) = exchange_schedule(rank, &owners);
+        let pkg = CommPkg::push(rank, &row_dist, shared.iter().map(|&(r, _)| r), |k| k);
         let key_tag = rank.alloc_tag();
-        for (dst, range) in &sends {
-            let (rows, cols): (Vec<u64>, Vec<u64>) = shared[range.clone()].iter().copied().unzip();
-            rank.send(*dst, key_tag, (rows, cols));
-        }
+        pkg.begin(rank, key_tag, shared);
         let mut keys = owned.to_vec();
-        for &(src, n) in &recvs {
-            let (rows, cols): (Vec<u64>, Vec<u64>) = rank.recv(src, key_tag);
-            assert_eq!(rows.len(), n, "pattern message from rank {src} has the wrong length");
-            keys.extend(rows.into_iter().zip(cols));
-        }
+        pkg.finish(rank, key_tag, &mut keys, plan_mismatch)
+            .unwrap_or_else(|e| panic!("pattern exchange: {e}"));
 
         let my_cols = col_dist.start(me)..col_dist.end(me);
         let mut coo = Coo::with_capacity(keys.len());
@@ -402,8 +331,7 @@ impl AssemblyPlan {
         );
         AssemblyPlan {
             n_owned: owned.len(),
-            sends,
-            recvs,
+            pkg,
             tag: rank.alloc_tag(),
             pattern,
             diag,
@@ -429,10 +357,9 @@ impl AssemblyPlan {
         shared_vals: &[f64],
     ) -> Result<ParCsr, SolveError> {
         assert_eq!(owned_vals.len(), self.n_owned, "owned values do not match the plan");
-        let n_shared = self.sends.last().map_or(0, |(_, range)| range.end);
+        let n_shared = self.pkg.n_send();
         assert_eq!(shared_vals.len(), n_shared, "shared values do not match the plan");
-        let n_recv: usize = self.recvs.iter().map(|&(_, n)| n).sum();
-        let mut stack = Vec::with_capacity(self.n_owned + n_recv);
+        let mut stack = Vec::with_capacity(self.n_owned + self.pkg.n_recv());
         stack.extend_from_slice(owned_vals);
 
         if assembly_fault_hooks(rank)? {
@@ -442,18 +369,16 @@ impl AssemblyPlan {
         }
 
         {
-            // The copy-out is the `to_vec` of each send, so the scope's
+            // The copy-out is the gather of each send, so the scope's
             // wall time includes the sends' encode + enqueue (also in
             // `transfer_secs`).
             let k = (n_shared > 0).then(|| rank.kernel("assembly_pack", KernelKind::Stream));
             if let Some(k) = &k {
                 k.launch(n_shared, cost::stream(n_shared, 2));
             }
-            for (dst, range) in &self.sends {
-                rank.send(*dst, self.tag, shared_vals[range.clone()].to_vec());
-            }
+            self.pkg.begin(rank, self.tag, shared_vals);
         }
-        recv_planned_values(rank, self.tag, &self.recvs, &mut stack)?;
+        self.pkg.finish(rank, self.tag, &mut stack, plan_mismatch)?;
 
         let entries = self.diag.first.len() + self.offd.first.len();
         let contribs = self.diag.contribs() + self.offd.contribs();
@@ -532,23 +457,11 @@ impl IjVector {
         self.shared_ids = keys;
 
         // Vector entries `(ids, vals)` as sent on the wire.
-        type VecBuffers = (Vec<u64>, Vec<f64>);
-        let mut msgs: Vec<(usize, VecBuffers)> = Vec::new();
-        let mut k = 0;
-        while k < self.shared_ids.len() {
-            let dst = self.dist.owner(self.shared_ids[k]);
-            let begin = k;
-            while k < self.shared_ids.len() && self.dist.owner(self.shared_ids[k]) == dst {
-                k += 1;
-            }
-            msgs.push((
-                dst,
-                (
-                    self.shared_ids[begin..k].to_vec(),
-                    self.shared_vals[begin..k].to_vec(),
-                ),
-            ));
-        }
+        let msgs: Vec<_> = (self.dist)
+            .owner_runs(self.shared_ids.iter().copied())
+            .into_iter()
+            .map(|(dst, r)| (dst, (self.shared_ids[r.clone()].to_vec(), self.shared_vals[r].to_vec())))
+            .collect();
         let received = rank.sparse_exchange(msgs);
 
         // Stack received values only.
@@ -597,13 +510,9 @@ impl IjVector {
             self.shared_ids == plan.ids,
             "off-rank id sequence differs from the one the plan was recorded from"
         );
-        for (dst, range) in &plan.sends {
-            let vals: Vec<f64> =
-                plan.order[range.clone()].iter().map(|&k| self.shared_vals[k as usize]).collect();
-            rank.send(*dst, plan.tag, vals);
-        }
-        let mut stack = Vec::with_capacity(plan.recvs.iter().map(|&(_, n)| n).sum());
-        recv_planned_values(rank, plan.tag, &plan.recvs, &mut stack)?;
+        plan.pkg.begin(rank, plan.tag, &self.shared_vals);
+        let mut stack = Vec::new();
+        plan.pkg.finish(rank, plan.tag, &mut stack, plan_mismatch)?;
 
         // Gather + scatter-add, one fused launch.
         {
@@ -629,11 +538,9 @@ impl IjVector {
 pub struct VectorPlan {
     /// The off-rank ids in `add_value` order.
     ids: Vec<u64>,
-    /// Positions of the buffered values in stable id order.
-    order: Vec<u32>,
-    /// Ranges of `order`.
-    sends: Sends,
-    recvs: Recvs,
+    /// Sends gather the buffered values in stable id order; receives
+    /// fill the value list `gather` reads.
+    pkg: CommPkg,
     /// Tag of this plan's values-only messages.
     tag: Tag,
     /// Local index of every distinct received id, ascending, and its
@@ -646,24 +553,17 @@ impl VectorPlan {
     /// Run Algorithm 2 on the off-rank ids of `v`. Collective.
     pub fn build(rank: &Rank, v: &IjVector) -> VectorPlan {
         let me = rank.rank();
-        let mut sorted_ids: Vec<u64> = Vec::with_capacity(v.shared_ids.len());
-        let mut order: Vec<u32> = Vec::with_capacity(v.shared_ids.len());
-        sorted_runs(rank, v.shared_ids.clone(), |id, positions| {
-            sorted_ids.extend(std::iter::repeat_n(id, positions.len()));
-            order.extend_from_slice(positions);
+        // Positions of the buffered values in stable id order.
+        let mut order: Vec<usize> = Vec::with_capacity(v.shared_ids.len());
+        sorted_runs(rank, v.shared_ids.clone(), |_, positions| {
+            order.extend(positions.iter().map(|&p| p as usize));
         });
-        let owners: Vec<usize> = sorted_ids.iter().map(|&id| v.dist.owner(id)).collect();
-        let (sends, recvs) = exchange_schedule(rank, &owners);
+        let pkg = CommPkg::push(rank, &v.dist, order.iter().map(|&p| v.shared_ids[p]), |k| order[k]);
         let key_tag = rank.alloc_tag();
-        for (dst, range) in &sends {
-            rank.send(*dst, key_tag, sorted_ids[range.clone()].to_vec());
-        }
-        let mut recv_ids: Vec<u64> = Vec::new();
-        for &(src, n) in &recvs {
-            let ids: Vec<u64> = rank.recv(src, key_tag);
-            assert_eq!(ids.len(), n, "id message from rank {src} has the wrong length");
-            recv_ids.extend(ids);
-        }
+        pkg.begin(rank, key_tag, &v.shared_ids);
+        let mut recv_ids = Vec::new();
+        pkg.finish(rank, key_tag, &mut recv_ids, plan_mismatch)
+            .unwrap_or_else(|e| panic!("id exchange: {e}"));
         let mut rows: Vec<u32> = Vec::new();
         let mut gather = Gather::default();
         sorted_runs(rank, recv_ids, |id, prov| {
@@ -672,9 +572,7 @@ impl VectorPlan {
         });
         VectorPlan {
             ids: v.shared_ids.clone(),
-            order,
-            sends,
-            recvs,
+            pkg,
             tag: rank.alloc_tag(),
             rows,
             gather,
@@ -846,6 +744,30 @@ mod tests {
                 other => panic!("expected a typed comm error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn replayed_matrices_share_the_plan_halo() {
+        Comm::run(3, |rank| {
+            let dist = RowDist::block(6, 3);
+            let row = 2 * rank.rank() as u64;
+            let next = (row + 2) % 6;
+            let mut owned = vec![(row, row), (row, next)];
+            owned.sort_unstable();
+            let shared = [(next, row)];
+            let plan = AssemblyPlan::build(rank, dist.clone(), dist.clone(), &owned, &shared);
+            let a = plan.try_assemble(rank, &[1.0, 2.0], &[3.0]).unwrap();
+            let b = plan.try_assemble(rank, &[4.0, 5.0], &[6.0]).unwrap();
+            assert!(std::sync::Arc::ptr_eq(a.halo(), b.halo()));
+            let mut ij = IjMatrix::new(rank, dist.clone(), dist);
+            for &(r, c) in owned.iter().chain(&shared) {
+                ij.add_value(r, c, 1.0);
+            }
+            let fresh = ij.assemble(rank);
+            assert!(!fresh.comm_pkg().sends.is_empty());
+            assert_eq!(a.comm_pkg(), fresh.comm_pkg());
+            assert_eq!(b.comm_pkg(), fresh.comm_pkg());
+        });
     }
 
     #[test]

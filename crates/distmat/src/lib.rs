@@ -10,6 +10,10 @@
 //!   global ids — "an efficient decomposition for performing a Sparse
 //!   Matrix Vector Multiply in parallel".
 //!
+//! Every planned neighbour exchange — the halo of an SpMV, AMG setup's
+//! per-point exchanges, the assembly-plan replays — runs through one
+//! [`CommPkg`] and its `begin`/`finish` pair ([`halo`]).
+//!
 //! [`ij`] implements the paper's Algorithm 1 (global matrix assembly) and
 //! Algorithm 2 (global vector assembly) on top of the Thrust-style
 //! primitives, including the `nnz_recv` pre-computation that lets buffers
@@ -25,7 +29,7 @@ pub mod parcsr;
 pub mod vector;
 
 pub use dist::RowDist;
-pub use halo::Halo;
+pub use halo::{CommPkg, Halo, HaloValue};
 pub use ij::{assembly_fault_hooks, AssemblyPlan, IjMatrix, IjVector, VectorPlan};
-pub use parcsr::{CommPkg, HaloInFlight, ParCsr, ParCsrPattern};
+pub use parcsr::{HaloInFlight, ParCsr, ParCsrPattern};
 pub use vector::ParVector;

@@ -2,14 +2,15 @@
 //! triple product (hypre's distributed sparse M-M machinery of [28]).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use parcomm::{KernelKind, Rank};
+use parcomm::{KernelKind, Message, Rank};
 use sparse_kit::cost;
 use sparse_kit::spgemm::spgemm_flops;
 use sparse_kit::Coo;
 
-use crate::dist::RowDist;
-use crate::ij::{CooBuffers, IjMatrix};
+use crate::dist::{owner_requests, RowDist};
+use crate::ij::IjMatrix;
 use crate::parcsr::ParCsr;
 
 /// Aᵀ distributed: every local entry is routed to the owner of its global
@@ -38,74 +39,83 @@ pub fn par_transpose(rank: &Rank, a: &ParCsr) -> ParCsr {
 /// is `(global col ids, values)`.
 pub type ExtRows = HashMap<u64, (Vec<u64>, Vec<f64>)>;
 
-/// Per-peer (row-entry counts, flattened values) payload of a
-/// values-only external-row exchange ([`fetch_external_vals`]).
-type ValsPayload = (Vec<u64>, Vec<f64>);
-
 /// Fetch the rows of `b` whose global ids appear in `needed` (all owned by
 /// other ranks). Two sparse exchanges: requests out, rows back. Collective.
 pub fn fetch_external_rows(rank: &Rank, b: &ParCsr, needed: &[u64]) -> ExtRows {
-    let me = rank.rank();
-    let dist = b.row_dist().clone();
-    // Group requests by owner (needed is sorted: col_map_offd order).
-    let mut requests: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut i = 0;
-    while i < needed.len() {
-        let owner = dist.owner(needed[i]);
-        assert_ne!(owner, me, "external row owned locally");
-        let begin = i;
-        while i < needed.len() && dist.owner(needed[i]) == owner {
-            i += 1;
-        }
-        requests.push((owner, needed[begin..i].to_vec()));
-    }
-    let incoming = rank.sparse_exchange(requests);
+    fetch_rows(
+        rank,
+        b,
+        needed,
+        |li, (cols, vals): &mut (Vec<u64>, Vec<f64>)| {
+            let (dc, dv) = b.diag.row(li);
+            let (oc, ov) = b.offd.row(li);
+            cols.extend(dc.iter().map(|&c| b.global_diag_col(c)));
+            cols.extend(oc.iter().map(|&c| b.global_offd_col(c)));
+            vals.extend_from_slice(dv);
+            vals.extend_from_slice(ov);
+        },
+        |(cols, vals), r| (cols[r.clone()].to_vec(), vals[r].to_vec()),
+    )
+}
 
-    // Serve each request: flatten the rows as (counts, cols, vals).
-    let responses: Vec<(usize, CooBuffers)> = incoming
+/// Fetch only the **values** of external rows of `b`, in exactly the
+/// per-row order [`fetch_external_rows`] returns them (diag entries in
+/// CSR order, then offd). Used by numeric-only SpGEMM replay, where the
+/// column structure is already baked into the plan. Collective.
+pub fn fetch_external_vals(rank: &Rank, b: &ParCsr, needed: &[u64]) -> HashMap<u64, Vec<f64>> {
+    fetch_rows(
+        rank,
+        b,
+        needed,
+        |li, vals: &mut Vec<f64>| {
+            vals.extend_from_slice(b.diag.row(li).1);
+            vals.extend_from_slice(b.offd.row(li).1);
+        },
+        |vals, r| vals[r].to_vec(),
+    )
+}
+
+/// The two sparse exchanges both fetches share: `needed` (sorted, all
+/// owned elsewhere) goes to its owners as requests; each owner answers a
+/// request with its rows' entry counts and `serve(local row, payload)`
+/// per requested row, in request order; `take(payload, range)` cuts each
+/// row's entries back out. Collective.
+fn fetch_rows<P: Message + Default, R>(
+    rank: &Rank,
+    b: &ParCsr,
+    needed: &[u64],
+    serve: impl Fn(usize, &mut P),
+    take: impl Fn(&P, Range<usize>) -> R,
+) -> HashMap<u64, R> {
+    let me = rank.rank();
+    let dist = b.row_dist();
+    let runs = dist.owner_runs(needed.iter().copied());
+    let requests = owner_requests(me, &runs, needed);
+    let responses = rank
+        .sparse_exchange(requests)
         .into_iter()
-        .map(|(src, gids)| {
+        .map(|(src, gids): (usize, Vec<u64>)| {
             let mut counts = Vec::with_capacity(gids.len());
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
+            let mut payload = P::default();
             for gid in gids {
                 let li = dist.to_local(me, gid);
-                let (dc, dv) = b.diag.row(li);
-                let (oc, ov) = b.offd.row(li);
-                counts.push((dc.len() + oc.len()) as u64);
-                for (&c, &v) in dc.iter().zip(dv) {
-                    cols.push(b.global_diag_col(c));
-                    vals.push(v);
-                }
-                for (&c, &v) in oc.iter().zip(ov) {
-                    cols.push(b.global_offd_col(c));
-                    vals.push(v);
-                }
+                counts.push((b.diag.row(li).0.len() + b.offd.row(li).0.len()) as u64);
+                serve(li, &mut payload);
             }
-            (src, (counts, cols, vals))
+            (src, (counts, payload))
         })
         .collect();
-    let rows_back = rank.sparse_exchange(responses);
-
-    // Reassemble into a map keyed by global row id. Requests were grouped
-    // by owner in `needed` order, and each owner answered in that order.
-    let mut by_src: HashMap<usize, CooBuffers> = HashMap::new();
-    for (src, payload) in rows_back {
-        by_src.insert(src, payload);
-    }
-    let mut out = ExtRows::new();
-    let mut cursor: HashMap<usize, (usize, usize)> = HashMap::new(); // src -> (row idx, col offset)
-    for &gid in needed {
-        let owner = dist.owner(gid);
-        let (counts, cols, vals) = by_src
+    let by_src: HashMap<usize, (Vec<u64>, P)> = rank.sparse_exchange(responses).into_iter().collect();
+    let mut out = HashMap::with_capacity(needed.len());
+    for (owner, range) in runs {
+        let (counts, payload) = by_src
             .get(&owner)
             .unwrap_or_else(|| panic!("missing response from rank {owner}"));
-        let entry = cursor.entry(owner).or_insert((0, 0));
-        let n = counts[entry.0] as usize;
-        let range = entry.1..entry.1 + n;
-        out.insert(gid, (cols[range.clone()].to_vec(), vals[range].to_vec()));
-        entry.0 += 1;
-        entry.1 += n;
+        let mut at = 0;
+        for (&gid, &n) in needed[range].iter().zip(counts) {
+            out.insert(gid, take(payload, at..at + n as usize));
+            at += n as usize;
+        }
     }
     out
 }
@@ -124,7 +134,7 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
         b.row_dist(),
         "A columns must be distributed like B rows"
     );
-    let ext = fetch_external_rows(rank, b, &a.col_map_offd);
+    let ext = fetch_external_rows(rank, b, a.col_map_offd());
     let me = rank.rank();
     let b_col_start = b.col_dist().start(me);
 
@@ -178,64 +188,6 @@ pub fn par_rap(rank: &Rank, a: &ParCsr, p: &ParCsr) -> ParCsr {
     par_spgemm(rank, &pt, &ap)
 }
 
-/// Fetch only the **values** of external rows of `b`, in exactly the
-/// per-row order [`fetch_external_rows`] returns them (diag entries in
-/// CSR order, then offd). Used by numeric-only SpGEMM replay, where the
-/// column structure is already baked into the plan. Collective.
-pub fn fetch_external_vals(rank: &Rank, b: &ParCsr, needed: &[u64]) -> HashMap<u64, Vec<f64>> {
-    let me = rank.rank();
-    let dist = b.row_dist().clone();
-    let mut requests: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut i = 0;
-    while i < needed.len() {
-        let owner = dist.owner(needed[i]);
-        assert_ne!(owner, me, "external row owned locally");
-        let begin = i;
-        while i < needed.len() && dist.owner(needed[i]) == owner {
-            i += 1;
-        }
-        requests.push((owner, needed[begin..i].to_vec()));
-    }
-    let incoming = rank.sparse_exchange(requests);
-
-    let responses: Vec<(usize, ValsPayload)> = incoming
-        .into_iter()
-        .map(|(src, gids)| {
-            let mut counts = Vec::with_capacity(gids.len());
-            let mut vals = Vec::new();
-            for gid in gids {
-                let li = dist.to_local(me, gid);
-                let (dc, dv) = b.diag.row(li);
-                let (oc, ov) = b.offd.row(li);
-                counts.push((dc.len() + oc.len()) as u64);
-                vals.extend_from_slice(dv);
-                vals.extend_from_slice(ov);
-            }
-            (src, (counts, vals))
-        })
-        .collect();
-    let rows_back = rank.sparse_exchange(responses);
-
-    let mut by_src: HashMap<usize, (Vec<u64>, Vec<f64>)> = HashMap::new();
-    for (src, payload) in rows_back {
-        by_src.insert(src, payload);
-    }
-    let mut out: HashMap<u64, Vec<f64>> = HashMap::new();
-    let mut cursor: HashMap<usize, (usize, usize)> = HashMap::new();
-    for &gid in needed {
-        let owner = dist.owner(gid);
-        let (counts, vals) = by_src
-            .get(&owner)
-            .unwrap_or_else(|| panic!("missing response from rank {owner}"));
-        let entry = cursor.entry(owner).or_insert((0, 0));
-        let n = counts[entry.0] as usize;
-        out.insert(gid, vals[entry.1..entry.1 + n].to_vec());
-        entry.0 += 1;
-        entry.1 += n;
-    }
-    out
-}
-
 /// Structural fingerprint of a [`ParCsr`]: everything that determines a
 /// SpGEMM output's sparsity and the expansion order, without the values.
 #[derive(Clone, Debug, PartialEq)]
@@ -255,7 +207,7 @@ impl MatPattern {
             diag_indices: a.diag.indices().to_vec(),
             offd_indptr: a.offd.indptr().to_vec(),
             offd_indices: a.offd.indices().to_vec(),
-            col_map_offd: a.col_map_offd.clone(),
+            col_map_offd: a.col_map_offd().to_vec(),
         }
     }
 
@@ -265,7 +217,7 @@ impl MatPattern {
             && self.diag_indices == a.diag.indices()
             && self.offd_indptr == a.offd.indptr()
             && self.offd_indices == a.offd.indices()
-            && self.col_map_offd == a.col_map_offd
+            && self.col_map_offd == a.col_map_offd()
     }
 }
 
@@ -311,7 +263,7 @@ impl ParSpgemmPlan {
     /// Numeric-only replay: C = A·B with A, B holding new values in the
     /// recorded structure. Collective.
     pub fn execute(&self, rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
-        let ext_vals = fetch_external_vals(rank, b, &a.col_map_offd);
+        let ext_vals = fetch_external_vals(rank, b, a.col_map_offd());
         let c_nnz = self.template.local_nnz();
         let k = rank.kernel("spgemm_numeric", KernelKind::SpGemm);
         k.launch(a.local_rows(), cost::spgemm(self.expansion, c_nnz));
@@ -366,7 +318,7 @@ impl ParSpgemmPlan {
 /// symbolically to bind every product to its slot in C. Collective.
 pub fn par_spgemm_planned(rank: &Rank, a: &ParCsr, b: &ParCsr) -> (ParSpgemmPlan, ParCsr) {
     let c = par_spgemm(rank, a, b);
-    let ext = fetch_external_rows(rank, b, &a.col_map_offd);
+    let ext = fetch_external_rows(rank, b, a.col_map_offd());
     let me = rank.rank();
     let b_col_start = b.col_dist().start(me);
     let c_col_start = c.col_dist().start(me);
@@ -384,7 +336,7 @@ pub fn par_spgemm_planned(rank: &Rank, a: &ParCsr, b: &ParCsr) -> (ParSpgemmPlan
             ((lo + pos) as u64) << 1
         } else {
             let cj = c
-                .col_map_offd
+                .col_map_offd()
                 .binary_search(&gj)
                 .unwrap_or_else(|_| panic!("offd col {gj} missing from product"));
             let (lo, hi) = (c.offd.indptr()[li], c.offd.indptr()[li + 1]);

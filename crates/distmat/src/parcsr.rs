@@ -1,44 +1,24 @@
 //! ParCSR matrices: diag/offd-split distributed CSR with halo exchange.
 
-use parcomm::{KernelKind, Rank, Tag, TagClass};
-use resilience::faults::{self, FaultKind};
+use std::sync::Arc;
+
+use parcomm::{KernelKind, Rank};
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::policy;
 use sparse_kit::{Coo, Csr, SellCs, SellLayout};
 
 use crate::dist::RowDist;
+use crate::halo::{socket_drop_hook, CommPkg, Halo};
 use crate::vector::ParVector;
-
-/// Communication package: who sends what to whom for a halo exchange of
-/// vector values aligned with a matrix's column distribution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CommPkg {
-    /// `(dst rank, local column ids to pack and send)`, sorted by rank.
-    pub sends: Vec<(usize, Vec<usize>)>,
-    /// `(src rank, range of positions in col_map_offd)`, sorted by rank.
-    pub recvs: Vec<(usize, std::ops::Range<usize>)>,
-}
-
-impl CommPkg {
-    /// Total number of external values received.
-    pub fn n_recv(&self) -> usize {
-        self.recvs.iter().map(|(_, r)| r.len()).sum()
-    }
-
-    /// Total number of values sent.
-    pub fn n_send(&self) -> usize {
-        self.sends.iter().map(|(_, s)| s.len()).sum()
-    }
-}
 
 /// A distributed CSR matrix in hypre's ParCSR layout.
 ///
 /// Rows are distributed by `row_dist`; columns by `col_dist` (equal to
 /// `row_dist` for square operators, different for interpolation). The
 /// local block splits into `diag` (columns owned by this rank, indexed
-/// locally) and `offd` (external columns, indexed into `col_map_offd`,
-/// which maps them to sorted global ids).
+/// locally) and `offd` (external columns, indexed into the halo's
+/// column map, [`ParCsr::col_map_offd`], of sorted global ids).
 #[derive(Clone, Debug)]
 pub struct ParCsr {
     row_dist: RowDist,
@@ -53,12 +33,10 @@ pub struct ParCsr {
     diag_sell: Option<SellCs>,
     /// Local rows × external columns (compressed).
     pub offd: Csr,
-    /// Sorted global ids of the external columns.
-    pub col_map_offd: Vec<u64>,
-    comm_pkg: CommPkg,
-    /// Tag dedicated to this matrix's halo traffic (a per-object
-    /// "communicator": messages of different matrices can never match).
-    halo_tag: Tag,
+    /// The external columns and their exchange, shared by every matrix
+    /// of one pattern (its tag keeps messages of different patterns
+    /// from ever matching).
+    halo: Arc<Halo>,
 }
 
 impl ParCsr {
@@ -108,7 +86,7 @@ impl ParCsr {
 
         let diag = Csr::from_coo(local_rows, col_dist.local_n(r), &diag_coo);
         let offd = Csr::from_coo(local_rows, col_map_offd.len(), &offd_coo);
-        let comm_pkg = build_comm_pkg(rank, &col_dist, &col_map_offd);
+        let halo = Arc::new(Halo::new(rank, &col_dist, col_map_offd));
         let diag_sell = policy::current()
             .builds_sellcs()
             .then(|| SellCs::from_csr(&diag, policy::DEFAULT_SIGMA));
@@ -119,9 +97,7 @@ impl ParCsr {
             diag,
             diag_sell,
             offd,
-            col_map_offd,
-            comm_pkg,
-            halo_tag: rank.alloc_tag_for(TagClass::Halo),
+            halo,
         }
     }
 
@@ -156,9 +132,20 @@ impl ParCsr {
         self.rank_id
     }
 
+    /// Sorted global ids of the external columns.
+    pub fn col_map_offd(&self) -> &[u64] {
+        self.halo.col_map()
+    }
+
     /// Halo communication package.
     pub fn comm_pkg(&self) -> &CommPkg {
-        &self.comm_pkg
+        self.halo.comm_pkg()
+    }
+
+    /// The halo over the external columns, for exchanging other
+    /// per-column values with the same neighbours.
+    pub fn halo(&self) -> &Arc<Halo> {
+        &self.halo
     }
 
     /// Rows owned by this rank.
@@ -183,7 +170,7 @@ impl ParCsr {
 
     /// Global column id of a compressed offd column.
     pub fn global_offd_col(&self, j: usize) -> u64 {
-        self.col_map_offd[j]
+        self.halo.col_map()[j]
     }
 
     /// The global diagonal entries of the locally owned rows (square
@@ -211,7 +198,7 @@ impl ParCsr {
         };
         self.row_dist == other.row_dist
             && self.col_dist == other.col_dist
-            && self.col_map_offd == other.col_map_offd
+            && self.col_map_offd() == other.col_map_offd()
             && same_block(&self.diag, &other.diag)
             && same_block(&self.offd, &other.offd)
     }
@@ -245,9 +232,7 @@ impl ParCsr {
             row_dist: self.row_dist,
             col_dist: self.col_dist,
             rank_id: self.rank_id,
-            col_map_offd: self.col_map_offd,
-            comm_pkg: self.comm_pkg,
-            halo_tag: self.halo_tag,
+            halo: self.halo,
         }
     }
 
@@ -308,24 +293,17 @@ impl ParCsr {
             self.col_dist.local_n(self.rank_id),
             "x length does not match column distribution"
         );
-        if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
-            return Err(SolveError::Comm {
-                detail: format!("injected socket drop in {}", rank.phase_name()),
-            });
-        }
+        socket_drop_hook(rank)?;
         // Pack kernel: gather boundary values into per-destination buffers.
         // The gather is interleaved with the sends, so the scope's wall
         // time includes their encode + enqueue (also in `transfer_secs`).
-        let packed_total = self.comm_pkg.n_send();
+        let packed_total = self.comm_pkg().n_send();
         let k = (packed_total > 0).then(|| rank.kernel("halo_pack", KernelKind::Stream));
         if let Some(k) = &k {
             k.launch(packed_total, cost::blas1(packed_total, 2));
         }
-        for (dst, ids) in &self.comm_pkg.sends {
-            let buf: Vec<f64> = ids.iter().map(|&i| x_local[i]).collect();
-            rank.send(*dst, self.halo_tag, buf);
-        }
-        Ok(HaloInFlight { a: self })
+        self.halo.begin(rank, x_local);
+        Ok(HaloInFlight { halo: &self.halo })
     }
 
     /// y = A·x distributed: `y_local = diag·x_local + offd·x_ext`.
@@ -457,7 +435,7 @@ impl ParCsr {
 /// receive ranges are the matrix's own `CommPkg`.
 #[must_use = "an in-flight halo exchange must be finished"]
 pub struct HaloInFlight<'a> {
-    a: &'a ParCsr,
+    halo: &'a Halo,
 }
 
 impl HaloInFlight<'_> {
@@ -469,23 +447,7 @@ impl HaloInFlight<'_> {
     /// external value is flipped to NaN after unpack, exactly as a
     /// corrupted wire payload would arrive).
     pub fn try_finish(self, rank: &Rank) -> Result<Vec<f64>, SolveError> {
-        let a = self.a;
-        let mut ext = vec![0.0; a.col_map_offd.len()];
-        for (src, range) in &a.comm_pkg.recvs {
-            let buf: Vec<f64> = rank.try_recv(*src, a.halo_tag)?;
-            if buf.len() != range.len() {
-                return Err(SolveError::HaloCorruption {
-                    context: rank.phase_name(),
-                    src: *src,
-                    detail: format!("expected {} values, got {}", range.len(), buf.len()),
-                });
-            }
-            ext[range.clone()].copy_from_slice(&buf);
-        }
-        if !ext.is_empty() && faults::fire(FaultKind::HaloNan, || rank.phase_name()) {
-            ext[0] = f64::NAN;
-        }
-        Ok(ext)
+        self.halo.try_finish(rank)
     }
 }
 
@@ -519,10 +481,11 @@ impl BlockPattern {
 }
 
 /// A [`ParCsr`] without its values: the diag/offd structure (column ids
-/// narrowed to `u32`), `col_map_offd`, the halo communication package and
-/// tag, and the SELL-C-σ layout — everything a collective constructor
-/// derives from the sparsity pattern, kept so that further matrices of
-/// the same pattern cost one structure copy and no communication.
+/// narrowed to `u32`), the [`Halo`] (column map, communication package
+/// and tag) and the SELL-C-σ layout — everything a collective
+/// constructor derives from the sparsity pattern, kept so that further
+/// matrices of the same pattern cost one structure copy, share the halo
+/// and communicate nothing.
 #[derive(Clone, Debug)]
 pub struct ParCsrPattern {
     row_dist: RowDist,
@@ -531,9 +494,7 @@ pub struct ParCsrPattern {
     diag: BlockPattern,
     diag_sell: Option<SellLayout>,
     offd: BlockPattern,
-    col_map_offd: Vec<u64>,
-    comm_pkg: CommPkg,
-    halo_tag: Tag,
+    halo: Arc<Halo>,
 }
 
 impl ParCsrPattern {
@@ -543,10 +504,10 @@ impl ParCsrPattern {
     }
 
     /// A matrix of this pattern carrying `diag_vals` / `offd_vals` (each
-    /// in its block's CSR order). Matrices of one pattern share its halo
-    /// tag; an exchange is finished before the next begins (only the
-    /// diag-block pass runs between `try_halo_begin` and `try_finish`),
-    /// so they cannot interleave.
+    /// in its block's CSR order). Matrices of one pattern share its halo,
+    /// tag included; an exchange is finished before the next begins
+    /// (only the diag-block pass runs between `try_halo_begin` and
+    /// `try_finish`), so they cannot interleave.
     ///
     /// # Panics
     ///
@@ -560,44 +521,9 @@ impl ParCsrPattern {
             diag_sell: self.diag_sell.as_ref().map(|layout| layout.fill(&diag)),
             diag,
             offd: self.offd.with_values(offd_vals),
-            col_map_offd: self.col_map_offd.clone(),
-            comm_pkg: self.comm_pkg.clone(),
-            halo_tag: self.halo_tag,
+            halo: Arc::clone(&self.halo),
         }
     }
-}
-
-/// Build the halo communication package for an external column map:
-/// receives are the owner-grouped ranges of `col_map_offd`; sends are
-/// learned by exchanging requests with the owners.
-pub fn build_comm_pkg(rank: &Rank, col_dist: &RowDist, col_map_offd: &[u64]) -> CommPkg {
-    let r = rank.rank();
-    // Group the (sorted) external columns by owner → recv ranges.
-    let mut recvs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    let mut i = 0;
-    while i < col_map_offd.len() {
-        let owner = col_dist.owner(col_map_offd[i]);
-        assert_ne!(owner, r, "own column listed as external");
-        let begin = i;
-        while i < col_map_offd.len() && col_dist.owner(col_map_offd[i]) == owner {
-            i += 1;
-        }
-        recvs.push((owner, begin..i));
-    }
-    // Tell each owner which of its columns we need.
-    let requests: Vec<(usize, Vec<u64>)> = recvs
-        .iter()
-        .map(|(owner, range)| (*owner, col_map_offd[range.clone()].to_vec()))
-        .collect();
-    let received = rank.sparse_exchange(requests);
-    let sends: Vec<(usize, Vec<usize>)> = received
-        .into_iter()
-        .map(|(src, gids)| {
-            let lids: Vec<usize> = gids.iter().map(|&g| col_dist.to_local(r, g)).collect();
-            (src, lids)
-        })
-        .collect();
-    CommPkg { sends, recvs }
 }
 
 #[cfg(test)]
@@ -648,13 +574,13 @@ mod tests {
             // Each middle rank has exactly 2 external columns (one on each
             // side); edge ranks have 1.
             let expected_ext = if rank.rank() == 1 { 2 } else { 1 };
-            assert_eq!(pa.col_map_offd.len(), expected_ext);
+            assert_eq!(pa.col_map_offd().len(), expected_ext);
             assert_eq!(pa.diag.nrows(), 2);
             // Diagonal of the Laplacian is all 2s.
             assert_eq!(pa.diagonal(), vec![2.0, 2.0]);
             // col_map_offd is sorted global ids not owned locally.
             let r = rank.rank() as u64;
-            for &g in &pa.col_map_offd {
+            for &g in pa.col_map_offd() {
                 assert!(!(2 * r..2 * r + 2).contains(&g));
             }
         });
@@ -706,7 +632,7 @@ mod tests {
             let pa = ParCsr::from_serial(rank, dist.clone(), dist, &a);
             let pkg = pa.comm_pkg();
             // recvs align exactly with col_map_offd.
-            assert_eq!(pkg.n_recv(), pa.col_map_offd.len());
+            assert_eq!(pkg.n_recv(), pa.col_map_offd().len());
             (pkg.n_send() as u64, pkg.n_recv() as u64)
         });
         let sent: u64 = totals.iter().map(|t| t.0).sum();
@@ -753,7 +679,7 @@ mod tests {
                 let err = pa.try_halo_begin(rank, &stale).err().expect("injected drop");
                 assert!(matches!(err, SolveError::Comm { .. }), "{err:?}");
                 let ext = pa.try_halo_exchange(rank, &fresh).expect("clean retry");
-                for (k, &g) in pa.col_map_offd.iter().enumerate() {
+                for (k, &g) in pa.col_map_offd().iter().enumerate() {
                     assert_eq!(ext[k], 10.0 * g as f64);
                 }
             });

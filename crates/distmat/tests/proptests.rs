@@ -2,7 +2,7 @@
 //! serial references for arbitrary matrices, distributions, and rank
 //! counts.
 
-use distmat::{AssemblyPlan, IjMatrix, IjVector, ParCsr, ParVector, RowDist, VectorPlan};
+use distmat::{AssemblyPlan, Halo, IjMatrix, IjVector, ParCsr, ParVector, RowDist, VectorPlan};
 use std::collections::BTreeMap;
 use parcomm::Comm;
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ fn same_matrix(a: &ParCsr, b: &ParCsr) -> bool {
     };
     a.row_dist() == b.row_dist()
         && a.col_dist() == b.col_dist()
-        && a.col_map_offd == b.col_map_offd
+        && a.col_map_offd() == b.col_map_offd()
         && same_block(&a.diag, &b.diag)
         && same_block(&a.offd, &b.offd)
 }
@@ -238,6 +238,60 @@ proptest! {
         }
     }
 
+    /// The one neighbour exchange moves values bit for bit: `f64` values
+    /// (−0.0, subnormals, NaN payloads, arbitrary bits) and `u64` values
+    /// arrive exactly, over random sorted external column maps — rank
+    /// 0's always empty — at 1–4 ranks, and `begin`, local work that
+    /// overwrites the sent buffer, then `finish` receives what `begin`
+    /// and `finish` back to back do.
+    #[test]
+    fn exchange_delivers_values_bitwise(
+        (n, picks, pool) in (4u64..24).prop_flat_map(|n| (
+            Just(n),
+            proptest::collection::vec(proptest::collection::vec(0..n, 0..8), 4),
+            proptest::collection::vec(tricky_f64(), 29),
+        ))
+    ) {
+        for p in 1..=4usize {
+            let (picks, pool) = (picks.clone(), pool.clone());
+            Comm::run(p, move |rank| {
+                let me = rank.rank();
+                let dist = RowDist::block(n, p);
+                let own = dist.start(me)..dist.end(me);
+                let mut col_map: Vec<u64> =
+                    picks[me].iter().copied().filter(|g| me > 0 && !own.contains(g)).collect();
+                col_map.sort_unstable();
+                col_map.dedup();
+                let halo = Halo::new(rank, &dist, col_map.clone());
+                let f = |g: u64| match g % 4 {
+                    0 => -0.0,
+                    1 => f64::from_bits(g + 1),
+                    2 => f64::from_bits(0x7ff8_0000_0000_0000 | (g + 1)),
+                    _ => pool[g as usize % pool.len()],
+                };
+                let u = |g: u64| g.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut local: Vec<f64> = own.clone().map(f).collect();
+                let want: Vec<f64> = col_map.iter().map(|&g| f(g)).collect();
+                assert_eq!(bits(&halo.exchange(rank, &local)), bits(&want), "p={p}: f64");
+                let local_u: Vec<u64> = own.clone().map(u).collect();
+                let want_u: Vec<u64> = col_map.iter().map(|&g| u(g)).collect();
+                assert_eq!(halo.exchange(rank, &local_u), want_u, "p={p}: u64");
+
+                let (pkg, tag) = (halo.comm_pkg(), rank.alloc_tag());
+                let mut back_to_back = Vec::new();
+                pkg.begin(rank, tag, &local);
+                pkg.finish(rank, tag, &mut back_to_back, |src, _, _| panic!("from {src}")).unwrap();
+                let mut overlapped = vec![f64::NEG_INFINITY];
+                pkg.begin(rank, tag, &local);
+                local.iter_mut().for_each(|v| *v = v.mul_add(2.0, 1.0));
+                pkg.finish(rank, tag, &mut overlapped, |src, _, _| panic!("from {src}")).unwrap();
+                assert_eq!(overlapped.remove(0), f64::NEG_INFINITY, "p={p}: appends");
+                assert_eq!(bits(&overlapped), bits(&back_to_back), "p={p}: split phase");
+                assert_eq!(bits(&back_to_back), bits(&want), "p={p}: split phase");
+            });
+        }
+    }
+
     #[test]
     fn distributed_spmv_matches_serial(
         (a, x, p) in (3usize..14).prop_flat_map(|n| (
@@ -373,7 +427,7 @@ proptest! {
                 .collect();
             let ext = pa.halo_exchange(rank, &x);
             // Every external value equals 10× its global id.
-            for (k, &g) in pa.col_map_offd.iter().enumerate() {
+            for (k, &g) in pa.col_map_offd().iter().enumerate() {
                 assert_eq!(ext[k], g as f64 * 10.0);
             }
         });
@@ -442,7 +496,7 @@ proptest! {
                         let (cols, _) = m.diag.row(li);
                         (true, m.diag.indptr()[li] + cols.iter().position(|&c| c == lj).unwrap())
                     } else {
-                        let cj = m.col_map_offd.binary_search(&(hj as u64)).unwrap();
+                        let cj = m.col_map_offd().binary_search(&(hj as u64)).unwrap();
                         let (cols, _) = m.offd.row(li);
                         (false, m.offd.indptr()[li] + cols.iter().position(|&c| c == cj).unwrap())
                     }
