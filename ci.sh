@@ -65,6 +65,17 @@ in_alg1=$(sed -n '/    pub fn try_assemble(mut self, rank: &Rank)/,/^    }$/p' c
 [ "$in_finish" -eq 1 ] && [ "$in_alg1" -eq 1 ] && [ "$(grep -c . <<<"$recv_sites")" -eq 2 ] \
   || { echo "exchange gate: a receive outside CommPkg::finish and IjMatrix::try_assemble: $recv_sites" >&2; exit 1; }
 
+# One-hop collectives: `allreduce` and `allgather` send each rank's
+# contribution straight to every peer and fold it in rank order on every
+# rank, so no rank plays a root for them. Outside tests, collectives.rs
+# tests a rank for equality in one place only, `broadcast`'s
+# `self.rank() == root`; any other `==` line there (`rank() == 0`,
+# `me == 0`, a named root) fails the gate.
+relay_sites=$(sed '/#\[cfg(test)\]/,$d' crates/parcomm/src/collectives.rs \
+  | grep -n '==' | grep -v 'if self\.rank() == root {$' || true)
+[ -z "$relay_sites" ] \
+  || { echo "collective gate: a root branch in collectives.rs: $relay_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph

@@ -2,17 +2,33 @@
 //!
 //! All collectives are bulk-synchronous: every rank must call them in the
 //! same order. Internally they move data over reserved tags and record a
-//! single `collective` perf event per rank (the `machine` model prices a
-//! collective at `log2(P)` alpha-beta steps, which is what a real MPI
-//! tree/recursive-doubling implementation costs).
+//! single `collective` perf event per rank.
+//!
+//! `allreduce` and `allgather` are one hop: every rank sends its own
+//! contribution straight to each of the other P−1 ranks and receives one
+//! from each, so a call costs one message latency and P−1 sends per rank
+//! — nothing is relayed through a root. `allreduce` then folds the P
+//! contributions in rank order on every rank, so every rank computes
+//! the same bits. That is P(P−1) messages in all, against 2(P−1) for a
+//! relay through rank 0, so where ranks far outnumber cores (16–32
+//! in-process ranks on two) a call costs more, not less
+//! (EXPERIMENTS.md, "one-hop collectives"). The `machine` model still
+//! prices a collective at `log2(P)` alpha-beta steps, which is what a
+//! real MPI tree/recursive-doubling implementation costs.
 
 use crate::comm::Rank;
 use crate::message::Message;
 use crate::perf::TagClass;
 
 impl Rank {
-    /// Generic allreduce: combine every rank's `value` with `op`
-    /// (associative and commutative) and return the result on all ranks.
+    /// Generic allreduce: combine every rank's `value` with `op` and
+    /// return the result on all ranks.
+    ///
+    /// One hop (see the module docs). Every rank folds the contributions
+    /// `v_0 … v_{P−1}` in rank order — `acc = v_0`, then
+    /// `acc = op(&acc, &v_r)` for `r = 1 … P−1` — so the result is the
+    /// same bits on every rank, NaN payloads and −0.0 included, and `op`
+    /// need not be associative or commutative for the ranks to agree.
     pub fn allreduce<T, F>(&self, value: T, op: F) -> T
     where
         T: Message + Clone,
@@ -21,23 +37,8 @@ impl Rank {
         let bytes = value.wire_bytes() as u64;
         self.collective_scope("allreduce", || {
             self.record_collective(bytes);
-            let tag = self.next_internal_tag();
-            // Gather to rank 0, reduce, then broadcast.
-            let out = if self.rank() == 0 {
-                let mut acc = value;
-                for src in 1..self.size() {
-                    let v: T = self.recv_internal(src, tag);
-                    acc = op(&acc, &v);
-                }
-                for dst in 1..self.size() {
-                    self.send_internal(dst, tag, acc.clone());
-                }
-                acc
-            } else {
-                self.send_internal(0, tag, value);
-                self.recv_internal(0, tag)
-            };
-            (out, bytes)
+            let out = self.exchange_with_all(value).into_iter().reduce(|acc, v| op(&acc, &v));
+            (out.expect("a communicator has at least one rank"), bytes)
         })
     }
 
@@ -74,31 +75,32 @@ impl Rank {
     }
 
     /// Gather one value from every rank onto all ranks, indexed by rank.
+    ///
+    /// One hop (see the module docs): P−1 sends per rank, each peer's
+    /// value received straight from that peer.
     pub fn allgather<T: Message + Clone>(&self, value: T) -> Vec<T> {
         let bytes = value.wire_bytes() as u64;
         self.collective_scope("allgather", || {
             self.record_collective(bytes);
-            let tag = self.next_internal_tag();
-            let out = if self.rank() == 0 {
-                let mut all = Vec::with_capacity(self.size());
-                all.push(value);
-                for src in 1..self.size() {
-                    all.push(self.recv_internal(src, tag));
-                }
-                // Distribute element-wise so `T` itself (not `Vec<T>`) is
-                // the only payload type that must implement `Message`.
-                for dst in 1..self.size() {
-                    for v in &all {
-                        self.send_internal(dst, tag, v.clone());
-                    }
-                }
-                all
-            } else {
-                self.send_internal(0, tag, value);
-                (0..self.size()).map(|_| self.recv_internal(0, tag)).collect()
-            };
-            (out, bytes)
+            (self.exchange_with_all(value), bytes)
         })
+    }
+
+    /// The one hop under `allreduce` and `allgather`: send `value` to
+    /// every other rank on a fresh internal tag, then receive one value
+    /// from each peer. Returns the P values indexed by rank; this rank's
+    /// own goes into its slot without a message.
+    fn exchange_with_all<T: Message + Clone>(&self, value: T) -> Vec<T> {
+        let (me, size) = (self.rank(), self.size());
+        let tag = self.next_internal_tag();
+        for dst in (0..size).filter(|&dst| dst != me) {
+            self.send_internal(dst, tag, value.clone());
+        }
+        let mut all: Vec<T> = Vec::with_capacity(size);
+        all.extend((0..me).map(|src| self.recv_internal::<T>(src, tag)));
+        all.push(value);
+        all.extend((me + 1..size).map(|src| self.recv_internal::<T>(src, tag)));
+        all
     }
 
     /// Broadcast `value` from `root` to all ranks. Non-root ranks may pass
@@ -188,7 +190,138 @@ impl Rank {
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
+    use crate::perf::{EdgeStats, TagClass};
+    use crate::transport::TransportKind;
     use crate::Comm;
+
+    const TRANSPORTS: [TransportKind; 2] = [TransportKind::Inproc, TransportKind::Socket];
+
+    /// A sequential left fold of `values` in index (rank) order: what
+    /// every rank's allreduce must reproduce bit for bit.
+    fn left_fold<T: Clone>(values: &[T], op: impl Fn(&T, &T) -> T) -> T {
+        values[1..].iter().fold(values[0].clone(), |acc, v| op(&acc, v))
+    }
+
+    #[test]
+    fn allreduce_folds_every_contribution_in_rank_order_bitwise() {
+        // Order-sensitive sums: 1e16 + 1.0 rounds the 1.0 away, so any
+        // other association or order of these terms gives other bits.
+        let scalar = |r: usize| match r {
+            0 => 1e16,
+            1 => 1.0,
+            2 => -1e16,
+            _ => 0.1 * r as f64,
+        };
+        // −0.0 on every rank (stays −0.0 only if no +0.0 joins), −0.0 on
+        // rank 0 only, subnormals, and one NaN with a payload (a single
+        // one: two NaNs meeting in an add pick a payload the compiler
+        // may choose).
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let vector = |r: usize, size: usize| {
+            vec![
+                -0.0,
+                if r == 0 { -0.0 } else { 0.0 },
+                f64::from_bits(r as u64 + 1),
+                f64::MIN_POSITIVE / (r as f64 + 3.0),
+                if r == size - 1 { nan } else { r as f64 * 0.3 },
+            ]
+        };
+        // Not commutative: the result pins the rank order.
+        let horner = |a: &u64, b: &u64| a.wrapping_mul(31).wrapping_add(*b);
+        let tag = |r: usize| (r as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for kind in TRANSPORTS {
+            for size in [1, 2, 3, 4, 7] {
+                let out = Comm::run_with(kind, size, |rank| {
+                    let r = rank.rank();
+                    (
+                        rank.allreduce_sum_f64(scalar(r)),
+                        rank.allreduce_vec_sum(vector(r, size)),
+                        rank.allreduce(tag(r), horner),
+                        rank.allgather(scalar(r)),
+                    )
+                });
+                let scalars: Vec<f64> = (0..size).map(scalar).collect();
+                let vectors: Vec<Vec<f64>> = (0..size).map(|r| vector(r, size)).collect();
+                let tags: Vec<u64> = (0..size).map(tag).collect();
+                let sum = left_fold(&scalars, |a, b| a + b).to_bits();
+                let vec_sum: Vec<u64> = left_fold(&vectors, |a, b| {
+                    a.iter().zip(b).map(|(x, y)| x + y).collect()
+                })
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+                let folded = left_fold(&tags, horner);
+                let gathered: Vec<u64> = scalars.iter().map(|x| x.to_bits()).collect();
+                for (r, (s, v, h, g)) in out.iter().enumerate() {
+                    let ctx = format!("{kind:?}, P = {size}, rank {r}");
+                    assert_eq!(s.to_bits(), sum, "{ctx}: allreduce_sum_f64");
+                    let v: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(v, vec_sum, "{ctx}: allreduce_vec_sum");
+                    assert_eq!(*h, folded, "{ctx}: non-commutative allreduce");
+                    let g: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(g, gathered, "{ctx}: allgather");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_and_allgather_are_one_hop_with_no_relay() {
+        const P: usize = 3;
+        const N: usize = 5;
+        for kind in TRANSPORTS {
+            // The recorder's `coll` edges of one collective of an
+            // N-element vector, on every rank.
+            let reduce = Comm::run_with(kind, P, |rank| {
+                rank.allreduce_vec_sum(vec![rank.rank() as f64; N]);
+                rank.with_recorder(|rec| rec.edges.clone())
+            });
+            let gather = Comm::run_with(kind, P, |rank| {
+                rank.allgather(vec![rank.rank() as f64; N]);
+                rank.with_recorder(|rec| rec.edges.clone())
+            });
+            let one = EdgeStats { msgs: 1, bytes: 8 * N as u64 };
+            for (what, out) in [("allreduce", reduce), ("allgather", gather)] {
+                for (me, edges) in out.iter().enumerate() {
+                    for (&(src, dst, class), stats) in edges {
+                        assert_eq!(class, TagClass::Collective, "{kind:?} {what}");
+                        assert!(src == me || dst == me, "{kind:?} {what}: ({src}, {dst})");
+                        // One message each way per peer: nothing relayed.
+                        assert_eq!(*stats, one, "{kind:?} {what}: rank {me}, ({src}, {dst})");
+                    }
+                    let sent: Vec<usize> =
+                        edges.keys().filter(|k| k.0 == me).map(|k| k.1).collect();
+                    let peers: Vec<usize> = (0..P).filter(|&p| p != me).collect();
+                    assert_eq!(sent, peers, "{kind:?} {what}: rank {me} sends to every peer");
+                    assert_eq!(edges.len(), 2 * (P - 1), "{kind:?} {what}: rank {me}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_with_a_dead_peer_fails_at_once_and_the_first_panic_is_raised() {
+        for kind in TRANSPORTS {
+            let t0 = Instant::now();
+            let raised = std::panic::catch_unwind(|| {
+                Comm::run_with(kind, 3, |rank| {
+                    if rank.rank() == 2 {
+                        panic!("rank 2 dies before the allreduce");
+                    }
+                    rank.allreduce_sum(1);
+                })
+            });
+            let payload = raised.expect_err("the death fails the run");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"rank 2 dies before the allreduce"),
+                "{kind:?}"
+            );
+            assert!(t0.elapsed() < Duration::from_secs(5), "{kind:?} took {:?}", t0.elapsed());
+        }
+    }
 
     #[test]
     fn allreduce_sum_matches() {

@@ -178,14 +178,17 @@ impl Comm {
                 let barrier = Arc::clone(&barrier);
                 let (f, first_panic) = (&f, &first_panic);
                 handles.push(scope.spawn(move || {
-                    let _fence = PanicFence { id, txs: Arc::clone(&txs), first_panic };
                     let rank = Rank::new(Box::new(InprocTransport {
                         rank: id,
                         size,
-                        txs,
+                        txs: Arc::clone(&txs),
                         rx,
                         barrier,
                     }));
+                    // Declared after `rank`, so it drops first: the claim
+                    // is made before the rank's receiver closes and a
+                    // peer's send to it fails.
+                    let _fence = PanicFence { id, txs, first_panic };
                     let out = f(&rank);
                     rank.finalize();
                     out

@@ -138,7 +138,7 @@ impl Telemetry {
     /// `name` must not contain `/`, the path separator.
     pub fn span(&self, name: &str) -> SpanGuard {
         if let Some(rec) = &self.inner {
-            debug_assert!(!name.contains('/'), "span name {name:?} contains '/'");
+            assert!(!name.contains('/'), "span name {name:?} contains '/'");
             let mut rec = rec.borrow_mut();
             let t0 = rec.epoch.elapsed().as_secs_f64();
             rec.stack.push(OpenSpan { name: name.to_string(), t0 });
