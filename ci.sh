@@ -67,14 +67,26 @@ in_alg1=$(sed -n '/    pub fn try_assemble(mut self, rank: &Rank)/,/^    }$/p' c
 
 # One-hop collectives: `allreduce` and `allgather` send each rank's
 # contribution straight to every peer and fold it in rank order on every
-# rank, so no rank plays a root for them. Outside tests, collectives.rs
-# tests a rank for equality in one place only, `broadcast`'s
+# rank, and `barrier` is the same hop with an empty payload, so no rank
+# plays a root for any of them. Outside tests, collectives.rs tests a
+# rank for equality in one place only, `broadcast`'s
 # `self.rank() == root`; any other `==` line there (`rank() == 0`,
 # `me == 0`, a named root) fails the gate.
 relay_sites=$(sed '/#\[cfg(test)\]/,$d' crates/parcomm/src/collectives.rs \
   | grep -n '==' | grep -v 'if self\.rank() == root {$' || true)
 [ -z "$relay_sites" ] \
   || { echo "collective gate: a root branch in collectives.rs: $relay_sites" >&2; exit 1; }
+
+# One synchronisation path: `Rank::barrier` (collectives.rs) is the only
+# barrier. Outside tests no parcomm file names a `Barrier` (a std one, a
+# frame kind) and `fn barrier` is defined once, so a transport-level
+# barrier cannot come back in either backend unnoticed.
+barrier_sites=$(for f in crates/parcomm/src/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Barrier|fn barrier' | sed "s|^|$f:|"
+done || true)
+[ "$(grep -c . <<<"$barrier_sites")" -eq 1 ] \
+  && grep -q '^crates/parcomm/src/collectives\.rs:[0-9]*: *pub fn barrier(&self) {$' <<<"$barrier_sites" \
+  || { echo "barrier gate: a barrier besides Rank::barrier in parcomm: $barrier_sites" >&2; exit 1; }
 
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no

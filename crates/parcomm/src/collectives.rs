@@ -15,6 +15,11 @@
 //! (EXPERIMENTS.md, "one-hop collectives"). The `machine` model still
 //! prices a collective at `log2(P)` alpha-beta steps, which is what a
 //! real MPI tree/recursive-doubling implementation costs.
+//!
+//! `barrier` is the same hop with an empty payload, so every global
+//! synchronisation takes one code path on both transports: a barrier
+//! message is kept apart from user messages by its internal tag, and a
+//! peer that dies before it fails the survivors' receive at once.
 
 use crate::comm::Rank;
 use crate::message::Message;
@@ -86,10 +91,24 @@ impl Rank {
         })
     }
 
-    /// The one hop under `allreduce` and `allgather`: send `value` to
-    /// every other rank on a fresh internal tag, then receive one value
-    /// from each peer. Returns the P values indexed by rank; this rank's
-    /// own goes into its slot without a message.
+    /// Synchronize all ranks: the one hop with an empty payload. No rank
+    /// returns before every rank has entered.
+    ///
+    /// # Panics
+    ///
+    /// Panics at once if a peer is gone, like every collective.
+    pub fn barrier(&self) {
+        self.collective_scope("barrier", || {
+            self.record_collective(0);
+            self.exchange_with_all(());
+            ((), 0)
+        })
+    }
+
+    /// The one hop under `allreduce`, `allgather` and `barrier`: send
+    /// `value` to every other rank on a fresh internal tag, then receive
+    /// one value from each peer. Returns the P values indexed by rank;
+    /// this rank's own goes into its slot without a message.
     fn exchange_with_all<T: Message + Clone>(&self, value: T) -> Vec<T> {
         let (me, size) = (self.rank(), self.size());
         let tag = self.next_internal_tag();
@@ -317,6 +336,31 @@ mod tests {
             assert_eq!(
                 payload.downcast_ref::<&str>(),
                 Some(&"rank 2 dies before the allreduce"),
+                "{kind:?}"
+            );
+            assert!(t0.elapsed() < Duration::from_secs(5), "{kind:?} took {:?}", t0.elapsed());
+        }
+    }
+
+    /// Rank 2 dies before the barrier: the survivors' receives from it
+    /// fail at once on both transports, and the run re-raises rank 2's
+    /// panic, the first one.
+    #[test]
+    fn barrier_with_a_dead_peer_fails_at_once_and_the_first_panic_is_raised() {
+        for kind in TRANSPORTS {
+            let t0 = Instant::now();
+            let raised = std::panic::catch_unwind(|| {
+                Comm::run_with(kind, 3, |rank| {
+                    if rank.rank() == 2 {
+                        panic!("rank 2 dies before the barrier");
+                    }
+                    rank.barrier();
+                })
+            });
+            let payload = raised.expect_err("the death fails the run");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"rank 2 dies before the barrier"),
                 "{kind:?}"
             );
             assert!(t0.elapsed() < Duration::from_secs(5), "{kind:?} took {:?}", t0.elapsed());

@@ -10,7 +10,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::message::{encode_payload, Message};
@@ -152,9 +152,7 @@ impl Comm {
     /// a receive pending on it fails with [`CommError::Disconnected`]
     /// within milliseconds instead of waiting out [`RECV_TIMEOUT`], and
     /// the panic re-raised here is the first one, not a peer's
-    /// "disconnected" that it caused. Not covered: a peer already inside
-    /// [`Transport::barrier`] — the inproc one is a std [`Barrier`], which
-    /// has no way to be released short.
+    /// "disconnected" that it caused.
     fn run_inproc<R, F>(size: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -168,14 +166,12 @@ impl Comm {
             rxs.push(rx);
         }
         let txs = Arc::new(txs);
-        let barrier = Arc::new(Barrier::new(size));
         let first_panic = FirstPanic::new();
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(size);
             for (id, rx) in rxs.into_iter().enumerate() {
                 let txs = Arc::clone(&txs);
-                let barrier = Arc::clone(&barrier);
                 let (f, first_panic) = (&f, &first_panic);
                 handles.push(scope.spawn(move || {
                     let rank = Rank::new(Box::new(InprocTransport {
@@ -183,7 +179,6 @@ impl Comm {
                         size,
                         txs: Arc::clone(&txs),
                         rx,
-                        barrier,
                     }));
                     // Declared after `rank`, so it drops first: the claim
                     // is made before the rank's receiver closes and a
@@ -283,14 +278,12 @@ impl Drop for PanicFence<'_> {
 }
 
 /// The in-process backend: payloads move as `Box<dyn Any>` over std mpsc
-/// channels, ranks synchronize on a shared [`Barrier`]. No bytes are
-/// ever serialized.
+/// channels. No bytes are ever serialized.
 struct InprocTransport {
     rank: usize,
     size: usize,
     txs: Arc<Vec<Sender<RecvEvent>>>,
     rx: Receiver<RecvEvent>,
-    barrier: Arc<Barrier>,
 }
 
 impl Transport for InprocTransport {
@@ -323,10 +316,6 @@ impl Transport for InprocTransport {
         // A disconnected channel cannot happen while this rank holds its
         // own sender (it does, in `txs`); map it to a timeout for safety.
         self.rx.recv_timeout(timeout).map_err(|_| RecvTimeout)
-    }
-
-    fn barrier(&self) {
-        self.barrier.wait();
     }
 }
 
@@ -564,23 +553,6 @@ impl Rank {
             }
         }
         out
-    }
-
-    /// Synchronize all ranks. Recorded as one collective; time blocked in
-    /// the barrier counts as wait time when comm timing is enabled.
-    pub fn barrier(&self) {
-        self.perf.borrow_mut().collective(0);
-        let clock = comm_clock();
-        self.transport.barrier();
-        let secs = clock.map(|t0| t0.elapsed().as_secs_f64());
-        let mut rec = self.perf.borrow_mut();
-        if let Some(secs) = secs {
-            rec.comm_wait(secs);
-        }
-        rec.collective_kind("barrier", 0, secs);
-        if let Some(t) = telemetry::now_secs() {
-            rec.collective_stamp("barrier", t);
-        }
     }
 
     pub(crate) fn next_internal_tag(&self) -> Tag {
@@ -1051,13 +1023,16 @@ mod tests {
         // (iii) after 20 ms of silence, long after it parked. The delays
         // steer towards a branch, they cannot force one on a loaded host,
         // so only (i) pins its exit: a queued message is found by the
-        // first poll and never parks.
+        // first poll and never parks. The arrivals are staged by a barrier
+        // outside the transport: a `rank.barrier()` receive would move the
+        // queued messages into `pending` before the receives begin.
         both_transports(|k| {
             for delay in [None, Some(Duration::from_micros(50)), Some(Duration::from_millis(20))] {
+                let staged = std::sync::Barrier::new(2);
                 let out = Comm::run_with(k, 2, |rank| {
                     if rank.rank() == 0 {
                         if let Some(d) = delay {
-                            rank.barrier();
+                            staged.wait();
                             std::thread::sleep(d);
                         }
                         rank.send(1, 3, vec![1.5f64, -0.0]);
@@ -1065,14 +1040,14 @@ mod tests {
                         rank.send(1, 3, vec![2.5f64]);
                         rank.send(1, 4, 8u64);
                         if delay.is_none() {
-                            // Released only after rank 1's queue holds all
-                            // four (inproc: sent; socket: same stream,
-                            // routed ahead of the release frame).
-                            rank.barrier();
+                            // Released only after all four are sent
+                            // (inproc: in rank 1's channel; socket:
+                            // written to rank 1's stream).
+                            staged.wait();
                         }
                         None
                     } else {
-                        rank.barrier();
+                        staged.wait();
                         let tel = telemetry::Telemetry::enabled(1);
                         let guard = tel.install();
                         // Tag 4 first: the tag-3 message ahead of it goes

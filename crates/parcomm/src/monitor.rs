@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn non_heartbeat_frames_are_ignored() {
         let mut frame = hb(0, 1).to_frame();
-        frame.kind = FrameKind::Barrier;
+        frame.kind = FrameKind::Goodbye;
         assert!(Heartbeat::from_frame(&frame).is_none());
         let mut frame = hb(0, 1).to_frame();
         frame.type_id ^= 1;

@@ -25,8 +25,7 @@
 //! byte buffer. [`Transport::try_recv_next`] pops a queued event, and
 //! when none is queued it first reads whatever each open stream already
 //! holds and routes every complete frame through the one frame parser
-//! ([`read_frame`]): [`FrameKind::Msg`] to the event queue,
-//! [`FrameKind::Barrier`] to that peer's barrier queue, and
+//! ([`read_frame`]): [`FrameKind::Msg`] to the event queue, and
 //! [`FrameKind::Goodbye`] closes the peer. Per-peer FIFO order is the
 //! TCP stream order, matching the in-process channel semantics. A stream
 //! that ends (or turns corrupt) without a goodbye queues
@@ -38,11 +37,10 @@
 //! ([`Transport::recv_next`]). A send that finds its stream full moves
 //! every peer's inbound bytes into the queues and parks until it has
 //! room, so ranks writing large frames at each other cannot deadlock.
-//! Barriers are centralized through rank 0 (gather generation-tagged
-//! frames, then broadcast release) and fail at once when the peer they
-//! wait on is gone.
+//! The transport has no barrier of its own: `Rank::barrier` is a
+//! collective on the tagged message path (`collectives.rs`).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -428,7 +426,7 @@ extern "C" {
 }
 
 /// One rank's endpoint of the socket mesh. See the module doc for the
-/// delivery and barrier design.
+/// delivery design.
 pub(crate) struct SocketTransport {
     rank: usize,
     size: usize,
@@ -436,7 +434,6 @@ pub(crate) struct SocketTransport {
     /// written by the owning rank thread only.
     streams: Vec<Option<TcpStream>>,
     inbound: RefCell<Inbound>,
-    barrier_gen: Cell<Tag>,
 }
 
 /// What has been read from the streams and not consumed yet.
@@ -453,9 +450,6 @@ struct Inbound {
 struct PeerIn {
     /// Bytes read from a frame boundary on that are not a whole frame yet.
     bytes: Vec<u8>,
-    /// Barrier generations received: kept apart from the events, so a
-    /// barrier completes while ordinary messages sit unconsumed.
-    barriers: VecDeque<Tag>,
     /// False once the peer said goodbye, hit EOF or sent a corrupt
     /// frame: nothing more is read from it.
     open: bool,
@@ -492,9 +486,8 @@ impl Inbound {
     }
 
     /// Route every complete frame in `peer`'s bytes through the one frame
-    /// parser: messages to the event queue, barrier generations to the
-    /// peer's barrier queue; a goodbye closes the peer. True if the bytes
-    /// are corrupt.
+    /// parser: messages to the event queue; a goodbye closes the peer.
+    /// True if the bytes are corrupt.
     fn route(&mut self, peer: usize) -> bool {
         let p = &mut self.peers[peer];
         let mut at = 0;
@@ -513,7 +506,6 @@ impl Inbound {
                                 bytes: frame.payload,
                             }),
                         })),
-                        FrameKind::Barrier => p.barriers.push_back(frame.tag),
                         FrameKind::Goodbye => p.open = false,
                     }
                 }
@@ -538,7 +530,7 @@ impl SocketTransport {
                 if let Some(s) = s {
                     s.set_nonblocking(true).expect("stream nonblocking");
                 }
-                PeerIn { bytes: Vec::new(), barriers: VecDeque::new(), open: s.is_some() }
+                PeerIn { bytes: Vec::new(), open: s.is_some() }
             })
             .collect();
         SocketTransport {
@@ -550,7 +542,6 @@ impl SocketTransport {
                 peers,
                 chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             }),
-            barrier_gen: Cell::new(0),
         }
     }
 
@@ -626,63 +617,6 @@ impl SocketTransport {
         Ok(())
     }
 
-    fn control_frame(&self, kind: FrameKind, tag: Tag) -> Frame {
-        Frame { kind, src: self.rank as u32, tag, type_id: 0, payload: Vec::new() }
-    }
-
-    /// Centralized two-phase barrier: every rank sends a generation-
-    /// tagged frame to rank 0, which releases everyone once all arrive.
-    /// `Err` names a peer that is gone (closed before its frame came, or
-    /// a failed write); a deadlock or a generation mismatch panics.
-    fn try_barrier(&self) -> Result<(), String> {
-        let gen = self.barrier_gen.get();
-        self.barrier_gen.set(gen.wrapping_add(1));
-        if self.size == 1 {
-            return Ok(());
-        }
-        let frame = self.control_frame(FrameKind::Barrier, gen);
-        let me = self.rank;
-        let send = |peer: usize| {
-            self.write(peer, &frame)
-                .map_err(|e| format!("rank {me}: barrier frame to rank {peer} failed: {e}"))
-        };
-        if me == 0 {
-            for peer in 1..self.size {
-                self.await_barrier(peer, gen)?;
-            }
-            (1..self.size).try_for_each(send)
-        } else {
-            send(0)?;
-            self.await_barrier(0, gen)
-        }
-    }
-
-    /// Wait for `peer`'s barrier frame of generation `gen`; fail at once
-    /// if the peer is closed without having sent it.
-    fn await_barrier(&self, peer: usize, gen: Tag) -> Result<(), String> {
-        let me = self.rank;
-        self.wait_for(RECV_TIMEOUT, |inbound| {
-            let p = &mut inbound.peers[peer];
-            match p.barriers.pop_front() {
-                // Bulk-synchronous call order + per-peer FIFO make a
-                // mismatch impossible unless the program itself diverged
-                // across ranks.
-                Some(g) => {
-                    assert_eq!(
-                        g, gen,
-                        "rank {me}: barrier generation mismatch (got {g} from rank {peer}, at {gen})"
-                    );
-                    Some(Ok(()))
-                }
-                None if !p.open => {
-                    Some(Err(format!("rank {me}: barrier generation {gen}: rank {peer} is gone")))
-                }
-                None => None,
-            }
-        })
-        .unwrap_or_else(|| panic!("rank {me}: barrier generation {gen} timed out — likely deadlock"))
-    }
-
     /// Read the streams, parking in between, until `found` returns
     /// something from what has been read; `None` once `timeout` passes.
     fn wait_for<T>(
@@ -753,23 +687,25 @@ impl Transport for SocketTransport {
         self.wait_for(timeout, |inbound| inbound.events.pop_front()).ok_or(RecvTimeout)
     }
 
-    fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Teardown fence: barrier (no rank closes streams while another
-    /// might still send), goodbye to every peer, then read until every
-    /// peer has said goodbye or ended, so no stream closes with unread
-    /// bytes (which would reset the connection under the peer's own
-    /// goodbye). A peer that is gone fails the barrier at once; the
-    /// survivor finishes its teardown and returns; the run fails with the
+    /// Teardown fence: goodbye to every peer, then read until every peer
+    /// has said goodbye or ended. A rank sends nothing after its goodbye
+    /// and closes only once every peer has said its own, so no stream
+    /// closes while the peer may still write to it, and none closes with
+    /// unread bytes (which would reset the connection under the peer's
+    /// goodbye). A peer that is gone counts as ended: the survivor
+    /// finishes its teardown and returns, and the run fails with the
     /// dead rank's own panic or exit, not with a second one from here.
     fn finalize(&self) {
         if self.size == 1 {
             return;
         }
-        let _ = self.try_barrier();
-        let bye = self.control_frame(FrameKind::Goodbye, 0);
+        let bye = Frame {
+            kind: FrameKind::Goodbye,
+            src: self.rank as u32,
+            tag: 0,
+            type_id: 0,
+            payload: Vec::new(),
+        };
         for peer in (0..self.size).filter(|&p| p != self.rank) {
             let _ = self.write(peer, &bye);
         }
@@ -816,24 +752,40 @@ mod tests {
         }
     }
 
-    /// Rank 2 dies before the barrier: rank 0 (which gathers) finds it
-    /// gone at once, and rank 1 (waiting for rank 0's release) finds rank
-    /// 0 gone when it panics in turn. The run ends in well under the
-    /// deadlock timeout and re-raises rank 2's panic, the first one.
+    /// The goodbye handshake alone fences teardown. Rank 0 returns as
+    /// soon as its 16 MiB is written (parked in its own `send` until rank
+    /// 1, asleep, reads the stream), so it says goodbye while rank 1 is
+    /// still running; rank 1 then writes rank 0 16 MiB that rank 0 never
+    /// receives. Neither stream may close under its peer's writes or
+    /// with unread bytes: that would fail a send or reset the connection
+    /// under a goodbye, and the run would panic or wait out the timeout.
     #[test]
-    fn barrier_with_a_dead_peer_fails_at_once_and_the_first_panic_is_raised() {
-        let t0 = Instant::now();
-        let raised = std::panic::catch_unwind(|| {
-            Comm::run_with(TransportKind::Socket, 3, |rank| {
-                if rank.rank() == 2 {
-                    panic!("rank 2 dies before the barrier");
+    fn goodbye_handshake_alone_fences_teardown() {
+        const WORDS: usize = 2 << 20;
+        let big = |salt: u64| -> Vec<f64> {
+            let bits = |i: u64| (salt << 56) ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (0..WORDS as u64).map(|i| f64::from_bits(bits(i))).collect()
+        };
+        for size in [2, 3] {
+            let t0 = Instant::now();
+            let out = Comm::run_with(TransportKind::Socket, size, |rank| match rank.rank() {
+                0 => {
+                    rank.send(1, 1, big(1));
+                    true
                 }
-                rank.barrier();
-            })
-        });
-        let payload = raised.expect_err("the death fails the run");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 2 dies before the barrier"));
-        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+                1 => {
+                    std::thread::sleep(Duration::from_millis(100));
+                    let got: Vec<f64> = rank.recv(0, 1);
+                    let ok = got.len() == WORDS
+                        && got.iter().zip(&big(1)).all(|(a, b)| a.to_bits() == b.to_bits());
+                    rank.send(0, 2, big(2));
+                    ok
+                }
+                _ => true,
+            });
+            assert!(out.iter().all(|&ok| ok), "{size} ranks: {out:?}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "{size} ranks took {:?}", t0.elapsed());
+        }
     }
 
     #[test]

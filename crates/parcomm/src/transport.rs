@@ -126,9 +126,6 @@ pub(crate) trait Transport: Send {
     /// this, after its polls of [`Transport::try_recv_next`] came up empty.
     fn recv_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout>;
 
-    /// Synchronize all ranks.
-    fn barrier(&self);
-
     /// Orderly teardown after the rank function returns: fence until all
     /// ranks are done sending, then release endpoints. Default: nothing.
     fn finalize(&self) {}
@@ -150,8 +147,6 @@ const FRAME_HEADER_BYTES: u32 = 1 + 4 + 4 + 4;
 pub enum FrameKind {
     /// A user/collective message (payload = encoded [`crate::Message`]).
     Msg = 0,
-    /// Barrier traffic (`tag` = barrier generation, empty payload).
-    Barrier = 1,
     /// Clean shutdown notice: the peer is done sending forever.
     Goodbye = 2,
 }
@@ -160,9 +155,9 @@ pub enum FrameKind {
 ///
 /// ```text
 /// u32 len      bytes after this field (= 13 + payload)
-/// u8  kind     0 = msg, 1 = barrier, 2 = goodbye
+/// u8  kind     0 = msg, 2 = goodbye
 /// u32 src      sender rank
-/// u32 tag      message tag / barrier generation
+/// u32 tag      message tag ([`FrameKind::Msg`] only)
 /// u32 type_id  Message::wire_id of the payload ([`FrameKind::Msg`] only)
 /// ..  payload  Message::encode bytes
 /// ```
@@ -249,7 +244,6 @@ pub fn read_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
     let kind = match buf.get(4) {
         None => return Ok(None),
         Some(0) => FrameKind::Msg,
-        Some(1) => FrameKind::Barrier,
         Some(2) => FrameKind::Goodbye,
         Some(k) => return corrupt(format!("unknown frame kind {k:#04x}")),
     };
@@ -316,6 +310,10 @@ mod tests {
         buf[4] = 9;
         let err = read_frame(&buf[..5]).unwrap_err();
         assert!(err.to_string().contains("unknown frame kind 0x09"), "{err}");
+        // Kind 1 is unassigned (`Goodbye` keeps 2): rejected as well.
+        buf[4] = 1;
+        let err = read_frame(&buf[..5]).unwrap_err();
+        assert!(err.to_string().contains("unknown frame kind 0x01"), "{err}");
     }
 
     #[test]
