@@ -88,6 +88,19 @@ done || true)
   && grep -q '^crates/parcomm/src/collectives\.rs:[0-9]*: *pub fn barrier(&self) {$' <<<"$barrier_sites" \
   || { echo "barrier gate: a barrier besides Rank::barrier in parcomm: $barrier_sites" >&2; exit 1; }
 
+# One host, one clock: every rank runs on this host, so the telemetry
+# epochs' wall-clock anchors align the per-rank timelines (one
+# allgather, no probe handshake) and a launched worker finds its peers
+# through the rendezvous file alone. Outside tests no parcomm file names
+# the handshake's `CLOCK_PROBES`, a `Hostfile` wire-up or a name lookup
+# (`to_socket_addrs`), and `src/` names no `HOSTFILE` variable or
+# `--hostfile` flag, so the multi-host pieces cannot come back unnoticed.
+multihost_sites=$( { for f in crates/parcomm/src/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'CLOCK_PROBES|Hostfile|to_socket_addrs' | sed "s|^|$f:|"
+done; grep -rnE 'HOSTFILE|--hostfile' src; } || true)
+[ -z "$multihost_sites" ] \
+  || { echo "one-host gate: a multi-host clock or wire-up piece is back: $multihost_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph

@@ -248,9 +248,10 @@ pub struct Simulation {
     /// Newest complete checkpoint this rank wrote or restored from:
     /// `(generation, step)`.
     last_ckpt: Option<(u64, u64)>,
-    /// Clock-alignment table from the startup handshake, identical on
-    /// every rank (`None` with telemetry off). Rank 0 records it in the
-    /// stream's `run` event so trace merging can align timestamps.
+    /// Clock-alignment table from the startup anchor allgather,
+    /// identical on every rank (`None` with telemetry off). Rank 0
+    /// records it in the stream's `run` event so trace merging can align
+    /// timestamps.
     clock: Option<parcomm::ClockSync>,
     /// Solver-health degradation detector, fed once per completed step.
     /// Pure arithmetic over collectively identical solver outputs, so it
@@ -293,8 +294,9 @@ impl Simulation {
             telemetry::Telemetry::disabled()
         };
         let tel_guard = tel.is_enabled().then(|| tel.install());
-        // Startup clock alignment over the transport (collective; skips
-        // itself — no clock read, no message — with telemetry off).
+        // Startup clock alignment: one allgather of the epochs'
+        // wall-clock anchors (collective; skips itself — no clock read,
+        // no message — with telemetry off).
         let clock = rank.clock_sync();
         // Install the fault injector on this rank thread. Plans are
         // replicated per rank, so occurrence counters advance

@@ -40,12 +40,12 @@ mod perf;
 mod socket;
 mod transport;
 
-pub use clock::{ClockSync, CLOCK_PROBES};
+pub use clock::ClockSync;
 pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
 pub use monitor::{Heartbeat, MonitorClient, MonitorServer};
 pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
-pub use socket::{WireUp, WorkerEnv};
+pub use socket::WorkerEnv;
 pub use transport::{
     read_frame, send_frame, write_frame, Frame, FrameError, FrameKind, TransportKind,
     MAX_FRAME_BYTES,

@@ -8,11 +8,9 @@
 //!   stream through the full encode → frame → decode path, so in-test
 //!   runs exercise exactly the bytes a distributed run would move.
 //! * **Worker process** ([`run_worker`]): this process hosts *one* rank
-//!   of an N-process job launched by `exawind-launch`, described by a
-//!   [`WorkerEnv`]: rank, size and either a rendezvous file path
-//!   (ephemeral loopback ports coordinated through rank 0) or an
-//!   explicit host file (one `host:port` per rank — this is what names
-//!   remote endpoints).
+//!   of an N-process job launched by `exawind-launch` on this host,
+//!   described by a [`WorkerEnv`]: rank, size and the rendezvous file
+//!   path (ephemeral loopback ports coordinated through rank 0).
 //!
 //! Mesh convention everywhere: rank *i* dials every rank *j < i* and
 //! accepts from every *j > i*; every listener is bound before any dial
@@ -44,7 +42,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -55,17 +53,6 @@ use crate::transport::{
     Transport, WireFrame, FRAME_PREFIX_BYTES,
 };
 
-/// How a worker process finds its peers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireUp {
-    /// Path of the rendezvous file through which rank 0 publishes its
-    /// registration endpoint (loopback jobs with ephemeral ports).
-    Rendezvous(PathBuf),
-    /// Path of a host file naming every rank's `host:port` endpoint
-    /// explicitly (fixed ports; how remote machines are named).
-    Hostfile(PathBuf),
-}
-
 /// The launcher-provided identity of a worker process: one rank of a
 /// `size`-process job. Built by the binary's environment parser and
 /// handed to [`crate::Comm::run_worker`]; `rank < size` is the
@@ -74,7 +61,9 @@ pub enum WireUp {
 pub struct WorkerEnv {
     pub rank: usize,
     pub size: usize,
-    pub wireup: WireUp,
+    /// Path of the rendezvous file through which rank 0 publishes its
+    /// registration endpoint.
+    pub rendezvous: PathBuf,
 }
 
 /// Run all `size` ranks as threads of this process, connected by a
@@ -131,10 +120,7 @@ impl Drop for PanicClaim<'_> {
 /// local rank is the only result available in-process.
 pub(crate) fn run_worker<R>(env: &WorkerEnv, f: impl FnOnce(&Rank) -> R) -> R {
     assert!(env.rank < env.size, "rank {} out of range for {} ranks", env.rank, env.size);
-    let streams = match &env.wireup {
-        WireUp::Hostfile(hf) => hostfile_streams(env.rank, env.size, hf),
-        WireUp::Rendezvous(rv) => rendezvous_streams(env.rank, env.size, rv),
-    };
+    let streams = rendezvous_streams(env.rank, env.size, &env.rendezvous);
     let rank = Rank::new(Box::new(SocketTransport::new(env.rank, env.size, streams)));
     let out = f(&rank);
     rank.finalize();
@@ -360,45 +346,6 @@ fn poll_rendezvous(path: &Path) -> SocketAddr {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-/// Parse a host file: one `host:port` endpoint per rank, in rank order.
-/// Blank lines and `#` comments are skipped.
-pub(crate) fn parse_hostfile(text: &str, size: usize) -> Result<Vec<String>, String> {
-    let endpoints: Vec<String> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect();
-    if endpoints.len() < size {
-        return Err(format!(
-            "host file names {} endpoints but the job has {size} ranks",
-            endpoints.len()
-        ));
-    }
-    Ok(endpoints[..size].to_vec())
-}
-
-fn resolve(endpoint: &str) -> SocketAddr {
-    endpoint
-        .to_socket_addrs()
-        .unwrap_or_else(|e| panic!("endpoint {endpoint:?}: {e}"))
-        .next()
-        .unwrap_or_else(|| panic!("endpoint {endpoint:?} resolved to no address"))
-}
-
-/// Fixed-endpoint mesh from a host file: rank `me` binds its own line's
-/// address and applies the dial-lower/accept-higher rule, with dial
-/// retry since workers start in arbitrary order.
-fn hostfile_streams(me: usize, size: usize, path: &Path) -> Vec<Option<TcpStream>> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("reading host file {}: {e}", path.display()));
-    let endpoints = parse_hostfile(&text, size).unwrap_or_else(|e| panic!("{e}"));
-    let addrs: Vec<SocketAddr> = endpoints.iter().map(|e| resolve(e)).collect();
-    let listener = TcpListener::bind(addrs[me])
-        .unwrap_or_else(|e| panic!("rank {me}: bind {}: {e}", addrs[me]));
-    mesh_streams(me, size, 0, |peer| dial_retry(addrs[peer]), &listener)
 }
 
 // ---------------------------------------------------------------------------
@@ -786,13 +733,5 @@ mod tests {
             assert!(out.iter().all(|&ok| ok), "{size} ranks: {out:?}");
             assert!(t0.elapsed() < Duration::from_secs(5), "{size} ranks took {:?}", t0.elapsed());
         }
-    }
-
-    #[test]
-    fn hostfile_parses_in_rank_order() {
-        let text = "# rank endpoints\n127.0.0.1:9000\n\n127.0.0.1:9001\n127.0.0.1:9002\n";
-        let eps = parse_hostfile(text, 2).unwrap();
-        assert_eq!(eps, vec!["127.0.0.1:9000", "127.0.0.1:9001"]);
-        assert!(parse_hostfile(text, 4).is_err());
     }
 }

@@ -236,11 +236,12 @@ events! {
         git_commit: Option<String>,
         /// Per-rank clock offsets (seconds) mapping each rank's telemetry
         /// epoch onto rank 0's timeline: `t_global = t_rank + offset[rank]`.
-        /// Estimated by the startup NTP-style handshake; absent when
-        /// telemetry was off.
+        /// The difference of the epochs' wall-clock anchors
+        /// (`Rank::clock_sync`); absent when telemetry was off.
         clock_offsets: Option<Vec<f64>>,
-        /// Per-rank minimum round-trip times (seconds) of the handshake —
-        /// the offset uncertainty is bounded by `rtt/2`.
+        /// Per-rank width (seconds) of the two monotonic reads around
+        /// the epoch's wall-clock read: each rank's share of the offset
+        /// uncertainty is bounded by `rtt/2`.
         clock_rtts: Option<Vec<f64>>,
     }
     /// A closed span: `path` is the `/`-joined stack of open span names

@@ -46,7 +46,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
 // Recorder
@@ -68,6 +68,8 @@ struct Recorder {
     /// `t_last`, `t`) is seconds since this instant. Only enabled
     /// handles own an epoch, so disabled runs never read the clock.
     epoch: Instant,
+    /// The epoch's wall-clock anchor (see [`epoch_anchor`]).
+    anchor: (i64, f64),
     stack: Vec<OpenSpan>,
     events: Vec<Event>,
     counters: BTreeMap<String, u64>,
@@ -93,12 +95,19 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// An enabled handle recording for `rank`.
+    /// An enabled handle recording for `rank`. Its epoch is the
+    /// midpoint of two `Instant` reads around one `SystemTime` read,
+    /// which becomes the epoch's wall-clock anchor (see [`epoch_anchor`]).
     pub fn enabled(rank: usize) -> Telemetry {
+        let before = Instant::now();
+        let wall = SystemTime::now();
+        let width = before.elapsed();
+        let unix = wall.duration_since(UNIX_EPOCH).unwrap_or_default();
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Recorder {
                 rank,
-                epoch: Instant::now(),
+                epoch: before + width / 2,
+                anchor: (unix.as_nanos() as i64, width.as_secs_f64()),
                 stack: Vec::new(),
                 events: Vec::new(),
                 counters: BTreeMap::new(),
@@ -253,6 +262,16 @@ pub fn now_secs() -> Option<f64> {
     CURRENT.with(|c| c.borrow().elapsed_secs())
 }
 
+/// The current dispatcher's epoch as `(Unix time in nanoseconds,
+/// bracket width in seconds)`: the wall clock was read between two
+/// monotonic reads whose midpoint is the epoch, so the anchor is off by
+/// at most half the width. `None` when telemetry is disabled. Every
+/// rank runs on one host, where both clocks are system-wide, so two
+/// ranks' anchors differ by the distance between their epochs.
+pub fn epoch_anchor() -> Option<(i64, f64)> {
+    CURRENT.with(|c| c.borrow().inner.as_ref().map(|r| r.borrow().anchor))
+}
+
 /// Open a span on the current dispatcher.
 pub fn span(name: &str) -> SpanGuard {
     CURRENT.with(|c| c.borrow().span(name))
@@ -287,10 +306,11 @@ pub fn merge_ranks(logs: Vec<Vec<Event>>) -> Vec<Event> {
 /// — passed in, so a run configured in code is labelled as what it ran,
 /// and this crate reads neither variable), the git commit if
 /// discoverable (`GIT_COMMIT` env or `.git/HEAD`), and the per-rank
-/// clock-alignment table from the startup handshake:
-/// `offsets[r]` maps rank `r`'s epoch timestamps onto rank 0's timeline
-/// (`t_global = t_rank + offsets[r]`), and `rtts[r]` is the minimum
-/// round-trip observed while estimating it (offset uncertainty ≤ rtt/2).
+/// clock-alignment table from the epochs' wall-clock anchors
+/// (`parcomm`'s `Rank::clock_sync`): `offsets[r]` maps rank `r`'s epoch
+/// timestamps onto rank 0's timeline (`t_global = t_rank + offsets[r]`),
+/// and `rtts[r]` is the width of rank `r`'s anchor bracket (its share of
+/// the offset uncertainty is ≤ rtt/2).
 pub fn run_info(
     ranks: usize,
     transport: &str,
@@ -424,8 +444,8 @@ pub fn read_jsonl(path: &str) -> Result<Vec<Event>, String> {
 ///   windows nest (a child span's `[t0, t0+secs]` lies inside some
 ///   same-rank parent instance's window), and a `comm_edge`'s receiver
 ///   timestamps are ≥ the sender's after clock-offset correction, with
-///   slack for the handshake's rtt/2 uncertainty. The `run` clock table
-///   itself must be finite, non-negative-rtt, and rank-count sized.
+///   slack for each endpoint's rtt/2 anchor uncertainty. The `run` clock
+///   table itself must be finite, non-negative-rtt, and rank-count sized.
 ///
 /// The cross-event checks read the stream's one [`trace::Timeline`]
 /// (the first `run` event's rank count and clock table, the span
@@ -445,7 +465,7 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
             .map(|n| format!("{what} out of range for run with {n} ranks"))
     };
     let mut errors = Vec::new();
-    // Clock table sanity (an empty table is one the handshake never wrote).
+    // Clock table sanity (an empty table is one no clock sync wrote).
     for (name, table) in [("clock_offsets", &clock.offsets), ("clock_rtts", &clock.rtts)] {
         if let Some(n) = run_ranks.filter(|&n| !table.is_empty() && table.len() != n) {
             errors.push(format!("run {name}: {} entries for a {n}-rank run", table.len()));
@@ -454,7 +474,7 @@ pub fn validate_stream(events: &[Event]) -> Result<(), Vec<String>> {
             if !v.is_finite() {
                 errors.push(format!("run {name}[{r}]: non-finite"));
             } else if name == "clock_rtts" && *v < 0.0 {
-                errors.push(format!("run {name}[{r}]: negative round-trip"));
+                errors.push(format!("run {name}[{r}]: negative bracket width"));
             }
         }
     }
@@ -990,7 +1010,7 @@ mod tests {
         assert!(
             validate_stream(&[skewed, edge(0, 1.0, 2.0), edge(1, 0.5, 2.1)]).is_ok()
         );
-        // …or once the handshake admits that much rtt uncertainty.
+        // …or once the anchor brackets admit that much uncertainty.
         let fuzzy = run(Some(vec![0.0, 0.0]), Some(vec![0.0, 1.2]));
         assert!(validate_stream(&[fuzzy, edge(0, 1.0, 2.0), edge(1, 0.5, 2.1)]).is_ok());
         // A single view reversing its own interval is always wrong.
@@ -1001,7 +1021,7 @@ mod tests {
         let errs = validate_stream(&[bad_table]).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("entries for a 2-rank run")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("non-finite")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("negative round-trip")), "{errs:?}");
+        assert!(errs.iter().any(|e| e.contains("negative bracket width")), "{errs:?}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! attribution over it.
 //!
 //! Every rank stamps its spans, comm edges and collectives against its
-//! own monotonic epoch; the startup clock handshake (recorded in the
-//! `run` event) maps each rank's epoch onto rank 0's timeline
-//! (`t_global = t_rank + clock_offsets[rank]`). [`Timeline::from_events`]
+//! own monotonic epoch; the epochs' wall-clock anchors, gathered at
+//! startup and recorded in the `run` event, map each rank's epoch onto
+//! rank 0's timeline (`t_global = t_rank + clock_offsets[rank]`).
+//! [`Timeline::from_events`]
 //! reads a stream once into that table, the run header, per-rank span
 //! windows, the two endpoint views of every comm edge and the
 //! per-rank collective rows; [`crate::Report`], [`crate::validate_stream`]
@@ -34,8 +35,9 @@ use std::collections::{BTreeMap, BTreeSet};
 const EPS: f64 = 1e-9;
 
 /// Clock-alignment table of the stream's first `run` event: aligned
-/// time for rank `r` is `t + offsets[r]`, uncertain by `rtts[r] / 2`.
-/// Identity (both tables empty) when the handshake did not run.
+/// time for rank `r` is `t + offsets[r]`, uncertain by `rtts[r] / 2`
+/// (`rtts[r]` is the width of rank `r`'s wall-clock anchor bracket).
+/// Identity (both tables empty) when no clock sync ran.
 #[derive(Clone, Debug, Default)]
 pub struct ClockTable {
     pub offsets: Vec<f64>,
@@ -48,7 +50,7 @@ impl ClockTable {
         t + self.offsets.get(rank).copied().unwrap_or(0.0)
     }
 
-    /// Rank `r`'s handshake round-trip (0 when none was recorded).
+    /// Rank `r`'s anchor bracket width (0 when none was recorded).
     pub fn rtt(&self, rank: usize) -> f64 {
         self.rtts.get(rank).copied().unwrap_or(0.0)
     }

@@ -115,7 +115,7 @@ fn main() {
 
     if let Some(path) = tel_path {
         // Rank 0's clock tables (identical on every rank after the
-        // startup handshake) align the per-rank epochs in the header.
+        // startup clock sync) align the per-rank epochs in the header.
         let clock = outputs[0].3.clone();
         let mut events =
             vec![telemetry::run_info(nranks, transport.label(), kernels.label(), clock)];

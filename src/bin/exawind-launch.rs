@@ -1,12 +1,9 @@
 //! Multi-process launcher: spawn one worker process per rank of a
-//! socket-transport job (the `mpirun` of this codebase).
+//! socket-transport job on this host (the `mpirun` of this codebase).
 //!
 //! ```sh
 //! # 4 ranks over loopback with ephemeral ports (rendezvous file):
 //! exawind-launch -n 4 -- path/to/worker --its args
-//! # explicit endpoints, one host:port line per rank (how remote
-//! # machines are named — run the matching rank's launcher on each):
-//! exawind-launch -n 4 --hostfile hosts.txt -- path/to/worker
 //! # supervised with checkpoint/restart: a dead rank fences the cohort
 //! # and relaunches it from the newest complete checkpoint generation:
 //! exawind-launch -n 4 --checkpoint-every 5 --checkpoint-dir ckpt \
@@ -16,7 +13,7 @@
 //! Every child inherits this environment plus one
 //! [`exawind::env::LaunchEnv`] — the socket transport, its rank, the
 //! shared size, and the rendezvous path (a fresh temp file per
-//! incarnation) or the host file path; `exawind::env` is the single
+//! incarnation); `exawind::env` is the single
 //! definition of those variables for both ends, and `parcomm::socket`
 //! is the wire-up the workers then perform. Stdout/stderr pass through.
 //!
@@ -52,13 +49,12 @@ use std::time::{Duration, Instant};
 
 use exawind::env::{self, LaunchEnv};
 use exawind::nalu_core::CheckpointCfg;
-use exawind::parcomm::{Heartbeat, MonitorServer, WireUp, WorkerEnv};
+use exawind::parcomm::{Heartbeat, MonitorServer, WorkerEnv};
 use exawind::resilience::checkpoint;
 use exawind::telemetry;
 
 struct Args {
     ranks: usize,
-    hostfile: Option<PathBuf>,
     stall_timeout: Duration,
     checkpoint_every: usize,
     checkpoint_dir: PathBuf,
@@ -69,7 +65,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: exawind-launch -n <ranks> [--hostfile <path>] [--stall-timeout <secs>] \
+        "usage: exawind-launch -n <ranks> [--stall-timeout <secs>] \
          [--checkpoint-every <steps>] [--checkpoint-dir <path>] [--max-restarts <n>] \
          [--resume] [--] <command> [args...]"
     );
@@ -79,7 +75,6 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut ranks = None;
-    let mut hostfile = None;
     let mut stall_timeout = Duration::from_secs(120);
     let mut checkpoint_every = 0usize;
     let mut checkpoint_dir = PathBuf::from(env::DEFAULT_CHECKPOINT_DIR);
@@ -95,10 +90,6 @@ fn parse_args() -> Args {
                     eprintln!("exawind-launch: bad rank count {v:?}");
                     exit(2);
                 }));
-                i += 2;
-            }
-            "--hostfile" => {
-                hostfile = Some(PathBuf::from(argv.get(i + 1).unwrap_or_else(|| usage())));
                 i += 2;
             }
             "--stall-timeout" => {
@@ -157,7 +148,6 @@ fn parse_args() -> Args {
     }
     Args {
         ranks,
-        hostfile,
         stall_timeout,
         checkpoint_every,
         checkpoint_dir,
@@ -233,9 +223,7 @@ fn main() {
             "exawind-rendezvous-{}-{incarnation}.addr",
             std::process::id()
         ));
-        if args.hostfile.is_none() {
-            let _ = std::fs::remove_file(&rendezvous);
-        }
+        let _ = std::fs::remove_file(&rendezvous);
         let children = spawn_cohort(&args, monitor.as_ref(), &rendezvous, incarnation);
         let (outcome, survivors) = supervise(
             &args,
@@ -245,9 +233,7 @@ fn main() {
             &mut total_heartbeats,
             start,
         );
-        if args.hostfile.is_none() {
-            let _ = std::fs::remove_file(&rendezvous);
-        }
+        let _ = std::fs::remove_file(&rendezvous);
         match outcome {
             Outcome::Done => {
                 let reporting = last_hb.iter().flatten().count();
@@ -329,10 +315,7 @@ fn spawn_cohort(
             worker: WorkerEnv {
                 rank,
                 size: args.ranks,
-                wireup: match &args.hostfile {
-                    Some(hf) => WireUp::Hostfile(hf.clone()),
-                    None => WireUp::Rendezvous(rendezvous.to_path_buf()),
-                },
+                rendezvous: rendezvous.to_path_buf(),
             },
             monitor: monitor.map(MonitorServer::addr),
             checkpoint: supervised.then(|| CheckpointCfg {

@@ -24,7 +24,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use nalu_core::{CheckpointCfg, SolverConfig};
-use parcomm::{Comm, Rank, TransportKind, WireUp, WorkerEnv};
+use parcomm::{Comm, Rank, TransportKind, WorkerEnv};
 use resilience::FaultPlan;
 use sparse_kit::KernelPolicy;
 
@@ -46,8 +46,6 @@ pub const RANK: &str = "EXAWIND_RANK";
 pub const SIZE: &str = "EXAWIND_SIZE";
 /// Launcher → worker: rendezvous file path (loopback, ephemeral ports).
 pub const RENDEZVOUS: &str = "EXAWIND_RENDEZVOUS";
-/// Launcher → worker: host file path (one `host:port` per rank).
-pub const HOSTFILE: &str = "EXAWIND_HOSTFILE";
 /// Launcher → worker: `ip:port` of the launcher's heartbeat monitor.
 pub const MONITOR: &str = "EXAWIND_MONITOR";
 /// Launcher → worker: `1` = restore the newest complete checkpoint
@@ -64,7 +62,7 @@ pub const STALL_RANK: &str = "EXAWIND_STALL_RANK";
 pub const STALL_SECS: &str = "EXAWIND_STALL_SECS";
 
 /// Every variable this program reads.
-pub const NAMES: [&str; 16] = [
+pub const NAMES: [&str; 15] = [
     TRANSPORT,
     KERNELS,
     FAULTS,
@@ -74,7 +72,6 @@ pub const NAMES: [&str; 16] = [
     RANK,
     SIZE,
     RENDEZVOUS,
-    HOSTFILE,
     MONITOR,
     RESUME,
     RESTART_COUNT,
@@ -84,7 +81,7 @@ pub const NAMES: [&str; 16] = [
 ];
 
 /// Variables only `exawind-launch` sets, always together with [`RANK`].
-const LAUNCHER_ONLY: [&str; 6] = [SIZE, RENDEZVOUS, HOSTFILE, MONITOR, RESUME, RESTART_COUNT];
+const LAUNCHER_ONLY: [&str; 5] = [SIZE, RENDEZVOUS, MONITOR, RESUME, RESTART_COUNT];
 
 /// Checkpoint directory when [`CHECKPOINT_DIR`] is unset.
 pub const DEFAULT_CHECKPOINT_DIR: &str = "exawind-checkpoints";
@@ -127,11 +124,8 @@ impl LaunchEnv {
             (TRANSPORT, TransportKind::Socket.label().into()),
             (RANK, self.worker.rank.to_string().into()),
             (SIZE, self.worker.size.to_string().into()),
+            (RENDEZVOUS, self.worker.rendezvous.clone().into()),
         ];
-        out.push(match &self.worker.wireup {
-            WireUp::Hostfile(p) => (HOSTFILE, p.into()),
-            WireUp::Rendezvous(p) => (RENDEZVOUS, p.into()),
-        });
         if let Some(addr) = self.monitor {
             out.push((MONITOR, addr.to_string().into()));
         }
@@ -300,15 +294,11 @@ impl RunEnv {
                 if transport != TransportKind::Socket {
                     return err(format!("a launched worker needs {TRANSPORT}=socket"));
                 }
-                let wireup = match (vars.path(HOSTFILE), vars.path(RENDEZVOUS)) {
-                    (Some(hf), _) => WireUp::Hostfile(hf),
-                    (None, Some(rv)) => WireUp::Rendezvous(rv),
-                    (None, None) => {
-                        return err(format!("is set but neither {RENDEZVOUS} nor {HOSTFILE} is"))
-                    }
+                let Some(rendezvous) = vars.path(RENDEZVOUS) else {
+                    return err(format!("is set but {RENDEZVOUS} is not"));
                 };
                 Some(LaunchEnv {
-                    worker: WorkerEnv { rank, size, wireup },
+                    worker: WorkerEnv { rank, size, rendezvous },
                     monitor,
                     checkpoint: checkpoint.clone(),
                     resume,
@@ -390,7 +380,7 @@ mod tests {
             worker: WorkerEnv {
                 rank: 1,
                 size: 2,
-                wireup: WireUp::Rendezvous("/tmp/rv.addr".into()),
+                rendezvous: "/tmp/rv.addr".into(),
             },
             monitor: Some("127.0.0.1:4100".parse().unwrap()),
             checkpoint: Some(CheckpointCfg {
@@ -427,7 +417,7 @@ mod tests {
         const PLAN: &str = "halo-nan@momentum:2x3";
         // (variable, valid value, what it becomes, malformed value —
         // `None` for paths, which have no malformed form).
-        let table: [(&str, &str, Check, Option<&str>); 16] = [
+        let table: [(&str, &str, Check, Option<&str>); 15] = [
             (
                 TRANSPORT,
                 "socket",
@@ -464,13 +454,7 @@ mod tests {
             (
                 RENDEZVOUS,
                 "/o.addr",
-                |e| launch(e).worker.wireup == WireUp::Rendezvous("/o.addr".into()),
-                None,
-            ),
-            (
-                HOSTFILE,
-                "hosts",
-                |e| launch(e).worker.wireup == WireUp::Hostfile("hosts".into()),
+                |e| launch(e).worker.rendezvous == Path::new("/o.addr"),
                 None,
             ),
             (
@@ -514,18 +498,12 @@ mod tests {
 
     #[test]
     fn launch_env_round_trips_through_its_wire_variables() {
-        let mut launch = sample_launch();
-        for wireup in [
-            launch.worker.wireup.clone(),
-            WireUp::Hostfile("hosts.txt".into()),
-        ] {
-            launch.worker.wireup = wireup;
-            let env = RunEnv::parse(launch.vars()).unwrap();
-            assert_eq!(env.launch.as_ref(), Some(&launch));
-            assert_eq!(env.config.transport, TransportKind::Socket);
-            assert_eq!(env.config.checkpoint, launch.checkpoint);
-            assert_eq!((env.size(7), env.hosts_rank0()), (2, false));
-        }
+        let launch = sample_launch();
+        let env = RunEnv::parse(launch.vars()).unwrap();
+        assert_eq!(env.launch.as_ref(), Some(&launch));
+        assert_eq!(env.config.transport, TransportKind::Socket);
+        assert_eq!(env.config.checkpoint, launch.checkpoint);
+        assert_eq!((env.size(7), env.hosts_rank0()), (2, false));
         let unsupervised = LaunchEnv {
             monitor: None,
             checkpoint: None,
@@ -560,7 +538,7 @@ mod tests {
                 RANK,
                 "out of range",
             ),
-            (&[SOCKET, (RANK, "0"), (SIZE, "2")], RANK, HOSTFILE),
+            (&[SOCKET, (RANK, "0"), (SIZE, "2")], RANK, RENDEZVOUS),
             (&[RV, (RANK, "0"), (SIZE, "2")], RANK, TRANSPORT),
             (&[SOCKET, (SIZE, "2")], SIZE, RANK),
         ];

@@ -1,4 +1,4 @@
-//! Cross-rank timeline observability: clock-alignment handshake, Chrome
+//! Cross-rank timeline observability: startup clock alignment, Chrome
 //! trace export, critical-path attribution, and the solver-health
 //! degradation detector.
 //!
@@ -9,13 +9,14 @@
 //! coarsening degradation while staying silent on a clean run.
 
 use exawind::nalu_core::{Simulation, SolverConfig};
-use exawind::parcomm::{Comm, TransportKind};
+use exawind::parcomm::{ClockSync, Comm, TransportKind};
 use exawind::resilience::{faults, FaultPlan};
 use exawind::telemetry::health::{DegradationKind, Verdict};
 use exawind::telemetry::{self, Event, Json, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use exawind::windmesh::Mesh;
 use rayon::ThreadPoolBuilder;
+use std::time::Instant;
 
 /// Channel with no-slip z walls: uniform inflow is not a solution, so
 /// the solves genuinely iterate and the AMG hierarchy is non-trivial.
@@ -37,16 +38,16 @@ fn small_channel() -> Mesh {
 // Clock alignment
 // ---------------------------------------------------------------------------
 
-/// The startup handshake must produce one finite table that every rank
+/// The startup clock sync must produce one finite table that every rank
 /// agrees on (rank 0 is the reference, so its own offset is exactly 0),
-/// on both transports at 4 ranks.
+/// on both transports at 4 ranks; a single rank has nothing to align.
 #[test]
 fn clock_offsets_finite_and_agreed_on_both_transports_at_4_ranks() {
     for transport in [TransportKind::Inproc, TransportKind::Socket] {
         let tables = Comm::run_with(transport, 4, move |rank| {
             let tel = Telemetry::enabled(rank.rank());
             let _guard = tel.install();
-            rank.clock_sync().expect("handshake must run with telemetry enabled")
+            rank.clock_sync().expect("clock sync must run with telemetry enabled")
         });
         assert_eq!(tables.len(), 4);
         for (r, t) in tables.iter().enumerate() {
@@ -59,17 +60,65 @@ fn clock_offsets_finite_and_agreed_on_both_transports_at_4_ranks() {
                 t.rtts
             );
             assert_eq!(t.offsets[0], 0.0, "rank 0 is the time reference");
-            // Symmetric: the broadcast table is identical everywhere.
+            // Symmetric: the gathered table is identical everywhere.
             assert_eq!(t, &tables[0], "rank {r} disagrees with rank 0 on {transport:?}");
+        }
+        let single = Comm::run_with(transport, 1, |rank| {
+            let _guard = Telemetry::enabled(0).install();
+            rank.clock_sync()
+        });
+        let trivial = ClockSync { offsets: vec![0.0], rtts: vec![0.0] };
+        assert_eq!(single, vec![Some(trivial)], "{transport:?}");
+    }
+}
+
+/// The offsets against ground truth: each rank reads one shared
+/// `Instant` base just before and just after its telemetry epoch, so
+/// the distance between two epochs is known to within half of each of
+/// those truth brackets. Each `offsets[r]` must match it to within the
+/// two anchor brackets' halves, `(rtts[r] + rtts[0]) / 2`, plus the
+/// truth brackets' own halves and the clocks' nanosecond resolution.
+#[test]
+fn clock_offsets_match_a_shared_instant_base_on_both_transports_at_4_ranks() {
+    for transport in [TransportKind::Inproc, TransportKind::Socket] {
+        let base = Instant::now();
+        let out = Comm::run_with(transport, 4, move |rank| {
+            let before = base.elapsed().as_secs_f64();
+            let tel = Telemetry::enabled(rank.rank());
+            let after = base.elapsed().as_secs_f64();
+            let _guard = tel.install();
+            let sync = rank.clock_sync().expect("telemetry is on");
+            ((before + after) / 2.0, after - before, sync)
+        });
+        let (truth0, bracket0, _) = out[0];
+        for (r, (truth, bracket, sync)) in out.iter().enumerate() {
+            let err = (sync.offsets[r] - (truth - truth0)).abs();
+            let bound = (sync.rtts[r] + sync.rtts[0]) / 2.0 + (bracket + bracket0) / 2.0 + 1e-8;
+            assert!(
+                err <= bound,
+                "rank {r} on {transport:?}: offset {:.3e} s, truth {:.3e} s, error {err:.3e} s \
+                 > bound {bound:.3e} s",
+                sync.offsets[r],
+                truth - truth0
+            );
         }
     }
 }
 
-/// Telemetry disabled ⇒ the handshake skips itself entirely.
+/// Telemetry disabled ⇒ the clock sync skips itself entirely: no table
+/// and no comm edge booked.
 #[test]
 fn clock_sync_is_a_no_op_with_telemetry_off() {
-    let synced = Comm::run(2, |rank| rank.clock_sync());
-    assert!(synced.iter().all(Option::is_none));
+    let synced = Comm::run(2, |rank| {
+        let sync = rank.clock_sync();
+        let edges = rank
+            .telemetry_events()
+            .iter()
+            .filter(|e| matches!(e, Event::CommEdge { .. }))
+            .count();
+        (sync, edges)
+    });
+    assert!(synced.iter().all(|(sync, edges)| sync.is_none() && *edges == 0), "{synced:?}");
 }
 
 // ---------------------------------------------------------------------------

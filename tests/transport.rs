@@ -336,58 +336,6 @@ fn multi_process_socket_run_matches_inproc_bitwise() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hostfile mode end to end: probe two free loopback ports, hand them to
-/// the launcher as explicit endpoints, and require the same bits. Ports
-/// can be re-grabbed between probe and bind, so one retry is allowed
-/// before the run is declared failed.
-#[test]
-fn hostfile_socket_run_matches_inproc_bitwise() {
-    let dir = std::env::temp_dir().join(format!("exawind-hostfile-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("fields");
-    let hostfile = dir.join("hosts.txt");
-
-    let mut status = None;
-    for _attempt in 0..2 {
-        let ports: Vec<u16> = (0..2)
-            .map(|_| {
-                let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-                l.local_addr().unwrap().port()
-            })
-            .collect();
-        let text = format!(
-            "# rank endpoints for the hostfile e2e test\n127.0.0.1:{}\n127.0.0.1:{}\n",
-            ports[0], ports[1]
-        );
-        std::fs::write(&hostfile, text).unwrap();
-
-        let s = std::process::Command::new(env!("CARGO_BIN_EXE_exawind-launch"))
-            .args(["-n", "2", "--hostfile"])
-            .arg(&hostfile)
-            .arg("--")
-            .arg(env!("CARGO_BIN_EXE_exawind-worker"))
-            .arg("--out")
-            .arg(&out)
-            .status()
-            .expect("exawind-launch spawns");
-        status = Some(s);
-        if s.success() {
-            break;
-        }
-    }
-    assert!(status.unwrap().success(), "hostfile launch failed twice");
-
-    let reference = step_field_bits(TransportKind::Inproc, 2, 1);
-    for (r, want) in reference.iter().enumerate() {
-        let got = read_bits_file(&dir.join(format!("fields.rank{r}.bits")));
-        assert_eq!(
-            &got, want,
-            "rank {r} fields from the hostfile socket run differ from the inproc run"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A typo'd variable must stop a launched job loudly and early: with the
 /// kernels variable set to a value that is not a policy, every worker
 /// that starts exits 2 from the edge parser — before it rendezvouses or
