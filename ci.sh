@@ -101,6 +101,21 @@ done; grep -rnE 'HOSTFILE|--hostfile' src; } || true)
 [ -z "$multihost_sites" ] \
   || { echo "one-host gate: a multi-host clock or wire-up piece is back: $multihost_sites" >&2; exit 1; }
 
+# One progress channel: a launched worker reports to exawind-launch
+# through its progress record file alone (`exawind::env::Progress`).
+# Outside tests no file under crates/ or src/ names the heartbeat
+# channel (`Heartbeat`, `MonitorServer`, `MonitorClient`) or a `crash-`
+# breadcrumb, and `TcpListener`/`TcpStream` appear only in the socket
+# transport, so a second channel cannot come back unnoticed.
+channel_sites=$(for f in $(find crates src -name '*.rs' | sort); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Heartbeat|MonitorServer|MonitorClient|crash-' | sed "s|^|$f:|"
+done || true)
+tcp_sites=$(for f in $(find crates src -name '*.rs' | grep -vx 'crates/parcomm/src/socket.rs' | sort); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'TcpListener|TcpStream' | sed "s|^|$f:|"
+done || true)
+[ -z "$channel_sites$tcp_sites" ] \
+  || { echo "progress gate: a second launcher channel is back: $channel_sites $tcp_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph
@@ -185,8 +200,8 @@ grep -q '"type": *"recovery"' "$fault_out" \
 # Multi-process transport smoke: exawind-launch spawns two real worker
 # processes that rendezvous over TCP sockets; rank 0's telemetry stream
 # must validate and carry the completed-run event tagged with the socket
-# transport, plus per-peer comm_edge traffic. The launcher's monitor
-# channel must have received heartbeats, and the merged per-rank streams
+# transport, plus per-peer comm_edge traffic. Every rank must have
+# written a progress record the launcher read, and the merged per-rank streams
 # must validate (edge symmetry, collective participation) and render the
 # comm-matrix report. (Cross-transport bitwise identity is pinned by
 # tests/transport.rs; this proves the launcher path works end to end.)
@@ -196,8 +211,8 @@ cargo build --release --bin exawind-launch --bin exawind-worker
 ./target/release/exawind-launch -n 2 -- \
   ./target/release/exawind-worker --out "$mp_dir/fields" --telemetry "$mp_dir/tel" \
   | tee "$mp_dir/launch.log"
-grep -q 'monitor received [1-9][0-9]* heartbeat' "$mp_dir/launch.log" \
-  || { echo "transport smoke: launcher monitor received no heartbeats" >&2; exit 1; }
+grep -qF '2 rank(s) completed; 2/2 rank(s) reported progress' "$mp_dir/launch.log" \
+  || { echo "transport smoke: not every rank reported progress to the launcher" >&2; exit 1; }
 cargo run --release -p exawind-bench --bin exawind-perf -- validate "$mp_dir/tel.rank0.jsonl"
 grep -q '"type":"run"' "$mp_dir/tel.rank0.jsonl" \
   || { echo "transport smoke: no run event in $mp_dir/tel.rank0.jsonl" >&2; exit 1; }
@@ -247,10 +262,11 @@ cargo run --release -p exawind-bench --bin exawind-perf -- report "$mp_dir/healt
 grep -q 'recovery-storm' "$mp_dir/health-report.txt" \
   || { echo "health smoke: no recovery-storm verdict in seeded degradation run" >&2; exit 1; }
 
-# Stall-detection smoke: hang rank 1 after its first heartbeat; the
-# launcher must notice the missed heartbeats well before the hang ends,
-# name the stalled rank, and exit 3 — long before the 90 s backstop.
-if EXAWIND_STALL_RANK=1 EXAWIND_STALL_SECS=60 timeout 90 \
+# Stall-detection smoke: hang rank 1 (for 60 s) after its first
+# progress record; the launcher must notice the step count not moving
+# well before the hang ends, name the stalled rank, and exit 3 — long
+# before the 90 s backstop.
+if EXAWIND_STALL_RANK=1 timeout 90 \
   ./target/release/exawind-launch -n 2 --stall-timeout 3 -- \
   ./target/release/exawind-worker --out "$mp_dir/stall" --telemetry "$mp_dir/stall-tel" \
   2> "$mp_dir/stall.log"; then
@@ -268,7 +284,7 @@ grep -q 'stalled at step' "$mp_dir/stall.log" \
 # must validate and carry both restore and checkpoint events.
 ./target/release/exawind-launch -n 2 -- \
   ./target/release/exawind-worker --steps 5 --out "$mp_dir/clean"
-EXAWIND_FAULTS="kill-rank@rank1:3" EXAWIND_CRASH_DIR="$mp_dir" \
+EXAWIND_FAULTS="kill-rank@rank1:3" \
   ./target/release/exawind-launch -n 2 --checkpoint-every 2 \
   --checkpoint-dir "$mp_dir/ckpt" --max-restarts 2 -- \
   ./target/release/exawind-worker --steps 5 --out "$mp_dir/killed" \

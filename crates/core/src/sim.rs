@@ -146,8 +146,8 @@ pub struct StepReport {
 
 impl StepReport {
     /// Worst (max) final relative residual over all equations solved
-    /// this step; 0.0 when nothing was solved. Feeds the launcher's
-    /// live-monitoring heartbeat.
+    /// this step; 0.0 when nothing was solved. Feeds a launched worker's
+    /// progress record.
     pub fn max_final_rel(&self) -> f64 {
         self.final_rels.values().copied().fold(0.0, f64::max)
     }
@@ -329,7 +329,8 @@ impl Simulation {
     }
 
     /// Most recent solver-health degradation verdict, for status lines
-    /// and the launcher heartbeat. `None` while the detector is quiet.
+    /// and a launched worker's progress record. `None` while the
+    /// detector is quiet.
     pub fn last_health_verdict(&self) -> Option<&telemetry::health::Verdict> {
         self.health.last_verdict()
     }
@@ -467,8 +468,8 @@ impl Simulation {
         // Fed unconditionally: the detector is pure arithmetic over
         // collectively identical solver outputs (no clock reads), so the
         // telemetry-off path stays bitwise identical while the verdict
-        // state is still available to heartbeats. The stream carries the
-        // sample only; a reader replays the detector over it.
+        // state is still available to progress records. The stream
+        // carries the sample only; a reader replays the detector over it.
         let step = self.step_count - 1;
         let sample = telemetry::health::HealthSample {
             eqs: iters
@@ -505,8 +506,8 @@ impl Simulation {
     }
 
     /// Newest complete checkpoint this rank wrote or restored from, as
-    /// `(generation, step)`. Feeds the launcher heartbeat and the crash
-    /// breadcrumb, so a supervisor knows where a dead rank could resume.
+    /// `(generation, step)`. Feeds a launched worker's progress record,
+    /// so a supervisor knows where a dead rank could resume.
     pub fn last_checkpoint(&self) -> Option<(u64, u64)> {
         self.last_ckpt
     }
@@ -798,12 +799,15 @@ impl Simulation {
         rec
     }
 
-    /// Allreduced finite scan of an assembled system (`a` is `None` when
-    /// the operator was not assembled this attempt): every rank sees the
-    /// same global count of non-finite coefficients, so the error branch
-    /// is collectively consistent.
+    /// Allreduced finite scan of `eq`'s assembled system (`a` is `None`
+    /// when the operator was not assembled this attempt): every rank sees
+    /// the same global count of non-finite coefficients, so the error
+    /// branch is collectively consistent. The scan runs after the
+    /// global-assembly scope has closed, so the error names that phase
+    /// itself.
     fn check_system_finite(
         rank: &Rank,
+        eq: &str,
         a: Option<&ParCsr>,
         rhs: &[&ParVector],
     ) -> Result<(), SolveError> {
@@ -816,7 +820,7 @@ impl Simulation {
         let bad = rank.allreduce_sum(local);
         if bad > 0 {
             return Err(SolveError::NonFiniteCoefficient {
-                context: rank.phase_name(),
+                context: Phase::GlobalAssembly.trace_label(eq),
                 count: bad,
             });
         }
@@ -872,7 +876,7 @@ impl Simulation {
                 .collect::<Result<Vec<ParVector>, _>>()?;
             Ok::<_, SolveError>((a, bs))
         })?;
-        Self::check_system_finite(rank, Some(&a), &bs.iter().collect::<Vec<_>>())?;
+        Self::check_system_finite(rank, eq, Some(&a), &bs.iter().collect::<Vec<_>>())?;
         // Preconditioner setup: compact SGS2, or plain Jacobi-Richardson
         // when the recovery ladder has demoted the smoother.
         let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
@@ -991,7 +995,7 @@ impl Simulation {
             PressureOperator::Assembled(a) => Some(a),
             PressureOperator::Cached(_) => None,
         };
-        Self::check_system_finite(rank, assembled, &[&b])?;
+        Self::check_system_finite(rank, eq, assembled, &[&b])?;
         // Preconditioner setup: AMG — the cached hierarchy, or one set up
         // on the operator just assembled — demoted to SGS2 by the
         // recovery ladder (a stalled or corrupted hierarchy must not take

@@ -35,7 +35,6 @@ mod clock;
 mod collectives;
 mod comm;
 mod message;
-mod monitor;
 mod perf;
 mod socket;
 mod transport;
@@ -43,10 +42,8 @@ mod transport;
 pub use clock::ClockSync;
 pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
-pub use monitor::{Heartbeat, MonitorClient, MonitorServer};
 pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
 pub use socket::WorkerEnv;
 pub use transport::{
-    read_frame, send_frame, write_frame, Frame, FrameError, FrameKind, TransportKind,
-    MAX_FRAME_BYTES,
+    read_frame, write_frame, Frame, FrameError, FrameKind, TransportKind, MAX_FRAME_BYTES,
 };

@@ -21,7 +21,6 @@
 //! once, in `Rank::wait_next` (`comm.rs`).
 
 use std::any::Any;
-use std::io::Write;
 use std::time::Duration;
 
 use crate::comm::Tag;
@@ -207,13 +206,6 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
     out.reserve(FRAME_PREFIX_BYTES + frame.payload.len());
     out.extend_from_slice(&frame_prefix(frame));
     out.extend_from_slice(&frame.payload);
-}
-
-/// Write a frame directly to a blocking stream.
-pub fn send_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, frame);
-    w.write_all(&buf)
 }
 
 fn le_u32(b: &[u8]) -> u32 {

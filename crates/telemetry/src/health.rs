@@ -19,8 +19,8 @@
 //! The detector is a pure function of its (deterministic) inputs: it
 //! reads no clock and allocates nothing observable to the solver, so
 //! `core::sim` runs it unconditionally without perturbing the
-//! telemetry-off bitwise determinism guarantee, for the launcher
-//! heartbeat. Verdicts are not written to the stream: [`crate::Report`]
+//! telemetry-off bitwise determinism guarantee, for the launcher's
+//! status line. Verdicts are not written to the stream: [`crate::Report`]
 //! replays the detector over rank 0's rows and gets the same ones. This
 //! is the API the future lagged-AMG-hierarchy-reuse policy consumes:
 //! "re-coarsen only when convergence telemetry degrades" is exactly a
@@ -39,8 +39,8 @@ pub const WARMUP: u64 = 3;
 pub const WINDOW: u64 = 2;
 
 /// What kind of degradation a [`Verdict`] reports. Wire-stable: the
-/// label names it in the report, and the code round-trips through the
-/// launcher's fixed-width heartbeat frames.
+/// label names it in the report and in a launched worker's progress
+/// record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationKind {
     /// GMRES iterations grew well past baseline (preconditioner going
@@ -72,21 +72,6 @@ impl DegradationKind {
             DegradationKind::AmgComplexity => "amg-complexity",
             DegradationKind::RecoveryStorm => "recovery-storm",
         }
-    }
-
-    /// Small nonzero code for fixed-width heartbeat frames (0 is
-    /// reserved for "no verdict").
-    pub fn code(self) -> u64 {
-        match self {
-            DegradationKind::GmresIters => 1,
-            DegradationKind::ResidualRate => 2,
-            DegradationKind::AmgComplexity => 3,
-            DegradationKind::RecoveryStorm => 4,
-        }
-    }
-
-    pub fn from_code(code: u64) -> Option<DegradationKind> {
-        DegradationKind::ALL.into_iter().find(|k| k.code() == code)
     }
 }
 
@@ -422,12 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_codes_round_trip_and_labels_are_distinct() {
-        for kind in DegradationKind::ALL {
-            assert_eq!(DegradationKind::from_code(kind.code()), Some(kind));
-            assert_ne!(kind.code(), 0, "0 is the no-verdict sentinel");
-        }
-        assert_eq!(DegradationKind::from_code(0), None);
+    fn kind_labels_are_distinct() {
         let labels: std::collections::BTreeSet<&str> =
             DegradationKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), DegradationKind::ALL.len());

@@ -17,14 +17,19 @@
 //! definition of those variables for both ends, and `parcomm::socket`
 //! is the wire-up the workers then perform. Stdout/stderr pass through.
 //!
-//! The launcher also opens a loopback monitor endpoint and exports its
-//! address. Workers that heartbeat (exawind-worker does; arbitrary
-//! commands simply don't connect) drive a once-a-second status line on
-//! stderr, stall detection — a live rank silent for
-//! `--stall-timeout` seconds (default 120) takes the job down with exit
-//! code 3 — and, on any abnormal exit, a partial per-rank progress
-//! report (including each rank's newest complete checkpoint) plus each
-//! dead rank's `crash-<rank>.json` breadcrumb.
+//! A worker reports back through one file per rank beside the
+//! rendezvous file, `<rendezvous>.rank<r>`: its
+//! [`exawind::env::Progress`] record, which exawind-worker replaces
+//! after set-up, after every step and once more when it fails
+//! (arbitrary commands simply write none). The launcher reads every
+//! rank's record on each poll and once more after the cohort has ended,
+//! then deletes the files with the rendezvous file. The records drive a
+//! once-a-second status line on stderr, stall detection — a live rank
+//! whose step count has not moved for `--stall-timeout` seconds (default
+//! 120) since its first record takes the job down with exit code 3 —
+//! and, on any abnormal exit, a partial per-rank progress report
+//! (including each rank's newest complete checkpoint) plus each failed
+//! rank's failure kind and detail.
 //!
 //! With `--checkpoint-every` the launcher becomes a supervisor: the
 //! checkpoint interval and directory are exported so workers publish
@@ -47,11 +52,10 @@ use std::path::{Path, PathBuf};
 use std::process::{exit, Child, Command};
 use std::time::{Duration, Instant};
 
-use exawind::env::{self, LaunchEnv};
+use exawind::env::{self, LaunchEnv, Progress};
 use exawind::nalu_core::CheckpointCfg;
-use exawind::parcomm::{Heartbeat, MonitorServer, WorkerEnv};
+use exawind::parcomm::WorkerEnv;
 use exawind::resilience::checkpoint;
-use exawind::telemetry;
 
 struct Args {
     ranks: usize,
@@ -201,77 +205,73 @@ fn main() {
         }
     }
 
-    // Live-monitoring endpoint, shared by every incarnation. A failed
-    // bind degrades to the old unmonitored behavior rather than
-    // refusing to launch.
-    let monitor = match MonitorServer::bind() {
-        Ok(m) => Some(m),
-        Err(e) => {
-            eprintln!("exawind-launch: monitor disabled (bind failed: {e})");
-            None
-        }
-    };
-
     let start = Instant::now();
-    let mut last_hb: Vec<Option<Heartbeat>> = vec![None; args.ranks];
-    let mut total_heartbeats: u64 = 0;
     let mut incarnation: u64 = 0;
     loop {
         // A fresh rendezvous path per incarnation: rank 0 of the new
-        // cohort must never read the dead cohort's endpoint table.
+        // cohort must never read the dead cohort's endpoint table, and
+        // no rank's report can be a dead cohort's record.
         let rendezvous = std::env::temp_dir().join(format!(
             "exawind-rendezvous-{}-{incarnation}.addr",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&rendezvous);
-        let children = spawn_cohort(&args, monitor.as_ref(), &rendezvous, incarnation);
-        let (outcome, survivors) = supervise(
-            &args,
-            monitor.as_ref(),
-            children,
-            &mut last_hb,
-            &mut total_heartbeats,
-            start,
-        );
-        let _ = std::fs::remove_file(&rendezvous);
+        let status: Vec<PathBuf> = (0..args.ranks)
+            .map(|rank| env::status_path(&rendezvous, rank))
+            .collect();
+        let remove_files = || {
+            for path in status.iter().chain([&rendezvous]) {
+                let _ = std::fs::remove_file(path);
+            }
+        };
+        remove_files();
+        let children = spawn_cohort(&args, &rendezvous, incarnation);
+        let mut records: Vec<Option<Progress>> = vec![None; args.ranks];
+        let (outcome, survivors) = supervise(&args, children, &status, &mut records, start);
+        let fenced = survivors.len();
+        fence(survivors);
+        read_records(&status, &mut records);
+        remove_files();
         match outcome {
             Outcome::Done => {
-                let reporting = last_hb.iter().flatten().count();
+                let reported = records.iter().flatten().count();
                 let restarts = if incarnation > 0 {
                     format!(" after {incarnation} restart(s)")
                 } else {
                     String::new()
                 };
                 println!(
-                    "exawind-launch: {} rank(s) completed{restarts}; monitor received \
-                     {total_heartbeats} heartbeat(s) from {reporting} rank(s)",
-                    args.ranks
+                    "exawind-launch: {} rank(s) completed{restarts}; {reported}/{} rank(s) \
+                     reported progress",
+                    args.ranks, args.ranks
                 );
                 return;
             }
             Outcome::Stalled(mut stalled) => {
                 // Report the most-behind rank first: likeliest culprit.
                 // A stall is a hang, not a death — never restarted.
-                stalled.sort_by_key(|&rank| last_hb[rank].map_or(0, |h| h.step));
+                let step = |rank: usize| records[rank].as_ref().map_or(0, |p| p.step);
+                stalled.sort_by_key(|&rank| step(rank));
                 for &rank in &stalled {
-                    let step = last_hb[rank].map_or(0, |h| h.step);
                     eprintln!(
-                        "exawind-launch: rank {rank} stalled at step {step} (no heartbeat)"
+                        "exawind-launch: rank {rank} stalled at step {} (no progress for {}s)",
+                        step(rank),
+                        args.stall_timeout.as_secs()
                     );
                 }
-                dump_partial_report(&last_hb);
-                fence(survivors);
+                dump_partial_report(&records);
                 exit(3);
             }
             Outcome::Failed { rank, code } => {
                 eprintln!(
-                    "exawind-launch: rank {rank} exited with code {code}; fencing {} \
-                     surviving rank(s)",
-                    survivors.len()
+                    "exawind-launch: rank {rank} exited with code {code}; fenced {fenced} \
+                     surviving rank(s)"
                 );
-                fence(survivors);
-                dump_partial_report(&last_hb);
-                dump_crash_breadcrumbs(args.ranks);
+                dump_partial_report(&records);
+                for (rank, p) in records.iter().enumerate() {
+                    if let Some((kind, detail)) = p.as_ref().and_then(|p| p.failure.as_ref()) {
+                        eprintln!("exawind-launch: rank {rank} failed ({kind}): {detail}");
+                    }
+                }
                 let supervised = args.checkpoint_every > 0;
                 if supervised && incarnation < args.max_restarts {
                     incarnation += 1;
@@ -300,12 +300,7 @@ fn main() {
 
 /// Spawn one worker per rank with the incarnation's environment.
 /// Exits the launcher (killing already-spawned ranks) on spawn failure.
-fn spawn_cohort(
-    args: &Args,
-    monitor: Option<&MonitorServer>,
-    rendezvous: &Path,
-    incarnation: u64,
-) -> Vec<(usize, Child)> {
+fn spawn_cohort(args: &Args, rendezvous: &Path, incarnation: u64) -> Vec<(usize, Child)> {
     let supervised = args.checkpoint_every > 0;
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(args.ranks);
     for rank in 0..args.ranks {
@@ -317,7 +312,6 @@ fn spawn_cohort(
                 size: args.ranks,
                 rendezvous: rendezvous.to_path_buf(),
             },
-            monitor: monitor.map(MonitorServer::addr),
             checkpoint: supervised.then(|| CheckpointCfg {
                 every: args.checkpoint_every,
                 dir: args.checkpoint_dir.clone(),
@@ -338,37 +332,44 @@ fn spawn_cohort(
     children
 }
 
+/// Read every rank's progress record that is there now; a rank without
+/// a whole one keeps the record read before.
+fn read_records(status: &[PathBuf], records: &mut [Option<Progress>]) {
+    for (path, record) in status.iter().zip(records) {
+        if let Some(p) = Progress::read(path) {
+            *record = Some(p);
+        }
+    }
+}
+
 /// Poll one incarnation to its end. Polling instead of waiting in rank
 /// order means a mid-job death is observed promptly, before survivors
-/// block forever on the dead peer. Between waits, drain the monitor
-/// queue, render a periodic status line, and flag ranks that have gone
-/// silent past the stall timeout. Returns the outcome and whichever
-/// children are still running (for the caller to fence).
+/// block forever on the dead peer. Between waits, read the progress
+/// records, render a periodic status line, and flag ranks whose step
+/// count has not moved past the stall timeout. A rank's stall clock
+/// starts at its first record, so a command that never reports is never
+/// declared stalled. Returns the outcome and whichever children are
+/// still running (for the caller to fence).
 fn supervise(
     args: &Args,
-    monitor: Option<&MonitorServer>,
     mut children: Vec<(usize, Child)>,
-    last_hb: &mut [Option<Heartbeat>],
-    total_heartbeats: &mut u64,
+    status: &[PathBuf],
+    records: &mut [Option<Progress>],
     start: Instant,
 ) -> (Outcome, Vec<(usize, Child)>) {
-    let mut last_seen: Vec<Instant> = vec![Instant::now(); args.ranks];
+    let mut last_moved: Vec<Option<(u64, Instant)>> = vec![None; args.ranks];
     let mut last_status = Instant::now();
     while !children.is_empty() {
-        if let Some(m) = monitor {
-            for hb in m.poll() {
-                if hb.rank < args.ranks {
-                    *total_heartbeats += 1;
-                    last_seen[hb.rank] = Instant::now();
-                    last_hb[hb.rank] = Some(hb);
-                }
+        read_records(status, records);
+        for (moved, p) in last_moved.iter_mut().zip(records.iter()) {
+            if let Some(p) = p.as_ref().filter(|p| moved.is_none_or(|(step, _)| step != p.step)) {
+                *moved = Some((p.step, Instant::now()));
             }
         }
         // Scan the WHOLE cohort before acting on a failure: returning
         // early would drop the not-yet-checked Child handles, leaving
         // those ranks unkilled and unreaped — orphans that outlive the
-        // relaunch, keep heartbeating into the new incarnation's monitor
-        // slots, and overwrite its crash breadcrumbs.
+        // relaunch.
         let mut still_running = Vec::with_capacity(children.len());
         let mut failed: Option<(usize, i32)> = None;
         for (rank, mut child) in children {
@@ -392,23 +393,22 @@ fn supervise(
             return (Outcome::Failed { rank, code }, still_running);
         }
         children = still_running;
-        if monitor.is_some() && !children.is_empty() {
-            let stalled: Vec<usize> = children
-                .iter()
-                .map(|&(rank, _)| rank)
-                .filter(|&rank| last_seen[rank].elapsed() > args.stall_timeout)
-                .collect();
-            if !stalled.is_empty() {
-                return (Outcome::Stalled(stalled), children);
-            }
-            if *total_heartbeats > 0 && last_status.elapsed() >= Duration::from_secs(1) {
-                last_status = Instant::now();
-                eprintln!("{}", status_line(start, last_hb, children.len()));
-            }
+        if children.is_empty() {
+            break;
         }
-        if !children.is_empty() {
-            std::thread::sleep(Duration::from_millis(20));
+        let stalled: Vec<usize> = children
+            .iter()
+            .map(|&(rank, _)| rank)
+            .filter(|&rank| last_moved[rank].is_some_and(|(_, t)| t.elapsed() > args.stall_timeout))
+            .collect();
+        if !stalled.is_empty() {
+            return (Outcome::Stalled(stalled), children);
         }
+        if records.iter().any(Option::is_some) && last_status.elapsed() >= Duration::from_secs(1) {
+            last_status = Instant::now();
+            eprintln!("{}", status_line(start, records, children.len()));
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
     (Outcome::Done, Vec::new())
 }
@@ -431,30 +431,22 @@ fn newest_generation(dir: &Path) -> Option<u64> {
 
 /// One-line live status: elapsed time, per-rank completed steps, the
 /// worst reported residual, and aggregate message traffic.
-fn status_line(start: Instant, last_hb: &[Option<Heartbeat>], live: usize) -> String {
-    let steps: Vec<String> = last_hb
+fn status_line(start: Instant, records: &[Option<Progress>], live: usize) -> String {
+    let steps: Vec<String> = records
         .iter()
-        .map(|h| h.map_or_else(|| "-".to_string(), |h| h.step.to_string()))
+        .map(|p| p.as_ref().map_or_else(|| "-".to_string(), |p| p.step.to_string()))
         .collect();
-    let worst_res = last_hb
-        .iter()
-        .flatten()
-        .map(|h| h.residual)
-        .fold(0.0_f64, f64::max);
-    let msgs: u64 = last_hb.iter().flatten().map(|h| h.msgs).sum();
-    let bytes: u64 = last_hb.iter().flatten().map(|h| h.bytes).sum();
+    let reported = || records.iter().flatten();
+    let worst_res = reported().map(|p| p.residual).fold(0.0_f64, f64::max);
+    let msgs: u64 = reported().map(|p| p.msgs).sum();
+    let bytes: u64 = reported().map(|p| p.bytes).sum();
     // Most recent solver-health degradation verdict any rank reported:
     // rendered as `kind@step` so a slow convergence slide is visible
     // live, not just in the post-run report.
-    let health = last_hb
-        .iter()
-        .flatten()
-        .filter_map(|h| h.health)
-        .max_by_key(|&(_, step)| step)
-        .and_then(|(code, step)| {
-            let kind = telemetry::health::DegradationKind::from_code(code)?;
-            Some(format!(" health: {}@step {step}", kind.label()))
-        })
+    let health = reported()
+        .filter_map(|p| p.health.as_ref())
+        .max_by_key(|(_, step)| *step)
+        .map(|(verdict, step)| format!(" health: {verdict}@step {step}"))
         .unwrap_or_default();
     format!(
         "exawind-launch: [{:6.1}s] steps [{}] residual {:.2e} msgs {} bytes {} ({} rank(s) live){}",
@@ -472,39 +464,22 @@ fn status_line(start: Instant, last_hb: &[Option<Heartbeat>], live: usize) -> St
 /// the partial comm report a post-mortem starts from. Includes the
 /// newest complete checkpoint each rank reported, i.e. where a
 /// relaunch would resume.
-fn dump_partial_report(last_hb: &[Option<Heartbeat>]) {
+fn dump_partial_report(records: &[Option<Progress>]) {
     eprintln!("exawind-launch: last known progress per rank:");
-    for (rank, hb) in last_hb.iter().enumerate() {
-        match hb {
-            Some(h) => {
-                let ckpt = h.checkpoint.map_or_else(
+    for (rank, p) in records.iter().enumerate() {
+        match p {
+            Some(p) => {
+                let ckpt = p.checkpoint.map_or_else(
                     || "none".to_string(),
                     |(g, s)| format!("generation {g} (step {s})"),
                 );
                 eprintln!(
                     "  rank {rank}: step {} picard {} residual {:.2e} msgs {} bytes {} \
                      collectives {} checkpoint {ckpt}",
-                    h.step, h.picard, h.residual, h.msgs, h.bytes, h.collectives
+                    p.step, p.picard, p.residual, p.msgs, p.bytes, p.collectives
                 );
             }
-            None => eprintln!("  rank {rank}: no heartbeat received"),
-        }
-    }
-}
-
-/// Surface the workers' `crash-<rank>.json` breadcrumbs (written to the
-/// crash directory, default cwd) so the failing rank and the phase it
-/// died in appear directly in the launcher's output.
-fn dump_crash_breadcrumbs(ranks: usize) {
-    let dir = env::crash_dir();
-    for rank in 0..ranks {
-        let path = dir.join(format!("crash-{rank}.json"));
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            eprintln!(
-                "exawind-launch: rank {rank} breadcrumb ({}): {}",
-                path.display(),
-                text.trim()
-            );
+            None => eprintln!("  rank {rank}: no progress record"),
         }
     }
 }

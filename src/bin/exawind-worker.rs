@@ -23,25 +23,25 @@
 //! `<path>.rank<r>.jsonl` — rank 0's stream carries the `run` metadata
 //! event the CI smoke greps for.
 //!
-//! Under a launcher that exported a monitor address, each rank
-//! heartbeats its progress — one frame after setup, one per completed
-//! step — so the launcher can render a live status line and flag
-//! stalled ranks. On a panic or an unrecoverable solver error the rank
-//! drops a `crash-<rank>.json` breadcrumb (in the crash directory,
-//! default cwd) recording where it died.
+//! Under `exawind-launch` each rank also keeps one progress record
+//! ([`exawind::env::Progress`]) in `<rendezvous>.rank<r>`, replaced
+//! whole after set-up and after every step, so the launcher can render
+//! a live status line and flag stalled ranks. On a panic or an
+//! unrecoverable solver error the rank writes it once more with the
+//! failure's kind and detail, which the launcher reports. A standalone
+//! worker writes no record; its panic message is on stderr.
 //!
-//! Test hook: the stall variables make one rank sleep after its first
-//! heartbeat, simulating a hung rank for the launcher's stall-detection
+//! Test hook: the stall variable makes one rank sleep after its first
+//! record, simulating a hung rank for the launcher's stall-detection
 //! smoke.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::Path;
 
-use exawind::env::{self, RunEnv};
+use exawind::env::{self, LaunchEnv, Progress, RunEnv};
 use exawind::nalu_core::{Simulation, SolverConfig};
-use exawind::parcomm::{Heartbeat, MonitorClient, Rank};
-use exawind::resilience::checkpoint;
-use exawind::telemetry::{self, Json};
+use exawind::parcomm::Rank;
+use exawind::resilience::{checkpoint, SolveError};
+use exawind::telemetry;
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use exawind::windmesh::Mesh;
 
@@ -154,55 +154,57 @@ fn main() {
         }
         let done = sim.steps_completed();
 
-        let mut monitor = MonitorClient::connect(env.launch.as_ref().and_then(|l| l.monitor));
-        let mut last_hb = heartbeat(rank, &sim, done as u64, 0, 0.0);
-        monitor.send(&last_hb);
+        // Under the launcher, the progress record: written after set-up,
+        // after every step and once more if the rank fails.
+        let status = env.launch.as_ref().map(LaunchEnv::status_path);
+        let report = |p: &Progress| {
+            if let Some(path) = &status {
+                if let Err(e) = p.write(path) {
+                    eprintln!("exawind-worker: cannot write {}: {e}", path.display());
+                }
+            }
+        };
+        let mut last = progress(rank, &sim, done as u64, 0, 0.0);
+        report(&last);
         // Test hook: deliberately hang one rank so the launcher's
         // stall-detection smoke has something to catch.
-        if let Some((_, pause)) = env.stall.filter(|&(r, _)| r == rank.rank()) {
+        if env.stall_rank == Some(rank.rank()) {
             eprintln!(
                 "exawind-worker: rank {} stalling for {}s ({})",
                 rank.rank(),
-                pause.as_secs(),
+                env::STALL.as_secs(),
                 env::STALL_RANK
             );
-            std::thread::sleep(pause);
+            std::thread::sleep(env::STALL);
         }
 
-        let stepped = catch_unwind(AssertUnwindSafe(|| {
+        let stepped = catch_unwind(AssertUnwindSafe(|| -> Result<(), SolveError> {
             for s in done..steps {
-                match sim.try_step(rank) {
-                    Ok(report) => {
-                        last_hb = heartbeat(
-                            rank,
-                            &sim,
-                            (s + 1) as u64,
-                            picard_iters,
-                            report.max_final_rel(),
-                        );
-                        monitor.send(&last_hb);
-                    }
-                    Err(e) => {
-                        let detail = e.to_string();
-                        write_crash_breadcrumb(&env.crash_dir, rank, "solver_error", &detail, &last_hb);
-                        panic!("time step failed beyond recovery: {e}");
-                    }
-                }
+                let step = sim.try_step(rank)?;
+                last = progress(rank, &sim, (s + 1) as u64, picard_iters, step.max_final_rel());
+                report(&last);
             }
+            Ok(())
         }));
-        if let Err(payload) = stepped {
-            // A panic that was not a typed solver error still leaves a
-            // breadcrumb (the solver-error path wrote its own above and
-            // re-panics through here with the same message).
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "panic".to_string());
-            if !detail.starts_with("time step failed beyond recovery") {
-                write_crash_breadcrumb(&env.crash_dir, rank, "panic", &detail, &last_hb);
+        let failed = |kind: &str, detail: String| Progress {
+            failure: Some((kind.to_string(), detail)),
+            ..last
+        };
+        match stepped {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                report(&failed("solver_error", e.to_string()));
+                panic!("time step failed beyond recovery: {e}");
             }
-            resume_unwind(payload);
+            Err(payload) => {
+                let detail = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "panic".to_string());
+                report(&failed("panic", detail));
+                resume_unwind(payload);
+            }
         }
 
         let mut bits: Vec<u64> = Vec::new();
@@ -243,12 +245,11 @@ fn main() {
     });
 }
 
-/// Build a heartbeat from the rank's current comm counters and newest
-/// complete checkpoint.
-fn heartbeat(rank: &Rank, sim: &Simulation, step: u64, picard: u64, residual: f64) -> Heartbeat {
+/// This rank's progress record: its comm counters, newest complete
+/// checkpoint and latest health verdict.
+fn progress(rank: &Rank, sim: &Simulation, step: u64, picard: u64, residual: f64) -> Progress {
     let t = rank.trace_snapshot().total();
-    Heartbeat {
-        rank: rank.rank(),
+    Progress {
         step,
         picard,
         residual,
@@ -258,35 +259,7 @@ fn heartbeat(rank: &Rank, sim: &Simulation, step: u64, picard: u64, residual: f6
         checkpoint: sim.last_checkpoint(),
         health: sim
             .last_health_verdict()
-            .map(|v| (v.kind.code(), v.step as u64)),
-    }
-}
-
-/// Drop `crash-<rank>.json` in the crash directory so the launcher can
-/// report which rank died and where it was at the time.
-fn write_crash_breadcrumb(dir: &Path, rank: &Rank, kind: &str, detail: &str, last_hb: &Heartbeat) {
-    let path = dir.join(format!("crash-{}.json", rank.rank()));
-    let doc = Json::obj(vec![
-        ("rank", Json::Int(rank.rank() as i128)),
-        ("kind", Json::Str(kind.to_string())),
-        ("detail", Json::Str(detail.to_string())),
-        ("phase", Json::Str(rank.phase_name())),
-        ("last_step", Json::Int(last_hb.step as i128)),
-        ("picard", Json::Int(last_hb.picard as i128)),
-        ("residual", Json::Float(last_hb.residual)),
-        ("msgs", Json::Int(last_hb.msgs as i128)),
-        ("bytes", Json::Int(last_hb.bytes as i128)),
-        ("collectives", Json::Int(last_hb.collectives as i128)),
-        (
-            "ckpt_generation",
-            last_hb.checkpoint.map_or(Json::Null, |(g, _)| Json::Int(g as i128)),
-        ),
-        (
-            "ckpt_step",
-            last_hb.checkpoint.map_or(Json::Null, |(_, s)| Json::Int(s as i128)),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&path, doc.to_string() + "\n") {
-        eprintln!("exawind-worker: cannot write {}: {e}", path.display());
+            .map(|v| (v.kind.label().to_string(), v.step as u64)),
+        failure: None,
     }
 }

@@ -9,16 +9,16 @@
 //! library crates read no environment: they are functions of the
 //! configuration they are handed. `exawind-launch` talks to its workers
 //! through the same definitions ([`LaunchEnv::export`] writes what
-//! [`RunEnv::parse`] reads). README.md ("Environment") is the
-//! user-facing listing.
+//! [`RunEnv::parse`] reads), and they answer through one file per rank
+//! beside the rendezvous file ([`Progress`]). README.md ("Environment")
+//! is the user-facing listing.
 //!
 //! An empty value means unset, for every variable.
 
 use std::collections::BTreeMap;
 use std::ffi::{OsStr, OsString};
 use std::io::Write as _;
-use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::str::FromStr;
 use std::time::Duration;
@@ -27,6 +27,7 @@ use nalu_core::{CheckpointCfg, SolverConfig};
 use parcomm::{Comm, Rank, TransportKind, WorkerEnv};
 use resilience::FaultPlan;
 use sparse_kit::KernelPolicy;
+use telemetry::Json;
 
 /// Transport backend: `inproc` (default) or `socket`.
 pub const TRANSPORT: &str = "EXAWIND_TRANSPORT";
@@ -46,23 +47,19 @@ pub const RANK: &str = "EXAWIND_RANK";
 pub const SIZE: &str = "EXAWIND_SIZE";
 /// Launcher → worker: rendezvous file path (loopback, ephemeral ports).
 pub const RENDEZVOUS: &str = "EXAWIND_RENDEZVOUS";
-/// Launcher → worker: `ip:port` of the launcher's heartbeat monitor.
-pub const MONITOR: &str = "EXAWIND_MONITOR";
 /// Launcher → worker: `1` = restore the newest complete checkpoint
 /// generation before stepping.
 pub const RESUME: &str = "EXAWIND_RESUME";
 /// Launcher → worker: how many times the cohort has been relaunched.
 pub const RESTART_COUNT: &str = "EXAWIND_RESTART_COUNT";
-/// Directory for `crash-<rank>.json` breadcrumbs (default: cwd).
-pub const CRASH_DIR: &str = "EXAWIND_CRASH_DIR";
-/// Test hook: this rank of `exawind-worker` hangs after its first
-/// heartbeat.
+/// Test hook: this rank of `exawind-worker` hangs for [`STALL`] after
+/// its first progress record.
 pub const STALL_RANK: &str = "EXAWIND_STALL_RANK";
-/// Test hook: how long [`STALL_RANK`] hangs, in seconds (default 60).
-pub const STALL_SECS: &str = "EXAWIND_STALL_SECS";
+/// How long the [`STALL_RANK`] rank hangs.
+pub const STALL: Duration = Duration::from_secs(60);
 
 /// Every variable this program reads.
-pub const NAMES: [&str; 15] = [
+pub const NAMES: [&str; 12] = [
     TRANSPORT,
     KERNELS,
     FAULTS,
@@ -72,16 +69,13 @@ pub const NAMES: [&str; 15] = [
     RANK,
     SIZE,
     RENDEZVOUS,
-    MONITOR,
     RESUME,
     RESTART_COUNT,
-    CRASH_DIR,
     STALL_RANK,
-    STALL_SECS,
 ];
 
 /// Variables only `exawind-launch` sets, always together with [`RANK`].
-const LAUNCHER_ONLY: [&str; 5] = [SIZE, RENDEZVOUS, MONITOR, RESUME, RESTART_COUNT];
+const LAUNCHER_ONLY: [&str; 4] = [SIZE, RENDEZVOUS, RESUME, RESTART_COUNT];
 
 /// Checkpoint directory when [`CHECKPOINT_DIR`] is unset.
 pub const DEFAULT_CHECKPOINT_DIR: &str = "exawind-checkpoints";
@@ -107,8 +101,6 @@ impl std::error::Error for EnvError {}
 pub struct LaunchEnv {
     /// Rank, job size and how to find the peers.
     pub worker: WorkerEnv,
-    /// The launcher's heartbeat endpoint, if it could bind one.
-    pub monitor: Option<SocketAddr>,
     /// Supervised checkpointing (`--checkpoint-every`), carrying the
     /// cohort's incarnation.
     pub checkpoint: Option<CheckpointCfg>,
@@ -126,9 +118,6 @@ impl LaunchEnv {
             (SIZE, self.worker.size.to_string().into()),
             (RENDEZVOUS, self.worker.rendezvous.clone().into()),
         ];
-        if let Some(addr) = self.monitor {
-            out.push((MONITOR, addr.to_string().into()));
-        }
         if let Some(ck) = &self.checkpoint {
             out.push((CHECKPOINT_EVERY, ck.every.to_string().into()));
             out.push((CHECKPOINT_DIR, ck.dir.clone().into()));
@@ -144,6 +133,122 @@ impl LaunchEnv {
     pub fn export(&self, cmd: &mut Command) {
         cmd.envs(self.vars());
     }
+
+    /// Where this rank writes its [`Progress`] record.
+    pub fn status_path(&self) -> PathBuf {
+        status_path(&self.worker.rendezvous, self.worker.rank)
+    }
+}
+
+/// The [`Progress`] record file of `rank` in the cohort whose rendezvous
+/// file is `rendezvous`: `<rendezvous>.rank<r>`.
+pub fn status_path(rendezvous: &Path, rank: usize) -> PathBuf {
+    let mut path = rendezvous.as_os_str().to_owned();
+    path.push(format!(".rank{rank}"));
+    path.into()
+}
+
+/// Everything a launched worker tells `exawind-launch`: its progress,
+/// and why it failed if it did. The worker replaces its record after
+/// set-up, after every step and once more on failure
+/// ([`Progress::write`]); the launcher reads it on every poll
+/// ([`Progress::read`]) for its status line, stall detection and
+/// failure reports.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Progress {
+    /// Time steps completed (those restored from a checkpoint included).
+    pub step: u64,
+    /// Picard iterations of the most recent step (0 before the first).
+    pub picard: u64,
+    /// Worst final GMRES relative residual of the most recent step (0.0
+    /// before the first; a non-finite one reads back as NaN).
+    pub residual: f64,
+    /// Off-rank point-to-point messages sent so far.
+    pub msgs: u64,
+    /// Bytes moved by those messages.
+    pub bytes: u64,
+    /// Collective operations entered so far.
+    pub collectives: u64,
+    /// Newest complete checkpoint `(generation, step)`.
+    pub checkpoint: Option<(u64, u64)>,
+    /// Most recent solver-health verdict: `(label, step it fired at)`.
+    pub health: Option<(String, u64)>,
+    /// Why the rank failed: `(kind, detail)`.
+    pub failure: Option<(String, String)>,
+}
+
+impl Progress {
+    /// Replace the record at `path` whole (a temp file renamed over it),
+    /// so a reader never sees half of one.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, self.to_json().to_string())?;
+        std::fs::rename(&tmp, path)
+    }
+
+    /// The record at `path`, or `None` when there is no whole one.
+    pub fn read(path: &Path) -> Option<Progress> {
+        Progress::parse(&std::fs::read_to_string(path).ok()?)
+    }
+
+    fn to_json(&self) -> Json {
+        let int = |v: u64| Json::Int(v.into());
+        let text = |v: &str| Json::Str(v.to_string());
+        let nullable = |o: Option<[(&str, Json); 2]>| o.map_or(Json::Null, |o| Json::obj(o.into()));
+        let checkpoint = self.checkpoint.map(|(g, s)| [("generation", int(g)), ("step", int(s))]);
+        let health = self.health.as_ref().map(|(v, s)| [("verdict", text(v)), ("step", int(*s))]);
+        let failure = self.failure.as_ref().map(|(k, d)| [("kind", text(k)), ("detail", text(d))]);
+        Json::obj(vec![
+            ("step", int(self.step)),
+            ("picard", int(self.picard)),
+            ("residual", Json::Float(self.residual)),
+            ("msgs", int(self.msgs)),
+            ("bytes", int(self.bytes)),
+            ("collectives", int(self.collectives)),
+            ("checkpoint", nullable(checkpoint)),
+            ("health", nullable(health)),
+            ("failure", nullable(failure)),
+        ])
+    }
+
+    /// A record's text back; `None` for anything else (a truncated or
+    /// foreign file, a missing field).
+    fn parse(record: &str) -> Option<Progress> {
+        type Obj = BTreeMap<String, Json>;
+        fn int(o: &Obj, k: &str) -> Option<u64> {
+            o.get(k)?.as_u64()
+        }
+        fn text(o: &Obj, k: &str) -> Option<String> {
+            o.get(k)?.as_str().map(str::to_string)
+        }
+        /// `Some(None)` for a null field, `None` for a missing or
+        /// malformed one.
+        fn nullable<T>(o: &Obj, k: &str, f: impl FnOnce(&Obj) -> Option<T>) -> Option<Option<T>> {
+            match o.get(k)? {
+                Json::Null => Some(None),
+                v => f(v.as_obj()?).map(Some),
+            }
+        }
+        let json = Json::parse(record).ok()?;
+        let o = json.as_obj()?;
+        Some(Progress {
+            step: int(o, "step")?,
+            picard: int(o, "picard")?,
+            residual: match o.get("residual")? {
+                Json::Null => f64::NAN,
+                v => v.as_f64()?,
+            },
+            msgs: int(o, "msgs")?,
+            bytes: int(o, "bytes")?,
+            collectives: int(o, "collectives")?,
+            checkpoint: nullable(o, "checkpoint", |c| {
+                Some((int(c, "generation")?, int(c, "step")?))
+            })?,
+            health: nullable(o, "health", |h| Some((text(h, "verdict")?, int(h, "step")?)))?,
+            failure: nullable(o, "failure", |f| Some((text(f, "kind")?, text(f, "detail")?)))?,
+        })
+    }
 }
 
 /// Everything the environment says about this run.
@@ -158,11 +263,9 @@ pub struct RunEnv {
     /// `Some` iff `exawind-launch` started this process as one rank of
     /// a multi-process job.
     pub launch: Option<LaunchEnv>,
-    /// Where crash breadcrumbs are written and looked for.
-    pub crash_dir: PathBuf,
-    /// Worker test hook: `(rank, how long)` to hang after the first
-    /// heartbeat.
-    pub stall: Option<(usize, Duration)>,
+    /// Worker test hook: the rank that hangs for [`STALL`] after its
+    /// first progress record.
+    pub stall_rank: Option<usize>,
 }
 
 /// The non-empty values of our variables.
@@ -210,21 +313,10 @@ impl Vars {
             .map(Some)
             .map_err(|reason| self.error(var, reason))
     }
-
-    fn crash_dir(&self) -> PathBuf {
-        self.path(CRASH_DIR).unwrap_or_else(|| PathBuf::from("."))
-    }
 }
 
 fn number<T: FromStr>(what: &'static str) -> impl FnOnce(&str) -> Result<T, String> {
     move |v| v.trim().parse().map_err(|_| format!("not {what}"))
-}
-
-/// [`CRASH_DIR`] of this process — all `exawind-launch` reads: it runs
-/// arbitrary commands, so the solver variables are the workers' to
-/// check.
-pub fn crash_dir() -> PathBuf {
-    Vars::collect(std::env::vars_os()).crash_dir()
 }
 
 impl RunEnv {
@@ -262,10 +354,6 @@ impl RunEnv {
         });
 
         let size: Option<usize> = vars.parsed(SIZE, number("a rank count"))?;
-        let monitor = vars.parsed(MONITOR, |v| {
-            v.parse::<SocketAddr>()
-                .map_err(|e| format!("not an ip:port address ({e})"))
-        })?;
         let resume = vars
             .parsed(RESUME, |v| match v {
                 "0" => Ok(false),
@@ -299,19 +387,13 @@ impl RunEnv {
                 };
                 Some(LaunchEnv {
                     worker: WorkerEnv { rank, size, rendezvous },
-                    monitor,
                     checkpoint: checkpoint.clone(),
                     resume,
                 })
             }
         };
 
-        let stall_secs: u64 = vars
-            .parsed(STALL_SECS, number("a number of seconds"))?
-            .unwrap_or(60);
-        let stall = vars
-            .parsed(STALL_RANK, number::<usize>("a rank index"))?
-            .map(|r| (r, Duration::from_secs(stall_secs)));
+        let stall_rank = vars.parsed(STALL_RANK, number("a rank index"))?;
 
         Ok(RunEnv {
             config: SolverConfig {
@@ -324,8 +406,7 @@ impl RunEnv {
             },
             telemetry_path,
             launch,
-            crash_dir: vars.crash_dir(),
-            stall,
+            stall_rank,
         })
     }
 
@@ -371,10 +452,8 @@ impl RunEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
-    /// A supervised, monitored rank 1 of 2 — every launcher variable
-    /// in play.
+    /// A supervised rank 1 of 2 — every launcher variable in play.
     fn sample_launch() -> LaunchEnv {
         LaunchEnv {
             worker: WorkerEnv {
@@ -382,7 +461,6 @@ mod tests {
                 size: 2,
                 rendezvous: "/tmp/rv.addr".into(),
             },
-            monitor: Some("127.0.0.1:4100".parse().unwrap()),
             checkpoint: Some(CheckpointCfg {
                 every: 2,
                 dir: "ckpt".into(),
@@ -417,7 +495,7 @@ mod tests {
         const PLAN: &str = "halo-nan@momentum:2x3";
         // (variable, valid value, what it becomes, malformed value —
         // `None` for paths, which have no malformed form).
-        let table: [(&str, &str, Check, Option<&str>); 15] = [
+        let table: [(&str, &str, Check, Option<&str>); 12] = [
             (
                 TRANSPORT,
                 "socket",
@@ -457,32 +535,9 @@ mod tests {
                 |e| launch(e).worker.rendezvous == Path::new("/o.addr"),
                 None,
             ),
-            (
-                MONITOR,
-                "127.0.0.1:9",
-                |e| launch(e).monitor == "127.0.0.1:9".parse().ok(),
-                Some("localhost"),
-            ),
             (RESUME, "0", |e| !launch(e).resume, Some("yes")),
             (RESTART_COUNT, "2", |e| ckpt(e).incarnation == 2, Some("-1")),
-            (
-                CRASH_DIR,
-                "/tmp/crash",
-                |e| e.crash_dir == Path::new("/tmp/crash"),
-                None,
-            ),
-            (
-                STALL_RANK,
-                "1",
-                |e| e.stall == Some((1, Duration::from_secs(60))),
-                Some("r1"),
-            ),
-            (
-                STALL_SECS,
-                "5",
-                |e| e.stall == Some((0, Duration::from_secs(5))),
-                Some("5s"),
-            ),
+            (STALL_RANK, "1", |e| e.stall_rank == Some(1), Some("r1")),
         ];
         assert_eq!(table.map(|row| row.0), NAMES, "one row per variable");
         for (var, good, check, bad) in table {
@@ -505,7 +560,6 @@ mod tests {
         assert_eq!(env.config.checkpoint, launch.checkpoint);
         assert_eq!((env.size(7), env.hosts_rank0()), (2, false));
         let unsupervised = LaunchEnv {
-            monitor: None,
             checkpoint: None,
             resume: false,
             ..launch
@@ -560,9 +614,51 @@ mod tests {
             );
             assert_eq!(env.telemetry_path, None);
             assert_eq!(env.launch, None);
-            assert_eq!(env.stall, None);
-            assert_eq!(env.crash_dir, PathBuf::from("."));
+            assert_eq!(env.stall_rank, None);
             assert_eq!((env.size(4), env.hosts_rank0()), (4, true));
         }
+    }
+
+    #[test]
+    fn progress_record_round_trips_and_anything_else_is_no_record() {
+        let full = Progress {
+            step: 4,
+            picard: 2,
+            residual: 1.5e-7,
+            msgs: 42,
+            bytes: 4096,
+            collectives: 9,
+            checkpoint: Some((0, 4)),
+            health: Some(("recovery-storm".into(), 3)),
+            failure: Some(("solver_error".into(), "2 non-finite \"coefficients\"".into())),
+        };
+        let empty = Progress {
+            checkpoint: None,
+            health: None,
+            failure: None,
+            ..full.clone()
+        };
+        let path =
+            std::env::temp_dir().join(format!("exawind-progress-test-{}", std::process::id()));
+        assert_eq!(Progress::read(&path), None, "no file");
+        for record in [&full, &empty] {
+            record.write(&path).unwrap();
+            assert_eq!(Progress::read(&path).as_ref(), Some(record));
+        }
+        let text = full.to_json().to_string();
+        for bad in [
+            &text[..text.len() / 2],
+            "",
+            "not json",
+            "[]",
+            &text.replace("\"msgs\"", "\"mesgs\""),
+            &text.replace("\"generation\"", "\"gen\""),
+        ] {
+            std::fs::write(&path, bad).unwrap();
+            assert_eq!(Progress::read(&path), None, "{bad:?}");
+        }
+        Progress { residual: f64::NAN, ..empty }.write(&path).unwrap();
+        assert!(Progress::read(&path).unwrap().residual.is_nan());
+        let _ = std::fs::remove_file(&path);
     }
 }

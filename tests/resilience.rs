@@ -302,7 +302,9 @@ fn unrecoverable_fault_exhausts_ladder_with_typed_error() {
     });
     for (res, events) in out {
         match res {
-            Err(SolveError::NonFiniteCoefficient { .. }) => {}
+            Err(SolveError::NonFiniteCoefficient { context, .. }) => {
+                assert_eq!(context, "continuity/global assembly");
+            }
             other => panic!("expected NonFiniteCoefficient, got {other:?}"),
         }
         let outcomes: Vec<&str> = events

@@ -376,3 +376,54 @@ fn malformed_variable_fails_the_launched_cohort_with_exit_2() {
     assert!(!dir.join("fields.rank0.bits").exists() && !dir.join("fields.rank1.bits").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A launched command that never writes a progress record is never
+/// declared stalled: its stall clock only starts at a first record.
+#[test]
+fn command_that_never_reports_is_not_stalled() {
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_exawind-launch"))
+        .args(["-n", "1", "--stall-timeout", "1", "--", "sleep", "2"])
+        .output()
+        .expect("exawind-launch spawns");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("stalled"), "{stderr}");
+}
+
+/// A fault that defeats every rung of the recovery ladder fails the
+/// launched cohort, and the launcher reports it from the failed rank's
+/// own progress record: rank, failure kind and the typed error's
+/// detail. A breadcrumb-like file that an earlier job left in the
+/// working directory is not this job's report.
+#[test]
+fn unrecoverable_fault_is_reported_from_the_failed_ranks_record() {
+    let dir = std::env::temp_dir().join(format!("exawind-crash-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stale = "stale record from an earlier job";
+    std::fs::write(dir.join("crash-1.json"), format!("{{\"detail\":\"{stale}\"}}\n")).unwrap();
+
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_exawind-launch"))
+        .args(["-n", "2", "--"])
+        .arg(env!("CARGO_BIN_EXE_exawind-worker"))
+        .arg("--out")
+        .arg(dir.join("fields"))
+        .current_dir(&dir)
+        .env(exawind::env::FAULTS, "assembly-nan@continuity/global:1x100")
+        .output()
+        .expect("exawind-launch spawns");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+
+    assert!(!run.status.success(), "{stderr}");
+    let failed = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("exawind-launch: rank ")?.split_once(" exited with code "))
+        .map(|(rank, _)| rank.to_string())
+        .unwrap_or_else(|| panic!("the launcher names the failed rank\n{stderr}"));
+    let report = format!(
+        "exawind-launch: rank {failed} failed (solver_error): \
+         2 non-finite coefficient(s) in continuity/global assembly"
+    );
+    assert!(stderr.lines().any(|l| l == report), "want {report:?}\n{stderr}");
+    assert!(!stderr.contains(stale), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
