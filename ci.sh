@@ -91,30 +91,45 @@ done || true)
 # One host, one clock: every rank runs on this host, so the telemetry
 # epochs' wall-clock anchors align the per-rank timelines (one
 # allgather, no probe handshake) and a launched worker finds its peers
-# through the rendezvous file alone. Outside tests no parcomm file names
-# the handshake's `CLOCK_PROBES`, a `Hostfile` wire-up or a name lookup
-# (`to_socket_addrs`), and `src/` names no `HOSTFILE` variable or
-# `--hostfile` flag, so the multi-host pieces cannot come back unnoticed.
+# at their sockets under the rendezvous prefix alone. Outside tests no
+# parcomm file names the handshake's `CLOCK_PROBES`, a `Hostfile`
+# wire-up or a name lookup (`to_socket_addrs`), and `src/` names no
+# `HOSTFILE` variable or `--hostfile` flag, so the multi-host pieces
+# cannot come back unnoticed.
 multihost_sites=$( { for f in crates/parcomm/src/*.rs; do
   sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'CLOCK_PROBES|Hostfile|to_socket_addrs' | sed "s|^|$f:|"
 done; grep -rnE 'HOSTFILE|--hostfile' src; } || true)
 [ -z "$multihost_sites" ] \
   || { echo "one-host gate: a multi-host clock or wire-up piece is back: $multihost_sites" >&2; exit 1; }
 
-# One progress channel: a launched worker reports to exawind-launch
-# through its progress record file alone (`exawind::env::Progress`).
-# Outside tests no file under crates/ or src/ names the heartbeat
-# channel (`Heartbeat`, `MonitorServer`, `MonitorClient`) or a `crash-`
-# breadcrumb, and `TcpListener`/`TcpStream` appear only in the socket
-# transport, so a second channel cannot come back unnoticed.
+# One progress channel, one socket family: a launched worker reports to
+# exawind-launch through its progress record file alone
+# (`exawind::env::Progress`), and every rank runs on this host, so the
+# socket transport is the one user of a socket and it speaks
+# Unix-domain streams only. Outside tests no file under crates/ or src/
+# names the heartbeat channel (`Heartbeat`, `MonitorServer`,
+# `MonitorClient`), a `crash-` breadcrumb, `TcpListener`, `TcpStream`
+# or `std::net`, and `UnixListener`/`UnixStream` appear only in the
+# socket transport, so a second channel or a TCP path cannot come back
+# unnoticed.
 channel_sites=$(for f in $(find crates src -name '*.rs' | sort); do
-  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Heartbeat|MonitorServer|MonitorClient|crash-' | sed "s|^|$f:|"
+  sed '/#\[cfg(test)\]/,$d' "$f" \
+    | grep -nE 'Heartbeat|MonitorServer|MonitorClient|crash-|TcpListener|TcpStream|std::net' \
+    | sed "s|^|$f:|"
 done || true)
-tcp_sites=$(for f in $(find crates src -name '*.rs' | grep -vx 'crates/parcomm/src/socket.rs' | sort); do
-  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'TcpListener|TcpStream' | sed "s|^|$f:|"
+unix_sites=$(for f in $(find crates src -name '*.rs' | grep -vx 'crates/parcomm/src/socket.rs' | sort); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'UnixListener|UnixStream' | sed "s|^|$f:|"
 done || true)
-[ -z "$channel_sites$tcp_sites" ] \
-  || { echo "progress gate: a second launcher channel is back: $channel_sites $tcp_sites" >&2; exit 1; }
+[ -z "$channel_sites$unix_sites" ] \
+  || { echo "progress gate: a second channel or socket family is back: $channel_sites $unix_sites" >&2; exit 1; }
+
+# Panic ratchet (ROADMAP 6(a)): above its `#[cfg(test)]` line the socket
+# transport holds at most 12 `unwrap(`/`expect(`/`panic!(` sites. Lower
+# the number when a site goes; never raise it.
+socket_panics=$(sed '/#\[cfg(test)\]/,$d' crates/parcomm/src/socket.rs \
+  | grep -oE 'unwrap\(|expect\(|panic!\(' | wc -l)
+[ "$socket_panics" -le 12 ] \
+  || { echo "panic ratchet: socket.rs has $socket_panics unwrap/expect/panic sites (at most 12)" >&2; exit 1; }
 
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
@@ -198,7 +213,7 @@ grep -q '"type": *"recovery"' "$fault_out" \
   || { echo "fault-injection smoke: no recovery event in $fault_out" >&2; exit 1; }
 
 # Multi-process transport smoke: exawind-launch spawns two real worker
-# processes that rendezvous over TCP sockets; rank 0's telemetry stream
+# processes that wire up over Unix-domain sockets; rank 0's telemetry stream
 # must validate and carry the completed-run event tagged with the socket
 # transport, plus per-peer comm_edge traffic. Every rank must have
 # written a progress record the launcher read, and the merged per-rank streams

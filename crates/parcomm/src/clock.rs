@@ -4,7 +4,7 @@
 //! [`telemetry`] epoch. The epoch carries its Unix time, read between
 //! two monotonic reads whose midpoint is the epoch, and the width of
 //! that bracket (`telemetry::epoch_anchor`). Every rank of a job runs on
-//! one host — a thread, a loopback thread-mesh rank or an
+//! one host — a thread, a socket thread-mesh rank or an
 //! `exawind-launch` worker process — where the wall clock and the
 //! monotonic clock are system-wide, so two ranks' anchors differ by
 //! exactly the distance between their epochs, up to half of each

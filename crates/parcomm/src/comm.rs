@@ -3,7 +3,7 @@
 //! `Rank` owns everything transport-*independent*: typed send/receive,
 //! per-(src, tag) FIFO matching with a pending queue, tag allocation,
 //! and perf recording. The actual movement of bytes is delegated to a
-//! [`Transport`] backend — in-process channels or TCP sockets (see
+//! [`Transport`] backend — in-process channels or Unix-domain sockets (see
 //! `transport.rs`/`socket.rs`).
 
 use std::cell::{Cell, RefCell};

@@ -11,10 +11,10 @@
 //!   would have moved, so the communication *volume* seen by the
 //!   `machine` performance model is identical to a real distributed run
 //!   at the same rank count.
-//! * **socket**: ranks are connected by a full mesh of TCP streams
-//!   carrying length-prefixed frames with a bit-exact payload codec,
-//!   either as threads over loopback or as one OS process per rank
-//!   under the `exawind-launch` launcher. The same program produces
+//! * **socket**: ranks are connected by a full mesh of Unix-domain
+//!   streams carrying length-prefixed frames with a bit-exact payload
+//!   codec, either as threads of one process or as one OS process per
+//!   rank under the `exawind-launch` launcher. The same program produces
 //!   bitwise-identical results on both backends.
 //!
 //! A backend only queues events; a rank that has to wait for one does so
@@ -43,7 +43,7 @@ pub use clock::ClockSync;
 pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
 pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
-pub use socket::WorkerEnv;
+pub use socket::{socket_path, WorkerEnv, SOCKET_PATH_MAX};
 pub use transport::{
     read_frame, write_frame, Frame, FrameError, FrameKind, TransportKind, MAX_FRAME_BYTES,
 };

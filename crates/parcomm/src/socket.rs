@@ -1,22 +1,23 @@
-//! TCP socket backend: ranks connected by a full mesh of streams
-//! carrying length-prefixed [`Frame`]s.
+//! Socket backend: ranks connected by a full mesh of Unix-domain
+//! streams carrying length-prefixed [`Frame`]s.
 //!
 //! The backend runs in two shapes behind the same [`SocketTransport`]:
 //!
 //! * **Thread mesh** ([`run_threads`]): N rank threads in this process,
-//!   connected over loopback. Every payload still crosses a real TCP
-//!   stream through the full encode → frame → decode path, so in-test
-//!   runs exercise exactly the bytes a distributed run would move.
+//!   one connected stream pair per pair of ranks. Every payload still
+//!   crosses a kernel socket through the full encode → frame → decode
+//!   path, so in-test runs exercise exactly the bytes a multi-process
+//!   run moves.
 //! * **Worker process** ([`run_worker`]): this process hosts *one* rank
 //!   of an N-process job launched by `exawind-launch` on this host,
-//!   described by a [`WorkerEnv`]: rank, size and the rendezvous file
-//!   path (ephemeral loopback ports coordinated through rank 0).
-//!
-//! Mesh convention everywhere: rank *i* dials every rank *j < i* and
-//! accepts from every *j > i*; every listener is bound before any dial
-//! starts, so the TCP backlog absorbs connects regardless of accept
-//! order and setup cannot deadlock. Dials identify themselves with a
-//! 4-byte little-endian rank hello.
+//!   described by a [`WorkerEnv`]: rank, size and the rendezvous path
+//!   prefix. Rank *r* listens on [`socket_path`]`(rendezvous, r)`, dials
+//!   every rank *j < r* at its path and accepts every *j > r*; a dial
+//!   identifies itself with a 4-byte little-endian rank hello. A rank
+//!   binds its listener before it dials, and a dial completes in the
+//!   listener's backlog whatever the accept order, so set-up cannot
+//!   deadlock. Once every higher rank is accepted, the rank unlinks its
+//!   socket file.
 //!
 //! Delivery: each rank thread reads its own streams; there is no other
 //! thread. The streams are nonblocking and every peer has one inbound
@@ -25,7 +26,7 @@
 //! holds and routes every complete frame through the one frame parser
 //! ([`read_frame`]): [`FrameKind::Msg`] to the event queue, and
 //! [`FrameKind::Goodbye`] closes the peer. Per-peer FIFO order is the
-//! TCP stream order, matching the in-process channel semantics. A stream
+//! stream order, matching the in-process channel semantics. A stream
 //! that ends (or turns corrupt) without a goodbye queues
 //! [`RecvEvent::PeerGone`] behind everything the peer sent before it →
 //! `CommError::Disconnected`; a rank thread that panics drops, and so
@@ -42,8 +43,8 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -61,34 +62,46 @@ use crate::transport::{
 pub struct WorkerEnv {
     pub rank: usize,
     pub size: usize,
-    /// Path of the rendezvous file through which rank 0 publishes its
-    /// registration endpoint.
+    /// Path prefix of the job's per-rank files: rank *r* listens on
+    /// [`socket_path`]`(rendezvous, r)`.
     pub rendezvous: PathBuf,
 }
 
-/// Run all `size` ranks as threads of this process, connected by a
-/// loopback TCP mesh. If ranks panic, the panic raised first is
-/// re-raised, not a peer's consequential one.
+/// Bytes a socket path may hold on Linux: `sun_path` less its NUL.
+pub const SOCKET_PATH_MAX: usize = 107;
+
+/// The socket rank `rank` of the job under `rendezvous` listens on while
+/// the mesh is wired up: `<rendezvous>.sock<r>`.
+pub fn socket_path(rendezvous: &Path, rank: usize) -> PathBuf {
+    let mut path = rendezvous.as_os_str().to_owned();
+    path.push(format!(".sock{rank}"));
+    path.into()
+}
+
+/// Run all `size` ranks as threads of this process, connected by one
+/// stream pair per pair of ranks. If ranks panic, the panic raised
+/// first is re-raised, not a peer's consequential one.
 pub(crate) fn run_threads<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&Rank) -> R + Sync,
 {
-    // Bind every listener before any rank starts dialing (see module doc).
-    let listeners: Vec<TcpListener> = (0..size)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
-        .collect();
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("listener address"))
-        .collect();
+    let mut meshes: Vec<Vec<Option<UnixStream>>> = Vec::with_capacity(size);
+    for me in 0..size {
+        let mut row: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
+        for (peer, peer_row) in meshes.iter_mut().enumerate() {
+            let (mine, theirs) = UnixStream::pair().expect("socket pair");
+            row[peer] = Some(mine);
+            peer_row[me] = Some(theirs);
+        }
+        meshes.push(row);
+    }
 
     let first_panic = FirstPanic::new();
     std::thread::scope(|scope| {
-        let (addrs, f, first_panic) = (&addrs, &f, &first_panic);
-        let handles = listeners.into_iter().enumerate().map(|(id, listener)| {
+        let (f, first_panic) = (&f, &first_panic);
+        let handles = meshes.into_iter().enumerate().map(|(id, streams)| {
             scope.spawn(move || {
-                let streams = mesh_streams(id, size, 0, |peer| dial(addrs[peer]), &listener);
                 let rank = Rank::new(Box::new(SocketTransport::new(id, size, streams)));
                 // Declared after `rank`, so it drops first: the claim is
                 // made before the rank's streams close under its peers.
@@ -120,7 +133,7 @@ impl Drop for PanicClaim<'_> {
 /// local rank is the only result available in-process.
 pub(crate) fn run_worker<R>(env: &WorkerEnv, f: impl FnOnce(&Rank) -> R) -> R {
     assert!(env.rank < env.size, "rank {} out of range for {} ranks", env.rank, env.size);
-    let streams = rendezvous_streams(env.rank, env.size, &env.rendezvous);
+    let streams = worker_streams(env.rank, env.size, &env.rendezvous);
     let rank = Rank::new(Box::new(SocketTransport::new(env.rank, env.size, streams)));
     let out = f(&rank);
     rank.finalize();
@@ -128,33 +141,24 @@ pub(crate) fn run_worker<R>(env: &WorkerEnv, f: impl FnOnce(&Rank) -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Mesh construction
+// Worker mesh
 // ---------------------------------------------------------------------------
-
-fn dial(addr: SocketAddr) -> TcpStream {
-    let s = TcpStream::connect(addr).unwrap_or_else(|e| panic!("dial {addr}: {e}"));
-    s.set_nodelay(true).ok();
-    s
-}
 
 /// Dial with retry until the deadlock timeout, backing off
 /// exponentially (10 ms doubling to a 500 ms cap): worker processes
 /// come up in arbitrary order — and after a rank death an entire
 /// supervised cohort may be relaunching — so a peer's listener may not
 /// exist yet, possibly for a while.
-fn dial_retry(addr: SocketAddr) -> TcpStream {
+fn dial_retry(path: &Path) -> UnixStream {
     let deadline = Instant::now() + RECV_TIMEOUT;
     let mut backoff = Duration::from_millis(10);
     loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => {
-                s.set_nodelay(true).ok();
-                return s;
-            }
+        match UnixStream::connect(path) {
+            Ok(s) => return s,
             Err(e) => {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
-                    panic!("dial {addr}: {e} (gave up after {:?})", RECV_TIMEOUT);
+                    panic!("dial {}: {e} (gave up after {:?})", path.display(), RECV_TIMEOUT);
                 }
                 std::thread::sleep(backoff.min(left));
                 backoff = (backoff * 2).min(Duration::from_millis(500));
@@ -166,16 +170,16 @@ fn dial_retry(addr: SocketAddr) -> TcpStream {
 /// Accept with a deadline: a peer that dies before dialing must turn
 /// mesh construction into a loud, bounded failure rather than a hang a
 /// supervisor cannot distinguish from a slow start. The listener is
-/// flipped to non-blocking and polled with exponential backoff; both
-/// the listener and the accepted stream are returned to blocking mode.
-fn accept_timeout(listener: &TcpListener, me: usize) -> TcpStream {
+/// flipped to non-blocking and polled with exponential backoff; the
+/// accepted stream is returned in blocking mode.
+fn accept_timeout(listener: &UnixListener, me: usize) -> UnixStream {
     let deadline = Instant::now() + RECV_TIMEOUT;
     listener.set_nonblocking(true).expect("listener nonblocking");
     let mut backoff = Duration::from_millis(1);
     let stream = loop {
         match listener.accept() {
             Ok((s, _)) => break s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     panic!(
@@ -189,163 +193,41 @@ fn accept_timeout(listener: &TcpListener, me: usize) -> TcpStream {
             Err(e) => panic!("rank {me}: mesh accept: {e}"),
         }
     };
-    listener.set_nonblocking(false).expect("listener blocking");
     stream.set_nonblocking(false).expect("stream blocking");
     stream
 }
 
-fn write_hello(s: &mut TcpStream, me: usize) {
-    s.write_all(&(me as u32).to_le_bytes())
-        .unwrap_or_else(|e| panic!("rank {me}: hello failed: {e}"));
-}
-
-fn read_hello(s: &mut TcpStream) -> usize {
-    let mut id = [0u8; 4];
-    s.read_exact(&mut id)
-        .unwrap_or_else(|e| panic!("reading peer hello: {e}"));
-    u32::from_le_bytes(id) as usize
-}
-
-/// Build rank `me`'s mesh: dial every rank in `dial_lo..me` through
-/// `dial_peer`, accept every higher rank on `listener`. `streams[me]`
-/// stays `None` (self-sends never touch a socket). `dial_lo` is 0 except
-/// for the rendezvous path, where the rank-0 stream already exists (the
-/// registration connection).
-fn mesh_streams(
-    me: usize,
-    size: usize,
-    dial_lo: usize,
-    dial_peer: impl Fn(usize) -> TcpStream,
-    listener: &TcpListener,
-) -> Vec<Option<TcpStream>> {
-    let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
-    for (peer, slot) in streams.iter_mut().enumerate().take(me).skip(dial_lo) {
-        let mut s = dial_peer(peer);
-        write_hello(&mut s, me);
+/// Build worker rank `me`'s mesh (see the module doc). `streams[me]`
+/// stays `None`: self-sends never touch a socket.
+fn worker_streams(me: usize, size: usize, rendezvous: &Path) -> Vec<Option<UnixStream>> {
+    let mut streams: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
+    if size == 1 {
+        return streams;
+    }
+    let path = socket_path(rendezvous, me);
+    let listener = UnixListener::bind(&path)
+        .unwrap_or_else(|e| panic!("rank {me}: bind {}: {e}", path.display()));
+    for (peer, slot) in streams.iter_mut().enumerate().take(me) {
+        let mut s = dial_retry(&socket_path(rendezvous, peer));
+        s.write_all(&(me as u32).to_le_bytes())
+            .unwrap_or_else(|e| panic!("rank {me}: hello to rank {peer} failed: {e}"));
         *slot = Some(s);
     }
     for _ in me + 1..size {
-        let mut s = accept_timeout(listener, me);
-        s.set_nodelay(true).ok();
-        let peer = read_hello(&mut s);
+        let mut s = accept_timeout(&listener, me);
+        let mut hello = [0u8; 4];
+        s.read_exact(&mut hello)
+            .unwrap_or_else(|e| panic!("rank {me}: reading peer hello: {e}"));
+        let peer = u32::from_le_bytes(hello) as usize;
         assert!(
             peer > me && peer < size && streams[peer].is_none(),
             "rank {me}: unexpected hello from rank {peer}"
         );
         streams[peer] = Some(s);
     }
+    // Every peer that dials this rank has: nobody needs the file again.
+    let _ = std::fs::remove_file(&path);
     streams
-}
-
-// ---------------------------------------------------------------------------
-// Worker rendezvous
-// ---------------------------------------------------------------------------
-
-fn write_addr(s: &mut TcpStream, addr: &str) {
-    let bytes = addr.as_bytes();
-    let len = u16::try_from(bytes.len()).expect("address fits u16");
-    s.write_all(&len.to_le_bytes()).and_then(|_| s.write_all(bytes))
-        .unwrap_or_else(|e| panic!("sending endpoint address: {e}"));
-}
-
-fn read_addr(s: &mut TcpStream) -> SocketAddr {
-    let mut len2 = [0u8; 2];
-    s.read_exact(&mut len2)
-        .unwrap_or_else(|e| panic!("reading endpoint address: {e}"));
-    let mut buf = vec![0u8; u16::from_le_bytes(len2) as usize];
-    s.read_exact(&mut buf)
-        .unwrap_or_else(|e| panic!("reading endpoint address: {e}"));
-    let text = String::from_utf8(buf).expect("endpoint address is UTF-8");
-    text.parse()
-        .unwrap_or_else(|e| panic!("endpoint address {text:?}: {e}"))
-}
-
-/// Ephemeral-port rendezvous through rank 0 (loopback jobs).
-///
-/// Rank 0 binds `127.0.0.1:0`, publishes the address via `path`
-/// (write-to-temp + rename, so pollers never see a partial file), and
-/// accepts one *registration* connection per peer — which doubles as the
-/// rank-0↔peer mesh stream. Each peer registers its own freshly bound
-/// listener address; once all have, rank 0 sends every peer the full
-/// endpoint table and the peers complete the mesh among themselves with
-/// the usual dial-lower/accept-higher rule.
-fn rendezvous_streams(me: usize, size: usize, path: &Path) -> Vec<Option<TcpStream>> {
-    let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
-    if size == 1 {
-        return streams;
-    }
-    if me == 0 {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous listener");
-        let addr = listener.local_addr().expect("listener address");
-        let tmp = path.with_extension("rendezvous-tmp");
-        std::fs::write(&tmp, addr.to_string())
-            .unwrap_or_else(|e| panic!("writing rendezvous file {}: {e}", tmp.display()));
-        std::fs::rename(&tmp, path)
-            .unwrap_or_else(|e| panic!("publishing rendezvous file {}: {e}", path.display()));
-
-        let mut table: Vec<Option<SocketAddr>> = (0..size).map(|_| None).collect();
-        for _ in 1..size {
-            let mut s = accept_timeout(&listener, 0);
-            s.set_nodelay(true).ok();
-            let peer = read_hello(&mut s);
-            assert!(
-                peer > 0 && peer < size && streams[peer].is_none(),
-                "rank 0: unexpected registration from rank {peer}"
-            );
-            table[peer] = Some(read_addr(&mut s));
-            streams[peer] = Some(s);
-        }
-        for stream in &mut streams[1..] {
-            let s = stream.as_mut().unwrap();
-            for addr in &table[1..] {
-                write_addr(s, &addr.unwrap().to_string());
-            }
-        }
-    } else {
-        // Bound before registering, so higher ranks' dials (which start
-        // as soon as they hold the table) land in our backlog.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind mesh listener");
-        let my_addr = listener.local_addr().expect("listener address").to_string();
-
-        let root = poll_rendezvous(path);
-        let mut s = dial_retry(root);
-        write_hello(&mut s, me);
-        write_addr(&mut s, &my_addr);
-        let mut table: Vec<Option<SocketAddr>> = (0..size).map(|_| None).collect();
-        for slot in &mut table[1..] {
-            *slot = Some(read_addr(&mut s));
-        }
-        streams[0] = Some(s);
-
-        let rest =
-            mesh_streams(me, size, 1, |peer| dial_retry(table[peer].unwrap()), &listener);
-        for (peer, stream) in rest.into_iter().enumerate() {
-            if let Some(stream) = stream {
-                streams[peer] = Some(stream);
-            }
-        }
-    }
-    streams
-}
-
-/// Poll for rank 0's published address until the deadlock timeout.
-fn poll_rendezvous(path: &Path) -> SocketAddr {
-    let deadline = Instant::now() + RECV_TIMEOUT;
-    loop {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            if let Ok(addr) = text.trim().parse() {
-                return addr;
-            }
-        }
-        if Instant::now() >= deadline {
-            panic!(
-                "rendezvous file {} did not appear within {:?}",
-                path.display(),
-                RECV_TIMEOUT
-            );
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,7 +261,7 @@ pub(crate) struct SocketTransport {
     size: usize,
     /// One nonblocking stream per peer (`None` at `self.rank`), read and
     /// written by the owning rank thread only.
-    streams: Vec<Option<TcpStream>>,
+    streams: Vec<Option<UnixStream>>,
     inbound: RefCell<Inbound>,
 }
 
@@ -407,7 +289,7 @@ impl Inbound {
     /// every complete frame. EOF, or a read failing for any reason but
     /// "nothing there yet", queues [`RecvEvent::PeerGone`] behind
     /// everything the peer sent before it.
-    fn read_from(&mut self, peer: usize, mut stream: &TcpStream) {
+    fn read_from(&mut self, peer: usize, mut stream: &UnixStream) {
         if !self.peers[peer].open {
             return;
         }
@@ -469,7 +351,7 @@ impl Inbound {
 }
 
 impl SocketTransport {
-    pub(crate) fn new(rank: usize, size: usize, streams: Vec<Option<TcpStream>>) -> SocketTransport {
+    pub(crate) fn new(rank: usize, size: usize, streams: Vec<Option<UnixStream>>) -> SocketTransport {
         assert_eq!(streams.len(), size);
         let peers = streams
             .iter()

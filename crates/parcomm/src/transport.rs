@@ -8,10 +8,10 @@
 //! * **inproc** (default): one OS thread per rank inside this process,
 //!   payloads moved as `Box<dyn Any>` over std mpsc channels. Zero
 //!   serialization, exactly the seed behaviour.
-//! * **socket**: ranks connected by a full mesh of TCP streams carrying
-//!   length-prefixed frames ([`Frame`]) whose payloads use the bit-exact
-//!   [`crate::Message`] codec. Runs either as N threads over loopback
-//!   (`Comm::run_with(TransportKind::Socket, ..)`) or as N OS *processes*
+//! * **socket**: ranks connected by a full mesh of Unix-domain streams
+//!   carrying length-prefixed frames ([`Frame`]) whose payloads use the
+//!   bit-exact [`crate::Message`] codec. Runs either as N threads of this
+//!   process (`Comm::run_with(TransportKind::Socket, ..)`) or as N OS *processes*
 //!   (one rank each, launched by `exawind-launch`; see `socket.rs`).
 //!
 //! The same solver code runs unmodified on both, and blocks the same
@@ -31,7 +31,8 @@ pub enum TransportKind {
     /// Threads + channels inside one process (the default).
     #[default]
     Inproc,
-    /// Length-prefixed TCP streams; supports multi-process ranks.
+    /// Length-prefixed Unix-domain streams; supports multi-process ranks
+    /// on one host.
     Socket,
 }
 

@@ -11,8 +11,8 @@ use parcomm::{
 use proptest::prelude::*;
 
 /// Feed `data` to the frame parser `chunk` bytes at a time, the way the
-/// socket transport appends whatever a read returned (the worst-case TCP
-/// segmentation at `chunk` = 1): every strict prefix must parse as
+/// socket transport appends whatever a read returned (the worst-case
+/// stream split at `chunk` = 1): every strict prefix must parse as
 /// incomplete, and the first call that holds the whole frame returns it.
 fn drip(data: &[u8], chunk: usize) -> Result<Option<(Frame, usize)>, FrameError> {
     let mut buf = Vec::new();

@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart -- --telemetry run.jsonl
 //! # equivalently (every variable is listed in README.md "Environment"):
 //! EXAWIND_TELEMETRY=run.jsonl cargo run --release --example quickstart
-//! # same run with the ranks wired over TCP sockets instead of channels:
+//! # same run with the ranks wired over Unix-domain sockets instead of channels:
 //! EXAWIND_TRANSPORT=socket cargo run --release --example quickstart
 //! # same run as 4 OS processes, one rank each (see exawind-launch):
 //! cargo build --release --example quickstart

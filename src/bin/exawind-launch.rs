@@ -2,7 +2,7 @@
 //! socket-transport job on this host (the `mpirun` of this codebase).
 //!
 //! ```sh
-//! # 4 ranks over loopback with ephemeral ports (rendezvous file):
+//! # 4 ranks, wired up through per-rank sockets in the temp directory:
 //! exawind-launch -n 4 -- path/to/worker --its args
 //! # supervised with checkpoint/restart: a dead rank fences the cohort
 //! # and relaunches it from the newest complete checkpoint generation:
@@ -12,18 +12,22 @@
 //!
 //! Every child inherits this environment plus one
 //! [`exawind::env::LaunchEnv`] — the socket transport, its rank, the
-//! shared size, and the rendezvous path (a fresh temp file per
-//! incarnation); `exawind::env` is the single
-//! definition of those variables for both ends, and `parcomm::socket`
-//! is the wire-up the workers then perform. Stdout/stderr pass through.
+//! shared size, and the rendezvous path prefix (a fresh one in the temp
+//! directory per incarnation); `exawind::env` is the single definition
+//! of those variables for both ends, and `parcomm::socket` is the
+//! wire-up the workers then perform: rank r listens on the Unix-domain
+//! socket `<rendezvous>.sock<r>` until its mesh is up. Stdout/stderr
+//! pass through. A temp directory whose socket paths would exceed the
+//! Linux limit of 107 bytes is refused with exit code 2 before any rank
+//! is spawned.
 //!
-//! A worker reports back through one file per rank beside the
-//! rendezvous file, `<rendezvous>.rank<r>`: its
-//! [`exawind::env::Progress`] record, which exawind-worker replaces
-//! after set-up, after every step and once more when it fails
-//! (arbitrary commands simply write none). The launcher reads every
-//! rank's record on each poll and once more after the cohort has ended,
-//! then deletes the files with the rendezvous file. The records drive a
+//! A worker reports back through one more file per rank,
+//! `<rendezvous>.rank<r>`: its [`exawind::env::Progress`] record, which
+//! exawind-worker replaces after set-up, after every step and once more
+//! when it fails (arbitrary commands simply write none). The launcher
+//! reads every rank's record on each poll and once more after the
+//! cohort has ended, then deletes the records and any socket file a
+//! rank left behind. The records drive a
 //! once-a-second status line on stderr, stall detection — a live rank
 //! whose step count has not moved for `--stall-timeout` seconds (default
 //! 120) since its first record takes the job down with exit code 3 —
@@ -54,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use exawind::env::{self, LaunchEnv, Progress};
 use exawind::nalu_core::CheckpointCfg;
-use exawind::parcomm::WorkerEnv;
+use exawind::parcomm::{socket_path, WorkerEnv};
 use exawind::resilience::checkpoint;
 
 struct Args {
@@ -208,18 +212,25 @@ fn main() {
     let start = Instant::now();
     let mut incarnation: u64 = 0;
     loop {
-        // A fresh rendezvous path per incarnation: rank 0 of the new
-        // cohort must never read the dead cohort's endpoint table, and
-        // no rank's report can be a dead cohort's record.
+        // A fresh rendezvous prefix per incarnation: no rank of the new
+        // cohort can dial a dead cohort's socket, and no rank's report
+        // can be a dead cohort's record.
         let rendezvous = std::env::temp_dir().join(format!(
-            "exawind-rendezvous-{}-{incarnation}.addr",
+            "exawind-rendezvous-{}-{incarnation}",
             std::process::id()
         ));
+        if let Err(reason) = env::check_socket_paths(&rendezvous, args.ranks) {
+            eprintln!("exawind-launch: {reason}; set TMPDIR to a shorter directory");
+            exit(2);
+        }
         let status: Vec<PathBuf> = (0..args.ranks)
             .map(|rank| env::status_path(&rendezvous, rank))
             .collect();
+        let sockets: Vec<PathBuf> = (0..args.ranks)
+            .map(|rank| socket_path(&rendezvous, rank))
+            .collect();
         let remove_files = || {
-            for path in status.iter().chain([&rendezvous]) {
+            for path in status.iter().chain(&sockets) {
                 let _ = std::fs::remove_file(path);
             }
         };

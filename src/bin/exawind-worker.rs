@@ -9,10 +9,12 @@
 //! ```sh
 //! # in-process threads (default transport):
 //! exawind-worker --out /tmp/a
-//! # socket transport, N threads over loopback (the transport variable
-//! # of README.md "Environment", parsed by `exawind::env`):
+//! # socket transport, N threads wired by Unix-domain socket pairs (the
+//! # transport variable of README.md "Environment", parsed by
+//! # `exawind::env`):
 //! EXAWIND_TRANSPORT=socket exawind-worker --out /tmp/b
-//! # socket transport, N OS processes (one rank each):
+//! # socket transport, N OS processes (one rank each) that dial each
+//! # other's `<rendezvous>.sock<r>`:
 //! exawind-launch -n 2 -- exawind-worker --out /tmp/c
 //! ```
 //!

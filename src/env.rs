@@ -10,7 +10,7 @@
 //! configuration they are handed. `exawind-launch` talks to its workers
 //! through the same definitions ([`LaunchEnv::export`] writes what
 //! [`RunEnv::parse`] reads), and they answer through one file per rank
-//! beside the rendezvous file ([`Progress`]). README.md ("Environment")
+//! under the rendezvous prefix ([`Progress`]). README.md ("Environment")
 //! is the user-facing listing.
 //!
 //! An empty value means unset, for every variable.
@@ -24,7 +24,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use nalu_core::{CheckpointCfg, SolverConfig};
-use parcomm::{Comm, Rank, TransportKind, WorkerEnv};
+use parcomm::{socket_path, Comm, Rank, TransportKind, WorkerEnv, SOCKET_PATH_MAX};
 use resilience::FaultPlan;
 use sparse_kit::KernelPolicy;
 use telemetry::Json;
@@ -45,7 +45,8 @@ pub const CHECKPOINT_DIR: &str = "EXAWIND_CHECKPOINT_DIR";
 pub const RANK: &str = "EXAWIND_RANK";
 /// Launcher → worker: rank count of the job.
 pub const SIZE: &str = "EXAWIND_SIZE";
-/// Launcher → worker: rendezvous file path (loopback, ephemeral ports).
+/// Launcher → worker: path prefix of the job's per-rank socket and
+/// progress files ([`parcomm::socket_path`], [`status_path`]).
 pub const RENDEZVOUS: &str = "EXAWIND_RENDEZVOUS";
 /// Launcher → worker: `1` = restore the newest complete checkpoint
 /// generation before stepping.
@@ -141,11 +142,30 @@ impl LaunchEnv {
 }
 
 /// The [`Progress`] record file of `rank` in the cohort whose rendezvous
-/// file is `rendezvous`: `<rendezvous>.rank<r>`.
+/// prefix is `rendezvous`: `<rendezvous>.rank<r>`, beside the rank's
+/// socket ([`parcomm::socket_path`]).
 pub fn status_path(rendezvous: &Path, rank: usize) -> PathBuf {
     let mut path = rendezvous.as_os_str().to_owned();
     path.push(format!(".rank{rank}"));
     path.into()
+}
+
+/// Why the ranks of a `size`-rank job cannot bind their sockets under
+/// `rendezvous`: the longest path, `<rendezvous>.sock<size - 1>`, holds
+/// more than [`SOCKET_PATH_MAX`] bytes. A one-rank job binds none.
+pub fn check_socket_paths(rendezvous: &Path, size: usize) -> Result<(), String> {
+    if size < 2 {
+        return Ok(());
+    }
+    let longest = socket_path(rendezvous, size - 1);
+    let len = longest.as_os_str().len();
+    if len > SOCKET_PATH_MAX {
+        return Err(format!(
+            "socket path {} is {len} bytes, over the limit of {SOCKET_PATH_MAX}",
+            longest.display()
+        ));
+    }
+    Ok(())
 }
 
 /// Everything a launched worker tells `exawind-launch`: its progress,
@@ -385,6 +405,8 @@ impl RunEnv {
                 let Some(rendezvous) = vars.path(RENDEZVOUS) else {
                     return err(format!("is set but {RENDEZVOUS} is not"));
                 };
+                check_socket_paths(&rendezvous, size)
+                    .map_err(|reason| vars.error(RENDEZVOUS, reason))?;
                 Some(LaunchEnv {
                     worker: WorkerEnv { rank, size, rendezvous },
                     checkpoint: checkpoint.clone(),
@@ -493,8 +515,13 @@ mod tests {
     fn every_variable_parses_or_names_itself() {
         type Check = fn(&RunEnv) -> bool;
         const PLAN: &str = "halo-nan@momentum:2x3";
+        // 102 bytes: rank 1's socket path, `<LONG>.sock1`, holds 108.
+        const LONG: &str = concat!(
+            "/rendezvous/rendezvous/rendezvous/rendezvous/rendezvous",
+            "/rendezvous/rendezvous/rendezvous/rendezvous/rv"
+        );
         // (variable, valid value, what it becomes, malformed value —
-        // `None` for paths, which have no malformed form).
+        // `None` for paths taken as they are).
         let table: [(&str, &str, Check, Option<&str>); 12] = [
             (
                 TRANSPORT,
@@ -533,7 +560,7 @@ mod tests {
                 RENDEZVOUS,
                 "/o.addr",
                 |e| launch(e).worker.rendezvous == Path::new("/o.addr"),
-                None,
+                Some(LONG),
             ),
             (RESUME, "0", |e| !launch(e).resume, Some("yes")),
             (RESTART_COUNT, "2", |e| ckpt(e).incarnation == 2, Some("-1")),
@@ -549,6 +576,22 @@ mod tests {
             let text = err.to_string();
             assert!(text.contains(var) && text.contains(bad), "{text}");
         }
+    }
+
+    #[test]
+    fn socket_path_past_the_limit_names_its_length_and_the_limit() {
+        let at = |len: usize| "/".to_string() + &"r".repeat(len - 1);
+        // `<path>.sock1` is the longest of the sample's two ranks.
+        assert!(with(RENDEZVOUS, &at(SOCKET_PATH_MAX - 6)).is_ok());
+        let err = with(RENDEZVOUS, &at(SOCKET_PATH_MAX - 5)).expect_err("one byte over");
+        let text = err.to_string();
+        assert_eq!(err.var, RENDEZVOUS, "{text}");
+        assert!(
+            text.contains("108 bytes") && text.contains("limit of 107"),
+            "{text}"
+        );
+        let one_rank = check_socket_paths(Path::new(&at(200)), 1);
+        assert_eq!(one_rank, Ok(()), "a one-rank job binds no socket");
     }
 
     #[test]

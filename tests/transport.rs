@@ -306,34 +306,59 @@ fn read_bits_file(path: &std::path::Path) -> Vec<u64> {
         .collect()
 }
 
-/// The full acceptance path: `exawind-launch` spawns two real worker
-/// processes that rendezvous over TCP; their per-rank field bits must
-/// match the same workload run in-process.
+/// The full acceptance path: `exawind-launch` spawns three real worker
+/// processes that wire up over Unix-domain sockets; their per-rank field
+/// bits must match the same workload run in-process. At 3 ranks a
+/// non-root worker (rank 2) dials a non-root peer (rank 1). The launcher
+/// runs with a fresh temp directory, which must hold no socket or
+/// progress file once it has exited.
 #[test]
 fn multi_process_socket_run_matches_inproc_bitwise() {
     let dir = std::env::temp_dir().join(format!("exawind-transport-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
     let out = dir.join("fields");
 
     let status = std::process::Command::new(env!("CARGO_BIN_EXE_exawind-launch"))
-        .args(["-n", "2", "--"])
+        .args(["-n", "3", "--"])
         .arg(env!("CARGO_BIN_EXE_exawind-worker"))
         .arg("--out")
         .arg(&out)
+        .env("TMPDIR", &tmp)
         .status()
         .expect("exawind-launch spawns");
     assert!(status.success(), "exawind-launch exited with {status}");
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(left.is_empty(), "the launcher left {left:?} in its temp directory");
 
-    let reference = step_field_bits(TransportKind::Inproc, 2, 1);
+    let reference = step_field_bits(TransportKind::Inproc, 3, 1);
     for (r, want) in reference.iter().enumerate() {
         let got = read_bits_file(&dir.join(format!("fields.rank{r}.bits")));
         assert!(!got.is_empty());
         assert_eq!(
             &got, want,
-            "rank {r} fields from the 2-process socket run differ from the inproc run"
+            "rank {r} fields from the 3-process socket run differ from the inproc run"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A temp directory whose rank socket paths would not fit a socket
+/// address stops the launcher with exit 2 before it spawns a rank,
+/// naming the longest path, its length and the limit.
+#[test]
+fn launcher_refuses_socket_paths_past_the_limit() {
+    let long = std::env::temp_dir().join("d".repeat(120));
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_exawind-launch"))
+        .args(["-n", "2", "--"])
+        .arg(env!("CARGO_BIN_EXE_exawind-worker"))
+        .env("TMPDIR", &long)
+        .output()
+        .expect("exawind-launch spawns");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(".sock1 is ") && stderr.contains("over the limit of 107"), "{stderr}");
+    assert!(!stderr.contains("exawind-worker"), "no rank was spawned\n{stderr}");
 }
 
 /// A typo'd variable must stop a launched job loudly and early: with the
