@@ -8,7 +8,8 @@ cargo test -q --workspace
 # Once in the release profile too: `plan_replay_equals_fresh_assembly_bitwise`
 # sums NaNs, and only the optimiser reorders those adds. The sparse and
 # krylov kernel-shape and buffer-reuse proptests pick sizes that cross
-# the parallel thresholds (1 024, 4 096, 16 384) only in release.
+# 4 096 and 16 384 (where `dense::dot` switches to chunked partials)
+# only in release.
 cargo test -q --release -p distmat -p sparse-kit -p krylov --test proptests
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --no-run
@@ -16,15 +17,25 @@ cargo bench --no-run
 # Configuration enters once: `src/env.rs` is the only Rust file (outside
 # the frozen benchmark crate) that spells an EXAWIND_*/PARCOMM_* name,
 # and no library crate reads the environment for one — what is left is
-# telemetry's GIT_COMMIT and RAYON_NUM_THREADS, which are not ours.
+# telemetry's GIT_COMMIT, which is not ours.
 env_files=$(grep -rlE '"(EXAWIND|PARCOMM)_' --include='*.rs' crates src examples tests \
   | grep -v '^crates/e2e-bench/' || true)
 [ "$env_files" = "src/env.rs" ] \
   || { echo "env gate: variable names spelled outside src/env.rs: $env_files" >&2; exit 1; }
 env_reads=$(grep -rn 'env::var' --include='*.rs' crates/*/src \
-  | grep -v '^crates/e2e-bench/' | grep -vE '"(GIT_COMMIT|RAYON_NUM_THREADS)"' || true)
+  | grep -v '^crates/e2e-bench/' | grep -vE '"GIT_COMMIT"' || true)
 [ -z "$env_reads" ] \
   || { echo "env gate: a library crate reads the environment: $env_reads" >&2; exit 1; }
+
+# Ranks are the only threads: no manifest, lock entry or Rust file names
+# rayon (outside the frozen benchmark crate, which still sets the
+# now-unread RAYON_NUM_THREADS), so an intra-rank thread pool cannot
+# come back unnoticed.
+rayon_sites=$( { grep -rni 'rayon' --include='*.rs' --include='Cargo.toml' \
+  crates src tests examples shims | grep -v '^crates/e2e-bench/'; \
+  grep -ni 'rayon' Cargo.toml Cargo.lock; } || true)
+[ -z "$rayon_sites" ] \
+  || { echo "thread gate: rayon is back: $rayon_sites" >&2; exit 1; }
 
 # One wait loop: every spin or yield in parcomm is inside
 # `Rank::wait_next` (comm.rs), so a second, private poll-then-park loop

@@ -18,7 +18,6 @@
 
 use distmat::{ParCsr, RowDist};
 use parcomm::{KernelKind, Rank};
-use rayon::prelude::*;
 use sparse_kit::Coo;
 
 use crate::config::InterpType;
@@ -127,11 +126,9 @@ pub fn direct_interpolation(
     k.launch(n, (nnz * 16, nnz));
 
     // Every interpolation row depends only on row i of A/S and the halo
-    // info, so the Eq.-(2) weights are computed in a parallel map; the
-    // rows are then emitted in ascending row order for a deterministic
-    // operator at any thread count.
+    // info: the Eq.-(2) weights are computed row by row, and the rows
+    // are emitted in ascending row order.
     let rows: Vec<Vec<(u64, f64)>> = (0..n)
-        .into_par_iter()
         .map(|i| {
         if let Some(ci) = split.coarse_index[i] {
             return vec![(ci, 1.0)];
@@ -256,14 +253,13 @@ pub fn mm_ext_interpolation(
     let ext_fids = &ext.f_id;
 
     // Build M1 = (D_FF + D_γ)⁻¹ (Aˢ_FF + D_β) and M2 = D_β⁻¹ Aˢ_FC
-    // row by row (all classification and scaling is row-local, hence a
-    // parallel map; triples are emitted in row order afterwards).
+    // row by row (all classification and scaling is row-local; triples
+    // are emitted in row order afterwards).
     let nnz = a.local_nnz() as u64;
     let k = rank.kernel("interp_mm_ext", KernelKind::Stream);
     k.launch(n, (nnz * 24, nnz * 2));
     type Triples = Vec<(u64, u64, f64)>;
     let m_rows: Vec<(Triples, Triples)> = (0..n)
-        .into_par_iter()
         .map(|i| {
             let mut m1: Triples = Vec::new();
             let mut m2: Triples = Vec::new();
@@ -364,7 +360,6 @@ pub fn mm_ext_interpolation(
         }
     }
     let f_rows: Vec<Vec<(u64, f64)>> = (0..f_locals.len())
-        .into_par_iter()
         .map(|lf| {
             let mut cols: Vec<u64> = Vec::new();
             let mut vals: Vec<f64> = Vec::new();

@@ -15,7 +15,6 @@ use distmat::{Halo, ParCsr, RowDist};
 use parcomm::{KernelKind, Rank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::strength::Strength;
 
@@ -77,11 +76,10 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
     let st = distmat::ops::par_transpose(rank, &sp);
 
     // λ_i = number of points strongly influenced by i = |row i of Sᵀ|.
-    // Per-point and seeded per gid, so the parallel map is deterministic.
+    // Per-point and seeded per gid, so any rank count draws the same.
     let k = rank.kernel("pmis_weights", KernelKind::Stream);
     k.launch(n, ((n as u64) * 16, n as u64));
     let weights: Vec<f64> = (0..n)
-        .into_par_iter()
         .map(|i| {
             let lambda = (st.diag.row(i).0.len() + st.offd.row(i).0.len()) as f64;
             lambda + point_rand(seed, start + i as u64)
@@ -116,11 +114,10 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
         }
     };
 
-    // Row-local adjacency construction: a parallel map over points.
+    // Row-local adjacency construction, point by point.
     // One point's `(symmetrised neighbours, dependencies)` as `(gid, locator)` lists.
     type AdjRow = (Vec<(u64, Loc)>, Vec<(u64, Loc)>);
     let rows: Vec<AdjRow> = (0..n)
-        .into_par_iter()
         .map(|i| {
             let mut nbrs: Vec<u64> = Vec::new();
             let mut dep: Vec<u64> = Vec::new();
@@ -191,11 +188,9 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
 
         // Phase 1 (Jacobi-style on the state snapshot): undecided local
         // maxima among undecided neighbours become C. Every point's new
-        // state is a pure function of the snapshot, so the sweep is a
-        // parallel map.
+        // state is a pure function of the snapshot.
         let snapshot = states;
         states = (0..n)
-            .into_par_iter()
             .map(|i| {
                 if snapshot[i] != UNDECIDED {
                     return snapshot[i];
@@ -225,7 +220,6 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
         let ext_states2 = halo.exchange(rank, &states);
         let snapshot = states;
         states = (0..n)
-            .into_par_iter()
             .map(|i| {
                 if snapshot[i] != UNDECIDED {
                     return snapshot[i];

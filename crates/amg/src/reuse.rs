@@ -24,7 +24,7 @@
 //! - **Bitwise fidelity**: replay reproduces the fresh hash
 //!   accumulation order exactly (see `distmat::ops`), so a run with
 //!   reuse is bit-identical to one without — `tests/determinism.rs`
-//!   holds this across thread counts and transports.
+//!   holds this across kernel backends and transports.
 
 use distmat::ops::{par_spgemm_planned, ParSpgemmPlan};
 use distmat::ParCsr;

@@ -9,7 +9,6 @@
 
 use distmat::ParCsr;
 use parcomm::{KernelKind, Rank};
-use rayon::prelude::*;
 use sparse_kit::Csr;
 
 /// Strength pattern of a distributed operator, aligned with its diag and
@@ -36,12 +35,9 @@ impl Strength {
         let k = rank.kernel("strength", KernelKind::Stream);
         k.launch(n, (nnz * 16, nnz));
 
-        // Each row of S depends only on the corresponding row of A, so
-        // the selection runs as a parallel map; the row results are then
-        // concatenated in row order, keeping the pattern identical for
-        // any thread count.
+        // Each row of S depends only on the corresponding row of A; the
+        // row results are concatenated in row order.
         let rows: Vec<(Vec<usize>, Vec<usize>)> = (0..n)
-            .into_par_iter()
             .map(|i| {
                 let (dc, dv) = a.diag.row(i);
                 let (oc, ov) = a.offd.row(i);

@@ -193,11 +193,9 @@ fn fill_transport<const N: usize>(
     let rho = params.density;
 
     // Edge stage: advection (first-order upwind) + diffusion. Each edge's
-    // coefficient quadruple is a pure function of that edge, so the fill
-    // is a parallel map; the plan-driven scatter then sums every slot's
-    // contributions in fixed edge order, keeping the assembled values
-    // bitwise independent of the thread count (DESIGN.md, "Threading
-    // model").
+    // coefficient quadruple is a pure function of that edge; the
+    // plan-driven scatter then sums every slot's contributions in fixed
+    // edge order (DESIGN.md, "Order-fixed reductions").
     vals.fill_edges(&graph.scatter, |k| {
         let edge = &mesh.edges[owned_edges[k]];
         let mu_e = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
@@ -264,7 +262,7 @@ pub fn fill_continuity_operator(
     let fill = rank.kernel("fill_continuity_operator", KernelKind::Stream);
     vals.reset();
     let kappa_coef = params.dt / params.density;
-    // Edge stage (parallel map + order-fixed scatter, as in
+    // Edge stage (per-edge fill + order-fixed scatter, as in
     // `fill_momentum`).
     vals.fill_edges(&graph.scatter, |k| {
         let kappa = kappa_coef * mesh.edges[owned_edges[k]].area_over_dist;

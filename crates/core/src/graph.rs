@@ -14,7 +14,6 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use distmat::AssemblyPlan;
-use rayon::prelude::*;
 use sparse_kit::prims;
 use windmesh::{BcKind, Mesh, NodeStatus};
 
@@ -91,11 +90,10 @@ const SHARED_BIT: u32 = 1 << 31;
 /// every pattern slot, the list of per-edge contribution indices
 /// (`4·edge + corner`) that land in it, in ascending order.
 ///
-/// This is what lets the local-assembly stage run the edge loop in
-/// parallel and still produce bitwise-deterministic sums: the per-edge
-/// coefficients are computed independently (a parallel map), and each
-/// slot then accumulates *its* contributions in the fixed edge order —
-/// the same order the sequential loop used — regardless of thread count.
+/// This turns the local-assembly scatter into a gather: the per-edge
+/// coefficients are computed independently, and each slot then
+/// accumulates *its* contributions in the fixed edge order — the same
+/// order an edge-by-edge scatter uses.
 #[derive(Clone, Debug)]
 pub struct ScatterPlan {
     /// Owned edges: the plan gathers from `4 · n_edges` contributions.
@@ -175,8 +173,7 @@ pub struct EquationGraph {
     pub diag_slots: Vec<u32>,
     /// Dirichlet mask used to build the pattern.
     pub dirichlet: Vec<bool>,
-    /// Slot-wise inverse of the per-edge slots, for the parallel edge
-    /// scatter.
+    /// Slot-wise inverse of the per-edge slots, for the edge scatter.
     pub scatter: ScatterPlan,
     /// `(position in the outflow patch, diagonal slot)` of every outflow
     /// node this rank owns with a free (non-Dirichlet) row, in patch
@@ -372,20 +369,15 @@ impl LocalValues {
     }
 
     /// Apply the whole edge stage at once: `coef(k)` is the coefficient
-    /// quadruple of owned edge `k` (a pure function of that edge, so it
-    /// is evaluated in parallel), and `plan` routes corner `j` of edge
-    /// `k` to its slot. Each slot sums its contributions in ascending
-    /// edge order, so the result is bitwise identical to calling
-    /// [`LocalValues::add`] edge by edge — but the underlying segmented
-    /// reduction is free to run slots in parallel.
-    pub fn fill_edges(&mut self, plan: &ScatterPlan, coef: impl Fn(usize) -> [f64; 4] + Sync) {
-        const EDGE_CHUNK: usize = 1024;
+    /// quadruple of owned edge `k` (a pure function of that edge), and
+    /// `plan` routes corner `j` of edge `k` to its slot. Each slot sums
+    /// its contributions in ascending edge order, so the result is
+    /// bitwise identical to calling [`LocalValues::add`] edge by edge.
+    pub fn fill_edges(&mut self, plan: &ScatterPlan, coef: impl Fn(usize) -> [f64; 4]) {
         let mut coeffs = self.edge_scratch.lock().expect("edge scratch lock");
-        coeffs.par_chunks_mut(EDGE_CHUNK).enumerate().for_each(|(b, chunk)| {
-            for (i, c) in chunk.iter_mut().enumerate() {
-                *c = coef(b * EDGE_CHUNK + i);
-            }
-        });
+        for (k, c) in coeffs.iter_mut().enumerate() {
+            *c = coef(k);
+        }
         let src = coeffs.as_flattened();
         prims::segmented_gather_sum(&plan.owned_indptr, &plan.owned_src, src, &mut self.owned);
         prims::segmented_gather_sum(&plan.shared_indptr, &plan.shared_src, src, &mut self.shared);

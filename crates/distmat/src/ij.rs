@@ -221,7 +221,7 @@ impl Gather {
 /// run of equal keys to `entry` as `(key, positions in summation
 /// order)`: the `stable_sort_by_key` of Algorithms 1 and 2 with the
 /// `reduce_by_key` recorded instead of performed.
-fn sorted_runs<K: Ord + Copy + Send + Sync>(
+fn sorted_runs<K: Ord + Copy>(
     rank: &Rank,
     mut keys: Vec<K>,
     mut entry: impl FnMut(K, &[u32]),

@@ -344,7 +344,7 @@ impl Sgs2 {
     ///
     /// A round is `x += M⁻¹ r` with M = (L+D) D⁻¹ (D+U) (local symmetric
     /// GS), both triangular solves approximated by JR iterations
-    /// (element-wise parallel — see DESIGN.md, "Threading model").
+    /// (element-wise).
     pub fn smooth_from(
         &self,
         rank: &Rank,

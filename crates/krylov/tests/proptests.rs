@@ -30,8 +30,8 @@ fn coefficient() -> impl Strategy<Value = f64> {
 }
 
 /// Global sizes for the buffer-reuse test. In release (`ci.sh`) they
-/// straddle 1 024, 4 096 and 16 384, so one rank's rows reach the
-/// parallel row kernels and BLAS-1 paths; debug runs stay below 4 096.
+/// straddle 1 024, 4 096 and 16 384, so one rank's vectors reach the
+/// chunked dot partials; debug runs stay below 4 096.
 fn global_size() -> impl Strategy<Value = u64> {
     if cfg!(debug_assertions) {
         prop_oneof![1 => 4u64..64, 1 => 1000u64..1100, 1 => 2040u64..2100]

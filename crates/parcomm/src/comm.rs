@@ -29,8 +29,7 @@ pub(crate) const INTERNAL_TAG_BASE: Tag = 1 << 24;
 /// Clock handle for comm wait/transfer timing. `None` — no clock is read
 /// at all — unless telemetry is enabled on the calling thread, which
 /// keeps disabled runs free of any timing syscalls (the determinism
-/// discipline shared with the rest of the telemetry stack; rayon workers
-/// never have a dispatcher installed, so they never read clocks either).
+/// discipline shared with the rest of the telemetry stack).
 fn comm_clock() -> Option<Instant> {
     telemetry::is_enabled().then(Instant::now)
 }

@@ -10,9 +10,8 @@
 //! thread (mirroring the telemetry dispatcher): solver hooks call
 //! [`fire`] at well-defined points, and the injector counts matching
 //! hook invocations per spec. Because each simulated rank is one OS
-//! thread, the counters are per-rank and never touched by rayon
-//! workers — so whether a fault fires is a pure function of the solve
-//! sequence, bitwise reproducible across thread counts.
+//! thread, the counters are per-rank — so whether a fault fires is a
+//! pure function of the solve sequence.
 //!
 //! With no injector installed, [`fire`] is a single thread-local read
 //! returning `false`; the context closure is never invoked, so the

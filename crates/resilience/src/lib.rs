@@ -25,8 +25,7 @@
 //!   default) that can
 //!   corrupt COO triples at global assembly, flip halo payloads to NaN,
 //!   and force AMG coarsening stagnation. Faults fire on the rank
-//!   thread only (never inside rayon workers), so recovery behaviour is
-//!   bitwise reproducible across thread counts.
+//!   thread, so recovery behaviour is bitwise reproducible.
 //!
 //! With no plan installed every hook is one thread-local read, so the
 //! clean-run solve path is bit-for-bit unperturbed — proven by

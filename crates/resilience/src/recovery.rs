@@ -18,7 +18,7 @@
 //! The ladder is bounded (one pass, no loops), every attempt emits a
 //! telemetry `recovery` event, and all decisions are taken identically
 //! on every rank (the triggering errors are collectively consistent),
-//! so recovery is deterministic across both ranks and thread counts.
+//! so recovery is deterministic across ranks.
 
 /// One rung of the escalation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

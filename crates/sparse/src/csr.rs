@@ -1,15 +1,7 @@
 //! Compressed sparse row matrices with local (usize) indices.
 
-use rayon::prelude::*;
-
 use crate::coo::Coo;
 use crate::prims;
-
-/// Threshold below which row loops run sequentially.
-const PAR_THRESHOLD: usize = 1 << 12;
-
-/// Rows per block of the row kernels (the unit of parallel work).
-const ROW_BLOCK: usize = 1024;
 
 /// CSR matrix. Column indices are sorted within each row and duplicate-free
 /// (an invariant every constructor establishes and every operation keeps).
@@ -225,30 +217,15 @@ impl Csr {
     /// The one loop under every SpMV-shaped kernel: for each row `i`,
     /// `f(i, sᵢ, &mut out[i])` with `sᵢ = Σ_k vals[k]·x[indices[k]]`
     /// folded from `+0.0` in column order over the row's
-    /// `indices[lo..hi]` / `vals[lo..hi]` slices. Rows go in
-    /// `ROW_BLOCK`-row blocks, in parallel from `PAR_THRESHOLD` rows on;
-    /// a row's sum never depends on its block, so neither do the bits.
-    fn sweep_rows(&self, x: &[f64], out: &mut [f64], f: impl Fn(usize, f64, &mut f64) + Sync) {
-        let block = |b: usize, out: &mut [f64]| {
-            let r0 = b * ROW_BLOCK;
-            let rows = self.indptr[r0..=r0 + out.len()].windows(2);
-            for (i, (o, w)) in out.iter_mut().zip(rows).enumerate() {
-                let (cols, vals) = (&self.indices[w[0]..w[1]], &self.vals[w[0]..w[1]]);
-                let mut s = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    s += v * x[c];
-                }
-                f(r0 + i, s, o);
+    /// `indices[lo..hi]` / `vals[lo..hi]` slices.
+    fn sweep_rows(&self, x: &[f64], out: &mut [f64], f: impl Fn(usize, f64, &mut f64)) {
+        for (i, (o, w)) in out.iter_mut().zip(self.indptr.windows(2)).enumerate() {
+            let (cols, vals) = (&self.indices[w[0]..w[1]], &self.vals[w[0]..w[1]]);
+            let mut s = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                s += v * x[c];
             }
-        };
-        if self.nrows >= PAR_THRESHOLD {
-            out.par_chunks_mut(ROW_BLOCK)
-                .enumerate()
-                .for_each(|(b, o)| block(b, o));
-        } else {
-            out.chunks_mut(ROW_BLOCK)
-                .enumerate()
-                .for_each(|(b, o)| block(b, o));
+            f(i, s, o);
         }
     }
 
@@ -549,8 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn spmv_large_parallel_path() {
-        let n = PAR_THRESHOLD + 3;
+    fn spmv_tridiagonal_laplacian() {
+        let n = 4099;
         // Tridiagonal Laplacian.
         let mut dense_indptr = Vec::with_capacity(n + 1);
         let mut indices = Vec::new();

@@ -1,18 +1,16 @@
 //! Dense vector kernels (BLAS-1) used by the Krylov solvers and smoothers.
 //!
-//! Every kernel is a plain loop over `CHUNK`-wide slices, run in parallel
-//! from `PAR_THRESHOLD` elements on. The element-wise kernels compute each
-//! element the same way on either path; `dot` and `dots` keep one partial
-//! per chunk on the parallel path, combined in chunk order, and fold the
-//! whole vector in index order below it — the summation orders they have
-//! always had, so the bits do not depend on the thread count.
+//! Every kernel is a plain loop over `CHUNK`-wide slices. `dot` and
+//! `dots` have two summation orders, fixed by the vector length: from
+//! `CHUNKED_SUM_MIN` elements on they keep one partial per chunk and fold
+//! the partials in chunk order, and below it they fold the whole vector
+//! in index order.
 
-use rayon::prelude::*;
+/// Length from which `dot` and `dots` sum one partial per `CHUNK`
+/// elements, folded in chunk order, instead of one index-order fold.
+const CHUNKED_SUM_MIN: usize = 1 << 14;
 
-/// Threshold below which loops run sequentially.
-const PAR_THRESHOLD: usize = 1 << 14;
-
-/// Elements per slice of every kernel, and per partial of a parallel dot.
+/// Elements per slice of every kernel, and per partial of a chunked dot.
 const CHUNK: usize = 1024;
 
 /// Where Rust's `f64` `Sum` starts its fold: every sum here is
@@ -20,15 +18,9 @@ const CHUNK: usize = 1024;
 const SUM_START: f64 = -0.0;
 
 /// Run `f(lo, out[lo..lo + len])` over the `CHUNK`-wide slices of `out`.
-fn for_chunks(out: &mut [f64], f: impl Fn(usize, &mut [f64]) + Sync) {
-    if out.len() >= PAR_THRESHOLD {
-        out.par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(c, o)| f(c * CHUNK, o));
-    } else {
-        out.chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(c, o)| f(c * CHUNK, o));
+fn for_chunks(out: &mut [f64], f: impl Fn(usize, &mut [f64])) {
+    for (c, o) in out.chunks_mut(CHUNK).enumerate() {
+        f(c * CHUNK, o);
     }
 }
 
@@ -64,10 +56,10 @@ pub fn axpys(a: &[f64], xs: &[&[f64]], y: &mut [f64]) {
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
     let part = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(&a, &b)| a * b).sum::<f64>();
-    if x.len() >= PAR_THRESHOLD {
-        x.par_chunks(CHUNK)
-            .enumerate()
-            .map(|(c, xc)| part(xc, &y[c * CHUNK..]))
+    if x.len() >= CHUNKED_SUM_MIN {
+        x.chunks(CHUNK)
+            .zip(y.chunks(CHUNK))
+            .map(|(x, y)| part(x, y))
             .sum()
     } else {
         part(x, y)
@@ -83,18 +75,12 @@ pub fn dots(x: &[f64], ys: &[&[f64]], out: &mut [f64]) {
         "dots length mismatch"
     );
     out.fill(SUM_START);
-    if ys.is_empty() {
-        return;
-    }
-    if x.len() >= PAR_THRESHOLD {
-        let k = ys.len();
-        let mut partials = vec![SUM_START; x.len().div_ceil(CHUNK) * k];
-        partials.par_chunks_mut(k).enumerate().for_each(|(c, p)| {
-            let lo = c * CHUNK;
-            fold_dots(&x[lo..(lo + CHUNK).min(x.len())], ys, lo, p);
-        });
-        for p in partials.chunks(k) {
-            for (o, &v) in out.iter_mut().zip(p) {
+    if x.len() >= CHUNKED_SUM_MIN {
+        let mut part = vec![SUM_START; ys.len()];
+        for (c, xc) in x.chunks(CHUNK).enumerate() {
+            part.fill(SUM_START);
+            fold_dots(xc, ys, c * CHUNK, &mut part);
+            for (o, &v) in out.iter_mut().zip(&part) {
                 *o += v;
             }
         }
@@ -165,8 +151,6 @@ pub fn diag_scale(d: &[f64], x: &[f64], out: &mut [f64]) {
 
 /// Jacobi-Richardson inner update of the two-stage GS smoothers
 /// (Eqs. 5–7 / 11–14 of the paper): `g[i] = (r[i] − lg[i]) · inv_diag[i]`.
-/// Purely element-wise, so the parallel path is trivially bitwise
-/// deterministic at any thread count.
 pub fn jacobi_update(r: &[f64], lg: &[f64], inv_diag: &[f64], g: &mut [f64]) {
     assert_eq!(r.len(), g.len(), "jacobi_update length mismatch");
     assert_eq!(lg.len(), g.len(), "jacobi_update length mismatch");
@@ -195,7 +179,7 @@ mod tests {
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 10.0]);
 
-        let n = PAR_THRESHOLD + 1;
+        let n = 16_385;
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
         axpy(0.5, &x, &mut y);
@@ -229,6 +213,42 @@ mod tests {
         assert_eq!(out, vec![8.0, 2.0]);
     }
 
+    /// `dot` and `dots` sum in one order below `CHUNKED_SUM_MIN` and in
+    /// another from it on. The data makes the two orders round apart: a
+    /// 2⁵³ head swallows each later `+1` of an index-order fold, while a
+    /// chunked fold adds whole chunks of ones to it.
+    #[test]
+    fn dot_keeps_both_summation_orders() {
+        let fold = |x: &[f64], y: &[f64]| x.iter().zip(y).fold(-0.0, |s, (a, b)| s + a * b);
+        for n in [
+            CHUNKED_SUM_MIN - 1,
+            CHUNKED_SUM_MIN,
+            CHUNKED_SUM_MIN + CHUNK + 1,
+        ] {
+            let x = vec![1.0; n];
+            let mut y = vec![1.0; n];
+            y[0] = 2f64.powi(53);
+            let whole = fold(&x, &y);
+            let chunked = x
+                .chunks(CHUNK)
+                .zip(y.chunks(CHUNK))
+                .fold(-0.0, |s, (x, y)| s + fold(x, y));
+            assert_ne!(
+                whole.to_bits(),
+                chunked.to_bits(),
+                "n={n}: the orders must differ"
+            );
+            let expect = if n < CHUNKED_SUM_MIN { whole } else { chunked };
+            assert_eq!(dot(&x, &y).to_bits(), expect.to_bits(), "dot n={n}");
+            // Five vectors: one group of four add chains and one single.
+            let mut out = [f64::NAN; 5];
+            dots(&x, &[&y[..]; 5], &mut out);
+            for (k, o) in out.iter().enumerate() {
+                assert_eq!(o.to_bits(), expect.to_bits(), "dots[{k}] n={n}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
@@ -241,8 +261,8 @@ mod tests {
         jacobi_update(&[4.0, 9.0], &[1.0, 3.0], &[0.5, 2.0], &mut g);
         assert_eq!(g, vec![1.5, 12.0]);
 
-        // Large path must agree bitwise with the serial formula.
-        let n = PAR_THRESHOLD + 3;
+        // Across chunk boundaries too, bitwise the element formula.
+        let n = 16_387;
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let lg: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
         let inv: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();

@@ -7,8 +7,8 @@
 //! SpGEMM as the cuSPARSE-style comparator, [`spgemm`]), and the Galerkin
 //! triple product used by AMG setup ([`rap`]).
 //!
-//! Data-parallel sections use rayon, standing in for the device thread
-//! parallelism of the paper's kernels. All kernels expose cost estimators
+//! Every kernel runs serially on its rank; the paper's device-thread
+//! parallelism is priced, not run: all kernels expose cost estimators
 //! ([`cost`]) so callers can record bytes/flops into per-rank traces.
 
 pub mod coo;

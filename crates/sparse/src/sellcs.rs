@@ -6,8 +6,7 @@
 //! lane accumulators — one row per lane. To bound the padding, rows are
 //! first sorted by descending length inside windows of σ rows (σ a
 //! multiple of C); the permutation never crosses a window boundary, so
-//! a window owns a contiguous output range and windows parallelize
-//! without synchronization.
+//! a window owns a contiguous output range.
 //!
 //! Determinism contract: lane `l` of a chunk accumulates exactly the
 //! entries of one original row, **in that row's CSR column order**, into
@@ -22,15 +21,10 @@
 //! roughly halves index traffic, which is the point — SpMV is
 //! bandwidth-bound (see [`crate::cost::sellcs_spmv`]).
 
-use rayon::prelude::*;
-
 use crate::csr::Csr;
 
 /// Chunk height C: rows per chunk, lanes per SpMV inner step.
 pub const CHUNK: usize = 4;
-
-/// Row count above which SpMV parallelizes over σ-windows.
-const PAR_THRESHOLD: usize = 1 << 12;
 
 /// Marks a padding slot (row index past `nrows`) in `perm`.
 const PAD: u32 = u32::MAX;
@@ -212,11 +206,18 @@ impl SellCs {
         }
     }
 
-    /// One σ-window of chunks: rows `rows.start..` of `y`, chunks
-    /// `c0..c1`. Each chunk keeps 4 lane accumulators; the guard on
-    /// `row_len` skips padding without touching its (zero) values.
-    fn spmv_window(&self, x: &[f64], y: &mut [f64], row0: usize, c0: usize, c1: usize) {
-        for c in c0..c1 {
+    /// y = A·x, bitwise-identical to [`Csr::spmv_into`] on the source
+    /// matrix (see the module docs for why). Each chunk keeps 4 lane
+    /// accumulators; the guard on `row_len` skips padding without
+    /// touching its (zero) values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "x length != ncols");
+        assert_eq!(y.len(), self.nrows, "y length != nrows");
+        for c in 0..self.n_chunks() {
             let base = self.chunk_ptr[c];
             let width = (self.chunk_ptr[c + 1] - base) / CHUNK;
             let lens = [
@@ -237,34 +238,9 @@ impl SellCs {
             for (l, &sum) in acc.iter().enumerate() {
                 let p = self.perm[c * CHUNK + l];
                 if p != PAD {
-                    y[p as usize - row0] = sum;
+                    y[p as usize] = sum;
                 }
             }
-        }
-    }
-
-    /// y = A·x, bitwise-identical to [`Csr::spmv_into`] on the source
-    /// matrix (see the module docs for why).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "x length != ncols");
-        assert_eq!(y.len(), self.nrows, "y length != nrows");
-        let n_chunks = self.n_chunks();
-        let chunks_per_window = self.sigma / CHUNK;
-        if self.nrows >= PAR_THRESHOLD {
-            // A window's rows are exactly y[w*sigma .. w*sigma+len]:
-            // perm never crosses the window, so writes are exclusive and
-            // the partitioning cannot change any row's accumulation.
-            y.par_chunks_mut(self.sigma).enumerate().for_each(|(w, yw)| {
-                let c0 = w * chunks_per_window;
-                let c1 = (c0 + chunks_per_window).min(n_chunks);
-                self.spmv_window(x, yw, w * self.sigma, c0, c1);
-            });
-        } else {
-            self.spmv_window(x, y, 0, 0, n_chunks);
         }
     }
 
@@ -383,9 +359,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_window_path_matches_serial_bitwise() {
-        // Past PAR_THRESHOLD rows so the rayon window path runs.
-        let n = PAR_THRESHOLD + 123;
+    fn many_window_spmv_matches_csr_bitwise() {
+        let n = 4219;
         let mut indptr = vec![0usize];
         let mut indices = Vec::new();
         let mut vals = Vec::new();

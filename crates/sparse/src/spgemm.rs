@@ -10,14 +10,9 @@
 //! - [`spgemm_esc`]: expand-sort-compress via the Thrust-style primitives
 //!   (the cuSPARSE-style comparator used by the `spgemm` bench).
 
-use rayon::prelude::*;
-
 use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::prims;
-
-/// Threshold below which the row loop runs sequentially.
-const PAR_THRESHOLD: usize = 1 << 11;
 
 const EMPTY: usize = usize::MAX;
 
@@ -118,11 +113,7 @@ pub fn spgemm_hash(a: &Csr, b: &Csr) -> Csr {
         acc.into_sorted()
     };
 
-    let rows: Vec<(Vec<usize>, Vec<f64>)> = if a.nrows() >= PAR_THRESHOLD {
-        (0..a.nrows()).into_par_iter().map(row_product).collect()
-    } else {
-        (0..a.nrows()).map(row_product).collect()
-    };
+    let rows: Vec<(Vec<usize>, Vec<f64>)> = (0..a.nrows()).map(row_product).collect();
     assemble_rows(a.nrows(), b.ncols(), rows)
 }
 

@@ -46,7 +46,7 @@ fn close(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
 }
 
 /// Serial mirror of `prims::reduce_by_key`: runs of equal adjacent keys
-/// summed strictly left-to-right. The parallel path must reproduce this
+/// summed strictly left-to-right, which `reduce_by_key` must reproduce
 /// bitwise for any input.
 fn reduce_by_key_reference(keys: &[u64], vals: &[f64]) -> (Vec<u64>, Vec<f64>) {
     let mut out_keys = Vec::new();
@@ -129,9 +129,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// Vector and matrix sizes for the kernel-shape tests. In release
-/// (`ci.sh`) they straddle 1 024 (a slice / dot partial), 4 096 (the
-/// parallel row kernels) and 16 384 (the parallel BLAS-1 paths); debug
-/// runs stay below 4 096.
+/// (`ci.sh`) they straddle 1 024 (a slice / dot partial), 4 096 and
+/// 16 384 (where `dot` switches to chunked partials); debug runs stay
+/// below 4 096.
 fn kernel_size() -> impl Strategy<Value = usize> {
     if cfg!(debug_assertions) {
         prop_oneof![1 => 0usize..40, 1 => 1000usize..1050, 1 => 2040usize..2060]
@@ -235,20 +235,11 @@ fn reference_dot(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
-/// Run `f` on a pool of `t` threads.
-fn with_threads<R>(t: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(t)
-        .build()
-        .unwrap()
-        .install(f)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `dots` against one `dot` per vector, and `dot` against the order
-    /// it has always summed in, at 1, 2 and 8 threads.
+    /// it has always summed in.
     #[test]
     fn multi_dot_equals_separate_dots_bitwise(
         (n, k, mode, seed) in (kernel_size(), 0usize..7, 0u64..3, 0u64..1 << 20)
@@ -257,20 +248,18 @@ proptest! {
         plant_nan(mode, seed, &mut x);
         let ys: Vec<Vec<f64>> = (0..k as u64).map(|j| hazard_vals(mode, seed + 1 + j, n)).collect();
         let ys: Vec<&[f64]> = ys.iter().map(|y| &y[..]).collect();
-        for t in [1, 2, 8] {
-            let mut fused = vec![f64::NAN; k];
-            with_threads(t, || dense::dots(&x, &ys, &mut fused));
-            for (j, y) in ys.iter().enumerate() {
-                let single = with_threads(t, || dense::dot(&x, y));
-                prop_assert_eq!(fused[j].to_bits(), single.to_bits(), "n={} t={} j={}", n, t, j);
-                let reference = reference_dot(&x, y);
-                prop_assert_eq!(single.to_bits(), reference.to_bits(), "n={} t={}", n, t);
-            }
+        let mut fused = vec![f64::NAN; k];
+        dense::dots(&x, &ys, &mut fused);
+        for (j, y) in ys.iter().enumerate() {
+            let single = dense::dot(&x, y);
+            prop_assert_eq!(fused[j].to_bits(), single.to_bits(), "n={} j={}", n, j);
+            let reference = reference_dot(&x, y);
+            prop_assert_eq!(single.to_bits(), reference.to_bits(), "n={}", n);
         }
     }
 
     /// `axpys` against the `axpy` sequence, and `axpy` against the plain
-    /// element loop, at 1, 2 and 8 threads.
+    /// element loop.
     #[test]
     fn multi_axpy_equals_axpy_sequence_bitwise(
         (n, k, mode, seed) in (kernel_size(), 0usize..7, 0u64..3, 0u64..1 << 20)
@@ -286,22 +275,18 @@ proptest! {
                 *yi += aj * xi;
             }
         }
-        for t in [1, 2, 8] {
-            let (mut fused, mut seq) = (y0.clone(), y0.clone());
-            with_threads(t, || {
-                dense::axpys(&a, &xs, &mut fused);
-                for (&aj, x) in a.iter().zip(&xs) {
-                    dense::axpy(aj, x, &mut seq);
-                }
-            });
-            prop_assert_eq!(bits(&fused), bits(&seq), "n={} t={}", n, t);
-            prop_assert_eq!(bits(&seq), bits(&reference), "n={} t={}", n, t);
+        let (mut fused, mut seq) = (y0.clone(), y0);
+        dense::axpys(&a, &xs, &mut fused);
+        for (&aj, x) in a.iter().zip(&xs) {
+            dense::axpy(aj, x, &mut seq);
         }
+        prop_assert_eq!(bits(&fused), bits(&seq), "n={}", n);
+        prop_assert_eq!(bits(&seq), bits(&reference), "n={}", n);
     }
 
-    /// The row-blocked kernels against the per-row reference loop, and
-    /// the fused last sweep against a sweep followed by `axpy(1.0)`, at
-    /// 1, 2 and 8 threads, on matrices with empty rows.
+    /// The row kernels against the per-row reference loop, and the fused
+    /// last sweep against a sweep followed by `axpy(1.0)`, on matrices
+    /// with empty rows.
     #[test]
     fn row_block_kernels_equal_reference_bitwise(
         (n, mode, seed) in (kernel_size(), 0u64..3, 0u64..1 << 20)
@@ -316,24 +301,20 @@ proptest! {
         let spmv_ref = bits(&sums);
         let add_ref: Vec<u64> = x0.iter().zip(&sums).map(|(y, s)| (y + s).to_bits()).collect();
         let jr_ref: Vec<f64> = (0..n).map(|i| (r[i] - sums[i]) * inv[i]).collect();
-        for t in [1, 2, 8] {
-            with_threads(t, || {
-                let mut y = vec![f64::INFINITY; n];
-                a.spmv_into(&g, &mut y);
-                assert_eq!(bits(&y), spmv_ref, "spmv n={n} t={t}");
-                let mut y = x0.clone();
-                a.spmv_add_into(&g, &mut y);
-                assert_eq!(bits(&y), add_ref, "spmv_add n={n} t={t}");
-                let mut next = vec![f64::INFINITY; n];
-                a.jr_sweep_fused(&r, &inv, &g, &mut next);
-                assert_eq!(bits(&next), bits(&jr_ref), "jr_sweep_fused n={n} t={t}");
-                let mut x_seq = x0.clone();
-                dense::axpy(1.0, &next, &mut x_seq);
-                let mut x_fused = x0.clone();
-                a.jr_sweep_add(&r, &inv, &g, &mut x_fused);
-                assert_eq!(bits(&x_fused), bits(&x_seq), "jr_sweep_add n={n} t={t}");
-            });
-        }
+        let mut y = vec![f64::INFINITY; n];
+        a.spmv_into(&g, &mut y);
+        prop_assert_eq!(bits(&y), spmv_ref, "spmv n={}", n);
+        let mut y = x0.clone();
+        a.spmv_add_into(&g, &mut y);
+        prop_assert_eq!(bits(&y), add_ref, "spmv_add n={}", n);
+        let mut next = vec![f64::INFINITY; n];
+        a.jr_sweep_fused(&r, &inv, &g, &mut next);
+        prop_assert_eq!(bits(&next), bits(&jr_ref), "jr_sweep_fused n={}", n);
+        let mut x_seq = x0.clone();
+        dense::axpy(1.0, &next, &mut x_seq);
+        let mut x_fused = x0;
+        a.jr_sweep_add(&r, &inv, &g, &mut x_fused);
+        prop_assert_eq!(bits(&x_fused), bits(&x_seq), "jr_sweep_add n={}", n);
     }
 }
 
@@ -537,8 +518,7 @@ proptest! {
     fn reduce_by_key_arbitrary_runs_match_serial_bitwise(
         lens in proptest::collection::vec(0usize..700, 0..32)
     ) {
-        // Arbitrary run lengths (empty runs included); totals regularly
-        // cross the parallel threshold, so both code paths are exercised.
+        // Arbitrary run lengths (empty runs included).
         let mut keys = Vec::new();
         for (k, &l) in lens.iter().enumerate() {
             keys.extend(std::iter::repeat_n(k as u64, l));
@@ -555,8 +535,7 @@ proptest! {
 
     #[test]
     fn reduce_by_key_all_equal_keys_match_serial_bitwise(n in 0usize..20000) {
-        // One run spanning the whole input (including sizes past the
-        // parallel threshold, where every chunk boundary must snap away).
+        // One run spanning the whole input.
         let keys = vec![3u64; n];
         let vals: Vec<f64> = (0..n).map(rounding_sensitive_val).collect();
         let (pk, pv) = prims::reduce_by_key(&keys, &vals);

@@ -17,10 +17,9 @@
 //! `amg::hierarchy`, smoothers, assembly) emit through the free functions
 //! [`span`], [`counter`], [`record`] without threading a
 //! handle through every signature — the same pattern as the `tracing`
-//! crate's dispatcher. Each simulated rank is one OS thread and rayon
-//! worker threads never touch the dispatcher, so recording is
-//! single-threaded per rank and merging per-rank streams in rank order
-//! ([`merge_ranks`]) is deterministic and thread-count independent.
+//! crate's dispatcher. Each simulated rank is one OS thread, so
+//! recording is single-threaded per rank and merging per-rank streams in
+//! rank order ([`merge_ranks`]) is deterministic.
 //!
 //! **Disabled is (near) free**: a disabled handle is `inner: None`; every
 //! hook is one thread-local read and an `Option` check, no allocation, no
@@ -292,15 +291,13 @@ pub fn record(ev: Event) {
 // ---------------------------------------------------------------------------
 
 /// Merge per-rank event streams into one deterministic stream: ranks in
-/// index order, each rank's events in recorded order. The result is
-/// independent of the thread count the ranks ran under (recording is
-/// per-rank-thread), which `tests/telemetry.rs` asserts.
+/// index order, each rank's events in recorded order.
 pub fn merge_ranks(logs: Vec<Vec<Event>>) -> Vec<Event> {
     logs.into_iter().flatten().collect()
 }
 
-/// Run metadata for an exported stream: rank count, worker thread count
-/// (`RAYON_NUM_THREADS` or hardware parallelism), the labels of the
+/// Run metadata for an exported stream: rank count, threads per rank
+/// (always 1: a rank is one thread), the labels of the
 /// transport backend and kernel policy the run was configured with
 /// (`SolverConfig::transport.label()` / `SolverConfig::kernels.label()`
 /// — passed in, so a run configured in code is labelled as what it ran,
@@ -323,24 +320,13 @@ pub fn run_info(
     };
     Event::Run {
         ranks,
-        threads: configured_threads(),
+        threads: 1,
         transport: transport.to_string(),
         kernel_policy: kernel_policy.to_string(),
         git_commit: git_commit(),
         clock_offsets,
         clock_rtts,
     }
-}
-
-/// Worker-thread count the process runs with.
-pub fn configured_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
 }
 
 /// Current git commit: `GIT_COMMIT` env var, else resolved from

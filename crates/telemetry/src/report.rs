@@ -218,7 +218,8 @@ impl PhaseImbalance {
 pub struct Report {
     /// Rank count (from the first `run` event, else max rank seen + 1).
     pub ranks: usize,
-    /// Worker threads (from the first `run` event).
+    /// Threads per rank (from the first `run` event; a rank is one
+    /// thread, so this stack writes 1).
     pub threads: usize,
     /// Transport backend label (from the first `run` event; empty when
     /// the stream has no `run` event).

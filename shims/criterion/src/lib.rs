@@ -152,13 +152,13 @@ fn run_one(group: &str, id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Ben
     );
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         if !path.is_empty() {
-            // One self-describing JSON object per bench: `threads` and
-            // `git_commit` say what the numbers were measured on. Not a
-            // telemetry event (see the module docs).
+            // One self-describing JSON object per bench: `threads` (a
+            // bench runs on one thread) and `git_commit` say what the
+            // numbers were measured on. Not a telemetry event (see the
+            // module docs).
             let mut line = format!(
-                "{{\"type\":\"bench\",\"bench\":\"{full}\",\"mean_ns\":{mean},\"median_ns\":{median},\"min_ns\":{min},\"samples\":{},\"threads\":{}",
-                sorted.len(),
-                configured_threads()
+                "{{\"type\":\"bench\",\"bench\":\"{full}\",\"mean_ns\":{mean},\"median_ns\":{median},\"min_ns\":{min},\"samples\":{},\"threads\":1",
+                sorted.len()
             );
             if let Some(commit) = git_commit() {
                 line.push_str(&format!(",\"git_commit\":\"{commit}\""));
@@ -171,16 +171,6 @@ fn run_one(group: &str, id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Ben
                 .and_then(|mut fh| fh.write_all(line.as_bytes()));
         }
     }
-}
-
-/// Rayon pool size the benches will run with: `RAYON_NUM_THREADS` if set,
-/// else the machine's available parallelism.
-fn configured_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Current git commit, resolved offline (no `git` subprocess): the

@@ -1,8 +1,7 @@
 //! Integration tests for the unified telemetry layer: event-schema
 //! round-trips, span-nesting invariants, histogram bucket edges, and an
-//! end-to-end simulation export whose stream must be schema-valid,
-//! structurally thread-count independent, and aggregable into the
-//! Fig. 6/7-style report.
+//! end-to-end simulation export whose stream must be schema-valid and
+//! aggregable into the Fig. 6/7-style report.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -11,7 +10,6 @@ use exawind::parcomm::{Comm, TransportKind};
 use exawind::sparse_kit::KernelPolicy;
 use exawind::telemetry::{self, Event, LogHistogram, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
-use rayon::ThreadPoolBuilder;
 
 // ---------------------------------------------------------------------------
 // Schema
@@ -99,9 +97,9 @@ fn small_channel() -> exawind::windmesh::Mesh {
     )
 }
 
-/// Run a 2-rank, 2-step simulation with telemetry on under `threads`
-/// rayon threads and return the merged event stream (run header first).
-fn sim_events(threads: usize) -> Vec<Event> {
+/// Run a 2-rank, 2-step simulation with telemetry on and return the
+/// merged event stream (run header first).
+fn sim_events() -> Vec<Event> {
     let mesh = small_channel();
     let cfg = SolverConfig {
         telemetry: true,
@@ -110,14 +108,11 @@ fn sim_events(threads: usize) -> Vec<Event> {
     };
     let (transport, kernels) = (cfg.transport.label(), cfg.kernels.label());
     let per_rank = Comm::run(2, move |rank| {
-        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        pool.install(|| {
-            let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg.clone());
-            sim.step(rank);
-            sim.step(rank);
-            let clock = sim.clock_tables();
-            (clock, sim.finish_telemetry(rank))
-        })
+        let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg.clone());
+        sim.step(rank);
+        sim.step(rank);
+        let clock = sim.clock_tables();
+        (clock, sim.finish_telemetry(rank))
     });
     // The run header carries the clock-alignment table the handshake
     // produced (identical on every rank), as `exawind-worker` writes it;
@@ -130,7 +125,7 @@ fn sim_events(threads: usize) -> Vec<Event> {
 
 #[test]
 fn simulation_stream_is_schema_valid_and_report_complete() {
-    let events = sim_events(1);
+    let events = sim_events();
 
     // Every event must survive a serialize → parse round-trip.
     for ev in &events {
@@ -366,60 +361,4 @@ fn span_phase_times_cover_the_timings_ledger() {
             assert!(spans >= secs - 1e-9, "rank {rank} {eq}/{phase}: spans {spans} < ledger {secs}");
         }
     }
-}
-
-/// Structural signature of a stream: everything except wall-clock
-/// durations, which legitimately vary run to run.
-fn structure(events: &[Event]) -> Vec<String> {
-    events
-        .iter()
-        .filter_map(|ev| Some(match ev {
-            Event::Span { rank, path, .. } => format!("span r{rank} {path}"),
-            // Which exit of the wait loop satisfied a receive — while
-            // polling, or after parking — is wall clock in the shape of
-            // a count: it says which rank reached the exchange first.
-            Event::Counter { name, .. } if name.starts_with("parcomm.recv_") => return None,
-            Event::Run { ranks, .. } => format!("run {ranks}"),
-            // Byte/flop/DOF totals come from the analytic model and must
-            // be exact; wall-clock seconds vary.
-            Event::KernelPerf { rank, kernel, calls, bytes, flops, dofs, .. } => {
-                format!("kernel_perf r{rank} {kernel} c{calls} b{bytes} f{flops} d{dofs}")
-            }
-            // Operation/traffic counts are deterministic; the comm
-            // wait/transfer clocks and latency buckets are wall time.
-            Event::PhasePerf {
-                rank,
-                label,
-                kernel_launches,
-                kernel_bytes,
-                kernel_flops,
-                msgs,
-                msg_bytes,
-                collectives,
-                collective_bytes,
-                ..
-            } => format!(
-                "phase_perf r{rank} {label} k{kernel_launches}/{kernel_bytes}/{kernel_flops} \
-                 m{msgs}/{msg_bytes} c{collectives}/{collective_bytes}"
-            ),
-            Event::Collective { rank, kind, count, bytes, .. } => {
-                format!("collective r{rank} {kind} c{count} b{bytes}")
-            }
-            // Message/byte totals are deterministic; the first/last
-            // wall-clock window is not.
-            Event::CommEdge { rank, src, dst, class, msgs, bytes, .. } => {
-                format!("comm_edge r{rank} {src}->{dst} {class} m{msgs} b{bytes}")
-            }
-            // Perf counts, AMG shapes, GMRES iteration counts and
-            // residual bits must all be exactly reproducible.
-            other => other.to_line(),
-        }))
-        .collect()
-}
-
-#[test]
-fn stream_structure_is_thread_count_independent() {
-    let baseline = structure(&sim_events(1));
-    let threaded = structure(&sim_events(4));
-    assert_eq!(baseline, threaded, "telemetry stream depends on thread count");
 }

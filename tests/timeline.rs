@@ -15,7 +15,6 @@ use exawind::telemetry::health::{DegradationKind, Verdict};
 use exawind::telemetry::{self, Event, Json, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use exawind::windmesh::Mesh;
-use rayon::ThreadPoolBuilder;
 use std::time::Instant;
 
 /// Channel with no-slip z walls: uniform inflow is not a solution, so
@@ -131,18 +130,15 @@ fn clock_sync_is_a_no_op_with_telemetry_off() {
 fn four_rank_stream() -> Vec<Event> {
     let mesh = small_channel();
     let per_rank = Comm::run(4, move |rank| {
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| {
-            let cfg = SolverConfig {
-                telemetry: true,
-                picard_iters: 2,
-                ..SolverConfig::default()
-            };
-            let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
-            sim.step(rank);
-            sim.step(rank);
-            (sim.clock_tables(), sim.finish_telemetry(rank))
-        })
+        let cfg = SolverConfig {
+            telemetry: true,
+            picard_iters: 2,
+            ..SolverConfig::default()
+        };
+        let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
+        sim.step(rank);
+        sim.step(rank);
+        (sim.clock_tables(), sim.finish_telemetry(rank))
     });
     let clock = per_rank[0].0.clone();
     let mut events = vec![telemetry::run_info(4, "inproc", "auto", clock)];
@@ -221,23 +217,20 @@ fn health_run(
     let mesh = bigger_box();
     let plan = faults_spec.map(|s| FaultPlan::parse(s).unwrap());
     Comm::run(2, move |rank| {
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| {
-            let cfg = SolverConfig {
-                telemetry: true,
-                picard_iters: 2,
-                faults: plan.clone(),
-                ..SolverConfig::default()
-            };
-            let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
-            let recoveries: usize = (0..steps).map(|_| sim.step(rank).recoveries.len()).sum();
-            // Per-spec (hits, fired) of the injector installed on this
-            // rank thread; hits advance on every matching hook call
-            // whether or not the window fired.
-            let hits = faults::counters().first().map_or(0, |&(h, _)| h);
-            let live = sim.last_health_verdict().cloned();
-            (hits, sim.finish_telemetry(rank), live, recoveries)
-        })
+        let cfg = SolverConfig {
+            telemetry: true,
+            picard_iters: 2,
+            faults: plan.clone(),
+            ..SolverConfig::default()
+        };
+        let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
+        let recoveries: usize = (0..steps).map(|_| sim.step(rank).recoveries.len()).sum();
+        // Per-spec (hits, fired) of the injector installed on this
+        // rank thread; hits advance on every matching hook call
+        // whether or not the window fired.
+        let hits = faults::counters().first().map_or(0, |&(h, _)| h);
+        let live = sim.last_health_verdict().cloned();
+        (hits, sim.finish_telemetry(rank), live, recoveries)
     })
 }
 
