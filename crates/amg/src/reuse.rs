@@ -23,8 +23,8 @@
 //!   because hierarchy setup makes the same product calls everywhere.
 //! - **Bitwise fidelity**: replay reproduces the fresh hash
 //!   accumulation order exactly (see `distmat::ops`), so a run with
-//!   reuse is bit-identical to one without — `tests/determinism.rs`
-//!   holds this across kernel backends and transports.
+//!   reuse is bit-identical to one without — the test
+//!   `setup_equals_setup_with_reuse_bitwise` holds this.
 
 use distmat::ops::{par_spgemm_planned, ParSpgemmPlan};
 use distmat::ParCsr;

@@ -16,7 +16,7 @@ use amg::{AmgConfig, AmgPrecond};
 use distmat::{ParCsr, ParVector};
 use krylov::{Gmres, JacobiPrecond, OrthoStrategy, Preconditioner, Sgs2};
 use parcomm::{Rank, TransportKind};
-use sparse_kit::{policy, KernelPolicy};
+use sparse_kit::KernelPolicy;
 use resilience::checkpoint::{self, MeshCheckpoint, SolverCheckpoint};
 use resilience::faults::{self, FaultGuard, FaultKind, FaultPlan};
 use resilience::{guard, RecoveryAction, RecoveryPolicy, RecoveryRecord, SolveError};
@@ -91,9 +91,8 @@ pub struct SolverConfig {
     /// transport-agnostic and produces bitwise-identical results on
     /// every backend.
     pub transport: TransportKind,
-    /// SpMV kernel backend policy. Installed on the rank thread by
-    /// [`Simulation::new`]; every backend produces bitwise-identical
-    /// results, the policy only moves bytes.
+    /// SpMV storage label: always [`KernelPolicy::Auto`], i.e. CSR for
+    /// every operator (see `sparse_kit::policy`).
     pub kernels: KernelPolicy,
     /// Periodic checkpointing (`None` disables). A complete generation
     /// is published every `every` steps; [`Simulation::resume`] restores
@@ -268,10 +267,6 @@ impl Simulation {
     /// connectivity is assembled here when there are component meshes.
     /// Collective (partitioning is deterministic and replicated).
     pub fn new(rank: &Rank, mut meshes: Vec<Mesh>, cfg: SolverConfig) -> Simulation {
-        // Install the kernel-backend policy on this rank thread before
-        // any matrix is built, so every ParCsr constructed below picks
-        // its SpMV storage consistently.
-        policy::install(cfg.kernels);
         let overset = if meshes.len() > 1 {
             assemble_overset(&mut meshes, cfg.overset_margin)
         } else {

@@ -259,9 +259,9 @@ fn plan_mismatch(src: usize, expected: usize, got: usize) -> SolveError {
 /// by [`AssemblyPlan::try_assemble`] with no sort, no allgather, no ids
 /// on the wire and no comm-package exchange.
 ///
-/// The plan is a pure function of the two distributions, the owned and
-/// shared patterns of every rank and the kernel policy active at build
-/// time; whoever holds the patterns owns its lifetime.
+/// The plan is a pure function of the two distributions and the owned
+/// and shared patterns of every rank; whoever holds the patterns owns
+/// its lifetime.
 #[derive(Clone, Debug)]
 pub struct AssemblyPlan {
     n_owned: usize,
@@ -271,7 +271,7 @@ pub struct AssemblyPlan {
     /// Tag of this plan's values-only messages.
     tag: Tag,
     /// The finished structure — indptr/indices, `col_map_offd`,
-    /// `CommPkg`, halo tag, SELL-C-σ layout — of every replayed matrix.
+    /// `CommPkg`, halo tag — of every replayed matrix.
     pattern: ParCsrPattern,
     /// Contribution lists over `owned values ++ received values` (by
     /// ascending source rank) for the stored entries of `diag` / `offd`.

@@ -308,7 +308,6 @@ impl ParSpgemmPlan {
         let mut c = self.template.clone();
         c.diag.vals_mut().copy_from_slice(&diag_vals);
         c.offd.vals_mut().copy_from_slice(&offd_vals);
-        c.refresh_diag_sell();
         c
     }
 }

@@ -5,8 +5,7 @@ use std::sync::Arc;
 use parcomm::{KernelKind, Rank};
 use resilience::SolveError;
 use sparse_kit::cost;
-use sparse_kit::policy;
-use sparse_kit::{Coo, Csr, SellCs, SellLayout};
+use sparse_kit::{Coo, Csr};
 
 use crate::dist::RowDist;
 use crate::halo::{socket_drop_hook, CommPkg, Halo};
@@ -26,11 +25,6 @@ pub struct ParCsr {
     rank_id: usize,
     /// Local rows × local columns.
     pub diag: Csr,
-    /// SELL-C-σ mirror of `diag`, built at construction only when the
-    /// active [`sparse_kit::KernelPolicy`] is `Sellcs` (`Auto` is CSR).
-    /// Always numerically in sync with `diag` (see [`ParCsr::scale`] and
-    /// the plan-replay refresh in `ops`); `spmv_into` dispatches on it.
-    diag_sell: Option<SellCs>,
     /// Local rows × external columns (compressed).
     pub offd: Csr,
     /// The external columns and their exchange, shared by every matrix
@@ -87,15 +81,11 @@ impl ParCsr {
         let diag = Csr::from_coo(local_rows, col_dist.local_n(r), &diag_coo);
         let offd = Csr::from_coo(local_rows, col_map_offd.len(), &offd_coo);
         let halo = Arc::new(Halo::new(rank, &col_dist, col_map_offd));
-        let diag_sell = policy::current()
-            .builds_sellcs()
-            .then(|| SellCs::from_csr(&diag, policy::DEFAULT_SIGMA));
         ParCsr {
             row_dist,
             col_dist,
             rank_id: r,
             diag,
-            diag_sell,
             offd,
             halo,
         }
@@ -206,16 +196,7 @@ impl ParCsr {
     /// Scale every stored value by `s` (local operation).
     pub fn scale(&mut self, s: f64) {
         self.diag.scale(s);
-        if let Some(sell) = &mut self.diag_sell {
-            sell.scale(s);
-        }
         self.offd.scale(s);
-    }
-
-    /// The SELL-C-σ mirror of the diag block, if the active kernel
-    /// policy built one.
-    pub fn diag_sell(&self) -> Option<&SellCs> {
-        self.diag_sell.as_ref()
     }
 
     /// Strip the values, keeping everything construction derived from
@@ -228,20 +209,10 @@ impl ParCsr {
         ParCsrPattern {
             diag: BlockPattern::of(&self.diag),
             offd: BlockPattern::of(&self.offd),
-            diag_sell: self.diag_sell.map(SellCs::into_layout),
             row_dist: self.row_dist,
             col_dist: self.col_dist,
             rank_id: self.rank_id,
             halo: self.halo,
-        }
-    }
-
-    /// Re-copy `diag`'s values into the SELL-C-σ mirror (no-op without
-    /// one). Callers that overwrite `diag` values in place — numeric
-    /// SpGEMM plan replay — must call this before the next SpMV.
-    pub fn refresh_diag_sell(&mut self) {
-        if let Some(sell) = &mut self.diag_sell {
-            sell.refresh_values(&self.diag);
         }
     }
 
@@ -342,7 +313,7 @@ impl ParCsr {
     /// (GMRES restarts, V-cycle restriction, every smoother round):
     ///
     /// 1. [`ParCsr::try_halo_begin`] — pack and send the boundary of `x`;
-    /// 2. diag block (CSR or its SELL-C-σ mirror): `s_i = Σ diag_ij x_j`;
+    /// 2. diag block: `s_i = Σ diag_ij x_j`;
     /// 3. [`HaloInFlight::try_finish`] — receive the external values;
     /// 4. offd block: `s_i += Σ offd_ij ext_j` (skipped when empty);
     /// 5. `r_i = b_i − s_i`.
@@ -366,20 +337,9 @@ impl ParCsr {
     /// wait time, not kernel time.
     fn apply_overlapped(&self, rank: &Rank, x: &[f64], b: Option<&[f64]>, y: &mut [f64]) {
         let halo = self.try_halo_begin(rank, x).unwrap_or_else(|e| panic!("{e}"));
-        match &self.diag_sell {
-            // The `Sellcs` policy mirrored the diag block in SELL-C-σ.
-            // The offd block (thin, irregular) stays CSR either way.
-            Some(sell) => {
-                let k = rank.kernel("spmv_sellcs", KernelKind::SpMV);
-                k.launch(sell.nrows(), cost::sellcs_spmv(sell));
-                sell.spmv_into(x, y);
-            }
-            None => {
-                let k = rank.kernel("spmv_csr", KernelKind::SpMV);
-                k.launch(self.local_rows(), cost::spmv(&self.diag));
-                self.diag.spmv_into(x, y);
-            }
-        }
+        let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+        k.launch(self.local_rows(), cost::spmv(&self.diag));
+        self.diag.spmv_into(x, y);
         let ext = halo.try_finish(rank).unwrap_or_else(|e| panic!("{e}"));
         if self.offd.nnz() > 0 {
             let k = rank.kernel("spmv_csr", KernelKind::SpMV);
@@ -481,8 +441,8 @@ impl BlockPattern {
 }
 
 /// A [`ParCsr`] without its values: the diag/offd structure (column ids
-/// narrowed to `u32`), the [`Halo`] (column map, communication package
-/// and tag) and the SELL-C-σ layout — everything a collective
+/// narrowed to `u32`) and the [`Halo`] (column map, communication
+/// package and tag) — everything a collective
 /// constructor derives from the sparsity pattern, kept so that further
 /// matrices of the same pattern cost one structure copy, share the halo
 /// and communicate nothing.
@@ -492,7 +452,6 @@ pub struct ParCsrPattern {
     col_dist: RowDist,
     rank_id: usize,
     diag: BlockPattern,
-    diag_sell: Option<SellLayout>,
     offd: BlockPattern,
     halo: Arc<Halo>,
 }
@@ -513,13 +472,11 @@ impl ParCsrPattern {
     ///
     /// Panics if a value array's length differs from its block's `nnz`.
     pub fn with_values(&self, diag_vals: Vec<f64>, offd_vals: Vec<f64>) -> ParCsr {
-        let diag = self.diag.with_values(diag_vals);
         ParCsr {
             row_dist: self.row_dist.clone(),
             col_dist: self.col_dist.clone(),
             rank_id: self.rank_id,
-            diag_sell: self.diag_sell.as_ref().map(|layout| layout.fill(&diag)),
-            diag,
+            diag: self.diag.with_values(diag_vals),
             offd: self.offd.with_values(offd_vals),
             halo: Arc::clone(&self.halo),
         }

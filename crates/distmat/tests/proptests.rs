@@ -6,7 +6,7 @@ use distmat::{AssemblyPlan, Halo, IjMatrix, IjVector, ParCsr, ParVector, RowDist
 use std::collections::BTreeMap;
 use parcomm::Comm;
 use proptest::prelude::*;
-use sparse_kit::{policy, Coo, Csr, KernelPolicy};
+use sparse_kit::{Coo, Csr};
 
 /// Strategy: a random sparse square matrix of size n with ~30% fill and a
 /// guaranteed nonzero diagonal.
@@ -176,7 +176,7 @@ proptest! {
     /// diag pass, the offd pass (skipped when the block stores nothing,
     /// as the kernels skip it) and `b − s` — at 1/2/3 ranks, for square
     /// and rectangular (P/R-shaped) operators, with and without an offd
-    /// block, under both diag-block backends.
+    /// block.
     #[test]
     fn overlapped_spmv_and_residual_equal_blocking_reference_bitwise(
         (nr, nc, entries, pool) in (3u64..14, 3u64..14).prop_flat_map(|(nr, nc)| (
@@ -187,17 +187,11 @@ proptest! {
         ))
     ) {
         for p in 1..=3usize {
-            for (square, with_offd, kernels) in [
-                (true, true, KernelPolicy::Csr),
-                (true, true, KernelPolicy::Sellcs),
-                (false, true, KernelPolicy::Csr),
-                (false, true, KernelPolicy::Sellcs),
-                (true, false, KernelPolicy::Sellcs),
-                (false, false, KernelPolicy::Csr),
-            ] {
+            for (square, with_offd) in
+                [(true, true), (false, true), (true, false), (false, false)]
+            {
                 let (entries, pool) = (entries.clone(), pool.clone());
                 Comm::run(p, move |rank| {
-                    policy::install(kernels);
                     let me = rank.rank();
                     let ncols = if square { nr } else { nc };
                     let row_dist = RowDist::block(nr, p);
@@ -211,7 +205,6 @@ proptest! {
                         }
                     }
                     let a = ParCsr::from_global_coo(rank, row_dist.clone(), col_dist.clone(), &coo);
-                    assert_eq!(a.diag_sell().is_some(), kernels == KernelPolicy::Sellcs);
                     if !with_offd {
                         assert_eq!(a.offd.nnz(), 0);
                     }

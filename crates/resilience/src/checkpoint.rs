@@ -311,8 +311,8 @@ pub fn read_file(
             &header[..8]
         )));
     }
-    let u32_at = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().unwrap());
-    let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().unwrap());
+    let u32_at = |o: usize| u32::from_le_bytes(std::array::from_fn(|i| header[o + i]));
+    let u64_at = |o: usize| u64::from_le_bytes(std::array::from_fn(|i| header[o + i]));
     let version = u32_at(8);
     if version != VERSION {
         return Err(CheckpointError::VersionMismatch { found: version, expected: VERSION });

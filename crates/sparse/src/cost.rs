@@ -14,11 +14,10 @@
 //! between kernels) and stores are counted once.
 
 use crate::csr::Csr;
-use crate::sellcs::SellCs;
 
 const IDX: u64 = std::mem::size_of::<usize>() as u64;
 const VAL: u64 = std::mem::size_of::<f64>() as u64;
-/// SELL-C-σ stores columns, row lengths, and the permutation as u32.
+/// Assembly-plan gather lists index their sources as u32.
 const IDX32: u64 = std::mem::size_of::<u32>() as u64;
 
 /// (bytes, flops) for y = A·x.
@@ -75,20 +74,6 @@ pub fn reduce(n: usize, item_bytes: u64) -> (u64, u64) {
 pub fn spgemm(expansion: u64, c_nnz: usize) -> (u64, u64) {
     let c_nnz = c_nnz as u64;
     (c_nnz * (IDX + VAL), 2 * (expansion + c_nnz))
-}
-
-/// (bytes, flops) for y = A·x in SELL-C-σ storage: chunk offsets plus
-/// u32 row lengths/permutation, then one streamed (col, val, gathered x)
-/// triple per *stored* (padding included) slot, and the y write. The
-/// u32 indices are the point: compare [`spmv`]'s `nnz * (IDX + 2*VAL)`
-/// term.
-pub fn sellcs_spmv(m: &SellCs) -> (u64, u64) {
-    let rows = m.nrows() as u64;
-    let stored = m.stored() as u64;
-    let chunks = m.n_chunks() as u64;
-    let bytes = (chunks + 1) * IDX + rows * 2 * IDX32 + stored * (IDX32 + 2 * VAL) + rows * VAL;
-    let flops = 2 * m.nnz() as u64;
-    (bytes, flops)
 }
 
 /// (bytes, flops) for an assembly-plan replay: gather `contribs`

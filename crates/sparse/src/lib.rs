@@ -5,7 +5,9 @@
 //! primitives ([`prims`]), COO and CSR storage ([`coo`], [`csr`]),
 //! a hash-based SpGEMM modeled on hypre's own (plus a sort/merge "ESC"
 //! SpGEMM as the cuSPARSE-style comparator, [`spgemm`]), and the Galerkin
-//! triple product used by AMG setup ([`rap`]).
+//! triple product used by AMG setup ([`rap`]). Every solver operator is
+//! CSR ([`policy`]); SELL-C-σ storage ([`sellcs`]) stays only as the
+//! comparator that the end-to-end benchmark's SpMV probe times.
 //!
 //! Every kernel runs serially on its rank; the paper's device-thread
 //! parallelism is priced, not run: all kernels expose cost estimators
@@ -24,4 +26,4 @@ pub mod spgemm;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use policy::KernelPolicy;
-pub use sellcs::{SellCs, SellLayout};
+pub use sellcs::SellCs;

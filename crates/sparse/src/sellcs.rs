@@ -1,4 +1,7 @@
-//! SELL-C-σ sparse storage (sliced ELLPACK with row sorting).
+//! SELL-C-σ sparse storage (sliced ELLPACK with row sorting): the
+//! comparator the end-to-end benchmark's `sparse.spmv_sellcs_s` probe
+//! times against the CSR SpMV. The solver stores every operator in CSR
+//! (see [`crate::policy`]).
 //!
 //! Kreutzer et al.'s SIMD-friendly format: rows are grouped into chunks
 //! of `C = 4`, each chunk stored column-major ("slot-major") and padded
@@ -19,7 +22,7 @@
 //! Column indices, per-slot row lengths, and the row permutation are
 //! `u32` (validated at conversion): versus CSR's `usize` indices this
 //! roughly halves index traffic, which is the point — SpMV is
-//! bandwidth-bound (see [`crate::cost::sellcs_spmv`]).
+//! bandwidth-bound.
 
 use crate::csr::Csr;
 
@@ -34,15 +37,13 @@ pub fn round_sigma(sigma: usize) -> usize {
     sigma.max(CHUNK).div_ceil(CHUNK) * CHUNK
 }
 
-/// A sparse matrix in SELL-C-σ layout. Built from (and value-coherent
-/// with) a [`Csr`]; structure is immutable after conversion.
+/// A sparse matrix in SELL-C-σ layout, converted from a [`Csr`].
 #[derive(Clone, Debug)]
 pub struct SellCs {
     nrows: usize,
     ncols: usize,
-    sigma: usize,
-    /// Real (unpadded) entries: the source matrix's nnz, kept because
-    /// every SpMV launch prices it.
+    /// Real (unpadded) entries: the source matrix's nnz, for
+    /// [`SellCs::fill_ratio`].
     nnz: usize,
     /// Chunk `c` occupies `vals[chunk_ptr[c]..chunk_ptr[c + 1]]`
     /// (slot-major: entry `j` of lane `l` lives at `base + j*CHUNK + l`).
@@ -133,7 +134,6 @@ impl SellCs {
         SellCs {
             nrows,
             ncols,
-            sigma,
             nnz: a.nnz(),
             chunk_ptr,
             row_len,
@@ -143,21 +143,8 @@ impl SellCs {
         }
     }
 
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// The (rounded) σ-window this matrix was built with.
-    pub fn sigma(&self) -> usize {
-        self.sigma
-    }
-
     /// Number of row chunks.
-    pub fn n_chunks(&self) -> usize {
+    fn n_chunks(&self) -> usize {
         self.chunk_ptr.len().saturating_sub(1)
     }
 
@@ -167,43 +154,8 @@ impl SellCs {
     }
 
     /// Stored entries including chunk padding — what SpMV streams.
-    pub fn stored(&self) -> usize {
+    fn stored(&self) -> usize {
         *self.chunk_ptr.last().unwrap_or(&0)
-    }
-
-    /// Scale every value by `s` (keeps a `ParCsr`'s SELL sibling
-    /// coherent with `Csr::scale`). Padding values stay 0 and are never
-    /// read anyway.
-    pub fn scale(&mut self, s: f64) {
-        for v in &mut self.vals {
-            *v *= s;
-        }
-    }
-
-    /// Re-copy values from a structurally identical CSR (value-only
-    /// update after e.g. in-place edits on the CSR side).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a`'s shape does not match this matrix.
-    pub fn refresh_values(&mut self, a: &Csr) {
-        assert_eq!(a.nrows(), self.nrows, "refresh_values: row mismatch");
-        assert_eq!(a.ncols(), self.ncols, "refresh_values: col mismatch");
-        let indptr = a.indptr();
-        let a_vals = a.vals();
-        for c in 0..self.n_chunks() {
-            let base = self.chunk_ptr[c];
-            for l in 0..CHUNK {
-                let slot = c * CHUNK + l;
-                if self.perm[slot] == PAD {
-                    continue;
-                }
-                let start = indptr[self.perm[slot] as usize];
-                for j in 0..self.row_len[slot] as usize {
-                    self.vals[base + j * CHUNK + l] = a_vals[start + j];
-                }
-            }
-        }
     }
 
     /// y = A·x, bitwise-identical to [`Csr::spmv_into`] on the source
@@ -244,14 +196,8 @@ impl SellCs {
         }
     }
 
-    /// Drop the values and keep the layout, for [`SellLayout::fill`].
-    pub fn into_layout(mut self) -> SellLayout {
-        self.vals = Vec::new();
-        SellLayout(self)
-    }
-
-    /// Padding overhead: stored / nnz (1.0 = no padding). Reported in
-    /// the kernel-backend docs and useful for Auto-policy diagnostics.
+    /// Padding overhead: stored / nnz (1.0 = no padding), which the
+    /// end-to-end benchmark reports beside its SpMV probe.
     pub fn fill_ratio(&self) -> f64 {
         let nnz = self.nnz();
         if nnz == 0 {
@@ -259,27 +205,6 @@ impl SellCs {
         } else {
             self.stored() as f64 / nnz as f64
         }
-    }
-}
-
-/// The structure of a [`SellCs`] — σ-window row order, chunk widths,
-/// columns — without its values: the part of a conversion that depends
-/// only on the source matrix's pattern.
-#[derive(Clone, Debug)]
-pub struct SellLayout(SellCs);
-
-impl SellLayout {
-    /// The SELL-C-σ form of `a`, which must have the pattern this layout
-    /// was converted from: [`SellCs::from_csr`] without the row sort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a`'s shape does not match the layout.
-    pub fn fill(&self, a: &Csr) -> SellCs {
-        let mut s = self.0.clone();
-        s.vals = vec![0.0; s.stored()];
-        s.refresh_values(a);
-        s
     }
 }
 
@@ -382,32 +307,6 @@ mod tests {
         let mut y = vec![0.0; n];
         s.spmv_into(&x, &mut y);
         assert_eq!(bits(&y), bits(&y_ref));
-    }
-
-    #[test]
-    fn scale_and_refresh_stay_coherent() {
-        let a = Csr::from_dense(&[vec![1.0, 2.0], vec![0.0, 4.0]]);
-        let mut s = SellCs::from_csr(&a, 4);
-        s.scale(0.5);
-        let mut half = a.clone();
-        half.scale(0.5);
-        let x = vec![1.0, -1.0];
-        let (mut y1, mut y2) = (vec![0.0; 2], vec![0.0; 2]);
-        s.spmv_into(&x, &mut y1);
-        half.spmv_into(&x, &mut y2);
-        assert_eq!(bits(&y1), bits(&y2));
-
-        s.refresh_values(&a);
-        s.spmv_into(&x, &mut y1);
-        a.spmv_into(&x, &mut y2);
-        assert_eq!(bits(&y1), bits(&y2));
-
-        // A layout stripped of its values refills to the same matrix.
-        let refilled = s.clone().into_layout().fill(&half);
-        refilled.spmv_into(&x, &mut y1);
-        half.spmv_into(&x, &mut y2);
-        assert_eq!(bits(&y1), bits(&y2));
-        assert_eq!(refilled.stored(), s.stored());
     }
 
     #[test]

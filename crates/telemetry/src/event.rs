@@ -231,7 +231,7 @@ events! {
         threads: usize,
         /// Transport backend label (`inproc` | `socket`).
         transport: String,
-        /// Active kernel policy label (`auto` | `csr` | `sellcs`).
+        /// SpMV storage label: always `auto` (every operator is CSR).
         kernel_policy: String,
         git_commit: Option<String>,
         /// Per-rank clock offsets (seconds) mapping each rank's telemetry

@@ -263,11 +263,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // The plain run up to the next quote or escape, in one
+                // piece: both are ASCII, so the run ends on a character
+                // boundary, and every byte is validated once.
+                let run = &b[*pos..];
+                let len = run
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -371,6 +376,20 @@ mod tests {
         assert_eq!(obj["b"].as_obj().unwrap()["c"], Json::Null);
         // Determinstic re-serialization.
         assert_eq!(v.to_string(), src);
+    }
+
+    #[test]
+    fn strings_of_multibyte_characters_round_trip() {
+        // 1-, 2-, 3- and 4-byte UTF-8 characters between escapes, then a
+        // line long enough that re-validating the rest of it per
+        // character would show.
+        let mixed = "a\u{e9}\u{20ac}\u{1f300}\"\\\n\u{1f300}\u{20ac}\u{e9}a";
+        let long = "\u{e9}x\u{1f300}".repeat(200_000);
+        for text in [mixed.to_string(), long] {
+            let src = Json::Str(text);
+            assert_eq!(Json::parse(&src.to_string()).unwrap(), src);
+        }
+        assert_eq!(Json::parse(r#""\u00e9\u20ac""#).unwrap(), Json::Str("\u{e9}\u{20ac}".into()));
     }
 
     #[test]

@@ -297,23 +297,18 @@ pub fn merge_ranks(logs: Vec<Vec<Event>>) -> Vec<Event> {
 }
 
 /// Run metadata for an exported stream: rank count, threads per rank
-/// (always 1: a rank is one thread), the labels of the
-/// transport backend and kernel policy the run was configured with
-/// (`SolverConfig::transport.label()` / `SolverConfig::kernels.label()`
-/// — passed in, so a run configured in code is labelled as what it ran,
-/// and this crate reads neither variable), the git commit if
+/// (always 1: a rank is one thread), the label of the transport backend
+/// the run was configured with (`SolverConfig::transport.label()` —
+/// passed in, so a run configured in code is labelled as what it ran,
+/// and this crate reads no variable), the kernel policy (always
+/// `auto`: every operator is CSR), the git commit if
 /// discoverable (`GIT_COMMIT` env or `.git/HEAD`), and the per-rank
 /// clock-alignment table from the epochs' wall-clock anchors
 /// (`parcomm`'s `Rank::clock_sync`): `offsets[r]` maps rank `r`'s epoch
 /// timestamps onto rank 0's timeline (`t_global = t_rank + offsets[r]`),
 /// and `rtts[r]` is the width of rank `r`'s anchor bracket (its share of
 /// the offset uncertainty is ≤ rtt/2).
-pub fn run_info(
-    ranks: usize,
-    transport: &str,
-    kernel_policy: &str,
-    clock: Option<(Vec<f64>, Vec<f64>)>,
-) -> Event {
+pub fn run_info(ranks: usize, transport: &str, clock: Option<(Vec<f64>, Vec<f64>)>) -> Event {
     let (clock_offsets, clock_rtts) = match clock {
         Some((o, r)) => (Some(o), Some(r)),
         None => (None, None),
@@ -322,7 +317,7 @@ pub fn run_info(
         ranks,
         threads: 1,
         transport: transport.to_string(),
-        kernel_policy: kernel_policy.to_string(),
+        kernel_policy: "auto".to_string(),
         git_commit: git_commit(),
         clock_offsets,
         clock_rtts,

@@ -1075,7 +1075,7 @@ mod tests {
     }
 
     fn sample_events() -> Vec<Event> {
-        let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
+        let mut evs = vec![crate::run_info(2, "inproc", None)];
         for rank in 0..2usize {
             for (eq, phase, secs) in [
                 ("momentum", "graph+physics", 0.1),
@@ -1299,7 +1299,7 @@ mod tests {
 
     #[test]
     fn imbalance_table_reports_max_over_avg_and_wait() {
-        let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
+        let mut evs = vec![crate::run_info(2, "inproc", None)];
         // Rank 1 is 3x slower in `solve`: avg 0.2, max 0.3 → ratio 1.5.
         for (rank, secs) in [(0usize, 0.1), (1usize, 0.3)] {
             evs.push(phase_span(rank, "continuity", "solve", secs));
@@ -1438,7 +1438,7 @@ mod tests {
 
     #[test]
     fn critical_path_section_attributes_makespan() {
-        let mut evs = vec![crate::run_info(2, "inproc", "auto", None)];
+        let mut evs = vec![crate::run_info(2, "inproc", None)];
         // Rank 1 finishes its picard work early and the step ends when
         // rank 0 does: the path is rank 0's compute.
         for rank in 0..2usize {

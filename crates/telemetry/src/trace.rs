@@ -812,8 +812,8 @@ mod tests {
     fn every_consumer_reads_the_first_run_event() {
         let clock = |offset: f64, n: usize| Some(([0.0, offset, 0.0, 0.0][..n].to_vec(), vec![0.0; n]));
         let mut events = vec![
-            crate::run_info(2, "socket", "auto", clock(10.0, 2)),
-            crate::run_info(4, "inproc", "auto", clock(20.0, 4)),
+            crate::run_info(2, "socket", clock(10.0, 2)),
+            crate::run_info(4, "inproc", clock(20.0, 4)),
             // Rank 3 exists in the second header only.
             edge(0, 0, 3, 1, (0.1, 0.2)),
         ];
@@ -833,7 +833,7 @@ mod tests {
         // receiver; 2->0 only from its sender.
         let stream = |receiver_msgs: u64| {
             vec![
-                crate::run_info(3, "inproc", "auto", None),
+                crate::run_info(3, "inproc", None),
                 edge(0, 0, 1, 4, (0.1, 0.5)),
                 edge(1, 0, 1, receiver_msgs, (0.2, 0.6)),
                 edge(2, 1, 2, 2, (0.3, 0.4)),

@@ -49,7 +49,7 @@ fn main() {
         telemetry: tel_path.is_some(),
         ..env.config.clone()
     };
-    let (transport, kernels) = (cfg.transport, cfg.kernels);
+    let transport = cfg.transport;
 
     // The rank closure is identical however the communicator is backed.
     let outputs = env.run(nranks, move |rank| {
@@ -117,8 +117,7 @@ fn main() {
         // Rank 0's clock tables (identical on every rank after the
         // startup clock sync) align the per-rank epochs in the header.
         let clock = outputs[0].3.clone();
-        let mut events =
-            vec![telemetry::run_info(nranks, transport.label(), kernels.label(), clock)];
+        let mut events = vec![telemetry::run_info(nranks, transport.label(), clock)];
         events.extend(telemetry::merge_ranks(
             outputs.into_iter().map(|(_, _, ev, _)| ev).collect(),
         ));

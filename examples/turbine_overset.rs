@@ -52,7 +52,7 @@ fn main() {
         telemetry: tel_path.is_some(),
         ..env.config.clone()
     };
-    let (transport, kernels) = (cfg.transport, cfg.kernels);
+    let transport = cfg.transport;
     let outputs = env.run(nranks, move |rank| {
         let mut sim = Simulation::new(rank, meshes.clone(), cfg.clone());
         let mut lines = Vec::new();
@@ -112,8 +112,7 @@ fn main() {
         // Rank 0's clock tables (identical on every rank after the
         // startup clock sync) align the per-rank epochs in the header.
         let clock = outputs[0].4.clone();
-        let mut events =
-            vec![telemetry::run_info(nranks, transport.label(), kernels.label(), clock)];
+        let mut events = vec![telemetry::run_info(nranks, transport.label(), clock)];
         events.extend(telemetry::merge_ranks(
             outputs.into_iter().map(|(_, _, _, ev, _)| ev).collect(),
         ));

@@ -187,13 +187,12 @@ fn main() {
     // --resume opts into continuing that run.
     if args.checkpoint_every > 0 && !args.resume {
         match checkpoint::read_manifest(&args.checkpoint_dir) {
-            Ok(Some(m)) if m.latest().is_some() => {
+            Ok(Some(m)) if let Some(latest) = m.latest() => {
                 eprintln!(
-                    "exawind-launch: checkpoint dir {} already names generation {} \
+                    "exawind-launch: checkpoint dir {} already names generation {latest} \
                      (a previous run); pass --resume to continue it or point \
                      --checkpoint-dir at a fresh directory",
                     args.checkpoint_dir.display(),
-                    m.latest().unwrap()
                 );
                 exit(2);
             }

@@ -135,7 +135,7 @@ fn main() {
             ..env.config.clone()
         };
         let picard_iters = cfg.picard_iters as u64;
-        let (transport, kernels) = (cfg.transport, cfg.kernels);
+        let transport = cfg.transport;
         let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
 
         // Supervised relaunch: restore the newest complete generation
@@ -229,7 +229,6 @@ fn main() {
                 stream.push(telemetry::run_info(
                     rank.size(),
                     transport.label(),
-                    kernels.label(),
                     sim.clock_tables(),
                 ));
             }

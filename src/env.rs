@@ -26,13 +26,10 @@ use std::time::Duration;
 use nalu_core::{CheckpointCfg, SolverConfig};
 use parcomm::{socket_path, Comm, Rank, TransportKind, WorkerEnv, SOCKET_PATH_MAX};
 use resilience::FaultPlan;
-use sparse_kit::KernelPolicy;
 use telemetry::Json;
 
 /// Transport backend: `inproc` (default) or `socket`.
 pub const TRANSPORT: &str = "EXAWIND_TRANSPORT";
-/// SpMV kernel backend policy: `auto` (default), `csr` or `sellcs`.
-pub const KERNELS: &str = "EXAWIND_KERNELS";
 /// Fault-injection plan (grammar in `resilience::faults`).
 pub const FAULTS: &str = "EXAWIND_FAULTS";
 /// Enables telemetry and names the JSONL export path.
@@ -60,9 +57,8 @@ pub const STALL_RANK: &str = "EXAWIND_STALL_RANK";
 pub const STALL: Duration = Duration::from_secs(60);
 
 /// Every variable this program reads.
-pub const NAMES: [&str; 12] = [
+pub const NAMES: [&str; 11] = [
     TRANSPORT,
-    KERNELS,
     FAULTS,
     TELEMETRY,
     CHECKPOINT_EVERY,
@@ -274,7 +270,7 @@ impl Progress {
 /// Everything the environment says about this run.
 #[derive(Clone, Debug)]
 pub struct RunEnv {
-    /// [`SolverConfig::default`] with `transport`, `kernels`, `faults`,
+    /// [`SolverConfig::default`] with `transport`, `faults`,
     /// `telemetry` and `checkpoint` as the environment selects them.
     pub config: SolverConfig,
     /// Where the telemetry stream goes (`config.telemetry` is on iff
@@ -350,12 +346,6 @@ impl RunEnv {
         let transport = vars
             .parsed(TRANSPORT, TransportKind::parse)?
             .unwrap_or_default();
-        let kernels = vars
-            .parsed(KERNELS, |v| {
-                KernelPolicy::parse(v)
-                    .ok_or_else(|| "unknown kernel policy (expected auto, csr or sellcs)".into())
-            })?
-            .unwrap_or(KernelPolicy::Auto);
         let faults = vars.parsed(FAULTS, FaultPlan::parse)?;
         let telemetry_path = vars.parsed(TELEMETRY, |v| Ok(v.to_string()))?;
 
@@ -422,7 +412,6 @@ impl RunEnv {
                 telemetry: telemetry_path.is_some(),
                 faults,
                 transport,
-                kernels,
                 checkpoint,
                 ..SolverConfig::default()
             },
@@ -522,18 +511,12 @@ mod tests {
         );
         // (variable, valid value, what it becomes, malformed value —
         // `None` for paths taken as they are).
-        let table: [(&str, &str, Check, Option<&str>); 12] = [
+        let table: [(&str, &str, Check, Option<&str>); 11] = [
             (
                 TRANSPORT,
                 "socket",
                 |e| e.config.transport == TransportKind::Socket,
                 Some("tcp"),
-            ),
-            (
-                KERNELS,
-                "sellcs",
-                |e| e.config.kernels == KernelPolicy::Sellcs,
-                Some("selcs"),
             ),
             (
                 FAULTS,

@@ -1,13 +1,12 @@
 //! Bitwise determinism of the solver across the choices that must not
-//! change a single bit of the results: the transport, the kernel
-//! backend, telemetry on or off, and an interrupt/restart. Every
+//! change a single bit of the results: the transport, telemetry on or
+//! off, and an interrupt/restart. Every
 //! reduction runs in a fixed, index-determined order, so these tests
 //! rebuild the same turbine problem under each choice and compare raw
 //! `f64` bit patterns.
 
 use exawind::nalu_core::{CheckpointCfg, RecoveryRecord, Simulation, SolverConfig};
 use exawind::parcomm::{Comm, TransportKind};
-use exawind::sparse_kit::KernelPolicy;
 use exawind::windmesh::turbine::generate;
 use exawind::windmesh::NrelCase;
 
@@ -57,51 +56,6 @@ fn telemetry_does_not_perturb_solution_bits() {
         assert_eq!(
             baseline, with_tel,
             "telemetry perturbed the solution on {transport:?}"
-        );
-    }
-}
-
-/// One full step under an explicit kernel-backend policy and transport;
-/// returns per-rank field bits. The policy is installed on the rank
-/// thread by `Simulation::new` via `SolverConfig::kernels`.
-fn kernel_step_field_bits(kernels: KernelPolicy, transport: TransportKind) -> Vec<Vec<u64>> {
-    let tm = generate(NrelCase::SingleLow, 1e-4);
-    let meshes = tm.meshes;
-    Comm::run_with(transport, 2, move |rank| {
-        let cfg = SolverConfig {
-            picard_iters: 2,
-            kernels,
-            ..SolverConfig::default()
-        };
-        let mut sim = Simulation::new(rank, meshes.clone(), cfg);
-        sim.step(rank);
-        sim_field_bits(&sim)
-    })
-}
-
-/// The kernel backend is a storage/bandwidth decision, never a numerical
-/// one: SELL-C-σ SpMV, plan-replayed Galerkin products, and fused
-/// smoother sweeps must reproduce the CSR fields bit for bit — on both
-/// transports (acceptance criterion of the kernel-backend PR).
-#[test]
-fn kernel_backends_bitwise_identical_across_threads_and_transports() {
-    let baseline = kernel_step_field_bits(KernelPolicy::Csr, TransportKind::Inproc);
-    for kernels in [KernelPolicy::Sellcs, KernelPolicy::Auto] {
-        let other = kernel_step_field_bits(kernels, TransportKind::Inproc);
-        assert_eq!(
-            baseline,
-            other,
-            "fields differ under kernels={}",
-            kernels.label()
-        );
-    }
-    for kernels in [KernelPolicy::Csr, KernelPolicy::Sellcs] {
-        let other = kernel_step_field_bits(kernels, TransportKind::Socket);
-        assert_eq!(
-            baseline,
-            other,
-            "fields differ under kernels={} on the socket transport",
-            kernels.label()
         );
     }
 }
@@ -190,7 +144,7 @@ fn checkpointed_restart_bits(
 /// The turbine case has rotating component meshes, so this also covers
 /// the motion-replay path of `Simulation::resume`.
 #[test]
-fn interrupted_restart_bitwise_identical_across_threads_and_transports() {
+fn interrupted_restart_bitwise_identical_across_transports() {
     const STEPS: usize = 3;
     const KILL_AT: usize = 2;
     let reference = uninterrupted_run_bits(STEPS);

@@ -7,7 +7,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use exawind::nalu_core::{Simulation, SolverConfig};
 use exawind::parcomm::{Comm, TransportKind};
-use exawind::sparse_kit::KernelPolicy;
 use exawind::telemetry::{self, Event, LogHistogram, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 
@@ -106,7 +105,7 @@ fn sim_events() -> Vec<Event> {
         picard_iters: 2,
         ..SolverConfig::default()
     };
-    let (transport, kernels) = (cfg.transport.label(), cfg.kernels.label());
+    let transport = cfg.transport.label();
     let per_rank = Comm::run(2, move |rank| {
         let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg.clone());
         sim.step(rank);
@@ -118,7 +117,7 @@ fn sim_events() -> Vec<Event> {
     // produced (identical on every rank), as `exawind-worker` writes it;
     // the cross-rank comm_edge causality check depends on it.
     let clock = per_rank[0].0.clone();
-    let mut events = vec![telemetry::run_info(2, transport, kernels, clock)];
+    let mut events = vec![telemetry::run_info(2, transport, clock)];
     events.extend(telemetry::merge_ranks(per_rank.into_iter().map(|(_, e)| e).collect()));
     events
 }
@@ -292,8 +291,9 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     assert!(text.contains("collectives (latency"), "{text}");
 }
 
-/// The run header says what the run was configured with: a socket + CSR
-/// run configured in code is labelled so, and its stream still validates.
+/// The run header says what the run was configured with: a socket run
+/// configured in code is labelled so, with the one kernel policy, and
+/// its stream still validates.
 #[test]
 fn run_header_is_labelled_from_the_config() {
     let mesh = small_channel();
@@ -301,7 +301,6 @@ fn run_header_is_labelled_from_the_config() {
         telemetry: true,
         picard_iters: 2,
         transport: TransportKind::Socket,
-        kernels: KernelPolicy::Csr,
         ..SolverConfig::default()
     };
     let per_rank = Comm::run_with(cfg.transport, 2, |rank| {
@@ -310,19 +309,17 @@ fn run_header_is_labelled_from_the_config() {
         (sim.clock_tables(), sim.finish_telemetry(rank))
     });
     let clock = per_rank[0].0.clone();
-    let header = telemetry::run_info(2, cfg.transport.label(), cfg.kernels.label(), clock);
+    let header = telemetry::run_info(2, cfg.transport.label(), clock);
     let line = header.to_line();
     assert!(line.contains(r#""transport":"socket""#), "{line}");
-    assert!(line.contains(r#""kernel_policy":"csr""#), "{line}");
+    assert!(line.contains(r#""kernel_policy":"auto""#), "{line}");
     let mut events = vec![header];
     events.extend(telemetry::merge_ranks(per_rank.into_iter().map(|(_, e)| e).collect()));
     telemetry::validate_stream(&events)
         .unwrap_or_else(|errs| panic!("stream fails validation: {errs:?}"));
     let report = Report::from_events(&events);
-    assert_eq!((report.transport.as_str(), report.kernel_policy.as_str()), ("socket", "csr"));
-    // Forced CSR: the diag-block SpMV never took the SELL-C-σ path.
+    assert_eq!((report.transport.as_str(), report.kernel_policy.as_str()), ("socket", "auto"));
     assert!(report.kernels.contains_key("spmv_csr"));
-    assert!(!report.kernels.contains_key("spmv_sellcs"));
 }
 
 /// The report's phase breakdown, read from the phase spans, covers the

@@ -141,7 +141,7 @@ fn four_rank_stream() -> Vec<Event> {
         (sim.clock_tables(), sim.finish_telemetry(rank))
     });
     let clock = per_rank[0].0.clone();
-    let mut events = vec![telemetry::run_info(4, "inproc", "auto", clock)];
+    let mut events = vec![telemetry::run_info(4, "inproc", clock)];
     events.extend(telemetry::merge_ranks(per_rank.into_iter().map(|(_, e)| e).collect()));
     events
 }

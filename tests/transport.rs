@@ -362,11 +362,11 @@ fn launcher_refuses_socket_paths_past_the_limit() {
 }
 
 /// A typo'd variable must stop a launched job loudly and early: with the
-/// kernels variable set to a value that is not a policy, every worker
+/// fault-plan variable set to a value that is not a plan, every worker
 /// that starts exits 2 from the edge parser — before it rendezvouses or
 /// steps — naming the variable and the value; the launcher reports the
 /// failed cohort and passes the code on. Never a panic, never a silent
-/// `auto`.
+/// clean run.
 #[test]
 fn malformed_variable_fails_the_launched_cohort_with_exit_2() {
     let dir = std::env::temp_dir().join(format!("exawind-badenv-test-{}", std::process::id()));
@@ -378,7 +378,7 @@ fn malformed_variable_fails_the_launched_cohort_with_exit_2() {
         .arg(env!("CARGO_BIN_EXE_exawind-worker"))
         .arg("--out")
         .arg(&out)
-        .env(exawind::env::KERNELS, "selcs")
+        .env(exawind::env::FAULTS, "halo-nan")
         .output()
         .expect("exawind-launch spawns");
     let stderr = String::from_utf8_lossy(&run.stderr);
@@ -389,9 +389,9 @@ fn malformed_variable_fails_the_launched_cohort_with_exit_2() {
     // in a single write: all lines naming the variable are whole messages.
     // (Not "exactly 2": the launcher fences the cohort at the first death,
     // which may be before a slower rank has printed.)
-    let named = format!("exawind-worker: {}=\"selcs\": ", exawind::env::KERNELS);
+    let named = format!("exawind-worker: {}=\"halo-nan\": ", exawind::env::FAULTS);
     let reports: Vec<&str> =
-        stderr.lines().filter(|l| l.contains(exawind::env::KERNELS)).collect();
+        stderr.lines().filter(|l| l.contains(exawind::env::FAULTS)).collect();
     assert!(!reports.is_empty(), "a worker names variable and value\n{stderr}");
     assert!(reports.iter().all(|l| l.starts_with(&named)), "torn message\n{stderr}");
     assert!(stderr.contains("exited with code 2"), "launcher reports the cohort\n{stderr}");
