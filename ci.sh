@@ -153,14 +153,31 @@ done
 # frozen benchmark crate, whose probe still times the standalone
 # `SellCs` kernel) names the SELL-C-σ mirror of a ParCSR diag block, its
 # layout, its refresh or price, a policy install, a second policy value
-# or the variable that selected it, and `sparse_kit::policy` keeps no
-# thread-local, so the second storage cannot come back unnoticed.
-spmv_sites=$( { grep -rnwE --include='*.rs' \
+# or the variable that selected it (the thread-local gate below keeps
+# `sparse_kit::policy` free of a thread-local), so the second storage
+# cannot come back unnoticed.
+spmv_sites=$(grep -rnwE --include='*.rs' \
   'diag_sell|SellLayout|builds_sellcs|refresh_diag_sell|sellcs_spmv|policy::install|policy::current|KernelPolicy::Csr|KernelPolicy::Sellcs|EXAWIND_KERNELS' \
-  crates src tests examples | grep -v '^crates/e2e-bench/'; \
-  grep -n 'thread_local!' crates/sparse/src/policy.rs | sed 's|^|crates/sparse/src/policy.rs:|'; } || true)
+  crates src tests examples | grep -v '^crates/e2e-bench/' || true)
 [ -z "$spmv_sites" ] \
   || { echo "spmv gate: a second SpMV storage path is back: $spmv_sites" >&2; exit 1; }
+
+# No thread-local state: the rank owns its recorders. Its phase label,
+# perf ledger, telemetry recorder and armed fault plan are `Rank`
+# fields, reached through the `&Rank` every layer takes. Outside the
+# frozen benchmark crate no Rust file under crates/, src/ or examples/
+# declares a `thread_local!` above its `#[cfg(test)]` line, and nothing
+# under crates/, src/, tests/ or examples/ names the old install guards,
+# the thread-local readers or the install calls, so a dispatcher set by
+# a higher layer cannot come back unnoticed.
+tls_sites=$(for f in $(find crates src examples -name '*.rs' -not -path 'crates/e2e-bench/*' | sort); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'thread_local!' | sed "s|^|$f:|"
+done || true)
+install_sites=$(grep -rnE \
+  'InstallGuard|FaultGuard|\btelemetry::current\b|FaultPlan::install|faults::fire' \
+  crates src tests examples | grep -v '^crates/e2e-bench/' || true)
+[ -z "$tls_sites$install_sites" ] \
+  || { echo "thread-local gate: per-rank state outside Rank: $tls_sites $install_sites" >&2; exit 1; }
 
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no

@@ -12,8 +12,7 @@ use std::cell::RefCell;
 
 use distmat::{ops, ParCsr, RowDist};
 use krylov::TwoStageGs;
-use parcomm::Rank;
-use resilience::faults::{self, FaultKind};
+use parcomm::{FaultKind, Rank};
 use resilience::{guard, SolveError};
 
 use crate::coarse::CoarseSolver;
@@ -148,7 +147,7 @@ impl AmgHierarchy {
             // Fault hook: a `coarsen-stall` spec forces this level's PMIS
             // pass to be treated as degenerate (identical on every rank:
             // the plan and occurrence counters are replicated per rank).
-            if faults::fire(FaultKind::CoarsenStall, || rank.phase_name()) {
+            if rank.fault(FaultKind::CoarsenStall) {
                 if stall_is_fatal {
                     return Err(SolveError::CoarseningStagnation { level: lvl, rows: lvl_n });
                 }
@@ -221,10 +220,10 @@ impl AmgHierarchy {
         Ok(hierarchy)
     }
 
-    /// Record an `amg_setup` event on this rank's telemetry dispatcher.
-    /// One thread-local read when telemetry is disabled.
+    /// Record an `amg_setup` event on this rank's telemetry recorder.
+    /// One field read when telemetry is disabled.
     fn emit_telemetry(&self, rank: &Rank) {
-        let tel = telemetry::current();
+        let tel = rank.telemetry();
         if !tel.is_enabled() {
             return;
         }
@@ -600,8 +599,7 @@ mod tests {
         // truncating the hierarchy into a huge dense coarse solve.
         let serial = laplacian_2d(16); // 256 rows
         let errs = Comm::run(2, move |rank| {
-            let plan = resilience::FaultPlan::parse("coarsen-stall@amg").unwrap();
-            let _g = plan.install();
+            rank.arm_faults(Some(parcomm::FaultPlan::parse("coarsen-stall@amg").unwrap()));
             let dist = distmat::RowDist::block(256, rank.size());
             let a = distmat::ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             rank.with_phase("amg setup", || {

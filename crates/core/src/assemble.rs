@@ -396,16 +396,14 @@ pub fn try_build_matrix(
     graph: &EquationGraph,
     vals: &LocalValues,
 ) -> Result<ParCsr, resilience::SolveError> {
-    telemetry::counter(
-        "assembly.matrix_entries",
-        (graph.owned.len() + graph.shared.len()) as u64,
-    );
-    telemetry::counter("assembly.shared_entries", graph.shared.len() as u64);
+    let tel = rank.telemetry();
+    tel.counter("assembly.matrix_entries", (graph.owned.len() + graph.shared.len()) as u64);
+    tel.counter("assembly.shared_entries", graph.shared.len() as u64);
     let plan = graph.plan.get_or_init(|| {
-        telemetry::counter("assembly.plan_built", 1);
+        tel.counter("assembly.plan_built", 1);
         AssemblyPlan::build(rank, dm.dist.clone(), dm.dist.clone(), &graph.owned, &graph.shared)
     });
-    telemetry::counter("assembly.plan_replayed", 1);
+    tel.counter("assembly.plan_replayed", 1);
     let a = plan.try_assemble(rank, &vals.owned, &vals.shared)?;
     #[cfg(test)]
     oracle::check_matrix(rank, dm, graph, vals, &a);

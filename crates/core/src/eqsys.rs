@@ -127,14 +127,12 @@ impl MeshSystem {
     /// topology, the `DofMap` and the tags; the first two are fixed for
     /// the life of the system, so existing graphs are kept while the tags
     /// are unchanged (rigid rotor motion with an axisymmetric hole cut
-    /// leaves them so every step).
-    pub fn rebuild_graphs(&mut self, mesh: &Mesh, me: usize) {
+    /// leaves them so every step). Returns whether it rebuilt them.
+    pub fn rebuild_graphs(&mut self, mesh: &Mesh, me: usize) -> bool {
         let tags = classify_nodes(mesh);
         if self.graphs.is_some() && tags == self.tags {
-            telemetry::counter("graphs.reused", 1);
-            return;
+            return false;
         }
-        telemetry::counter("graphs.rebuilt", 1);
         self.tags = tags;
         let (dm, edges, nodes) = (&self.dm, &self.owned_edges, &self.owned_nodes);
         let build = |dirichlet| EquationGraph::build(mesh, dm, me, dirichlet, edges, nodes);
@@ -151,6 +149,7 @@ impl MeshSystem {
             con_precond: None,
             dp_grad: vec![[0.0; 3]; mesh.n_nodes()],
         });
+        true
     }
 
     /// Per-rank nonzero count of the continuity pattern (the statistic of
@@ -222,7 +221,7 @@ mod tests {
         let mut meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
         assemble_overset(&mut meshes, 0.18);
         let mut sys = MeshSystem::new(&meshes[1], 2, PartitionMethod::Multilevel, 0, 0);
-        sys.rebuild_graphs(&meshes[1], 0);
+        assert!(sys.rebuild_graphs(&meshes[1], 0));
         // A marker in a value buffer: a rebuild would zero it.
         sys.graphs.as_mut().unwrap().con_vals.owned[0] = 42.0;
         let before = sys.graphs.as_ref().unwrap().continuity.owned.clone();
@@ -230,7 +229,7 @@ mod tests {
         // Rigid rotation + overset update: same tags, graphs untouched.
         windmesh::motion::rotate_annulus(&mut meshes[1], 0.3);
         assemble_overset(&mut meshes, 0.18);
-        sys.rebuild_graphs(&meshes[1], 0);
+        assert!(!sys.rebuild_graphs(&meshes[1], 0));
         let g = sys.graphs.as_ref().unwrap();
         assert_eq!(g.con_vals.owned[0], 42.0, "graphs were rebuilt under unchanged tags");
         assert_eq!(g.continuity.owned, before);
@@ -240,7 +239,7 @@ mod tests {
             .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.owner[n] == 0)
             .expect("an owned interior node");
         meshes[1].status[n] = NodeStatus::Hole;
-        sys.rebuild_graphs(&meshes[1], 0);
+        assert!(sys.rebuild_graphs(&meshes[1], 0));
         let g = sys.graphs.as_ref().unwrap();
         assert_eq!(sys.tags[n], BcTag::Hole);
         assert!(g.continuity.dirichlet[n] && g.momentum.dirichlet[n]);

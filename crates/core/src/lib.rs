@@ -35,6 +35,7 @@ pub mod timing;
 
 pub use dofmap::{DofMap, PartitionMethod};
 pub use eqsys::EqKind;
-pub use resilience::{FaultPlan, RecoveryAction, RecoveryPolicy, RecoveryRecord, SolveError};
+pub use parcomm::FaultPlan;
+pub use resilience::{RecoveryAction, RecoveryPolicy, RecoveryRecord, SolveError};
 pub use sim::{CheckpointCfg, Simulation, SolverConfig, StepReport};
 pub use timing::{Phase, Timings};

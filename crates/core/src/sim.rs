@@ -15,10 +15,9 @@ use std::time::Instant;
 use amg::{AmgConfig, AmgPrecond};
 use distmat::{ParCsr, ParVector};
 use krylov::{Gmres, JacobiPrecond, OrthoStrategy, Preconditioner, Sgs2};
-use parcomm::{Rank, TransportKind};
+use parcomm::{FaultKind, FaultPlan, Rank, TransportKind};
 use sparse_kit::KernelPolicy;
 use resilience::checkpoint::{self, MeshCheckpoint, SolverCheckpoint};
-use resilience::faults::{self, FaultGuard, FaultKind, FaultPlan};
 use resilience::{guard, RecoveryAction, RecoveryPolicy, RecoveryRecord, SolveError};
 use windmesh::overset::assemble_overset;
 use windmesh::{Mesh, OversetAssembly};
@@ -78,9 +77,9 @@ pub struct SolverConfig {
     /// Record the telemetry event stream (see the `telemetry` crate);
     /// when off, recording is a no-op.
     pub telemetry: bool,
-    /// Fault-injection plan for resilience testing. With `None` no
-    /// injector is installed and every solve is byte-for-byte the clean
-    /// path.
+    /// Fault-injection plan for resilience testing, armed on the rank.
+    /// With `None` no plan is armed and every solve is byte-for-byte the
+    /// clean path.
     pub faults: Option<FaultPlan>,
     /// Escalation policy applied when a solve fails with a typed
     /// [`SolveError`].
@@ -234,16 +233,6 @@ pub struct Simulation {
     /// Final GMRES relative residual per equation, refreshed each solve.
     final_rels: BTreeMap<String, f64>,
     step_count: usize,
-    /// Per-rank telemetry recorder (disabled = no-op).
-    telemetry: telemetry::Telemetry,
-    /// Keeps `telemetry` installed as this thread's current dispatcher
-    /// so the solver layers (GMRES, AMG, smoothers, assembly) can emit
-    /// events without signature changes. Dropped by
-    /// [`Simulation::finish_telemetry`].
-    tel_guard: Option<telemetry::InstallGuard>,
-    /// Keeps the fault-injection plan installed as this rank thread's
-    /// injector for the lifetime of the simulation (None = no faults).
-    _fault_guard: Option<FaultGuard>,
     /// Newest complete checkpoint this rank wrote or restored from:
     /// `(generation, step)`.
     last_ckpt: Option<(u64, u64)>,
@@ -283,21 +272,18 @@ impl Simulation {
                 State::cold_start(m.n_nodes(), cfg.physics.u_inflow, cfg.physics.nut_inflow)
             })
             .collect();
-        let tel = if cfg.telemetry {
+        // The rank's recorder and fault plan are this simulation's,
+        // replacing whatever an earlier simulation on the rank left.
+        rank.set_telemetry(if cfg.telemetry {
             telemetry::Telemetry::enabled(me)
         } else {
             telemetry::Telemetry::disabled()
-        };
-        let tel_guard = tel.is_enabled().then(|| tel.install());
+        });
         // Startup clock alignment: one allgather of the epochs'
         // wall-clock anchors (collective; skips itself — no clock read,
         // no message — with telemetry off).
         let clock = rank.clock_sync();
-        // Install the fault injector on this rank thread. Plans are
-        // replicated per rank, so occurrence counters advance
-        // identically on every rank — injected faults stay collectively
-        // consistent.
-        let fault_guard = cfg.faults.as_ref().map(FaultPlan::install);
+        rank.arm_faults(cfg.faults.clone());
         Simulation {
             cfg,
             meshes,
@@ -307,9 +293,6 @@ impl Simulation {
             timings: Timings::new(),
             final_rels: BTreeMap::new(),
             step_count: 0,
-            telemetry: tel,
-            tel_guard,
-            _fault_guard: fault_guard,
             last_ckpt: None,
             clock,
             health: telemetry::health::HealthDetector::new(),
@@ -330,19 +313,19 @@ impl Simulation {
         self.health.last_verdict()
     }
 
-    /// Finish telemetry recording: uninstall the dispatcher, convert the
-    /// rank's accumulated perf trace into `phase_perf` events, and drain
-    /// the event stream. Returns an empty vec when telemetry is off.
-    /// Call once, after the last [`Simulation::step`].
-    pub fn finish_telemetry(&mut self, rank: &Rank) -> Vec<telemetry::Event> {
-        self.tel_guard.take();
-        if !self.telemetry.is_enabled() {
+    /// Finish telemetry recording: take the recorder back from the rank
+    /// (leaving it disabled), convert the rank's accumulated perf trace
+    /// into `phase_perf` events, and drain the event stream. Returns an
+    /// empty vec when telemetry is off. Call once, after the last
+    /// [`Simulation::step`].
+    pub fn finish_telemetry(&self, rank: &Rank) -> Vec<telemetry::Event> {
+        let tel = rank.set_telemetry(telemetry::Telemetry::disabled());
+        if !tel.is_enabled() {
             return Vec::new();
         }
         for ev in rank.telemetry_events() {
-            self.telemetry.record(ev);
+            tel.record(ev);
         }
-        let tel = std::mem::replace(&mut self.telemetry, telemetry::Telemetry::disabled());
         tel.finish()
     }
 
@@ -377,8 +360,9 @@ impl Simulation {
         // Span path e.g. "timestep/picard/continuity/solve": events
         // emitted by the solver layers (GMRES, AMG) read the equation
         // back as the second-to-last segment.
-        let _eq_span = telemetry::span(eq);
-        let _ph_span = telemetry::span(ph.label());
+        let tel = rank.telemetry();
+        let _eq_span = tel.span(eq);
+        let _ph_span = tel.span(ph.label());
         t.time(eq, ph, || rank.with_phase(&label, f))
     }
 
@@ -401,7 +385,8 @@ impl Simulation {
         let mut iters: BTreeMap<String, usize> = BTreeMap::new();
         let mut recoveries: Vec<RecoveryRecord> = Vec::new();
         let me = rank.rank();
-        let _step_span = telemetry::span("timestep");
+        let tel = rank.telemetry();
+        let _step_span = tel.span("timestep");
 
         // Deterministic process-death fault (`kill-rank@rankN:k`): fires
         // at the top of a step, so the newest complete checkpoint
@@ -411,7 +396,7 @@ impl Simulation {
         // the supervisor has relaunched the cohort — the fault models a
         // transient external kill, not a deterministic crash bug that
         // would defeat any restart budget.
-        if faults::fire(FaultKind::KillRank, || format!("rank{me}"))
+        if rank.fault(FaultKind::KillRank)
             && self.cfg.checkpoint.as_ref().map_or(0, |c| c.incarnation) == 0
         {
             eprintln!(
@@ -434,14 +419,15 @@ impl Simulation {
 
         // --- Stage 1: graph computation for every system -----------------
         for (sys, mesh) in self.systems.iter_mut().zip(&self.meshes) {
-            Self::phased(rank, &mut t, "momentum", Phase::GraphPhysics, || {
-                sys.rebuild_graphs(mesh, me);
+            let rebuilt = Self::phased(rank, &mut t, "momentum", Phase::GraphPhysics, || {
+                sys.rebuild_graphs(mesh, me)
             });
+            tel.counter(if rebuilt { "graphs.rebuilt" } else { "graphs.reused" }, 1);
         }
 
         // --- Picard iterations -------------------------------------------
         for _ in 0..self.cfg.picard_iters {
-            let _picard_span = telemetry::span("picard");
+            let _picard_span = tel.span("picard");
             Self::phased(rank, &mut t, "overset", Phase::GraphPhysics, || {
                 overset_exchange(&mut self.states, &self.meshes, &self.overset);
             });
@@ -481,8 +467,8 @@ impl Simulation {
             recoveries: recoveries.len() as u64,
         };
         self.health.observe(step, &sample);
-        if self.telemetry.is_enabled() {
-            self.telemetry.record(sample.to_event(me, step));
+        if tel.is_enabled() {
+            tel.record(sample.to_event(me, step));
         }
 
         self.timings.merge(&t);
@@ -510,7 +496,7 @@ impl Simulation {
     /// Capture this rank's complete solver state at the current step
     /// boundary (see [`resilience::checkpoint`] for what is — and
     /// deliberately is not — serialized).
-    fn capture(&self) -> SolverCheckpoint {
+    fn capture(&self, rank: &Rank) -> SolverCheckpoint {
         SolverCheckpoint {
             step: self.step_count as u64,
             meshes: self
@@ -530,7 +516,7 @@ impl Simulation {
                 .iter()
                 .map(|(k, &v)| (k.clone().into_bytes(), v))
                 .collect(),
-            fault_counters: faults::counters(),
+            fault_counters: rank.fault_counters(),
             // The driver keeps no SpGEMM plan store; the field is part
             // of the checkpoint format.
             amg_plans: Vec::new(),
@@ -552,7 +538,7 @@ impl Simulation {
         let t0 = Instant::now();
         let me = rank.rank();
         let generation = self.step_count as u64;
-        let ck = self.capture();
+        let ck = self.capture(rank);
         let (bytes, write_err) =
             match checkpoint::write_rank(&ck_cfg.dir, me, rank.size(), generation, &ck) {
                 Ok(b) => (b, None),
@@ -585,13 +571,14 @@ impl Simulation {
             });
         }
         self.last_ckpt = Some((generation, generation));
-        self.telemetry.record(telemetry::Event::Checkpoint {
+        let tel = rank.telemetry();
+        tel.record(telemetry::Event::Checkpoint {
             rank: me,
             step: self.step_count,
             generation,
             bytes,
             secs: t0.elapsed().as_secs_f64(),
-            t: telemetry::now_secs(),
+            t: tel.elapsed_secs(),
         });
         Ok(())
     }
@@ -701,14 +688,15 @@ impl Simulation {
             }
             self.overset = assemble_overset(&mut self.meshes, self.cfg.overset_margin);
         }
-        faults::restore_counters(&ck.fault_counters)
+        rank.restore_fault_counters(&ck.fault_counters)
             .map_err(|detail| SolveError::Checkpoint { detail })?;
         self.last_ckpt = Some((generation, ck.step));
-        self.telemetry.record(telemetry::Event::Restore {
+        let tel = rank.telemetry();
+        tel.record(telemetry::Event::Restore {
             rank: me,
             step: ck.step as usize,
             generation,
-            t: telemetry::now_secs(),
+            t: tel.elapsed_secs(),
         });
         Ok(Some(generation))
     }
@@ -782,7 +770,7 @@ impl Simulation {
             attempt,
             outcome: outcome.to_string(),
         };
-        self.telemetry.record(telemetry::Event::Recovery {
+        rank.telemetry().record(telemetry::Event::Recovery {
             rank: rank.rank(),
             eq: rec.eq.clone(),
             step: rec.step,
@@ -971,11 +959,11 @@ impl Simulation {
                 // hooks; they fire here instead, against the right-hand
                 // side, so a fault plan counts the same occurrences.
                 Some(amg) => {
-                    telemetry::counter("continuity.operators_reused", 1);
+                    rank.telemetry().counter("continuity.operators_reused", 1);
                     (PressureOperator::Cached(amg), distmat::assembly_fault_hooks(rank)?)
                 }
                 None => {
-                    telemetry::counter("continuity.operators_assembled", 1);
+                    rank.telemetry().counter("continuity.operators_assembled", 1);
                     let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)?;
                     (PressureOperator::Assembled(a), false)
                 }
@@ -999,7 +987,7 @@ impl Simulation {
         let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
             Ok::<_, SolveError>(match op {
                 PressureOperator::Cached(amg) => {
-                    telemetry::counter("amg.setup_reused", 1);
+                    rank.telemetry().counter("amg.setup_reused", 1);
                     PressurePrecond::Amg(amg)
                 }
                 PressureOperator::Assembled(a) if mods.fallback_smoother => {
@@ -1008,7 +996,7 @@ impl Simulation {
                 }
                 PressureOperator::Assembled(a) => {
                     let amg = AmgPrecond::setup(rank, a, &cfg.amg)?;
-                    telemetry::counter("amg.setup_rebuilt", 1);
+                    rank.telemetry().counter("amg.setup_rebuilt", 1);
                     PressurePrecond::Amg(amg)
                 }
             })

@@ -12,8 +12,7 @@
 
 use std::ops::Range;
 
-use parcomm::{Message, Rank, Tag, TagClass};
-use resilience::faults::{self, FaultKind};
+use parcomm::{FaultKind, Message, Rank, Tag, TagClass};
 use resilience::SolveError;
 
 use crate::dist::{owner_requests, RowDist};
@@ -123,7 +122,7 @@ impl CommPkg {
 /// whole exchange aborts as a vanished peer would make it (see
 /// `FaultKind::SocketDrop`), so a retry finds no stale message in flight.
 pub(crate) fn socket_drop_hook(rank: &Rank) -> Result<(), SolveError> {
-    if faults::fire(FaultKind::SocketDrop, || rank.phase_name()) {
+    if rank.fault(FaultKind::SocketDrop) {
         return Err(SolveError::Comm {
             detail: format!("injected socket drop in {}", rank.phase_name()),
         });
@@ -218,7 +217,7 @@ impl Halo {
             detail: format!("expected {expected} values, got {got}"),
         })?;
         if let Some(poison) = T::POISON {
-            if !ext.is_empty() && faults::fire(FaultKind::HaloNan, || rank.phase_name()) {
+            if !ext.is_empty() && rank.fault(FaultKind::HaloNan) {
                 ext[0] = poison;
             }
         }

@@ -24,8 +24,7 @@
 
 use std::ops::Range;
 
-use parcomm::{KernelKind, Rank, Tag};
-use resilience::faults::{self, FaultKind};
+use parcomm::{FaultKind, KernelKind, Rank, Tag};
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::prims;
@@ -179,7 +178,7 @@ impl IjMatrix {
 /// otherwise run calls this in its place, so the occurrence counts of a
 /// fault plan do not depend on what was skipped.
 pub fn assembly_fault_hooks(rank: &Rank) -> Result<bool, SolveError> {
-    let nan = faults::fire(FaultKind::AssemblyNan, || rank.phase_name());
+    let nan = rank.fault(FaultKind::AssemblyNan);
     socket_drop_hook(rank)?;
     Ok(nan)
 }

@@ -630,8 +630,7 @@ mod tests {
             let me = rank.rank();
             let stale: Vec<f64> = (dist.start(me)..dist.end(me)).map(|g| -(g as f64)).collect();
             let fresh: Vec<f64> = (dist.start(me)..dist.end(me)).map(|g| 10.0 * g as f64).collect();
-            let plan = resilience::FaultPlan::parse("socket-drop@halo:1").unwrap();
-            let _g = plan.install();
+            rank.arm_faults(Some(parcomm::FaultPlan::parse("socket-drop@halo:1").unwrap()));
             rank.with_phase("halo", || {
                 let err = pa.try_halo_begin(rank, &stale).err().expect("injected drop");
                 assert!(matches!(err, SolveError::Comm { .. }), "{err:?}");
@@ -655,8 +654,7 @@ mod tests {
             let x = ParVector::from_fn(rank, dist.clone(), |_| 1.0);
             let clean = pa.spmv(rank, &x);
             assert!(clean.local.iter().all(|v| v.is_finite()));
-            let plan = resilience::FaultPlan::parse("halo-nan@spmv:2").unwrap();
-            let _g = plan.install();
+            rank.arm_faults(Some(parcomm::FaultPlan::parse("halo-nan@spmv:2").unwrap()));
             rank.with_phase("spmv", || {
                 let first = pa.spmv(rank, &x);
                 assert_eq!(first.local, clean.local, "occurrence 1 is clean");

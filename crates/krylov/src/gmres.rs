@@ -241,11 +241,11 @@ impl Gmres {
         }
     }
 
-    /// Record the finished solve on this rank's telemetry dispatcher.
-    /// No-op (one thread-local read) when telemetry is disabled, so the
-    /// solve path is unperturbed in normal runs.
+    /// Record the finished solve on this rank's telemetry recorder.
+    /// No-op (one field read) when telemetry is disabled, so the solve
+    /// path is unperturbed in normal runs.
     fn emit_telemetry(&self, rank: &Rank, stats: &GmresStats) {
-        let tel = telemetry::current();
+        let tel = rank.telemetry();
         if !tel.is_enabled() {
             return;
         }

@@ -64,7 +64,7 @@ fn round_residual<'v>(
             x.iter().all(|v| v.to_bits() == 0),
             "zero-guess round entered with a nonzero iterate"
         );
-        telemetry::counter("smoother.zero_guess_rounds", 1);
+        rank.telemetry().counter("smoother.zero_guess_rounds", 1);
         b
     } else {
         a.residual_into(rank, b, x, buf);
@@ -99,7 +99,7 @@ impl HybridGs {
     /// One round of halo exchange + `local_sweeps` local GS sweeps,
     /// repeated `rounds` times. Collective.
     pub fn smooth(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, rounds: usize) {
-        telemetry::counter("smoother.hybrid_gs.rounds", rounds as u64);
+        rank.telemetry().counter("smoother.hybrid_gs.rounds", rounds as u64);
         let n = x.local.len();
         for _ in 0..rounds {
             let ext = self.a.halo_exchange(rank, &x.local);
@@ -255,7 +255,7 @@ impl TwoStageGs {
         rounds: usize,
         zero_guess: bool,
     ) {
-        telemetry::counter("smoother.two_stage_gs.rounds", rounds as u64);
+        rank.telemetry().counter("smoother.two_stage_gs.rounds", rounds as u64);
         let mut work = self.work.borrow_mut();
         let [buf, g, next] = &mut *work;
         let lower = JrSweeps {
@@ -353,7 +353,7 @@ impl Sgs2 {
         rounds: usize,
         zero_guess: bool,
     ) {
-        telemetry::counter("smoother.sgs2.rounds", rounds as u64);
+        rank.telemetry().counter("smoother.sgs2.rounds", rounds as u64);
         let mut work = self.work.borrow_mut();
         let [buf, g, next, t] = &mut *work;
         let inv_diag = &self.inv_diag;

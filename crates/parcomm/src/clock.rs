@@ -3,7 +3,7 @@
 //! Every rank's telemetry timestamps count seconds from its own
 //! [`telemetry`] epoch. The epoch carries its Unix time, read between
 //! two monotonic reads whose midpoint is the epoch, and the width of
-//! that bracket (`telemetry::epoch_anchor`). Every rank of a job runs on
+//! that bracket (`Telemetry::epoch_anchor` of the rank's recorder). Every rank of a job runs on
 //! one host — a thread, a socket thread-mesh rank or an
 //! `exawind-launch` worker process — where the wall clock and the
 //! monotonic clock are system-wide, so two ranks' anchors differ by
@@ -45,9 +45,9 @@ impl Rank {
     /// communicator at the same point; rank 0 is the time reference, and
     /// a single rank has nothing to align (`{[0.0], [0.0]}`). Returns
     /// `None` — with no clock read and no message sent — when telemetry
-    /// is disabled on this thread.
+    /// is disabled on this rank.
     pub fn clock_sync(&self) -> Option<ClockSync> {
-        let anchor = telemetry::epoch_anchor();
+        let anchor = self.telemetry().epoch_anchor();
         if anchor.is_none() || self.size() == 1 {
             // The tag the allgather takes, so internal-tag counters stay
             // aligned whether or not it runs.

@@ -62,11 +62,6 @@ impl Rank {
         self.allreduce(value, |a, b| a.max(*b))
     }
 
-    /// Allreduce with `min` on `u64`.
-    pub fn allreduce_min(&self, value: u64) -> u64 {
-        self.allreduce(value, |a, b| *a.min(b))
-    }
-
     /// Element-wise sum allreduce over equal-length `f64` vectors.
     ///
     /// # Panics
@@ -377,13 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_min() {
-        let out = Comm::run(5, |rank| {
-            let mx = rank.allreduce_max_f64(rank.rank() as f64 * 10.0);
-            let mn = rank.allreduce_min(rank.rank() as u64 * 10 + 3);
-            (mx, mn)
-        });
-        assert!(out.iter().all(|&(mx, mn)| mx == 40.0 && mn == 3));
+    fn allreduce_max() {
+        let out = Comm::run(5, |rank| rank.allreduce_max_f64(rank.rank() as f64 * 10.0));
+        assert!(out.iter().all(|&mx| mx == 40.0));
     }
 
     #[test]
@@ -470,7 +461,7 @@ mod tests {
             assert_eq!(kinds["allreduce"].bytes, 8);
             assert_eq!(kinds["allgather"].count, 1);
             assert_eq!(kinds["barrier"].count, 1);
-            // No telemetry on these threads → no clocks → no latency samples.
+            // No telemetry on these ranks → no clocks → no latency samples.
             assert_eq!(kinds["allreduce"].latency.count(), 0);
         }
     }
@@ -478,8 +469,7 @@ mod tests {
     #[test]
     fn collective_latency_sampled_when_telemetry_enabled() {
         let out = Comm::run(2, |rank| {
-            let tel = telemetry::Telemetry::enabled(rank.rank());
-            let _guard = tel.install();
+            rank.set_telemetry(telemetry::Telemetry::enabled(rank.rank()));
             rank.allreduce_sum(1);
             rank.allreduce_sum(2);
             rank.with_recorder(|rec| rec.coll_kinds.clone())

@@ -13,6 +13,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::faults::Rule;
 use crate::message::{encode_payload, Message};
 use crate::perf::{KernelKind, PerfRecorder, PhaseTrace, TagClass};
 use crate::socket::{self, WorkerEnv};
@@ -25,14 +26,6 @@ use crate::transport::{
 pub type Tag = u32;
 
 pub(crate) const INTERNAL_TAG_BASE: Tag = 1 << 24;
-
-/// Clock handle for comm wait/transfer timing. `None` — no clock is read
-/// at all — unless telemetry is enabled on the calling thread, which
-/// keeps disabled runs free of any timing syscalls (the determinism
-/// discipline shared with the rest of the telemetry stack).
-fn comm_clock() -> Option<Instant> {
-    telemetry::is_enabled().then(Instant::now)
-}
 
 /// How long a blocking receive waits before declaring a deadlock.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(120);
@@ -320,6 +313,9 @@ impl Transport for InprocTransport {
 
 /// Handle to one simulated MPI rank. Not `Sync`: each rank thread owns its
 /// handle exclusively, exactly like an MPI process owns its communicator.
+/// It is also the rank's one context: its phase label and perf ledger,
+/// its telemetry recorder and its armed fault plan live here, and every
+/// instrumented layer reaches them through the `&Rank` it already takes.
 pub struct Rank {
     transport: Box<dyn Transport>,
     pending: RefCell<Vec<Envelope>>,
@@ -335,6 +331,10 @@ pub struct Rank {
     /// tags). Tags agree across ranks (collective allocation order), so
     /// both endpoints classify an edge identically.
     tag_classes: RefCell<HashMap<Tag, TagClass>>,
+    /// This rank's recorder (disabled = no-op, and no clock is read).
+    telemetry: RefCell<telemetry::Telemetry>,
+    /// The armed fault plan (see `faults.rs`); `None` = no faults.
+    pub(crate) faults: RefCell<Option<Vec<Rule>>>,
 }
 
 impl Rank {
@@ -347,6 +347,8 @@ impl Rank {
             user_tag_seq: Cell::new(0),
             perf: RefCell::new(PerfRecorder::new()),
             tag_classes: RefCell::new(HashMap::new()),
+            telemetry: RefCell::new(telemetry::Telemetry::disabled()),
+            faults: RefCell::new(None),
         }
     }
 
@@ -385,12 +387,12 @@ impl Rank {
             // legacy msgs/msg_bytes counters which collectives hide.
             rec.edge(me, dst, self.class_of(tag), bytes);
             // Send-initiation timestamp for the timeline (schema v5);
-            // only read when telemetry is enabled on this thread.
-            if let Some(t) = telemetry::now_secs() {
+            // only read when telemetry is enabled on this rank.
+            if let Some(t) = self.now_secs() {
                 rec.edge_stamp(me, dst, self.class_of(tag), t);
             }
         }
-        let clock = if dst != me { comm_clock() } else { None };
+        let clock = if dst != me { self.comm_clock() } else { None };
         // Self-sends never cross an address space: keep them local (and
         // unserialized) on every transport.
         let payload = if self.transport.is_wire() && dst != me {
@@ -458,7 +460,7 @@ impl Rank {
             // Wait time is `wait_next` itself, polling included —
             // matching a pending message above costs no wait, and decode
             // time is accounted separately as transfer time in `extract`.
-            let clock = comm_clock();
+            let clock = self.comm_clock();
             let event = self.wait_next(timeout);
             if let Some(t0) = clock {
                 self.perf.borrow_mut().comm_wait(t0.elapsed().as_secs_f64());
@@ -496,7 +498,7 @@ impl Rank {
     fn wait_next(&self, timeout: Duration) -> Result<RecvEvent, RecvTimeout> {
         for poll in 1..=POLLS_BEFORE_PARK {
             if let Some(event) = self.transport.try_recv_next() {
-                telemetry::counter("parcomm.recv_polled", 1);
+                self.telemetry.borrow().counter("parcomm.recv_polled", 1);
                 return Ok(event);
             }
             if poll % POLLS_PER_YIELD == 0 {
@@ -506,7 +508,7 @@ impl Rank {
             }
         }
         let event = self.transport.recv_next(timeout)?;
-        telemetry::counter("parcomm.recv_parked", 1);
+        self.telemetry.borrow().counter("parcomm.recv_parked", 1);
         Ok(event)
     }
 
@@ -516,7 +518,7 @@ impl Rank {
     fn extract<T: Message>(&self, env: Envelope) -> Result<T, CommError> {
         let rank = self.rank();
         let (src, tag) = (env.src, env.tag);
-        let clock = if src != rank { comm_clock() } else { None };
+        let clock = if src != rank { self.comm_clock() } else { None };
         let out: Result<T, CommError> = match env.payload {
             Payload::Local(b) => b
                 .downcast::<T>()
@@ -543,7 +545,7 @@ impl Rank {
                 // run's edges are symmetric by construction.
                 rec.edge(src, rank, self.class_of(tag), msg.wire_bytes() as u64);
                 // Receive-completion timestamp for the timeline.
-                if let Some(t) = telemetry::now_secs() {
+                if let Some(t) = self.now_secs() {
                     rec.edge_stamp(src, rank, self.class_of(tag), t);
                 }
             }
@@ -611,12 +613,12 @@ impl Rank {
         kind: &'static str,
         f: impl FnOnce() -> (R, u64),
     ) -> R {
-        let clock = comm_clock();
+        let clock = self.comm_clock();
         let (out, bytes) = f();
         let secs = clock.map(|t0| t0.elapsed().as_secs_f64());
         let mut rec = self.perf.borrow_mut();
         rec.collective_kind(kind, bytes, secs);
-        if let Some(t) = telemetry::now_secs() {
+        if let Some(t) = self.now_secs() {
             rec.collective_stamp(kind, t);
         }
         out
@@ -640,6 +642,33 @@ impl Rank {
         f(&mut self.perf.borrow_mut())
     }
 
+    // ---- telemetry ---------------------------------------------------------
+
+    /// Make `tel` this rank's recorder and return the one it replaces.
+    pub fn set_telemetry(&self, tel: telemetry::Telemetry) -> telemetry::Telemetry {
+        self.telemetry.replace(tel)
+    }
+
+    /// This rank's recorder: a cheap clone of the shared handle.
+    pub fn telemetry(&self) -> telemetry::Telemetry {
+        self.telemetry.borrow().clone()
+    }
+
+    /// Seconds since the recorder's epoch; `None`, with no clock read,
+    /// when telemetry is off.
+    fn now_secs(&self) -> Option<f64> {
+        self.telemetry.borrow().elapsed_secs()
+    }
+
+    /// Clock handle for comm wait/transfer and kernel timing. `None` —
+    /// no clock is read at all — unless telemetry is enabled on this
+    /// rank, which keeps disabled runs free of any timing syscalls (the
+    /// determinism discipline shared with the rest of the telemetry
+    /// stack).
+    fn comm_clock(&self) -> Option<Instant> {
+        self.telemetry.borrow().is_enabled().then(Instant::now)
+    }
+
     // ---- performance recording -------------------------------------------
 
     /// Open a recording scope for kernel `name` — the one way a kernel
@@ -647,15 +676,15 @@ impl Rank {
     /// accumulated once, into the phase current at that moment (the
     /// [`PhaseTrace`] the `machine` model prices) and into the name's
     /// `kernel_perf` row; the row also receives the scope's wall time
-    /// when telemetry is installed on this thread (the clock is never
-    /// read otherwise). Hold the scope across the work it prices and
+    /// when telemetry is enabled on this rank (the clock is never read
+    /// otherwise). Hold the scope across the work it prices and
     /// nothing else: a blocking receive inside it would be counted as
     /// kernel time, and a send's encode + enqueue is counted twice (here
     /// and in `transfer_secs`) — only the two pack kernels, whose
     /// copy-out is interleaved with their sends, accept that. Do not
     /// open a scope for an empty launch: it reads the clock for nothing.
     pub fn kernel(&self, name: &'static str, kind: KernelKind) -> KernelScope<'_> {
-        KernelScope { perf: &self.perf, name, kind, start: comm_clock() }
+        KernelScope { perf: &self.perf, name, kind, start: self.comm_clock() }
     }
 
     /// Run `f` with the perf phase label set to `name`, restoring the
@@ -689,10 +718,10 @@ impl Rank {
     /// `Phase::trace_label`-style span reference (`continuity/solve`)
     /// and must correspond to a span this rank opened *and closed* —
     /// i.e. emit these events only for phases entered under a matching
-    /// `telemetry::span`. Bare labels (the default `other` phase, ad-hoc
+    /// telemetry span. Bare labels (the default `other` phase, ad-hoc
     /// `with_phase` scopes) carry no span reference and are exempt.
     ///
-    /// With telemetry installed while kernels ran, one
+    /// With telemetry enabled while kernels ran, one
     /// [`telemetry::Event::KernelPerf`] per kernel name follows the
     /// `phase_perf` rows: the same launches by name, with wall time. Per
     /// rank the two groups sum to identical launches, bytes and flops
@@ -978,8 +1007,7 @@ mod tests {
     #[test]
     fn comm_timing_recorded_when_telemetry_enabled() {
         let out = Comm::run(2, |rank| {
-            let tel = telemetry::Telemetry::enabled(rank.rank());
-            let _guard = tel.install();
+            rank.set_telemetry(telemetry::Telemetry::enabled(rank.rank()));
             if rank.rank() == 0 {
                 // Make the receiver measurably wait.
                 std::thread::sleep(Duration::from_millis(5));
@@ -999,8 +1027,8 @@ mod tests {
         }
     }
 
-    /// Counter totals of `tel`'s thread so far: receives satisfied while
-    /// polling, and after parking.
+    /// Counter totals of `tel` so far: receives satisfied while polling,
+    /// and after parking.
     fn wait_exits(tel: telemetry::Telemetry) -> (u64, u64) {
         let events = tel.finish();
         let total = |wanted: &str| {
@@ -1047,8 +1075,7 @@ mod tests {
                         None
                     } else {
                         staged.wait();
-                        let tel = telemetry::Telemetry::enabled(1);
-                        let guard = tel.install();
+                        rank.set_telemetry(telemetry::Telemetry::enabled(1));
                         // Tag 4 first: the tag-3 message ahead of it goes
                         // through the pending queue.
                         assert_eq!(rank.recv::<u64>(0, 4), 7);
@@ -1058,7 +1085,7 @@ mod tests {
                         assert_eq!(first.len(), 2);
                         assert_eq!(first[1].to_bits(), (-0.0f64).to_bits());
                         assert_eq!(second, vec![2.5]);
-                        drop(guard);
+                        let tel = rank.set_telemetry(telemetry::Telemetry::disabled());
                         Some(wait_exits(tel))
                     }
                 });
@@ -1225,8 +1252,7 @@ mod tests {
     #[test]
     fn kernel_scope_feeds_phase_and_name_views_once() {
         let out = Comm::run(1, |rank| {
-            let tel = telemetry::Telemetry::enabled(rank.rank());
-            let _guard = tel.install();
+            rank.set_telemetry(telemetry::Telemetry::enabled(rank.rank()));
             rank.with_phase("solve", || {
                 let k = rank.kernel("jr_sweep_fused", KernelKind::SpMV);
                 for _ in 0..3 {

@@ -6,16 +6,16 @@
 //! substring matched against the rank's current phase label, and the
 //! occurrence window in which it fires.
 //!
-//! The plan is installed as a thread-local *injector* on each rank
-//! thread (mirroring the telemetry dispatcher): solver hooks call
-//! [`fire`] at well-defined points, and the injector counts matching
-//! hook invocations per spec. Because each simulated rank is one OS
-//! thread, the counters are per-rank — so whether a fault fires is a
-//! pure function of the solve sequence.
+//! The rank owns its injector, beside its phase label and its telemetry
+//! recorder: [`Rank::arm_faults`] arms a plan, solver hooks call
+//! [`Rank::fault`] at well-defined points, and the injector counts
+//! matching hook invocations per spec. The counters are per rank, so
+//! whether a fault fires is a pure function of the solve sequence.
 //!
-//! With no injector installed, [`fire`] is a single thread-local read
-//! returning `false`; the context closure is never invoked, so the
-//! clean-run path does not even build the phase-label string.
+//! With no plan armed, [`Rank::fault`] is one field read returning
+//! `false`; an armed plan matches against the rank's phase label in
+//! place, so no hook builds a context string (`kill-rank` formats its
+//! `rank<r>` once per step).
 //!
 //! # Grammar
 //!
@@ -73,11 +73,11 @@
 //! non-coarsest V-cycle level at one sweep, 1 per two-round SGS2
 //! application). `halo-nan@continuity/solve:1` is GMRES's initial
 //! residual. Seed later occurrences by probing (arm an occurrence far
-//! out of reach and read [`counters`]), not by arithmetic.
+//! out of reach and read [`Rank::fault_counters`]), not by arithmetic.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+
+use crate::comm::Rank;
 
 /// What kind of corruption a spec injects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,7 +212,7 @@ impl fmt::Display for FaultSpec {
     }
 }
 
-/// A parsed, immutable fault plan. No-op until [installed](FaultPlan::install).
+/// A parsed, immutable fault plan. No-op until [armed](Rank::arm_faults).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     pub specs: Vec<FaultSpec>,
@@ -235,25 +235,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
-
-    /// Install this plan as the thread-local injector for the current
-    /// (rank) thread; restored when the guard drops. Per-spec occurrence
-    /// counters start at zero on every install.
-    pub fn install(&self) -> FaultGuard {
-        let inj = Rc::new(RefCell::new(Injector {
-            rules: self
-                .specs
-                .iter()
-                .map(|s| Rule {
-                    spec: s.clone(),
-                    hits: 0,
-                    fired: 0,
-                })
-                .collect(),
-        }));
-        let prev = CURRENT.with(|c| c.replace(Some(inj)));
-        FaultGuard { prev: Some(prev) }
-    }
 }
 
 impl fmt::Display for FaultPlan {
@@ -268,7 +249,9 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-struct Rule {
+/// One spec of an armed plan with its occurrence counters, which start
+/// at zero when the plan is armed.
+pub(crate) struct Rule {
     spec: FaultSpec,
     /// Matching hook invocations seen so far.
     hits: u64,
@@ -276,127 +259,108 @@ struct Rule {
     fired: u64,
 }
 
-struct Injector {
-    rules: Vec<Rule>,
-}
-
-/// Restores the previously installed injector on drop.
-pub struct FaultGuard {
-    prev: Option<Option<Rc<RefCell<Injector>>>>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            CURRENT.with(|c| c.replace(prev));
+impl Rule {
+    /// Count one `kind` hook under context `ctx`; true when it fires.
+    fn hit(&mut self, kind: FaultKind, ctx: &str) -> bool {
+        // kill-rank contexts name exactly one rank (`rank<r>`), so they
+        // compare for equality: a substring match would let `rank1` also
+        // advance on ranks 10-19 and kill the wrong processes. Every
+        // other kind keeps substring semantics so a spec can target a
+        // whole phase family.
+        let matched = if self.spec.kind == FaultKind::KillRank {
+            ctx == self.spec.ctx
+        } else {
+            ctx.contains(&self.spec.ctx)
+        };
+        if self.spec.kind != kind || !matched {
+            return false;
         }
+        self.hits += 1;
+        let fires = self.hits >= self.spec.at && self.hits < self.spec.at + self.spec.count;
+        self.fired += u64::from(fires);
+        fires
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<Rc<RefCell<Injector>>>> = const { RefCell::new(None) };
-}
+impl Rank {
+    /// Arm `plan` on this rank with fresh occurrence counters, replacing
+    /// any plan armed before; `None` disarms. Plans are replicated per
+    /// rank, so the counters advance identically on every rank and
+    /// injected faults stay collectively consistent.
+    pub fn arm_faults(&self, plan: Option<FaultPlan>) {
+        *self.faults.borrow_mut() = plan.map(|plan| {
+            plan.specs.into_iter().map(|spec| Rule { spec, hits: 0, fired: 0 }).collect()
+        });
+    }
 
-/// True when a fault plan is installed on this thread.
-pub fn armed() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
-/// Fault hook: should a fault of `kind` fire at this point?
-///
-/// `ctx` is evaluated lazily (typically `|| rank.phase_name()`) and only
-/// when an injector is installed; with no plan armed this is one
-/// thread-local read. A spec matches when its kind equals `kind` and its
-/// context string is a substring of `ctx()` (equal to it, for
-/// `kill-rank`); every match advances that spec's occurrence counter,
-/// and the hook fires when the counter lands in the spec's
-/// `at..at+count` window.
-pub fn fire(kind: FaultKind, ctx: impl FnOnce() -> String) -> bool {
-    CURRENT.with(|c| {
-        let borrow = c.borrow();
-        let Some(inj) = borrow.as_ref() else {
+    /// Fault hook: should a fault of `kind` fire at this point?
+    ///
+    /// With no plan armed this is one field read. A spec matches when
+    /// its kind equals `kind` and its context is a substring of the
+    /// rank's phase label — for `kill-rank`, equal to `rank<r>`; every
+    /// match advances that spec's occurrence counter, and the hook fires
+    /// when the counter lands in the spec's `at..at+count` window.
+    pub fn fault(&self, kind: FaultKind) -> bool {
+        let mut faults = self.faults.borrow_mut();
+        let Some(rules) = faults.as_mut() else {
             return false;
         };
-        let inj = Rc::clone(inj);
-        drop(borrow);
-        let ctx = ctx();
-        let mut inj = inj.borrow_mut();
-        let mut hit = false;
-        for rule in &mut inj.rules {
-            // kill-rank contexts name exactly one rank (`rank<r>`), so
-            // they compare for equality: a substring match would let
-            // `rank1` also advance on ranks 10-19 and kill the wrong
-            // processes. Every other kind keeps substring semantics so a
-            // spec can target a whole phase family.
-            let matched = if rule.spec.kind == FaultKind::KillRank {
-                ctx == rule.spec.ctx
-            } else {
-                ctx.contains(&rule.spec.ctx)
-            };
-            if rule.spec.kind == kind && matched {
-                rule.hits += 1;
-                if rule.hits >= rule.spec.at && rule.hits < rule.spec.at + rule.spec.count {
-                    rule.fired += 1;
-                    hit = true;
-                }
-            }
+        // Every matching rule counts the hook, so no short circuit.
+        let mut fire = |ctx: &str| rules.iter_mut().fold(false, |hit, r| r.hit(kind, ctx) | hit);
+        if kind == FaultKind::KillRank {
+            fire(&format!("rank{}", self.rank()))
+        } else {
+            self.with_recorder(|rec| fire(rec.phase_name()))
         }
-        hit
-    })
-}
+    }
 
-/// Snapshot the per-rule `(hits, fired)` occurrence counters of the
-/// injector installed on this thread, in spec order. Empty when no
-/// injector is armed. Checkpointed so a restarted run's occurrence
-/// windows continue exactly where the interrupted run left off — a
-/// `halo-nan@momentum:7` spec that had seen 5 momentum exchanges before
-/// the checkpoint still fires on the 7th overall, not the 7th
-/// post-restart.
-pub fn counters() -> Vec<(u64, u64)> {
-    CURRENT.with(|c| {
-        c.borrow().as_ref().map_or_else(Vec::new, |inj| {
-            inj.borrow().rules.iter().map(|r| (r.hits, r.fired)).collect()
-        })
-    })
-}
+    /// Snapshot the per-rule `(hits, fired)` occurrence counters of the
+    /// armed plan, in spec order. Empty when no plan is armed.
+    /// Checkpointed so a restarted run's occurrence windows continue
+    /// exactly where the interrupted run left off — a
+    /// `halo-nan@momentum:7` spec that had seen 5 momentum exchanges
+    /// before the checkpoint still fires on the 7th overall, not the 7th
+    /// post-restart.
+    pub fn fault_counters(&self) -> Vec<(u64, u64)> {
+        let faults = self.faults.borrow();
+        faults.iter().flatten().map(|r| (r.hits, r.fired)).collect()
+    }
 
-/// Restore occurrence counters captured by [`counters`] into the
-/// injector installed on this thread. Errors when the snapshot's rule
-/// count does not match the installed plan (the restart must run under
-/// the same fault plan that was checkpointed); restoring an
-/// empty snapshot into an unarmed thread is a no-op.
-pub fn restore_counters(snapshot: &[(u64, u64)]) -> Result<(), String> {
-    CURRENT.with(|c| {
-        let borrow = c.borrow();
-        match borrow.as_ref() {
+    /// Restore occurrence counters captured by [`Rank::fault_counters`]
+    /// into the armed plan. Errors when the snapshot's rule count does
+    /// not match the armed plan (the restart must run under the same
+    /// fault plan that was checkpointed); restoring an empty snapshot
+    /// into an unarmed rank is a no-op.
+    pub fn restore_fault_counters(&self, snapshot: &[(u64, u64)]) -> Result<(), String> {
+        match self.faults.borrow_mut().as_mut() {
             None if snapshot.is_empty() => Ok(()),
             None => Err(format!(
                 "checkpoint carries {} fault-counter entries but no fault plan is armed",
                 snapshot.len()
             )),
-            Some(inj) => {
-                let mut inj = inj.borrow_mut();
-                if inj.rules.len() != snapshot.len() {
+            Some(rules) => {
+                if rules.len() != snapshot.len() {
                     return Err(format!(
                         "checkpoint carries {} fault-counter entries but the armed plan \
                          has {} specs",
                         snapshot.len(),
-                        inj.rules.len()
+                        rules.len()
                     ));
                 }
-                for (rule, &(hits, fired)) in inj.rules.iter_mut().zip(snapshot) {
+                for (rule, &(hits, fired)) in rules.iter_mut().zip(snapshot) {
                     rule.hits = hits;
                     rule.fired = fired;
                 }
                 Ok(())
             }
         }
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Comm;
 
     #[test]
     fn parses_full_grammar() {
@@ -457,44 +421,34 @@ mod tests {
         }
     }
 
+    /// Run one `kind` hook on `rank` under the phase label `ctx`.
+    fn fire(rank: &Rank, kind: FaultKind, ctx: &str) -> bool {
+        rank.with_phase(ctx, || rank.fault(kind))
+    }
+
     #[test]
-    fn unarmed_fire_is_false_and_lazy() {
-        assert!(!armed());
-        let fired = fire(FaultKind::AssemblyNan, || {
-            panic!("ctx closure must not run when unarmed")
+    fn unarmed_hook_never_fires() {
+        Comm::run(1, |rank| {
+            for kind in [FaultKind::AssemblyNan, FaultKind::KillRank] {
+                assert!(!fire(rank, kind, "continuity/global"));
+            }
         });
-        assert!(!fired);
     }
 
     #[test]
     fn occurrence_windows_and_context_matching() {
-        let plan = FaultPlan::parse("halo-nan@continuity:2x2").unwrap();
-        let _g = plan.install();
-        // Non-matching context never advances the counter.
-        assert!(!fire(FaultKind::HaloNan, || "momentum/halo".into()));
-        assert!(!fire(FaultKind::HaloNan, || "continuity/halo".into())); // hit 1
-        assert!(fire(FaultKind::HaloNan, || "continuity/halo".into())); // hit 2 → fires
-        assert!(fire(FaultKind::HaloNan, || "continuity/halo".into())); // hit 3 → fires
-        assert!(!fire(FaultKind::HaloNan, || "continuity/halo".into())); // hit 4 → window over
-        // Kind mismatch never fires.
-        assert!(!fire(FaultKind::AssemblyNan, || "continuity/halo".into()));
-    }
-
-    #[test]
-    fn install_guard_restores_previous_injector() {
-        let outer = FaultPlan::parse("coarsen-stall@amg:1").unwrap();
-        let g1 = outer.install();
-        assert!(fire(FaultKind::CoarsenStall, || "amg".into()));
-        {
-            let inner = FaultPlan::parse("coarsen-stall@amg:1").unwrap();
-            let _g2 = inner.install();
-            // Fresh counters: fires again under the inner plan.
-            assert!(fire(FaultKind::CoarsenStall, || "amg".into()));
-        }
-        // Outer plan restored, its window already consumed.
-        assert!(!fire(FaultKind::CoarsenStall, || "amg".into()));
-        drop(g1);
-        assert!(!armed());
+        Comm::run(1, |rank| {
+            rank.arm_faults(Some(FaultPlan::parse("halo-nan@continuity:2x2").unwrap()));
+            // Non-matching context never advances the counter.
+            assert!(!fire(rank, FaultKind::HaloNan, "momentum/halo"));
+            assert!(!fire(rank, FaultKind::HaloNan, "continuity/halo")); // hit 1
+            assert!(fire(rank, FaultKind::HaloNan, "continuity/halo")); // hit 2 → fires
+            assert!(fire(rank, FaultKind::HaloNan, "continuity/halo")); // hit 3 → fires
+            assert!(!fire(rank, FaultKind::HaloNan, "continuity/halo")); // hit 4 → window over
+            // Kind mismatch never fires.
+            assert!(!fire(rank, FaultKind::AssemblyNan, "continuity/halo"));
+            assert_eq!(rank.fault_counters(), vec![(4, 2)]);
+        });
     }
 
     #[test]
@@ -510,60 +464,72 @@ mod tests {
             }]
         );
         assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
-        let _g = plan.install();
-        // Another rank's step hook never advances this rule.
-        assert!(!fire(FaultKind::KillRank, || "rank0".into()));
-        assert!(!fire(FaultKind::KillRank, || "rank1".into())); // step 1
-        assert!(!fire(FaultKind::KillRank, || "rank1".into())); // step 2
-        assert!(fire(FaultKind::KillRank, || "rank1".into())); // step 3 → dies
+        let fired = Comm::run(2, |rank| {
+            rank.arm_faults(Some(plan.clone()));
+            // The context is the rank, not the phase label.
+            (1..=3).map(|_| fire(rank, FaultKind::KillRank, "rank1")).collect::<Vec<_>>()
+        });
+        // Another rank's step hook never advances this rule; rank 1
+        // dies at step 3.
+        assert_eq!(fired, vec![vec![false; 3], vec![false, false, true]]);
     }
 
     #[test]
     fn kill_rank_ctx_matches_exactly_not_as_substring() {
-        let plan = FaultPlan::parse("kill-rank@rank1:2").unwrap();
-        let _g = plan.install();
         // In an 11+-rank cohort, ranks 10-19 contain "rank1" as a
-        // substring; their step hooks must neither fire nor advance
-        // rank 1's occurrence counter.
-        assert!(!fire(FaultKind::KillRank, || "rank12".into()));
-        assert!(!fire(FaultKind::KillRank, || "rank1".into())); // step 1
-        assert!(!fire(FaultKind::KillRank, || "rank10".into()));
-        assert!(fire(FaultKind::KillRank, || "rank1".into())); // step 2 → dies
-        assert!(!fire(FaultKind::KillRank, || "rank19".into()));
+        // substring; their step hooks must neither fire nor count.
+        let plan = FaultPlan::parse("kill-rank@rank1:2").unwrap();
+        let out = Comm::run(12, |rank| {
+            rank.arm_faults(Some(plan.clone()));
+            let fired = [rank.fault(FaultKind::KillRank), rank.fault(FaultKind::KillRank)];
+            (fired, rank.fault_counters())
+        });
+        for (r, (fired, counters)) in out.into_iter().enumerate() {
+            if r == 1 {
+                assert_eq!((fired, counters), ([false, true], vec![(2, 1)]));
+            } else {
+                assert_eq!((fired, counters), ([false, false], vec![(0, 0)]), "rank {r}");
+            }
+        }
     }
 
     #[test]
     fn counters_snapshot_and_restore_resume_windows() {
-        let plan = FaultPlan::parse("halo-nan@continuity:3").unwrap();
-        let snapshot = {
-            let _g = plan.install();
-            assert!(!fire(FaultKind::HaloNan, || "continuity/halo".into()));
-            assert!(!fire(FaultKind::HaloNan, || "continuity/halo".into()));
-            counters()
-        };
-        assert_eq!(snapshot, vec![(2, 0)]);
-        // A fresh install (the restarted process) resumes mid-window.
-        let _g = plan.install();
-        restore_counters(&snapshot).unwrap();
-        assert!(fire(FaultKind::HaloNan, || "continuity/halo".into())); // hit 3 → fires
-        assert_eq!(counters(), vec![(3, 1)]);
-        // Mismatched plan shape is a typed error, not a silent skip.
-        assert!(restore_counters(&[(1, 0), (2, 0)]).is_err());
+        Comm::run(1, |rank| {
+            let plan = FaultPlan::parse("halo-nan@continuity:3").unwrap();
+            rank.arm_faults(Some(plan.clone()));
+            assert!(!fire(rank, FaultKind::HaloNan, "continuity/halo"));
+            assert!(!fire(rank, FaultKind::HaloNan, "continuity/halo"));
+            let snapshot = rank.fault_counters();
+            assert_eq!(snapshot, vec![(2, 0)]);
+            // A fresh arm (the restarted process) resumes mid-window.
+            rank.arm_faults(Some(plan));
+            rank.restore_fault_counters(&snapshot).unwrap();
+            assert!(fire(rank, FaultKind::HaloNan, "continuity/halo")); // hit 3 → fires
+            assert_eq!(rank.fault_counters(), vec![(3, 1)]);
+            // Mismatched plan shape is a typed error, not a silent skip.
+            assert!(rank.restore_fault_counters(&[(1, 0), (2, 0)]).is_err());
+        });
     }
 
     #[test]
     fn counters_unarmed_is_empty_and_restores_trivially() {
-        assert!(counters().is_empty());
-        restore_counters(&[]).unwrap();
-        assert!(restore_counters(&[(1, 0)]).is_err());
+        Comm::run(1, |rank| {
+            assert!(rank.fault_counters().is_empty());
+            rank.restore_fault_counters(&[]).unwrap();
+            assert!(rank.restore_fault_counters(&[(1, 0)]).is_err());
+        });
     }
 
     #[test]
     fn empty_plan_is_armed_but_never_fires() {
         let plan = FaultPlan::parse("").unwrap();
         assert!(plan.is_empty());
-        let _g = plan.install();
-        assert!(armed());
-        assert!(!fire(FaultKind::AssemblyNan, || "x".into()));
+        Comm::run(1, |rank| {
+            rank.arm_faults(Some(plan.clone()));
+            let err = rank.restore_fault_counters(&[(1, 0)]).unwrap_err();
+            assert!(err.contains("has 0 specs"), "{err}");
+            assert!(!fire(rank, FaultKind::AssemblyNan, "x"));
+        });
     }
 }

@@ -34,6 +34,7 @@
 mod clock;
 mod collectives;
 mod comm;
+mod faults;
 mod message;
 mod perf;
 mod socket;
@@ -41,6 +42,7 @@ mod transport;
 
 pub use clock::ClockSync;
 pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
+pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
 pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
 pub use socket::{socket_path, WorkerEnv, SOCKET_PATH_MAX};

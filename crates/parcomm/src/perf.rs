@@ -67,7 +67,7 @@ pub struct CollectiveStats {
     /// Bytes this rank contributed across all entries.
     pub bytes: u64,
     /// Wall-clock latency per entry, seconds. Only populated when comm
-    /// timing is enabled (telemetry installed on the rank thread);
+    /// timing is enabled (telemetry enabled on the rank);
     /// `latency.count()` may therefore be less than `count`.
     pub latency: LogHistogram,
 }
@@ -103,7 +103,7 @@ pub struct KernelRow {
     /// over launches.
     pub dofs: u64,
     /// Wall-clock seconds of the scopes the launches ran in. Exactly
-    /// zero unless telemetry was installed on the rank thread.
+    /// zero unless telemetry was enabled on the rank.
     pub secs: f64,
 }
 
@@ -126,7 +126,7 @@ pub struct Trace {
     pub collective_bytes: u64,
     /// Seconds spent *blocked* waiting for communication: the receive
     /// loop of `recv`/collectives and barriers. Zero unless comm timing
-    /// is enabled (telemetry installed on the rank thread).
+    /// is enabled (telemetry enabled on the rank).
     pub wait_secs: f64,
     /// Seconds spent moving bytes: send-side encode + enqueue and
     /// recv-side decode. Zero unless comm timing is enabled.
@@ -240,7 +240,7 @@ pub struct PerfRecorder {
     trace: PhaseTrace,
     /// Per-name view of the kernel launches in `trace`.
     pub(crate) kernels: BTreeMap<&'static str, KernelRow>,
-    /// Has any kernel scope read the clock (telemetry installed)? Only
+    /// Has any kernel scope read the clock (telemetry enabled)? Only
     /// then do the rows carry seconds worth exporting.
     pub(crate) kernels_timed: bool,
     /// Per-(src, dst, class) traffic this rank observed — sends it issued

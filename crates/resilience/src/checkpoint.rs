@@ -181,7 +181,7 @@ pub struct SolverCheckpoint {
     /// Final GMRES relative residual per equation (UTF-8 name bytes).
     pub final_rels: Vec<(Vec<u8>, f64)>,
     /// Fault-injector `(hits, fired)` occurrence counters in spec order
-    /// (see [`crate::faults::counters`]); empty when no plan is armed.
+    /// (see [`parcomm::Rank::fault_counters`]); empty when no plan is armed.
     pub fault_counters: Vec<(u64, u64)>,
     /// AMG plan-store metadata: `(mesh index, recorded plan count)` per
     /// mesh with a reuse store. The Picard driver keeps no such store

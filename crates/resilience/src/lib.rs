@@ -1,5 +1,5 @@
 //! Solver resilience: failure detection, recovery policies, and
-//! deterministic fault injection.
+//! checkpoint/restart.
 //!
 //! Blade-resolved production runs on thousands of GPUs treat
 //! linear-solver failure — stalled GMRES, degenerate AMG coarsening,
@@ -20,23 +20,18 @@
 //!   tmp+rename) plus a cohort manifest naming only *complete*
 //!   generations, so a killed process resumes bit-for-bit where the last
 //!   finished generation left off.
-//! - [`faults`] — a seeded, deterministic fault-injection harness
-//!   ([`FaultPlan`], enabled via `SolverConfig::faults`; a no-op by
-//!   default) that can
-//!   corrupt COO triples at global assembly, flip halo payloads to NaN,
-//!   and force AMG coarsening stagnation. Faults fire on the rank
-//!   thread, so recovery behaviour is bitwise reproducible.
 //!
-//! With no plan installed every hook is one thread-local read, so the
-//! clean-run solve path is bit-for-bit unperturbed — proven by
-//! `tests/determinism.rs`.
+//! The faults this layer recovers from are injected by the rank itself:
+//! `parcomm::FaultPlan`, armed on a `Rank` from `SolverConfig::faults`,
+//! can corrupt COO triples at global assembly, flip halo payloads to
+//! NaN, drop an exchange, force AMG coarsening stagnation and kill a
+//! worker process. Its occurrence counters are part of a
+//! [`checkpoint::SolverCheckpoint`].
 
 pub mod checkpoint;
 pub mod error;
-pub mod faults;
 pub mod guard;
 pub mod recovery;
 
 pub use error::SolveError;
-pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use recovery::{RecoveryAction, RecoveryPolicy, RecoveryRecord};

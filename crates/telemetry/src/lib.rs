@@ -12,17 +12,17 @@
 //! - **structured solver events** — GMRES convergence trajectories, AMG
 //!   hierarchy tables, per-phase `PhaseTrace` rollups.
 //!
-//! The handle is installed as a thread-local *current* dispatcher
-//! ([`Telemetry::install`]), so deep solver layers (`krylov::gmres`,
-//! `amg::hierarchy`, smoothers, assembly) emit through the free functions
-//! [`span`], [`counter`], [`record`] without threading a
-//! handle through every signature — the same pattern as the `tracing`
-//! crate's dispatcher. Each simulated rank is one OS thread, so
-//! recording is single-threaded per rank and merging per-rank streams in
-//! rank order ([`merge_ranks`]) is deterministic.
+//! The rank owns its handle: `parcomm::Rank` holds it beside its perf
+//! ledger, and every instrumented layer (`parcomm` itself,
+//! `krylov::gmres`, `amg::hierarchy`, smoothers, assembly) already takes
+//! `&Rank`, so it records through `rank.telemetry()` — the way each
+//! hypre and Nalu-Wind layer is handed its MPI communicator. Each
+//! simulated rank is one OS thread, so recording is single-threaded per
+//! rank and merging per-rank streams in rank order ([`merge_ranks`]) is
+//! deterministic.
 //!
 //! **Disabled is (near) free**: a disabled handle is `inner: None`; every
-//! hook is one thread-local read and an `Option` check, no allocation, no
+//! hook is one field read and an `Option` check, no allocation, no
 //! clock read. Enabling telemetry only *observes* the solver — it is
 //! proven by `tests/determinism.rs` not to perturb converged results by a
 //! single bit.
@@ -67,7 +67,7 @@ struct Recorder {
     /// `t_last`, `t`) is seconds since this instant. Only enabled
     /// handles own an epoch, so disabled runs never read the clock.
     epoch: Instant,
-    /// The epoch's wall-clock anchor (see [`epoch_anchor`]).
+    /// The epoch's wall-clock anchor (see [`Telemetry::epoch_anchor`]).
     anchor: (i64, f64),
     stack: Vec<OpenSpan>,
     events: Vec<Event>,
@@ -96,7 +96,7 @@ impl Telemetry {
 
     /// An enabled handle recording for `rank`. Its epoch is the
     /// midpoint of two `Instant` reads around one `SystemTime` read,
-    /// which becomes the epoch's wall-clock anchor (see [`epoch_anchor`]).
+    /// which becomes the epoch's wall-clock anchor (see [`Telemetry::epoch_anchor`]).
     pub fn enabled(rank: usize) -> Telemetry {
         let before = Instant::now();
         let wall = SystemTime::now();
@@ -118,27 +118,27 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Recording rank (0 for a disabled handle).
-    pub fn rank(&self) -> usize {
-        self.inner.as_ref().map_or(0, |r| r.borrow().rank)
-    }
-
-    /// Seconds since this handle's epoch, `None` for a disabled handle
-    /// (which never reads the clock).
+    /// Seconds since this handle's epoch — the base of every
+    /// timestamp. `None` for a disabled handle, which never reads the
+    /// clock, so callers can gate every clock read on it and keep
+    /// telemetry-off runs bitwise identical.
     pub fn elapsed_secs(&self) -> Option<f64> {
         self.inner.as_ref().map(|r| r.borrow().epoch.elapsed().as_secs_f64())
+    }
+
+    /// This handle's epoch as `(Unix time in nanoseconds, bracket width
+    /// in seconds)`: the wall clock was read between two monotonic reads
+    /// whose midpoint is the epoch, so the anchor is off by at most half
+    /// the width. `None` for a disabled handle. Every rank runs on one
+    /// host, where both clocks are system-wide, so two ranks' anchors
+    /// differ by the distance between their epochs.
+    pub fn epoch_anchor(&self) -> Option<(i64, f64)> {
+        self.inner.as_ref().map(|r| r.borrow().anchor)
     }
 
     /// `/`-joined names of the currently open spans.
     pub fn current_path(&self) -> String {
         self.inner.as_ref().map_or_else(String::new, |r| r.borrow().path())
-    }
-
-    /// Install as the thread-local current dispatcher; restored (to the
-    /// previous dispatcher) when the guard drops.
-    pub fn install(&self) -> InstallGuard {
-        let prev = CURRENT.with(|c| c.replace(self.clone()));
-        InstallGuard { prev: Some(prev) }
     }
 
     /// Open a span; it closes (recording an [`Event::Span`]) when the
@@ -196,19 +196,6 @@ impl Telemetry {
     }
 }
 
-/// Restores the previously installed dispatcher on drop.
-pub struct InstallGuard {
-    prev: Option<Telemetry>,
-}
-
-impl Drop for InstallGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            CURRENT.with(|c| c.replace(prev));
-        }
-    }
-}
-
 /// Closes its span on drop.
 pub struct SpanGuard {
     inner: Option<Rc<RefCell<Recorder>>>,
@@ -232,58 +219,6 @@ impl Drop for SpanGuard {
             rec.events.push(Event::Span { rank, path, secs, t0: Some(top.t0) });
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-local current dispatcher
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static CURRENT: RefCell<Telemetry> = RefCell::new(Telemetry::disabled());
-}
-
-/// Clone of the thread-local current handle.
-pub fn current() -> Telemetry {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// True when the current dispatcher records (cheap pre-check before
-/// building expensive event payloads).
-pub fn is_enabled() -> bool {
-    CURRENT.with(|c| c.borrow().inner.is_some())
-}
-
-/// Seconds since the current dispatcher's epoch — the base of
-/// every timestamp. `None` when telemetry is disabled, so callers can
-/// gate every clock read on it and keep telemetry-off runs bitwise
-/// identical.
-pub fn now_secs() -> Option<f64> {
-    CURRENT.with(|c| c.borrow().elapsed_secs())
-}
-
-/// The current dispatcher's epoch as `(Unix time in nanoseconds,
-/// bracket width in seconds)`: the wall clock was read between two
-/// monotonic reads whose midpoint is the epoch, so the anchor is off by
-/// at most half the width. `None` when telemetry is disabled. Every
-/// rank runs on one host, where both clocks are system-wide, so two
-/// ranks' anchors differ by the distance between their epochs.
-pub fn epoch_anchor() -> Option<(i64, f64)> {
-    CURRENT.with(|c| c.borrow().inner.as_ref().map(|r| r.borrow().anchor))
-}
-
-/// Open a span on the current dispatcher.
-pub fn span(name: &str) -> SpanGuard {
-    CURRENT.with(|c| c.borrow().span(name))
-}
-
-/// Add to a counter on the current dispatcher.
-pub fn counter(name: &str, add: u64) {
-    CURRENT.with(|c| c.borrow().counter(name, add));
-}
-
-/// Record a structured event on the current dispatcher.
-pub fn record(ev: Event) {
-    CURRENT.with(|c| c.borrow().record(ev));
 }
 
 // ---------------------------------------------------------------------------
@@ -710,24 +645,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(events.len(), 2);
-    }
-
-    #[test]
-    fn install_scopes_the_current_dispatcher() {
-        assert!(!is_enabled());
-        let t = Telemetry::enabled(1);
-        {
-            let _g = t.install();
-            assert!(is_enabled());
-            counter("via_free_fn", 7);
-            let _s = span("s");
-        }
-        assert!(!is_enabled());
-        let events = t.finish();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            Event::Counter { name, value: 7, .. } if name == "via_free_fn"
-        )));
     }
 
     /// A `phase_perf` row carrying `launches` launches of 8 bytes and 2

@@ -24,13 +24,12 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use nalu_core::{CheckpointCfg, SolverConfig};
-use parcomm::{socket_path, Comm, Rank, TransportKind, WorkerEnv, SOCKET_PATH_MAX};
-use resilience::FaultPlan;
+use parcomm::{socket_path, Comm, FaultPlan, Rank, TransportKind, WorkerEnv, SOCKET_PATH_MAX};
 use telemetry::Json;
 
 /// Transport backend: `inproc` (default) or `socket`.
 pub const TRANSPORT: &str = "EXAWIND_TRANSPORT";
-/// Fault-injection plan (grammar in `resilience::faults`).
+/// Fault-injection plan (grammar in `crates/parcomm/src/faults.rs`).
 pub const FAULTS: &str = "EXAWIND_FAULTS";
 /// Enables telemetry and names the JSONL export path.
 pub const TELEMETRY: &str = "EXAWIND_TELEMETRY";

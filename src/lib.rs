@@ -3,7 +3,7 @@
 //! Re-exports the whole workspace so examples and downstream users can
 //! depend on a single crate. See the individual crates for detailed docs:
 //!
-//! - [`parcomm`] — simulated MPI runtime
+//! - [`parcomm`] — simulated MPI runtime, per-rank telemetry and fault injection
 //! - [`sparse_kit`] — local sparse kernels
 //! - [`meshpart`] — RCB and multilevel graph partitioning
 //! - [`windmesh`] — unstructured turbine meshes, overset, motion
@@ -13,7 +13,7 @@
 //! - [`nalu_core`] — the incompressible-flow solver
 //! - [`machine`] — Summit/Eagle performance models
 //! - [`telemetry`] — span tracing, solver metrics, phase reports
-//! - [`resilience`] — solver-fault taxonomy, recovery ladder, fault injection
+//! - [`resilience`] — solver-fault taxonomy, recovery ladder, checkpoint/restart
 //!
 //! [`env`] is the one place the process environment is read: binaries
 //! turn it into a `SolverConfig` there, the crates above read none.

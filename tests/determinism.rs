@@ -165,7 +165,7 @@ fn interrupted_restart_bitwise_identical_across_transports() {
 /// One step with a fault injected at a fixed (equation, occurrence);
 /// returns per-rank field bits and recovery records.
 fn faulted_step() -> Vec<(Vec<u64>, Vec<RecoveryRecord>)> {
-    use exawind::resilience::FaultPlan;
+    use exawind::parcomm::FaultPlan;
     let tm = generate(NrelCase::SingleLow, 1e-4);
     let meshes = tm.meshes;
     Comm::run(2, move |rank| {
@@ -185,7 +185,7 @@ fn faulted_step() -> Vec<(Vec<u64>, Vec<RecoveryRecord>)> {
     })
 }
 
-/// Fault injection and recovery are counted on the rank thread: an
+/// Fault injection and recovery are counted per rank: an
 /// injected fault at a fixed (equation, occurrence) on the near-body
 /// mesh must walk the recovery ladder and leave finite fields.
 #[test]

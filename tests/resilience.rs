@@ -1,6 +1,6 @@
 //! End-to-end fault injection and recovery.
 //!
-//! Each test installs a seeded [`FaultPlan`] through `SolverConfig::faults`
+//! Each test arms a seeded [`FaultPlan`] through `SolverConfig::faults`
 //! (the environment path uses the same parser and is covered by the CI
 //! smoke step), injects a corruption into a specific solve, and checks
 //! that the Picard driver detects it as a typed [`SolveError`], walks the
@@ -8,8 +8,7 @@
 //! events, and converges to the same answer as a clean run.
 
 use exawind::nalu_core::{Simulation, SolveError, SolverConfig};
-use exawind::parcomm::Comm;
-use exawind::resilience::{faults, FaultPlan};
+use exawind::parcomm::{Comm, FaultPlan, Rank};
 use exawind::telemetry::Event;
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
 use exawind::windmesh::Mesh;
@@ -165,7 +164,7 @@ fn transport_faults_recover_bitwise() {
         let cfg = cfg_with_faults(Some("halo-nan@momentum/solve:1000000"));
         let mut sim = Simulation::new(rank, meshes.clone(), cfg);
         sim.step(rank);
-        faults::counters()[0].0
+        rank.fault_counters()[0].0
     });
     assert_eq!(probe[0], probe[1], "halo hook calls differ across ranks");
     let halo = format!("halo-nan@momentum/solve:{}", probe[0]);
@@ -349,7 +348,7 @@ fn run_two_steps(plan: Option<String>) -> Vec<(Vec<u64>, usize, u64, u64)> {
     Comm::run(2, move |rank| {
         let mut sim = Simulation::new(rank, vec![small_box()], cfg_with_faults(plan.as_deref()));
         sim.step(rank);
-        let step1_hits = faults::counters().first().map_or(0, |&(h, _)| h);
+        let step1_hits = rank.fault_counters().first().map_or(0, |&(h, _)| h);
         let report = sim.step(rank);
         let rebuilt = sim
             .finish_telemetry(rank)
@@ -415,11 +414,45 @@ fn continuity_hook_calls_are_one_per_solve_attempt() {
             for _ in 0..STEPS {
                 sim.step(rank);
             }
-            faults::counters()
+            rank.fault_counters()
         });
         let calls = (2 * n_meshes * STEPS) as u64;
         for (r, c) in counters.iter().enumerate() {
             assert_eq!(c, &[(calls, 0), (calls, 0)], "p={p} rank {r}: (hits, fired) per hook");
         }
     }
+}
+
+/// `Simulation::new` replaces the recorder and the fault plan that an
+/// earlier simulation left on its rank. Simulation A (telemetry on, a
+/// plan armed) is dropped without `finish_telemetry`; simulation B
+/// (telemetry off, no plan) then records no event, counts no fault hook
+/// and times no kernel, though its kernels run.
+#[test]
+fn a_new_simulation_replaces_what_a_dropped_one_left_on_its_rank() {
+    /// Calls and seconds over this rank's `kernel_perf` rows so far.
+    fn kernel_totals(rank: &Rank) -> (u64, f64) {
+        rank.telemetry_events().iter().fold((0, 0.0), |(calls, secs), e| match e {
+            Event::KernelPerf { calls: c, secs: s, .. } => (calls + c, secs + s),
+            _ => (calls, secs),
+        })
+    }
+    Comm::run(1, |rank| {
+        let plan = Some("assembly-nan@continuity/global:1000000");
+        let mut a = Simulation::new(rank, vec![small_box()], cfg_with_faults(plan));
+        a.step(rank);
+        drop(a);
+        assert_ne!(rank.fault_counters(), vec![], "A armed its plan");
+        let (calls_a, secs_a) = kernel_totals(rank);
+        assert!(secs_a > 0.0, "A timed its kernels");
+
+        let cfg_b = SolverConfig { telemetry: false, ..cfg_with_faults(None) };
+        let mut b = Simulation::new(rank, vec![small_box()], cfg_b);
+        b.step(rank);
+        assert_eq!(b.finish_telemetry(rank), vec![]);
+        assert_eq!(rank.fault_counters(), vec![]);
+        let (calls_b, secs_b) = kernel_totals(rank);
+        assert!(calls_b > calls_a, "B ran kernels");
+        assert_eq!(secs_b, secs_a, "B timed a kernel");
+    });
 }

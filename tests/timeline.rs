@@ -9,8 +9,7 @@
 //! coarsening degradation while staying silent on a clean run.
 
 use exawind::nalu_core::{Simulation, SolverConfig};
-use exawind::parcomm::{ClockSync, Comm, TransportKind};
-use exawind::resilience::{faults, FaultPlan};
+use exawind::parcomm::{ClockSync, Comm, FaultPlan, TransportKind};
 use exawind::telemetry::health::{DegradationKind, Verdict};
 use exawind::telemetry::{self, Event, Json, Report, Telemetry};
 use exawind::windmesh::generate::{box_mesh, uniform_spacing, BoxBc};
@@ -44,8 +43,7 @@ fn small_channel() -> Mesh {
 fn clock_offsets_finite_and_agreed_on_both_transports_at_4_ranks() {
     for transport in [TransportKind::Inproc, TransportKind::Socket] {
         let tables = Comm::run_with(transport, 4, move |rank| {
-            let tel = Telemetry::enabled(rank.rank());
-            let _guard = tel.install();
+            rank.set_telemetry(Telemetry::enabled(rank.rank()));
             rank.clock_sync().expect("clock sync must run with telemetry enabled")
         });
         assert_eq!(tables.len(), 4);
@@ -63,7 +61,7 @@ fn clock_offsets_finite_and_agreed_on_both_transports_at_4_ranks() {
             assert_eq!(t, &tables[0], "rank {r} disagrees with rank 0 on {transport:?}");
         }
         let single = Comm::run_with(transport, 1, |rank| {
-            let _guard = Telemetry::enabled(0).install();
+            rank.set_telemetry(Telemetry::enabled(0));
             rank.clock_sync()
         });
         let trivial = ClockSync { offsets: vec![0.0], rtts: vec![0.0] };
@@ -85,7 +83,7 @@ fn clock_offsets_match_a_shared_instant_base_on_both_transports_at_4_ranks() {
             let before = base.elapsed().as_secs_f64();
             let tel = Telemetry::enabled(rank.rank());
             let after = base.elapsed().as_secs_f64();
-            let _guard = tel.install();
+            rank.set_telemetry(tel);
             let sync = rank.clock_sync().expect("telemetry is on");
             ((before + after) / 2.0, after - before, sync)
         });
@@ -225,10 +223,10 @@ fn health_run(
         };
         let mut sim = Simulation::new(rank, vec![mesh.clone()], cfg);
         let recoveries: usize = (0..steps).map(|_| sim.step(rank).recoveries.len()).sum();
-        // Per-spec (hits, fired) of the injector installed on this
-        // rank thread; hits advance on every matching hook call
-        // whether or not the window fired.
-        let hits = faults::counters().first().map_or(0, |&(h, _)| h);
+        // Per-spec (hits, fired) of the plan armed on this rank; hits
+        // advance on every matching hook call whether or not the window
+        // fired.
+        let hits = rank.fault_counters().first().map_or(0, |&(h, _)| h);
         let live = sim.last_health_verdict().cloned();
         (hits, sim.finish_telemetry(rank), live, recoveries)
     })
