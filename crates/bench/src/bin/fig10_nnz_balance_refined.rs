@@ -5,52 +5,20 @@
 //! spread largely unchanged compared to RCB (graph partitioners degrade
 //! at high part counts, [43]).
 
-use exawind_bench::{args::HarnessArgs, balance_stats, pressure_nnz_per_rank, print_table};
-use nalu_core::PartitionMethod;
+use exawind_bench::{args::HarnessArgs, print_nnz_balance};
 use windmesh::turbine::generate;
 use windmesh::NrelCase;
 
 fn main() {
     let args = HarnessArgs::parse(1e-4, 1, &[16, 32, 64, 96, 128]);
     let tm = generate(NrelCase::SingleRefined, args.scale);
-    let mut rows = Vec::new();
-    for &p in &args.ranks {
-        eprintln!("partitioning for {p} ranks...");
-        let rcb = pressure_nnz_per_rank(&tm.meshes, p, PartitionMethod::Rcb, 0xE1A);
-        let ml = pressure_nnz_per_rank(&tm.meshes, p, PartitionMethod::Multilevel, 0xE1A);
-        let (rmin, rmed, rmax) = balance_stats(&rcb);
-        let (mmin, mmed, mmax) = balance_stats(&ml);
-        rows.push(vec![
-            p.to_string(),
-            rmed.to_string(),
-            rmin.to_string(),
-            rmax.to_string(),
-            (rmax - rmin).to_string(),
-            mmed.to_string(),
-            mmin.to_string(),
-            mmax.to_string(),
-            (mmax - mmin).to_string(),
-            format!("{:.2}", (rmax - rmin) as f64 / (mmax - mmin).max(1) as f64),
-        ]);
-    }
-    print_table(
+    print_nnz_balance(
         &format!(
             "Figure 10: pressure-matrix NNZ balance, refined mesh ({} nodes)",
             tm.total_nodes()
         ),
-        &[
-            "ranks",
-            "rcb_median",
-            "rcb_min",
-            "rcb_max",
-            "rcb_spread",
-            "parmetis_median",
-            "parmetis_min",
-            "parmetis_max",
-            "parmetis_spread",
-            "spread_ratio_rcb_over_parmetis",
-        ],
-        &rows,
+        &tm.meshes,
+        &args.ranks,
     );
     println!("# paper: on the refined mesh at scale the spread advantage largely disappears");
 }

@@ -1,51 +1,20 @@
 //! Figure 5: median nonzeros per rank with min/max error bars, RCB vs
 //! ParMETIS-style multilevel partitioning, low-resolution mesh.
 
-use exawind_bench::{args::HarnessArgs, balance_stats, pressure_nnz_per_rank, print_table};
-use nalu_core::PartitionMethod;
+use exawind_bench::{args::HarnessArgs, print_nnz_balance};
 use windmesh::turbine::generate;
 use windmesh::NrelCase;
 
 fn main() {
     let args = HarnessArgs::parse(1e-3, 1, &[2, 4, 8, 16, 24, 32]);
     let tm = generate(NrelCase::SingleLow, args.scale);
-    let mut rows = Vec::new();
-    for &p in &args.ranks {
-        let rcb = pressure_nnz_per_rank(&tm.meshes, p, PartitionMethod::Rcb, 0xE1A);
-        let ml = pressure_nnz_per_rank(&tm.meshes, p, PartitionMethod::Multilevel, 0xE1A);
-        let (rmin, rmed, rmax) = balance_stats(&rcb);
-        let (mmin, mmed, mmax) = balance_stats(&ml);
-        rows.push(vec![
-            p.to_string(),
-            rmed.to_string(),
-            rmin.to_string(),
-            rmax.to_string(),
-            (rmax - rmin).to_string(),
-            mmed.to_string(),
-            mmin.to_string(),
-            mmax.to_string(),
-            (mmax - mmin).to_string(),
-            format!("{:.2}", (rmax - rmin) as f64 / (mmax - mmin).max(1) as f64),
-        ]);
-    }
-    print_table(
+    print_nnz_balance(
         &format!(
             "Figure 5: pressure-matrix NNZ balance, low-res mesh ({} nodes)",
             tm.total_nodes()
         ),
-        &[
-            "ranks",
-            "rcb_median",
-            "rcb_min",
-            "rcb_max",
-            "rcb_spread",
-            "parmetis_median",
-            "parmetis_min",
-            "parmetis_max",
-            "parmetis_spread",
-            "spread_ratio_rcb_over_parmetis",
-        ],
-        &rows,
+        &tm.meshes,
+        &args.ranks,
     );
     println!("# paper: ParMETIS reduces the nnz spread by ~10x at all node counts");
 }

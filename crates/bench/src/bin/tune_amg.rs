@@ -1,23 +1,12 @@
+//! AMG design-space sweep on a 2-D anisotropic model operator, 2 ranks:
+//! aggressive levels × interpolation × truncation, printing each
+//! hierarchy's levels and complexities and the GMRES iterations.
+
 use amg::{AmgConfig, AmgPrecond, InterpType};
 use distmat::{ParCsr, ParVector, RowDist};
+use exawind_bench::anisotropic_2d;
 use krylov::{Gmres, OrthoStrategy};
 use parcomm::Comm;
-use sparse_kit::{Coo, Csr};
-
-fn anisotropic_2d(nx: usize, eps: f64) -> Csr {
-    let id = |i: usize, j: usize| (i * nx + j) as u64;
-    let mut coo = Coo::new();
-    for i in 0..nx {
-        for j in 0..nx {
-            coo.push(id(i, j), id(i, j), 2.0 + 2.0 * eps);
-            if i > 0 { coo.push(id(i, j), id(i - 1, j), -1.0); }
-            if i + 1 < nx { coo.push(id(i, j), id(i + 1, j), -1.0); }
-            if j > 0 { coo.push(id(i, j), id(i, j - 1), -eps); }
-            if j + 1 < nx { coo.push(id(i, j), id(i, j + 1), -eps); }
-        }
-    }
-    Csr::from_coo(nx * nx, nx * nx, &coo)
-}
 
 fn main() {
     let serial = anisotropic_2d(16, 0.05);

@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use machine::MachineModel;
 use nalu_core::{Phase, Simulation, SolverConfig};
 use parcomm::{Comm, PhaseTrace, Trace};
+use sparse_kit::{Coo, Csr};
 use windmesh::{NrelCase, TurbineMeshes};
 
 pub mod args;
@@ -187,7 +188,9 @@ pub fn run_case(
 }
 
 /// Print a CSV header + rows (the harness output format recorded in
-/// EXPERIMENTS.md).
+/// EXPERIMENTS.md). Stdout carries exact or modeled numbers only, so
+/// `ci.sh` can byte-compare it with `results/<bin>.txt`; host seconds go
+/// to stderr, the `results/<bin>.err` side file.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("# {title}");
     println!("{}", header.join(","));
@@ -197,10 +200,36 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!();
 }
 
+/// The `nx × nx` 5-point Laplacian with coupling `eps` along the second
+/// axis: the pressure-matrix stand-in of the AMG sweeps and the §4.1
+/// SpGEMM comparison.
+pub fn anisotropic_2d(nx: usize, eps: f64) -> Csr {
+    let id = |i: usize, j: usize| (i * nx + j) as u64;
+    let mut coo = Coo::new();
+    for i in 0..nx {
+        for j in 0..nx {
+            coo.push(id(i, j), id(i, j), 2.0 + 2.0 * eps);
+            if i > 0 {
+                coo.push(id(i, j), id(i - 1, j), -1.0);
+            }
+            if i + 1 < nx {
+                coo.push(id(i, j), id(i + 1, j), -1.0);
+            }
+            if j > 0 {
+                coo.push(id(i, j), id(i, j - 1), -eps);
+            }
+            if j + 1 < nx {
+                coo.push(id(i, j), id(i, j + 1), -eps);
+            }
+        }
+    }
+    Csr::from_coo(nx * nx, nx * nx, &coo)
+}
+
 /// Exact per-rank nonzero counts of the pressure-Poisson matrix for a
 /// partitioning method (the quantity of Figures 5 and 10). No simulation
 /// needed: computed from the mesh graph + Dirichlet sets.
-pub fn pressure_nnz_per_rank(
+fn pressure_nnz_per_rank(
     meshes: &[windmesh::Mesh],
     nranks: usize,
     method: nalu_core::PartitionMethod,
@@ -226,9 +255,45 @@ pub fn pressure_nnz_per_rank(
     totals
 }
 
+/// Print the Figures 5/10 table: per rank count, the median, min, max
+/// and spread of the pressure-matrix nonzeros per rank under RCB and
+/// under multilevel k-way partitioning, and the ratio of the spreads.
+pub fn print_nnz_balance(title: &str, meshes: &[windmesh::Mesh], ranks: &[usize]) {
+    use nalu_core::PartitionMethod::{Multilevel, Rcb};
+    let mut rows = Vec::new();
+    for &p in ranks {
+        eprintln!("partitioning for {p} ranks...");
+        let (rmin, rmed, rmax) = balance_stats(&pressure_nnz_per_rank(meshes, p, Rcb, 0xE1A));
+        let (mmin, mmed, mmax) =
+            balance_stats(&pressure_nnz_per_rank(meshes, p, Multilevel, 0xE1A));
+        let mut row = vec![p.to_string()];
+        for v in [rmed, rmin, rmax, rmax - rmin, mmed, mmin, mmax, mmax - mmin] {
+            row.push(v.to_string());
+        }
+        row.push(format!("{:.2}", (rmax - rmin) as f64 / (mmax - mmin).max(1) as f64));
+        rows.push(row);
+    }
+    print_table(
+        title,
+        &[
+            "ranks",
+            "rcb_median",
+            "rcb_min",
+            "rcb_max",
+            "rcb_spread",
+            "parmetis_median",
+            "parmetis_min",
+            "parmetis_max",
+            "parmetis_spread",
+            "spread_ratio_rcb_over_parmetis",
+        ],
+        &rows,
+    );
+}
+
 /// Median/min/max summary of per-rank loads (the error-bar rows of the
 /// paper's Figures 5 and 10).
-pub fn balance_stats(loads: &[u64]) -> (u64, u64, u64) {
+fn balance_stats(loads: &[u64]) -> (u64, u64, u64) {
     let mut sorted = loads.to_vec();
     sorted.sort();
     let median = sorted[sorted.len() / 2];
