@@ -149,8 +149,10 @@ socket_panics=$(sed '/#\[cfg(test)\]/,$d' crates/parcomm/src/socket.rs \
 [ "$socket_panics" -le 12 ] \
   || { echo "panic ratchet: socket.rs has $socket_panics unwrap/expect/panic sites (at most 12)" >&2; exit 1; }
 # The other parsers of foreign bytes — JSONL telemetry lines, checkpoint
-# files and the launcher's reading of a checkpoint manifest — hold none.
-for f in crates/telemetry/src/json.rs crates/resilience/src/checkpoint.rs src/bin/exawind-launch.rs; do
+# files, the launcher's reading of a checkpoint manifest and the harness
+# binaries' command lines (a bad argument is exit 2, named) — hold none.
+for f in crates/telemetry/src/json.rs crates/resilience/src/checkpoint.rs src/bin/exawind-launch.rs \
+  crates/bench/src/args.rs; do
   panics=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'unwrap\(|expect\(|panic!\(' || true)
   [ -z "$panics" ] \
     || { echo "panic ratchet: unwrap/expect/panic in $f: $panics" >&2; exit 1; }

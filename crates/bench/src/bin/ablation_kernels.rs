@@ -8,7 +8,7 @@
 //!
 //! Stdout holds exact counts only (nonzeros, products, bitwise agreement,
 //! iterations, collectives and messages per rank, edge cuts), so it is
-//! byte-reproducible; the host seconds go to stderr.
+//! byte-reproducible; the host seconds go to stderr. Takes no arguments.
 
 use std::time::Instant;
 
@@ -67,6 +67,7 @@ fn bitwise_equal(x: &Csr, y: &Csr) -> bool {
 }
 
 fn main() {
+    exawind_bench::args::reject_arguments();
     println!("# §4.1: hash vs expand-sort-compress SpGEMM, anisotropic 2-D Laplacian (eps = 0.1)");
     println!("product,n,nnz_a,products,nnz_out,hash_equals_esc_bitwise");
     eprintln!("# §4.1 {SECONDS}\nproduct,n,hash_s,esc_s,esc_over_hash");
