@@ -106,6 +106,14 @@ fn truncate_row(cols: &mut Vec<u64>, vals: &mut Vec<f64>, factor: f64) {
     }
 }
 
+/// An interpolation row (distinct columns) as `(global col, weight)`
+/// pairs in column order, the order `ParCsr::from_global_coo` takes.
+fn sorted_row(cols: Vec<u64>, vals: Vec<f64>) -> Vec<(u64, f64)> {
+    let mut row: Vec<(u64, f64)> = cols.into_iter().zip(vals).collect();
+    row.sort_unstable_by_key(|&(c, _)| c);
+    row
+}
+
 /// Build direct (or BAMG-direct) interpolation from a CF splitting.
 /// Collective.
 pub fn direct_interpolation(
@@ -204,7 +212,7 @@ pub fn direct_interpolation(
             }
         }
         truncate_row(&mut cols, &mut vals, trunc_factor);
-        cols.into_iter().zip(vals).collect()
+        sorted_row(cols, vals)
         })
         .collect();
     let mut coo = Coo::new();
@@ -331,6 +339,8 @@ pub fn mm_ext_interpolation(
                     }
                 }
             }
+            m1.sort_unstable_by_key(|t| t.1);
+            m2.sort_unstable_by_key(|t| t.1);
             (m1, m2)
         })
         .collect();
@@ -352,14 +362,7 @@ pub fn mm_ext_interpolation(
 
     // Assemble P: C rows get identity, F rows get their W row (optionally
     // "+i"-rescaled to sum to one, preserving constants exactly).
-    let f_locals: Vec<usize> = (0..n).filter(|&i| split.states[i] == CfState::Fine).collect();
-    let mut coo = Coo::new();
-    for i in 0..n {
-        if let Some(ci) = split.coarse_index[i] {
-            coo.push(start + i as u64, ci, 1.0);
-        }
-    }
-    let f_rows: Vec<Vec<(u64, f64)>> = (0..f_locals.len())
+    let f_rows: Vec<Vec<(u64, f64)>> = (0..n_f_local)
         .map(|lf| {
             let mut cols: Vec<u64> = Vec::new();
             let mut vals: Vec<f64> = Vec::new();
@@ -383,13 +386,16 @@ pub fn mm_ext_interpolation(
                 }
             }
             truncate_row(&mut cols, &mut vals, trunc_factor);
-            cols.into_iter().zip(vals).collect()
+            sorted_row(cols, vals)
         })
         .collect();
-    for (lf, &i) in f_locals.iter().enumerate() {
+    let mut coo = Coo::new();
+    let mut f_rows = f_rows.into_iter();
+    for (i, ci) in split.coarse_index.iter().enumerate() {
         let gi = start + i as u64;
-        for &(c, v) in &f_rows[lf] {
-            coo.push(gi, c, v);
+        match ci {
+            Some(ci) => coo.push(gi, *ci, 1.0),
+            None => f_rows.next().into_iter().flatten().for_each(|(c, v)| coo.push(gi, c, v)),
         }
     }
     ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)

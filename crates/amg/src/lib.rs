@@ -12,8 +12,8 @@
 //! - **A-1 aggressive coarsening** on the first levels: a second PMIS on
 //!   the `S² + S` pattern of the first-pass C-points, combined with
 //!   two-stage interpolation `P = P1·P2` ([`hierarchy`]),
-//! - Galerkin **triple products** via distributed hash SpGEMM
-//!   ([`distmat::ops::par_rap`]).
+//! - Galerkin **triple products** via a distributed row-by-row SpGEMM
+//!   with a dense accumulator ([`distmat::ops::par_rap`]).
 //!
 //! The solve phase ([`cycle`]) runs V-cycles with the two-stage
 //! Gauss-Seidel smoother of §4.2, with a replicated dense LU at the

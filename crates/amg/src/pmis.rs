@@ -114,54 +114,36 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
         }
     };
 
-    // Row-local adjacency construction, point by point.
-    // One point's `(symmetrised neighbours, dependencies)` as `(gid, locator)` lists.
-    type AdjRow = (Vec<(u64, Loc)>, Vec<(u64, Loc)>);
-    let rows: Vec<AdjRow> = (0..n)
-        .map(|i| {
-            let mut nbrs: Vec<u64> = Vec::new();
-            let mut dep: Vec<u64> = Vec::new();
-            for &c in s.sdiag.row(i).0 {
-                let g = start + c as u64;
-                nbrs.push(g);
-                dep.push(g);
-            }
-            for &c in s.soffd.row(i).0 {
-                let g = a.global_offd_col(c);
-                nbrs.push(g);
-                dep.push(g);
-            }
-            for &c in st.diag.row(i).0 {
-                nbrs.push(start + c as u64);
-            }
-            for &c in st.offd.row(i).0 {
-                nbrs.push(st.global_offd_col(c));
-            }
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            nbrs.retain(|&g| g != start + i as u64);
-            dep.retain(|&g| g != start + i as u64);
-            (
-                nbrs.iter().map(|&g| (g, locate(g))).collect(),
-                dep.iter().map(|&g| (g, locate(g))).collect(),
-            )
-        })
-        .collect();
-    let mut sym: Vec<Vec<(u64, Loc)>> = Vec::with_capacity(n);
-    let mut deps: Vec<Vec<(u64, Loc)>> = Vec::with_capacity(n);
-    for (nbrs, dep) in rows {
-        sym.push(nbrs);
-        deps.push(dep);
+    // Symmetrised neighbours (as `(gid, location)` pairs) and dependence
+    // sets S_i (locations) of every point, in two flat arrays with row
+    // offsets.
+    let (mut sym, mut sym_ptr) = (Vec::new(), vec![0usize]);
+    let (mut deps, mut dep_ptr) = (Vec::new(), vec![0usize]);
+    let mut nbrs: Vec<u64> = Vec::new();
+    for i in 0..n {
+        let gi = start + i as u64;
+        let strong = s.sdiag.row(i).0.iter().map(|&c| start + c as u64);
+        let strong = strong.chain(s.soffd.row(i).0.iter().map(|&c| a.global_offd_col(c)));
+        nbrs.extend(strong.clone());
+        deps.extend(strong.filter(|&g| g != gi).map(locate));
+        dep_ptr.push(deps.len());
+        nbrs.extend(st.diag.row(i).0.iter().map(|&c| start + c as u64));
+        nbrs.extend(st.offd.row(i).0.iter().map(|&c| st.global_offd_col(c)));
+        nbrs.sort_unstable();
+        nbrs.dedup();
+        sym.extend(nbrs.drain(..).filter(|&g| g != gi).map(|g| (g, locate(g))));
+        sym_ptr.push(sym.len());
     }
+    let sym_of = |i: usize| &sym[sym_ptr[i]..sym_ptr[i + 1]];
 
     // Exchange weights once; states every round.
     let ext_w = halo.exchange(rank, &weights);
     let mut states = vec![UNDECIDED; n];
     // Points with no strong neighbours at all are F-points immediately
     // (nothing to interpolate from, smoother handles them).
-    for i in 0..n {
-        if sym[i].is_empty() {
-            states[i] = F_PT;
+    for (i, st0) in states.iter_mut().enumerate() {
+        if sym_of(i).is_empty() {
+            *st0 = F_PT;
         }
     }
 
@@ -196,7 +178,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
                     return snapshot[i];
                 }
                 let gi = start + i as u64;
-                let wins = sym[i].iter().all(|&(gj, loc)| {
+                let wins = sym_of(i).iter().all(|&(gj, loc)| {
                     if state_of(loc, &snapshot, &ext_states) != UNDECIDED {
                         return true;
                     }
@@ -224,7 +206,7 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
                 if snapshot[i] != UNDECIDED {
                     return snapshot[i];
                 }
-                let depends_on_c = deps[i].iter().any(|&(_, loc)| match loc {
+                let depends_on_c = deps[dep_ptr[i]..dep_ptr[i + 1]].iter().any(|&loc| match loc {
                     Loc::Local(l) => snapshot[l] == C_PT,
                     Loc::Ext(e) => ext_states2[e] == C_PT,
                 });
@@ -311,6 +293,7 @@ pub fn pmis_aggressive(
     let local_cids: Vec<u64> = first.coarse_index.iter().map(|ci| ci.unwrap_or(u64::MAX)).collect();
     let ext_cids = s2.halo().exchange(rank, &local_cids);
     let mut cc = sparse_kit::Coo::new();
+    let mut row: Vec<u64> = Vec::new();
     for i in 0..n {
         let Some(ci) = first.coarse_index[i] else {
             continue;
@@ -321,16 +304,11 @@ pub fn pmis_aggressive(
                 continue;
             }
             let lj = (gj - start) as usize;
-            if let Some(cj) = first.coarse_index[lj] {
-                cc.push(ci, cj, 1.0);
-            }
+            row.extend(first.coarse_index[lj]);
         }
-        for &c in s2.offd.row(i).0 {
-            let cj = ext_cids[c];
-            if cj != u64::MAX {
-                cc.push(ci, cj, 1.0);
-            }
-        }
+        row.extend(s2.offd.row(i).0.iter().map(|&c| ext_cids[c]).filter(|&cj| cj != u64::MAX));
+        row.sort_unstable();
+        row.drain(..).for_each(|cj| cc.push(ci, cj, 1.0));
     }
     let s2cc = ParCsr::from_global_coo(rank, cdist.clone(), cdist.clone(), &cc);
 

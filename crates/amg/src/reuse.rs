@@ -21,7 +21,7 @@
 //!   together (the sparse exchanges inside both paths would otherwise
 //!   deadlock). The cursor itself advances identically on all ranks
 //!   because hierarchy setup makes the same product calls everywhere.
-//! - **Bitwise fidelity**: replay reproduces the fresh hash
+//! - **Bitwise fidelity**: replay reproduces the fresh product's
 //!   accumulation order exactly (see `distmat::ops`), so a run with
 //!   reuse is bit-identical to one without — the test
 //!   `setup_equals_setup_with_reuse_bitwise` holds this.

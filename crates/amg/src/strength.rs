@@ -36,50 +36,31 @@ impl Strength {
         k.launch(n, (nnz * 16, nnz));
 
         // Each row of S depends only on the corresponding row of A; the
-        // row results are concatenated in row order.
-        let rows: Vec<(Vec<usize>, Vec<usize>)> = (0..n)
-            .map(|i| {
-                let (dc, dv) = a.diag.row(i);
-                let (oc, ov) = a.offd.row(i);
-                let aii = a.diag.get(i, i);
-                let sign = if aii >= 0.0 { 1.0 } else { -1.0 };
-                // Max off-diagonal strength measure.
-                let mut max_meas = 0.0f64;
-                for (&c, &v) in dc.iter().zip(dv) {
-                    if c != i {
-                        max_meas = max_meas.max(-sign * v);
-                    }
-                }
-                for &v in ov {
+        // rows are appended in row order.
+        let (mut d_indptr, mut d_indices) = (vec![0usize], Vec::new());
+        let (mut o_indptr, mut o_indices) = (vec![0usize], Vec::new());
+        for i in 0..n {
+            let (dc, dv) = a.diag.row(i);
+            let (oc, ov) = a.offd.row(i);
+            let aii = a.diag.get(i, i);
+            let sign = if aii >= 0.0 { 1.0 } else { -1.0 };
+            // Max off-diagonal strength measure.
+            let mut max_meas = 0.0f64;
+            for (&c, &v) in dc.iter().zip(dv) {
+                if c != i {
                     max_meas = max_meas.max(-sign * v);
                 }
-                let cut = theta * max_meas;
-                let mut d_row = Vec::new();
-                let mut o_row = Vec::new();
-                if max_meas > 0.0 {
-                    for (&c, &v) in dc.iter().zip(dv) {
-                        if c != i && -sign * v >= cut && -sign * v > 0.0 {
-                            d_row.push(c);
-                        }
-                    }
-                    for (&c, &v) in oc.iter().zip(ov) {
-                        if -sign * v >= cut && -sign * v > 0.0 {
-                            o_row.push(c);
-                        }
-                    }
-                }
-                (d_row, o_row)
-            })
-            .collect();
-        let mut d_indptr = Vec::with_capacity(n + 1);
-        let mut d_indices = Vec::new();
-        let mut o_indptr = Vec::with_capacity(n + 1);
-        let mut o_indices = Vec::new();
-        d_indptr.push(0);
-        o_indptr.push(0);
-        for (d_row, o_row) in &rows {
-            d_indices.extend_from_slice(d_row);
-            o_indices.extend_from_slice(o_row);
+            }
+            for &v in ov {
+                max_meas = max_meas.max(-sign * v);
+            }
+            let cut = theta * max_meas;
+            if max_meas > 0.0 {
+                let strong = |v: f64| -sign * v >= cut && -sign * v > 0.0;
+                let d_row = dc.iter().zip(dv).filter(|&(&c, &v)| c != i && strong(v));
+                d_indices.extend(d_row.map(|(&c, _)| c));
+                o_indices.extend(oc.iter().zip(ov).filter(|&(_, &v)| strong(v)).map(|(&c, _)| c));
+            }
             d_indptr.push(d_indices.len());
             o_indptr.push(o_indices.len());
         }
@@ -99,18 +80,9 @@ impl Strength {
     /// Materialize as a distributed boolean matrix with `a`'s
     /// distributions (for the `S² + S` pattern product). Collective.
     pub fn to_parcsr(&self, rank: &Rank, a: &ParCsr) -> ParCsr {
-        let mut coo = sparse_kit::Coo::new();
-        let start = a.row_dist().start(a.rank_id());
-        for i in 0..self.sdiag.nrows() {
-            let gi = start + i as u64;
-            for &c in self.sdiag.row(i).0 {
-                coo.push(gi, a.global_diag_col(c), 1.0);
-            }
-            for &c in self.soffd.row(i).0 {
-                coo.push(gi, a.global_offd_col(c), 1.0);
-            }
-        }
-        ParCsr::from_global_coo(rank, a.row_dist().clone(), a.col_dist().clone(), &coo)
+        let (row_dist, col_dist) = (a.row_dist().clone(), a.col_dist().clone());
+        let (sdiag, soffd) = (self.sdiag.clone(), self.soffd.clone());
+        ParCsr::from_blocks(rank, row_dist, col_dist, sdiag, soffd, a.col_map_offd())
     }
 }
 

@@ -7,30 +7,33 @@ use std::ops::Range;
 use parcomm::{KernelKind, Message, Rank};
 use sparse_kit::cost;
 use sparse_kit::spgemm::spgemm_flops;
-use sparse_kit::Coo;
+use sparse_kit::Csr;
 
 use crate::dist::{owner_requests, RowDist};
 use crate::ij::IjMatrix;
 use crate::parcsr::ParCsr;
 
 /// Aᵀ distributed: every local entry is routed to the owner of its global
-/// column via the Algorithm-1 assembly. Collective.
+/// column via the Algorithm-1 assembly. The entries are added column by
+/// column (through a local transpose of each block), so the assembly's
+/// owned and shared buffers arrive sorted and its sorts are single
+/// passes. Collective.
 pub fn par_transpose(rank: &Rank, a: &ParCsr) -> ParCsr {
     let mut ij = IjMatrix::new(rank, a.col_dist().clone(), a.row_dist().clone());
     let row_start = a.row_dist().start(a.rank_id());
     let k = rank.kernel("transpose", KernelKind::Sort);
     k.launch(a.local_rows(), cost::transpose(&a.diag));
-    for li in 0..a.local_rows() {
-        let gi = row_start + li as u64;
-        let (cols, vals) = a.diag.row(li);
-        for (&c, &v) in cols.iter().zip(vals) {
-            ij.add_value(a.global_diag_col(c), gi, v);
+    let mut add_block = |block: &Csr, global_col: &dyn Fn(usize) -> u64| {
+        let t = block.transpose();
+        for c in 0..t.nrows() {
+            let (rows, vals) = t.row(c);
+            for (&li, &v) in rows.iter().zip(vals) {
+                ij.add_value(global_col(c), row_start + li as u64, v);
+            }
         }
-        let (cols, vals) = a.offd.row(li);
-        for (&c, &v) in cols.iter().zip(vals) {
-            ij.add_value(a.global_offd_col(c), gi, v);
-        }
-    }
+    };
+    add_block(&a.diag, &|c| a.global_diag_col(c));
+    add_block(&a.offd, &|c| a.global_offd_col(c));
     drop(k);
     ij.assemble(rank)
 }
@@ -120,10 +123,18 @@ fn fetch_rows<P: Message + Default, R>(
     out
 }
 
-/// C = A·B distributed, with `a.col_dist() == b.row_dist()`. Gathers the
-/// external rows of B referenced by A's offd block, multiplies locally
-/// with hash accumulation over global column ids, and reassembles.
-/// Collective.
+/// C = A·B distributed, with `a.col_dist() == b.row_dist()`: a row-by-row
+/// Gustavson product. The rows of B that A's offd block references are
+/// fetched first. C's columns are numbered densely — B's owned column
+/// range, then every external column that B's offd block or a fetched
+/// row reaches, sorted — and each row of C is summed in a dense
+/// accumulator over them (a marker array reused across rows) in one
+/// fixed order: A's diag row in column order, each entry through B's
+/// diag row and then B's offd row; then A's offd row, each entry through
+/// its fetched row. An entry's first product is added to +0.0, and
+/// entries that cancel to zero stay stored. The row's touched columns,
+/// sorted, are its diag row and its offd row; the external columns no
+/// row touched are dropped. Collective.
 ///
 /// # Panics
 ///
@@ -136,49 +147,76 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
     );
     let ext = fetch_external_rows(rank, b, a.col_map_offd());
     let me = rank.rank();
-    let b_col_start = b.col_dist().start(me);
+    let owned = b.col_dist().start(me)..b.col_dist().end(me);
+    let n_own = b.diag.ncols();
+    let mut ext_cols: Vec<u64> = b.col_map_offd().to_vec();
+    ext_cols.extend(ext.values().flat_map(|(cols, _)| cols).filter(|g| !owned.contains(g)));
+    ext_cols.sort_unstable();
+    ext_cols.dedup();
+    let col_of = |g: u64| {
+        if owned.contains(&g) {
+            (g - owned.start) as usize
+        } else {
+            n_own + ext_cols.binary_search(&g).expect("collected above")
+        }
+    };
+    let b_offd: Vec<usize> = b.col_map_offd().iter().map(|&g| col_of(g)).collect();
+    let fetched: Vec<(Vec<usize>, &[f64])> = a
+        .col_map_offd()
+        .iter()
+        .map(|gk| (ext[gk].0.iter().map(|&g| col_of(g)).collect(), &ext[gk].1[..]))
+        .collect();
 
-    let mut coo = Coo::new();
-    let row_start = a.row_dist().start(me);
     // Expansion (products computed) is known from the inputs; nnz(C) only
     // after the multiply, so the launch is recorded post-loop.
     // `spgemm_flops` counts 2 flops per product — halve it back to the
     // product count the price takes.
     let expansion = spgemm_flops(&a.diag, &b.diag) / 2;
     let k = rank.kernel("spgemm", KernelKind::SpGemm);
-    let mut acc: HashMap<u64, f64> = HashMap::new();
+    let width = n_own + ext_cols.len();
+    let (mut acc, mut row_of, mut touched) = (vec![0.0f64; width], vec![usize::MAX; width], Vec::new());
+    let mut diag = (vec![0usize], Vec::new(), Vec::new());
+    let mut offd = (vec![0usize], Vec::new(), Vec::new());
     for li in 0..a.local_rows() {
-        acc.clear();
+        let mut add = |j: usize, v: f64| {
+            if row_of[j] != li {
+                row_of[j] = li;
+                acc[j] = 0.0;
+                touched.push(j);
+            }
+            acc[j] += v;
+        };
         let (dc, dv) = a.diag.row(li);
         for (&k, &av) in dc.iter().zip(dv) {
-            // Local row k of B.
             let (bc, bv) = b.diag.row(k);
-            for (&j, &bvv) in bc.iter().zip(bv) {
-                *acc.entry(b_col_start + j as u64).or_insert(0.0) += av * bvv;
-            }
+            bc.iter().zip(bv).for_each(|(&j, &bvv)| add(j, av * bvv));
             let (bc, bv) = b.offd.row(k);
-            for (&j, &bvv) in bc.iter().zip(bv) {
-                *acc.entry(b.global_offd_col(j)).or_insert(0.0) += av * bvv;
-            }
+            bc.iter().zip(bv).for_each(|(&j, &bvv)| add(b_offd[j], av * bvv));
         }
         let (oc, ov) = a.offd.row(li);
         for (&k, &av) in oc.iter().zip(ov) {
-            let gk = a.global_offd_col(k);
-            let (cols, vals) = &ext[&gk];
-            for (&gj, &bvv) in cols.iter().zip(vals) {
-                *acc.entry(gj).or_insert(0.0) += av * bvv;
-            }
+            let (cols, vals) = &fetched[k];
+            cols.iter().zip(*vals).for_each(|(&j, &bvv)| add(j, av * bvv));
         }
-        let gi = row_start + li as u64;
-        let mut entries: Vec<(u64, f64)> = acc.iter().map(|(&j, &v)| (j, v)).collect();
-        entries.sort_unstable_by_key(|&(j, _)| j);
-        for (j, v) in entries {
-            coo.push(gi, j, v);
+        touched.sort_unstable();
+        for &j in &touched {
+            let (block, c) = if j < n_own { (&mut diag, j) } else { (&mut offd, j - n_own) };
+            block.1.push(c);
+            block.2.push(acc[j]);
         }
+        touched.clear();
+        diag.0.push(diag.1.len());
+        offd.0.push(offd.1.len());
     }
-    k.launch(a.local_rows(), cost::spgemm(expansion, coo.len()));
+    k.launch(a.local_rows(), cost::spgemm(expansion, diag.1.len() + offd.1.len()));
     drop(k);
-    ParCsr::from_global_coo(rank, a.row_dist().clone(), b.col_dist().clone(), &coo)
+    // C lives as long as the hierarchy: give back the growth slack.
+    let [diag, offd] = [(diag, n_own), (offd, ext_cols.len())].map(|((indptr, mut indices, mut vals), ncols)| {
+        indices.shrink_to_fit();
+        vals.shrink_to_fit();
+        Csr::from_parts(a.local_rows(), ncols, indptr, indices, vals)
+    });
+    ParCsr::from_blocks(rank, a.row_dist().clone(), b.col_dist().clone(), diag, offd, &ext_cols)
 }
 
 /// Galerkin coarse operator A_c = Pᵀ·A·P, distributed. Collective.
@@ -223,15 +261,15 @@ impl MatPattern {
 
 /// A recorded symbolic pass of [`par_spgemm`]: the output structure plus
 /// one destination slot per expansion product, so later triple products
-/// with unchanged structure replay the numeric pass alone — no hash
-/// probing, no per-row sort, no COO assembly, no structural reassembly,
-/// and only values on the wire for external rows.
+/// with unchanged structure replay the numeric pass alone — no column
+/// numbering, no per-row sort, no structural reassembly, and only
+/// values on the wire for external rows.
 ///
-/// Bitwise contract: [`par_spgemm`] accumulates each output entry with
-/// `*acc.entry(j).or_insert(0.0) += a·b` — the first contribution is
-/// added to +0.0 — and replay seeds every slot with +0.0 and adds the
-/// products in the identical expansion order, so the float sums are
-/// reproduced bit for bit (`tests` prove it on -0.0 hazards too).
+/// Bitwise contract: [`par_spgemm`] starts each output entry at +0.0
+/// and adds its products to it — so the first contribution is added to
+/// +0.0 — and replay seeds every slot with +0.0 and adds the products in
+/// the identical expansion order, so the float sums are reproduced bit
+/// for bit (`tests` prove it on -0.0 hazards too).
 #[derive(Clone, Debug)]
 pub struct ParSpgemmPlan {
     a_pat: MatPattern,
@@ -406,7 +444,7 @@ mod tests {
     use crate::vector::ParVector;
     use parcomm::Comm;
     use sparse_kit::rap::galerkin;
-    use sparse_kit::Csr;
+    use sparse_kit::Coo;
 
     fn laplacian(n: usize) -> Csr {
         let mut coo = Coo::new();
@@ -586,6 +624,108 @@ mod tests {
             let a2 = ParCsr::from_serial(rank, rd.clone(), rd, &wide);
             assert!(!plan.matches(rank, &a2, &p));
         });
+    }
+
+    /// A serial CSR from per-row `(col, value)` lists, every listed entry
+    /// stored (explicit zeros and −0.0 included).
+    fn csr(rows: &[Vec<(usize, f64)>], ncols: usize) -> Csr {
+        let mut indptr = vec![0];
+        let (mut indices, mut vals) = (Vec::new(), Vec::new());
+        for row in rows {
+            indices.extend(row.iter().map(|e| e.0));
+            vals.extend(row.iter().map(|e| e.1));
+            indptr.push(indices.len());
+        }
+        Csr::from_parts(rows.len(), ncols, indptr, indices, vals)
+    }
+
+    /// Rank `me`'s rows of A·B as sorted `(global col, value bits)`,
+    /// summed in `par_spgemm`'s documented order: A's row owned-columns
+    /// first, then the rest, each in column order; each entry through
+    /// the row of B split the same way by the columns its owner owns;
+    /// every output entry starts from +0.0.
+    fn reference_rows(a: &Csr, b: &Csr, b_rows: &RowDist, b_cols: &RowDist, rows: Range<u64>, me: usize) -> Vec<Vec<(u64, u64)>> {
+        let split = |m: &Csr, r: usize, cols: &RowDist, owner: usize| {
+            let own = cols.start(owner)..cols.end(owner);
+            let (c, v) = m.row(r);
+            let entries: Vec<(u64, f64)> = c.iter().map(|&c| c as u64).zip(v.iter().copied()).collect();
+            let (mut mine, rest): (Vec<_>, Vec<_>) = entries.into_iter().partition(|e| own.contains(&e.0));
+            mine.extend(rest);
+            mine
+        };
+        rows.map(|gi| {
+            let mut acc: std::collections::BTreeMap<u64, f64> = Default::default();
+            for (k, av) in split(a, gi as usize, b_rows, me) {
+                for (j, bv) in split(b, k as usize, b_cols, b_rows.owner(k)) {
+                    *acc.entry(j).or_insert(0.0) += av * bv;
+                }
+            }
+            acc.into_iter().map(|(j, v)| (j, v.to_bits())).collect()
+        })
+        .collect()
+    }
+
+    #[test]
+    fn spgemm_equals_the_documented_order_bitwise_on_edge_cases() {
+        // A is 9×9, B is 9×6. C[0][0] = 1·1.5 + 1·(−1.5) cancels to 0.0
+        // (stored), through B's row 0 (local to row 0's rank) and row 8
+        // (fetched on 2 and 3 ranks), both into column 0, which rank 0
+        // owns. C[4][5]'s only products are −0.0, so it is +0.0. The
+        // other values span eight decades, so a change of summation order
+        // changes bits.
+        let val = |x: usize| (x as f64 * 0.7).sin() * [1.0, 1e-3, 1e5, 3.3][x % 4];
+        let a_rows: Vec<Vec<(usize, f64)>> = (0..9)
+            .map(|i| match i {
+                0 => vec![(0, 1.0), (3, 0.75), (8, 1.0)],
+                _ => (0..9).filter(|&k| k == i || (i + 2 * k) % 3 != 0).map(|k| (k, val(9 * i + k))).collect(),
+            })
+            .collect();
+        let b_rows: Vec<Vec<(usize, f64)>> = (0..9)
+            .map(|k| {
+                let mut row: Vec<(usize, f64)> = (1..5).map(|j| (j, val(100 + 6 * k + j))).collect();
+                match k {
+                    0 => row.insert(0, (0, 1.5)),
+                    8 => row.insert(0, (0, -1.5)),
+                    4 => row.push((5, -0.0)),
+                    _ => {}
+                }
+                row
+            })
+            .collect();
+        let (a, b) = (csr(&a_rows, 9), csr(&b_rows, 6));
+        for nranks in [1, 2, 3] {
+            let (a, b) = (a.clone(), b.clone());
+            Comm::run(nranks, move |rank| {
+                let me = rank.rank();
+                let (rd, cd) = (RowDist::block(9, rank.size()), RowDist::block(6, rank.size()));
+                let pa = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &a);
+                let pb = ParCsr::from_serial(rank, rd.clone(), cd.clone(), &b);
+                let c = par_spgemm(rank, &pa, &pb);
+                let got: Vec<Vec<(u64, u64)>> = (0..c.local_rows())
+                    .map(|li| {
+                        let (dc, dv) = c.diag.row(li);
+                        let (oc, ov) = c.offd.row(li);
+                        let diag = dc.iter().map(|&j| c.global_diag_col(j)).zip(dv);
+                        let offd = oc.iter().map(|&j| c.global_offd_col(j)).zip(ov);
+                        let mut row: Vec<(u64, u64)> = diag.chain(offd).map(|(j, v)| (j, v.to_bits())).collect();
+                        row.sort_unstable();
+                        row
+                    })
+                    .collect();
+                let want = reference_rows(&a, &b, &rd, &cd, rd.start(me)..rd.end(me), me);
+                assert_eq!(got, want, "nranks={nranks} rank={me}");
+                if rd.owner(0) == me {
+                    assert!(want[0].contains(&(0, 0.0f64.to_bits())), "C[0][0] cancels to a stored 0.0");
+                }
+                if rd.owner(4) == me {
+                    let li = (4 - rd.start(me)) as usize;
+                    assert!(want[li].contains(&(5, 0.0f64.to_bits())), "C[4][5] is +0.0");
+                }
+                if nranks > 1 && me == 0 {
+                    assert!(pa.col_map_offd().contains(&8) && cd.owner(0) == 0, "row 8 is fetched into an owned column");
+                }
+            });
+        }
     }
 
     #[test]

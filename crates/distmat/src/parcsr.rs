@@ -35,51 +35,77 @@ pub struct ParCsr {
 
 impl ParCsr {
     /// Build from a local COO whose rows are *global* ids owned by this
-    /// rank and whose columns are global ids anywhere. Collective: builds
-    /// the halo communication package.
+    /// rank and whose columns are global ids anywhere, row-major sorted
+    /// and combined ([`Coo::sort_and_combine`]'s output, which IJ
+    /// assembly, strength, interpolation and the transposes hold already):
+    /// the entries are split into the two blocks in one pass, with no
+    /// copy and no re-sort. Collective: builds the halo communication
+    /// package.
     ///
     /// # Panics
     ///
     /// Panics if any row is not owned by this rank or any column is out
-    /// of range.
+    /// of range; debug builds also check the sort precondition.
     pub fn from_global_coo(
         rank: &Rank,
         row_dist: RowDist,
         col_dist: RowDist,
         coo: &Coo,
     ) -> Self {
+        debug_assert!(coo.is_sorted_and_combined(), "from_global_coo needs sorted, combined triples");
         let r = rank.rank();
         let my_cols = col_dist.start(r)..col_dist.end(r);
+        let mut ext_cols: Vec<u64> = coo.cols.iter().copied().filter(|c| !my_cols.contains(c)).collect();
+        let block = |rows: usize, nnz: usize| (vec![0usize; rows + 1], Vec::with_capacity(nnz), Vec::with_capacity(nnz));
         let local_rows = row_dist.local_n(r);
-
-        // Split into diag and offd triple sets.
-        let mut diag_coo = Coo::new();
-        let mut offd_cols_global: Vec<u64> = Vec::new();
-        let mut offd_triples: Vec<(u64, u64, f64)> = Vec::new();
-        for k in 0..coo.len() {
-            let (gi, gj, v) = (coo.rows[k], coo.cols[k], coo.vals[k]);
-            let li = row_dist.to_local(r, gi) as u64;
+        let mut diag = block(local_rows, coo.len() - ext_cols.len());
+        let mut offd = block(local_rows, ext_cols.len());
+        ext_cols.sort_unstable();
+        ext_cols.dedup();
+        for ((&gi, &gj), &v) in coo.rows.iter().zip(&coo.cols).zip(&coo.vals) {
+            let li = row_dist.to_local(r, gi);
             assert!(gj < col_dist.global_n(), "column {gj} out of range");
-            if my_cols.contains(&gj) {
-                diag_coo.push(li, gj - col_dist.start(r), v);
+            let (block, j) = if my_cols.contains(&gj) {
+                (&mut diag, (gj - my_cols.start) as usize)
             } else {
-                offd_cols_global.push(gj);
-                offd_triples.push((li, gj, v));
-            }
+                (&mut offd, ext_cols.binary_search(&gj).expect("collected above"))
+            };
+            block.0[li + 1] += 1;
+            block.1.push(j);
+            block.2.push(v);
         }
+        let finish = |(mut indptr, indices, vals): (Vec<usize>, Vec<usize>, Vec<f64>), ncols| {
+            (0..local_rows).for_each(|i| indptr[i + 1] += indptr[i]);
+            Csr::from_parts(local_rows, ncols, indptr, indices, vals)
+        };
+        let (diag, offd) = (finish(diag, col_dist.local_n(r)), finish(offd, ext_cols.len()));
+        Self::from_blocks(rank, row_dist, col_dist, diag, offd, &ext_cols)
+    }
 
-        // Compress external columns to a sorted global map.
-        offd_cols_global.sort_unstable();
-        offd_cols_global.dedup();
-        let col_map_offd = offd_cols_global;
-        let mut offd_coo = Coo::new();
-        for (li, gj, v) in offd_triples {
-            let cj = col_map_offd.binary_search(&gj).unwrap() as u64;
-            offd_coo.push(li, cj, v);
+    /// Build from this rank's two blocks: `diag` over the owned columns
+    /// and `offd` over `ext_cols`, sorted global ids of which `offd` may
+    /// use only some — the unused ones are dropped and the rest
+    /// renumbered in order, so `offd` stays sorted. Collective: builds
+    /// the halo communication package.
+    pub fn from_blocks(
+        rank: &Rank,
+        row_dist: RowDist,
+        col_dist: RowDist,
+        diag: Csr,
+        offd: Csr,
+        ext_cols: &[u64],
+    ) -> Self {
+        let mut renumber = vec![usize::MAX; ext_cols.len()];
+        offd.indices().iter().for_each(|&c| renumber[c] = 0);
+        let mut col_map_offd = Vec::new();
+        for (slot, &g) in renumber.iter_mut().zip(ext_cols).filter(|(slot, _)| **slot == 0) {
+            *slot = col_map_offd.len();
+            col_map_offd.push(g);
         }
-
-        let diag = Csr::from_coo(local_rows, col_dist.local_n(r), &diag_coo);
-        let offd = Csr::from_coo(local_rows, col_map_offd.len(), &offd_coo);
+        let indices = offd.indices().iter().map(|&c| renumber[c]).collect();
+        let (indptr, vals) = (offd.indptr().to_vec(), offd.vals().to_vec());
+        let offd = Csr::from_parts(offd.nrows(), col_map_offd.len(), indptr, indices, vals);
+        let r = rank.rank();
         let halo = Arc::new(Halo::new(rank, &col_dist, col_map_offd));
         ParCsr {
             row_dist,
@@ -519,6 +545,17 @@ mod tests {
                 assert_eq!(gathered.to_dense(), a.to_dense(), "p={p}");
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "needs sorted, combined triples")]
+    fn from_global_coo_checks_its_sort_precondition_in_debug_builds() {
+        Comm::run(1, |rank| {
+            let dist = RowDist::block(2, 1);
+            let coo = Coo { rows: vec![1, 0], cols: vec![0, 1], vals: vec![1.0, 2.0] };
+            ParCsr::from_global_coo(rank, dist.clone(), dist, &coo);
+        });
     }
 
     #[test]

@@ -204,6 +204,7 @@ proptest! {
                             coo.push(r, c, v);
                         }
                     }
+                    coo.sort_and_combine();
                     let a = ParCsr::from_global_coo(rank, row_dist.clone(), col_dist.clone(), &coo);
                     if !with_offd {
                         assert_eq!(a.offd.nnz(), 0);

@@ -72,6 +72,7 @@ fn banded(rank: &Rank, n: u64, seed: u64) -> ParCsr {
             }
         }
     }
+    coo.sort_and_combine();
     ParCsr::from_global_coo(rank, dist.clone(), dist, &coo)
 }
 
@@ -108,6 +109,7 @@ proptest! {
                         coo.push(r, c, v);
                     }
                 }
+                coo.sort_and_combine();
                 let a = ParCsr::from_global_coo(rank, dist.clone(), dist.clone(), &coo);
                 let b = ParVector::from_fn(rank, dist.clone(), |g| rhs[g as usize]);
                 let zeros = || ParVector::zeros(rank, dist.clone());
