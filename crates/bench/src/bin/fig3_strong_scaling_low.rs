@@ -22,7 +22,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut opt_pts = Vec::new();
     eprintln!("# Figure 3: host seconds per step of the in-process run");
-    eprintln!("ranks,wall_clock_s,wall_std_s");
+    eprintln!("ranks,wall_clock_s");
     for &p in &args.ranks {
         let opt = run_case(NrelCase::SingleLow, args.scale, p, args.steps, opt_cfg.clone())
             .extrapolated(1.0 / args.scale);
@@ -41,7 +41,7 @@ fn main() {
             format!("{t_base:.4}"),
             format!("{t_opt:.4}"),
         ]);
-        eprintln!("{p},{:.4},{:.4}", opt.wall_per_step, opt.wall_std);
+        eprintln!("{p},{:.4}", opt.wall_per_step);
     }
     print_table(
         &format!(

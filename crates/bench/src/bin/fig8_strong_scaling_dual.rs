@@ -16,7 +16,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut pts = Vec::new();
     eprintln!("# Figure 8: host seconds per step of the in-process run");
-    eprintln!("ranks,wall_clock_s,wall_std_s");
+    eprintln!("ranks,wall_clock_s");
     for &p in &args.ranks {
         let r = run_case(NrelCase::Dual, args.scale, p, args.steps, cfg.clone())
             .extrapolated(1.0 / args.scale);
@@ -29,7 +29,7 @@ fn main() {
             format!("{:.4}", r.modeled_nli(&cpu)),
             format!("{t_gpu:.4}"),
         ]);
-        eprintln!("{p},{:.4},{:.4}", r.wall_per_step, r.wall_std);
+        eprintln!("{p},{:.4}", r.wall_per_step);
     }
     print_table(
         &format!(

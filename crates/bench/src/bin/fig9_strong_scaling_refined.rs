@@ -17,7 +17,7 @@ fn main() {
     let mut rows = Vec::new();
     let (mut gpu_pts, mut cpu_pts) = (Vec::new(), Vec::new());
     eprintln!("# Figure 9: host seconds per step of the in-process run");
-    eprintln!("ranks,wall_clock_s,wall_std_s");
+    eprintln!("ranks,wall_clock_s");
     for &p in &args.ranks {
         let r = run_case(NrelCase::SingleRefined, args.scale, p, args.steps, cfg.clone())
             .extrapolated(1.0 / args.scale);
@@ -32,7 +32,7 @@ fn main() {
             format!("{t_cpu:.4}"),
             format!("{t_gpu:.4}"),
         ]);
-        eprintln!("{p},{:.4},{:.4}", r.wall_per_step, r.wall_std);
+        eprintln!("{p},{:.4}", r.wall_per_step);
     }
     print_table(
         &format!(

@@ -66,8 +66,6 @@ pub struct RunResult {
     pub steps: usize,
     /// Mean wall-clock seconds per step of the in-process run.
     pub wall_per_step: f64,
-    /// Std-dev of wall-clock step times.
-    pub wall_std: f64,
     /// Per-rank traces accumulated over the whole run.
     pub traces: Vec<PhaseTrace>,
     /// GMRES iterations per equation over the whole run.
@@ -174,13 +172,10 @@ pub fn run_case(
         (step_walls, iters)
     });
     let (walls, iters) = outs.into_iter().next().unwrap();
-    let mean = walls.iter().sum::<f64>() / walls.len() as f64;
-    let var = walls.iter().map(|w| (w - mean) * (w - mean)).sum::<f64>() / walls.len() as f64;
     RunResult {
         nranks,
         steps,
-        wall_per_step: mean,
-        wall_std: var.sqrt(),
+        wall_per_step: walls.iter().sum::<f64>() / walls.len() as f64,
         traces,
         gmres_iters: iters,
         mesh_nodes,
