@@ -395,7 +395,7 @@ pub fn mm_ext_interpolation(
         let gi = start + i as u64;
         match ci {
             Some(ci) => coo.push(gi, *ci, 1.0),
-            None => f_rows.next().into_iter().flatten().for_each(|(c, v)| coo.push(gi, c, v)),
+            None => f_rows.next().expect("one W row per F-point").into_iter().for_each(|(c, v)| coo.push(gi, c, v)),
         }
     }
     ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)

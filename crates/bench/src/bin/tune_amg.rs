@@ -19,31 +19,30 @@ use nalu_core::assemble::{fill_continuity_operator, try_build_matrix};
 use nalu_core::Simulation;
 use parcomm::{Comm, Rank};
 use resilience::checkpoint::fnv64;
-use sparse_kit::Csr;
 use windmesh::NrelCase;
 
-/// This rank's share of the hierarchy checksum: FNV-64 over the bytes of
-/// every level's A, P and R blocks and column maps, finest level first.
+/// This rank's share of the hierarchy checksum: FNV-64 over every
+/// level's A, P and R blocks and column maps, finest level first.
 fn local_checksum(h: &AmgHierarchy) -> u64 {
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut put = |words: &mut dyn Iterator<Item = u64>| words.for_each(|w| bytes.extend(w.to_le_bytes()));
+    let mut words: Vec<u64> = Vec::new();
     for lvl in &h.levels {
         for m in [Some(&lvl.a), lvl.p.as_ref(), lvl.r.as_ref()].into_iter().flatten() {
             for b in [&m.diag, &m.offd] {
-                put(&mut b.indptr().iter().map(|&x| x as u64));
-                put(&mut b.indices().iter().map(|&x| x as u64));
-                put(&mut b.vals().iter().map(|v| v.to_bits()));
+                words.extend(b.indptr().iter().chain(b.indices()).map(|&x| x as u64));
+                words.extend(b.vals().iter().map(|v| v.to_bits()));
             }
-            put(&mut m.col_map_offd().iter().copied());
+            words.extend(m.col_map_offd());
         }
     }
-    fnv64(&bytes)
+    fnv64(&words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>())
 }
 
-/// Set up `cfg` on `a`, solve one GMRES system with it, and return
-/// `(levels, grid complexity, operator complexity, iterations,
-/// converged, local checksum)`.
-fn sweep_row(rank: &Rank, a: ParCsr, cfg: &AmgConfig) -> (usize, f64, f64, usize, bool, u64) {
+/// One printed row: levels, grid and operator complexity, GMRES
+/// iterations, converged, and this rank's checksum.
+type Row = (usize, f64, f64, usize, bool, u64);
+
+/// Set up `cfg` on `a` and solve one GMRES system with it.
+fn sweep_row(rank: &Rank, a: ParCsr, cfg: &AmgConfig) -> Row {
     let dist = a.row_dist().clone();
     let amg = AmgPrecond::setup(rank, a.clone(), cfg).expect("AMG setup");
     let h = amg.hierarchy();
@@ -56,7 +55,7 @@ fn sweep_row(rank: &Rank, a: ParCsr, cfg: &AmgConfig) -> (usize, f64, f64, usize
 }
 
 /// Print one row; the checksum folds the per-rank checksums in rank order.
-fn print_row(name: &str, out: &[(usize, f64, f64, usize, bool, u64)]) {
+fn print_row(name: &str, out: &[Row]) {
     let (l, gc, oc, it, conv, _) = out[0];
     let sums: Vec<u8> = out.iter().flat_map(|o| o.5.to_le_bytes()).collect();
     println!("{name:22} levels={l} gc={gc:.2} oc={oc:.2} iters={it} conv={conv} checksum={:016x}", fnv64(&sums));
@@ -75,7 +74,7 @@ fn main() {
         ("agg0 bamg  t0.00", AmgConfig { agg_levels: 0, interp: InterpType::BamgDirect, trunc_factor: 0.0, smooth_inner: 2, ..Default::default() }),
         ("agg1 mmexti t0.10", AmgConfig { agg_levels: 1, interp: InterpType::MmExtI, trunc_factor: 0.1, smooth_inner: 2, ..Default::default() }),
     ] {
-        let s2: Csr = serial.clone();
+        let s2 = serial.clone();
         let out = Comm::run(2, move |rank| {
             let n = s2.nrows() as u64;
             let dist = RowDist::block(n, rank.size());

@@ -164,7 +164,10 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
     let fetched: Vec<(Vec<usize>, &[f64])> = a
         .col_map_offd()
         .iter()
-        .map(|gk| (ext[gk].0.iter().map(|&g| col_of(g)).collect(), &ext[gk].1[..]))
+        .map(|gk| {
+            let (cols, vals) = &ext[gk];
+            (cols.iter().map(|&g| col_of(g)).collect(), &vals[..])
+        })
         .collect();
 
     // Expansion (products computed) is known from the inputs; nnz(C) only
@@ -210,7 +213,8 @@ pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
     }
     k.launch(a.local_rows(), cost::spgemm(expansion, diag.1.len() + offd.1.len()));
     drop(k);
-    // C lives as long as the hierarchy: give back the growth slack.
+    // Level operators and interpolants live as long as their hierarchy:
+    // give back the growth slack.
     let [diag, offd] = [(diag, n_own), (offd, ext_cols.len())].map(|((indptr, mut indices, mut vals), ncols)| {
         indices.shrink_to_fit();
         vals.shrink_to_fit();

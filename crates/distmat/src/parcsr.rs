@@ -87,6 +87,11 @@ impl ParCsr {
     /// use only some — the unused ones are dropped and the rest
     /// renumbered in order, so `offd` stays sorted. Collective: builds
     /// the halo communication package.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's shape does not match the distributions and
+    /// `ext_cols`.
     pub fn from_blocks(
         rank: &Rank,
         row_dist: RowDist,
@@ -95,17 +100,21 @@ impl ParCsr {
         offd: Csr,
         ext_cols: &[u64],
     ) -> Self {
-        let mut renumber = vec![usize::MAX; ext_cols.len()];
-        offd.indices().iter().for_each(|&c| renumber[c] = 0);
-        let mut col_map_offd = Vec::new();
-        for (slot, &g) in renumber.iter_mut().zip(ext_cols).filter(|(slot, _)| **slot == 0) {
-            *slot = col_map_offd.len();
+        let r = rank.rank();
+        let rows = row_dist.local_n(r);
+        assert_eq!((diag.nrows(), offd.nrows()), (rows, rows), "block rows do not match the row distribution");
+        assert_eq!(diag.ncols(), col_dist.local_n(r), "diag columns do not match the column distribution");
+        assert_eq!(offd.ncols(), ext_cols.len(), "offd columns do not match the external columns");
+        let mut used = vec![false; ext_cols.len()];
+        offd.indices().iter().for_each(|&c| used[c] = true);
+        let (mut renumber, mut col_map_offd) = (vec![0usize; ext_cols.len()], Vec::new());
+        for (c, &g) in ext_cols.iter().enumerate().filter(|&(c, _)| used[c]) {
+            renumber[c] = col_map_offd.len();
             col_map_offd.push(g);
         }
         let indices = offd.indices().iter().map(|&c| renumber[c]).collect();
         let (indptr, vals) = (offd.indptr().to_vec(), offd.vals().to_vec());
-        let offd = Csr::from_parts(offd.nrows(), col_map_offd.len(), indptr, indices, vals);
-        let r = rank.rank();
+        let offd = Csr::from_parts(rows, col_map_offd.len(), indptr, indices, vals);
         let halo = Arc::new(Halo::new(rank, &col_dist, col_map_offd));
         ParCsr {
             row_dist,
