@@ -44,15 +44,15 @@ impl ParCsr {
     ///
     /// # Panics
     ///
-    /// Panics if any row is not owned by this rank or any column is out
-    /// of range; debug builds also check the sort precondition.
+    /// Panics if the triples are not sorted and combined, if any row is
+    /// not owned by this rank or if any column is out of range.
     pub fn from_global_coo(
         rank: &Rank,
         row_dist: RowDist,
         col_dist: RowDist,
         coo: &Coo,
     ) -> Self {
-        debug_assert!(coo.is_sorted_and_combined(), "from_global_coo needs sorted, combined triples");
+        assert!(coo.is_sorted_and_combined(), "from_global_coo needs sorted, combined triples");
         let r = rank.rank();
         let my_cols = col_dist.start(r)..col_dist.end(r);
         let mut ext_cols: Vec<u64> = coo.cols.iter().copied().filter(|c| !my_cols.contains(c)).collect();
@@ -112,9 +112,13 @@ impl ParCsr {
             renumber[c] = col_map_offd.len();
             col_map_offd.push(g);
         }
-        let indices = offd.indices().iter().map(|&c| renumber[c]).collect();
-        let (indptr, vals) = (offd.indptr().to_vec(), offd.vals().to_vec());
-        let offd = Csr::from_parts(rows, col_map_offd.len(), indptr, indices, vals);
+        let offd = if col_map_offd.len() == ext_cols.len() {
+            offd
+        } else {
+            let (indptr, mut indices, vals) = offd.into_parts();
+            indices.iter_mut().for_each(|c| *c = renumber[*c]);
+            Csr::from_parts(rows, col_map_offd.len(), indptr, indices, vals)
+        };
         let halo = Arc::new(Halo::new(rank, &col_dist, col_map_offd));
         ParCsr {
             row_dist,
@@ -557,9 +561,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "needs sorted, combined triples")]
-    fn from_global_coo_checks_its_sort_precondition_in_debug_builds() {
+    fn from_global_coo_rejects_unsorted_triples() {
         Comm::run(1, |rank| {
             let dist = RowDist::block(2, 1);
             let coo = Coo { rows: vec![1, 0], cols: vec![0, 1], vals: vec![1.0, 2.0] };

@@ -192,6 +192,11 @@ impl Csr {
         &mut self.vals
     }
 
+    /// The row pointer, column index and value arrays, moved out.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.indptr, self.indices, self.vals)
+    }
+
     /// Column indices and values of row `r`.
     pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
         let range = self.indptr[r]..self.indptr[r + 1];
