@@ -72,6 +72,10 @@ pub struct RunResult {
     pub gmres_iters: BTreeMap<String, usize>,
     /// Mesh nodes in the case.
     pub mesh_nodes: usize,
+    /// FNV-64 over the bits of rank 0's final `vel`, `p` and `nut` of
+    /// every mesh (the fields `exawind-e2e` hashes): pins the solution,
+    /// and with it every assembly that fed it.
+    pub checksum: u64,
 }
 
 impl RunResult {
@@ -169,9 +173,9 @@ pub fn run_case(
                 *iters.entry(k).or_insert(0) += v;
             }
         }
-        (step_walls, iters)
+        (step_walls, iters, field_checksum(&sim))
     });
-    let (walls, iters) = outs.into_iter().next().unwrap();
+    let (walls, iters, checksum) = outs.into_iter().next().unwrap();
     RunResult {
         nranks,
         steps,
@@ -179,7 +183,19 @@ pub fn run_case(
         traces,
         gmres_iters: iters,
         mesh_nodes,
+        checksum,
     }
+}
+
+/// FNV-64 over the bits of `vel`, `p` and `nut` of every mesh of `sim`.
+fn field_checksum(sim: &Simulation) -> u64 {
+    let mut bytes = Vec::new();
+    for m in 0..sim.n_meshes() {
+        let st = sim.state(m);
+        let fields = st.vel.iter().flatten().chain(&st.p).chain(&st.nut);
+        bytes.extend(fields.flat_map(|x| x.to_bits().to_le_bytes()));
+    }
+    resilience::checkpoint::fnv64(&bytes)
 }
 
 /// Print a CSV header + rows (the harness output format recorded in
