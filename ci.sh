@@ -187,6 +187,19 @@ install_sites=$(grep -rnE \
   crates src tests examples | grep -v '^crates/e2e-bench/' || true)
 [ -z "$tls_sites$install_sites" ] \
   || { echo "thread-local gate: per-rank state outside Rank: $tls_sites $install_sites" >&2; exit 1; }
+# A rank is one thread, so no library code takes a lock: outside the
+# frozen benchmark crate no Rust file under crates/, src/ or examples/
+# names a `Mutex`, `RwLock` or `Condvar` above its `#[cfg(test)]` line.
+# Local assembly adds each edge's coefficients into its write slots in
+# edge order, so nothing under crates/, src/, tests/ or examples/ names
+# the slot-major gather plan, its gather-sum or the shared edge scratch.
+lock_sites=$(for f in $(find crates src examples -name '*.rs' -not -path 'crates/e2e-bench/*' | sort); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'Mutex|RwLock|Condvar' | sed "s|^|$f:|"
+done || true)
+gather_sites=$(grep -rnwE 'ScatterPlan|segmented_gather_sum|zeros_sharing' \
+  crates src tests examples | grep -v '^crates/e2e-bench/' || true)
+[ -z "$lock_sites$gather_sites" ] \
+  || { echo "thread-local gate: a lock or the edge gather is back: $lock_sites $gather_sites" >&2; exit 1; }
 
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no

@@ -330,14 +330,6 @@ impl AmgHierarchy {
     pub fn n_levels(&self) -> usize {
         self.levels.len()
     }
-
-    /// Global rows per level (collective-free: from stored dists).
-    pub fn level_sizes(&self) -> Vec<u64> {
-        self.levels
-            .iter()
-            .map(|l| l.a.row_dist().global_n())
-            .collect()
-    }
 }
 
 /// Re-export for benches: build the finest-level distribution of a serial
@@ -390,7 +382,7 @@ mod tests {
             let s2 = serial.clone();
             let out = Comm::run(p, move |rank| {
                 let h = setup_from_serial(rank, &s2, &AmgConfig::standard());
-                (h.n_levels(), h.level_sizes(), h.grid_complexity, h.operator_complexity)
+                (h.n_levels(), rows(&h), h.grid_complexity, h.operator_complexity)
             });
             let (nl, sizes, gc, oc) = out[0].clone();
             assert!(nl >= 2, "p={p}: {sizes:?}");
@@ -419,8 +411,8 @@ mod tests {
             (
                 h_std.grid_complexity,
                 h_agg.grid_complexity,
-                h_std.level_sizes(),
-                h_agg.level_sizes(),
+                rows(&h_std),
+                rows(&h_agg),
             )
         });
         let (gc_std, gc_agg, sizes_std, sizes_agg) = out[0].clone();
@@ -430,6 +422,11 @@ mod tests {
         );
         // Second level must be much smaller under aggressive coarsening.
         assert!(sizes_agg[1] < sizes_std[1]);
+    }
+
+    /// Global rows per level, finest first.
+    fn rows(h: &AmgHierarchy) -> Vec<u64> {
+        h.level_stats.iter().map(|s| s.rows).collect()
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -511,7 +508,7 @@ mod tests {
             let s2 = serial.clone();
             let out = Comm::run(p, move |rank| {
                 let h = setup_from_serial(rank, &s2, &AmgConfig::pressure_default());
-                h.level_sizes()
+                rows(&h)
             });
             all_sizes.push(out[0].clone());
         }
@@ -556,7 +553,8 @@ mod tests {
             let s2 = serial.clone();
             let out = Comm::run(p, move |rank| {
                 let h = setup_from_serial(rank, &s2, &cfg);
-                (h.level_stats.clone(), h.level_sizes(), h.levels[0].a.global_nnz(rank))
+                let sizes: Vec<u64> = h.levels.iter().map(|l| l.a.row_dist().global_n()).collect();
+                (h.level_stats.clone(), sizes, h.levels[0].a.global_nnz(rank))
             });
             for (stats, sizes, fine_nnz) in out {
                 assert_eq!(stats.len(), sizes.len(), "{stats:?} vs {sizes:?}");

@@ -78,40 +78,34 @@ fn exchange_ext_info(
     }
 }
 
-/// Truncate an interpolation row: drop weights below `factor · max|w|`,
-/// then rescale so the row sum is preserved (hypre's truncation).
-fn truncate_row(cols: &mut Vec<u64>, vals: &mut Vec<f64>, factor: f64) {
-    if factor <= 0.0 || vals.is_empty() {
+/// Truncate an interpolation row of `(global col, weight)` pairs: drop
+/// weights below `factor · max|w|`, then rescale so the row sum is
+/// preserved (hypre's truncation).
+fn truncate_row(row: &mut Vec<(u64, f64)>, factor: f64) {
+    if factor <= 0.0 || row.is_empty() {
         return;
     }
-    let max_abs = vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let max_abs = row.iter().fold(0.0f64, |m, &(_, v)| m.max(v.abs()));
     let cut = factor * max_abs;
-    let old_sum: f64 = vals.iter().sum();
-    let mut k = 0;
-    for i in 0..vals.len() {
-        if vals[i].abs() >= cut {
-            cols[k] = cols[i];
-            vals[k] = vals[i];
-            k += 1;
-        }
-    }
-    cols.truncate(k);
-    vals.truncate(k);
-    let new_sum: f64 = vals.iter().sum();
+    let old_sum: f64 = row.iter().map(|&(_, v)| v).sum();
+    row.retain(|&(_, v)| v.abs() >= cut);
+    let new_sum: f64 = row.iter().map(|&(_, v)| v).sum();
     if new_sum != 0.0 && old_sum != 0.0 {
         let scale = old_sum / new_sum;
-        for v in vals.iter_mut() {
+        for (_, v) in row.iter_mut() {
             *v *= scale;
         }
     }
 }
 
-/// An interpolation row (distinct columns) as `(global col, weight)`
-/// pairs in column order, the order `ParCsr::from_global_coo` takes.
-fn sorted_row(cols: Vec<u64>, vals: Vec<f64>) -> Vec<(u64, f64)> {
-    let mut row: Vec<(u64, f64)> = cols.into_iter().zip(vals).collect();
+/// Truncate `row`, sort it by column (the order `ParCsr::from_global_coo`
+/// takes; the columns are distinct) and append it to `coo` as row `gi`.
+fn push_row(coo: &mut Coo, gi: u64, row: &mut Vec<(u64, f64)>, trunc_factor: f64) {
+    truncate_row(row, trunc_factor);
     row.sort_unstable_by_key(|&(c, _)| c);
-    row
+    for &(c, v) in row.iter() {
+        coo.push(gi, c, v);
+    }
 }
 
 /// Build direct (or BAMG-direct) interpolation from a CF splitting.
@@ -134,12 +128,15 @@ pub fn direct_interpolation(
     k.launch(n, (nnz * 16, nnz));
 
     // Every interpolation row depends only on row i of A/S and the halo
-    // info: the Eq.-(2) weights are computed row by row, and the rows
-    // are emitted in ascending row order.
-    let rows: Vec<Vec<(u64, f64)>> = (0..n)
-        .map(|i| {
+    // info: the Eq.-(2) weights are computed row by row into one buffer,
+    // and the rows are emitted in ascending row order.
+    let mut coo = Coo::new();
+    let mut row: Vec<(u64, f64)> = Vec::new();
+    for i in 0..n {
+        let gi = start + i as u64;
         if let Some(ci) = split.coarse_index[i] {
-            return vec![(ci, 1.0)];
+            coo.push(gi, ci, 1.0);
+            continue;
         }
         // Strong-column membership for this row.
         let (s_dcols, _) = s.sdiag.row(i);
@@ -147,12 +144,13 @@ pub fn direct_interpolation(
         let is_strong_diag = |c: usize| s_dcols.binary_search(&c).is_ok();
         let is_strong_offd = |c: usize| s_ocols.binary_search(&c).is_ok();
 
-        // Pass 1: classify the row.
+        // Pass 1: classify the row; `row` collects (coarse id, a_ij) of
+        // the strong C-neighbours.
+        row.clear();
         let mut a_ii = 0.0;
         let mut sum_weak = 0.0; // Σ over weak neighbours
         let mut sum_strong_f = 0.0; // Σ over strong F-neighbours
         let mut sum_strong_c = 0.0; // Σ over strong C-neighbours
-        let mut strong_c: Vec<(u64, f64)> = Vec::new(); // (coarse id, a_ij)
         let (dc, dv) = a.diag.row(i);
         for (&c, &v) in dc.iter().zip(dv) {
             if c == i {
@@ -160,7 +158,7 @@ pub fn direct_interpolation(
             } else if is_strong_diag(c) {
                 if split.states[c] == CfState::Coarse {
                     sum_strong_c += v;
-                    strong_c.push((split.coarse_index[c].unwrap(), v));
+                    row.push((split.coarse_index[c].unwrap(), v));
                 } else {
                     sum_strong_f += v;
                 }
@@ -173,7 +171,7 @@ pub fn direct_interpolation(
             if is_strong_offd(c) {
                 if ext.is_coarse[c] {
                     sum_strong_c += v;
-                    strong_c.push((ext.coarse_id[c], v));
+                    row.push((ext.coarse_id[c], v));
                 } else {
                     sum_strong_f += v;
                 }
@@ -181,46 +179,33 @@ pub fn direct_interpolation(
                 sum_weak += v;
             }
         }
-        if strong_c.is_empty() {
-            return Vec::new(); // PMIS F-point without C-neighbours: zero row.
+        if row.is_empty() {
+            continue; // PMIS F-point without C-neighbours: zero row.
         }
-        // Pass 2: weights.
-        let n_cs = strong_c.len() as f64;
-        let mut cols: Vec<u64> = Vec::with_capacity(strong_c.len());
-        let mut vals: Vec<f64> = Vec::with_capacity(strong_c.len());
+        // Pass 2: weights, in place.
+        let n_cs = row.len() as f64;
         if bamg {
             // Eq. (2): w_ij = −(a_ij + β_i/n_Cs)/(a_ii + Σ_weak a_ik),
             // β_i = strong-F mass.
             let denom = a_ii + sum_weak;
             if denom == 0.0 {
-                return Vec::new();
+                continue;
             }
-            for (cid, aij) in strong_c {
-                cols.push(cid);
-                vals.push(-(aij + sum_strong_f / n_cs) / denom);
+            for (_, w) in row.iter_mut() {
+                *w = -(*w + sum_strong_f / n_cs) / denom;
             }
         } else {
             // Classical direct interpolation (Stüben): w_ij =
             // −α_i·a_ij/a_ii with α = (Σ off-diag)/(Σ strong C).
             if a_ii == 0.0 || sum_strong_c == 0.0 {
-                return Vec::new();
+                continue;
             }
             let alpha = (sum_weak + sum_strong_f + sum_strong_c) / sum_strong_c;
-            for (cid, aij) in strong_c {
-                cols.push(cid);
-                vals.push(-alpha * aij / a_ii);
+            for (_, w) in row.iter_mut() {
+                *w = -alpha * *w / a_ii;
             }
         }
-        truncate_row(&mut cols, &mut vals, trunc_factor);
-        sorted_row(cols, vals)
-        })
-        .collect();
-    let mut coo = Coo::new();
-    for (i, row) in rows.into_iter().enumerate() {
-        let gi = start + i as u64;
-        for (c, v) in row {
-            coo.push(gi, c, v);
-        }
+        push_row(&mut coo, gi, &mut row, trunc_factor);
     }
     drop(k);
     ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)
@@ -258,100 +243,93 @@ pub fn mm_ext_interpolation(
         })
         .collect();
     let ext = exchange_ext_info(rank, a, split, Some(&f_index));
-    let ext_fids = &ext.f_id;
 
     // Build M1 = (D_FF + D_γ)⁻¹ (Aˢ_FF + D_β) and M2 = D_β⁻¹ Aˢ_FC
-    // row by row (all classification and scaling is row-local; triples
-    // are emitted in row order afterwards).
+    // row by row (all classification and scaling is row-local): each row
+    // is sorted in its buffer and appended in row order.
     let nnz = a.local_nnz() as u64;
     let k = rank.kernel("interp_mm_ext", KernelKind::Stream);
     k.launch(n, (nnz * 24, nnz * 2));
-    type Triples = Vec<(u64, u64, f64)>;
-    let m_rows: Vec<(Triples, Triples)> = (0..n)
-        .map(|i| {
-            let mut m1: Triples = Vec::new();
-            let mut m2: Triples = Vec::new();
-            let Some(fi) = f_index[i] else {
-                return (m1, m2);
-            };
-            let (s_dcols, _) = s.sdiag.row(i);
-            let (s_ocols, _) = s.soffd.row(i);
-            let is_strong_diag = |c: usize| s_dcols.binary_search(&c).is_ok();
-            let is_strong_offd = |c: usize| s_ocols.binary_search(&c).is_ok();
-
-            // Pass 1: D_β, D_γ, D_FF.
-            let mut d_ff = 0.0;
-            let mut d_beta = 0.0; // Σ strong FC
-            let mut d_gamma = 0.0; // Σ weak FF + weak FC
-            let (dc, dv) = a.diag.row(i);
-            for (&c, &v) in dc.iter().zip(dv) {
-                if c == i {
-                    d_ff = v;
-                } else if is_strong_diag(c) {
-                    if split.states[c] == CfState::Coarse {
-                        d_beta += v;
-                    }
-                    // strong FF handled in pass 2
-                } else {
-                    d_gamma += v;
-                }
-            }
-            let (oc, ov) = a.offd.row(i);
-            for (&c, &v) in oc.iter().zip(ov) {
-                if is_strong_offd(c) {
-                    if ext.is_coarse[c] {
-                        d_beta += v;
-                    }
-                } else {
-                    d_gamma += v;
-                }
-            }
-            let m1_denom = d_ff + d_gamma;
-            if d_beta == 0.0 || m1_denom == 0.0 {
-                return (m1, m2); // no strong C reachable: zero row
-            }
-            // Pass 2: emit scaled rows.
-            // M1 diagonal: D_β/(D_FF + D_γ).
-            m1.push((fi, fi, d_beta / m1_denom));
-            for (&c, &v) in dc.iter().zip(dv) {
-                if c != i && is_strong_diag(c) {
-                    if split.states[c] == CfState::Coarse {
-                        m2.push((fi, split.coarse_index[c].unwrap(), v / d_beta));
-                    } else {
-                        m1.push((fi, f_index[c].unwrap(), v / m1_denom));
-                    }
-                }
-            }
-            for (&c, &v) in oc.iter().zip(ov) {
-                if is_strong_offd(c) {
-                    if ext.is_coarse[c] {
-                        m2.push((fi, ext.coarse_id[c], v / d_beta));
-                    } else {
-                        let fj = ext_fids[c];
-                        assert_ne!(
-                            fj,
-                            u64::MAX,
-                            "ext col {} (gid {}) classified F but has no F id",
-                            c,
-                            a.global_offd_col(c)
-                        );
-                        m1.push((fi, fj, v / m1_denom));
-                    }
-                }
-            }
-            m1.sort_unstable_by_key(|t| t.1);
-            m2.sort_unstable_by_key(|t| t.1);
-            (m1, m2)
-        })
-        .collect();
     let mut m1 = Coo::new();
     let mut m2 = Coo::new();
-    for (t1, t2) in &m_rows {
-        for &(r, c, v) in t1 {
-            m1.push(r, c, v);
+    let mut m1_row: Vec<(u64, f64)> = Vec::new();
+    let mut m2_row: Vec<(u64, f64)> = Vec::new();
+    for i in 0..n {
+        let Some(fi) = f_index[i] else {
+            continue;
+        };
+        let (s_dcols, _) = s.sdiag.row(i);
+        let (s_ocols, _) = s.soffd.row(i);
+        let is_strong_diag = |c: usize| s_dcols.binary_search(&c).is_ok();
+        let is_strong_offd = |c: usize| s_ocols.binary_search(&c).is_ok();
+
+        // Pass 1: D_β, D_γ, D_FF.
+        let mut d_ff = 0.0;
+        let mut d_beta = 0.0; // Σ strong FC
+        let mut d_gamma = 0.0; // Σ weak FF + weak FC
+        let (dc, dv) = a.diag.row(i);
+        for (&c, &v) in dc.iter().zip(dv) {
+            if c == i {
+                d_ff = v;
+            } else if is_strong_diag(c) {
+                if split.states[c] == CfState::Coarse {
+                    d_beta += v;
+                }
+                // strong FF handled in pass 2
+            } else {
+                d_gamma += v;
+            }
         }
-        for &(r, c, v) in t2 {
-            m2.push(r, c, v);
+        let (oc, ov) = a.offd.row(i);
+        for (&c, &v) in oc.iter().zip(ov) {
+            if is_strong_offd(c) {
+                if ext.is_coarse[c] {
+                    d_beta += v;
+                }
+            } else {
+                d_gamma += v;
+            }
+        }
+        let m1_denom = d_ff + d_gamma;
+        if d_beta == 0.0 || m1_denom == 0.0 {
+            continue; // no strong C reachable: zero row
+        }
+        // Pass 2: emit scaled rows.
+        // M1 diagonal: D_β/(D_FF + D_γ).
+        m1_row.clear();
+        m2_row.clear();
+        m1_row.push((fi, d_beta / m1_denom));
+        for (&c, &v) in dc.iter().zip(dv) {
+            if c != i && is_strong_diag(c) {
+                if split.states[c] == CfState::Coarse {
+                    m2_row.push((split.coarse_index[c].unwrap(), v / d_beta));
+                } else {
+                    m1_row.push((f_index[c].unwrap(), v / m1_denom));
+                }
+            }
+        }
+        for (&c, &v) in oc.iter().zip(ov) {
+            if is_strong_offd(c) {
+                if ext.is_coarse[c] {
+                    m2_row.push((ext.coarse_id[c], v / d_beta));
+                } else {
+                    let fj = ext.f_id[c];
+                    assert_ne!(
+                        fj,
+                        u64::MAX,
+                        "ext col {} (gid {}) classified F but has no F id",
+                        c,
+                        a.global_offd_col(c)
+                    );
+                    m1_row.push((fj, v / m1_denom));
+                }
+            }
+        }
+        for (coo, row) in [(&mut m1, &mut m1_row), (&mut m2, &mut m2_row)] {
+            row.sort_unstable_by_key(|&(c, _)| c);
+            for &(c, v) in row.iter() {
+                coo.push(fi, c, v);
+            }
         }
     }
     drop(k);
@@ -360,43 +338,34 @@ pub fn mm_ext_interpolation(
     let mut w = distmat::ops::par_spgemm(rank, &m1, &m2);
     w.scale(-1.0);
 
-    // Assemble P: C rows get identity, F rows get their W row (optionally
-    // "+i"-rescaled to sum to one, preserving constants exactly).
-    let f_rows: Vec<Vec<(u64, f64)>> = (0..n_f_local)
-        .map(|lf| {
-            let mut cols: Vec<u64> = Vec::new();
-            let mut vals: Vec<f64> = Vec::new();
-            let (wc, wv) = w.diag.row(lf);
-            for (&c, &v) in wc.iter().zip(wv) {
-                cols.push(w.global_diag_col(c));
-                vals.push(v);
-            }
-            let (wc, wv) = w.offd.row(lf);
-            for (&c, &v) in wc.iter().zip(wv) {
-                cols.push(w.global_offd_col(c));
-                vals.push(v);
-            }
-            if plus_i {
-                let sum: f64 = vals.iter().sum();
-                if sum.abs() > 1e-12 {
-                    let scale = 1.0 / sum;
-                    for v in vals.iter_mut() {
-                        *v *= scale;
-                    }
-                }
-            }
-            truncate_row(&mut cols, &mut vals, trunc_factor);
-            sorted_row(cols, vals)
-        })
-        .collect();
+    // Assemble P in one pass over the points: C rows get identity, F rows
+    // their W row (optionally "+i"-rescaled to sum to one, preserving
+    // constants exactly).
     let mut coo = Coo::new();
-    let mut f_rows = f_rows.into_iter();
+    let mut row: Vec<(u64, f64)> = Vec::new();
+    let mut lf = 0;
     for (i, ci) in split.coarse_index.iter().enumerate() {
         let gi = start + i as u64;
-        match ci {
-            Some(ci) => coo.push(gi, *ci, 1.0),
-            None => f_rows.next().expect("one W row per F-point").into_iter().for_each(|(c, v)| coo.push(gi, c, v)),
+        if let Some(ci) = ci {
+            coo.push(gi, *ci, 1.0);
+            continue;
         }
+        row.clear();
+        let (wc, wv) = w.diag.row(lf);
+        row.extend(wc.iter().zip(wv).map(|(&c, &v)| (w.global_diag_col(c), v)));
+        let (wc, wv) = w.offd.row(lf);
+        row.extend(wc.iter().zip(wv).map(|(&c, &v)| (w.global_offd_col(c), v)));
+        lf += 1;
+        if plus_i {
+            let sum: f64 = row.iter().map(|&(_, v)| v).sum();
+            if sum.abs() > 1e-12 {
+                let scale = 1.0 / sum;
+                for (_, v) in row.iter_mut() {
+                    *v *= scale;
+                }
+            }
+        }
+        push_row(&mut coo, gi, &mut row, trunc_factor);
     }
     ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)
 }
@@ -553,21 +522,19 @@ mod tests {
 
     #[test]
     fn truncation_drops_small_weights_and_preserves_sums() {
-        let mut cols = vec![0u64, 1, 2, 3];
-        let mut vals = vec![0.5, 0.45, 0.04, 0.01];
-        let before: f64 = vals.iter().sum();
-        truncate_row(&mut cols, &mut vals, 0.2);
-        assert_eq!(cols, vec![0, 1]);
-        let after: f64 = vals.iter().sum();
+        let mut row = vec![(0u64, 0.5), (1, 0.45), (2, 0.04), (3, 0.01)];
+        let before: f64 = row.iter().map(|&(_, v)| v).sum();
+        truncate_row(&mut row, 0.2);
+        assert_eq!(row.iter().map(|&(c, _)| c).collect::<Vec<_>>(), vec![0, 1]);
+        let after: f64 = row.iter().map(|&(_, v)| v).sum();
         assert!((before - after).abs() < 1e-12);
     }
 
     #[test]
     fn truncation_zero_factor_is_noop() {
-        let mut cols = vec![0u64, 1];
-        let mut vals = vec![1.0, 1e-9];
-        truncate_row(&mut cols, &mut vals, 0.0);
-        assert_eq!(cols.len(), 2);
+        let mut row = vec![(0u64, 1.0), (1, 1e-9)];
+        truncate_row(&mut row, 0.0);
+        assert_eq!(row.len(), 2);
     }
 
     #[test]

@@ -192,11 +192,10 @@ fn fill_transport<const N: usize>(
     vals.reset();
     let rho = params.density;
 
-    // Edge stage: advection (first-order upwind) + diffusion. Each edge's
-    // coefficient quadruple is a pure function of that edge; the
-    // plan-driven scatter then sums every slot's contributions in fixed
-    // edge order (DESIGN.md, "Order-fixed reductions").
-    vals.fill_edges(&graph.scatter, |k| {
+    // Edge stage: advection (first-order upwind) + diffusion, added into
+    // the precomputed slots in edge order (DESIGN.md, "Order-fixed
+    // reductions").
+    vals.fill_edges(&graph.edge_slots, |k| {
         let edge = &mesh.edges[owned_edges[k]];
         let mu_e = params.viscosity + rho * 0.5 * (state.nut[edge.a] + state.nut[edge.b]);
         upwind_diffusion(rho * dot3(edge.area_vec, uface(state, edge)), mu_e * edge.area_over_dist)
@@ -262,9 +261,8 @@ pub fn fill_continuity_operator(
     let fill = rank.kernel("fill_continuity_operator", KernelKind::Stream);
     vals.reset();
     let kappa_coef = params.dt / params.density;
-    // Edge stage (per-edge fill + order-fixed scatter, as in
-    // `fill_momentum`).
-    vals.fill_edges(&graph.scatter, |k| {
+    // Edge stage (as in `fill_transport`).
+    vals.fill_edges(&graph.edge_slots, |k| {
         let kappa = kappa_coef * mesh.edges[owned_edges[k]].area_over_dist;
         [kappa, -kappa, kappa, -kappa]
     });

@@ -38,8 +38,8 @@ impl EqKind {
 
 /// Graphs and value buffers for one mesh, rebuilt whenever the node
 /// classification changes (see [`MeshSystem::rebuild_graphs`]) — and with
-/// them everything derived from them: assembly plans, scratch, and the
-/// cached pressure preconditioner.
+/// them everything derived from them: assembly plans, value buffers,
+/// the pressure-gradient buffer and the cached pressure preconditioner.
 ///
 /// Each system is still assembled into a matrix of its own (hypre builds
 /// one IJ matrix per system), but there is one pattern, one assembly plan
@@ -139,7 +139,7 @@ impl MeshSystem {
         let momentum = build(dirichlet_momentum(&self.tags));
         let continuity = build(dirichlet_pressure(&self.tags));
         let mom_vals = LocalValues::zeros(&momentum);
-        let con_vals = LocalValues::zeros_sharing(&continuity, &mom_vals);
+        let con_vals = LocalValues::zeros(&continuity);
         self.graphs = Some(Graphs {
             momentum,
             continuity,

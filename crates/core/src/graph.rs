@@ -11,10 +11,9 @@
 //! stage scatter coefficients without any searching (the paper's
 //! binary-search-once optimization of §3.2).
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use distmat::AssemblyPlan;
-use sparse_kit::prims;
 use windmesh::{BcKind, Mesh, NodeStatus};
 
 use crate::dofmap::DofMap;
@@ -86,83 +85,8 @@ pub const SKIP: u32 = u32::MAX;
 /// High bit marks a slot into the shared value array.
 const SHARED_BIT: u32 = 1 << 31;
 
-/// Inverse of the write slots of every owned edge (`edge_slots`): for
-/// every pattern slot, the list of per-edge contribution indices
-/// (`4·edge + corner`) that land in it, in ascending order.
-///
-/// This turns the local-assembly scatter into a gather: the per-edge
-/// coefficients are computed independently, and each slot then
-/// accumulates *its* contributions in the fixed edge order — the same
-/// order an edge-by-edge scatter uses.
-#[derive(Clone, Debug)]
-pub struct ScatterPlan {
-    /// Owned edges: the plan gathers from `4 · n_edges` contributions.
-    pub n_edges: usize,
-    /// CSR-style offsets into `owned_src`, one segment per owned slot.
-    pub owned_indptr: Vec<usize>,
-    /// Contribution indices (`4k + j`) per owned slot, ascending.
-    pub owned_src: Vec<u32>,
-    /// Offsets into `shared_src`, one segment per shared slot.
-    pub shared_indptr: Vec<usize>,
-    /// Contribution indices per shared slot, ascending.
-    pub shared_src: Vec<u32>,
-}
-
-impl ScatterPlan {
-    /// Counting-sort the slot targets of every edge contribution.
-    /// `SKIP`ped contributions (Dirichlet rows) are dropped.
-    pub fn build(edge_slots: &[[u32; 4]], n_owned: usize, n_shared: usize) -> ScatterPlan {
-        let mut owned_count = vec![0usize; n_owned];
-        let mut shared_count = vec![0usize; n_shared];
-        for slots in edge_slots {
-            for &s in slots {
-                if s == SKIP {
-                    continue;
-                }
-                if s & SHARED_BIT != 0 {
-                    shared_count[(s & !SHARED_BIT) as usize] += 1;
-                } else {
-                    owned_count[s as usize] += 1;
-                }
-            }
-        }
-        let owned_indptr = prims::exclusive_scan(&owned_count);
-        let shared_indptr = prims::exclusive_scan(&shared_count);
-        let mut owned_src = vec![0u32; *owned_indptr.last().unwrap()];
-        let mut shared_src = vec![0u32; *shared_indptr.last().unwrap()];
-        let mut owned_next = owned_indptr[..n_owned].to_vec();
-        let mut shared_next = shared_indptr[..n_shared].to_vec();
-        for (k, slots) in edge_slots.iter().enumerate() {
-            for (j, &s) in slots.iter().enumerate() {
-                if s == SKIP {
-                    continue;
-                }
-                let c = (4 * k + j) as u32;
-                if s & SHARED_BIT != 0 {
-                    let i = (s & !SHARED_BIT) as usize;
-                    shared_src[shared_next[i]] = c;
-                    shared_next[i] += 1;
-                } else {
-                    let i = s as usize;
-                    owned_src[owned_next[i]] = c;
-                    owned_next[i] += 1;
-                }
-            }
-        }
-        ScatterPlan {
-            n_edges: edge_slots.len(),
-            owned_indptr,
-            owned_src,
-            shared_indptr,
-            shared_src,
-        }
-    }
-}
-
 /// The exact sparsity pattern of the equation systems with one Dirichlet
-/// mask on one rank, with precomputed write slots. The per-edge slots
-/// (`edge_slots`) are kept only in their slot-major form, the scatter
-/// plan.
+/// mask on one rank, with precomputed write slots.
 #[derive(Clone, Debug)]
 pub struct EquationGraph {
     /// Row-major sorted (row, col) pairs for rows owned by this rank.
@@ -173,8 +97,9 @@ pub struct EquationGraph {
     pub diag_slots: Vec<u32>,
     /// Dirichlet mask used to build the pattern.
     pub dirichlet: Vec<bool>,
-    /// Slot-wise inverse of the per-edge slots, for the edge scatter.
-    pub scatter: ScatterPlan,
+    /// Per owned edge: the write slots of its corners (aa, ab, bb, ba),
+    /// see [`LocalValues::fill_edges`].
+    pub edge_slots: Vec<[u32; 4]>,
     /// `(position in the outflow patch, diagonal slot)` of every outflow
     /// node this rank owns with a free (non-Dirichlet) row, in patch
     /// order.
@@ -238,7 +163,6 @@ impl EquationGraph {
                 owned.binary_search(&(g, g)).expect("diag missing") as u32
             })
             .collect();
-        let scatter = ScatterPlan::build(&edge_slots, owned.len(), shared.len());
         let outflow_diag = mesh.boundary(BcKind::Outflow).map_or_else(Vec::new, |patch| {
             patch
                 .nodes
@@ -256,7 +180,7 @@ impl EquationGraph {
             shared,
             diag_slots,
             dirichlet,
-            scatter,
+            edge_slots,
             outflow_diag,
             plan: OnceLock::new(),
         }
@@ -302,9 +226,7 @@ fn edge_slots(
         .collect()
 }
 
-/// Value buffers matching an [`EquationGraph`] pattern, and the per-edge
-/// scratch the local-assembly stage computes them through — allocated
-/// with the graph, overwritten by every fill.
+/// Value buffers matching an [`EquationGraph`] pattern.
 ///
 /// The scatter-add is the stand-in for the GPU atomic adds of §3.2. The
 /// paper notes that atomics forgo bitwise run-to-run reproducibility;
@@ -315,36 +237,14 @@ pub struct LocalValues {
     pub owned: Vec<f64>,
     /// Values of the shared pattern entries.
     pub shared: Vec<f64>,
-    /// Per owned edge: its coefficient quadruple, written and read by
-    /// [`LocalValues::fill_edges`] alone. So the value sets of one mesh's
-    /// graphs, whose fills run one at a time, share one buffer
-    /// ([`LocalValues::zeros_sharing`]), and so does a clone.
-    edge_scratch: Arc<Mutex<Vec<[f64; 4]>>>,
 }
 
 impl LocalValues {
     /// Zeroed buffers for `graph`.
     pub fn zeros(graph: &EquationGraph) -> Self {
-        let scratch = vec![[0.0; 4]; graph.scatter.n_edges];
-        Self::with_scratch(graph, Arc::new(Mutex::new(scratch)))
-    }
-
-    /// Zeroed buffers for `graph`, a graph over the same owned edges as
-    /// `other`'s, sharing its edge scratch.
-    pub(crate) fn zeros_sharing(graph: &EquationGraph, other: &LocalValues) -> Self {
-        Self::with_scratch(graph, Arc::clone(&other.edge_scratch))
-    }
-
-    fn with_scratch(graph: &EquationGraph, edge_scratch: Arc<Mutex<Vec<[f64; 4]>>>) -> Self {
-        assert_eq!(
-            edge_scratch.lock().expect("edge scratch lock").len(),
-            graph.scatter.n_edges,
-            "edge scratch sized for another edge set"
-        );
         LocalValues {
             owned: vec![0.0; graph.owned.len()],
             shared: vec![0.0; graph.shared.len()],
-            edge_scratch,
         }
     }
 
@@ -369,18 +269,16 @@ impl LocalValues {
     }
 
     /// Apply the whole edge stage at once: `coef(k)` is the coefficient
-    /// quadruple of owned edge `k` (a pure function of that edge), and
-    /// `plan` routes corner `j` of edge `k` to its slot. Each slot sums
-    /// its contributions in ascending edge order, so the result is
-    /// bitwise identical to calling [`LocalValues::add`] edge by edge.
-    pub fn fill_edges(&mut self, plan: &ScatterPlan, coef: impl Fn(usize) -> [f64; 4]) {
-        let mut coeffs = self.edge_scratch.lock().expect("edge scratch lock");
-        for (k, c) in coeffs.iter_mut().enumerate() {
-            *c = coef(k);
+    /// quadruple of owned edge `k`, and corner `j` of it is added into
+    /// `slots[k][j]`, edge by edge. Each slot therefore sums its
+    /// contributions in ascending edge order, from the +0.0 that
+    /// [`LocalValues::reset`] leaves.
+    pub fn fill_edges(&mut self, slots: &[[u32; 4]], coef: impl Fn(usize) -> [f64; 4]) {
+        for (k, slots) in slots.iter().enumerate() {
+            for (&slot, v) in slots.iter().zip(coef(k)) {
+                self.add(slot, v);
+            }
         }
-        let src = coeffs.as_flattened();
-        prims::segmented_gather_sum(&plan.owned_indptr, &plan.owned_src, src, &mut self.owned);
-        prims::segmented_gather_sum(&plan.shared_indptr, &plan.shared_src, src, &mut self.shared);
     }
 
     /// Overwrite a slot (Dirichlet diagonals).
@@ -454,7 +352,7 @@ mod tests {
         let on = dm.owned_nodes(0);
         let g = EquationGraph::build(&mesh, &dm, 0, dir, &oe, &on);
         assert!(g.shared.is_empty());
-        assert_eq!(g.scatter.n_edges, mesh.edges.len());
+        assert_eq!(g.edge_slots.len(), mesh.edges.len());
         assert_eq!(g.diag_slots.len(), mesh.n_nodes());
         // Pattern is sorted and unique.
         assert!(g.owned.windows(2).all(|w| w[0] < w[1]));
@@ -520,38 +418,32 @@ mod tests {
     }
 
     #[test]
-    fn scatter_plan_matches_sequential_adds_bitwise() {
-        // The plan-driven edge scatter must reproduce the sequential
-        // per-edge add loop bit for bit, at any rank count (so shared
-        // slots get exercised too).
-        for nparts in [1, 2, 3] {
-            let (mesh, dm) = setup(nparts);
-            let tags = classify_nodes(&mesh);
-            let dir = dirichlet_momentum(&tags);
-            for me in 0..nparts {
-                let oe = owned_edges(&mesh, &dm, me);
-                let on = dm.owned_nodes(me);
-                let g = EquationGraph::build(&mesh, &dm, me, dir.clone(), &oe, &on);
-                let slots = edge_slots(&mesh, &dm, me, &dir, &oe, &g.owned, &g.shared);
-                // Contributions spanning many magnitudes and signs.
-                let src: Vec<f64> = (0..4 * slots.len())
-                    .map(|c| {
-                        let mag = 10f64.powi((c % 9) as i32 - 4);
-                        mag * (((c * 2654435761) % 1000) as f64 - 499.5)
-                    })
-                    .collect();
-                let mut seq = LocalValues::zeros(&g);
-                for (k, slots) in slots.iter().enumerate() {
-                    for (j, &s) in slots.iter().enumerate() {
-                        seq.add(s, src[4 * k + j]);
-                    }
-                }
-                let mut plan = LocalValues::zeros(&g);
-                plan.fill_edges(&g.scatter, |k| std::array::from_fn(|j| src[4 * k + j]));
-                assert_eq!(seq.owned, plan.owned, "owned differ");
-                assert_eq!(seq.shared, plan.shared, "shared differ");
-            }
-        }
+    fn fill_edges_sums_each_slot_from_positive_zero_in_edge_order() {
+        // Owned slot 0 gets only −0.0, slot 1 contributions that cancel
+        // exactly, slot 2 and shared slot 0 magnitudes whose sum depends
+        // on the order; corner 3 of every edge is skipped.
+        let shared0 = SHARED_BIT;
+        let slots = [[0, 1, 2, SKIP], [2, 0, shared0, SKIP], [1, 2, shared0, SKIP], [0, 2, shared0, SKIP]];
+        let coef = [
+            [-0.0, 1.5, 1e16, 7.0],
+            [1.0, -0.0, -1e16, 7.0],
+            [-1.5, 1.0, 1.0, 7.0],
+            [-0.0, -1e16, 1.0, 7.0],
+        ];
+        let mut vals = LocalValues { owned: vec![0.0; 3], shared: vec![0.0; 1] };
+        vals.reset();
+        vals.fill_edges(&slots, |k| coef[k]);
+        assert_eq!(vals.owned[0].to_bits(), 0.0f64.to_bits(), "all −0.0");
+        assert_eq!(vals.owned[1].to_bits(), 0.0f64.to_bits(), "exact cancellation");
+        // Next to 1e16 a 1.0 rounds away (ties to even), so each slot
+        // holds the sum in edge order, not in any other.
+        let sum = |vs: &[f64]| vs.iter().fold(0.0, |acc, v| acc + v);
+        let owned2 = [1e16, 1.0, 1.0, -1e16];
+        assert_eq!(vals.owned[2].to_bits(), sum(&owned2).to_bits());
+        assert_ne!(sum(&owned2), sum(&[1.0, 1.0, 1e16, -1e16]));
+        let shared = [-1e16, 1.0, 1.0];
+        assert_eq!(vals.shared[0].to_bits(), sum(&shared).to_bits());
+        assert_ne!(sum(&shared), sum(&[1.0, 1.0, -1e16]));
     }
 
     #[test]

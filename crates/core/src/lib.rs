@@ -16,7 +16,8 @@
 //!
 //! Every linear system is built with the paper's three-stage pipeline
 //! (§3): *graph computation* (exact sparsity + precomputed write slots),
-//! *local assembly* (data-parallel fill of owned/shared COO values), and
+//! *local assembly* (edge-by-edge adds of the owned/shared COO values
+//! into those slots), and
 //! *global assembly* (Algorithms 1 and 2 in [`distmat::ij`]). Overset
 //! meshes are coupled by additive-Schwarz outer (Picard) iterations that
 //! re-interpolate fringe values from donor meshes each pass, and rotor

@@ -52,29 +52,6 @@ where
     (out_keys, out_vals)
 }
 
-/// Segmented ordered gather-sum: for each segment `s`,
-///
-/// ```text
-/// out[s] += Σ_{p in indptr[s]..indptr[s+1]} src[perm[p]]   (summed in p order)
-/// ```
-///
-/// This is the deterministic replacement for an atomic scatter-add: instead
-/// of many writers racing on `out[s]`, a precomputed permutation groups each
-/// destination's contributions, and each is summed in a fixed order.
-/// That is §3.2's assembly scatter, minus the non-determinism the paper
-/// accepts on GPUs.
-pub fn segmented_gather_sum(indptr: &[usize], perm: &[u32], src: &[f64], out: &mut [f64]) {
-    assert_eq!(indptr.len(), out.len() + 1, "indptr/out length mismatch");
-    assert_eq!(*indptr.last().unwrap(), perm.len(), "indptr/perm length mismatch");
-    for (o, w) in out.iter_mut().zip(indptr.windows(2)) {
-        let mut acc = 0.0;
-        for &p in &perm[w[0]..w[1]] {
-            acc += src[p as usize];
-        }
-        *o += acc;
-    }
-}
-
 /// Exclusive prefix sum; returns a vector one longer than the input whose
 /// last element is the total (CSR `indptr` convention).
 pub fn exclusive_scan(counts: &[usize]) -> Vec<usize> {
@@ -86,11 +63,6 @@ pub fn exclusive_scan(counts: &[usize]) -> Vec<usize> {
         out.push(acc);
     }
     out
-}
-
-/// Gather: `out[i] = src[map[i]]`.
-pub fn gather<T: Copy>(src: &[T], map: &[usize]) -> Vec<T> {
-    map.iter().map(|&i| src[i]).collect()
 }
 
 #[cfg(test)]
@@ -135,25 +107,6 @@ mod tests {
     fn exclusive_scan_is_indptr() {
         assert_eq!(exclusive_scan(&[2, 0, 3]), vec![0, 2, 2, 5]);
         assert_eq!(exclusive_scan(&[]), vec![0]);
-    }
-
-    #[test]
-    fn gather_follows_the_map() {
-        let src = vec![10.0, 20.0, 30.0];
-        assert_eq!(gather(&src, &[2, 0, 0]), vec![30.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn segmented_gather_sum_matches_ordered_serial() {
-        // 3 segments with interleaved source contributions.
-        let indptr = vec![0usize, 3, 3, 5];
-        let perm = vec![4u32, 0, 2, 1, 3];
-        let src = vec![0.1, 0.2, 0.3, 0.4, 0.5];
-        let mut out = vec![1.0, 2.0, 3.0];
-        segmented_gather_sum(&indptr, &perm, &src, &mut out);
-        assert_eq!(out[0], 1.0 + (0.5 + 0.1 + 0.3));
-        assert_eq!(out[1], 2.0); // empty segment untouched
-        assert_eq!(out[2], 3.0 + (0.2 + 0.4));
     }
 
     #[test]

@@ -548,34 +548,6 @@ proptest! {
     }
 
     #[test]
-    fn segmented_gather_sum_matches_serial_bitwise(
-        (nseg, span) in (0usize..9000, 1usize..5)
-    ) {
-        // Segment lengths 0..=span derived from the segment index; perm
-        // gathers with duplicates. Serial reference: per-segment ordered
-        // accumulation.
-        let counts: Vec<usize> = (0..nseg).map(|s| s.wrapping_mul(31) % (span + 1)).collect();
-        let indptr = prims::exclusive_scan(&counts);
-        let total = *indptr.last().unwrap();
-        let m = total.max(1);
-        let perm: Vec<u32> = (0..total).map(|p| (p.wrapping_mul(7919) % m) as u32).collect();
-        let src: Vec<f64> = (0..m).map(rounding_sensitive_val).collect();
-        let mut out: Vec<f64> = (0..nseg).map(|s| rounding_sensitive_val(s + 13)).collect();
-        let mut reference = out.clone();
-        prims::segmented_gather_sum(&indptr, &perm, &src, &mut out);
-        for s in 0..nseg {
-            let mut acc = 0.0;
-            for &p in &perm[indptr[s]..indptr[s + 1]] {
-                acc += src[p as usize];
-            }
-            reference[s] += acc;
-        }
-        for (a, b) in out.iter().zip(&reference) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn lower_upper_diag_decomposition(d in (2usize..8,).prop_flat_map(|(n,)| dense(n, n))) {
         let a = Csr::from_dense(&d);
         let (l, diag, u) = a.split_triangles();
