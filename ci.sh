@@ -201,6 +201,16 @@ gather_sites=$(grep -rnwE 'ScatterPlan|segmented_gather_sum|zeros_sharing' \
 [ -z "$lock_sites$gather_sites" ] \
   || { echo "thread-local gate: a lock or the edge gather is back: $lock_sites $gather_sites" >&2; exit 1; }
 
+# AMG setup keeps one copy of each fact: a point is coarse iff it has a
+# coarse id, and the strength pattern is a `ParCsr` on its operator's
+# halo. Nothing under crates/, src/, tests/ or examples/ names a C/F
+# state enum, a halo-less strength struct, its re-halo conversion or an
+# exchanged coarse flag, so a second copy cannot come back unnoticed.
+split_sites=$(grep -rnwE 'CfState|to_parcsr|struct Strength|is_coarse' \
+  crates src tests examples || true)
+[ -z "$split_sites" ] \
+  || { echo "split gate: a second copy of the C/F split or of S's halo is back: $split_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph

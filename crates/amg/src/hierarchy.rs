@@ -21,7 +21,7 @@ use crate::cycle::CycleWork;
 use crate::interp::build_interpolation;
 use crate::pmis::{pmis, pmis_aggressive, CfSplit};
 use crate::reuse::AmgReuse;
-use crate::strength::Strength;
+use crate::strength;
 
 /// One level of the hierarchy.
 #[derive(Clone, Debug)]
@@ -153,9 +153,9 @@ impl AmgHierarchy {
                 }
                 break;
             }
-            let s = Strength::classical(rank, &a_cur, config.strength_threshold);
+            let s = strength::classical(rank, &a_cur, config.strength_threshold);
             let seed = config.seed.wrapping_add(lvl as u64);
-            let first = pmis(rank, &a_cur, &s, seed);
+            let first = pmis(rank, &s, seed);
             if first.coarse_dist.global_n() == 0
                 || first.coarse_dist.global_n() == a_cur.row_dist().global_n()
             {
@@ -252,7 +252,7 @@ impl AmgHierarchy {
     fn standard_level(
         rank: &Rank,
         a: &ParCsr,
-        s: &Strength,
+        s: &ParCsr,
         split: &CfSplit,
         config: &AmgConfig,
         spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
@@ -270,14 +270,14 @@ impl AmgHierarchy {
     fn aggressive_level(
         rank: &Rank,
         a: &ParCsr,
-        s: &Strength,
+        s: &ParCsr,
         first: &CfSplit,
         config: &AmgConfig,
         seed: u64,
         spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
     ) -> Option<(ParCsr, ParCsr, ParCsr)> {
-        let agg = pmis_aggressive(rank, a, s, first, seed);
-        let n_final = rank.allreduce_sum(agg.n_coarse_local() as u64);
+        let agg = pmis_aggressive(rank, s, first, seed);
+        let n_final = agg.coarse_dist.global_n();
         if n_final == 0 || n_final == first.coarse_dist.global_n() {
             return None;
         }
@@ -290,8 +290,8 @@ impl AmgHierarchy {
         // Stage 2: CF-split of the first-pass C-points given by the
         // second PMIS pass, interpolated with the configured (MM-based)
         // operator on the intermediate operator A1.
-        let split2 = Self::restrict_split(rank, first, &agg);
-        let s1 = Strength::classical(rank, &a1, config.strength_threshold);
+        let split2 = Self::restrict_split(first, &agg);
+        let s1 = strength::classical(rank, &a1, config.strength_threshold);
         let p2 = build_interpolation(rank, &a1, &s1, &split2, config.interp, config.trunc_factor);
         // P = P1·P2; A_next = P2ᵀ A1 P2 = Pᵀ A P.
         let p = spgemm(&p1, &p2);
@@ -304,25 +304,11 @@ impl AmgHierarchy {
 
     /// Express the composed aggressive splitting relative to the
     /// first-pass coarse points (the rows of A1).
-    fn restrict_split(rank: &Rank, first: &CfSplit, agg: &CfSplit) -> CfSplit {
-        let me = rank.rank();
-        let mut states = Vec::with_capacity(first.n_coarse_local());
-        let mut coarse_index = Vec::with_capacity(first.n_coarse_local());
-        for i in 0..first.states.len() {
-            if first.coarse_index[i].is_some() {
-                states.push(agg.states[i]);
-                coarse_index.push(agg.coarse_index[i]);
-            }
-        }
-        debug_assert_eq!(
-            states.len(),
-            first.coarse_dist.local_n(me),
-            "restricted split size mismatch"
-        );
+    fn restrict_split(first: &CfSplit, agg: &CfSplit) -> CfSplit {
+        let coarse_index = first.coarse_index.iter().zip(&agg.coarse_index);
         CfSplit {
-            states,
             coarse_dist: agg.coarse_dist.clone(),
-            coarse_index,
+            coarse_index: coarse_index.filter(|(f, _)| f.is_some()).map(|(_, &g)| g).collect(),
         }
     }
 
@@ -634,15 +620,17 @@ mod tests {
             .sum()
     }
 
-    /// Setup exchanges CF states, coarse ids and F ids over each level
-    /// operator's own halo: no comm package is built twice for one
-    /// column map. Every `sparse_exchange` left is a new matrix's halo,
-    /// an external-row fetch of a product or PMIS's union-of-S-and-Sᵀ
-    /// halo; the counts pin the two configurations at 2 ranks.
+    /// Setup exchanges coarse ids and F ids over each level operator's
+    /// own halo, and S is built on that halo too: no comm package is
+    /// built twice for one column map. Every `sparse_exchange` left is
+    /// the halo of a product, a transpose, an interpolant or an IJ
+    /// assembly (never of S), an external-row fetch of a product or
+    /// PMIS's union-of-S-and-Sᵀ halo; the counts pin the two
+    /// configurations at 2 ranks.
     #[test]
     fn setup_builds_no_second_comm_package() {
         let serial = laplacian_2d(16);
-        for (config, want) in [(AmgConfig::standard(), 22), (AmgConfig::pressure_default(), 37)] {
+        for (config, want) in [(AmgConfig::standard(), 20), (AmgConfig::pressure_default(), 34)] {
             let s2 = serial.clone();
             let counts = Comm::run(2, move |rank| {
                 let dist = RowDist::block(s2.nrows() as u64, rank.size());

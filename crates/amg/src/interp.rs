@@ -16,66 +16,18 @@
 //!   negotiation. The "+i" variant adds a constant-preserving row
 //!   rescale.
 
-use distmat::{ParCsr, RowDist};
+use distmat::ParCsr;
 use parcomm::{KernelKind, Rank};
 use sparse_kit::Coo;
 
 use crate::config::InterpType;
-use crate::pmis::{CfSplit, CfState};
+use crate::pmis::{numbering, CfSplit};
 
-/// Ext-point info pulled over A's own halo: state and coarse id (and, for
-/// the MM operators, F id) per external column, in three exchanges of one
-/// split — per-pair FIFO order on the halo's tag keeps them aligned.
-struct ExtInfo {
-    is_coarse: Vec<bool>,
-    coarse_id: Vec<u64>,
-    f_id: Vec<u64>,
-}
-
-fn exchange_ext_info(
-    rank: &Rank,
-    a: &ParCsr,
-    split: &CfSplit,
-    f_index: Option<&[Option<u64>]>,
-) -> ExtInfo {
-    let halo = a.halo();
-    let states: Vec<u64> = split.states.iter().map(|&s| u64::from(s == CfState::Coarse)).collect();
-    let cids: Vec<u64> = split.coarse_index.iter().map(|c| c.unwrap_or(u64::MAX)).collect();
-    let fids: Vec<u64> = match f_index {
-        Some(f) => f.iter().map(|c| c.unwrap_or(u64::MAX)).collect(),
-        None => vec![u64::MAX; states.len()],
-    };
-    let ext_states = halo.exchange(rank, &states);
-    let ext_cids = halo.exchange(rank, &cids);
-    let ext_fids = halo.exchange(rank, &fids);
-    // Cross-consistency: a point is Coarse iff it has a coarse id; Fine
-    // iff it has an F id (when f ids were provided).
-    for c in 0..ext_states.len() {
-        let coarse = ext_states[c] == 1;
-        assert_eq!(
-            coarse,
-            ext_cids[c] != u64::MAX,
-            "ext point gid {} state/cid mismatch (state={}, cid={})",
-            a.global_offd_col(c),
-            ext_states[c],
-            ext_cids[c],
-        );
-        if f_index.is_some() {
-            assert_eq!(
-                !coarse,
-                ext_fids[c] != u64::MAX,
-                "ext point gid {} state/fid mismatch (state={}, fid={})",
-                a.global_offd_col(c),
-                ext_states[c],
-                ext_fids[c],
-            );
-        }
-    }
-    ExtInfo {
-        is_coarse: ext_states.iter().map(|&s| s == 1).collect(),
-        coarse_id: ext_cids,
-        f_id: ext_fids,
-    }
+/// Pull per-point ids (`None` travels as `u64::MAX`) to A's external
+/// columns over A's own halo: one exchange.
+fn ext_ids(rank: &Rank, a: &ParCsr, ids: &[Option<u64>]) -> Vec<u64> {
+    let local: Vec<u64> = ids.iter().map(|id| id.unwrap_or(u64::MAX)).collect();
+    a.halo().exchange(rank, &local)
 }
 
 /// Truncate an interpolation row of `(global col, weight)` pairs: drop
@@ -108,12 +60,14 @@ fn push_row(coo: &mut Coo, gi: u64, row: &mut Vec<(u64, f64)>, trunc_factor: f64
     }
 }
 
-/// Build direct (or BAMG-direct) interpolation from a CF splitting.
-/// Collective.
+/// Build direct (or BAMG-direct) interpolation from a CF splitting and
+/// the strength pattern `s` of `a` (offd in `a`'s numbering). Pulls the
+/// coarse ids of `a`'s external columns — an external point is coarse
+/// iff its id is not `u64::MAX` — in one halo exchange. Collective.
 pub fn direct_interpolation(
     rank: &Rank,
     a: &ParCsr,
-    s: &crate::strength::Strength,
+    s: &ParCsr,
     split: &CfSplit,
     bamg: bool,
     trunc_factor: f64,
@@ -122,7 +76,7 @@ pub fn direct_interpolation(
     let dist = a.row_dist().clone();
     let start = dist.start(me);
     let n = dist.local_n(me);
-    let ext = exchange_ext_info(rank, a, split, None);
+    let ext_cid = ext_ids(rank, a, &split.coarse_index);
     let nnz = a.local_nnz() as u64;
     let k = rank.kernel("interp_direct", KernelKind::Stream);
     k.launch(n, (nnz * 16, nnz));
@@ -139,8 +93,8 @@ pub fn direct_interpolation(
             continue;
         }
         // Strong-column membership for this row.
-        let (s_dcols, _) = s.sdiag.row(i);
-        let (s_ocols, _) = s.soffd.row(i);
+        let (s_dcols, _) = s.diag.row(i);
+        let (s_ocols, _) = s.offd.row(i);
         let is_strong_diag = |c: usize| s_dcols.binary_search(&c).is_ok();
         let is_strong_offd = |c: usize| s_ocols.binary_search(&c).is_ok();
 
@@ -156,9 +110,9 @@ pub fn direct_interpolation(
             if c == i {
                 a_ii = v;
             } else if is_strong_diag(c) {
-                if split.states[c] == CfState::Coarse {
+                if let Some(cj) = split.coarse_index[c] {
                     sum_strong_c += v;
-                    row.push((split.coarse_index[c].unwrap(), v));
+                    row.push((cj, v));
                 } else {
                     sum_strong_f += v;
                 }
@@ -169,9 +123,9 @@ pub fn direct_interpolation(
         let (oc, ov) = a.offd.row(i);
         for (&c, &v) in oc.iter().zip(ov) {
             if is_strong_offd(c) {
-                if ext.is_coarse[c] {
+                if ext_cid[c] != u64::MAX {
                     sum_strong_c += v;
-                    row.push((ext.coarse_id[c], v));
+                    row.push((ext_cid[c], v));
                 } else {
                     sum_strong_f += v;
                 }
@@ -211,11 +165,14 @@ pub fn direct_interpolation(
     ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)
 }
 
-/// Build the MM-ext (or MM-ext+i) interpolation operator. Collective.
+/// Build the MM-ext (or MM-ext+i) interpolation operator from a CF
+/// splitting and the strength pattern `s` of `a`. Pulls the coarse ids
+/// and the F ids of `a`'s external columns in two halo exchanges.
+/// Collective.
 pub fn mm_ext_interpolation(
     rank: &Rank,
     a: &ParCsr,
-    s: &crate::strength::Strength,
+    s: &ParCsr,
     split: &CfSplit,
     plus_i: bool,
     trunc_factor: f64,
@@ -226,23 +183,17 @@ pub fn mm_ext_interpolation(
     let n = dist.local_n(me);
 
     // F-point numbering (contiguous per rank, like the coarse numbering).
-    let n_f_local = split.states.iter().filter(|s| **s == CfState::Fine).count();
-    let f_dist = RowDist::from_local_size(rank, n_f_local);
-    let mut next_f = f_dist.start(me);
-    let f_index: Vec<Option<u64>> = split
-        .states
-        .iter()
-        .map(|s| {
-            if *s == CfState::Fine {
-                let id = next_f;
-                next_f += 1;
-                Some(id)
-            } else {
-                None
-            }
-        })
-        .collect();
-    let ext = exchange_ext_info(rank, a, split, Some(&f_index));
+    let (f_dist, f_index) = numbering(rank, split.coarse_index.iter().map(Option::is_none).collect());
+    let ext_cid = ext_ids(rank, a, &split.coarse_index);
+    let ext_fid = ext_ids(rank, a, &f_index);
+    for (c, (&cid, &fid)) in ext_cid.iter().zip(&ext_fid).enumerate() {
+        assert_ne!(
+            cid == u64::MAX,
+            fid == u64::MAX,
+            "ext point gid {} has a coarse id and an F id, or neither (cid={cid}, fid={fid})",
+            a.global_offd_col(c),
+        );
+    }
 
     // Build M1 = (D_FF + D_γ)⁻¹ (Aˢ_FF + D_β) and M2 = D_β⁻¹ Aˢ_FC
     // row by row (all classification and scaling is row-local): each row
@@ -258,8 +209,8 @@ pub fn mm_ext_interpolation(
         let Some(fi) = f_index[i] else {
             continue;
         };
-        let (s_dcols, _) = s.sdiag.row(i);
-        let (s_ocols, _) = s.soffd.row(i);
+        let (s_dcols, _) = s.diag.row(i);
+        let (s_ocols, _) = s.offd.row(i);
         let is_strong_diag = |c: usize| s_dcols.binary_search(&c).is_ok();
         let is_strong_offd = |c: usize| s_ocols.binary_search(&c).is_ok();
 
@@ -272,7 +223,7 @@ pub fn mm_ext_interpolation(
             if c == i {
                 d_ff = v;
             } else if is_strong_diag(c) {
-                if split.states[c] == CfState::Coarse {
+                if split.coarse_index[c].is_some() {
                     d_beta += v;
                 }
                 // strong FF handled in pass 2
@@ -283,7 +234,7 @@ pub fn mm_ext_interpolation(
         let (oc, ov) = a.offd.row(i);
         for (&c, &v) in oc.iter().zip(ov) {
             if is_strong_offd(c) {
-                if ext.is_coarse[c] {
+                if ext_cid[c] != u64::MAX {
                     d_beta += v;
                 }
             } else {
@@ -301,8 +252,8 @@ pub fn mm_ext_interpolation(
         m1_row.push((fi, d_beta / m1_denom));
         for (&c, &v) in dc.iter().zip(dv) {
             if c != i && is_strong_diag(c) {
-                if split.states[c] == CfState::Coarse {
-                    m2_row.push((split.coarse_index[c].unwrap(), v / d_beta));
+                if let Some(cj) = split.coarse_index[c] {
+                    m2_row.push((cj, v / d_beta));
                 } else {
                     m1_row.push((f_index[c].unwrap(), v / m1_denom));
                 }
@@ -310,18 +261,10 @@ pub fn mm_ext_interpolation(
         }
         for (&c, &v) in oc.iter().zip(ov) {
             if is_strong_offd(c) {
-                if ext.is_coarse[c] {
-                    m2_row.push((ext.coarse_id[c], v / d_beta));
+                if ext_cid[c] != u64::MAX {
+                    m2_row.push((ext_cid[c], v / d_beta));
                 } else {
-                    let fj = ext.f_id[c];
-                    assert_ne!(
-                        fj,
-                        u64::MAX,
-                        "ext col {} (gid {}) classified F but has no F id",
-                        c,
-                        a.global_offd_col(c)
-                    );
-                    m1_row.push((fj, v / m1_denom));
+                    m1_row.push((ext_fid[c], v / m1_denom));
                 }
             }
         }
@@ -374,7 +317,7 @@ pub fn mm_ext_interpolation(
 pub fn build_interpolation(
     rank: &Rank,
     a: &ParCsr,
-    s: &crate::strength::Strength,
+    s: &ParCsr,
     split: &CfSplit,
     interp: InterpType,
     trunc_factor: f64,
@@ -391,7 +334,8 @@ pub fn build_interpolation(
 mod tests {
     use super::*;
     use crate::pmis::pmis;
-    use crate::strength::Strength;
+    use crate::strength::classical;
+    use distmat::RowDist;
     use parcomm::Comm;
     use sparse_kit::{Coo as SCoo, Csr};
 
@@ -427,19 +371,20 @@ mod tests {
         Csr::from_coo(n, n, &coo)
     }
 
-    fn build_p(serial: Csr, nranks: usize, interp: InterpType) -> (Csr, Vec<CfState>) {
+    /// P gathered, and the global C-point flags.
+    fn build_p(serial: Csr, nranks: usize, interp: InterpType) -> (Csr, Vec<bool>) {
         let n = serial.nrows() as u64;
         let out = Comm::run(nranks, move |rank| {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
-            let s = Strength::classical(rank, &a, 0.25);
-            let split = pmis(rank, &a, &s, 11);
+            let s = classical(rank, &a, 0.25);
+            let split = pmis(rank, &s, 11);
             let p = build_interpolation(rank, &a, &s, &split, interp, 0.0);
-            (p.to_serial(rank), split.states)
+            (p.to_serial(rank), split.coarse_index)
         });
         let p = out[0].0.clone();
-        let states: Vec<CfState> = out.iter().flat_map(|(_, s)| s.clone()).collect();
-        (p, states)
+        let coarse = out.iter().flat_map(|(_, ci)| ci.iter().map(Option::is_some)).collect();
+        (p, coarse)
     }
 
     #[test]
@@ -450,10 +395,10 @@ mod tests {
             InterpType::MmExt,
             InterpType::MmExtI,
         ] {
-            let (p, states) = build_p(laplacian_2d(6), 2, interp);
+            let (p, coarse) = build_p(laplacian_2d(6), 2, interp);
             let mut coarse_seen = 0;
-            for (i, st) in states.iter().enumerate() {
-                if *st == CfState::Coarse {
+            for (i, &c) in coarse.iter().enumerate() {
+                if c {
                     let (cols, vals) = p.row(i);
                     assert_eq!(cols.len(), 1, "{interp:?} row {i}");
                     assert_eq!(vals[0], 1.0);
@@ -469,9 +414,9 @@ mod tests {
     fn bamg_rows_sum_to_one_on_zero_rowsum_interior() {
         // Neumann-like zero-row-sum matrix: every F row of P must sum to 1
         // (constants interpolated exactly).
-        let (p, states) = build_p(laplacian_2d(8), 2, InterpType::BamgDirect);
-        for (i, st) in states.iter().enumerate() {
-            if *st == CfState::Fine {
+        let (p, coarse) = build_p(laplacian_2d(8), 2, InterpType::BamgDirect);
+        for (i, &c) in coarse.iter().enumerate() {
+            if !c {
                 let sum: f64 = p.row(i).1.iter().sum();
                 if !p.row(i).0.is_empty() {
                     assert!((sum - 1.0).abs() < 1e-10, "row {i} sums to {sum}");
@@ -482,9 +427,9 @@ mod tests {
 
     #[test]
     fn mm_ext_plus_i_rows_sum_to_one() {
-        let (p, states) = build_p(laplacian_2d(8), 3, InterpType::MmExtI);
-        for (i, st) in states.iter().enumerate() {
-            if *st == CfState::Fine && !p.row(i).0.is_empty() {
+        let (p, coarse) = build_p(laplacian_2d(8), 3, InterpType::MmExtI);
+        for (i, &c) in coarse.iter().enumerate() {
+            if !c && !p.row(i).0.is_empty() {
                 let sum: f64 = p.row(i).1.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-10, "row {i} sums to {sum}");
             }
@@ -517,6 +462,45 @@ mod tests {
                     assert!((a - b).abs() < 1e-12, "{interp:?}");
                 }
             }
+        }
+    }
+
+    /// Point-to-point messages this rank sent while `f` ran.
+    fn msgs_sent(rank: &Rank, f: impl FnOnce()) -> u64 {
+        let before = rank.trace_snapshot().total().msgs;
+        f();
+        rank.trace_snapshot().total().msgs - before
+    }
+
+    #[test]
+    fn interpolation_pulls_one_halo_round_per_id_vector() {
+        // On 2 ranks each rank has one neighbour, so a halo round is one
+        // message, and so is a new matrix's halo request.
+        let serial = laplacian_2d(8);
+        let n = serial.nrows() as u64;
+        let out = Comm::run(2, move |rank| {
+            let dist = RowDist::block(n, rank.size());
+            let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
+            let s = classical(rank, &a, 0.25);
+            let split = pmis(rank, &s, 11);
+            let round = msgs_sent(rank, || {
+                a.halo().exchange(rank, &vec![0u64; a.local_rows()]);
+            });
+            let sent = [InterpType::Direct, InterpType::BamgDirect, InterpType::MmExt].map(|interp| {
+                msgs_sent(rank, || {
+                    build_interpolation(rank, &a, &s, &split, interp, 0.0);
+                })
+            });
+            (round, sent)
+        });
+        for (round, [direct, bamg, mm_ext]) in out {
+            assert_eq!(round, 1);
+            // Direct: the coarse ids, then P's halo request.
+            assert_eq!((direct, bamg), (round + 1, round + 1));
+            // MM-ext: the coarse ids and the F ids, then the halo requests
+            // of M2, W and P (M1 has no external column on this split, so
+            // W fetches no row).
+            assert_eq!(mm_ext, 2 * round + 3);
         }
     }
 

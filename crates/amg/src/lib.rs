@@ -33,4 +33,3 @@ pub use config::{AmgConfig, InterpType};
 pub use cycle::AmgPrecond;
 pub use hierarchy::{AmgHierarchy, AmgLevel};
 pub use reuse::AmgReuse;
-pub use pmis::CfState;

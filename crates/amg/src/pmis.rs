@@ -16,33 +16,32 @@ use parcomm::{KernelKind, Rank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::strength::Strength;
-
-/// Coarse/fine designation of a point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CfState {
-    /// Coarse point: survives to the next level.
-    Coarse,
-    /// Fine point: interpolated from coarse neighbours.
-    Fine,
-}
-
-/// Result of a coarsening pass.
+/// Result of a coarsening pass: a point is a C-point iff it has a
+/// coarse id, and an F-point otherwise.
 #[derive(Clone, Debug)]
 pub struct CfSplit {
-    /// Per-local-point designation.
-    pub states: Vec<CfState>,
     /// Distribution of the coarse points across ranks.
     pub coarse_dist: RowDist,
     /// Global coarse id of each local point (C-points only).
     pub coarse_index: Vec<Option<u64>>,
 }
 
-impl CfSplit {
-    /// Number of local C-points.
-    pub fn n_coarse_local(&self) -> usize {
-        self.states.iter().filter(|s| **s == CfState::Coarse).count()
-    }
+/// Number the flagged points contiguously per rank, in local order:
+/// the distribution of the numbered points and each local point's id
+/// (flagged points only). Collective.
+pub(crate) fn numbering(rank: &Rank, flagged: Vec<bool>) -> (RowDist, Vec<Option<u64>>) {
+    let dist = RowDist::from_local_size(rank, flagged.iter().filter(|&&f| f).count());
+    let mut next = dist.start(rank.rank());
+    let ids = flagged
+        .into_iter()
+        .map(|f| {
+            f.then(|| {
+                next += 1;
+                next - 1
+            })
+        })
+        .collect();
+    (dist, ids)
 }
 
 /// Where a neighbour's data lives.
@@ -64,16 +63,16 @@ fn point_rand(seed: u64, gid: u64) -> f64 {
     rng.gen::<f64>()
 }
 
-/// Run PMIS on the strength pattern `s` of `a`. Collective.
-pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
+/// Run PMIS on the strength pattern `s` (square, no diagonal entries).
+/// Collective.
+pub fn pmis(rank: &Rank, s: &ParCsr, seed: u64) -> CfSplit {
     let me = rank.rank();
-    let dist = a.row_dist().clone();
+    let dist = s.row_dist().clone();
     let n = dist.local_n(me);
     let start = dist.start(me);
 
     // Sᵀ, for the influence counts λ and the symmetrized adjacency.
-    let sp = s.to_parcsr(rank, a);
-    let st = distmat::ops::par_transpose(rank, &sp);
+    let st = distmat::ops::par_transpose(rank, s);
 
     // λ_i = number of points strongly influenced by i = |row i of Sᵀ|.
     // Per-point and seeded per gid, so any rank count draws the same.
@@ -96,8 +95,8 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
         }
     };
     for i in 0..n {
-        for &c in s.soffd.row(i).0 {
-            collect_ext(a.global_offd_col(c), &mut ext_gids);
+        for &c in s.offd.row(i).0 {
+            collect_ext(s.global_offd_col(c), &mut ext_gids);
         }
         for &c in st.offd.row(i).0 {
             collect_ext(st.global_offd_col(c), &mut ext_gids);
@@ -122,8 +121,8 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
     let mut nbrs: Vec<u64> = Vec::new();
     for i in 0..n {
         let gi = start + i as u64;
-        let strong = s.sdiag.row(i).0.iter().map(|&c| start + c as u64);
-        let strong = strong.chain(s.soffd.row(i).0.iter().map(|&c| a.global_offd_col(c)));
+        let strong = s.diag.row(i).0.iter().map(|&c| start + c as u64);
+        let strong = strong.chain(s.offd.row(i).0.iter().map(|&c| s.global_offd_col(c)));
         nbrs.extend(strong.clone());
         deps.extend(strong.filter(|&g| g != gi).map(locate));
         dep_ptr.push(deps.len());
@@ -219,50 +218,21 @@ pub fn pmis(rank: &Rank, a: &ParCsr, s: &Strength, seed: u64) -> CfSplit {
             .collect();
     }
 
-    // Coarse numbering: contiguous per rank, in local order.
-    let n_coarse_local = states.iter().filter(|&&st0| st0 == C_PT).count();
-    let coarse_dist = RowDist::from_local_size(rank, n_coarse_local);
-    let mut next = coarse_dist.start(me);
-    let coarse_index: Vec<Option<u64>> = states
-        .iter()
-        .map(|&st0| {
-            if st0 == C_PT {
-                let id = next;
-                next += 1;
-                Some(id)
-            } else {
-                None
-            }
-        })
-        .collect();
-    CfSplit {
-        states: states
-            .into_iter()
-            .map(|st0| if st0 == C_PT { CfState::Coarse } else { CfState::Fine })
-            .collect(),
-        coarse_dist,
-        coarse_index,
-    }
+    let (coarse_dist, coarse_index) = numbering(rank, states.iter().map(|&st0| st0 == C_PT).collect());
+    CfSplit { coarse_dist, coarse_index }
 }
 
 /// Second-pass (A-1 aggressive) coarsening: PMIS on the `S² + S` pattern
 /// restricted to the C-points of a first pass. Returns the composed
 /// splitting relative to the *original* points: C-points of the result
 /// are a subset of `first`'s C-points. Collective.
-pub fn pmis_aggressive(
-    rank: &Rank,
-    a: &ParCsr,
-    s: &Strength,
-    first: &CfSplit,
-    seed: u64,
-) -> CfSplit {
+pub fn pmis_aggressive(rank: &Rank, s: &ParCsr, first: &CfSplit, seed: u64) -> CfSplit {
     let me = rank.rank();
-    let dist = a.row_dist().clone();
+    let dist = s.row_dist().clone();
     let n = dist.local_n(me);
 
     // S2 = S·S + S as a distributed pattern product.
-    let sp = s.to_parcsr(rank, a);
-    let ss = distmat::ops::par_spgemm(rank, &sp, &sp);
+    let ss = distmat::ops::par_spgemm(rank, s, s);
     let s2 = {
         // Union pattern: S·S + S via IJ assembly of both patterns.
         let mut ij = distmat::IjMatrix::new(rank, dist.clone(), dist.clone());
@@ -275,11 +245,11 @@ pub fn pmis_aggressive(
             for &c in ss.offd.row(i).0 {
                 ij.add_value(gi, ss.global_offd_col(c), 1.0);
             }
-            for &c in s.sdiag.row(i).0 {
-                ij.add_value(gi, a.global_diag_col(c), 1.0);
+            for &c in s.diag.row(i).0 {
+                ij.add_value(gi, s.global_diag_col(c), 1.0);
             }
-            for &c in s.soffd.row(i).0 {
-                ij.add_value(gi, a.global_offd_col(c), 1.0);
+            for &c in s.offd.row(i).0 {
+                ij.add_value(gi, s.global_offd_col(c), 1.0);
             }
         }
         ij.assemble(rank)
@@ -312,50 +282,23 @@ pub fn pmis_aggressive(
     }
     let s2cc = ParCsr::from_global_coo(rank, cdist.clone(), cdist.clone(), &cc);
 
-    // PMIS on the restricted pattern: reuse the machinery by treating the
-    // CC pattern matrix as its own strength pattern.
-    let s_cc = Strength {
-        sdiag: s2cc.diag.clone(),
-        soffd: s2cc.offd.clone(),
-    };
-    let second = pmis(rank, &s2cc, &s_cc, seed ^ 0xA66);
-
-    // Compose back onto the original points.
-    let mut states = vec![CfState::Fine; n];
-    let mut n_final = 0usize;
-    for (st, ci) in states.iter_mut().zip(&first.coarse_index) {
-        if let Some(ci) = ci {
-            let lci = (ci - cdist.start(me)) as usize;
-            if second.states[lci] == CfState::Coarse {
-                *st = CfState::Coarse;
-                n_final += 1;
-            }
-        }
-    }
-    let final_dist = RowDist::from_local_size(rank, n_final);
-    let mut next = final_dist.start(me);
-    let coarse_index = states
+    // PMIS on the restricted pattern, then compose back onto the
+    // original points: a first-pass C-point stays coarse iff the second
+    // pass kept it.
+    let second = pmis(rank, &s2cc, seed ^ 0xA66);
+    let coarse = first
+        .coarse_index
         .iter()
-        .map(|&st0| {
-            if st0 == CfState::Coarse {
-                let id = next;
-                next += 1;
-                Some(id)
-            } else {
-                None
-            }
-        })
+        .map(|ci| ci.is_some_and(|ci| second.coarse_index[(ci - cdist.start(me)) as usize].is_some()))
         .collect();
-    CfSplit {
-        states,
-        coarse_dist: final_dist,
-        coarse_index,
-    }
+    let (coarse_dist, coarse_index) = numbering(rank, coarse);
+    CfSplit { coarse_dist, coarse_index }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strength::classical;
     use parcomm::Comm;
     use sparse_kit::{Coo, Csr};
 
@@ -397,42 +340,30 @@ mod tests {
         Csr::from_coo(n, n, &coo)
     }
 
-    fn run_pmis(serial: Csr, nranks: usize) -> Vec<(Vec<CfState>, Vec<Option<u64>>)> {
+    fn run_pmis(serial: Csr, nranks: usize) -> Vec<Vec<Option<u64>>> {
         let n = serial.nrows() as u64;
         Comm::run(nranks, move |rank| {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
-            let s = Strength::classical(rank, &a, 0.25);
-            let split = pmis(rank, &a, &s, 7);
-            (split.states, split.coarse_index)
+            let s = classical(rank, &a, 0.25);
+            pmis(rank, &s, 7).coarse_index
         })
     }
 
-    /// Gather the global CF vector from per-rank outputs.
-    fn global_states(parts: &[(Vec<CfState>, Vec<Option<u64>>)]) -> Vec<CfState> {
-        parts.iter().flat_map(|(s, _)| s.clone()).collect()
+    /// Gather the global C-point flags from per-rank coarse ids.
+    fn global_coarse(parts: &[Vec<Option<u64>>]) -> Vec<bool> {
+        parts.iter().flatten().map(Option::is_some).collect()
     }
 
     #[test]
     fn pmis_is_independent_set_in_strength_graph() {
         let serial = laplacian_2d(8);
         for p in [1, 2, 4] {
-            let parts = run_pmis(serial.clone(), p);
-            let states = global_states(&parts);
+            let coarse = global_coarse(&run_pmis(serial.clone(), p));
             // No two adjacent (strongly connected) points are both C.
-            for i in 0..serial.nrows() {
-                if states[i] != CfState::Coarse {
-                    continue;
-                }
-                let (cols, _) = serial.row(i);
-                for &j in cols {
-                    if j != i {
-                        assert_ne!(
-                            states[j],
-                            CfState::Coarse,
-                            "adjacent C-C pair ({i},{j}) at p={p}"
-                        );
-                    }
+            for i in (0..serial.nrows()).filter(|&i| coarse[i]) {
+                for &j in serial.row(i).0 {
+                    assert!(j == i || !coarse[j], "adjacent C-C pair ({i},{j}) at p={p}");
                 }
             }
         }
@@ -441,23 +372,19 @@ mod tests {
     #[test]
     fn pmis_is_maximal_every_f_sees_a_c() {
         let serial = laplacian_2d(8);
-        let parts = run_pmis(serial.clone(), 2);
-        let states = global_states(&parts);
-        for i in 0..serial.nrows() {
-            if states[i] == CfState::Fine {
-                let (cols, _) = serial.row(i);
-                let sees_c = cols.iter().any(|&j| j != i && states[j] == CfState::Coarse);
-                assert!(sees_c, "F-point {i} has no C neighbour");
-            }
+        let coarse = global_coarse(&run_pmis(serial.clone(), 2));
+        for i in (0..serial.nrows()).filter(|&i| !coarse[i]) {
+            let sees_c = serial.row(i).0.iter().any(|&j| j != i && coarse[j]);
+            assert!(sees_c, "F-point {i} has no C neighbour");
         }
     }
 
     #[test]
     fn pmis_deterministic_across_rank_counts() {
         let serial = laplacian_1d(20);
-        let s1 = global_states(&run_pmis(serial.clone(), 1));
-        let s2 = global_states(&run_pmis(serial.clone(), 2));
-        let s4 = global_states(&run_pmis(serial, 4));
+        let s1 = global_coarse(&run_pmis(serial.clone(), 1));
+        let s2 = global_coarse(&run_pmis(serial.clone(), 2));
+        let s4 = global_coarse(&run_pmis(serial, 4));
         assert_eq!(s1, s2);
         assert_eq!(s1, s4);
     }
@@ -468,7 +395,7 @@ mod tests {
         let parts = run_pmis(serial, 2);
         let mut all: Vec<u64> = parts
             .iter()
-            .flat_map(|(_, ci)| ci.iter().flatten().copied().collect::<Vec<_>>())
+            .flat_map(|ci| ci.iter().flatten().copied().collect::<Vec<_>>())
             .collect();
         let n_coarse = all.len();
         all.sort();
@@ -482,9 +409,9 @@ mod tests {
             let serial = Csr::from_dense(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
             let dist = RowDist::block(2, 1);
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
-            let s = Strength::classical(rank, &a, 0.25);
-            let split = pmis(rank, &a, &s, 0);
-            assert!(split.states.iter().all(|&st0| st0 == CfState::Fine));
+            let s = classical(rank, &a, 0.25);
+            let split = pmis(rank, &s, 0);
+            assert!(split.coarse_index.iter().all(Option::is_none));
             assert_eq!(split.coarse_dist.global_n(), 0);
         });
     }
@@ -496,9 +423,9 @@ mod tests {
         let out = Comm::run(2, move |rank| {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
-            let s = Strength::classical(rank, &a, 0.25);
-            let first = pmis(rank, &a, &s, 7);
-            let agg = pmis_aggressive(rank, &a, &s, &first, 7);
+            let s = classical(rank, &a, 0.25);
+            let first = pmis(rank, &s, 7);
+            let agg = pmis_aggressive(rank, &s, &first, 7);
             (
                 first.coarse_dist.global_n(),
                 agg.coarse_dist.global_n(),
@@ -519,13 +446,11 @@ mod tests {
         Comm::run(2, move |rank| {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
-            let s = Strength::classical(rank, &a, 0.25);
-            let first = pmis(rank, &a, &s, 3);
-            let agg = pmis_aggressive(rank, &a, &s, &first, 3);
-            for i in 0..agg.states.len() {
-                if agg.states[i] == CfState::Coarse {
-                    assert_eq!(first.states[i], CfState::Coarse);
-                }
+            let s = classical(rank, &a, 0.25);
+            let first = pmis(rank, &s, 3);
+            let agg = pmis_aggressive(rank, &s, &first, 3);
+            for (f, g) in first.coarse_index.iter().zip(&agg.coarse_index) {
+                assert!(g.is_none() || f.is_some());
             }
         });
     }

@@ -2,7 +2,7 @@
 //! M-matrix-like operators and rank counts, not just the hand-built
 //! Laplacians of the unit tests.
 
-use amg::{AmgConfig, AmgHierarchy, CfState, InterpType};
+use amg::{AmgConfig, AmgHierarchy, InterpType};
 use distmat::{ParCsr, ParVector, RowDist};
 use parcomm::Comm;
 use proptest::prelude::*;
@@ -52,21 +52,15 @@ proptest! {
         let out = Comm::run(p, move |rank| {
             let dist = RowDist::block(n as u64, rank.size());
             let pa = ParCsr::from_serial(rank, dist.clone(), dist, &a2);
-            let s = amg::strength::Strength::classical(rank, &pa, 0.25);
-            let split = amg::pmis::pmis(rank, &pa, &s, 42);
-            (split.states, split.coarse_index)
+            let s = amg::strength::classical(rank, &pa, 0.25);
+            amg::pmis::pmis(rank, &s, 42).coarse_index
         });
-        // Stitch the global CF vector together.
-        let states: Vec<CfState> = out.iter().flat_map(|(s, _)| s.clone()).collect();
-        // C/F covers everything; coarse ids are consistent with states.
-        for (s, c) in out.iter().flat_map(|(s, c)| s.iter().zip(c)) {
-            prop_assert_eq!(*s == CfState::Coarse, c.is_some());
-        }
+        // Stitch the global C-point flags together.
+        let coarse: Vec<bool> = out.iter().flatten().map(Option::is_some).collect();
         // No two strongly connected C points (strength ⊆ adjacency, so
         // checking adjacency is sufficient for the 1-D backbone).
         for i in 0..n - 1 {
-            let strong_pair =
-                states[i] == CfState::Coarse && states[i + 1] == CfState::Coarse;
+            let strong_pair = coarse[i] && coarse[i + 1];
             // Backbone couplings are always strong at θ=0.25 unless the
             // row has a much stronger other neighbour; C-C adjacency on a
             // strong edge violates the MIS property.
@@ -117,8 +111,8 @@ proptest! {
         let out = Comm::run(2, move |rank| {
             let dist = RowDist::block(n as u64, rank.size());
             let pa = ParCsr::from_serial(rank, dist.clone(), dist, &a);
-            let s = amg::strength::Strength::classical(rank, &pa, 0.25);
-            let split = amg::pmis::pmis(rank, &pa, &s, 3);
+            let s = amg::strength::classical(rank, &pa, 0.25);
+            let split = amg::pmis::pmis(rank, &s, 3);
             let p = amg::interp::build_interpolation(
                 rank, &pa, &s, &split, InterpType::BamgDirect, 0.0,
             );

@@ -130,6 +130,28 @@ impl ParCsr {
         }
     }
 
+    /// A matrix with `a`'s distributions and halo, from this rank's two
+    /// blocks: `diag` over the owned columns and `offd` in `a`'s offd
+    /// numbering (the unused external columns stay in the column map).
+    /// Sends no message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's shape does not match `a`'s.
+    pub fn with_blocks_on(a: &ParCsr, diag: Csr, offd: Csr) -> Self {
+        let shape = |b: &Csr| (b.nrows(), b.ncols());
+        assert_eq!(shape(&diag), shape(&a.diag), "diag block shape does not match the operator's");
+        assert_eq!(shape(&offd), shape(&a.offd), "offd block shape does not match the operator's");
+        ParCsr {
+            row_dist: a.row_dist.clone(),
+            col_dist: a.col_dist.clone(),
+            rank_id: a.rank_id,
+            diag,
+            offd,
+            halo: Arc::clone(&a.halo),
+        }
+    }
+
     /// Take this rank's row block of a replicated serial matrix
     /// (tests/generators). Collective.
     pub fn from_serial(rank: &Rank, row_dist: RowDist, col_dist: RowDist, a: &Csr) -> Self {

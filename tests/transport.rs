@@ -12,8 +12,8 @@
 //! `f64` bit patterns: a single ULP of drift fails.
 
 use exawind::amg::pmis::pmis;
-use exawind::amg::strength::Strength;
-use exawind::amg::{AmgConfig, AmgHierarchy, CfState};
+use exawind::amg::strength;
+use exawind::amg::{AmgConfig, AmgHierarchy};
 use exawind::nalu_core::assemble::{build_matrix, fill_continuity, fill_momentum, PhysicsParams};
 use exawind::nalu_core::eqsys::MeshSystem;
 use exawind::nalu_core::state::State;
@@ -79,16 +79,9 @@ fn setup_signatures(kind: TransportKind, nparts: usize) -> Vec<SetupSignature> {
         csr.extend_from_slice(a_m.offd.vals());
         let csr_bits = bits(&csr);
 
-        let strength = Strength::classical(rank, &a_p, 0.25);
-        let split = pmis(rank, &a_p, &strength, 42);
-        let cf_split: Vec<u8> = split
-            .states
-            .iter()
-            .map(|s| match s {
-                CfState::Coarse => 1u8,
-                CfState::Fine => 0u8,
-            })
-            .collect();
+        let s = strength::classical(rank, &a_p, 0.25);
+        let split = pmis(rank, &s, 42);
+        let cf_split: Vec<u8> = split.coarse_index.iter().map(|c| u8::from(c.is_some())).collect();
 
         let h = AmgHierarchy::setup(rank, a_p, &AmgConfig::pressure_default()).unwrap();
         let mut level_vals = Vec::new();
