@@ -211,6 +211,15 @@ split_sites=$(grep -rnwE 'CfState|to_parcsr|struct Strength|is_coarse' \
 [ -z "$split_sites" ] \
   || { echo "split gate: a second copy of the C/F split or of S's halo is back: $split_sites" >&2; exit 1; }
 
+# Coarsening reads S where it lies: PMIS counts λ and settles each
+# undecided pair over S's own halo (forward exchanges and reverse sums
+# to the owners), and the aggressive pass forms S + S² as one product
+# (I + S)·S, so pmis.rs names no transpose, no IJ assembly and no halo
+# of its own.
+coarsen_sites=$(grep -nwE 'par_transpose|IjMatrix|Halo::new' crates/amg/src/pmis.rs || true)
+[ -z "$coarsen_sites" ] \
+  || { echo "coarsening gate: PMIS builds a transpose, an IJ matrix or a halo again: $coarsen_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph

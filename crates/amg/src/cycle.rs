@@ -187,34 +187,11 @@ mod tests {
     use super::*;
     use crate::config::InterpType;
     use crate::hierarchy::setup_from_serial;
+    use crate::pmis::tests::laplacian_2d;
     use distmat::RowDist;
     use krylov::{Gmres, IdentityPrecond, OrthoStrategy};
     use parcomm::Comm;
     use sparse_kit::{Coo, Csr};
-
-    fn laplacian_2d(nx: usize) -> Csr {
-        let id = |i: usize, j: usize| (i * nx + j) as u64;
-        let mut coo = Coo::new();
-        for i in 0..nx {
-            for j in 0..nx {
-                coo.push(id(i, j), id(i, j), 4.0);
-                if i > 0 {
-                    coo.push(id(i, j), id(i - 1, j), -1.0);
-                }
-                if i + 1 < nx {
-                    coo.push(id(i, j), id(i + 1, j), -1.0);
-                }
-                if j > 0 {
-                    coo.push(id(i, j), id(i, j - 1), -1.0);
-                }
-                if j + 1 < nx {
-                    coo.push(id(i, j), id(i, j + 1), -1.0);
-                }
-            }
-        }
-        let n = nx * nx;
-        Csr::from_coo(n, n, &coo)
-    }
 
     /// Stretched-grid anisotropic Laplacian: the poorly conditioned
     /// matrix class the paper's pressure solves produce.

@@ -80,6 +80,8 @@ impl AmgHierarchy {
     ///   errors together).
     /// - [`SolveError::CoarseningStagnation`] — PMIS stopped shrinking
     ///   the grid while it is still far above `max_coarse_size`.
+    /// - A PMIS exchange failed (`socket-drop`, a timeout or a corrupted
+    ///   message); see [`pmis`].
     pub fn setup(rank: &Rank, a: ParCsr, config: &AmgConfig) -> Result<AmgHierarchy, SolveError> {
         Self::build(rank, a, config, &mut |a, b| ops::par_spgemm(rank, a, b))
     }
@@ -155,7 +157,7 @@ impl AmgHierarchy {
             }
             let s = strength::classical(rank, &a_cur, config.strength_threshold);
             let seed = config.seed.wrapping_add(lvl as u64);
-            let first = pmis(rank, &s, seed);
+            let first = pmis(rank, &s, seed)?;
             if first.coarse_dist.global_n() == 0
                 || first.coarse_dist.global_n() == a_cur.row_dist().global_n()
             {
@@ -167,14 +169,13 @@ impl AmgHierarchy {
                 break;
             }
 
-            let (p, r, a_next) = if lvl < config.agg_levels {
-                match Self::aggressive_level(rank, &a_cur, &s, &first, config, seed, spgemm) {
-                    Some(triple) => triple,
-                    None => Self::standard_level(rank, &a_cur, &s, &first, config, spgemm),
-                }
+            let agg = if lvl < config.agg_levels {
+                Self::aggressive_level(rank, &a_cur, &s, &first, config, seed, spgemm)?
             } else {
-                Self::standard_level(rank, &a_cur, &s, &first, config, spgemm)
+                None
             };
+            let (p, r, a_next) =
+                agg.unwrap_or_else(|| Self::standard_level(rank, &a_cur, &s, &first, config, spgemm));
 
             let work = CycleWork::new(rank, a_cur.row_dist(), a_next.row_dist());
             levels.push(AmgLevel {
@@ -266,7 +267,8 @@ impl AmgHierarchy {
 
     /// Aggressive level: second PMIS on S²+S, two-stage interpolation.
     /// Returns `None` when the second pass degenerates (falls back to
-    /// standard coarsening).
+    /// standard coarsening), and the second pass's error when one of
+    /// its exchanges fails.
     fn aggressive_level(
         rank: &Rank,
         a: &ParCsr,
@@ -275,11 +277,11 @@ impl AmgHierarchy {
         config: &AmgConfig,
         seed: u64,
         spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
-    ) -> Option<(ParCsr, ParCsr, ParCsr)> {
-        let agg = pmis_aggressive(rank, s, first, seed);
+    ) -> Result<Option<(ParCsr, ParCsr, ParCsr)>, SolveError> {
+        let agg = pmis_aggressive(rank, s, first, seed)?;
         let n_final = agg.coarse_dist.global_n();
         if n_final == 0 || n_final == first.coarse_dist.global_n() {
-            return None;
+            return Ok(None);
         }
         // Stage 1: interpolate to the first-pass C-points (distance-one
         // BAMG-direct weights are standard for the first stage).
@@ -299,7 +301,7 @@ impl AmgHierarchy {
         let p2t = ops::par_transpose(rank, &p2);
         let a_next = spgemm(&p2t, &ap2);
         let r = ops::par_transpose(rank, &p);
-        Some((p, r, a_next))
+        Ok(Some((p, r, a_next)))
     }
 
     /// Express the composed aggressive splitting relative to the
@@ -334,32 +336,9 @@ pub fn setup_from_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmis::tests::{collectives, laplacian_2d};
     use parcomm::Comm;
     use sparse_kit::{Coo, Csr};
-
-    fn laplacian_2d(nx: usize) -> Csr {
-        let id = |i: usize, j: usize| (i * nx + j) as u64;
-        let mut coo = Coo::new();
-        for i in 0..nx {
-            for j in 0..nx {
-                coo.push(id(i, j), id(i, j), 4.0);
-                if i > 0 {
-                    coo.push(id(i, j), id(i - 1, j), -1.0);
-                }
-                if i + 1 < nx {
-                    coo.push(id(i, j), id(i + 1, j), -1.0);
-                }
-                if j > 0 {
-                    coo.push(id(i, j), id(i, j - 1), -1.0);
-                }
-                if j + 1 < nx {
-                    coo.push(id(i, j), id(i, j + 1), -1.0);
-                }
-            }
-        }
-        let n = nx * nx;
-        Csr::from_coo(n, n, &coo)
-    }
 
     #[test]
     fn hierarchy_coarsens_to_small_grid() {
@@ -609,35 +588,24 @@ mod tests {
         });
     }
 
-    /// `sparse_exchange` entries in this rank's `collective` rows so far.
-    fn sparse_exchanges(rank: &Rank) -> u64 {
-        rank.telemetry_events()
-            .iter()
-            .filter_map(|e| match e {
-                telemetry::Event::Collective { kind, count, .. } if kind == "sparse_exchange" => Some(*count),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Setup exchanges coarse ids and F ids over each level operator's
-    /// own halo, and S is built on that halo too: no comm package is
-    /// built twice for one column map. Every `sparse_exchange` left is
-    /// the halo of a product, a transpose, an interpolant or an IJ
-    /// assembly (never of S), an external-row fetch of a product or
-    /// PMIS's union-of-S-and-Sᵀ halo; the counts pin the two
+    /// own halo, and S and PMIS work on that halo too: no comm package
+    /// is built twice for one column map. Every `sparse_exchange` left
+    /// is the halo of a product, a transpose, an interpolant or the
+    /// aggressive pass's restricted pattern (never of S), or an
+    /// external-row fetch of a product; the counts pin the two
     /// configurations at 2 ranks.
     #[test]
     fn setup_builds_no_second_comm_package() {
         let serial = laplacian_2d(16);
-        for (config, want) in [(AmgConfig::standard(), 20), (AmgConfig::pressure_default(), 34)] {
+        for (config, want) in [(AmgConfig::standard(), 16), (AmgConfig::pressure_default(), 29)] {
             let s2 = serial.clone();
             let counts = Comm::run(2, move |rank| {
                 let dist = RowDist::block(s2.nrows() as u64, rank.size());
                 let a = ParCsr::from_serial(rank, dist.clone(), dist, &s2);
-                let before = sparse_exchanges(rank);
+                let before = collectives(rank, "sparse_exchange");
                 AmgHierarchy::setup(rank, a, &config).unwrap();
-                sparse_exchanges(rank) - before
+                collectives(rank, "sparse_exchange") - before
             });
             assert_eq!(counts, [want; 2]);
         }

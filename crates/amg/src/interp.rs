@@ -378,7 +378,7 @@ mod tests {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            let split = pmis(rank, &s, 11);
+            let split = pmis(rank, &s, 11).unwrap();
             let p = build_interpolation(rank, &a, &s, &split, interp, 0.0);
             (p.to_serial(rank), split.coarse_index)
         });
@@ -482,7 +482,7 @@ mod tests {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            let split = pmis(rank, &s, 11);
+            let split = pmis(rank, &s, 11).unwrap();
             let round = msgs_sent(rank, || {
                 a.halo().exchange(rank, &vec![0u64; a.local_rows()]);
             });

@@ -10,11 +10,20 @@
 //! an independent sweep — which is what makes it "appropriate for GPUs"
 //! (§4.1). Randomness is seeded per global id, so any rank count yields
 //! the same splitting.
+//!
+//! Everything is read from S's own rows, over S's halo (its operator's):
+//! λ_i is the number of S's columns that name i, counted where the rows
+//! lie and summed at i's owner ([`distmat::Halo::try_sum_to_owners`]),
+//! as BoomerAMG does; and each round settles every strong pair once
+//! from each row that names the other, sending the losses on external
+//! points back to their owners the same way. No Sᵀ is formed.
 
-use distmat::{Halo, ParCsr, RowDist};
+use distmat::{ParCsr, RowDist};
 use parcomm::{KernelKind, Rank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use resilience::SolveError;
+use sparse_kit::Csr;
 
 /// Result of a coarsening pass: a point is a C-point iff it has a
 /// coarse id, and an F-point otherwise.
@@ -44,13 +53,6 @@ pub(crate) fn numbering(rank: &Rank, flagged: Vec<bool>) -> (RowDist, Vec<Option
     (dist, ids)
 }
 
-/// Where a neighbour's data lives.
-#[derive(Clone, Copy, Debug)]
-enum Loc {
-    Local(usize),
-    Ext(usize),
-}
-
 const UNDECIDED: u64 = 0;
 const C_PT: u64 = 1;
 const F_PT: u64 = 2;
@@ -63,219 +65,125 @@ fn point_rand(seed: u64, gid: u64) -> f64 {
     rng.gen::<f64>()
 }
 
-/// Run PMIS on the strength pattern `s` (square, no diagonal entries).
-/// Collective.
-pub fn pmis(rank: &Rank, s: &ParCsr, seed: u64) -> CfSplit {
-    let me = rank.rank();
-    let dist = s.row_dist().clone();
-    let n = dist.local_n(me);
-    let start = dist.start(me);
+/// Run PMIS on the strength pattern `s` (square, no diagonal entries),
+/// exchanging per-point values over S's own halo. Collective.
+///
+/// # Errors
+///
+/// A [`SolveError`] from a failed exchange (`socket-drop`, a timeout or
+/// a corrupted message), on every rank that took part in it.
+pub fn pmis(rank: &Rank, s: &ParCsr, seed: u64) -> Result<CfSplit, SolveError> {
+    let n = s.local_rows();
+    let start = s.row_dist().start(rank.rank());
+    let halo = s.halo();
+    let gid_ext = halo.col_map();
 
-    // Sᵀ, for the influence counts λ and the symmetrized adjacency.
-    let st = distmat::ops::par_transpose(rank, s);
-
-    // λ_i = number of points strongly influenced by i = |row i of Sᵀ|.
-    // Per-point and seeded per gid, so any rank count draws the same.
+    // λ_i = number of points strongly influenced by i = how many rows of
+    // S name i: counted here for the local rows' columns, then the
+    // counts for external columns are added at their owners.
+    debug_assert!((0..n).all(|i| !s.diag.row(i).0.contains(&i)), "S has a diagonal entry");
     let k = rank.kernel("pmis_weights", KernelKind::Stream);
     k.launch(n, ((n as u64) * 16, n as u64));
-    let weights: Vec<f64> = (0..n)
-        .map(|i| {
-            let lambda = (st.diag.row(i).0.len() + st.offd.row(i).0.len()) as f64;
-            lambda + point_rand(seed, start + i as u64)
-        })
-        .collect();
+    let (mut lambda, mut lambda_ext) = (vec![0u64; n], vec![0u64; gid_ext.len()]);
+    s.diag.indices().iter().for_each(|&j| lambda[j] += 1);
+    s.offd.indices().iter().for_each(|&c| lambda_ext[c] += 1);
     drop(k);
-
-    // Symmetrized adjacency per local row, as (gid, location) pairs, and
-    // the dependence set S_i for the F-designation rule.
-    let mut ext_gids: Vec<u64> = Vec::new();
-    let collect_ext = |gid: u64, ext_gids: &mut Vec<u64>| {
-        if dist.owner(gid) != me {
-            ext_gids.push(gid);
-        }
-    };
-    for i in 0..n {
-        for &c in s.offd.row(i).0 {
-            collect_ext(s.global_offd_col(c), &mut ext_gids);
-        }
-        for &c in st.offd.row(i).0 {
-            collect_ext(st.global_offd_col(c), &mut ext_gids);
-        }
-    }
-    ext_gids.sort_unstable();
-    ext_gids.dedup();
-    let halo = Halo::new(rank, &dist, ext_gids);
-    let locate = |gid: u64| -> Loc {
-        if dist.owner(gid) == me {
-            Loc::Local((gid - start) as usize)
-        } else {
-            Loc::Ext(halo.col_map().binary_search(&gid).unwrap())
-        }
-    };
-
-    // Symmetrised neighbours (as `(gid, location)` pairs) and dependence
-    // sets S_i (locations) of every point, in two flat arrays with row
-    // offsets.
-    let (mut sym, mut sym_ptr) = (Vec::new(), vec![0usize]);
-    let (mut deps, mut dep_ptr) = (Vec::new(), vec![0usize]);
-    let mut nbrs: Vec<u64> = Vec::new();
-    for i in 0..n {
-        let gi = start + i as u64;
-        let strong = s.diag.row(i).0.iter().map(|&c| start + c as u64);
-        let strong = strong.chain(s.offd.row(i).0.iter().map(|&c| s.global_offd_col(c)));
-        nbrs.extend(strong.clone());
-        deps.extend(strong.filter(|&g| g != gi).map(locate));
-        dep_ptr.push(deps.len());
-        nbrs.extend(st.diag.row(i).0.iter().map(|&c| start + c as u64));
-        nbrs.extend(st.offd.row(i).0.iter().map(|&c| st.global_offd_col(c)));
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        sym.extend(nbrs.drain(..).filter(|&g| g != gi).map(|g| (g, locate(g))));
-        sym_ptr.push(sym.len());
-    }
-    let sym_of = |i: usize| &sym[sym_ptr[i]..sym_ptr[i + 1]];
+    halo.try_sum_to_owners(rank, &lambda_ext, &mut lambda)?;
+    // Per-point and seeded per gid, so any rank count draws the same.
+    let weights: Vec<f64> = (0..n).map(|i| lambda[i] as f64 + point_rand(seed, start + i as u64)).collect();
 
     // Exchange weights once; states every round.
-    let ext_w = halo.exchange(rank, &weights);
-    let mut states = vec![UNDECIDED; n];
-    // Points with no strong neighbours at all are F-points immediately
-    // (nothing to interpolate from, smoother handles them).
-    for (i, st0) in states.iter_mut().enumerate() {
-        if sym_of(i).is_empty() {
-            *st0 = F_PT;
-        }
-    }
+    let w_ext = halo.try_exchange(rank, &weights)?;
+    // Points with no strong neighbours at all (S names none and none
+    // names them) are F-points immediately (nothing to interpolate
+    // from, smoother handles them).
+    let isolated = |i: usize| s.diag.row(i).0.is_empty() && s.offd.row(i).0.is_empty() && lambda[i] == 0;
+    let mut states: Vec<u64> = (0..n).map(|i| if isolated(i) { F_PT } else { UNDECIDED }).collect();
 
     loop {
         let undecided = states.iter().filter(|&&st0| st0 == UNDECIDED).count() as u64;
         if rank.allreduce_sum(undecided) == 0 {
             break;
         }
-        let ext_states = halo.exchange(rank, &states);
-        let state_of = |loc: Loc, snapshot: &[u64], ext: &[u64]| -> u64 {
-            match loc {
-                Loc::Local(l) => snapshot[l],
-                Loc::Ext(e) => ext[e],
-            }
-        };
-        let weight_of = |loc: Loc| -> f64 {
-            match loc {
-                Loc::Local(l) => weights[l],
-                Loc::Ext(e) => ext_w[e],
-            }
-        };
+        let states_ext = halo.try_exchange(rank, &states)?;
         let k = rank.kernel("pmis_round", KernelKind::Stream);
         k.launch(n, ((n as u64) * 24, n as u64));
 
-        // Phase 1 (Jacobi-style on the state snapshot): undecided local
-        // maxima among undecided neighbours become C. Every point's new
-        // state is a pure function of the snapshot.
-        let snapshot = states;
-        states = (0..n)
-            .map(|i| {
-                if snapshot[i] != UNDECIDED {
-                    return snapshot[i];
-                }
-                let gi = start + i as u64;
-                let wins = sym_of(i).iter().all(|&(gj, loc)| {
-                    if state_of(loc, &snapshot, &ext_states) != UNDECIDED {
-                        return true;
-                    }
-                    let wj = weight_of(loc);
-                    (weights[i], gi) > (wj, gj)
-                });
-                if wins {
-                    C_PT
+        // Phase 1 (Jacobi-style on the state snapshot): every pair (i, j)
+        // of undecided points with j strong for i marks the one with the
+        // smaller (weight, gid) as lost, once from each side that owns a
+        // row naming the other; external losses are summed at their
+        // owners. Undecided points that lost no pair — the local maxima
+        // among their undecided neighbours in S and Sᵀ — become C.
+        let (mut lost, mut lost_ext) = (vec![0u64; n], vec![0u64; gid_ext.len()]);
+        for i in (0..n).filter(|&i| states[i] == UNDECIDED) {
+            let mine = (weights[i], start + i as u64);
+            for &j in s.diag.row(i).0.iter().filter(|&&j| states[j] == UNDECIDED) {
+                let loser = if mine < (weights[j], start + j as u64) { i } else { j };
+                lost[loser] = 1;
+            }
+            for &c in s.offd.row(i).0.iter().filter(|&&c| states_ext[c] == UNDECIDED) {
+                if mine < (w_ext[c], gid_ext[c]) {
+                    lost[i] = 1;
                 } else {
-                    UNDECIDED
+                    lost_ext[c] = 1;
                 }
-            })
-            .collect();
+            }
+        }
         drop(k);
+        halo.try_sum_to_owners(rank, &lost_ext, &mut lost)?;
+        for (st0, &l) in states.iter_mut().zip(&lost) {
+            if *st0 == UNDECIDED && l == 0 {
+                *st0 = C_PT;
+            }
+        }
+
         // Phase 2: undecided points strongly depending on a C-point (old
-        // or freshly chosen — local fresh C visible via the phase-1
-        // result; remote fresh C visible next round) become F. Only
+        // or freshly chosen — every fresh C is visible, local ones in
+        // `states` and remote ones through this exchange) become F. Only
         // UNDECIDED→F transitions happen and only C states are read, so
-        // sweeping over the phase-1 snapshot is equivalent to the
-        // sequential in-place sweep.
-        let ext_states2 = halo.exchange(rank, &states);
-        let snapshot = states;
-        states = (0..n)
-            .map(|i| {
-                if snapshot[i] != UNDECIDED {
-                    return snapshot[i];
-                }
-                let depends_on_c = deps[dep_ptr[i]..dep_ptr[i + 1]].iter().any(|&loc| match loc {
-                    Loc::Local(l) => snapshot[l] == C_PT,
-                    Loc::Ext(e) => ext_states2[e] == C_PT,
-                });
-                if depends_on_c {
-                    F_PT
-                } else {
-                    UNDECIDED
-                }
-            })
-            .collect();
+        // the in-place sweep equals a sweep over the phase-1 snapshot.
+        let states_ext = halo.try_exchange(rank, &states)?;
+        for i in 0..n {
+            if states[i] == UNDECIDED
+                && (s.diag.row(i).0.iter().any(|&j| states[j] == C_PT)
+                    || s.offd.row(i).0.iter().any(|&c| states_ext[c] == C_PT))
+            {
+                states[i] = F_PT;
+            }
+        }
     }
 
     let (coarse_dist, coarse_index) = numbering(rank, states.iter().map(|&st0| st0 == C_PT).collect());
-    CfSplit { coarse_dist, coarse_index }
+    Ok(CfSplit { coarse_dist, coarse_index })
 }
 
 /// Second-pass (A-1 aggressive) coarsening: PMIS on the `S² + S` pattern
 /// restricted to the C-points of a first pass. Returns the composed
 /// splitting relative to the *original* points: C-points of the result
-/// are a subset of `first`'s C-points. Collective.
-pub fn pmis_aggressive(rank: &Rank, s: &ParCsr, first: &CfSplit, seed: u64) -> CfSplit {
-    let me = rank.rank();
-    let dist = s.row_dist().clone();
-    let n = dist.local_n(me);
+/// are a subset of `first`'s C-points. Collective; fails as [`pmis`]
+/// does.
+pub fn pmis_aggressive(rank: &Rank, s: &ParCsr, first: &CfSplit, seed: u64) -> Result<CfSplit, SolveError> {
+    let n = s.local_rows();
 
-    // S2 = S·S + S as a distributed pattern product.
-    let ss = distmat::ops::par_spgemm(rank, s, s);
-    let s2 = {
-        // Union pattern: S·S + S via IJ assembly of both patterns.
-        let mut ij = distmat::IjMatrix::new(rank, dist.clone(), dist.clone());
-        let start = dist.start(me);
-        for i in 0..n {
-            let gi = start + i as u64;
-            for &c in ss.diag.row(i).0 {
-                ij.add_value(gi, ss.global_diag_col(c), 1.0);
-            }
-            for &c in ss.offd.row(i).0 {
-                ij.add_value(gi, ss.global_offd_col(c), 1.0);
-            }
-            for &c in s.diag.row(i).0 {
-                ij.add_value(gi, s.global_diag_col(c), 1.0);
-            }
-            for &c in s.offd.row(i).0 {
-                ij.add_value(gi, s.global_offd_col(c), 1.0);
-            }
-        }
-        ij.assemble(rank)
-    };
+    // S2 = (I + S)·S, whose row i is S_i ∪ (S²)_i, with I + S on S's
+    // halo.
+    let i_plus_s = ParCsr::with_blocks_on(s, s.diag.add(&Csr::identity(n)), s.offd.clone());
+    let s2 = distmat::ops::par_spgemm(rank, &i_plus_s, s);
 
     // Restrict the S2 pattern to the CC block in first-pass coarse
     // numbering, building a small ParCsr on the coarse distribution.
     let cdist = first.coarse_dist.clone();
-    let start = dist.start(me);
     // Coarse ids of external columns of s2, over its own halo.
     let local_cids: Vec<u64> = first.coarse_index.iter().map(|ci| ci.unwrap_or(u64::MAX)).collect();
-    let ext_cids = s2.halo().exchange(rank, &local_cids);
+    let ext_cids = s2.halo().try_exchange(rank, &local_cids)?;
     let mut cc = sparse_kit::Coo::new();
     let mut row: Vec<u64> = Vec::new();
     for i in 0..n {
         let Some(ci) = first.coarse_index[i] else {
             continue;
         };
-        for &c in s2.diag.row(i).0 {
-            let gj = s2.global_diag_col(c);
-            if gj == start + i as u64 {
-                continue;
-            }
-            let lj = (gj - start) as usize;
-            row.extend(first.coarse_index[lj]);
-        }
+        row.extend(s2.diag.row(i).0.iter().filter(|&&j| j != i).filter_map(|&j| first.coarse_index[j]));
         row.extend(s2.offd.row(i).0.iter().map(|&c| ext_cids[c]).filter(|&cj| cj != u64::MAX));
         row.sort_unstable();
         row.drain(..).for_each(|cj| cc.push(ci, cj, 1.0));
@@ -285,18 +193,18 @@ pub fn pmis_aggressive(rank: &Rank, s: &ParCsr, first: &CfSplit, seed: u64) -> C
     // PMIS on the restricted pattern, then compose back onto the
     // original points: a first-pass C-point stays coarse iff the second
     // pass kept it.
-    let second = pmis(rank, &s2cc, seed ^ 0xA66);
+    let second = pmis(rank, &s2cc, seed ^ 0xA66)?;
     let coarse = first
         .coarse_index
         .iter()
-        .map(|ci| ci.is_some_and(|ci| second.coarse_index[(ci - cdist.start(me)) as usize].is_some()))
+        .map(|ci| ci.is_some_and(|ci| second.coarse_index[(ci - cdist.start(rank.rank())) as usize].is_some()))
         .collect();
     let (coarse_dist, coarse_index) = numbering(rank, coarse);
-    CfSplit { coarse_dist, coarse_index }
+    Ok(CfSplit { coarse_dist, coarse_index })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::strength::classical;
     use parcomm::Comm;
@@ -316,7 +224,8 @@ mod tests {
         Csr::from_coo(n, n, &coo)
     }
 
-    fn laplacian_2d(nx: usize) -> Csr {
+    /// The 5-point Dirichlet Laplacian on an `nx × nx` grid.
+    pub(crate) fn laplacian_2d(nx: usize) -> Csr {
         let id = |i: usize, j: usize| (i * nx + j) as u64;
         let mut coo = Coo::new();
         for i in 0..nx {
@@ -346,7 +255,7 @@ mod tests {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            pmis(rank, &s, 7).coarse_index
+            pmis(rank, &s, 7).unwrap().coarse_index
         })
     }
 
@@ -403,6 +312,35 @@ mod tests {
         assert_eq!(all, expected);
     }
 
+    /// Entries of `kind` in this rank's `collective` rows so far.
+    pub(crate) fn collectives(rank: &Rank, kind: &str) -> u64 {
+        rank.telemetry_events()
+            .iter()
+            .filter_map(|e| match e {
+                telemetry::Event::Collective { kind: k, count, .. } if k == kind => Some(*count),
+                _ => None,
+            })
+            .sum()
+    }
+
+    #[test]
+    fn pmis_builds_no_comm_package() {
+        // PMIS exchanges over S's halo (A's) in both directions, so it
+        // sets up no schedule: no sparse exchange, and its one allgather
+        // numbers the coarse points.
+        let serial = laplacian_2d(8);
+        let n = serial.nrows() as u64;
+        let out = Comm::run(2, move |rank| {
+            let dist = RowDist::block(n, rank.size());
+            let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
+            let s = classical(rank, &a, 0.25);
+            let before = ["sparse_exchange", "allgather"].map(|kind| collectives(rank, kind));
+            pmis(rank, &s, 7).unwrap();
+            [collectives(rank, "sparse_exchange") - before[0], collectives(rank, "allgather") - before[1]]
+        });
+        assert_eq!(out, [[0, 1]; 2]);
+    }
+
     #[test]
     fn isolated_points_become_fine() {
         Comm::run(1, |rank| {
@@ -410,7 +348,7 @@ mod tests {
             let dist = RowDist::block(2, 1);
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            let split = pmis(rank, &s, 0);
+            let split = pmis(rank, &s, 0).unwrap();
             assert!(split.coarse_index.iter().all(Option::is_none));
             assert_eq!(split.coarse_dist.global_n(), 0);
         });
@@ -424,12 +362,9 @@ mod tests {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            let first = pmis(rank, &s, 7);
-            let agg = pmis_aggressive(rank, &s, &first, 7);
-            (
-                first.coarse_dist.global_n(),
-                agg.coarse_dist.global_n(),
-            )
+            let first = pmis(rank, &s, 7).unwrap();
+            let agg = pmis_aggressive(rank, &s, &first, 7).unwrap();
+            (first.coarse_dist.global_n(), agg.coarse_dist.global_n())
         });
         let (n1, n2) = out[0];
         assert!(n1 > 0 && n2 > 0);
@@ -447,8 +382,8 @@ mod tests {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            let first = pmis(rank, &s, 3);
-            let agg = pmis_aggressive(rank, &s, &first, 3);
+            let first = pmis(rank, &s, 3).unwrap();
+            let agg = pmis_aggressive(rank, &s, &first, 3).unwrap();
             for (f, g) in first.coarse_index.iter().zip(&agg.coarse_index) {
                 assert!(g.is_none() || f.is_some());
             }

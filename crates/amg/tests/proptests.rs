@@ -53,7 +53,7 @@ proptest! {
             let dist = RowDist::block(n as u64, rank.size());
             let pa = ParCsr::from_serial(rank, dist.clone(), dist, &a2);
             let s = amg::strength::classical(rank, &pa, 0.25);
-            amg::pmis::pmis(rank, &s, 42).coarse_index
+            amg::pmis::pmis(rank, &s, 42).unwrap().coarse_index
         });
         // Stitch the global C-point flags together.
         let coarse: Vec<bool> = out.iter().flatten().map(Option::is_some).collect();
@@ -112,7 +112,7 @@ proptest! {
             let dist = RowDist::block(n as u64, rank.size());
             let pa = ParCsr::from_serial(rank, dist.clone(), dist, &a);
             let s = amg::strength::classical(rank, &pa, 0.25);
-            let split = amg::pmis::pmis(rank, &s, 3);
+            let split = amg::pmis::pmis(rank, &s, 3).unwrap();
             let p = amg::interp::build_interpolation(
                 rank, &pa, &s, &split, InterpType::BamgDirect, 0.0,
             );

@@ -6,8 +6,9 @@
 //! that moves values through it, for any element type. Every planned
 //! exchange calls that pair: the matrix halo ([`crate::ParCsr`] shares
 //! its pattern's [`Halo`]), AMG setup's point exchanges (states,
-//! weights, coarse numberings, over a matrix's halo or one of their
-//! own) and the assembly-plan replays ([`crate::AssemblyPlan`],
+//! weights, coarse numberings over a matrix's halo, and PMIS's sums
+//! back to the owners over the same schedule reversed) and the
+//! assembly-plan replays ([`crate::AssemblyPlan`],
 //! [`crate::VectorPlan`]).
 
 use std::ops::Range;
@@ -72,6 +73,18 @@ impl CommPkg {
         CommPkg { sends, recvs }
     }
 
+    /// This schedule run backwards (receive ranges become send lists,
+    /// send lists receive ranges), built locally with no message.
+    fn reversed(&self) -> CommPkg {
+        let sends = self.recvs.iter().map(|(src, range)| (*src, range.clone().collect())).collect();
+        let mut at = 0;
+        let recvs = self.sends.iter().map(|(dst, ids)| {
+            at += ids.len();
+            (*dst, at - ids.len()..at)
+        });
+        CommPkg { sends, recvs: recvs.collect() }
+    }
+
     /// Total number of values received.
     pub fn n_recv(&self) -> usize {
         self.recvs.last().map_or(0, |(_, r)| r.end)
@@ -130,6 +143,16 @@ pub(crate) fn socket_drop_hook(rank: &Rank) -> Result<(), SolveError> {
     Ok(())
 }
 
+/// A halo message of the wrong length, as [`CommPkg::finish`]'s
+/// `mismatch`.
+fn corruption(rank: &Rank, src: usize, expected: usize, got: usize) -> SolveError {
+    SolveError::HaloCorruption {
+        context: rank.phase_name(),
+        src,
+        detail: format!("expected {expected} values, got {got}"),
+    }
+}
+
 /// Per-point values a [`Halo`] moves.
 pub trait HaloValue: Message + Copy {
     /// What the `halo-nan` fault hook plants in the first external value
@@ -149,7 +172,7 @@ impl HaloValue for u64 {
 /// A halo: an external column map, the [`CommPkg`] that fills it and a
 /// dedicated tag (a per-object "communicator"). A matrix and every
 /// matrix of its pattern share one; AMG setup exchanges per-point
-/// values over it, or over one of its own for another column set.
+/// values over it, in both directions.
 #[derive(Debug)]
 pub struct Halo {
     col_map: Vec<u64>,
@@ -199,6 +222,22 @@ impl Halo {
         self.try_finish(rank)
     }
 
+    /// The reverse of [`Halo::try_exchange`]: add `ext[k]` into `local`
+    /// at the owner of `col_map[k]`. Runs the halo's schedule backwards
+    /// on its tag, whose messages keep their order, so forward and
+    /// reverse rounds may alternate. Hosts the `socket-drop` fault hook.
+    /// Collective among neighbours.
+    pub fn try_sum_to_owners(&self, rank: &Rank, ext: &[u64], local: &mut [u64]) -> Result<(), SolveError> {
+        socket_drop_hook(rank)?;
+        let back = self.pkg.reversed();
+        back.begin(rank, self.tag, ext);
+        let mut sums: Vec<u64> = Vec::new();
+        back.finish(rank, self.tag, &mut sums, |src, expected, got| corruption(rank, src, expected, got))?;
+        let owned = self.pkg.sends.iter().flat_map(|(_, ids)| ids);
+        owned.zip(sums).for_each(|(&i, v)| local[i] += v);
+        Ok(())
+    }
+
     /// [`CommPkg::begin`] on this halo's tag.
     pub(crate) fn begin<T: HaloValue>(&self, rank: &Rank, local: &[T]) {
         self.pkg.begin(rank, self.tag, local);
@@ -211,11 +250,7 @@ impl Halo {
     /// as a corrupted wire payload would arrive.
     pub(crate) fn try_finish<T: HaloValue>(&self, rank: &Rank) -> Result<Vec<T>, SolveError> {
         let mut ext = Vec::with_capacity(self.col_map.len());
-        self.pkg.finish(rank, self.tag, &mut ext, |src, expected, got| SolveError::HaloCorruption {
-            context: rank.phase_name(),
-            src,
-            detail: format!("expected {expected} values, got {got}"),
-        })?;
+        self.pkg.finish(rank, self.tag, &mut ext, |src, expected, got| corruption(rank, src, expected, got))?;
         if let Some(poison) = T::POISON {
             if !ext.is_empty() && rank.fault(FaultKind::HaloNan) {
                 ext[0] = poison;
@@ -258,25 +293,51 @@ mod tests {
             let halo = Halo::new(rank, &dist, vec![]);
             let ext = halo.exchange(rank, &[1.0, 2.0]);
             assert!(ext.is_empty());
+            let mut local = [5, 6];
+            halo.try_sum_to_owners(rank, &[], &mut local).unwrap();
+            assert_eq!(local, [5, 6]);
         });
     }
 
     #[test]
+    fn reverse_sum_adds_every_requester_at_the_owner() {
+        // 3 ranks × 2 rows each; ranks 1 and 2 both hold id 0 (owned by
+        // rank 0) in their halos, rank 2 also id 3 (rank 1's).
+        let out = Comm::run(3, |rank| {
+            let dist = RowDist::block(6, 3);
+            let (want, ext): (Vec<u64>, Vec<u64>) = match rank.rank() {
+                0 => (vec![], vec![]),
+                1 => (vec![0], vec![10]),
+                _ => (vec![0, 3], vec![100, 1000]),
+            };
+            let halo = Halo::new(rank, &dist, want);
+            let mut local = [1, 2];
+            halo.try_sum_to_owners(rank, &ext, &mut local).unwrap();
+            local
+        });
+        assert_eq!(out, [[111, 2], [1, 1002], [1, 2]]);
+    }
+
+    #[test]
     fn asymmetric_requests() {
-        // Only rank 0 requests; rank 1 requests nothing.
+        // Rank 0 holds ids 2 and 3, rank 1 holds id 0. Each round pulls
+        // the values and pushes them back doubled, so rank 1 sends rank 0
+        // a forward message of two values and a reverse one of one value
+        // back to back on the halo's tag; taking one for the other is a
+        // length error or a wrong sum.
         Comm::run(2, |rank| {
             let dist = RowDist::block(4, 2);
-            let want = if rank.rank() == 0 { vec![2u64, 3] } else { vec![] };
-            let halo = Halo::new(rank, &dist, want);
-            let local: Vec<f64> = (0..2)
-                .map(|l| (dist.start(rank.rank()) + l) as f64)
-                .collect();
-            let ext = halo.exchange(rank, &local);
-            if rank.rank() == 0 {
-                assert_eq!(ext, vec![2.0, 3.0]);
-            } else {
-                assert!(ext.is_empty());
+            let me = rank.rank();
+            let halo = Halo::new(rank, &dist, if me == 0 { vec![2, 3] } else { vec![0] });
+            let mut local: Vec<u64> = (1..3).map(|l| dist.start(me) + l).collect();
+            for round in 0..3 {
+                let ext = halo.try_exchange(rank, &local).unwrap();
+                let want: Vec<u64> = if me == 0 { vec![3, 4] } else { vec![1] };
+                assert_eq!(ext, want.iter().map(|v| v * 3u64.pow(round)).collect::<Vec<_>>(), "round {round}");
+                let back: Vec<u64> = ext.iter().map(|v| 2 * v).collect();
+                halo.try_sum_to_owners(rank, &back, &mut local).unwrap();
             }
+            assert_eq!(local, if me == 0 { [27, 2] } else { [81, 108] });
         });
     }
 }

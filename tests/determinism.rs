@@ -173,7 +173,7 @@ fn faulted_step() -> Vec<(Vec<u64>, Vec<RecoveryRecord>)> {
             picard_iters: 2,
             // "continuity/global" pins the context to the fine-system
             // global assembly (plain "continuity" would also count the
-            // harmless pattern-union assemblies inside AMG setup);
+            // restriction assemblies inside AMG setup);
             // occurrence 2 is the near-body mesh on the first Picard
             // sweep.
             faults: Some(FaultPlan::parse("assembly-nan@continuity/global:2").unwrap()),

@@ -188,8 +188,18 @@ fn transport_faults_recover_bitwise() {
 /// so both ranks abort the same exchange and walk the same ladder.
 #[test]
 fn injected_socket_drop_recovers_bitwise() {
+    socket_drop_recovers_bitwise("socket-drop@continuity:1");
+}
+
+/// The same in the pressure AMG setup, whose first exchange is PMIS's.
+#[test]
+fn injected_socket_drop_in_amg_setup_recovers_bitwise() {
+    socket_drop_recovers_bitwise("socket-drop@precond setup:1");
+}
+
+fn socket_drop_recovers_bitwise(spec: &str) {
     let clean = run_step(small_box(), None);
-    let faulted = run_step(small_box(), Some("socket-drop@continuity:1"));
+    let faulted = run_step(small_box(), Some(spec));
     for (r, ((cb, _, _), (fb, recs, events))) in clean.iter().zip(&faulted).enumerate() {
         assert_eq!(recs.len(), 1, "rank {r}: expected one recovery, got {recs:?}");
         let rec = &recs[0];

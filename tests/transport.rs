@@ -80,7 +80,7 @@ fn setup_signatures(kind: TransportKind, nparts: usize) -> Vec<SetupSignature> {
         let csr_bits = bits(&csr);
 
         let s = strength::classical(rank, &a_p, 0.25);
-        let split = pmis(rank, &s, 42);
+        let split = pmis(rank, &s, 42).unwrap();
         let cf_split: Vec<u8> = split.coarse_index.iter().map(|c| u8::from(c.is_some())).collect();
 
         let h = AmgHierarchy::setup(rank, a_p, &AmgConfig::pressure_default()).unwrap();
