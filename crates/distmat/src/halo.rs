@@ -228,6 +228,7 @@ impl Halo {
     /// reverse rounds may alternate. Hosts the `socket-drop` fault hook.
     /// Collective among neighbours.
     pub fn try_sum_to_owners(&self, rank: &Rank, ext: &[u64], local: &mut [u64]) -> Result<(), SolveError> {
+        assert_eq!(ext.len(), self.col_map.len(), "one value per external id");
         socket_drop_hook(rank)?;
         let back = self.pkg.reversed();
         back.begin(rank, self.tag, ext);
