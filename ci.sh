@@ -220,6 +220,18 @@ coarsen_sites=$(grep -nwE 'par_transpose|IjMatrix|Halo::new' crates/amg/src/pmis
 [ -z "$coarsen_sites" ] \
   || { echo "coarsening gate: PMIS builds a transpose, an IJ matrix or a halo again: $coarsen_sites" >&2; exit 1; }
 
+# Setup products read who-needs-what from the halo they hold: SpGEMM
+# reads B's rows over A's halo, and the transpose sends each external
+# column's entries to its owner over the operand's halo run backwards.
+# Above its `#[cfg(test)]` line ops.rs names no IJ assembly, no
+# `sparse_exchange`, no request list (`owner_requests`) and no
+# `HashMap` of fetched rows, so a request round cannot come back
+# unnoticed.
+rows_sites=$(sed '/#\[cfg(test)\]/,$d' crates/distmat/src/ops.rs \
+  | grep -nwE 'IjMatrix|sparse_exchange|owner_requests|HashMap' || true)
+[ -z "$rows_sites" ] \
+  || { echo "setup-rows gate: ops.rs asks for rows or assembles through IJ again: $rows_sites" >&2; exit 1; }
+
 # A Picard iteration refills values only: the driver moves each
 # assembled operator into the smoother that owns it (no
 # `Sgs2::with_sweeps` copy) and keys the pressure hierarchy on its graph

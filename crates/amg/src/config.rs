@@ -35,8 +35,6 @@ pub struct AmgConfig {
     /// Interpolation truncation: drop weights whose magnitude is below
     /// this fraction of the row's largest weight (0 disables).
     pub trunc_factor: f64,
-    /// Pre-/post-smoothing sweeps per V-cycle level.
-    pub smooth_sweeps: usize,
     /// Inner Jacobi-Richardson iterations of the two-stage GS smoother.
     pub smooth_inner: usize,
     /// Seed for the PMIS random weights (deterministic per global id).
@@ -52,7 +50,6 @@ impl Default for AmgConfig {
             interp: InterpType::MmExt,
             agg_levels: 2,
             trunc_factor: 0.0,
-            smooth_sweeps: 1,
             smooth_inner: 1,
             seed: 0x5EED,
         }

@@ -33,12 +33,16 @@ impl CycleWork {
     }
 }
 
+/// Pre- and post-smoothing sweeps per level per V-cycle: every
+/// configuration runs V(1,1).
+const SWEEPS: usize = 1;
+
 impl AmgHierarchy {
-    /// One V(ν,ν)-cycle: pre-smooth, restrict, recurse, prolong, correct,
+    /// One V(1,1)-cycle: pre-smooth, restrict, recurse, prolong, correct,
     /// post-smooth; dense solve at the coarsest level. Updates an
     /// arbitrary `x` in place. Collective.
-    pub fn vcycle(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, sweeps: usize) {
-        self.vcycle_level(rank, 0, b, x, sweeps, false);
+    pub fn vcycle(&self, rank: &Rank, b: &ParVector, x: &mut ParVector) {
+        self.vcycle_level(rank, 0, b, x, false);
     }
 
     /// `zero_guess` is the caller's promise that it created `x` as
@@ -46,18 +50,10 @@ impl AmgHierarchy {
     /// `r = b` without an exchange or a matrix pass (bitwise-lossless,
     /// see `krylov::smoothers`). The coarse correction `ec` is zeroed
     /// here, so every recursion passes `true`. A non-coarsest level costs
-    /// 4 halo exchanges per cycle at one sweep (pre-smooth 0, residual 1,
-    /// R 1, P 1, post-smooth 1) and allocates nothing: its vectors are
-    /// the level's [`CycleWork`].
-    fn vcycle_level(
-        &self,
-        rank: &Rank,
-        lvl: usize,
-        b: &ParVector,
-        x: &mut ParVector,
-        sweeps: usize,
-        zero_guess: bool,
-    ) {
+    /// 4 halo exchanges per cycle (pre-smooth 0, residual 1, R 1, P 1,
+    /// post-smooth 1) and allocates nothing: its vectors are the level's
+    /// [`CycleWork`].
+    fn vcycle_level(&self, rank: &Rank, lvl: usize, b: &ParVector, x: &mut ParVector, zero_guess: bool) {
         let level = &self.levels[lvl];
         let (Some(p), Some(r_op), Some(work)) = (&level.p, &level.r, &level.work) else {
             // Coarsest level: replicated dense solve.
@@ -70,7 +66,7 @@ impl AmgHierarchy {
         // Pre-smooth.
         level
             .smoother
-            .smooth_from(rank, &level.a, b, x, sweeps, zero_guess);
+            .smooth_from(rank, &level.a, b, x, SWEEPS, zero_guess);
         // Restrict the residual.
         level
             .a
@@ -78,26 +74,19 @@ impl AmgHierarchy {
         r_op.spmv_into(rank, res, rc);
         // Recurse from a zero coarse guess.
         ec.local.fill(0.0);
-        self.vcycle_level(rank, lvl + 1, rc, ec, sweeps, true);
+        self.vcycle_level(rank, lvl + 1, rc, ec, true);
         // Prolong and correct.
         p.spmv_into(rank, ec, e);
         x.axpy(rank, 1.0, e);
         // Post-smooth.
-        level.smoother.smooth(rank, &level.a, b, x, sweeps);
+        level.smoother.smooth(rank, &level.a, b, x, SWEEPS);
     }
 
     /// Relative residual after applying `cycles` V-cycles to `A x = b`
     /// starting from `x` (diagnostic helper).
-    pub fn solve_cycles(
-        &self,
-        rank: &Rank,
-        b: &ParVector,
-        x: &mut ParVector,
-        cycles: usize,
-        sweeps: usize,
-    ) -> f64 {
+    pub fn solve_cycles(&self, rank: &Rank, b: &ParVector, x: &mut ParVector, cycles: usize) -> f64 {
         for _ in 0..cycles {
-            self.vcycle(rank, b, x, sweeps);
+            self.vcycle(rank, b, x);
         }
         let r = self.levels[0].a.residual(rank, b, x);
         let bn = b.norm2(rank);
@@ -109,15 +98,11 @@ impl AmgHierarchy {
     }
 }
 
-/// AMG as a [`Preconditioner`]: one (or more) V-cycles from a zero
-/// initial guess — the paper's pressure-Poisson preconditioner.
+/// AMG as a [`Preconditioner`]: one V-cycle from a zero initial guess —
+/// the paper's pressure-Poisson preconditioner.
 #[derive(Clone, Debug)]
 pub struct AmgPrecond {
     hierarchy: AmgHierarchy,
-    /// V-cycles per application.
-    pub cycles: usize,
-    /// Smoothing sweeps per level per cycle.
-    pub sweeps: usize,
 }
 
 impl AmgPrecond {
@@ -128,7 +113,7 @@ impl AmgPrecond {
     /// Propagates [`AmgHierarchy::setup`] failures (non-finite
     /// coefficients, coarsening stagnation).
     pub fn setup(rank: &Rank, a: ParCsr, config: &AmgConfig) -> Result<Self, SolveError> {
-        Ok(Self::new(AmgHierarchy::setup(rank, a, config)?, config))
+        Ok(AmgPrecond { hierarchy: AmgHierarchy::setup(rank, a, config)? })
     }
 
     /// [`AmgPrecond::setup`] threading a cross-solve [`crate::AmgReuse`]
@@ -147,18 +132,7 @@ impl AmgPrecond {
         config: &AmgConfig,
         reuse: &mut crate::AmgReuse,
     ) -> Result<Self, SolveError> {
-        Ok(Self::new(
-            AmgHierarchy::setup_with_reuse(rank, a, config, reuse)?,
-            config,
-        ))
-    }
-
-    fn new(hierarchy: AmgHierarchy, config: &AmgConfig) -> Self {
-        AmgPrecond {
-            hierarchy,
-            cycles: 1,
-            sweeps: config.smooth_sweeps,
-        }
+        Ok(AmgPrecond { hierarchy: AmgHierarchy::setup_with_reuse(rank, a, config, reuse)? })
     }
 
     /// Access the hierarchy (complexities, level sizes).
@@ -175,9 +149,7 @@ impl AmgPrecond {
 impl Preconditioner for AmgPrecond {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = ParVector::zeros(rank, r.dist().clone());
-        for cycle in 0..self.cycles {
-            self.hierarchy.vcycle_level(rank, 0, r, &mut z, self.sweeps, cycle == 0);
-        }
+        self.hierarchy.vcycle_level(rank, 0, r, &mut z, true);
         z
     }
 }
@@ -234,8 +206,8 @@ mod tests {
                     let dist = h.levels[0].a.row_dist().clone();
                     let b = ParVector::from_fn(rank, dist.clone(), |g| ((g % 7) as f64) - 3.0);
                     let mut x = ParVector::zeros(rank, dist);
-                    let rel4 = h.solve_cycles(rank, &b, &mut x, 4, 1);
-                    let rel12 = h.solve_cycles(rank, &b, &mut x, 8, 1);
+                    let rel4 = h.solve_cycles(rank, &b, &mut x, 4);
+                    let rel12 = h.solve_cycles(rank, &b, &mut x, 8);
                     (rel4, rel12)
                 });
                 for (rel4, rel12) in out {
@@ -302,7 +274,7 @@ mod tests {
                 let dist = h.levels[0].a.row_dist().clone();
                 let b = ParVector::from_fn(rank, dist.clone(), |g| (g as f64).cos());
                 let mut x = ParVector::zeros(rank, dist);
-                h.solve_cycles(rank, &b, &mut x, 10, 1)
+                h.solve_cycles(rank, &b, &mut x, 10)
             });
             for rel in out {
                 assert!(rel < 1e-4, "{interp:?} stalled at {rel}");
@@ -387,25 +359,18 @@ mod tests {
 
     /// A V-cycle in which every smoothing round is a general one, on
     /// explicitly zeroed vectors: what the zero-guess rounds must equal.
-    fn reference_vcycle(
-        h: &AmgHierarchy,
-        rank: &Rank,
-        lvl: usize,
-        b: &ParVector,
-        x: &mut ParVector,
-        sweeps: usize,
-    ) {
+    fn reference_vcycle(h: &AmgHierarchy, rank: &Rank, lvl: usize, b: &ParVector, x: &mut ParVector) {
         let level = &h.levels[lvl];
         let (Some(p), Some(r_op)) = (&level.p, &level.r) else {
             h.coarse.solve_into(rank, b, x);
             return;
         };
-        level.smoother.smooth(rank, &level.a, b, x, sweeps);
+        level.smoother.smooth(rank, &level.a, b, x, SWEEPS);
         let rc = r_op.spmv(rank, &level.a.residual(rank, b, x));
         let mut ec = ParVector::zeros(rank, rc.dist().clone());
-        reference_vcycle(h, rank, lvl + 1, &rc, &mut ec, sweeps);
+        reference_vcycle(h, rank, lvl + 1, &rc, &mut ec);
         x.axpy(rank, 1.0, &p.spmv(rank, &ec));
-        level.smoother.smooth(rank, &level.a, b, x, sweeps);
+        level.smoother.smooth(rank, &level.a, b, x, SWEEPS);
     }
 
     #[test]
@@ -417,7 +382,6 @@ mod tests {
                 let s2 = serial.clone();
                 let (expected, traces) = Comm::run_traced(p, move |rank| {
                     let cfg = AmgConfig { interp, agg_levels: 0, ..AmgConfig::standard() };
-                    assert_eq!(cfg.smooth_sweeps, 1);
                     let dist = RowDist::block(n, rank.size());
                     let a = ParCsr::from_serial(rank, dist.clone(), dist.clone(), &s2);
                     let amg = AmgPrecond::setup(rank, a.clone(), &cfg).unwrap();
@@ -438,7 +402,7 @@ mod tests {
                     let bits = |v: &ParVector| v.local.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     for (b, z) in [(&b1, &z1), (&b2, &z2)] {
                         let mut z_ref = ParVector::zeros(rank, dist.clone());
-                        reference_vcycle(h, rank, 0, b, &mut z_ref, amg.sweeps);
+                        reference_vcycle(h, rank, 0, b, &mut z_ref);
                         assert_eq!(bits(z), bits(&z_ref), "p={p} {interp:?}");
                     }
                     let fresh = AmgPrecond::setup(rank, a, &cfg).unwrap();

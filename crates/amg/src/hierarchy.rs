@@ -80,8 +80,8 @@ impl AmgHierarchy {
     ///   errors together).
     /// - [`SolveError::CoarseningStagnation`] — PMIS stopped shrinking
     ///   the grid while it is still far above `max_coarse_size`.
-    /// - A PMIS exchange failed (`socket-drop`, a timeout or a corrupted
-    ///   message); see [`pmis`].
+    /// - A setup exchange failed (`socket-drop`, a timeout or a corrupted
+    ///   message): PMIS's, an interpolation's or a transpose's.
     pub fn setup(rank: &Rank, a: ParCsr, config: &AmgConfig) -> Result<AmgHierarchy, SolveError> {
         Self::build(rank, a, config, &mut |a, b| ops::par_spgemm(rank, a, b))
     }
@@ -175,7 +175,7 @@ impl AmgHierarchy {
                 None
             };
             let (p, r, a_next) =
-                agg.unwrap_or_else(|| Self::standard_level(rank, &a_cur, &s, &first, config, spgemm));
+                agg.map_or_else(|| Self::standard_level(rank, &a_cur, &s, &first, config, spgemm), Ok)?;
 
             let work = CycleWork::new(rank, a_cur.row_dist(), a_next.row_dist());
             levels.push(AmgLevel {
@@ -249,7 +249,7 @@ impl AmgHierarchy {
     /// Standard level: one PMIS pass, one interpolation, one RAP with
     /// both Galerkin legs formed by `spgemm`. Returns
     /// `(P, R, A_next)`; R is the transpose the RAP needed anyway —
-    /// shared instead of recomputed.
+    /// shared instead of recomputed. A failed exchange is returned.
     fn standard_level(
         rank: &Rank,
         a: &ParCsr,
@@ -257,18 +257,17 @@ impl AmgHierarchy {
         split: &CfSplit,
         config: &AmgConfig,
         spgemm: &mut dyn FnMut(&ParCsr, &ParCsr) -> ParCsr,
-    ) -> (ParCsr, ParCsr, ParCsr) {
-        let p = build_interpolation(rank, a, s, split, config.interp, config.trunc_factor);
+    ) -> Result<(ParCsr, ParCsr, ParCsr), SolveError> {
+        let p = build_interpolation(rank, a, s, split, config.interp, config.trunc_factor)?;
         let ap = spgemm(a, &p);
-        let pt = ops::par_transpose(rank, &p);
+        let pt = ops::par_transpose(rank, &p)?;
         let a_next = spgemm(&pt, &ap);
-        (p, pt, a_next)
+        Ok((p, pt, a_next))
     }
 
     /// Aggressive level: second PMIS on S²+S, two-stage interpolation.
     /// Returns `None` when the second pass degenerates (falls back to
-    /// standard coarsening), and the second pass's error when one of
-    /// its exchanges fails.
+    /// standard coarsening), and the error of any exchange that fails.
     fn aggressive_level(
         rank: &Rank,
         a: &ParCsr,
@@ -285,22 +284,22 @@ impl AmgHierarchy {
         }
         // Stage 1: interpolate to the first-pass C-points (distance-one
         // BAMG-direct weights are standard for the first stage).
-        let p1 = build_interpolation(rank, a, s, first, InterpType::BamgDirect, config.trunc_factor);
+        let p1 = build_interpolation(rank, a, s, first, InterpType::BamgDirect, config.trunc_factor)?;
         let ap1 = spgemm(a, &p1);
-        let p1t = ops::par_transpose(rank, &p1);
+        let p1t = ops::par_transpose(rank, &p1)?;
         let a1 = spgemm(&p1t, &ap1);
         // Stage 2: CF-split of the first-pass C-points given by the
         // second PMIS pass, interpolated with the configured (MM-based)
         // operator on the intermediate operator A1.
         let split2 = Self::restrict_split(first, &agg);
         let s1 = strength::classical(rank, &a1, config.strength_threshold);
-        let p2 = build_interpolation(rank, &a1, &s1, &split2, config.interp, config.trunc_factor);
+        let p2 = build_interpolation(rank, &a1, &s1, &split2, config.interp, config.trunc_factor)?;
         // P = P1·P2; A_next = P2ᵀ A1 P2 = Pᵀ A P.
         let p = spgemm(&p1, &p2);
         let ap2 = spgemm(&a1, &p2);
-        let p2t = ops::par_transpose(rank, &p2);
+        let p2t = ops::par_transpose(rank, &p2)?;
         let a_next = spgemm(&p2t, &ap2);
-        let r = ops::par_transpose(rank, &p);
+        let r = ops::par_transpose(rank, &p)?;
         Ok(Some((p, r, a_next)))
     }
 
@@ -589,23 +588,26 @@ mod tests {
     }
 
     /// Setup exchanges coarse ids and F ids over each level operator's
-    /// own halo, and S and PMIS work on that halo too: no comm package
-    /// is built twice for one column map. Every `sparse_exchange` left
-    /// is the halo of a product, a transpose, an interpolant or the
-    /// aggressive pass's restricted pattern (never of S), or an
-    /// external-row fetch of a product; the counts pin the two
-    /// configurations at 2 ranks.
+    /// own halo, S and PMIS work on that halo too, and the products and
+    /// transposes move rows over their operand's: no comm package is
+    /// built twice for one column map, and no row is asked for. Every
+    /// `sparse_exchange` left is the halo pull of a product, a
+    /// transpose, an interpolant or the aggressive pass's restricted
+    /// pattern (never of S); every allgather is one of those pulls'
+    /// counts or a numbering. The counts pin the two configurations at 2
+    /// ranks.
     #[test]
     fn setup_builds_no_second_comm_package() {
         let serial = laplacian_2d(16);
-        for (config, want) in [(AmgConfig::standard(), 16), (AmgConfig::pressure_default(), 29)] {
+        for (config, want) in [(AmgConfig::standard(), [8, 13]), (AmgConfig::pressure_default(), [15, 22])] {
             let s2 = serial.clone();
             let counts = Comm::run(2, move |rank| {
                 let dist = RowDist::block(s2.nrows() as u64, rank.size());
                 let a = ParCsr::from_serial(rank, dist.clone(), dist, &s2);
-                let before = collectives(rank, "sparse_exchange");
+                let kinds = ["sparse_exchange", "allgather"];
+                let before = kinds.map(|kind| collectives(rank, kind));
                 AmgHierarchy::setup(rank, a, &config).unwrap();
-                collectives(rank, "sparse_exchange") - before
+                [0, 1].map(|k| collectives(rank, kinds[k]) - before[k])
             });
             assert_eq!(counts, [want; 2]);
         }

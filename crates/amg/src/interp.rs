@@ -18,16 +18,17 @@
 
 use distmat::ParCsr;
 use parcomm::{KernelKind, Rank};
+use resilience::SolveError;
 use sparse_kit::Coo;
 
 use crate::config::InterpType;
 use crate::pmis::{numbering, CfSplit};
 
 /// Pull per-point ids (`None` travels as `u64::MAX`) to A's external
-/// columns over A's own halo: one exchange.
-fn ext_ids(rank: &Rank, a: &ParCsr, ids: &[Option<u64>]) -> Vec<u64> {
+/// columns over A's own halo: one exchange, hosting `socket-drop`.
+fn ext_ids(rank: &Rank, a: &ParCsr, ids: &[Option<u64>]) -> Result<Vec<u64>, SolveError> {
     let local: Vec<u64> = ids.iter().map(|id| id.unwrap_or(u64::MAX)).collect();
-    a.halo().exchange(rank, &local)
+    a.halo().try_exchange(rank, &local)
 }
 
 /// Truncate an interpolation row of `(global col, weight)` pairs: drop
@@ -63,7 +64,9 @@ fn push_row(coo: &mut Coo, gi: u64, row: &mut Vec<(u64, f64)>, trunc_factor: f64
 /// Build direct (or BAMG-direct) interpolation from a CF splitting and
 /// the strength pattern `s` of `a` (offd in `a`'s numbering). Pulls the
 /// coarse ids of `a`'s external columns — an external point is coarse
-/// iff its id is not `u64::MAX` — in one halo exchange. Collective.
+/// iff its id is not `u64::MAX` — in one halo exchange, whose failure
+/// (`socket-drop`, a timeout or a corrupted message) is returned.
+/// Collective.
 pub fn direct_interpolation(
     rank: &Rank,
     a: &ParCsr,
@@ -71,12 +74,12 @@ pub fn direct_interpolation(
     split: &CfSplit,
     bamg: bool,
     trunc_factor: f64,
-) -> ParCsr {
+) -> Result<ParCsr, SolveError> {
     let me = rank.rank();
     let dist = a.row_dist().clone();
     let start = dist.start(me);
     let n = dist.local_n(me);
-    let ext_cid = ext_ids(rank, a, &split.coarse_index);
+    let ext_cid = ext_ids(rank, a, &split.coarse_index)?;
     let nnz = a.local_nnz() as u64;
     let k = rank.kernel("interp_direct", KernelKind::Stream);
     k.launch(n, (nnz * 16, nnz));
@@ -162,13 +165,13 @@ pub fn direct_interpolation(
         push_row(&mut coo, gi, &mut row, trunc_factor);
     }
     drop(k);
-    ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)
+    Ok(ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo))
 }
 
 /// Build the MM-ext (or MM-ext+i) interpolation operator from a CF
 /// splitting and the strength pattern `s` of `a`. Pulls the coarse ids
-/// and the F ids of `a`'s external columns in two halo exchanges.
-/// Collective.
+/// and the F ids of `a`'s external columns in two halo exchanges, whose
+/// failure is returned. Collective.
 pub fn mm_ext_interpolation(
     rank: &Rank,
     a: &ParCsr,
@@ -176,7 +179,7 @@ pub fn mm_ext_interpolation(
     split: &CfSplit,
     plus_i: bool,
     trunc_factor: f64,
-) -> ParCsr {
+) -> Result<ParCsr, SolveError> {
     let me = rank.rank();
     let dist = a.row_dist().clone();
     let start = dist.start(me);
@@ -184,8 +187,8 @@ pub fn mm_ext_interpolation(
 
     // F-point numbering (contiguous per rank, like the coarse numbering).
     let (f_dist, f_index) = numbering(rank, split.coarse_index.iter().map(Option::is_none).collect());
-    let ext_cid = ext_ids(rank, a, &split.coarse_index);
-    let ext_fid = ext_ids(rank, a, &f_index);
+    let ext_cid = ext_ids(rank, a, &split.coarse_index)?;
+    let ext_fid = ext_ids(rank, a, &f_index)?;
     for (c, (&cid, &fid)) in ext_cid.iter().zip(&ext_fid).enumerate() {
         assert_ne!(
             cid == u64::MAX,
@@ -310,10 +313,11 @@ pub fn mm_ext_interpolation(
         }
         push_row(&mut coo, gi, &mut row, trunc_factor);
     }
-    ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo)
+    Ok(ParCsr::from_global_coo(rank, dist, split.coarse_dist.clone(), &coo))
 }
 
-/// Dispatch on the configured interpolation family. Collective.
+/// Dispatch on the configured interpolation family; a failed id
+/// exchange is returned. Collective.
 pub fn build_interpolation(
     rank: &Rank,
     a: &ParCsr,
@@ -321,7 +325,7 @@ pub fn build_interpolation(
     split: &CfSplit,
     interp: InterpType,
     trunc_factor: f64,
-) -> ParCsr {
+) -> Result<ParCsr, SolveError> {
     match interp {
         InterpType::Direct => direct_interpolation(rank, a, s, split, false, trunc_factor),
         InterpType::BamgDirect => direct_interpolation(rank, a, s, split, true, trunc_factor),
@@ -379,7 +383,7 @@ mod tests {
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
             let split = pmis(rank, &s, 11).unwrap();
-            let p = build_interpolation(rank, &a, &s, &split, interp, 0.0);
+            let p = build_interpolation(rank, &a, &s, &split, interp, 0.0).unwrap();
             (p.to_serial(rank), split.coarse_index)
         });
         let p = out[0].0.clone();
@@ -484,11 +488,11 @@ mod tests {
             let s = classical(rank, &a, 0.25);
             let split = pmis(rank, &s, 11).unwrap();
             let round = msgs_sent(rank, || {
-                a.halo().exchange(rank, &vec![0u64; a.local_rows()]);
+                a.halo().try_exchange(rank, &vec![0u64; a.local_rows()]).unwrap();
             });
             let sent = [InterpType::Direct, InterpType::BamgDirect, InterpType::MmExt].map(|interp| {
                 msgs_sent(rank, || {
-                    build_interpolation(rank, &a, &s, &split, interp, 0.0);
+                    build_interpolation(rank, &a, &s, &split, interp, 0.0).unwrap();
                 })
             });
             (round, sent)

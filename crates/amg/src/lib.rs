@@ -12,8 +12,10 @@
 //! - **A-1 aggressive coarsening** on the first levels: a second PMIS on
 //!   the `S² + S` pattern of the first-pass C-points, combined with
 //!   two-stage interpolation `P = P1·P2` ([`hierarchy`]),
-//! - Galerkin **triple products** via a distributed row-by-row SpGEMM
-//!   with a dense accumulator ([`distmat::ops::par_rap`]).
+//! - Galerkin **triple products** `Pᵀ·(A·P)`: a distributed row-by-row
+//!   SpGEMM with a dense accumulator ([`distmat::ops::par_spgemm`]) and
+//!   the transpose `R = Pᵀ` ([`distmat::ops::par_transpose`]), both
+//!   moving rows over their operand's halo.
 //!
 //! The solve phase ([`cycle`]) runs V-cycles with the two-stage
 //! Gauss-Seidel smoother of §4.2, with a replicated dense LU at the

@@ -115,7 +115,7 @@ proptest! {
             let split = amg::pmis::pmis(rank, &s, 3).unwrap();
             let p = amg::interp::build_interpolation(
                 rank, &pa, &s, &split, InterpType::BamgDirect, 0.0,
-            );
+            ).unwrap();
             p.to_serial(rank)
         });
         let p = &out[0];
@@ -143,7 +143,7 @@ proptest! {
             let h = AmgHierarchy::setup(rank, pa, &AmgConfig::standard()).unwrap();
             let b = ParVector::from_fn(rank, dist.clone(), |g| ((g % 5) as f64) - 2.0);
             let mut x = ParVector::zeros(rank, dist);
-            h.solve_cycles(rank, &b, &mut x, 6, 1)
+            h.solve_cycles(rank, &b, &mut x, 6)
         });
         // Six V-cycles must reduce the relative residual substantially on
         // any diagonally dominant M-matrix.

@@ -128,13 +128,6 @@ impl RowDist {
     }
 }
 
-/// The request each owner in the [`RowDist::owner_runs`] of `ids` (none
-/// owned by rank `me`) gets in a `sparse_exchange`: its run of `ids`.
-pub(crate) fn owner_requests(me: usize, runs: &[(usize, Range<usize>)], ids: &[u64]) -> Vec<(usize, Vec<u64>)> {
-    assert!(runs.iter().all(|(owner, _)| *owner != me), "own id listed as external");
-    runs.iter().map(|(owner, range)| (*owner, ids[range.clone()].to_vec())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,18 @@
 //! The one neighbour exchange of `distmat`.
 //!
-//! A [`CommPkg`] is an exchange schedule — what to gather and send to
-//! each destination, where each source's message lands — and
+//! A [`CommPkg`] is an exchange schedule — what to send to each
+//! destination, where each source's message lands — and
 //! [`CommPkg::begin`] / [`CommPkg::finish`] are the one split-phase pair
-//! that moves values through it, for any element type. Every planned
-//! exchange calls that pair: the matrix halo ([`crate::ParCsr`] shares
-//! its pattern's [`Halo`]), AMG setup's point exchanges (states,
-//! weights, coarse numberings over a matrix's halo, and PMIS's sums
-//! back to the owners over the same schedule reversed) and the
-//! assembly-plan replays ([`crate::AssemblyPlan`],
+//! that moves messages through it: one per neighbour, whose payload is
+//! built from that destination's id list. One value per id
+//! ([`CommPkg::begin_values`] / [`CommPkg::finish_values`]) is one
+//! instance; whole sparse rows are another. Every planned exchange
+//! calls that pair: the matrix halo ([`crate::ParCsr`] shares its
+//! pattern's [`Halo`]), AMG setup's point exchanges (states, weights,
+//! coarse numberings over a matrix's halo, and PMIS's sums back to the
+//! owners over the same schedule reversed), the rows SpGEMM reads over
+//! its left operand's halo and the transpose sends back over its
+//! operand's, and the assembly-plan replays ([`crate::AssemblyPlan`],
 //! [`crate::VectorPlan`]).
 
 use std::ops::Range;
@@ -16,7 +20,7 @@ use std::ops::Range;
 use parcomm::{FaultKind, Message, Rank, Tag, TagClass};
 use resilience::SolveError;
 
-use crate::dist::{owner_requests, RowDist};
+use crate::dist::RowDist;
 
 /// Exchange schedule: who sends what to whom, and where it lands.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -35,7 +39,8 @@ impl CommPkg {
     pub(crate) fn pull(rank: &Rank, dist: &RowDist, ids: &[u64]) -> CommPkg {
         let me = rank.rank();
         let recvs = dist.owner_runs(ids.iter().copied());
-        let requests = owner_requests(me, &recvs, ids);
+        assert!(recvs.iter().all(|(owner, _)| *owner != me), "own id listed as external");
+        let requests = recvs.iter().map(|(owner, range)| (*owner, ids[range.clone()].to_vec())).collect();
         let sends = rank
             .sparse_exchange(requests)
             .into_iter()
@@ -74,8 +79,9 @@ impl CommPkg {
     }
 
     /// This schedule run backwards (receive ranges become send lists,
-    /// send lists receive ranges), built locally with no message.
-    fn reversed(&self) -> CommPkg {
+    /// send lists receive ranges, in the same order), built locally with
+    /// no message.
+    pub(crate) fn reversed(&self) -> CommPkg {
         let sends = self.recvs.iter().map(|(src, range)| (*src, range.clone().collect())).collect();
         let mut at = 0;
         let recvs = self.sends.iter().map(|(dst, ids)| {
@@ -95,24 +101,46 @@ impl CommPkg {
         self.sends.iter().map(|(_, s)| s.len()).sum()
     }
 
-    /// First half of an exchange: gather `local[id]` for every send id
-    /// and post one message per destination on `tag`. The receives stay
-    /// outstanding until [`CommPkg::finish`], so local work placed in
-    /// between overlaps the messages in flight.
-    pub fn begin<T: Message + Copy>(&self, rank: &Rank, tag: Tag, local: &[T]) {
+    /// First half of an exchange: post one message per destination on
+    /// `tag`, the payload `pack` builds from that destination's send
+    /// ids. The receives stay outstanding until [`CommPkg::finish`], so
+    /// local work placed in between overlaps the messages in flight.
+    pub fn begin<P: Message>(&self, rank: &Rank, tag: Tag, mut pack: impl FnMut(&[usize]) -> P) {
         for (dst, ids) in &self.sends {
-            let buf: Vec<T> = ids.iter().map(|&i| local[i]).collect();
-            rank.send(*dst, tag, buf);
+            rank.send(*dst, tag, pack(ids));
         }
     }
 
-    /// Second half: receive one message per source on `tag` and append
-    /// it to `out`, so each lands at its range offset by `out`'s length
-    /// on entry (the caller's own values may come first; nothing is
-    /// zero-filled). A timeout or wrong payload type is a
-    /// [`SolveError::Comm`]; a message of the wrong length is handed to
+    /// Second half: receive one message per source on `tag`, in source
+    /// order, and hand it to `unpack` with the source and its receive
+    /// range. A timeout or wrong payload type is a [`SolveError::Comm`];
+    /// an error of `unpack`'s (a payload that does not fit its range)
+    /// is returned as it is.
+    pub fn finish<P: Message>(
+        &self,
+        rank: &Rank,
+        tag: Tag,
+        mut unpack: impl FnMut(usize, Range<usize>, P) -> Result<(), SolveError>,
+    ) -> Result<(), SolveError> {
+        for (src, range) in &self.recvs {
+            let msg: P = rank.try_recv(*src, tag)?;
+            unpack(*src, range.clone(), msg)?;
+        }
+        Ok(())
+    }
+
+    /// [`CommPkg::begin`] with one value per id: gather `local[id]` for
+    /// every send id.
+    pub fn begin_values<T: Message + Copy>(&self, rank: &Rank, tag: Tag, local: &[T]) {
+        self.begin(rank, tag, |ids| ids.iter().map(|&i| local[i]).collect::<Vec<T>>());
+    }
+
+    /// [`CommPkg::finish`] with one value per id: append each source's
+    /// values to `out`, so each lands at its range offset by `out`'s
+    /// length on entry (the caller's own values may come first; nothing
+    /// is zero-filled). A message of the wrong length is handed to
     /// `mismatch` as `(src, expected, got)`, whose error is returned.
-    pub fn finish<T: Message + Copy>(
+    pub fn finish_values<T: Message + Copy>(
         &self,
         rank: &Rank,
         tag: Tag,
@@ -120,14 +148,13 @@ impl CommPkg {
         mismatch: impl Fn(usize, usize, usize) -> SolveError,
     ) -> Result<(), SolveError> {
         out.reserve(self.n_recv());
-        for (src, range) in &self.recvs {
-            let buf: Vec<T> = rank.try_recv(*src, tag)?;
+        self.finish(rank, tag, |src, range, buf: Vec<T>| {
             if buf.len() != range.len() {
-                return Err(mismatch(*src, range.len(), buf.len()));
+                return Err(mismatch(src, range.len(), buf.len()));
             }
             out.extend_from_slice(&buf);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -143,9 +170,9 @@ pub(crate) fn socket_drop_hook(rank: &Rank) -> Result<(), SolveError> {
     Ok(())
 }
 
-/// A halo message of the wrong length, as [`CommPkg::finish`]'s
+/// A halo message of the wrong length, as [`CommPkg::finish_values`]'s
 /// `mismatch`.
-fn corruption(rank: &Rank, src: usize, expected: usize, got: usize) -> SolveError {
+pub(crate) fn corruption(rank: &Rank, src: usize, expected: usize, got: usize) -> SolveError {
     SolveError::HaloCorruption {
         context: rank.phase_name(),
         src,
@@ -204,18 +231,10 @@ impl Halo {
     }
 
     /// Exchange per-point values: returns the external values aligned
-    /// with `col_map`. Collective among neighbours.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a corrupted exchange; see [`Halo::try_exchange`].
-    pub fn exchange<T: HaloValue>(&self, rank: &Rank, local: &[T]) -> Vec<T> {
-        self.try_exchange(rank, local).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Halo::exchange`] with decode failures (timeout, payload type,
-    /// payload length) surfaced as a typed [`SolveError`]. Hosts the
+    /// with `col_map`, or the first decode failure (timeout, payload
+    /// type, payload length) as a typed [`SolveError`]. Hosts the
     /// `socket-drop` fault hook, and `halo-nan` for `f64` values.
+    /// Collective among neighbours.
     pub fn try_exchange<T: HaloValue>(&self, rank: &Rank, local: &[T]) -> Result<Vec<T>, SolveError> {
         socket_drop_hook(rank)?;
         self.begin(rank, local);
@@ -231,27 +250,33 @@ impl Halo {
         assert_eq!(ext.len(), self.col_map.len(), "one value per external id");
         socket_drop_hook(rank)?;
         let back = self.pkg.reversed();
-        back.begin(rank, self.tag, ext);
+        back.begin_values(rank, self.tag, ext);
         let mut sums: Vec<u64> = Vec::new();
-        back.finish(rank, self.tag, &mut sums, |src, expected, got| corruption(rank, src, expected, got))?;
+        back.finish_values(rank, self.tag, &mut sums, |src, expected, got| corruption(rank, src, expected, got))?;
         let owned = self.pkg.sends.iter().flat_map(|(_, ids)| ids);
         owned.zip(sums).for_each(|(&i, v)| local[i] += v);
         Ok(())
     }
 
-    /// [`CommPkg::begin`] on this halo's tag.
-    pub(crate) fn begin<T: HaloValue>(&self, rank: &Rank, local: &[T]) {
-        self.pkg.begin(rank, self.tag, local);
+    /// The halo's tag: whatever else moves over its schedule, forward
+    /// or reversed, rides it too.
+    pub(crate) fn tag(&self) -> Tag {
+        self.tag
     }
 
-    /// [`CommPkg::finish`] into a fresh external vector: a wrong payload
+    /// [`CommPkg::begin_values`] on this halo's tag.
+    pub(crate) fn begin<T: HaloValue>(&self, rank: &Rank, local: &[T]) {
+        self.pkg.begin_values(rank, self.tag, local);
+    }
+
+    /// [`CommPkg::finish_values`] into a fresh external vector: a wrong payload
     /// length is a [`SolveError::HaloCorruption`]. Hosts the `halo-nan`
     /// hook for values with a [`HaloValue::POISON`]: with a matching spec
     /// armed, the first external value is flipped after unpack, exactly
     /// as a corrupted wire payload would arrive.
     pub(crate) fn try_finish<T: HaloValue>(&self, rank: &Rank) -> Result<Vec<T>, SolveError> {
         let mut ext = Vec::with_capacity(self.col_map.len());
-        self.pkg.finish(rank, self.tag, &mut ext, |src, expected, got| corruption(rank, src, expected, got))?;
+        self.pkg.finish_values(rank, self.tag, &mut ext, |src, expected, got| corruption(rank, src, expected, got))?;
         if let Some(poison) = T::POISON {
             if !ext.is_empty() && rank.fault(FaultKind::HaloNan) {
                 ext[0] = poison;
@@ -278,11 +303,11 @@ mod tests {
             let local: Vec<f64> = (0..2)
                 .map(|l| (dist.start(rank.rank()) + l) as f64 * 10.0)
                 .collect();
-            let ext = halo.exchange(rank, &local);
+            let ext = halo.try_exchange(rank, &local).unwrap();
             assert_eq!(ext, vec![dist.start(next) as f64 * 10.0]);
 
             let local_u: Vec<u64> = local.iter().map(|&v| v as u64).collect();
-            let ext_u = halo.exchange(rank, &local_u);
+            let ext_u = halo.try_exchange(rank, &local_u).unwrap();
             assert_eq!(ext_u, vec![dist.start(next) * 10]);
         });
     }
@@ -292,7 +317,7 @@ mod tests {
         Comm::run(2, |rank| {
             let dist = RowDist::block(4, 2);
             let halo = Halo::new(rank, &dist, vec![]);
-            let ext = halo.exchange(rank, &[1.0, 2.0]);
+            let ext = halo.try_exchange(rank, &[1.0, 2.0]).unwrap();
             assert!(ext.is_empty());
             let mut local = [5, 6];
             halo.try_sum_to_owners(rank, &[], &mut local).unwrap();

@@ -77,18 +77,9 @@ impl IjMatrix {
     }
 
     /// Algorithm 1: exchange off-rank entries, sort + reduce, split into
-    /// diag/offd. Collective.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a corrupted exchange; see [`IjMatrix::try_assemble`]
-    /// for the fallible variant.
-    pub fn assemble(self, rank: &Rank) -> ParCsr {
-        self.try_assemble(rank).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`IjMatrix::assemble`] with decode failures (timeout, payload
-    /// type, receive-count mismatch) surfaced as a typed [`SolveError`].
+    /// diag/offd, with decode failures (timeout, payload type,
+    /// receive-count mismatch) surfaced as a typed [`SolveError`].
+    /// Collective.
     /// Hosts the `assembly-nan` fault-injection hook: with a matching
     /// spec armed, one owned COO value is corrupted to NaN before the
     /// exchange — exactly the torn-triple corruption the hypre IJ
@@ -306,9 +297,9 @@ impl AssemblyPlan {
 
         let pkg = CommPkg::push(rank, &row_dist, shared.iter().map(|&(r, _)| r), |k| k);
         let key_tag = rank.alloc_tag();
-        pkg.begin(rank, key_tag, shared);
+        pkg.begin_values(rank, key_tag, shared);
         let mut keys = owned.to_vec();
-        pkg.finish(rank, key_tag, &mut keys, plan_mismatch)
+        pkg.finish_values(rank, key_tag, &mut keys, plan_mismatch)
             .unwrap_or_else(|e| panic!("pattern exchange: {e}"));
 
         let my_cols = col_dist.start(me)..col_dist.end(me);
@@ -375,9 +366,9 @@ impl AssemblyPlan {
             if let Some(k) = &k {
                 k.launch(n_shared, cost::stream(n_shared, 2));
             }
-            self.pkg.begin(rank, self.tag, shared_vals);
+            self.pkg.begin_values(rank, self.tag, shared_vals);
         }
-        self.pkg.finish(rank, self.tag, &mut stack, plan_mismatch)?;
+        self.pkg.finish_values(rank, self.tag, &mut stack, plan_mismatch)?;
 
         let entries = self.diag.first.len() + self.offd.first.len();
         let contribs = self.diag.contribs() + self.offd.contribs();
@@ -509,9 +500,9 @@ impl IjVector {
             self.shared_ids == plan.ids,
             "off-rank id sequence differs from the one the plan was recorded from"
         );
-        plan.pkg.begin(rank, plan.tag, &self.shared_vals);
+        plan.pkg.begin_values(rank, plan.tag, &self.shared_vals);
         let mut stack = Vec::new();
-        plan.pkg.finish(rank, plan.tag, &mut stack, plan_mismatch)?;
+        plan.pkg.finish_values(rank, plan.tag, &mut stack, plan_mismatch)?;
 
         // Gather + scatter-add, one fused launch.
         {
@@ -559,9 +550,9 @@ impl VectorPlan {
         });
         let pkg = CommPkg::push(rank, &v.dist, order.iter().map(|&p| v.shared_ids[p]), |k| order[k]);
         let key_tag = rank.alloc_tag();
-        pkg.begin(rank, key_tag, &v.shared_ids);
+        pkg.begin_values(rank, key_tag, &v.shared_ids);
         let mut recv_ids = Vec::new();
-        pkg.finish(rank, key_tag, &mut recv_ids, plan_mismatch)
+        pkg.finish_values(rank, key_tag, &mut recv_ids, plan_mismatch)
             .unwrap_or_else(|e| panic!("id exchange: {e}"));
         let mut rows: Vec<u32> = Vec::new();
         let mut gather = Gather::default();
@@ -605,7 +596,7 @@ mod tests {
                         ij.add_value(i + 1, i, -1.0);
                     }
                 }
-                ij.assemble(rank).to_serial(rank)
+                ij.try_assemble(rank).unwrap().to_serial(rank)
             });
             // Serial reference: assemble the same edges on one "rank".
             let mut coo = sparse_kit::Coo::new();
@@ -629,7 +620,7 @@ mod tests {
             let mut ij = IjMatrix::new(rank, dist.clone(), dist);
             // All ranks hit global (0,0).
             ij.add_value(0, 0, 1.0);
-            ij.assemble(rank).to_serial(rank)
+            ij.try_assemble(rank).unwrap().to_serial(rank)
         });
         assert_eq!(out[0].get(0, 0), 3.0);
     }
@@ -644,7 +635,7 @@ mod tests {
                 let other_row = if rank.rank() == 0 { 2 } else { 0 };
                 ij.add_value(other_row, 0, 1.0);
                 ij.add_value(rank.rank() as u64 * 2, 0, 1.0);
-                ij.assemble(rank)
+                ij.try_assemble(rank).unwrap()
             });
         });
         for t in &traces {
@@ -698,7 +689,7 @@ mod tests {
     fn empty_assembly_yields_zero_structures() {
         Comm::run(2, |rank| {
             let dist = RowDist::block(4, 2);
-            let a = IjMatrix::new(rank, dist.clone(), dist.clone()).assemble(rank);
+            let a = IjMatrix::new(rank, dist.clone(), dist.clone()).try_assemble(rank).unwrap();
             assert_eq!(a.local_nnz(), 0);
             let v = IjVector::new(rank, dist).assemble(rank);
             assert!(v.local.iter().all(|&x| x == 0.0));
@@ -762,7 +753,7 @@ mod tests {
             for &(r, c) in owned.iter().chain(&shared) {
                 ij.add_value(r, c, 1.0);
             }
-            let fresh = ij.assemble(rank);
+            let fresh = ij.try_assemble(rank).unwrap();
             assert!(!fresh.comm_pkg().sends.is_empty());
             assert_eq!(a.comm_pkg(), fresh.comm_pkg());
             assert_eq!(b.comm_pkg(), fresh.comm_pkg());

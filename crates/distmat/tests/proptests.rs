@@ -235,9 +235,9 @@ proptest! {
     /// The one neighbour exchange moves values bit for bit: `f64` values
     /// (−0.0, subnormals, NaN payloads, arbitrary bits) and `u64` values
     /// arrive exactly, over random sorted external column maps — rank
-    /// 0's always empty — at 1–4 ranks, and `begin`, local work that
-    /// overwrites the sent buffer, then `finish` receives what `begin`
-    /// and `finish` back to back do.
+    /// 0's always empty — at 1–4 ranks, and `begin_values`, local work
+    /// that overwrites the sent buffer, then `finish_values` receives what
+    /// the two back to back do.
     #[test]
     fn exchange_delivers_values_bitwise(
         (n, picks, pool) in (4u64..24).prop_flat_map(|n| (
@@ -266,19 +266,19 @@ proptest! {
                 let u = |g: u64| g.wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut local: Vec<f64> = own.clone().map(f).collect();
                 let want: Vec<f64> = col_map.iter().map(|&g| f(g)).collect();
-                assert_eq!(bits(&halo.exchange(rank, &local)), bits(&want), "p={p}: f64");
+                assert_eq!(bits(&halo.try_exchange(rank, &local).unwrap()), bits(&want), "p={p}: f64");
                 let local_u: Vec<u64> = own.clone().map(u).collect();
                 let want_u: Vec<u64> = col_map.iter().map(|&g| u(g)).collect();
-                assert_eq!(halo.exchange(rank, &local_u), want_u, "p={p}: u64");
+                assert_eq!(halo.try_exchange(rank, &local_u).unwrap(), want_u, "p={p}: u64");
 
                 let (pkg, tag) = (halo.comm_pkg(), rank.alloc_tag());
                 let mut back_to_back = Vec::new();
-                pkg.begin(rank, tag, &local);
-                pkg.finish(rank, tag, &mut back_to_back, |src, _, _| panic!("from {src}")).unwrap();
+                pkg.begin_values(rank, tag, &local);
+                pkg.finish_values(rank, tag, &mut back_to_back, |src, _, _| panic!("from {src}")).unwrap();
                 let mut overlapped = vec![f64::NEG_INFINITY];
-                pkg.begin(rank, tag, &local);
+                pkg.begin_values(rank, tag, &local);
                 local.iter_mut().for_each(|v| *v = v.mul_add(2.0, 1.0));
-                pkg.finish(rank, tag, &mut overlapped, |src, _, _| panic!("from {src}")).unwrap();
+                pkg.finish_values(rank, tag, &mut overlapped, |src, _, _| panic!("from {src}")).unwrap();
                 assert_eq!(overlapped.remove(0), f64::NEG_INFINITY, "p={p}: appends");
                 assert_eq!(bits(&overlapped), bits(&back_to_back), "p={p}: split phase");
                 assert_eq!(bits(&back_to_back), bits(&want), "p={p}: split phase");
@@ -327,7 +327,7 @@ proptest! {
                     ij.add_value(i, j, v);
                 }
             }
-            ij.assemble(rank).to_serial(rank)
+            ij.try_assemble(rank).unwrap().to_serial(rank)
         });
         let mut coo = Coo::new();
         for &(i, j, v, _) in &entries {
@@ -391,9 +391,9 @@ proptest! {
             let cd = RowDist::block(nc as u64, rank.size());
             let pa = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &a_ref);
             let pp = ParCsr::from_serial(rank, rd, cd, &p_ref);
-            let t = distmat::ops::par_transpose(rank, &pp).to_serial(rank);
-            let rap = distmat::ops::par_rap(rank, &pa, &pp).to_serial(rank);
-            (t, rap)
+            let pt = distmat::ops::par_transpose(rank, &pp).unwrap();
+            let rap = distmat::ops::par_spgemm(rank, &pt, &distmat::ops::par_spgemm(rank, &pa, &pp));
+            (pt.to_serial(rank), rap.to_serial(rank))
         });
         let (t, rap) = &out[0];
         for i in 0..expected_t.nrows() {

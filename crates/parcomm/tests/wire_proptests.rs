@@ -87,7 +87,7 @@ proptest! {
     fn coo_triple_round_trips(
         (n, chunk) in (0usize..40, 1usize..16)
     ) {
-        // The CooBuffers triple of `IjMatrix::assemble`, with synthetic
+        // The CooBuffers triple of `IjMatrix::try_assemble`, with synthetic
         // but bit-varied values.
         let rows: Vec<u64> = (0..n as u64).collect();
         let cols: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();

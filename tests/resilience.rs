@@ -44,20 +44,16 @@ fn cfg_with_faults(plan: Option<&str>) -> SolverConfig {
     }
 }
 
-/// One step on 2 ranks; returns per-rank (field bits, recovery records,
-/// recovery telemetry events).
-fn run_step(
-    mesh: Mesh,
-    plan: Option<&str>,
-) -> Vec<(Vec<u64>, Vec<exawind::nalu_core::RecoveryRecord>, Vec<Event>)> {
+/// Per-rank (field bits, recovery records, recovery telemetry events).
+type StepOut = Vec<(Vec<u64>, Vec<exawind::nalu_core::RecoveryRecord>, Vec<Event>)>;
+
+/// One step on 2 ranks.
+fn run_step(mesh: Mesh, plan: Option<&str>) -> StepOut {
     run_step_on(vec![mesh], plan)
 }
 
 /// [`run_step`] over a set of overset meshes, with the bits of every mesh.
-fn run_step_on(
-    meshes: Vec<Mesh>,
-    plan: Option<&str>,
-) -> Vec<(Vec<u64>, Vec<exawind::nalu_core::RecoveryRecord>, Vec<Event>)> {
+fn run_step_on(meshes: Vec<Mesh>, plan: Option<&str>) -> StepOut {
     Comm::run(2, move |rank| {
         let mut sim = Simulation::new(rank, meshes.clone(), cfg_with_faults(plan));
         let report = sim.step(rank);
@@ -188,31 +184,46 @@ fn transport_faults_recover_bitwise() {
 /// so both ranks abort the same exchange and walk the same ladder.
 #[test]
 fn injected_socket_drop_recovers_bitwise() {
-    socket_drop_recovers_bitwise("socket-drop@continuity:1");
+    socket_drop_recovers_bitwise(&run_step(small_box(), None), "socket-drop@continuity:1");
 }
 
-/// The same in the pressure AMG setup, whose first exchange is PMIS's.
+/// The same at every hook call of the pressure AMG setup: PMIS's
+/// exchanges and sums, interpolation's id pulls and the transposes. The
+/// number of calls in the step's one setup is probed, not assumed.
 #[test]
 fn injected_socket_drop_in_amg_setup_recovers_bitwise() {
-    socket_drop_recovers_bitwise("socket-drop@precond setup:1");
+    let calls = Comm::run(2, |rank| {
+        let mut sim = Simulation::new(
+            rank,
+            vec![small_box()],
+            cfg_with_faults(Some("socket-drop@precond setup:1000000")),
+        );
+        sim.step(rank);
+        rank.fault_counters()[0].0
+    });
+    assert_eq!(calls[0], calls[1], "setup hook calls differ across ranks");
+    assert!(calls[0] > 1, "probe found {} hook calls", calls[0]);
+    let clean = run_step(small_box(), None);
+    for k in 1..=calls[0] {
+        socket_drop_recovers_bitwise(&clean, &format!("socket-drop@precond setup:{k}"));
+    }
 }
 
-fn socket_drop_recovers_bitwise(spec: &str) {
-    let clean = run_step(small_box(), None);
+fn socket_drop_recovers_bitwise(clean: &StepOut, spec: &str) {
     let faulted = run_step(small_box(), Some(spec));
     for (r, ((cb, _, _), (fb, recs, events))) in clean.iter().zip(&faulted).enumerate() {
-        assert_eq!(recs.len(), 1, "rank {r}: expected one recovery, got {recs:?}");
+        assert_eq!(recs.len(), 1, "{spec} rank {r}: expected one recovery, got {recs:?}");
         let rec = &recs[0];
-        assert_eq!(rec.eq, "continuity");
-        assert_eq!(rec.fault, "comm");
+        assert_eq!(rec.eq, "continuity", "{spec}");
+        assert_eq!(rec.fault, "comm", "{spec}");
         assert!(
             rec.detail.contains("injected socket drop"),
-            "rank {r}: {rec:?}"
+            "{spec} rank {r}: {rec:?}"
         );
-        assert_eq!(rec.action, "rebuild");
-        assert_eq!(rec.outcome, "recovered");
-        assert_eq!(events.len(), 1, "rank {r}: {events:?}");
-        assert_eq!(cb, fb, "rank {r}: recovered fields differ from clean run");
+        assert_eq!(rec.action, "rebuild", "{spec}");
+        assert_eq!(rec.outcome, "recovered", "{spec}");
+        assert_eq!(events.len(), 1, "{spec} rank {r}: {events:?}");
+        assert_eq!(cb, fb, "{spec} rank {r}: recovered fields differ from clean run");
     }
     // The recovery walk is collective: identical on both ranks.
     let walk = |recs: &[exawind::nalu_core::RecoveryRecord]| -> Vec<(String, String, usize)> {
