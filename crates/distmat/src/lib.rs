@@ -11,15 +11,15 @@
 //!   Matrix Vector Multiply in parallel".
 //!
 //! Every planned neighbour exchange — the halo of an SpMV, AMG setup's
-//! per-point exchanges, the assembly-plan replays — runs through one
-//! [`CommPkg`] and its `begin`/`finish` pair ([`halo`]).
+//! per-point exchanges and row exchanges, the assembly-plan replays —
+//! runs through one [`CommPkg`] and its `begin`/`finish` pair ([`halo`]).
 //!
 //! [`ij`] implements the paper's Algorithm 1 (global matrix assembly) and
 //! Algorithm 2 (global vector assembly) on top of the Thrust-style
 //! primitives, including the `nnz_recv` pre-computation that lets buffers
 //! be allocated up front, and the plans that replay both algorithms for
-//! new values on a fixed pattern. [`ops`] provides the distributed SpGEMM,
-//! transpose, and Galerkin RAP used by AMG setup.
+//! new values on a fixed pattern. [`ops`] provides the distributed SpGEMM
+//! and transpose that AMG setup forms its Galerkin products with.
 
 pub mod dist;
 pub mod halo;

@@ -55,7 +55,7 @@ impl Rows {
     /// per id of the source's range, and stack them. A message that does
     /// not hold as many counts, and as many columns and values as they
     /// sum to, is a [`SolveError::HaloCorruption`] counting all three.
-    fn recv(rank: &Rank, pkg: &CommPkg, tag: Tag) -> Result<Rows, SolveError> {
+    fn receive(rank: &Rank, pkg: &CommPkg, tag: Tag) -> Result<Rows, SolveError> {
         let mut rows = Rows { ptr: vec![0], cols: Vec::new(), vals: Vec::new() };
         pkg.finish(rank, tag, |src, range, (counts, cols, vals): RowsMsg| {
             let entries = counts.iter().sum::<u64>() as usize;
@@ -83,8 +83,7 @@ impl Rows {
 ///
 /// # Panics
 ///
-/// Panics on distribution mismatch, and on a failed or corrupted row
-/// message: the products' signatures have no room for the error.
+/// As [`par_spgemm`].
 fn ext_rows(rank: &Rank, a: &ParCsr, b: &ParCsr) -> Rows {
     assert_eq!(a.col_dist(), b.row_dist(), "A columns must be distributed like B rows");
     let b_row = |li: usize| {
@@ -95,7 +94,7 @@ fn ext_rows(rank: &Rank, a: &ParCsr, b: &ParCsr) -> Rows {
     };
     let (pkg, tag) = (a.comm_pkg(), a.halo().tag());
     pkg.begin(rank, tag, |ids| pack_rows(ids, b_row));
-    Rows::recv(rank, pkg, tag).unwrap_or_else(|e| panic!("{e}"))
+    Rows::receive(rank, pkg, tag).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Aᵀ distributed, with no arithmetic. The diag block is `a.diag`'s local
@@ -124,7 +123,7 @@ pub fn par_transpose(rank: &Rank, a: &ParCsr) -> Result<ParCsr, SolveError> {
     };
     let (back, tag) = (a.comm_pkg().reversed(), a.halo().tag());
     back.begin(rank, tag, |ks| pack_rows(ks, t_row));
-    let got = Rows::recv(rank, &back, tag)?;
+    let got = Rows::receive(rank, &back, tag)?;
     let ids: Vec<usize> = a.comm_pkg().sends.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
     let mut ext_cols = got.cols.clone();
     ext_cols.sort_unstable();
@@ -151,7 +150,7 @@ pub fn par_transpose(rank: &Rank, a: &ParCsr) -> Result<ParCsr, SolveError> {
 /// # Panics
 ///
 /// Panics on distribution mismatch, and on a failed or corrupted row
-/// message (see [`ext_rows`]).
+/// message: the signature has no room for the error.
 pub fn par_spgemm(rank: &Rank, a: &ParCsr, b: &ParCsr) -> ParCsr {
     multiply(rank, a, b, &ext_rows(rank, a, b))
 }

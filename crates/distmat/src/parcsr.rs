@@ -37,7 +37,7 @@ impl ParCsr {
     /// Build from a local COO whose rows are *global* ids owned by this
     /// rank and whose columns are global ids anywhere, row-major sorted
     /// and combined ([`Coo::sort_and_combine`]'s output, which IJ
-    /// assembly, strength, interpolation and the transposes hold already):
+    /// assembly and interpolation hold already):
     /// the entries are split into the two blocks in one pass, with no
     /// copy and no re-sort. Collective: builds the halo communication
     /// package.

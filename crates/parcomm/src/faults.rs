@@ -38,12 +38,14 @@
 //!
 //! Occurrences are counted per matching hook invocation, so a broad
 //! context can hit more sites than expected: `assembly-nan@continuity`
-//! also counts the IJ assemblies inside AMG setup (phase
-//! `continuity/precond setup`), which are only the restrictions
-//! `R = Pᵀ` (`par_transpose`), so a value corrupted there lands in R.
-//! In that phase PMIS's exchanges and its sums back to the owners host
-//! `socket-drop` too, and a drop there reaches the recovery ladder as a
-//! typed error. Pin the context when targeting the fine system — e.g.
+//! also counts AMG setup's transposes `R = Pᵀ` (`par_transpose`, phase
+//! `continuity/precond setup`): they assemble no IJ matrix but host the
+//! same hooks, once each before any send, so a value corrupted there
+//! lands in R's first stored diag value. In that phase PMIS's exchanges
+//! and its sums back to the owners, interpolation's id pulls and the
+//! transposes host `socket-drop` too, and a drop at any of them reaches
+//! the recovery ladder as a typed error (SpGEMM's row exchange hosts no
+//! hook). Pin the context when targeting the fine system — e.g.
 //! `assembly-nan@continuity/global` matches only the global assembly of
 //! the continuity equation itself; that hook (and `socket-drop` there)
 //! fires exactly once per solve attempt, before any message is sent.

@@ -29,7 +29,8 @@ use telemetry::LogHistogram;
 pub enum TagClass {
     /// Plain point-to-point traffic on user tags.
     P2p,
-    /// Halo-exchange traffic (tags allocated by `distmat::halo`).
+    /// Traffic on a halo's tag (allocated by `distmat::halo`): value
+    /// exchanges, and AMG setup's row messages over an operand's halo.
     Halo,
     /// Internal traffic of collective operations.
     Collective,
