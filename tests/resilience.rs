@@ -477,3 +477,49 @@ fn a_new_simulation_replaces_what_a_dropped_one_left_on_its_rank() {
         assert_eq!(secs_b, secs_a, "B timed a kernel");
     });
 }
+
+/// The field bits of a recovery that lands past the rebuild rung, pinned
+/// on the rotating 2-mesh turbine case. A global-assembly NaN in two
+/// consecutive attempts of one system recovers on the fallback smoother
+/// (Jacobi-Richardson for momentum and the scalar, SGS2 for continuity);
+/// in three, on the cut time step. Occurrence 1 is the background mesh's
+/// first solve of the system, which uniform inflow leaves trivial, so
+/// every rung lands on the clean run's bits; occurrence 2 is the rotor
+/// mesh's, where GMRES iterates and each rung moves the answer. The
+/// checksum is an FNV-64 of every mesh's final `vel`/`p`/`nut` bits.
+#[test]
+fn recovery_rungs_past_rebuild_pin_their_field_bits() {
+    use exawind::resilience::checkpoint::fnv64;
+    use exawind::windmesh::turbine::{generate, NrelCase};
+    const CLEAN: u64 = 0xe184_93bc_ff77_1e9b;
+    let meshes = generate(NrelCase::SingleLow, 1e-4).meshes;
+    let cases = [
+        ("momentum", 1, CLEAN, CLEAN),
+        ("momentum", 2, 0x26d1_a80e_f606_32ba, 0xe45b_1ccd_6301_ead6),
+        ("scalar", 1, CLEAN, CLEAN),
+        ("scalar", 2, 0x9c29_ab83_479c_f2cb, 0x86fe_8e24_f5da_14f9),
+        ("continuity", 1, CLEAN, CLEAN),
+        ("continuity", 2, 0x2079_0579_a902_e6a9, 0x3af7_3aa4_b10f_4923),
+    ];
+    for (eq, first, fallback, cut) in cases {
+        let rungs = [(2, "fallback_smoother", fallback), (3, "cut_timestep", cut)];
+        for (count, rung, checksum) in rungs {
+            let spec = format!("assembly-nan@{eq}/global:{first}x{count}");
+            let out = run_step_on(meshes.clone(), Some(&spec));
+            for (r, (bits, recs, _)) in out.iter().enumerate() {
+                let walk: Vec<(&str, &str, &str)> = recs
+                    .iter()
+                    .map(|rec| (rec.eq.as_str(), rec.action.as_str(), rec.outcome.as_str()))
+                    .collect();
+                let mut expected = vec![(eq, "rebuild", "retry")];
+                if rung == "cut_timestep" {
+                    expected.push((eq, "fallback_smoother", "retry"));
+                }
+                expected.push((eq, rung, "recovered"));
+                assert_eq!(walk, expected, "{spec} rank {r}");
+                let bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+                assert_eq!(fnv64(&bytes), checksum, "{spec} rank {r}: field bits moved");
+            }
+        }
+    }
+}
