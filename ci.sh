@@ -241,6 +241,23 @@ refill_sites=$(grep -rnE 'Sgs2::with_sweeps|reuse_or_setup' crates/core/src || t
 [ -z "$refill_sites" ] \
   || { echo "refill gate: an operator copy or comparison in the Picard driver: $refill_sites" >&2; exit 1; }
 
+# Each stage of a solve attempt is written once: one preconditioner
+# enum for every attempt, one GMRES helper that gathers the solutions
+# (the one `to_serial` of the Picard driver) and no per-attempt copy of
+# the configuration. Above its `#[cfg(test)]` line sim.rs names
+# `to_serial(` once and none of the per-equation attempt types or
+# `cfg.clone()`, and nothing under crates/, src/, tests/ or examples/
+# names the panicking `build_matrix` wrapper, so a second copy cannot
+# come back unnoticed.
+driver_src=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/sim.rs)
+gather_count=$(grep -o 'to_serial(' <<<"$driver_src" | wc -l)
+attempt_sites=$(grep -nE 'TransportPrecond|PressureOperator|PressurePrecond|cfg\.clone\(\)' \
+  <<<"$driver_src" || true)
+wrapper_sites=$(grep -rnE '(^|[^_[:alnum:]])build_matrix\(' --include='*.rs' \
+  crates src tests examples || true)
+[ "$gather_count" -eq 1 ] && [ -z "$attempt_sites$wrapper_sites" ] \
+  || { echo "driver gate: sim.rs has $gather_count to_serial( (expected 1) or a second attempt stage is back: $attempt_sites $wrapper_sites" >&2; exit 1; }
+
 # One schema version: no telemetry source file describes, or branches
 # on, a stream older than the one it writes.
 old_schema=$(grep -rnE 'pre-v[0-9]' crates/telemetry/src || true)

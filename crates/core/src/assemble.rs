@@ -374,18 +374,8 @@ pub fn fill_scalar(
     rhs
 }
 
-/// Stage 3 for the matrix. Collective.
-pub fn build_matrix(
-    rank: &Rank,
-    dm: &DofMap,
-    graph: &EquationGraph,
-    vals: &LocalValues,
-) -> ParCsr {
-    try_build_matrix(rank, dm, graph, vals).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible stage-3 assembly: exchange failures and injected coefficient
-/// corruption surface as [`resilience::SolveError`] instead of panicking.
+/// Stage 3 for the matrix. Collective. Exchange failures and injected
+/// coefficient corruption surface as [`resilience::SolveError`].
 /// The first call on a graph runs Algorithm 1 on its pattern to record
 /// the graph's [`AssemblyPlan`]; this and every later call replay it.
 pub fn try_build_matrix(
@@ -583,7 +573,7 @@ mod tests {
                 rank, &s.mesh, &s.dm, &g, &s.tags, &state, &params,
                 &s.owned_edges, &s.owned_nodes, &mut vals,
             );
-            let a = build_matrix(rank, &s.dm, &g, &vals);
+            let a = try_build_matrix(rank, &s.dm, &g, &vals).unwrap();
             let [bx, by, bz] = rhs;
             let bx = bx.assemble(rank).to_serial(rank);
             let by = by.assemble(rank).to_serial(rank);
@@ -642,7 +632,7 @@ mod tests {
                 rank, &s.mesh, &s.dm, &g, &s.tags, &state, &params,
                 &s.owned_edges, &s.owned_nodes, &mut vals,
             );
-            let a = build_matrix(rank, &s.dm, &g, &vals).to_serial(rank);
+            let a = try_build_matrix(rank, &s.dm, &g, &vals).unwrap().to_serial(rank);
             for i in 0..a.nrows() {
                 let gi = s.dm.gid.iter().position(|&x| x == i as u64).unwrap();
                 if dir[gi] {
@@ -698,7 +688,7 @@ mod tests {
                 rank, &s.mesh, &s.dm, &g, &s.tags, &state, &params,
                 &s.owned_edges, &s.owned_nodes, &mut vals,
             );
-            let a = build_matrix(rank, &s.dm, &g, &vals).to_serial(rank);
+            let a = try_build_matrix(rank, &s.dm, &g, &vals).unwrap().to_serial(rank);
             let [bx, _, _] = rhs;
             let bx = bx.assemble(rank).to_serial(rank);
             for (n, &dn) in dir.iter().enumerate() {
@@ -730,7 +720,7 @@ mod tests {
                 rank, &s.mesh, &s.dm, &g, &s.tags, &state, &params,
                 &s.owned_edges, &s.owned_nodes, &mut vals,
             );
-            let a = build_matrix(rank, &s.dm, &g, &vals).to_serial(rank);
+            let a = try_build_matrix(rank, &s.dm, &g, &vals).unwrap().to_serial(rank);
             let b = rhs.assemble(rank).to_serial(rank);
             let n = s.mesh.n_nodes();
             let x = vec![params.nut_inflow; n];
@@ -768,7 +758,7 @@ mod tests {
                     rank, &s.mesh, &s.dm, &g, &s.tags, &state, &params,
                     &s.owned_edges, &s.owned_nodes, &mut vals,
                 );
-                let a = build_matrix(rank, &s.dm, &g, &vals).to_serial(rank);
+                let a = try_build_matrix(rank, &s.dm, &g, &vals).unwrap().to_serial(rank);
                 let [bx, _, _] = rhs;
                 let bx = bx.assemble(rank).to_serial(rank);
                 // Convert to node ordering (gid-independent comparison).

@@ -168,57 +168,61 @@ impl Default for AttemptMods {
     }
 }
 
-/// What preconditions one momentum or scalar solve attempt, holding the
-/// operator GMRES runs against: the assembled matrix moves in, so it
-/// exists once. (One lives on the stack per attempt, so its variants may
-/// differ in size.)
+/// What preconditions one solve attempt, holding the operator GMRES runs
+/// against: the assembled matrix moves in, so it exists once. (One lives
+/// on the stack per attempt, so its variants may differ in size.)
 #[allow(clippy::large_enum_variant)]
-enum TransportPrecond {
-    /// Compact SGS2 over the operator it owns.
+enum AttemptPrecond {
+    /// The pressure AMG preconditioner, cached or set up by the attempt;
+    /// the operator is level 0 of its hierarchy.
+    Amg(AmgPrecond),
+    /// Compact SGS2 over the operator it owns: the transport smoother,
+    /// and the recovery ladder's demotion of the pressure AMG.
     Sgs2(Sgs2),
-    /// The recovery ladder's Jacobi-Richardson demotion.
+    /// The recovery ladder's Jacobi-Richardson demotion of the transport
+    /// SGS2.
     Jacobi(ParCsr, JacobiPrecond),
 }
 
-impl TransportPrecond {
-    fn setup(a: ParCsr, cfg: &SolverConfig, mods: &AttemptMods) -> Self {
-        if mods.fallback_smoother {
-            let jacobi = JacobiPrecond::new(&a.diag.diag(), 1.0);
-            TransportPrecond::Jacobi(a, jacobi)
-        } else {
-            TransportPrecond::Sgs2(Sgs2::owning(a, cfg.sgs_inner, cfg.sgs_outer))
-        }
-    }
-
+impl AttemptPrecond {
     /// `(operator, preconditioner)` for GMRES.
     fn parts(&self) -> (&ParCsr, &dyn Preconditioner) {
         match self {
-            TransportPrecond::Sgs2(sgs) => (sgs.operator(), sgs),
-            TransportPrecond::Jacobi(a, jacobi) => (a, jacobi),
+            AttemptPrecond::Amg(amg) => (amg.operator(), amg),
+            AttemptPrecond::Sgs2(sgs) => (sgs.operator(), sgs),
+            AttemptPrecond::Jacobi(a, jacobi) => (a, jacobi),
         }
     }
-}
 
-/// Where one pressure-solve attempt takes its operator from (on the
-/// stack for one attempt, as [`TransportPrecond`]).
-#[allow(clippy::large_enum_variant)]
-enum PressureOperator {
-    /// The preconditioner cached with the graphs for this `dt/ρ`, its
-    /// operator level 0 of its hierarchy: nothing is filled, assembled
-    /// or checked.
-    Cached(AmgPrecond),
-    /// Assembled by this attempt.
-    Assembled(ParCsr),
-}
-
-/// What preconditions one pressure-solve attempt, holding the operator
-/// GMRES runs against.
-enum PressurePrecond {
-    /// The AMG preconditioner; the operator is level 0 of its hierarchy.
-    Amg(AmgPrecond),
-    /// The recovery ladder's SGS2 demotion over the operator it owns
-    /// (boxed: the rare rung is far larger than the common case).
-    Fallback(Box<Sgs2>),
+    /// The solve phase of an attempt: `gmres` on each right-hand side of
+    /// `bs`, from the initial guess `guess(c)` of component `c`, against
+    /// the operator this holds. Returns the solutions gathered to full
+    /// (serial) vectors, the summed iterations and the last relative
+    /// residual; the caller commits them. The gather is part of the
+    /// phase, so its allgather is priced as solve traffic.
+    fn solve_gathered(
+        &self,
+        rank: &Rank,
+        t: &mut Timings,
+        eq: &str,
+        gmres: &Gmres,
+        bs: &[ParVector],
+        mut guess: impl FnMut(usize) -> ParVector,
+    ) -> Result<(Vec<Vec<f64>>, usize, f64), SolveError> {
+        let (a, apply) = self.parts();
+        Simulation::phased(rank, t, eq, Phase::Solve, || {
+            let mut full = Vec::with_capacity(bs.len());
+            let (mut iters, mut rel) = (0, 0.0);
+            for (c, b) in bs.iter().enumerate() {
+                let mut x = guess(c);
+                let stats = gmres.solve(rank, a, b, &mut x, apply)?;
+                iters += stats.iters;
+                rel = stats.rel_residual;
+                full.push(x.to_serial(rank));
+            }
+            Ok((full, iters, rel))
+        })
+    }
 }
 
 /// A running simulation on one rank.
@@ -228,8 +232,6 @@ pub struct Simulation {
     states: Vec<State>,
     overset: OversetAssembly,
     systems: Vec<MeshSystem>,
-    /// Cumulative per-equation, per-phase timings over all steps.
-    pub timings: Timings,
     /// Final GMRES relative residual per equation, refreshed each solve.
     final_rels: BTreeMap<String, f64>,
     step_count: usize,
@@ -290,7 +292,6 @@ impl Simulation {
             states,
             overset,
             systems,
-            timings: Timings::new(),
             final_rels: BTreeMap::new(),
             step_count: 0,
             last_ckpt: None,
@@ -408,11 +409,8 @@ impl Simulation {
 
         // --- Mesh motion + overset connectivity update ------------------
         if self.meshes.len() > 1 {
-            let d_angle = self.cfg.physics.rotor_omega * self.cfg.physics.dt;
             Self::phased(rank, &mut t, "overset", Phase::GraphPhysics, || {
-                for m in self.meshes.iter_mut().skip(1) {
-                    windmesh::motion::rotate_annulus(m, d_angle);
-                }
+                self.rotate_rotors();
                 self.overset = assemble_overset(&mut self.meshes, self.cfg.overset_margin);
             });
         }
@@ -471,7 +469,6 @@ impl Simulation {
             tel.record(sample.to_event(me, step));
         }
 
-        self.timings.merge(&t);
         Ok(StepReport {
             nli_seconds: start.elapsed().as_secs_f64(),
             gmres_iters: iters,
@@ -479,6 +476,14 @@ impl Simulation {
             recoveries,
             final_rels: self.final_rels.clone(),
         })
+    }
+
+    /// Turn every rotor mesh by one time step's angle, `rotor_omega · dt`.
+    fn rotate_rotors(&mut self) {
+        let d_angle = self.cfg.physics.rotor_omega * self.cfg.physics.dt;
+        for m in self.meshes.iter_mut().skip(1) {
+            windmesh::motion::rotate_annulus(m, d_angle);
+        }
     }
 
     /// Completed time steps (the step cursor a checkpoint captures).
@@ -680,11 +685,8 @@ impl Simulation {
         // the calls the uninterrupted run made, then reassemble the
         // overset connectivity (a pure function of the coordinates).
         if self.meshes.len() > 1 {
-            let d_angle = self.cfg.physics.rotor_omega * self.cfg.physics.dt;
             for _ in 0..ck.step {
-                for m in self.meshes.iter_mut().skip(1) {
-                    windmesh::motion::rotate_annulus(m, d_angle);
-                }
+                self.rotate_rotors();
             }
             self.overset = assemble_overset(&mut self.meshes, self.cfg.overset_margin);
         }
@@ -831,7 +833,7 @@ impl Simulation {
         kind: EqKind,
         mods: &AttemptMods,
     ) -> Result<usize, SolveError> {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let eq = kind.name();
         let sys = &mut self.systems[m];
         let mesh = &self.meshes[m];
@@ -863,29 +865,24 @@ impl Simulation {
         // Preconditioner setup: compact SGS2, or plain Jacobi-Richardson
         // when the recovery ladder has demoted the smoother.
         let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-            TransportPrecond::setup(a, &cfg, mods)
-        });
-        let (a, precond) = precond.parts();
-        let gmres = Self::make_gmres(&cfg, cfg.momentum_tol);
-        let mut total_iters = 0;
-        let mut rel = 0.0;
-        // Buffer the component solutions and commit only after every
-        // component has solved, so a mid-equation failure never leaves the
-        // field partially updated going into a retry.
-        let mut components: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
-        Self::phased(rank, t, eq, Phase::Solve, || {
-            for (c, b) in bs.iter().enumerate() {
-                let guess = nodes.iter().map(|&n| match kind {
-                    EqKind::Momentum => state.vel[n][c],
-                    _ => state.nut[n],
-                });
-                let mut x = ParVector::from_local(rank, dm.dist.clone(), guess.collect());
-                let stats = gmres.solve(rank, a, b, &mut x, precond)?;
-                total_iters += stats.iters;
-                rel = stats.rel_residual;
-                components.push(x.to_serial(rank));
+            if mods.fallback_smoother {
+                let jacobi = JacobiPrecond::new(&a.diag.diag(), 1.0);
+                AttemptPrecond::Jacobi(a, jacobi)
+            } else {
+                AttemptPrecond::Sgs2(Sgs2::owning(a, cfg.sgs_inner, cfg.sgs_outer))
             }
-            Ok::<_, SolveError>(())
+        });
+        // Warm start from the current field. The solutions are committed
+        // only after every component has solved, so a mid-equation
+        // failure never leaves the field partially updated going into a
+        // retry.
+        let gmres = Self::make_gmres(cfg, cfg.momentum_tol);
+        let (components, iters, rel) = precond.solve_gathered(rank, t, eq, &gmres, &bs, |c| {
+            let guess = nodes.iter().map(|&n| match kind {
+                EqKind::Momentum => state.vel[n][c],
+                _ => state.nut[n],
+            });
+            ParVector::from_local(rank, dm.dist.clone(), guess.collect())
         })?;
         self.final_rels.insert(eq.to_string(), rel);
         for (c, full) in components.iter().enumerate() {
@@ -898,7 +895,7 @@ impl Simulation {
                 }
             }
         }
-        Ok(total_iters)
+        Ok(iters)
     }
 
     fn try_solve_continuity(
@@ -908,7 +905,7 @@ impl Simulation {
         t: &mut Timings,
         mods: &AttemptMods,
     ) -> Result<usize, SolveError> {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let eq = EqKind::Continuity.name();
         let sys = &mut self.systems[m];
         let mesh = &self.meshes[m];
@@ -928,7 +925,7 @@ impl Simulation {
             .con_precond
             .take()
             .filter(|&(k, _)| k == key && !mods.fallback_smoother)
-            .map(|(_, amg)| amg);
+            .map(|(_, amg)| AttemptPrecond::Amg(amg));
 
         let rhs = Self::phased(rank, t, eq, Phase::LocalAssembly, || {
             if cached.is_none() {
@@ -953,78 +950,60 @@ impl Simulation {
                 &sys.owned_nodes,
             )
         });
-        let (op, b) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
-            let (op, nan) = match cached {
+        // Global assembly: the operator only on a cache miss.
+        let (a, b) = Self::phased(rank, t, eq, Phase::GlobalAssembly, || {
+            let (a, nan) = if cached.is_some() {
                 // The matrix assembly this skips hosts the assembly fault
                 // hooks; they fire here instead, against the right-hand
                 // side, so a fault plan counts the same occurrences.
-                Some(amg) => {
-                    rank.telemetry().counter("continuity.operators_reused", 1);
-                    (PressureOperator::Cached(amg), distmat::assembly_fault_hooks(rank)?)
-                }
-                None => {
-                    rank.telemetry().counter("continuity.operators_assembled", 1);
-                    let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)?;
-                    (PressureOperator::Assembled(a), false)
-                }
+                rank.telemetry().counter("continuity.operators_reused", 1);
+                (None, distmat::assembly_fault_hooks(rank)?)
+            } else {
+                rank.telemetry().counter("continuity.operators_assembled", 1);
+                let a = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals)?;
+                (Some(a), false)
             };
             let mut b = try_build_rhs(rank, graphs.rhs_plan(EqKind::Continuity), rhs)?;
             if let Some(v) = b.local.first_mut().filter(|_| nan) {
                 *v = f64::NAN;
             }
-            Ok::<_, SolveError>((op, b))
+            Ok::<_, SolveError>((a, b))
         })?;
-        let assembled = match &op {
-            PressureOperator::Assembled(a) => Some(a),
-            PressureOperator::Cached(_) => None,
-        };
-        Self::check_system_finite(rank, eq, assembled, &[&b])?;
+        Self::check_system_finite(rank, eq, a.as_ref(), &[&b])?;
         // Preconditioner setup: AMG — the cached hierarchy, or one set up
         // on the operator just assembled — demoted to SGS2 by the
         // recovery ladder (a stalled or corrupted hierarchy must not take
         // the whole step down). GMRES runs against the operator the
         // preconditioner holds, so `a` is moved, never cloned.
         let precond = Self::phased(rank, t, eq, Phase::PrecondSetup, || {
-            Ok::<_, SolveError>(match op {
-                PressureOperator::Cached(amg) => {
+            Ok::<_, SolveError>(match (cached, a) {
+                (Some(hit), _) => {
                     rank.telemetry().counter("amg.setup_reused", 1);
-                    PressurePrecond::Amg(amg)
+                    hit
                 }
-                PressureOperator::Assembled(a) if mods.fallback_smoother => {
-                    let sgs = Sgs2::owning(a, cfg.sgs_inner, cfg.sgs_outer);
-                    PressurePrecond::Fallback(Box::new(sgs))
+                (None, Some(a)) if mods.fallback_smoother => {
+                    AttemptPrecond::Sgs2(Sgs2::owning(a, cfg.sgs_inner, cfg.sgs_outer))
                 }
-                PressureOperator::Assembled(a) => {
+                (None, Some(a)) => {
                     let amg = AmgPrecond::setup(rank, a, &cfg.amg)?;
                     rank.telemetry().counter("amg.setup_rebuilt", 1);
-                    PressurePrecond::Amg(amg)
+                    AttemptPrecond::Amg(amg)
                 }
+                (None, None) => unreachable!("a cache miss assembles its operator"),
             })
         })?;
-        let (a, apply): (&ParCsr, &dyn Preconditioner) = match &precond {
-            PressurePrecond::Amg(amg) => {
-                let h = amg.hierarchy();
-                self.last_amg =
-                    Some((h.level_stats.len() as u64, h.grid_complexity, h.operator_complexity));
-                (amg.operator(), amg)
-            }
-            PressurePrecond::Fallback(sgs) => (sgs.operator(), &**sgs),
-        };
-        let gmres = Self::make_gmres(&cfg, cfg.pressure_tol);
-        let mut iters = 0;
-        let mut rel = 0.0;
-        Self::phased(rank, t, eq, Phase::Solve, || {
-            let mut x = ParVector::zeros(rank, sys.dm.dist.clone());
-            let stats = gmres.solve(rank, a, &b, &mut x, apply)?;
-            iters = stats.iters;
-            rel = stats.rel_residual;
-            let full = x.to_serial(rank);
-            for (node, g) in sys.dm.gid.iter().enumerate() {
-                state.dp[node] = full[*g as usize];
-            }
-            Ok::<_, SolveError>(())
-        })?;
-        if let PressurePrecond::Amg(amg) = precond {
+        if let AttemptPrecond::Amg(amg) = &precond {
+            let h = amg.hierarchy();
+            self.last_amg =
+                Some((h.level_stats.len() as u64, h.grid_complexity, h.operator_complexity));
+        }
+        let gmres = Self::make_gmres(cfg, cfg.pressure_tol);
+        let zeros = |_| ParVector::zeros(rank, sys.dm.dist.clone());
+        let (full, iters, rel) = precond.solve_gathered(rank, t, eq, &gmres, &[b], zeros)?;
+        for (node, g) in sys.dm.gid.iter().enumerate() {
+            state.dp[node] = full[0][*g as usize];
+        }
+        if let AttemptPrecond::Amg(amg) = precond {
             graphs.con_precond = Some((key, amg));
         }
         self.final_rels.insert(eq.to_string(), rel);

@@ -10,7 +10,7 @@
 //! ```
 
 use exawind::env::RunEnv;
-use exawind::nalu_core::{Phase, Simulation, SolverConfig};
+use exawind::nalu_core::{Phase, Simulation, SolverConfig, Timings};
 use exawind::telemetry;
 use exawind::windmesh::turbine::generate;
 use exawind::windmesh::NrelCase;
@@ -56,8 +56,10 @@ fn main() {
     let outputs = env.run(nranks, move |rank| {
         let mut sim = Simulation::new(rank, meshes.clone(), cfg.clone());
         let mut lines = Vec::new();
+        let mut timings = Timings::new();
         for step in 0..steps {
             let report = sim.step(rank);
+            timings.merge(&report.timings);
             if rank.rank() == 0 {
                 lines.push(format!(
                     "step {step}: NLI {:.2}s, pressure GMRES iters {}",
@@ -85,7 +87,7 @@ fn main() {
             for eq in ["momentum", "continuity", "scalar"] {
                 let row: Vec<String> = Phase::ALL
                     .iter()
-                    .map(|&ph| format!("{}={:.3}s", ph.label(), sim.timings.get(eq, ph)))
+                    .map(|&ph| format!("{}={:.3}s", ph.label(), timings.get(eq, ph)))
                     .collect();
                 breakdown.push(format!("{eq:12} {}", row.join("  ")));
             }

@@ -14,7 +14,7 @@
 use exawind::amg::pmis::pmis;
 use exawind::amg::strength;
 use exawind::amg::{AmgConfig, AmgHierarchy};
-use exawind::nalu_core::assemble::{build_matrix, fill_continuity, fill_momentum, PhysicsParams};
+use exawind::nalu_core::assemble::{fill_continuity, fill_momentum, try_build_matrix, PhysicsParams};
 use exawind::nalu_core::eqsys::MeshSystem;
 use exawind::nalu_core::state::State;
 use exawind::nalu_core::{PartitionMethod, Simulation, SolverConfig};
@@ -66,12 +66,12 @@ fn setup_signatures(kind: TransportKind, nparts: usize) -> Vec<SetupSignature> {
             rank, &mesh, &sys.dm, &graphs.continuity, &sys.tags, &state, &params,
             &sys.owned_edges, &sys.owned_nodes, &mut graphs.con_vals,
         );
-        let a_p = build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals);
+        let a_p = try_build_matrix(rank, &sys.dm, &graphs.continuity, &graphs.con_vals).unwrap();
         let _rhs_m = fill_momentum(
             rank, &mesh, &sys.dm, &graphs.momentum, &sys.tags, &state, &params,
             &sys.owned_edges, &sys.owned_nodes, &mut graphs.mom_vals,
         );
-        let a_m = build_matrix(rank, &sys.dm, &graphs.momentum, &graphs.mom_vals);
+        let a_m = try_build_matrix(rank, &sys.dm, &graphs.momentum, &graphs.mom_vals).unwrap();
 
         let mut csr = a_p.diag.vals().to_vec();
         csr.extend_from_slice(a_p.offd.vals());
