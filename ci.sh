@@ -65,33 +65,38 @@ unsafe_sites=$(grep -rnw 'unsafe' --include='*.rs' crates || true)
   && grep -q '^crates/parcomm/src/socket\.rs:[0-9]*: *unsafe { poll(' <<<"$unsafe_sites" \
   || { echo "unsafe gate: unsafe code besides the poll(2) call: $unsafe_sites" >&2; exit 1; }
 
-# One neighbour exchange: outside tests, `distmat` receives in two
-# places — `CommPkg::finish`, the second half of the one split-phase
-# exchange that the matrix halo, AMG setup's point exchanges and the
-# assembly-plan replays all call, and Algorithm 1's count-driven first
-# exchange in `IjMatrix::try_assemble`, which has no plan. Both the
-# fallible `try_recv(` and the panicking `recv(` count, so a
-# hand-written planned exchange (a replay's or a plan build's key
-# exchange) cannot come back unnoticed.
+# One neighbour exchange: outside tests, `distmat` receives in one
+# place, `CommPkg::finish`, the second half of the one split-phase
+# exchange that the halo pulls, Algorithm 1 and 2's pushes, the matrix
+# halo, AMG setup's point exchanges and the assembly-plan replays all
+# call. Both the fallible `try_recv(` and the panicking `recv(` count,
+# so a hand-written exchange (a count-driven receive loop, a replay's or
+# a plan build's key exchange) cannot come back unnoticed.
 recv_call='\b(try_)?recv\('
 recv_sites=$(for f in crates/distmat/src/*.rs; do
   sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$recv_call" | sed "s|^|$f:|"
 done || true)
 in_finish=$(sed -n '/    pub fn finish</,/^    }$/p' crates/distmat/src/halo.rs | grep -cE "$recv_call" || true)
-in_alg1=$(sed -n '/    pub fn try_assemble(mut self, rank: &Rank)/,/^    }$/p' crates/distmat/src/ij.rs \
-  | grep -cE "$recv_call" || true)
-[ "$in_finish" -eq 1 ] && [ "$in_alg1" -eq 1 ] && [ "$(grep -c . <<<"$recv_sites")" -eq 2 ] \
-  || { echo "exchange gate: a receive outside CommPkg::finish and IjMatrix::try_assemble: $recv_sites" >&2; exit 1; }
+[ "$in_finish" -eq 1 ] && [ "$(grep -c . <<<"$recv_sites")" -eq 1 ] \
+  || { echo "exchange gate: a receive outside CommPkg::finish: $recv_sites" >&2; exit 1; }
+
+# One exchange protocol: parcomm's collectives are `allreduce`,
+# `allgather` and `barrier`, and sparse traffic moves through
+# `CommPkg`'s push and pull, so nothing under crates/ (outside the
+# frozen benchmark crate), src/, tests/ or examples/ names a second
+# sparse exchange (`sparse_exchange`) or defines a `broadcast`.
+protocol_sites=$(grep -rnE 'sparse_exchange|fn broadcast\b' crates src tests examples \
+  | grep -v '^crates/e2e-bench/' || true)
+[ -z "$protocol_sites" ] \
+  || { echo "protocol gate: a second exchange protocol is back: $protocol_sites" >&2; exit 1; }
 
 # One-hop collectives: `allreduce` and `allgather` send each rank's
 # contribution straight to every peer and fold it in rank order on every
 # rank, and `barrier` is the same hop with an empty payload, so no rank
-# plays a root for any of them. Outside tests, collectives.rs tests a
-# rank for equality in one place only, `broadcast`'s
-# `self.rank() == root`; any other `==` line there (`rank() == 0`,
-# `me == 0`, a named root) fails the gate.
-relay_sites=$(sed '/#\[cfg(test)\]/,$d' crates/parcomm/src/collectives.rs \
-  | grep -n '==' | grep -v 'if self\.rank() == root {$' || true)
+# plays a root for any of them. Outside tests, collectives.rs tests
+# nothing for equality: any `==` line there (`rank() == 0`, `me == 0`,
+# a named root) fails the gate.
+relay_sites=$(sed '/#\[cfg(test)\]/,$d' crates/parcomm/src/collectives.rs | grep -n '==' || true)
 [ -z "$relay_sites" ] \
   || { echo "collective gate: a root branch in collectives.rs: $relay_sites" >&2; exit 1; }
 
@@ -224,11 +229,11 @@ coarsen_sites=$(grep -nwE 'par_transpose|IjMatrix|Halo::new' crates/amg/src/pmis
 # reads B's rows over A's halo, and the transpose sends each external
 # column's entries to its owner over the operand's halo run backwards.
 # Above its `#[cfg(test)]` line ops.rs names no IJ assembly, no
-# `sparse_exchange`, no request list (`owner_requests`) and no
-# `HashMap` of fetched rows, so a request round cannot come back
-# unnoticed.
+# request list (`owner_requests`) and no `HashMap` of fetched rows, so
+# a request round cannot come back unnoticed (the protocol gate above
+# keeps a second sparse exchange out everywhere).
 rows_sites=$(sed '/#\[cfg(test)\]/,$d' crates/distmat/src/ops.rs \
-  | grep -nwE 'IjMatrix|sparse_exchange|owner_requests|HashMap' || true)
+  | grep -nwE 'IjMatrix|owner_requests|HashMap' || true)
 [ -z "$rows_sites" ] \
   || { echo "setup-rows gate: ops.rs asks for rows or assembles through IJ again: $rows_sites" >&2; exit 1; }
 

@@ -335,7 +335,7 @@ pub fn setup_from_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pmis::tests::{collectives, laplacian_2d};
+    use crate::pmis::tests::{laplacian_2d, pull_traffic};
     use parcomm::Comm;
     use sparse_kit::{Coo, Csr};
 
@@ -591,11 +591,11 @@ mod tests {
     /// own halo, S and PMIS work on that halo too, and the products and
     /// transposes move rows over their operand's: no comm package is
     /// built twice for one column map, and no row is asked for. Every
-    /// `sparse_exchange` left is the halo pull of a product, a
-    /// transpose, an interpolant or the aggressive pass's restricted
-    /// pattern (never of S); every allgather is one of those pulls'
-    /// counts or a numbering. The counts pin the two configurations at 2
-    /// ranks.
+    /// p2p request left is the halo pull of a product, a transpose, an
+    /// interpolant or the aggressive pass's restricted pattern (never of
+    /// S), one per pull at 2 ranks; every allgather is one of those
+    /// pulls' counts or a numbering. The counts pin the two
+    /// configurations at 2 ranks.
     #[test]
     fn setup_builds_no_second_comm_package() {
         let serial = laplacian_2d(16);
@@ -604,10 +604,10 @@ mod tests {
             let counts = Comm::run(2, move |rank| {
                 let dist = RowDist::block(s2.nrows() as u64, rank.size());
                 let a = ParCsr::from_serial(rank, dist.clone(), dist, &s2);
-                let kinds = ["sparse_exchange", "allgather"];
-                let before = kinds.map(|kind| collectives(rank, kind));
+                let before = pull_traffic(rank);
                 AmgHierarchy::setup(rank, a, &config).unwrap();
-                [0, 1].map(|k| collectives(rank, kinds[k]) - before[k])
+                let after = pull_traffic(rank);
+                [0, 1].map(|k| after[k] - before[k])
             });
             assert_eq!(counts, [want; 2]);
         }

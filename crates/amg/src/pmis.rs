@@ -312,21 +312,24 @@ pub(crate) mod tests {
         assert_eq!(all, expected);
     }
 
-    /// Entries of `kind` in this rank's `collective` rows so far.
-    pub(crate) fn collectives(rank: &Rank, kind: &str) -> u64 {
-        rank.telemetry_events()
-            .iter()
-            .filter_map(|e| match e {
-                telemetry::Event::Collective { kind: k, count, .. } if k == kind => Some(*count),
-                _ => None,
-            })
-            .sum()
+    /// This rank's p2p-class sends and allgathers so far: a halo pull
+    /// is one allgather of counts plus one request per owner on a p2p
+    /// tag, and nothing else here sends on one.
+    pub(crate) fn pull_traffic(rank: &Rank) -> [u64; 2] {
+        let me = rank.rank();
+        rank.telemetry_events().iter().fold([0, 0], |[p2p, gathers], e| match e {
+            telemetry::Event::CommEdge { src, class, msgs, .. } if *src == me && class == "p2p" => {
+                [p2p + msgs, gathers]
+            }
+            telemetry::Event::Collective { kind, count, .. } if kind == "allgather" => [p2p, gathers + count],
+            _ => [p2p, gathers],
+        })
     }
 
     #[test]
     fn pmis_builds_no_comm_package() {
         // PMIS exchanges over S's halo (A's) in both directions, so it
-        // sets up no schedule: no sparse exchange, and its one allgather
+        // sets up no schedule: no pull request, and its one allgather
         // numbers the coarse points.
         let serial = laplacian_2d(8);
         let n = serial.nrows() as u64;
@@ -334,9 +337,10 @@ pub(crate) mod tests {
             let dist = RowDist::block(n, rank.size());
             let a = ParCsr::from_serial(rank, dist.clone(), dist, &serial);
             let s = classical(rank, &a, 0.25);
-            let before = ["sparse_exchange", "allgather"].map(|kind| collectives(rank, kind));
+            let before = pull_traffic(rank);
             pmis(rank, &s, 7).unwrap();
-            [collectives(rank, "sparse_exchange") - before[0], collectives(rank, "allgather") - before[1]]
+            let after = pull_traffic(rank);
+            [0, 1].map(|k| after[k] - before[k])
         });
         assert_eq!(out, [[0, 1]; 2]);
     }

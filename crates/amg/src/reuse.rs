@@ -18,7 +18,7 @@
 //!
 //! - **Collective agreement**: `ParSpgemmPlan::matches` allreduces the
 //!   per-rank verdict, so every rank takes the replay-or-fresh branch
-//!   together (the sparse exchanges inside both paths would otherwise
+//!   together (the neighbour exchanges inside both paths would otherwise
 //!   deadlock). The cursor itself advances identically on all ranks
 //!   because hierarchy setup makes the same product calls everywhere.
 //! - **Bitwise fidelity**: replay reproduces the fresh product's

@@ -33,18 +33,29 @@ pub struct CommPkg {
 }
 
 impl CommPkg {
-    /// The halo of an external id list (sorted, none owned here): each
-    /// owner's run of `ids` is received from it, and what to send is
-    /// learned by telling the owners what we need. Collective.
+    /// The halo of an external id list (sorted, none owned here):
+    /// [`CommPkg::push`] run backwards. The ids are pushed to their
+    /// owners, each owner sends back, in the order asked, the values
+    /// of the ids it was pushed, and each owner's run of `ids` is
+    /// received from it. Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the failure, if the requests do not arrive whole
+    /// (a dead peer, a malformed request).
     pub(crate) fn pull(rank: &Rank, dist: &RowDist, ids: &[u64]) -> CommPkg {
+        let requests = CommPkg::push(rank, dist, ids.iter().copied(), |k| k);
+        let tag = rank.alloc_tag();
+        requests.begin_values(rank, tag, ids);
+        let mut wanted = Vec::new();
+        requests
+            .finish_values(rank, tag, &mut wanted, |src, expected, got| corruption(rank, src, expected, got))
+            .unwrap_or_else(|e| panic!("halo pull: {e}"));
+        let CommPkg { sends, recvs } = requests.reversed();
         let me = rank.rank();
-        let recvs = dist.owner_runs(ids.iter().copied());
-        assert!(recvs.iter().all(|(owner, _)| *owner != me), "own id listed as external");
-        let requests = recvs.iter().map(|(owner, range)| (*owner, ids[range.clone()].to_vec())).collect();
-        let sends = rank
-            .sparse_exchange(requests)
+        let sends = sends
             .into_iter()
-            .map(|(src, gids)| (src, gids.iter().map(|&g| dist.to_local(me, g)).collect()))
+            .map(|(src, at)| (src, at.iter().map(|&k| dist.to_local(me, wanted[k])).collect()))
             .collect();
         CommPkg { sends, recvs }
     }
@@ -365,5 +376,61 @@ mod tests {
             }
             assert_eq!(local, if me == 0 { [27, 2] } else { [81, 108] });
         });
+    }
+
+    #[test]
+    fn pull_from_two_owners_gets_both_runs_back_in_source_order() {
+        // 3 ranks × 2 rows each; rank 0 asks ranks 1 and 2, rank 2 asks
+        // ranks 0 and 1, rank 1 asks no one. Each owner's run is
+        // received from it, and ranges follow the source ranks.
+        let out = Comm::run(3, |rank| {
+            let dist = RowDist::block(6, 3);
+            let me = rank.rank();
+            let want = [vec![2, 3, 4], vec![], vec![1, 3]][me].clone();
+            let halo = Halo::new(rank, &dist, want);
+            let local: Vec<u64> = (0..2).map(|l| (dist.start(me) + l) * 10).collect();
+            (halo.comm_pkg().clone(), halo.try_exchange(rank, &local).unwrap())
+        });
+        let pkg = |sends: Vec<(usize, Vec<usize>)>, recvs: Vec<(usize, Range<usize>)>| CommPkg { sends, recvs };
+        assert_eq!(out[0], (pkg(vec![(2, vec![1])], vec![(1, 0..2), (2, 2..3)]), vec![20, 30, 40]));
+        assert_eq!(out[1], (pkg(vec![(0, vec![0, 1]), (2, vec![1])], vec![]), vec![]));
+        assert_eq!(out[2], (pkg(vec![(0, vec![0])], vec![(0, 0..1), (1, 1..2)]), vec![10, 30]));
+    }
+
+    #[test]
+    fn pull_requests_ride_a_p2p_tag_with_one_allgather() {
+        // Each rank asks the other for one id: one 8-byte request on a
+        // p2p edge and one count allgather, the only collective; the
+        // values then move on the halo's own tag.
+        let out = Comm::run(2, |rank| {
+            let dist = RowDist::block(4, 2);
+            let other = 1 - rank.rank();
+            let halo = Halo::new(rank, &dist, vec![dist.start(other)]);
+            let pulled = rank.telemetry_events();
+            halo.try_exchange(rank, &[1.0, 2.0]).unwrap();
+            (pulled, rank.telemetry_events())
+        });
+        for (me, (pulled, exchanged)) in out.iter().enumerate() {
+            let edges = |events: &[telemetry::Event]| -> Vec<(String, u64, u64)> {
+                let sent = events.iter().filter_map(|e| match e {
+                    telemetry::Event::CommEdge { src, class, msgs, bytes, .. } if *src == me => {
+                        Some((class.clone(), *msgs, *bytes))
+                    }
+                    _ => None,
+                });
+                sent.collect()
+            };
+            let kinds: Vec<(String, u64)> = pulled
+                .iter()
+                .filter_map(|e| match e {
+                    telemetry::Event::Collective { kind, count, .. } => Some((kind.clone(), *count)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(kinds, [("allgather".to_string(), 1)], "rank {me}");
+            let (request, counts) = (("p2p".to_string(), 1, 8), ("coll".to_string(), 1, 16));
+            assert_eq!(edges(pulled), [request.clone(), counts.clone()], "rank {me}");
+            assert_eq!(edges(exchanged), [request, ("halo".to_string(), 1, 8), counts], "rank {me}");
+        }
     }
 }

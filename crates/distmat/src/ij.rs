@@ -76,9 +76,10 @@ impl IjMatrix {
         }
     }
 
-    /// Algorithm 1: exchange off-rank entries, sort + reduce, split into
-    /// diag/offd, with decode failures (timeout, payload type,
-    /// receive-count mismatch) surfaced as a typed [`SolveError`].
+    /// Algorithm 1: exchange off-rank entries over a [`CommPkg::push`],
+    /// sort + reduce, split into diag/offd, with decode failures
+    /// (timeout, payload type, a message whose length differs from the
+    /// count its source announced) surfaced as a typed [`SolveError`].
     /// Collective.
     /// Hosts the `assembly-nan` fault-injection hook: with a matching
     /// spec armed, one owned COO value is corrupted to NaN before the
@@ -103,45 +104,25 @@ impl IjMatrix {
         }
 
         // Pre-compute nnz_recv (paper: MPI_Allreduce after the graph
-        // computation) so receive buffers can be sized up front. One
-        // collective exchanges the whole sender→receiver count matrix.
-        let by_dst = self.row_dist.owner_runs(self.shared.rows.iter().copied());
-        let mut my_counts = vec![0u64; rank.size()];
-        for (dst, range) in &by_dst {
-            my_counts[*dst] = range.len() as u64;
-        }
-        let count_matrix = rank.allgather(my_counts);
+        // computation) so receive buffers can be sized up front: the
+        // push's one collective exchanges the whole sender→receiver
+        // count matrix.
+        let pkg = CommPkg::push(rank, &self.row_dist, self.shared.rows.iter().copied(), |k| k);
         let tag_mat: Tag = rank.alloc_tag();
-        let nnz_recv: usize = count_matrix.iter().map(|row| row[self.rank_id] as usize).sum();
 
         // Exchange A_send: one message per destination rank.
         let shared = &self.shared;
-        for (dst, r) in by_dst {
-            let payload: CooBuffers =
-                (shared.rows[r.clone()].to_vec(), shared.cols[r.clone()].to_vec(), shared.vals[r].to_vec());
-            rank.send(dst, tag_mat, payload);
-        }
+        pkg.begin(rank, tag_mat, |at| (pick(&shared.rows, at), pick(&shared.cols, at), pick(&shared.vals, at)));
         // Stack owned and received into one buffer sized with nnz_recv.
-        let mut all = Coo::with_capacity(self.owned.len() + nnz_recv);
+        let mut all = Coo::with_capacity(self.owned.len() + pkg.n_recv());
         all.extend(&self.owned);
-        let mut received = 0usize;
-        for (src, src_counts) in count_matrix.iter().enumerate() {
-            if src == self.rank_id || src_counts[self.rank_id] == 0 {
-                continue;
-            }
-            let (rows, cols, vals): CooBuffers = rank.try_recv(src, tag_mat)?;
-            received += rows.len();
+        pkg.finish(rank, tag_mat, |src, range, (rows, cols, vals): CooBuffers| {
+            entries_announced(src, range.len(), [rows.len(), cols.len(), vals.len()])?;
             for ((r0, c0), v0) in rows.into_iter().zip(cols).zip(vals) {
                 all.push(r0, c0, v0);
             }
-        }
-        if received != nnz_recv {
-            return Err(SolveError::Comm {
-                detail: format!(
-                    "assembly receive count mismatch: got {received}, expected {nnz_recv}"
-                ),
-            });
-        }
+            Ok(())
+        })?;
 
         // stable_sort_by_key + reduce_by_key over the stacked buffer.
         {
@@ -172,6 +153,24 @@ pub fn assembly_fault_hooks(rank: &Rank) -> Result<bool, SolveError> {
     let nan = rank.fault(FaultKind::AssemblyNan);
     socket_drop_hook(rank)?;
     Ok(nan)
+}
+
+/// The entries of `xs` at positions `at`: one array of an Algorithm 1/2
+/// message.
+fn pick<T: Copy>(xs: &[T], at: &[usize]) -> Vec<T> {
+    at.iter().map(|&k| xs[k]).collect()
+}
+
+/// Check that every array of source `src`'s Algorithm 1/2 message holds
+/// the `expected` entries the count exchange announced: the receive
+/// buffer was sized from those counts.
+fn entries_announced<const N: usize>(src: usize, expected: usize, lens: [usize; N]) -> Result<(), SolveError> {
+    if lens.iter().all(|&n| n == expected) {
+        return Ok(());
+    }
+    Err(SolveError::Comm {
+        detail: format!("assembly message from rank {src}: got {lens:?} entries, {expected} announced"),
+    })
 }
 
 /// Ordered contribution lists of one value array: entry `e` is
@@ -440,27 +439,32 @@ impl IjVector {
     /// Algorithm 2: exchange off-rank entries, sort + reduce **only the
     /// received values** (n_recv ≪ n_own), then scatter-add into the owned
     /// array. Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the failure, if a message does not arrive whole.
     pub fn assemble(mut self, rank: &Rank) -> ParVector {
         // Group shared entries by owner.
         let mut keys: Vec<u64> = self.shared_ids.clone();
         prims::stable_sort_by_key(&mut keys, &mut self.shared_vals);
         self.shared_ids = keys;
 
-        // Vector entries `(ids, vals)` as sent on the wire.
-        let msgs: Vec<_> = (self.dist)
-            .owner_runs(self.shared_ids.iter().copied())
-            .into_iter()
-            .map(|(dst, r)| (dst, (self.shared_ids[r.clone()].to_vec(), self.shared_vals[r].to_vec())))
-            .collect();
-        let received = rank.sparse_exchange(msgs);
+        // Vector entries `(ids, vals)` as sent on the wire: one message
+        // per owner, whose size the push's count allgather announces.
+        let pkg = CommPkg::push(rank, &self.dist, self.shared_ids.iter().copied(), |k| k);
+        let tag = rank.alloc_tag();
+        pkg.begin(rank, tag, |at| (pick(&self.shared_ids, at), pick(&self.shared_vals, at)));
 
         // Stack received values only.
-        let mut recv_ids: Vec<u64> = Vec::new();
-        let mut recv_vals: Vec<f64> = Vec::new();
-        for (_, (ids, vals)) in received {
+        let mut recv_ids: Vec<u64> = Vec::with_capacity(pkg.n_recv());
+        let mut recv_vals: Vec<f64> = Vec::with_capacity(pkg.n_recv());
+        pkg.finish(rank, tag, |src, range, (ids, vals): (Vec<u64>, Vec<f64>)| {
+            entries_announced(src, range.len(), [ids.len(), vals.len()])?;
             recv_ids.extend(ids);
             recv_vals.extend(vals);
-        }
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("vector assembly: {e}"));
         // Sort + reduce over the received values only (the paper found
         // this noticeably faster than sorting the whole stacked vector).
         let (ids, vals) = {
@@ -700,7 +704,9 @@ mod tests {
     fn replay_with_truncated_values_message_is_a_typed_error() {
         // Each rank contributes two entries (and two vector adds) to a
         // row the other owns. Rank 1 then plays a peer whose values
-        // messages lost their tail: rank 0's replays must refuse them.
+        // messages lost their tail: rank 0's replays must refuse them,
+        // and so must the reference Algorithm 1, whose peer announces
+        // two entries and sends a triple list short of one value.
         let out = Comm::run(2, |rank| {
             let dist = RowDist::block(4, 2);
             let mine = rank.rank() as u64 * 2;
@@ -712,7 +718,7 @@ mod tests {
                 &[(mine, mine)],
                 &[(theirs, 0), (theirs, 1)],
             );
-            let mut v = IjVector::new(rank, dist);
+            let mut v = IjVector::new(rank, dist.clone());
             v.add_value(theirs, 1.0);
             v.add_value(theirs + 1, 2.0);
             let vplan = VectorPlan::build(rank, &v);
@@ -721,14 +727,28 @@ mod tests {
                 rank.send(0, vplan.tag, vec![1.0f64, 2.0, 3.0]);
                 let _: Vec<f64> = rank.recv(0, plan.tag);
                 let _: Vec<f64> = rank.recv(0, vplan.tag);
+                // What `IjMatrix::try_assemble`'s push runs: the count
+                // allgather, then the tag its message rides.
+                rank.allgather(vec![2u64, 0]);
+                let tag = rank.alloc_tag();
+                rank.send(0, tag, (vec![theirs, theirs], vec![0u64, 1], vec![1.0f64]));
+                let _: CooBuffers = rank.recv(0, tag);
                 return None;
             }
             let a = plan.try_assemble(rank, &[1.0], &[2.0, 3.0]).map(|_| ());
             let b = v.try_assemble_planned(rank, &vplan).map(|_| ());
-            Some((a, b))
+            let mut ij = IjMatrix::new(rank, dist.clone(), dist);
+            ij.add_value(mine, mine, 1.0);
+            ij.add_value(theirs, 0, 2.0);
+            let c = ij.try_assemble(rank).map(|_| ());
+            Some((a, b, c))
         });
-        let (a, b) = out[0].clone().expect("rank 0 replays");
-        for (res, want) in [(a, "got 1 values, plan expects 2"), (b, "got 3 values, plan expects 2")] {
+        let (a, b, c) = out[0].clone().expect("rank 0 replays");
+        for (res, want) in [
+            (a, "got 1 values, plan expects 2"),
+            (b, "got 3 values, plan expects 2"),
+            (c, "from rank 1: got [2, 2, 1] entries, 2 announced"),
+        ] {
             match res {
                 Err(SolveError::Comm { detail }) => assert!(detail.contains(want), "{detail}"),
                 other => panic!("expected a typed comm error, got {other:?}"),

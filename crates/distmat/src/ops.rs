@@ -711,22 +711,26 @@ mod tests {
         }
     }
 
-    /// Entries of `kind` in this rank's `collective` rows so far.
-    fn collectives(rank: &Rank, kind: &str) -> u64 {
-        rank.telemetry_events()
-            .iter()
-            .filter_map(|e| match e {
-                telemetry::Event::Collective { kind: k, count, .. } if k == kind => Some(*count),
-                _ => None,
-            })
-            .sum()
+    /// This rank's p2p-class sends and allgathers so far: a halo pull
+    /// is one allgather of counts plus one request per owner on a p2p
+    /// tag, and nothing else here sends on one.
+    fn pull_traffic(rank: &Rank) -> [u64; 2] {
+        let me = rank.rank();
+        rank.telemetry_events().iter().fold([0, 0], |[p2p, gathers], e| match e {
+            telemetry::Event::CommEdge { src, class, msgs, .. } if *src == me && class == "p2p" => {
+                [p2p + msgs, gathers]
+            }
+            telemetry::Event::Collective { kind, count, .. } if kind == "allgather" => [p2p, gathers + count],
+            _ => [p2p, gathers],
+        })
     }
 
     #[test]
     fn spgemm_reads_rows_over_the_operands_halo() {
-        // B's rows travel over A's halo, so the one `sparse_exchange`
-        // (and its count allgather) is C's halo pull, in the fresh
-        // product and in a recorded plan's; a replay makes none.
+        // B's rows travel over A's halo, so the one pull (its count
+        // allgather and one request per owner C's halo reads from) is
+        // C's halo pull, in the fresh product and in a recorded plan's;
+        // a replay makes none.
         let n = 12;
         for nranks in [2, 3] {
             Comm::run(nranks, move |rank| {
@@ -735,15 +739,19 @@ mod tests {
                 let a = ParCsr::from_serial(rank, rd.clone(), rd.clone(), &laplacian(n));
                 let p = ParCsr::from_serial(rank, rd, cd, &half_interp(n));
                 assert!(!a.col_map_offd().is_empty(), "rows must move");
-                let kinds = ["sparse_exchange", "allgather"];
                 let counts = |f: &mut dyn FnMut()| {
-                    let before = kinds.map(|kind| collectives(rank, kind));
+                    let before = pull_traffic(rank);
                     f();
-                    [0, 1].map(|k| collectives(rank, kinds[k]) - before[k])
+                    let after = pull_traffic(rank);
+                    [0, 1].map(|k| after[k] - before[k])
                 };
-                assert_eq!(counts(&mut || drop(par_spgemm(rank, &a, &p))), [1, 1], "nranks={nranks}");
+                let mut c = None;
+                let fresh = counts(&mut || c = Some(par_spgemm(rank, &a, &p)));
+                let owners = c.unwrap().comm_pkg().recvs.len() as u64;
+                assert!(owners > 0, "C has a halo");
+                assert_eq!(fresh, [owners, 1], "nranks={nranks}");
                 let mut plan = None;
-                assert_eq!(counts(&mut || plan = Some(par_spgemm_planned(rank, &a, &p).0)), [1, 1]);
+                assert_eq!(counts(&mut || plan = Some(par_spgemm_planned(rank, &a, &p).0)), [owners, 1]);
                 assert_eq!(counts(&mut || drop(plan.as_ref().unwrap().execute(rank, &a, &p))), [0, 0]);
             });
         }

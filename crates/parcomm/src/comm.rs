@@ -327,9 +327,9 @@ pub struct Rank {
     coll_seq: Cell<Tag>,
     user_tag_seq: Cell<Tag>,
     perf: RefCell<PerfRecorder>,
-    /// Tags with a non-default [`TagClass`] (halo tags, sparse-exchange
-    /// tags). Tags agree across ranks (collective allocation order), so
-    /// both endpoints classify an edge identically.
+    /// User tags allocated with a non-default [`TagClass`] (halo tags).
+    /// Tags agree across ranks (collective allocation order), so both
+    /// endpoints classify an edge identically.
     tag_classes: RefCell<HashMap<Tag, TagClass>>,
     /// This rank's recorder (disabled = no-op, and no clock is read).
     telemetry: RefCell<telemetry::Telemetry>,
@@ -582,16 +582,11 @@ impl Rank {
     /// endpoints of an edge classify it identically.
     pub fn alloc_tag_for(&self, class: TagClass) -> Tag {
         let tag = self.alloc_tag();
-        self.classify_tag(tag, class);
+        self.tag_classes.borrow_mut().insert(tag, class);
         tag
     }
 
-    /// Register a non-default traffic class for `tag`.
-    pub(crate) fn classify_tag(&self, tag: Tag, class: TagClass) {
-        self.tag_classes.borrow_mut().insert(tag, class);
-    }
-
-    /// Traffic class of a tag: explicit registration wins, reserved
+    /// Traffic class of a tag: a class given at allocation wins, reserved
     /// internal tags are collective traffic, everything else is p2p.
     fn class_of(&self, tag: Tag) -> TagClass {
         if let Some(&c) = self.tag_classes.borrow().get(&tag) {

@@ -297,8 +297,7 @@ events! {
     /// seconds (empty when comm timing was disabled).
     Collective = "collective" {
         rank: usize,
-        /// Collective kind: `allreduce` | `allgather` | `broadcast` |
-        /// `sparse_exchange` | `barrier`.
+        /// Collective kind: `allreduce` | `allgather` | `barrier`.
         kind: String,
         count: u64,
         bytes: u64,

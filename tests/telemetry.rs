@@ -251,7 +251,12 @@ fn simulation_stream_is_schema_valid_and_report_complete() {
     let edge_pairs: BTreeSet<(usize, usize)> =
         report.comm_edges.keys().map(|&(s, d, _)| (s, d)).collect();
     assert!(edge_pairs.contains(&(0, 1)) && edge_pairs.contains(&(1, 0)), "{edge_pairs:?}");
-    for kind in ["allreduce", "allgather", "sparse_exchange"] {
+    // Halo pull requests, the Algorithm 1/2 pushes and the plan
+    // replays ride p2p tags; the one-hop collectives are the only kinds.
+    assert!(report.comm_edges.keys().any(|(_, _, class)| class == "p2p"), "no p2p edge");
+    let kinds: Vec<&str> = report.collectives.keys().map(String::as_str).collect();
+    assert_eq!(kinds, ["allgather", "allreduce"], "collective kinds");
+    for kind in kinds {
         let c = report
             .collectives
             .get(kind)
