@@ -53,13 +53,13 @@ in_wait_next=$(sed -n '/fn wait_next(/,/^    }$/p' crates/parcomm/src/comm.rs \
 [ "$in_wait_next" -gt 0 ] && [ "$(grep -c . <<<"$wait_sites")" -eq "$in_wait_next" ] \
   || { echo "wait gate: spin/yield outside Rank::wait_next: $wait_sites" >&2; exit 1; }
 
-# Each socket rank reads its own streams: the rank threads of
-# `run_threads` are the one thread-spawn site in socket.rs, so reader
-# threads cannot come back unnoticed, and the only `unsafe` under
-# crates/ is the socket backend's poll(2) call.
+# Each socket rank reads its own streams: socket.rs spawns no thread
+# (its rank threads are `run_ranks`' in comm.rs), so reader threads
+# cannot come back unnoticed, and the only `unsafe` under crates/ is the
+# socket backend's poll(2) call.
 spawn_sites=$(grep -nE 'spawn\(|thread::Builder' crates/parcomm/src/socket.rs || true)
-[ "$(grep -c . <<<"$spawn_sites")" -eq 1 ] && grep -q 'scope\.spawn(' <<<"$spawn_sites" \
-  || { echo "socket gate: a thread spawned in socket.rs besides the rank threads: $spawn_sites" >&2; exit 1; }
+[ -z "$spawn_sites" ] \
+  || { echo "socket gate: a thread spawned in socket.rs: $spawn_sites" >&2; exit 1; }
 unsafe_sites=$(grep -rnw 'unsafe' --include='*.rs' crates || true)
 [ "$(grep -c . <<<"$unsafe_sites")" -eq 1 ] \
   && grep -q '^crates/parcomm/src/socket\.rs:[0-9]*: *unsafe { poll(' <<<"$unsafe_sites" \
@@ -89,6 +89,28 @@ protocol_sites=$(grep -rnE 'sparse_exchange|fn broadcast\b' crates src tests exa
   | grep -v '^crates/e2e-bench/' || true)
 [ -z "$protocol_sites" ] \
   || { echo "protocol gate: a second exchange protocol is back: $protocol_sites" >&2; exit 1; }
+
+# One rank-thread runner: both transports' thread jobs go through
+# `run_ranks` (comm.rs), which spawns the rank threads, claims the first
+# panic and re-raises it; a rank's transport fences its peers from its
+# own drop. Outside tests parcomm opens exactly one `thread::scope`, so
+# a second runner cannot come back unnoticed.
+scope_sites=$(for f in crates/parcomm/src/*.rs; do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'thread::scope' | sed "s|^|$f:|"
+done || true)
+[ "$(grep -c . <<<"$scope_sites")" -eq 1 ] \
+  || { echo "runner gate: not exactly one rank-thread runner in parcomm: $scope_sites" >&2; exit 1; }
+
+# One kernel ledger, keyed by name: a launch is recorded through
+# `rank.kernel(name)` into the phase view and the name view, and the
+# `machine` model prices every launch alike, so nothing under crates/
+# (outside the frozen benchmark crate), src/, tests/ or examples/ names
+# a kernel classification (`KernelKind`, `launches_by_kind`) and no
+# `.kernel(` call takes a second argument.
+ledger_sites=$(grep -rnE 'KernelKind|launches_by_kind|\.kernel\([^)]*,' \
+  crates src tests examples | grep -v '^crates/e2e-bench/' || true)
+[ -z "$ledger_sites" ] \
+  || { echo "ledger gate: a kernel is classified beyond its name: $ledger_sites" >&2; exit 1; }
 
 # One-hop collectives: `allreduce` and `allgather` send each rank's
 # contribution straight to every peer and fold it in rank order on every

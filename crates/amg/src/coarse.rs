@@ -7,7 +7,7 @@
 //! own rows of the solution).
 
 use distmat::{ParCsr, ParVector, RowDist};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 
 /// Dense LU factorization with partial pivoting.
 #[derive(Clone, Debug)]
@@ -98,7 +98,7 @@ impl CoarseSolver {
             return CoarseSolver { lu: None, dist };
         }
         let serial = a.to_serial(rank);
-        let k = rank.kernel("coarse_lu_factor", KernelKind::Other);
+        let k = rank.kernel("coarse_lu_factor");
         let dense = serial.to_dense();
         let n = dense.len();
         k.launch(n, ((n * n * 8) as u64, (2 * n * n * n / 3) as u64));
@@ -126,7 +126,7 @@ impl CoarseSolver {
         let full_b = b.to_serial(rank);
         let n = full_b.len();
         let full_x = {
-            let k = rank.kernel("coarse_lu_solve", KernelKind::Other);
+            let k = rank.kernel("coarse_lu_solve");
             k.launch(n, ((n * n * 8) as u64, (2 * n * n) as u64));
             lu.solve(&full_b)
         };

@@ -17,7 +17,7 @@
 //!   rescale.
 
 use distmat::ParCsr;
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use resilience::SolveError;
 use sparse_kit::Coo;
 
@@ -81,7 +81,7 @@ pub fn direct_interpolation(
     let n = dist.local_n(me);
     let ext_cid = ext_ids(rank, a, &split.coarse_index)?;
     let nnz = a.local_nnz() as u64;
-    let k = rank.kernel("interp_direct", KernelKind::Stream);
+    let k = rank.kernel("interp_direct");
     k.launch(n, (nnz * 16, nnz));
 
     // Every interpolation row depends only on row i of A/S and the halo
@@ -202,7 +202,7 @@ pub fn mm_ext_interpolation(
     // row by row (all classification and scaling is row-local): each row
     // is sorted in its buffer and appended in row order.
     let nnz = a.local_nnz() as u64;
-    let k = rank.kernel("interp_mm_ext", KernelKind::Stream);
+    let k = rank.kernel("interp_mm_ext");
     k.launch(n, (nnz * 24, nnz * 2));
     let mut m1 = Coo::new();
     let mut m2 = Coo::new();

@@ -19,7 +19,7 @@
 //! points back to their owners the same way. No Sᵀ is formed.
 
 use distmat::{ParCsr, RowDist};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use resilience::SolveError;
@@ -82,7 +82,7 @@ pub fn pmis(rank: &Rank, s: &ParCsr, seed: u64) -> Result<CfSplit, SolveError> {
     // S name i: counted here for the local rows' columns, then the
     // counts for external columns are added at their owners.
     debug_assert!((0..n).all(|i| !s.diag.row(i).0.contains(&i)), "S has a diagonal entry");
-    let k = rank.kernel("pmis_weights", KernelKind::Stream);
+    let k = rank.kernel("pmis_weights");
     k.launch(n, ((n as u64) * 16, n as u64));
     let (mut lambda, mut lambda_ext) = (vec![0u64; n], vec![0u64; gid_ext.len()]);
     s.diag.indices().iter().for_each(|&j| lambda[j] += 1);
@@ -106,7 +106,7 @@ pub fn pmis(rank: &Rank, s: &ParCsr, seed: u64) -> Result<CfSplit, SolveError> {
             break;
         }
         let states_ext = halo.try_exchange(rank, &states)?;
-        let k = rank.kernel("pmis_round", KernelKind::Stream);
+        let k = rank.kernel("pmis_round");
         k.launch(n, ((n as u64) * 24, n as u64));
 
         // Phase 1 (Jacobi-style on the state snapshot): every pair (i, j)

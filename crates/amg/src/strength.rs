@@ -9,7 +9,7 @@
 //! built on A's own halo (the same `Arc`) and no second one exists.
 
 use distmat::ParCsr;
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use sparse_kit::Csr;
 
 /// The classical strength pattern of `a` with threshold `theta`: j is
@@ -24,7 +24,7 @@ pub fn classical(rank: &Rank, a: &ParCsr, theta: f64) -> ParCsr {
     assert!((0.0..1.0).contains(&theta), "theta must be in [0,1)");
     let n = a.diag.nrows();
     let nnz = a.local_nnz() as u64;
-    let k = rank.kernel("strength", KernelKind::Stream);
+    let k = rank.kernel("strength");
     k.launch(n, (nnz * 16, nnz));
 
     // Each row of S depends only on the corresponding row of A; the

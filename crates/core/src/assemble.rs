@@ -18,7 +18,7 @@
 use std::sync::OnceLock;
 
 use distmat::{AssemblyPlan, IjVector, ParCsr, ParVector, VectorPlan};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use windmesh::mesh::{Edge, Latent};
 use windmesh::{BcKind, Mesh};
 
@@ -107,7 +107,7 @@ pub fn fill_momentum(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) -> [IjVector; 3] {
-    let fill = rank.kernel("fill_momentum", KernelKind::Stream);
+    let fill = rank.kernel("fill_momentum");
     let mut rhs: [IjVector; 3] = std::array::from_fn(|_| IjVector::new(rank, dm.dist.clone()));
     let rho = params.density;
     let center = axis_center(mesh);
@@ -258,7 +258,7 @@ pub fn fill_continuity_operator(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) {
-    let fill = rank.kernel("fill_continuity_operator", KernelKind::Stream);
+    let fill = rank.kernel("fill_continuity_operator");
     vals.reset();
     let kappa_coef = params.dt / params.density;
     // Edge stage (as in `fill_transport`).
@@ -289,7 +289,7 @@ pub fn fill_continuity_rhs(
     owned_edges: &[usize],
     owned_nodes: &[usize],
 ) -> IjVector {
-    let fill = rank.kernel("fill_continuity_rhs", KernelKind::Stream);
+    let fill = rank.kernel("fill_continuity_rhs");
     let mut rhs = IjVector::new(rank, dm.dist.clone());
 
     // Divergence of the provisional velocity through each dual face.
@@ -323,7 +323,7 @@ pub fn fill_continuity_rhs(
         }
         for (&n, &an) in patch.nodes.iter().zip(&patch.normals) {
             // Only the owner assembles the node's boundary flux.
-            if graph.dirichlet[n] || dm.owner[n] != rank.rank() {
+            if graph.dirichlet[n] || dm.part[n] != rank.rank() {
                 continue;
             }
             rhs.add_value(dm.gid[n], -dot3(an, state.vel[n]));
@@ -349,7 +349,7 @@ pub fn fill_scalar(
     owned_nodes: &[usize],
     vals: &mut LocalValues,
 ) -> IjVector {
-    let fill = rank.kernel("fill_scalar", KernelKind::Stream);
+    let fill = rank.kernel("fill_scalar");
     let mut rhs = [IjVector::new(rank, dm.dist.clone())];
     fill_transport(
         mesh,
@@ -545,7 +545,7 @@ mod tests {
         let dm = DofMap::build(&mesh, nparts, PartitionMethod::Rcb, 0);
         let tags = classify_nodes(&mesh);
         let owned_edges: Vec<usize> = (0..mesh.edges.len())
-            .filter(|&e| dm.owner[mesh.edges[e].a] == me)
+            .filter(|&e| dm.part[mesh.edges[e].a] == me)
             .collect();
         let owned_nodes = dm.owned_nodes(me);
         Setup {

@@ -25,9 +25,7 @@ pub struct DofMap {
     pub dist: RowDist,
     /// Global id of each mesh node.
     pub gid: Vec<u64>,
-    /// Owning rank of each mesh node.
-    pub owner: Vec<usize>,
-    /// The partition vector (rank per node).
+    /// The partition vector: owning rank of each mesh node.
     pub part: Vec<usize>,
 }
 
@@ -103,19 +101,13 @@ impl DofMap {
             }
         };
         let (dist, gid) = dist_from_partition(&part, nparts);
-        let owner = part.clone();
-        DofMap {
-            dist,
-            gid,
-            owner,
-            part,
-        }
+        DofMap { dist, gid, part }
     }
 
     /// Nodes owned by `rank`, in ascending global-id order.
     pub fn owned_nodes(&self, rank: usize) -> Vec<usize> {
         let mut nodes: Vec<usize> = (0..self.gid.len())
-            .filter(|&i| self.owner[i] == rank)
+            .filter(|&i| self.part[i] == rank)
             .collect();
         nodes.sort_by_key(|&i| self.gid[i]);
         nodes
@@ -154,7 +146,7 @@ mod tests {
         let m = mesh();
         let dm = DofMap::build(&m, 3, PartitionMethod::Multilevel, 7);
         for i in 0..m.n_nodes() {
-            assert_eq!(dm.dist.owner(dm.gid[i]), dm.owner[i]);
+            assert_eq!(dm.dist.owner(dm.gid[i]), dm.part[i]);
         }
         // Owned nodes cover all nodes exactly once.
         let total: usize = (0..3).map(|r| dm.owned_nodes(r).len()).sum();

@@ -109,7 +109,7 @@ impl MeshSystem {
     ) -> MeshSystem {
         let dm = DofMap::build(mesh, nparts, method, seed);
         let owned_edges: Vec<usize> = (0..mesh.edges.len())
-            .filter(|&e| dm.owner[mesh.edges[e].a] == me)
+            .filter(|&e| dm.part[mesh.edges[e].a] == me)
             .collect();
         let owned_nodes = dm.owned_nodes(me);
         MeshSystem {
@@ -236,7 +236,7 @@ mod tests {
 
         // One interior node blanked by hand: its row becomes Dirichlet.
         let n = (0..meshes[1].n_nodes())
-            .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.owner[n] == 0)
+            .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.part[n] == 0)
             .expect("an owned interior node");
         meshes[1].status[n] = NodeStatus::Hole;
         assert!(sys.rebuild_graphs(&meshes[1], 0));
@@ -257,6 +257,7 @@ mod tests {
         assemble_overset(&mut meshes, 0.18);
         parcomm::Comm::run(2, move |rank| {
             let me = rank.rank();
+            rank.set_telemetry(telemetry::Telemetry::enabled(me));
             let mut meshes = meshes.clone();
             let mut sys = MeshSystem::new(&meshes[1], 2, PartitionMethod::Multilevel, 0, me);
             sys.rebuild_graphs(&meshes[1], me);
@@ -264,10 +265,15 @@ mod tests {
                 let g = sys.graphs.as_ref().unwrap();
                 try_build_matrix(rank, &sys.dm, &g.continuity, &g.con_vals).expect("assembles")
             };
-            // Sort kernels recorded so far: only a plan build adds any.
-            let sorts = || {
-                let trace = rank.trace_snapshot().total();
-                trace.launches_by_kind.get(&parcomm::KernelKind::Sort).copied().unwrap_or(0)
+            // `assembly_sort_reduce` calls so far, from the `kernel_perf`
+            // rows: only a plan build sorts.
+            let sorts = || -> u64 {
+                let calls = |e| match e {
+                    telemetry::Event::KernelPerf { kernel, calls, .. }
+                        if kernel == "assembly_sort_reduce" => calls,
+                    _ => 0,
+                };
+                rank.telemetry_events().into_iter().map(calls).sum()
             };
             assert!(sys.graphs.as_ref().unwrap().continuity.plan.get().is_none());
             let first = assemble(&sys);
@@ -287,7 +293,7 @@ mod tests {
             // is replicated): new graphs, and no plan until they are
             // assembled — which records a new one.
             let n = (0..meshes[1].n_nodes())
-                .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.owner[n] == 0)
+                .find(|&n| sys.tags[n] == BcTag::Interior && sys.dm.part[n] == 0)
                 .expect("an interior node owned by rank 0");
             meshes[1].status[n] = NodeStatus::Hole;
             sys.rebuild_graphs(&meshes[1], me);

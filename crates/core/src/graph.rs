@@ -139,12 +139,12 @@ impl EquationGraph {
             let (ga, gb) = (dm.gid[a], dm.gid[b]);
             if !dirichlet[a] {
                 // Edge ownership follows node a, so these rows are owned.
-                push(dm.owner[a], (ga, ga), &mut owned, &mut shared);
-                push(dm.owner[a], (ga, gb), &mut owned, &mut shared);
+                push(dm.part[a], (ga, ga), &mut owned, &mut shared);
+                push(dm.part[a], (ga, gb), &mut owned, &mut shared);
             }
             if !dirichlet[b] {
-                push(dm.owner[b], (gb, gb), &mut owned, &mut shared);
-                push(dm.owner[b], (gb, ga), &mut owned, &mut shared);
+                push(dm.part[b], (gb, gb), &mut owned, &mut shared);
+                push(dm.part[b], (gb, ga), &mut owned, &mut shared);
             }
         }
         for &n in owned_nodes {
@@ -168,7 +168,7 @@ impl EquationGraph {
                 .nodes
                 .iter()
                 .enumerate()
-                .filter(|&(_, &n)| dm.owner[n] == me && !dirichlet[n])
+                .filter(|&(_, &n)| dm.part[n] == me && !dirichlet[n])
                 .map(|(i, &n)| {
                     let g = dm.gid[n];
                     (i, owned.binary_search(&(g, g)).expect("diag missing") as u32)
@@ -214,12 +214,12 @@ fn edge_slots(
             let (ga, gb) = (dm.gid[a], dm.gid[b]);
             let mut slots = [SKIP; 4];
             if !dirichlet[a] {
-                slots[0] = find(dm.owner[a], (ga, ga));
-                slots[1] = find(dm.owner[a], (ga, gb));
+                slots[0] = find(dm.part[a], (ga, ga));
+                slots[1] = find(dm.part[a], (ga, gb));
             }
             if !dirichlet[b] {
-                slots[2] = find(dm.owner[b], (gb, gb));
-                slots[3] = find(dm.owner[b], (gb, ga));
+                slots[2] = find(dm.part[b], (gb, gb));
+                slots[3] = find(dm.part[b], (gb, ga));
             }
             slots
         })
@@ -314,7 +314,7 @@ mod tests {
 
     fn owned_edges(mesh: &Mesh, dm: &DofMap, me: usize) -> Vec<usize> {
         (0..mesh.edges.len())
-            .filter(|&e| dm.owner[mesh.edges[e].a] == me)
+            .filter(|&e| dm.part[mesh.edges[e].a] == me)
             .collect()
     }
 

@@ -24,7 +24,7 @@
 
 use std::ops::Range;
 
-use parcomm::{FaultKind, KernelKind, Rank, Tag};
+use parcomm::{FaultKind, Rank, Tag};
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::prims;
@@ -91,7 +91,7 @@ impl IjMatrix {
         // combine here).
         let presorted = self.owned.len() + self.shared.len();
         {
-            let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+            let k = rank.kernel("assembly_sort_reduce");
             k.launch(presorted, cost::sort(presorted, TRIPLE_BYTES));
             self.owned.sort_and_combine();
             self.shared.sort_and_combine();
@@ -126,7 +126,7 @@ impl IjMatrix {
 
         // stable_sort_by_key + reduce_by_key over the stacked buffer.
         {
-            let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+            let k = rank.kernel("assembly_sort_reduce");
             k.launch(all.len(), cost::sort(all.len(), TRIPLE_BYTES));
             k.launch(all.len(), cost::reduce(all.len(), TRIPLE_BYTES));
             all.sort_and_combine();
@@ -135,7 +135,7 @@ impl IjMatrix {
         // Split into diag/offd and build the ParCSR. Splitting is a
         // single pass; the build communicates, so the launch is recorded
         // without a timed scope around it.
-        rank.kernel("assembly_split", KernelKind::Stream)
+        rank.kernel("assembly_split")
             .launch(all.len(), cost::stream(all.len(), 2));
         Ok(ParCsr::from_global_coo(rank, self.row_dist, self.col_dist, &all))
     }
@@ -219,7 +219,7 @@ fn sorted_runs<K: Ord + Copy>(
     let mut prov: Vec<u32> = (0..keys.len() as u32).collect();
     // One sorted item is a key plus its u32 provenance.
     let item_bytes = (std::mem::size_of::<K>() + std::mem::size_of::<u32>()) as u64;
-    let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+    let k = rank.kernel("assembly_sort_reduce");
     k.launch(keys.len(), cost::sort(keys.len(), item_bytes));
     prims::stable_sort_by_key(&mut keys, &mut prov);
     let mut i = 0;
@@ -361,7 +361,7 @@ impl AssemblyPlan {
             // The copy-out is the gather of each send, so the scope's
             // wall time includes the sends' encode + enqueue (also in
             // `transfer_secs`).
-            let k = (n_shared > 0).then(|| rank.kernel("assembly_pack", KernelKind::Stream));
+            let k = (n_shared > 0).then(|| rank.kernel("assembly_pack"));
             if let Some(k) = &k {
                 k.launch(n_shared, cost::stream(n_shared, 2));
             }
@@ -371,7 +371,7 @@ impl AssemblyPlan {
 
         let entries = self.diag.first.len() + self.offd.first.len();
         let contribs = self.diag.contribs() + self.offd.contribs();
-        let k = rank.kernel("assembly_gather", KernelKind::Stream);
+        let k = rank.kernel("assembly_gather");
         k.launch(entries, cost::assembly_gather(entries, contribs));
         Ok(self.pattern.with_values(self.diag.apply(&stack), self.offd.apply(&stack)))
     }
@@ -468,7 +468,7 @@ impl IjVector {
         // Sort + reduce over the received values only (the paper found
         // this noticeably faster than sorting the whole stacked vector).
         let (ids, vals) = {
-            let k = rank.kernel("assembly_sort_reduce", KernelKind::Sort);
+            let k = rank.kernel("assembly_sort_reduce");
             k.launch(recv_ids.len(), cost::sort(recv_ids.len(), 16));
             prims::stable_sort_by_key(&mut recv_ids, &mut recv_vals);
             prims::reduce_by_key(&recv_ids, &recv_vals)
@@ -476,7 +476,7 @@ impl IjVector {
 
         // RHS[i_new] += RHS_new[i_new].
         {
-            let k = rank.kernel("rhs_scatter_add", KernelKind::Stream);
+            let k = rank.kernel("rhs_scatter_add");
             k.launch(ids.len(), cost::blas1(ids.len(), 2));
             for (&gi, &v) in ids.iter().zip(&vals) {
                 let li = self.dist.to_local(self.rank_id, gi);
@@ -512,7 +512,7 @@ impl IjVector {
         {
             let n = plan.rows.len();
             let (gather, add) = (cost::assembly_gather(n, stack.len()), cost::blas1(n, 2));
-            let k = rank.kernel("rhs_gather_add", KernelKind::Stream);
+            let k = rank.kernel("rhs_gather_add");
             k.launch(n, (gather.0 + add.0, gather.1 + add.1));
             let reduced = plan.gather.apply(&stack);
             for (&li, &v) in plan.rows.iter().zip(&reduced) {
@@ -631,7 +631,8 @@ mod tests {
 
     #[test]
     fn assembly_records_sort_kernels_and_messages() {
-        let (_, traces) = Comm::run_traced(2, |rank| {
+        let (sorts, traces) = Comm::run_traced(2, |rank| {
+            rank.set_telemetry(telemetry::Telemetry::enabled(rank.rank()));
             let dist = RowDist::block(4, 2);
             let mut ij = IjMatrix::new(rank, dist.clone(), dist);
             rank.with_phase("global assembly", || {
@@ -641,14 +642,17 @@ mod tests {
                 ij.add_value(rank.rank() as u64 * 2, 0, 1.0);
                 ij.try_assemble(rank).unwrap()
             });
+            let calls = |e| match e {
+                telemetry::Event::KernelPerf { kernel, calls, .. }
+                    if kernel == "assembly_sort_reduce" => calls,
+                _ => 0,
+            };
+            rank.telemetry_events().into_iter().map(calls).sum::<u64>()
         });
-        for t in &traces {
+        for (t, sorts) in traces.iter().zip(sorts) {
             let phase = t.phase("global assembly");
             assert!(phase.msgs >= 1, "expected off-rank COO message");
-            assert!(
-                phase.launches_by_kind.get(&KernelKind::Sort).copied().unwrap_or(0) >= 2,
-                "expected sort kernels"
-            );
+            assert!(sorts >= 2, "expected sort kernels");
             assert!(phase.collectives >= 1, "expected nnz_recv allreduce");
         }
     }
@@ -790,5 +794,4 @@ mod tests {
         });
     }
 
-    use parcomm::KernelKind;
 }

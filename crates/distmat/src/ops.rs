@@ -12,7 +12,7 @@
 
 use std::ops::Range;
 
-use parcomm::{KernelKind, Rank, Tag};
+use parcomm::{Rank, Tag};
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::spgemm::spgemm_flops;
@@ -109,7 +109,7 @@ fn ext_rows(rank: &Rank, a: &ParCsr, b: &ParCsr) -> Rows {
 /// receive is returned. Collective.
 pub fn par_transpose(rank: &Rank, a: &ParCsr) -> Result<ParCsr, SolveError> {
     let nan = assembly_fault_hooks(rank)?;
-    let k = rank.kernel("transpose", KernelKind::Sort);
+    let k = rank.kernel("transpose");
     k.launch(a.local_rows(), cost::transpose(&a.diag));
     let (mut diag, offd_t) = (a.diag.transpose(), a.offd.transpose());
     drop(k);
@@ -178,7 +178,7 @@ fn multiply(rank: &Rank, a: &ParCsr, b: &ParCsr, ext: &Rows) -> ParCsr {
     // `spgemm_flops` counts 2 flops per product — halve it back to the
     // product count the price takes.
     let expansion = spgemm_flops(&a.diag, &b.diag) / 2;
-    let k = rank.kernel("spgemm", KernelKind::SpGemm);
+    let k = rank.kernel("spgemm");
     let width = n_own + ext_cols.len();
     let (mut acc, mut row_of, mut touched) = (vec![0.0f64; width], vec![usize::MAX; width], Vec::new());
     let mut diag = (vec![0usize], Vec::new(), Vec::new());
@@ -325,7 +325,7 @@ impl ParSpgemmPlan {
         })
         .unwrap_or_else(|e| panic!("{e}"));
         let c_nnz = self.template.local_nnz();
-        let k = rank.kernel("spgemm_numeric", KernelKind::SpGemm);
+        let k = rank.kernel("spgemm_numeric");
         k.launch(a.local_rows(), cost::spgemm(self.expansion, c_nnz));
         // +0.0 seeds: the fresh path's first contribution per entry is
         // `0.0 + a·b` (see the type-level docs), and replay must repeat

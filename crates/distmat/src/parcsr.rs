@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use resilience::SolveError;
 use sparse_kit::cost;
 use sparse_kit::{Coo, Csr};
@@ -330,7 +330,7 @@ impl ParCsr {
         // The gather is interleaved with the sends, so the scope's wall
         // time includes their encode + enqueue (also in `transfer_secs`).
         let packed_total = self.comm_pkg().n_send();
-        let k = (packed_total > 0).then(|| rank.kernel("halo_pack", KernelKind::Stream));
+        let k = (packed_total > 0).then(|| rank.kernel("halo_pack"));
         if let Some(k) = &k {
             k.launch(packed_total, cost::blas1(packed_total, 2));
         }
@@ -398,17 +398,17 @@ impl ParCsr {
     /// wait time, not kernel time.
     fn apply_overlapped(&self, rank: &Rank, x: &[f64], b: Option<&[f64]>, y: &mut [f64]) {
         let halo = self.try_halo_begin(rank, x).unwrap_or_else(|e| panic!("{e}"));
-        let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+        let k = rank.kernel("spmv_csr");
         k.launch(self.local_rows(), cost::spmv(&self.diag));
         self.diag.spmv_into(x, y);
         let ext = halo.try_finish(rank).unwrap_or_else(|e| panic!("{e}"));
         if self.offd.nnz() > 0 {
-            let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+            let k = rank.kernel("spmv_csr");
             k.launch(self.local_rows(), cost::spmv(&self.offd));
             self.offd.spmv_add_into(&ext, y);
         }
         if let Some(b) = b {
-            let k = rank.kernel("residual_sub", KernelKind::Stream);
+            let k = rank.kernel("residual_sub");
             k.launch(y.len(), cost::blas1(y.len(), 3));
             for (yi, &bi) in y.iter_mut().zip(b) {
                 *yi = bi - *yi;

@@ -1,6 +1,6 @@
 //! Distributed vectors in 1-D block-row layout.
 
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use sparse_kit::cost;
 use sparse_kit::dense;
 
@@ -69,7 +69,7 @@ impl ParVector {
     pub fn dot(&self, rank: &Rank, other: &ParVector) -> f64 {
         assert_eq!(self.local.len(), other.local.len(), "length mismatch");
         let local = {
-            let k = rank.kernel("dot", KernelKind::Stream);
+            let k = rank.kernel("dot");
             k.launch(self.local.len(), cost::blas1(self.local.len(), 2));
             dense::dot(&self.local, &other.local)
         };
@@ -83,7 +83,7 @@ impl ParVector {
 
     /// self += a·x (purely local).
     pub fn axpy(&mut self, rank: &Rank, a: f64, x: &ParVector) {
-        let k = rank.kernel("axpy", KernelKind::Stream);
+        let k = rank.kernel("axpy");
         k.launch(self.local.len(), cost::blas1(self.local.len(), 3));
         dense::axpy(a, &x.local, &mut self.local);
     }
@@ -96,7 +96,7 @@ impl ParVector {
             return;
         }
         let n = self.local.len();
-        let k = rank.kernel("fused_axpys", KernelKind::Stream);
+        let k = rank.kernel("fused_axpys");
         k.launch(n, cost::axpys(n, xs.len()));
         let xs: Vec<&[f64]> = xs.iter().map(|x| &x.local[..]).collect();
         dense::axpys(a, &xs, &mut self.local);
@@ -104,7 +104,7 @@ impl ParVector {
 
     /// self *= a (purely local).
     pub fn scale(&mut self, rank: &Rank, a: f64) {
-        let k = rank.kernel("scale", KernelKind::Stream);
+        let k = rank.kernel("scale");
         k.launch(self.local.len(), cost::blas1(self.local.len(), 2));
         dense::scale(a, &mut self.local);
     }

@@ -10,7 +10,7 @@
 //! prices.
 
 use distmat::{ParCsr, ParVector};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use resilience::SolveError;
 use sparse_kit::{cost, dense};
 
@@ -286,7 +286,7 @@ impl Gmres {
         let n = w.local.len();
         let mut local = vec![0.0; j + 2];
         {
-            let k = rank.kernel("fused_dots", KernelKind::Stream);
+            let k = rank.kernel("fused_dots");
             k.launch(n, cost::blas1(n, (j + 2) as u64));
             let ys: Vec<&[f64]> = v[..=j]
                 .iter()

@@ -48,7 +48,7 @@ impl JacobiPrecond {
 impl Preconditioner for JacobiPrecond {
     fn apply(&self, rank: &Rank, r: &ParVector) -> ParVector {
         let mut z = r.clone();
-        let k = rank.kernel("jacobi_apply", parcomm::KernelKind::Stream);
+        let k = rank.kernel("jacobi_apply");
         k.launch(z.local.len(), sparse_kit::cost::blas1(z.local.len(), 3));
         for (zi, &di) in z.local.iter_mut().zip(&self.inv_diag) {
             *zi *= self.omega * di;

@@ -19,7 +19,7 @@
 use std::cell::RefCell;
 
 use distmat::{ParCsr, ParVector};
-use parcomm::{KernelKind, Rank};
+use parcomm::Rank;
 use sparse_kit::cost;
 use sparse_kit::dense;
 use sparse_kit::Csr;
@@ -105,7 +105,7 @@ impl HybridGs {
             let ext = self.a.halo_exchange(rank, &x.local);
             for _ in 0..self.local_sweeps {
                 // Exact local sweep: sequential dependence within the rank.
-                let k = rank.kernel("hybrid_gs_sweep", KernelKind::SpMV);
+                let k = rank.kernel("hybrid_gs_sweep");
                 k.launch(n, cost::spmv(&self.a.diag));
                 let rows: Box<dyn Iterator<Item = usize>> = if self.forward {
                     Box::new(0..n)
@@ -160,7 +160,7 @@ impl JrSweeps<'_> {
         if self.sweeps == 0 {
             return;
         }
-        let k = rank.kernel(self.kernel, KernelKind::SpMV);
+        let k = rank.kernel(self.kernel);
         for _ in 0..self.sweeps {
             k.launch(r.len(), cost::jr_sweep_fused(self.t));
             self.t.jr_sweep_fused(r, self.inv_diag, g, next);
@@ -183,7 +183,7 @@ impl JrSweeps<'_> {
         let n = r.len();
         let Some(before_last) = self.sweeps.checked_sub(1) else {
             self.solve(rank, r, g, next);
-            let k = rank.kernel("axpy", KernelKind::Stream);
+            let k = rank.kernel("axpy");
             k.launch(n, cost::blas1(n, 3));
             dense::axpy(1.0, g, x);
             return;
@@ -193,7 +193,7 @@ impl JrSweeps<'_> {
             ..*self
         }
         .solve(rank, r, g, next);
-        let k = rank.kernel(self.kernel, KernelKind::SpMV);
+        let k = rank.kernel(self.kernel);
         k.launch(n, cost::jr_sweep_add(self.t));
         self.t.jr_sweep_add(r, self.inv_diag, g, x);
     }
@@ -548,21 +548,42 @@ mod tests {
         // zero iterate: round 1 takes r = b (no exchange, no residual
         // SpMV), round 2 exchanges. `smooth` on a caller's `x` cannot
         // know it is zero and exchanges in both rounds.
-        let (_, traces) = Comm::run_traced(2, |rank| {
+        let (launches, traces) = Comm::run_traced(2, |rank| {
+            rank.set_telemetry(telemetry::Telemetry::enabled(rank.rank()));
             let (a, b, _) = setup(rank, 16);
             let sgs = Sgs2::with_sweeps(&a, 2, 2);
+            // (JR sweeps, residual SpMV passes) so far, from the
+            // `kernel_perf` rows.
+            let count = || {
+                let (mut sweeps, mut spmvs) = (0, 0);
+                for e in rank.telemetry_events() {
+                    if let telemetry::Event::KernelPerf { kernel, calls, .. } = e {
+                        match kernel.as_str() {
+                            "sgs2_forward_fused" | "sgs2_backward_fused" => sweeps += calls,
+                            "spmv_csr" => spmvs += calls,
+                            _ => {}
+                        }
+                    }
+                }
+                (sweeps, spmvs)
+            };
+            let set_up = count();
             rank.with_phase("apply", || sgs.apply(rank, &b));
+            let applied = count();
             let mut x = ParVector::zeros(rank, b.dist().clone());
             rank.with_phase("smooth", || sgs.smooth(rank, &b, &mut x, 2));
+            let smoothed = count();
+            let since = |a: (u64, u64), b: (u64, u64)| (b.0 - a.0, b.1 - a.1);
+            (since(set_up, applied), since(applied, smoothed))
         });
-        for t in &traces {
+        for (t, (apply_calls, smooth_calls)) in traces.iter().zip(launches) {
             let (apply, smooth) = (t.phase("apply"), t.phase("smooth"));
             assert_eq!(apply.msgs, 1, "zero-guess round must not exchange");
             assert_eq!(smooth.msgs, 2, "general rounds exchange every time");
             // Per round 4 JR sweeps; a general round adds the diag and
             // offd residual passes.
-            assert_eq!(apply.launches_by_kind[&KernelKind::SpMV], 8 + 2);
-            assert_eq!(smooth.launches_by_kind[&KernelKind::SpMV], 8 + 4);
+            assert_eq!(apply_calls, (8, 2));
+            assert_eq!(smooth_calls, (8, 4));
         }
     }
 

@@ -206,7 +206,7 @@ mod tests {
         let m = MachineModel::summit_v100();
         let fast = trace(1, 1 << 10, 0, 0, 0);
         let slow = trace(1, 64 << 20, 0, 0, 0);
-        let balanced = m.phase_time(&[slow.clone(), slow.clone()]);
+        let balanced = m.phase_time(&[slow, slow]);
         let imbalanced = m.phase_time(&[fast, slow]);
         assert!((balanced - imbalanced).abs() < 1e-12, "max, not sum");
     }

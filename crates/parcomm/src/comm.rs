@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use crate::faults::Rule;
 use crate::message::{encode_payload, Message};
-use crate::perf::{KernelKind, PerfRecorder, PhaseTrace, TagClass};
+use crate::perf::{PerfRecorder, PhaseTrace, TagClass};
 use crate::socket::{self, WorkerEnv};
 use crate::transport::{
     Envelope, Payload, RecvEvent, RecvTimeout, Transport, TransportKind, WireFrame,
@@ -126,10 +126,11 @@ impl Comm {
         F: Fn(&Rank) -> R + Sync,
     {
         assert!(size > 0, "communicator must have at least one rank");
-        match kind {
-            TransportKind::Inproc => Self::run_inproc(size, f),
-            TransportKind::Socket => socket::run_threads(size, f),
-        }
+        let transports = match kind {
+            TransportKind::Inproc => InprocTransport::mesh(size),
+            TransportKind::Socket => socket::thread_mesh(size),
+        };
+        run_ranks(transports, f)
     }
 
     /// Run `f` on the one rank this process hosts of the multi-process
@@ -137,52 +138,6 @@ impl Comm {
     /// return that rank's result.
     pub fn run_worker<R>(env: &WorkerEnv, f: impl FnOnce(&Rank) -> R) -> R {
         socket::run_worker(env, f)
-    }
-
-    /// A rank that panics fences its peers: its thread pushes
-    /// [`RecvEvent::PeerGone`] to every peer's queue while it unwinds, so
-    /// a receive pending on it fails with [`CommError::Disconnected`]
-    /// within milliseconds instead of waiting out [`RECV_TIMEOUT`], and
-    /// the panic re-raised here is the first one, not a peer's
-    /// "disconnected" that it caused.
-    fn run_inproc<R, F>(size: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&Rank) -> R + Sync,
-    {
-        let mut txs = Vec::with_capacity(size);
-        let mut rxs = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = channel::<RecvEvent>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let txs = Arc::new(txs);
-        let first_panic = FirstPanic::new();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(size);
-            for (id, rx) in rxs.into_iter().enumerate() {
-                let txs = Arc::clone(&txs);
-                let (f, first_panic) = (&f, &first_panic);
-                handles.push(scope.spawn(move || {
-                    let rank = Rank::new(Box::new(InprocTransport {
-                        rank: id,
-                        size,
-                        txs: Arc::clone(&txs),
-                        rx,
-                    }));
-                    // Declared after `rank`, so it drops first: the claim
-                    // is made before the rank's receiver closes and a
-                    // peer's send to it fails.
-                    let _fence = PanicFence { id, txs, first_panic };
-                    let out = f(&rank);
-                    rank.finalize();
-                    out
-                }));
-            }
-            first_panic.join(handles)
-        })
     }
 
     /// Run `f` on `size` ranks, returning per-rank results *and* per-rank
@@ -207,27 +162,56 @@ impl Comm {
     }
 }
 
+/// Run `f` on one thread per transport, the transport of rank `r` at
+/// index `r`, and return the results in rank order. A rank that panics
+/// fences its peers: its transport, dropped while the thread unwinds,
+/// tells every peer it is gone (the in-process one queues
+/// [`RecvEvent::PeerGone`], a socket's streams close), so a receive
+/// pending on it fails with [`CommError::Disconnected`] within
+/// milliseconds instead of waiting out [`RECV_TIMEOUT`]. The panic
+/// re-raised here is the first one, not a peer's "disconnected" that it
+/// caused.
+fn run_ranks<R, F>(transports: Vec<Box<dyn Transport>>, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&Rank) -> R + Sync,
+{
+    let first_panic = FirstPanic(AtomicUsize::new(usize::MAX));
+    std::thread::scope(|scope| {
+        let (f, first_panic) = (&f, &first_panic);
+        let handles = transports.into_iter().enumerate().map(|(id, transport)| {
+            scope.spawn(move || {
+                let rank = Rank::new(transport);
+                // Declared after `rank`, so it drops first: the claim is
+                // made before the rank's transport tells its peers that
+                // it is gone.
+                let _claim = PanicClaim { id, first_panic };
+                let out = f(&rank);
+                rank.finalize();
+                out
+            })
+        });
+        first_panic.join(handles.collect())
+    })
+}
+
 /// Which rank of a job run as threads of this process panicked first:
 /// the panic to re-raise, since a rank that dies makes its peers fail
 /// too, and one of them may be joined before it.
-pub(crate) struct FirstPanic(AtomicUsize);
+struct FirstPanic(AtomicUsize);
 
 impl FirstPanic {
-    pub(crate) fn new() -> FirstPanic {
-        FirstPanic(AtomicUsize::new(usize::MAX))
-    }
-
     /// Record rank `id` as panicking unless another rank already is. A
     /// rank's drop guard calls this while unwinding, before its peers
     /// can learn that it is gone: the rest are (or may be) consequences.
-    pub(crate) fn claim(&self, id: usize) {
+    fn claim(&self, id: usize) {
         let _ = self.0.compare_exchange(usize::MAX, id, Ordering::SeqCst, Ordering::SeqCst);
     }
 
     /// Join every rank thread and return the results in rank order, or
     /// re-raise the first claimed panic (the first joined one if no rank
     /// claimed, i.e. it died before its guard existed).
-    pub(crate) fn join<R>(&self, handles: Vec<std::thread::ScopedJoinHandle<'_, R>>) -> Vec<R> {
+    fn join<R>(&self, handles: Vec<std::thread::ScopedJoinHandle<'_, R>>) -> Vec<R> {
         let mut results = Vec::with_capacity(handles.len());
         let mut panics = Vec::new();
         for (id, handle) in handles.into_iter().enumerate() {
@@ -245,26 +229,17 @@ impl FirstPanic {
     }
 }
 
-/// Drop guard of one inproc rank thread (see [`Comm::run_inproc`]).
-struct PanicFence<'a> {
+/// Drop guard of one rank thread (see [`run_ranks`]): claims the first
+/// panic.
+struct PanicClaim<'a> {
     id: usize,
-    txs: Arc<Vec<Sender<RecvEvent>>>,
     first_panic: &'a FirstPanic,
 }
 
-impl Drop for PanicFence<'_> {
+impl Drop for PanicClaim<'_> {
     fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        self.first_panic.claim(self.id);
-        // Same sender thread as every message this rank sent, so the
-        // event queues behind them all. A peer that is gone itself has
-        // no receiver left; nothing to tell it.
-        for (peer, tx) in self.txs.iter().enumerate() {
-            if peer != self.id {
-                let _ = tx.send(RecvEvent::PeerGone(self.id));
-            }
+        if std::thread::panicking() {
+            self.first_panic.claim(self.id);
         }
     }
 }
@@ -276,6 +251,34 @@ struct InprocTransport {
     size: usize,
     txs: Arc<Vec<Sender<RecvEvent>>>,
     rx: Receiver<RecvEvent>,
+}
+
+impl InprocTransport {
+    /// One transport per rank of a `size`-rank job, in rank order: one
+    /// channel per rank, whose senders every rank holds.
+    fn mesh(size: usize) -> Vec<Box<dyn Transport>> {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..size).map(|_| channel::<RecvEvent>()).unzip();
+        let txs = Arc::new(txs);
+        let transport = |(rank, rx)| -> Box<dyn Transport> {
+            Box::new(InprocTransport { rank, size, txs: Arc::clone(&txs), rx })
+        };
+        rxs.into_iter().enumerate().map(transport).collect()
+    }
+}
+
+/// A rank whose thread panics fences its peers from here: the event
+/// queues behind every message it sent (same sender thread). A peer that
+/// is gone itself has no receiver left; nothing to tell it.
+impl Drop for InprocTransport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for (peer, tx) in self.txs.iter().enumerate() {
+                if peer != self.rank {
+                    let _ = tx.send(RecvEvent::PeerGone(self.rank));
+                }
+            }
+        }
+    }
 }
 
 impl Transport for InprocTransport {
@@ -678,8 +681,8 @@ impl Rank {
     /// and in `transfer_secs`) — only the two pack kernels, whose
     /// copy-out is interleaved with their sends, accept that. Do not
     /// open a scope for an empty launch: it reads the clock for nothing.
-    pub fn kernel(&self, name: &'static str, kind: KernelKind) -> KernelScope<'_> {
-        KernelScope { perf: &self.perf, name, kind, start: self.comm_clock() }
+    pub fn kernel(&self, name: &'static str) -> KernelScope<'_> {
+        KernelScope { perf: &self.perf, name, start: self.comm_clock() }
     }
 
     /// Run `f` with the perf phase label set to `name`, restoring the
@@ -793,7 +796,6 @@ impl Rank {
 pub struct KernelScope<'a> {
     perf: &'a RefCell<PerfRecorder>,
     name: &'static str,
-    kind: KernelKind,
     start: Option<Instant>,
 }
 
@@ -801,7 +803,7 @@ impl KernelScope<'_> {
     /// Record one launch processing `dofs` degrees of freedom at the
     /// `(bytes, flops)` price `sparse_kit::cost` gives it.
     pub fn launch(&self, dofs: usize, (bytes, flops): (u64, u64)) {
-        self.perf.borrow_mut().kernel(self.name, self.kind, dofs as u64, bytes, flops);
+        self.perf.borrow_mut().launch(self.name, dofs as u64, bytes, flops);
     }
 }
 
@@ -1140,36 +1142,38 @@ mod tests {
     }
 
     #[test]
-    fn panicking_inproc_rank_fences_its_peers_and_its_panic_is_the_one_raised() {
+    fn panicking_rank_fences_its_peers_and_its_panic_is_the_one_raised() {
         use std::sync::Mutex;
-        let seen = Mutex::new(Vec::new());
-        let t0 = Instant::now();
-        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Comm::run(3, |rank| match rank.rank() {
-                2 => {
-                    rank.send(1, 3, 42u64);
-                    panic!("rank 2 assertion");
-                }
-                1 => {
-                    // What rank 2 sent before it died still arrives; only
-                    // then is it gone, and stays gone.
-                    let got = rank.try_recv::<u64>(2, 3);
-                    let gone = rank.try_recv::<u64>(2, 3);
-                    let still = rank.try_recv::<u64>(2, 9);
-                    seen.lock().unwrap().push((got, gone, still, t0.elapsed()));
-                }
-                // The panicking receive: a second, consequential panic on
-                // the rank that is joined first.
-                _ => drop(rank.recv::<u64>(2, 3)),
-            });
-        }));
-        let payload = raised.expect_err("the panic propagates");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 2 assertion"));
-        let gone = Err(CommError::Disconnected { rank: 1, peer: 2 });
-        let seen = seen.into_inner().unwrap();
-        let (got, first, still, waited) = &seen[0];
-        assert_eq!((got, first, still), (&Ok(42), &gone, &gone));
-        assert!(*waited < Duration::from_secs(1), "fenced after {waited:?}");
+        both_transports(|k| {
+            let seen = Mutex::new(Vec::new());
+            let t0 = Instant::now();
+            let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Comm::run_with(k, 3, |rank| match rank.rank() {
+                    2 => {
+                        rank.send(1, 3, 42u64);
+                        panic!("rank 2 assertion");
+                    }
+                    1 => {
+                        // What rank 2 sent before it died still arrives;
+                        // only then is it gone, and stays gone.
+                        let got = rank.try_recv::<u64>(2, 3);
+                        let gone = rank.try_recv::<u64>(2, 3);
+                        let still = rank.try_recv::<u64>(2, 9);
+                        seen.lock().unwrap().push((got, gone, still, t0.elapsed()));
+                    }
+                    // The panicking receive: a second, consequential panic
+                    // on the rank that is joined first.
+                    _ => drop(rank.recv::<u64>(2, 3)),
+                });
+            }));
+            let payload = raised.expect_err("the panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 2 assertion"), "{k}");
+            let gone = Err(CommError::Disconnected { rank: 1, peer: 2 });
+            let seen = seen.into_inner().unwrap();
+            let (got, first, still, waited) = &seen[0];
+            assert_eq!((got, first, still), (&Ok(42), &gone, &gone), "{k}");
+            assert!(*waited < Duration::from_secs(1), "{k}: fenced after {waited:?}");
+        });
     }
 
     #[test]
@@ -1234,7 +1238,7 @@ mod tests {
     #[test]
     fn kernel_recording_lands_in_phase() {
         let out = Comm::run(1, |rank| {
-            let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+            let k = rank.kernel("spmv_csr");
             rank.with_phase("spmv", || k.launch(10, (1000, 250)));
             rank.trace_snapshot()
         });
@@ -1249,7 +1253,7 @@ mod tests {
         let out = Comm::run(1, |rank| {
             rank.set_telemetry(telemetry::Telemetry::enabled(rank.rank()));
             rank.with_phase("solve", || {
-                let k = rank.kernel("jr_sweep_fused", KernelKind::SpMV);
+                let k = rank.kernel("jr_sweep_fused");
                 for _ in 0..3 {
                     k.launch(10, (1000, 250));
                 }
@@ -1260,7 +1264,6 @@ mod tests {
         let solve = trace.phase("solve");
         assert_eq!(solve.kernel_launches, 3);
         assert_eq!((solve.kernel_bytes, solve.kernel_flops), (3000, 750));
-        assert_eq!(solve.launches_by_kind[&KernelKind::SpMV], 3);
         let rows: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
@@ -1281,7 +1284,7 @@ mod tests {
     fn kernel_scope_never_reads_the_clock_without_telemetry() {
         let out = Comm::run(1, |rank| {
             {
-                let k = rank.kernel("spmv_csr", KernelKind::SpMV);
+                let k = rank.kernel("spmv_csr");
                 k.launch(10, (1000, 250));
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -1301,7 +1304,7 @@ mod tests {
             rank.with_phase("outer", || {
                 // One scope across the phase switch: each launch lands in
                 // the phase current when it is recorded.
-                let k = rank.kernel("k", KernelKind::Other);
+                let k = rank.kernel("k");
                 k.launch(1, (1, 0));
                 rank.with_phase("inner", || k.launch(1, (2, 0)));
                 k.launch(1, (4, 0));

@@ -44,7 +44,7 @@ pub use clock::ClockSync;
 pub use comm::{Comm, CommError, KernelScope, Rank, Tag};
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use message::{decode_payload, encode_payload, Message, WireCursor, WireError};
-pub use perf::{CollectiveStats, EdgeStats, KernelKind, PhaseTrace, TagClass, Trace};
+pub use perf::{CollectiveStats, EdgeStats, PhaseTrace, TagClass, Trace};
 pub use socket::{socket_path, WorkerEnv, SOCKET_PATH_MAX};
 pub use transport::{
     read_frame, write_frame, Frame, FrameError, FrameKind, TransportKind, MAX_FRAME_BYTES,

@@ -11,9 +11,11 @@
 //! [`Trace`] above) and by kernel name (a [`KernelRow`] per name, which
 //! also receives wall time when telemetry is on — the roofline report's
 //! `kernel_perf` rows). The two views sum to the same launches, bytes
-//! and flops by construction.
+//! and flops by construction. A kernel is known by its name alone: the
+//! `machine` model prices every launch alike, from its bytes and flops,
+//! so the ledger keeps no kernel classification.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use telemetry::LogHistogram;
 
@@ -73,22 +75,6 @@ pub struct CollectiveStats {
     pub latency: LogHistogram,
 }
 
-/// Classification of a device kernel, used for reporting and so that the
-/// machine model can apply kind-specific launch overheads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KernelKind {
-    /// Streaming/bandwidth-bound kernel (axpy, scatter, copy, fill).
-    Stream,
-    /// Sort or reduce-by-key style primitive (multiple passes over data).
-    Sort,
-    /// Sparse matrix-vector product.
-    SpMV,
-    /// Sparse matrix-matrix product.
-    SpGemm,
-    /// Anything else.
-    Other,
-}
-
 /// One kernel name's accumulated launches on one rank: the by-name view
 /// of the launches whose by-phase view is [`Trace`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -109,7 +95,7 @@ pub struct KernelRow {
 }
 
 /// Aggregated operation counts for one phase on one rank.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Trace {
     /// Number of device kernel launches.
     pub kernel_launches: u64,
@@ -132,8 +118,6 @@ pub struct Trace {
     /// Seconds spent moving bytes: send-side encode + enqueue and
     /// recv-side decode. Zero unless comm timing is enabled.
     pub transfer_secs: f64,
-    /// Per-kind launch counts (subset view of `kernel_launches`).
-    pub launches_by_kind: HashMap<KernelKind, u64>,
 }
 
 impl Trace {
@@ -148,9 +132,6 @@ impl Trace {
         self.collective_bytes += other.collective_bytes;
         self.wait_secs += other.wait_secs;
         self.transfer_secs += other.transfer_secs;
-        for (kind, n) in &other.launches_by_kind {
-            *self.launches_by_kind.entry(*kind).or_insert(0) += n;
-        }
     }
 
     /// Sum a set of traces (e.g. one per rank) into a single total.
@@ -160,11 +141,6 @@ impl Trace {
             out.add(t);
         }
         out
-    }
-
-    /// True when no operation has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.kernel_launches == 0 && self.msgs == 0 && self.collectives == 0
     }
 }
 
@@ -183,7 +159,7 @@ impl PhaseTrace {
         self.phases
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, t)| t.clone())
+            .map(|(_, t)| *t)
             .unwrap_or_default()
     }
 
@@ -197,14 +173,6 @@ impl PhaseTrace {
     /// Sum over all phases.
     pub fn total(&self) -> Trace {
         Trace::total(self.phases.iter().map(|(_, t)| t))
-    }
-
-    /// Merge another phase trace into this one, phase by phase.
-    pub fn add(&mut self, other: &PhaseTrace) {
-        for (name, trace) in &other.phases {
-            let slot = self.slot(name);
-            self.phases[slot].1.add(trace);
-        }
     }
 
     /// Replace (or create) one phase's trace wholesale — used by
@@ -298,19 +266,11 @@ impl PerfRecorder {
 
     /// Record one launch of kernel `name`: once into the current phase,
     /// once into the name's row.
-    pub fn kernel(
-        &mut self,
-        name: &'static str,
-        kind: KernelKind,
-        dofs: u64,
-        bytes: u64,
-        flops: u64,
-    ) {
+    pub fn launch(&mut self, name: &'static str, dofs: u64, bytes: u64, flops: u64) {
         let t = self.current_trace();
         t.kernel_launches += 1;
         t.kernel_bytes += bytes;
         t.kernel_flops += flops;
-        *t.launches_by_kind.entry(kind).or_insert(0) += 1;
         let row = self.kernels.entry(name).or_default();
         row.calls += 1;
         row.bytes += bytes;
@@ -402,10 +362,10 @@ mod tests {
     #[test]
     fn recorder_accumulates_into_phases() {
         let mut rec = PerfRecorder::new();
-        rec.kernel("axpy", KernelKind::Stream, 12, 100, 10);
+        rec.launch("axpy", 12, 100, 10);
         rec.set_phase("solve");
-        rec.kernel("spmv_csr", KernelKind::SpMV, 25, 200, 50);
-        rec.kernel("spmv_csr", KernelKind::SpMV, 25, 200, 50);
+        rec.launch("spmv_csr", 25, 200, 50);
+        rec.launch("spmv_csr", 25, 200, 50);
         rec.message(64);
         rec.collective(8);
         // The name view holds the same launches as the phase view.
@@ -426,7 +386,6 @@ mod tests {
         assert_eq!(solve.msgs, 1);
         assert_eq!(solve.msg_bytes, 64);
         assert_eq!(solve.collectives, 1);
-        assert_eq!(solve.launches_by_kind[&KernelKind::SpMV], 2);
     }
 
     #[test]
@@ -435,7 +394,7 @@ mod tests {
         // Switching phases records nothing: no row appears.
         rec.set_phase("idle");
         let trace = rec.snapshot();
-        assert!(trace.phase("nope").is_empty());
+        assert_eq!(trace.phase("nope"), Trace::default());
         assert!(trace.phase_names().is_empty());
     }
 
@@ -516,25 +475,5 @@ mod tests {
     fn tag_class_labels_are_stable() {
         let labels = [TagClass::P2p, TagClass::Halo, TagClass::Collective].map(TagClass::label);
         assert_eq!(labels, ["p2p", "halo", "coll"]);
-    }
-
-    #[test]
-    fn phase_trace_merges() {
-        let mut rec1 = PerfRecorder::new();
-        rec1.set_phase("a");
-        rec1.kernel("k", KernelKind::Other, 1, 1, 1);
-        let mut t1 = rec1.snapshot();
-
-        let mut rec2 = PerfRecorder::new();
-        rec2.set_phase("a");
-        rec2.kernel("k", KernelKind::Other, 2, 2, 2);
-        rec2.set_phase("b");
-        rec2.message(5);
-        let t2 = rec2.snapshot();
-
-        t1.add(&t2);
-        assert_eq!(t1.phase("a").kernel_bytes, 3);
-        assert_eq!(t1.phase("b").msgs, 1);
-        assert_eq!(t1.phase_names(), vec!["a".to_string(), "b".to_string()]);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The backend runs in two shapes behind the same [`SocketTransport`]:
 //!
-//! * **Thread mesh** ([`run_threads`]): N rank threads in this process,
+//! * **Thread mesh** ([`thread_mesh`]): N rank threads in this process,
 //!   one connected stream pair per pair of ranks. Every payload still
 //!   crosses a kernel socket through the full encode → frame → decode
 //!   path, so in-test runs exercise exactly the bytes a multi-process
@@ -48,7 +48,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::comm::{FirstPanic, Rank, Tag, RECV_TIMEOUT};
+use crate::comm::{Rank, Tag, RECV_TIMEOUT};
 use crate::transport::{
     frame_prefix, read_frame, Envelope, Frame, FrameKind, Payload, RecvEvent, RecvTimeout,
     Transport, WireFrame, FRAME_PREFIX_BYTES,
@@ -78,14 +78,10 @@ pub fn socket_path(rendezvous: &Path, rank: usize) -> PathBuf {
     path.into()
 }
 
-/// Run all `size` ranks as threads of this process, connected by one
-/// stream pair per pair of ranks. If ranks panic, the panic raised
-/// first is re-raised, not a peer's consequential one.
-pub(crate) fn run_threads<R, F>(size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&Rank) -> R + Sync,
-{
+/// One transport per rank of a `size`-rank job run as threads of this
+/// process, in rank order, connected by one stream pair per pair of
+/// ranks.
+pub(crate) fn thread_mesh(size: usize) -> Vec<Box<dyn Transport>> {
     let mut meshes: Vec<Vec<Option<UnixStream>>> = Vec::with_capacity(size);
     for me in 0..size {
         let mut row: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
@@ -96,37 +92,10 @@ where
         }
         meshes.push(row);
     }
-
-    let first_panic = FirstPanic::new();
-    std::thread::scope(|scope| {
-        let (f, first_panic) = (&f, &first_panic);
-        let handles = meshes.into_iter().enumerate().map(|(id, streams)| {
-            scope.spawn(move || {
-                let rank = Rank::new(Box::new(SocketTransport::new(id, size, streams)));
-                // Declared after `rank`, so it drops first: the claim is
-                // made before the rank's streams close under its peers.
-                let _claim = PanicClaim { id, first_panic };
-                let out = f(&rank);
-                rank.finalize();
-                out
-            })
-        });
-        first_panic.join(handles.collect())
-    })
-}
-
-/// Drop guard of one socket rank thread: claims the first panic.
-struct PanicClaim<'a> {
-    id: usize,
-    first_panic: &'a FirstPanic,
-}
-
-impl Drop for PanicClaim<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.first_panic.claim(self.id);
-        }
-    }
+    let transport = |(id, streams)| -> Box<dyn Transport> {
+        Box::new(SocketTransport::new(id, size, streams))
+    };
+    meshes.into_iter().enumerate().map(transport).collect()
 }
 
 /// Run the single rank this worker process hosts; `f`'s result for the

@@ -2,12 +2,13 @@
 //! is priced.
 //!
 //! Callers holding a `parcomm::Rank` hand these `(bytes, flops)` pairs
-//! to `rank.kernel(name, kind).launch(..)`, which accumulates each
-//! launch once: into the per-phase trace the `machine` crate converts
-//! into modeled device time (roofline: `max(bytes / bandwidth, flops /
-//! peak)` plus a launch overhead per kernel), and into the per-name
-//! `kernel_perf` row of the roofline report. Changing a formula here
-//! moves both, and shows as a diff of `results/*.txt`.
+//! to `rank.kernel(name).launch(..)`, which accumulates each launch
+//! once: into the per-phase trace the `machine` crate converts into
+//! modeled device time (roofline: `max(bytes / bandwidth, flops /
+//! peak)` plus the same launch overhead for every kernel), and into the
+//! per-name `kernel_perf` row of the roofline report. A kernel is known
+//! by its name and its price alone. Changing a formula here moves both,
+//! and shows as a diff of `results/*.txt`.
 //!
 //! Conventions: indices are 8 bytes (`usize`), values 8 bytes (`f64`);
 //! every array is streamed from memory once per kernel (no cache credit
